@@ -1,6 +1,7 @@
-//! Ablation: tiered gate fusion in the state-vector engine.
-//! DESIGN.md calls this out — fused 1q runs, merged diagonal sweeps, and
-//! 2q blocks save full amplitude sweeps on rotation-heavy circuits.
+//! Ablation: gate fusion in the state-vector engine.
+//! DESIGN.md calls this out — the layer plan (merged diagonal runs, 2x2
+//! chains, 4x4 blocks, executed tile by tile) against the verbatim
+//! per-gate path on rotation-heavy circuits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qfw_circuit::Circuit;
@@ -36,7 +37,6 @@ fn bench_fusion(c: &mut Criterion) {
         let circuit = rotation_heavy(n, 4);
         for (label, fusion) in [
             ("full", FusionLevel::Full),
-            ("runs1q", FusionLevel::Runs1q),
             ("unfused", FusionLevel::None),
         ] {
             let engine = SvSimulator::new(SvConfig {

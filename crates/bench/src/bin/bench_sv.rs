@@ -3,7 +3,10 @@
 //! Runs a fixed kernel/fusion/sampling suite at fixed seeds and writes the
 //! wall-clock results as JSON (`results/BENCH_sv.json` by default), so every perf
 //! PR touching `qfw-sim-sv` is measured against the previous checked-in
-//! numbers instead of asserted.
+//! numbers instead of asserted. The `layered` section runs the dense
+//! TFIM/QAOA/HAM shapes the layer-plan executor exists for and records,
+//! next to the time, how many ops went in and how many passes over memory
+//! came out.
 //!
 //! ```text
 //! bench_sv [--short] [--out PATH] [--baseline PATH]
@@ -68,6 +71,63 @@ struct WorkloadEntry {
     run_secs: f64,
 }
 
+/// One layered-circuit cell: a dense Trotter/QAOA shape under full fusion.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct LayeredEntry {
+    /// Workload label (`tfim18`, `qaoa18`, `ham18`).
+    workload: String,
+    /// `serial` or `rayon`.
+    mode: String,
+    /// Register size.
+    qubits: usize,
+    /// Gates of the source circuit.
+    ops_in: usize,
+    /// Fused layers the plan applies.
+    layers: usize,
+    /// Full-state passes over memory one execution makes.
+    passes: usize,
+    /// Engine wall-clock for gate application (excludes sampling).
+    run_secs: f64,
+}
+
+/// Where and with what the numbers were taken.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct HostStamp {
+    /// Hardware threads the process may use.
+    nproc: usize,
+    /// `model name` of `/proc/cpuinfo`, when readable.
+    cpu_model: String,
+    /// `rustc -V` of the toolchain on `PATH`, when runnable.
+    rustc: String,
+    /// Kernel tier the tile executor picked on this CPU.
+    isa_tier: String,
+}
+
+fn host_stamp() -> HostStamp {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    HostStamp {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cpu_model,
+        rustc,
+        isa_tier: qfw_sim_sv::IsaTier::detect().to_string(),
+    }
+}
+
 /// A computed ratio against the baseline file.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct SpeedupEntry {
@@ -88,12 +148,16 @@ struct BenchReport {
     suite: String,
     /// Seed every stochastic component of the suite derives from.
     seed: u64,
+    /// The host the numbers were taken on.
+    host: HostStamp,
     /// Per-kernel timings.
     kernels: Vec<KernelEntry>,
     /// Per-strategy sampling timings.
     sampling: Vec<SamplingEntry>,
     /// Per-workload fusion-tier timings and gate counts.
     workloads: Vec<WorkloadEntry>,
+    /// Layered dense circuits: time, ops in, passes out.
+    layered: Vec<LayeredEntry>,
     /// Ratios against `--baseline`, when given.
     speedups: Vec<SpeedupEntry>,
 }
@@ -225,7 +289,6 @@ fn workload_suite(short: bool) -> Vec<WorkloadEntry> {
     for (label, circuit) in workload_circuits(short) {
         for (tier, fusion) in [
             ("none", FusionLevel::None),
-            ("runs1q", FusionLevel::Runs1q),
             ("full", FusionLevel::Full),
         ] {
             let engine = SvSimulator::new(SvConfig {
@@ -252,6 +315,43 @@ fn workload_suite(short: bool) -> Vec<WorkloadEntry> {
     out
 }
 
+/// The dense layered shapes at the width the end-to-end benchmark runs
+/// them (12 qubits — one past the tile width — in the short suite).
+fn layered_suite(short: bool) -> Vec<LayeredEntry> {
+    use qfw_sim_sv::{fuse, SvConfig, SvSimulator, Threading};
+    let n = if short { 12 } else { 18 };
+    let qubo = qfw_workloads::Qubo::metamaterial(n, 3, SEED);
+    let theta: Vec<f64> = (0..4).map(|k| 0.35 + 0.11 * k as f64).collect();
+    let circuits = [
+        (format!("tfim{n}"), qfw_workloads::tfim(n)),
+        (format!("qaoa{n}"), qfw_workloads::qaoa_ansatz(&qubo, 2).bind(&theta)),
+        (format!("ham{n}"), qfw_workloads::ham(n)),
+    ];
+    let mut out = Vec::new();
+    for (label, circuit) in &circuits {
+        let plan = fuse(circuit);
+        for (mode, threading) in [("serial", Threading::Serial), ("rayon", Threading::Rayon)] {
+            let engine = SvSimulator::new(SvConfig {
+                threading,
+                ..SvConfig::default()
+            });
+            let run_secs = (0..5)
+                .map(|_| engine.run(circuit, 1024, SEED).gate_time.as_secs_f64())
+                .fold(f64::INFINITY, f64::min);
+            out.push(LayeredEntry {
+                workload: label.clone(),
+                mode: mode.to_string(),
+                qubits: n,
+                ops_in: circuit.num_gates(),
+                layers: plan.num_layers(),
+                passes: plan.passes(),
+                run_secs,
+            });
+        }
+    }
+    out
+}
+
 /// Flattens a report into `(key, secs)` pairs for baseline comparison.
 fn flat(report: &BenchReport) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -263,6 +363,9 @@ fn flat(report: &BenchReport) -> Vec<(String, f64)> {
     }
     for w in &report.workloads {
         out.push((format!("workload/{}/{}", w.workload, w.fusion), w.run_secs));
+    }
+    for l in &report.layered {
+        out.push((format!("layered/{}/{}", l.workload, l.mode), l.run_secs));
     }
     out
 }
@@ -291,13 +394,17 @@ fn main() {
     let sampling = sampling_suite(samp_n, samp_shots);
     eprintln!("[bench_sv] workload/fusion suite");
     let workloads = workload_suite(short);
+    eprintln!("[bench_sv] layered suite");
+    let layered = layered_suite(short);
 
     let mut report = BenchReport {
         suite: if short { "short" } else { "full" }.to_string(),
         seed: SEED,
+        host: host_stamp(),
         kernels,
         sampling,
         workloads,
+        layered,
         speedups: Vec::new(),
     };
 
@@ -326,6 +433,17 @@ fn main() {
     eprintln!("[bench_sv] wrote {out_path}");
 
     // Human-readable digest on stderr so CI logs show the trajectory.
+    for l in &report.layered {
+        eprintln!(
+            "  {:<8} {:<6} {:>8.3} ms  {:>4} ops in, {:>3} layers, {:>2} passes out",
+            l.workload,
+            l.mode,
+            l.run_secs * 1e3,
+            l.ops_in,
+            l.layers,
+            l.passes
+        );
+    }
     for s in &report.speedups {
         eprintln!(
             "  {:<40} {:>10.6}s -> {:>10.6}s  ({:.2}x)",

@@ -16,16 +16,17 @@ use qfw_circuit::{text, Circuit, ParamCircuit};
 use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
 use qfw_sim_sv::dist::{run_distributed_laid_out, RouteStrategy};
-use qfw_sim_sv::fusion::fuse;
 use qfw_sim_sv::noise::NoiseModel;
 use qfw_sim_sv::{
-    FusionLevel, SvConfig, SvSimulator, SweepError, SweepPlan, SweepPoint, Threading,
+    fuse, FusionLevel, LayerPlan, SvConfig, SvSimulator, SweepError, SweepPlan, SweepPoint,
+    Threading,
 };
 use std::sync::Arc;
 
 /// Compiled sweep plans retained per backend instance (sharded LRU).
 const PLAN_CACHE_CAP: usize = 64;
-/// Fused concrete circuits retained per backend instance (sharded LRU).
+/// Layer plans of concrete circuits retained per backend instance (sharded
+/// LRU).
 const FUSED_CACHE_CAP: usize = 256;
 
 /// NWQ-Sim analog Backend-QPM.
@@ -37,19 +38,19 @@ const FUSED_CACHE_CAP: usize = 256;
 ///   skeleton, so variational loops stop paying per-iteration
 ///   transpile+fusion; single bound tasks and full sweeps share the plan
 ///   path, keeping their counts bitwise identical.
-/// * Concrete (`qfwasm`) tasks cache their **fused** circuit keyed by the
-///   canonical content hash, so repeat (and near-repeat: different
-///   seed/shots) submissions skip the fusion pre-pass entirely and go
-///   straight to gate application.
+/// * Concrete (`qfwasm`) tasks cache their **layer plan** (the fused
+///   circuit, already cut into tile groups) keyed by the canonical content
+///   hash, so repeat (and near-repeat: different seed/shots) submissions
+///   skip the fusion pre-pass entirely and go straight to gate
+///   application.
 ///
 /// Both tiers report `cache.{hit,miss,evict}` (and `cache.plan.*` /
 /// `cache.fused.*`) counters on the per-execution obs handle.
 pub struct NwqSimBackend {
     /// Compiled sweep plans keyed by hash of `sub|fusion|skeleton-text`.
     plans: ShardedLru<Arc<SweepPlan>>,
-    /// Fused concrete circuits keyed by canonical circuit hash + fusion
-    /// tier.
-    fused: ShardedLru<Arc<Circuit>>,
+    /// Layer plans keyed by canonical circuit hash.
+    fused: ShardedLru<Arc<LayerPlan>>,
 }
 
 impl Default for NwqSimBackend {
@@ -145,20 +146,10 @@ impl NwqSimBackend {
         Ok((plan, false))
     }
 
-    /// Fetches (or fuses and caches) the fused form of a concrete circuit.
-    /// Returns the fused circuit and whether it was served from the cache.
-    ///
-    /// Callers run the returned circuit with [`FusionLevel::None`]: fusion
-    /// already happened, so re-fusing would be wasted work (the fused ops
-    /// are opaque unitaries the pass would pass through anyway).
-    fn fused_for(
-        &self,
-        circuit: &Circuit,
-        fusion: FusionLevel,
-        obs: &Obs,
-    ) -> (Arc<Circuit>, bool) {
-        let key = ContentHash::of_bytes(text::dump(circuit).as_bytes())
-            .fold_str(&format!("{fusion:?}"));
+    /// Fetches (or fuses and caches) the layer plan of a concrete circuit.
+    /// Returns the plan and whether it was served from the cache.
+    fn fused_for(&self, circuit: &Circuit, obs: &Obs) -> (Arc<LayerPlan>, bool) {
+        let key = ContentHash::of_bytes(text::dump(circuit).as_bytes());
         if let Some(fused) = self.fused.get(key) {
             report_event(obs, "fused", CacheEvent::Hit);
             return (fused, true);
@@ -167,8 +158,8 @@ impl NwqSimBackend {
         let mut span = obs
             .span("engine", "sv.fuse")
             .attr("ops_in", circuit.ops().len());
-        let fused = Arc::new(fuse(circuit, fusion));
-        span.set_attr("ops_out", fused.ops().len());
+        let fused = Arc::new(fuse(circuit));
+        span.set_attr("ops_out", fused.num_layers());
         drop(span);
         if self.fused.insert(key, Arc::clone(&fused)) {
             report_event(obs, "fused", CacheEvent::Evict);
@@ -403,24 +394,26 @@ impl BackendQpm for NwqSimBackend {
                         prefix_gates.to_string(),
                     );
                 } else if noise.is_empty() {
-                    // With fusion enabled, fuse through the per-instance
-                    // cache and run the pre-fused circuit with fusion off —
-                    // bitwise identical (sampling depends only on the final
-                    // state, qubit count, and seed), but repeat submissions
-                    // skip the fusion pre-pass. `fusion=false` bypasses the
-                    // cache so the unfused gate stream runs verbatim.
-                    let (to_run, fusion_cached) = if fusion == FusionLevel::None {
-                        (Arc::new(circuit), None)
-                    } else {
-                        let (fused, cached) = self.fused_for(&circuit, fusion, ctx.obs);
-                        (fused, Some(cached))
-                    };
+                    // With fusion enabled, run the layer plan out of the
+                    // per-instance cache — the plan `FusionLevel::Full`
+                    // would build, so counts are bitwise the same, but
+                    // repeat submissions skip the fusion pre-pass.
+                    // `fusion=false` bypasses the cache so the unfused gate
+                    // stream runs verbatim.
                     let engine = SvSimulator::new(SvConfig {
                         threading,
-                        fusion: FusionLevel::None,
+                        fusion,
                         ..SvConfig::default()
                     });
-                    let out = engine.run_traced(&to_run, task.shots, task.seed, ctx.obs);
+                    let (out, fusion_cached) = if fusion == FusionLevel::None {
+                        let out = engine.run_traced(&circuit, task.shots, task.seed, ctx.obs);
+                        (out, None)
+                    } else {
+                        let (plan, cached) = self.fused_for(&circuit, ctx.obs);
+                        let out =
+                            engine.run_layers_traced(&plan, task.shots, task.seed, ctx.obs);
+                        (out, Some(cached))
+                    };
                     result.counts = out.counts;
                     result.profile.exec_secs = out.gate_time.as_secs_f64();
                     result.profile.sample_secs = out.sample_time.as_secs_f64();

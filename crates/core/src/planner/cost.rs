@@ -14,8 +14,10 @@ use qfw_circuit::analysis::StructureReport;
 /// Unit costs, all in seconds per elementary operation.
 ///
 /// Defaults are derived from the checked-in `results/BENCH_sv.json`
-/// kernel timings (serial gate applies cost ~0.5 ns per amplitude) and
-/// round numbers for the engines the bench suite exercises less densely;
+/// layered-circuit timings (the serial layer-plan executor costs ~0.2 ns
+/// per amplitude per *source* gate: TFIM/QAOA/HAM-18 run 694 gates over
+/// `2^18` amplitudes in 38.8 ms) and round numbers for the engines the
+/// bench suite exercises less densely;
 /// [`CostCoefficients::from_bench_json`] re-derives the state-vector
 /// coefficient from a fresh bench report.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,7 +49,7 @@ pub struct CostCoefficients {
 impl Default for CostCoefficients {
     fn default() -> Self {
         CostCoefficients {
-            sv_amp_secs: 5e-10,
+            sv_amp_secs: 2e-10,
             sv_shot_secs: 3e-8,
             mps_elem_secs: 2e-9,
             stab_word_secs: 1e-9,
@@ -64,12 +66,13 @@ impl Default for CostCoefficients {
 
 impl CostCoefficients {
     /// Re-derives the dense-SV amplitude coefficient from a
-    /// `BENCH_sv.json` report (the `kernels` section records
-    /// `secs_per_apply` at a known register size). Returns `None` when the
-    /// text is not such a report.
+    /// `BENCH_sv.json` report: the `layered` section records the fused
+    /// engine's `run_secs` for `ops_in` source gates at a known register
+    /// size, which is exactly the product [`sv_cost`](Self::sv_cost)
+    /// prices. Returns `None` when the text is not such a report.
     pub fn from_bench_json(text: &str) -> Option<Self> {
         let v: serde::Value = serde_json::from_str(text).ok()?;
-        let kernels = match v.get("kernels")? {
+        let layered = match v.get("layered")? {
             serde::Value::Seq(items) => items,
             _ => return None,
         };
@@ -79,20 +82,18 @@ impl CostCoefficients {
             serde::Value::Float(f) => Some(*f),
             _ => None,
         };
-        // Average seconds-per-amplitude over the serial kernel points;
-        // larger registers dominate real runs, so weight by amplitude count.
+        // Seconds over gate-amplitude products, summed over the serial
+        // rows, so the widest and deepest circuits weigh the most.
         let mut num = 0.0f64;
         let mut den = 0.0f64;
-        for k in kernels {
-            match k.get("mode") {
+        for row in layered {
+            match row.get("mode") {
                 Some(serde::Value::Str(mode)) if mode.contains("serial") => {}
                 _ => continue,
             }
-            let n = as_f64(k.get("qubits")?)? as i32;
-            let secs = as_f64(k.get("secs_per_apply")?)?;
-            let amps = 2f64.powi(n);
-            num += secs;
-            den += amps;
+            let n = as_f64(row.get("qubits")?)? as i32;
+            num += as_f64(row.get("run_secs")?)?;
+            den += as_f64(row.get("ops_in")?)? * 2f64.powi(n);
         }
         if den <= 0.0 || num <= 0.0 {
             return None;
@@ -210,12 +211,12 @@ mod tests {
 
     #[test]
     fn bench_json_calibration_overrides_sv_coefficient() {
-        let json = r#"{"kernels":[
-            {"name":"h","mode":"serial","qubits":20,"reps":3,"secs_per_apply":0.001},
-            {"name":"h","mode":"parallel","qubits":20,"reps":3,"secs_per_apply":0.0005}
+        let json = r#"{"layered":[
+            {"workload":"tfim20","mode":"serial","qubits":20,"ops_in":100,"run_secs":0.02},
+            {"workload":"tfim20","mode":"rayon","qubits":20,"ops_in":100,"run_secs":0.01}
         ]}"#;
         let c = CostCoefficients::from_bench_json(json).expect("parses");
-        let expect = 0.001 / 2f64.powi(20);
+        let expect = 0.02 / (100.0 * 2f64.powi(20));
         assert!((c.sv_amp_secs - expect).abs() / expect < 1e-9);
         assert!(CostCoefficients::from_bench_json("{}").is_none());
     }

@@ -370,7 +370,7 @@ mod tests {
     fn corrections_can_reorder_close_candidates() {
         // ham-like: SV and MPS are within the correction band of each
         // other; a consistently slow SV engine flips the ranking.
-        let deep = qfw_workloads::ham::ham_with(10, 4, 0.25);
+        let deep = qfw_workloads::ham::ham_with(12, 4, 0.25);
         let ctx = SelectorContext {
             free_cores: 1,
             cloud_available: false,

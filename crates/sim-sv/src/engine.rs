@@ -1,6 +1,7 @@
 //! The single-process engine façade: configuration, execution, outcomes.
 
 use crate::fusion::{fuse, FusionLevel};
+use crate::layers::LayerPlan;
 use crate::state::StateVector;
 use qfw_circuit::{Circuit, Op};
 use qfw_num::rng::{Rng, SampleStrategy};
@@ -52,6 +53,20 @@ pub struct SvOutcome {
     pub sample_time: Duration,
     /// Number of gates actually applied (after fusion).
     pub gates_applied: usize,
+}
+
+/// A state after its gates, on the way to the sampler.
+struct Evolved {
+    sv: StateVector,
+    /// The run's generator, advanced past any mid-circuit collapses.
+    rng: Rng,
+    /// Terminal `(qubit, clbit)` measurements.
+    measured: Vec<(usize, usize)>,
+    /// Classical bits fixed by mid-circuit collapses.
+    collapsed_bits: BTreeMap<usize, u8>,
+    num_clbits: usize,
+    gate_time: Duration,
+    gates_applied: usize,
 }
 
 /// The state-vector simulator engine.
@@ -135,6 +150,20 @@ impl SvSimulator {
         self.run_inner(Some(initial), circuit, shots, seed, obs)
     }
 
+    /// Executes an already-fused plan — the entry point for callers that
+    /// cache plans across submissions (the `nwqsim` adapter). Identical to
+    /// [`run_traced`](Self::run_traced) under `FusionLevel::Full` minus the
+    /// fusion pass.
+    pub fn run_layers_traced(
+        &self,
+        plan: &LayerPlan,
+        shots: usize,
+        seed: u64,
+        obs: &Obs,
+    ) -> SvOutcome {
+        self.run_plan_from(None, plan, shots, seed, obs)
+    }
+
     fn run_inner(
         &self,
         initial: Option<StateVector>,
@@ -143,20 +172,67 @@ impl SvSimulator {
         seed: u64,
         obs: &Obs,
     ) -> SvOutcome {
-        let parallel = self.config.threading == Threading::Rayon;
-        let prepared;
-        let circuit = if self.config.fusion == FusionLevel::None {
-            circuit
-        } else {
-            let mut fuse_span = obs
-                .span("engine", "sv.fuse")
-                .attr("ops_in", circuit.ops().len());
-            prepared = fuse(circuit, self.config.fusion);
-            fuse_span.set_attr("ops_out", prepared.ops().len());
-            drop(fuse_span);
-            &prepared
-        };
+        if self.config.fusion == FusionLevel::None {
+            return self.run_verbatim(initial, circuit, shots, seed, obs);
+        }
+        let mut fuse_span = obs
+            .span("engine", "sv.fuse")
+            .attr("ops_in", circuit.ops().len());
+        let plan = fuse(circuit);
+        fuse_span.set_attr("ops_out", plan.num_layers());
+        drop(fuse_span);
+        self.run_plan_from(initial, &plan, shots, seed, obs)
+    }
 
+    /// `FusionLevel::Full`: the plan's tile groups, one pass each.
+    fn run_plan_from(
+        &self,
+        initial: Option<StateVector>,
+        plan: &LayerPlan,
+        shots: usize,
+        seed: u64,
+        obs: &Obs,
+    ) -> SvOutcome {
+        let parallel = self.config.threading == Threading::Rayon;
+        let mut rng = Rng::seed_from(seed);
+        let mut sv = initial.unwrap_or_else(|| StateVector::zero(plan.num_qubits()));
+        let sw = qfw_hpc::Stopwatch::start();
+        let apply_span = obs
+            .span("engine", "sv.apply")
+            .attr("qubits", plan.num_qubits())
+            .attr("gates", plan.num_layers())
+            .attr("passes", plan.passes())
+            .attr("tile_groups", plan.passes());
+        let collapsed_bits = plan.apply(&mut sv, &mut rng, parallel);
+        drop(apply_span);
+        let gate_time = sw.elapsed();
+        self.sample(
+            Evolved {
+                sv,
+                rng,
+                measured: plan.terminal_measurements().to_vec(),
+                collapsed_bits,
+                num_clbits: plan.num_clbits(),
+                gate_time,
+                gates_applied: plan.num_layers(),
+            },
+            shots,
+            seed,
+            obs,
+        )
+    }
+
+    /// `FusionLevel::None`: the circuit gate by gate, one state sweep each
+    /// — the reference every other path is compared against.
+    fn run_verbatim(
+        &self,
+        initial: Option<StateVector>,
+        circuit: &Circuit,
+        shots: usize,
+        seed: u64,
+        obs: &Obs,
+    ) -> SvOutcome {
+        let parallel = self.config.threading == Threading::Rayon;
         let mut rng = Rng::seed_from(seed);
         let mut sv =
             initial.unwrap_or_else(|| StateVector::zero(circuit.num_qubits()));
@@ -166,9 +242,7 @@ impl SvSimulator {
         let mut collapsed_bits: BTreeMap<usize, u8> = BTreeMap::new();
 
         // A measurement is terminal (servable by final-state sampling) iff
-        // no later gate touches the measured qubit. Gate fusion may emit
-        // flushed blocks between measurements of *other* qubits, so this
-        // must be decided per qubit, not by position in the op list.
+        // no later gate touches the measured qubit.
         let mut last_gate_touch = vec![0usize; circuit.num_qubits().max(1)];
         for (pos, op) in circuit.ops().iter().enumerate() {
             if let Op::Gate(g) = op {
@@ -201,9 +275,40 @@ impl SvSimulator {
             }
         }
         apply_span.set_attr("gates", gates_applied);
+        apply_span.set_attr("passes", gates_applied);
+        apply_span.set_attr("tile_groups", 0usize);
         drop(apply_span);
         let gate_time = sw.elapsed();
+        self.sample(
+            Evolved {
+                sv,
+                rng,
+                measured,
+                collapsed_bits,
+                num_clbits: circuit.num_clbits(),
+                gate_time,
+                gates_applied,
+            },
+            shots,
+            seed,
+            obs,
+        )
+    }
 
+    /// Samples an evolved state into counts — shared by both gate paths,
+    /// so a fixed seed draws identically whichever applied the gates.
+    fn sample(&self, evolved: Evolved, shots: usize, seed: u64, obs: &Obs) -> SvOutcome {
+        let Evolved {
+            sv,
+            mut rng,
+            measured,
+            collapsed_bits,
+            num_clbits: width,
+            gate_time,
+            gates_applied,
+        } = evolved;
+        let parallel = self.config.threading == Threading::Rayon;
+        let n = sv.num_qubits();
         let sample_span = obs.span("engine", "sv.sample").attr("shots", shots);
         let sw = qfw_hpc::Stopwatch::start();
         // Terminal sampling. The alias default draws through the canonical
@@ -215,7 +320,7 @@ impl SvSimulator {
             SampleStrategy::Alias => sv.sample_counts_split(
                 shots,
                 seed,
-                crate::state::canonical_split_bits(circuit.num_qubits(), 0),
+                crate::state::canonical_split_bits(n, 0),
             ),
             SampleStrategy::Cdf => {
                 sv.sample_counts_with(shots, rng, SampleStrategy::Cdf, parallel)
@@ -227,7 +332,6 @@ impl SvSimulator {
             sample_terminal(&sv, &mut rng)
         } else if measured.is_empty() {
             // Only mid-circuit measurements: one trajectory's classical bits.
-            let width = circuit.num_clbits();
             let bits: String = (0..width)
                 .rev()
                 .map(|c| match collapsed_bits.get(&c) {
@@ -240,10 +344,8 @@ impl SvSimulator {
             // Terminal measurements: sample the register, then project each
             // sample onto the measured clbits.
             let raw = sample_terminal(&sv, &mut rng);
-            let width = circuit.num_clbits();
             let mut out: BTreeMap<String, usize> = BTreeMap::new();
             for (bitstring, count) in raw {
-                let n = circuit.num_qubits();
                 let mut bits = vec!['0'; width];
                 for &(q, c) in &measured {
                     // bitstring is printed with qubit n-1 leftmost.
@@ -270,15 +372,11 @@ impl SvSimulator {
     /// Returns the final state vector of the unitary part of a circuit.
     pub fn statevector(&self, circuit: &Circuit) -> StateVector {
         let parallel = self.config.threading == Threading::Rayon;
-        let prepared;
-        let circuit = if self.config.fusion == FusionLevel::None {
-            circuit
-        } else {
-            prepared = fuse(circuit, self.config.fusion);
-            &prepared
-        };
         let mut sv = StateVector::zero(circuit.num_qubits());
-        sv.run_unitary(circuit, parallel);
+        match self.config.fusion {
+            FusionLevel::None => sv.run_unitary(circuit, parallel),
+            FusionLevel::Full => fuse(circuit).apply_unitary(&mut sv, parallel),
+        }
         sv
     }
 
@@ -318,7 +416,7 @@ mod tests {
             },
             SvConfig {
                 threading: Threading::Serial,
-                fusion: FusionLevel::Runs1q,
+                fusion: FusionLevel::Full,
                 sampling: SampleStrategy::Alias,
             },
             SvConfig {
@@ -361,6 +459,11 @@ mod tests {
         assert!(names.contains(&"sv.fuse".to_string()));
         assert!(names.contains(&"sv.apply".to_string()));
         assert!(names.contains(&"sv.sample".to_string()));
+        // The apply span says why a job was fast: how often memory was swept.
+        let spans = obs.spans();
+        let apply = spans.iter().find(|s| s.name == "sv.apply").expect("recorded");
+        assert_eq!(apply.attrs["passes"], qfw_obs::AttrValue::Int(1));
+        assert_eq!(apply.attrs["tile_groups"], qfw_obs::AttrValue::Int(1));
         // Untraced run records nothing.
         let silent = Obs::disabled();
         SvSimulator::default().run_traced(&ghz(4), 100, 3, &silent);
@@ -373,15 +476,8 @@ mod tests {
         qc.h(0).t(0).rz(0, 0.3).h(1).s(1).cx(0, 1);
         qc.measure_all();
         let plain = SvSimulator::plain().run(&qc, 10, 1);
-        let runs1q = SvSimulator::new(SvConfig {
-            threading: Threading::Serial,
-            fusion: FusionLevel::Runs1q,
-            sampling: SampleStrategy::Alias,
-        })
-        .run(&qc, 10, 1);
         let full = SvSimulator::default().run(&qc, 10, 1);
         assert_eq!(plain.gates_applied, 6);
-        assert_eq!(runs1q.gates_applied, 3); // fused(q0,3) + fused(q1,2) + cx
         assert_eq!(full.gates_applied, 1); // everything in one 4x4 block
     }
 
@@ -457,14 +553,11 @@ mod tests {
             qc.cx(q, q + 1);
         }
         let a = SvSimulator::plain().statevector(&qc);
-        for fusion in [FusionLevel::Runs1q, FusionLevel::Full] {
-            let b = SvSimulator::new(SvConfig {
-                threading: Threading::Rayon,
-                fusion,
-                sampling: SampleStrategy::Alias,
-            })
-            .statevector(&qc);
-            assert!(approx_eq(a.fidelity(&b), 1.0, 1e-9), "{fusion:?}");
-        }
+        let b = SvSimulator::new(SvConfig {
+            threading: Threading::Rayon,
+            ..SvConfig::default()
+        })
+        .statevector(&qc);
+        assert!(approx_eq(a.fidelity(&b), 1.0, 1e-9));
     }
 }

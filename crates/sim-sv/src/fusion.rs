@@ -1,372 +1,426 @@
-//! Gate fusion: pre-passes that rewrite a circuit into fewer, denser gates
-//! before simulation.
+//! Gate fusion: rewrites a circuit into the few dense [`Layer`]s the tile
+//! executor runs ([`crate::layers`]).
 //!
-//! Three tiers (see [`FusionLevel`]):
-//! * **1q runs** — maximal runs of same-qubit single-qubit gates multiply
-//!   into one dense 2x2 `Unitary` block (the legacy pass).
-//! * **Diagonal merge** — commuting diagonal gates (Rz/Cz/Cp/Rzz/...) merge
-//!   into a single diagonal `Unitary` block applied as one phase sweep.
-//! * **2q blocks** — contiguous two-qubit regions accumulate into one 4x4
-//!   block, absorbing the single-qubit runs on their qubits (the Aer /
-//!   NWQ-Sim style optimization).
+//! Two passes, both `O(ops)`:
 //!
-//! Each fused block saves full `O(2^n)` amplitude sweeps, the dominant cost
-//! of deep circuits on state-vector engines. The effect is measured by the
-//! `ablation_fusion` bench and the `bench_sv` perf suite.
+//! * **Diagonal runs** — commuting diagonal gates (Rz/Cz/Cp/Rzz/...,
+//!   diagonal unitaries) merge into one [`DiagLayer`] of any width. The
+//!   one- and two-qubit ones collapse into a handful of scalars (a phase
+//!   at zero, one flip ratio per qubit, one correction per coupled pair);
+//!   nothing the size of `2^width` is ever built. A run stays open across
+//!   non-diagonal ops on *disjoint* qubits and ends at anything touching
+//!   one of its qubits.
+//! * **Blocks** — every two-qubit gate opens (or extends) a 4x4 block on
+//!   its pair, absorbing the single-qubit chains on its qubits; chains
+//!   that meet no block multiply out into one 2x2 [`Layer::Local1q`]
+//!   tagged with its [`Shape1q`]; wider gates pass through as
+//!   [`Layer::Dense`].
+//!
+//! [`FusionLevel::None`] skips all of this: the engine then applies the
+//! circuit gate by gate, which is the reference the fused path, the
+//! partitioned path and the tests are compared against.
 
+use crate::kernels::{mat2_mul, DiagForm, Mat2, Shape1q};
+use crate::layers::{DiagLayer, FactorTable, Fused, Layer, LayerPlan};
 use qfw_circuit::{Circuit, Gate, Op};
 use qfw_num::complex::C64;
 use qfw_num::Matrix;
 use std::sync::Arc;
 
-/// How aggressively the engine fuses gates before applying them.
+/// Whether the engine fuses gates before applying them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FusionLevel {
-    /// Apply the circuit verbatim.
+    /// Apply the circuit verbatim, one state sweep per gate.
     None,
-    /// Fuse runs of same-qubit single-qubit gates (legacy tier).
-    Runs1q,
-    /// Diagonal-run merging followed by two-qubit block fusion (subsumes
-    /// the 1q tier: leftover runs fuse into blocks or into 2x2 unitaries).
+    /// Fuse into a [`LayerPlan`] and execute it tile by tile.
     #[default]
     Full,
 }
 
-/// Applies the fusion pre-pass selected by `level`.
-pub fn fuse(circuit: &Circuit, level: FusionLevel) -> Circuit {
-    match level {
-        FusionLevel::None => circuit.clone(),
-        FusionLevel::Runs1q => fuse_1q_runs(circuit),
-        FusionLevel::Full => fuse_2q_blocks(&fuse_diagonal_runs(circuit)),
-    }
-}
-
-/// Rewrites `circuit` with maximal runs of same-qubit single-qubit gates
-/// fused into `Gate::Unitary` blocks. Multi-qubit gates, measurements, and
-/// barriers flush any pending runs on the qubits they touch.
-pub fn fuse_1q_runs(circuit: &Circuit) -> Circuit {
+/// Fuses a circuit into its layer plan.
+pub fn fuse(circuit: &Circuit) -> LayerPlan {
     let n = circuit.num_qubits();
-    let mut out = Circuit::with_clbits(n, circuit.num_clbits());
-    out.name = circuit.name.clone();
-
-    // Pending accumulated 1q unitary per qubit, with the count of source
-    // gates it absorbs (a run of length 1 is emitted verbatim).
-    let mut pending: Vec<Option<(Matrix, Gate, usize)>> = (0..n).map(|_| None).collect();
-
-    for op in circuit.ops() {
-        match op {
-            Op::Gate(g) if g.arity() == 1 && !matches!(g, Gate::Unitary { .. }) => {
-                let q = g.qubits()[0];
-                let gm = g.matrix();
-                pending[q] = Some(match pending[q].take() {
-                    None => (gm, g.clone(), 1),
-                    Some((m, first, count)) => (gm.matmul(&m), first, count + 1),
-                });
-            }
-            other => {
-                for q in other.qubits() {
-                    flush_1q(&mut out, pending[q].take(), q);
-                }
-                out.push_op(other.clone());
-            }
-        }
-    }
-    for (q, p) in pending.iter_mut().enumerate() {
-        flush_1q(&mut out, p.take(), q);
-    }
-    out
-}
-
-/// Emits a pending 1q run: verbatim when it holds a single source gate,
-/// otherwise as a fused 2x2 `Unitary` block.
-fn flush_1q(out: &mut Circuit, slot: Option<(Matrix, Gate, usize)>, q: usize) {
-    if let Some((m, first, count)) = slot {
-        if count == 1 {
-            out.push(first);
-        } else {
-            out.push(Gate::Unitary {
-                qubits: vec![q],
-                matrix: Arc::new(m),
-                label: format!("fused{count}"),
-            });
-        }
-    }
+    assert!(n < 64, "the dense engine cannot hold a {n}-qubit register");
+    LayerPlan::build(
+        n,
+        circuit.num_clbits(),
+        fuse_blocks(n, merge_diagonal_runs(n, circuit)),
+    )
 }
 
 // --- diagonal-run merging ----------------------------------------------------
 
-/// Diagonal blocks stop growing at this many qubits: the merged phase table
-/// (and the dense `Matrix::diag` storage backing the emitted block) is
-/// `2^k` entries, so the cap bounds memory while still covering the deep
-/// Rz/Rzz layers of QAOA and TFIM circuits.
-const MAX_DIAG_QUBITS: usize = 6;
+/// An op between the two passes.
+enum Item {
+    Gate(Gate),
+    Diag(DiagLayer),
+    Measure {
+        qubit: usize,
+        clbit: usize,
+    },
+    /// Barrier operands as a mask (every qubit for an operand-less one).
+    Barrier(u64),
+}
 
+impl Item {
+    fn support(&self) -> u64 {
+        match self {
+            Item::Gate(g) => mask_of(&g.qubits()),
+            Item::Diag(d) => d.support,
+            Item::Measure { qubit, .. } => 1 << qubit,
+            Item::Barrier(mask) => *mask,
+        }
+    }
+}
+
+fn mask_of(qubits: &[usize]) -> u64 {
+    qubits.iter().fold(0, |m, q| m | 1 << q)
+}
+
+/// The gate's diagonal, if it is one a [`DiagLayer`] can absorb: diagonal
+/// in the computational basis with every entry finite and nonzero (the
+/// run is kept as ratios of entries; circuit text can carry a "unitary"
+/// that is neither, and that one stays a dense gate).
+fn absorbable_diagonal(g: &Gate) -> Option<Vec<C64>> {
+    g.diagonal().filter(|d| {
+        d.iter()
+            .all(|z| z.norm_sqr() > 0.0 && z.norm_sqr().is_finite())
+    })
+}
+
+/// An open run of diagonal gates.
 struct DiagRun {
-    /// Qubits in local bit order (order of first appearance).
-    qubits: Vec<usize>,
-    /// Merged phases, `2^qubits.len()` entries.
-    phases: Vec<C64>,
+    p0: C64,
+    /// Flip ratio per register qubit (`ONE` where untouched).
+    flips: Vec<C64>,
+    pairs: Vec<(usize, usize, C64)>,
+    tables: Vec<FactorTable>,
+    support: u64,
     /// First absorbed gate, emitted verbatim when nothing else merged.
     first: Gate,
-    /// Number of source gates absorbed.
     count: usize,
 }
 
-/// Merges runs of commuting diagonal gates into single diagonal `Unitary`
-/// blocks. Diagonal gates all commute with each other, so a run stays open
-/// across non-diagonal ops on *disjoint* qubits; any op touching one of the
-/// run's qubits (or a barrier/measure) flushes it.
-pub fn fuse_diagonal_runs(circuit: &Circuit) -> Circuit {
-    let n = circuit.num_qubits();
-    let mut out = Circuit::with_clbits(n, circuit.num_clbits());
-    out.name = circuit.name.clone();
-    let mut run: Option<DiagRun> = None;
-
-    for op in circuit.ops() {
-        let diag = match op {
-            Op::Gate(g) => g.diagonal().map(|d| (g, d)),
-            _ => None,
-        };
-        if let Some((g, d)) = diag {
-            let gq = g.qubits();
-            match run.as_mut() {
-                Some(r) if union_size(&r.qubits, &gq) <= MAX_DIAG_QUBITS => {
-                    absorb_diag(r, &gq, &d);
-                }
-                _ => {
-                    flush_diag(&mut out, run.take());
-                    run = Some(DiagRun {
-                        qubits: gq,
-                        phases: d,
-                        first: g.clone(),
-                        count: 1,
-                    });
-                }
-            }
-        } else {
-            // Non-diagonal ops touching the run end it; disjoint ones
-            // commute with the pending diagonal and pass straight through.
-            // Operand-less barriers conservatively flush everything.
-            if let Some(r) = &run {
-                let qs = op.qubits();
-                if qs.is_empty() || qs.iter().any(|q| r.qubits.contains(q)) {
-                    flush_diag(&mut out, run.take());
-                }
-            }
-            out.push_op(op.clone());
+impl DiagRun {
+    fn open(n: usize, g: &Gate) -> DiagRun {
+        DiagRun {
+            p0: C64::ONE,
+            flips: vec![C64::ONE; n],
+            pairs: Vec::new(),
+            tables: Vec::new(),
+            support: 0,
+            first: g.clone(),
+            count: 0,
         }
     }
-    flush_diag(&mut out, run.take());
-    out
-}
 
-/// Size of the union of two qubit sets (both small; linear scan is fine).
-fn union_size(a: &[usize], b: &[usize]) -> usize {
-    a.len() + b.iter().filter(|q| !a.contains(q)).count()
-}
-
-/// Folds a diagonal gate on qubits `gq` with local phases `d` into the run.
-fn absorb_diag(r: &mut DiagRun, gq: &[usize], d: &[C64]) {
-    for &q in gq {
-        if !r.qubits.contains(&q) {
-            // New qubit becomes the next local MSB: the phase table doubles,
-            // both halves identical (the existing phases don't depend on it).
-            r.qubits.push(q);
-            let len = r.phases.len();
-            r.phases.extend_from_within(0..len);
-        }
-    }
-    let pos: Vec<usize> = gq
-        .iter()
-        .map(|q| r.qubits.iter().position(|x| x == q).unwrap())
-        .collect();
-    for (l, phase) in r.phases.iter_mut().enumerate() {
-        let mut gl = 0usize;
-        for (j, &p) in pos.iter().enumerate() {
-            if l & (1 << p) != 0 {
-                gl |= 1 << j;
+    /// Folds a diagonal gate on `qubits` with local phases `d` into the run.
+    fn absorb(&mut self, qubits: Vec<usize>, d: Vec<C64>) {
+        self.support |= mask_of(&qubits);
+        self.count += 1;
+        match qubits[..] {
+            [q] => {
+                self.p0 *= d[0];
+                self.flips[q] *= d[1] / d[0];
             }
+            [a, b] => {
+                self.p0 *= d[0];
+                self.flips[a] *= d[1] / d[0];
+                self.flips[b] *= d[2] / d[0];
+                let w = d[3] * d[0] / (d[1] * d[2]);
+                let key = (a.min(b), a.max(b));
+                match self.pairs.iter_mut().find(|p| (p.0, p.1) == key) {
+                    Some(p) => p.2 *= w,
+                    None => self.pairs.push((key.0, key.1, w)),
+                }
+            }
+            _ => self.tables.push(FactorTable { qubits, phases: d }),
         }
-        *phase *= d[gl];
     }
-    r.count += 1;
-}
 
-fn flush_diag(out: &mut Circuit, run: Option<DiagRun>) {
-    if let Some(r) = run {
-        if r.count == 1 {
-            out.push(r.first);
-        } else {
-            out.push(Gate::Unitary {
-                qubits: r.qubits,
-                matrix: Arc::new(Matrix::diag(&r.phases)),
-                label: format!("diag{}", r.count),
+    /// Closes the run. A lone gate goes back out verbatim and a run on at
+    /// most two qubits as a small diagonal unitary, so the block pass can
+    /// still absorb either; anything wider becomes a layer.
+    fn close(self) -> Item {
+        if self.count == 1 {
+            return Item::Gate(self.first);
+        }
+        let qubits: Vec<usize> = (0..self.flips.len())
+            .filter(|q| self.support >> q & 1 == 1)
+            .collect();
+        if qubits.len() <= 2 {
+            let phases: Vec<C64> = (0..1usize << qubits.len())
+                .map(|l| {
+                    let set = |j: usize| l >> j & 1 == 1;
+                    let mut p = self.p0;
+                    for (j, &q) in qubits.iter().enumerate() {
+                        if set(j) {
+                            p *= self.flips[q];
+                        }
+                    }
+                    if let (true, true, Some(pair)) = (set(0), set(1), self.pairs.first()) {
+                        p *= pair.2;
+                    }
+                    p
+                })
+                .collect();
+            return Item::Gate(Gate::Unitary {
+                qubits,
+                matrix: Arc::new(Matrix::diag(&phases)),
+                label: format!("diag{}", self.count),
             });
         }
+        Item::Diag(DiagLayer {
+            form: DiagForm {
+                p0: self.p0,
+                flips: qubits.iter().map(|&q| (q, self.flips[q])).collect(),
+                pairs: self.pairs,
+            },
+            tables: self.tables,
+            support: self.support,
+        })
     }
 }
 
-// --- two-qubit block fusion --------------------------------------------------
-
-struct Block2q {
-    /// The block's qubits; `qs[0]` is local bit 0 of `m`.
-    qs: [usize; 2],
-    /// Accumulated 4x4 unitary.
-    m: Matrix,
-    /// First absorbed gate, emitted verbatim when nothing else merged.
-    first: Gate,
-    /// Number of source gates absorbed.
-    count: usize,
-}
-
-/// Fuses contiguous two-qubit regions into single 4x4 `Unitary` blocks.
-///
-/// Every two-qubit gate opens (or extends) a block on its qubit pair;
-/// single-qubit gates multiply into the active block on their qubit, or
-/// accumulate as pending 1q runs that the next block absorbs. Gates of
-/// arity ≥ 3, measurements, and barriers flush the blocks they touch.
-pub fn fuse_2q_blocks(circuit: &Circuit) -> Circuit {
-    let n = circuit.num_qubits();
-    let mut out = Circuit::with_clbits(n, circuit.num_clbits());
-    out.name = circuit.name.clone();
-
-    let mut pending1: Vec<Option<(Matrix, Gate, usize)>> = (0..n).map(|_| None).collect();
-    // active[q] = index into `blocks` of the open block touching q.
-    let mut active: Vec<Option<usize>> = vec![None; n];
-    let mut blocks: Vec<Option<Block2q>> = Vec::new();
-
+/// Merges runs of commuting diagonal gates. Diagonal gates all commute
+/// with each other, so a run stays open across non-diagonal ops on
+/// *disjoint* qubits (they pass straight through, ahead of the run); any
+/// op touching one of the run's qubits — or an operand-less barrier —
+/// closes it first.
+fn merge_diagonal_runs(n: usize, circuit: &Circuit) -> Vec<Item> {
+    let mut out = Vec::with_capacity(circuit.ops().len());
+    let mut run: Option<DiagRun> = None;
     for op in circuit.ops() {
-        match op {
-            Op::Gate(g) if g.arity() == 1 => {
-                let q = g.qubits()[0];
-                let gm = g.matrix();
-                if let Some(bi) = active[q] {
-                    let blk = blocks[bi].as_mut().unwrap();
-                    let j = usize::from(blk.qs[1] == q);
-                    blk.m = embed_1q(&gm, j).matmul(&blk.m);
-                    blk.count += 1;
-                } else {
-                    pending1[q] = Some(match pending1[q].take() {
-                        None => (gm, g.clone(), 1),
-                        Some((m, first, count)) => (gm.matmul(&m), first, count + 1),
-                    });
+        let item = match op {
+            Op::Gate(g) => {
+                if let Some(d) = absorbable_diagonal(g) {
+                    run.get_or_insert_with(|| DiagRun::open(n, g))
+                        .absorb(g.qubits(), d);
+                    continue;
                 }
+                Item::Gate(g.clone())
             }
-            Op::Gate(g) if g.arity() == 2 => {
-                let qs = g.qubits();
-                let (a, b) = (qs[0], qs[1]);
-                let gm = g.matrix();
-                match (active[a], active[b]) {
-                    (Some(bi), Some(bj)) if bi == bj => {
-                        let blk = blocks[bi].as_mut().unwrap();
-                        let m = if blk.qs == [a, b] { gm } else { swap_bits2(&gm) };
-                        blk.m = m.matmul(&blk.m);
-                        blk.count += 1;
-                    }
-                    _ => {
-                        flush_block(&mut out, &mut active, &mut blocks, a);
-                        flush_block(&mut out, &mut active, &mut blocks, b);
-                        // Seed a new block from the gate, absorbing pending
-                        // 1q runs on its qubits (they apply first).
-                        let mut m = gm;
-                        let mut count = 1usize;
-                        if let Some((pm, _, pc)) = pending1[a].take() {
-                            m = m.matmul(&embed_1q(&pm, 0));
-                            count += pc;
-                        }
-                        if let Some((pm, _, pc)) = pending1[b].take() {
-                            m = m.matmul(&embed_1q(&pm, 1));
-                            count += pc;
-                        }
-                        let bi = blocks.len();
-                        blocks.push(Some(Block2q {
-                            qs: [a, b],
-                            m,
-                            first: g.clone(),
-                            count,
-                        }));
-                        active[a] = Some(bi);
-                        active[b] = Some(bi);
-                    }
-                }
-            }
-            other => {
-                // ≥3q gates, measurements, barriers: flush everything they
-                // touch (operand-less barriers flush the whole register).
-                let qs = other.qubits();
-                let touched: Vec<usize> = if qs.is_empty() { (0..n).collect() } else { qs };
-                for q in touched {
-                    flush_block(&mut out, &mut active, &mut blocks, q);
-                    flush_1q(&mut out, pending1[q].take(), q);
-                }
-                out.push_op(other.clone());
+            Op::Measure { qubit, clbit } => Item::Measure {
+                qubit: *qubit,
+                clbit: *clbit,
+            },
+            Op::Barrier(qs) if qs.is_empty() => Item::Barrier((1 << n) - 1),
+            Op::Barrier(qs) => Item::Barrier(mask_of(qs)),
+        };
+        if run
+            .as_ref()
+            .is_some_and(|r| r.support & item.support() != 0)
+        {
+            out.extend(run.take().map(DiagRun::close));
+        }
+        out.push(item);
+    }
+    out.extend(run.map(DiagRun::close));
+    out
+}
+
+// --- block fusion ------------------------------------------------------------
+
+/// Row-major 4x4 matrix; local bit 0 is the block's first qubit.
+type Mat4 = [C64; 16];
+
+pub(crate) fn mat2_of(g: &Gate) -> Mat2 {
+    g.matrix().as_slice().try_into().expect("single-qubit gate")
+}
+
+fn mat4_of(g: &Gate) -> Mat4 {
+    g.matrix().as_slice().try_into().expect("two-qubit gate")
+}
+
+fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
+    let mut out = [C64::ZERO; 16];
+    for r in 0..4 {
+        for c in 0..4 {
+            for k in 0..4 {
+                out[4 * r + c] += a[4 * r + k] * b[4 * k + c];
             }
         }
-    }
-    for slot in &mut blocks {
-        if let Some(b) = slot.take() {
-            emit_block(&mut out, b);
-        }
-    }
-    for (q, p) in pending1.iter_mut().enumerate() {
-        flush_1q(&mut out, p.take(), q);
     }
     out
 }
 
-fn flush_block(
-    out: &mut Circuit,
-    active: &mut [Option<usize>],
-    blocks: &mut [Option<Block2q>],
-    q: usize,
-) {
-    if let Some(bi) = active[q] {
-        let b = blocks[bi].take().unwrap();
-        active[b.qs[0]] = None;
-        active[b.qs[1]] = None;
-        emit_block(out, b);
-    }
-}
-
-fn emit_block(out: &mut Circuit, b: Block2q) {
-    if b.count == 1 {
-        out.push(b.first);
-    } else {
-        out.push(Gate::Unitary {
-            qubits: vec![b.qs[0], b.qs[1]],
-            matrix: Arc::new(b.m),
-            label: format!("fused2q{}", b.count),
-        });
-    }
-}
-
-/// Lifts a 2x2 unitary acting on local bit `j` to the 4x4 two-qubit space
+/// Lifts a 2x2 matrix acting on local bit `j` to the 4x4 two-qubit space
 /// (identity on the other bit).
-fn embed_1q(u: &Matrix, j: usize) -> Matrix {
+fn embed_1q(u: &Mat2, j: usize) -> Mat4 {
     let other = 1 - j;
-    let mut m = Matrix::zeros(4, 4);
+    let mut m = [C64::ZERO; 16];
     for r in 0..4usize {
         for c in 0..4usize {
-            if (r >> other) & 1 != (c >> other) & 1 {
-                continue;
+            if (r >> other) & 1 == (c >> other) & 1 {
+                m[4 * r + c] = u[2 * ((r >> j) & 1) + ((c >> j) & 1)];
             }
-            m[(r, c)] = u[((r >> j) & 1, (c >> j) & 1)];
         }
     }
     m
 }
 
-/// Reorders a 4x4 local matrix written for qubit order `[a, b]` into the
-/// order `[b, a]` (swaps local bits 0 and 1 of rows and columns).
-fn swap_bits2(m: &Matrix) -> Matrix {
-    let perm = [0usize, 2, 1, 3];
-    let mut out = Matrix::zeros(4, 4);
+/// Rewrites a 4x4 matrix for qubit order `[a, b]` into the order `[b, a]`
+/// (swaps local bits 0 and 1 of rows and columns).
+fn swap_bits2(m: &Mat4) -> Mat4 {
+    const PERM: [usize; 4] = [0, 2, 1, 3];
+    let mut out = [C64::ZERO; 16];
     for r in 0..4 {
         for c in 0..4 {
-            out[(r, c)] = m[(perm[r], perm[c])];
+            out[4 * r + c] = m[4 * PERM[r] + PERM[c]];
         }
     }
     out
+}
+
+struct Block2q {
+    /// The block's qubits; `qs[0]` is local bit 0 of `m`.
+    qs: [usize; 2],
+    m: Mat4,
+}
+
+/// The block pass's working state.
+struct Blocks {
+    out: Vec<Fused>,
+    /// Accumulated single-qubit chain per qubit, not yet in any block.
+    pending: Vec<Option<Mat2>>,
+    /// `active[q]` indexes the open block touching `q`.
+    active: Vec<Option<usize>>,
+    blocks: Vec<Option<Block2q>>,
+}
+
+impl Blocks {
+    fn emit_block(&mut self, b: Block2q) {
+        // Dense two-qubit layers carry ascending qubits.
+        let (qs, m) = if b.qs[0] < b.qs[1] {
+            (b.qs, b.m)
+        } else {
+            ([b.qs[1], b.qs[0]], swap_bits2(&b.m))
+        };
+        self.out.push(Fused::Layer(Layer::Dense {
+            qubits: qs.to_vec(),
+            m: m.to_vec(),
+        }));
+    }
+
+    /// Emits whatever is open on qubit `q`.
+    fn flush(&mut self, q: usize) {
+        if let Some(bi) = self.active[q] {
+            let b = self.blocks[bi].take().expect("active block is open");
+            self.active[b.qs[0]] = None;
+            self.active[b.qs[1]] = None;
+            self.emit_block(b);
+        }
+        if let Some(m) = self.pending[q].take() {
+            self.out.push(Fused::Layer(Layer::Local1q {
+                qubit: q,
+                shape: Shape1q::of(&m),
+                m,
+            }));
+        }
+    }
+
+    fn flush_mask(&mut self, mask: u64) {
+        for q in 0..self.pending.len() {
+            if mask >> q & 1 == 1 {
+                self.flush(q);
+            }
+        }
+    }
+
+    fn gate_1q(&mut self, q: usize, gm: Mat2) {
+        if let Some(bi) = self.active[q] {
+            let blk = self.blocks[bi].as_mut().expect("active block is open");
+            let j = usize::from(blk.qs[1] == q);
+            blk.m = mat4_mul(&embed_1q(&gm, j), &blk.m);
+        } else {
+            self.pending[q] = Some(match self.pending[q] {
+                None => gm,
+                Some(m) => mat2_mul(&gm, &m),
+            });
+        }
+    }
+
+    fn gate_2q(&mut self, a: usize, b: usize, gm: Mat4) {
+        match (self.active[a], self.active[b]) {
+            (Some(bi), Some(bj)) if bi == bj => {
+                let blk = self.blocks[bi].as_mut().expect("active block is open");
+                let gm = if blk.qs == [a, b] {
+                    gm
+                } else {
+                    swap_bits2(&gm)
+                };
+                blk.m = mat4_mul(&gm, &blk.m);
+            }
+            _ => {
+                // A new block: close what the pair was part of, then seed
+                // it from the gate, absorbing the chains waiting on its
+                // qubits (they apply first).
+                for q in [a, b] {
+                    if let Some(bi) = self.active[q] {
+                        let old = self.blocks[bi].take().expect("active block is open");
+                        self.active[old.qs[0]] = None;
+                        self.active[old.qs[1]] = None;
+                        self.emit_block(old);
+                    }
+                }
+                let mut m = gm;
+                for (j, q) in [a, b].into_iter().enumerate() {
+                    if let Some(pm) = self.pending[q].take() {
+                        m = mat4_mul(&m, &embed_1q(&pm, j));
+                    }
+                }
+                self.active[a] = Some(self.blocks.len());
+                self.active[b] = Some(self.blocks.len());
+                self.blocks.push(Some(Block2q { qs: [a, b], m }));
+            }
+        }
+    }
+}
+
+/// Fuses contiguous two-qubit regions into 4x4 blocks and leftover
+/// single-qubit chains into 2x2 layers. Wider gates, diagonal layers,
+/// measurements and barriers flush what they touch.
+fn fuse_blocks(n: usize, items: Vec<Item>) -> Vec<Fused> {
+    let mut st = Blocks {
+        out: Vec::with_capacity(items.len()),
+        pending: vec![None; n],
+        active: vec![None; n],
+        blocks: Vec::new(),
+    };
+    for item in items {
+        let support = item.support();
+        match item {
+            Item::Gate(g) => match g.qubits()[..] {
+                [q] => st.gate_1q(q, mat2_of(&g)),
+                [a, b] => st.gate_2q(a, b, mat4_of(&g)),
+                _ => {
+                    st.flush_mask(support);
+                    st.out.push(Fused::Layer(Layer::Dense {
+                        qubits: g.qubits(),
+                        m: g.matrix().as_slice().to_vec(),
+                    }));
+                }
+            },
+            Item::Diag(d) => {
+                st.flush_mask(support);
+                st.out.push(Fused::Layer(Layer::Diag(d)));
+            }
+            Item::Measure { qubit, clbit } => {
+                st.flush_mask(support);
+                st.out.push(Fused::Measure { qubit, clbit });
+            }
+            Item::Barrier(mask) => st.flush_mask(mask),
+        }
+    }
+    // Remaining blocks in the order they opened, then leftover chains.
+    for bi in 0..st.blocks.len() {
+        if let Some(b) = st.blocks[bi].take() {
+            st.emit_block(b);
+        }
+    }
+    st.active.fill(None);
+    st.flush_mask((1 << n) - 1);
+    st.out
 }
 
 #[cfg(test)]
@@ -376,30 +430,23 @@ mod tests {
     use proptest::prelude::*;
     use qfw_num::approx_eq;
     use qfw_num::rng::Rng;
+    use qfw_workloads::{qaoa_ansatz, tfim, Qubo};
 
-    fn final_states_match_with(qc: &Circuit, fused: &Circuit, what: &str) {
+    /// The plan must leave the state the verbatim circuit leaves.
+    fn fused_state_matches(qc: &Circuit) {
         let mut a = StateVector::zero(qc.num_qubits());
         let mut b = StateVector::zero(qc.num_qubits());
         a.run_unitary(qc, false);
-        b.run_unitary(fused, false);
+        fuse(qc).apply_unitary(&mut b, false);
         assert!(
             approx_eq(a.fidelity(&b), 1.0, 1e-9),
-            "{what} changed the state of {}",
+            "fusion changed the state of {}",
             qc.name
         );
     }
 
-    fn final_states_match(qc: &Circuit) {
-        final_states_match_with(qc, &fuse_1q_runs(qc), "1q fusion");
-    }
-
-    /// All tiers must preserve the final state.
-    fn all_tiers_match(qc: &Circuit) {
-        for level in [FusionLevel::None, FusionLevel::Runs1q, FusionLevel::Full] {
-            final_states_match_with(qc, &fuse(qc, level), &format!("{level:?}"));
-        }
-        final_states_match_with(qc, &fuse_diagonal_runs(qc), "diagonal merge");
-        final_states_match_with(qc, &fuse_2q_blocks(qc), "2q blocks");
+    fn num_layers(qc: &Circuit) -> usize {
+        fuse(qc).num_layers()
     }
 
     fn random_circuit(seed: u64, n: usize, len: usize) -> Circuit {
@@ -438,140 +485,167 @@ mod tests {
     #[test]
     fn fuses_runs_and_preserves_semantics() {
         let mut qc = Circuit::new(3).named("runs");
-        qc.h(0).t(0).rx(0, 0.3).rz(0, -0.8); // 4-run on q0
-        qc.h(1); // singleton on q1
-        qc.cx(0, 1); // flushes q0 and q1
+        qc.h(0).t(0).rx(0, 0.3).rz(0, -0.8); // chain on q0
+        qc.h(1); // chain on q1
+        qc.cx(0, 1); // absorbs both chains
         qc.s(2).sdg(2); // 2-run on q2 (= identity)
-        let fused = fuse_1q_runs(&qc);
-        // q0 run -> 1 unitary, q1 single h stays, cx stays, q2 run -> 1 unitary
-        assert_eq!(fused.num_gates(), 4);
-        final_states_match(&qc);
+        assert_eq!(num_layers(&qc), 2, "one 4x4 block, one 2x2 chain");
+        fused_state_matches(&qc);
     }
 
     #[test]
-    fn two_qubit_gates_split_runs() {
+    fn two_qubit_gates_collapse_into_one_block() {
         let mut qc = Circuit::new(2).named("split");
         qc.h(0).cx(0, 1).h(0).cx(0, 1).h(0);
-        let fused = fuse_1q_runs(&qc);
-        assert_eq!(fused.num_gates(), 5); // nothing fusable for the 1q tier
-        final_states_match(&qc);
-        // The 2q tier collapses the whole circuit into one block.
-        assert_eq!(fuse_2q_blocks(&qc).num_gates(), 1);
-        all_tiers_match(&qc);
+        assert_eq!(num_layers(&qc), 1);
+        fused_state_matches(&qc);
     }
 
     #[test]
     fn fusion_order_is_left_to_right() {
-        // t then h is NOT h then t; fusion must multiply in application order.
+        // t then h is NOT h then t; chains must multiply in application order.
         let mut qc = Circuit::new(1).named("order");
         qc.t(0).h(0);
-        final_states_match(&qc);
+        fused_state_matches(&qc);
         let mut qc2 = Circuit::new(1).named("order2");
         qc2.h(0).t(0);
-        final_states_match(&qc2);
+        fused_state_matches(&qc2);
     }
 
     #[test]
-    fn measurements_flush_runs() {
+    fn measurements_flush_chains_ahead_of_themselves() {
+        // x after the measurement makes it mid-circuit: the h·t chain must
+        // land in a group before the collapse, the x after it.
         let mut qc = Circuit::new(1).named("measured");
+        qc.h(0).t(0).measure(0, 0).x(0);
+        let plan = fuse(&qc);
+        assert_eq!(plan.num_layers(), 2);
+        assert_eq!(plan.passes(), 2);
+        assert!(plan.terminal_measurements().is_empty());
+        // Without the x it is terminal and cuts nothing.
+        let mut qc = Circuit::new(1);
         qc.h(0).t(0).measure(0, 0);
-        let fused = fuse_1q_runs(&qc);
-        // The fused block must come before the measurement.
-        assert!(matches!(fused.ops()[0], Op::Gate(Gate::Unitary { .. })));
-        assert!(matches!(fused.ops()[1], Op::Measure { .. }));
-        let fused2 = fuse_2q_blocks(&qc);
-        assert!(matches!(fused2.ops()[0], Op::Gate(Gate::Unitary { .. })));
-        assert!(matches!(fused2.ops()[1], Op::Measure { .. }));
-    }
-
-    #[test]
-    fn long_random_circuit_fuses_correctly() {
-        let qc = random_circuit(3, 5, 120);
-        let fused = fuse_1q_runs(&qc);
-        assert!(fused.num_gates() < qc.num_gates());
-        final_states_match(&qc);
+        let plan = fuse(&qc);
+        assert_eq!((plan.num_layers(), plan.passes()), (1, 1));
+        assert_eq!(plan.terminal_measurements(), [(0, 0)]);
     }
 
     #[test]
     fn empty_circuit_is_noop() {
-        let qc = Circuit::new(2);
-        assert_eq!(fuse_1q_runs(&qc).num_gates(), 0);
-        assert_eq!(fuse(&qc, FusionLevel::Full).num_gates(), 0);
+        let plan = fuse(&Circuit::new(2));
+        assert_eq!((plan.num_layers(), plan.passes()), (0, 0));
     }
 
     #[test]
-    fn diagonal_run_merges_into_one_block() {
-        let mut qc = Circuit::new(3).named("diag");
-        qc.rz(0, 0.3).cz(0, 1).rzz(1, 2, 0.7).cp(0, 2, -0.4).t(2);
-        let fused = fuse_diagonal_runs(&qc);
-        assert_eq!(fused.num_gates(), 1, "five diagonal gates -> one block");
-        let Op::Gate(g) = &fused.ops()[0] else {
-            panic!("expected a gate")
-        };
-        assert!(g.is_diagonal());
-        all_tiers_match(&qc);
-    }
-
-    #[test]
-    fn diagonal_run_respects_qubit_cap() {
-        // 8 qubits of Rz exceed MAX_DIAG_QUBITS=6: must split into 2 blocks.
+    fn diagonal_run_of_any_width_is_one_layer() {
         let mut qc = Circuit::new(8).named("wide_diag");
         for q in 0..8 {
             qc.rz(q, 0.1 * (q + 1) as f64);
         }
-        let fused = fuse_diagonal_runs(&qc);
-        assert_eq!(fused.num_gates(), 2);
-        all_tiers_match(&qc);
+        qc.cz(0, 1).rzz(1, 2, 0.7).cp(0, 7, -0.4).t(2);
+        let plan = fuse(&qc);
+        assert_eq!(plan.num_layers(), 1, "twelve diagonal gates -> one layer");
+        let Layer::Diag(d) = &plan.layers()[0] else {
+            panic!("expected a diagonal layer")
+        };
+        // Scalars per qubit and per coupled pair, never a 2^8 table.
+        assert_eq!((d.form.flips.len(), d.form.pairs.len()), (8, 3));
+        assert!(d.tables.is_empty());
+        fused_state_matches(&qc);
+    }
+
+    #[test]
+    fn wide_diagonal_unitaries_ride_along_as_factor_tables() {
+        let ccz: Vec<C64> = (0..8)
+            .map(|l| if l == 7 { -C64::ONE } else { C64::ONE })
+            .collect();
+        let mut qc = Circuit::new(4).named("ccz");
+        for q in 0..4 {
+            qc.h(q);
+        }
+        qc.rzz(0, 3, 0.4).rz(1, 0.3);
+        qc.push(Gate::Unitary {
+            qubits: vec![3, 0, 2],
+            matrix: Arc::new(Matrix::diag(&ccz)),
+            label: "ccz".into(),
+        });
+        let plan = fuse(&qc);
+        assert_eq!(plan.num_layers(), 5, "four h chains and one diagonal layer");
+        fused_state_matches(&qc);
+    }
+
+    #[test]
+    fn degenerate_diagonals_stay_dense() {
+        // Circuit text can carry a "unitary" that is diagonal but singular;
+        // the run's ratio form cannot hold it, the dense kernels can.
+        let mut qc = Circuit::new(2).named("singular");
+        qc.h(0).h(1).rz(0, 0.3);
+        qc.push(Gate::Unitary {
+            qubits: vec![1],
+            matrix: Arc::new(Matrix::diag(&[C64::ONE, C64::ZERO])),
+            label: "proj0".into(),
+        });
+        qc.rz(1, 0.2);
+        let mut got = StateVector::zero(2);
+        fuse(&qc).apply_unitary(&mut got, false);
+        let mut want = StateVector::zero(2);
+        want.run_unitary(&qc, false);
+        for (a, b) in got.amps().iter().zip(want.amps()) {
+            assert!(a.approx_eq(*b, 1e-12), "{a} vs {b}");
+        }
     }
 
     #[test]
     fn diagonal_run_survives_disjoint_nondiagonal_gates() {
-        // h(2) is disjoint from the q0/q1 diagonal run and must not split it.
-        let mut qc = Circuit::new(3).named("disjoint");
-        qc.rz(0, 0.5).h(2).cz(0, 1).rz(1, -0.2);
-        let fused = fuse_diagonal_runs(&qc);
-        // h(2) + one diagonal block.
-        assert_eq!(fused.num_gates(), 2);
-        all_tiers_match(&qc);
+        // h(3) is disjoint from the run on q0..q2 and must not split it.
+        let mut qc = Circuit::new(4).named("disjoint");
+        qc.rz(0, 0.5).h(3).cz(0, 1).rz(1, -0.2).rzz(1, 2, 0.3);
+        assert_eq!(num_layers(&qc), 2, "h(3) and one diagonal layer");
+        fused_state_matches(&qc);
     }
 
     #[test]
     fn nondiagonal_gate_on_run_qubit_flushes() {
-        let mut qc = Circuit::new(2).named("flush");
-        qc.rz(0, 0.5).h(0).rz(0, 0.5);
-        let fused = fuse_diagonal_runs(&qc);
-        assert_eq!(fused.num_gates(), 3, "h(0) must split the run");
-        all_tiers_match(&qc);
+        let mut qc = Circuit::new(3).named("flush");
+        qc.rz(0, 0.5)
+            .rz(1, 0.1)
+            .rz(2, 0.2)
+            .h(0)
+            .rz(0, 0.5)
+            .rz(1, 0.1)
+            .rz(2, 0.2);
+        // diag, h(0), diag: h(0) must split the run.
+        assert_eq!(num_layers(&qc), 3);
+        fused_state_matches(&qc);
     }
 
     #[test]
     fn two_qubit_blocks_absorb_1q_runs() {
         let mut qc = Circuit::new(2).named("absorb");
         qc.h(0).t(0).h(1).cx(0, 1).rx(0, 0.3).cz(0, 1);
-        let fused = fuse_2q_blocks(&qc);
-        assert_eq!(fused.num_gates(), 1, "everything lands in one 4x4 block");
-        all_tiers_match(&qc);
+        assert_eq!(num_layers(&qc), 1, "everything lands in one 4x4 block");
+        fused_state_matches(&qc);
     }
 
     #[test]
     fn blocks_split_when_pairs_change() {
         let mut qc = Circuit::new(3).named("chain");
         qc.cx(0, 1).cx(1, 2).cx(0, 1);
-        let fused = fuse_2q_blocks(&qc);
         // (0,1) block, then (1,2) block, then a fresh (0,1) block.
-        assert_eq!(fused.num_gates(), 3);
-        all_tiers_match(&qc);
+        assert_eq!(num_layers(&qc), 3);
+        fused_state_matches(&qc);
     }
 
     #[test]
     fn reversed_qubit_order_merges_into_same_block() {
-        // cx(0,1) then cx(1,0) share the pair {0,1} and must fuse into one
-        // block with the operand order reconciled.
+        // cx(1,0) then cx(0,1) share the pair {0,1} and must fuse into one
+        // block with the operand order reconciled — and come out ascending.
         let mut qc = Circuit::new(2).named("reversed");
-        qc.cx(0, 1).cx(1, 0).cx(0, 1);
-        let fused = fuse_2q_blocks(&qc);
-        assert_eq!(fused.num_gates(), 1);
-        all_tiers_match(&qc);
+        qc.cx(1, 0).cx(0, 1).cx(1, 0);
+        let plan = fuse(&qc);
+        assert_eq!(plan.num_layers(), 1);
+        assert!(matches!(&plan.layers()[0], Layer::Dense { qubits, .. } if qubits == &[0, 1]));
+        fused_state_matches(&qc);
     }
 
     #[test]
@@ -581,35 +655,66 @@ mod tests {
         for q in 0..5 {
             qc.cx(q, q + 1);
         }
-        let fused = fuse(&qc, FusionLevel::Full);
         // h+cx(0,1) fuse; each later cx opens a new pair block.
-        assert_eq!(fused.num_gates(), 5);
-        all_tiers_match(&qc);
+        assert_eq!(num_layers(&qc), 5);
+        fused_state_matches(&qc);
     }
 
     #[test]
-    fn full_tier_reduces_gate_count_on_random_circuits() {
+    fn chains_keep_their_shape_tags() {
+        let mut qc = Circuit::new(3);
+        qc.rx(0, 0.3).rx(0, 0.4).h(1).ry(1, 0.2).h(2).rx(2, 0.1);
+        let shapes: Vec<Shape1q> = fuse(&qc)
+            .layers()
+            .iter()
+            .map(|l| match l {
+                Layer::Local1q { shape, .. } => *shape,
+                other => panic!("expected a chain, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(shapes, [Shape1q::XPhase, Shape1q::Real, Shape1q::General]);
+    }
+
+    #[test]
+    fn fusion_reduces_layer_count_on_random_circuits() {
         for seed in 0..5 {
             let qc = random_circuit(100 + seed, 6, 80);
-            let fused = fuse(&qc, FusionLevel::Full);
+            let layers = num_layers(&qc);
             assert!(
-                fused.num_gates() < qc.num_gates(),
-                "seed {seed}: {} -> {}",
-                qc.num_gates(),
-                fused.num_gates()
+                layers < qc.num_gates(),
+                "seed {seed}: {} -> {layers}",
+                qc.num_gates()
             );
         }
+    }
+
+    /// The structure the executor's speed rests on: a Trotter step is a
+    /// couple of passes, not one per gate.
+    #[test]
+    fn layered_circuits_execute_in_few_passes() {
+        let tfim18 = fuse(&tfim(18));
+        assert!(tfim18.num_layers() <= 190, "{} layers", tfim18.num_layers());
+        assert!(tfim18.passes() <= 60, "TFIM-18: {} passes", tfim18.passes());
+        let qubo = Qubo::metamaterial(18, 3, 0x51AB + 18);
+        let theta: Vec<f64> = (0..4).map(|k| 0.35 + 0.11 * k as f64).collect();
+        let qaoa18 = fuse(&qaoa_ansatz(&qubo, 2).bind(&theta));
+        assert!(
+            qaoa18.passes() <= 25,
+            "QAOA-18 p=2: {} passes",
+            qaoa18.passes()
+        );
+        // At or below the tile width the whole circuit is one pass.
+        assert_eq!(fuse(&tfim(10)).passes(), 1);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every fusion tier preserves final-state fidelity on random
-        /// circuits mixing diagonal, dense 1q, 2q, and 3q gates.
+        /// Fusion preserves final-state fidelity on random circuits mixing
+        /// diagonal, dense 1q, 2q, and 3q gates.
         #[test]
-        fn fusion_tiers_preserve_fidelity(seed in 0u64..10_000, n in 3usize..6, len in 10usize..60) {
-            let qc = random_circuit(seed, n, len);
-            all_tiers_match(&qc);
+        fn fusion_preserves_fidelity(seed in 0u64..10_000, n in 3usize..6, len in 10usize..60) {
+            fused_state_matches(&random_circuit(seed, n, len));
         }
     }
 }

@@ -1,0 +1,493 @@
+//! The layer plan and its tile-by-tile executor.
+//!
+//! [`fuse`](crate::fusion::fuse) rewrites a circuit into a short sequence
+//! of [`Layer`]s. The plan then cuts that sequence into **tile groups**:
+//! maximal consecutive runs whose non-diagonal targets, together with the
+//! [`BLOCK_BITS`] lowest register qubits, number at most [`TILE_BITS`]. A
+//! group executes as *one* pass over memory: for every assignment of the
+//! register qubits outside the group's tile, the `2^TILE_BITS` amplitudes
+//! that differ only in the tile's qubits are gathered (as contiguous
+//! strips) into L1-resident planes, every layer of the group is applied to
+//! them with the shared [`kernels`](crate::kernels), and they are
+//! scattered back.
+//!
+//! * Diagonal layers never end a group: seen from a tile, a diagonal
+//!   factor on outside qubits is a constant or a single-qubit phase read
+//!   off the tile's base index ([`PhaseForm::localize`]).
+//! * A tile's qubits need not be the lowest ones, so non-diagonal gates on
+//!   high qubits are strip-tiled like any other: a Trotter step of TFIM-18
+//!   is ~2 passes, not one per gate.
+//! * Tiles are independent and each amplitude's arithmetic is fixed, so
+//!   `Serial`, `Rayon` and every [`IsaTier`] leave bit-identical states;
+//!   threading is one shim dispatch per group, taken when the group's work
+//!   (amplitudes x layers) pays for the thread hand-off.
+
+use crate::kernels::{
+    self, apply_kq, load_strip, store_strip, DiagForm, IsaTier, Mat2, Monomial2q, PhaseForm,
+    Shape1q, TileMap, BLOCK_BITS, TILE_BITS,
+};
+use crate::state::{insert_zero_bit, StateVector};
+use qfw_num::complex::C64;
+use qfw_num::rng::Rng;
+use rayon::prelude::*;
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+/// Below this much work (amplitudes x layers) a tile group runs on the
+/// calling thread: two scoped workers cost ~50 us to start and join, about
+/// what a million amplitude updates take.
+const PAR_WORK: usize = 1 << 20;
+
+/// One fused operation of a plan, over register qubits.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Layer {
+    /// A whole run of commuting diagonal gates, any width.
+    Diag(DiagLayer),
+    /// One qubit's chain of single-qubit gates, multiplied out.
+    Local1q {
+        /// Target qubit.
+        qubit: usize,
+        /// The chain's product.
+        m: Mat2,
+        /// Which butterfly serves `m`.
+        shape: Shape1q,
+    },
+    /// A dense block: a fused two-qubit region (qubits ascending) or a
+    /// wider gate passed through.
+    Dense {
+        /// Qubits; entry `j` is local bit `j` of the matrix basis.
+        qubits: Vec<usize>,
+        /// Row-major `2^k x 2^k` matrix.
+        m: Vec<C64>,
+    },
+}
+
+/// A run of diagonal gates: the one- and two-qubit ones collapsed into a
+/// [`DiagForm`], wider diagonal unitaries kept as their own `2^k` factor
+/// tables (`k` is the *gate's* width, so they stay cache-sized).
+#[derive(Clone, Debug, PartialEq)]
+pub struct DiagLayer {
+    pub(crate) form: DiagForm,
+    pub(crate) tables: Vec<FactorTable>,
+    /// Every qubit some factor reads, as a bit mask.
+    pub(crate) support: u64,
+}
+
+/// The diagonal of one `k >= 3`-qubit diagonal gate.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct FactorTable {
+    /// Entry `j` is bit `j` of the index into `phases`.
+    pub(crate) qubits: Vec<usize>,
+    pub(crate) phases: Vec<C64>,
+}
+
+impl Layer {
+    /// Qubits the layer acts on non-diagonally — the ones a tile must hold.
+    fn targets(&self) -> u64 {
+        match self {
+            Layer::Diag(_) => 0,
+            Layer::Local1q { qubit, .. } => 1 << qubit,
+            Layer::Dense { qubits, .. } => qubits.iter().fold(0, |m, q| m | 1 << q),
+        }
+    }
+
+    /// Every qubit the layer reads or writes.
+    pub(crate) fn support(&self) -> u64 {
+        match self {
+            Layer::Diag(d) => d.support,
+            other => other.targets(),
+        }
+    }
+}
+
+/// What the fuser hands the plan, in circuit order.
+pub(crate) enum Fused {
+    Layer(Layer),
+    Measure { qubit: usize, clbit: usize },
+}
+
+#[derive(Clone, Debug)]
+enum Step {
+    /// One pass over memory.
+    Tiles(TileGroup),
+    /// A mid-circuit measurement: collapse one trajectory.
+    Collapse { qubit: usize, clbit: usize },
+}
+
+#[derive(Clone, Debug)]
+struct TileGroup {
+    /// Indices into [`LayerPlan::layers`].
+    layers: Range<usize>,
+    map: TileMap,
+}
+
+/// A fused circuit, cut into tile groups and ready to execute — what
+/// `FusionLevel::Full` runs and what the `nwqsim` adapter caches.
+#[derive(Clone, Debug)]
+pub struct LayerPlan {
+    num_qubits: usize,
+    num_clbits: usize,
+    layers: Vec<Layer>,
+    steps: Vec<Step>,
+    /// Terminal `(qubit, clbit)` measurements, served by final sampling.
+    terminal: Vec<(usize, usize)>,
+}
+
+impl LayerPlan {
+    /// Cuts fused items into tile groups. A measurement is terminal (left
+    /// to final-state sampling) iff no later layer touches its qubit;
+    /// otherwise it ends the open group and collapses the state there.
+    pub(crate) fn build(num_qubits: usize, num_clbits: usize, items: Vec<Fused>) -> LayerPlan {
+        let mut touched_after = vec![0u64; items.len() + 1];
+        for (pos, item) in items.iter().enumerate().rev() {
+            touched_after[pos] = touched_after[pos + 1]
+                | match item {
+                    Fused::Layer(l) => l.support(),
+                    Fused::Measure { .. } => 0,
+                };
+        }
+        let tile_bits = TILE_BITS.min(num_qubits);
+        let low_mask = (1u64 << BLOCK_BITS.min(num_qubits)) - 1;
+        let mut plan = LayerPlan {
+            num_qubits,
+            num_clbits,
+            layers: Vec::new(),
+            steps: Vec::new(),
+            terminal: Vec::new(),
+        };
+        // The open group: where its layers start and the qubits it needs.
+        let mut start = 0usize;
+        let mut needs = low_mask;
+        for (pos, item) in items.into_iter().enumerate() {
+            match item {
+                Fused::Layer(layer) => {
+                    let grown = needs | layer.targets();
+                    if grown.count_ones() as usize > tile_bits {
+                        plan.close_group(start, needs, tile_bits);
+                        start = plan.layers.len();
+                        needs = low_mask | layer.targets();
+                    } else {
+                        needs = grown;
+                    }
+                    plan.layers.push(layer);
+                }
+                Fused::Measure { qubit, clbit } => {
+                    if touched_after[pos + 1] >> qubit & 1 == 0 {
+                        plan.terminal.push((qubit, clbit));
+                    } else {
+                        plan.close_group(start, needs, tile_bits);
+                        start = plan.layers.len();
+                        needs = low_mask;
+                        plan.steps.push(Step::Collapse { qubit, clbit });
+                    }
+                }
+            }
+        }
+        plan.close_group(start, needs, tile_bits);
+        plan
+    }
+
+    /// Ends the group of layers `start..`, padding its tile with the lowest
+    /// free qubits so strips are as long as they can be.
+    fn close_group(&mut self, start: usize, needs: u64, tile_bits: usize) {
+        if start == self.layers.len() {
+            return;
+        }
+        let mut mask = needs;
+        let mut q = 0;
+        while (mask.count_ones() as usize) < tile_bits {
+            mask |= 1 << q;
+            q += 1;
+        }
+        let qubits = (0..self.num_qubits)
+            .filter(|q| mask >> q & 1 == 1)
+            .collect();
+        self.steps.push(Step::Tiles(TileGroup {
+            layers: start..self.layers.len(),
+            map: TileMap::new(self.num_qubits, qubits),
+        }));
+    }
+
+    /// Register width.
+    pub fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    /// Classical register width.
+    pub fn num_clbits(&self) -> usize {
+        self.num_clbits
+    }
+
+    /// The fused layers, in application order.
+    pub fn layers(&self) -> &[Layer] {
+        &self.layers
+    }
+
+    /// Number of fused layers (what `SvOutcome::gates_applied` reports).
+    pub fn num_layers(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// Full-state passes over memory one execution makes: one per tile
+    /// group (mid-circuit collapses not counted).
+    pub fn passes(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| matches!(s, Step::Tiles(_)))
+            .count()
+    }
+
+    /// Terminal `(qubit, clbit)` measurements, in circuit order.
+    pub(crate) fn terminal_measurements(&self) -> &[(usize, usize)] {
+        &self.terminal
+    }
+
+    /// Runs the plan on `sv` with the fastest kernels this CPU has.
+    /// Returns the classical bits of collapsed mid-circuit measurements.
+    pub fn apply(
+        &self,
+        sv: &mut StateVector,
+        rng: &mut Rng,
+        parallel: bool,
+    ) -> BTreeMap<usize, u8> {
+        self.apply_on(IsaTier::detect(), sv, rng, parallel)
+    }
+
+    /// [`apply`](Self::apply) on an explicit kernel tier — every tier
+    /// leaves the same bits, which is what the property suite checks by
+    /// calling them side by side.
+    pub fn apply_on(
+        &self,
+        tier: IsaTier,
+        sv: &mut StateVector,
+        rng: &mut Rng,
+        parallel: bool,
+    ) -> BTreeMap<usize, u8> {
+        let mut collapsed = BTreeMap::new();
+        self.execute(tier, sv, parallel, |sv, qubit, clbit| {
+            collapsed.insert(clbit, sv.measure(qubit, rng, parallel));
+        });
+        collapsed
+    }
+
+    /// Runs only the unitary part: mid-circuit measurements are skipped,
+    /// as [`StateVector::run_unitary`] skips them.
+    pub fn apply_unitary(&self, sv: &mut StateVector, parallel: bool) {
+        self.execute(IsaTier::detect(), sv, parallel, |_, _, _| {});
+    }
+
+    fn execute(
+        &self,
+        tier: IsaTier,
+        sv: &mut StateVector,
+        parallel: bool,
+        mut collapse: impl FnMut(&mut StateVector, usize, usize),
+    ) {
+        assert_eq!(sv.num_qubits(), self.num_qubits, "register size mismatch");
+        for step in &self.steps {
+            match step {
+                Step::Tiles(group) => group.run(
+                    &self.layers[group.layers.clone()],
+                    sv.amps_mut(),
+                    parallel,
+                    tier,
+                ),
+                Step::Collapse { qubit, clbit } => collapse(sv, *qubit, *clbit),
+            }
+        }
+    }
+}
+
+/// A layer as one tile sees it: qubits translated to local bits.
+enum LocalOp<'a> {
+    OneQ {
+        q: usize,
+        m: &'a Mat2,
+        shape: Shape1q,
+    },
+    TwoQ {
+        lo: usize,
+        hi: usize,
+        u: &'a [C64; 16],
+    },
+    /// A two-qubit block that only permutes and rescales runs.
+    Monomial {
+        lo: usize,
+        hi: usize,
+        m: Monomial2q,
+    },
+    KQ {
+        qubits: Vec<usize>,
+        m: &'a [C64],
+    },
+    Diag(&'a DiagLayer),
+}
+
+/// Per-worker tile buffers: the amplitude planes and the phase-table
+/// planes of the diagonal layers.
+struct Scratch {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    tre: Vec<f64>,
+    tim: Vec<f64>,
+    form: PhaseForm,
+}
+
+impl Scratch {
+    fn new(tile_bits: usize) -> Scratch {
+        let len = 1usize << tile_bits;
+        Scratch {
+            re: vec![0.0; len],
+            im: vec![0.0; len],
+            tre: vec![0.0; len],
+            tim: vec![0.0; len],
+            form: PhaseForm::identity(tile_bits),
+        }
+    }
+}
+
+/// Raw pointer into the amplitude buffer, shared by the tile workers.
+#[derive(Clone, Copy)]
+struct SharedAmps(*mut C64);
+// SAFETY: the pointer is only dereferenced through `strip`, whose callers
+// hand distinct workers disjoint index ranges (see `TileGroup::run`).
+unsafe impl Sync for SharedAmps {}
+unsafe impl Send for SharedAmps {}
+
+impl SharedAmps {
+    /// The `len` amplitudes from `start`.
+    ///
+    /// # Safety
+    /// `start + len` must lie inside the buffer the pointer was taken from,
+    /// that buffer must outlive the returned slice, and no other live
+    /// reference may overlap the range.
+    #[inline(always)]
+    unsafe fn strip<'a>(self, start: usize, len: usize) -> &'a mut [C64] {
+        std::slice::from_raw_parts_mut(self.0.add(start), len)
+    }
+}
+
+impl TileGroup {
+    fn run(&self, layers: &[Layer], amps: &mut [C64], parallel: bool, tier: IsaTier) {
+        let qubits = self.map.qubits();
+        let t = qubits.len();
+        // The tile's lowest qubits that are also the register's lowest: a
+        // strip of `2^low` amplitudes is contiguous in both.
+        let low = qubits
+            .iter()
+            .enumerate()
+            .take_while(|&(j, &q)| j == q)
+            .count();
+        let strip = 1usize << low;
+        let strip_offsets: Vec<usize> = (0..1usize << (t - low))
+            .map(|h| {
+                qubits[low..]
+                    .iter()
+                    .enumerate()
+                    .fold(0, |off, (j, &q)| off | (h >> j & 1) << q)
+            })
+            .collect();
+        let local = |q: &usize| self.map.local(*q).expect("group tile holds its targets");
+        let ops: Vec<LocalOp<'_>> = layers
+            .iter()
+            .map(|layer| match layer {
+                Layer::Diag(d) => LocalOp::Diag(d),
+                Layer::Local1q { qubit, m, shape } => LocalOp::OneQ {
+                    q: local(qubit),
+                    m,
+                    shape: *shape,
+                },
+                Layer::Dense { qubits, m } if qubits.len() == 2 => {
+                    let (lo, hi) = (local(&qubits[0]), local(&qubits[1]));
+                    let u: &[C64; 16] = m.as_slice().try_into().expect("4x4 block");
+                    // Run swaps only pay where runs are at least a block
+                    // long; below, the small-block kernel is faster.
+                    match Monomial2q::of(u) {
+                        Some(m) if lo >= BLOCK_BITS => LocalOp::Monomial { lo, hi, m },
+                        _ => LocalOp::TwoQ { lo, hi, u },
+                    }
+                }
+                Layer::Dense { qubits, m } => LocalOp::KQ {
+                    qubits: qubits.iter().map(local).collect(),
+                    m,
+                },
+            })
+            .collect();
+
+        let tiles = amps.len() >> t;
+        let shared = SharedAmps(amps.as_mut_ptr());
+        let run_tile = |sc: &mut Scratch, tile: usize| {
+            let base = qubits.iter().fold(tile, |x, &q| insert_zero_bit(x, q));
+            for (h, &off) in strip_offsets.iter().enumerate() {
+                // SAFETY: `base | off` has zeros in the low `low` bits and
+                // is below `amps.len()`, so the strip is in bounds; `amps`
+                // is mutably borrowed for the whole call. Two tiles differ
+                // in a bit outside the tile's qubits and two strips of one
+                // tile in a bit outside the strip, so no two strips of the
+                // pass overlap.
+                let src = unsafe { shared.strip(base | off, strip) };
+                let at = h * strip..(h + 1) * strip;
+                load_strip(src, &mut sc.re[at.clone()], &mut sc.im[at]);
+            }
+            for op in &ops {
+                match op {
+                    LocalOp::OneQ { q, m, shape } => {
+                        kernels::apply_1q(tier, &mut sc.re, &mut sc.im, *q, m, *shape)
+                    }
+                    LocalOp::TwoQ { lo, hi, u } => {
+                        kernels::apply_2q(tier, &mut sc.re, &mut sc.im, *lo, *hi, u)
+                    }
+                    LocalOp::Monomial { lo, hi, m } => {
+                        kernels::apply_2q_monomial(tier, &mut sc.re, &mut sc.im, *lo, *hi, m)
+                    }
+                    LocalOp::KQ { qubits, m } => apply_kq(&mut sc.re, &mut sc.im, qubits, m),
+                    LocalOp::Diag(d) => {
+                        sc.form.localize(&d.form, &self.map, base);
+                        kernels::phase_table(tier, &sc.form, &mut sc.tre, &mut sc.tim);
+                        for table in &d.tables {
+                            table.fold_into(&self.map, base, &mut sc.tre, &mut sc.tim);
+                        }
+                        kernels::mul_table(tier, &mut sc.re, &mut sc.im, &sc.tre, &sc.tim);
+                    }
+                }
+            }
+            for (h, &off) in strip_offsets.iter().enumerate() {
+                // SAFETY: as for the load above.
+                let dst = unsafe { shared.strip(base | off, strip) };
+                let at = h * strip..(h + 1) * strip;
+                store_strip(dst, &sc.re[at.clone()], &sc.im[at]);
+            }
+        };
+        if parallel && tiles >= 2 && amps.len() * ops.len() >= PAR_WORK {
+            (0..tiles)
+                .into_par_iter()
+                .for_each_init(|| Scratch::new(t), run_tile);
+        } else {
+            let mut sc = Scratch::new(t);
+            (0..tiles).for_each(|tile| run_tile(&mut sc, tile));
+        }
+    }
+}
+
+impl FactorTable {
+    /// Multiplies the factor's phases onto a tile's phase table.
+    fn fold_into(&self, map: &TileMap, base: usize, tre: &mut [f64], tim: &mut [f64]) {
+        // Index bits fixed by the tile's base, and `(local bit, index bit)`
+        // for the ones that vary inside the tile.
+        let mut fixed = 0usize;
+        let mut varying = Vec::with_capacity(self.qubits.len());
+        for (j, &q) in self.qubits.iter().enumerate() {
+            match map.local(q) {
+                Some(l) => varying.push((l, j)),
+                None => fixed |= (base >> q & 1) << j,
+            }
+        }
+        for (l, (tr, ti)) in tre.iter_mut().zip(tim.iter_mut()).enumerate() {
+            let idx = varying
+                .iter()
+                .fold(fixed, |idx, &(lb, j)| idx | (l >> lb & 1) << j);
+            let p = C64::new(*tr, *ti) * self.phases[idx];
+            (*tr, *ti) = (p.re, p.im);
+        }
+    }
+}

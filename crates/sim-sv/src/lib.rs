@@ -12,8 +12,9 @@
 //!   scaling the paper highlights on TFIM-28. A legacy swap-routing
 //!   baseline ([`dist::RouteStrategy::Swaps`]) is kept for comparison.
 //!
-//! Plus [`fusion`], the tiered gate-fusion pre-pass (1q runs, merged
-//! diagonal sweeps, and 4x4 two-qubit blocks), which is one of the
+//! Plus [`fusion`], which rewrites a circuit into a [`layers`] plan
+//! (whole diagonal runs, 2x2 chains, 4x4 blocks) executed one cache-sized
+//! tile at a time over the shared planar [`kernels`] — one of the
 //! ablations DESIGN.md calls out.
 //!
 //! Memory cost is `16 * 2^n` bytes; per-gate cost is `O(2^n)`. These
@@ -24,6 +25,8 @@
 pub mod dist;
 pub mod engine;
 pub mod fusion;
+pub mod kernels;
+pub mod layers;
 pub mod noise;
 pub mod state;
 pub mod sweep;
@@ -33,7 +36,9 @@ pub use dist::{
     RouteStrategy,
 };
 pub use engine::{SvConfig, SvSimulator, Threading};
-pub use fusion::FusionLevel;
+pub use fusion::{fuse, FusionLevel};
+pub use kernels::IsaTier;
+pub use layers::LayerPlan;
 pub use noise::{run_noisy, run_trajectories, NoiseModel};
 pub use state::{canonical_split_bits, StateVector, DEFAULT_SPLIT_BITS};
 pub use sweep::{SweepError, SweepPlan, SweepPoint};

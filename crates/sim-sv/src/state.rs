@@ -559,9 +559,12 @@ impl StateVector {
     }
 
     /// Projectively measures qubit `q`, collapsing the state. Returns the
-    /// observed bit. The collapse sweep runs in parallel when `par` is set.
+    /// observed bit. The collapse sweep runs in parallel when `par` is set;
+    /// the probability is always summed serially, because the parallel
+    /// reduction's grouping follows the worker count and a collapsed
+    /// trajectory must carry the same bits under every threading mode.
     pub fn measure(&mut self, q: usize, rng: &mut Rng, par: bool) -> u8 {
-        let p1 = self.prob_one(q, par);
+        let p1 = self.prob_one(q, false);
         let outcome = u8::from(rng.chance(p1));
         let norm = if outcome == 1 { p1 } else { 1.0 - p1 };
         let scale = if norm > 0.0 { 1.0 / norm.sqrt() } else { 0.0 };
@@ -1199,7 +1202,10 @@ mod tests {
         /// Every rewritten strided kernel (phase-if, rz, cz, cp, rzz, x,
         /// cx, the generic diagonal sweep, and the hoisted k-qubit path)
         /// matches the dense-operator reference at proptest-chosen qubit
-        /// positions — the top qubit included — in serial and parallel.
+        /// positions — the top qubit included — in serial and parallel;
+        /// so does the same gate taken alone through the layer plan, which
+        /// lands each on its tile kernel (block or strided butterfly,
+        /// monomial or dense block, gather) at that position.
         #[test]
         fn strided_kernels_match_dense_at_random_positions(
             seed in 0u64..10_000,
@@ -1265,6 +1271,16 @@ mod tests {
                         &want,
                         1e-10,
                         &format!("{g} (par={par})"),
+                    );
+                    let mut alone = Circuit::new(n);
+                    alone.push(g.clone());
+                    let mut tiled = base.clone();
+                    crate::fusion::fuse(&alone).apply_unitary(&mut tiled, par);
+                    assert_states_close(
+                        tiled.amps(),
+                        &want,
+                        1e-10,
+                        &format!("{g} through the layer plan (par={par})"),
                     );
                 }
             }

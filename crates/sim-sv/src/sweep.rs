@@ -17,17 +17,19 @@
 //!   The quadratic form is collapsed at compile time into `O(k^2)` scalar
 //!   coefficients per parameter (constant, per-spin, per-pair); binding
 //!   collapses the scalars (`base + sum theta_p * F_p`), takes
-//!   `1 + k + k(k-1)/2` sincos values, and rebuilds the `2^k` phase table
-//!   by doubling (`~2 * 2^k` complex multiplies — no per-entry sincos),
-//!   followed by a single complex multiply over the register.
+//!   `1 + k + k(k-1)/2` sincos values, and hands the resulting
+//!   [`DiagForm`] to the shared diagonal kernels, which rebuild each
+//!   cache-sized tile's phase table by doubling (`~2` complex multiplies
+//!   per entry — no per-entry sincos) and multiply it onto the tile.
 //! * **Layer1q** — concurrent chains of non-diagonal 1q gates. Binding
-//!   multiplies each chain into one 2x2 matrix and applies it with a
-//!   planar (split re/im) butterfly kernel specialized by matrix shape.
+//!   multiplies each chain into one 2x2 matrix and applies it with the
+//!   shared shape-specialized butterfly.
 //! * **Generic** — everything else, applied through the dense
 //!   [`StateVector`] kernels gate by gate.
 //!
 //! The state between slots lives in planar (structure-of-arrays) form,
-//! which is what lets the diagonal and 1q kernels autovectorize.
+//! the layout of [`crate::kernels`]: the sweep hands those kernels its
+//! whole planes where the concrete executor hands them gathered tiles.
 //!
 //! Gradients use the exact two-point parameter-shift rule: every rotation
 //! in the [`ParamOp`] gate set has a gap-1 generator spectrum, so
@@ -37,10 +39,9 @@
 //! parameter, which the slot tables support without recompilation.
 
 use crate::engine::{SvConfig, SvOutcome, SvSimulator, Threading};
-use crate::fusion::{fuse, FusionLevel};
-use crate::state::{
-    canonical_split_bits, insert_zero_bits, local_offsets, sample_counts_split_probs, StateVector,
-};
+use crate::fusion::{fuse, mat2_of, FusionLevel};
+use crate::kernels::{self, mat2_mul, tri, DiagForm, IsaTier, PhaseForm, Shape1q, TileMap, TILE_BITS};
+use crate::state::{canonical_split_bits, sample_counts_split_probs, StateVector};
 use qfw_circuit::{Angle, Circuit, Gate, ParamCircuit, ParamOp};
 use qfw_num::complex::C64;
 use qfw_num::rng::{Rng, SampleStrategy};
@@ -89,10 +90,6 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Diagonal slots union at most this many qubits; beyond it the `2^k`
-/// phase-table scratch stops being worth its memory and the run is split.
-const MAX_DIAG_UNION: usize = 18;
-
 // --- planar state -----------------------------------------------------------
 
 /// Structure-of-arrays state: split real/imaginary planes. The split is
@@ -140,9 +137,8 @@ impl Planar {
 struct SweepScratch {
     /// Working state, re-seeded from the prefix each evaluation.
     st: Planar,
-    /// Diagonal-slot angle scratch, `2^max_diag`.
-    ang: Vec<f64>,
-    /// Phase-table planes, `2^max_diag`.
+    /// One tile's phase form and table planes for the diagonal slots.
+    local: PhaseForm,
     pre: Vec<f64>,
     pim: Vec<f64>,
     /// Probability table for sampling/expectations.
@@ -227,12 +223,6 @@ impl DiagTerm {
             form.quad[tri(hi, lo)] += w * qw;
         }
     }
-}
-
-/// Flat upper-triangular index of the unordered pair `(hi, lo)`, `hi > lo`.
-#[inline]
-fn tri(hi: usize, lo: usize) -> usize {
-    hi * (hi - 1) / 2 + lo
 }
 
 /// A degree-2 multilinear form over the slot's spin variables
@@ -415,10 +405,6 @@ fn angle_of(op: &ParamOp) -> Option<Angle> {
 struct DiagSlot {
     /// Slot qubits, ascending global indices.
     qubits: Vec<usize>,
-    /// Local index -> OR-mask of global bits.
-    offs: Vec<usize>,
-    /// Bases enumerating the complement qubits (len 1 iff full register).
-    comp: Vec<usize>,
     /// Constant coefficients (literal angles + affine offsets).
     base: QuadForm,
     /// `(param index, form)`: bind-time `base + sum theta_p * F_p`.
@@ -428,27 +414,15 @@ struct DiagSlot {
 }
 
 impl DiagSlot {
-    /// Collapses the coefficient forms for a binding (+ occurrence
-    /// shifts) and multiplies the resulting phases into the state.
+    /// Collapses the coefficient forms for a binding (+ occurrence shifts)
+    /// into the multiplicative [`DiagForm`] the shared kernels apply.
     ///
-    /// The phase table `cis(phi(b))` is never built by `2^k` sincos
-    /// calls: because `phi` is a degree-2 multilinear form over the spin
-    /// variables, flipping local bit `q` multiplies the phase by
-    /// `F_q(b) = cis(a_q) * prod_{j<q, bit j set} cis(4 quad[q][j])` —
-    /// so the table grows by doubling, `~2 * 2^k` complex multiplies
-    /// total, after `1 + k + k(k-1)/2` scalar sincos evaluations.
-    fn apply(
-        &self,
-        st: &mut Planar,
-        params: &[f64],
-        shifts: &[(usize, f64)],
-        ang: &mut [f64],
-        pre: &mut [f64],
-        pim: &mut [f64],
-    ) {
+    /// `phi` is a degree-2 multilinear form over the spin variables, so
+    /// flipping local bit `q` multiplies the phase by `cis(a_q)` and, per
+    /// lower set bit `j`, by `cis(4 quad[q][j])`: `1 + k + k(k-1)/2` scalar
+    /// sincos evaluations describe the whole `2^k` phase table.
+    fn bind(&self, params: &[f64], shifts: &[(usize, f64)]) -> DiagForm {
         let k = self.qubits.len();
-        let dim = 1usize << k;
-        let (ang, pre, pim) = (&mut ang[..dim], &mut pre[..dim], &mut pim[..dim]);
 
         // Collapse `O(k^2)` scalar coefficients for this binding.
         let mut form = self.base.clone();
@@ -463,97 +437,60 @@ impl DiagSlot {
 
         // Angle set for one vectorized cis pass: phi(0) (all spins +1),
         // the per-bit flip deltas `a_q`, then the pair corrections
-        // `4 quad[q][j]`. `1 + k + k(k-1)/2 <= 2^k`, so the scratch
-        // buffers hold it.
+        // `4 quad[q][j]`.
         let m = 1 + k + k * (k - 1) / 2;
+        let mut ang = vec![0.0f64; m];
         ang[0] = form.c0 + form.lin.iter().sum::<f64>() + form.quad.iter().sum::<f64>();
         for q in 0..k {
             let cross: f64 = (0..k).filter(|&j| j != q).map(|j| form.pair(q, j)).sum();
             ang[1 + q] = -2.0 * (form.lin[q] + cross);
         }
-        for (g, &qv) in ang[1 + k..m].iter_mut().zip(form.quad.iter()) {
+        for (g, &qv) in ang[1 + k..].iter_mut().zip(form.quad.iter()) {
             *g = 4.0 * qv;
         }
         let mut fre = vec![0.0f64; m];
         let mut fim = vec![0.0f64; m];
-        cis_slice(&ang[..m], &mut fre, &mut fim);
+        cis_slice(&ang, &mut fre, &mut fim);
+        let phase = |i: usize| C64::new(fre[i], fim[i]);
 
-        // Doubling DP. Invariant entering step q: `pre/pim[..2^q]` hold
-        // the finished table over bits `0..q`. The flip factor table
-        // `F_q` is itself built by doubling into the upper half (its
-        // value at b=0 is `cis(a_q)`; setting bit `j<q` multiplies by
-        // `cis(4 quad[q][j])`), then combined pointwise with the lower
-        // half in place — except at the last level, where the combine is
-        // fused into the state multiply below instead of spending an
-        // extra `2^(k-1)` read+write pass materializing the full table.
-        debug_assert!(k >= 1, "a diagonal slot always touches a qubit");
-        pre[0] = fre[0];
-        pim[0] = fim[0];
-        for q in 0..k {
-            let half = 1usize << q;
-            pre[half] = fre[1 + q];
-            pim[half] = fim[1 + q];
-            for j in 0..q {
-                let (gr, gi) = (fre[1 + k + tri(q, j)], fim[1 + k + tri(q, j)]);
-                let s = 1usize << j;
-                // Disjoint src/dst halves, split so the loop vectorizes.
-                let (sre, dre) = pre[half..half + 2 * s].split_at_mut(s);
-                let (sim, dim_) = pim[half..half + 2 * s].split_at_mut(s);
-                for b in 0..s {
-                    dre[b] = sre[b] * gr - sim[b] * gi;
-                    dim_[b] = sre[b] * gi + sim[b] * gr;
-                }
-            }
-            if q + 1 < k {
-                let (lre, hre) = pre[..2 * half].split_at_mut(half);
-                let (lim, him) = pim[..2 * half].split_at_mut(half);
-                for b in 0..half {
-                    let (xr, xi) = (hre[b], him[b]);
-                    hre[b] = lre[b] * xr - lim[b] * xi;
-                    him[b] = lre[b] * xi + lim[b] * xr;
+        let mut pairs = Vec::new();
+        for hi in 1..k {
+            for lo in 0..hi {
+                // Uncoupled pairs bind to exactly 1: leave them out.
+                let w = phase(1 + k + tri(hi, lo));
+                if w != C64::ONE {
+                    pairs.push((self.qubits[lo], self.qubits[hi], w));
                 }
             }
         }
-
-        // `pre/pim[..half]` hold the table `T` over bits `0..k-1`;
-        // `[half..dim)` holds the top-bit flip table `F`. Low-half
-        // amplitudes pick up `T[b]`, high-half `T[b] * F[b]`, with the
-        // products formed in the same operand order as the in-table
-        // combine used to — the amplitudes stay bitwise identical.
-        let half = dim / 2;
-        let (t_re, f_re) = pre.split_at(half);
-        let (t_im, f_im) = pim.split_at(half);
-        if self.comp.len() == 1 && self.offs.len() == st.re.len() {
-            // Full-register run: local index == global index.
-            let (lo_re, hi_re) = st.re.split_at_mut(half);
-            let (lo_im, hi_im) = st.im.split_at_mut(half);
-            for b in 0..half {
-                let (tr, ti) = (t_re[b], t_im[b]);
-                let (ar, ai) = (lo_re[b], lo_im[b]);
-                lo_re[b] = ar * tr - ai * ti;
-                lo_im[b] = ar * ti + ai * tr;
-                let (cr, ci) = (tr * f_re[b] - ti * f_im[b], tr * f_im[b] + ti * f_re[b]);
-                let (br, bi) = (hi_re[b], hi_im[b]);
-                hi_re[b] = br * cr - bi * ci;
-                hi_im[b] = br * ci + bi * cr;
-            }
-        } else {
-            let (off_lo, off_hi) = self.offs.split_at(half);
-            for &cb in &self.comp {
-                for b in 0..half {
-                    let (tr, ti) = (t_re[b], t_im[b]);
-                    let i = cb | off_lo[b];
-                    let (ar, ai) = (st.re[i], st.im[i]);
-                    st.re[i] = ar * tr - ai * ti;
-                    st.im[i] = ar * ti + ai * tr;
-                    let (cr, ci) = (tr * f_re[b] - ti * f_im[b], tr * f_im[b] + ti * f_re[b]);
-                    let j = cb | off_hi[b];
-                    let (br, bi) = (st.re[j], st.im[j]);
-                    st.re[j] = br * cr - bi * ci;
-                    st.im[j] = br * ci + bi * cr;
-                }
-            }
+        DiagForm {
+            p0: phase(0),
+            flips: (0..k).map(|q| (self.qubits[q], phase(1 + q))).collect(),
+            pairs,
         }
+    }
+}
+
+/// Multiplies the whole planar register by `form`, one contiguous
+/// cache-sized tile at a time: localize, build the tile's table, multiply.
+fn apply_diag_form(
+    tier: IsaTier,
+    tile: &TileMap,
+    form: &DiagForm,
+    st: &mut Planar,
+    sc: (&mut PhaseForm, &mut [f64], &mut [f64]),
+) {
+    let (local, pre, pim) = sc;
+    let len = 1usize << tile.qubits().len();
+    for (t, (re, im)) in st
+        .re
+        .chunks_exact_mut(len)
+        .zip(st.im.chunks_exact_mut(len))
+        .enumerate()
+    {
+        local.localize(form, tile, t * len);
+        kernels::phase_table(tier, local, pre, pim);
+        kernels::mul_table(tier, re, im, pre, pim);
     }
 }
 
@@ -566,80 +503,6 @@ enum Slot {
     Layer1q(Vec<(usize, Vec<usize>)>),
     /// Ops applied one-by-one through the dense kernels.
     Generic(Vec<usize>),
-}
-
-// --- 1q butterfly kernels ---------------------------------------------------
-
-/// Walks the `(i, i + 2^q)` amplitude pairs, handing the kernel whole
-/// contiguous stride chunks of the four planes `(re0, re1, im0, im1)`.
-fn butterfly(
-    st: &mut Planar,
-    q: usize,
-    f: impl Fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64]),
-) {
-    let dim = st.re.len();
-    let stride = 1usize << q;
-    let mut base = 0usize;
-    while base < dim {
-        let (rlo, rhi) = st.re.split_at_mut(base + stride);
-        let (ilo, ihi) = st.im.split_at_mut(base + stride);
-        f(
-            &mut rlo[base..],
-            &mut rhi[..stride],
-            &mut ilo[base..],
-            &mut ihi[..stride],
-        );
-        base += 2 * stride;
-    }
-}
-
-/// Applies a bound 2x2 matrix `[[m00, m01], [m10, m11]]` to qubit `q`,
-/// dispatching to a shape-specialized planar kernel.
-fn apply_1q_planar(st: &mut Planar, q: usize, m: [C64; 4]) {
-    let [m00, m01, m10, m11] = m;
-    let real = m00.im == 0.0 && m01.im == 0.0 && m10.im == 0.0 && m11.im == 0.0;
-    let xphase = m00.im == 0.0 && m11.im == 0.0 && m01.re == 0.0 && m10.re == 0.0;
-    if real {
-        // All-real matrix (Ry, H, X chains): same 4-mul butterfly on each
-        // plane independently.
-        let (a, b, c, d) = (m00.re, m01.re, m10.re, m11.re);
-        butterfly(st, q, |r0, r1, i0, i1| {
-            for k in 0..r1.len() {
-                let (x0, x1) = (r0[k], r1[k]);
-                r0[k] = a * x0 + b * x1;
-                r1[k] = c * x0 + d * x1;
-                let (y0, y1) = (i0[k], i1[k]);
-                i0[k] = a * y0 + b * y1;
-                i1[k] = c * y0 + d * y1;
-            }
-        });
-    } else if xphase {
-        // Real diagonal, imaginary off-diagonal (Rx chains): the i factor
-        // swaps planes instead of forcing full complex products.
-        let (a, d) = (m00.re, m11.re);
-        let (b, c) = (m01.im, m10.im);
-        butterfly(st, q, |r0, r1, i0, i1| {
-            for k in 0..r1.len() {
-                let (x0r, x0i) = (r0[k], i0[k]);
-                let (x1r, x1i) = (r1[k], i1[k]);
-                r0[k] = a * x0r - b * x1i;
-                i0[k] = a * x0i + b * x1r;
-                r1[k] = d * x1r - c * x0i;
-                i1[k] = d * x1i + c * x0r;
-            }
-        });
-    } else {
-        butterfly(st, q, |r0, r1, i0, i1| {
-            for k in 0..r1.len() {
-                let (x0r, x0i) = (r0[k], i0[k]);
-                let (x1r, x1i) = (r1[k], i1[k]);
-                r0[k] = m00.re * x0r - m00.im * x0i + m01.re * x1r - m01.im * x1i;
-                i0[k] = m00.re * x0i + m00.im * x0r + m01.re * x1i + m01.im * x1r;
-                r1[k] = m10.re * x0r - m10.im * x0i + m11.re * x1r - m11.im * x1i;
-                i1[k] = m10.re * x0i + m10.im * x0r + m11.re * x1i + m11.im * x1r;
-            }
-        });
-    }
 }
 
 // --- the plan ---------------------------------------------------------------
@@ -665,8 +528,8 @@ pub struct SweepPlan {
     /// `(op index, param index, affine coeff)` for every symbolic
     /// occurrence — the gradient work list.
     sym_ops: Vec<(usize, usize, f64)>,
-    /// Largest diagonal-slot table, sized for the run scratch buffers.
-    max_diag: usize,
+    /// The contiguous low-qubit tile the diagonal slots are applied by.
+    tile: TileMap,
     /// Gates a single binding applies (for [`SvOutcome::gates_applied`]).
     applied_per_run: usize,
 }
@@ -728,20 +591,25 @@ impl SweepPlan {
                 None => break,
             }
         }
-        let fused_prefix = if config.fusion == FusionLevel::None {
-            prefix_circuit
-        } else {
-            fuse(&prefix_circuit, config.fusion)
-        };
         let parallel = config.threading == Threading::Rayon;
         let mut sv = StateVector::zero(n);
-        sv.run_unitary(&fused_prefix, parallel);
+        let prefix_gates = match config.fusion {
+            FusionLevel::None => {
+                sv.run_unitary(&prefix_circuit, parallel);
+                prefix_circuit.num_gates()
+            }
+            FusionLevel::Full => {
+                let fused = fuse(&prefix_circuit);
+                fused.apply_unitary(&mut sv, parallel);
+                fused.num_layers()
+            }
+        };
         let prefix = Planar::from_state(&sv);
-        let prefix_gates = fused_prefix.num_gates();
 
         // Slot the body: one open builder at a time; an op of a different
         // class flushes it. This mirrors the concrete fuser's grouping
-        // (diagonal runs / 1q chains / passthrough) per tier.
+        // (diagonal runs / 1q chains / passthrough); without fusion every
+        // op is passthrough.
         enum Building {
             Idle,
             Diag(BTreeSet<usize>, Vec<(usize, DiagKind, Angle)>),
@@ -754,7 +622,7 @@ impl SweepPlan {
             match std::mem::replace(building, Building::Idle) {
                 Building::Idle => {}
                 Building::Diag(qubits, items) => {
-                    slots.push(Slot::Diag(build_diag_slot(n, &qubits, &items)));
+                    slots.push(Slot::Diag(build_diag_slot(&qubits, &items)));
                 }
                 Building::Layer(chains) => slots.push(Slot::Layer1q(chains)),
                 Building::Gen(idxs) => slots.push(Slot::Generic(idxs)),
@@ -772,12 +640,7 @@ impl SweepPlan {
             if let Some((kind, angle)) = diag {
                 let gate_qs = kind.qubits();
                 match &mut building {
-                    Building::Diag(qubits, items)
-                        if qubits
-                            .union(&gate_qs.iter().copied().collect())
-                            .count()
-                            <= MAX_DIAG_UNION =>
-                    {
+                    Building::Diag(qubits, items) => {
                         qubits.extend(gate_qs);
                         items.push((pos, kind, angle));
                     }
@@ -787,7 +650,7 @@ impl SweepPlan {
                             Building::Diag(gate_qs.into_iter().collect(), vec![(pos, kind, angle)]);
                     }
                 }
-            } else if config.fusion != FusionLevel::None && oneq_of(op).is_some() {
+            } else if config.fusion == FusionLevel::Full && oneq_of(op).is_some() {
                 let q = oneq_of(op).unwrap();
                 match &mut building {
                     Building::Layer(chains) => {
@@ -821,14 +684,6 @@ impl SweepPlan {
                 _ => None,
             })
             .collect();
-        let max_diag = slots
-            .iter()
-            .map(|s| match s {
-                Slot::Diag(d) => 1usize << d.qubits.len(),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
         let applied_per_run = prefix_gates
             + slots
                 .iter()
@@ -849,7 +704,7 @@ impl SweepPlan {
             ops,
             measured,
             sym_ops,
-            max_diag,
+            tile: TileMap::new(n, (0..n.min(TILE_BITS)).collect()),
             applied_per_run,
         })
     }
@@ -874,11 +729,12 @@ impl SweepPlan {
     /// it once instead of paying fresh state/phase/probability buffers
     /// per binding.
     fn scratch(&self) -> SweepScratch {
+        let tile_bits = self.tile.qubits().len();
         SweepScratch {
             st: self.prefix.clone(),
-            ang: vec![0.0f64; self.max_diag],
-            pre: vec![0.0f64; self.max_diag],
-            pim: vec![0.0f64; self.max_diag],
+            local: PhaseForm::identity(tile_bits),
+            pre: vec![0.0f64; 1 << tile_bits],
+            pim: vec![0.0f64; 1 << tile_bits],
             probs: vec![0.0f64; self.prefix.re.len()],
         }
     }
@@ -894,11 +750,16 @@ impl SweepPlan {
         );
         sc.st.re.copy_from_slice(&self.prefix.re);
         sc.st.im.copy_from_slice(&self.prefix.im);
+        let tier = IsaTier::detect();
         for slot in &self.slots {
             match slot {
-                Slot::Diag(d) => {
-                    d.apply(&mut sc.st, params, shifts, &mut sc.ang, &mut sc.pre, &mut sc.pim)
-                }
+                Slot::Diag(d) => apply_diag_form(
+                    tier,
+                    &self.tile,
+                    &d.bind(params, shifts),
+                    &mut sc.st,
+                    (&mut sc.local, &mut sc.pre, &mut sc.pim),
+                ),
                 Slot::Layer1q(chains) => {
                     for (q, chain) in chains {
                         let mut m = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
@@ -906,7 +767,8 @@ impl SweepPlan {
                             let g = bind_body_op(&self.ops[idx], params, shift_for(shifts, idx));
                             m = mat2_mul(&mat2_of(&g), &m);
                         }
-                        apply_1q_planar(&mut sc.st, *q, m);
+                        let (re, im) = (&mut sc.st.re, &mut sc.st.im);
+                        kernels::apply_1q(tier, re, im, *q, &m, Shape1q::of(&m));
                     }
                 }
                 Slot::Generic(idxs) => {
@@ -1082,28 +944,8 @@ fn bind_body_op(op: &ParamOp, params: &[f64], extra: f64) -> Gate {
     }
 }
 
-/// 2x2 matrix of a 1q gate as `[m00, m01, m10, m11]`.
-fn mat2_of(g: &Gate) -> [C64; 4] {
-    let m = g.matrix();
-    [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]]
-}
-
-/// `a * b` for row-major 2x2 matrices.
-fn mat2_mul(a: &[C64; 4], b: &[C64; 4]) -> [C64; 4] {
-    [
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    ]
-}
-
 /// Builds a [`DiagSlot`] from the gates of one diagonal run.
-fn build_diag_slot(
-    n: usize,
-    qubits: &BTreeSet<usize>,
-    items: &[(usize, DiagKind, Angle)],
-) -> DiagSlot {
+fn build_diag_slot(qubits: &BTreeSet<usize>, items: &[(usize, DiagKind, Angle)]) -> DiagSlot {
     let qs: Vec<usize> = qubits.iter().copied().collect();
     let k = qs.len();
     let local = |g: usize| qs.iter().position(|&q| q == g).expect("qubit in slot");
@@ -1128,17 +970,8 @@ fn build_diag_slot(
         }
         sources.push((idx, term));
     }
-    let comp = if k == n {
-        vec![0usize]
-    } else {
-        (0..1usize << (n - k))
-            .map(|cb| insert_zero_bits(cb, &qs))
-            .collect()
-    };
     DiagSlot {
-        offs: local_offsets(&qs),
         qubits: qs,
-        comp,
         base,
         per_param: per_param.into_iter().collect(),
         sources,
@@ -1381,7 +1214,7 @@ mod tests {
         let t = tiny_qaoa(5);
         let theta = [0.9, -0.33];
         let want = SvSimulator::plain().statevector(&t.bind(&theta));
-        for level in [FusionLevel::None, FusionLevel::Runs1q, FusionLevel::Full] {
+        for level in [FusionLevel::None, FusionLevel::Full] {
             let plan = plan_for(&t, level);
             assert_states_close(&plan.statevector(&theta), &want, 1e-10);
         }

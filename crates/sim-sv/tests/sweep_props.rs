@@ -3,13 +3,13 @@
 //! binding must be indistinguishable from binding first and running the
 //! concrete circuit through a scratch engine — at the amplitude level and
 //! (fixed seed) bit-identically at the counts level — across every fusion
-//! tier.
+//! level.
 
 use proptest::prelude::*;
 use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, SweepPoint};
 use qfw_testkit::{random_binding, random_template};
 
-const TIERS: [FusionLevel; 3] = [FusionLevel::None, FusionLevel::Runs1q, FusionLevel::Full];
+const TIERS: [FusionLevel; 2] = [FusionLevel::None, FusionLevel::Full];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]

@@ -8,8 +8,10 @@
 //! * `slice.par_chunks_mut(n).for_each(f)`
 //! * `slice.par_iter().enumerate().map(f).sum::<S>()`
 //! * `(a..b).into_par_iter().for_each(f)`
+//! * `(a..b).into_par_iter().for_each_init(init, f)`
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Everything a `use rayon::prelude::*` caller expects in scope.
 pub mod prelude {
@@ -18,11 +20,16 @@ pub mod prelude {
     };
 }
 
+/// Worker count, asked of the OS once: `available_parallelism` is a
+/// `sched_getaffinity` syscall, and every combinator below consults this.
 fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(16)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(16)
+    })
 }
 
 /// Splits `len` items into near-equal contiguous spans, one per worker.
@@ -208,7 +215,8 @@ impl<T: Send> ParChunksMut<'_, T> {
         F: Fn(&mut [T]) + Sync,
     {
         let chunks = self.slice.len().div_ceil(self.chunk.max(1));
-        if chunks < 2 || threads() < 2 {
+        let workers = threads();
+        if chunks < 2 || workers < 2 {
             for chunk in self.slice.chunks_mut(self.chunk) {
                 f(chunk);
             }
@@ -216,7 +224,7 @@ impl<T: Send> ParChunksMut<'_, T> {
         }
         let f = &f;
         // Hand each worker a contiguous run of whole chunks.
-        let plan = spans(chunks, threads());
+        let plan = spans(chunks, workers);
         std::thread::scope(|scope| {
             let mut rest = self.slice;
             for span in plan {
@@ -324,24 +332,42 @@ impl ParRange {
     where
         F: Fn(usize) + Sync + Send,
     {
+        self.for_each_init(|| (), |(), i| f(i));
+    }
+
+    /// Applies `f` to every index in parallel, handing it a per-worker
+    /// value built by `init` (scratch buffers that must not be shared).
+    pub fn for_each_init<T, I, F>(self, init: I, f: F)
+    where
+        I: Fn() -> T + Sync + Send,
+        F: Fn(&mut T, usize) + Sync + Send,
+    {
         let len = self.range.len();
         let workers = threads();
         if len < 2 || workers < 2 {
+            let mut state = init();
             for i in self.range {
-                f(i);
+                f(&mut state, i);
             }
             return;
         }
         let start = self.range.start;
-        let f = &f;
-        std::thread::scope(|scope| {
-            for span in spans(len, workers) {
-                scope.spawn(move || {
-                    for i in span {
-                        f(start + i);
-                    }
-                });
+        let (init, f) = (&init, &f);
+        let run = move |span: Range<usize>| {
+            let mut state = init();
+            for i in span {
+                f(&mut state, start + i);
             }
+        };
+        // The caller takes the first span itself instead of idling in the
+        // join: one thread fewer to start per dispatch.
+        let mut plan = spans(len, workers).into_iter();
+        let own = plan.next().expect("at least one span");
+        std::thread::scope(|scope| {
+            for span in plan {
+                scope.spawn(move || run(span));
+            }
+            run(own);
         });
     }
 }
@@ -366,6 +392,41 @@ mod tests {
             }
         });
         assert_eq!(v.iter().sum::<u64>(), 2006);
+    }
+
+    #[test]
+    fn two_chunks_both_run_and_one_chunk_stays_on_the_caller() {
+        let caller = std::thread::current().id();
+        // Two chunks: both are visited, whoever runs them.
+        let mut v = vec![0u8; 2];
+        v.par_chunks_mut(1).for_each(|c| c[0] += 1);
+        assert_eq!(v, [1, 1]);
+        // One chunk (or one item) is below every combinator's cutoff: the
+        // serial fallback runs it on the calling thread, no spawn.
+        let mut v = vec![0u8; 2];
+        v.par_chunks_mut(2).for_each(|c| {
+            assert_eq!(std::thread::current().id(), caller);
+            c.fill(7);
+        });
+        assert_eq!(v, [7, 7]);
+        (0..1).into_par_iter().for_each(|_| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+    }
+
+    #[test]
+    fn for_each_init_builds_one_state_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inits = AtomicUsize::new(0);
+        let hits = AtomicUsize::new(0);
+        (0..64).into_par_iter().for_each_init(
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, _| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        assert_eq!(hits.load(Ordering::Relaxed), 64);
+        assert!((1..=super::threads()).contains(&inits.load(Ordering::Relaxed)));
     }
 
     #[test]
