@@ -14,9 +14,9 @@ use qfw_circuit::analysis::StructureReport;
 /// Unit costs, all in seconds per elementary operation.
 ///
 /// Defaults are derived from the checked-in `results/BENCH_sv.json`
-/// layered-circuit timings (the serial layer-plan executor costs ~0.2 ns
+/// layered-circuit timings (the serial layer-plan executor costs ~0.25 ns
 /// per amplitude per *source* gate: TFIM/QAOA/HAM-18 run 694 gates over
-/// `2^18` amplitudes in 38.8 ms) and round numbers for the engines the
+/// `2^18` amplitudes in 47.0 ms) and round numbers for the engines the
 /// bench suite exercises less densely;
 /// [`CostCoefficients::from_bench_json`] re-derives the state-vector
 /// coefficient from a fresh bench report.
@@ -49,7 +49,7 @@ pub struct CostCoefficients {
 impl Default for CostCoefficients {
     fn default() -> Self {
         CostCoefficients {
-            sv_amp_secs: 2e-10,
+            sv_amp_secs: 2.5e-10,
             sv_shot_secs: 3e-8,
             mps_elem_secs: 2e-9,
             stab_word_secs: 1e-9,

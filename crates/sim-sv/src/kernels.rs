@@ -42,7 +42,7 @@ pub const BLOCK_BITS: usize = 3;
 const BLOCK: usize = 1 << BLOCK_BITS;
 
 /// Widest dense gate the generic kernel gathers onto its stack scratch.
-pub const MAX_DENSE_QUBITS: usize = 8;
+const MAX_DENSE_QUBITS: usize = 8;
 
 // --- ISA tiers --------------------------------------------------------------
 
@@ -80,8 +80,9 @@ impl IsaTier {
     /// Every tier this CPU can run, portable first.
     pub fn available() -> Vec<IsaTier> {
         let mut tiers = vec![IsaTier::PORTABLE];
-        if IsaTier::detect() != IsaTier::PORTABLE {
-            tiers.push(IsaTier::detect());
+        let best = IsaTier::detect();
+        if best != IsaTier::PORTABLE {
+            tiers.push(best);
         }
         tiers
     }

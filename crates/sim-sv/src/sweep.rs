@@ -473,14 +473,14 @@ impl DiagSlot {
 
 /// Multiplies the whole planar register by `form`, one contiguous
 /// cache-sized tile at a time: localize, build the tile's table, multiply.
-fn apply_diag_form(
-    tier: IsaTier,
-    tile: &TileMap,
-    form: &DiagForm,
-    st: &mut Planar,
-    sc: (&mut PhaseForm, &mut [f64], &mut [f64]),
-) {
-    let (local, pre, pim) = sc;
+fn apply_diag_form(tier: IsaTier, tile: &TileMap, form: &DiagForm, sc: &mut SweepScratch) {
+    let SweepScratch {
+        st,
+        local,
+        pre,
+        pim,
+        ..
+    } = sc;
     let len = 1usize << tile.qubits().len();
     for (t, (re, im)) in st
         .re
@@ -753,13 +753,7 @@ impl SweepPlan {
         let tier = IsaTier::detect();
         for slot in &self.slots {
             match slot {
-                Slot::Diag(d) => apply_diag_form(
-                    tier,
-                    &self.tile,
-                    &d.bind(params, shifts),
-                    &mut sc.st,
-                    (&mut sc.local, &mut sc.pre, &mut sc.pim),
-                ),
+                Slot::Diag(d) => apply_diag_form(tier, &self.tile, &d.bind(params, shifts), sc),
                 Slot::Layer1q(chains) => {
                     for (q, chain) in chains {
                         let mut m = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
