@@ -5,16 +5,19 @@
 //! `qfwasm` wire format must produce the **same key**. The text layer
 //! already defines the canonical form — [`crate::text::dump`] emits one
 //! normalized line per op with lossless `{:e}` angle formatting — so
-//! canonicalization here is simply *parse, then re-dump*: whitespace,
+//! canonicalization here is simply *parse, then re-emit*: whitespace,
 //! comments, and formatting quirks of wire-ingested text all collapse to
-//! the canonical dump before hashing.
+//! the canonical form, which is streamed straight into the hash (an
+//! already-parsed circuit hashes through [`circuit_hash`] without ever
+//! being rendered to a string).
 //!
 //! The hash itself is a 128-bit FNV-1a — no external dependencies, stable
 //! across platforms and processes (unlike `std::hash`, which is seeded per
 //! process), and wide enough that collisions are not a practical concern
 //! for cache keying (birthday bound ~2^64 entries).
 
-use crate::text;
+use crate::param::ParamCircuit;
+use crate::{text, Circuit};
 
 /// FNV-1a 128-bit offset basis.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -84,6 +87,34 @@ impl std::fmt::Display for ContentHash {
     }
 }
 
+/// The canonical text of whatever is written into it is what gets hashed.
+impl std::fmt::Write for ContentHash {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        *self = self.fold_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Content hash of a parsed circuit: equal to hashing [`text::dump`]'s
+/// bytes, without building the string.
+pub fn circuit_hash(circuit: &Circuit) -> ContentHash {
+    let mut h = ContentHash::of_bytes(&[]);
+    text::write_circuit(&mut h, circuit);
+    h
+}
+
+/// Content hash of a parameterized template, with the `bind` line folded
+/// in when a binding is given (equal to hashing [`text::dump_param`] /
+/// [`text::dump_param_bound`]).
+pub fn param_hash(template: &ParamCircuit, bound: Option<&[f64]>) -> ContentHash {
+    let mut h = ContentHash::of_bytes(&[]);
+    text::write_param(&mut h, template);
+    if let Some(params) = bound {
+        text::write_bind(&mut h, params);
+    }
+    h
+}
+
 /// Returns the canonical form of a wire-format circuit: parse, re-dump.
 ///
 /// Handles both plain `qfwasm` and (bound or unbound) `qfwasm-param`
@@ -109,17 +140,20 @@ pub fn canonical_text(src: &str) -> Option<String> {
 /// identically. Unparseable text is hashed raw (deterministic, just not
 /// normalized).
 pub fn canonical_hash(src: &str) -> ContentHash {
-    match canonical_text(src) {
-        Some(canon) => ContentHash::of_bytes(canon.as_bytes()),
-        None => ContentHash::of_bytes(src.as_bytes()).fold_str("unparsed"),
-    }
+    let parsed = if text::is_param_text(src) {
+        text::parse_param(src)
+            .ok()
+            .map(|(template, bound)| param_hash(&template, bound.as_deref()))
+    } else {
+        text::parse(src).ok().map(|c| circuit_hash(&c))
+    };
+    parsed.unwrap_or_else(|| ContentHash::of_bytes(src.as_bytes()).fold_str("unparsed"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::param::Angle;
-    use crate::{Circuit, ParamCircuit};
 
     fn ghz(n: usize) -> Circuit {
         let mut qc = Circuit::new(n);
@@ -136,6 +170,27 @@ mod tests {
         let src = text::dump(&ghz(5));
         let reparsed = text::dump(&text::parse(&src).unwrap());
         assert_eq!(canonical_hash(&src), canonical_hash(&reparsed));
+    }
+
+    #[test]
+    fn streamed_hash_equals_hash_of_the_dump() {
+        let qc = ghz(4);
+        assert_eq!(
+            circuit_hash(&qc),
+            ContentHash::of_bytes(text::dump(&qc).as_bytes())
+        );
+        let mut t = ParamCircuit::new(2);
+        t.rx(0, Angle::sym(0));
+        t.rzz(0, 1, Angle::scaled(1, 2.0));
+        t.measure_all();
+        assert_eq!(
+            param_hash(&t, None),
+            ContentHash::of_bytes(text::dump_param(&t).as_bytes())
+        );
+        assert_eq!(
+            param_hash(&t, Some(&[0.3, -0.7])),
+            ContentHash::of_bytes(text::dump_param_bound(&t, &[0.3, -0.7]).as_bytes())
+        );
     }
 
     #[test]

@@ -16,11 +16,9 @@
 //!   entanglement heuristics (drives MPS-vs-SV backend selection).
 //! * [`text`] — a line-oriented textual dump/parse (`qfwasm`), the on-the-wire
 //!   circuit format marshaled by the DEFw RPC layer.
-//! * [`hash`] — canonical 128-bit content hashing (normalize via [`text`],
-//!   then FNV-1a), the key scheme behind the content-addressed result and
-//!   plan caches.
-//! * [`transpile`] — lowering onto a `{rz, sx, cx}` native basis via ZYZ
-//!   decomposition and CX templates, the shape hardware targets require.
+//! * [`hash`] — canonical 128-bit content hashing (the canonical [`text`]
+//!   form streamed through FNV-1a), the key scheme behind the
+//!   content-addressed result and plan caches.
 //! * [`controlled`] — controlled versions of gates and whole circuits, the
 //!   primitive behind Hadamard tests (VQLS) and textbook QPE.
 //!
@@ -34,9 +32,8 @@ pub mod gate;
 pub mod hash;
 pub mod param;
 pub mod text;
-pub mod transpile;
 
 pub use circuit::{Circuit, Op};
 pub use gate::Gate;
-pub use hash::{canonical_hash, canonical_text, ContentHash};
+pub use hash::{canonical_hash, canonical_text, circuit_hash, ContentHash};
 pub use param::{Angle, ParamCircuit, ParamOp};

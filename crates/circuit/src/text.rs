@@ -25,11 +25,11 @@ use crate::gate::Gate;
 use crate::param::{Angle, ParamCircuit, ParamOp};
 use qfw_num::complex::{c64, C64};
 use qfw_num::Matrix;
-use std::fmt::Write as _;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Writes one gate line (`name(params) q..` or a `unitary[..]` block).
-fn write_gate_line(out: &mut String, g: &Gate) {
+fn write_gate_line(out: &mut impl Write, g: &Gate) {
     match g {
         Gate::Unitary {
             qubits,
@@ -71,6 +71,13 @@ fn write_gate_line(out: &mut String, g: &Gate) {
 /// Serializes a circuit to `qfwasm` text.
 pub fn dump(circuit: &Circuit) -> String {
     let mut out = String::new();
+    write_circuit(&mut out, circuit);
+    out
+}
+
+/// Streams the canonical `qfwasm` form of a circuit into `out` (a
+/// `String` for [`dump`], a hasher for [`crate::hash::circuit_hash`]).
+pub(crate) fn write_circuit(out: &mut impl Write, circuit: &Circuit) {
     writeln!(out, "qfwasm 1").unwrap();
     if !circuit.name.is_empty() {
         writeln!(out, "name {}", circuit.name).unwrap();
@@ -79,7 +86,7 @@ pub fn dump(circuit: &Circuit) -> String {
     writeln!(out, "clbits {}", circuit.num_clbits()).unwrap();
     for op in circuit.ops() {
         match op {
-            Op::Gate(g) => write_gate_line(&mut out, g),
+            Op::Gate(g) => write_gate_line(out, g),
             Op::Measure { qubit, clbit } => {
                 writeln!(out, "measure q{qubit} -> c{clbit}").unwrap();
             }
@@ -96,7 +103,6 @@ pub fn dump(circuit: &Circuit) -> String {
             }
         }
     }
-    out
 }
 
 /// Errors produced by [`parse`].
@@ -439,7 +445,7 @@ pub fn param_skeleton_text(text: &str) -> String {
     out
 }
 
-fn write_angle(out: &mut String, a: &Angle) {
+fn write_angle(out: &mut impl Write, a: &Angle) {
     match *a {
         Angle::Lit(v) => write!(out, "{v:e}").unwrap(),
         Angle::Sym {
@@ -457,7 +463,7 @@ fn write_angle(out: &mut String, a: &Angle) {
     }
 }
 
-fn write_param_op(out: &mut String, op: &ParamOp) {
+fn write_param_op(out: &mut impl Write, op: &ParamOp) {
     let mut rotation = |name: &str, qs: &[usize], a: &Angle| {
         write!(out, "{name}(").unwrap();
         write_angle(out, a);
@@ -490,15 +496,29 @@ fn write_param_op(out: &mut String, op: &ParamOp) {
 /// values — append them with [`dump_param_bound`].
 pub fn dump_param(t: &ParamCircuit) -> String {
     let mut out = String::new();
+    write_param(&mut out, t);
+    out
+}
+
+/// Streams the canonical `qfwasm-param` skeleton of a template into `out`.
+pub(crate) fn write_param(out: &mut impl Write, t: &ParamCircuit) {
     writeln!(out, "{PARAM_HEADER}").unwrap();
     if !t.name.is_empty() {
         writeln!(out, "name {}", t.name).unwrap();
     }
     writeln!(out, "qubits {}", t.num_qubits()).unwrap();
     for op in t.ops() {
-        write_param_op(&mut out, op);
+        write_param_op(out, op);
     }
-    out
+}
+
+/// Streams the trailing `bind v0 v1 ...` line of a bound template.
+pub fn write_bind(out: &mut impl Write, params: &[f64]) {
+    out.write_str("bind").unwrap();
+    for v in params {
+        write!(out, " {v:e}").unwrap();
+    }
+    out.write_char('\n').unwrap();
 }
 
 /// Serializes a parameterized template plus one bound parameter vector.
@@ -508,11 +528,7 @@ pub fn dump_param(t: &ParamCircuit) -> String {
 /// [`param_skeleton_text`]).
 pub fn dump_param_bound(t: &ParamCircuit, params: &[f64]) -> String {
     let mut out = dump_param(t);
-    out.push_str("bind");
-    for v in params {
-        write!(out, " {v:e}").unwrap();
-    }
-    out.push('\n');
+    write_bind(&mut out, params);
     out
 }
 

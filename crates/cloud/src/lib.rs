@@ -23,7 +23,7 @@
 //!   [`Calibration`] table (served over `GET /calibration`, drifting
 //!   under a seeded walk — one step per executed job) run jobs through
 //!   `NoiseModel::from_calibration`; providers without one fall back to
-//!   the legacy flat depolarizing + readout-flip constants.
+//!   the uniform depolarizing + readout-flip config constants.
 
 //!
 //! For resilience testing the provider also accepts a seeded
@@ -410,11 +410,10 @@ impl CloudProvider {
             + shared.config.gate_time * circuit.num_gates() as u32;
         std::thread::sleep(exec);
 
-        // A published calibration table beats the flat legacy constants:
+        // A published calibration table beats the uniform config constants:
         // per-qubit depolarizing + thermal relaxation + asymmetric readout.
         let model = match calibration {
             Some(cal) => NoiseModel::from_calibration(cal),
-            #[allow(deprecated)]
             None => NoiseModel::flat(
                 shared.config.gate_error / 4.0,
                 shared.config.gate_error,

@@ -40,8 +40,8 @@
 
 use crate::dag::{concrete_gate, DagCircuit, DagOp, NodeId, Wire};
 use qfw_circuit::param::{Angle, ParamOp};
-use qfw_circuit::transpile::zyz_angles;
 use qfw_circuit::Gate;
+use qfw_num::complex::C64;
 use qfw_num::Matrix;
 
 /// What one pass did to the DAG.
@@ -623,6 +623,26 @@ impl Pass for Resynth1q {
     }
 }
 
+/// ZYZ Euler angles of a single-qubit unitary: `U ~ Rz(a) Ry(b) Rz(c)` up
+/// to global phase. Returns `(a, b, c)`.
+fn zyz_angles(u: &Matrix) -> (f64, f64, f64) {
+    debug_assert_eq!(u.rows(), 2);
+    // The half-angles (a±c)/2 live mod 4π, so arg() differences on a U(2)
+    // matrix lose a sign bit. Normalize to SU(2) first (divide out
+    // sqrt(det)); then with b in [0, π] both cos(b/2) and sin(b/2) are
+    // non-negative and the entry phases identify the half-angles directly:
+    //   V = [[e^{-i(a+c)/2} cos(b/2), -e^{-i(a-c)/2} sin(b/2)],
+    //        [e^{ i(a-c)/2} sin(b/2),  e^{ i(a+c)/2} cos(b/2)]].
+    let det = u[(0, 0)] * u[(1, 1)] - u[(0, 1)] * u[(1, 0)];
+    let phase = C64::cis(det.arg() / 2.0); // sqrt(det) up to ±1 (harmless)
+    let v00 = u[(0, 0)] * phase.conj();
+    let v10 = u[(1, 0)] * phase.conj();
+    let b = 2.0 * v10.abs().atan2(v00.abs());
+    let half_sum = if v00.abs() > 1e-12 { -v00.arg() } else { 0.0 };
+    let half_diff = if v10.abs() > 1e-12 { v10.arg() } else { 0.0 };
+    (half_sum + half_diff, b, half_sum - half_diff)
+}
+
 fn resynthesize_run(dag: &mut DagCircuit, q: usize, run: &[(NodeId, Gate)]) -> PassOutcome {
     let mut out = PassOutcome::default();
     if run.len() < 2 {
@@ -913,5 +933,36 @@ pub fn pipeline(opt: OptLevel) -> Vec<Box<dyn Pass>> {
             Box::new(Resynth1q),
             Box::new(MergeRotations),
         ],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qfw_num::rng::Rng;
+
+    #[test]
+    fn zyz_reconstructs_random_unitaries() {
+        let mut rng = Rng::seed_from(3);
+        for _ in 0..50 {
+            // Random SU(2)-ish unitary via random rotations.
+            let u = Gate::Rz(0, rng.uniform(-3.0, 3.0))
+                .matrix()
+                .matmul(&Gate::Ry(0, rng.uniform(-3.0, 3.0)).matrix())
+                .matmul(&Gate::Rz(0, rng.uniform(-3.0, 3.0)).matrix())
+                .matmul(&Gate::Phase(0, rng.uniform(-3.0, 3.0)).matrix());
+            let (a, b, c) = zyz_angles(&u);
+            let rec = Gate::Rz(0, a)
+                .matrix()
+                .matmul(&Gate::Ry(0, b).matrix())
+                .matmul(&Gate::Rz(0, c).matrix());
+            // Compare up to global phase via |tr(U† R)| = 2.
+            let tr = u.dagger().matmul(&rec).trace();
+            assert!(
+                (tr.abs() - 2.0).abs() < 1e-9,
+                "zyz mismatch: |tr|={}",
+                tr.abs()
+            );
+        }
     }
 }

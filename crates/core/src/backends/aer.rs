@@ -11,10 +11,10 @@
 //! synchronization barrier — the bookkeeping that keeps Aer from scaling
 //! "beyond a single node" in the paper's Fig. 3e discussion.
 
-use crate::backends::{unmarshal_circuit, BackendQpm, ExecContext};
+use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
+use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use crate::spec::ExecTask;
 use qfw_circuit::analysis::{is_clifford, StructureReport};
 use qfw_circuit::{Circuit, Op};
 use qfw_hpc::Stopwatch;
@@ -49,14 +49,15 @@ impl AerBackend {
     fn run_statevector(
         &self,
         circuit: &Circuit,
-        task: &ExecTask,
+        job: &ResolvedJob<'_>,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
-        if task.spec.ranks <= 1 {
+        let ranks = job.plan.ranks;
+        if ranks <= 1 {
             let _lease = ctx.lease_cores(1)?;
             let engine = SvSimulator::new(SvConfig::default());
-            let out = engine.run_traced(circuit, task.shots, task.seed, ctx.obs);
+            let out = engine.run_traced(circuit, job.shots, job.seed, ctx.obs);
             result.counts = out.counts;
             result.profile.exec_secs = out.gate_time.as_secs_f64();
             result.profile.sample_secs = out.sample_time.as_secs_f64();
@@ -64,17 +65,9 @@ impl AerBackend {
             return Ok(());
         }
         // Chunked MPI mode: distributed state + per-gate synchronization.
-        let ranks = task.spec.ranks.next_power_of_two();
-        if (1usize << circuit.num_qubits()) < 2 * ranks {
-            return Err(QfwError::Resources(format!(
-                "{ranks} chunks need a larger register than {} qubits",
-                circuit.num_qubits()
-            )));
-        }
         let alloc = ctx.lease_cores(ranks)?;
         let circuit = Arc::new(circuit.clone());
-        let shots = task.shots;
-        let seed = task.seed;
+        let (shots, seed) = (job.shots, job.seed);
         let job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
             let sw = Stopwatch::start();
             let mut dsv = DistStateVector::zero(&mut rank_ctx, circuit.num_qubits());
@@ -104,32 +97,25 @@ impl AerBackend {
     fn run_mps(
         &self,
         circuit: &Circuit,
-        task: &ExecTask,
+        job: &ResolvedJob<'_>,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
         let _lease = ctx.lease_cores(1)?;
         let config = MpsConfig {
-            chi_max: task.spec.extra_parsed("chi_max").unwrap_or(64),
-            trunc_eps: task.spec.extra_parsed("trunc_eps").unwrap_or(1e-12),
+            chi_max: job.plan.chi_max,
+            trunc_eps: job.plan.trunc_eps,
         };
-        let out = MpsSimulator::new(config).run(circuit, task.shots, task.seed);
+        let out = MpsSimulator::new(config).run(circuit, job.shots, job.seed);
         result.counts = out.counts;
         result.profile.exec_secs = out.gate_time.as_secs_f64();
         result.profile.sample_secs = out.sample_time.as_secs_f64();
         result.profile.ranks = 1;
-        result
-            .metadata
-            .insert("max_bond".into(), out.max_bond.to_string());
-        result
-            .metadata
-            .insert("trunc_error".into(), format!("{:.3e}", out.trunc_error));
-        if task.spec.ranks > 1 {
+        result.note("max_bond", out.max_bond);
+        result.note("trunc_error", format!("{:.3e}", out.trunc_error));
+        if job.plan.requested_ranks > 1 {
             // The paper: "MPS-based approaches do not scale as effectively".
-            result.metadata.insert(
-                "ranks_ignored".into(),
-                format!("{} (mps is sequential along the bond chain)", task.spec.ranks),
-            );
+            result.note("ranks_ignored", format!( "{} (mps is sequential along the bond chain)", job.plan.requested_ranks ));
         }
         Ok(())
     }
@@ -137,13 +123,13 @@ impl AerBackend {
     fn run_stabilizer(
         &self,
         circuit: &Circuit,
-        task: &ExecTask,
+        job: &ResolvedJob<'_>,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
         let _lease = ctx.lease_cores(1)?;
         let out = StabSimulator
-            .run(circuit, task.shots, task.seed)
+            .run(circuit, job.shots, job.seed)
             .map_err(QfwError::Execution)?;
         result.counts = out.counts;
         result.profile.exec_secs = out.total_time.as_secs_f64();
@@ -157,33 +143,28 @@ impl BackendQpm for AerBackend {
         "aer"
     }
 
-    fn subbackends(&self) -> &'static [&'static str] {
-        &[
-            "automatic",
-            "statevector",
-            "matrix_product_state",
-            "stabilizer",
-        ]
-    }
-
-    fn execute(&self, task: &ExecTask, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError> {
-        let sub = self.resolve_subbackend(&task.spec)?;
+    fn execute(
+        &self,
+        job: &ResolvedJob<'_>,
+        ctx: &ExecContext<'_>,
+    ) -> Result<QfwResult, QfwError> {
+        let sub = job.plan.subbackend;
         let total = Stopwatch::start();
-        let (circuit, marshal_secs) = unmarshal_circuit(task)?;
-        let mut result = QfwResult::new(self.name(), sub, task.shots);
-        result.profile.marshal_secs = marshal_secs;
+        let circuit = job.concrete();
+        let mut result = QfwResult::new(self.name(), sub, job.shots);
+        result.profile.marshal_secs = job.marshal_secs;
 
         let method = if sub == "automatic" {
             let m = Self::select_method(&circuit);
-            result.metadata.insert("method".into(), m.to_string());
+            result.note("method", m);
             m
         } else {
             sub
         };
         match method {
-            "statevector" => self.run_statevector(&circuit, task, ctx, &mut result)?,
-            "matrix_product_state" => self.run_mps(&circuit, task, ctx, &mut result)?,
-            "stabilizer" => self.run_stabilizer(&circuit, task, ctx, &mut result)?,
+            "statevector" => self.run_statevector(&circuit, job, ctx, &mut result)?,
+            "matrix_product_state" => self.run_mps(&circuit, job, ctx, &mut result)?,
+            "stabilizer" => self.run_stabilizer(&circuit, job, ctx, &mut result)?,
             other => unreachable!("bad method '{other}'"),
         }
         result.profile.total_secs = total.elapsed_secs();
@@ -195,7 +176,7 @@ impl BackendQpm for AerBackend {
 mod tests {
     use super::*;
     use crate::backends::testutil::{ghz_task, TestRig};
-    use crate::spec::BackendSpec;
+    use crate::spec::{BackendSpec, ExecTask};
     use qfw_circuit::text;
 
     fn tfim_task(n: usize, shots: usize, spec: BackendSpec) -> ExecTask {
@@ -225,7 +206,7 @@ mod tests {
         let rig = TestRig::new(1);
         for sub in ["statevector", "matrix_product_state", "stabilizer"] {
             let task = ghz_task(6, 400, BackendSpec::of("aer", sub));
-            let result = AerBackend.execute(&task, &rig.ctx()).unwrap();
+            let result = rig.execute(&AerBackend, &task).unwrap();
             assert_eq!(result.counts.values().sum::<usize>(), 400, "{sub}");
             assert_eq!(result.counts.len(), 2, "{sub}");
         }
@@ -235,7 +216,7 @@ mod tests {
     fn automatic_selects_stabilizer_for_ghz() {
         let rig = TestRig::new(1);
         let task = ghz_task(8, 100, BackendSpec::of("aer", "automatic"));
-        let result = AerBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&AerBackend, &task).unwrap();
         assert_eq!(result.metadata["method"], "stabilizer");
     }
 
@@ -243,7 +224,7 @@ mod tests {
     fn automatic_selects_mps_for_tfim() {
         let rig = TestRig::new(1);
         let task = tfim_task(10, 100, BackendSpec::of("aer", "automatic"));
-        let result = AerBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&AerBackend, &task).unwrap();
         assert_eq!(result.metadata["method"], "matrix_product_state");
         assert!(result.metadata.contains_key("max_bond"));
     }
@@ -261,7 +242,7 @@ mod tests {
             seed: 5,
             spec: BackendSpec::of("aer", "automatic"),
         };
-        let result = AerBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&AerBackend, &task).unwrap();
         assert_eq!(result.metadata["method"], "statevector");
     }
 
@@ -278,7 +259,7 @@ mod tests {
             spec: BackendSpec::of("aer", "stabilizer"),
         };
         assert!(matches!(
-            AerBackend.execute(&task, &rig.ctx()).unwrap_err(),
+            rig.execute(&AerBackend, &task).unwrap_err(),
             QfwError::Execution(_)
         ));
     }
@@ -286,16 +267,16 @@ mod tests {
     #[test]
     fn chunked_mpi_statevector_matches_serial() {
         let rig = TestRig::new(2);
-        let serial = AerBackend
+        let serial = rig
             .execute(
+                &AerBackend,
                 &tfim_task(6, 3000, BackendSpec::of("aer", "statevector")),
-                &rig.ctx(),
             )
             .unwrap();
-        let chunked = AerBackend
+        let chunked = rig
             .execute(
+                &AerBackend,
                 &tfim_task(6, 3000, BackendSpec::of("aer", "statevector").with_ranks(4)),
-                &rig.ctx(),
             )
             .unwrap();
         assert_eq!(chunked.profile.ranks, 4);
@@ -311,7 +292,7 @@ mod tests {
     fn mps_notes_ignored_ranks() {
         let rig = TestRig::new(1);
         let task = tfim_task(6, 10, BackendSpec::of("aer", "matrix_product_state").with_ranks(8));
-        let result = AerBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&AerBackend, &task).unwrap();
         assert!(result.metadata.contains_key("ranks_ignored"));
     }
 }

@@ -7,8 +7,8 @@
 
 use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
+use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use crate::spec::ExecTask;
 use qfw_chaos::RetryPolicy;
 use qfw_cloud::{CloudError, CloudProvider, JobRequest};
 use qfw_hpc::Stopwatch;
@@ -63,12 +63,12 @@ impl BackendQpm for IonqBackend {
         "ionq"
     }
 
-    fn subbackends(&self) -> &'static [&'static str] {
-        &["simulator", "hardware"]
-    }
-
-    fn execute(&self, task: &ExecTask, _ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError> {
-        let sub = self.resolve_subbackend(&task.spec)?;
+    fn execute(
+        &self,
+        job: &ResolvedJob<'_>,
+        _ctx: &ExecContext<'_>,
+    ) -> Result<QfwResult, QfwError> {
+        let sub = job.plan.subbackend;
         if sub == "hardware" {
             return Err(QfwError::Execution(
                 "ionq/hardware execution is planned future work".into(),
@@ -81,8 +81,8 @@ impl BackendQpm for IonqBackend {
             let attempt = self
                 .provider
                 .try_submit_job(JobRequest {
-                    circuit: task.circuit.clone(),
-                    shots: task.shots,
+                    circuit: job.wire_text().into_owned(),
+                    shots: job.shots,
                     name: "qfw-task".into(),
                 })
                 .and_then(|job_id| {
@@ -114,25 +114,19 @@ impl BackendQpm for IonqBackend {
             }
         };
 
-        let mut result = QfwResult::new(self.name(), sub, task.shots);
+        let mut result = QfwResult::new(self.name(), sub, job.shots);
         result.counts = outcome.counts;
         result.profile.queue_secs = outcome.queue_secs;
         result.profile.exec_secs = outcome.exec_secs;
         result.profile.ranks = 1;
         result.profile.total_secs = total.elapsed_secs();
-        result
-            .metadata
-            .insert("cloud_job_id".into(), job_id.to_string());
-        result
-            .metadata
-            .insert("cloud_attempts".into(), schedule.attempts().to_string());
+        result.note("cloud_job_id", job_id);
+        result.note("cloud_attempts", schedule.attempts());
         // Providers that publish a calibration table execute through
         // `NoiseModel::from_calibration` on the drifted table; record
         // which snapshot this job saw for reproducibility analysis.
         if let Some(cal) = self.provider.calibration() {
-            result
-                .metadata
-                .insert("cloud_calibration".into(), cal.content_hash().to_hex());
+            result.note("cloud_calibration", cal.content_hash().to_hex());
         }
         Ok(result)
     }
@@ -153,7 +147,7 @@ mod tests {
     fn simulator_round_trip() {
         let rig = TestRig::new(1);
         let task = ghz_task(5, 200, BackendSpec::of("ionq", "simulator"));
-        let result = backend().execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&backend(), &task).unwrap();
         assert_eq!(result.counts.values().sum::<usize>(), 200);
         assert!(result.metadata.contains_key("cloud_job_id"));
     }
@@ -165,12 +159,12 @@ mod tests {
         config.calibration = Some(qfw_cloud::Calibration::synthetic(8, 21));
         let b = IonqBackend::new(Arc::new(CloudProvider::start(config)));
         let task = ghz_task(5, 200, BackendSpec::of("ionq", "simulator"));
-        let result = b.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&b, &task).unwrap();
         assert_eq!(result.counts.values().sum::<usize>(), 200);
         let hash = &result.metadata["cloud_calibration"];
         assert_eq!(hash.len(), 32, "expected a 128-bit hex hash: {hash}");
         // The uncalibrated provider publishes nothing.
-        let bare = backend().execute(&task, &rig.ctx()).unwrap();
+        let bare = rig.execute(&backend(), &task).unwrap();
         assert!(!bare.metadata.contains_key("cloud_calibration"));
     }
 
@@ -178,7 +172,7 @@ mod tests {
     fn hardware_is_planned() {
         let rig = TestRig::new(1);
         let task = ghz_task(3, 10, BackendSpec::of("ionq", "hardware"));
-        match backend().execute(&task, &rig.ctx()).unwrap_err() {
+        match rig.execute(&backend(), &task).unwrap_err() {
             QfwError::Execution(msg) => assert!(msg.contains("planned")),
             other => panic!("unexpected {other:?}"),
         }
@@ -190,7 +184,7 @@ mod tests {
         let before = rig.hetjob.free_cores(1);
         let task = ghz_task(4, 20, BackendSpec::of("ionq", "simulator"));
         let b = backend();
-        let _ = b.execute(&task, &rig.ctx()).unwrap();
+        let _ = rig.execute(&b, &task).unwrap();
         assert_eq!(rig.hetjob.free_cores(1), before);
     }
 
@@ -211,7 +205,7 @@ mod tests {
             Duration::from_secs(1),
         ));
         let task = ghz_task(4, 50, BackendSpec::of("ionq", "simulator"));
-        let result = b.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&b, &task).unwrap();
         assert_eq!(result.counts.values().sum::<usize>(), 50);
         assert_eq!(result.metadata["cloud_attempts"], "3");
         assert_eq!(plan.fired("cloud.rate_limit"), 2);
@@ -230,7 +224,7 @@ mod tests {
             Duration::from_secs(1),
         ));
         let task = ghz_task(3, 10, BackendSpec::of("ionq", "simulator"));
-        match b.execute(&task, &rig.ctx()).unwrap_err() {
+        match rig.execute(&b, &task).unwrap_err() {
             QfwError::Execution(msg) => {
                 assert!(msg.contains("injected"), "msg={msg}");
                 assert!(msg.contains("3 attempt"), "msg={msg}");
@@ -240,18 +234,26 @@ mod tests {
     }
 
     #[test]
-    fn provider_failures_surface_as_execution_errors() {
+    fn sweeps_forward_each_point_as_bound_wire_text() {
         let rig = TestRig::new(1);
-        let b = backend();
-        let task = ExecTask {
-            circuit: "garbage".into(),
-            shots: 1,
-            seed: 0,
+        let task = crate::spec::SweepTask {
+            circuit: "qfwasm-param 1\nqubits 2\nh q0\nrx(@0) q1\nmeasure q0 -> c0\nmeasure q1 -> c1\n"
+                .into(),
+            points: (0..3)
+                .map(|i| crate::spec::SweepPointSpec {
+                    params: vec![0.2 * i as f64],
+                    shots: 40,
+                    seed: i,
+                })
+                .collect(),
             spec: BackendSpec::of("ionq", "simulator"),
         };
-        assert!(matches!(
-            b.execute(&task, &rig.ctx()).unwrap_err(),
-            QfwError::Execution(_)
-        ));
+        let b = backend();
+        let results = rig.execute_sweep(&b, &task).unwrap();
+        assert_eq!(results.len(), 3);
+        for r in &results {
+            assert_eq!(r.counts.values().sum::<usize>(), 40);
+        }
+        assert_eq!(b.provider().jobs_completed(), 3);
     }
 }

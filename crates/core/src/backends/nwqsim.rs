@@ -4,19 +4,18 @@
 //! whose native MPI distribution "makes it a good fit for multi-node
 //! CPU/GPU HPC runs".
 
-use crate::backends::{
-    sweep_via_execute, unmarshal_circuit, unmarshal_param, BackendQpm, ExecContext,
-};
+use crate::backends::{BackendQpm, ExecContext};
 use crate::cache::{report_event, CacheConfig, CacheEvent, ShardedLru};
 use crate::error::QfwError;
+use crate::plan::{ExecPlan, JobCircuit, ResolvedJob, ResolvedSweep};
 use crate::result::QfwResult;
-use crate::spec::{BackendSpec, ExecTask, SweepTask};
-use qfw_circuit::hash::ContentHash;
-use qfw_circuit::{text, Circuit, ParamCircuit};
+use crate::spec::extras;
+use qfw_circuit::hash::{circuit_hash, param_hash};
+use qfw_circuit::{Circuit, Op, ParamCircuit};
 use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
 use qfw_sim_sv::dist::{run_distributed_laid_out, RouteStrategy};
-use qfw_sim_sv::noise::NoiseModel;
+use qfw_sim_sv::engine::SvOutcome;
 use qfw_sim_sv::{
     fuse, FusionLevel, LayerPlan, SvConfig, SvSimulator, SweepError, SweepPlan, SweepPoint,
     Threading,
@@ -33,23 +32,21 @@ const FUSED_CACHE_CAP: usize = 256;
 ///
 /// Two compiled-artifact cache tiers hang off each instance:
 ///
-/// * Parameterized (`qfwasm-param`) tasks on the `cpu`/`openmp`
-///   sub-backends run through a compile-once sweep plan cached by
-///   skeleton, so variational loops stop paying per-iteration
-///   transpile+fusion; single bound tasks and full sweeps share the plan
-///   path, keeping their counts bitwise identical.
-/// * Concrete (`qfwasm`) tasks cache their **layer plan** (the fused
-///   circuit, already cut into tile groups) keyed by the canonical content
-///   hash, so repeat (and near-repeat: different seed/shots) submissions
-///   skip the fusion pre-pass entirely and go straight to gate
-///   application.
+/// * Parameterized jobs on the `cpu`/`openmp` sub-backends run through a
+///   compile-once sweep plan cached by skeleton, so variational loops stop
+///   paying per-iteration fusion; a single bound job is the one-point case
+///   of a sweep, keeping their counts bitwise identical.
+/// * Concrete jobs cache their **layer plan** (the fused circuit, already
+///   cut into tile groups) keyed by the job's content hash, so repeat (and
+///   near-repeat: different seed/shots) submissions skip the fusion
+///   pre-pass entirely and go straight to gate application.
 ///
 /// Both tiers report `cache.{hit,miss,evict}` (and `cache.plan.*` /
 /// `cache.fused.*`) counters on the per-execution obs handle.
 pub struct NwqSimBackend {
-    /// Compiled sweep plans keyed by hash of `sub|fusion|skeleton-text`.
+    /// Compiled sweep plans keyed by skeleton hash + sub-backend + fusion.
     plans: ShardedLru<Arc<SweepPlan>>,
-    /// Layer plans keyed by canonical circuit hash.
+    /// Layer plans keyed by circuit content hash.
     fused: ShardedLru<Arc<LayerPlan>>,
 }
 
@@ -66,90 +63,69 @@ impl Default for NwqSimBackend {
     }
 }
 
+/// Stamps an engine outcome onto a result.
+fn record(result: &mut QfwResult, out: SvOutcome) {
+    result.counts = out.counts;
+    result.profile.exec_secs += out.gate_time.as_secs_f64();
+    result.profile.sample_secs = out.sample_time.as_secs_f64();
+    result.note("gates_applied", out.gates_applied);
+}
+
 impl NwqSimBackend {
-    /// Resolves the task's noise model. The canonical `noise_model` text
-    /// extra (the `qfw-noise` wire codec) wins; the legacy flat
-    /// `noise_p1`/`noise_p2`/`noise_readout` constants are honoured
-    /// otherwise.
-    fn noise_of(spec: &BackendSpec) -> Result<NoiseModel, QfwError> {
-        if let Some(text) = spec.extra_parsed::<String>("noise_model") {
-            return NoiseModel::parse(&text).map_err(|e| QfwError::BadProperties(e.to_string()));
-        }
-        #[allow(deprecated)]
-        Ok(NoiseModel::flat(
-            spec.extra_parsed("noise_p1").unwrap_or(0.0),
-            spec.extra_parsed("noise_p2").unwrap_or(0.0),
-            spec.extra_parsed("noise_readout").unwrap_or(0.0),
-        ))
-    }
-
-    /// Trajectory budget for noisy execution (`noise_trajectories`,
-    /// default 64 — plenty for histogram statistics; raise it for tail
-    /// accuracy).
-    fn trajectories_of(spec: &BackendSpec) -> usize {
-        spec.extra_parsed::<usize>("noise_trajectories")
-            .unwrap_or(64)
-            .max(1)
-    }
-
-    fn fusion_of(spec: &BackendSpec) -> FusionLevel {
-        if spec
-            .extra_parsed::<bool>(crate::spec::extras::FUSION)
-            .unwrap_or(true)
-        {
-            FusionLevel::Full
-        } else {
-            FusionLevel::None
-        }
-    }
-
-    fn engine_for(sub: &str, fusion: FusionLevel) -> SvSimulator {
-        let threading = if sub == "openmp" {
-            Threading::Rayon
-        } else {
-            Threading::Serial
-        };
+    fn engine(plan: &ExecPlan, fused: bool) -> SvSimulator {
+        let threaded = plan.subbackend == "openmp";
         SvSimulator::new(SvConfig {
-            threading,
-            fusion,
+            threading: if threaded { Threading::Rayon } else { Threading::Serial },
+            fusion: if fused { FusionLevel::Full } else { FusionLevel::None },
             ..SvConfig::default()
         })
     }
 
-    /// Fetches (or compiles and caches) the sweep plan for a skeleton.
-    /// Returns the plan and whether it was served from the cache.
-    fn plan_for(
+    /// Runs bindings of one skeleton on the local engine through its
+    /// compile-once sweep plan (fetched from, or compiled into, the plan
+    /// cache). Returns the outcomes in point order and whether the plan
+    /// was served from the cache.
+    fn run_plan(
         &self,
-        key: String,
-        engine: &SvSimulator,
         template: &ParamCircuit,
+        points: &[SweepPoint],
+        plan: &ExecPlan,
         obs: &Obs,
-    ) -> Result<(Arc<SweepPlan>, bool), SweepError> {
-        let hash = ContentHash::of_bytes(key.as_bytes());
-        if let Some(plan) = self.plans.get(hash) {
-            report_event(obs, "plan", CacheEvent::Hit);
-            return Ok((plan, true));
-        }
-        report_event(obs, "plan", CacheEvent::Miss);
-        // Compile outside any shard lock: concurrent misses may compile
-        // twice, but never block each other on a multi-millisecond fuse.
-        let mut span = obs
-            .span("engine", "sweep.compile")
-            .attr("ops_in", template.ops().len())
-            .attr("params", template.num_params());
-        let plan = Arc::new(engine.compile_sweep(template)?);
-        span.set_attr("slots", plan.num_slots());
-        drop(span);
-        if self.plans.insert(hash, Arc::clone(&plan)) {
-            report_event(obs, "plan", CacheEvent::Evict);
-        }
-        Ok((plan, false))
+    ) -> Result<(Vec<SvOutcome>, bool), SweepError> {
+        let engine = Self::engine(plan, plan.fusion);
+        let key = param_hash(template, None)
+            .fold_str(plan.subbackend)
+            .fold_u64(plan.fusion as u64);
+        let (compiled, cached) = match self.plans.get(key) {
+            Some(compiled) => {
+                report_event(obs, "plan", CacheEvent::Hit);
+                (compiled, true)
+            }
+            None => {
+                report_event(obs, "plan", CacheEvent::Miss);
+                // Compile outside any shard lock: concurrent misses may
+                // compile twice, but never block each other on a
+                // multi-millisecond fuse.
+                let mut span = obs
+                    .span("engine", "sweep.compile")
+                    .attr("ops_in", template.ops().len())
+                    .attr("params", template.num_params());
+                let compiled = Arc::new(engine.compile_sweep(template)?);
+                span.set_attr("slots", compiled.num_slots());
+                drop(span);
+                if self.plans.insert(key, Arc::clone(&compiled)) {
+                    report_event(obs, "plan", CacheEvent::Evict);
+                }
+                (compiled, false)
+            }
+        };
+        Ok((engine.run_plan_traced(&compiled, points, obs), cached))
     }
 
     /// Fetches (or fuses and caches) the layer plan of a concrete circuit.
     /// Returns the plan and whether it was served from the cache.
     fn fused_for(&self, circuit: &Circuit, obs: &Obs) -> (Arc<LayerPlan>, bool) {
-        let key = ContentHash::of_bytes(text::dump(circuit).as_bytes());
+        let key = circuit_hash(circuit);
         if let Some(fused) = self.fused.get(key) {
             report_event(obs, "fused", CacheEvent::Hit);
             return (fused, true);
@@ -168,10 +144,10 @@ impl NwqSimBackend {
     }
 
     /// Hybrid Clifford-prefix partitioned execution: evolve the first
-    /// `seam` operations (which must all be Clifford gates or barriers) on
-    /// a stabilizer tableau in `O(gates * n^2 / 64)`, convert the tableau
-    /// to dense amplitudes at the seam, and run the remaining ops on the
-    /// state-vector engine from that state.
+    /// `seam` operations (job resolution has checked they are all Clifford
+    /// gates or barriers) on a stabilizer tableau in `O(gates * n^2 / 64)`,
+    /// convert the tableau to dense amplitudes at the seam, and run the
+    /// remaining ops on the state-vector engine from that state.
     ///
     /// Sampling goes through the same canonical path and seed as a
     /// monolithic unfused run, and the seam conversion produces every
@@ -180,130 +156,165 @@ impl NwqSimBackend {
     fn run_partitioned(
         circuit: &Circuit,
         seam: usize,
-        shots: usize,
-        seed: u64,
-        threading: Threading,
+        job: &ResolvedJob<'_>,
         obs: &Obs,
-    ) -> Result<(qfw_sim_sv::engine::SvOutcome, usize, f64), QfwError> {
-        use qfw_circuit::Op;
+        result: &mut QfwResult,
+    ) -> Result<(), QfwError> {
         let n = circuit.num_qubits();
-        if n > qfw_sim_stab::MAX_EXTRACT_QUBITS {
-            return Err(QfwError::Resources(format!(
-                "clifford-prefix partition needs a dense seam state: {n} qubits \
-                 exceeds the {} -qubit extraction limit",
-                qfw_sim_stab::MAX_EXTRACT_QUBITS
-            )));
-        }
         let ops = circuit.ops();
-        if seam == 0 || seam > ops.len() {
-            return Err(QfwError::Execution(format!(
-                "partition_seam {seam} is outside the operation list (1..={})",
-                ops.len()
-            )));
-        }
         let sw = Stopwatch::start();
         let mut span = obs.span("engine", "stab.prefix").attr("seam_ops", seam);
         let mut tableau = qfw_sim_stab::Tableau::zero(n);
         let mut prefix_gates = 0usize;
         for op in &ops[..seam] {
-            match op {
-                Op::Gate(g) if g.is_clifford() => {
-                    tableau.apply(g);
-                    prefix_gates += 1;
-                }
-                Op::Barrier(_) => {}
-                other => {
-                    return Err(QfwError::Execution(format!(
-                        "partition_seam crosses a non-Clifford operation: {other:?}"
-                    )))
-                }
+            if let Op::Gate(g) = op {
+                tableau.apply(g);
+                prefix_gates += 1;
             }
         }
         let amps = tableau.to_amplitudes().map_err(QfwError::Execution)?;
         span.set_attr("prefix_gates", prefix_gates);
         drop(span);
-        let prefix_secs = sw.elapsed_secs();
+        result.profile.exec_secs = sw.elapsed_secs();
         let initial = qfw_sim_sv::StateVector::from_amps(amps);
         let mut suffix = Circuit::with_clbits(n, circuit.num_clbits());
         for op in &ops[seam..] {
             suffix.push_op(op.clone());
         }
-        let engine = SvSimulator::new(SvConfig {
-            threading,
-            fusion: FusionLevel::None,
-            ..SvConfig::default()
-        });
-        let out = engine.run_traced_from(initial, &suffix, shots, seed, obs);
-        Ok((out, prefix_gates, prefix_secs))
+        let engine = Self::engine(job.plan, false);
+        record(
+            result,
+            engine.run_traced_from(initial, &suffix, job.shots, job.seed, obs),
+        );
+        result.note(extras::PARTITION, extras::PARTITION_CLIFFORD_PREFIX);
+        result.note(extras::PARTITION_SEAM, seam);
+        result.note("partition_prefix_gates", prefix_gates);
+        Ok(())
     }
 
-    /// The local compile-once path for one bound parameterized task.
-    fn execute_param_local(
+    /// The `cpu`/`openmp` sub-backends: one process, serial or threaded.
+    fn run_local(
         &self,
-        task: &ExecTask,
+        job: &ResolvedJob<'_>,
         ctx: &ExecContext<'_>,
-        sub: &'static str,
-        total: Stopwatch,
-    ) -> Result<QfwResult, QfwError> {
-        let (template, bound, marshal_secs) = unmarshal_param(&task.circuit)?;
-        let params = bound.ok_or_else(|| {
-            QfwError::Marshal("parameterized task carries no 'bind' line".into())
-        })?;
-        if params.len() < template.num_params() {
-            return Err(QfwError::Marshal(format!(
-                "bind line carries {} values but the skeleton references {} parameters",
-                params.len(),
-                template.num_params()
-            )));
+        result: &mut QfwResult,
+    ) -> Result<(), QfwError> {
+        let plan = job.plan;
+        // Account the cores the engine occupies: 1 for the serial path,
+        // one LLC domain's worth for the threaded path.
+        let _lease = ctx.lease_cores(plan.cores)?;
+        if !plan.noise.is_empty() {
+            // Trajectory-parallel on the threaded sub-backend (counts are
+            // bitwise identical at any worker count), serial on `cpu`.
+            let sw = Stopwatch::start();
+            result.counts = qfw_sim_sv::noise::run_trajectories(
+                &job.concrete(),
+                job.shots,
+                job.seed,
+                &plan.noise,
+                plan.trajectories,
+                plan.cores,
+                ctx.obs,
+            );
+            result.profile.exec_secs = sw.elapsed_secs();
+            result.note("noise", plan.noise.to_text());
+            result.note("noise_trajectories", plan.trajectories);
+            return Ok(());
         }
-        let fusion = Self::fusion_of(&task.spec);
-        let cores = if sub == "openmp" {
-            ctx.hetjob.cluster().node.app_cores_per_llc()
-        } else {
-            1
-        };
-        let _lease = ctx.lease_cores(cores)?;
-        let engine = Self::engine_for(sub, fusion);
-        let key = format!(
-            "{sub}|{fusion:?}|{}",
-            text::param_skeleton_text(&task.circuit)
-        );
-
-        let mut result = QfwResult::new(self.name(), sub, task.shots);
-        result.profile.marshal_secs = marshal_secs;
-        let out = match self.plan_for(key, &engine, &template, ctx.obs) {
-            Ok((plan, cached)) => {
-                result
-                    .metadata
-                    .insert("plan_cached".into(), cached.to_string());
+        let circuit = match job.circuit {
+            JobCircuit::Concrete(circuit) => circuit,
+            // A bound job is the one-point case of a sweep.
+            JobCircuit::Bound { template, params } => {
                 let point = SweepPoint {
-                    params,
-                    shots: task.shots,
-                    seed: task.seed,
+                    params: params.to_vec(),
+                    shots: job.shots,
+                    seed: job.seed,
                 };
-                engine
-                    .run_plan_traced(&plan, std::slice::from_ref(&point), ctx.obs)
-                    .pop()
-                    .expect("one point in, one outcome out")
-            }
-            Err(SweepError::MidCircuitMeasure { .. }) => {
-                // Mid-circuit measurements can't take the plan path; bind
-                // and run the trajectory engine instead.
-                result
-                    .metadata
-                    .insert("sweep_fallback".into(), "mid_circuit_measure".into());
-                engine.run_traced(&template.bind(&params), task.shots, task.seed, ctx.obs)
+                match self.run_plan(template, std::slice::from_ref(&point), plan, ctx.obs) {
+                    Ok((mut outcomes, cached)) => {
+                        result.note("plan_cached", cached);
+                        record(result, outcomes.pop().expect("one point in, one outcome out"));
+                    }
+                    Err(SweepError::MidCircuitMeasure { .. }) => {
+                        // Mid-circuit measurements can't take the plan
+                        // path; bind and run the trajectory engine instead.
+                        result.note("sweep_fallback", "mid_circuit_measure");
+                        let engine = Self::engine(plan, plan.fusion);
+                        record(
+                            result,
+                            engine.run_traced(&job.concrete(), job.shots, job.seed, ctx.obs),
+                        );
+                    }
+                }
+                return Ok(());
             }
         };
+        if let Some(seam) = plan.partition_seam {
+            // Planner-issued hybrid partition: stabilizer tableau over the
+            // Clifford prefix, dense continuation from the seam state.
+            return Self::run_partitioned(circuit, seam, job, ctx.obs, result);
+        }
+        let engine = Self::engine(plan, plan.fusion);
+        let out = if plan.fusion {
+            // Run the layer plan out of the per-instance cache — the plan
+            // `FusionLevel::Full` would build, so counts are bitwise the
+            // same, but repeat submissions skip the fusion pre-pass.
+            let (layers, cached) = self.fused_for(circuit, ctx.obs);
+            result.note("fusion_cached", cached);
+            engine.run_layers_traced(&layers, job.shots, job.seed, ctx.obs)
+        } else {
+            // `fusion=false` runs the unfused gate stream verbatim.
+            engine.run_traced(circuit, job.shots, job.seed, ctx.obs)
+        };
+        record(result, out);
+        Ok(())
+    }
+
+    /// The `mpi` sub-backend: the register split across DVM ranks.
+    fn run_mpi(
+        &self,
+        job: &ResolvedJob<'_>,
+        ctx: &ExecContext<'_>,
+        result: &mut QfwResult,
+    ) -> Result<(), QfwError> {
+        let plan = job.plan;
+        let ranks = plan.ranks;
+        if ranks != plan.requested_ranks {
+            result.note("ranks_rounded", ranks);
+        }
+        let alloc = ctx.lease_cores(ranks)?;
+        let circuit = Arc::new(job.concrete().into_owned());
+        let (shots, seed) = (job.shots, job.seed);
+        let obs = ctx.obs.clone();
+        // Compiler handoff: the layout seeds the starting permutation —
+        // free at |0…0⟩, and counts stay bitwise identical since sampling
+        // flushes the permutation.
+        let layout = plan.layout.clone();
+        if let Some(order) = &layout {
+            let csv: Vec<String> = order.iter().map(|q| q.to_string()).collect();
+            result.note(extras::INITIAL_LAYOUT, csv.join(","));
+        }
+        let rank_job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
+            run_distributed_laid_out(
+                &mut rank_ctx,
+                &circuit,
+                shots,
+                seed,
+                RouteStrategy::Lazy,
+                layout.as_deref(),
+                &obs,
+            )
+        });
+        let mut outcomes = rank_job.wait();
+        let (out, stats) = outcomes
+            .swap_remove(0)
+            .expect("rank 0 returns the outcome");
         result.counts = out.counts;
         result.profile.exec_secs = out.gate_time.as_secs_f64();
         result.profile.sample_secs = out.sample_time.as_secs_f64();
-        result
-            .metadata
-            .insert("gates_applied".into(), out.gates_applied.to_string());
-        result.profile.ranks = 1;
-        result.profile.total_secs = total.elapsed_secs();
-        Ok(result)
+        result.note("comm_exchanges", stats.exchanges);
+        result.note("comm_bytes", stats.bytes);
+        Ok(())
     }
 }
 
@@ -312,259 +323,25 @@ impl BackendQpm for NwqSimBackend {
         "nwqsim"
     }
 
-    fn subbackends(&self) -> &'static [&'static str] {
-        &["cpu", "openmp", "mpi"]
-    }
-
-    fn execute(&self, task: &ExecTask, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError> {
-        let sub = self.resolve_subbackend(&task.spec)?;
+    fn execute(
+        &self,
+        job: &ResolvedJob<'_>,
+        ctx: &ExecContext<'_>,
+    ) -> Result<QfwResult, QfwError> {
+        let plan = job.plan;
         let total = Stopwatch::start();
-
-        // Optional stochastic noise channels, selected via runtime
-        // properties (the canonical `noise_model` text, or the legacy
-        // `noise_p1`/`noise_p2`/`noise_readout` constants) — the NISQ
-        // emulation path.
-        let noise = Self::noise_of(&task.spec)?;
-
-        // Bound parameterized tasks on the local sub-backends take the
-        // compile-once plan path (bitwise identical to the sweep path).
-        if text::is_param_text(&task.circuit)
-            && matches!(sub, "cpu" | "openmp")
-            && noise.is_empty()
-        {
-            return self.execute_param_local(task, ctx, sub, total);
-        }
-
-        let (circuit, marshal_secs) = unmarshal_circuit(task)?;
-        let fusion = Self::fusion_of(&task.spec);
-
-        let mut result = QfwResult::new(self.name(), sub, task.shots);
-        result.profile.marshal_secs = marshal_secs;
-
-        match sub {
-            "cpu" | "openmp" => {
-                let threading = if sub == "openmp" {
-                    Threading::Rayon
-                } else {
-                    Threading::Serial
-                };
-                // Account the cores the engine occupies: 1 for the serial
-                // path, one LLC domain's worth for the threaded path.
-                let cores = if sub == "openmp" {
-                    ctx.hetjob.cluster().node.app_cores_per_llc()
-                } else {
-                    1
-                };
-                let _lease = ctx.lease_cores(cores)?;
-                let sw = Stopwatch::start();
-                let seam = task
-                    .spec
-                    .extra_parsed::<usize>(crate::spec::extras::PARTITION_SEAM);
-                if seam.is_some() && !noise.is_empty() {
-                    return Err(QfwError::Execution(
-                        "clifford-prefix partitioned execution does not compose \
-                         with noise channels"
-                            .into(),
-                    ));
-                }
-                if let Some(seam) = seam {
-                    // Planner-issued hybrid partition: stabilizer tableau
-                    // over the Clifford prefix, dense continuation from the
-                    // extracted seam state. (The guard above already
-                    // rejected the noisy case, so noise is empty here.)
-                    let (out, prefix_gates, prefix_secs) = Self::run_partitioned(
-                        &circuit, seam, task.shots, task.seed, threading, ctx.obs,
-                    )?;
-                    result.counts = out.counts;
-                    result.profile.exec_secs = prefix_secs + out.gate_time.as_secs_f64();
-                    result.profile.sample_secs = out.sample_time.as_secs_f64();
-                    result
-                        .metadata
-                        .insert("gates_applied".into(), out.gates_applied.to_string());
-                    result.metadata.insert(
-                        crate::spec::extras::PARTITION.into(),
-                        crate::spec::extras::PARTITION_CLIFFORD_PREFIX.into(),
-                    );
-                    result.metadata.insert(
-                        crate::spec::extras::PARTITION_SEAM.into(),
-                        seam.to_string(),
-                    );
-                    result.metadata.insert(
-                        "partition_prefix_gates".into(),
-                        prefix_gates.to_string(),
-                    );
-                } else if noise.is_empty() {
-                    // With fusion enabled, run the layer plan out of the
-                    // per-instance cache — the plan `FusionLevel::Full`
-                    // would build, so counts are bitwise the same, but
-                    // repeat submissions skip the fusion pre-pass.
-                    // `fusion=false` bypasses the cache so the unfused gate
-                    // stream runs verbatim.
-                    let engine = SvSimulator::new(SvConfig {
-                        threading,
-                        fusion,
-                        ..SvConfig::default()
-                    });
-                    let (out, fusion_cached) = if fusion == FusionLevel::None {
-                        let out = engine.run_traced(&circuit, task.shots, task.seed, ctx.obs);
-                        (out, None)
-                    } else {
-                        let (plan, cached) = self.fused_for(&circuit, ctx.obs);
-                        let out =
-                            engine.run_layers_traced(&plan, task.shots, task.seed, ctx.obs);
-                        (out, Some(cached))
-                    };
-                    result.counts = out.counts;
-                    result.profile.exec_secs = out.gate_time.as_secs_f64();
-                    result.profile.sample_secs = out.sample_time.as_secs_f64();
-                    result
-                        .metadata
-                        .insert("gates_applied".into(), out.gates_applied.to_string());
-                    if let Some(cached) = fusion_cached {
-                        result
-                            .metadata
-                            .insert("fusion_cached".into(), cached.to_string());
-                    }
-                } else {
-                    // Trajectory-parallel on the threaded sub-backend
-                    // (counts are bitwise identical at any worker count),
-                    // serial on `cpu`.
-                    let trajectories = Self::trajectories_of(&task.spec);
-                    let workers = if sub == "openmp" { cores.max(1) } else { 1 };
-                    result.counts = qfw_sim_sv::noise::run_trajectories(
-                        &circuit,
-                        task.shots,
-                        task.seed,
-                        &noise,
-                        trajectories,
-                        workers,
-                        ctx.obs,
-                    );
-                    result.profile.exec_secs = sw.elapsed_secs();
-                    result.metadata.insert("noise".into(), noise.to_text());
-                    result
-                        .metadata
-                        .insert("noise_trajectories".into(), trajectories.to_string());
-                }
-                result.profile.ranks = 1;
-            }
-            "mpi" => {
-                if !noise.is_empty() {
-                    return Err(QfwError::Execution(
-                        "noise channels are only supported on the cpu/openmp \
-                         sub-backends"
-                            .into(),
-                    ));
-                }
-                let ranks = task.spec.ranks.max(1).next_power_of_two();
-                if ranks as u32 != task.spec.ranks as u32 && task.spec.ranks != ranks {
-                    result
-                        .metadata
-                        .insert("ranks_rounded".into(), ranks.to_string());
-                }
-                if circuit.num_qubits() == 0 || (1usize << circuit.num_qubits()) < 2 * ranks {
-                    return Err(QfwError::Resources(format!(
-                        "{} ranks need at least {} qubits",
-                        ranks,
-                        ranks.trailing_zeros() + 1
-                    )));
-                }
-                // Routing strategy: communication-avoiding lazy remapping
-                // by default; `dist_route=swaps` selects the per-gate
-                // exchange baseline (for A/B measurements).
-                let route = match task
-                    .spec
-                    .extra_parsed::<String>("dist_route")
-                    .as_deref()
-                {
-                    Some("swaps") => RouteStrategy::Swaps,
-                    _ => RouteStrategy::Lazy,
-                };
-                // Compiler handoff: `initial_layout=q0,q1,...` (entry p is
-                // the logical qubit at physical position p) seeds the
-                // starting permutation — free at |0…0⟩, and counts stay
-                // bitwise identical since sampling flushes the
-                // permutation. Planned by qfw-compile's O3 layout pass.
-                let layout = match task.spec.extra_parsed::<String>("initial_layout") {
-                    Some(csv) => {
-                        let order: Vec<usize> = csv
-                            .split(',')
-                            .map(|s| s.trim().parse::<usize>())
-                            .collect::<Result<_, _>>()
-                            .map_err(|e| {
-                                QfwError::Execution(format!("malformed initial_layout: {e}"))
-                            })?;
-                        let n = circuit.num_qubits();
-                        let mut seen = vec![false; n];
-                        for &q in &order {
-                            if q >= n || std::mem::replace(&mut seen[q], true) {
-                                return Err(QfwError::Execution(format!(
-                                    "initial_layout is not a permutation of 0..{n}"
-                                )));
-                            }
-                        }
-                        if order.len() != n {
-                            return Err(QfwError::Execution(format!(
-                                "initial_layout covers {} of {n} qubits",
-                                order.len()
-                            )));
-                        }
-                        Some(order)
-                    }
-                    None => None,
-                };
-                let alloc = ctx.lease_cores(ranks)?;
-                let circuit = Arc::new(circuit);
-                let shots = task.shots;
-                let seed = task.seed;
-                let obs = ctx.obs.clone();
-                let layout_meta = layout.as_ref().map(|o| {
-                    o.iter()
-                        .map(|q| q.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                });
-                let job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
-                    run_distributed_laid_out(
-                        &mut rank_ctx,
-                        &circuit,
-                        shots,
-                        seed,
-                        route,
-                        layout.as_deref(),
-                        &obs,
-                    )
-                });
-                let mut outcomes = job.wait();
-                let (out, stats) = outcomes
-                    .swap_remove(0)
-                    .expect("rank 0 returns the outcome");
-                result.counts = out.counts;
-                result.profile.exec_secs = out.gate_time.as_secs_f64();
-                result.profile.sample_secs = out.sample_time.as_secs_f64();
-                result.profile.ranks = ranks;
-                result.metadata.insert(
-                    "dist_route".into(),
-                    format!("{route:?}").to_lowercase(),
-                );
-                if let Some(meta) = layout_meta {
-                    result.metadata.insert("initial_layout".into(), meta);
-                }
-                result
-                    .metadata
-                    .insert("comm_exchanges".into(), stats.exchanges.to_string());
-                result
-                    .metadata
-                    .insert("comm_bytes".into(), stats.bytes.to_string());
-            }
-            other => unreachable!("resolve_subbackend admitted '{other}'"),
+        let mut result = QfwResult::new(self.name(), plan.subbackend, job.shots);
+        result.profile.marshal_secs = job.marshal_secs;
+        result.profile.ranks = plan.ranks;
+        if plan.subbackend == "mpi" {
+            self.run_mpi(job, ctx, &mut result)?;
+        } else {
+            self.run_local(job, ctx, &mut result)?;
         }
         // Compiler handoff: the O3 noise-aware layout pass annotates its
         // predicted log-fidelity; surface it on the result for analysis.
-        if let Some(pf) = task.spec.extra_parsed::<f64>("predicted_fidelity") {
-            result
-                .metadata
-                .insert("predicted_fidelity".into(), pf.to_string());
+        if let Some(pf) = plan.predicted_fidelity {
+            result.note(extras::PREDICTED_FIDELITY, pf);
         }
         result.profile.total_secs = total.elapsed_secs();
         Ok(result)
@@ -572,49 +349,22 @@ impl BackendQpm for NwqSimBackend {
 
     fn execute_sweep(
         &self,
-        task: &SweepTask,
+        sweep: &ResolvedSweep<'_>,
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<QfwResult>, QfwError> {
-        let sub = self.resolve_subbackend(&task.spec)?;
-        let noise = Self::noise_of(&task.spec)?;
-        // The native compile-once path serves the local sub-backends; the
-        // distributed and noisy configurations fall back to per-point
-        // execution (still bitwise identical to independent submissions,
-        // since both sides bind the same skeleton to the same seeds).
-        if !matches!(sub, "cpu" | "openmp") || !noise.is_empty() {
-            return sweep_via_execute(self, task, ctx);
+        let plan = sweep.plan;
+        let per_point = || sweep.jobs().map(|job| self.execute(&job, ctx)).collect();
+        // The native compile-once path serves the ideal local
+        // sub-backends; the distributed and noisy configurations run each
+        // point as a bound job (still bitwise identical to independent
+        // submissions, since both sides bind the same skeleton to the same
+        // seeds).
+        if plan.subbackend == "mpi" || !plan.noise.is_empty() {
+            return per_point();
         }
         let total = Stopwatch::start();
-        let (template, _, marshal_secs) = unmarshal_param(&task.circuit)?;
-        for (i, point) in task.points.iter().enumerate() {
-            if point.params.len() < template.num_params() {
-                return Err(QfwError::Marshal(format!(
-                    "sweep point {i} carries {} values but the skeleton references {} parameters",
-                    point.params.len(),
-                    template.num_params()
-                )));
-            }
-        }
-        let fusion = Self::fusion_of(&task.spec);
-        let cores = if sub == "openmp" {
-            ctx.hetjob.cluster().node.app_cores_per_llc()
-        } else {
-            1
-        };
-        let _lease = ctx.lease_cores(cores)?;
-        let engine = Self::engine_for(sub, fusion);
-        let key = format!(
-            "{sub}|{fusion:?}|{}",
-            text::param_skeleton_text(&task.circuit)
-        );
-        let (plan, cached) = match self.plan_for(key, &engine, &template, ctx.obs) {
-            Ok(pair) => pair,
-            // Mid-circuit skeletons can't sweep: bind each point instead.
-            Err(SweepError::MidCircuitMeasure { .. }) => {
-                return sweep_via_execute(self, task, ctx)
-            }
-        };
-        let points: Vec<SweepPoint> = task
+        let lease = ctx.lease_cores(plan.cores)?;
+        let points: Vec<SweepPoint> = sweep
             .points
             .iter()
             .map(|p| SweepPoint {
@@ -623,28 +373,26 @@ impl BackendQpm for NwqSimBackend {
                 seed: p.seed,
             })
             .collect();
-        let outcomes = engine.run_plan_traced(&plan, &points, ctx.obs);
+        let (outcomes, cached) = match self.run_plan(sweep.template, &points, plan, ctx.obs) {
+            Ok(pair) => pair,
+            // Mid-circuit skeletons can't sweep: bind each point instead.
+            Err(SweepError::MidCircuitMeasure { .. }) => {
+                drop(lease);
+                return per_point();
+            }
+        };
         let total_secs = total.elapsed_secs();
         Ok(outcomes
             .into_iter()
-            .zip(&task.points)
+            .zip(sweep.points)
             .map(|(out, point)| {
-                let mut result = QfwResult::new(self.name(), sub, point.shots);
-                result.counts = out.counts;
-                result.profile.marshal_secs = marshal_secs;
-                result.profile.exec_secs = out.gate_time.as_secs_f64();
-                result.profile.sample_secs = out.sample_time.as_secs_f64();
+                let mut result = QfwResult::new(self.name(), plan.subbackend, point.shots);
+                record(&mut result, out);
+                result.profile.marshal_secs = sweep.marshal_secs;
                 result.profile.ranks = 1;
                 result.profile.total_secs = total_secs;
-                result
-                    .metadata
-                    .insert("gates_applied".into(), out.gates_applied.to_string());
-                result
-                    .metadata
-                    .insert("plan_cached".into(), cached.to_string());
-                result
-                    .metadata
-                    .insert("sweep_points".into(), task.points.len().to_string());
+                result.note("plan_cached", cached);
+                result.note("sweep_points", sweep.points.len());
                 result
             })
             .collect())
@@ -654,8 +402,10 @@ impl BackendQpm for NwqSimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::{materialize_point, testutil::{ghz_task, TestRig}};
-    use crate::spec::{BackendSpec, SweepPointSpec};
+    use crate::backends::testutil::{ghz_task, TestRig};
+    use crate::plan::materialize_point;
+    use crate::spec::{BackendSpec, ExecTask, SweepPointSpec, SweepTask};
+    use qfw_circuit::text;
     use qfw_circuit::param::Angle;
 
     #[test]
@@ -665,7 +415,7 @@ mod tests {
         for (sub, ranks) in [("cpu", 1), ("openmp", 1), ("mpi", 4)] {
             let spec = BackendSpec::of("nwqsim", sub).with_ranks(ranks);
             let task = ghz_task(6, 600, spec);
-            let result = backend.execute(&task, &rig.ctx()).unwrap();
+            let result = rig.execute(&backend, &task).unwrap();
             assert_eq!(result.counts.values().sum::<usize>(), 600, "{sub}");
             assert_eq!(result.counts.len(), 2, "{sub}");
             assert_eq!(result.subbackend, sub);
@@ -677,7 +427,7 @@ mod tests {
     fn default_subbackend_is_cpu() {
         let rig = TestRig::new(1);
         let task = ghz_task(4, 50, BackendSpec::of("nwqsim", ""));
-        let result = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
         assert_eq!(result.subbackend, "cpu");
     }
 
@@ -685,7 +435,7 @@ mod tests {
     fn unknown_subbackend_rejected() {
         let rig = TestRig::new(1);
         let task = ghz_task(4, 50, BackendSpec::of("nwqsim", "gpu"));
-        let err = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err();
+        let err = rig.execute(&NwqSimBackend::default(), &task).unwrap_err();
         assert!(matches!(err, QfwError::UnknownSubBackend { .. }));
     }
 
@@ -693,7 +443,7 @@ mod tests {
     fn mpi_rejects_too_many_ranks_for_register() {
         let rig = TestRig::new(2);
         let task = ghz_task(3, 10, BackendSpec::of("nwqsim", "mpi").with_ranks(8));
-        let err = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err();
+        let err = rig.execute(&NwqSimBackend::default(), &task).unwrap_err();
         assert!(matches!(err, QfwError::Resources(_)));
     }
 
@@ -702,21 +452,14 @@ mod tests {
         let rig = TestRig::new(1);
         let before = rig.hetjob.free_cores(1);
         let task = ghz_task(5, 20, BackendSpec::of("nwqsim", "mpi").with_ranks(4));
-        NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
+        rig.execute(&NwqSimBackend::default(), &task).unwrap();
         assert_eq!(rig.hetjob.free_cores(1), before);
     }
 
-    #[test]
-    fn noise_properties_engage_the_noisy_path() {
-        let rig = TestRig::new(1);
-        let spec = BackendSpec::of("nwqsim", "cpu")
-            .with_extra("noise_p2", 0.05)
-            .with_extra("noise_readout", 0.01);
-        let task = ghz_task(6, 2000, spec);
-        let result = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
-        assert!(result.metadata.contains_key("noise"));
-        // Noise leaks probability out of the two GHZ outcomes.
-        assert!(result.counts.len() > 2, "noise had no visible effect");
+    fn depolarizing_2q(p: f64) -> String {
+        let mut model = qfw_noise::NoiseModel::empty();
+        model.add_2q_all(qfw_noise::Channel::depolarizing(p));
+        model.to_text()
     }
 
     #[test]
@@ -729,7 +472,7 @@ mod tests {
             .with_extra("noise_model", model.to_text())
             .with_extra("noise_trajectories", 32);
         let task = ghz_task(6, 2000, spec);
-        let result = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
         assert_eq!(result.metadata["noise"], model.to_text());
         assert_eq!(result.metadata["noise_trajectories"], "32");
         assert!(result.counts.len() > 2, "noise had no visible effect");
@@ -741,7 +484,7 @@ mod tests {
         let spec = BackendSpec::of("nwqsim", "cpu").with_extra("noise_model", "garbage");
         let task = ghz_task(3, 10, spec);
         assert!(matches!(
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err(),
+            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
             QfwError::BadProperties(_)
         ));
     }
@@ -752,10 +495,10 @@ mod tests {
         // trajectory-parallel sub-backends must agree bitwise.
         let rig = TestRig::new(1);
         let run = |sub: &str| {
-            let spec = BackendSpec::of("nwqsim", sub).with_extra("noise_p2", 0.03);
+            let spec =
+                BackendSpec::of("nwqsim", sub).with_extra("noise_model", depolarizing_2q(0.03));
             let task = ghz_task(6, 1000, spec);
-            NwqSimBackend::default()
-                .execute(&task, &rig.ctx())
+            rig.execute(&NwqSimBackend::default(), &task)
                 .unwrap()
                 .counts
         };
@@ -768,7 +511,7 @@ mod tests {
         let spec =
             BackendSpec::of("nwqsim", "cpu").with_extra("predicted_fidelity", -0.0123_f64);
         let task = ghz_task(3, 10, spec);
-        let result = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
         assert_eq!(result.metadata["predicted_fidelity"], "-0.0123");
     }
 
@@ -777,36 +520,28 @@ mod tests {
         let rig = TestRig::new(1);
         let spec = BackendSpec::of("nwqsim", "mpi")
             .with_ranks(2)
-            .with_extra("noise_p2", 0.05);
+            .with_extra("noise_model", depolarizing_2q(0.05));
         let task = ghz_task(5, 10, spec);
         assert!(matches!(
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err(),
-            QfwError::Execution(_)
+            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            QfwError::BadProperties(_)
         ));
     }
 
     #[test]
-    fn mpi_reports_comm_counters_and_route_toggle() {
+    fn mpi_reports_comm_counters() {
         let rig = TestRig::new(2);
-        let run = |route_extra: Option<&str>| {
-            let mut spec = BackendSpec::of("nwqsim", "mpi").with_ranks(4);
-            if let Some(route) = route_extra {
-                spec = spec.with_extra("dist_route", route);
-            }
-            let task = ghz_task(6, 200, spec);
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap()
-        };
-        let lazy = run(None);
-        assert_eq!(lazy.metadata["dist_route"], "lazy");
-        let swaps = run(Some("swaps"));
-        assert_eq!(swaps.metadata["dist_route"], "swaps");
-        // Identical seeds: the two routes must agree on counts while the
-        // lazy route moves strictly less data on an entangling circuit.
-        assert_eq!(lazy.counts, swaps.counts);
-        let bytes = |r: &QfwResult| r.metadata["comm_bytes"].parse::<u64>().unwrap();
-        let exchanges = |r: &QfwResult| r.metadata["comm_exchanges"].parse::<u64>().unwrap();
-        assert!(exchanges(&lazy) < exchanges(&swaps));
-        assert!(bytes(&lazy) < bytes(&swaps));
+        let task = ghz_task(6, 200, BackendSpec::of("nwqsim", "mpi").with_ranks(4));
+        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        // An entangling chain across the rank boundary moves data.
+        assert!(result.metadata["comm_exchanges"].parse::<u64>().unwrap() > 0);
+        assert!(result.metadata["comm_bytes"].parse::<u64>().unwrap() > 0);
+        // Five requested ranks round up to eight, once, and say so.
+        let task = ghz_task(6, 200, BackendSpec::of("nwqsim", "mpi").with_ranks(5));
+        let rounded = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        assert_eq!(rounded.profile.ranks, 8);
+        assert_eq!(rounded.metadata["ranks_rounded"], "8");
+        assert!(!result.metadata.contains_key("ranks_rounded"));
     }
 
     #[test]
@@ -834,7 +569,7 @@ mod tests {
                 seed: 21,
                 spec,
             };
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap()
+            rig.execute(&NwqSimBackend::default(), &task).unwrap()
         };
         let plain = run(None);
         let seeded = run(Some("4,5,0,1,2,3"));
@@ -853,8 +588,8 @@ mod tests {
             spec,
         };
         assert!(matches!(
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err(),
-            QfwError::Execution(_)
+            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            QfwError::BadProperties(_)
         ));
     }
 
@@ -895,32 +630,26 @@ mod tests {
             t
         };
         let params = [0.37, -0.82];
-        let run = |template: &ParamCircuit, route: &str| {
-            let spec = BackendSpec::of("nwqsim", "mpi")
-                .with_ranks(4)
-                .with_extra("dist_route", route);
+        let run = |template: &ParamCircuit| {
+            let spec = BackendSpec::of("nwqsim", "mpi").with_ranks(4);
             let task = ExecTask {
                 circuit: qfw_circuit::text::dump_param_bound(template, &params),
                 shots: 400,
                 seed: 77,
                 spec,
             };
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap()
+            rig.execute(&NwqSimBackend::default(), &task).unwrap()
         };
         let exchanges =
             |r: &QfwResult| r.metadata["comm_exchanges"].parse::<u64>().unwrap();
-        for route in ["lazy", "swaps"] {
-            let plain = run(&base, route);
-            let diag = run(&with_diag, route);
-            assert_eq!(
-                exchanges(&diag),
-                exchanges(&plain),
-                "{route}: bound diagonal gates caused data movement"
-            );
-        }
+        let dist = run(&with_diag);
+        assert_eq!(
+            exchanges(&dist),
+            exchanges(&run(&base)),
+            "bound diagonal gates caused data movement"
+        );
         // The bound diagonal gates must still *act*: counts match the
         // serial engine bitwise (same canonical sampling scheme).
-        let dist = run(&with_diag, "lazy");
         let serial = {
             let task = ExecTask {
                 circuit: qfw_circuit::text::dump_param_bound(&with_diag, &params),
@@ -928,7 +657,7 @@ mod tests {
                 seed: 77,
                 spec: BackendSpec::of("nwqsim", "cpu"),
             };
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap()
+            rig.execute(&NwqSimBackend::default(), &task).unwrap()
         };
         assert_eq!(dist.counts, serial.counts);
     }
@@ -938,7 +667,7 @@ mod tests {
         let rig = TestRig::new(1);
         let spec = BackendSpec::of("nwqsim", "cpu").with_extra("fusion", false);
         let task = ghz_task(4, 50, spec);
-        let result = NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
         // GHZ(4) has 4 gates; without fusion all 4 are applied verbatim.
         assert_eq!(result.metadata["gates_applied"], "4");
         // fusion=false bypasses the fused-circuit cache entirely.
@@ -950,16 +679,16 @@ mod tests {
         let rig = TestRig::new(1);
         let backend = NwqSimBackend::default();
         let task = ghz_task(6, 300, BackendSpec::of("nwqsim", "cpu"));
-        let first = backend.execute(&task, &rig.ctx()).unwrap();
+        let first = rig.execute(&backend, &task).unwrap();
         assert_eq!(first.metadata["fusion_cached"], "false");
-        let second = backend.execute(&task, &rig.ctx()).unwrap();
+        let second = rig.execute(&backend, &task).unwrap();
         assert_eq!(second.metadata["fusion_cached"], "true");
         // Same seed, same fused circuit: bitwise identical counts.
         assert_eq!(first.counts, second.counts);
         // Different shots/seed still hit the cache (key is circuit+fusion).
         let mut varied = ghz_task(6, 150, BackendSpec::of("nwqsim", "cpu"));
         varied.seed ^= 0x5eed;
-        let third = backend.execute(&varied, &rig.ctx()).unwrap();
+        let third = rig.execute(&backend, &varied).unwrap();
         assert_eq!(third.metadata["fusion_cached"], "true");
     }
 
@@ -1001,21 +730,21 @@ mod tests {
             seed: 4242,
             spec,
         };
-        let mono = backend
+        let mono = rig
             .execute(
+                &backend,
                 &task_of(BackendSpec::of("nwqsim", "cpu").with_extra("fusion", false)),
-                &rig.ctx(),
             )
             .unwrap();
-        let part = backend
+        let part = rig
             .execute(
+                &backend,
                 &task_of(
                     BackendSpec::of("nwqsim", "cpu")
                         .with_extra("fusion", false)
                         .with_extra("partition", "clifford_prefix")
                         .with_extra("partition_seam", seam),
                 ),
-                &rig.ctx(),
             )
             .unwrap();
         assert_eq!(part.counts, mono.counts, "partition changed sampled counts");
@@ -1045,8 +774,8 @@ mod tests {
             spec: BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", seam + 1),
         };
         assert!(matches!(
-            NwqSimBackend::default().execute(&task, &rig.ctx()).unwrap_err(),
-            QfwError::Execution(_)
+            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            QfwError::BadProperties(_)
         ));
     }
 
@@ -1087,10 +816,10 @@ mod tests {
             seed: 11,
             spec: BackendSpec::of("nwqsim", "cpu"),
         };
-        let first = backend.execute(&task, &rig.ctx()).unwrap();
+        let first = rig.execute(&backend, &task).unwrap();
         assert_eq!(first.metadata["plan_cached"], "false");
         assert_eq!(first.counts.values().sum::<usize>(), 128);
-        let second = backend.execute(&task, &rig.ctx()).unwrap();
+        let second = rig.execute(&backend, &task).unwrap();
         assert_eq!(second.metadata["plan_cached"], "true");
         // Same seed, same binding, same plan: bitwise identical counts.
         assert_eq!(first.counts, second.counts);
@@ -1107,19 +836,19 @@ mod tests {
                 points: sweep_points(4, 256),
                 spec: BackendSpec::of("nwqsim", sub),
             };
-            let swept = backend.execute_sweep(&task, &rig.ctx()).unwrap();
+            let swept = rig.execute_sweep(&backend, &task).unwrap();
             assert_eq!(swept.len(), 4, "{sub}");
             for (result, point) in swept.iter().zip(&task.points) {
                 assert_eq!(result.metadata["sweep_points"], "4", "{sub}");
-                let single = backend
+                let single = rig
                     .execute(
+                        &backend,
                         &ExecTask {
                             circuit: materialize_point(&task.circuit, &point.params),
                             shots: point.shots,
                             seed: point.seed,
                             spec: task.spec.clone(),
                         },
-                        &rig.ctx(),
                     )
                     .unwrap();
                 assert_eq!(result.counts, single.counts, "{sub}");
@@ -1137,20 +866,20 @@ mod tests {
             points: sweep_points(3, 200),
             spec: BackendSpec::of("nwqsim", "mpi").with_ranks(4),
         };
-        let swept = backend.execute_sweep(&task, &rig.ctx()).unwrap();
+        let swept = rig.execute_sweep(&backend, &task).unwrap();
         assert_eq!(swept.len(), 3);
         for (result, point) in swept.iter().zip(&task.points) {
             assert_eq!(result.profile.ranks, 4);
             assert!(!result.metadata.contains_key("sweep_points"));
-            let single = backend
+            let single = rig
                 .execute(
+                    &backend,
                     &ExecTask {
                         circuit: materialize_point(&task.circuit, &point.params),
                         shots: point.shots,
                         seed: point.seed,
                         spec: task.spec.clone(),
                     },
-                    &rig.ctx(),
                 )
                 .unwrap();
             assert_eq!(result.counts, single.counts);
@@ -1172,7 +901,7 @@ mod tests {
             spec: BackendSpec::of("nwqsim", "cpu"),
         };
         assert!(matches!(
-            backend.execute_sweep(&task, &rig.ctx()).unwrap_err(),
+            rig.execute_sweep(&backend, &task).unwrap_err(),
             QfwError::Marshal(_)
         ));
     }

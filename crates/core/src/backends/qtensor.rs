@@ -9,10 +9,10 @@
 //! what QTensor distributes, not a single contraction), so it buys no
 //! speedup for these workloads — consistent with Fig. 3's QTensor curves.
 
-use crate::backends::{unmarshal_circuit, BackendQpm, ExecContext};
+use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
+use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use crate::spec::ExecTask;
 use qfw_hpc::Stopwatch;
 use qfw_sim_tn::{OrderHeuristic, TnConfig, TnSimulator};
 
@@ -25,25 +25,25 @@ impl BackendQpm for QTensorBackend {
         "qtensor"
     }
 
-    fn subbackends(&self) -> &'static [&'static str] {
-        &["numpy", "sequential", "mpi"]
-    }
-
-    fn execute(&self, task: &ExecTask, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError> {
-        let sub = self.resolve_subbackend(&task.spec)?;
+    fn execute(
+        &self,
+        job: &ResolvedJob<'_>,
+        ctx: &ExecContext<'_>,
+    ) -> Result<QfwResult, QfwError> {
+        let sub = job.plan.subbackend;
         let total = Stopwatch::start();
-        let (circuit, marshal_secs) = unmarshal_circuit(task)?;
+        let circuit = job.concrete();
 
         let order = match sub {
             "sequential" => OrderHeuristic::Sequential,
             _ => OrderHeuristic::Greedy,
         };
-        let ranks = if sub == "mpi" { task.spec.ranks.max(1) } else { 1 };
+        let ranks = job.plan.ranks;
         let _lease = ctx.lease_cores(ranks)?;
 
         let config = TnConfig {
             order,
-            width_limit: task.spec.extra_parsed("width_limit").unwrap_or(27),
+            width_limit: job.plan.width_limit,
         };
         if circuit.num_qubits() > config.width_limit {
             return Err(QfwError::Execution(format!(
@@ -53,21 +53,19 @@ impl BackendQpm for QTensorBackend {
             )));
         }
         let engine = TnSimulator::new(config);
-        let out = std::panic::catch_unwind(|| engine.run(&circuit, task.shots, task.seed))
+        let out = std::panic::catch_unwind(|| engine.run(&circuit, job.shots, job.seed))
             .map_err(|_| {
                 QfwError::Execution("contraction width exceeded the memory budget".into())
             })?;
 
-        let mut result = QfwResult::new(self.name(), sub, task.shots);
+        let mut result = QfwResult::new(self.name(), sub, job.shots);
         result.counts = out.counts;
-        result.profile.marshal_secs = marshal_secs;
+        result.profile.marshal_secs = job.marshal_secs;
         result.profile.exec_secs = out.contract_time.as_secs_f64();
         result.profile.sample_secs = out.sample_time.as_secs_f64();
         result.profile.ranks = ranks;
         result.profile.total_secs = total.elapsed_secs();
-        result
-            .metadata
-            .insert("order".into(), format!("{order:?}").to_lowercase());
+        result.note("order", format!("{order:?}").to_lowercase());
         Ok(result)
     }
 }
@@ -83,7 +81,7 @@ mod tests {
         let rig = TestRig::new(1);
         for sub in ["numpy", "sequential"] {
             let task = ghz_task(6, 300, BackendSpec::of("qtensor", sub));
-            let result = QTensorBackend.execute(&task, &rig.ctx()).unwrap();
+            let result = rig.execute(&QTensorBackend, &task).unwrap();
             assert_eq!(result.counts.values().sum::<usize>(), 300, "{sub}");
             assert_eq!(result.counts.len(), 2, "{sub}");
         }
@@ -94,7 +92,7 @@ mod tests {
         let rig = TestRig::new(1);
         let spec = BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5);
         let task = ghz_task(8, 10, spec);
-        let err = QTensorBackend.execute(&task, &rig.ctx()).unwrap_err();
+        let err = rig.execute(&QTensorBackend, &task).unwrap_err();
         assert!(matches!(err, QfwError::Execution(_)));
     }
 
@@ -102,7 +100,7 @@ mod tests {
     fn mpi_leases_ranks_but_reports_them() {
         let rig = TestRig::new(2);
         let task = ghz_task(5, 50, BackendSpec::of("qtensor", "mpi").with_ranks(4));
-        let result = QTensorBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&QTensorBackend, &task).unwrap();
         assert_eq!(result.profile.ranks, 4);
         assert_eq!(result.counts.values().sum::<usize>(), 50);
     }
@@ -111,7 +109,7 @@ mod tests {
     fn order_recorded_in_metadata() {
         let rig = TestRig::new(1);
         let task = ghz_task(4, 10, BackendSpec::of("qtensor", "sequential"));
-        let result = QTensorBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&QTensorBackend, &task).unwrap();
         assert_eq!(result.metadata["order"], "sequential");
     }
 }

@@ -4,10 +4,10 @@
 //! returns the same "not available" failure a user of the real integration
 //! would hit, keeping the capability matrix honest.
 
-use crate::backends::{unmarshal_circuit, BackendQpm, ExecContext};
+use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
+use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use crate::spec::ExecTask;
 use qfw_hpc::Stopwatch;
 use qfw_sim_mps::{MpsConfig, MpsSimulator};
 
@@ -20,14 +20,14 @@ impl BackendQpm for TnQvmBackend {
         "tnqvm"
     }
 
-    fn subbackends(&self) -> &'static [&'static str] {
-        // ttn/peps are listed so resolve_subbackend admits them; execution
-        // then reports their Table 1 status.
-        &["exatn-mps", "ttn", "peps"]
-    }
-
-    fn execute(&self, task: &ExecTask, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError> {
-        let sub = self.resolve_subbackend(&task.spec)?;
+    fn execute(
+        &self,
+        job: &ResolvedJob<'_>,
+        ctx: &ExecContext<'_>,
+    ) -> Result<QfwResult, QfwError> {
+        let sub = job.plan.subbackend;
+        // ttn/peps are addressable so that execution reports their Table 1
+        // status.
         match sub {
             "ttn" => {
                 return Err(QfwError::Execution(
@@ -42,29 +42,22 @@ impl BackendQpm for TnQvmBackend {
             _ => {}
         }
         let total = Stopwatch::start();
-        let (circuit, marshal_secs) = unmarshal_circuit(task)?;
         let _lease = ctx.lease_cores(1)?;
-        // ExaTN's MPS processor uses a tighter default bond budget than Aer;
-        // overridable through runtime properties like every engine tunable.
         let config = MpsConfig {
-            chi_max: task.spec.extra_parsed("chi_max").unwrap_or(32),
-            trunc_eps: task.spec.extra_parsed("trunc_eps").unwrap_or(1e-10),
+            chi_max: job.plan.chi_max,
+            trunc_eps: job.plan.trunc_eps,
         };
-        let out = MpsSimulator::new(config).run(&circuit, task.shots, task.seed);
+        let out = MpsSimulator::new(config).run(&job.concrete(), job.shots, job.seed);
 
-        let mut result = QfwResult::new(self.name(), sub, task.shots);
+        let mut result = QfwResult::new(self.name(), sub, job.shots);
         result.counts = out.counts;
-        result.profile.marshal_secs = marshal_secs;
+        result.profile.marshal_secs = job.marshal_secs;
         result.profile.exec_secs = out.gate_time.as_secs_f64();
         result.profile.sample_secs = out.sample_time.as_secs_f64();
         result.profile.ranks = 1;
         result.profile.total_secs = total.elapsed_secs();
-        result
-            .metadata
-            .insert("max_bond".into(), out.max_bond.to_string());
-        result
-            .metadata
-            .insert("engine".into(), "exatn-mps".into());
+        result.note("max_bond", out.max_bond);
+        result.note("engine", "exatn-mps");
         Ok(result)
     }
 }
@@ -79,7 +72,7 @@ mod tests {
     fn exatn_mps_runs_ghz() {
         let rig = TestRig::new(1);
         let task = ghz_task(8, 300, BackendSpec::of("tnqvm", "exatn-mps"));
-        let result = TnQvmBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&TnQvmBackend, &task).unwrap();
         assert_eq!(result.counts.values().sum::<usize>(), 300);
         assert_eq!(result.counts.len(), 2);
         assert_eq!(result.metadata["engine"], "exatn-mps");
@@ -89,7 +82,7 @@ mod tests {
     fn default_is_exatn_mps() {
         let rig = TestRig::new(1);
         let task = ghz_task(4, 10, BackendSpec::of("tnqvm", ""));
-        let result = TnQvmBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&TnQvmBackend, &task).unwrap();
         assert_eq!(result.subbackend, "exatn-mps");
     }
 
@@ -98,7 +91,7 @@ mod tests {
         let rig = TestRig::new(1);
         for (sub, note) in [("ttn", "xasm"), ("peps", "architecturally")] {
             let task = ghz_task(4, 10, BackendSpec::of("tnqvm", sub));
-            match TnQvmBackend.execute(&task, &rig.ctx()).unwrap_err() {
+            match rig.execute(&TnQvmBackend, &task).unwrap_err() {
                 QfwError::Execution(msg) => assert!(msg.contains(note), "{msg}"),
                 other => panic!("unexpected {other:?}"),
             }
@@ -110,7 +103,7 @@ mod tests {
         let rig = TestRig::new(1);
         let spec = BackendSpec::of("tnqvm", "exatn-mps").with_extra("chi_max", 2);
         let task = ghz_task(6, 50, spec);
-        let result = TnQvmBackend.execute(&task, &rig.ctx()).unwrap();
+        let result = rig.execute(&TnQvmBackend, &task).unwrap();
         assert!(result.metadata["max_bond"].parse::<usize>().unwrap() <= 2);
     }
 }

@@ -6,7 +6,7 @@
 //!   shard, so concurrent ingress workers rarely contend; eviction is
 //!   LRU-by-access-tick within the shard that overflows.
 //! * [`ResultCache`] — tier 1: completed [`QfwResult`]s keyed on
-//!   (canonical circuit hash, seed, shots, backend spec). A hit returns
+//!   (canonical circuit hash, seed, shots, resolved backend spec). A hit returns
 //!   bitwise-identical counts without touching the scheduler or an
 //!   engine. Everything that feeds the key is part of the executed
 //!   computation, and every engine is deterministic in (circuit, seed),
@@ -20,11 +20,11 @@
 //! (plus per-tier `cache.<tier>.*` variants) through the [`Obs`] handle it
 //! was built with.
 
+use crate::plan::ExecPlan;
 use crate::result::QfwResult;
 use crate::spec::BackendSpec;
 use parking_lot::Mutex;
 use qfw_circuit::hash::{canonical_hash, ContentHash};
-use qfw_noise::NoiseModel;
 use qfw_obs::{Counter, Obs};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -264,42 +264,24 @@ pub fn report_event(obs: &Obs, tier: &str, event: CacheEvent) {
 /// Folds the non-circuit components of an execution into its cache key.
 ///
 /// The key covers everything that can change the bitstring counts: the
-/// canonical circuit, sampling seed, shot budget, and the full backend
-/// spec (backend, sub-backend, ranks, and every extra property — noise
-/// strengths, fusion toggles, routing choices all live there).
+/// canonical circuit, sampling seed, shot budget, backend, sub-backend,
+/// ranks, and the extras — by *meaning*, through the resolved
+/// [`ExecPlan`]'s content hash, not by spelling: an ideal submission keys
+/// identically whether it omits `noise_model` or carries a zero-strength
+/// one, `fusion=true` equals no `fusion` key, while any real noise content
+/// (folded as the model's content hash) or unrecognised key (folded
+/// verbatim) always separates the key.
 ///
-/// The `noise_model` extra is special-cased: its value is a canonical
-/// noise-model text whose *content hash* is folded instead of the raw
-/// string, and a value that parses to the **empty** model is skipped
-/// entirely — so an ideal submission keys identically whether it omits
-/// the extra or carries a zero-strength model, while any real noise
-/// content always separates the key from the ideal run's.
+/// A spec that does not resolve is never executed, so its key only has to
+/// be deterministic (see [`ExecPlan::options_hash`]).
 pub fn result_key(circuit: &str, seed: u64, shots: usize, spec: &BackendSpec) -> ContentHash {
-    let mut h = canonical_hash(circuit)
+    canonical_hash(circuit)
         .fold_u64(seed)
         .fold_u64(shots as u64)
         .fold_str(&spec.backend)
         .fold_str(&spec.subbackend)
-        .fold_u64(spec.ranks as u64);
-    for (k, v) in &spec.extra {
-        if k == "noise_model" {
-            match NoiseModel::parse(v) {
-                Ok(model) if model.is_empty() => continue,
-                Ok(model) => {
-                    let nh = model.content_hash().value();
-                    h = h
-                        .fold_str(k)
-                        .fold_u64(nh as u64)
-                        .fold_u64((nh >> 64) as u64);
-                    continue;
-                }
-                // Malformed text: fold it raw and let the backend reject it.
-                Err(_) => {}
-            }
-        }
-        h = h.fold_str(k).fold_str(v);
-    }
-    h
+        .fold_u64(spec.ranks as u64)
+        .fold_bytes(&ExecPlan::options_hash(spec).value().to_le_bytes())
 }
 
 /// Tier 1: the content-addressed result cache.

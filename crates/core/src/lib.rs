@@ -18,6 +18,9 @@
 //! * [`frontend::QfwBackend`] — the drop-in application-side backend
 //!   (step 5): marshals circuits to the `qfwasm` wire format, issues
 //!   asynchronous RPCs, and returns unified results.
+//! * [`plan`] — job resolution: the one step that parses a job's wire
+//!   circuit and turns its [`BackendSpec`] strings into a typed, validated
+//!   [`ExecPlan`], before a queue entry or worker slot exists.
 //! * [`backends`] — one Backend-QPM adapter per engine: NWQ-Sim analog
 //!   (state-vector), Qiskit-Aer analog (statevector / mps / automatic),
 //!   TN-QVM analog (ExaTN-MPS), QTensor analog (tree TN), and the IonQ
@@ -32,22 +35,24 @@ pub mod backends;
 pub mod cache;
 pub mod error;
 pub mod frontend;
+pub mod plan;
 pub mod planner;
 pub mod qpm;
 pub mod qrc;
 pub mod registry;
 pub mod result;
-pub mod selector;
 pub mod session;
 pub mod spec;
 
 pub use cache::{CacheConfig, CacheStats, ResultCache, ShardedLru};
 pub use error::QfwError;
 pub use frontend::{QfwBackend, QfwJob, QfwSweepJob};
-pub use planner::{CostCoefficients, PartitionPlan, Planned, Planner};
+pub use plan::{ExecPlan, GroupCores, ParsedCircuit, ResolvedJob, ResolvedSweep};
+pub use planner::{
+    CostCoefficients, PartitionPlan, Planned, Planner, Recommendation, SelectorContext,
+};
 pub use qrc::{DispatchPolicy, Qrc, SlotSnapshot};
 pub use registry::{BackendRegistry, Capabilities};
 pub use result::{ExecProfile, QfwResult};
-pub use selector::{select_backend, Recommendation, SelectorContext};
 pub use session::{QfwConfig, QfwSession};
 pub use spec::{BackendSpec, ExecTask, SweepPointSpec, SweepTask};

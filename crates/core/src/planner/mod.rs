@@ -1,11 +1,12 @@
 //! Calibrated cost-model backend planner.
 //!
-//! Replaces the static selection heuristic: every admissible engine gets
-//! a predicted wall-clock from the [`cost`] formulas over the circuit's
-//! [`StructureReport`] features, and [`Planner::plan`] ranks candidates
-//! by `(tier, predicted cost)`. Tiers encode *result quality*, which cost
-//! alone cannot: a truncating MPS run may be predicted faster than an
-//! exact engine, but it answers a different question.
+//! Automated workload-driven backend selection — the paper's stated
+//! future work. Every admissible engine gets a predicted wall-clock from
+//! the [`cost`] formulas over the circuit's [`StructureReport`] features,
+//! and [`Planner::plan`] ranks candidates by `(tier, predicted cost)`.
+//! Tiers encode *result quality*, which cost alone cannot: a truncating
+//! MPS run may be predicted faster than an exact engine, but it answers a
+//! different question.
 //!
 //! * tier 0 — the stabilizer fast path on Clifford circuits (polynomial:
 //!   asymptotically dominant at every size that matters).
@@ -32,7 +33,6 @@ pub mod partition;
 pub use cost::{effective_chi, CostCoefficients};
 pub use partition::{plan_partition, PartitionPlan, PARTITION_MIN_PREFIX_GATES};
 
-use crate::selector::{Recommendation, SelectorContext};
 use crate::spec::BackendSpec;
 use parking_lot::RwLock;
 use qfw_circuit::analysis::StructureReport;
@@ -61,6 +61,34 @@ const EWMA_ALPHA: f64 = 0.2;
 /// (cold caches, a paging container) cannot invert the ranking.
 const CORRECTION_BAND: (f64, f64) = (0.25, 4.0);
 
+/// Resource context the planner weighs: how many cores the session can
+/// offer a single task.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SelectorContext {
+    /// Free cores available for one task.
+    pub free_cores: usize,
+    /// Whether the cloud path is configured.
+    pub cloud_available: bool,
+}
+
+impl Default for SelectorContext {
+    fn default() -> Self {
+        SelectorContext {
+            free_cores: 8,
+            cloud_available: false,
+        }
+    }
+}
+
+/// A scored recommendation.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Recommendation {
+    /// The backend/sub-backend to use.
+    pub spec: BackendSpec,
+    /// Human-readable rationale (logged by callers).
+    pub rationale: String,
+}
+
 /// A ranked execution candidate: the public [`Recommendation`] plus the
 /// planner's internals (predicted cost and quality tier).
 #[derive(Clone, Debug, PartialEq)]
@@ -74,8 +102,8 @@ pub struct Planned {
 }
 
 /// The cost-model planner. Cheap to construct; `Qrc` holds one per pool
-/// so online corrections accumulate per session, while the stateless
-/// `selector` wrappers build a fresh one per call for determinism.
+/// so online corrections accumulate per session, and a fresh
+/// `Planner::default()` ranks deterministically.
 #[derive(Default)]
 pub struct Planner {
     coeffs: CostCoefficients,
@@ -414,5 +442,213 @@ mod tests {
                 );
             }
         }
+    }
+
+    use qfw_workloads::{ghz, hhl_benchmark, tfim};
+
+    /// Ranked recommendations from a fresh planner: the primary first,
+    /// then the failover candidates QRC walks when an engine fails.
+    fn rank_backends(circuit: &Circuit, ctx: SelectorContext) -> Vec<Recommendation> {
+        Planner::default()
+            .plan(circuit, DEFAULT_PLAN_SHOTS, ctx)
+            .into_iter()
+            .map(|p| p.rec)
+            .collect()
+    }
+
+    fn select_backend(circuit: &Circuit, ctx: SelectorContext) -> Recommendation {
+        rank_backends(circuit, ctx).swap_remove(0)
+    }
+
+    fn ctx(free: usize) -> SelectorContext {
+        SelectorContext {
+            free_cores: free,
+            cloud_available: false,
+        }
+    }
+
+    #[test]
+    fn ghz_routes_to_stabilizer() {
+        let rec = select_backend(&ghz(24), ctx(8));
+        assert_eq!(rec.spec.backend, "aer");
+        assert_eq!(rec.spec.subbackend, "automatic");
+        assert!(rec.rationale.contains("Clifford"));
+    }
+
+    #[test]
+    fn tfim_routes_to_mps() {
+        let rec = select_backend(&tfim(20), ctx(8));
+        assert_eq!(rec.spec.subbackend, "matrix_product_state");
+    }
+
+    #[test]
+    fn ham_small_routes_to_serial_sv() {
+        // HAM is nearest-neighbour but its per-cut rzz count (steps) pushes
+        // the effective bond dimension high enough that the predicted MPS
+        // cost loses to a 10-qubit dense sweep.
+        let deep = qfw_workloads::ham::ham_with(10, 12, 0.25);
+        let rec = select_backend(&deep, ctx(1));
+        assert_eq!(rec.spec.backend, "nwqsim");
+        assert_eq!(rec.spec.subbackend, "cpu");
+    }
+
+    #[test]
+    fn large_entangled_routes_to_distributed_sv() {
+        let deep = qfw_workloads::ham::ham_with(22, 12, 0.25);
+        let rec = select_backend(&deep, ctx(8));
+        assert_eq!(rec.spec.backend, "nwqsim");
+        assert_eq!(rec.spec.subbackend, "mpi");
+        assert!(rec.spec.ranks >= 2);
+        assert!(rec.spec.ranks.is_power_of_two());
+    }
+
+    #[test]
+    fn hhl_routes_to_dense() {
+        let (circuit, _) = hhl_benchmark(9);
+        let rec = select_backend(&circuit, ctx(1));
+        assert_eq!(rec.spec.backend, "nwqsim");
+    }
+
+    #[test]
+    fn beyond_dense_nearest_neighbor_stays_mps() {
+        let rec = select_backend(&tfim(40), ctx(8));
+        assert_eq!(rec.spec.subbackend, "matrix_product_state");
+    }
+
+    #[test]
+    fn ranked_list_leads_with_primary_and_dedupes() {
+        let ranked = rank_backends(&ghz(8), ctx(8));
+        assert_eq!(ranked[0], select_backend(&ghz(8), ctx(8)));
+        assert!(ranked.len() >= 2, "no failover candidates");
+        for (i, a) in ranked.iter().enumerate() {
+            for b in &ranked[i + 1..] {
+                assert!(
+                    a.spec.backend != b.spec.backend
+                        || a.spec.subbackend != b.spec.subbackend,
+                    "duplicate candidate {}/{}",
+                    a.spec.backend,
+                    a.spec.subbackend
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_list_keeps_cloud_admissible() {
+        // 27 qubits, nearest-neighbour but strongly entangling: primary is
+        // the cloud, fallback must stay inside what MPS can attempt.
+        let mut qc = qfw_circuit::Circuit::new(27);
+        for q in 0..26 {
+            qc.rzz(q, q + 1, 1.5);
+        }
+        let ranked = rank_backends(
+            &qc,
+            SelectorContext {
+                free_cores: 8,
+                cloud_available: true,
+            },
+        );
+        assert_eq!(ranked[0].spec.backend, "ionq");
+        assert!(ranked
+            .iter()
+            .any(|r| r.spec.subbackend == "matrix_product_state"));
+    }
+
+    #[test]
+    fn beyond_dense_long_range_prefers_cloud_when_available() {
+        // A wide, long-range, non-Clifford circuit.
+        let mut qc = qfw_circuit::Circuit::new(28);
+        for q in 0..28 {
+            qc.ry(q, 0.3);
+        }
+        for q in 0..14 {
+            qc.rzz(q, 27 - q, 0.4);
+        }
+        let with_cloud = select_backend(
+            &qc,
+            SelectorContext {
+                free_cores: 8,
+                cloud_available: true,
+            },
+        );
+        assert_eq!(with_cloud.spec.backend, "ionq");
+        let without = select_backend(&qc, ctx(8));
+        assert_eq!(without.spec.subbackend, "matrix_product_state");
+        assert_eq!(without.spec.extra["chi_max"], "128");
+    }
+
+    /// Regression for the rank-sizing bug: `free_cores.next_power_of_two()`
+    /// rounded *up* (5 free cores -> 8 ranks), oversubscribing the
+    /// allocation, and the old `is_power_of_two` guard after it was dead
+    /// code. Ranks must round *down* to the previous power of two.
+    #[test]
+    fn distributed_ranks_never_oversubscribe_free_cores() {
+        let deep = qfw_workloads::ham::ham_with(22, 12, 0.25);
+        for (free, want) in [(3usize, 2usize), (5, 4), (6, 4)] {
+            let rec = select_backend(&deep, ctx(free));
+            assert_eq!(rec.spec.subbackend, "mpi", "free={free}");
+            assert_eq!(rec.spec.ranks, want, "free={free}");
+            assert!(rec.spec.ranks <= free, "oversubscribed at free={free}");
+            assert!(rec.spec.ranks.is_power_of_two());
+        }
+    }
+
+    /// Regression for the failover-gap bug: beyond `DENSE_LIMIT` the
+    /// best-effort-MPS primary used to dedupe against the only fallback,
+    /// leaving QRC a single-entry list. The ranked list must keep >=2
+    /// distinct full specs (extras included) whenever a second engine is
+    /// admissible.
+    #[test]
+    fn beyond_dense_list_always_has_a_failover() {
+        // Long-range, strongly entangling, no cloud: the old code returned
+        // exactly one candidate here.
+        let mut qc = qfw_circuit::Circuit::new(30);
+        for q in 0..15 {
+            qc.rzz(q, 29 - q, 1.2);
+        }
+        let ranked = rank_backends(&qc, ctx(8));
+        assert!(ranked.len() >= 2, "single-entry plan: {ranked:?}");
+        for (i, a) in ranked.iter().enumerate() {
+            for b in &ranked[i + 1..] {
+                assert_ne!(a.spec, b.spec, "duplicate full spec");
+            }
+        }
+        // Nearest-neighbour weak entanglers beyond the dense limit: the
+        // exact-MPS primary and the raised-bond best-effort variant differ
+        // only in extras and must both survive dedupe.
+        let ranked = rank_backends(&tfim(40), ctx(8));
+        assert!(ranked.len() >= 2);
+        let mps_variants = ranked
+            .iter()
+            .filter(|r| r.spec.subbackend == "matrix_product_state")
+            .count();
+        assert!(mps_variants >= 2, "chi_max variant was deduped away");
+    }
+
+    /// The two cloud-admissibility checks used to be independent literal
+    /// `29`s; both paths now share [`CLOUD_QUBIT_LIMIT`].
+    #[test]
+    fn cloud_admissibility_is_shared_and_capped() {
+        let cloud = SelectorContext {
+            free_cores: 8,
+            cloud_available: true,
+        };
+        let wide = |n: usize| {
+            let mut qc = qfw_circuit::Circuit::new(n);
+            for q in 0..n / 2 {
+                qc.rzz(q, n - 1 - q, 1.2);
+            }
+            qc
+        };
+        let at_cap = wide(CLOUD_QUBIT_LIMIT);
+        assert_eq!(select_backend(&at_cap, cloud).spec.backend, "ionq");
+        assert!(rank_backends(&at_cap, cloud)
+            .iter()
+            .any(|r| r.spec.backend == "ionq"));
+        let over_cap = wide(CLOUD_QUBIT_LIMIT + 1);
+        assert_ne!(select_backend(&over_cap, cloud).spec.backend, "ionq");
+        assert!(rank_backends(&over_cap, cloud)
+            .iter()
+            .all(|r| r.spec.backend != "ionq"));
     }
 }

@@ -20,16 +20,18 @@
 //! [`Qrc::execute_many`] runs a coalesced batch under a single slot
 //! acquisition (one *engine invocation*).
 
-use crate::backends::{BackendQpm, ExecContext};
+use crate::backends::ExecContext;
 use crate::error::QfwError;
+use crate::plan::{ExecPlan, GroupCores, ParsedCircuit, ResolvedJob, ResolvedSweep, AUTO};
+use crate::planner::SelectorContext;
 use crate::registry::BackendRegistry;
 use crate::result::QfwResult;
-use crate::spec::{ExecTask, SweepTask};
+use crate::spec::{BackendSpec, ExecTask, SweepTask};
 use parking_lot::{Condvar, Mutex, RwLock};
 use qfw_chaos::FaultPlan;
 use qfw_hpc::slurm::{Allocation, HetJob};
 use qfw_hpc::{Dvm, Stopwatch};
-use qfw_obs::Obs;
+use qfw_obs::{Obs, Span};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -315,18 +317,29 @@ impl Qrc {
         self.obs.gauge("qrc.slots.tasks_spread").set(spread);
     }
 
-    /// Executes one task end-to-end: slot acquisition, backend dispatch,
-    /// profile stamping, slot release.
-    ///
-    /// The pseudo-backend name `auto` engages the workload-driven selector:
-    /// the task's circuit is analyzed and the spec rewritten to the
-    /// recommended engine before dispatch (the rationale lands in the
-    /// result metadata).
-    pub fn execute(&self, task: &ExecTask) -> Result<QfwResult, QfwError> {
-        if task.spec.backend == "auto" {
-            return self.execute_auto(task);
+    /// Resolves a spec against this controller's worker group: what
+    /// [`Qrc::execute`] will do with it, or why it never will. The
+    /// scheduler calls this at submit so an unrunnable spec is refused
+    /// before a queue entry exists.
+    pub fn resolve(&self, spec: &BackendSpec) -> Result<ExecPlan, QfwError> {
+        let plan = ExecPlan::resolve(spec, GroupCores::of(&self.hetjob, self.group))?;
+        if plan.backend != AUTO {
+            self.registry.get(plan.backend)?;
         }
-        let backend: Arc<dyn BackendQpm> = self.registry.get(&task.spec.backend)?;
+        Ok(plan)
+    }
+
+    /// Holds one worker slot around `run`: acquisition (with chaos
+    /// requeues), the [`ExecContext`], one engine invocation, release, the
+    /// `qrc.*` accounting for `n_tasks` tasks, and the queueing time
+    /// stamped on every result. `run` gets the `span_name` span to
+    /// annotate.
+    fn with_slot(
+        &self,
+        n_tasks: u64,
+        span_name: &str,
+        run: impl FnOnce(&ExecContext<'_>, &mut Span) -> Vec<Result<QfwResult, QfwError>>,
+    ) -> Result<Vec<Result<QfwResult, QfwError>>, QfwError> {
         let queue_sw = Stopwatch::start();
         let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
         let (slot, requeued) = self.acquire_with_chaos()?;
@@ -334,11 +347,7 @@ impl Qrc {
         let (acq_start, acq_end) = acquire_span.finish();
         let queue_secs = queue_sw.elapsed_secs();
 
-        let mut exec_span = self
-            .obs
-            .span("qrc", "qrc.execute")
-            .attr("backend", task.spec.backend.as_str())
-            .attr("subbackend", task.spec.subbackend.as_str());
+        let mut span = self.obs.span("qrc", span_name);
         let ctx = ExecContext {
             dvm: &self.dvm,
             hetjob: &self.hetjob,
@@ -346,24 +355,52 @@ impl Qrc {
             obs: &self.obs,
         };
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let outcome = backend.execute(task, &ctx);
-        exec_span.set_attr("ok", outcome.is_ok());
-        drop(exec_span);
-        slot.tasks_run.fetch_add(1, Ordering::Relaxed);
+        let mut results = run(&ctx, &mut span);
+        span.set_attr("ok", results.iter().all(Result::is_ok));
+        drop(span);
+        slot.tasks_run.fetch_add(n_tasks, Ordering::Relaxed);
         self.release_slot(&slot);
         if self.obs.is_enabled() {
-            self.obs.counter("qrc.tasks").inc();
+            self.obs.counter("qrc.tasks").add(n_tasks);
             self.obs.counter("qrc.requeues").add(requeued);
             self.obs
                 .histogram("qrc.queue_us")
                 .observe_us(acq_end.saturating_sub(acq_start));
             self.refresh_slot_gauges();
         }
-
-        outcome.map(|mut result| {
+        for result in results.iter_mut().flatten() {
             result.profile.queue_secs += queue_secs;
-            result
-        })
+        }
+        Ok(results)
+    }
+
+    /// Runs one resolved job under its own slot.
+    fn run_job(&self, job: &ResolvedJob<'_>) -> Result<QfwResult, QfwError> {
+        let backend = self.registry.get(job.plan.backend)?;
+        let mut results = self.with_slot(1, "qrc.execute", |ctx, span| {
+            span.set_attr("backend", job.plan.backend);
+            span.set_attr("subbackend", job.plan.subbackend);
+            vec![backend.execute(job, ctx)]
+        })?;
+        results.pop().expect("one job in, one result out")
+    }
+
+    /// Executes one task end-to-end: resolution (spec and circuit, before
+    /// any slot is taken), slot acquisition, backend dispatch, profile
+    /// stamping, slot release.
+    ///
+    /// The pseudo-backend name `auto` engages the workload-driven planner:
+    /// the task's circuit is analyzed and the spec rewritten to the
+    /// recommended engine before dispatch (the rationale lands in the
+    /// result metadata).
+    pub fn execute(&self, task: &ExecTask) -> Result<QfwResult, QfwError> {
+        let plan = self.resolve(&task.spec)?;
+        let parsed = ParsedCircuit::parse(&task.circuit)?;
+        if plan.backend == AUTO {
+            return self.execute_auto(task, &parsed);
+        }
+        let job = ResolvedJob::new(&parsed, &task.circuit, task.shots, task.seed, &plan)?;
+        self.run_job(&job)
     }
 
     /// Executes a coalesced batch under **one** slot acquisition and one
@@ -371,64 +408,42 @@ impl Qrc {
     /// task runs with its own shots and seed on the shared slot, so
     /// per-task counts are bitwise identical to unbatched execution; only
     /// the dispatch overhead (slot acquisition, invocation accounting) is
-    /// amortized. Results come back in input order.
+    /// amortized. Results come back in input order; a task that fails
+    /// resolution reports its refusal in its own position, and a batch in
+    /// which nothing can run takes no slot.
     ///
     /// Tasks addressed to the `auto` pseudo-backend fall back to
-    /// [`Qrc::execute`] per task (the selector may fan each one out to a
+    /// [`Qrc::execute`] per task (the planner may fan each one out to a
     /// different engine), costing one invocation each.
     pub fn execute_many(&self, tasks: &[ExecTask]) -> Vec<Result<QfwResult, QfwError>> {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
-        if tasks.iter().any(|t| t.spec.backend == "auto") {
+        if tasks.iter().any(|t| t.spec.backend == AUTO) {
             return tasks.iter().map(|t| self.execute(t)).collect();
         }
-        let queue_sw = Stopwatch::start();
-        let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
-        let (slot, requeued) = match self.acquire_with_chaos() {
-            Ok(pair) => pair,
-            Err(e) => return tasks.iter().map(|_| Err(e.clone())).collect(),
+        let resolved: Vec<Result<(ExecPlan, ParsedCircuit), QfwError>> = tasks
+            .iter()
+            .map(|t| Ok((self.resolve(&t.spec)?, ParsedCircuit::parse(&t.circuit)?)))
+            .collect();
+        let jobs: Vec<Result<ResolvedJob<'_>, QfwError>> = tasks
+            .iter()
+            .zip(&resolved)
+            .map(|(t, r)| {
+                let (plan, parsed) = r.as_ref().map_err(Clone::clone)?;
+                ResolvedJob::new(parsed, &t.circuit, t.shots, t.seed, plan)
+            })
+            .collect();
+        let Some(first) = jobs.iter().flatten().next() else {
+            return jobs.into_iter().filter_map(Result::err).map(Err).collect();
         };
-        acquire_span.set_attr("requeues", requeued);
-        let (acq_start, acq_end) = acquire_span.finish();
-        let queue_secs = queue_sw.elapsed_secs();
-
-        let mut batch_span = self
-            .obs
-            .span("qrc", "qrc.execute_batch")
-            .attr("size", tasks.len() as u64)
-            .attr("backend", tasks[0].spec.backend.as_str());
-        let ctx = ExecContext {
-            dvm: &self.dvm,
-            hetjob: &self.hetjob,
-            group: self.group,
-            obs: &self.obs,
-        };
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        let mut results = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let outcome = match self.registry.get(&task.spec.backend) {
-                Ok(backend) => backend.execute(task, &ctx).map(|mut result| {
-                    result.profile.queue_secs += queue_secs;
-                    result
-                }),
-                Err(e) => Err(e),
+        let slotted = self.with_slot(tasks.len() as u64, "qrc.execute_batch", |ctx, span| {
+            span.set_attr("size", tasks.len() as u64);
+            span.set_attr("backend", first.plan.backend);
+            let run = |job: &Result<ResolvedJob<'_>, QfwError>| {
+                let job = job.as_ref().map_err(Clone::clone)?;
+                self.registry.get(job.plan.backend)?.execute(job, ctx)
             };
-            results.push(outcome);
-        }
-        batch_span.set_attr("ok", results.iter().all(Result::is_ok));
-        drop(batch_span);
-        slot.tasks_run.fetch_add(tasks.len() as u64, Ordering::Relaxed);
-        self.release_slot(&slot);
-        if self.obs.is_enabled() {
-            self.obs.counter("qrc.tasks").add(tasks.len() as u64);
-            self.obs.counter("qrc.requeues").add(requeued);
-            self.obs
-                .histogram("qrc.queue_us")
-                .observe_us(acq_end.saturating_sub(acq_start));
-            self.refresh_slot_gauges();
-        }
-        results
+            jobs.iter().map(run).collect()
+        });
+        slotted.unwrap_or_else(|e| tasks.iter().map(|_| Err(e.clone())).collect())
     }
 
     /// Executes a compile-once/bind-many sweep under **one** slot
@@ -439,110 +454,80 @@ impl Qrc {
     /// Unlike [`Qrc::execute_many`], a failure is a whole-sweep failure —
     /// every point shares the skeleton, so one error dooms them all.
     pub fn execute_sweep(&self, task: &SweepTask) -> Result<Vec<QfwResult>, QfwError> {
-        let backend: Arc<dyn BackendQpm> = self.registry.get(&task.spec.backend)?;
-        let queue_sw = Stopwatch::start();
-        let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
-        let (slot, requeued) = self.acquire_with_chaos()?;
-        acquire_span.set_attr("requeues", requeued);
-        let (acq_start, acq_end) = acquire_span.finish();
-        let queue_secs = queue_sw.elapsed_secs();
-
-        let mut sweep_span = self
-            .obs
-            .span("qrc", "qrc.execute_sweep")
-            .attr("points", task.points.len() as u64)
-            .attr("backend", task.spec.backend.as_str())
-            .attr("subbackend", task.spec.subbackend.as_str());
-        let ctx = ExecContext {
-            dvm: &self.dvm,
-            hetjob: &self.hetjob,
-            group: self.group,
-            obs: &self.obs,
-        };
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        let outcome = backend.execute_sweep(task, &ctx);
-        sweep_span.set_attr("ok", outcome.is_ok());
-        drop(sweep_span);
-        slot.tasks_run.fetch_add(task.points.len() as u64, Ordering::Relaxed);
-        self.release_slot(&slot);
-        if self.obs.is_enabled() {
-            self.obs.counter("qrc.tasks").add(task.points.len() as u64);
-            self.obs.counter("qrc.requeues").add(requeued);
-            self.obs
-                .histogram("qrc.queue_us")
-                .observe_us(acq_end.saturating_sub(acq_start));
-            self.refresh_slot_gauges();
-        }
-
-        outcome.map(|mut results| {
-            for result in &mut results {
-                result.profile.queue_secs += queue_secs;
+        let plan = self.resolve(&task.spec)?;
+        let backend = self.registry.get(plan.backend)?;
+        let parsed = ParsedCircuit::parse(&task.circuit)?;
+        let sweep = ResolvedSweep::new(&parsed, &task.circuit, &task.points, &plan)?;
+        let points = task.points.len() as u64;
+        let results = self.with_slot(points, "qrc.execute_sweep", |ctx, span| {
+            span.set_attr("points", points);
+            span.set_attr("backend", plan.backend);
+            span.set_attr("subbackend", plan.subbackend);
+            match backend.execute_sweep(&sweep, ctx) {
+                Ok(results) => results.into_iter().map(Ok).collect(),
+                Err(e) => vec![Err(e)],
             }
-            results
-        })
+        })?;
+        results.into_iter().collect()
     }
 
-    /// Workload-driven dispatch: analyze, select, rewrite, re-execute.
+    /// Workload-driven dispatch: analyze, rank, resolve each candidate
+    /// against the already-parsed circuit, run the first that succeeds.
     ///
-    /// Degrades gracefully: when the selected engine fails at runtime the
-    /// next-ranked admissible engine is tried, and the chain of attempts
-    /// lands in the result metadata (`failover_chain`, `failover_errors`).
-    fn execute_auto(&self, task: &ExecTask) -> Result<QfwResult, QfwError> {
-        let circuit = qfw_circuit::text::parse(&task.circuit)
-            .map_err(|e| QfwError::Marshal(e.to_string()))?;
-        let ctx = crate::selector::SelectorContext {
+    /// Degrades gracefully: when a candidate cannot take the task's
+    /// options, or its engine fails at runtime, the next-ranked admissible
+    /// engine is tried, and the chain of attempts lands in the result
+    /// metadata (`failover_chain`, `failover_errors`).
+    fn execute_auto(
+        &self,
+        task: &ExecTask,
+        parsed: &ParsedCircuit,
+    ) -> Result<QfwResult, QfwError> {
+        let circuit = parsed.concrete().ok_or_else(|| {
+            QfwError::Marshal("auto routing needs a concrete qfwasm circuit".into())
+        })?;
+        let ctx = SelectorContext {
             free_cores: self.hetjob.free_cores(self.group),
             cloud_available: self.registry.get("ionq").is_ok(),
         };
-        let ranked = self.planner.plan(&circuit, task.shots, ctx);
         let mut failed: Vec<(String, QfwError)> = Vec::new();
-        for planned in &ranked {
+        for planned in &self.planner.plan(circuit, task.shots, ctx) {
             let rec = &planned.rec;
-            let mut rewritten = task.clone();
             // Preserve user-supplied engine tunables across the rewrite.
-            let mut spec = rec.spec.clone();
-            for (k, v) in &task.spec.extra {
-                spec.extra.entry(k.clone()).or_insert_with(|| v.clone());
-            }
-            rewritten.spec = spec;
+            let spec = rec.spec.clone().inheriting_extras(&task.spec);
             let engine = format!("{}/{}", rec.spec.backend, rec.spec.subbackend);
-            match self.execute(&rewritten) {
+            let attempt = self.resolve(&spec).and_then(|plan| {
+                let job = ResolvedJob::new(parsed, &task.circuit, task.shots, task.seed, &plan)?;
+                self.run_job(&job)
+            });
+            match attempt {
                 Ok(mut result) => {
                     // Close the calibration loop: drift this engine's EWMA
                     // correction toward the measured engine+sampling time.
-                    let actual =
-                        result.profile.exec_secs + result.profile.sample_secs;
+                    let actual = result.profile.exec_secs + result.profile.sample_secs;
                     self.planner.observe(&engine, planned.cost, actual);
-                    result.metadata.insert("auto_selected".into(), engine);
-                    result
-                        .metadata
-                        .insert("auto_rationale".into(), rec.rationale.clone());
-                    result
-                        .metadata
-                        .insert("planned_cost".into(), format!("{:.3e}", planned.cost));
+                    result.note("auto_selected", &engine);
+                    result.note("auto_rationale", &rec.rationale);
+                    result.note("planned_cost", format!("{:.3e}", planned.cost));
                     if !failed.is_empty() {
-                        let chain: Vec<&str> =
-                            failed.iter().map(|(e, _)| e.as_str()).collect();
-                        result
-                            .metadata
-                            .insert("failover_chain".into(), chain.join(" -> "));
-                        let errors: Vec<String> = failed
-                            .iter()
-                            .map(|(e, err)| format!("{e}: {err}"))
-                            .collect();
-                        result
-                            .metadata
-                            .insert("failover_errors".into(), errors.join("; "));
+                        let chain: Vec<&str> = failed.iter().map(|(e, _)| e.as_str()).collect();
+                        result.note("failover_chain", chain.join(" -> "));
+                        let errors: Vec<String> =
+                            failed.iter().map(|(e, err)| format!("{e}: {err}")).collect();
+                        result.note("failover_errors", errors.join("; "));
                     }
                     return Ok(result);
                 }
-                // Runtime failures trigger failover to the next engine;
-                // structural errors (bad circuit, bad properties) are the
-                // caller's to fix and surface immediately.
+                // A candidate that cannot take the task's options, or
+                // whose engine fails at runtime, hands over to the next
+                // one. (The task's own values were validated when the
+                // `auto` spec resolved, so a `BadProperties` here is this
+                // engine's incompatibility, not the caller's typo.)
                 Err(
                     err @ (QfwError::Execution(_)
                     | QfwError::Resources(_)
-                    | QfwError::Rpc(_)),
+                    | QfwError::Rpc(_)
+                    | QfwError::BadProperties(_)),
                 ) => failed.push((engine, err)),
                 Err(err) => return Err(err),
             }
@@ -1076,7 +1061,7 @@ mod tests {
         for (result, point) in results.iter().zip(&task.points) {
             let solo = unswept
                 .execute(&ExecTask {
-                    circuit: crate::backends::materialize_point(&task.circuit, &point.params),
+                    circuit: crate::plan::materialize_point(&task.circuit, &point.params),
                     shots: point.shots,
                     seed: point.seed,
                     spec: task.spec.clone(),

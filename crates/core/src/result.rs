@@ -82,9 +82,14 @@ impl QfwResult {
             .sum::<f64>()
     }
 
+    /// Records a metadata entry.
+    pub fn note(&mut self, key: &str, value: impl ToString) {
+        self.metadata.insert(key.to_string(), value.to_string());
+    }
+
     /// Attaches a metadata entry (builder style).
     pub fn with_meta(mut self, key: &str, value: impl ToString) -> Self {
-        self.metadata.insert(key.to_string(), value.to_string());
+        self.note(key, value);
         self
     }
 

@@ -160,8 +160,8 @@ impl QfwSession {
         &self.hetjob
     }
 
-    /// The RPC hub, for registering additional services (e.g. the
-    /// `qfw-sched` scheduler attaches its `sched0` service here).
+    /// The RPC hub, for registering additional services or opening raw
+    /// clients.
     pub fn defw(&self) -> &Defw {
         self.defw.as_ref().expect("session is live")
     }

@@ -4,15 +4,23 @@ use crate::error::QfwError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Well-known `extra` keys shared between the planner, the backends, and
-/// the cache/scheduler layers (which see them for free through the spec's
-/// content hash). Free-form keys remain legal; these are the ones with
-/// cross-layer meaning.
+/// The recognised `extra` keys. [`crate::plan::ExecPlan::resolve`] is the
+/// one place that gives them meaning (type, default, which engines honour
+/// them); anything else stays a legal free-form key, carried and hashed
+/// verbatim.
 pub mod extras {
     /// MPS bond-dimension cap (`aer/matrix_product_state`, `tnqvm`).
     pub const CHI_MAX: &str = "chi_max";
+    /// MPS relative truncation threshold.
+    pub const TRUNC_EPS: &str = "trunc_eps";
+    /// Widest intermediate tensor `qtensor` may contract.
+    pub const WIDTH_LIMIT: &str = "width_limit";
     /// Gate-fusion toggle for state-vector engines (default `true`).
     pub const FUSION: &str = "fusion";
+    /// Noise model in the `qfw-noise` wire codec (`nwqsim/{cpu,openmp}`).
+    pub const NOISE_MODEL: &str = "noise_model";
+    /// Stochastic-trajectory budget of a noisy run.
+    pub const NOISE_TRAJECTORIES: &str = "noise_trajectories";
     /// Partition strategy marker; the only recognized value is
     /// [`PARTITION_CLIFFORD_PREFIX`].
     pub const PARTITION: &str = "partition";
@@ -21,6 +29,15 @@ pub mod extras {
     pub const PARTITION_SEAM: &str = "partition_seam";
     /// Value of [`PARTITION`] for stabilizer-prefix hybrid execution.
     pub const PARTITION_CLIFFORD_PREFIX: &str = "clifford_prefix";
+    /// Starting qubit permutation of `nwqsim/mpi` (`q0,q1,...`: entry p is
+    /// the logical qubit at physical position p), planned by qfw-compile's
+    /// O3 layout pass.
+    pub const INITIAL_LAYOUT: &str = "initial_layout";
+    /// The O3 noise-aware layout pass's predicted log-fidelity, surfaced
+    /// on the result.
+    pub const PREDICTED_FIDELITY: &str = "predicted_fidelity";
+    /// Device calibration table as JSON, consumed by QASM3 ingestion.
+    pub const CALIBRATION: &str = "calibration";
 }
 
 /// Backend-selection properties, the QFw equivalent of
@@ -108,9 +125,13 @@ impl BackendSpec {
         self
     }
 
-    /// Reads an extra tunable, parsed.
-    pub fn extra_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.extra.get(key).and_then(|v| v.parse().ok())
+    /// Fills in every extra `other` carries that this spec does not set
+    /// itself (a planner-rewritten spec keeping the caller's tunables).
+    pub fn inheriting_extras(mut self, other: &BackendSpec) -> Self {
+        for (k, v) in &other.extra {
+            self.extra.entry(k.clone()).or_insert_with(|| v.clone());
+        }
+        self
     }
 }
 
@@ -170,7 +191,7 @@ mod tests {
         assert_eq!(spec.backend, "aer");
         assert_eq!(spec.subbackend, "matrix_product_state");
         assert_eq!(spec.ranks, 8);
-        assert_eq!(spec.extra_parsed::<usize>("chi_max"), Some(32));
+        assert_eq!(spec.extra["chi_max"], "32");
     }
 
     #[test]
@@ -191,8 +212,7 @@ mod tests {
             .with_ranks(4)
             .with_extra("fusion", true);
         assert_eq!(spec.ranks, 4);
-        assert_eq!(spec.extra_parsed::<bool>("fusion"), Some(true));
-        assert_eq!(spec.extra_parsed::<usize>("missing"), None);
+        assert_eq!(spec.extra["fusion"], "true");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! extrapolation.
 //!
 //! NISQ results come back through a noisy readout channel (the cloud
-//! provider and the `noise_readout` property both model it). The standard
+//! provider and a `noise_model` readout error both model it). The standard
 //! counter-measure is calibration: estimate each qubit's assignment matrix
 //! `M_q = [[1-e01, e10], [e01, 1-e10]]` from two calibration circuits
 //! (all-zeros and all-ones preparations), then apply the tensored inverse
@@ -296,11 +296,13 @@ mod tests {
     use qfw_workloads::ghz;
 
     fn noisy_backend(session: &QfwSession, readout: f64) -> QfwBackend {
+        let mut model = qfw_noise::NoiseModel::empty();
+        model.set_readout_all(qfw_noise::ReadoutError::symmetric(readout));
         session
             .backend(&[
                 ("backend", "nwqsim"),
                 ("subbackend", "cpu"),
-                ("noise_readout", &format!("{readout}")),
+                ("noise_model", &model.to_text()),
             ])
             .unwrap()
     }

@@ -69,15 +69,11 @@ impl NoiseModel {
             && self.per_qubit_readout.is_empty()
     }
 
-    /// The legacy flat model: depolarizing `p1` after single-qubit
+    /// Uniform-noise shorthand: depolarizing `p1` after single-qubit
     /// gates, depolarizing `p2` per touched qubit after multi-qubit
     /// gates, symmetric readout flip probability `readout` — on every
-    /// qubit.
-    #[deprecated(
-        note = "flat per-device constants lose per-qubit structure; build from a \
-                Calibration table (NoiseModel::from_calibration) or add explicit \
-                channels instead"
-    )]
+    /// qubit. Per-qubit structure comes from
+    /// [`NoiseModel::from_calibration`] or explicit channels.
     pub fn flat(p1: f64, p2: f64, readout: f64) -> NoiseModel {
         let mut model = NoiseModel::empty();
         model.add_1q_all(Channel::depolarizing(p1));
@@ -435,15 +431,13 @@ mod tests {
 
     #[test]
     fn zero_strength_channels_collapse_to_empty() {
-        #[allow(deprecated)]
         let m = NoiseModel::flat(0.0, 0.0, 0.0);
         assert!(m.is_empty());
         assert_eq!(m.content_hash(), NoiseModel::empty().content_hash());
     }
 
     #[test]
-    fn flat_model_reexpresses_the_legacy_triple() {
-        #[allow(deprecated)]
+    fn flat_model_is_uniform_on_every_qubit() {
         let m = NoiseModel::flat(0.001, 0.02, 0.005);
         assert_eq!(m.channels(1, 0).len(), 1);
         assert_eq!(m.channels(2, 7).len(), 1);

@@ -9,15 +9,17 @@
 //! seed and shot budget (results stay bitwise identical to unbatched
 //! execution).
 //!
-//! The skeleton key is the backend spec plus the `qfwasm` text with every
-//! parenthesized gate argument masked: `rz(0.5) q2` and `rz(1.25) q2`
+//! The skeleton key is the resolved backend spec (engine, ranks, and the
+//! plan's content hash, so two spellings of one meaning coalesce) plus the
+//! `qfwasm` text with every parenthesized gate argument masked: `rz(0.5) q2` and `rz(1.25) q2`
 //! share a key; `rz(0.5) q2` and `rz(0.5) q3` do not. Data-carrying
 //! lines (`unitary` blocks, marked by `:`) are kept verbatim — circuits
 //! with different embedded matrices never coalesce.
 
 use crate::JobEnvelope;
-use qfw::BackendSpec;
+use qfw::ExecPlan;
 use qfw_circuit::text;
+use std::fmt::Write as _;
 
 /// Computes the batching key for an envelope: jobs with equal keys can be
 /// coalesced into one engine invocation.
@@ -27,10 +29,17 @@ use qfw_circuit::text;
 /// structure from parameters, so no masking heuristic is needed and two
 /// jobs coalesce exactly when they share a compiled plan. Concrete
 /// `qfwasm` text falls back to parenthesis masking.
-pub fn skeleton_key(env: &JobEnvelope) -> String {
+pub fn skeleton_key(env: &JobEnvelope, plan: &ExecPlan) -> String {
     let mut key = String::with_capacity(env.circuit.len() + 64);
-    push_spec(&mut key, &env.spec);
-    key.push('\n');
+    writeln!(
+        key,
+        "{}|{}|{}|{}",
+        plan.backend,
+        plan.subbackend,
+        env.spec.ranks,
+        plan.content_hash()
+    )
+    .unwrap();
     if text::is_param_text(&env.circuit) {
         key.push_str(&text::param_skeleton_text(&env.circuit));
         return key;
@@ -46,20 +55,6 @@ pub fn skeleton_key(env: &JobEnvelope) -> String {
         key.push('\n');
     }
     key
-}
-
-fn push_spec(key: &mut String, spec: &BackendSpec) {
-    key.push_str(&spec.backend);
-    key.push('|');
-    key.push_str(&spec.subbackend);
-    key.push('|');
-    key.push_str(&spec.ranks.to_string());
-    for (k, v) in &spec.extra {
-        key.push('|');
-        key.push_str(k);
-        key.push('=');
-        key.push_str(v);
-    }
 }
 
 /// Copies `line` with every parenthesized span collapsed to `(#)`.
@@ -85,6 +80,12 @@ fn mask_parens(out: &mut String, line: &str) {
 mod tests {
     use super::*;
     use crate::Priority;
+    use qfw::{BackendSpec, GroupCores};
+
+    fn key_of(env: &JobEnvelope) -> String {
+        let plan = ExecPlan::resolve(&env.spec, GroupCores::UNBOUNDED).unwrap();
+        skeleton_key(env, &plan)
+    }
 
     fn env_of(circuit: &str, spec: BackendSpec) -> JobEnvelope {
         JobEnvelope {
@@ -104,8 +105,8 @@ mod tests {
         let a = env_of("qfwasm 1\nqubits 2\nrz(0.5) q0\ncx q0 q1\n", spec.clone());
         let b = env_of("qfwasm 1\nqubits 2\nrz(1.25) q0\ncx q0 q1\n", spec.clone());
         let c = env_of("qfwasm 1\nqubits 2\nrz(0.5) q1\ncx q0 q1\n", spec);
-        assert_eq!(skeleton_key(&a), skeleton_key(&b), "angles are parameters");
-        assert_ne!(skeleton_key(&a), skeleton_key(&c), "targets are structure");
+        assert_eq!(key_of(&a), key_of(&b), "angles are parameters");
+        assert_ne!(key_of(&a), key_of(&c), "targets are structure");
     }
 
     #[test]
@@ -114,10 +115,16 @@ mod tests {
         let b = env_of("h q0\n", BackendSpec::of("nwqsim", "cpu"));
         let c = env_of(
             "h q0\n",
+            BackendSpec::of("aer", "statevector").with_extra("fusion", false),
+        );
+        assert_ne!(key_of(&a), key_of(&b));
+        assert_ne!(key_of(&a), key_of(&c));
+        // Two spellings of one meaning coalesce.
+        let d = env_of(
+            "h q0\n",
             BackendSpec::of("aer", "statevector").with_extra("fusion", true),
         );
-        assert_ne!(skeleton_key(&a), skeleton_key(&b));
-        assert_ne!(skeleton_key(&a), skeleton_key(&c));
+        assert_eq!(key_of(&a), key_of(&d));
     }
 
     #[test]
@@ -126,21 +133,13 @@ mod tests {
         let skeleton = "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*2e0) q0 q1\n";
         let a = env_of(&format!("{skeleton}bind 1e-1 2e-1\n"), spec.clone());
         let b = env_of(&format!("{skeleton}bind 9e-1 -3e-1\n"), spec.clone());
-        assert_eq!(
-            skeleton_key(&a),
-            skeleton_key(&b),
-            "bindings are parameters"
-        );
+        assert_eq!(key_of(&a), key_of(&b), "bindings are parameters");
         // A different affine coefficient is a different compiled plan.
         let c = env_of(
             "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*3e0) q0 q1\nbind 1e-1 2e-1\n",
             spec,
         );
-        assert_ne!(
-            skeleton_key(&a),
-            skeleton_key(&c),
-            "affine coefficients are structure"
-        );
+        assert_ne!(key_of(&a), key_of(&c), "affine coefficients are structure");
     }
 
     #[test]
@@ -148,10 +147,6 @@ mod tests {
         let spec = BackendSpec::of("aer", "statevector");
         let a = env_of("unitary[u1] q0: 0.1 0.2 0.3 0.4\n", spec.clone());
         let b = env_of("unitary[u1] q0: 0.9 0.8 0.7 0.6\n", spec);
-        assert_ne!(
-            skeleton_key(&a),
-            skeleton_key(&b),
-            "embedded matrices are structural"
-        );
+        assert_ne!(key_of(&a), key_of(&b), "embedded matrices are structural");
     }
 }

@@ -42,8 +42,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// `submit` outcome over the ingress: one more possibility than the plain
-/// RPC [`crate::SubmitOutcome`] — the result may already be known.
+/// `submit` outcome over the ingress. Admission is an outcome, not an RPC
+/// failure, so overload travels in the success payload; an unrunnable job
+/// (see [`SchedError::Unrunnable`]) is the call's error.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum IngressSubmitOutcome {
     /// Admitted under this job id; poll for completion.
@@ -152,13 +153,7 @@ impl Shared {
             // the cloud `calibration` RPC) upgrades the O3 layout pass to
             // the noise-aware planner; the winning score is handed back on
             // the spec as `predicted_fidelity`.
-            let cal = match env.spec.extra_parsed::<String>("calibration") {
-                Some(json) => Some(
-                    qfw_noise::Calibration::from_json(&json)
-                        .map_err(|e| format!("malformed calibration extra: {e}"))?,
-                ),
-                None => None,
-            };
+            let cal = qfw::plan::calibration_of(&env.spec).map_err(|e| e.to_string())?;
             let ingested =
                 qfw_compile::ingest_qasm3_calibrated(&env.circuit, opt, &self.obs, cal.as_ref())
                     .map_err(|e| format!("qasm3 ingestion failed: {e}"))?;

@@ -24,13 +24,12 @@
 //!   back to the base pool.
 //!
 //! The scheduler runs embedded ([`Scheduler::start`]) or attached to a
-//! live session ([`Scheduler::attach`]), where it also registers a
-//! `sched0` DEFw service exposing `submit`/`poll`/`cancel`/`stats` RPCs.
-//! For sustained high-rate traffic, [`ingress::SchedIngress`] fronts the
-//! scheduler with the pipelined multiplexed transport from
-//! [`qfw_defw::ingress`] plus a content-addressed [`qfw::ResultCache`]:
-//! repeat submissions are answered from the cache (bitwise identical
-//! counts) without consuming admission or engine capacity.
+//! live session ([`Scheduler::attach`]). Its one RPC front door is
+//! [`ingress::SchedIngress`] (`submit`/`poll`/`cancel`/`stats`): the
+//! pipelined multiplexed transport from [`qfw_defw::ingress`] plus a
+//! content-addressed [`qfw::ResultCache`], so repeat submissions are
+//! answered from the cache (bitwise identical counts) without consuming
+//! admission or engine capacity.
 
 pub mod batch;
 pub mod ingress;
@@ -44,7 +43,7 @@ pub use scheduler::{
     TenantConfig,
 };
 
-use qfw::{BackendSpec, QfwResult};
+use qfw::{BackendSpec, QfwError, QfwResult};
 use qfw_circuit::{text, Circuit, ParamCircuit};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -173,8 +172,12 @@ pub enum OverloadScope {
 
 /// Typed scheduler errors. Admission rejections carry a backoff hint
 /// instead of blocking the submitter.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SchedError {
+    /// The job can never run on this pool — unknown engine, malformed or
+    /// incompatible spec extras, a width beyond the worker group — so it
+    /// was refused before taking a queue entry. Not retryable as is.
+    Unrunnable(QfwError),
     /// The queue (or the tenant's slice of it) is full; retry after the
     /// hinted interval, estimated from recent service times and current
     /// depth.
@@ -200,6 +203,7 @@ impl std::fmt::Display for SchedError {
                 },
                 retry_after
             ),
+            SchedError::Unrunnable(e) => write!(f, "unrunnable job: {e}"),
             SchedError::Shutdown => write!(f, "scheduler is shut down"),
         }
     }
@@ -245,7 +249,7 @@ pub enum CancelOutcome {
     Unknown,
 }
 
-/// Wire form of an admission rejection (the RPC cannot carry
+/// Wire form of an admission rejection (the ingress reply cannot carry
 /// [`SchedError`] directly).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OverloadInfo {
@@ -253,14 +257,4 @@ pub struct OverloadInfo {
     pub retry_after_ms: u64,
     /// `"Queue"` or `"Tenant"`.
     pub scope: String,
-}
-
-/// `sched0.submit` RPC response: admission is an outcome, not an RPC
-/// failure, so rejections travel in the success payload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum SubmitOutcome {
-    /// Admitted under this job id.
-    Accepted(u64),
-    /// Rejected by admission control.
-    Overloaded(OverloadInfo),
 }

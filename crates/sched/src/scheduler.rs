@@ -1,6 +1,6 @@
-//! The scheduler runtime: admission at submit, a dispatcher thread
-//! draining the fair queue into a bounded dispatch window, per-batch
-//! runner threads, elastic pool scaling, and the `sched0` DEFw service.
+//! The scheduler runtime: job resolution and admission at submit, a
+//! dispatcher thread draining the fair queue into a bounded dispatch
+//! window, per-batch runner threads, and elastic pool scaling.
 //!
 //! ## Dispatch window
 //!
@@ -22,14 +22,10 @@
 
 use crate::batch::skeleton_key;
 use crate::queue::{AdmitError, FairQueue, QueuedJob};
-use crate::{
-    CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadInfo, OverloadScope, SchedError,
-    SubmitOutcome,
-};
+use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadScope, SchedError};
 use parking_lot::{Condvar, Mutex};
 use qfw::{ExecTask, QfwError, QfwResult, QfwSession, Qrc, SweepPointSpec, SweepTask};
 use qfw_circuit::text;
-use qfw_defw::{Defw, MethodTable};
 use qfw_obs::{AttrValue, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -276,44 +272,21 @@ impl Scheduler {
         Scheduler { inner }
     }
 
-    /// Starts a scheduler on a live session's QRC and registers the
-    /// `sched0` DEFw service (`submit`/`poll`/`cancel`/`stats`).
+    /// Starts a scheduler on a live session's QRC, reporting into the
+    /// session's observability handle. Remote clients reach it through a
+    /// [`crate::SchedIngress`] started over it.
     pub fn attach(session: &QfwSession, cfg: SchedConfig) -> Scheduler {
-        let sched = Scheduler::start(Arc::clone(session.qrc()), session.obs().clone(), cfg);
-        sched.serve(session.defw(), 0);
-        sched
+        Scheduler::start(Arc::clone(session.qrc()), session.obs().clone(), cfg)
     }
 
-    /// Registers this scheduler as DEFw service `sched{index}`.
-    pub fn serve(&self, defw: &Defw, index: usize) {
-        let name = format!("sched{index}");
-        let submit = self.clone();
-        let poll = self.clone();
-        let cancel = self.clone();
-        let stats = self.clone();
-        let service = MethodTable::new(name.clone())
-            .method("submit", move |env: JobEnvelope| match submit.submit(env) {
-                Ok(id) => Ok(SubmitOutcome::Accepted(id)),
-                Err(SchedError::Overloaded { retry_after, scope }) => {
-                    Ok(SubmitOutcome::Overloaded(OverloadInfo {
-                        retry_after_ms: retry_after.as_millis().max(1) as u64,
-                        scope: format!("{scope:?}"),
-                    }))
-                }
-                Err(e) => Err(e.to_string()),
-            })
-            .method("poll", move |id: u64| Ok(poll.poll(id)))
-            .method("cancel", move |id: u64| Ok(cancel.cancel(id)))
-            .method("stats", move |_: ()| Ok(stats.stats()))
-            .build();
-        defw.register(&name, service);
-    }
-
-    /// Submits a job. Returns the job id, or the typed
-    /// [`SchedError::Overloaded`] rejection — this call never blocks on a
-    /// full queue.
+    /// Submits a job. Returns the job id, a typed
+    /// [`SchedError::Unrunnable`] refusal when the spec can never execute
+    /// on this pool (resolved here, before a queue entry exists), or the
+    /// typed [`SchedError::Overloaded`] rejection — this call never blocks
+    /// on a full queue.
     pub fn submit(&self, env: JobEnvelope) -> Result<JobId, SchedError> {
         let inner = &self.inner;
+        let plan = inner.qrc.resolve(&env.spec).map_err(SchedError::Unrunnable)?;
         let mut st = inner.state.lock();
         if st.shutdown {
             return Err(SchedError::Shutdown);
@@ -326,7 +299,7 @@ impl Scheduler {
             .unwrap_or(u64::MAX);
         let tenant = env.tenant.clone();
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let skeleton = skeleton_key(&env);
+        let skeleton = skeleton_key(&env, &plan);
         let job = QueuedJob::new(id, env, now, deadline_us, skeleton);
         match st.queue.try_push(job) {
             Ok(()) => {
@@ -892,13 +865,23 @@ mod tests {
     #[test]
     fn failed_execution_is_reported() {
         let sched = Scheduler::start(qrc(1), Obs::disabled(), SchedConfig::default());
+        // A spec that resolves but whose engine fails at run time.
         let env = JobEnvelope::new("t", &ghz(3), 10)
-            .with_spec(qfw::BackendSpec::of("bogus", ""));
+            .with_spec(qfw::BackendSpec::of("tnqvm", "ttn"));
         let id = sched.submit(env).unwrap();
         match sched.wait(id, T) {
-            JobStatus::Failed(msg) => assert!(msg.contains("bogus")),
+            JobStatus::Failed(msg) => assert!(msg.contains("ttn"), "{msg}"),
             other => panic!("unexpected status {other:?}"),
         }
+        // One that can never run is refused at submit, with no queue entry.
+        let admitted = sched.stats().admitted;
+        let env = JobEnvelope::new("t", &ghz(3), 10)
+            .with_spec(qfw::BackendSpec::of("bogus", ""));
+        assert!(matches!(
+            sched.submit(env),
+            Err(SchedError::Unrunnable(QfwError::UnknownBackend(_)))
+        ));
+        assert_eq!(sched.stats().admitted, admitted);
         sched.shutdown();
     }
 

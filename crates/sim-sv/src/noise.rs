@@ -302,7 +302,6 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        #[allow(deprecated)]
         let model = NoiseModel::flat(0.0005, 0.01, 0.004);
         let a = run_noisy(&ghz(5), 400, 9, &model, 16);
         let b = run_noisy(&ghz(5), 400, 9, &model, 16);
@@ -311,7 +310,6 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_counts() {
-        #[allow(deprecated)]
         let model = NoiseModel::flat(0.001, 0.02, 0.01);
         let obs = Obs::disabled();
         let serial = run_trajectories(&ghz(6), 2000, 42, &model, 64, 1, &obs);
@@ -323,7 +321,6 @@ mod tests {
 
     #[test]
     fn shots_conserved_across_trajectories() {
-        #[allow(deprecated)]
         let model = NoiseModel::flat(0.0005, 0.01, 0.004);
         for shots in [1usize, 7, 63, 64, 65, 1000] {
             let counts = run_noisy(&ghz(4), shots, 1, &model, 64);

@@ -1,6 +1,6 @@
 //! Multi-tenant scheduling demo: three tenants with different fair-share
 //! weights and deadlines submit GHZ/TFIM/QAOA mixes concurrently through
-//! the qfw-sched `sched0` layer, and the per-tenant wait/service numbers
+//! the qfw-sched fair-share scheduler, and the per-tenant wait/service numbers
 //! come back out of the observability snapshot.
 //!
 //! ```text

@@ -9,6 +9,7 @@
 use qfw::{QfwConfig, QfwSession};
 use qfw_cloud::CloudConfig;
 use qfw_hpc::ClusterSpec;
+use qfw_noise::NoiseModel;
 use qfw_workloads::ghz;
 
 fn ghz_fidelity(counts: &std::collections::BTreeMap<String, usize>, n: usize) -> f64 {
@@ -40,8 +41,7 @@ fn main() {
             .backend(&[
                 ("backend", "nwqsim"),
                 ("subbackend", "cpu"),
-                ("noise_p2", &format!("{p2}")),
-                ("noise_readout", "0.002"),
+                ("noise_model", &NoiseModel::flat(0.0, p2, 0.002).to_text()),
             ])
             .expect("backend");
         let result = backend.execute_sync(&circuit, 4000).expect("run");

@@ -160,8 +160,9 @@ fn qaoa_agrees_across_sv_mps_tn() {
 /// Local-vs-distributed bit identity: with a fixed base seed the
 /// rank-distributed state-vector engine must return *exactly* the counts
 /// of the single-process engine — same canonical split-sampling scheme,
-/// same draws — at every power-of-two world size, under both routing
-/// strategies. Statistical agreement is not enough here; any divergence
+/// same draws — at every power-of-two world size (the per-gate-swap
+/// routing baseline is held to the same bar at engine level by
+/// `qfw-sim-sv`'s `dist_props`). Statistical agreement is not enough here; any divergence
 /// in gate routing, permutation flushing, or shot partitioning shows up
 /// as a hard mismatch.
 #[test]
@@ -178,22 +179,17 @@ fn distributed_sv_replays_local_counts_bitwise() {
             .execute_sync(&circuit, 3000)
             .expect("local run");
         for ranks in [1usize, 2, 4, 8] {
-            for route in ["lazy", "swaps"] {
-                let spec = BackendSpec::of("nwqsim", "mpi")
-                    .with_ranks(ranks)
-                    .with_extra("dist_route", route);
-                let dist = session
-                    .backend_with_spec(spec)
-                    .unwrap()
-                    .with_base_seed(0xB17)
-                    .execute_sync(&circuit, 3000)
-                    .unwrap_or_else(|e| panic!("mpi x{ranks} {route}: {e}"));
-                assert_eq!(
-                    local.counts, dist.counts,
-                    "{}: mpi x{ranks} ({route}) diverged from cpu",
-                    circuit.name
-                );
-            }
+            let dist = session
+                .backend_with_spec(BackendSpec::of("nwqsim", "mpi").with_ranks(ranks))
+                .unwrap()
+                .with_base_seed(0xB17)
+                .execute_sync(&circuit, 3000)
+                .unwrap_or_else(|e| panic!("mpi x{ranks}: {e}"));
+            assert_eq!(
+                local.counts, dist.counts,
+                "{}: mpi x{ranks} diverged from cpu",
+                circuit.name
+            );
         }
     }
 }

@@ -250,24 +250,6 @@ fn auto_backend_routes_workloads_sensibly() {
     assert_eq!(session.total_stats().failed, 0);
 }
 
-/// Transpiled circuits ({rz, sx, cx} basis) sample the same distribution
-/// as their sources through the framework.
-#[test]
-fn transpiled_circuits_agree_end_to_end() {
-    let session = full_session();
-    let backend = session
-        .backend_with_spec(BackendSpec::of("nwqsim", "cpu"))
-        .unwrap();
-    for circuit in [ham(6), tfim(6)] {
-        let native = qfw_circuit::transpile::transpile(&circuit).unwrap();
-        assert!(native.gates().all(qfw_circuit::transpile::is_native));
-        let a = backend.execute_sync(&circuit, 4000).unwrap();
-        let b = backend.execute_sync(&native, 4000).unwrap();
-        let tv = a.tv_distance(&b);
-        assert!(tv < 0.2, "{}: tv={tv}", circuit.name);
-    }
-}
-
 /// The cloud provider records queue time in the unified profile, and jobs
 /// carry provider-side IDs (the REST path is really exercised).
 #[test]

@@ -5,8 +5,8 @@
 //! full stack.
 
 use proptest::prelude::*;
-use qfw::selector::{rank_backends, CLOUD_QUBIT_LIMIT, DENSE_LIMIT};
-use qfw::{BackendSpec, QfwConfig, QfwSession, SelectorContext};
+use qfw::planner::{CLOUD_QUBIT_LIMIT, DEFAULT_PLAN_SHOTS, DENSE_LIMIT};
+use qfw::{BackendSpec, Planner, QfwConfig, QfwSession, SelectorContext};
 use qfw_circuit::analysis::is_clifford;
 use qfw_circuit::Circuit;
 use qfw_hpc::ClusterSpec;
@@ -37,12 +37,12 @@ proptest! {
             random_circuit(n, depth, seed)
         };
         let ctx = SelectorContext { free_cores, cloud_available };
-        let ranked = rank_backends(&qc, ctx);
+        let ranked = Planner::default().plan(&qc, DEFAULT_PLAN_SHOTS, ctx);
         prop_assert!(!ranked.is_empty());
 
         let clifford_circuit = is_clifford(&qc);
-        for rec in &ranked {
-            let spec = &rec.spec;
+        for planned in &ranked {
+            let spec = &planned.rec.spec;
             if spec.subbackend == "mpi" {
                 prop_assert!(
                     spec.ranks <= free_cores,
@@ -70,15 +70,15 @@ proptest! {
         // Failover guarantee: at least two distinct full specs, so a
         // runtime failure of the primary never strands the task.
         let mut distinct: Vec<&BackendSpec> = Vec::new();
-        for rec in &ranked {
-            if !distinct.contains(&&rec.spec) {
-                distinct.push(&rec.spec);
+        for planned in &ranked {
+            if !distinct.contains(&&planned.rec.spec) {
+                distinct.push(&planned.rec.spec);
             }
         }
         prop_assert!(
             distinct.len() >= 2,
             "single-entry ranked list at n={n}: {:?}",
-            ranked.iter().map(|r| format!("{}/{}", r.spec.backend, r.spec.subbackend)).collect::<Vec<_>>()
+            ranked.iter().map(|p| format!("{}/{}", p.rec.spec.backend, p.rec.spec.subbackend)).collect::<Vec<_>>()
         );
     }
 }

@@ -231,19 +231,6 @@ proptest! {
         prop_assert!(tv < 0.15, "tv={tv}");
     }
 
-    /// Transpilation to the native basis preserves the state exactly
-    /// (up to global phase) on random circuits.
-    #[test]
-    fn transpile_preserves_state(seed in 0u64..200) {
-        let qc = random_circuit(4, 18, seed);
-        let native = qfw_circuit::transpile::transpile(&qc).unwrap();
-        prop_assert!(native.gates().all(qfw_circuit::transpile::is_native));
-        let a = SvSimulator::plain().statevector(&qc);
-        let b = SvSimulator::plain().statevector(&native);
-        let fid = a.fidelity(&b);
-        prop_assert!(fid > 1.0 - 1e-8, "fidelity {fid}");
-    }
-
     /// A controlled circuit acts as identity with the control off and as
     /// the original with the control on, for random payload circuits.
     #[test]
@@ -280,7 +267,6 @@ proptest! {
         let qc = random_circuit(4, 10, seed);
         let mut measured = qc.clone();
         measured.measure_all();
-        #[allow(deprecated)]
         let model = qfw_sim_sv::NoiseModel::flat(0.01, 0.03, 0.01);
         let a = qfw_sim_sv::noise::run_noisy(&measured, shots, seed, &model, 16);
         prop_assert_eq!(a.values().sum::<usize>(), shots);

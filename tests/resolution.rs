@@ -1,0 +1,473 @@
+//! Job-resolution suite: every feature combination either meets the
+//! bitwise-identity guarantee or is refused with a typed error before any
+//! work is committed.
+//!
+//! * The composition matrix — engine × noise × partition × circuit form ×
+//!   fusion — runs every cell through the QRC: an accepted cell's counts
+//!   equal a direct serial engine call, a refused cell takes no slot, no
+//!   engine invocation and no scheduler queue entry.
+//! * Malformed or out-of-range values of every recognised spec key are
+//!   refused from `Qrc::execute`, from `Scheduler::submit` and over the
+//!   ingress — never silently defaulted.
+//! * A core request the worker group can never grant returns at once
+//!   instead of spinning on the lease.
+
+use qfw::registry::BackendRegistry;
+use qfw::{
+    BackendSpec, DispatchPolicy, ExecTask, QfwError, QfwResult, Qrc, ResultCache, SweepPointSpec,
+    SweepTask,
+};
+use qfw_circuit::{text, Angle, Circuit, Gate, ParamCircuit};
+use qfw_hpc::slurm::{HetJob, HetJobSpec};
+use qfw_hpc::{ClusterSpec, Dvm};
+use qfw_noise::{Channel, NoiseModel};
+use qfw_obs::Obs;
+use qfw_sched::ingress::client;
+use qfw_sched::{
+    JobEnvelope, SchedConfig, SchedError, SchedIngress, SchedIngressConfig, Scheduler,
+};
+use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const T: Duration = Duration::from_secs(60);
+const N: usize = 5;
+const SHOTS: usize = 2000;
+
+type Counts = BTreeMap<String, usize>;
+
+/// One QRC slot over two worker nodes.
+fn qrc() -> (Arc<Qrc>, Arc<HetJob>) {
+    let cluster = ClusterSpec::test(3);
+    let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
+    let dvm = Arc::new(Dvm::new(&cluster));
+    let qrc = Qrc::new(
+        BackendRegistry::standard(None),
+        Arc::clone(&hetjob),
+        dvm,
+        1,
+        1,
+        DispatchPolicy::RoundRobin,
+    );
+    (Arc::new(qrc), hetjob)
+}
+
+/// A GHZ-ladder Clifford prefix (single H, so seam amplitudes are exact),
+/// then — unless `clifford_only` — two parameterized rotation layers.
+/// Returns the template and the prefix length in ops.
+fn template(clifford_only: bool) -> (ParamCircuit, usize) {
+    let mut t = ParamCircuit::new(N);
+    t.h(0);
+    for q in 0..N - 1 {
+        t.fixed(Gate::Cx(q, q + 1));
+    }
+    for q in 0..N {
+        t.fixed(Gate::S(q));
+    }
+    let seam = t.ops().len();
+    if !clifford_only {
+        for q in 0..N - 1 {
+            t.rzz(q, q + 1, Angle::scaled(0, 2.0));
+        }
+        for q in 0..N {
+            t.rx(q, Angle::scaled(1, 2.0));
+        }
+    }
+    t.measure_all();
+    (t, seam)
+}
+
+/// Three bindings with distinct seeds; point 0 is the concrete/bound job.
+fn points(num_params: usize) -> Vec<SweepPointSpec> {
+    (0..3)
+        .map(|i| SweepPointSpec {
+            params: [0.31 + 0.1 * i as f64, 0.84 - 0.07 * i as f64][..num_params].to_vec(),
+            shots: SHOTS,
+            seed: 900 + i as u64,
+        })
+        .collect()
+}
+
+fn noise_text() -> String {
+    let mut model = NoiseModel::empty();
+    model.add_2q_all(Channel::depolarizing(0.03));
+    model.to_text()
+}
+
+/// What the cell must produce, from direct engine calls: the serial
+/// unfused state-vector run, or the serial trajectory run for a noisy cell.
+fn reference(circuit: &Circuit, point: &SweepPointSpec, noise: Option<&NoiseModel>) -> Counts {
+    match noise {
+        Some(model) => qfw_sim_sv::noise::run_trajectories(
+            circuit,
+            point.shots,
+            point.seed,
+            model,
+            64,
+            1,
+            &Obs::disabled(),
+        ),
+        None => {
+            SvSimulator::new(SvConfig {
+                threading: Threading::Serial,
+                fusion: FusionLevel::None,
+                ..SvConfig::default()
+            })
+            .run(circuit, point.shots, point.seed)
+            .counts
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Form {
+    Concrete,
+    Bound,
+    Sweep,
+}
+
+/// Snapshot of everything a refusal must leave untouched.
+fn footprint(qrc: &Qrc, sched: &Scheduler) -> (u64, Vec<u64>, u64) {
+    (
+        qrc.engine_invocations(),
+        qrc.tasks_per_slot(),
+        sched.stats().admitted,
+    )
+}
+
+#[test]
+fn composition_matrix_matches_reference_or_refuses_before_work() {
+    let (qrc, _hetjob) = qrc();
+    let sched = Scheduler::start(
+        Arc::clone(&qrc),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let noise = noise_text();
+    let model = NoiseModel::parse(&noise).unwrap();
+    let engines: Vec<(&str, &str, usize)> = vec![
+        ("nwqsim", "cpu", 1),
+        ("nwqsim", "openmp", 1),
+        ("nwqsim", "mpi", 2),
+        ("nwqsim", "mpi", 4),
+        ("aer", "automatic", 1),
+        ("aer", "statevector", 1),
+        ("aer", "matrix_product_state", 1),
+        ("aer", "stabilizer", 1),
+        ("tnqvm", "", 1),
+        ("qtensor", "", 1),
+        ("auto", "", 1),
+    ];
+    let (mut ran, mut refused) = (0usize, 0usize);
+    for &(backend, sub, ranks) in &engines {
+        // The stabilizer engine admits no rotation: it gets the prefix.
+        let (tmpl, seam) = template(sub == "stabilizer");
+        let pts = points(tmpl.num_params());
+        for noisy in [false, true] {
+            for partitioned in [false, true] {
+                for fusion in [None, Some(true), Some(false)] {
+                    for form in [Form::Concrete, Form::Bound, Form::Sweep] {
+                        let mut spec = BackendSpec::of(backend, sub).with_ranks(ranks);
+                        if noisy {
+                            spec = spec.with_extra("noise_model", &noise);
+                        }
+                        if partitioned {
+                            spec = spec
+                                .with_extra("partition", "clifford_prefix")
+                                .with_extra("partition_seam", seam);
+                        }
+                        if let Some(f) = fusion {
+                            spec = spec.with_extra("fusion", f);
+                        }
+                        let cell = format!(
+                            "{backend}/{sub} x{ranks} noisy={noisy} partitioned={partitioned} \
+                             fusion={fusion:?} {form:?}"
+                        );
+                        let before = footprint(&qrc, &sched);
+                        let outcome: Result<Vec<QfwResult>, QfwError> = match form {
+                            Form::Sweep => qrc.execute_sweep(&SweepTask {
+                                circuit: text::dump_param(&tmpl),
+                                points: pts.clone(),
+                                spec: spec.clone(),
+                            }),
+                            _ => qrc
+                                .execute(&ExecTask {
+                                    circuit: if form == Form::Concrete {
+                                        text::dump(&tmpl.bind(&pts[0].params))
+                                    } else {
+                                        text::dump_param_bound(&tmpl, &pts[0].params)
+                                    },
+                                    shots: pts[0].shots,
+                                    seed: pts[0].seed,
+                                    spec: spec.clone(),
+                                })
+                                .map(|r| vec![r]),
+                        };
+                        match outcome {
+                            Ok(results) => {
+                                ran += 1;
+                                for (result, point) in results.iter().zip(&pts) {
+                                    let want = reference(
+                                        &tmpl.bind(&point.params),
+                                        point,
+                                        noisy.then_some(&model),
+                                    );
+                                    // Dense engines share the canonical
+                                    // sampler: bitwise. MPS / TN / tableau
+                                    // engines sample their own way: TV.
+                                    let dense = result.backend == "nwqsim"
+                                        || result
+                                            .metadata
+                                            .get("method")
+                                            .map_or(result.subbackend.as_str(), String::as_str)
+                                            == "statevector";
+                                    if dense {
+                                        assert_eq!(result.counts, want, "{cell}");
+                                    } else {
+                                        assert!(!noisy, "{cell}: noise ran off the dense engine");
+                                        let mut exact =
+                                            QfwResult::new("reference", "", point.shots);
+                                        exact.counts = want;
+                                        let d = result.tv_distance(&exact);
+                                        assert!(d < 0.1, "{cell}: tv={d}");
+                                    }
+                                }
+                            }
+                            Err(e) => {
+                                refused += 1;
+                                assert!(
+                                    matches!(
+                                        e,
+                                        QfwError::BadProperties(_)
+                                            | QfwError::Resources(_)
+                                            | QfwError::Marshal(_)
+                                            | QfwError::UnknownBackend(_)
+                                    ),
+                                    "{cell}: refused with {e:?}"
+                                );
+                                // The only legitimate refusals in this
+                                // matrix: noise off the local dense engine
+                                // or across a partition seam, and `auto`
+                                // asked to route a symbolic circuit.
+                                assert!(
+                                    noisy || (backend == "auto" && form != Form::Concrete),
+                                    "{cell}: refused with {e:?}"
+                                );
+                                assert_eq!(footprint(&qrc, &sched), before, "{cell}: {e:?}");
+                                // A refusal that rests on the spec alone is
+                                // made at submit, before a queue entry.
+                                if matches!(e, QfwError::BadProperties(_)) && backend != "auto" {
+                                    let env = JobEnvelope::new("t", &tmpl.bind(&pts[0].params), 10)
+                                        .with_spec(spec.clone());
+                                    assert!(
+                                        matches!(
+                                            sched.submit(env),
+                                            Err(SchedError::Unrunnable(QfwError::BadProperties(_)))
+                                        ),
+                                        "{cell}: scheduler admitted it"
+                                    );
+                                    assert_eq!(footprint(&qrc, &sched), before, "{cell}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Noise runs on nwqsim/{cpu,openmp} unpartitioned (and wherever `auto`
+    // lands it); everything else ideal runs.
+    assert!(ran > 200 && refused > 100, "ran={ran} refused={refused}");
+    sched.shutdown();
+}
+
+/// Every recognised key fed a malformed or out-of-range value.
+fn malformed_specs(group_cores: usize) -> Vec<(String, BackendSpec)> {
+    let cpu = || BackendSpec::of("nwqsim", "cpu");
+    // Cut before the channel's strength: a channel with no parameter.
+    let mut truncated = noise_text();
+    truncated.truncate(truncated.rfind(' ').unwrap());
+    let mut out: Vec<(String, BackendSpec)> = [
+        ("chi_max", "abc"),
+        ("chi_max", "0"),
+        ("trunc_eps", "-1"),
+        ("width_limit", "wide"),
+        ("fusion", "flase"),
+        ("noise_trajectories", "0"),
+        ("initial_layout", "0,0,1"),
+        ("partition_seam", "0"),
+        ("partition", "magic"),
+        ("predicted_fidelity", "high"),
+        ("noise_model", truncated.as_str()),
+    ]
+    .iter()
+    .map(|(k, v)| (format!("{k}={v}"), cpu().with_extra(k, v)))
+    .collect();
+    // One rank per core fits; one more rounds up past the group.
+    let too_many = group_cores.next_power_of_two() + 1;
+    out.push((
+        format!("nwqsim/mpi ranks={too_many}"),
+        BackendSpec::of("nwqsim", "mpi").with_ranks(too_many),
+    ));
+    out.push((
+        format!("qtensor/mpi ranks={}", group_cores + 1),
+        BackendSpec::of("qtensor", "mpi").with_ranks(group_cores + 1),
+    ));
+    out
+}
+
+fn is_refusal(e: &QfwError) -> bool {
+    matches!(e, QfwError::BadProperties(_) | QfwError::Resources(_))
+}
+
+#[test]
+fn malformed_values_are_refused_on_every_entry_path() {
+    let (qrc, hetjob) = qrc();
+    let sched = Scheduler::start(Arc::clone(&qrc), Obs::disabled(), SchedConfig::default());
+    let ingress = SchedIngress::start(
+        sched.clone(),
+        SchedIngressConfig::default(),
+        Obs::disabled(),
+    );
+    let conn = ingress.connect();
+    let circuit = template(false).0.bind(&[0.3, 0.8]);
+    let before = footprint(&qrc, &sched);
+    for (label, spec) in malformed_specs(hetjob.free_cores(1)) {
+        let task = ExecTask {
+            circuit: text::dump(&circuit),
+            shots: 10,
+            seed: 1,
+            spec: spec.clone(),
+        };
+        let err = qrc.execute(&task).unwrap_err();
+        assert!(is_refusal(&err), "{label}: Qrc::execute gave {err:?}");
+        let batch = qrc.execute_many(std::slice::from_ref(&task));
+        assert!(
+            is_refusal(batch[0].as_ref().unwrap_err()),
+            "{label}: execute_many"
+        );
+        // `auto` validates the caller's values before ranking anything.
+        let mut auto = task.clone();
+        auto.spec.backend = "auto".into();
+        auto.spec.subbackend.clear();
+        if spec.ranks <= 1 {
+            let err = qrc.execute(&auto).unwrap_err();
+            assert!(is_refusal(&err), "{label}: auto gave {err:?}");
+        }
+        let env = JobEnvelope::new("t", &circuit, 10).with_spec(spec);
+        match sched.submit(env.clone()) {
+            Err(SchedError::Unrunnable(e)) => assert!(is_refusal(&e), "{label}: {e:?}"),
+            other => panic!("{label}: Scheduler::submit returned {other:?}"),
+        }
+        let remote = client::submit(&conn, &env, T).unwrap_err().to_string();
+        assert!(
+            remote.contains("unrunnable job"),
+            "{label}: ingress said {remote}"
+        );
+    }
+    assert_eq!(footprint(&qrc, &sched), before);
+
+    // Checks that need the circuit run once it is parsed — still before a
+    // slot is taken.
+    let n_ops = circuit.ops().len();
+    for (label, spec) in [
+        (
+            "seam past the op list",
+            BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", n_ops + 1),
+        ),
+        (
+            "seam across a rotation",
+            BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", n_ops - N),
+        ),
+        (
+            "layout narrower than the register",
+            BackendSpec::of("nwqsim", "mpi")
+                .with_ranks(2)
+                .with_extra("initial_layout", "1,0,2"),
+        ),
+        (
+            "more ranks than amplitudes pairs",
+            BackendSpec::of("nwqsim", "mpi").with_ranks(1 << N),
+        ),
+    ] {
+        let outcome = qrc.execute(&ExecTask {
+            circuit: text::dump(&circuit),
+            shots: 10,
+            seed: 1,
+            spec,
+        });
+        assert!(
+            matches!(&outcome, Err(e) if is_refusal(e)),
+            "{label}: {outcome:?}"
+        );
+    }
+    assert_eq!(qrc.engine_invocations(), before.0);
+    assert_eq!(qrc.tasks_per_slot(), before.1);
+    ingress.shutdown();
+    sched.shutdown();
+}
+
+/// Regression: a lease the group can never grant used to spin for 300 s
+/// inside the adapter while holding the slot.
+#[test]
+fn unsatisfiable_core_request_is_refused_at_once() {
+    let (qrc, hetjob) = qrc();
+    let cores = hetjob.free_cores(1);
+    let circuit = template(false).0.bind(&[0.3, 0.8]);
+    for ranks in [cores + 1, cores.next_power_of_two() * 2] {
+        let start = Instant::now();
+        let err = qrc
+            .execute(&ExecTask {
+                circuit: text::dump(&circuit),
+                shots: 10,
+                seed: 1,
+                spec: BackendSpec::of("nwqsim", "mpi").with_ranks(ranks),
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, QfwError::Resources(_)),
+            "{ranks} ranks: {err:?}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{ranks} ranks spun"
+        );
+    }
+    assert_eq!(qrc.engine_invocations(), 0);
+    assert_eq!(qrc.tasks_per_slot(), vec![0]);
+    // A request that fits still runs, rounded up once.
+    let ok = qrc
+        .execute(&ExecTask {
+            circuit: text::dump(&circuit),
+            shots: 10,
+            seed: 1,
+            spec: BackendSpec::of("nwqsim", "mpi").with_ranks(3),
+        })
+        .unwrap();
+    assert_eq!(ok.profile.ranks, 4);
+}
+
+/// The cache keys on what a spec means, not how it is spelled.
+#[test]
+fn cache_key_follows_the_resolved_plan() {
+    let wire = text::dump(&template(false).0.bind(&[0.3, 0.8]));
+    let key = |spec: BackendSpec| ResultCache::key(&wire, 7, 100, &spec);
+    let base = key(BackendSpec::of("nwqsim", "cpu"));
+    assert_eq!(
+        base,
+        key(BackendSpec::of("nwqsim", "cpu").with_extra("fusion", true))
+    );
+    assert_ne!(
+        base,
+        key(BackendSpec::of("nwqsim", "cpu").with_extra("fusion", false))
+    );
+    // Unrecognised keys stay legal and separate the key verbatim.
+    assert_ne!(
+        base,
+        key(BackendSpec::of("nwqsim", "cpu").with_extra("site", "ornl"))
+    );
+}

@@ -10,7 +10,8 @@
 //!   unbatched seeded execution.
 //! * Chaos: injected slot death requeues work without perturbing the
 //!   fairness ledger.
-//! * The `sched0` DEFw service round-trips submit/poll/cancel/stats.
+//! * A scheduler attached to a live session serves cancel/stats over the
+//!   `SchedIngress` front door.
 //! * Elastic scaling grows the pool under sustained load and shrinks it
 //!   back, returning every leased core.
 
@@ -20,9 +21,11 @@ use qfw_chaos::{FaultPlan, FaultSpec};
 use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
 use qfw_obs::Obs;
+use qfw_sched::ingress::client;
 use qfw_sched::{
-    CancelOutcome, JobEnvelope, JobStatus, OverloadScope, Priority, ScalingConfig, SchedConfig,
-    SchedError, Scheduler, SubmitOutcome, TenantConfig,
+    CancelOutcome, IngressSubmitOutcome, JobEnvelope, JobStatus, OverloadScope, Priority,
+    ScalingConfig, SchedConfig, SchedError, SchedIngress, SchedIngressConfig, Scheduler,
+    TenantConfig,
 };
 use qfw_workloads::{ghz, qaoa_ansatz, Qubo};
 use std::collections::HashMap;
@@ -359,57 +362,32 @@ fn chaos_slot_death_preserves_fairness() {
 }
 
 #[test]
-fn sched0_rpc_round_trip() {
+fn attached_scheduler_serves_cancel_and_stats_over_ingress() {
+    // Submit/poll, typed overload and cancel-while-queued over the ingress
+    // are covered by `tests/ingress.rs`; this pins what is not: a
+    // scheduler attached to a live session behind the one RPC front door,
+    // a too-late cancel, and the `stats` method.
     let session = QfwSession::launch_local(2).unwrap();
-    let sched = Scheduler::attach(
-        &session,
-        SchedConfig {
-            max_queue_depth: 4,
-            ..SchedConfig::default()
-        },
+    let sched = Scheduler::attach(&session, SchedConfig::default());
+    let ingress = SchedIngress::start(
+        sched.clone(),
+        SchedIngressConfig::default(),
+        session.obs().clone(),
     );
-    let client = session.defw().client();
-    let env = nwqsim_env("rpc-tenant", 3);
-    let outcome: SubmitOutcome = client.call("sched0", "submit", &env, T).unwrap();
-    let id = match outcome {
-        SubmitOutcome::Accepted(id) => id,
+    let conn = ingress.connect();
+    let id = match client::submit(&conn, &nwqsim_env("rpc-tenant", 3), T).unwrap() {
+        IngressSubmitOutcome::Accepted(id) => id,
         other => panic!("expected acceptance, got {other:?}"),
     };
-    // Poll over RPC until terminal.
-    let deadline = Instant::now() + T;
-    loop {
-        let status: JobStatus = client.call("sched0", "poll", &id, T).unwrap();
-        match status {
-            JobStatus::Done(r) => {
-                assert_eq!(r.counts.values().sum::<usize>(), 100);
-                break;
-            }
-            JobStatus::Failed(e) => panic!("job failed over RPC: {e}"),
-            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(2)),
-            other => panic!("timed out polling, last status {other:?}"),
-        }
+    match client::wait(&conn, id, T).unwrap() {
+        JobStatus::Done(r) => assert_eq!(r.counts.values().sum::<usize>(), 100),
+        other => panic!("job ended as {other:?}"),
     }
-    let cancel: CancelOutcome = client.call("sched0", "cancel", &id, T).unwrap();
+    let cancel: CancelOutcome = conn.call("cancel", &id, T).unwrap();
     assert_eq!(cancel, CancelOutcome::TooLate);
-    let stats: qfw_sched::SchedStats = client.call("sched0", "stats", &(), T).unwrap();
+    let stats: qfw_sched::SchedStats = conn.call("stats", &(), T).unwrap();
     assert_eq!(stats.completed, 1);
-    // Overload travels in the success payload, typed.
-    sched.pause();
-    for i in 0..4u64 {
-        let _: SubmitOutcome = client
-            .call("sched0", "submit", &nwqsim_env("flood", i), T)
-            .unwrap();
-    }
-    let rejected: SubmitOutcome = client
-        .call("sched0", "submit", &nwqsim_env("flood", 9), T)
-        .unwrap();
-    match rejected {
-        SubmitOutcome::Overloaded(info) => {
-            assert!(info.retry_after_ms >= 1);
-            assert_eq!(info.scope, "Queue");
-        }
-        other => panic!("expected overload, got {other:?}"),
-    }
+    ingress.shutdown();
     sched.shutdown();
     session.teardown();
 }
