@@ -13,7 +13,7 @@
 
 use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
-use crate::plan::ResolvedJob;
+use crate::plan::{GroupCores, ResolvedJob};
 use crate::result::QfwResult;
 use qfw_circuit::analysis::{is_clifford, StructureReport};
 use qfw_circuit::{Circuit, Op};
@@ -65,6 +65,13 @@ impl AerBackend {
             return Ok(());
         }
         // Chunked MPI mode: distributed state + per-gate synchronization.
+        if job.plan.subbackend == "automatic" {
+            // Resolution ran these for `statevector`; it could not know
+            // `automatic` would pick the dense method for this circuit.
+            job.plan.check_register(circuit.num_qubits())?;
+            job.plan
+                .check_cores(GroupCores::of(ctx.hetjob, ctx.group).total)?;
+        }
         let alloc = ctx.lease_cores(ranks)?;
         let circuit = Arc::new(circuit.clone());
         let (shots, seed) = (job.shots, job.seed);

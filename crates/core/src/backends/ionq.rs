@@ -234,6 +234,34 @@ mod tests {
     }
 
     #[test]
+    fn provider_failures_surface_as_execution_errors() {
+        // Text the stack cannot parse never leaves the cluster (`Marshal`
+        // at job resolution); this is the provider itself turning down a
+        // job the stack accepted — one qubit past its 29-qubit simulator.
+        let rig = TestRig::new(1);
+        let b = backend().with_retry_policy(RetryPolicy::no_retry());
+        let task = crate::spec::ExecTask {
+            circuit: qfw_circuit::text::dump(&qfw_circuit::Circuit::new(30)),
+            shots: 1,
+            seed: 0,
+            spec: BackendSpec::of("ionq", "simulator"),
+        };
+        match rig.execute(&b, &task).unwrap_err() {
+            QfwError::Execution(msg) => assert!(msg.contains("29"), "msg={msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let garbage = crate::spec::ExecTask {
+            circuit: "garbage".into(),
+            ..task
+        };
+        assert!(matches!(
+            rig.execute(&b, &garbage).unwrap_err(),
+            QfwError::Marshal(_)
+        ));
+        assert_eq!(b.provider().jobs_completed(), 1);
+    }
+
+    #[test]
     fn sweeps_forward_each_point_as_bound_wire_text() {
         let rig = TestRig::new(1);
         let task = crate::spec::SweepTask {

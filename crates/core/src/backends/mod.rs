@@ -82,7 +82,7 @@ pub trait BackendQpm: Send + Sync {
         sweep: &ResolvedSweep<'_>,
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<QfwResult>, QfwError> {
-        sweep.jobs().map(|job| self.execute(&job, ctx)).collect()
+        sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect()
     }
 }
 
@@ -131,7 +131,7 @@ pub(crate) mod testutil {
         ) -> Result<QfwResult, QfwError> {
             let plan = ExecPlan::resolve(&task.spec, GroupCores::of(&self.hetjob, 1))?;
             let parsed = ParsedCircuit::parse(&task.circuit)?;
-            let job = ResolvedJob::new(&parsed, &task.circuit, task.shots, task.seed, &plan)?;
+            let job = ResolvedJob::new(&parsed, task.shots, task.seed, &plan)?;
             backend.execute(&job, &self.ctx())
         }
 
@@ -143,7 +143,7 @@ pub(crate) mod testutil {
         ) -> Result<Vec<QfwResult>, QfwError> {
             let plan = ExecPlan::resolve(&task.spec, GroupCores::of(&self.hetjob, 1))?;
             let parsed = ParsedCircuit::parse(&task.circuit)?;
-            let sweep = ResolvedSweep::new(&parsed, &task.circuit, &task.points, &plan)?;
+            let sweep = ResolvedSweep::new(&parsed, &task.points, &plan)?;
             backend.execute_sweep(&sweep, &self.ctx())
         }
     }

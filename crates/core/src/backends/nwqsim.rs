@@ -7,7 +7,7 @@
 use crate::backends::{BackendQpm, ExecContext};
 use crate::cache::{report_event, CacheConfig, CacheEvent, ShardedLru};
 use crate::error::QfwError;
-use crate::plan::{ExecPlan, JobCircuit, ResolvedJob, ResolvedSweep};
+use crate::plan::{ExecPlan, Form, ResolvedJob, ResolvedSweep};
 use crate::result::QfwResult;
 use crate::spec::extras;
 use qfw_circuit::hash::{circuit_hash, param_hash};
@@ -221,12 +221,12 @@ impl NwqSimBackend {
             result.note("noise_trajectories", plan.trajectories);
             return Ok(());
         }
-        let circuit = match job.circuit {
-            JobCircuit::Concrete(circuit) => circuit,
+        let circuit = match job.form {
+            Form::Concrete(circuit) => circuit,
             // A bound job is the one-point case of a sweep.
-            JobCircuit::Bound { template, params } => {
+            Form::Param(template) => {
                 let point = SweepPoint {
-                    params: params.to_vec(),
+                    params: job.params.to_vec(),
                     shots: job.shots,
                     seed: job.seed,
                 };
@@ -353,7 +353,7 @@ impl BackendQpm for NwqSimBackend {
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<QfwResult>, QfwError> {
         let plan = sweep.plan;
-        let per_point = || sweep.jobs().map(|job| self.execute(&job, ctx)).collect();
+        let per_point = || sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect();
         // The native compile-once path serves the ideal local
         // sub-backends; the distributed and noisy configurations run each
         // point as a bound job (still bitwise identical to independent
@@ -365,12 +365,12 @@ impl BackendQpm for NwqSimBackend {
         let total = Stopwatch::start();
         let lease = ctx.lease_cores(plan.cores)?;
         let points: Vec<SweepPoint> = sweep
-            .points
+            .jobs
             .iter()
-            .map(|p| SweepPoint {
-                params: p.params.clone(),
-                shots: p.shots,
-                seed: p.seed,
+            .map(|job| SweepPoint {
+                params: job.params.to_vec(),
+                shots: job.shots,
+                seed: job.seed,
             })
             .collect();
         let (outcomes, cached) = match self.run_plan(sweep.template, &points, plan, ctx.obs) {
@@ -384,15 +384,15 @@ impl BackendQpm for NwqSimBackend {
         let total_secs = total.elapsed_secs();
         Ok(outcomes
             .into_iter()
-            .zip(sweep.points)
-            .map(|(out, point)| {
-                let mut result = QfwResult::new(self.name(), plan.subbackend, point.shots);
+            .zip(&sweep.jobs)
+            .map(|(out, job)| {
+                let mut result = QfwResult::new(self.name(), plan.subbackend, job.shots);
                 record(&mut result, out);
                 result.profile.marshal_secs = sweep.marshal_secs;
                 result.profile.ranks = 1;
                 result.profile.total_secs = total_secs;
                 result.note("plan_cached", cached);
-                result.note("sweep_points", sweep.points.len());
+                result.note("sweep_points", sweep.jobs.len());
                 result
             })
             .collect())

@@ -36,6 +36,10 @@ enum Width {
     /// `ranks` cores, rounded up to a power of two (distributed dense
     /// state vector: the register splits evenly across ranks).
     Pow2Ranks,
+    /// [`Width::Pow2Ranks`] if the method the engine picks per circuit
+    /// turns out dense, one core otherwise (`aer/automatic`): only the
+    /// adapter knows which, so it runs the two width checks itself.
+    Pow2IfDense,
     /// Exactly `ranks` cores.
     Ranks,
 }
@@ -51,7 +55,7 @@ const ENGINES: &[(&str, &str, Width, bool)] = &[
     ("nwqsim", "cpu", Width::One, true),
     ("nwqsim", "openmp", Width::Llc, true),
     ("nwqsim", "mpi", Width::Pow2Ranks, false),
-    ("aer", "automatic", Width::Pow2Ranks, false),
+    ("aer", "automatic", Width::Pow2IfDense, false),
     ("aer", "statevector", Width::Pow2Ranks, false),
     ("aer", "matrix_product_state", Width::One, false),
     ("aer", "stabilizer", Width::One, false),
@@ -198,7 +202,7 @@ impl ExecPlan {
                 })?
         };
         let ranks = match width {
-            Width::Pow2Ranks => spec.ranks.max(1).next_power_of_two(),
+            Width::Pow2Ranks | Width::Pow2IfDense => spec.ranks.max(1).next_power_of_two(),
             Width::Ranks => spec.ranks.max(1),
             Width::One | Width::Llc => 1,
         };
@@ -207,12 +211,6 @@ impl ExecPlan {
         } else {
             ranks
         };
-        if cores > group.total {
-            return Err(QfwError::Resources(format!(
-                "{backend}/{subbackend} needs {cores} cores but the worker group only has {}",
-                group.total
-            )));
-        }
 
         // Defaults; TN-QVM's ExaTN-MPS visitor ships a tighter MPS budget
         // than Aer's.
@@ -292,8 +290,36 @@ impl ExecPlan {
         if (backend, subbackend) != ("nwqsim", "mpi") {
             plan.layout = None;
         }
+        if width != Width::Pow2IfDense {
+            plan.check_cores(group.total)?;
+        }
         plan.hash = plan.fold_options();
         Ok(plan)
+    }
+
+    /// The worker group has, in total, the cores this plan leases: a wait
+    /// for more would never end.
+    pub(crate) fn check_cores(&self, group_total: usize) -> Result<(), QfwError> {
+        if self.cores > group_total {
+            return Err(QfwError::Resources(format!(
+                "{}/{} needs {} cores but the worker group only has {group_total}",
+                self.backend, self.subbackend, self.cores
+            )));
+        }
+        Ok(())
+    }
+
+    /// A dense register split across `ranks` must leave every rank at
+    /// least two amplitudes.
+    pub(crate) fn check_register(&self, num_qubits: usize) -> Result<(), QfwError> {
+        let min_qubits = self.ranks.trailing_zeros() as usize + 1;
+        if num_qubits < min_qubits {
+            return Err(QfwError::Resources(format!(
+                "{} ranks need at least {min_qubits} qubits",
+                self.ranks
+            )));
+        }
+        Ok(())
     }
 
     /// Folds every recognised option onto the hash by its *meaning* (so
@@ -342,55 +368,42 @@ impl ExecPlan {
 /// A wire circuit, parsed. [`ParsedCircuit::parse`] is the only call site
 /// of the `qfwasm` / `qfwasm-param` parsers from the QRC down.
 #[derive(Clone, Debug)]
-pub struct ParsedCircuit {
-    form: Form,
+pub struct ParsedCircuit<'a> {
+    /// What the text held.
+    pub form: Form,
+    /// The `bind` line of bound `qfwasm-param` text.
+    bound: Option<Vec<f64>>,
     /// Seconds the parse took (`profile.marshal_secs`).
     marshal_secs: f64,
+    wire: &'a str,
 }
 
+/// The two shapes a circuit travels in.
 #[derive(Clone, Debug)]
-enum Form {
+pub enum Form {
+    /// A concrete circuit.
     Concrete(Circuit),
-    Param(ParamCircuit, Option<Vec<f64>>),
+    /// A symbolic skeleton; each job on it carries its own binding.
+    Param(ParamCircuit),
 }
 
-impl ParsedCircuit {
+impl<'a> ParsedCircuit<'a> {
     /// Parses concrete `qfwasm` or (bound or unbound) `qfwasm-param` text.
-    pub fn parse(wire: &str) -> Result<ParsedCircuit, QfwError> {
+    pub fn parse(wire: &'a str) -> Result<ParsedCircuit<'a>, QfwError> {
         let start = Instant::now();
-        let form = if text::is_param_text(wire) {
-            text::parse_param(wire).map(|(template, bound)| Form::Param(template, bound))
+        let parsed = if text::is_param_text(wire) {
+            text::parse_param(wire).map(|(template, bound)| (Form::Param(template), bound))
         } else {
-            text::parse(wire).map(Form::Concrete)
+            text::parse(wire).map(|circuit| (Form::Concrete(circuit), None))
         };
+        let (form, bound) = parsed.map_err(|e| QfwError::Marshal(e.to_string()))?;
         Ok(ParsedCircuit {
-            form: form.map_err(|e| QfwError::Marshal(e.to_string()))?,
+            form,
+            bound,
             marshal_secs: start.elapsed().as_secs_f64(),
+            wire,
         })
     }
-
-    /// The concrete circuit the planner ranks engines for (`None` for
-    /// parameterized text, which `auto` does not route).
-    pub(crate) fn concrete(&self) -> Option<&Circuit> {
-        match &self.form {
-            Form::Concrete(c) => Some(c),
-            Form::Param(..) => None,
-        }
-    }
-}
-
-/// The circuit of one resolved job.
-#[derive(Clone, Copy, Debug)]
-pub enum JobCircuit<'a> {
-    /// A concrete circuit.
-    Concrete(&'a Circuit),
-    /// A symbolic skeleton with the binding to evaluate it at.
-    Bound {
-        /// The skeleton.
-        template: &'a ParamCircuit,
-        /// One value per parameter (at least).
-        params: &'a [f64],
-    },
 }
 
 /// One job, fully resolved: what [`crate::backends::BackendQpm::execute`]
@@ -398,7 +411,10 @@ pub enum JobCircuit<'a> {
 #[derive(Clone, Copy, Debug)]
 pub struct ResolvedJob<'a> {
     /// The parsed circuit.
-    pub circuit: JobCircuit<'a>,
+    pub form: &'a Form,
+    /// The binding a [`Form::Param`] skeleton is evaluated at: at least one
+    /// value per parameter (empty for a concrete circuit).
+    pub params: &'a [f64],
     /// Measurement shots.
     pub shots: usize,
     /// Sampling seed.
@@ -411,92 +427,89 @@ pub struct ResolvedJob<'a> {
     wire: &'a str,
 }
 
-fn check_binding(template: &ParamCircuit, params: &[f64], what: &str) -> Result<(), QfwError> {
-    if params.len() < template.num_params() {
-        return Err(QfwError::Marshal(format!(
-            "{what} carries {} values but the skeleton references {} parameters",
-            params.len(),
-            template.num_params()
-        )));
-    }
-    Ok(())
-}
-
-/// A distributed dense register must leave every rank at least two
-/// amplitudes.
-fn check_ranks_fit(plan: &ExecPlan, num_qubits: usize) -> Result<(), QfwError> {
-    let min_qubits = plan.ranks.trailing_zeros() as usize + 1;
-    if plan.split_register && num_qubits < min_qubits {
-        return Err(QfwError::Resources(format!(
-            "{} ranks need at least {min_qubits} qubits",
-            plan.ranks
-        )));
-    }
-    Ok(())
-}
-
 impl<'a> ResolvedJob<'a> {
-    /// Joins a parsed circuit to a plan, running the checks that need
-    /// both: a bound task carries a full binding, the partition seam sits
-    /// inside a Clifford prefix, the layout permutes exactly the register,
-    /// and the register is wide enough for the ranks.
+    /// Joins a parsed circuit to a plan. Parameterized text must carry its
+    /// binding; the rest is [`ResolvedJob::join`].
     pub fn new(
-        parsed: &'a ParsedCircuit,
-        wire: &'a str,
+        parsed: &'a ParsedCircuit<'a>,
         shots: usize,
         seed: u64,
         plan: &'a ExecPlan,
     ) -> Result<ResolvedJob<'a>, QfwError> {
-        let (circuit, num_qubits) = match &parsed.form {
-            Form::Concrete(c) => (JobCircuit::Concrete(c), c.num_qubits()),
-            Form::Param(template, bound) => {
-                let params = bound.as_deref().ok_or_else(|| {
-                    QfwError::Marshal(
-                        "parameterized task carries no 'bind' line; submit bound \
-                         parameters or use the sweep path"
-                            .into(),
-                    )
-                })?;
-                check_binding(template, params, "bind line")?;
-                (
-                    JobCircuit::Bound { template, params },
-                    template.num_qubits(),
-                )
+        let params = match (&parsed.form, &parsed.bound) {
+            (Form::Concrete(_), _) => &[][..],
+            (Form::Param(_), Some(bound)) => bound,
+            (Form::Param(_), None) => {
+                return Err(QfwError::Marshal(
+                    "parameterized task carries no 'bind' line; submit bound \
+                     parameters or use the sweep path"
+                        .into(),
+                ))
             }
         };
-        check_ranks_fit(plan, num_qubits)?;
+        Self::join(parsed, params, format_args!("bind line"), shots, seed, plan)
+    }
+
+    /// The one constructor, for single jobs and sweep points alike, and so
+    /// the one place the checks that need circuit *and* plan run: the
+    /// binding is complete, the register is wide enough for the ranks, the
+    /// layout permutes exactly the register, and the partition seam sits
+    /// inside a Clifford prefix.
+    fn join(
+        parsed: &'a ParsedCircuit<'a>,
+        params: &'a [f64],
+        binding: std::fmt::Arguments<'_>,
+        shots: usize,
+        seed: u64,
+        plan: &'a ExecPlan,
+    ) -> Result<ResolvedJob<'a>, QfwError> {
+        let num_qubits = match &parsed.form {
+            Form::Concrete(circuit) => circuit.num_qubits(),
+            Form::Param(template) if params.len() < template.num_params() => {
+                return Err(QfwError::Marshal(format!(
+                    "{binding} carries {} values but the skeleton references {} parameters",
+                    params.len(),
+                    template.num_params()
+                )))
+            }
+            Form::Param(template) => template.num_qubits(),
+        };
+        if plan.split_register {
+            plan.check_register(num_qubits)?;
+        }
         if plan.layout.as_ref().is_some_and(|l| l.len() != num_qubits) {
             return Err(QfwError::BadProperties(format!(
                 "{} does not cover exactly the {num_qubits}-qubit register",
                 extras::INITIAL_LAYOUT
             )));
         }
-        if let (Some(seam), JobCircuit::Concrete(c)) = (plan.partition_seam, circuit) {
-            check_seam(c, seam)?;
+        if let (Some(seam), Form::Concrete(circuit)) = (plan.partition_seam, &parsed.form) {
+            check_seam(circuit, seam)?;
         }
         Ok(ResolvedJob {
-            circuit,
+            form: &parsed.form,
+            params,
             shots,
             seed,
             plan,
             marshal_secs: parsed.marshal_secs,
-            wire,
+            wire: parsed.wire,
         })
     }
 
     /// The job as a concrete circuit (binding the skeleton if needed).
     pub fn concrete(&self) -> Cow<'a, Circuit> {
-        match self.circuit {
-            JobCircuit::Concrete(c) => Cow::Borrowed(c),
-            JobCircuit::Bound { template, params } => Cow::Owned(template.bind(params)),
+        match self.form {
+            Form::Concrete(circuit) => Cow::Borrowed(circuit),
+            Form::Param(template) => Cow::Owned(template.bind(self.params)),
         }
     }
 
     /// The job's wire text, for adapters that forward it off-cluster.
     pub fn wire_text(&self) -> Cow<'a, str> {
-        match self.circuit {
-            JobCircuit::Concrete(_) => Cow::Borrowed(self.wire),
-            JobCircuit::Bound { params, .. } => Cow::Owned(materialize_point(self.wire, params)),
+        match self.form {
+            Form::Concrete(_) => Cow::Borrowed(self.wire),
+            Form::Param(_) => Cow::Owned(materialize_point(self.wire, self.params)),
         }
     }
 }
@@ -524,59 +537,41 @@ fn check_seam(circuit: &Circuit, seam: usize) -> Result<(), QfwError> {
 
 /// One compile-once/bind-many sweep, fully resolved: what
 /// [`crate::backends::BackendQpm::execute_sweep`] consumes.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ResolvedSweep<'a> {
     /// The shared skeleton.
     pub template: &'a ParamCircuit,
-    /// The bindings, in result order.
-    pub points: &'a [SweepPointSpec],
+    /// Every point as a stand-alone bound job, in result order: what
+    /// engines (or configurations) without a native sweep path run.
+    pub jobs: Vec<ResolvedJob<'a>>,
     /// What the spec means.
     pub plan: &'a ExecPlan,
     /// Seconds spent parsing the skeleton.
     pub marshal_secs: f64,
-    skeleton: &'a str,
 }
 
 impl<'a> ResolvedSweep<'a> {
-    /// Joins a parsed skeleton to a plan; every point must bind every
-    /// parameter.
+    /// Joins a parsed skeleton to a plan, resolving every point exactly as
+    /// a bound job of its own would be.
     pub fn new(
-        parsed: &'a ParsedCircuit,
-        wire: &'a str,
+        parsed: &'a ParsedCircuit<'a>,
         points: &'a [SweepPointSpec],
         plan: &'a ExecPlan,
     ) -> Result<ResolvedSweep<'a>, QfwError> {
-        let Form::Param(template, _) = &parsed.form else {
+        let Form::Param(template) = &parsed.form else {
             return Err(QfwError::Marshal(
                 "sweep task circuit is not in the qfwasm-param wire format".into(),
             ));
         };
-        for (i, point) in points.iter().enumerate() {
-            check_binding(template, &point.params, &format!("sweep point {i}"))?;
-        }
-        check_ranks_fit(plan, template.num_qubits())?;
+        let job = |(i, p): (usize, &'a SweepPointSpec)| {
+            let binding = format_args!("sweep point {i}");
+            ResolvedJob::join(parsed, &p.params, binding, p.shots, p.seed, plan)
+        };
         Ok(ResolvedSweep {
             template,
-            points,
+            jobs: points.iter().enumerate().map(job).collect::<Result<_, _>>()?,
             plan,
             marshal_secs: parsed.marshal_secs,
-            skeleton: wire,
-        })
-    }
-
-    /// Every point as a stand-alone bound job, in order, for engines (or
-    /// configurations) without a native sweep path.
-    pub fn jobs(&self) -> impl Iterator<Item = ResolvedJob<'a>> + '_ {
-        self.points.iter().map(|point| ResolvedJob {
-            circuit: JobCircuit::Bound {
-                template: self.template,
-                params: &point.params,
-            },
-            shots: point.shots,
-            seed: point.seed,
-            plan: self.plan,
-            marshal_secs: self.marshal_secs,
-            wire: self.skeleton,
         })
     }
 }
@@ -787,7 +782,7 @@ mod tests {
         let parsed = ParsedCircuit::parse(&wire).unwrap();
         let job = |spec: BackendSpec| {
             let plan = resolve(&spec).unwrap();
-            ResolvedJob::new(&parsed, &wire, 10, 1, &plan).map(|_| ())
+            ResolvedJob::new(&parsed, 10, 1, &plan).map(|_| ())
         };
         assert!(job(BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", 3)).is_ok());
         // Past the op list, and across the rx.
@@ -814,18 +809,60 @@ mod tests {
     }
 
     #[test]
+    fn sweep_points_get_the_same_checks_as_single_jobs() {
+        let skeleton = "qfwasm-param 1\nqubits 3\nrx(@0) q0\ncx q0 q2\n";
+        let parsed = ParsedCircuit::parse(skeleton).unwrap();
+        let points = [SweepPointSpec {
+            params: vec![0.1],
+            shots: 1,
+            seed: 1,
+        }];
+        let sweep = |spec: BackendSpec| {
+            let plan = resolve(&spec).unwrap();
+            ResolvedSweep::new(&parsed, &points, &plan).map(|s| s.jobs.len())
+        };
+        let mpi = BackendSpec::of("nwqsim", "mpi").with_ranks(2);
+        assert_eq!(sweep(mpi.clone().with_extra("initial_layout", "2,0,1")).unwrap(), 1);
+        assert!(matches!(
+            sweep(mpi.with_extra("initial_layout", "0,1")),
+            Err(QfwError::BadProperties(_))
+        ));
+        assert!(matches!(
+            sweep(BackendSpec::of("nwqsim", "mpi").with_ranks(8)),
+            Err(QfwError::Resources(_))
+        ));
+    }
+
+    #[test]
+    fn aer_automatic_defers_its_width_to_the_adapter() {
+        // Whether these ranks are used at all depends on the method picked
+        // per circuit, so neither the group nor the register bounds them
+        // here; `statevector` is bounded by both.
+        let wire = ghz_text(3);
+        let parsed = ParsedCircuit::parse(&wire).unwrap();
+        let auto = resolve(&BackendSpec::of("aer", "automatic").with_ranks(33)).unwrap();
+        assert_eq!(auto.ranks, 64);
+        assert!(ResolvedJob::new(&parsed, 1, 1, &auto).is_ok());
+        assert!(auto.check_cores(GROUP.total).is_err() && auto.check_register(3).is_err());
+        assert!(matches!(
+            resolve(&BackendSpec::of("aer", "statevector").with_ranks(33)),
+            Err(QfwError::Resources(_))
+        ));
+    }
+
+    #[test]
     fn unbound_or_short_bindings_are_marshal_errors() {
         let skeleton = "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1) q0 q1\n";
         let plan = resolve(&BackendSpec::of("nwqsim", "cpu")).unwrap();
         let unbound = ParsedCircuit::parse(skeleton).unwrap();
         assert!(matches!(
-            ResolvedJob::new(&unbound, skeleton, 1, 1, &plan),
+            ResolvedJob::new(&unbound, 1, 1, &plan),
             Err(QfwError::Marshal(_))
         ));
         let short = format!("{skeleton}bind 1e-1\n");
         let parsed = ParsedCircuit::parse(&short).unwrap();
         assert!(matches!(
-            ResolvedJob::new(&parsed, &short, 1, 1, &plan),
+            ResolvedJob::new(&parsed, 1, 1, &plan),
             Err(QfwError::Marshal(_))
         ));
         let points = [SweepPointSpec {
@@ -834,14 +871,14 @@ mod tests {
             seed: 1,
         }];
         assert!(matches!(
-            ResolvedSweep::new(&unbound, skeleton, &points, &plan),
+            ResolvedSweep::new(&unbound, &points, &plan),
             Err(QfwError::Marshal(_))
         ));
         // A concrete circuit is not a sweep skeleton.
         let wire = ghz_text(2);
         let concrete = ParsedCircuit::parse(&wire).unwrap();
         assert!(matches!(
-            ResolvedSweep::new(&concrete, &wire, &[], &plan),
+            ResolvedSweep::new(&concrete, &[], &plan),
             Err(QfwError::Marshal(_))
         ));
     }
@@ -856,8 +893,8 @@ mod tests {
             shots: 8,
             seed: 3,
         }];
-        let sweep = ResolvedSweep::new(&parsed, skeleton, &points, &plan).unwrap();
-        let job = sweep.jobs().next().unwrap();
+        let sweep = ResolvedSweep::new(&parsed, &points, &plan).unwrap();
+        let job = sweep.jobs[0];
         assert_eq!((job.shots, job.seed), (8, 3));
         assert_eq!(job.wire_text(), format!("{skeleton}bind 2.5e-1\n"));
     }

@@ -22,7 +22,7 @@
 
 use crate::backends::ExecContext;
 use crate::error::QfwError;
-use crate::plan::{ExecPlan, GroupCores, ParsedCircuit, ResolvedJob, ResolvedSweep, AUTO};
+use crate::plan::{ExecPlan, Form, GroupCores, ParsedCircuit, ResolvedJob, ResolvedSweep, AUTO};
 use crate::planner::SelectorContext;
 use crate::registry::BackendRegistry;
 use crate::result::QfwResult;
@@ -90,6 +90,16 @@ struct Slot {
 impl Slot {
     fn is_routable(&self) -> bool {
         !self.dead.load(Ordering::Relaxed) && !self.retired.load(Ordering::Relaxed)
+    }
+}
+
+/// An acquired slot, freed for the next dispatcher on drop.
+struct HeldSlot(Arc<Slot>);
+
+impl Drop for HeldSlot {
+    fn drop(&mut self) {
+        *self.0.active.lock() = 0;
+        self.0.freed.notify_one();
     }
 }
 
@@ -355,11 +365,14 @@ impl Qrc {
             obs: &self.obs,
         };
         self.invocations.fetch_add(1, Ordering::Relaxed);
+        // Released on drop, so an engine panic unwinding through here
+        // cannot strand the slot.
+        let held = HeldSlot(slot);
         let mut results = run(&ctx, &mut span);
         span.set_attr("ok", results.iter().all(Result::is_ok));
         drop(span);
-        slot.tasks_run.fetch_add(n_tasks, Ordering::Relaxed);
-        self.release_slot(&slot);
+        held.0.tasks_run.fetch_add(n_tasks, Ordering::Relaxed);
+        drop(held);
         if self.obs.is_enabled() {
             self.obs.counter("qrc.tasks").add(n_tasks);
             self.obs.counter("qrc.requeues").add(requeued);
@@ -399,7 +412,7 @@ impl Qrc {
         if plan.backend == AUTO {
             return self.execute_auto(task, &parsed);
         }
-        let job = ResolvedJob::new(&parsed, &task.circuit, task.shots, task.seed, &plan)?;
+        let job = ResolvedJob::new(&parsed, task.shots, task.seed, &plan)?;
         self.run_job(&job)
     }
 
@@ -419,7 +432,7 @@ impl Qrc {
         if tasks.iter().any(|t| t.spec.backend == AUTO) {
             return tasks.iter().map(|t| self.execute(t)).collect();
         }
-        let resolved: Vec<Result<(ExecPlan, ParsedCircuit), QfwError>> = tasks
+        let resolved: Vec<Result<(ExecPlan, ParsedCircuit<'_>), QfwError>> = tasks
             .iter()
             .map(|t| Ok((self.resolve(&t.spec)?, ParsedCircuit::parse(&t.circuit)?)))
             .collect();
@@ -428,7 +441,7 @@ impl Qrc {
             .zip(&resolved)
             .map(|(t, r)| {
                 let (plan, parsed) = r.as_ref().map_err(Clone::clone)?;
-                ResolvedJob::new(parsed, &t.circuit, t.shots, t.seed, plan)
+                ResolvedJob::new(parsed, t.shots, t.seed, plan)
             })
             .collect();
         let Some(first) = jobs.iter().flatten().next() else {
@@ -457,7 +470,7 @@ impl Qrc {
         let plan = self.resolve(&task.spec)?;
         let backend = self.registry.get(plan.backend)?;
         let parsed = ParsedCircuit::parse(&task.circuit)?;
-        let sweep = ResolvedSweep::new(&parsed, &task.circuit, &task.points, &plan)?;
+        let sweep = ResolvedSweep::new(&parsed, &task.points, &plan)?;
         let points = task.points.len() as u64;
         let results = self.with_slot(points, "qrc.execute_sweep", |ctx, span| {
             span.set_attr("points", points);
@@ -481,11 +494,13 @@ impl Qrc {
     fn execute_auto(
         &self,
         task: &ExecTask,
-        parsed: &ParsedCircuit,
+        parsed: &ParsedCircuit<'_>,
     ) -> Result<QfwResult, QfwError> {
-        let circuit = parsed.concrete().ok_or_else(|| {
-            QfwError::Marshal("auto routing needs a concrete qfwasm circuit".into())
-        })?;
+        let Form::Concrete(circuit) = &parsed.form else {
+            return Err(QfwError::Marshal(
+                "auto routing needs a concrete qfwasm circuit".into(),
+            ));
+        };
         let ctx = SelectorContext {
             free_cores: self.hetjob.free_cores(self.group),
             cloud_available: self.registry.get("ionq").is_ok(),
@@ -497,7 +512,7 @@ impl Qrc {
             let spec = rec.spec.clone().inheriting_extras(&task.spec);
             let engine = format!("{}/{}", rec.spec.backend, rec.spec.subbackend);
             let attempt = self.resolve(&spec).and_then(|plan| {
-                let job = ResolvedJob::new(parsed, &task.circuit, task.shots, task.seed, &plan)?;
+                let job = ResolvedJob::new(parsed, task.shots, task.seed, &plan)?;
                 self.run_job(&job)
             });
             match attempt {
@@ -640,12 +655,6 @@ impl Qrc {
         }
     }
 
-    fn release_slot(&self, slot: &Arc<Slot>) {
-        let mut active = slot.active.lock();
-        *active = 0;
-        slot.freed.notify_one();
-    }
-
     /// Marks a slot dead and wakes anything queued on it so it re-routes.
     fn kill_slot(&self, slot: &Arc<Slot>) {
         slot.dead.store(true, Ordering::Relaxed);
@@ -700,6 +709,19 @@ mod tests {
             assert_eq!(result.counts.values().sum::<usize>(), 100, "{backend}");
             assert_eq!(result.backend, backend);
         }
+    }
+
+    #[test]
+    fn a_panicking_engine_gives_its_slot_back() {
+        let qrc = qrc(1, DispatchPolicy::RoundRobin);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            qrc.with_slot(1, "qrc.execute", |_, _| panic!("engine blew up"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(qrc.slot_snapshot().busy, 0);
+        // The only slot is free again: this would otherwise wait forever.
+        qrc.execute(&ghz_task(3, BackendSpec::of("nwqsim", "cpu")))
+            .unwrap();
     }
 
     #[test]

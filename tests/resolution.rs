@@ -24,7 +24,7 @@ use qfw_noise::{Channel, NoiseModel};
 use qfw_obs::Obs;
 use qfw_sched::ingress::client;
 use qfw_sched::{
-    JobEnvelope, SchedConfig, SchedError, SchedIngress, SchedIngressConfig, Scheduler,
+    JobEnvelope, JobStatus, SchedConfig, SchedError, SchedIngress, SchedIngressConfig, Scheduler,
 };
 use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
 use std::collections::BTreeMap;
@@ -372,37 +372,69 @@ fn malformed_values_are_refused_on_every_entry_path() {
     assert_eq!(footprint(&qrc, &sched), before);
 
     // Checks that need the circuit run once it is parsed — still before a
-    // slot is taken.
+    // slot is taken, whichever way the job arrives. A seam is a hint for
+    // concrete circuits only; width checks bind symbolic forms too.
     let n_ops = circuit.ops().len();
-    for (label, spec) in [
+    let (tmpl, _) = template(false);
+    let pts = points(tmpl.num_params());
+    for (label, spec, symbolic) in [
         (
             "seam past the op list",
             BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", n_ops + 1),
+            false,
         ),
         (
             "seam across a rotation",
             BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", n_ops - N),
+            false,
         ),
         (
             "layout narrower than the register",
             BackendSpec::of("nwqsim", "mpi")
                 .with_ranks(2)
                 .with_extra("initial_layout", "1,0,2"),
+            true,
         ),
         (
             "more ranks than amplitudes pairs",
             BackendSpec::of("nwqsim", "mpi").with_ranks(1 << N),
+            true,
         ),
     ] {
-        let outcome = qrc.execute(&ExecTask {
-            circuit: text::dump(&circuit),
+        let task = |circuit: String| ExecTask {
+            circuit,
             shots: 10,
             seed: 1,
-            spec,
-        });
+            spec: spec.clone(),
+        };
+        let outcome = qrc.execute(&task(text::dump(&circuit)));
         assert!(
             matches!(&outcome, Err(e) if is_refusal(e)),
             "{label}: {outcome:?}"
+        );
+        if !symbolic {
+            continue;
+        }
+        let bound = task(text::dump_param_bound(&tmpl, &pts[0].params));
+        let outcome = qrc.execute(&bound);
+        assert!(
+            matches!(&outcome, Err(e) if is_refusal(e)),
+            "{label}, bound: {outcome:?}"
+        );
+        for outcome in qrc.execute_many(&[bound.clone(), bound]) {
+            assert!(
+                matches!(&outcome, Err(e) if is_refusal(e)),
+                "{label}, batch: {outcome:?}"
+            );
+        }
+        let outcome = qrc.execute_sweep(&SweepTask {
+            circuit: text::dump_param(&tmpl),
+            points: pts.clone(),
+            spec: spec.clone(),
+        });
+        assert!(
+            matches!(&outcome, Err(e) if is_refusal(e)),
+            "{label}, sweep: {outcome:?}"
         );
     }
     assert_eq!(qrc.engine_invocations(), before.0);
@@ -470,4 +502,88 @@ fn cache_key_follows_the_resolved_plan() {
         base,
         key(BackendSpec::of("nwqsim", "cpu").with_extra("site", "ornl"))
     );
+}
+
+/// Regression: the scheduler coalesces same-skeleton bound jobs into one
+/// sweep, whose points used to skip the layout check single jobs get — a
+/// short `initial_layout` on `nwqsim/mpi` then panicked inside the rank
+/// threads with the slot held. It must fail typed, and the stack carry on.
+#[test]
+fn coalesced_sweep_points_get_the_single_job_checks() {
+    let (qrc, _hetjob) = qrc();
+    let sched = Scheduler::start(
+        Arc::clone(&qrc),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            max_batch: 8,
+            ..SchedConfig::default()
+        },
+    );
+    let (tmpl, _) = template(false);
+    let mpi = BackendSpec::of("nwqsim", "mpi").with_ranks(2);
+    let short = mpi.clone().with_extra("initial_layout", "1,0,2");
+    let ids: Vec<_> = points(tmpl.num_params())
+        .iter()
+        .map(|p| {
+            let env = JobEnvelope::new_param("t", &tmpl, &p.params, 10).with_spec(short.clone());
+            sched.submit(env).unwrap()
+        })
+        .collect();
+    sched.resume();
+    for id in ids {
+        match sched.wait(id, T) {
+            JobStatus::Failed(why) => assert!(why.contains("initial_layout"), "{why}"),
+            other => panic!("short layout ended as {other:?}"),
+        }
+    }
+    assert_eq!(qrc.engine_invocations(), 0);
+    assert_eq!(qrc.tasks_per_slot(), vec![0]);
+    // The runner and the (only) slot are still there for the next job.
+    let env = JobEnvelope::new_param("t", &tmpl, &[0.3, 0.8], 10)
+        .with_spec(mpi.with_extra("initial_layout", "4,3,2,1,0"));
+    let id = sched.submit(env).unwrap();
+    assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
+    sched.shutdown();
+}
+
+/// `aer/automatic` learns whether it runs dense only once it has seen the
+/// circuit: ranks it will not use must not get a job refused, and ranks it
+/// cannot have must not spin on the lease.
+#[test]
+fn aer_automatic_checks_ranks_only_on_the_dense_method() {
+    let (qrc, hetjob) = qrc();
+    let too_many = hetjob.free_cores(1).next_power_of_two() * 2;
+    let run = |circuit: &Circuit, ranks: usize| {
+        qrc.execute(&ExecTask {
+            circuit: text::dump(circuit),
+            shots: 10,
+            seed: 1,
+            spec: BackendSpec::of("aer", "automatic").with_ranks(ranks),
+        })
+    };
+    // Clifford: the tableau ignores ranks, however many.
+    let clifford = template(true).0.bind(&[]);
+    for ranks in [1 << N, too_many] {
+        let result = run(&clifford, ranks).unwrap();
+        assert_eq!(result.metadata["method"], "stabilizer");
+        assert_eq!(result.profile.ranks, 1);
+    }
+    // Dense: the register must split, and the group must have the cores.
+    // (A long-range rotation keeps `automatic` off the MPS method.)
+    let mut dense = Circuit::new(N);
+    dense.h(0);
+    dense.cx(0, N - 1);
+    dense.rzz(1, N - 2, 0.7);
+    dense.measure_all();
+    assert_eq!(run(&dense, 1).unwrap().metadata["method"], "statevector");
+    assert_eq!(run(&dense, 4).unwrap().profile.ranks, 4);
+    for ranks in [1 << N, too_many] {
+        let start = Instant::now();
+        let err = run(&dense, ranks).unwrap_err();
+        assert!(matches!(err, QfwError::Resources(_)), "{ranks}: {err:?}");
+        assert!(start.elapsed() < Duration::from_secs(1), "{ranks} spun");
+    }
+    // A refusal from inside the adapter gives its slot back.
+    assert_eq!(run(&dense, 1).unwrap().profile.ranks, 1);
 }
