@@ -21,6 +21,7 @@
 //! *ratio* against the baseline file, which is recorded on the same host
 //! in the same session.
 
+use qfw_bench::host::HostStamp;
 use qfw_circuit::{Circuit, Gate};
 use qfw_num::complex::c64;
 use qfw_num::rng::Rng;
@@ -88,44 +89,6 @@ struct LayeredEntry {
     passes: usize,
     /// Engine wall-clock for gate application (excludes sampling).
     run_secs: f64,
-}
-
-/// Where and with what the numbers were taken.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct HostStamp {
-    /// Hardware threads the process may use.
-    nproc: usize,
-    /// `model name` of `/proc/cpuinfo`, when readable.
-    cpu_model: String,
-    /// `rustc -V` of the toolchain on `PATH`, when runnable.
-    rustc: String,
-    /// Kernel tier the tile executor picked on this CPU.
-    isa_tier: String,
-}
-
-fn host_stamp() -> HostStamp {
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|line| line.starts_with("model name"))
-                .and_then(|line| line.split_once(':'))
-                .map(|(_, v)| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let rustc = std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    HostStamp {
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        cpu_model,
-        rustc,
-        isa_tier: qfw_sim_sv::IsaTier::detect().to_string(),
-    }
 }
 
 /// A computed ratio against the baseline file.
@@ -400,7 +363,7 @@ fn main() {
     let mut report = BenchReport {
         suite: if short { "short" } else { "full" }.to_string(),
         seed: SEED,
-        host: host_stamp(),
+        host: HostStamp::take(),
         kernels,
         sampling,
         workloads,

@@ -11,9 +11,11 @@
 //!   and renders them as aligned text tables and CSV.
 //! * [`experiments`] — one entry point per table/figure:
 //!   `table1`, `table2`, `fig3a` … `fig3f`, `fig4`, `fig5`.
+//! * [`host`] — the host stamp the `bench_*` perf reports carry.
 //!
 //! The `experiments` binary exposes each as a subcommand.
 
 pub mod config;
 pub mod experiments;
+pub mod host;
 pub mod runner;

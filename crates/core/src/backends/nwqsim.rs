@@ -14,7 +14,7 @@ use qfw_circuit::hash::{circuit_hash, param_hash};
 use qfw_circuit::{Circuit, Op, ParamCircuit};
 use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
-use qfw_sim_sv::dist::{run_distributed_laid_out, RouteStrategy};
+use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
 use qfw_sim_sv::engine::SvOutcome;
 use qfw_sim_sv::{
     fuse, FusionLevel, LayerPlan, SvConfig, SvSimulator, SweepError, SweepPlan, SweepPoint,
@@ -270,7 +270,9 @@ impl NwqSimBackend {
         Ok(())
     }
 
-    /// The `mpi` sub-backend: the register split across DVM ranks.
+    /// The `mpi` sub-backend: the register split across DVM ranks. All
+    /// routing and fusion is decided here, once, before the ranks exist;
+    /// they share the plan and only move amplitudes.
     fn run_mpi(
         &self,
         job: &ResolvedJob<'_>,
@@ -283,34 +285,40 @@ impl NwqSimBackend {
             result.note("ranks_rounded", ranks);
         }
         let alloc = ctx.lease_cores(ranks)?;
-        let circuit = Arc::new(job.concrete().into_owned());
-        let (shots, seed) = (job.shots, job.seed);
-        let obs = ctx.obs.clone();
         // Compiler handoff: the layout seeds the starting permutation —
         // free at |0…0⟩, and counts stay bitwise identical since sampling
         // flushes the permutation.
-        let layout = plan.layout.clone();
-        if let Some(order) = &layout {
+        if let Some(order) = &plan.layout {
             let csv: Vec<String> = order.iter().map(|q| q.to_string()).collect();
             result.note(extras::INITIAL_LAYOUT, csv.join(","));
         }
+        let sw = Stopwatch::start();
+        let circuit = job.concrete();
+        let mut span = ctx
+            .obs
+            .span("engine", "sv.fuse")
+            .attr("ops_in", circuit.ops().len());
+        let dist = Arc::new(DistPlan::build(
+            &circuit,
+            ranks.trailing_zeros() as usize,
+            plan.layout.as_deref(),
+        ));
+        span.set_attr("ops_out", dist.num_layers());
+        drop(span);
+        let plan_secs = sw.elapsed_secs();
+        result.note("dist_epochs", dist.epochs());
+        result.note("dist_passes", dist.passes());
+        let (shots, seed) = (job.shots, job.seed);
+        let obs = ctx.obs.clone();
         let rank_job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
-            run_distributed_laid_out(
-                &mut rank_ctx,
-                &circuit,
-                shots,
-                seed,
-                RouteStrategy::Lazy,
-                layout.as_deref(),
-                &obs,
-            )
+            run_distributed_plan(&mut rank_ctx, &dist, shots, seed, &obs)
         });
         let mut outcomes = rank_job.wait();
         let (out, stats) = outcomes
             .swap_remove(0)
             .expect("rank 0 returns the outcome");
         result.counts = out.counts;
-        result.profile.exec_secs = out.gate_time.as_secs_f64();
+        result.profile.exec_secs = plan_secs + out.gate_time.as_secs_f64();
         result.profile.sample_secs = out.sample_time.as_secs_f64();
         result.note("comm_exchanges", stats.exchanges);
         result.note("comm_bytes", stats.bytes);

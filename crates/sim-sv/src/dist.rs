@@ -7,30 +7,35 @@
 //! the cost that eventually caps strong scaling (the paper's TFIM-28
 //! process sweep).
 //!
-//! Two routing strategies are provided:
+//! Routing is communication-avoiding index remapping: a lazy
+//! logical→physical qubit permutation is maintained instead of moving data
+//! per gate. Gates whose operands are already physically local apply in
+//! place under the permutation; *diagonal* gates (`rz`, `rzz`, `cz`, `cp`,
+//! ...) apply as local phase sweeps at **any** placement with zero
+//! exchanges, because their phase depends only on bit values each rank
+//! already knows. Only a non-diagonal gate with high operands forces data
+//! movement, and then a single batched remap (one aggregated all-to-all
+//! slice exchange, with victims chosen by farthest-next-use lookahead)
+//! re-localizes every upcoming operand it can, so one exchange typically
+//! serves a whole circuit layer.
 //!
-//! * [`RouteStrategy::Swaps`] — the classic pattern: a 1-qubit high gate
-//!   pairs each rank with its partner for a full-slice exchange, and
-//!   multi-qubit all-high gates are routed down with distributed SWAPs
-//!   (two exchanges per operand). Kept as the measurable baseline.
-//! * [`RouteStrategy::Lazy`] (default) — communication-avoiding index
-//!   remapping: a lazy logical→physical qubit permutation is maintained
-//!   instead of moving data per gate. Gates whose operands are already
-//!   physically local apply in place under the permutation; *diagonal*
-//!   gates (`rz`, `rzz`, `cz`, `cp`, ...) apply as local phase sweeps at
-//!   **any** placement with zero exchanges, because their phase depends
-//!   only on bit values each rank already knows. Only a non-diagonal gate
-//!   with high operands forces data movement, and then a single batched
-//!   remap (one aggregated all-to-all slice exchange, with victims chosen
-//!   by farthest-next-use lookahead) re-localizes every upcoming operand
-//!   it can, so one exchange typically serves a whole circuit layer.
-//!
-//! Both strategies treat diagonal gates as exchange-free — the fix applies
-//! to the legacy swap router too.
+//! None of those decisions reads an amplitude, so a job makes them once,
+//! before any rank exists: [`DistPlan::build`] replays the router over the
+//! op list and emits **epochs** — the ops between two remaps, relabelled to
+//! physical positions and fused into a [`LayerPlan`] whose tiles stay
+//! inside the `L` local bits — separated by the remaps themselves. A rank
+//! then runs each epoch on its shard through the same tile executor and
+//! kernels as the local engine ([`crate::layers`]), and exchanges between
+//! them. [`DistStateVector::apply`] remains as the per-gate form of the
+//! same router: the reference the plan is tested against, and what the
+//! chunk-synchronised Aer analog steps through one instruction at a time.
 
 use crate::engine::SvOutcome;
+use crate::fusion::{absorbable_diagonal, fuse_shard};
+use crate::layers::LayerPlan;
 use crate::state::{
-    block_shot_split, canonical_split_bits, index_to_bitstring, sample_block_draws, StateVector,
+    block_shot_split, canonical_split_bits, index_to_bitstring, local_offsets, sample_block_draws,
+    StateVector,
 };
 use qfw_circuit::{Circuit, Gate, Op};
 use qfw_hpc::RankCtx;
@@ -41,12 +46,13 @@ use qfw_obs::Obs;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How the distributed engine routes gates that touch high qubits.
+/// How the distributed engine routes gates that touch high qubits. Lazy
+/// remapping is the only router; the type (and the `route` parameter of
+/// the `run_distributed*` drivers) survives because the repository's
+/// benchmark harness names them and may not change in step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RouteStrategy {
-    /// Per-gate slice exchanges and swap-down/swap-back routing (baseline).
-    Swaps,
-    /// Lazy logical→physical permutation with batched remaps (default).
+    /// Lazy logical→physical permutation with batched remaps.
     #[default]
     Lazy,
 }
@@ -55,8 +61,8 @@ pub enum RouteStrategy {
 /// summed over the world by [`DistStateVector::stats_allreduced`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DistStats {
-    /// Exchange operations: pairwise slice exchanges plus batched remaps
-    /// (one remap counts once however many ranks it touches).
+    /// Exchange operations (one batched remap counts once however many
+    /// ranks it touches).
     pub exchanges: u64,
     /// Point-to-point payload messages posted by exchange operations.
     pub messages: u64,
@@ -68,35 +74,366 @@ pub struct DistStats {
 /// batch and ranking eviction victims by next use.
 const LOOKAHEAD_WINDOW: usize = 256;
 
+// --- lazy permutation routing ------------------------------------------------
+
+/// What the router's lookahead reads of a circuit: per op, the operands of
+/// a gate that must be physically local when it runs — `None` for
+/// measurements, barriers and the diagonal gates that run at any
+/// placement.
+fn locality_needs(ops: &[Op]) -> Vec<Option<Vec<usize>>> {
+    ops.iter()
+        .map(|op| match op {
+            Op::Gate(g) if absorbable_diagonal(g).is_none() => Some(g.qubits()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The lazy router's whole state: where each logical qubit lives. Pure
+/// index bookkeeping — it holds no amplitudes and talks to no one, which
+/// is what lets [`DistPlan::build`] run it ahead of the ranks.
+#[derive(Clone, Debug)]
+struct Router {
+    local_bits: usize,
+    /// Logical qubit → physical bit position.
+    perm: Vec<usize>,
+    /// Physical bit position → logical qubit (inverse of `perm`).
+    inv: Vec<usize>,
+}
+
+impl Router {
+    fn identity(n: usize, local_bits: usize) -> Router {
+        Router {
+            local_bits,
+            perm: (0..n).collect(),
+            inv: (0..n).collect(),
+        }
+    }
+
+    /// Starts from a given placement: `order[p]` is the logical qubit at
+    /// physical position `p`.
+    ///
+    /// # Panics
+    /// Panics when `order` is not a permutation of `0..n`.
+    fn seed(&mut self, order: &[usize]) {
+        let n = self.perm.len();
+        assert_eq!(order.len(), n, "layout must cover all {n} qubits");
+        let mut perm = vec![usize::MAX; n];
+        for (p, &q) in order.iter().enumerate() {
+            assert!(q < n, "layout entry {q} out of range");
+            assert!(perm[q] == usize::MAX, "layout repeats logical qubit {q}");
+            perm[q] = p;
+        }
+        self.inv = order.to_vec();
+        self.perm = perm;
+    }
+
+    fn all_local(&self, qubits: &[usize]) -> bool {
+        qubits.iter().all(|&q| self.perm[q] < self.local_bits)
+    }
+
+    fn is_identity(&self) -> bool {
+        self.perm.iter().enumerate().all(|(q, &p)| p == q)
+    }
+
+    /// Plans the one batched remap that brings `qubits` — and every high
+    /// operand `upcoming` will need, while victim capacity lasts — to local
+    /// positions, adopts it, and returns it as a position permutation (the
+    /// bit at `p` moves to `sigma[p]`). Victims are the local qubits whose
+    /// next use is farthest in the lookahead window (Belady's rule), which
+    /// is what keeps layered circuits at one remap per layer.
+    fn localize(&mut self, qubits: &[usize], upcoming: &[Option<Vec<usize>>]) -> Vec<usize> {
+        let l = self.local_bits;
+        let window = &upcoming[..upcoming.len().min(LOOKAHEAD_WINDOW)];
+        let mut batch = qubits.to_vec();
+        batch.sort_unstable();
+        batch.dedup();
+        for &q in window.iter().flatten().flatten() {
+            if self.perm[q] >= l && !batch.contains(&q) && batch.len() < l {
+                batch.push(q);
+            }
+        }
+        let needed: Vec<usize> = batch
+            .iter()
+            .copied()
+            .filter(|&q| self.perm[q] >= l)
+            .collect();
+        // Distance (in ops) to the first upcoming use of logical qubit `q`.
+        let next_use = |q: usize| {
+            window
+                .iter()
+                .position(|need| need.as_ref().is_some_and(|qs| qs.contains(&q)))
+                .unwrap_or(usize::MAX)
+        };
+        let mut victims: Vec<(usize, usize)> = (0..l)
+            .filter(|&p| !batch.contains(&self.inv[p]))
+            .map(|p| (next_use(self.inv[p]), p))
+            .collect();
+        assert!(
+            victims.len() >= needed.len(),
+            "not enough free local qubits to localize {} operands with {l} local bits",
+            needed.len(),
+        );
+        // Farthest next use first; position index breaks ties so the plan
+        // is a function of the circuit alone.
+        victims.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut sigma: Vec<usize> = (0..self.perm.len()).collect();
+        for (&q, &(_, v)) in needed.iter().zip(victims.iter()) {
+            let h = self.perm[q];
+            sigma[v] = h;
+            sigma[h] = v;
+        }
+        self.adopt(&sigma);
+        sigma
+    }
+
+    /// The remap that restores the identity placement (logical qubit `q`
+    /// at position `q`), adopted; `None` when already there.
+    fn flush(&mut self) -> Option<Vec<usize>> {
+        if self.is_identity() {
+            return None;
+        }
+        let sigma = self.inv.clone();
+        self.adopt(&sigma);
+        debug_assert!(self.is_identity());
+        Some(sigma)
+    }
+
+    fn adopt(&mut self, sigma: &[usize]) {
+        for p in self.perm.iter_mut() {
+            *p = sigma[*p];
+        }
+        for (q, &p) in self.perm.iter().enumerate() {
+            self.inv[p] = q;
+        }
+    }
+}
+
+// --- the plan ----------------------------------------------------------------
+
+/// One step of a [`DistPlan`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum DistStep {
+    /// Communication-free work: every rank runs these fused layers on its
+    /// own shard. Qubits are physical positions.
+    Epoch(LayerPlan),
+    /// A batched remap: the bit at physical position `p` moves to
+    /// `sigma[p]` (one aggregated all-to-all).
+    Remap(Vec<usize>),
+    /// A mid-circuit measurement of the qubit at physical position `pos`
+    /// (one collective reduction, one lockstep draw).
+    Collapse {
+        /// Physical position measured.
+        pos: usize,
+        /// Classical bit the circuit stores the outcome in.
+        clbit: usize,
+    },
+}
+
+/// Everything the distributed engine decides about a circuit before a rank
+/// touches an amplitude: the starting placement, the remaps, and the fused
+/// layers every rank runs between them. Built once per job and shared by
+/// the ranks.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DistPlan {
+    num_qubits: usize,
+    rank_bits: usize,
+    /// Logical qubit at each physical position before the first step.
+    layout: Vec<usize>,
+    steps: Vec<DistStep>,
+    /// The remap back to the identity placement that readout performs
+    /// after the last step; `None` when the steps already end there.
+    flush: Option<Vec<usize>>,
+}
+
+impl DistPlan {
+    /// Plans `circuit` for `2^rank_bits` ranks, starting from the
+    /// compiler's `layout` (`layout[p]` = logical qubit at physical
+    /// position `p`) when one is given. Mid-circuit measurements become
+    /// collapses; terminal ones are left to sampling.
+    ///
+    /// # Panics
+    /// Panics when no local qubit would be left (`rank_bits >= n`), when
+    /// `layout` is not a permutation of the register, or when a
+    /// non-diagonal gate has more operands than there are local qubits.
+    pub fn build(circuit: &Circuit, rank_bits: usize, layout: Option<&[usize]>) -> DistPlan {
+        let n = circuit.num_qubits();
+        assert!(
+            n > rank_bits,
+            "need at least one local qubit: n={n} ranks=2^{rank_bits}"
+        );
+        let local_bits = n - rank_bits;
+        let mut router = Router::identity(n, local_bits);
+        if let Some(order) = layout {
+            router.seed(order);
+        }
+        let ops = circuit.ops();
+        let needs = locality_needs(ops);
+        let mut last_gate_touch = vec![0usize; n];
+        for (at, op) in ops.iter().enumerate() {
+            if let Op::Gate(g) = op {
+                for q in g.qubits() {
+                    last_gate_touch[q] = at;
+                }
+            }
+        }
+        let mut plan = DistPlan {
+            num_qubits: n,
+            rank_bits,
+            layout: router.inv.clone(),
+            steps: Vec::new(),
+            flush: None,
+        };
+        // The open epoch, over physical positions.
+        let mut epoch = Circuit::new(n);
+        for (at, op) in ops.iter().enumerate() {
+            match op {
+                Op::Gate(g) => {
+                    if let Some(qubits) = needs[at].as_ref().filter(|qs| !router.all_local(qs)) {
+                        let sigma = router.localize(qubits, &needs[at + 1..]);
+                        plan.close_epoch(&mut epoch);
+                        plan.steps.push(DistStep::Remap(sigma));
+                    }
+                    epoch.push(g.map_qubits(|q| router.perm[q]));
+                }
+                Op::Measure { qubit, clbit } => {
+                    if at <= last_gate_touch[*qubit] {
+                        plan.close_epoch(&mut epoch);
+                        plan.steps.push(DistStep::Collapse {
+                            pos: router.perm[*qubit],
+                            clbit: *clbit,
+                        });
+                    }
+                }
+                Op::Barrier(qs) => {
+                    epoch.push_op(Op::Barrier(qs.iter().map(|&q| router.perm[q]).collect()));
+                }
+            }
+        }
+        plan.close_epoch(&mut epoch);
+        plan.flush = router.flush();
+        plan
+    }
+
+    /// Fuses the open epoch's ops into a step and starts the next one.
+    fn close_epoch(&mut self, epoch: &mut Circuit) {
+        if epoch.num_gates() > 0 {
+            let local_bits = self.num_qubits - self.rank_bits;
+            self.steps
+                .push(DistStep::Epoch(fuse_shard(epoch, local_bits)));
+        }
+        *epoch = Circuit::new(self.num_qubits);
+    }
+
+    /// The steps, in execution order.
+    pub fn steps(&self) -> &[DistStep] {
+        &self.steps
+    }
+
+    fn epoch_plans(&self) -> impl Iterator<Item = &LayerPlan> {
+        self.steps.iter().filter_map(|step| match step {
+            DistStep::Epoch(layers) => Some(layers),
+            _ => None,
+        })
+    }
+
+    /// Number of communication-free epochs.
+    pub fn epochs(&self) -> usize {
+        self.epoch_plans().count()
+    }
+
+    /// Passes over its shard one rank makes: tile groups summed over the
+    /// epochs.
+    pub fn passes(&self) -> usize {
+        self.epoch_plans().map(LayerPlan::passes).sum()
+    }
+
+    /// Fused layers summed over the epochs.
+    pub fn num_layers(&self) -> usize {
+        self.epoch_plans().map(LayerPlan::num_layers).sum()
+    }
+
+    /// Exchange operations one rank performs: the remap steps plus the
+    /// flush before readout.
+    pub fn remaps(&self) -> usize {
+        let planned = self
+            .steps
+            .iter()
+            .filter(|step| matches!(step, DistStep::Remap(_)))
+            .count();
+        planned + usize::from(self.flush.is_some())
+    }
+}
+
+// --- a rank's shard ----------------------------------------------------------
+
+/// The offsets an enumeration index takes when its bits are spread over
+/// given positions (bit `j` of the index goes to `positions[j]`), as two
+/// half-index tables: index `f` spreads to `hi[f >> h] | lo[f & (2^h - 1)]`
+/// — two small lookups per amplitude instead of a loop over its bits.
+struct Spread {
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl Spread {
+    fn over(positions: &[usize]) -> Spread {
+        let (lo, hi) = positions.split_at(positions.len() / 2);
+        Spread {
+            lo: local_offsets(lo),
+            hi: local_offsets(hi),
+        }
+    }
+}
+
+/// `dst[dst_base | to(f)] = src[src_base | from(f)]` for every enumeration
+/// index `f`; the two spreads must be over equally many positions.
+fn copy_spread(
+    dst: &mut [C64],
+    dst_base: usize,
+    to: &Spread,
+    src: &[C64],
+    src_base: usize,
+    from: &Spread,
+) {
+    debug_assert_eq!((to.lo.len(), to.hi.len()), (from.lo.len(), from.hi.len()));
+    for (&dh, &sh) in to.hi.iter().zip(&from.hi) {
+        let (drow, srow) = (dst_base | dh, src_base | sh);
+        for (&dl, &sl) in to.lo.iter().zip(&from.lo) {
+            dst[drow | dl] = src[srow | sl];
+        }
+    }
+}
+
 /// A rank's shard of a distributed state vector.
 pub struct DistStateVector<'a> {
     ctx: &'a mut RankCtx,
     n: usize,
     local_bits: usize,
     local: StateVector,
-    route: RouteStrategy,
-    /// Logical qubit → physical bit position (identity under `Swaps`).
-    perm: Vec<usize>,
-    /// Physical bit position → logical qubit (inverse of `perm`).
-    inv: Vec<usize>,
+    /// Message buffers received by the last remap, reused by the next to
+    /// send: a fresh one per exchange costs more in page faults than the
+    /// copy into it.
+    buffers: Vec<Vec<C64>>,
+    router: Router,
     obs: Obs,
     stats: DistStats,
 }
 
 impl<'a> DistStateVector<'a> {
     /// Initializes `|0...0>` distributed over the communicator world with
-    /// the default (lazy) routing and no observability.
+    /// no observability.
     ///
     /// # Panics
     /// Panics unless the world size is a power of two no larger than `2^n`
     /// (with at least one local qubit left for gate routing).
     pub fn zero(ctx: &'a mut RankCtx, n: usize) -> Self {
-        Self::zero_with(ctx, n, RouteStrategy::default(), Obs::disabled())
+        Self::zero_with(ctx, n, Obs::disabled())
     }
 
-    /// [`zero`](Self::zero) with an explicit routing strategy and
-    /// observability handle (`comm.exchange` spans, `comm.*` counters).
-    pub fn zero_with(ctx: &'a mut RankCtx, n: usize, route: RouteStrategy, obs: Obs) -> Self {
+    /// [`zero`](Self::zero) with an observability handle (`comm.exchange`
+    /// spans, `comm.*` counters).
+    pub fn zero_with(ctx: &'a mut RankCtx, n: usize, obs: Obs) -> Self {
         let size = ctx.size();
         assert!(size.is_power_of_two(), "world size must be a power of two");
         let r = size.trailing_zeros() as usize;
@@ -112,9 +449,8 @@ impl<'a> DistStateVector<'a> {
             n,
             local_bits,
             local,
-            route,
-            perm: (0..n).collect(),
-            inv: (0..n).collect(),
+            buffers: Vec::new(),
+            router: Router::identity(n, local_bits),
             obs,
             stats: DistStats::default(),
         }
@@ -135,18 +471,7 @@ impl<'a> DistStateVector<'a> {
     /// # Panics
     /// Panics when `order` is not a permutation of `0..n`.
     pub fn seed_initial_layout(&mut self, order: &[usize]) {
-        assert_eq!(order.len(), self.n, "layout must cover all {} qubits", self.n);
-        let mut perm = vec![usize::MAX; self.n];
-        for (p, &q) in order.iter().enumerate() {
-            assert!(q < self.n, "layout entry {q} out of range");
-            assert!(
-                perm[q] == usize::MAX,
-                "layout repeats logical qubit {q}"
-            );
-            perm[q] = p;
-        }
-        self.inv = order.to_vec();
-        self.perm = perm;
+        self.router.seed(order);
     }
 
     /// Total number of qubits.
@@ -195,56 +520,70 @@ impl<'a> DistStateVector<'a> {
         self.ctx.allreduce_sum(local)
     }
 
-    /// Applies one gate (collective: every rank must call with the same gate).
+    /// Runs a whole plan (collective: every rank must call with the same
+    /// plan and an identically-seeded `rng` replica): epochs through the
+    /// tile executor, remaps and collapses in between. The register must
+    /// still be `|0…0⟩` — the plan starts from its own layout, which is
+    /// only free to adopt there.
+    ///
+    /// # Panics
+    /// Panics when the plan was made for another register or world size.
+    pub fn run_plan(&mut self, plan: &DistPlan, rng: &mut Rng) {
+        assert_eq!(plan.num_qubits, self.n, "register size mismatch");
+        assert_eq!(
+            plan.rank_bits,
+            self.n - self.local_bits,
+            "plan made for another world size"
+        );
+        self.router.seed(&plan.layout);
+        let above = self.ctx.rank() << self.local_bits;
+        for step in &plan.steps {
+            match step {
+                DistStep::Epoch(layers) => layers.apply_to_shard(&mut self.local, above),
+                DistStep::Remap(sigma) => self.exchange(sigma),
+                DistStep::Collapse { pos, .. } => {
+                    self.measure_at(*pos, rng);
+                }
+            }
+        }
+    }
+
+    /// Applies one gate (collective: every rank must call with the same
+    /// gate) — the per-gate form of the router, one shard sweep per gate.
     pub fn apply(&mut self, gate: &Gate) {
         self.apply_with_lookahead(gate, &[]);
     }
 
     /// [`apply`](Self::apply) with visibility into upcoming ops so a lazy
     /// remap can batch every soon-needed operand into one exchange.
-    fn apply_with_lookahead(&mut self, gate: &Gate, upcoming: &[Op]) {
-        let l = self.local_bits;
+    fn apply_with_lookahead(&mut self, gate: &Gate, upcoming: &[Option<Vec<usize>>]) {
         let qs = gate.qubits();
-        if qs.iter().all(|&q| self.perm[q] < l) {
-            // Fully local under the current permutation: the serial
-            // kernels run unchanged at the permuted positions.
-            let perm = &self.perm;
-            self.local.apply(&gate.map_qubits(|q| perm[q]), false);
-            return;
-        }
-        if let Some(diag) = gate.diagonal() {
-            // Diagonal gates need no data movement wherever they live:
-            // high positions only fix gate-local index bits per rank.
-            let phys: Vec<usize> = qs.iter().map(|&q| self.perm[q]).collect();
-            self.apply_diagonal(&phys, &diag);
-            return;
-        }
-        match self.route {
-            RouteStrategy::Lazy => {
-                let batch = self.plan_batch(gate, upcoming);
-                self.localize(&batch, upcoming);
-                let perm = &self.perm;
-                debug_assert!(qs.iter().all(|&q| perm[q] < l));
-                self.local.apply(&gate.map_qubits(|q| perm[q]), false);
+        if !self.router.all_local(&qs) {
+            if let Some(diag) = absorbable_diagonal(gate) {
+                // Diagonal gates need no data movement wherever they live:
+                // high positions only fix gate-local index bits per rank.
+                let phys: Vec<usize> = qs.iter().map(|&q| self.router.perm[q]).collect();
+                self.apply_diagonal(&phys, &diag);
+                return;
             }
-            RouteStrategy::Swaps => {
-                let high = qs.iter().filter(|&&q| q >= l).count();
-                match (qs.len(), high) {
-                    (1, 1) => self.apply_1q_high(qs[0], gate),
-                    (2, 1) => self.apply_2q_mixed(gate),
-                    _ => self.apply_via_swaps(gate),
-                }
-            }
+            let sigma = self.router.localize(&qs, upcoming);
+            self.remap(&sigma);
         }
+        // Fully local under the current permutation: the serial kernels
+        // run unchanged at the permuted positions.
+        let perm = &self.router.perm;
+        self.local.apply(&gate.map_qubits(|q| perm[q]), false);
     }
 
-    /// Runs the unitary part of a circuit (measurements/barriers skipped).
+    /// Runs the unitary part of a circuit gate by gate (measurements and
+    /// barriers skipped), routing with the same lookahead
+    /// [`DistPlan::build`] has.
     pub fn run_unitary(&mut self, circuit: &Circuit) {
         assert_eq!(circuit.num_qubits(), self.n, "register size mismatch");
-        let ops = circuit.ops();
-        for (i, op) in ops.iter().enumerate() {
+        let needs = locality_needs(circuit.ops());
+        for (i, op) in circuit.ops().iter().enumerate() {
             if let Op::Gate(g) = op {
-                self.apply_with_lookahead(g, &ops[i + 1..]);
+                self.apply_with_lookahead(g, &needs[i + 1..]);
             }
         }
     }
@@ -302,106 +641,21 @@ impl<'a> DistStateVector<'a> {
         self.local.apply(&gate, false);
     }
 
-    // --- lazy permutation routing -------------------------------------------
-
-    /// Logical qubits to localize in the next remap: the gate's own
-    /// operands plus every high operand of upcoming non-diagonal gates in
-    /// the lookahead window, while victim capacity lasts.
-    fn plan_batch(&self, gate: &Gate, upcoming: &[Op]) -> Vec<usize> {
-        let l = self.local_bits;
-        let mut batch = gate.qubits();
-        batch.sort_unstable();
-        batch.dedup();
-        let local_count = batch.iter().filter(|&&q| self.perm[q] < l).count();
-        let mut high_count = batch.len() - local_count;
-        for op in upcoming.iter().take(LOOKAHEAD_WINDOW) {
-            let Op::Gate(g) = op else { continue };
-            if g.is_diagonal() {
-                continue;
-            }
-            for q in g.qubits() {
-                if self.perm[q] >= l
-                    && !batch.contains(&q)
-                    && high_count + local_count < l
-                {
-                    batch.push(q);
-                    high_count += 1;
-                }
-            }
-        }
-        batch
-    }
-
-    /// Brings every high qubit in `batch` to a local position with one
-    /// batched remap. Victims are the local qubits whose next non-diagonal
-    /// use is farthest in the lookahead window (Belady's rule), which is
-    /// what keeps layered circuits at one remap per layer.
-    fn localize(&mut self, batch: &[usize], upcoming: &[Op]) {
-        let l = self.local_bits;
-        let needed: Vec<usize> = batch
-            .iter()
-            .copied()
-            .filter(|&q| self.perm[q] >= l)
-            .collect();
-        if needed.is_empty() {
-            return;
-        }
-        let mut victims: Vec<(usize, usize)> = (0..l)
-            .filter(|p| !batch.contains(&self.inv[*p]))
-            .map(|p| (self.next_nondiag_use(self.inv[p], upcoming), p))
-            .collect();
-        assert!(
-            victims.len() >= needed.len(),
-            "not enough free local qubits to localize {} operands with {} local bits",
-            needed.len(),
-            l
-        );
-        // Farthest next use first; position index breaks ties so every
-        // rank computes the identical permutation.
-        victims.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut sigma: Vec<usize> = (0..self.n).collect();
-        for (&q, &(_, v)) in needed.iter().zip(victims.iter()) {
-            let h = self.perm[q];
-            sigma[v] = h;
-            sigma[h] = v;
-        }
-        self.remap(&sigma);
-        self.apply_sigma_to_perm(&sigma);
-    }
-
-    /// Distance (in ops) to the first upcoming non-diagonal gate touching
-    /// logical qubit `q`; `usize::MAX` when none appears in the window.
-    fn next_nondiag_use(&self, q: usize, upcoming: &[Op]) -> usize {
-        for (i, op) in upcoming.iter().take(LOOKAHEAD_WINDOW).enumerate() {
-            if let Op::Gate(g) = op {
-                if !g.is_diagonal() && g.qubits().contains(&q) {
-                    return i;
-                }
-            }
-        }
-        usize::MAX
-    }
+    // --- data movement -------------------------------------------------------
 
     /// Restores the identity permutation (logical qubit `q` at position
     /// `q`) with one general remap. Required before any consumer that
     /// interprets global indices (sampling, gather, diagnostics).
     pub fn flush_permutation(&mut self) {
-        if self.perm.iter().enumerate().all(|(q, &p)| p == q) {
-            return;
+        if let Some(sigma) = self.router.flush() {
+            self.remap(&sigma);
         }
-        let sigma = self.inv.clone();
-        self.remap(&sigma);
-        self.apply_sigma_to_perm(&sigma);
-        debug_assert!(self.perm.iter().enumerate().all(|(q, &p)| p == q));
     }
 
-    fn apply_sigma_to_perm(&mut self, sigma: &[usize]) {
-        for p in self.perm.iter_mut() {
-            *p = sigma[*p];
-        }
-        for (q, &p) in self.perm.iter().enumerate() {
-            self.inv[p] = q;
-        }
+    /// A planned remap: moves the data and the bookkeeping together.
+    fn exchange(&mut self, sigma: &[usize]) {
+        self.remap(sigma);
+        self.router.adopt(sigma);
     }
 
     /// Applies a global bit-position permutation to the distributed index
@@ -411,97 +665,97 @@ impl<'a> DistStateVector<'a> {
     /// order on both sides, so no per-element index metadata travels.
     fn remap(&mut self, sigma: &[usize]) {
         let l = self.local_bits;
-        let n = self.n;
         let me = self.ctx.rank();
-        debug_assert_eq!(sigma.len(), n);
+        debug_assert_eq!(sigma.len(), self.n);
         let moving_low: Vec<usize> = (0..l).filter(|&p| sigma[p] >= l).collect();
-        let stay_mask: usize = (0..l)
-            .filter(|&p| sigma[p] < l)
-            .fold(0, |m, p| m | (1 << p));
+        let staying_low: Vec<usize> = (0..l).filter(|&p| sigma[p] < l).collect();
         let k = moving_low.len();
-        let mut base_dest = 0usize;
-        for (p, &sp) in sigma.iter().enumerate().skip(l) {
-            if (me >> (p - l)) & 1 == 1 && sp >= l {
-                base_dest |= 1 << (sp - l);
-            }
-        }
         let bucket_len = 1usize << (l - k);
+        // Where rank `from`'s amplitudes land: its high bits that stay
+        // high pick the rank, the ones that come down fix local bits.
+        let landing_of = |from: usize| {
+            let (mut rank, mut base) = (0usize, 0usize);
+            for (p, &sp) in sigma.iter().enumerate().skip(l) {
+                if (from >> (p - l)) & 1 == 1 {
+                    if sp >= l {
+                        rank |= 1 << (sp - l);
+                    } else {
+                        base |= 1 << sp;
+                    }
+                }
+            }
+            (rank, base)
+        };
 
         let _span = self.obs.span("comm", "comm.exchange");
         let (m0, b0) = (self.ctx.sent_messages(), self.ctx.sent_bytes());
 
-        // Sender: bucket `b` fixes the moved-low bits, selecting one
-        // destination rank; within it, enumerate the staying-low subsets
-        // in ascending order.
+        // Entry `f` of a bucket is the amplitude whose staying-low bits
+        // spell `f`: read at the spread of `f` over where those bits are,
+        // written at its spread over where `sigma` puts them — in whatever
+        // order that leaves them (the flush before sampling scrambles it;
+        // a per-bit loop there cost more than the whole sampler). A bucket
+        // in flight is the same enumeration laid out flat.
+        let landing: Vec<usize> = staying_low.iter().map(|&p| sigma[p]).collect();
+        let flat: Vec<usize> = (0..staying_low.len()).collect();
+        let (from, to, flat) = (
+            Spread::over(&staying_low),
+            Spread::over(&landing),
+            Spread::over(&flat),
+        );
+        // Bucket `b` fixes the moved-low bits, selecting one destination
+        // rank: (destination, the bucket's bits in the local index).
+        let (base_dest, my_base) = landing_of(me);
+        let buckets: Vec<(usize, usize)> = (0..1usize << k)
+            .map(|b| {
+                let (mut dest, mut pattern) = (base_dest, 0usize);
+                for (j, &p) in moving_low.iter().enumerate() {
+                    if (b >> j) & 1 == 1 {
+                        dest |= 1 << (sigma[p] - l);
+                        pattern |= 1 << p;
+                    }
+                }
+                (dest, pattern)
+            })
+            .collect();
+        // A remap that only trades low positions for high ones — every
+        // remap the router plans mid-circuit — leaves the bucket that
+        // stays exactly where it is, and what arrives fills the slots of
+        // what left: the shard is rewritten in place. Any other `sigma`
+        // (the flush) is assembled in a second buffer.
+        let in_place = landing == staying_low
+            && buckets
+                .iter()
+                .all(|&(dest, pattern)| dest != me || pattern == my_base);
+        let mut assembled = (!in_place).then(|| vec![C64::ZERO; 1 << l]);
+
         let amps = self.local.amps();
-        let mut sends: Vec<(usize, Vec<C64>)> = Vec::with_capacity(1 << k);
-        for b in 0..(1usize << k) {
-            let mut dest = base_dest;
-            let mut i_pattern = 0usize;
-            for (j, &p) in moving_low.iter().enumerate() {
-                if (b >> j) & 1 == 1 {
-                    dest |= 1 << (sigma[p] - l);
-                    i_pattern |= 1 << p;
-                }
+        let mut sends: Vec<(usize, Vec<C64>)> = Vec::with_capacity((1 << k) - 1);
+        for &(dest, pattern) in &buckets {
+            if dest != me {
+                // A buffer a peer sent last time carries this one out.
+                let mut buf = self.buffers.pop().unwrap_or_default();
+                buf.resize(bucket_len, C64::ZERO);
+                copy_spread(&mut buf, 0, &flat, amps, pattern, &from);
+                sends.push((dest, buf));
+            } else if let Some(new_amps) = &mut assembled {
+                copy_spread(new_amps, my_base, &to, amps, pattern, &from);
             }
-            let mut buf = Vec::with_capacity(bucket_len);
-            let mut s = 0usize;
-            loop {
-                buf.push(amps[s | i_pattern]);
-                s = s.wrapping_sub(stay_mask) & stay_mask;
-                if s == 0 {
-                    break;
-                }
-            }
-            sends.push((dest, buf));
         }
         let received = self.ctx.sparse_alltoallv(sends);
-
-        // Receiver: the source rank's high bits that land low fix a base
-        // local index; the staying-low bits are replayed in the same
-        // ascending enumeration the sender used.
-        let sigma_stay: Vec<usize> = (0..l)
-            .filter(|&p| sigma[p] < l)
-            .map(|p| sigma[p])
-            .collect();
-        let new_mask: usize = sigma_stay.iter().fold(0, |m, &p| m | (1 << p));
-        let ascending = sigma_stay.windows(2).all(|w| w[0] < w[1]);
-        let mut new_amps = vec![C64::ZERO; 1 << l];
+        let target = match &mut assembled {
+            Some(new_amps) => new_amps.as_mut_slice(),
+            None => self.local.amps_mut(),
+        };
         for (src, buf) in received {
             debug_assert_eq!(buf.len(), bucket_len);
-            let mut base_j = 0usize;
-            for (p, &sp) in sigma.iter().enumerate().skip(l) {
-                if (src >> (p - l)) & 1 == 1 && sp < l {
-                    base_j |= 1 << sp;
-                }
-            }
-            if ascending {
-                let mut j = 0usize;
-                for amp in buf {
-                    new_amps[j | base_j] = amp;
-                    j = j.wrapping_sub(new_mask) & new_mask;
-                }
-            } else {
-                // sigma scrambles the staying-low order (general flush):
-                // spread each enumeration index explicitly.
-                for (f, amp) in buf.into_iter().enumerate() {
-                    let mut j = base_j;
-                    for (m, &p) in sigma_stay.iter().enumerate() {
-                        if (f >> m) & 1 == 1 {
-                            j |= 1 << p;
-                        }
-                    }
-                    new_amps[j] = amp;
-                }
-            }
+            copy_spread(target, landing_of(src).1, &to, &buf, 0, &flat);
+            self.buffers.push(buf);
         }
-        self.local = StateVector::from_amps(new_amps);
-        self.bump_exchange_counters(m0, b0);
-    }
+        if let Some(new_amps) = assembled {
+            self.local = StateVector::from_amps(new_amps);
+        }
 
-    /// Books one exchange operation against the message/byte counters,
-    /// from communicator deltas since `(m0, b0)`.
-    fn bump_exchange_counters(&mut self, m0: u64, b0: u64) {
         let dm = self.ctx.sent_messages() - m0;
         let db = self.ctx.sent_bytes() - b0;
         self.stats.exchanges += 1;
@@ -512,128 +766,9 @@ impl<'a> DistStateVector<'a> {
         self.obs.counter("comm.bytes").add(db);
     }
 
-    /// A pairwise slice exchange, booked as one exchange operation.
-    fn counted_exchange(&mut self, partner: usize, value: Vec<C64>) -> Vec<C64> {
-        let _span = self.obs.span("comm", "comm.exchange");
-        let (m0, b0) = (self.ctx.sent_messages(), self.ctx.sent_bytes());
-        let out = self.ctx.exchange(partner, value);
-        self.bump_exchange_counters(m0, b0);
-        out
-    }
-
-    // --- legacy swap routing (baseline) --------------------------------------
-
-    /// Single-qubit gate on a high qubit: full-slice pair exchange.
-    fn apply_1q_high(&mut self, q: usize, gate: &Gate) {
-        let m = gate.matrix();
-        let hb = self.high_bit(q);
-        let partner = self.partner(q);
-        let mine = self.local.amps().to_vec();
-        let theirs: Vec<C64> = self.counted_exchange(partner, mine.clone());
-        let (row, other) = (hb, 1 - hb);
-        let (umm, umo) = (m[(row, row)], m[(row, other)]);
-        let new_amps: Vec<C64> = mine
-            .iter()
-            .zip(theirs.iter())
-            .map(|(a, b)| umm * *a + umo * *b)
-            .collect();
-        self.local = StateVector::from_amps(new_amps);
-    }
-
-    /// Two-qubit gate with exactly one high operand.
-    fn apply_2q_mixed(&mut self, gate: &Gate) {
-        let l = self.local_bits;
-        let qs = gate.qubits();
-        let m = gate.matrix();
-        let (low, high) = if qs[0] < l { (qs[0], qs[1]) } else { (qs[1], qs[0]) };
-        let hb = self.high_bit(high);
-        let partner = self.partner(high);
-        let mine = self.local.amps().to_vec();
-        let theirs: Vec<C64> = self.counted_exchange(partner, mine.clone());
-
-        // For gate-local index g: bit j of g is the value of qs[j].
-        let bit_of = |g: usize, operand: usize| -> usize {
-            let j = if qs[0] == operand { 0 } else { 1 };
-            (g >> j) & 1
-        };
-
-        let low_mask = 1usize << low;
-        let len = mine.len();
-        let mut out = vec![C64::ZERO; len];
-        for i0 in 0..len {
-            if i0 & low_mask != 0 {
-                continue;
-            }
-            let i1 = i0 | low_mask;
-            // Column amplitudes for all four (low, high) combinations.
-            let mut v = [C64::ZERO; 4];
-            for (g, slot) in v.iter_mut().enumerate() {
-                let lb = bit_of(g, low);
-                let hbit = bit_of(g, high);
-                let idx = if lb == 0 { i0 } else { i1 };
-                *slot = if hbit == hb { mine[idx] } else { theirs[idx] };
-            }
-            // Rows we own: high bit equals our rank bit.
-            for (out_idx, lb) in [(i0, 0usize), (i1, 1usize)] {
-                let mut row = 0usize;
-                if qs[0] == low {
-                    row |= lb;
-                    row |= hb << 1;
-                } else {
-                    row |= hb;
-                    row |= lb << 1;
-                }
-                let mut acc = C64::ZERO;
-                for (col, &x) in v.iter().enumerate() {
-                    acc = m[(row, col)].mul_add(x, acc);
-                }
-                out[out_idx] = acc;
-            }
-        }
-        self.local = StateVector::from_amps(out);
-    }
-
-    /// General case: swap every high operand down to a free local qubit,
-    /// apply locally, swap back.
-    fn apply_via_swaps(&mut self, gate: &Gate) {
-        let l = self.local_bits;
-        let qs = gate.qubits();
-        // Free local qubits: not operands of the gate.
-        let mut free: Vec<usize> = (0..l).filter(|q| !qs.contains(q)).collect();
-        let mut mapping: Vec<(usize, usize)> = Vec::new(); // (high, local_home)
-        for &q in qs.iter().filter(|&&q| q >= l) {
-            let home = free.pop().unwrap_or_else(|| {
-                panic!(
-                    "not enough free local qubits to route a {}-qubit gate \
-                     with {} local bits",
-                    qs.len(),
-                    l
-                )
-            });
-            self.apply_2q_mixed(&Gate::Swap(home, q));
-            mapping.push((q, home));
-        }
-        let remapped = gate.map_qubits(|q| {
-            mapping
-                .iter()
-                .find(|&&(high, _)| high == q)
-                .map(|&(_, home)| home)
-                .unwrap_or(q)
-        });
-        self.local.apply(&remapped, false);
-        for &(q, home) in mapping.iter().rev() {
-            self.apply_2q_mixed(&Gate::Swap(home, q));
-        }
-    }
-
     #[inline]
     fn high_bit(&self, p: usize) -> usize {
         (self.ctx.rank() >> (p - self.local_bits)) & 1
-    }
-
-    #[inline]
-    fn partner(&self, p: usize) -> usize {
-        self.ctx.rank() ^ (1 << (p - self.local_bits))
     }
 
     // --- measurement / readout ----------------------------------------------
@@ -642,8 +777,13 @@ impl<'a> DistStateVector<'a> {
     /// state. Collective: every rank must call with an identically-seeded
     /// `rng` replica (the shared probability makes the draw lockstep).
     pub fn measure(&mut self, q: usize, rng: &mut Rng) -> u8 {
+        self.measure_at(self.router.perm[q], rng)
+    }
+
+    /// [`measure`](Self::measure) of whichever qubit sits at physical
+    /// position `p`.
+    fn measure_at(&mut self, p: usize, rng: &mut Rng) -> u8 {
         let l = self.local_bits;
-        let p = self.perm[q];
         let local_p1 = if p < l {
             self.local.prob_one(p, false)
         } else if self.high_bit(p) == 1 {
@@ -725,10 +865,13 @@ impl<'a> DistStateVector<'a> {
         let c = canonical_split_bits(self.n, r);
         let blocks_per_rank = 1usize << (c - r);
         let block_len = 1usize << (self.n - c);
-        let probs: Vec<f64> = self.local.amps().iter().map(|a| a.norm_sqr()).collect();
-        let my_masses: Vec<f64> = probs
+        // One sweep: each block's mass is summed, in index order, as its
+        // probabilities are formed.
+        let my_masses: Vec<f64> = self
+            .local
+            .amps()
             .chunks(block_len)
-            .map(|b| b.iter().sum())
+            .map(|block| block.iter().map(|a| a.norm_sqr()).sum())
             .collect();
         let gathered = self.ctx.gather(0, my_masses);
 
@@ -743,18 +886,24 @@ impl<'a> DistStateVector<'a> {
         });
         let my_split: Vec<u64> = self.ctx.scatter(0, split_chunks);
 
-        // Per-block draws on this rank's blocks, as global indices.
+        // Per-block draws on this rank's blocks, as global indices; only a
+        // block that won shots has its probabilities written out.
         let rank = self.ctx.rank();
         let mut samples: Vec<u64> = Vec::new();
+        let mut probs: Vec<f64> = Vec::with_capacity(block_len);
         for (bi, &s) in my_split.iter().enumerate() {
+            if s == 0 {
+                continue;
+            }
             let global_block = rank * blocks_per_rank + bi;
             let lo = bi * block_len;
-            for local in sample_block_draws(
-                &probs[lo..lo + block_len],
-                s as usize,
-                seed,
-                global_block as u64,
-            ) {
+            probs.clear();
+            probs.extend(
+                self.local.amps()[lo..lo + block_len]
+                    .iter()
+                    .map(|a| a.norm_sqr()),
+            );
+            for local in sample_block_draws(&probs, s as usize, seed, global_block as u64) {
                 samples.push(((global_block << (self.n - c)) | local) as u64);
             }
         }
@@ -771,8 +920,8 @@ impl<'a> DistStateVector<'a> {
     }
 }
 
-/// Convenience driver used by the QFw backend adapter: every rank executes
-/// the circuit; rank 0 returns the outcome. Lazy routing, no tracing.
+/// Convenience driver: every rank plans and executes the circuit; rank 0
+/// returns the outcome. No tracing.
 pub fn run_distributed(
     ctx: &mut RankCtx,
     circuit: &Circuit,
@@ -790,10 +939,10 @@ pub fn run_distributed(
     .map(|(outcome, _)| outcome)
 }
 
-/// [`run_distributed`] with an explicit routing strategy and observability
-/// handle, additionally returning the world-summed communication tallies.
-/// Mid-circuit measurements collapse a single trajectory in rng lockstep
-/// (the serial engine's semantics); terminal ones defer to sampling.
+/// [`run_distributed`] with an observability handle, additionally
+/// returning the world-summed communication tallies. `route` has one
+/// value; the parameter is kept for the benchmark harness (see
+/// [`RouteStrategy`]).
 pub fn run_distributed_with(
     ctx: &mut RankCtx,
     circuit: &Circuit,
@@ -805,46 +954,49 @@ pub fn run_distributed_with(
     run_distributed_laid_out(ctx, circuit, shots, seed, route, None, obs)
 }
 
-/// [`run_distributed_with`] additionally seeding a compiler-planned
-/// initial layout (`layout[p]` = logical qubit at physical position `p`)
-/// before the first gate. Counts are bitwise identical to the unseeded
-/// run — the layout only changes how much exchange traffic the circuit
-/// body incurs.
+/// [`run_distributed_with`] additionally starting from a compiler-planned
+/// initial layout (`layout[p]` = logical qubit at physical position `p`).
+/// Counts are bitwise identical to the unseeded run — the layout only
+/// changes how much exchange traffic the circuit body incurs. Every rank
+/// builds the (deterministic) plan for itself; a caller that spawns the
+/// ranks should build it once and hand it to [`run_distributed_plan`].
 pub fn run_distributed_laid_out(
     ctx: &mut RankCtx,
     circuit: &Circuit,
     shots: usize,
     seed: u64,
-    route: RouteStrategy,
+    _route: RouteStrategy,
     layout: Option<&[usize]>,
     obs: &Obs,
 ) -> Option<(SvOutcome, DistStats)> {
+    let size = ctx.size();
+    assert!(size.is_power_of_two(), "world size must be a power of two");
+    let plan = DistPlan::build(circuit, size.trailing_zeros() as usize, layout);
+    run_distributed_plan(ctx, &plan, shots, seed, obs)
+}
+
+/// Executes a prebuilt plan on this rank's shard and samples: the whole
+/// `nwqsim/mpi` engine call. Mid-circuit measurements collapse a single
+/// trajectory in rng lockstep (the serial engine's semantics); terminal
+/// ones defer to sampling. Rank 0 returns the outcome and the world-summed
+/// communication tallies.
+pub fn run_distributed_plan(
+    ctx: &mut RankCtx,
+    plan: &DistPlan,
+    shots: usize,
+    seed: u64,
+    obs: &Obs,
+) -> Option<(SvOutcome, DistStats)> {
     let sw = qfw_hpc::Stopwatch::start();
-    let mut dsv = DistStateVector::zero_with(ctx, circuit.num_qubits(), route, obs.clone());
-    if let Some(order) = layout {
-        dsv.seed_initial_layout(order);
-    }
-    let ops = circuit.ops();
-    let mut last_gate_touch = vec![0usize; circuit.num_qubits().max(1)];
-    for (pos, op) in ops.iter().enumerate() {
-        if let Op::Gate(g) = op {
-            for q in g.qubits() {
-                last_gate_touch[q] = pos;
-            }
-        }
-    }
-    let mut rng = Rng::seed_from(seed);
-    for (pos, op) in ops.iter().enumerate() {
-        match op {
-            Op::Gate(g) => dsv.apply_with_lookahead(g, &ops[pos + 1..]),
-            Op::Measure { qubit, .. } => {
-                if pos <= last_gate_touch[*qubit] {
-                    dsv.measure(*qubit, &mut rng);
-                }
-            }
-            Op::Barrier(_) => {}
-        }
-    }
+    let mut dsv = DistStateVector::zero_with(ctx, plan.num_qubits, obs.clone());
+    let apply_span = obs
+        .span("engine", "sv.apply")
+        .attr("qubits", plan.num_qubits)
+        .attr("gates", plan.num_layers())
+        .attr("passes", plan.passes())
+        .attr("tile_groups", plan.passes());
+    dsv.run_plan(plan, &mut Rng::seed_from(seed));
+    drop(apply_span);
     let gate_time = sw.elapsed();
     let sw = qfw_hpc::Stopwatch::start();
     let counts = dsv.sample_counts(shots, seed);
@@ -856,7 +1008,7 @@ pub fn run_distributed_laid_out(
                 counts,
                 gate_time,
                 sample_time,
-                gates_applied: circuit.num_gates(),
+                gates_applied: plan.num_layers(),
             },
             stats,
         )
@@ -889,34 +1041,34 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    /// Distributed execution of `circuit` must reproduce the serial state
-    /// under both routing strategies.
+    /// Distributed execution of `circuit` must reproduce the serial state,
+    /// gate by gate and through the plan, at the same exchange count.
     fn check_matches_serial(circuit: Circuit, ranks: usize) {
         let reference = SvSimulator::plain().statevector(&circuit);
+        let plan = DistPlan::build(&circuit, ranks.trailing_zeros() as usize, None);
+        let remaps = plan.remaps() as u64;
         let circuit = Arc::new(circuit);
-        for route in [RouteStrategy::Swaps, RouteStrategy::Lazy] {
-            let circuit = Arc::clone(&circuit);
-            let results = run_world(ranks, move |mut ctx| {
-                let mut dsv = DistStateVector::zero_with(
-                    &mut ctx,
-                    circuit.num_qubits(),
-                    route,
-                    Obs::disabled(),
-                );
-                dsv.run_unitary(&circuit);
-                dsv.gather_full()
-            });
-            let full = results[0].as_ref().expect("rank 0 gathers");
-            let fid = reference.fidelity(full);
+        let results = run_world(ranks, move |mut ctx| {
+            let n = circuit.num_qubits();
+            let mut per_gate = DistStateVector::zero(&mut ctx, n);
+            per_gate.run_unitary(&circuit);
+            let per_gate = (per_gate.gather_full(), per_gate.stats().exchanges);
+            let mut planned = DistStateVector::zero(&mut ctx, n);
+            planned.run_plan(&plan, &mut Rng::seed_from(0));
+            [per_gate, (planned.gather_full(), planned.stats().exchanges)]
+        });
+        for (path, (full, exchanges)) in ["per-gate", "plan"].into_iter().zip(&results[0]) {
+            let full = full.as_ref().expect("rank 0 gathers");
             // Compare amplitudes exactly, not just fidelity, to catch
             // phase bugs.
             for (a, b) in reference.amps().iter().zip(full.amps().iter()) {
                 assert!(
                     a.approx_eq(*b, 1e-9),
-                    "{route:?}: amplitude mismatch: {a} vs {b}"
+                    "{path}: amplitude mismatch: {a} vs {b}"
                 );
             }
-            assert!(approx_eq(fid, 1.0, 1e-9), "{route:?}");
+            assert!(approx_eq(reference.fidelity(full), 1.0, 1e-9), "{path}");
+            assert_eq!(*exchanges, remaps, "{path}: exchanges vs planned remaps");
         }
     }
 
@@ -1008,10 +1160,9 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_high_gates_are_exchange_free_in_both_strategies() {
+    fn diagonal_high_gates_are_exchange_free() {
         // Satellite regression: rzz/cz/cp (and rz) on high qubits are
-        // local phase sweeps under block partitioning — zero exchanges,
-        // even on the legacy swap-routing path.
+        // local phase sweeps under block partitioning — zero exchanges.
         let mut qc = Circuit::new(5);
         qc.h(0).h(1).h(3).h(4); // superpose (incl. high qubits)
         let pre_gates = qc.num_gates();
@@ -1022,47 +1173,43 @@ mod tests {
             .rzz(0, 3, 0.9); // mixed low/high
         let reference = SvSimulator::plain().statevector(&qc);
         let qc = Arc::new(qc);
-        for route in [RouteStrategy::Swaps, RouteStrategy::Lazy] {
-            let qc = Arc::clone(&qc);
-            let results = run_world(8, move |mut ctx| {
-                let mut dsv =
-                    DistStateVector::zero_with(&mut ctx, 5, route, Obs::disabled());
-                let mut after_h = 0;
-                for (i, op) in qc.ops().iter().enumerate() {
-                    if let Op::Gate(g) = op {
-                        dsv.apply(g);
-                        if i + 1 == pre_gates {
-                            after_h = dsv.stats().exchanges;
-                        }
+        let results = run_world(8, move |mut ctx| {
+            let mut dsv = DistStateVector::zero(&mut ctx, 5);
+            let mut after_h = 0;
+            for (i, op) in qc.ops().iter().enumerate() {
+                if let Op::Gate(g) = op {
+                    dsv.apply(g);
+                    if i + 1 == pre_gates {
+                        after_h = dsv.stats().exchanges;
                     }
                 }
-                let diag_exchanges = dsv.stats().exchanges - after_h;
-                (diag_exchanges, dsv.gather_full())
-            });
-            let (diag_exchanges, full) = &results[0];
-            assert_eq!(*diag_exchanges, 0, "{route:?}: diagonal gates exchanged");
-            let full = full.as_ref().expect("rank 0 gathers");
-            for (a, b) in reference.amps().iter().zip(full.amps().iter()) {
-                assert!(a.approx_eq(*b, 1e-9), "{route:?}: {a} vs {b}");
             }
+            let diag_exchanges = dsv.stats().exchanges - after_h;
+            (diag_exchanges, dsv.gather_full())
+        });
+        let (diag_exchanges, full) = &results[0];
+        assert_eq!(*diag_exchanges, 0, "diagonal gates exchanged");
+        let full = full.as_ref().expect("rank 0 gathers");
+        for (a, b) in reference.amps().iter().zip(full.amps().iter()) {
+            assert!(a.approx_eq(*b, 1e-9), "{a} vs {b}");
         }
     }
 
     #[test]
-    fn lazy_routing_beats_swap_routing_on_layered_circuit() {
+    fn layered_circuit_takes_one_remap_per_layer() {
         // A TFIM-like layered circuit: diagonal rzz chains plus rx on all
-        // qubits. Lazy remapping must cut both exchange operations and
-        // bytes by at least 2x against the swap baseline. The register
+        // qubits. The rzz chains cost nothing, and each rx layer must cost
+        // one batched remap, not one per rank-bit qubit. The register
         // must leave the batcher slack (n - l << l, the paper's TFIM-24
         // regime): Belady eviction then sustains one remap per layer,
         // since each layer's miss point has enough already-used local
         // qubits to evict without retriggering.
-        let n = 16;
+        let (n, layers) = (16, 4);
         let mut qc = Circuit::new(n);
         for q in 0..n {
             qc.h(q);
         }
-        for _ in 0..4 {
+        for _ in 0..layers {
             for q in 0..n - 1 {
                 qc.rzz(q, q + 1, 0.3);
             }
@@ -1070,29 +1217,105 @@ mod tests {
                 qc.rx(q, 0.17);
             }
         }
-        let qc = Arc::new(qc);
-        let mut totals = Vec::new();
-        for route in [RouteStrategy::Swaps, RouteStrategy::Lazy] {
-            let qc = Arc::clone(&qc);
-            let results = run_world(8, move |mut ctx| {
-                run_distributed_with(&mut ctx, &qc, 10, 5, route, &Obs::disabled())
-                    .map(|(_, stats)| stats)
-            });
-            totals.push(results[0].expect("rank 0 stats"));
+        let plan = DistPlan::build(&qc, 3, None);
+        // One remap for the h layer, one per rx layer and the flush; the
+        // last layer may take a second one, when too few of its qubits
+        // are already done with to evict.
+        let remaps = plan.remaps();
+        assert!(remaps <= layers + 3, "{remaps} remaps for {layers} layers");
+        assert_eq!(plan.epochs(), remaps, "an epoch before each remap");
+        let results = run_world(8, move |mut ctx| {
+            run_distributed_with(&mut ctx, &qc, 10, 5, RouteStrategy::Lazy, &Obs::disabled())
+                .map(|(_, stats)| stats)
+        });
+        let stats = results[0].expect("rank 0 stats");
+        assert_eq!(stats.exchanges, 8 * remaps as u64, "summed over 8 ranks");
+    }
+
+    #[test]
+    fn lone_diagonal_gate_on_a_rank_bit_stays_a_diagonal_layer() {
+        // A one-gate diagonal run must not go back out as a gate for the
+        // block pass to densify: at a position >= L that would be a
+        // non-local target. It adds no remap and no dense layer.
+        let mut ghz6 = Circuit::new(6);
+        ghz6.h(0);
+        for q in 0..5 {
+            ghz6.cx(q, q + 1);
         }
-        let (swaps, lazy) = (totals[0], totals[1]);
-        assert!(
-            lazy.exchanges * 2 <= swaps.exchanges,
-            "exchanges: lazy {} vs swaps {}",
-            lazy.exchanges,
-            swaps.exchanges
-        );
-        assert!(
-            lazy.bytes * 2 <= swaps.bytes,
-            "bytes: lazy {} vs swaps {}",
-            lazy.bytes,
-            swaps.bytes
-        );
+        let bare = DistPlan::build(&ghz6, 2, None);
+        // Where the chain leaves the qubits: the flush reads position ->
+        // logical qubit, and positions 4 and 5 are the rank bits.
+        let placed = bare.flush.clone().expect("the chain remaps");
+        let (low, top, next) = (placed[0], placed[5], placed[4]);
+        for tail in [
+            Gate::Cz(next, top),
+            Gate::Rzz(low, top, 0.8),
+            Gate::Rz(top, 0.3),
+        ] {
+            let mut qc = ghz6.clone();
+            qc.push(tail);
+            let plan = DistPlan::build(&qc, 2, None);
+            assert_eq!(plan.remaps(), bare.remaps(), "a diagonal gate moved data");
+            let last = plan.epoch_plans().last().expect("plan has an epoch");
+            assert!(
+                last.layers()
+                    .iter()
+                    .any(|layer| matches!(layer, crate::layers::Layer::Diag(_))),
+                "the tail gate left the diagonal form: {:?}",
+                last.layers()
+            );
+            check_matches_serial(qc, 4);
+        }
+    }
+
+    #[test]
+    fn singular_diagonal_unitary_on_a_rank_bit_routes_as_dense() {
+        // Diagonal with a zero entry: the fuser's ratio form cannot hold
+        // it, so the router must not call it exchange-free either — one
+        // predicate decides both. It is localized and applied densely.
+        let mut qc = Circuit::new(6);
+        qc.h(0).h(1);
+        let before = DistPlan::build(&qc, 2, None).remaps();
+        qc.push(Gate::Unitary {
+            qubits: vec![5],
+            matrix: Arc::new(Matrix::diag(&[C64::ONE, C64::ZERO])),
+            label: "proj0".into(),
+        });
+        let plan = DistPlan::build(&qc, 2, None);
+        // Qubit 5 comes down (one remap) and goes back (the flush).
+        assert_eq!(plan.remaps(), before + 2);
+        check_matches_serial(qc, 4);
+    }
+
+    #[test]
+    fn plan_is_deterministic_and_one_rank_is_the_local_plan() {
+        let mut rng = Rng::seed_from(77);
+        let n = 7;
+        let mut qc = Circuit::new(n);
+        for _ in 0..80 {
+            let q = rng.index(n);
+            let p = (q + 1 + rng.index(n - 1)) % n;
+            match rng.index(6) {
+                0 => qc.h(q),
+                1 => qc.rx(q, rng.uniform(-3.0, 3.0)),
+                2 => qc.rz(q, rng.uniform(-3.0, 3.0)),
+                3 => qc.cx(q, p),
+                4 => qc.rzz(q, p, rng.uniform(-1.0, 1.0)),
+                _ => qc.barrier(),
+            };
+        }
+        for rank_bits in 0..3 {
+            assert_eq!(
+                DistPlan::build(&qc, rank_bits, None),
+                DistPlan::build(&qc, rank_bits, None)
+            );
+        }
+        let one = DistPlan::build(&qc, 0, None);
+        let [DistStep::Epoch(epoch)] = one.steps() else {
+            panic!("one rank never remaps: {:?}", one.steps())
+        };
+        assert_eq!(epoch, &crate::fusion::fuse(&qc));
+        assert_eq!(one.remaps(), 0);
     }
 
     #[test]

@@ -39,12 +39,22 @@ pub enum FusionLevel {
 
 /// Fuses a circuit into its layer plan.
 pub fn fuse(circuit: &Circuit) -> LayerPlan {
+    fuse_shard(circuit, circuit.num_qubits())
+}
+
+/// [`fuse`] for an amplitude buffer that indexes only the low `local_bits`
+/// qubits (one rank's shard; the whole register for the local engine).
+/// Gates on the qubits above must be [`absorbable_diagonal`] — they stay
+/// diagonal layers, which a tile reads off its base index — and every
+/// other gate's operands must lie below `local_bits`.
+pub(crate) fn fuse_shard(circuit: &Circuit, local_bits: usize) -> LayerPlan {
     let n = circuit.num_qubits();
     assert!(n < 64, "the dense engine cannot hold a {n}-qubit register");
     LayerPlan::build(
         n,
         circuit.num_clbits(),
-        fuse_blocks(n, merge_diagonal_runs(n, circuit)),
+        local_bits,
+        fuse_blocks(n, merge_diagonal_runs(n, local_bits, circuit)),
     )
 }
 
@@ -80,8 +90,10 @@ fn mask_of(qubits: &[usize]) -> u64 {
 /// The gate's diagonal, if it is one a [`DiagLayer`] can absorb: diagonal
 /// in the computational basis with every entry finite and nonzero (the
 /// run is kept as ratios of entries; circuit text can carry a "unitary"
-/// that is neither, and that one stays a dense gate).
-fn absorbable_diagonal(g: &Gate) -> Option<Vec<C64>> {
+/// that is neither, and that one stays a dense gate). The distributed
+/// router asks the same question to decide that a gate needs no exchange,
+/// so what it leaves on a rank bit is exactly what stays a layer here.
+pub(crate) fn absorbable_diagonal(g: &Gate) -> Option<Vec<C64>> {
     g.diagonal().filter(|d| {
         d.iter()
             .all(|z| z.norm_sqr() > 0.0 && z.norm_sqr().is_finite())
@@ -140,15 +152,18 @@ impl DiagRun {
 
     /// Closes the run. A lone gate goes back out verbatim and a run on at
     /// most two qubits as a small diagonal unitary, so the block pass can
-    /// still absorb either; anything wider becomes a layer.
-    fn close(self) -> Item {
-        if self.count == 1 {
+    /// still absorb either; anything wider becomes a layer — as does any
+    /// run reading a qubit at or above `local_bits`, which no dense block
+    /// may target.
+    fn close(self, local_bits: usize) -> Item {
+        let blockable = self.support >> local_bits == 0;
+        if blockable && self.count == 1 {
             return Item::Gate(self.first);
         }
         let qubits: Vec<usize> = (0..self.flips.len())
             .filter(|q| self.support >> q & 1 == 1)
             .collect();
-        if qubits.len() <= 2 {
+        if blockable && qubits.len() <= 2 {
             let phases: Vec<C64> = (0..1usize << qubits.len())
                 .map(|l| {
                     let set = |j: usize| l >> j & 1 == 1;
@@ -187,7 +202,7 @@ impl DiagRun {
 /// *disjoint* qubits (they pass straight through, ahead of the run); any
 /// op touching one of the run's qubits — or an operand-less barrier —
 /// closes it first.
-fn merge_diagonal_runs(n: usize, circuit: &Circuit) -> Vec<Item> {
+fn merge_diagonal_runs(n: usize, local_bits: usize, circuit: &Circuit) -> Vec<Item> {
     let mut out = Vec::with_capacity(circuit.ops().len());
     let mut run: Option<DiagRun> = None;
     for op in circuit.ops() {
@@ -211,11 +226,11 @@ fn merge_diagonal_runs(n: usize, circuit: &Circuit) -> Vec<Item> {
             .as_ref()
             .is_some_and(|r| r.support & item.support() != 0)
         {
-            out.extend(run.take().map(DiagRun::close));
+            out.extend(run.take().map(|r| r.close(local_bits)));
         }
         out.push(item);
     }
-    out.extend(run.map(DiagRun::close));
+    out.extend(run.map(|r| r.close(local_bits)));
     out
 }
 

@@ -106,7 +106,7 @@ pub(crate) enum Fused {
     Measure { qubit: usize, clbit: usize },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Step {
     /// One pass over memory.
     Tiles(TileGroup),
@@ -114,7 +114,7 @@ enum Step {
     Collapse { qubit: usize, clbit: usize },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct TileGroup {
     /// Indices into [`LayerPlan::layers`].
     layers: Range<usize>,
@@ -122,10 +122,15 @@ struct TileGroup {
 }
 
 /// A fused circuit, cut into tile groups and ready to execute — what
-/// `FusionLevel::Full` runs and what the `nwqsim` adapter caches.
-#[derive(Clone, Debug)]
+/// `FusionLevel::Full` runs, what the `nwqsim` adapter caches, and what a
+/// rank of the distributed engine runs on its shard between two remaps
+/// ([`crate::dist::DistPlan`]).
+#[derive(Clone, Debug, PartialEq)]
 pub struct LayerPlan {
     num_qubits: usize,
+    /// Register qubits the amplitude buffer indexes: all of them for the
+    /// local engine, the low `n - r` positions for one of `2^r` ranks.
+    local_bits: usize,
     num_clbits: usize,
     layers: Vec<Layer>,
     steps: Vec<Step>,
@@ -137,7 +142,16 @@ impl LayerPlan {
     /// Cuts fused items into tile groups. A measurement is terminal (left
     /// to final-state sampling) iff no later layer touches its qubit;
     /// otherwise it ends the open group and collapses the state there.
-    pub(crate) fn build(num_qubits: usize, num_clbits: usize, items: Vec<Fused>) -> LayerPlan {
+    ///
+    /// Tiles are drawn from the low `local_bits` qubits only, so every
+    /// non-diagonal target must lie below `local_bits`; diagonal layers may
+    /// read any qubit.
+    pub(crate) fn build(
+        num_qubits: usize,
+        num_clbits: usize,
+        local_bits: usize,
+        items: Vec<Fused>,
+    ) -> LayerPlan {
         let mut touched_after = vec![0u64; items.len() + 1];
         for (pos, item) in items.iter().enumerate().rev() {
             touched_after[pos] = touched_after[pos + 1]
@@ -146,10 +160,11 @@ impl LayerPlan {
                     Fused::Measure { .. } => 0,
                 };
         }
-        let tile_bits = TILE_BITS.min(num_qubits);
-        let low_mask = (1u64 << BLOCK_BITS.min(num_qubits)) - 1;
+        let tile_bits = TILE_BITS.min(local_bits);
+        let low_mask = (1u64 << BLOCK_BITS.min(local_bits)) - 1;
         let mut plan = LayerPlan {
             num_qubits,
+            local_bits,
             num_clbits,
             layers: Vec::new(),
             steps: Vec::new(),
@@ -161,6 +176,11 @@ impl LayerPlan {
         for (pos, item) in items.into_iter().enumerate() {
             match item {
                 Fused::Layer(layer) => {
+                    assert_eq!(
+                        layer.targets() >> local_bits,
+                        0,
+                        "non-diagonal target outside the buffer"
+                    );
                     let grown = needs | layer.targets();
                     if grown.count_ones() as usize > tile_bits {
                         plan.close_group(start, needs, tile_bits);
@@ -264,7 +284,7 @@ impl LayerPlan {
         parallel: bool,
     ) -> BTreeMap<usize, u8> {
         let mut collapsed = BTreeMap::new();
-        self.execute(tier, sv, parallel, |sv, qubit, clbit| {
+        self.execute(tier, sv, 0, parallel, |sv, qubit, clbit| {
             collapsed.insert(clbit, sv.measure(qubit, rng, parallel));
         });
         collapsed
@@ -273,28 +293,46 @@ impl LayerPlan {
     /// Runs only the unitary part: mid-circuit measurements are skipped,
     /// as [`StateVector::run_unitary`] skips them.
     pub fn apply_unitary(&self, sv: &mut StateVector, parallel: bool) {
-        self.execute(IsaTier::detect(), sv, parallel, |_, _, _| {});
+        self.execute(IsaTier::detect(), sv, 0, parallel, |_, _, _| {});
     }
 
+    /// `sv` is the buffer the plan indexes; `above` holds the register's
+    /// index bits beyond it (0 when it is the whole register).
     fn execute(
         &self,
         tier: IsaTier,
         sv: &mut StateVector,
+        above: usize,
         parallel: bool,
         mut collapse: impl FnMut(&mut StateVector, usize, usize),
     ) {
-        assert_eq!(sv.num_qubits(), self.num_qubits, "register size mismatch");
+        assert_eq!(sv.num_qubits(), self.local_bits, "register size mismatch");
         for step in &self.steps {
             match step {
                 Step::Tiles(group) => group.run(
                     &self.layers[group.layers.clone()],
                     sv.amps_mut(),
+                    above,
                     parallel,
                     tier,
                 ),
                 Step::Collapse { qubit, clbit } => collapse(sv, *qubit, *clbit),
             }
         }
+    }
+
+    /// Runs the plan on one rank's shard: `shard` holds the `2^local_bits`
+    /// amplitudes whose index bits above the buffer read `above` (the rank
+    /// number shifted past the local bits), which is all a diagonal factor
+    /// on a rank bit needs to know.
+    ///
+    /// # Panics
+    /// Panics on a plan that collapses mid-way: a measurement across ranks
+    /// is a collective, which the distributed plan sequences itself.
+    pub(crate) fn apply_to_shard(&self, shard: &mut StateVector, above: usize) {
+        self.execute(IsaTier::detect(), shard, above, false, |_, _, _| {
+            panic!("a shard plan holds no measurements")
+        });
     }
 }
 
@@ -368,7 +406,9 @@ impl SharedAmps {
 }
 
 impl TileGroup {
-    fn run(&self, layers: &[Layer], amps: &mut [C64], parallel: bool, tier: IsaTier) {
+    /// One pass over `amps`. `above` holds the register's index bits
+    /// beyond the buffer (0 when the buffer is the whole register).
+    fn run(&self, layers: &[Layer], amps: &mut [C64], above: usize, parallel: bool, tier: IsaTier) {
         let qubits = self.map.qubits();
         let t = qubits.len();
         // The tile's lowest qubits that are also the register's lowest: a
@@ -442,10 +482,10 @@ impl TileGroup {
                     }
                     LocalOp::KQ { qubits, m } => apply_kq(&mut sc.re, &mut sc.im, qubits, m),
                     LocalOp::Diag(d) => {
-                        sc.form.localize(&d.form, &self.map, base);
+                        sc.form.localize(&d.form, &self.map, above | base);
                         kernels::phase_table(tier, &sc.form, &mut sc.tre, &mut sc.tim);
                         for table in &d.tables {
-                            table.fold_into(&self.map, base, &mut sc.tre, &mut sc.tim);
+                            table.fold_into(&self.map, above | base, &mut sc.tre, &mut sc.tim);
                         }
                         kernels::mul_table(tier, &mut sc.re, &mut sc.im, &sc.tre, &sc.tim);
                     }

@@ -8,9 +8,10 @@
 //!   groups with rayon ([`state`] with [`Threading::Rayon`]).
 //! * **MPI** (distributed): the state vector partitioned across DVM ranks,
 //!   routed communication-avoidingly via a lazy logical→physical qubit
-//!   permutation with batched remaps ([`dist`]) — the mode whose strong
-//!   scaling the paper highlights on TFIM-28. A legacy swap-routing
-//!   baseline ([`dist::RouteStrategy::Swaps`]) is kept for comparison.
+//!   permutation with batched remaps, planned once per job; between two
+//!   remaps every rank runs the fused tile executor on its shard
+//!   ([`dist`]) — the mode whose strong scaling the paper highlights on
+//!   TFIM-28.
 //!
 //! Plus [`fusion`], which rewrites a circuit into a [`layers`] plan
 //! (whole diagonal runs, 2x2 chains, 4x4 blocks) executed one cache-sized
@@ -32,8 +33,8 @@ pub mod state;
 pub mod sweep;
 
 pub use dist::{
-    run_distributed, run_distributed_laid_out, run_distributed_with, DistStateVector, DistStats,
-    RouteStrategy,
+    run_distributed, run_distributed_laid_out, run_distributed_plan, run_distributed_with,
+    DistPlan, DistStateVector, DistStats, DistStep, RouteStrategy,
 };
 pub use engine::{SvConfig, SvSimulator, Threading};
 pub use fusion::{fuse, FusionLevel};
