@@ -23,7 +23,7 @@
 //! * `--out` — output path (default `results/BENCH_plan.json`).
 
 use qfw::planner::Planner;
-use qfw::{BackendSpec, QfwConfig, QfwSession, SelectorContext};
+use qfw::{BackendSpec, QfwConfig, QfwSession, SelectorContext, Target};
 use qfw_circuit::Circuit;
 use qfw_hpc::ClusterSpec;
 use qfw_workloads::{ham, tfim};
@@ -180,6 +180,19 @@ fn clifford_prefix_circuit(n: usize, layers: usize) -> (Circuit, usize) {
     (qc, seam)
 }
 
+/// A ranked candidate as the wire spec a client would submit to get it.
+fn spec_of(target: &Target) -> BackendSpec {
+    let (backend, subbackend) = target.engine.names();
+    let mut spec = BackendSpec::of(backend, subbackend).with_ranks(target.ranks);
+    if let Some(chi) = target.chi_max {
+        spec = spec.with_extra("chi_max", chi);
+    }
+    if let Some(seam) = target.partition_seam {
+        spec = spec.with_extra("partition_seam", seam);
+    }
+    spec
+}
+
 /// Engine+sampling seconds for one spec, median of `rounds`.
 fn measure(session: &QfwSession, spec: &BackendSpec, qc: &Circuit, shots: usize, rounds: usize) -> f64 {
     let backend = session
@@ -259,15 +272,13 @@ fn main() {
             .first()
             .expect("plan is never empty")
             .cost;
-        let picked_spec = ranked[0].rec.spec.clone();
-        let picked = format!("{}/{}", picked_spec.backend, picked_spec.subbackend);
+        let picked = ranked[0].target.engine.key.to_string();
 
         let mut candidates: Vec<CandidatePoint> = Vec::new();
         let mut pruned: Vec<String> = Vec::new();
         let mut seen: Vec<String> = Vec::new();
         for planned in &ranked {
-            let spec = &planned.rec.spec;
-            let engine = format!("{}/{}", spec.backend, spec.subbackend);
+            let engine = planned.target.engine.key.to_string();
             if seen.contains(&engine) {
                 continue; // one measurement per engine: tunable variants time alike
             }
@@ -278,7 +289,8 @@ fn main() {
                 pruned.push(engine);
                 continue;
             }
-            let measured_secs = measure(&session, spec, qc, shots, rounds);
+            let spec = spec_of(&planned.target);
+            let measured_secs = measure(&session, &spec, qc, shots, rounds);
             candidates.push(CandidatePoint {
                 engine,
                 predicted_secs: planned.cost,

@@ -428,23 +428,6 @@ pub fn is_param_text(text: &str) -> bool {
     text.trim_start().starts_with(PARAM_HEADER)
 }
 
-/// Strips `bind` lines from parameterized text, leaving only the skeleton.
-///
-/// Two parameterized jobs over the same template produce byte-identical
-/// skeletons under this transform — the scheduler's batching key.
-pub fn param_skeleton_text(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for line in text.lines() {
-        let t = line.trim();
-        if t == "bind" || t.starts_with("bind ") {
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 fn write_angle(out: &mut impl Write, a: &Angle) {
     match *a {
         Angle::Lit(v) => write!(out, "{v:e}").unwrap(),
@@ -524,8 +507,7 @@ pub fn write_bind(out: &mut impl Write, params: &[f64]) {
 /// Serializes a parameterized template plus one bound parameter vector.
 ///
 /// The binding travels as a trailing `bind v0 v1 ...` line, so the skeleton
-/// portion stays byte-identical across points of a sweep (see
-/// [`param_skeleton_text`]).
+/// portion stays byte-identical across points of a sweep.
 pub fn dump_param_bound(t: &ParamCircuit, params: &[f64]) -> String {
     let mut out = dump_param(t);
     write_bind(&mut out, params);
@@ -840,15 +822,10 @@ mod tests {
     }
 
     #[test]
-    fn param_skeleton_text_strips_only_bind_lines() {
+    fn bound_dump_is_the_skeleton_plus_one_bind_line() {
         let t = sample_template();
         let bound = dump_param_bound(&t, &[0.1, 0.2]);
-        assert_eq!(param_skeleton_text(&bound), dump_param(&t));
-        // Different bindings, same skeleton key.
-        assert_eq!(
-            param_skeleton_text(&dump_param_bound(&t, &[9.0, -9.0])),
-            param_skeleton_text(&bound)
-        );
+        assert_eq!(bound.strip_prefix(&dump_param(&t)), Some("bind 1e-1 2e-1\n"));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! ecosystem interchange format) or as native `qfwasm`, are lifted into
 //! a wire-edged DAG ([`DagCircuit`]), rewritten by exactly
 //! unitary-preserving passes ([`passes`]), and lowered back out — to
-//! `qfwasm` for the scheduler and caches, or to canonical QASM3 text
-//! whose hash is stable under formatting ([`qasm3::canonical_hash`]).
+//! a [`Circuit`] the scheduler's ingress admits directly (or `qfwasm` text
+//! for wire-side callers), or to canonical QASM3 text that is stable
+//! under formatting ([`qasm3::canonical_qasm3`]).
 //! At O3 the compiler additionally plans a connectivity-aware qubit
 //! ordering ([`passes::plan_layout`]) that the distributed state-vector
 //! engine seeds for free at `|0…0⟩`, steering its Belady remap planner
@@ -27,8 +28,8 @@ pub use passes::{
     MergeRotations, OptLevel, Pass, PassOutcome, RecognizeTemplates, Resynth1q, SinkDiagonals,
 };
 pub use qasm3::{
-    canonical_hash, canonical_qasm3, default_param_names, emit, is_qasm3, lower_to_stdgates,
-    parse, ParsedQasm, Qasm3Error,
+    canonical_qasm3, default_param_names, emit, is_qasm3, lower_to_stdgates, parse, ParsedQasm,
+    Qasm3Error,
 };
 
 use qfw_circuit::Circuit;
@@ -158,40 +159,34 @@ pub fn compile_circuit(qc: &Circuit, opt: OptLevel, obs: &Obs) -> (Circuit, Comp
     (compiled, result.stats)
 }
 
-/// A QASM3 program compiled into stack-native form.
+/// A QASM3 program compiled into stack-native text, for callers on the
+/// wire side.
 #[derive(Clone, Debug)]
 pub struct Ingested {
-    /// The compiled circuit as `qfwasm` text — the format the scheduler,
-    /// caches, and engines already speak. Cache keys computed over this
-    /// text are post-compile canonical: formatting variants of the same
-    /// QASM3 program map to the same entry.
+    /// The compiled circuit as `qfwasm` text. Cache keys computed over
+    /// this text are post-compile canonical: formatting variants of the
+    /// same QASM3 program map to the same entry.
     pub qfwasm: String,
     /// O3 layout handoff (see [`CompileResult::layout`]).
     pub layout: Option<Vec<usize>>,
-    /// O3 + calibration only: predicted log-fidelity of the layout (see
-    /// [`CompileResult::predicted_fidelity`]).
-    pub predicted_fidelity: Option<f64>,
     /// What the pipeline did.
     pub stats: CompileStats,
 }
 
-/// Parses, compiles, and lowers an OpenQASM 3 program to `qfwasm`.
+/// Parses and compiles an OpenQASM 3 program down to a [`Circuit`] — what
+/// the scheduler's ingress admits as is — beside what the pipeline did
+/// (layout handoff, statistics). An optional device [`Calibration`] makes
+/// the O3 layout pass noise-aware (see [`compile_dag_calibrated`]).
 ///
 /// Programs with unbound `input float` parameters are rejected: an
 /// execution request needs concrete angles (bind upstream or submit a
 /// parameterized sweep instead).
-pub fn ingest_qasm3(src: &str, opt: OptLevel, obs: &Obs) -> Result<Ingested, Qasm3Error> {
-    ingest_qasm3_calibrated(src, opt, obs, None)
-}
-
-/// [`ingest_qasm3`] with an optional device [`Calibration`] for the O3
-/// noise-aware layout pass (see [`compile_dag_calibrated`]).
-pub fn ingest_qasm3_calibrated(
+pub fn compile_qasm3(
     src: &str,
     opt: OptLevel,
     obs: &Obs,
     cal: Option<&Calibration>,
-) -> Result<Ingested, Qasm3Error> {
+) -> Result<(Circuit, CompileResult), Qasm3Error> {
     let parsed = {
         let _span = obs.span("compile", "compile.qasm3.parse");
         qasm3::parse(src)?
@@ -211,10 +206,15 @@ pub fn ingest_qasm3_calibrated(
         line: 0,
         message: e.to_string(),
     })?;
+    Ok((circuit, result))
+}
+
+/// [`compile_qasm3`] (no calibration), lowered to `qfwasm` text.
+pub fn ingest_qasm3(src: &str, opt: OptLevel, obs: &Obs) -> Result<Ingested, Qasm3Error> {
+    let (circuit, result) = compile_qasm3(src, opt, obs, None)?;
     Ok(Ingested {
         qfwasm: qfw_circuit::text::dump(&circuit),
         layout: result.layout,
-        predicted_fidelity: result.predicted_fidelity,
         stats: result.stats,
     })
 }

@@ -16,11 +16,10 @@
 //! The emitter is canonical: one statement per line, flattened `q`/`c`
 //! registers, `{:e}` floats (exact `f64` round trips), and parameter
 //! names preserved from the parse. That makes `parse ∘ emit` a fixed
-//! point on parsed programs, which is what lets [`canonical_hash`] give
-//! every formatting variant of the same program one cache identity.
+//! point on parsed programs, which is what lets [`canonical_qasm3`] give
+//! every formatting variant of the same program one text.
 
 use crate::dag::{DagCircuit, DagOp};
-use qfw_circuit::hash::ContentHash;
 use qfw_circuit::param::{Angle, ParamOp};
 use qfw_circuit::Gate;
 
@@ -1057,17 +1056,6 @@ pub fn canonical_qasm3(src: &str) -> Result<String, Qasm3Error> {
     emit(&parsed.dag, &parsed.params)
 }
 
-/// Content hash of a QASM3 program, invariant under formatting: hash of
-/// the canonical emission when the program parses, and a tagged hash of
-/// the raw bytes otherwise (mirroring `qfw_circuit::hash::canonical_hash`
-/// for unparsable input).
-pub fn canonical_hash(src: &str) -> ContentHash {
-    match canonical_qasm3(src) {
-        Ok(text) => ContentHash::of_bytes(text.as_bytes()),
-        Err(_) => ContentHash::of_bytes(b"unparsed-qasm3").fold_str(src),
-    }
-}
-
 // ---------------------------------------------------------------------
 // stdgates lowering
 // ---------------------------------------------------------------------
@@ -1217,12 +1205,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_hash_ignores_formatting() {
+    fn canonical_text_ignores_formatting() {
         let a = "OPENQASM 3;\nqubit[2] q;\nh q[0];\ncx q[0], q[1];\n";
         let b = "// a comment\nOPENQASM   3.0;   qubit [ 2 ] q ;\n  h q[ 0 ]; /* block */ cx q[0],q[1];";
-        assert_eq!(canonical_hash(a), canonical_hash(b));
+        assert_eq!(canonical_qasm3(a).unwrap(), canonical_qasm3(b).unwrap());
         let c = "OPENQASM 3;\nqubit[2] q;\nh q[1];\ncx q[0], q[1];\n";
-        assert_ne!(canonical_hash(a), canonical_hash(c));
+        assert_ne!(canonical_qasm3(a).unwrap(), canonical_qasm3(c).unwrap());
     }
 
     #[test]

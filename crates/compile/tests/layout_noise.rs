@@ -1,11 +1,11 @@
 //! Noise-aware O3 layout: on a heterogeneous calibration table the
 //! calibrated planner must strictly beat the connectivity-greedy layout
 //! in predicted log-fidelity, and the score must flow through
-//! `ingest_qasm3_calibrated` as `predicted_fidelity`.
+//! `compile_qasm3` as `predicted_fidelity`.
 
 use qfw_circuit::Circuit;
 use qfw_compile::{
-    compile_dag_calibrated, ingest_qasm3_calibrated, plan_layout, plan_layout_calibrated,
+    compile_dag_calibrated, compile_qasm3, plan_layout, plan_layout_calibrated,
     predicted_log_fidelity, DagCircuit, OptLevel,
 };
 use qfw_noise::{Calibration, QubitCal};
@@ -114,17 +114,17 @@ fn calibrated_compile_surfaces_predicted_fidelity_only_at_o3() {
 }
 
 #[test]
-fn calibrated_ingest_carries_score_and_preserves_qfwasm() {
+fn calibrated_compile_carries_score_and_preserves_the_circuit() {
     let src = "OPENQASM 3; qubit[4] q; bit[4] c; h q[0]; cx q[0], q[1]; cx q[0], q[1]; \
                cx q[2], q[3]; c = measure q;";
     let cal = adversarial_calibration(4);
     let obs = Obs::disabled();
-    let with_cal = ingest_qasm3_calibrated(src, OptLevel::O3, &obs, Some(&cal)).unwrap();
-    let without = ingest_qasm3_calibrated(src, OptLevel::O3, &obs, None).unwrap();
-    assert!(with_cal.predicted_fidelity.is_some());
-    assert!(without.predicted_fidelity.is_none());
+    let (with_cal, scored) = compile_qasm3(src, OptLevel::O3, &obs, Some(&cal)).unwrap();
+    let (without, plain) = compile_qasm3(src, OptLevel::O3, &obs, None).unwrap();
+    assert!(scored.predicted_fidelity.is_some());
+    assert!(plain.predicted_fidelity.is_none());
     // The layout pass is analysis-only: the lowered program is identical.
-    assert_eq!(with_cal.qfwasm, without.qfwasm);
+    assert_eq!(with_cal, without);
 }
 
 #[test]

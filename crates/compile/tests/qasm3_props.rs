@@ -5,10 +5,10 @@
 //! * **Fixed point:** `parse(emit(parse(s))) == parse(s)` — the emitter
 //!   is canonical, so emitting a parsed program and reparsing it changes
 //!   nothing, for concrete and symbolic circuits alike.
-//! * **Hash stability:** `canonical_hash` sees through formatting — any
-//!   whitespace/comment perturbation of a valid program keys to the same
-//!   content hash (this is what makes QASM3 submissions share result
-//!   cache entries with differently-formatted duplicates).
+//! * **Canonical stability:** `canonical_qasm3` sees through formatting —
+//!   any whitespace/comment perturbation of a valid program canonicalizes
+//!   to the same text (the front-end half of what makes QASM3 submissions
+//!   share result cache entries with differently-formatted duplicates).
 //!
 //! The corpus under `tests/corpus/` pins real workload exports (GHZ-8,
 //! TFIM-16, stdgates-lowered QAOA-14) as canonical fixed points plus one
@@ -17,8 +17,7 @@
 
 use proptest::prelude::*;
 use qfw_compile::{
-    canonical_hash, canonical_qasm3, default_param_names, emit, lower_to_stdgates, parse,
-    DagCircuit,
+    canonical_qasm3, default_param_names, emit, lower_to_stdgates, parse, DagCircuit,
 };
 use qfw_num::rng::Rng;
 use qfw_testkit::{random_circuit, random_template};
@@ -91,16 +90,16 @@ fn mixed_corpus_matches_golden_canonicalization() {
 }
 
 #[test]
-fn corpus_hashes_survive_formatting_perturbations() {
+fn corpus_canonical_text_survives_formatting_perturbations() {
     for name in GENERATED.iter().chain(["mixed.qasm", "mixed.golden.qasm"].iter()) {
         let src = read_corpus(name);
-        let want = canonical_hash(&src);
+        let want = canonical_qasm3(&src).unwrap();
         for seed in 0..8u64 {
             let noisy = perturb_formatting(&src, seed);
             assert_eq!(
-                canonical_hash(&noisy),
+                canonical_qasm3(&noisy).unwrap(),
                 want,
-                "{name}: hash changed under perturbation seed {seed}"
+                "{name}: canonical text changed under perturbation seed {seed}"
             );
         }
     }
@@ -146,17 +145,17 @@ proptest! {
         prop_assert_eq!(&parsed.dag, &dag);
     }
 
-    /// Hash invariance under formatting, on arbitrary generated programs
+    /// Invariance under formatting, on arbitrary generated programs
     /// rather than just the corpus.
     #[test]
-    fn canonical_hash_ignores_formatting(seed in 0u64..500) {
+    fn canonical_text_ignores_formatting(seed in 0u64..500) {
         let dag = DagCircuit::from_circuit(&random_circuit(4, 20, seed));
         let src = emit(&dag, &[]).expect("emittable");
-        let want = canonical_hash(&src);
-        prop_assert_eq!(canonical_hash(&perturb_formatting(&src, seed)), want);
-        // A genuinely different program keys differently.
+        let want = canonical_qasm3(&src).unwrap();
+        prop_assert_eq!(&canonical_qasm3(&perturb_formatting(&src, seed)).unwrap(), &want);
+        // A genuinely different program canonicalizes differently.
         let other = emit(&DagCircuit::from_circuit(&random_circuit(4, 21, seed)), &[]).unwrap();
-        prop_assert_ne!(canonical_hash(&other), want);
+        prop_assert_ne!(canonical_qasm3(&other).unwrap(), want);
     }
 }
 

@@ -3,8 +3,10 @@
 //!
 //! `automatic` reproduces Aer's method-selection heuristic: Clifford
 //! circuits go to the stabilizer tableau, structured low-entanglement
-//! circuits to MPS, everything else to the dense state vector. The chosen
-//! method is reported in the result metadata.
+//! circuits to MPS, everything else to the dense state vector. Admission
+//! makes the choice (`crate::plan`, which has the circuit in hand), so the
+//! method's width is checked before a slot is taken; the adapter runs
+//! `plan.method` and reports it in the result metadata.
 //!
 //! Multi-rank requests on `statevector` model Aer's chunk-based MPI mode:
 //! the state is distributed, but every gate is followed by a chunk
@@ -13,9 +15,8 @@
 
 use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
-use crate::plan::{GroupCores, ResolvedJob};
+use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use qfw_circuit::analysis::{is_clifford, StructureReport};
 use qfw_circuit::{Circuit, Op};
 use qfw_hpc::Stopwatch;
 use qfw_sim_mps::{MpsConfig, MpsSimulator};
@@ -28,28 +29,11 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct AerBackend;
 
-/// Bond-bound (log2) below which `automatic` prefers MPS.
-const AUTO_MPS_BOND_BOUND: usize = 8;
-
 impl AerBackend {
-    /// Aer's `automatic` method selection, on our structural analyses.
-    fn select_method(circuit: &Circuit) -> &'static str {
-        if is_clifford(circuit) {
-            return "stabilizer";
-        }
-        let report = StructureReport::of(circuit);
-        if report.nearest_neighbor_only
-            && report.log2_bond_bound(circuit.num_qubits()) <= AUTO_MPS_BOND_BOUND
-        {
-            return "matrix_product_state";
-        }
-        "statevector"
-    }
-
     fn run_statevector(
         &self,
         circuit: &Circuit,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
@@ -65,13 +49,6 @@ impl AerBackend {
             return Ok(());
         }
         // Chunked MPI mode: distributed state + per-gate synchronization.
-        if job.plan.subbackend == "automatic" {
-            // Resolution ran these for `statevector`; it could not know
-            // `automatic` would pick the dense method for this circuit.
-            job.plan.check_register(circuit.num_qubits())?;
-            job.plan
-                .check_cores(GroupCores::of(ctx.hetjob, ctx.group).total)?;
-        }
         let alloc = ctx.lease_cores(ranks)?;
         let circuit = Arc::new(circuit.clone());
         let (shots, seed) = (job.shots, job.seed);
@@ -104,7 +81,7 @@ impl AerBackend {
     fn run_mps(
         &self,
         circuit: &Circuit,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
@@ -130,7 +107,7 @@ impl AerBackend {
     fn run_stabilizer(
         &self,
         circuit: &Circuit,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
@@ -152,7 +129,7 @@ impl BackendQpm for AerBackend {
 
     fn execute(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
     ) -> Result<QfwResult, QfwError> {
         let sub = job.plan.subbackend;
@@ -161,18 +138,14 @@ impl BackendQpm for AerBackend {
         let mut result = QfwResult::new(self.name(), sub, job.shots);
         result.profile.marshal_secs = job.marshal_secs;
 
-        let method = if sub == "automatic" {
-            let m = Self::select_method(&circuit);
-            result.note("method", m);
-            m
-        } else {
-            sub
-        };
-        match method {
+        if sub == "automatic" {
+            result.note("method", job.plan.method);
+        }
+        match job.plan.method {
             "statevector" => self.run_statevector(&circuit, job, ctx, &mut result)?,
             "matrix_product_state" => self.run_mps(&circuit, job, ctx, &mut result)?,
-            "stabilizer" => self.run_stabilizer(&circuit, job, ctx, &mut result)?,
-            other => unreachable!("bad method '{other}'"),
+            // The engine table's one other `aer` method.
+            _ => self.run_stabilizer(&circuit, job, ctx, &mut result)?,
         }
         result.profile.total_secs = total.elapsed_secs();
         Ok(result)

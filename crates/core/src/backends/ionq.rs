@@ -65,7 +65,7 @@ impl BackendQpm for IonqBackend {
 
     fn execute(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         _ctx: &ExecContext<'_>,
     ) -> Result<QfwResult, QfwError> {
         let sub = job.plan.subbackend;
@@ -81,7 +81,7 @@ impl BackendQpm for IonqBackend {
             let attempt = self
                 .provider
                 .try_submit_job(JobRequest {
-                    circuit: job.wire_text().into_owned(),
+                    circuit: job.wire_text(),
                     shots: job.shots,
                     name: "qfw-task".into(),
                 })
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn provider_failures_surface_as_execution_errors() {
         // Text the stack cannot parse never leaves the cluster (`Marshal`
-        // at job resolution); this is the provider itself turning down a
+        // at admission); this is the provider itself turning down a
         // job the stack accepted — one qubit past its 29-qubit simulator.
         let rig = TestRig::new(1);
         let b = backend().with_retry_policy(RetryPolicy::no_retry());

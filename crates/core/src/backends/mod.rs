@@ -6,10 +6,10 @@
 //! standardized circuit description, (2) configure engine-specific runtime
 //! parameters from the runtime properties, (3) launch execution, (4)
 //! marshal results — the first two are done once, for every adapter, by
-//! [`crate::plan`]: an adapter receives a [`ResolvedJob`] (parsed circuit
-//! plus typed [`crate::plan::ExecPlan`]) and is left with (3) — serially,
-//! rayon-threaded, or via DVM ranks — and (4), marshalling into
-//! [`QfwResult`].
+//! admission ([`crate::plan`]): an adapter receives a [`ResolvedJob`]
+//! (parsed circuit plus typed [`crate::plan::ExecPlan`]) and is left with
+//! (3) — serially, rayon-threaded, or via DVM ranks — and (4), marshalling
+//! into [`QfwResult`].
 
 pub mod aer;
 pub mod ionq;
@@ -42,10 +42,9 @@ pub struct ExecContext<'a> {
 impl ExecContext<'_> {
     /// Leases `n` cores, waiting (bounded) for earlier tasks to release
     /// theirs — this is what throttles DQAOA's concurrent sub-QUBO solves
-    /// to the physically available width. Job resolution has already
-    /// refused any width the whole group could never grant
-    /// ([`crate::plan::ExecPlan::resolve`]), so the wait is for cores that
-    /// will come back.
+    /// to the physically available width. Admission has already refused
+    /// any width the whole group could never grant ([`crate::plan`]), so the
+    /// wait is for cores that will come back.
     pub fn lease_cores(&self, n: usize) -> Result<Allocation, QfwError> {
         let deadline = Instant::now() + Duration::from_secs(300);
         loop {
@@ -67,9 +66,8 @@ pub trait BackendQpm: Send + Sync {
     /// Canonical backend name.
     fn name(&self) -> &'static str;
 
-    /// Executes one resolved job.
-    fn execute(&self, job: &ResolvedJob<'_>, ctx: &ExecContext<'_>)
-        -> Result<QfwResult, QfwError>;
+    /// Executes one admitted job.
+    fn execute(&self, job: &ResolvedJob, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError>;
 
     /// Executes a compile-once/bind-many sweep: one skeleton, many
     /// bindings, results in point order.
@@ -79,7 +77,7 @@ pub trait BackendQpm: Send + Sync {
     /// the box; engines with a native compile-once path override this.
     fn execute_sweep(
         &self,
-        sweep: &ResolvedSweep<'_>,
+        sweep: &ResolvedSweep,
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<QfwResult>, QfwError> {
         sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect()
@@ -89,9 +87,9 @@ pub trait BackendQpm: Send + Sync {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use crate::plan::{ExecPlan, GroupCores, ParsedCircuit};
+    use crate::plan::{GroupCores, Source};
     use crate::spec::{BackendSpec, ExecTask, SweepTask};
-    use qfw_circuit::Circuit;
+    use qfw_circuit::{text, Circuit};
     use qfw_hpc::slurm::HetJobSpec;
     use qfw_hpc::ClusterSpec;
 
@@ -123,29 +121,34 @@ pub(crate) mod testutil {
             }
         }
 
-        /// Resolves a task the way the QRC does and runs it on `backend`.
+        /// Admits a task the way the QRC does and runs it on `backend`.
         pub fn execute(
             &self,
             backend: &dyn BackendQpm,
             task: &ExecTask,
         ) -> Result<QfwResult, QfwError> {
-            let plan = ExecPlan::resolve(&task.spec, GroupCores::of(&self.hetjob, 1))?;
-            let parsed = ParsedCircuit::parse(&task.circuit)?;
-            let job = ResolvedJob::new(&parsed, task.shots, task.seed, &plan)?;
+            let (source, group) = (Source::Wire(&task.circuit), GroupCores::of(&self.hetjob, 1));
+            let job = ResolvedJob::admit(source, task.shots, task.seed, &task.spec, group)?;
             backend.execute(&job, &self.ctx())
         }
 
-        /// Resolves a sweep the way the QRC does and runs it on `backend`.
+        /// Admits a sweep the way the QRC does and runs it on `backend`.
         pub fn execute_sweep(
             &self,
             backend: &dyn BackendQpm,
             task: &SweepTask,
         ) -> Result<Vec<QfwResult>, QfwError> {
-            let plan = ExecPlan::resolve(&task.spec, GroupCores::of(&self.hetjob, 1))?;
-            let parsed = ParsedCircuit::parse(&task.circuit)?;
-            let sweep = ResolvedSweep::new(&parsed, &task.points, &plan)?;
+            let sweep = ResolvedSweep::admit(task, GroupCores::of(&self.hetjob, 1))?;
             backend.execute_sweep(&sweep, &self.ctx())
         }
+    }
+
+    /// One sweep point as bound `qfwasm-param` text: the (unbound) skeleton
+    /// plus a `bind` line carrying the point's parameters.
+    pub fn materialize_point(skeleton: &str, params: &[f64]) -> String {
+        let mut out = skeleton.to_string();
+        text::write_bind(&mut out, params);
+        out
     }
 
     /// A measured GHZ circuit in wire format.
@@ -157,7 +160,7 @@ pub(crate) mod testutil {
         }
         qc.measure_all();
         ExecTask {
-            circuit: qfw_circuit::text::dump(&qc),
+            circuit: text::dump(&qc),
             shots,
             seed: 1234,
             spec,

@@ -144,7 +144,7 @@ impl NwqSimBackend {
     }
 
     /// Hybrid Clifford-prefix partitioned execution: evolve the first
-    /// `seam` operations (job resolution has checked they are all Clifford
+    /// `seam` operations (admission has checked they are all Clifford
     /// gates or barriers) on a stabilizer tableau in `O(gates * n^2 / 64)`,
     /// convert the tableau to dense amplitudes at the seam, and run the
     /// remaining ops on the state-vector engine from that state.
@@ -156,7 +156,7 @@ impl NwqSimBackend {
     fn run_partitioned(
         circuit: &Circuit,
         seam: usize,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         obs: &Obs,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
@@ -181,7 +181,7 @@ impl NwqSimBackend {
         for op in &ops[seam..] {
             suffix.push_op(op.clone());
         }
-        let engine = Self::engine(job.plan, false);
+        let engine = Self::engine(&job.plan, false);
         record(
             result,
             engine.run_traced_from(initial, &suffix, job.shots, job.seed, obs),
@@ -195,11 +195,11 @@ impl NwqSimBackend {
     /// The `cpu`/`openmp` sub-backends: one process, serial or threaded.
     fn run_local(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
-        let plan = job.plan;
+        let plan = &*job.plan;
         // Account the cores the engine occupies: 1 for the serial path,
         // one LLC domain's worth for the threaded path.
         let _lease = ctx.lease_cores(plan.cores)?;
@@ -221,7 +221,7 @@ impl NwqSimBackend {
             result.note("noise_trajectories", plan.trajectories);
             return Ok(());
         }
-        let circuit = match job.form {
+        let circuit = match &job.form {
             Form::Concrete(circuit) => circuit,
             // A bound job is the one-point case of a sweep.
             Form::Param(template) => {
@@ -275,11 +275,11 @@ impl NwqSimBackend {
     /// they share the plan and only move amplitudes.
     fn run_mpi(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
-        let plan = job.plan;
+        let plan = &*job.plan;
         let ranks = plan.ranks;
         if ranks != plan.requested_ranks {
             result.note("ranks_rounded", ranks);
@@ -333,10 +333,10 @@ impl BackendQpm for NwqSimBackend {
 
     fn execute(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
     ) -> Result<QfwResult, QfwError> {
-        let plan = job.plan;
+        let plan = &*job.plan;
         let total = Stopwatch::start();
         let mut result = QfwResult::new(self.name(), plan.subbackend, job.shots);
         result.profile.marshal_secs = job.marshal_secs;
@@ -357,10 +357,10 @@ impl BackendQpm for NwqSimBackend {
 
     fn execute_sweep(
         &self,
-        sweep: &ResolvedSweep<'_>,
+        sweep: &ResolvedSweep,
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<QfwResult>, QfwError> {
-        let plan = sweep.plan;
+        let plan = &*sweep.plan;
         let per_point = || sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect();
         // The native compile-once path serves the ideal local
         // sub-backends; the distributed and noisy configurations run each
@@ -381,7 +381,7 @@ impl BackendQpm for NwqSimBackend {
                 seed: job.seed,
             })
             .collect();
-        let (outcomes, cached) = match self.run_plan(sweep.template, &points, plan, ctx.obs) {
+        let (outcomes, cached) = match self.run_plan(&sweep.template, &points, plan, ctx.obs) {
             Ok(pair) => pair,
             // Mid-circuit skeletons can't sweep: bind each point instead.
             Err(SweepError::MidCircuitMeasure { .. }) => {
@@ -396,7 +396,7 @@ impl BackendQpm for NwqSimBackend {
             .map(|(out, job)| {
                 let mut result = QfwResult::new(self.name(), plan.subbackend, job.shots);
                 record(&mut result, out);
-                result.profile.marshal_secs = sweep.marshal_secs;
+                result.profile.marshal_secs = job.marshal_secs;
                 result.profile.ranks = 1;
                 result.profile.total_secs = total_secs;
                 result.note("plan_cached", cached);
@@ -410,8 +410,7 @@ impl BackendQpm for NwqSimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::testutil::{ghz_task, TestRig};
-    use crate::plan::materialize_point;
+    use crate::backends::testutil::{ghz_task, materialize_point, TestRig};
     use crate::spec::{BackendSpec, ExecTask, SweepPointSpec, SweepTask};
     use qfw_circuit::text;
     use qfw_circuit::param::Angle;

@@ -27,7 +27,7 @@ impl BackendQpm for QTensorBackend {
 
     fn execute(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
     ) -> Result<QfwResult, QfwError> {
         let sub = job.plan.subbackend;

@@ -22,7 +22,7 @@ impl BackendQpm for TnQvmBackend {
 
     fn execute(
         &self,
-        job: &ResolvedJob<'_>,
+        job: &ResolvedJob,
         ctx: &ExecContext<'_>,
     ) -> Result<QfwResult, QfwError> {
         let sub = job.plan.subbackend;

@@ -6,11 +6,11 @@
 //!   shard, so concurrent ingress workers rarely contend; eviction is
 //!   LRU-by-access-tick within the shard that overflows.
 //! * [`ResultCache`] — tier 1: completed [`QfwResult`]s keyed on
-//!   (canonical circuit hash, seed, shots, resolved backend spec). A hit returns
-//!   bitwise-identical counts without touching the scheduler or an
-//!   engine. Everything that feeds the key is part of the executed
-//!   computation, and every engine is deterministic in (circuit, seed),
-//!   so a hit is always sound.
+//!   the admitted job ([`ResolvedJob::cache_key`]: canonical circuit
+//!   hash, seed, shots, resolved plan). A hit returns bitwise-identical
+//!   counts without touching the scheduler or an engine. Everything that
+//!   feeds the key is part of the executed computation, and every engine
+//!   is deterministic in (circuit, seed), so a hit is always sound.
 //! * Tier 2 — compiled/fused-plan caching — reuses [`ShardedLru`]
 //!   directly with engine-specific values (see
 //!   `backends::nwqsim::NwqSimBackend`): sweep plans keyed by skeleton,
@@ -20,11 +20,11 @@
 //! (plus per-tier `cache.<tier>.*` variants) through the [`Obs`] handle it
 //! was built with.
 
-use crate::plan::ExecPlan;
+use crate::plan::{GroupCores, ResolvedJob, Source};
 use crate::result::QfwResult;
 use crate::spec::BackendSpec;
 use parking_lot::Mutex;
-use qfw_circuit::hash::{canonical_hash, ContentHash};
+use qfw_circuit::hash::ContentHash;
 use qfw_obs::{Counter, Obs};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -261,29 +261,6 @@ pub fn report_event(obs: &Obs, tier: &str, event: CacheEvent) {
     obs.counter(&format!("cache.{tier}.{name}")).inc();
 }
 
-/// Folds the non-circuit components of an execution into its cache key.
-///
-/// The key covers everything that can change the bitstring counts: the
-/// canonical circuit, sampling seed, shot budget, backend, sub-backend,
-/// ranks, and the extras — by *meaning*, through the resolved
-/// [`ExecPlan`]'s content hash, not by spelling: an ideal submission keys
-/// identically whether it omits `noise_model` or carries a zero-strength
-/// one, `fusion=true` equals no `fusion` key, while any real noise content
-/// (folded as the model's content hash) or unrecognised key (folded
-/// verbatim) always separates the key.
-///
-/// A spec that does not resolve is never executed, so its key only has to
-/// be deterministic (see [`ExecPlan::options_hash`]).
-pub fn result_key(circuit: &str, seed: u64, shots: usize, spec: &BackendSpec) -> ContentHash {
-    canonical_hash(circuit)
-        .fold_u64(seed)
-        .fold_u64(shots as u64)
-        .fold_str(&spec.backend)
-        .fold_str(&spec.subbackend)
-        .fold_u64(spec.ranks as u64)
-        .fold_bytes(&ExecPlan::options_hash(spec).value().to_le_bytes())
-}
-
 /// Tier 1: the content-addressed result cache.
 ///
 /// Stores completed results behind `Arc` so hits never copy the counts
@@ -302,9 +279,17 @@ impl ResultCache {
         }
     }
 
-    /// The cache key for one execution.
+    /// The cache key of one execution given as wire strings: admit it
+    /// against no particular worker group, then [`ResolvedJob::cache_key`]
+    /// — so it equals the key of the same job admitted anywhere. A
+    /// submission that is not admitted never executes, so nothing is ever
+    /// stored under its key and any deterministic value will do.
     pub fn key(circuit: &str, seed: u64, shots: usize, spec: &BackendSpec) -> ContentHash {
-        result_key(circuit, seed, shots, spec)
+        let source = Source::Wire(circuit);
+        match ResolvedJob::admit(source, shots, seed, spec, GroupCores::UNBOUNDED) {
+            Ok(job) => job.cache_key(),
+            Err(_) => ContentHash::of_bytes(circuit.as_bytes()).fold_str("refused"),
+        }
     }
 
     /// Looks up a completed result.
@@ -422,45 +407,45 @@ mod tests {
     fn result_key_separates_every_component() {
         let circ = "qfwasm 1\nqubits 2\nh q0\ncx q0 q1\nmeasure q0 -> c0\nmeasure q1 -> c1\n";
         let spec = BackendSpec::of("nwqsim", "cpu");
-        let base = result_key(circ, 7, 100, &spec);
-        assert_ne!(base, result_key(circ, 8, 100, &spec));
-        assert_ne!(base, result_key(circ, 7, 101, &spec));
-        assert_ne!(base, result_key(circ, 7, 100, &BackendSpec::of("aer", "cpu")));
+        let base = ResultCache::key(circ, 7, 100, &spec);
+        assert_ne!(base, ResultCache::key(circ, 8, 100, &spec));
+        assert_ne!(base, ResultCache::key(circ, 7, 101, &spec));
+        assert_ne!(base, ResultCache::key(circ, 7, 100, &BackendSpec::of("aer", "cpu")));
         assert_ne!(
             base,
-            result_key(circ, 7, 100, &spec.clone().with_extra("noise_p1", 0.01))
+            ResultCache::key(circ, 7, 100, &spec.clone().with_extra("noise_p1", 0.01))
         );
         // Canonicalization: a formatting variant keys identically.
         let noisy = circ.replace("\nh q0", "\n# c\n\nh q0");
-        assert_eq!(base, result_key(&noisy, 7, 100, &spec));
+        assert_eq!(base, ResultCache::key(&noisy, 7, 100, &spec));
     }
 
     #[test]
     fn noisy_and_ideal_submissions_never_alias() {
         let circ = "qfwasm 1\nqubits 2\nh q0\ncx q0 q1\nmeasure q0 -> c0\nmeasure q1 -> c1\n";
         let spec = BackendSpec::of("nwqsim", "cpu");
-        let ideal = result_key(circ, 7, 100, &spec);
+        let ideal = ResultCache::key(circ, 7, 100, &spec);
 
         let mut model = qfw_noise::NoiseModel::empty();
         model.add_2q_all(qfw_noise::Channel::depolarizing(0.01));
         let noisy_spec = spec.clone().with_extra("noise_model", model.to_text());
-        let noisy = result_key(circ, 7, 100, &noisy_spec);
+        let noisy = ResultCache::key(circ, 7, 100, &noisy_spec);
         assert_ne!(ideal, noisy, "noisy run aliased the ideal key");
 
         // The hash tracks noise *content*, not the raw extra string.
         let stronger = spec
             .clone()
             .with_extra("noise_model", model.scaled(2.0).to_text());
-        assert_ne!(noisy, result_key(circ, 7, 100, &stronger));
+        assert_ne!(noisy, ResultCache::key(circ, 7, 100, &stronger));
 
         // A zero-strength model keys identically to no model at all.
         let zero = spec
             .clone()
             .with_extra("noise_model", qfw_noise::NoiseModel::empty().to_text());
-        assert_eq!(ideal, result_key(circ, 7, 100, &zero));
+        assert_eq!(ideal, ResultCache::key(circ, 7, 100, &zero));
 
-        // Malformed model text still contributes to the key (raw fold).
+        // A malformed model is refused, and keys apart from any real job.
         let bad = spec.clone().with_extra("noise_model", "not-a-model");
-        assert_ne!(ideal, result_key(circ, 7, 100, &bad));
+        assert_ne!(ideal, ResultCache::key(circ, 7, 100, &bad));
     }
 }

@@ -18,9 +18,10 @@
 //! * [`frontend::QfwBackend`] — the drop-in application-side backend
 //!   (step 5): marshals circuits to the `qfwasm` wire format, issues
 //!   asynchronous RPCs, and returns unified results.
-//! * [`plan`] — job resolution: the one step that parses a job's wire
-//!   circuit and turns its [`BackendSpec`] strings into a typed, validated
-//!   [`ExecPlan`], before a queue entry or worker slot exists.
+//! * [`plan`] — admission: the one step that parses a job's wire circuit
+//!   and turns its [`BackendSpec`] strings into a typed, validated
+//!   [`ExecPlan`], yielding the owned [`ResolvedJob`] every later layer
+//!   takes, before a queue entry or worker slot exists.
 //! * [`backends`] — one Backend-QPM adapter per engine: NWQ-Sim analog
 //!   (state-vector), Qiskit-Aer analog (statevector / mps / automatic),
 //!   TN-QVM analog (ExaTN-MPS), QTensor analog (tree TN), and the IonQ
@@ -47,10 +48,8 @@ pub mod spec;
 pub use cache::{CacheConfig, CacheStats, ResultCache, ShardedLru};
 pub use error::QfwError;
 pub use frontend::{QfwBackend, QfwJob, QfwSweepJob};
-pub use plan::{ExecPlan, GroupCores, ParsedCircuit, ResolvedJob, ResolvedSweep};
-pub use planner::{
-    CostCoefficients, PartitionPlan, Planned, Planner, Recommendation, SelectorContext,
-};
+pub use plan::{Engine, ExecPlan, Form, GroupCores, ResolvedJob, ResolvedSweep, Source, Target};
+pub use planner::{CostCoefficients, PartitionPlan, Planned, Planner, SelectorContext};
 pub use qrc::{DispatchPolicy, Qrc, SlotSnapshot};
 pub use registry::{BackendRegistry, Capabilities};
 pub use result::{ExecProfile, QfwResult};

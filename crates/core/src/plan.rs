@@ -1,33 +1,37 @@
-//! Job resolution: the one step that turns a job's strings into types.
+//! Admission: the one step that turns a submission into the job every
+//! layer behind the front door speaks.
 //!
 //! A job arrives as a [`BackendSpec`] (free-form string extras) and a
-//! circuit in wire text. [`ExecPlan::resolve`] decides what the spec
-//! *means* — which engine, how many cores, every recognised extra parsed
-//! with its default, every incompatible pair refused — and
-//! [`ParsedCircuit::parse`] is the single place wire text becomes a
-//! circuit. Together they make a [`ResolvedJob`] (or [`ResolvedSweep`]),
-//! which is all a Backend-QPM adapter ever sees: adapters read typed
-//! fields and run, they decode nothing.
+//! circuit — wire text, or the [`Circuit`] the QASM3 compiler just produced
+//! ([`Source`]). [`ResolvedJob::admit`] (for a sweep,
+//! [`ResolvedSweep::admit`]) decides once what that *means*: which
+//! [`Engine`] row, how many cores, every recognised extra parsed with its
+//! default, every incompatible pair refused ([`ExecPlan::resolve`]), the
+//! text parsed (the only call site of the wire parsers), and every check
+//! that needs circuit and plan together. What comes out is owned — shared
+//! parsed form, binding, [`ExecPlan`], shots, seed — and is what the result
+//! cache keys on, the scheduler queues, the batcher groups and the adapters
+//! run; nothing downstream reads a string again.
 //!
-//! Resolution happens before any work is committed: at
-//! `Scheduler::submit` (before a queue entry exists) and in
-//! [`crate::Qrc`] before a worker slot is acquired.
+//! Admission happens before any work is committed: a refusal leaves no job
+//! id, queue entry, cache reservation or worker slot behind.
 
 use crate::error::QfwError;
-use crate::spec::{extras, BackendSpec, SweepPointSpec};
-use qfw_circuit::analysis::clifford_prefix_len;
-use qfw_circuit::hash::ContentHash;
+use crate::spec::{extras, BackendSpec, SweepTask};
+use qfw_circuit::analysis::{clifford_prefix_len, is_clifford, StructureReport};
+use qfw_circuit::hash::{circuit_hash, param_hash, ContentHash};
 use qfw_circuit::{text, Circuit, ParamCircuit};
 use qfw_hpc::slurm::HetJob;
 use qfw_noise::{Calibration, NoiseModel};
 use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The pseudo-backend that engages the planner.
 pub const AUTO: &str = "auto";
 
 /// How an engine occupies the worker group's cores.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Width {
     /// One core (or none: the cloud path).
     One,
@@ -36,39 +40,92 @@ enum Width {
     /// `ranks` cores, rounded up to a power of two (distributed dense
     /// state vector: the register splits evenly across ranks).
     Pow2Ranks,
-    /// [`Width::Pow2Ranks`] if the method the engine picks per circuit
-    /// turns out dense, one core otherwise (`aer/automatic`): only the
-    /// adapter knows which, so it runs the two width checks itself.
-    Pow2IfDense,
     /// Exactly `ranks` cores.
     Ranks,
 }
 
-/// Every engine the stack can address, as `(backend, sub-backend, width,
-/// dense_local)`. A backend's first row is its default sub-backend;
-/// `dense_local` marks the local dense state-vector engine, the only one
-/// that runs Kraus noise trajectories and Clifford-prefix partitions. The
-/// `auto` row stands for "whichever engine the planner picks": it admits
-/// every option, and each ranked candidate is resolved again on its own
-/// row.
-const ENGINES: &[(&str, &str, Width, bool)] = &[
-    ("nwqsim", "cpu", Width::One, true),
-    ("nwqsim", "openmp", Width::Llc, true),
-    ("nwqsim", "mpi", Width::Pow2Ranks, false),
-    ("aer", "automatic", Width::Pow2IfDense, false),
-    ("aer", "statevector", Width::Pow2Ranks, false),
-    ("aer", "matrix_product_state", Width::One, false),
-    ("aer", "stabilizer", Width::One, false),
-    ("tnqvm", "exatn-mps", Width::One, false),
-    ("tnqvm", "ttn", Width::One, false),
-    ("tnqvm", "peps", Width::One, false),
-    ("qtensor", "numpy", Width::One, false),
-    ("qtensor", "sequential", Width::One, false),
-    ("qtensor", "mpi", Width::Ranks, false),
-    ("ionq", "simulator", Width::One, false),
-    ("ionq", "hardware", Width::One, false),
-    (AUTO, "", Width::One, true),
+/// One engine the stack can address: a row of the engine table.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Engine {
+    /// `backend/subbackend` — also how metrics and the planner's
+    /// corrections name the engine.
+    pub key: &'static str,
+    width: Width,
+    /// The local dense state-vector engine, the only one that runs Kraus
+    /// noise trajectories and Clifford-prefix partitions.
+    dense_local: bool,
+}
+
+const fn row(key: &'static str, width: Width, dense_local: bool) -> Engine {
+    Engine {
+        key,
+        width,
+        dense_local,
+    }
+}
+
+/// Every engine. A backend's first row is its default sub-backend.
+/// `aer/automatic` stands for whichever `aer` method admission picks for
+/// the job's circuit, and takes that row's width; the `auto` row stands for
+/// whichever engine the planner picks: it admits and keeps every option,
+/// and each ranked candidate is judged on its own row
+/// ([`ExecPlan::retarget`]).
+static ENGINES: [Engine; 16] = [
+    row("nwqsim/cpu", Width::One, true),
+    row("nwqsim/openmp", Width::Llc, true),
+    row("nwqsim/mpi", Width::Pow2Ranks, false),
+    row("aer/automatic", Width::One, false),
+    row("aer/statevector", Width::Pow2Ranks, false),
+    row("aer/matrix_product_state", Width::One, false),
+    row("aer/stabilizer", Width::One, false),
+    row("tnqvm/exatn-mps", Width::One, false),
+    row("tnqvm/ttn", Width::One, false),
+    row("tnqvm/peps", Width::One, false),
+    row("qtensor/numpy", Width::One, false),
+    row("qtensor/sequential", Width::One, false),
+    row("qtensor/mpi", Width::Ranks, false),
+    row("ionq/simulator", Width::One, false),
+    row("ionq/hardware", Width::One, false),
+    row("auto/", Width::One, true),
 ];
+
+impl Engine {
+    /// The row with this `backend/subbackend` key.
+    ///
+    /// # Panics
+    /// When the table has no such row: callers name rows by literal.
+    pub fn named(key: &str) -> &'static Engine {
+        let row = ENGINES.iter().find(|e| e.key == key);
+        row.expect("the engine table names every engine the code does")
+    }
+
+    /// `(backend, sub-backend)`.
+    pub fn names(&self) -> (&'static str, &'static str) {
+        self.key
+            .split_once('/')
+            .expect("engine keys are backend/subbackend")
+    }
+
+    /// The row a spec addresses: its sub-backend's, or the backend's
+    /// default when the spec leaves it empty.
+    fn of(spec: &BackendSpec) -> Result<&'static Engine, QfwError> {
+        let mut rows = ENGINES
+            .iter()
+            .filter(|e| e.names().0 == spec.backend)
+            .peekable();
+        let default = *rows
+            .peek()
+            .ok_or_else(|| QfwError::UnknownBackend(spec.backend.clone()))?;
+        if spec.subbackend.is_empty() || spec.backend == AUTO {
+            return Ok(default);
+        }
+        rows.find(|e| e.names().1 == spec.subbackend)
+            .ok_or_else(|| QfwError::UnknownSubBackend {
+                backend: spec.backend.clone(),
+                subbackend: spec.subbackend.clone(),
+            })
+    }
+}
 
 /// Core counts of the worker group a plan is resolved against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,8 +138,9 @@ pub struct GroupCores {
 }
 
 impl GroupCores {
-    /// No resource bound: for callers that only need a spec's meaning
-    /// (e.g. its cache key), not its admissibility on a particular group.
+    /// No resource bound: for the one caller that only needs a job's
+    /// meaning, not its admissibility on a particular group
+    /// ([`crate::ResultCache::key`]).
     pub const UNBOUNDED: GroupCores = GroupCores {
         total: usize::MAX,
         per_llc: 1,
@@ -98,8 +156,36 @@ impl GroupCores {
     }
 }
 
+/// An engine row plus the typed values the planner may set on it: what a
+/// ranked candidate is, and what [`ExecPlan::retarget`] moves a plan onto.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Target {
+    /// The row to run on.
+    pub engine: &'static Engine,
+    /// Ranks to request (1 off the distributed engines).
+    pub ranks: usize,
+    /// MPS bond-dimension cap, when the planner raises it.
+    pub chi_max: Option<usize>,
+    /// Clifford-prefix seam, when the planner found a split that pays.
+    pub partition_seam: Option<usize>,
+}
+
+impl Target {
+    /// The row named `key` ([`Engine::named`]), one rank, nothing
+    /// overridden.
+    pub fn on(key: &str) -> Target {
+        Target {
+            engine: Engine::named(key),
+            ranks: 1,
+            chi_max: None,
+            partition_seam: None,
+        }
+    }
+}
+
 /// What a [`BackendSpec`] means: engine, width, and every recognised
-/// extra as a checked value. Built only by [`ExecPlan::resolve`].
+/// extra as a checked value. Built only by [`ExecPlan::resolve`] and moved
+/// between rows only by [`ExecPlan::retarget`].
 #[derive(Clone, Debug)]
 pub struct ExecPlan {
     /// The resolved backend name.
@@ -107,6 +193,9 @@ pub struct ExecPlan {
     /// The resolved sub-backend (the backend's default when the spec left
     /// it empty).
     pub subbackend: &'static str,
+    /// What runs: the sub-backend, except on `aer/automatic`, where it is
+    /// the method admission chose for the job's circuit.
+    pub method: &'static str,
     /// Ranks the engine runs on (rounded once, here); 1 off the
     /// distributed engines.
     pub ranks: usize,
@@ -132,8 +221,17 @@ pub struct ExecPlan {
     pub layout: Option<Vec<usize>>,
     /// The O3 layout pass's predicted log-fidelity, surfaced on results.
     pub predicted_fidelity: Option<f64>,
-    /// The register is split across `ranks` (distributed dense engines).
-    split_register: bool,
+    /// The row whose width and compatibility rules apply (on
+    /// `aer/automatic`, the chosen method's).
+    engine: &'static Engine,
+    /// The MPS budget as the caller set it; `None` takes the engine's
+    /// default, whichever engine that turns out to be.
+    asked_chi_max: Option<usize>,
+    asked_trunc_eps: Option<f64>,
+    /// The sub-backend as the spec spelled it: part of the cache key.
+    spelled_sub: String,
+    /// Fold of the unrecognised extras, verbatim.
+    unrecognised: ContentHash,
     hash: ContentHash,
 }
 
@@ -187,50 +285,42 @@ impl ExecPlan {
     /// partition seam (`BadProperties`); a width the group can never
     /// grant (`Resources`). Unrecognised keys are legal and only hashed.
     pub fn resolve(spec: &BackendSpec, group: GroupCores) -> Result<ExecPlan, QfwError> {
-        let mut rows = ENGINES.iter().filter(|e| e.0 == spec.backend).peekable();
-        let default = *rows
-            .peek()
-            .ok_or_else(|| QfwError::UnknownBackend(spec.backend.clone()))?;
-        let pick_default = spec.subbackend.is_empty() || spec.backend == AUTO;
-        let &(backend, subbackend, width, dense_local) = if pick_default {
-            default
-        } else {
-            rows.find(|e| e.1 == spec.subbackend)
-                .ok_or_else(|| QfwError::UnknownSubBackend {
-                    backend: spec.backend.clone(),
-                    subbackend: spec.subbackend.clone(),
-                })?
-        };
-        let ranks = match width {
-            Width::Pow2Ranks | Width::Pow2IfDense => spec.ranks.max(1).next_power_of_two(),
-            Width::Ranks => spec.ranks.max(1),
-            Width::One | Width::Llc => 1,
-        };
-        let cores = if width == Width::Llc {
-            group.per_llc
-        } else {
-            ranks
-        };
+        Self::resolve_with(spec, None, None, group)
+    }
 
-        // Defaults; TN-QVM's ExaTN-MPS visitor ships a tighter MPS budget
-        // than Aer's.
-        let tnqvm = backend == "tnqvm";
+    /// [`resolve`](Self::resolve), with the QASM3 compiler's handoff — the
+    /// O3 pass's layout and its predicted log-fidelity — set as typed
+    /// values in place of whatever the spec's extras said.
+    fn resolve_with(
+        spec: &BackendSpec,
+        layout: Option<Vec<usize>>,
+        predicted_fidelity: Option<f64>,
+        group: GroupCores,
+    ) -> Result<ExecPlan, QfwError> {
+        let engine = Engine::of(spec)?;
+        let (backend, subbackend) = engine.names();
+        // Engine-independent defaults; `bind` fills in the rest.
         let mut plan = ExecPlan {
             backend,
             subbackend,
-            ranks,
+            method: subbackend,
+            ranks: 1,
             requested_ranks: spec.ranks,
-            cores,
+            cores: 1,
             fusion: true,
-            chi_max: if tnqvm { 32 } else { 64 },
-            trunc_eps: if tnqvm { 1e-10 } else { 1e-12 },
+            chi_max: 0,
+            trunc_eps: 0.0,
             width_limit: 27,
             noise: NoiseModel::empty(),
             trajectories: 64,
             partition_seam: None,
             layout: None,
             predicted_fidelity: None,
-            split_register: width == Width::Pow2Ranks,
+            engine,
+            asked_chi_max: None,
+            asked_trunc_eps: None,
+            spelled_sub: spec.subbackend.clone(),
+            unrecognised: ContentHash::of_bytes(&[]),
             hash: ContentHash::of_bytes(&[]),
         };
         // The one table of recognised keys: name, parse rule, field.
@@ -245,13 +335,11 @@ impl ExecPlan {
                 extras::FUSION => {
                     plan.fusion = raw.trim().parse().map_err(|_| wrong("true or false"))?
                 }
-                extras::CHI_MAX => plan.chi_max = positive()?,
+                extras::CHI_MAX => plan.asked_chi_max = Some(positive()?),
                 extras::TRUNC_EPS => {
                     let want = "a finite number >= 0";
-                    let eps = number(want)?;
-                    plan.trunc_eps = Some(eps)
-                        .filter(|v| v.is_finite() && *v >= 0.0)
-                        .ok_or_else(|| wrong(want))?
+                    let eps = Some(number(want)?).filter(|v| v.is_finite() && *v >= 0.0);
+                    plan.asked_trunc_eps = Some(eps.ok_or_else(|| wrong(want))?)
                 }
                 extras::WIDTH_LIMIT => plan.width_limit = positive()?,
                 extras::NOISE_TRAJECTORIES => plan.trajectories = positive()?,
@@ -265,61 +353,92 @@ impl ExecPlan {
                 extras::INITIAL_LAYOUT => plan.layout = Some(parse_layout(raw)?),
                 extras::PREDICTED_FIDELITY => plan.predicted_fidelity = Some(number("a number")?),
                 // Anything else is legal, carried, and hashed verbatim.
-                _ => plan.hash = plan.hash.fold_str(key).fold_str(raw),
+                _ => plan.unrecognised = plan.unrecognised.fold_str(key).fold_str(raw),
             }
         }
+        plan.layout = layout.or(plan.layout);
+        plan.predicted_fidelity = predicted_fidelity.or(plan.predicted_fidelity);
+        plan.bind(engine, group)
+    }
+
+    /// Moves a plan resolved on the `auto` row onto a ranked candidate:
+    /// the planner's values win, the caller's explicit values carry over,
+    /// defaults follow the target engine, and the compatibility and core
+    /// checks run on the new row — so a candidate that cannot take the
+    /// caller's options (a noise model off the dense engine, say) is
+    /// refused here and hands over to the next one.
+    pub fn retarget(&self, to: &Target, group: GroupCores) -> Result<ExecPlan, QfwError> {
+        let (backend, subbackend) = to.engine.names();
+        let mut plan = ExecPlan {
+            backend,
+            subbackend,
+            requested_ranks: to.ranks,
+            ..self.clone()
+        };
+        plan.asked_chi_max = to.chi_max.or(plan.asked_chi_max);
+        plan.partition_seam = to.partition_seam.or(plan.partition_seam);
+        plan.bind(to.engine, group)
+    }
+
+    /// Puts the plan on an engine row — everything engine-dependent is
+    /// decided here, so resolving, retargeting and `aer/automatic`'s method
+    /// choice cannot disagree: width from the row and the requested ranks,
+    /// the engine's MPS budget where the caller set none, the
+    /// compatibility table, the core check, the hash.
+    fn bind(mut self, engine: &'static Engine, group: GroupCores) -> Result<ExecPlan, QfwError> {
+        let (backend, method) = engine.names();
+        self.engine = engine;
+        self.method = method;
+        self.ranks = match engine.width {
+            Width::Pow2Ranks => self.requested_ranks.max(1).next_power_of_two(),
+            Width::Ranks => self.requested_ranks.max(1),
+            Width::One | Width::Llc => 1,
+        };
+        self.cores = if engine.width == Width::Llc {
+            group.per_llc
+        } else {
+            self.ranks
+        };
+        // TN-QVM's ExaTN-MPS visitor ships a tighter MPS budget than Aer's.
+        let (chi_max, trunc_eps) = match backend {
+            "tnqvm" => (32, 1e-10),
+            _ => (64, 1e-12),
+        };
+        self.chi_max = self.asked_chi_max.unwrap_or(chi_max);
+        self.trunc_eps = self.asked_trunc_eps.unwrap_or(trunc_eps);
 
         // The compatibility table. Noise changes the answer, so an engine
         // that cannot run it refuses; a partition seam or a layout only
         // changes *how* the same counts are produced, so engines they do
         // not apply to drop them.
-        if !plan.noise.is_empty() && !dense_local {
+        if !self.noise.is_empty() && !engine.dense_local {
             return Err(QfwError::BadProperties(format!(
-                "noise channels run on nwqsim/cpu and nwqsim/openmp only, not \
-                 {backend}/{subbackend}"
+                "noise channels run on nwqsim/cpu and nwqsim/openmp only, not {}",
+                engine.key
             )));
         }
-        if !plan.noise.is_empty() && plan.partition_seam.is_some() {
+        if !self.noise.is_empty() && self.partition_seam.is_some() {
             return Err(QfwError::BadProperties(
                 "clifford-prefix partitioned execution does not compose with noise channels".into(),
             ));
         }
-        if !dense_local {
-            plan.partition_seam = None;
+        if !engine.dense_local {
+            self.partition_seam = None;
         }
-        if (backend, subbackend) != ("nwqsim", "mpi") {
-            plan.layout = None;
+        // A layout is `nwqsim/mpi`'s starting permutation; `auto` keeps it
+        // for the candidate that can use it.
+        if !matches!(engine.key, "nwqsim/mpi" | "auto/") {
+            self.layout = None;
         }
-        if width != Width::Pow2IfDense {
-            plan.check_cores(group.total)?;
-        }
-        plan.hash = plan.fold_options();
-        Ok(plan)
-    }
-
-    /// The worker group has, in total, the cores this plan leases: a wait
-    /// for more would never end.
-    pub(crate) fn check_cores(&self, group_total: usize) -> Result<(), QfwError> {
-        if self.cores > group_total {
+        // A wait for more cores than the group has would never end.
+        if self.cores > group.total {
             return Err(QfwError::Resources(format!(
-                "{}/{} needs {} cores but the worker group only has {group_total}",
-                self.backend, self.subbackend, self.cores
+                "{} needs {} cores but the worker group only has {}",
+                engine.key, self.cores, group.total
             )));
         }
-        Ok(())
-    }
-
-    /// A dense register split across `ranks` must leave every rank at
-    /// least two amplitudes.
-    pub(crate) fn check_register(&self, num_qubits: usize) -> Result<(), QfwError> {
-        let min_qubits = self.ranks.trailing_zeros() as usize + 1;
-        if num_qubits < min_qubits {
-            return Err(QfwError::Resources(format!(
-                "{} ranks need at least {min_qubits} qubits",
-                self.ranks
-            )));
-        }
-        Ok(())
+        self.hash = self.fold_options();
+        Ok(self)
     }
 
     /// Folds every recognised option onto the hash by its *meaning* (so
@@ -342,176 +461,157 @@ impl ExecPlan {
         let h = typed
             .into_iter()
             .chain(layout)
-            .fold(self.hash, ContentHash::fold_u64);
+            .fold(self.unrecognised, ContentHash::fold_u64);
         if self.noise.is_empty() {
             return h;
         }
         h.fold_bytes(&self.noise.content_hash().value().to_le_bytes())
     }
 
-    /// Hash of everything the extras contribute to the computation — what
-    /// [`crate::ResultCache`] keys on in place of the raw strings.
+    /// Hash of everything the extras contribute to the computation.
     pub fn content_hash(&self) -> ContentHash {
         self.hash
     }
 
-    /// What a spec's extras contribute to a cache key: the resolved plan's
-    /// [`content_hash`](Self::content_hash). A spec that does not resolve
-    /// never executes, so nothing is ever stored under its key and a
-    /// constant will do.
-    pub fn options_hash(spec: &BackendSpec) -> ContentHash {
-        ExecPlan::resolve(spec, GroupCores::UNBOUNDED)
-            .map_or(ContentHash::of_bytes(&[]), |plan| plan.hash)
+    /// Continues a key over everything the spec contributes: the engine
+    /// and ranks as the spec named them, the extras by meaning. The result
+    /// cache folds this onto (circuit, seed, shots), the batcher onto the
+    /// circuit's skeleton.
+    pub fn fold_into(&self, h: ContentHash) -> ContentHash {
+        h.fold_str(self.backend)
+            .fold_str(&self.spelled_sub)
+            .fold_u64(self.requested_ranks as u64)
+            .fold_bytes(&self.hash.value().to_le_bytes())
     }
 }
 
-/// A wire circuit, parsed. [`ParsedCircuit::parse`] is the only call site
-/// of the `qfwasm` / `qfwasm-param` parsers from the QRC down.
-#[derive(Clone, Debug)]
-pub struct ParsedCircuit<'a> {
-    /// What the text held.
-    pub form: Form,
-    /// The `bind` line of bound `qfwasm-param` text.
-    bound: Option<Vec<f64>>,
-    /// Seconds the parse took (`profile.marshal_secs`).
-    marshal_secs: f64,
-    wire: &'a str,
-}
-
-/// The two shapes a circuit travels in.
+/// The two shapes a circuit travels in, shared by every job on it.
 #[derive(Clone, Debug)]
 pub enum Form {
     /// A concrete circuit.
-    Concrete(Circuit),
+    Concrete(Arc<Circuit>),
     /// A symbolic skeleton; each job on it carries its own binding.
-    Param(ParamCircuit),
+    Param(Arc<ParamCircuit>),
 }
 
-impl<'a> ParsedCircuit<'a> {
-    /// Parses concrete `qfwasm` or (bound or unbound) `qfwasm-param` text.
-    pub fn parse(wire: &'a str) -> Result<ParsedCircuit<'a>, QfwError> {
-        let start = Instant::now();
-        let parsed = if text::is_param_text(wire) {
-            text::parse_param(wire).map(|(template, bound)| (Form::Param(template), bound))
-        } else {
-            text::parse(wire).map(|circuit| (Form::Concrete(circuit), None))
-        };
-        let (form, bound) = parsed.map_err(|e| QfwError::Marshal(e.to_string()))?;
-        Ok(ParsedCircuit {
-            form,
-            bound,
-            marshal_secs: start.elapsed().as_secs_f64(),
-            wire,
-        })
+/// Where a job's circuit comes from.
+pub enum Source<'a> {
+    /// Concrete `qfwasm` or bound `qfwasm-param` wire text.
+    Wire(&'a str),
+    /// A circuit qfw-compile just produced from QASM3, with the O3 pass's
+    /// handoff as typed values: no dump, no re-parse, no CSV.
+    Compiled {
+        /// The compiled circuit.
+        circuit: Circuit,
+        /// `layout[p]` is the logical qubit at physical position `p`.
+        layout: Option<Vec<usize>>,
+        /// The noise-aware layout's predicted log-fidelity.
+        predicted_fidelity: Option<f64>,
+    },
+}
+
+/// Wire text as a form plus its `bind` line: the one call site of the
+/// `qfwasm` / `qfwasm-param` parsers behind the front door.
+fn parse(wire: &str) -> Result<(Form, Option<Vec<f64>>), QfwError> {
+    let parsed = if text::is_param_text(wire) {
+        text::parse_param(wire).map(|(template, bound)| (Form::Param(Arc::new(template)), bound))
+    } else {
+        text::parse(wire).map(|circuit| (Form::Concrete(Arc::new(circuit)), None))
+    };
+    parsed.map_err(|e| QfwError::Marshal(e.to_string()))
+}
+
+/// A binding must cover every parameter its skeleton references.
+fn check_binding(
+    form: &Form,
+    params: &[f64],
+    binding: std::fmt::Arguments<'_>,
+) -> Result<(), QfwError> {
+    match form {
+        Form::Param(template) if params.len() < template.num_params() => {
+            Err(QfwError::Marshal(format!(
+                "{binding} carries {} values but the skeleton references {} parameters",
+                params.len(),
+                template.num_params()
+            )))
+        }
+        _ => Ok(()),
     }
 }
 
-/// One job, fully resolved: what [`crate::backends::BackendQpm::execute`]
-/// consumes.
-#[derive(Clone, Copy, Debug)]
-pub struct ResolvedJob<'a> {
-    /// The parsed circuit.
-    pub form: &'a Form,
-    /// The binding a [`Form::Param`] skeleton is evaluated at: at least one
-    /// value per parameter (empty for a concrete circuit).
-    pub params: &'a [f64],
-    /// Measurement shots.
-    pub shots: usize,
-    /// Sampling seed.
-    pub seed: u64,
-    /// What the spec means.
-    pub plan: &'a ExecPlan,
-    /// Seconds spent parsing the wire text.
-    pub marshal_secs: f64,
-    /// The text the job (or, for a sweep point, its skeleton) arrived as.
-    wire: &'a str,
+/// The circuit the planner ranks engines for: `auto` cannot route a
+/// symbolic one.
+pub(crate) fn auto_circuit(form: &Form) -> Result<&Circuit, QfwError> {
+    match form {
+        Form::Concrete(circuit) => Ok(circuit),
+        Form::Param(_) => Err(QfwError::Marshal(
+            "auto routing needs a concrete qfwasm circuit".into(),
+        )),
+    }
 }
 
-impl<'a> ResolvedJob<'a> {
-    /// Joins a parsed circuit to a plan. Parameterized text must carry its
-    /// binding; the rest is [`ResolvedJob::join`].
-    pub fn new(
-        parsed: &'a ParsedCircuit<'a>,
-        shots: usize,
-        seed: u64,
-        plan: &'a ExecPlan,
-    ) -> Result<ResolvedJob<'a>, QfwError> {
-        let params = match (&parsed.form, &parsed.bound) {
-            (Form::Concrete(_), _) => &[][..],
-            (Form::Param(_), Some(bound)) => bound,
-            (Form::Param(_), None) => {
-                return Err(QfwError::Marshal(
-                    "parameterized task carries no 'bind' line; submit bound \
-                     parameters or use the sweep path"
-                        .into(),
-                ))
-            }
+/// Bond-bound (log2) below which `aer/automatic` prefers MPS.
+const AUTO_MPS_BOND_BOUND: usize = 8;
+
+/// Aer's `automatic` method selection, on our structural analyses:
+/// Clifford circuits go to the stabilizer tableau, structured
+/// low-entanglement circuits to MPS, everything else to the dense state
+/// vector. Only gate kinds and operands are looked at, never angles.
+fn aer_method(circuit: &Circuit) -> &'static str {
+    if is_clifford(circuit) {
+        return "aer/stabilizer";
+    }
+    let report = StructureReport::of(circuit);
+    if report.nearest_neighbor_only
+        && report.log2_bond_bound(circuit.num_qubits()) <= AUTO_MPS_BOND_BOUND
+    {
+        return "aer/matrix_product_state";
+    }
+    "aer/statevector"
+}
+
+/// The one place the checks and choices that need circuit *and* plan are
+/// made, for single jobs, sweeps and retargeted candidates alike: `auto`
+/// gets a concrete circuit, `aer/automatic` its method (and that method's
+/// width), the register is wide enough for the ranks, the layout permutes
+/// exactly the register, and the partition seam sits inside a Clifford
+/// prefix.
+fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
+    if plan.backend == AUTO {
+        auto_circuit(form)?;
+    }
+    if plan.engine.key == "aer/automatic" {
+        let method = match form {
+            Form::Concrete(circuit) => aer_method(circuit),
+            // Any binding selects alike; zeros will do.
+            Form::Param(template) => aer_method(&template.bind(&vec![0.0; template.num_params()])),
         };
-        Self::join(parsed, params, format_args!("bind line"), shots, seed, plan)
+        // The sub-backend stays `automatic`; width and `method` follow.
+        plan = plan.bind(Engine::named(method), group)?;
     }
-
-    /// The one constructor, for single jobs and sweep points alike, and so
-    /// the one place the checks that need circuit *and* plan run: the
-    /// binding is complete, the register is wide enough for the ranks, the
-    /// layout permutes exactly the register, and the partition seam sits
-    /// inside a Clifford prefix.
-    fn join(
-        parsed: &'a ParsedCircuit<'a>,
-        params: &'a [f64],
-        binding: std::fmt::Arguments<'_>,
-        shots: usize,
-        seed: u64,
-        plan: &'a ExecPlan,
-    ) -> Result<ResolvedJob<'a>, QfwError> {
-        let num_qubits = match &parsed.form {
-            Form::Concrete(circuit) => circuit.num_qubits(),
-            Form::Param(template) if params.len() < template.num_params() => {
-                return Err(QfwError::Marshal(format!(
-                    "{binding} carries {} values but the skeleton references {} parameters",
-                    params.len(),
-                    template.num_params()
-                )))
-            }
-            Form::Param(template) => template.num_qubits(),
-        };
-        if plan.split_register {
-            plan.check_register(num_qubits)?;
-        }
-        if plan.layout.as_ref().is_some_and(|l| l.len() != num_qubits) {
-            return Err(QfwError::BadProperties(format!(
-                "{} does not cover exactly the {num_qubits}-qubit register",
-                extras::INITIAL_LAYOUT
-            )));
-        }
-        if let (Some(seam), Form::Concrete(circuit)) = (plan.partition_seam, &parsed.form) {
-            check_seam(circuit, seam)?;
-        }
-        Ok(ResolvedJob {
-            form: &parsed.form,
-            params,
-            shots,
-            seed,
-            plan,
-            marshal_secs: parsed.marshal_secs,
-            wire: parsed.wire,
-        })
+    let num_qubits = match form {
+        Form::Concrete(circuit) => circuit.num_qubits(),
+        Form::Param(template) => template.num_qubits(),
+    };
+    // A dense register split across `ranks` must leave every rank at least
+    // two amplitudes.
+    let min_qubits = plan.ranks.trailing_zeros() as usize + 1;
+    if plan.engine.width == Width::Pow2Ranks && num_qubits < min_qubits {
+        return Err(QfwError::Resources(format!(
+            "{} ranks need at least {min_qubits} qubits",
+            plan.ranks
+        )));
     }
-
-    /// The job as a concrete circuit (binding the skeleton if needed).
-    pub fn concrete(&self) -> Cow<'a, Circuit> {
-        match self.form {
-            Form::Concrete(circuit) => Cow::Borrowed(circuit),
-            Form::Param(template) => Cow::Owned(template.bind(self.params)),
-        }
+    if plan.layout.as_ref().is_some_and(|l| l.len() != num_qubits) {
+        return Err(QfwError::BadProperties(format!(
+            "{} does not cover exactly the {num_qubits}-qubit register",
+            extras::INITIAL_LAYOUT
+        )));
     }
-
-    /// The job's wire text, for adapters that forward it off-cluster.
-    pub fn wire_text(&self) -> Cow<'a, str> {
-        match self.form {
-            Form::Concrete(_) => Cow::Borrowed(self.wire),
-            Form::Param(_) => Cow::Owned(materialize_point(self.wire, self.params)),
-        }
+    if let (Some(seam), Form::Concrete(circuit)) = (plan.partition_seam, form) {
+        check_seam(circuit, seam)?;
     }
+    Ok(plan)
 }
 
 /// The seam must split off a non-empty all-Clifford prefix of a register
@@ -535,58 +635,156 @@ fn check_seam(circuit: &Circuit, seam: usize) -> Result<(), QfwError> {
     Ok(())
 }
 
-/// One compile-once/bind-many sweep, fully resolved: what
-/// [`crate::backends::BackendQpm::execute_sweep`] consumes.
+/// One admitted job: what the cache keys on, the queue holds, and
+/// [`crate::backends::BackendQpm::execute`] consumes.
 #[derive(Clone, Debug)]
-pub struct ResolvedSweep<'a> {
-    /// The shared skeleton.
-    pub template: &'a ParamCircuit,
-    /// Every point as a stand-alone bound job, in result order: what
-    /// engines (or configurations) without a native sweep path run.
-    pub jobs: Vec<ResolvedJob<'a>>,
+pub struct ResolvedJob {
+    /// The parsed circuit.
+    pub form: Form,
+    /// The binding a [`Form::Param`] skeleton is evaluated at: at least one
+    /// value per parameter (empty for a concrete circuit).
+    pub params: Vec<f64>,
+    /// Measurement shots.
+    pub shots: usize,
+    /// Sampling seed.
+    pub seed: u64,
     /// What the spec means.
-    pub plan: &'a ExecPlan,
-    /// Seconds spent parsing the skeleton.
+    pub plan: Arc<ExecPlan>,
+    /// Seconds admission took: the parse, the resolve, the checks.
     pub marshal_secs: f64,
 }
 
-impl<'a> ResolvedSweep<'a> {
-    /// Joins a parsed skeleton to a plan, resolving every point exactly as
-    /// a bound job of its own would be.
-    pub fn new(
-        parsed: &'a ParsedCircuit<'a>,
-        points: &'a [SweepPointSpec],
-        plan: &'a ExecPlan,
-    ) -> Result<ResolvedSweep<'a>, QfwError> {
-        let Form::Param(template) = &parsed.form else {
+impl ResolvedJob {
+    /// Admits one job against a worker group: the spec resolved, the
+    /// circuit parsed (or taken as compiled), every circuit-dependent check
+    /// run. Parameterized text must carry its binding.
+    pub fn admit(
+        source: Source<'_>,
+        shots: usize,
+        seed: u64,
+        spec: &BackendSpec,
+        group: GroupCores,
+    ) -> Result<ResolvedJob, QfwError> {
+        let start = Instant::now();
+        let (plan, form, params) = match source {
+            Source::Wire(wire) => {
+                let plan = ExecPlan::resolve(spec, group)?;
+                // A skeleton without its `bind` line is a binding of nothing.
+                let (form, bound) = parse(wire)?;
+                (plan, form, bound.unwrap_or_default())
+            }
+            Source::Compiled {
+                circuit,
+                layout,
+                predicted_fidelity,
+            } => {
+                let plan = ExecPlan::resolve_with(spec, layout, predicted_fidelity, group)?;
+                (plan, Form::Concrete(Arc::new(circuit)), Vec::new())
+            }
+        };
+        check_binding(&form, &params, format_args!("bind line"))?;
+        Ok(ResolvedJob {
+            plan: Arc::new(fit(&form, plan, group)?),
+            form,
+            params,
+            shots,
+            seed,
+            marshal_secs: start.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// The same job on another plan (what `auto` does with each ranked
+    /// candidate), through the same circuit-dependent checks.
+    pub fn on_plan(&self, plan: ExecPlan, group: GroupCores) -> Result<ResolvedJob, QfwError> {
+        Ok(ResolvedJob {
+            plan: Arc::new(fit(&self.form, plan, group)?),
+            ..self.clone()
+        })
+    }
+
+    /// The job as a concrete circuit (binding the skeleton if needed).
+    pub fn concrete(&self) -> Cow<'_, Circuit> {
+        match &self.form {
+            Form::Concrete(circuit) => Cow::Borrowed(circuit),
+            Form::Param(template) => Cow::Owned(template.bind(&self.params)),
+        }
+    }
+
+    /// The job as wire text, dumped on demand for the adapter that
+    /// forwards it off-cluster.
+    pub fn wire_text(&self) -> String {
+        match &self.form {
+            Form::Concrete(circuit) => text::dump(circuit),
+            Form::Param(template) => text::dump_param_bound(template, &self.params),
+        }
+    }
+
+    /// The result-cache key: everything that can change the bitstring
+    /// counts — the canonical circuit (with its binding), sampling seed,
+    /// shot budget, and the spec by *meaning* ([`ExecPlan::fold_into`]): an
+    /// ideal submission keys identically whether it omits `noise_model` or
+    /// carries a zero-strength one, `fusion=true` equals no `fusion` key,
+    /// while any real noise content or unrecognised key separates the key.
+    pub fn cache_key(&self) -> ContentHash {
+        let circuit = match &self.form {
+            Form::Concrete(circuit) => circuit_hash(circuit),
+            Form::Param(template) => param_hash(template, Some(&self.params)),
+        };
+        self.plan
+            .fold_into(circuit.fold_u64(self.seed).fold_u64(self.shots as u64))
+    }
+}
+
+/// One compile-once/bind-many sweep, admitted: what
+/// [`crate::backends::BackendQpm::execute_sweep`] consumes.
+#[derive(Clone, Debug)]
+pub struct ResolvedSweep {
+    /// The shared skeleton.
+    pub template: Arc<ParamCircuit>,
+    /// Every point as a stand-alone bound job, in result order: what
+    /// engines (or configurations) without a native sweep path run.
+    pub jobs: Vec<ResolvedJob>,
+    /// What the spec means.
+    pub plan: Arc<ExecPlan>,
+}
+
+impl ResolvedSweep {
+    /// Admits a sweep, every point exactly as a bound job of its own would
+    /// be.
+    pub fn admit(task: &SweepTask, group: GroupCores) -> Result<ResolvedSweep, QfwError> {
+        let start = Instant::now();
+        let plan = ExecPlan::resolve(&task.spec, group)?;
+        let (Form::Param(template), _) = parse(&task.circuit)? else {
             return Err(QfwError::Marshal(
                 "sweep task circuit is not in the qfwasm-param wire format".into(),
             ));
         };
-        let job = |(i, p): (usize, &'a SweepPointSpec)| {
-            let binding = format_args!("sweep point {i}");
-            ResolvedJob::join(parsed, &p.params, binding, p.shots, p.seed, plan)
+        let form = Form::Param(Arc::clone(&template));
+        for (i, point) in task.points.iter().enumerate() {
+            check_binding(&form, &point.params, format_args!("sweep point {i}"))?;
+        }
+        let plan = Arc::new(fit(&form, plan, group)?);
+        let marshal_secs = start.elapsed().as_secs_f64();
+        let job = |point: &crate::spec::SweepPointSpec| ResolvedJob {
+            form: form.clone(),
+            params: point.params.clone(),
+            shots: point.shots,
+            seed: point.seed,
+            plan: Arc::clone(&plan),
+            marshal_secs,
         };
         Ok(ResolvedSweep {
+            jobs: task.points.iter().map(job).collect(),
             template,
-            jobs: points.iter().enumerate().map(job).collect::<Result<_, _>>()?,
             plan,
-            marshal_secs: parsed.marshal_secs,
         })
     }
-}
-
-/// Materializes one sweep point as bound `qfwasm-param` text: the skeleton
-/// plus a `bind` line carrying the point's parameters.
-pub fn materialize_point(skeleton: &str, params: &[f64]) -> String {
-    let mut out = text::param_skeleton_text(skeleton);
-    text::write_bind(&mut out, params);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SweepPointSpec;
 
     const GROUP: GroupCores = GroupCores {
         total: 32,
@@ -595,6 +793,15 @@ mod tests {
 
     fn resolve(spec: &BackendSpec) -> Result<ExecPlan, QfwError> {
         ExecPlan::resolve(spec, GROUP)
+    }
+
+    #[test]
+    fn engine_keys_split_into_names() {
+        for engine in &ENGINES {
+            let (backend, sub) = engine.names();
+            assert_eq!(format!("{backend}/{sub}"), engine.key);
+            assert_eq!(Engine::named(engine.key), engine);
+        }
     }
 
     #[test]
@@ -730,6 +937,87 @@ mod tests {
         assert_eq!(plan.layout, None);
     }
 
+    /// The two tables above, through `auto` and a retarget onto each row:
+    /// the same defaults, the same refusals, the same dropped hints.
+    #[test]
+    fn retarget_judges_each_candidate_on_its_own_row() {
+        let onto = |spec: &BackendSpec, to: &Target| resolve(spec).unwrap().retarget(to, GROUP);
+        let auto = BackendSpec::of(AUTO, "");
+        // Defaults follow the target engine...
+        let tnqvm = onto(&auto, &Target::on("tnqvm/exatn-mps")).unwrap();
+        assert_eq!((tnqvm.backend, tnqvm.subbackend), ("tnqvm", "exatn-mps"));
+        assert_eq!((tnqvm.chi_max, tnqvm.trunc_eps), (32, 1e-10));
+        let aer = onto(&auto, &Target::on("aer/matrix_product_state")).unwrap();
+        assert_eq!((aer.chi_max, aer.trunc_eps), (64, 1e-12));
+        let omp = onto(&auto, &Target::on("nwqsim/openmp")).unwrap();
+        assert_eq!((omp.cores, omp.ranks), (7, 1));
+        // ...explicit values carry over, whatever the engine's default...
+        let asked = auto
+            .clone()
+            .with_extra("chi_max", 64)
+            .with_extra("fusion", false);
+        let tnqvm = onto(&asked, &Target::on("tnqvm/exatn-mps")).unwrap();
+        assert_eq!(
+            (tnqvm.chi_max, tnqvm.trunc_eps, tnqvm.fusion),
+            (64, 1e-10, false)
+        );
+        // ...and the planner's values win.
+        let raised = Target {
+            chi_max: Some(128),
+            ..Target::on("aer/matrix_product_state")
+        };
+        assert_eq!(onto(&asked, &raised).unwrap().chi_max, 128);
+        let mpi = Target {
+            ranks: 5,
+            ..Target::on("nwqsim/mpi")
+        };
+        let plan = onto(&auto.clone().with_ranks(3), &mpi).unwrap();
+        assert_eq!((plan.ranks, plan.requested_ranks, plan.cores), (8, 5, 8));
+        let wide = Target {
+            ranks: 33,
+            ..Target::on("nwqsim/mpi")
+        };
+        assert!(matches!(onto(&auto, &wide), Err(QfwError::Resources(_))));
+
+        // Noise: only the local dense rows take it, and never across a seam.
+        let noise = auto.clone().with_extra("noise_model", noisy());
+        for engine in &ENGINES[..ENGINES.len() - 1] {
+            let plan = onto(&noise, &Target::on(engine.key));
+            if engine.dense_local {
+                assert!(!plan.unwrap().noise.is_empty(), "{}", engine.key);
+            } else {
+                assert!(
+                    matches!(plan, Err(QfwError::BadProperties(_))),
+                    "{} accepted a noise model",
+                    engine.key
+                );
+            }
+        }
+        let split = Target {
+            partition_seam: Some(3),
+            ..Target::on("nwqsim/cpu")
+        };
+        assert!(matches!(
+            onto(&noise, &split),
+            Err(QfwError::BadProperties(_))
+        ));
+        // Hints survive `auto` and land only where they apply.
+        let hints = auto
+            .with_extra("partition_seam", 3)
+            .with_extra("initial_layout", "1,0,2");
+        let mpi = onto(&hints, &Target::on("nwqsim/mpi")).unwrap();
+        assert_eq!(
+            (mpi.partition_seam, mpi.layout.as_deref()),
+            (None, Some(&[1, 0, 2][..]))
+        );
+        let cpu = onto(&hints, &Target::on("nwqsim/cpu")).unwrap();
+        assert_eq!((cpu.partition_seam, cpu.layout.as_deref()), (Some(3), None));
+        assert_eq!(onto(&hints, &split).unwrap().partition_seam, Some(3));
+        // A retargeted plan hashes as the same spec resolved directly.
+        let direct = resolve(&BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", 3));
+        assert_eq!(cpu.content_hash(), direct.unwrap().content_hash());
+    }
+
     #[test]
     fn hash_follows_meaning_not_spelling() {
         let base = resolve(&BackendSpec::of("nwqsim", "cpu"))
@@ -765,7 +1053,7 @@ mod tests {
         );
     }
 
-    fn ghz_text(n: usize) -> String {
+    fn ghz(n: usize) -> Circuit {
         let mut qc = Circuit::new(n);
         qc.h(0);
         for q in 0..n - 1 {
@@ -773,17 +1061,17 @@ mod tests {
         }
         qc.rx(0, 0.3);
         qc.measure_all();
-        text::dump(&qc)
+        qc
+    }
+
+    fn admit(wire: &str, spec: &BackendSpec) -> Result<ResolvedJob, QfwError> {
+        ResolvedJob::admit(Source::Wire(wire), 10, 1, spec, GROUP)
     }
 
     #[test]
-    fn circuit_dependent_checks_run_at_job_resolution() {
-        let wire = ghz_text(3);
-        let parsed = ParsedCircuit::parse(&wire).unwrap();
-        let job = |spec: BackendSpec| {
-            let plan = resolve(&spec).unwrap();
-            ResolvedJob::new(&parsed, 10, 1, &plan).map(|_| ())
-        };
+    fn circuit_dependent_checks_run_at_admission() {
+        let wire = text::dump(&ghz(3));
+        let job = |spec: BackendSpec| admit(&wire, &spec).map(|_| ());
         assert!(job(BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", 3)).is_ok());
         // Past the op list, and across the rx.
         assert!(matches!(
@@ -806,23 +1094,36 @@ mod tests {
             job(BackendSpec::of("nwqsim", "mpi").with_ranks(8)),
             Err(QfwError::Resources(_))
         ));
+        // Text that does not parse is a refusal like any other.
+        assert!(matches!(
+            admit("qfwasm 1\nqubits 2\nnosuchgate q0\n", &mpi),
+            Err(QfwError::Marshal(_))
+        ));
+    }
+
+    fn sweep_task(skeleton: &str, spec: BackendSpec) -> SweepTask {
+        SweepTask {
+            circuit: skeleton.into(),
+            points: vec![SweepPointSpec {
+                params: vec![0.25],
+                shots: 8,
+                seed: 3,
+            }],
+            spec,
+        }
     }
 
     #[test]
     fn sweep_points_get_the_same_checks_as_single_jobs() {
         let skeleton = "qfwasm-param 1\nqubits 3\nrx(@0) q0\ncx q0 q2\n";
-        let parsed = ParsedCircuit::parse(skeleton).unwrap();
-        let points = [SweepPointSpec {
-            params: vec![0.1],
-            shots: 1,
-            seed: 1,
-        }];
         let sweep = |spec: BackendSpec| {
-            let plan = resolve(&spec).unwrap();
-            ResolvedSweep::new(&parsed, &points, &plan).map(|s| s.jobs.len())
+            ResolvedSweep::admit(&sweep_task(skeleton, spec), GROUP).map(|s| s.jobs.len())
         };
         let mpi = BackendSpec::of("nwqsim", "mpi").with_ranks(2);
-        assert_eq!(sweep(mpi.clone().with_extra("initial_layout", "2,0,1")).unwrap(), 1);
+        assert_eq!(
+            sweep(mpi.clone().with_extra("initial_layout", "2,0,1")).unwrap(),
+            1
+        );
         assert!(matches!(
             sweep(mpi.with_extra("initial_layout", "0,1")),
             Err(QfwError::BadProperties(_))
@@ -834,68 +1135,123 @@ mod tests {
     }
 
     #[test]
-    fn aer_automatic_defers_its_width_to_the_adapter() {
-        // Whether these ranks are used at all depends on the method picked
-        // per circuit, so neither the group nor the register bounds them
-        // here; `statevector` is bounded by both.
-        let wire = ghz_text(3);
-        let parsed = ParsedCircuit::parse(&wire).unwrap();
-        let auto = resolve(&BackendSpec::of("aer", "automatic").with_ranks(33)).unwrap();
-        assert_eq!(auto.ranks, 64);
-        assert!(ResolvedJob::new(&parsed, 1, 1, &auto).is_ok());
-        assert!(auto.check_cores(GROUP.total).is_err() && auto.check_register(3).is_err());
-        assert!(matches!(
-            resolve(&BackendSpec::of("aer", "statevector").with_ranks(33)),
-            Err(QfwError::Resources(_))
+    fn auto_refuses_symbolic_circuits_on_every_path() {
+        let skeleton = "qfwasm-param 1\nqubits 3\nrx(@0) q0\ncx q0 q2\n";
+        let auto = BackendSpec::of(AUTO, "");
+        let is_refusal = |e: QfwError| matches!(e, QfwError::Marshal(why) if why.contains("auto"));
+        assert!(is_refusal(
+            admit(&format!("{skeleton}bind 1e-1\n"), &auto).unwrap_err()
         ));
+        let mut task = sweep_task(skeleton, auto.clone());
+        assert!(is_refusal(ResolvedSweep::admit(&task, GROUP).unwrap_err()));
+        task.points.clear();
+        assert!(is_refusal(ResolvedSweep::admit(&task, GROUP).unwrap_err()));
+        assert!(admit(&text::dump(&ghz(3)), &auto).is_ok());
+    }
+
+    #[test]
+    fn aer_automatic_takes_the_width_of_its_method() {
+        let automatic = |ranks| BackendSpec::of("aer", "automatic").with_ranks(ranks);
+        // Nearest-neighbour and shallow: MPS, which has no use for ranks —
+        // however many, neither the group nor the register bounds them.
+        let plan = admit(&text::dump(&ghz(3)), &automatic(33)).unwrap().plan;
+        assert_eq!(
+            (plan.subbackend, plan.method),
+            ("automatic", "matrix_product_state")
+        );
+        assert_eq!((plan.ranks, plan.requested_ranks, plan.cores), (1, 33, 1));
+        let mut clifford = Circuit::new(3);
+        clifford.h(0).cx(0, 2);
+        assert_eq!(
+            admit(&text::dump(&clifford), &automatic(33))
+                .unwrap()
+                .plan
+                .method,
+            "stabilizer"
+        );
+        // Long-range and non-Clifford: dense, bounded like `statevector`.
+        let mut dense = Circuit::new(5);
+        dense.h(0).cx(0, 4).rzz(1, 3, 0.7);
+        let wire = text::dump(&dense);
+        let plan = admit(&wire, &automatic(3)).unwrap().plan;
+        assert_eq!((plan.method, plan.ranks, plan.cores), ("statevector", 4, 4));
+        for ranks in [32, 33] {
+            let refusal = admit(&wire, &automatic(ranks)).unwrap_err();
+            assert!(
+                matches!(refusal, QfwError::Resources(_)),
+                "{ranks}: {refusal:?}"
+            );
+        }
+        // Any binding of a skeleton selects alike.
+        let bound = "qfwasm-param 1\nqubits 5\nh q0\ncx q0 q4\nrzz(@0) q1 q3\nbind 7e-1\n";
+        assert_eq!(
+            admit(bound, &automatic(1)).unwrap().plan.method,
+            "statevector"
+        );
     }
 
     #[test]
     fn unbound_or_short_bindings_are_marshal_errors() {
         let skeleton = "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1) q0 q1\n";
-        let plan = resolve(&BackendSpec::of("nwqsim", "cpu")).unwrap();
-        let unbound = ParsedCircuit::parse(skeleton).unwrap();
-        assert!(matches!(
-            ResolvedJob::new(&unbound, 1, 1, &plan),
-            Err(QfwError::Marshal(_))
-        ));
+        let cpu = BackendSpec::of("nwqsim", "cpu");
+        assert!(matches!(admit(skeleton, &cpu), Err(QfwError::Marshal(_))));
         let short = format!("{skeleton}bind 1e-1\n");
-        let parsed = ParsedCircuit::parse(&short).unwrap();
+        assert!(matches!(admit(&short, &cpu), Err(QfwError::Marshal(_))));
         assert!(matches!(
-            ResolvedJob::new(&parsed, 1, 1, &plan),
-            Err(QfwError::Marshal(_))
-        ));
-        let points = [SweepPointSpec {
-            params: vec![0.1],
-            shots: 1,
-            seed: 1,
-        }];
-        assert!(matches!(
-            ResolvedSweep::new(&unbound, &points, &plan),
+            ResolvedSweep::admit(&sweep_task(skeleton, cpu.clone()), GROUP),
             Err(QfwError::Marshal(_))
         ));
         // A concrete circuit is not a sweep skeleton.
-        let wire = ghz_text(2);
-        let concrete = ParsedCircuit::parse(&wire).unwrap();
         assert!(matches!(
-            ResolvedSweep::new(&concrete, &[], &plan),
+            ResolvedSweep::admit(&sweep_task(&text::dump(&ghz(2)), cpu), GROUP),
             Err(QfwError::Marshal(_))
         ));
     }
 
     #[test]
-    fn sweep_points_materialize_their_wire_text() {
+    fn jobs_dump_their_wire_text_on_demand() {
         let skeleton = "qfwasm-param 1\nqubits 1\nrx(@0) q0\n";
-        let plan = resolve(&BackendSpec::of("ionq", "simulator")).unwrap();
-        let parsed = ParsedCircuit::parse(skeleton).unwrap();
-        let points = [SweepPointSpec {
-            params: vec![0.25],
-            shots: 8,
-            seed: 3,
-        }];
-        let sweep = ResolvedSweep::new(&parsed, &points, &plan).unwrap();
-        let job = sweep.jobs[0];
+        let task = sweep_task(skeleton, BackendSpec::of("ionq", "simulator"));
+        let sweep = ResolvedSweep::admit(&task, GROUP).unwrap();
+        let job = &sweep.jobs[0];
         assert_eq!((job.shots, job.seed), (8, 3));
         assert_eq!(job.wire_text(), format!("{skeleton}bind 2.5e-1\n"));
+        let wire = text::dump(&ghz(2));
+        let spec = BackendSpec::of("ionq", "simulator");
+        let commented = wire.replacen('\n', "\n# c\n", 1);
+        assert_eq!(admit(&commented, &spec).unwrap().wire_text(), wire);
+    }
+
+    /// A compiled circuit with its typed handoff is the job its dump and
+    /// the handoff's CSV spelling would have been.
+    #[test]
+    fn compiled_source_equals_its_wire_spelling() {
+        let circuit = ghz(3);
+        let spec = BackendSpec::of("nwqsim", "mpi")
+            .with_ranks(2)
+            .with_extra("initial_layout", "0,1,2");
+        let compiled = Source::Compiled {
+            circuit: circuit.clone(),
+            layout: Some(vec![2, 0, 1]),
+            predicted_fidelity: Some(-0.0123),
+        };
+        let typed = ResolvedJob::admit(compiled, 10, 1, &spec, GROUP).unwrap();
+        assert_eq!(typed.plan.layout.as_deref(), Some(&[2, 0, 1][..]));
+        assert_eq!(typed.plan.predicted_fidelity, Some(-0.0123));
+        let spelled = spec
+            .with_extra("initial_layout", "2,0,1")
+            .with_extra("predicted_fidelity", -0.0123);
+        let wired = admit(&text::dump(&circuit), &spelled).unwrap();
+        assert_eq!(typed.cache_key(), wired.cache_key());
+        // The handoff's width is checked like a spelled one.
+        let short = Source::Compiled {
+            circuit,
+            layout: Some(vec![1, 0]),
+            predicted_fidelity: None,
+        };
+        assert!(matches!(
+            ResolvedJob::admit(short, 10, 1, &spelled, GROUP),
+            Err(QfwError::BadProperties(_))
+        ));
     }
 }

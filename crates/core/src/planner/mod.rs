@@ -24,8 +24,8 @@
 //! Clifford prefix executed on the stabilizer tableau, converted to a
 //! dense state vector at the seam, and continued on the SV engine
 //! ([`partition`]). A winning split surfaces as an `nwqsim/cpu` candidate
-//! carrying `partition=clifford_prefix` / `partition_seam=<ops>` extras,
-//! so the cache key, scheduler, and result metadata all see it.
+//! whose [`Target`] carries the seam, so the plan the QRC retargets onto
+//! it, and the result metadata, see it.
 
 pub mod cost;
 pub mod partition;
@@ -33,7 +33,7 @@ pub mod partition;
 pub use cost::{effective_chi, CostCoefficients};
 pub use partition::{plan_partition, PartitionPlan, PARTITION_MIN_PREFIX_GATES};
 
-use crate::spec::BackendSpec;
+use crate::plan::Target;
 use parking_lot::RwLock;
 use qfw_circuit::analysis::StructureReport;
 use qfw_circuit::Circuit;
@@ -80,21 +80,13 @@ impl Default for SelectorContext {
     }
 }
 
-/// A scored recommendation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Recommendation {
-    /// The backend/sub-backend to use.
-    pub spec: BackendSpec,
-    /// Human-readable rationale (logged by callers).
-    pub rationale: String,
-}
-
-/// A ranked execution candidate: the public [`Recommendation`] plus the
-/// planner's internals (predicted cost and quality tier).
+/// A ranked execution candidate.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Planned {
-    /// Backend spec + rationale, as handed to QRC.
-    pub rec: Recommendation,
+    /// The engine row to run on, with the values the planner sets on it.
+    pub target: Target,
+    /// Human-readable rationale (logged by callers).
+    pub rationale: String,
     /// Predicted wall-clock seconds (correction-adjusted).
     pub cost: f64,
     /// Quality tier (0 best); ranking key is `(tier, cost)`.
@@ -107,7 +99,8 @@ pub struct Planned {
 #[derive(Default)]
 pub struct Planner {
     coeffs: CostCoefficients,
-    /// Multiplicative per-engine corrections, keyed `backend/subbackend`.
+    /// Multiplicative per-engine corrections, keyed by
+    /// [`crate::plan::Engine::key`].
     corrections: RwLock<BTreeMap<String, f64>>,
 }
 
@@ -155,104 +148,93 @@ impl Planner {
     }
 
     /// Ranks every admissible backend for the circuit by predicted cost
-    /// within quality tier. The list is never empty, never contains a
-    /// duplicate spec, and holds at least two entries whenever a second
-    /// engine is admissible (QRC's failover chain depends on it).
+    /// within quality tier. The list is never empty, never names one
+    /// target twice (each candidate below is pushed at most once and differs
+    /// from the others in engine or override), and holds at least two
+    /// entries whenever a second engine is admissible (QRC's failover chain
+    /// depends on it).
     pub fn plan(&self, circuit: &Circuit, shots: usize, ctx: SelectorContext) -> Vec<Planned> {
         let n = circuit.num_qubits();
         let shots = if shots == 0 { DEFAULT_PLAN_SHOTS } else { shots };
         let report = StructureReport::of(circuit);
         let gates = report.num_gates;
         let c = &self.coeffs;
-        let adj = |engine: &str, secs: f64| secs * self.correction(engine);
         let mut out: Vec<Planned> = Vec::new();
-
-        // Tier 0: Clifford circuits — polynomial tableau, any width.
-        if report.clifford {
-            let secs = adj("aer/automatic", c.stab_cost(n, gates, shots));
+        // One candidate: its predicted seconds, adjusted by the engine's
+        // correction, rank it and close its rationale.
+        let mut push = |tier: u8, target: Target, secs: f64, why: String| {
+            let cost = secs * self.correction(target.engine.key);
             out.push(Planned {
-                rec: Recommendation {
-                    spec: BackendSpec::of("aer", "automatic"),
-                    rationale: format!(
-                        "circuit is Clifford ({gates} gates): stabilizer fast path, \
-                         predicted {secs:.1e}s"
-                    ),
-                },
-                cost: secs,
-                tier: 0,
+                target,
+                rationale: format!("{why}, predicted {cost:.1e}s"),
+                cost,
+                tier,
             });
+        };
+
+        // Tier 0: Clifford circuits — polynomial tableau, any width. The
+        // stabilizer method is named outright: the structure was analysed
+        // just above, `aer/automatic` would only analyse it again.
+        if report.clifford {
+            push(
+                0,
+                Target::on("aer/stabilizer"),
+                c.stab_cost(n, gates, shots),
+                format!("circuit is Clifford ({gates} gates): stabilizer fast path"),
+            );
         }
 
         // Tier 1: exact dense engines within the dense limit.
         if n <= DENSE_LIMIT {
-            let sv_secs = adj("nwqsim/cpu", c.sv_cost(n, gates, shots));
-            out.push(Planned {
-                rec: Recommendation {
-                    spec: BackendSpec::of("nwqsim", "cpu"),
-                    rationale: format!(
-                        "{n}-qubit dense state vector on a single core, \
-                         predicted {sv_secs:.1e}s"
-                    ),
-                },
-                cost: sv_secs,
-                tier: 1,
-            });
+            let sv_secs = c.sv_cost(n, gates, shots);
+            push(
+                1,
+                Target::on("nwqsim/cpu"),
+                sv_secs,
+                format!("{n}-qubit dense state vector on a single core"),
+            );
             if n > DISTRIBUTE_ABOVE && ctx.free_cores >= 2 {
                 let ranks = prev_power_of_two(ctx.free_cores).min(1 << (n / 2));
-                let secs = adj("nwqsim/mpi", c.mpi_cost(n, gates, shots, ranks));
-                out.push(Planned {
-                    rec: Recommendation {
-                        spec: BackendSpec::of("nwqsim", "mpi").with_ranks(ranks),
-                        rationale: format!(
-                            "{n}-qubit dense register: rank-distributed state vector \
-                             over {ranks} of {} free cores, predicted {secs:.1e}s",
-                            ctx.free_cores
-                        ),
+                push(
+                    1,
+                    Target {
+                        ranks,
+                        ..Target::on("nwqsim/mpi")
                     },
-                    cost: secs,
-                    tier: 1,
-                });
+                    c.mpi_cost(n, gates, shots, ranks),
+                    format!(
+                        "{n}-qubit dense register: rank-distributed state vector \
+                         over {ranks} of {} free cores",
+                        ctx.free_cores
+                    ),
+                );
             }
             if !report.clifford {
                 // Aer's generic path: same dense engine underneath, a
                 // little marshalling overhead on top — kept for failover
                 // diversity across backend implementations.
-                let secs = adj("aer/automatic", c.sv_cost(n, gates, shots) * 1.15);
-                out.push(Planned {
-                    rec: Recommendation {
-                        spec: BackendSpec::of("aer", "automatic"),
-                        rationale: format!(
-                            "Aer automatic method selection, predicted {secs:.1e}s"
-                        ),
-                    },
-                    cost: secs,
-                    tier: 1,
-                });
+                push(
+                    1,
+                    Target::on("aer/automatic"),
+                    sv_secs * 1.15,
+                    "Aer automatic method selection".into(),
+                );
                 // Hybrid partition: a deep Clifford prefix runs on the
                 // tableau, converts at the seam, and finishes dense.
                 if let Some(plan) = plan_partition(c, circuit, gates, shots) {
-                    let secs = adj("nwqsim/cpu", plan.predicted_secs);
-                    out.push(Planned {
-                        rec: Recommendation {
-                            spec: BackendSpec::of("nwqsim", "cpu")
-                                .with_extra(
-                                    crate::spec::extras::PARTITION,
-                                    crate::spec::extras::PARTITION_CLIFFORD_PREFIX,
-                                )
-                                .with_extra(
-                                    crate::spec::extras::PARTITION_SEAM,
-                                    plan.seam_ops,
-                                ),
-                            rationale: format!(
-                                "Clifford-prefix partition: {} prefix gates on the \
-                                 stabilizer tableau, seam conversion, {} gates dense, \
-                                 predicted {secs:.1e}s",
-                                plan.prefix_gates, plan.suffix_gates
-                            ),
+                    push(
+                        1,
+                        Target {
+                            partition_seam: Some(plan.seam_ops),
+                            ..Target::on("nwqsim/cpu")
                         },
-                        cost: secs,
-                        tier: 1,
-                    });
+                        plan.predicted_secs,
+                        format!(
+                            "Clifford-prefix partition: {} prefix gates on the \
+                             stabilizer tableau, seam conversion, {} gates dense",
+                            plan.prefix_gates, plan.suffix_gates
+                        ),
+                    );
                 }
             }
         }
@@ -263,36 +245,29 @@ impl Planner {
             && chi <= c.chi_budget
             && (n <= DENSE_LIMIT || report.mean_entangling_angle < 1.0);
         if mps_trusted {
-            let secs = adj("aer/matrix_product_state", c.mps_cost(n, gates, shots, chi));
-            out.push(Planned {
-                rec: Recommendation {
-                    spec: BackendSpec::of("aer", "matrix_product_state"),
-                    rationale: format!(
-                        "nearest-neighbour structure keeps MPS exact at bond \
-                         dimension ~{chi:.0}, predicted {secs:.1e}s"
-                    ),
-                },
-                cost: secs,
-                tier: 1,
-            });
+            push(
+                1,
+                Target::on("aer/matrix_product_state"),
+                c.mps_cost(n, gates, shots, chi),
+                format!(
+                    "nearest-neighbour structure keeps MPS exact at bond \
+                     dimension ~{chi:.0}"
+                ),
+            );
         }
 
         // Tier 1: the cloud provider — exact but queue-dominated, so it
         // only leads when no local exact engine is admissible.
         if ctx.cloud_available && n <= CLOUD_QUBIT_LIMIT {
-            let secs = adj("ionq/simulator", c.cloud_cost(shots));
-            out.push(Planned {
-                rec: Recommendation {
-                    spec: BackendSpec::of("ionq", "simulator"),
-                    rationale: format!(
-                        "{n}-qubit circuit within the cloud provider's \
-                         {CLOUD_QUBIT_LIMIT}-qubit cap, predicted {secs:.1e}s \
-                         (queue-dominated)"
-                    ),
-                },
-                cost: secs,
-                tier: 1,
-            });
+            push(
+                1,
+                Target::on("ionq/simulator"),
+                c.cloud_cost(shots),
+                format!(
+                    "{n}-qubit circuit within the cloud provider's \
+                     {CLOUD_QUBIT_LIMIT}-qubit cap (queue-dominated)"
+                ),
+            );
         }
 
         // Tier 2: best-effort MPS with a raised bond budget — the honest
@@ -300,62 +275,33 @@ impl Planner {
         // exact-MPS primary beyond the dense limit.
         if !mps_trusted || n > DENSE_LIMIT {
             let chi_cap = 128.0;
-            let secs = adj(
-                "aer/matrix_product_state",
-                c.mps_cost(n, gates, shots, chi.min(chi_cap).max(chi_cap * 0.5)),
-            );
-            out.push(Planned {
-                rec: Recommendation {
-                    spec: BackendSpec::of("aer", "matrix_product_state")
-                        .with_extra(crate::spec::extras::CHI_MAX, 128),
-                    rationale: format!(
-                        "best-effort MPS with a raised bond budget (expect \
-                         truncation), predicted {secs:.1e}s"
-                    ),
+            push(
+                2,
+                Target {
+                    chi_max: Some(128),
+                    ..Target::on("aer/matrix_product_state")
                 },
-                cost: secs,
-                tier: 2,
-            });
+                c.mps_cost(n, gates, shots, chi.min(chi_cap).max(chi_cap * 0.5)),
+                "best-effort MPS with a raised bond budget (expect truncation)".into(),
+            );
         }
 
         // Tier 3: last-resort tensor engine with a tighter default bond
         // budget — admissible at any width, kept so the failover chain is
         // never a single entry.
-        {
-            let secs = adj(
-                "tnqvm/exatn-mps",
-                c.mps_cost(n, gates, shots, chi.min(32.0)) * 1.3,
-            );
-            out.push(Planned {
-                rec: Recommendation {
-                    spec: BackendSpec::of("tnqvm", "exatn-mps"),
-                    rationale: format!(
-                        "last-resort ExaTN MPS processor (chi<=32), \
-                         predicted {secs:.1e}s"
-                    ),
-                },
-                cost: secs,
-                tier: 3,
-            });
-        }
+        push(
+            3,
+            Target::on("tnqvm/exatn-mps"),
+            c.mps_cost(n, gates, shots, chi.min(32.0)) * 1.3,
+            "last-resort ExaTN MPS processor (chi<=32)".into(),
+        );
 
         // Rank by (tier, predicted cost); the sort is stable so equal-cost
-        // candidates keep their deterministic generation order. Dedupe on
-        // the *full* spec — extras included — so two MPS variants with
-        // different bond budgets both stay available to failover.
+        // candidates keep their deterministic generation order.
         out.sort_by(|a, b| {
             (a.tier, a.cost)
                 .partial_cmp(&(b.tier, b.cost))
                 .expect("costs are finite")
-        });
-        let mut seen: Vec<BackendSpec> = Vec::new();
-        out.retain(|p| {
-            if seen.contains(&p.rec.spec) {
-                false
-            } else {
-                seen.push(p.rec.spec.clone());
-                true
-            }
         });
         out
     }
@@ -405,17 +351,17 @@ mod tests {
         };
         let planner = Planner::default();
         let before = planner.plan(&deep, 200, ctx);
-        assert_eq!(before[0].rec.spec.backend, "nwqsim");
+        assert_eq!(before[0].target.engine.key, "nwqsim/cpu");
         for _ in 0..64 {
             planner.observe("nwqsim/cpu", 1.0, 100.0);
             planner.observe("aer/automatic", 1.0, 100.0);
         }
         let after = planner.plan(&deep, 200, ctx);
-        assert_eq!(after[0].rec.spec.subbackend, "matrix_product_state");
+        assert_eq!(after[0].target.engine.key, "aer/matrix_product_state");
     }
 
     #[test]
-    fn plan_is_deduped_and_never_single_entry() {
+    fn plan_has_no_duplicates_and_is_never_single_entry() {
         let planner = Planner::default();
         let ctx = SelectorContext {
             free_cores: 8,
@@ -431,7 +377,7 @@ mod tests {
             assert!(plan.len() >= 2, "n={n}: {} candidates", plan.len());
             for (i, a) in plan.iter().enumerate() {
                 for b in &plan[i + 1..] {
-                    assert_ne!(a.rec.spec, b.rec.spec, "duplicate spec at n={n}");
+                    assert_ne!(a.target, b.target, "duplicate target at n={n}");
                 }
             }
             // Ranking is monotone in (tier, cost).
@@ -448,15 +394,11 @@ mod tests {
 
     /// Ranked recommendations from a fresh planner: the primary first,
     /// then the failover candidates QRC walks when an engine fails.
-    fn rank_backends(circuit: &Circuit, ctx: SelectorContext) -> Vec<Recommendation> {
-        Planner::default()
-            .plan(circuit, DEFAULT_PLAN_SHOTS, ctx)
-            .into_iter()
-            .map(|p| p.rec)
-            .collect()
+    fn rank_backends(circuit: &Circuit, ctx: SelectorContext) -> Vec<Planned> {
+        Planner::default().plan(circuit, DEFAULT_PLAN_SHOTS, ctx)
     }
 
-    fn select_backend(circuit: &Circuit, ctx: SelectorContext) -> Recommendation {
+    fn select_backend(circuit: &Circuit, ctx: SelectorContext) -> Planned {
         rank_backends(circuit, ctx).swap_remove(0)
     }
 
@@ -470,15 +412,14 @@ mod tests {
     #[test]
     fn ghz_routes_to_stabilizer() {
         let rec = select_backend(&ghz(24), ctx(8));
-        assert_eq!(rec.spec.backend, "aer");
-        assert_eq!(rec.spec.subbackend, "automatic");
+        assert_eq!(rec.target.engine.key, "aer/stabilizer");
         assert!(rec.rationale.contains("Clifford"));
     }
 
     #[test]
     fn tfim_routes_to_mps() {
         let rec = select_backend(&tfim(20), ctx(8));
-        assert_eq!(rec.spec.subbackend, "matrix_product_state");
+        assert_eq!(rec.target.engine.key, "aer/matrix_product_state");
     }
 
     #[test]
@@ -488,31 +429,29 @@ mod tests {
         // cost loses to a 10-qubit dense sweep.
         let deep = qfw_workloads::ham::ham_with(10, 12, 0.25);
         let rec = select_backend(&deep, ctx(1));
-        assert_eq!(rec.spec.backend, "nwqsim");
-        assert_eq!(rec.spec.subbackend, "cpu");
+        assert_eq!(rec.target.engine.key, "nwqsim/cpu");
     }
 
     #[test]
     fn large_entangled_routes_to_distributed_sv() {
         let deep = qfw_workloads::ham::ham_with(22, 12, 0.25);
         let rec = select_backend(&deep, ctx(8));
-        assert_eq!(rec.spec.backend, "nwqsim");
-        assert_eq!(rec.spec.subbackend, "mpi");
-        assert!(rec.spec.ranks >= 2);
-        assert!(rec.spec.ranks.is_power_of_two());
+        assert_eq!(rec.target.engine.key, "nwqsim/mpi");
+        assert!(rec.target.ranks >= 2);
+        assert!(rec.target.ranks.is_power_of_two());
     }
 
     #[test]
     fn hhl_routes_to_dense() {
         let (circuit, _) = hhl_benchmark(9);
         let rec = select_backend(&circuit, ctx(1));
-        assert_eq!(rec.spec.backend, "nwqsim");
+        assert_eq!(rec.target.engine.names().0, "nwqsim");
     }
 
     #[test]
     fn beyond_dense_nearest_neighbor_stays_mps() {
         let rec = select_backend(&tfim(40), ctx(8));
-        assert_eq!(rec.spec.subbackend, "matrix_product_state");
+        assert_eq!(rec.target.engine.key, "aer/matrix_product_state");
     }
 
     #[test]
@@ -522,13 +461,7 @@ mod tests {
         assert!(ranked.len() >= 2, "no failover candidates");
         for (i, a) in ranked.iter().enumerate() {
             for b in &ranked[i + 1..] {
-                assert!(
-                    a.spec.backend != b.spec.backend
-                        || a.spec.subbackend != b.spec.subbackend,
-                    "duplicate candidate {}/{}",
-                    a.spec.backend,
-                    a.spec.subbackend
-                );
+                assert_ne!(a.target.engine, b.target.engine, "duplicate candidate");
             }
         }
     }
@@ -548,10 +481,10 @@ mod tests {
                 cloud_available: true,
             },
         );
-        assert_eq!(ranked[0].spec.backend, "ionq");
+        assert_eq!(ranked[0].target.engine.key, "ionq/simulator");
         assert!(ranked
             .iter()
-            .any(|r| r.spec.subbackend == "matrix_product_state"));
+            .any(|r| r.target.engine.key == "aer/matrix_product_state"));
     }
 
     #[test]
@@ -571,10 +504,10 @@ mod tests {
                 cloud_available: true,
             },
         );
-        assert_eq!(with_cloud.spec.backend, "ionq");
+        assert_eq!(with_cloud.target.engine.key, "ionq/simulator");
         let without = select_backend(&qc, ctx(8));
-        assert_eq!(without.spec.subbackend, "matrix_product_state");
-        assert_eq!(without.spec.extra["chi_max"], "128");
+        assert_eq!(without.target.engine.key, "aer/matrix_product_state");
+        assert_eq!(without.target.chi_max, Some(128));
     }
 
     /// Regression for the rank-sizing bug: `free_cores.next_power_of_two()`
@@ -586,17 +519,17 @@ mod tests {
         let deep = qfw_workloads::ham::ham_with(22, 12, 0.25);
         for (free, want) in [(3usize, 2usize), (5, 4), (6, 4)] {
             let rec = select_backend(&deep, ctx(free));
-            assert_eq!(rec.spec.subbackend, "mpi", "free={free}");
-            assert_eq!(rec.spec.ranks, want, "free={free}");
-            assert!(rec.spec.ranks <= free, "oversubscribed at free={free}");
-            assert!(rec.spec.ranks.is_power_of_two());
+            assert_eq!(rec.target.engine.key, "nwqsim/mpi", "free={free}");
+            assert_eq!(rec.target.ranks, want, "free={free}");
+            assert!(rec.target.ranks <= free, "oversubscribed at free={free}");
+            assert!(rec.target.ranks.is_power_of_two());
         }
     }
 
     /// Regression for the failover-gap bug: beyond `DENSE_LIMIT` the
     /// best-effort-MPS primary used to dedupe against the only fallback,
     /// leaving QRC a single-entry list. The ranked list must keep >=2
-    /// distinct full specs (extras included) whenever a second engine is
+    /// distinct targets (overrides included) whenever a second engine is
     /// admissible.
     #[test]
     fn beyond_dense_list_always_has_a_failover() {
@@ -610,19 +543,19 @@ mod tests {
         assert!(ranked.len() >= 2, "single-entry plan: {ranked:?}");
         for (i, a) in ranked.iter().enumerate() {
             for b in &ranked[i + 1..] {
-                assert_ne!(a.spec, b.spec, "duplicate full spec");
+                assert_ne!(a.target, b.target, "duplicate target");
             }
         }
         // Nearest-neighbour weak entanglers beyond the dense limit: the
         // exact-MPS primary and the raised-bond best-effort variant differ
-        // only in extras and must both survive dedupe.
+        // only in `chi_max` and must both be there.
         let ranked = rank_backends(&tfim(40), ctx(8));
         assert!(ranked.len() >= 2);
         let mps_variants = ranked
             .iter()
-            .filter(|r| r.spec.subbackend == "matrix_product_state")
+            .filter(|r| r.target.engine.key == "aer/matrix_product_state")
             .count();
-        assert!(mps_variants >= 2, "chi_max variant was deduped away");
+        assert!(mps_variants >= 2, "chi_max variant is missing");
     }
 
     /// The two cloud-admissibility checks used to be independent literal
@@ -641,14 +574,14 @@ mod tests {
             qc
         };
         let at_cap = wide(CLOUD_QUBIT_LIMIT);
-        assert_eq!(select_backend(&at_cap, cloud).spec.backend, "ionq");
+        assert_eq!(select_backend(&at_cap, cloud).target.engine.key, "ionq/simulator");
         assert!(rank_backends(&at_cap, cloud)
             .iter()
-            .any(|r| r.spec.backend == "ionq"));
+            .any(|r| r.target.engine.key == "ionq/simulator"));
         let over_cap = wide(CLOUD_QUBIT_LIMIT + 1);
-        assert_ne!(select_backend(&over_cap, cloud).spec.backend, "ionq");
+        assert_ne!(select_backend(&over_cap, cloud).target.engine.key, "ionq/simulator");
         assert!(rank_backends(&over_cap, cloud)
             .iter()
-            .all(|r| r.spec.backend != "ionq"));
+            .all(|r| r.target.engine.key != "ionq/simulator"));
     }
 }

@@ -17,12 +17,17 @@
 //! bounded by `hetgroup-1`'s free cores and scaling down returns cores to
 //! the free pool. [`Qrc::slot_snapshot`] exposes the live/busy/dead counts
 //! the scheduler sizes its dispatch window from, and
-//! [`Qrc::execute_many`] runs a coalesced batch under a single slot
+//! [`Qrc::run_many`] runs a coalesced batch under a single slot
 //! acquisition (one *engine invocation*).
+//!
+//! Every entry point has the same two halves: [`Qrc::admit`] turns a
+//! submission into the owned job ([`crate::plan`]), and [`Qrc::run`] /
+//! [`Qrc::run_many`] / [`Qrc::run_sweep`] execute admitted jobs under a
+//! slot. `execute*` are the two back to back.
 
 use crate::backends::ExecContext;
 use crate::error::QfwError;
-use crate::plan::{ExecPlan, Form, GroupCores, ParsedCircuit, ResolvedJob, ResolvedSweep, AUTO};
+use crate::plan::{auto_circuit, ExecPlan, GroupCores, ResolvedJob, ResolvedSweep, Source, AUTO};
 use crate::planner::SelectorContext;
 use crate::registry::BackendRegistry;
 use crate::result::QfwResult;
@@ -120,7 +125,7 @@ pub struct Qrc {
     obs: Obs,
     requeues: AtomicU64,
     /// Engine invocations: slot-held backend dispatches. A coalesced batch
-    /// through [`Qrc::execute_many`] counts once.
+    /// through [`Qrc::run_many`] counts once.
     invocations: AtomicU64,
     /// Dispatchers currently waiting in slot acquisition.
     waiting: AtomicUsize,
@@ -218,7 +223,7 @@ impl Qrc {
     }
 
     /// Engine invocations so far: each slot-held backend dispatch counts
-    /// one; an [`Qrc::execute_many`] batch counts one for the whole batch.
+    /// one; a [`Qrc::run_many`] batch counts one for the whole batch.
     pub fn engine_invocations(&self) -> u64 {
         self.invocations.load(Ordering::Relaxed)
     }
@@ -327,16 +332,32 @@ impl Qrc {
         self.obs.gauge("qrc.slots.tasks_spread").set(spread);
     }
 
-    /// Resolves a spec against this controller's worker group: what
-    /// [`Qrc::execute`] will do with it, or why it never will. The
-    /// scheduler calls this at submit so an unrunnable spec is refused
-    /// before a queue entry exists.
-    pub fn resolve(&self, spec: &BackendSpec) -> Result<ExecPlan, QfwError> {
-        let plan = ExecPlan::resolve(spec, GroupCores::of(&self.hetjob, self.group))?;
+    /// Admits one job against this controller's worker group and backend
+    /// registry ([`ResolvedJob::admit`]): what [`Qrc::run`] will execute, or
+    /// why nothing ever will. The scheduler and its ingress call this at
+    /// submit, so an unrunnable job is refused before a queue entry exists.
+    pub fn admit(
+        &self,
+        source: Source<'_>,
+        shots: usize,
+        seed: u64,
+        spec: &BackendSpec,
+    ) -> Result<ResolvedJob, QfwError> {
+        let job = ResolvedJob::admit(source, shots, seed, spec, self.group_cores())?;
+        self.registered(&job.plan)?;
+        Ok(job)
+    }
+
+    fn group_cores(&self) -> GroupCores {
+        GroupCores::of(&self.hetjob, self.group)
+    }
+
+    /// The plan's backend has an adapter here (`auto` needs none of its own).
+    fn registered(&self, plan: &ExecPlan) -> Result<(), QfwError> {
         if plan.backend != AUTO {
             self.registry.get(plan.backend)?;
         }
-        Ok(plan)
+        Ok(())
     }
 
     /// Holds one worker slot around `run`: acquisition (with chaos
@@ -387,8 +408,16 @@ impl Qrc {
         Ok(results)
     }
 
-    /// Runs one resolved job under its own slot.
-    fn run_job(&self, job: &ResolvedJob<'_>) -> Result<QfwResult, QfwError> {
+    /// Runs one admitted job under its own slot.
+    ///
+    /// A job on the pseudo-backend `auto` engages the workload-driven
+    /// planner: its circuit is analyzed and its plan retargeted to the
+    /// recommended engine before dispatch (the rationale lands in the
+    /// result metadata).
+    pub fn run(&self, job: &ResolvedJob) -> Result<QfwResult, QfwError> {
+        if job.plan.backend == AUTO {
+            return self.run_auto(job);
+        }
         let backend = self.registry.get(job.plan.backend)?;
         let mut results = self.with_slot(1, "qrc.execute", |ctx, span| {
             span.set_attr("backend", job.plan.backend);
@@ -398,85 +427,48 @@ impl Qrc {
         results.pop().expect("one job in, one result out")
     }
 
-    /// Executes one task end-to-end: resolution (spec and circuit, before
-    /// any slot is taken), slot acquisition, backend dispatch, profile
-    /// stamping, slot release.
-    ///
-    /// The pseudo-backend name `auto` engages the workload-driven planner:
-    /// the task's circuit is analyzed and the spec rewritten to the
-    /// recommended engine before dispatch (the rationale lands in the
-    /// result metadata).
-    pub fn execute(&self, task: &ExecTask) -> Result<QfwResult, QfwError> {
-        let plan = self.resolve(&task.spec)?;
-        let parsed = ParsedCircuit::parse(&task.circuit)?;
-        if plan.backend == AUTO {
-            return self.execute_auto(task, &parsed);
-        }
-        let job = ResolvedJob::new(&parsed, task.shots, task.seed, &plan)?;
-        self.run_job(&job)
-    }
-
-    /// Executes a coalesced batch under **one** slot acquisition and one
+    /// Runs a coalesced batch under **one** slot acquisition and one
     /// engine invocation: the scheduler's transparent batching path. Every
-    /// task runs with its own shots and seed on the shared slot, so
-    /// per-task counts are bitwise identical to unbatched execution; only
-    /// the dispatch overhead (slot acquisition, invocation accounting) is
-    /// amortized. Results come back in input order; a task that fails
-    /// resolution reports its refusal in its own position, and a batch in
-    /// which nothing can run takes no slot.
+    /// job runs with its own shots and seed on the shared slot, so per-job
+    /// counts are bitwise identical to unbatched execution; only the
+    /// dispatch overhead (slot acquisition, invocation accounting) is
+    /// amortized. Results come back in input order.
     ///
-    /// Tasks addressed to the `auto` pseudo-backend fall back to
-    /// [`Qrc::execute`] per task (the planner may fan each one out to a
-    /// different engine), costing one invocation each.
-    pub fn execute_many(&self, tasks: &[ExecTask]) -> Vec<Result<QfwResult, QfwError>> {
-        if tasks.iter().any(|t| t.spec.backend == AUTO) {
-            return tasks.iter().map(|t| self.execute(t)).collect();
-        }
-        let resolved: Vec<Result<(ExecPlan, ParsedCircuit<'_>), QfwError>> = tasks
-            .iter()
-            .map(|t| Ok((self.resolve(&t.spec)?, ParsedCircuit::parse(&t.circuit)?)))
-            .collect();
-        let jobs: Vec<Result<ResolvedJob<'_>, QfwError>> = tasks
-            .iter()
-            .zip(&resolved)
-            .map(|(t, r)| {
-                let (plan, parsed) = r.as_ref().map_err(Clone::clone)?;
-                ResolvedJob::new(parsed, t.shots, t.seed, plan)
-            })
-            .collect();
-        let Some(first) = jobs.iter().flatten().next() else {
-            return jobs.into_iter().filter_map(Result::err).map(Err).collect();
+    /// Jobs on the `auto` pseudo-backend fall back to [`Qrc::run`] per job
+    /// (the planner may fan each one out to a different engine), costing
+    /// one invocation each.
+    pub fn run_many(&self, jobs: &[ResolvedJob]) -> Vec<Result<QfwResult, QfwError>> {
+        let Some(first) = jobs.first() else {
+            return Vec::new();
         };
-        let slotted = self.with_slot(tasks.len() as u64, "qrc.execute_batch", |ctx, span| {
-            span.set_attr("size", tasks.len() as u64);
+        if jobs.iter().any(|job| job.plan.backend == AUTO) {
+            return jobs.iter().map(|job| self.run(job)).collect();
+        }
+        let slotted = self.with_slot(jobs.len() as u64, "qrc.execute_batch", |ctx, span| {
+            span.set_attr("size", jobs.len() as u64);
             span.set_attr("backend", first.plan.backend);
-            let run = |job: &Result<ResolvedJob<'_>, QfwError>| {
-                let job = job.as_ref().map_err(Clone::clone)?;
-                self.registry.get(job.plan.backend)?.execute(job, ctx)
-            };
+            let run = |job: &ResolvedJob| self.registry.get(job.plan.backend)?.execute(job, ctx);
             jobs.iter().map(run).collect()
         });
-        slotted.unwrap_or_else(|e| tasks.iter().map(|_| Err(e.clone())).collect())
+        slotted.unwrap_or_else(|e| jobs.iter().map(|_| Err(e.clone())).collect())
     }
 
-    /// Executes a compile-once/bind-many sweep under **one** slot
-    /// acquisition and one engine invocation. The backend compiles the
-    /// skeleton once (or serves it from its plan cache) and binds every
-    /// point against the shared plan; per-point counts are bitwise
-    /// identical to submitting each bound point through [`Qrc::execute`].
-    /// Unlike [`Qrc::execute_many`], a failure is a whole-sweep failure —
-    /// every point shares the skeleton, so one error dooms them all.
-    pub fn execute_sweep(&self, task: &SweepTask) -> Result<Vec<QfwResult>, QfwError> {
-        let plan = self.resolve(&task.spec)?;
+    /// Runs a compile-once/bind-many sweep under **one** slot acquisition
+    /// and one engine invocation. The backend compiles the skeleton once
+    /// (or serves it from its plan cache) and binds every point against the
+    /// shared plan; per-point counts are bitwise identical to running each
+    /// bound point through [`Qrc::run`]. Unlike [`Qrc::run_many`], a failure
+    /// is a whole-sweep failure — every point shares the skeleton, so one
+    /// error dooms them all.
+    pub fn run_sweep(&self, sweep: &ResolvedSweep) -> Result<Vec<QfwResult>, QfwError> {
+        let plan = &sweep.plan;
         let backend = self.registry.get(plan.backend)?;
-        let parsed = ParsedCircuit::parse(&task.circuit)?;
-        let sweep = ResolvedSweep::new(&parsed, &task.points, &plan)?;
-        let points = task.points.len() as u64;
+        let points = sweep.jobs.len() as u64;
         let results = self.with_slot(points, "qrc.execute_sweep", |ctx, span| {
             span.set_attr("points", points);
             span.set_attr("backend", plan.backend);
             span.set_attr("subbackend", plan.subbackend);
-            match backend.execute_sweep(&sweep, ctx) {
+            match backend.execute_sweep(sweep, ctx) {
                 Ok(results) => results.into_iter().map(Ok).collect(),
                 Err(e) => vec![Err(e)],
             }
@@ -484,48 +476,64 @@ impl Qrc {
         results.into_iter().collect()
     }
 
-    /// Workload-driven dispatch: analyze, rank, resolve each candidate
-    /// against the already-parsed circuit, run the first that succeeds.
+    /// Executes one task end-to-end: admission (spec and circuit, before
+    /// any slot is taken), then [`Qrc::run`].
+    pub fn execute(&self, task: &ExecTask) -> Result<QfwResult, QfwError> {
+        let source = Source::Wire(&task.circuit);
+        self.run(&self.admit(source, task.shots, task.seed, &task.spec)?)
+    }
+
+    /// Admits every task, then [`Qrc::run_many`] over the admitted ones. A
+    /// task that is refused reports its refusal in its own position, and a
+    /// batch in which nothing can run takes no slot.
+    pub fn execute_many(&self, tasks: &[ExecTask]) -> Vec<Result<QfwResult, QfwError>> {
+        let admit = |t: &ExecTask| self.admit(Source::Wire(&t.circuit), t.shots, t.seed, &t.spec);
+        let admitted: Vec<Result<ResolvedJob, QfwError>> = tasks.iter().map(admit).collect();
+        let jobs: Vec<ResolvedJob> = admitted.iter().flatten().cloned().collect();
+        let mut ran = self.run_many(&jobs).into_iter();
+        let mut result = |_| ran.next().expect("one result per admitted job");
+        admitted.into_iter().map(|job| job.and_then(&mut result)).collect()
+    }
+
+    /// Admits a sweep ([`ResolvedSweep::admit`]), then [`Qrc::run_sweep`].
+    pub fn execute_sweep(&self, task: &SweepTask) -> Result<Vec<QfwResult>, QfwError> {
+        let sweep = ResolvedSweep::admit(task, self.group_cores())?;
+        self.registered(&sweep.plan)?;
+        self.run_sweep(&sweep)
+    }
+
+    /// Workload-driven dispatch: analyze, rank, retarget the job's plan
+    /// onto each candidate in turn, run the first that succeeds.
     ///
-    /// Degrades gracefully: when a candidate cannot take the task's
+    /// Degrades gracefully: when a candidate cannot take the job's
     /// options, or its engine fails at runtime, the next-ranked admissible
     /// engine is tried, and the chain of attempts lands in the result
     /// metadata (`failover_chain`, `failover_errors`).
-    fn execute_auto(
-        &self,
-        task: &ExecTask,
-        parsed: &ParsedCircuit<'_>,
-    ) -> Result<QfwResult, QfwError> {
-        let Form::Concrete(circuit) = &parsed.form else {
-            return Err(QfwError::Marshal(
-                "auto routing needs a concrete qfwasm circuit".into(),
-            ));
-        };
+    fn run_auto(&self, job: &ResolvedJob) -> Result<QfwResult, QfwError> {
+        let circuit = auto_circuit(&job.form)?;
         let ctx = SelectorContext {
             free_cores: self.hetjob.free_cores(self.group),
             cloud_available: self.registry.get("ionq").is_ok(),
         };
-        let mut failed: Vec<(String, QfwError)> = Vec::new();
-        for planned in &self.planner.plan(circuit, task.shots, ctx) {
-            let rec = &planned.rec;
-            // Preserve user-supplied engine tunables across the rewrite.
-            let spec = rec.spec.clone().inheriting_extras(&task.spec);
-            let engine = format!("{}/{}", rec.spec.backend, rec.spec.subbackend);
-            let attempt = self.resolve(&spec).and_then(|plan| {
-                let job = ResolvedJob::new(parsed, task.shots, task.seed, &plan)?;
-                self.run_job(&job)
-            });
+        let group = self.group_cores();
+        let mut failed: Vec<(&str, QfwError)> = Vec::new();
+        for planned in &self.planner.plan(circuit, job.shots, ctx) {
+            let engine = planned.target.engine.key;
+            let attempt = job
+                .plan
+                .retarget(&planned.target, group)
+                .and_then(|plan| self.run(&job.on_plan(plan, group)?));
             match attempt {
                 Ok(mut result) => {
                     // Close the calibration loop: drift this engine's EWMA
                     // correction toward the measured engine+sampling time.
                     let actual = result.profile.exec_secs + result.profile.sample_secs;
-                    self.planner.observe(&engine, planned.cost, actual);
-                    result.note("auto_selected", &engine);
-                    result.note("auto_rationale", &rec.rationale);
+                    self.planner.observe(engine, planned.cost, actual);
+                    result.note("auto_selected", engine);
+                    result.note("auto_rationale", &planned.rationale);
                     result.note("planned_cost", format!("{:.3e}", planned.cost));
                     if !failed.is_empty() {
-                        let chain: Vec<&str> = failed.iter().map(|(e, _)| e.as_str()).collect();
+                        let chain: Vec<&str> = failed.iter().map(|(e, _)| *e).collect();
                         result.note("failover_chain", chain.join(" -> "));
                         let errors: Vec<String> =
                             failed.iter().map(|(e, err)| format!("{e}: {err}")).collect();
@@ -533,10 +541,10 @@ impl Qrc {
                     }
                     return Ok(result);
                 }
-                // A candidate that cannot take the task's options, or
+                // A candidate that cannot take the job's options, or
                 // whose engine fails at runtime, hands over to the next
-                // one. (The task's own values were validated when the
-                // `auto` spec resolved, so a `BadProperties` here is this
+                // one. (The job's own values were validated when it was
+                // admitted on `auto`, so a `BadProperties` here is this
                 // engine's incompatibility, not the caller's typo.)
                 Err(
                     err @ (QfwError::Execution(_)
@@ -803,17 +811,17 @@ mod tests {
     #[test]
     fn auto_backend_selects_and_reports() {
         let qrc = qrc(2, DispatchPolicy::RoundRobin);
-        // GHZ is Clifford: auto must route to aer/automatic -> stabilizer.
+        // GHZ is Clifford: auto must route to the stabilizer tableau.
         let result = qrc.execute(&ghz_task(8, BackendSpec::of("auto", ""))).unwrap();
-        assert_eq!(result.backend, "aer");
-        assert_eq!(result.metadata["auto_selected"], "aer/automatic");
+        assert_eq!((result.backend.as_str(), result.subbackend.as_str()), ("aer", "stabilizer"));
+        assert_eq!(result.metadata["auto_selected"], "aer/stabilizer");
         assert!(result.metadata["auto_rationale"].contains("Clifford"));
         assert_eq!(result.counts.values().sum::<usize>(), 100);
         // The planner annotates (and learns from) every auto execution.
         let cost: f64 = result.metadata["planned_cost"].parse().unwrap();
         assert!(cost.is_finite() && cost > 0.0);
         assert!(
-            qrc.planner.correction("aer/automatic") != 1.0,
+            qrc.planner.correction("aer/stabilizer") != 1.0,
             "successful execution must feed the EWMA corrections"
         );
     }
@@ -876,6 +884,23 @@ mod tests {
         let result = qrc.execute(&task).unwrap();
         assert_eq!(result.subbackend, "matrix_product_state");
         assert!(result.metadata["max_bond"].parse::<usize>().unwrap() <= 2);
+    }
+
+    #[test]
+    fn auto_hands_a_noisy_job_over_to_the_engine_that_can_run_it() {
+        let qrc = qrc(2, DispatchPolicy::RoundRobin);
+        // GHZ ranks the stabilizer tableau first, but a noise model runs on
+        // the local dense engine only: the first candidate's row refuses
+        // it before a slot is taken and the next one runs.
+        let mut model = qfw_noise::NoiseModel::empty();
+        model.add_2q_all(qfw_noise::Channel::depolarizing(0.02));
+        let spec = BackendSpec::of("auto", "").with_extra("noise_model", model.to_text());
+        let result = qrc.execute(&ghz_task(6, spec)).unwrap();
+        assert_eq!(result.metadata["auto_selected"], "nwqsim/cpu");
+        assert_eq!(result.metadata["failover_chain"], "aer/stabilizer");
+        assert!(result.metadata["failover_errors"].contains("noise channels"));
+        assert!(result.metadata.contains_key("noise"));
+        assert_eq!(qrc.engine_invocations(), 1);
     }
 
     #[test]
@@ -1083,7 +1108,10 @@ mod tests {
         for (result, point) in results.iter().zip(&task.points) {
             let solo = unswept
                 .execute(&ExecTask {
-                    circuit: crate::plan::materialize_point(&task.circuit, &point.params),
+                    circuit: crate::backends::testutil::materialize_point(
+                        &task.circuit,
+                        &point.params,
+                    ),
                     shots: point.shots,
                     seed: point.seed,
                     spec: task.spec.clone(),

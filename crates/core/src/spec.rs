@@ -1,4 +1,6 @@
-//! Runtime backend-selection properties and the task wire format.
+//! Runtime backend-selection properties and the task wire format: what
+//! crosses the front door, and is read exactly once, by admission
+//! ([`crate::plan`]).
 
 use crate::error::QfwError;
 use serde::{Deserialize, Serialize};
@@ -122,15 +124,6 @@ impl BackendSpec {
     /// Returns the spec with an extra engine tunable (builder style).
     pub fn with_extra(mut self, key: &str, value: impl ToString) -> Self {
         self.extra.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Fills in every extra `other` carries that this spec does not set
-    /// itself (a planner-rewritten spec keeping the caller's tunables).
-    pub fn inheriting_extras(mut self, other: &BackendSpec) -> Self {
-        for (k, v) in &other.extra {
-            self.extra.entry(k.clone()).or_insert_with(|| v.clone());
-        }
         self
     }
 }

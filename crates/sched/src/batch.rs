@@ -1,152 +1,189 @@
-//! Transparent batching: skeleton keys for coalescing parameterized
-//! circuits.
+//! Transparent batching: the key that says which admitted jobs may share
+//! one engine invocation, and the sweep a batch of bound skeletons becomes.
 //!
 //! A parameter sweep (VQE/QAOA) submits many circuits that differ only in
 //! rotation angles — the gate *skeleton* is identical. The scheduler
 //! coalesces same-skeleton, same-spec jobs of one tenant and priority
-//! class into a single [`qfw::Qrc::execute_many`] invocation, amortizing
-//! slot acquisition and dispatch overhead while each job keeps its own
-//! seed and shot budget (results stay bitwise identical to unbatched
-//! execution).
+//! class into a single [`qfw::Qrc::run_many`] invocation, amortizing slot
+//! acquisition and dispatch overhead while each job keeps its own seed and
+//! shot budget (results stay bitwise identical to unbatched execution).
 //!
-//! The skeleton key is the resolved backend spec (engine, ranks, and the
-//! plan's content hash, so two spellings of one meaning coalesce) plus the
-//! `qfwasm` text with every parenthesized gate argument masked: `rz(0.5) q2` and `rz(1.25) q2`
-//! share a key; `rz(0.5) q2` and `rz(0.5) q3` do not. Data-carrying
-//! lines (`unitary` blocks, marked by `:`) are kept verbatim — circuits
-//! with different embedded matrices never coalesce.
+//! The key is a 128-bit [`ContentHash`] — the width the result cache
+//! already trusts — over the admitted job, never over its text: the
+//! circuit's structure (gate kinds, operands and data payloads, angles
+//! left out) continued over the resolved plan ([`qfw::ExecPlan::fold_into`],
+//! so two spellings of one meaning coalesce). `rz(0.5) q2` and
+//! `rz(1.25) q2` share a key; `rz(0.5) q2` and `rz(0.5) q3` do not, nor do
+//! two `unitary` blocks with different matrices.
 
-use crate::JobEnvelope;
-use qfw::ExecPlan;
-use qfw_circuit::text;
-use std::fmt::Write as _;
+use qfw::{Form, ResolvedJob, ResolvedSweep};
+use qfw_circuit::hash::{param_hash, ContentHash};
+use qfw_circuit::{Circuit, Gate, Op};
+use std::sync::Arc;
 
-/// Computes the batching key for an envelope: jobs with equal keys can be
+/// The batching key of an admitted job: jobs with equal keys can be
 /// coalesced into one engine invocation.
 ///
-/// Symbolic `qfwasm-param` submissions use their skeleton text directly
-/// (the `bind` line stripped) — the wire format already separates
-/// structure from parameters, so no masking heuristic is needed and two
-/// jobs coalesce exactly when they share a compiled plan. Concrete
-/// `qfwasm` text falls back to parenthesis masking.
-pub fn skeleton_key(env: &JobEnvelope, plan: &ExecPlan) -> String {
-    let mut key = String::with_capacity(env.circuit.len() + 64);
-    writeln!(
-        key,
-        "{}|{}|{}|{}",
-        plan.backend,
-        plan.subbackend,
-        env.spec.ranks,
-        plan.content_hash()
-    )
-    .unwrap();
-    if text::is_param_text(&env.circuit) {
-        key.push_str(&text::param_skeleton_text(&env.circuit));
-        return key;
-    }
-    for line in env.circuit.lines() {
-        if line.contains(':') {
-            // Data-carrying line (e.g. a unitary block payload): the data
-            // is structural, not a parameter — keep it verbatim.
-            key.push_str(line);
-        } else {
-            mask_parens(&mut key, line);
-        }
-        key.push('\n');
-    }
-    key
+/// A symbolic job keys on its skeleton exactly (the binding left out) — the
+/// form already separates structure from parameters, so two jobs coalesce
+/// exactly when they share a compiled plan. A concrete circuit keys on its
+/// structure with every angle masked.
+pub fn skeleton_hash(job: &ResolvedJob) -> ContentHash {
+    let structure = match &job.form {
+        Form::Param(template) => param_hash(template, None),
+        Form::Concrete(circuit) => structure_hash(circuit),
+    };
+    job.plan.fold_into(structure)
 }
 
-/// Copies `line` with every parenthesized span collapsed to `(#)`.
-fn mask_parens(out: &mut String, line: &str) {
-    let mut in_paren = false;
-    for ch in line.chars() {
-        match ch {
-            '(' if !in_paren => {
-                out.push_str("(#");
-                in_paren = true;
+/// Register widths, then per operation its kind and operands; a `unitary`
+/// block's matrix is structure, a rotation's angle is not.
+fn structure_hash(circuit: &Circuit) -> ContentHash {
+    let operands = |h: ContentHash, kind: &str, qubits: &[usize]| {
+        let h = h.fold_str(kind).fold_u64(qubits.len() as u64);
+        qubits.iter().fold(h, |h, &q| h.fold_u64(q as u64))
+    };
+    let widths = ContentHash::of_bytes(b"qfwasm-skeleton")
+        .fold_u64(circuit.num_qubits() as u64)
+        .fold_u64(circuit.num_clbits() as u64);
+    circuit.ops().iter().fold(widths, |h, op| match op {
+        Op::Gate(gate) => {
+            let h = operands(h, gate.name(), &gate.qubits());
+            match gate {
+                Gate::Unitary { matrix, .. } => matrix
+                    .as_slice()
+                    .iter()
+                    .fold(h, |h, v| h.fold_f64(v.re).fold_f64(v.im)),
+                _ => h,
             }
-            ')' if in_paren => {
-                out.push(')');
-                in_paren = false;
-            }
-            _ if in_paren => {}
-            c => out.push(c),
         }
-    }
+        Op::Measure { qubit, clbit } => operands(h, "measure", &[*qubit, *clbit]),
+        Op::Barrier(qubits) => operands(h, "barrier", qubits),
+    })
+}
+
+/// A multi-job batch of bound skeleton jobs as **one** sweep, so the
+/// engine compiles the skeleton once and binds per job; each job keeps its
+/// own shots and seed, keeping per-job counts bitwise identical to
+/// unbatched execution. `None` for a single job or concrete circuits.
+///
+/// The jobs must share a [`skeleton_hash`] (the batcher put them together
+/// by it): that is what makes the first job's skeleton and plan everyone's.
+pub fn as_sweep(jobs: &[ResolvedJob]) -> Option<ResolvedSweep> {
+    let [first, _, ..] = jobs else { return None };
+    let Form::Param(template) = &first.form else {
+        return None;
+    };
+    Some(ResolvedSweep {
+        template: Arc::clone(template),
+        jobs: jobs.to_vec(),
+        plan: Arc::clone(&first.plan),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Priority;
-    use qfw::{BackendSpec, GroupCores};
+    use qfw::{BackendSpec, GroupCores, Source};
 
-    fn key_of(env: &JobEnvelope) -> String {
-        let plan = ExecPlan::resolve(&env.spec, GroupCores::UNBOUNDED).unwrap();
-        skeleton_key(env, &plan)
+    const GROUP: GroupCores = GroupCores {
+        total: 8,
+        per_llc: 4,
+    };
+
+    fn job_of(circuit: &str, spec: BackendSpec) -> ResolvedJob {
+        ResolvedJob::admit(Source::Wire(circuit), 100, 1, &spec, GROUP).unwrap()
     }
 
-    fn env_of(circuit: &str, spec: BackendSpec) -> JobEnvelope {
-        JobEnvelope {
-            tenant: "t".into(),
-            priority: Priority::Normal,
-            deadline_ms: None,
-            shots: 100,
-            seed: 1,
-            circuit: circuit.into(),
-            spec,
-        }
+    fn key_of(circuit: &str, spec: BackendSpec) -> ContentHash {
+        skeleton_hash(&job_of(circuit, spec))
     }
 
     #[test]
     fn angles_mask_but_structure_does_not() {
         let spec = BackendSpec::of("aer", "statevector");
-        let a = env_of("qfwasm 1\nqubits 2\nrz(0.5) q0\ncx q0 q1\n", spec.clone());
-        let b = env_of("qfwasm 1\nqubits 2\nrz(1.25) q0\ncx q0 q1\n", spec.clone());
-        let c = env_of("qfwasm 1\nqubits 2\nrz(0.5) q1\ncx q0 q1\n", spec);
-        assert_eq!(key_of(&a), key_of(&b), "angles are parameters");
-        assert_ne!(key_of(&a), key_of(&c), "targets are structure");
+        let a = key_of("qfwasm 1\nqubits 2\nrz(0.5) q0\ncx q0 q1\n", spec.clone());
+        let b = key_of("qfwasm 1\nqubits 2\nrz(1.25) q0\ncx q0 q1\n", spec.clone());
+        let c = key_of("qfwasm 1\nqubits 2\nrz(0.5) q1\ncx q0 q1\n", spec.clone());
+        assert_eq!(a, b, "angles are parameters");
+        assert_ne!(a, c, "targets are structure");
+        // Operand order and gate kind are structure too; spelling is not.
+        let d = key_of("qfwasm 1\nqubits 2\nrz(0.5) q0\ncx q1 q0\n", spec.clone());
+        let e = key_of("qfwasm 1\nqubits 2\nrx(0.5) q0\ncx q0 q1\n", spec.clone());
+        let f = key_of(
+            "qfwasm 1\n# sweep point\nqubits 2\nrz(5e-1)   q0\ncx q0 q1\n",
+            spec,
+        );
+        assert_ne!(a, d);
+        assert_ne!(a, e);
+        assert_eq!(a, f);
     }
 
     #[test]
     fn spec_is_part_of_the_key() {
-        let a = env_of("h q0\n", BackendSpec::of("aer", "statevector"));
-        let b = env_of("h q0\n", BackendSpec::of("nwqsim", "cpu"));
-        let c = env_of(
-            "h q0\n",
+        let circuit = "qfwasm 1\nqubits 1\nh q0\n";
+        let a = key_of(circuit, BackendSpec::of("aer", "statevector"));
+        let b = key_of(circuit, BackendSpec::of("nwqsim", "cpu"));
+        let c = key_of(
+            circuit,
             BackendSpec::of("aer", "statevector").with_extra("fusion", false),
         );
-        assert_ne!(key_of(&a), key_of(&b));
-        assert_ne!(key_of(&a), key_of(&c));
+        assert_ne!(a, b);
+        assert_ne!(a, c);
         // Two spellings of one meaning coalesce.
-        let d = env_of(
-            "h q0\n",
+        let d = key_of(
+            circuit,
             BackendSpec::of("aer", "statevector").with_extra("fusion", true),
         );
-        assert_eq!(key_of(&a), key_of(&d));
+        assert_eq!(a, d);
     }
 
     #[test]
     fn param_jobs_key_on_the_exact_skeleton() {
         let spec = BackendSpec::of("nwqsim", "cpu");
         let skeleton = "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*2e0) q0 q1\n";
-        let a = env_of(&format!("{skeleton}bind 1e-1 2e-1\n"), spec.clone());
-        let b = env_of(&format!("{skeleton}bind 9e-1 -3e-1\n"), spec.clone());
-        assert_eq!(key_of(&a), key_of(&b), "bindings are parameters");
-        // A different affine coefficient is a different compiled plan.
-        let c = env_of(
-            "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*3e0) q0 q1\nbind 1e-1 2e-1\n",
-            spec,
+        let a = job_of(&format!("{skeleton}bind 1e-1 2e-1\n"), spec.clone());
+        let b = job_of(&format!("{skeleton}bind 9e-1 -3e-1\n"), spec.clone());
+        assert_eq!(
+            skeleton_hash(&a),
+            skeleton_hash(&b),
+            "bindings are parameters"
         );
-        assert_ne!(key_of(&a), key_of(&c), "affine coefficients are structure");
+        // A different affine coefficient is a different compiled plan.
+        let c = key_of(
+            "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*3e0) q0 q1\nbind 1e-1 2e-1\n",
+            spec.clone(),
+        );
+        assert_ne!(skeleton_hash(&a), c, "affine coefficients are structure");
+        // The same gates written concretely are another engine path.
+        let concrete = key_of("qfwasm 1\nqubits 2\nrx(1e-1) q0\nrzz(4e-1) q0 q1\n", spec);
+        assert_ne!(skeleton_hash(&a), concrete);
+
+        // Same key: one sweep over the shared skeleton, each job's own
+        // binding, shots and seed kept.
+        let sweep = as_sweep(&[a.clone(), b]).unwrap();
+        assert_eq!(sweep.jobs.len(), 2);
+        assert_eq!(sweep.jobs[1].params, [0.9, -0.3]);
+        assert!(as_sweep(&[a]).is_none(), "a lone job runs as itself");
     }
 
     #[test]
-    fn data_lines_stay_verbatim() {
+    fn unitary_payloads_never_coalesce() {
         let spec = BackendSpec::of("aer", "statevector");
-        let a = env_of("unitary[u1] q0: 0.1 0.2 0.3 0.4\n", spec.clone());
-        let b = env_of("unitary[u1] q0: 0.9 0.8 0.7 0.6\n", spec);
-        assert_ne!(key_of(&a), key_of(&b), "embedded matrices are structural");
+        let block = |phase: &str| {
+            format!("qfwasm 1\nqubits 1\nunitary[u1] q0 : 1e0,0e0 0e0,0e0 0e0,0e0 {phase}\n")
+        };
+        let a = job_of(&block("1e0,0e0"), spec.clone());
+        let b = job_of(&block("-1e0,0e0"), spec.clone());
+        assert_ne!(
+            skeleton_hash(&a),
+            skeleton_hash(&b),
+            "embedded matrices are structural"
+        );
+        assert_eq!(skeleton_hash(&a), key_of(&block("1e0,0e0"), spec));
+        assert!(
+            as_sweep(&[a, b]).is_none(),
+            "concrete circuits are not a sweep"
+        );
     }
 }

@@ -1,17 +1,21 @@
 //! The scheduler's ingress service: the multiplexed front door with a
 //! content-addressed result cache in front of admission.
 //!
-//! This wires three layers together:
+//! This wires four layers together:
 //!
 //! 1. [`qfw_defw::Ingress`] — pipelined framed transport with bounded-queue
 //!    admission (queue-full rejections surface as
 //!    [`qfw_defw::IngressError::Overloaded`] before any scheduler state is
 //!    touched).
-//! 2. [`qfw::ResultCache`] — tier-1 result reuse: a submit whose
-//!    (canonical circuit, seed, shots, spec) key matches a completed job
-//!    returns [`IngressSubmitOutcome::Cached`] immediately — bitwise the
-//!    counts the engine produced — without consuming a queue slot.
-//! 3. [`Scheduler`] — cache misses go through normal fair-share admission;
+//! 2. [`Scheduler::admit`] — the submission becomes the one owned job
+//!    (parsed circuit + plan) or the call's typed error; nothing behind
+//!    this point reads the envelope's strings.
+//! 3. [`qfw::ResultCache`] — tier-1 result reuse: a submit whose job keys
+//!    ([`qfw::ResolvedJob::cache_key`]: canonical circuit, seed, shots,
+//!    plan) like a completed one returns [`IngressSubmitOutcome::Cached`]
+//!    immediately — bitwise the counts the engine produced — without
+//!    consuming a queue slot.
+//! 4. [`Scheduler::enqueue`] — cache misses go through fair-share admission;
 //!    the scheduler's own typed [`SchedError::Overloaded`] rejection
 //!    travels in the reply payload as
 //!    [`IngressSubmitOutcome::Overloaded`], so both backpressure layers
@@ -26,7 +30,7 @@
 //! Submissions whose circuit payload is OpenQASM 3 (detected by
 //! [`qfw_compile::is_qasm3`]) are compiled on ingestion — parsed,
 //! optimized at O2 (O3 with a layout handoff for `nwqsim/mpi` targets),
-//! and lowered to `qfwasm` *before* the cache key is computed. Formatting
+//! and lowered to a circuit *before* the cache key is computed. Formatting
 //! variants of the same program therefore share one post-compile
 //! canonical cache entry, and malformed or parameterized (unbound
 //! `input float`) programs are rejected at the front door.
@@ -34,7 +38,7 @@
 use crate::{JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
 use parking_lot::Mutex;
 use qfw::cache::CacheConfig;
-use qfw::{QfwResult, ResultCache};
+use qfw::{QfwResult, ResultCache, Source};
 use qfw_defw::{Connection, Ingress, IngressConfig, IngressError, MethodTable};
 use qfw_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -137,13 +141,13 @@ impl SchedIngress {
 }
 
 impl Shared {
-    fn submit(&self, mut env: JobEnvelope) -> Result<IngressSubmitOutcome, String> {
-        // OpenQASM 3 payloads compile on ingestion: parse → optimize →
-        // lower to qfwasm before the cache key is computed, so every
+    fn submit(&self, env: JobEnvelope) -> Result<IngressSubmitOutcome, String> {
+        // OpenQASM 3 payloads compile on ingestion — parse → optimize →
+        // lower to a circuit — and the circuit is admitted as is, so every
         // formatting variant of the same program shares one cache entry
-        // (the key is post-compile canonical). Distributed targets get
-        // the O3 layout handoff as a spec extra the nwqsim adapter reads.
-        if qfw_compile::is_qasm3(&env.circuit) {
+        // (the key is post-compile canonical). Distributed targets get the
+        // O3 layout, handed to admission as a typed value.
+        let source = if qfw_compile::is_qasm3(&env.circuit) {
             let opt = if env.spec.backend == "nwqsim" && env.spec.subbackend == "mpi" {
                 qfw_compile::OptLevel::O3
             } else {
@@ -151,26 +155,26 @@ impl Shared {
             };
             // A `calibration` extra (the device table as JSON, e.g. from
             // the cloud `calibration` RPC) upgrades the O3 layout pass to
-            // the noise-aware planner; the winning score is handed back on
-            // the spec as `predicted_fidelity`.
+            // the noise-aware planner; the winning score travels with the
+            // layout as `predicted_fidelity`.
             let cal = qfw::plan::calibration_of(&env.spec).map_err(|e| e.to_string())?;
-            let ingested =
-                qfw_compile::ingest_qasm3_calibrated(&env.circuit, opt, &self.obs, cal.as_ref())
+            let (circuit, compiled) =
+                qfw_compile::compile_qasm3(&env.circuit, opt, &self.obs, cal.as_ref())
                     .map_err(|e| format!("qasm3 ingestion failed: {e}"))?;
-            env.circuit = ingested.qfwasm;
-            if let Some(log_f) = ingested.predicted_fidelity {
-                env.spec = env.spec.clone().with_extra("predicted_fidelity", log_f);
+            Source::Compiled {
+                circuit,
+                layout: compiled.layout,
+                predicted_fidelity: compiled.predicted_fidelity,
             }
-            if let Some(order) = ingested.layout {
-                let csv = order
-                    .iter()
-                    .map(|q| q.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                env.spec = env.spec.clone().with_extra("initial_layout", csv);
-            }
-        }
-        let key = ResultCache::key(&env.circuit, env.seed, env.shots, &env.spec);
+        } else {
+            Source::Wire(&env.circuit)
+        };
+        // Admission comes first: the cache keys on the admitted job, and a
+        // job that can never run is the call's error whether or not an
+        // earlier twin is cached.
+        let admitted = self.sched.admit(source, env.shots, env.seed, &env.spec);
+        let job = admitted.map_err(|e| e.to_string())?;
+        let key = job.cache_key();
         if let Some(result) = self.cache.get(key) {
             let mut served = (*result).clone();
             served
@@ -178,7 +182,7 @@ impl Shared {
                 .insert("result_cached".into(), "true".into());
             return Ok(IngressSubmitOutcome::Cached(served));
         }
-        match self.sched.submit(env) {
+        match self.sched.enqueue(env.tenant, env.priority, env.deadline_ms, job) {
             Ok(id) => {
                 self.pending.lock().insert(id, key);
                 Ok(IngressSubmitOutcome::Accepted(id))

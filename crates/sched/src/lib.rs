@@ -6,7 +6,10 @@
 //! ([`qfw::QfwBackend`]/DEFw) and the execution substrate (QPM/QRC):
 //!
 //! * **Per-tenant submission channels** carrying [`JobEnvelope`]s
-//!   (tenant, priority class, optional deadline, shots, circuit, spec).
+//!   (tenant, priority class, optional deadline, shots, circuit, spec) —
+//!   the wire form, read once: [`Scheduler::admit`] turns it into the
+//!   owned [`qfw::ResolvedJob`] that the queue holds, the batcher groups
+//!   and the QRC runs, or refuses it typed before anything is queued.
 //! * **Weighted fair-share scheduling** ([`queue::FairQueue`]): deficit
 //!   round-robin across tenants, strict priority classes within a tenant,
 //!   deadline-aware EDF tie-break within a class.
@@ -16,7 +19,7 @@
 //!   scheduler never stalls a submitter.
 //! * **Transparent batching** ([`batch`]): identical-skeleton
 //!   parameterized circuits coalesce into one engine invocation
-//!   ([`qfw::Qrc::execute_many`]); each job keeps its own seed and shot
+//!   ([`qfw::Qrc::run_many`]); each job keeps its own seed and shot
 //!   budget, so per-job counts are bitwise identical to unbatched runs.
 //! * **Elastic worker scaling**: sustained queue depth beyond hysteresis
 //!   thresholds grows the QRC slot pool against SLURM core leases
@@ -175,8 +178,10 @@ pub enum OverloadScope {
 #[derive(Clone, Debug, PartialEq)]
 pub enum SchedError {
     /// The job can never run on this pool — unknown engine, malformed or
-    /// incompatible spec extras, a width beyond the worker group — so it
-    /// was refused before taking a queue entry. Not retryable as is.
+    /// incompatible spec extras, a width beyond the worker group, a circuit
+    /// that does not parse or that the spec does not fit — so it was
+    /// refused at admission, before taking a queue entry. Not retryable as
+    /// is.
     Unrunnable(QfwError),
     /// The queue (or the tenant's slice of it) is full; retry after the
     /// hinted interval, estimated from recent service times and current

@@ -27,25 +27,31 @@
 //! into extra scheduling share: the debt is repaid before its next
 //! quantum serves anything.
 
-use crate::{JobEnvelope, JobId};
+use crate::batch::skeleton_hash;
+use crate::{JobId, Priority};
+use qfw::ResolvedJob;
+use qfw_circuit::ContentHash;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Number of strict priority classes (see [`crate::Priority`]).
 pub const CLASSES: usize = 3;
 
-/// A job admitted into the fair queue.
+/// A job admitted into the fair queue: whose it is, and the admitted job
+/// itself — the parsed circuit and its plan, no wire strings.
 #[derive(Clone, Debug)]
 pub struct QueuedJob {
     /// Scheduler-assigned id.
     pub id: JobId,
-    /// The submission envelope.
-    pub env: JobEnvelope,
-    /// Submission timestamp (scheduler epoch, µs).
-    pub submitted_us: u64,
+    /// Submitting tenant (fair-share accounting key).
+    pub tenant: String,
+    /// Priority class within the tenant.
+    pub priority: Priority,
+    /// What the QRC will run.
+    pub job: ResolvedJob,
     /// Absolute deadline (scheduler epoch, µs); `u64::MAX` when none.
     pub deadline_us: u64,
-    /// Batching skeleton key (see [`crate::batch::skeleton_key`]).
-    pub skeleton: String,
+    /// Batching key (see [`crate::batch::skeleton_hash`]).
+    pub skeleton: ContentHash,
     /// Queue-assigned FIFO sequence, set on push.
     seq: u64,
 }
@@ -54,17 +60,18 @@ impl QueuedJob {
     /// Builds a job ready for [`FairQueue::try_push`].
     pub fn new(
         id: JobId,
-        env: JobEnvelope,
-        submitted_us: u64,
+        tenant: String,
+        priority: Priority,
+        job: ResolvedJob,
         deadline_us: u64,
-        skeleton: String,
     ) -> Self {
         QueuedJob {
             id,
-            env,
-            submitted_us,
+            tenant,
+            priority,
+            skeleton: skeleton_hash(&job),
+            job,
             deadline_us,
-            skeleton,
             seq: 0,
         }
     }
@@ -185,7 +192,7 @@ impl FairQueue {
             return Err(AdmitError::QueueFull);
         }
         let (dw, dq) = (self.default_weight, self.default_quota);
-        let tenant = job.env.tenant.clone();
+        let tenant = job.tenant.clone();
         let t = self
             .tenants
             .entry(tenant.clone())
@@ -195,7 +202,7 @@ impl FairQueue {
         }
         job.seq = self.seq;
         self.seq += 1;
-        let class = job.env.priority.class();
+        let class = job.priority.class();
         let key = (job.deadline_us, job.seq);
         let id = job.id;
         let was_empty = t.queued == 0;
@@ -250,7 +257,7 @@ impl FairQueue {
         &mut self,
         tenant: &str,
         class: usize,
-        skeleton: &str,
+        skeleton: ContentHash,
         max: usize,
     ) -> Vec<QueuedJob> {
         let Some(t) = self.tenants.get_mut(tenant) else {
@@ -314,27 +321,27 @@ impl FairQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Priority;
-    use qfw::BackendSpec;
+    use qfw::{BackendSpec, GroupCores, Source};
 
-    fn env(tenant: &str, priority: Priority) -> JobEnvelope {
-        JobEnvelope {
-            tenant: tenant.into(),
-            priority,
-            deadline_ms: None,
-            shots: 100,
-            seed: 0,
-            circuit: "qfwasm 1\nqubits 1\nh q0\n".into(),
-            spec: BackendSpec::of("aer", "statevector"),
-        }
+    /// One circuit and spec throughout: every job shares a skeleton.
+    fn admitted() -> ResolvedJob {
+        let (spec, group) = (
+            BackendSpec::of("aer", "statevector"),
+            GroupCores {
+                total: 8,
+                per_llc: 4,
+            },
+        );
+        ResolvedJob::admit(Source::Wire("qfwasm 1\nqubits 1\nh q0\n"), 100, 0, &spec, group)
+            .unwrap()
     }
 
     fn job(id: JobId, tenant: &str) -> QueuedJob {
-        QueuedJob::new(id, env(tenant, Priority::Normal), 0, u64::MAX, "s".into())
+        job_pc(id, tenant, Priority::Normal, u64::MAX)
     }
 
     fn job_pc(id: JobId, tenant: &str, p: Priority, deadline_us: u64) -> QueuedJob {
-        QueuedJob::new(id, env(tenant, p), 0, deadline_us, "s".into())
+        QueuedJob::new(id, tenant.into(), p, admitted(), deadline_us)
     }
 
     #[test]
@@ -351,12 +358,12 @@ mod tests {
             }
         }
         // First full rotation: 1×a, 2×b, 4×c.
-        let order: Vec<String> = (0..7).map(|_| q.pop().unwrap().env.tenant).collect();
+        let order: Vec<String> = (0..7).map(|_| q.pop().unwrap().tenant).collect();
         assert_eq!(order, ["a", "b", "b", "c", "c", "c", "c"]);
         // Over 4 rotations the counts match the weights exactly.
         let mut counts = std::collections::HashMap::new();
         for _ in 0..21 {
-            *counts.entry(q.pop().unwrap().env.tenant).or_insert(0) += 1;
+            *counts.entry(q.pop().unwrap().tenant).or_insert(0) += 1;
         }
         assert_eq!(counts["a"], 3);
         assert_eq!(counts["b"], 6);
@@ -418,12 +425,12 @@ mod tests {
             q.try_push(job(i, "b")).unwrap();
         }
         let first = q.pop().unwrap();
-        assert_eq!(first.env.tenant, "a");
-        let mates = q.pop_batch_mates("a", Priority::Normal.class(), "s", 3);
+        assert_eq!(first.tenant, "a");
+        let mates = q.pop_batch_mates("a", Priority::Normal.class(), first.skeleton, 3);
         assert_eq!(mates.len(), 3, "all of a's remaining jobs coalesce");
         // a effectively consumed 4 service units on a weight-1 quantum:
         // b must now be served 4 times before a would be again (debt).
-        let order: Vec<String> = (0..4).map(|_| q.pop().unwrap().env.tenant).collect();
+        let order: Vec<String> = (0..4).map(|_| q.pop().unwrap().tenant).collect();
         assert_eq!(order, ["b", "b", "b", "b"]);
     }
 
@@ -440,7 +447,7 @@ mod tests {
         q.try_push(job(13, "b")).unwrap();
         // A fresh quantum serves exactly 8 before the rotation reaches b;
         // hoarded credit (7 + 8) would have let a burst all 12 straight.
-        let order: Vec<String> = (0..13).map(|_| q.pop().unwrap().env.tenant).collect();
+        let order: Vec<String> = (0..13).map(|_| q.pop().unwrap().tenant).collect();
         assert!(order[..8].iter().all(|t| t == "a"));
         assert_eq!(order[8], "b");
         assert!(order[9..].iter().all(|t| t == "a"));

@@ -1,4 +1,4 @@
-//! The scheduler runtime: job resolution and admission at submit, a
+//! The scheduler runtime: job admission and queue admission at submit, a
 //! dispatcher thread draining the fair queue into a bounded dispatch
 //! window, per-batch runner threads, and elastic pool scaling.
 //!
@@ -20,12 +20,11 @@
 //! two streak counters are the hysteresis: a flapping queue resets them
 //! and the pool holds steady.
 
-use crate::batch::skeleton_key;
+use crate::batch::as_sweep;
 use crate::queue::{AdmitError, FairQueue, QueuedJob};
-use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadScope, SchedError};
+use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadScope, Priority, SchedError};
 use parking_lot::{Condvar, Mutex};
-use qfw::{ExecTask, QfwError, QfwResult, QfwSession, Qrc, SweepPointSpec, SweepTask};
-use qfw_circuit::text;
+use qfw::{BackendSpec, QfwError, QfwResult, QfwSession, Qrc, ResolvedJob, Source};
 use qfw_obs::{AttrValue, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -279,29 +278,53 @@ impl Scheduler {
         Scheduler::start(Arc::clone(session.qrc()), session.obs().clone(), cfg)
     }
 
-    /// Submits a job. Returns the job id, a typed
-    /// [`SchedError::Unrunnable`] refusal when the spec can never execute
-    /// on this pool (resolved here, before a queue entry exists), or the
-    /// typed [`SchedError::Overloaded`] rejection — this call never blocks
-    /// on a full queue.
+    /// Submits a job: [`Scheduler::admit`], then [`Scheduler::enqueue`].
+    /// Returns the job id, a typed [`SchedError::Unrunnable`] refusal when
+    /// the job can never execute on this pool, or the typed
+    /// [`SchedError::Overloaded`] rejection — this call never blocks on a
+    /// full queue.
     pub fn submit(&self, env: JobEnvelope) -> Result<JobId, SchedError> {
+        let job = self.admit(Source::Wire(&env.circuit), env.shots, env.seed, &env.spec)?;
+        self.enqueue(env.tenant, env.priority, env.deadline_ms, job)
+    }
+
+    /// Admits a job against this scheduler's pool ([`qfw::Qrc::admit`]):
+    /// circuit parsed, spec resolved, every refusal that either can cause
+    /// made here — before a job id, queue entry or cache reservation
+    /// exists. The strings stop at this call.
+    pub fn admit(
+        &self,
+        source: Source<'_>,
+        shots: usize,
+        seed: u64,
+        spec: &BackendSpec,
+    ) -> Result<ResolvedJob, SchedError> {
+        let admitted = self.inner.qrc.admit(source, shots, seed, spec);
+        admitted.map_err(SchedError::Unrunnable)
+    }
+
+    /// Queues an admitted job under fair-share admission control.
+    pub fn enqueue(
+        &self,
+        tenant: String,
+        priority: Priority,
+        deadline_ms: Option<u64>,
+        job: ResolvedJob,
+    ) -> Result<JobId, SchedError> {
         let inner = &self.inner;
-        let plan = inner.qrc.resolve(&env.spec).map_err(SchedError::Unrunnable)?;
+        let now = inner.now_us();
+        let deadline_us = deadline_ms
+            .map(|ms| now.saturating_add(ms.saturating_mul(1000)))
+            .unwrap_or(u64::MAX);
+        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+        // Built (and its batching key hashed) outside the state lock.
+        let queued = QueuedJob::new(id, tenant.clone(), priority, job, deadline_us);
         let mut st = inner.state.lock();
         if st.shutdown {
             return Err(SchedError::Shutdown);
         }
         st.stats.submitted += 1;
-        let now = inner.now_us();
-        let deadline_us = env
-            .deadline_ms
-            .map(|ms| now.saturating_add(ms.saturating_mul(1000)))
-            .unwrap_or(u64::MAX);
-        let tenant = env.tenant.clone();
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let skeleton = skeleton_key(&env, &plan);
-        let job = QueuedJob::new(id, env, now, deadline_us, skeleton);
-        match st.queue.try_push(job) {
+        match st.queue.try_push(queued) {
             Ok(()) => {
                 st.stats.admitted += 1;
                 st.statuses.insert(id, JobStatus::Queued);
@@ -598,9 +621,9 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
         if inner.cfg.max_batch > 1 {
             let lead = &batch[0];
             let mates = st.queue.pop_batch_mates(
-                &lead.env.tenant,
-                lead.env.priority.class(),
-                &lead.skeleton,
+                &lead.tenant,
+                lead.priority.class(),
+                lead.skeleton,
                 inner.cfg.max_batch - 1,
             );
             batch.extend(mates);
@@ -611,7 +634,7 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
             if let Some(t) = st.timings.get_mut(&j.id) {
                 t.dispatched_us = now;
             }
-            st.dispatch_log.push(j.env.tenant.clone());
+            st.dispatch_log.push(j.tenant.clone());
         }
         st.stats.dispatched += batch.len() as u64;
         if batch.len() > 1 {
@@ -622,7 +645,7 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
                     "sched",
                     "sched.batch",
                     &[
-                        ("tenant", AttrValue::Str(batch[0].env.tenant.clone())),
+                        ("tenant", AttrValue::Str(batch[0].tenant.clone())),
                         ("size", AttrValue::Int(batch.len() as i64)),
                     ],
                 );
@@ -641,11 +664,13 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
 /// Executes one batch on the QRC (single slot acquisition, single engine
 /// invocation) and records the per-job outcomes.
 fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
-    let results = execute_batch(&inner, &batch);
+    let (owners, jobs): (Vec<(JobId, String)>, Vec<ResolvedJob>) =
+        batch.into_iter().map(|q| ((q.id, q.tenant), q.job)).unzip();
+    let results = execute_batch(&inner, &jobs);
     let now = inner.now_us();
     let mut st = inner.state.lock();
-    for (job, result) in batch.iter().zip(results) {
-        let (wait_us, service_us) = match st.timings.get_mut(&job.id) {
+    for ((id, tenant), result) in owners.iter().zip(results) {
+        let (wait_us, service_us) = match st.timings.get_mut(id) {
             Some(t) => {
                 t.completed_us = now;
                 (t.wait_us(), t.service_us())
@@ -655,11 +680,11 @@ fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
         if inner.obs.is_enabled() {
             inner
                 .obs
-                .histogram(&format!("sched.wait_us.{}", job.env.tenant))
+                .histogram(&format!("sched.wait_us.{tenant}"))
                 .observe_us(wait_us);
             inner
                 .obs
-                .histogram(&format!("sched.service_us.{}", job.env.tenant))
+                .histogram(&format!("sched.service_us.{tenant}"))
                 .observe_us(service_us);
         }
         st.recent_service_us.push_back(service_us);
@@ -682,11 +707,11 @@ fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
                         .observe_secs(r.profile.exec_secs + r.profile.sample_secs);
                     inner.obs.counter("sched.completed").inc();
                 }
-                st.statuses.insert(job.id, JobStatus::Done(r));
+                st.statuses.insert(*id, JobStatus::Done(r));
                 st.stats.completed += 1;
             }
             Err(e) => {
-                st.statuses.insert(job.id, JobStatus::Failed(e.to_string()));
+                st.statuses.insert(*id, JobStatus::Failed(e.to_string()));
                 st.stats.failed += 1;
                 if inner.obs.is_enabled() {
                     inner.obs.counter("sched.failed").inc();
@@ -701,52 +726,19 @@ fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
     inner.work_cv.notify_one();
 }
 
-/// Dispatches a coalesced batch to the QRC. A multi-job batch of bound
-/// `qfwasm-param` submissions — same skeleton and spec by construction of
-/// the batching key — becomes **one** [`SweepTask`] through
-/// [`qfw::Qrc::execute_sweep`], so the engine compiles the skeleton once
-/// and binds per job; each job keeps its own shots and seed, keeping
-/// per-job counts bitwise identical to unbatched execution. Everything
-/// else takes the [`qfw::Qrc::execute_many`] path. DRR accounting happened
-/// at dispatch time, so the coalescing choice here never changes fairness.
-fn execute_batch(inner: &Inner, batch: &[QueuedJob]) -> Vec<Result<QfwResult, QfwError>> {
-    if batch.len() > 1 && batch.iter().all(|j| text::is_param_text(&j.env.circuit)) {
-        let bindings: Option<Vec<Vec<f64>>> = batch
-            .iter()
-            .map(|j| text::parse_param(&j.env.circuit).ok().and_then(|(_, b)| b))
-            .collect();
-        if let Some(bindings) = bindings {
-            let task = SweepTask {
-                circuit: text::param_skeleton_text(&batch[0].env.circuit),
-                points: batch
-                    .iter()
-                    .zip(bindings)
-                    .map(|(j, params)| SweepPointSpec {
-                        params,
-                        shots: j.env.shots,
-                        seed: j.env.seed,
-                    })
-                    .collect(),
-                spec: batch[0].env.spec.clone(),
-            };
-            return match inner.qrc.execute_sweep(&task) {
-                Ok(results) => results.into_iter().map(Ok).collect(),
-                // One skeleton, one compile: a sweep failure dooms the
-                // whole batch.
-                Err(e) => batch.iter().map(|_| Err(e.clone())).collect(),
-            };
-        }
+/// Dispatches a coalesced batch to the QRC: bound jobs on one skeleton as
+/// **one** sweep ([`as_sweep`]), anything else through
+/// [`qfw::Qrc::run_many`]. DRR accounting happened at dispatch time, so the
+/// coalescing choice here never changes fairness.
+fn execute_batch(inner: &Inner, jobs: &[ResolvedJob]) -> Vec<Result<QfwResult, QfwError>> {
+    let Some(sweep) = as_sweep(jobs) else {
+        return inner.qrc.run_many(jobs);
+    };
+    match inner.qrc.run_sweep(&sweep) {
+        Ok(results) => results.into_iter().map(Ok).collect(),
+        // One skeleton, one compile: a sweep failure dooms the whole batch.
+        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
     }
-    let tasks: Vec<ExecTask> = batch
-        .iter()
-        .map(|j| ExecTask {
-            circuit: j.env.circuit.clone(),
-            shots: j.env.shots,
-            seed: j.env.seed,
-            spec: j.env.spec.clone(),
-        })
-        .collect();
-    inner.qrc.execute_many(&tasks)
 }
 
 #[cfg(test)]

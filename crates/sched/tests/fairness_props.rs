@@ -8,28 +8,25 @@
 //! never be violated.
 
 use proptest::prelude::*;
-use qfw::BackendSpec;
-use qfw_sched::{FairQueue, JobEnvelope, Priority, QueuedJob};
+use qfw::{BackendSpec, GroupCores, ResolvedJob, Source};
+use qfw_sched::{FairQueue, Priority, QueuedJob};
 use std::collections::HashMap;
 
 fn tenant_name(i: usize) -> String {
     format!("tenant{i}")
 }
 
-fn envelope(tenant: &str, priority: Priority) -> JobEnvelope {
-    JobEnvelope {
-        tenant: tenant.into(),
-        priority,
-        deadline_ms: None,
-        shots: 10,
-        seed: 0,
-        circuit: "qfwasm 1\nqubits 1\nh q0\n".into(),
-        spec: BackendSpec::of("aer", "statevector"),
-    }
-}
-
 fn job(id: u64, tenant: &str, priority: Priority, deadline_us: u64) -> QueuedJob {
-    QueuedJob::new(id, envelope(tenant, priority), 0, deadline_us, "skel".into())
+    let (spec, group) = (
+        BackendSpec::of("aer", "statevector"),
+        GroupCores {
+            total: 8,
+            per_llc: 4,
+        },
+    );
+    let admitted =
+        ResolvedJob::admit(Source::Wire("qfwasm 1\nqubits 1\nh q0\n"), 10, 0, &spec, group).unwrap();
+    QueuedJob::new(id, tenant.into(), priority, admitted, deadline_us)
 }
 
 /// Splitmix-style deterministic value stream for a drawn seed.
@@ -67,7 +64,7 @@ proptest! {
         let mut counts: HashMap<String, u32> = HashMap::new();
         for _ in 0..k {
             let served = q.pop().expect("queue is backlogged");
-            *counts.entry(served.env.tenant).or_insert(0) += 1;
+            *counts.entry(served.tenant).or_insert(0) += 1;
         }
         for (i, w) in weights.iter().enumerate() {
             let got = *counts.get(&tenant_name(i)).unwrap_or(&0);
@@ -183,11 +180,11 @@ proptest! {
         // Drain with batching for "batchy" only: whenever a pop yields
         // batchy, coalesce mates; every coalesced job charges deficit.
         while let Some(lead) = q.pop() {
-            let tenant = lead.env.tenant.clone();
+            let tenant = lead.tenant.clone();
             *served.entry(tenant.clone()).or_insert(0) += 1;
             if tenant == "batchy" {
-                let mates =
-                    q.pop_batch_mates("batchy", Priority::Normal.class(), "skel", batch_size - 1);
+                let class = Priority::Normal.class();
+                let mates = q.pop_batch_mates("batchy", class, lead.skeleton, batch_size - 1);
                 *served.get_mut("batchy").unwrap() += mates.len() as u64;
             }
             // Check the running imbalance stays bounded by one batch:

@@ -5,6 +5,9 @@
 //!   cold execution that populated it, across seeds and shot budgets.
 //! * Eviction under capacity pressure never corrupts surviving entries —
 //!   a `get` either misses or returns exactly what was inserted.
+//! * Key agreement: the key of an admitted job — from wire text, from a
+//!   bound skeleton, from the QASM3 compiler's circuit and typed handoff —
+//!   equals `ResultCache::key` of the strings it could have arrived as.
 //! * Canonical-hash sanity (proptest): dumping and re-parsing a circuit
 //!   never changes its hash (whitespace/formatting insensitivity), while
 //!   perturbing any rotation angle always changes it (counts-relevant
@@ -13,8 +16,11 @@
 use proptest::prelude::*;
 use qfw::cache::CacheConfig;
 use qfw::registry::BackendRegistry;
-use qfw::{BackendSpec, DispatchPolicy, ExecTask, QfwResult, Qrc, ResultCache, ShardedLru};
-use qfw_circuit::{canonical_hash, canonical_text, text, Circuit, ContentHash};
+use qfw::{
+    BackendSpec, DispatchPolicy, ExecTask, QfwResult, Qrc, ResultCache, ShardedLru, Source,
+};
+use qfw_circuit::{canonical_hash, canonical_text, text, Angle, Circuit, ContentHash, ParamCircuit};
+use qfw_compile::{DagCircuit, OptLevel};
 use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
 use qfw_num::rng::Rng;
@@ -103,6 +109,114 @@ fn seeded_replay_hits_are_bitwise_identical() {
         execute(&qrc, &qc, 1, 64).counts,
         execute(&qrc, &qc, 1, 64).counts
     );
+}
+
+/// The ingress keys on the job it admitted; callers on the wire side key on
+/// strings. Both must name the same cache entry, for every way a job can
+/// arrive and every kind of option a spec can carry.
+#[test]
+fn admitted_job_keys_like_its_wire_text() {
+    let qrc = qrc();
+    let obs = Obs::disabled();
+    let circuit = seeded_circuit(4, 3);
+    let mut skeleton = ParamCircuit::new(4);
+    skeleton.h(0).rx(1, Angle::sym(0)).rzz(1, 2, Angle::scaled(1, 2.0));
+    skeleton.measure_all();
+    let qasm = qfw_compile::emit(&DagCircuit::from_circuit(&circuit), &[]).unwrap();
+    let mut noise = qfw_noise::NoiseModel::empty();
+    noise.add_2q_all(qfw_noise::Channel::depolarizing(0.02));
+    let cpu = || BackendSpec::of("nwqsim", "cpu");
+    let mpi = BackendSpec::of("nwqsim", "mpi").with_ranks(2);
+    let specs = [
+        cpu(),
+        BackendSpec::of("tnqvm", ""),
+        mpi.clone(),
+        mpi.with_extra("initial_layout", "3,2,1,0"),
+        cpu().with_extra("noise_model", noise.to_text()),
+        cpu().with_extra("site", "ornl"),
+    ];
+    let (seed, shots) = (7, 100);
+    for spec in &specs {
+        let label = format!("{spec:?}");
+        let key_of = |wire: &str, spec: &BackendSpec| ResultCache::key(wire, seed, shots, spec);
+        let admit = |source| qrc.admit(source, shots, seed, spec).unwrap().cache_key();
+
+        let wire = text::dump(&circuit);
+        assert_eq!(admit(Source::Wire(&wire)), key_of(&wire, spec), "concrete, {label}");
+        // A formatting variant of the same text is the same job.
+        let spaced = wire.replacen('\n', "\n\n# same circuit\n", 1);
+        assert_eq!(admit(Source::Wire(&spaced)), key_of(&wire, spec), "spaced, {label}");
+
+        let bound = text::dump_param_bound(&skeleton, &[0.3, -0.8]);
+        assert_eq!(admit(Source::Wire(&bound)), key_of(&bound, spec), "bound, {label}");
+        let rebound = text::dump_param_bound(&skeleton, &[0.3, -0.81]);
+        assert_ne!(key_of(&bound, spec), key_of(&rebound, spec), "binding, {label}");
+
+        // QASM3: the ingress admits the compiled circuit and the O3 layout
+        // as typed values; a wire-side caller spells the same thing as the
+        // dumped text plus an `initial_layout` extra.
+        let opt = if spec.subbackend == "mpi" {
+            OptLevel::O3
+        } else {
+            OptLevel::O2
+        };
+        let (compiled_circuit, compiled) =
+            qfw_compile::compile_qasm3(&qasm, opt, &obs, None).unwrap();
+        let ingested = qfw_compile::ingest_qasm3(&qasm, opt, &obs).unwrap();
+        let spelled = match &ingested.layout {
+            Some(order) => {
+                let csv: Vec<String> = order.iter().map(|q| q.to_string()).collect();
+                spec.clone().with_extra("initial_layout", csv.join(","))
+            }
+            None => spec.clone(),
+        };
+        let typed = admit(Source::Compiled {
+            circuit: compiled_circuit,
+            layout: compiled.layout,
+            predicted_fidelity: compiled.predicted_fidelity,
+        });
+        assert_eq!(typed, key_of(&ingested.qfwasm, &spelled), "qasm3, {label}");
+    }
+
+    // Two spellings of one meaning share a key; a different meaning never does.
+    let wire = text::dump(&circuit);
+    let key_of = |spec: BackendSpec| ResultCache::key(&wire, seed, shots, &spec);
+    assert_eq!(key_of(cpu()), key_of(cpu().with_extra("fusion", true)));
+    let silent = qfw_noise::NoiseModel::empty().to_text();
+    assert_eq!(key_of(cpu()), key_of(cpu().with_extra("noise_model", silent)));
+    assert_ne!(key_of(cpu()), key_of(cpu().with_extra("fusion", false)));
+    assert_ne!(key_of(cpu()), key_of(cpu().with_extra("site", "ornl")));
+}
+
+/// Keys are a contract with whatever was cached before this code ran: these
+/// values were printed by `ResultCache::key` at the commit before admission
+/// replaced the string path (PR 14), and must never move.
+#[test]
+fn keys_are_what_they_were_before_admission() {
+    let wire = "qfwasm 1\nqubits 3\nclbits 3\nh q0\nrz(2.5e-1) q1\ncx q0 q1\ncx q1 q2\n\
+                measure q0 -> c0\nmeasure q1 -> c1\nmeasure q2 -> c2\n";
+    let bound = "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*2e0) q0 q1\nbind 1e-1 2e-1\n";
+    let mpi = BackendSpec::of("nwqsim", "mpi")
+        .with_ranks(2)
+        .with_extra("initial_layout", "2,0,1")
+        .with_extra("site", "ornl");
+    for (text, spec, want) in [
+        (wire, BackendSpec::of("nwqsim", "cpu"), "018980e68afa717747ae9ff9ccc156d3"),
+        (wire, BackendSpec::of("tnqvm", ""), "58005fb46787a58eb464aa44e4d00f8d"),
+        (wire, mpi, "d3372593323c762cc0e913e4a443912f"),
+        (
+            wire,
+            BackendSpec::of("auto", "whatever").with_extra("chi_max", 8),
+            "0b734a83cf72b1c51a651f9cc989f6b1",
+        ),
+        (
+            bound,
+            BackendSpec::of("aer", "automatic").with_ranks(3),
+            "8921d74ecea9fc63ad1f5264bf3abe46",
+        ),
+    ] {
+        assert_eq!(ResultCache::key(text, 7, 100, &spec).to_hex(), want, "{spec:?}");
+    }
 }
 
 /// Hammer a tiny cache far past capacity and verify every observable

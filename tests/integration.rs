@@ -238,9 +238,9 @@ fn multi_qpm_sessions_track_stats() {
 fn auto_backend_routes_workloads_sensibly() {
     let session = full_session();
     let backend = session.backend(&[("backend", "auto")]).unwrap();
-    // GHZ (Clifford) -> aer/automatic (stabilizer fast path).
+    // GHZ (Clifford) -> the stabilizer fast path.
     let r = backend.execute_sync(&ghz(10), 200).unwrap();
-    assert_eq!(r.metadata["auto_selected"], "aer/automatic");
+    assert_eq!(r.metadata["auto_selected"], "aer/stabilizer");
     // TFIM weak quench -> MPS.
     let r = backend.execute_sync(&tfim(14), 200).unwrap();
     assert_eq!(r.metadata["auto_selected"], "aer/matrix_product_state");

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use qfw::planner::{CLOUD_QUBIT_LIMIT, DEFAULT_PLAN_SHOTS, DENSE_LIMIT};
-use qfw::{BackendSpec, Planner, QfwConfig, QfwSession, SelectorContext};
+use qfw::{BackendSpec, Planner, QfwConfig, QfwSession, SelectorContext, Target};
 use qfw_circuit::analysis::is_clifford;
 use qfw_circuit::Circuit;
 use qfw_hpc::ClusterSpec;
@@ -42,43 +42,48 @@ proptest! {
 
         let clifford_circuit = is_clifford(&qc);
         for planned in &ranked {
-            let spec = &planned.rec.spec;
-            if spec.subbackend == "mpi" {
+            let target = &planned.target;
+            let (backend, subbackend) = target.engine.names();
+            if subbackend == "mpi" {
                 prop_assert!(
-                    spec.ranks <= free_cores,
-                    "{}/{} oversubscribed: {} ranks > {} free cores",
-                    spec.backend, spec.subbackend, spec.ranks, free_cores
+                    target.ranks <= free_cores,
+                    "{} oversubscribed: {} ranks > {} free cores",
+                    target.engine.key, target.ranks, free_cores
                 );
-                prop_assert!(spec.ranks.is_power_of_two());
-                prop_assert!((1usize << n) >= 2 * spec.ranks);
+                prop_assert!(target.ranks.is_power_of_two());
+                prop_assert!((1usize << n) >= 2 * target.ranks);
             }
-            if spec.backend == "nwqsim" {
+            if backend == "nwqsim" {
                 prop_assert!(n <= DENSE_LIMIT, "dense engine ranked at {n} qubits");
             }
-            if spec.backend == "aer" && spec.subbackend == "automatic" {
+            if target.engine.key == "aer/automatic" {
                 prop_assert!(
-                    n <= DENSE_LIMIT || clifford_circuit,
-                    "aer/automatic at {n} qubits on a non-Clifford circuit"
+                    n <= DENSE_LIMIT && !clifford_circuit,
+                    "aer/automatic at {n} qubits (Clifford: {clifford_circuit})"
                 );
             }
-            if spec.backend == "ionq" {
+            if target.engine.key == "aer/stabilizer" {
+                prop_assert!(clifford_circuit, "the tableau ranked for a non-Clifford circuit");
+            }
+            if backend == "ionq" {
                 prop_assert!(cloud_available);
                 prop_assert!(n <= CLOUD_QUBIT_LIMIT);
             }
         }
 
-        // Failover guarantee: at least two distinct full specs, so a
-        // runtime failure of the primary never strands the task.
-        let mut distinct: Vec<&BackendSpec> = Vec::new();
+        // Failover guarantee: at least two distinct targets, so a runtime
+        // failure of the primary never strands the task.
+        let mut distinct: Vec<&Target> = Vec::new();
         for planned in &ranked {
-            if !distinct.contains(&&planned.rec.spec) {
-                distinct.push(&planned.rec.spec);
+            if !distinct.contains(&&planned.target) {
+                distinct.push(&planned.target);
             }
         }
+        prop_assert_eq!(distinct.len(), ranked.len(), "a target is ranked twice");
         prop_assert!(
             distinct.len() >= 2,
             "single-entry ranked list at n={n}: {:?}",
-            ranked.iter().map(|p| format!("{}/{}", p.rec.spec.backend, p.rec.spec.subbackend)).collect::<Vec<_>>()
+            ranked.iter().map(|p| p.target.engine.key).collect::<Vec<_>>()
         );
     }
 }

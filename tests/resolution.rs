@@ -1,14 +1,16 @@
-//! Job-resolution suite: every feature combination either meets the
+//! Admission suite: every feature combination either meets the
 //! bitwise-identity guarantee or is refused with a typed error before any
 //! work is committed.
 //!
 //! * The composition matrix — engine × noise × partition × circuit form ×
 //!   fusion — runs every cell through the QRC: an accepted cell's counts
-//!   equal a direct serial engine call, a refused cell takes no slot, no
-//!   engine invocation and no scheduler queue entry.
-//! * Malformed or out-of-range values of every recognised spec key are
-//!   refused from `Qrc::execute`, from `Scheduler::submit` and over the
-//!   ingress — never silently defaulted.
+//!   equal a direct serial engine call and the scheduler admits it too; a
+//!   refused cell takes no slot, no engine invocation and no scheduler
+//!   queue entry, and `Scheduler::submit` refuses it with the same error.
+//! * Malformed or out-of-range values of every recognised spec key, and
+//!   every spec the job's circuit rules out, are refused from
+//!   `Qrc::execute`, from `Scheduler::submit` and over the ingress — never
+//!   silently defaulted, never after a queue entry exists.
 //! * A core request the worker group can never grant returns at once
 //!   instead of spinning on the lease.
 
@@ -207,6 +209,13 @@ fn composition_matrix_matches_reference_or_refuses_before_work() {
                                 })
                                 .map(|r| vec![r]),
                         };
+                        // The same cell as the scheduler sees it: a sweep
+                        // arrives there as bound jobs it coalesces.
+                        let env = match form {
+                            Form::Concrete => JobEnvelope::new("t", &tmpl.bind(&pts[0].params), 10),
+                            _ => JobEnvelope::new_param("t", &tmpl, &pts[0].params, 10),
+                        }
+                        .with_spec(spec.clone());
                         match outcome {
                             Ok(results) => {
                                 ran += 1;
@@ -236,6 +245,9 @@ fn composition_matrix_matches_reference_or_refuses_before_work() {
                                         assert!(d < 0.1, "{cell}: tv={d}");
                                     }
                                 }
+                                // What the QRC runs, the scheduler admits.
+                                let id = sched.submit(env).unwrap_or_else(|e| panic!("{cell}: {e}"));
+                                sched.cancel(id);
                             }
                             Err(e) => {
                                 refused += 1;
@@ -245,7 +257,6 @@ fn composition_matrix_matches_reference_or_refuses_before_work() {
                                         QfwError::BadProperties(_)
                                             | QfwError::Resources(_)
                                             | QfwError::Marshal(_)
-                                            | QfwError::UnknownBackend(_)
                                     ),
                                     "{cell}: refused with {e:?}"
                                 );
@@ -258,20 +269,15 @@ fn composition_matrix_matches_reference_or_refuses_before_work() {
                                     "{cell}: refused with {e:?}"
                                 );
                                 assert_eq!(footprint(&qrc, &sched), before, "{cell}: {e:?}");
-                                // A refusal that rests on the spec alone is
-                                // made at submit, before a queue entry.
-                                if matches!(e, QfwError::BadProperties(_)) && backend != "auto" {
-                                    let env = JobEnvelope::new("t", &tmpl.bind(&pts[0].params), 10)
-                                        .with_spec(spec.clone());
-                                    assert!(
-                                        matches!(
-                                            sched.submit(env),
-                                            Err(SchedError::Unrunnable(QfwError::BadProperties(_)))
-                                        ),
-                                        "{cell}: scheduler admitted it"
-                                    );
-                                    assert_eq!(footprint(&qrc, &sched), before, "{cell}");
-                                }
+                                // Every refusal — whether it rests on the
+                                // spec alone or needs the circuit — is made
+                                // at submit too, before a queue entry.
+                                assert_eq!(
+                                    sched.submit(env),
+                                    Err(SchedError::Unrunnable(e)),
+                                    "{cell}: the scheduler disagrees"
+                                );
+                                assert_eq!(footprint(&qrc, &sched), before, "{cell}");
                             }
                         }
                     }
@@ -371,8 +377,8 @@ fn malformed_values_are_refused_on_every_entry_path() {
     }
     assert_eq!(footprint(&qrc, &sched), before);
 
-    // Checks that need the circuit run once it is parsed — still before a
-    // slot is taken, whichever way the job arrives. A seam is a hint for
+    // Checks that need the circuit run at admission too — before a slot
+    // or a queue entry, whichever way the job arrives. A seam is a hint for
     // concrete circuits only; width checks bind symbolic forms too.
     let n_ops = circuit.ops().len();
     let (tmpl, _) = template(false);
@@ -412,6 +418,14 @@ fn malformed_values_are_refused_on_every_entry_path() {
             matches!(&outcome, Err(e) if is_refusal(e)),
             "{label}: {outcome:?}"
         );
+        let env = JobEnvelope::new("t", &circuit, 10).with_spec(spec.clone());
+        let submitted = sched.submit(env.clone());
+        assert!(
+            matches!(&submitted, Err(SchedError::Unrunnable(e)) if is_refusal(e)),
+            "{label}: Scheduler::submit returned {submitted:?}"
+        );
+        let remote = client::submit(&conn, &env, T).unwrap_err().to_string();
+        assert!(remote.contains("unrunnable job"), "{label}: ingress said {remote}");
         if !symbolic {
             continue;
         }
@@ -420,6 +434,12 @@ fn malformed_values_are_refused_on_every_entry_path() {
         assert!(
             matches!(&outcome, Err(e) if is_refusal(e)),
             "{label}, bound: {outcome:?}"
+        );
+        let env = JobEnvelope::new_param("t", &tmpl, &pts[0].params, 10).with_spec(spec.clone());
+        let submitted = sched.submit(env);
+        assert!(
+            matches!(&submitted, Err(SchedError::Unrunnable(e)) if is_refusal(e)),
+            "{label}, bound: Scheduler::submit returned {submitted:?}"
         );
         for outcome in qrc.execute_many(&[bound.clone(), bound]) {
             assert!(
@@ -437,8 +457,14 @@ fn malformed_values_are_refused_on_every_entry_path() {
             "{label}, sweep: {outcome:?}"
         );
     }
-    assert_eq!(qrc.engine_invocations(), before.0);
-    assert_eq!(qrc.tasks_per_slot(), before.1);
+    // Text that is no circuit at all is refused the same way.
+    let mut garbled = JobEnvelope::new("t", &circuit, 10);
+    garbled.circuit = "qfwasm 1\nqubits 2\nnosuchgate q0\n".into();
+    assert!(matches!(
+        sched.submit(garbled),
+        Err(SchedError::Unrunnable(QfwError::Marshal(_)))
+    ));
+    assert_eq!(footprint(&qrc, &sched), before);
     ingress.shutdown();
     sched.shutdown();
 }
@@ -507,7 +533,9 @@ fn cache_key_follows_the_resolved_plan() {
 /// Regression: the scheduler coalesces same-skeleton bound jobs into one
 /// sweep, whose points used to skip the layout check single jobs get — a
 /// short `initial_layout` on `nwqsim/mpi` then panicked inside the rank
-/// threads with the slot held. It must fail typed, and the stack carry on.
+/// threads with the slot held. Every such job is now refused at submit, so
+/// a coalesced batch only ever holds jobs that passed the single-job
+/// checks, and the stack carries on.
 #[test]
 fn coalesced_sweep_points_get_the_single_job_checks() {
     let (qrc, _hetjob) = qrc();
@@ -523,33 +551,36 @@ fn coalesced_sweep_points_get_the_single_job_checks() {
     let (tmpl, _) = template(false);
     let mpi = BackendSpec::of("nwqsim", "mpi").with_ranks(2);
     let short = mpi.clone().with_extra("initial_layout", "1,0,2");
+    for p in points(tmpl.num_params()) {
+        let env = JobEnvelope::new_param("t", &tmpl, &p.params, 10).with_spec(short.clone());
+        match sched.submit(env) {
+            Err(SchedError::Unrunnable(QfwError::BadProperties(why))) => {
+                assert!(why.contains("initial_layout"), "{why}")
+            }
+            other => panic!("short layout was answered with {other:?}"),
+        }
+    }
+    assert_eq!(sched.stats().admitted, 0);
+    // Jobs that pass coalesce into one invocation and all finish.
+    let full = mpi.with_extra("initial_layout", "4,3,2,1,0");
     let ids: Vec<_> = points(tmpl.num_params())
         .iter()
         .map(|p| {
-            let env = JobEnvelope::new_param("t", &tmpl, &p.params, 10).with_spec(short.clone());
+            let env = JobEnvelope::new_param("t", &tmpl, &p.params, 10).with_spec(full.clone());
             sched.submit(env).unwrap()
         })
         .collect();
     sched.resume();
     for id in ids {
-        match sched.wait(id, T) {
-            JobStatus::Failed(why) => assert!(why.contains("initial_layout"), "{why}"),
-            other => panic!("short layout ended as {other:?}"),
-        }
+        assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
     }
-    assert_eq!(qrc.engine_invocations(), 0);
-    assert_eq!(qrc.tasks_per_slot(), vec![0]);
-    // The runner and the (only) slot are still there for the next job.
-    let env = JobEnvelope::new_param("t", &tmpl, &[0.3, 0.8], 10)
-        .with_spec(mpi.with_extra("initial_layout", "4,3,2,1,0"));
-    let id = sched.submit(env).unwrap();
-    assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
+    assert_eq!(qrc.engine_invocations(), 1);
     sched.shutdown();
 }
 
 /// `aer/automatic` learns whether it runs dense only once it has seen the
-/// circuit: ranks it will not use must not get a job refused, and ranks it
-/// cannot have must not spin on the lease.
+/// circuit — which admission has: ranks it will not use must not get a job
+/// refused, and ranks it cannot have are refused before a slot is taken.
 #[test]
 fn aer_automatic_checks_ranks_only_on_the_dense_method() {
     let (qrc, hetjob) = qrc();
@@ -578,12 +609,13 @@ fn aer_automatic_checks_ranks_only_on_the_dense_method() {
     dense.measure_all();
     assert_eq!(run(&dense, 1).unwrap().metadata["method"], "statevector");
     assert_eq!(run(&dense, 4).unwrap().profile.ranks, 4);
+    let before = (qrc.engine_invocations(), qrc.tasks_per_slot());
     for ranks in [1 << N, too_many] {
         let start = Instant::now();
         let err = run(&dense, ranks).unwrap_err();
         assert!(matches!(err, QfwError::Resources(_)), "{ranks}: {err:?}");
         assert!(start.elapsed() < Duration::from_secs(1), "{ranks} spun");
     }
-    // A refusal from inside the adapter gives its slot back.
+    assert_eq!((qrc.engine_invocations(), qrc.tasks_per_slot()), before);
     assert_eq!(run(&dense, 1).unwrap().profile.ranks, 1);
 }
