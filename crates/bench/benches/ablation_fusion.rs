@@ -42,7 +42,6 @@ fn bench_fusion(c: &mut Criterion) {
             let engine = SvSimulator::new(SvConfig {
                 threading: Threading::Serial,
                 fusion,
-                ..SvConfig::default()
             });
             group.bench_with_input(BenchmarkId::new(label, n), &circuit, |b, circuit| {
                 b.iter(|| engine.run(circuit, 64, 3));

@@ -8,39 +8,31 @@
 //! parallelism over independent trajectories.
 //!
 //! ```text
-//! bench_noise [--smoke] [--out PATH] [--baseline PATH] [--min-speedup X]
+//! bench_noise [--smoke] [--out PATH]
 //! ```
 //!
-//! * `--smoke` — CI sizes (QAOA-8, 64 trajectories); asserts bitwise
-//!   identity only, no speedup bar (CI containers may be single-core).
+//! * `--smoke` — CI sizes (QAOA-8, 64 trajectories).
 //! * `--out` — output path (default `results/BENCH_noise.json`).
-//! * `--baseline` — a previous report; ratios are embedded under
-//!   `speedups` so CI can gate on regressions.
-//! * `--min-speedup` — required 8-worker-vs-serial bar (default 3.0
-//!   full, none in smoke). The process exits nonzero under the bar.
+//!
+//! Gates: bitwise identity, always; and, in the full suite on a host with
+//! a hardware thread per worker, 8 workers at least [`SPEEDUP_BAR`] faster
+//! than one (fewer threads than workers cannot show it, so there the
+//! speedup is recorded ungated).
 
+use qfw_bench::report::{median, Run};
 use qfw_noise::{Calibration, NoiseModel};
 use qfw_obs::Obs;
 use qfw_sim_sv::run_trajectories;
 use qfw_workloads::{qaoa_ansatz, Qubo};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 const SEED: u64 = 2025;
-
-/// Median of a sample (sorts in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
+/// Required widest-worker-count speedup over serial in the full suite.
+const SPEEDUP_BAR: f64 = 3.0;
 
 /// One worker-count measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 struct WorkerPoint {
     /// Trajectory worker threads.
     workers: usize,
@@ -48,24 +40,9 @@ struct WorkerPoint {
     secs: f64,
 }
 
-/// A computed ratio against the baseline file.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct SpeedupEntry {
-    /// Key the ratio belongs to.
-    key: String,
-    /// Seconds in the baseline report.
-    baseline_secs: f64,
-    /// Seconds in this report.
-    secs: f64,
-    /// `baseline_secs / secs` (>1 is faster than baseline).
-    speedup: f64,
-}
-
 /// The full report written to `results/BENCH_noise.json`.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct NoiseReport {
-    /// `full` or `smoke`.
-    suite: String,
     /// Seed every stochastic component derives from.
     seed: u64,
     /// Register size.
@@ -82,26 +59,16 @@ struct NoiseReport {
     points: Vec<WorkerPoint>,
     /// Serial over widest-worker wall clock.
     speedup: f64,
+    /// Whether the speedup bar applied (full suite, a hardware thread per
+    /// worker).
+    speedup_gated: bool,
     /// Whether every worker count produced bitwise-identical counts.
     bitwise_identical: bool,
-    /// Ratios against `--baseline`, when given.
-    speedups: Vec<SpeedupEntry>,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "results/BENCH_noise.json".to_string());
-    let baseline_path = arg_after("--baseline");
-    let min_speedup: Option<f64> = arg_after("--min-speedup")
-        .map(|s| s.parse().expect("--min-speedup takes a number"))
-        .or(if smoke { None } else { Some(3.0) });
+    let mut run = Run::from_args("bench_noise", "results/BENCH_noise.json");
+    let smoke = run.smoke;
 
     let (n, layers, trajectories, shots) = if smoke {
         (8usize, 2usize, 64usize, 512usize)
@@ -152,72 +119,34 @@ fn main() {
     }
 
     let serial_secs = points.first().expect("at least one point").secs;
-    let widest_secs = points.last().expect("at least one point").secs;
+    let WorkerPoint { workers: widest, secs: widest_secs } =
+        *points.last().expect("at least one point");
     let speedup = serial_secs / widest_secs;
+    eprintln!(
+        "[bench_noise] serial {serial_secs:.4}s -> {widest} workers {widest_secs:.4}s = \
+         {speedup:.2}x (bitwise_identical={bitwise_identical})"
+    );
 
-    let mut report = NoiseReport {
-        suite: if smoke { "smoke" } else { "full" }.to_string(),
+    run.gate(bitwise_identical, "counts diverged across worker counts".to_string());
+    // The bar needs a hardware thread per worker: CI containers may be
+    // single-core, and a smaller host cannot show 8-way parallelism.
+    let speedup_gated = !smoke && run.host.nproc >= widest;
+    if speedup_gated {
+        run.gate(
+            speedup >= SPEEDUP_BAR,
+            format!("speedup {speedup:.2}x under the {SPEEDUP_BAR:.2}x bar"),
+        );
+    }
+    run.finish(&NoiseReport {
         seed: SEED,
         qubits: n,
         layers,
         trajectories,
         shots,
         noise_model: model.to_text(),
-        points: points.clone(),
+        points,
         speedup,
+        speedup_gated,
         bitwise_identical,
-        speedups: Vec::new(),
-    };
-
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline: NoiseReport =
-            serde_json::from_str(&text).expect("baseline parses as a NoiseReport");
-        for point in &points {
-            let Some(base) = baseline.points.iter().find(|b| b.workers == point.workers)
-            else {
-                continue;
-            };
-            if base.secs > 0.0 && point.secs > 0.0 {
-                report.speedups.push(SpeedupEntry {
-                    key: format!("workers_{}", point.workers),
-                    baseline_secs: base.secs,
-                    secs: point.secs,
-                    speedup: base.secs / point.secs,
-                });
-            }
-        }
-    }
-
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!(
-        "[bench_noise] serial {serial_secs:.4}s -> {} workers {widest_secs:.4}s = \
-         {speedup:.2}x (bitwise_identical={bitwise_identical})",
-        points.last().expect("non-empty").workers
-    );
-    for s in &report.speedups {
-        eprintln!(
-            "  vs baseline {:<12} {:>10.6}s -> {:>10.6}s  ({:.2}x)",
-            s.key, s.baseline_secs, s.secs, s.speedup
-        );
-    }
-    eprintln!("[bench_noise] wrote {out_path}");
-
-    if !bitwise_identical {
-        eprintln!("[bench_noise] FAIL: counts diverged across worker counts");
-        std::process::exit(1);
-    }
-    if let Some(bar) = min_speedup {
-        if speedup < bar {
-            eprintln!("[bench_noise] FAIL: speedup {speedup:.2}x under the {bar:.2}x bar");
-            std::process::exit(1);
-        }
-    }
+    })
 }

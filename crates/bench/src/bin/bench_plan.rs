@@ -5,29 +5,28 @@
 //! 1. **Agreement** — for a fixture sweep spanning the routing families
 //!    (Clifford → stabilizer, nearest-neighbor weak entanglers → MPS,
 //!    dense entanglers → state vector), execute the planner's top-ranked
-//!    candidates and check that its pick measures within `--within` of the
-//!    fastest candidate. The run fails under `--min-agreement` (default
-//!    0.9).
+//!    candidates and check that its pick measures within [`WITHIN`] of the
+//!    fastest candidate. The run fails under [`MIN_AGREEMENT`].
 //! 2. **Partition** — a deep-Clifford-prefix circuit executed monolithic
 //!    (unfused state vector) versus partitioned at the planner's seam
 //!    (stabilizer prefix + dense suffix). Counts must be bitwise
-//!    identical and the partitioned run at least `--min-part-speedup`
-//!    (default 2.0) faster.
+//!    identical and the partitioned run at least [`MIN_PART_SPEEDUP`]
+//!    faster.
 //!
 //! ```text
-//! bench_plan [--smoke] [--out PATH] [--within X] [--min-agreement X]
-//!            [--min-part-speedup X]
+//! bench_plan [--smoke] [--out PATH]
 //! ```
 //!
-//! * `--smoke` — CI sizes (10–12 qubits, 1 timing round).
+//! * `--smoke` — CI sizes (10–20 qubits).
 //! * `--out` — output path (default `results/BENCH_plan.json`).
 
 use qfw::planner::Planner;
 use qfw::{BackendSpec, QfwConfig, QfwSession, SelectorContext, Target};
+use qfw_bench::report::{median, Run};
 use qfw_circuit::Circuit;
 use qfw_hpc::ClusterSpec;
 use qfw_workloads::{ham, tfim};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const SEED_NAME: &str = "bench_plan";
 /// Candidates predicted more than this factor over the best are skipped
@@ -35,19 +34,18 @@ const SEED_NAME: &str = "bench_plan";
 /// skip is reported per fixture, never silent.
 const PRUNE_FACTOR: f64 = 50.0;
 
-/// Median of a sample (sorts in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
+/// The pick must measure within this factor of the fastest candidate.
+/// 1.6x separates a wrong *family* (state vector where MPS applies, dense
+/// where the stabilizer wins: >=4x off on this sweep) from sibling engines
+/// of the same family, which differ only by a constant-factor overhead.
+const WITHIN: f64 = 1.6;
+/// Required fraction of fixtures where the pick agreed.
+const MIN_AGREEMENT: f64 = 0.9;
+/// Required partitioned-over-monolithic speedup.
+const MIN_PART_SPEEDUP: f64 = 2.0;
 
 /// One measured candidate engine for a fixture.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct CandidatePoint {
     /// `backend/subbackend` (ranks folded in for MPI).
     engine: String,
@@ -58,7 +56,7 @@ struct CandidatePoint {
 }
 
 /// One fixture's agreement verdict.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct FixtureReport {
     /// Workload name.
     name: String,
@@ -74,12 +72,12 @@ struct FixtureReport {
     fastest: String,
     /// Pick's measured time over the fastest measured time.
     pick_ratio: f64,
-    /// Whether the pick landed within the `--within` factor.
+    /// Whether the pick landed within the [`WITHIN`] factor.
     agree: bool,
 }
 
 /// The partition A/B measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct PartitionReport {
     /// Register width.
     qubits: usize,
@@ -98,10 +96,8 @@ struct PartitionReport {
 }
 
 /// The full report written to `results/BENCH_plan.json`.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct PlanReport {
-    /// `full` or `smoke`.
-    suite: String,
     /// Shots per execution.
     shots: usize,
     /// Timing rounds per measurement (median taken).
@@ -210,28 +206,8 @@ fn measure(session: &QfwSession, spec: &BackendSpec, qc: &Circuit, shots: usize,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "results/BENCH_plan.json".to_string());
-    // 1.6x separates a wrong *family* (state vector where MPS applies,
-    // dense where the stabilizer wins: >=4x off on this sweep) from
-    // sibling engines of the same family, which differ only by a
-    // constant-factor overhead.
-    let within: f64 = arg_after("--within")
-        .map(|s| s.parse().expect("--within takes a number"))
-        .unwrap_or(1.6);
-    let min_agreement: f64 = arg_after("--min-agreement")
-        .map(|s| s.parse().expect("--min-agreement takes a number"))
-        .unwrap_or(0.9);
-    let min_part_speedup: f64 = arg_after("--min-part-speedup")
-        .map(|s| s.parse().expect("--min-part-speedup takes a number"))
-        .unwrap_or(2.0);
+    let mut run = Run::from_args(SEED_NAME, "results/BENCH_plan.json");
+    let smoke = run.smoke;
 
     // Fixture widths sit where the families separate decisively: below
     // ~14 qubits every engine finishes in microseconds and the ranking is
@@ -250,7 +226,7 @@ fn main() {
     };
     eprintln!(
         "[{SEED_NAME}] {} fixtures, {shots} shots, median of {rounds}, \
-         within {within:.2}x",
+         within {WITHIN:.2}x",
         fixtures.len()
     );
 
@@ -313,7 +289,7 @@ fn main() {
         // under 2ms is a constant-factor overhead, not a routing error.
         let floor = 1e-6;
         let pick_ratio = (pick_secs.max(floor)) / (fastest_point.measured_secs.max(floor));
-        let agree = pick_ratio <= within
+        let agree = pick_ratio <= WITHIN
             || (pick_secs - fastest_point.measured_secs) < 2e-3;
         eprintln!(
             "[{SEED_NAME}]   {:<10} picked {:<28} ratio {pick_ratio:.3} \
@@ -375,46 +351,26 @@ fn main() {
         "[{SEED_NAME}] partition {n}q x{layers}: mono {mono_secs:.5}s -> \
          part {part_secs:.5}s = {speedup:.2}x (bitwise={bitwise_identical})"
     );
+    eprintln!("[{SEED_NAME}] agreement {agreement:.2}");
 
-    let report = PlanReport {
-        suite: if smoke { "smoke" } else { "full" }.to_string(),
+    run.gate(
+        agreement >= MIN_AGREEMENT,
+        format!("agreement {agreement:.2} under the {MIN_AGREEMENT:.2} bar"),
+    );
+    run.gate(
+        bitwise_identical,
+        "partitioned counts diverged from monolithic".to_string(),
+    );
+    run.gate(
+        speedup >= MIN_PART_SPEEDUP,
+        format!("partition speedup {speedup:.2}x under the {MIN_PART_SPEEDUP:.2}x bar"),
+    );
+    run.finish(&PlanReport {
         shots,
         rounds,
-        within,
+        within: WITHIN,
         fixtures: reports,
         agreement,
         partition,
-    };
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, serde_json::to_string(&report).expect("serializes"))
-        .expect("write report");
-    eprintln!("[{SEED_NAME}] agreement {agreement:.2}, wrote {out_path}");
-
-    let mut failed = false;
-    if agreement < min_agreement {
-        eprintln!(
-            "[{SEED_NAME}] FAIL: agreement {agreement:.2} under the \
-             {min_agreement:.2} bar"
-        );
-        failed = true;
-    }
-    if !report.partition.bitwise_identical {
-        eprintln!("[{SEED_NAME}] FAIL: partitioned counts diverged from monolithic");
-        failed = true;
-    }
-    if report.partition.speedup < min_part_speedup {
-        eprintln!(
-            "[{SEED_NAME}] FAIL: partition speedup {:.2}x under the \
-             {min_part_speedup:.2}x bar",
-            report.partition.speedup
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    })
 }

@@ -11,11 +11,12 @@
 //!   and renders them as aligned text tables and CSV.
 //! * [`experiments`] — one entry point per table/figure:
 //!   `table1`, `table2`, `fig3a` … `fig3f`, `fig4`, `fig5`.
-//! * [`host`] — the host stamp the `bench_*` perf reports carry.
+//! * [`report`] — what `bench_noise` and `bench_plan` share: command line,
+//!   median, host-stamped JSON writer, gate collector.
 //!
 //! The `experiments` binary exposes each as a subcommand.
 
 pub mod config;
 pub mod experiments;
-pub mod host;
+pub mod report;
 pub mod runner;

@@ -17,7 +17,8 @@
 
 use proptest::prelude::*;
 use qfw_compile::{
-    canonical_qasm3, default_param_names, emit, lower_to_stdgates, parse, DagCircuit,
+    canonical_qasm3, compile_dag, default_param_names, emit, lower_to_stdgates, parse, DagCircuit,
+    OptLevel,
 };
 use qfw_num::rng::Rng;
 use qfw_testkit::{random_circuit, random_template};
@@ -73,6 +74,17 @@ fn generated_corpus_files_are_canonical_fixed_points() {
         let canon = canonical_qasm3(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(canon, src, "{name} is not a canonical fixed point");
     }
+    // The stdgates-lowered QAOA-14 is the shape an external producer
+    // ships (`rzz` as `cx; rz; cx`): O2's template recognizer must
+    // reassemble the interactions, at least 20% of the gates.
+    let qaoa = parse(&read_corpus("qaoa14.qasm")).unwrap().dag;
+    let stats = compile_dag(qaoa, OptLevel::O2, &qfw_obs::Obs::disabled()).stats;
+    assert!(
+        stats.gates_after * 5 <= stats.gates_before * 4,
+        "O2 on qaoa14.qasm: {} -> {} gates",
+        stats.gates_before,
+        stats.gates_after
+    );
 }
 
 #[test]
@@ -176,7 +188,7 @@ fn regen_corpus() {
     fs::write(dir.join("tfim16.qasm"), emit(&tfim_dag, &[]).unwrap()).unwrap();
 
     // QAOA-14 in the stdgates basis (rzz lowered to cx;rz;cx) — the
-    // exact program bench_compile feeds the O2 pipeline.
+    // program the O2 gate-count assertion above compiles.
     let qubo = Qubo::random(14, 0.5, 7);
     let qaoa = lower_to_stdgates(&DagCircuit::from_param(&qaoa_ansatz(&qubo, 1)));
     let names = default_param_names(qaoa.num_params());

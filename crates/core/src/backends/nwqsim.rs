@@ -77,7 +77,6 @@ impl NwqSimBackend {
         SvSimulator::new(SvConfig {
             threading: if threaded { Threading::Rayon } else { Threading::Serial },
             fusion: if fused { FusionLevel::Full } else { FusionLevel::None },
-            ..SvConfig::default()
         })
     }
 

@@ -5,21 +5,18 @@
 //! follow the engines' asymptotics — `gates * 2^n` amplitude touches for
 //! dense state vector, `gates * n * chi^3` tensor contractions for MPS,
 //! `gates * n * words` row updates for the stabilizer tableau — and the
-//! unit coefficients are calibrated offline from `results/BENCH_*.json`
-//! and nudged online from observed run times (see
-//! [`super::Planner::observe`]).
+//! unit coefficients are measured defaults, nudged online from observed
+//! run times (see [`super::Planner::observe`]).
 
 use qfw_circuit::analysis::StructureReport;
 
 /// Unit costs, all in seconds per elementary operation.
 ///
-/// Defaults are derived from the checked-in `results/BENCH_sv.json`
-/// layered-circuit timings (the serial layer-plan executor costs ~0.25 ns
-/// per amplitude per *source* gate: TFIM/QAOA/HAM-18 run 694 gates over
-/// `2^18` amplitudes in 47.0 ms) and round numbers for the engines the
-/// bench suite exercises less densely;
-/// [`CostCoefficients::from_bench_json`] re-derives the state-vector
-/// coefficient from a fresh bench report.
+/// The state-vector default is measured (the serial layer-plan executor
+/// costs ~0.25 ns per amplitude per *source* gate: TFIM/QAOA/HAM-18 run 694
+/// gates over `2^18` amplitudes in 47.0 ms — `benchmark/`'s
+/// `sim_sv.{tfim,qaoa,ham}.serial_ms` probes time the same three circuits);
+/// the other engines get round numbers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostCoefficients {
     /// Dense SV: seconds per amplitude per gate.
@@ -65,45 +62,6 @@ impl Default for CostCoefficients {
 }
 
 impl CostCoefficients {
-    /// Re-derives the dense-SV amplitude coefficient from a
-    /// `BENCH_sv.json` report: the `layered` section records the fused
-    /// engine's `run_secs` for `ops_in` source gates at a known register
-    /// size, which is exactly the product [`sv_cost`](Self::sv_cost)
-    /// prices. Returns `None` when the text is not such a report.
-    pub fn from_bench_json(text: &str) -> Option<Self> {
-        let v: serde::Value = serde_json::from_str(text).ok()?;
-        let layered = match v.get("layered")? {
-            serde::Value::Seq(items) => items,
-            _ => return None,
-        };
-        let as_f64 = |v: &serde::Value| match v {
-            serde::Value::UInt(u) => Some(*u as f64),
-            serde::Value::Int(i) => Some(*i as f64),
-            serde::Value::Float(f) => Some(*f),
-            _ => None,
-        };
-        // Seconds over gate-amplitude products, summed over the serial
-        // rows, so the widest and deepest circuits weigh the most.
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for row in layered {
-            match row.get("mode") {
-                Some(serde::Value::Str(mode)) if mode.contains("serial") => {}
-                _ => continue,
-            }
-            let n = as_f64(row.get("qubits")?)? as i32;
-            num += as_f64(row.get("run_secs")?)?;
-            den += as_f64(row.get("ops_in")?)? * 2f64.powi(n);
-        }
-        if den <= 0.0 || num <= 0.0 {
-            return None;
-        }
-        Some(CostCoefficients {
-            sv_amp_secs: (num / den).clamp(1e-11, 1e-7),
-            ..CostCoefficients::default()
-        })
-    }
-
     /// Dense serial state vector: every gate sweeps all `2^n` amplitudes,
     /// the terminal alias table costs one more sweep, then per-shot draws.
     pub fn sv_cost(&self, n: usize, gates: usize, shots: usize) -> f64 {
@@ -207,17 +165,5 @@ mod tests {
         let chi_strong = effective_chi(&StructureReport::of(&strong), 12);
         assert!(chi_weak < chi_strong, "{chi_weak} !< {chi_strong}");
         assert!(chi_weak < 2.5);
-    }
-
-    #[test]
-    fn bench_json_calibration_overrides_sv_coefficient() {
-        let json = r#"{"layered":[
-            {"workload":"tfim20","mode":"serial","qubits":20,"ops_in":100,"run_secs":0.02},
-            {"workload":"tfim20","mode":"rayon","qubits":20,"ops_in":100,"run_secs":0.01}
-        ]}"#;
-        let c = CostCoefficients::from_bench_json(json).expect("parses");
-        let expect = 0.02 / (100.0 * 2f64.powi(20));
-        assert!((c.sv_amp_secs - expect).abs() / expect < 1e-9);
-        assert!(CostCoefficients::from_bench_json("{}").is_none());
     }
 }

@@ -15,10 +15,10 @@
 //! * tier 2 — best-effort truncating MPS with a raised bond budget.
 //! * tier 3 — last-resort tensor engines with tighter default budgets.
 //!
-//! Coefficients start from the checked-in `results/BENCH_sv.json`
-//! calibration and drift toward observed reality via EWMA updates fed by
-//! the same measured run times qfw-obs records under `qpm.run_circuit` /
-//! `plan.actual_us.*` (see [`Planner::observe`]).
+//! Coefficients start from [`CostCoefficients::default`] (measured once on
+//! the layer-plan executor) and drift toward observed reality via EWMA
+//! updates fed by the same measured run times qfw-obs records under
+//! `qpm.run_circuit` / `plan.actual_us.*` (see [`Planner::observe`]).
 //!
 //! The planner also proposes the first *hybrid partition*: a maximal
 //! Clifford prefix executed on the stabilizer tableau, converted to a
@@ -105,20 +105,6 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner with explicit coefficients (e.g. freshly calibrated).
-    pub fn new(coeffs: CostCoefficients) -> Self {
-        Planner {
-            coeffs,
-            corrections: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// Calibrates from a `BENCH_sv.json`-shaped report, falling back to
-    /// the built-in defaults when the text does not parse as one.
-    pub fn calibrated_from(bench_json: &str) -> Self {
-        Planner::new(CostCoefficients::from_bench_json(bench_json).unwrap_or_default())
-    }
-
     /// The active coefficient set.
     pub fn coefficients(&self) -> &CostCoefficients {
         &self.coeffs

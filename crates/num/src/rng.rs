@@ -192,51 +192,10 @@ impl Rng {
     }
 }
 
-/// Which categorical sampler a shot loop should use.
-///
-/// `Cdf` draws in `O(log n)` per shot via binary search and is kept for
-/// seeded-replay paths whose recorded outputs depend on its exact draw
-/// sequence (one uniform per shot). `Alias` is the Walker/Vose alias
-/// method: `O(n)` table build, `O(1)` per shot (two uniforms per shot) —
-/// the fast path when shots dominate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SampleStrategy {
-    /// Binary search over a cumulative table (`CdfSampler`).
-    Cdf,
-    /// Walker/Vose alias method (`AliasSampler`).
-    #[default]
-    Alias,
-}
-
-/// A categorical sampler built from one of the [`SampleStrategy`] choices.
-pub enum Sampler {
-    /// CDF binary-search sampler.
-    Cdf(CdfSampler),
-    /// Alias-method sampler.
-    Alias(AliasSampler),
-}
-
-impl Sampler {
-    /// Builds the sampler named by `strategy` from non-negative weights.
-    pub fn build(strategy: SampleStrategy, weights: &[f64]) -> Self {
-        match strategy {
-            SampleStrategy::Cdf => Sampler::Cdf(CdfSampler::new(weights)),
-            SampleStrategy::Alias => Sampler::Alias(AliasSampler::new(weights)),
-        }
-    }
-
-    /// Draws one index.
-    #[inline]
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        match self {
-            Sampler::Cdf(s) => s.sample(rng),
-            Sampler::Alias(s) => s.sample(rng),
-        }
-    }
-}
-
-/// Builds a cumulative-probability table for repeated categorical sampling,
-/// used by the simulators to draw measurement shots from `|amp|^2`.
+/// A cumulative-probability table: `O(log n)` per draw by binary search,
+/// one uniform per draw. The simulators use it where the table is short and
+/// the draws few — splitting shots over block masses, tensor-network
+/// marginals; shots over `|amp|^2` go through [`AliasSampler`].
 pub struct CdfSampler {
     cdf: Vec<f64>,
 }
@@ -272,9 +231,9 @@ impl CdfSampler {
 /// Walker/Vose alias-method sampler: `O(n)` table build, `O(1)` per draw.
 ///
 /// Each cell `i` holds a threshold `prob[i]` and a backup column `alias[i]`;
-/// a draw picks a uniform cell, then keeps it or jumps to its alias. The
-/// draw sequence differs from [`CdfSampler`] (two uniforms per shot instead
-/// of one), so seeded replays pinned to CDF draws must keep using that.
+/// a draw picks a uniform cell, then keeps it or jumps to its alias (two
+/// uniforms per shot where [`CdfSampler`] takes one, so the two draw
+/// different sequences from one seed).
 pub struct AliasSampler {
     prob: Vec<f64>,
     alias: Vec<usize>,
@@ -613,18 +572,6 @@ mod tests {
         assert!(tv < 0.01, "total-variation distance {tv} too large");
         for i in (0..n).step_by(7) {
             assert_eq!(hc[i] + ha[i], 0, "zero-weight bin {i} drawn");
-        }
-    }
-
-    #[test]
-    fn sampler_enum_dispatches_both_strategies() {
-        let weights = [0.5, 0.5];
-        for strategy in [SampleStrategy::Cdf, SampleStrategy::Alias] {
-            let s = Sampler::build(strategy, &weights);
-            let mut rng = Rng::seed_from(28);
-            for _ in 0..50 {
-                assert!(s.sample(&mut rng) < 2);
-            }
         }
     }
 }

@@ -35,7 +35,7 @@
 //! canonical cache entry, and malformed or parameterized (unbound
 //! `input float`) programs are rejected at the front door.
 
-use crate::{JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
+use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
 use parking_lot::Mutex;
 use qfw::cache::CacheConfig;
 use qfw::{QfwResult, ResultCache, Source};
@@ -103,8 +103,13 @@ impl SchedIngress {
             .method("submit", move |env: JobEnvelope| submit.submit(env))
             .method("poll", move |id: u64| Ok(poll.poll(id)))
             .method("cancel", move |id: u64| {
-                cancel.pending.lock().remove(&id);
-                Ok(cancel.sched.cancel(id))
+                let outcome = cancel.sched.cancel(id);
+                // A job that answers `TooLate` still completes: its
+                // reservation stays so the `Done` poll can cache the result.
+                if outcome == CancelOutcome::Cancelled {
+                    cancel.pending.lock().remove(&id);
+                }
+                Ok(outcome)
             })
             .method("stats", move |_: ()| Ok(stats.sched.stats()))
             .build();

@@ -4,7 +4,7 @@ use crate::fusion::{fuse, FusionLevel};
 use crate::layers::LayerPlan;
 use crate::state::StateVector;
 use qfw_circuit::{Circuit, Op};
-use qfw_num::rng::{Rng, SampleStrategy};
+use qfw_num::rng::Rng;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -25,11 +25,6 @@ pub struct SvConfig {
     pub threading: Threading,
     /// Gate-fusion pre-pass tier.
     pub fusion: FusionLevel,
-    /// Shot sampler. The alias default draws through the canonical split
-    /// scheme shared with the distributed engine (fixed seed ⇒ identical
-    /// counts local or distributed); CDF preserves the legacy monolithic
-    /// draw sequence for seeded replays.
-    pub sampling: SampleStrategy,
 }
 
 impl Default for SvConfig {
@@ -37,7 +32,6 @@ impl Default for SvConfig {
         SvConfig {
             threading: Threading::Serial,
             fusion: FusionLevel::Full,
-            sampling: SampleStrategy::Alias,
         }
     }
 }
@@ -58,8 +52,6 @@ pub struct SvOutcome {
 /// A state after its gates, on the way to the sampler.
 struct Evolved {
     sv: StateVector,
-    /// The run's generator, advanced past any mid-circuit collapses.
-    rng: Rng,
     /// Terminal `(qubit, clbit)` measurements.
     measured: Vec<(usize, usize)>,
     /// Classical bits fixed by mid-circuit collapses.
@@ -82,14 +74,12 @@ impl SvSimulator {
         SvSimulator { config }
     }
 
-    /// Serial engine without fusion, sampling through the legacy CDF walk
-    /// (reference behaviour).
+    /// Serial engine without fusion: the per-gate reference.
     pub fn plain() -> Self {
         SvSimulator {
             config: SvConfig {
                 threading: Threading::Serial,
                 fusion: FusionLevel::None,
-                sampling: SampleStrategy::Cdf,
             },
         }
     }
@@ -209,7 +199,6 @@ impl SvSimulator {
         self.sample(
             Evolved {
                 sv,
-                rng,
                 measured: plan.terminal_measurements().to_vec(),
                 collapsed_bits,
                 num_clbits: plan.num_clbits(),
@@ -282,7 +271,6 @@ impl SvSimulator {
         self.sample(
             Evolved {
                 sv,
-                rng,
                 measured,
                 collapsed_bits,
                 num_clbits: circuit.num_clbits(),
@@ -300,36 +288,25 @@ impl SvSimulator {
     fn sample(&self, evolved: Evolved, shots: usize, seed: u64, obs: &Obs) -> SvOutcome {
         let Evolved {
             sv,
-            mut rng,
             measured,
             collapsed_bits,
             num_clbits: width,
             gate_time,
             gates_applied,
         } = evolved;
-        let parallel = self.config.threading == Threading::Rayon;
         let n = sv.num_qubits();
         let sample_span = obs.span("engine", "sv.sample").attr("shots", shots);
         let sw = qfw_hpc::Stopwatch::start();
-        // Terminal sampling. The alias default draws through the canonical
-        // split scheme — the same shot partition the distributed engine
-        // replays — so a fixed seed yields bit-identical counts whether the
-        // state lived on one process or across ranks. The CDF option keeps
-        // the legacy single-walk draw sequence.
-        let sample_terminal = |sv: &StateVector, rng: &mut Rng| match self.config.sampling {
-            SampleStrategy::Alias => sv.sample_counts_split(
-                shots,
-                seed,
-                crate::state::canonical_split_bits(n, 0),
-            ),
-            SampleStrategy::Cdf => {
-                sv.sample_counts_with(shots, rng, SampleStrategy::Cdf, parallel)
-            }
-        };
+        // Terminal sampling draws through the canonical split scheme — the
+        // same shot partition the distributed engine replays — so a fixed
+        // seed yields bit-identical counts whether the state lived on one
+        // process or across ranks.
+        let sample_terminal =
+            || sv.sample_counts_split(shots, seed, crate::state::canonical_split_bits(n, 0));
         let counts = if measured.is_empty() && collapsed_bits.is_empty() {
             // No measurements: implicit measure-all (Qiskit statevector
             // semantics when sampling is requested).
-            sample_terminal(&sv, &mut rng)
+            sample_terminal()
         } else if measured.is_empty() {
             // Only mid-circuit measurements: one trajectory's classical bits.
             let bits: String = (0..width)
@@ -343,7 +320,7 @@ impl SvSimulator {
         } else {
             // Terminal measurements: sample the register, then project each
             // sample onto the measured clbits.
-            let raw = sample_terminal(&sv, &mut rng);
+            let raw = sample_terminal();
             let mut out: BTreeMap<String, usize> = BTreeMap::new();
             for (bitstring, count) in raw {
                 let mut bits = vec!['0'; width];
@@ -412,17 +389,14 @@ mod tests {
             SvConfig {
                 threading: Threading::Serial,
                 fusion: FusionLevel::None,
-                sampling: SampleStrategy::Cdf,
             },
             SvConfig {
                 threading: Threading::Serial,
                 fusion: FusionLevel::Full,
-                sampling: SampleStrategy::Alias,
             },
             SvConfig {
                 threading: Threading::Rayon,
                 fusion: FusionLevel::Full,
-                sampling: SampleStrategy::Alias,
             },
         ] {
             let engine = SvSimulator::new(config);

@@ -10,7 +10,7 @@
 
 use qfw_circuit::{Circuit, Gate, Op};
 use qfw_num::complex::{c64, C64};
-use qfw_num::rng::{AliasSampler, CdfSampler, Rng, SampleStrategy, Sampler};
+use qfw_num::rng::{AliasSampler, CdfSampler, Rng};
 use qfw_num::Matrix;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -583,43 +583,18 @@ impl StateVector {
         outcome
     }
 
-    /// The full `|amp|^2` probability table, built in parallel when `par`
-    /// is set and the register is large enough.
-    pub fn probabilities(&self, par: bool) -> Vec<f64> {
-        let mut probs = vec![0.0f64; self.amps.len()];
-        if par && self.amps.len() >= PAR_THRESHOLD {
-            let amps = &self.amps;
-            probs
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(i, p)| *p = amps[i].norm_sqr());
-        } else {
-            for (p, a) in probs.iter_mut().zip(self.amps.iter()) {
-                *p = a.norm_sqr();
-            }
-        }
-        probs
+    /// The full `|amp|^2` probability table.
+    pub fn probabilities(&self) -> Vec<f64> {
+        self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
-    /// Draws `shots` full-register samples from `|amps|^2`, returned as a
-    /// bitstring (`"q_{n-1}...q_0"`) → count map, matching Qiskit's
-    /// `get_counts` convention. Uses the O(1)-per-shot alias sampler.
+    /// Draws `shots` full-register samples from `|amps|^2` with one
+    /// generator, returned as a bitstring (`"q_{n-1}...q_0"`) → count map,
+    /// matching Qiskit's `get_counts` convention. Uses the O(1)-per-shot
+    /// alias sampler.
     pub fn sample_counts(&self, shots: usize, rng: &mut Rng) -> BTreeMap<String, usize> {
-        self.sample_counts_with(shots, rng, SampleStrategy::Alias, false)
-    }
-
-    /// [`sample_counts`](Self::sample_counts) with an explicit sampler
-    /// choice (`Cdf` preserves the legacy draw sequence for seeded replays)
-    /// and parallel probability-table construction.
-    pub fn sample_counts_with(
-        &self,
-        shots: usize,
-        rng: &mut Rng,
-        strategy: SampleStrategy,
-        par: bool,
-    ) -> BTreeMap<String, usize> {
-        let probs = self.probabilities(par);
-        let sampler = Sampler::build(strategy, &probs);
+        let probs = self.probabilities();
+        let sampler = AliasSampler::new(&probs);
         // Tally by basis index; bitstrings are rendered once at the end.
         // Small registers use a flat array, huge ones a hash map (shots are
         // sparse relative to 2^n there).
@@ -664,7 +639,7 @@ impl StateVector {
         seed: u64,
         split_bits: usize,
     ) -> BTreeMap<String, usize> {
-        sample_counts_split_probs(&self.probabilities(false), shots, seed, split_bits)
+        sample_counts_split_probs(&self.probabilities(), shots, seed, split_bits)
     }
 
     /// Expectation of a diagonal observable `sum_i f(i) |amp_i|^2`.

@@ -44,7 +44,6 @@ use crate::kernels::{self, mat2_mul, tri, DiagForm, IsaTier, PhaseForm, Shape1q,
 use crate::state::{canonical_split_bits, sample_counts_split_probs, StateVector};
 use qfw_circuit::{Angle, Circuit, Gate, ParamCircuit, ParamOp};
 use qfw_num::complex::C64;
-use qfw_num::rng::{Rng, SampleStrategy};
 use qfw_obs::Obs;
 use rayon::ParallelSliceMut;
 use std::collections::{BTreeMap, BTreeSet};
@@ -515,7 +514,6 @@ enum Slot {
 pub struct SweepPlan {
     num_qubits: usize,
     num_params: usize,
-    sampling: SampleStrategy,
     parallel: bool,
     /// Static prefix state (the ops before the first symbolic op), fused
     /// and simulated once at compile time.
@@ -697,7 +695,6 @@ impl SweepPlan {
         Ok(SweepPlan {
             num_qubits: n,
             num_params: template.num_params(),
-            sampling: config.sampling,
             parallel,
             prefix,
             slots,
@@ -785,8 +782,8 @@ impl SweepPlan {
     }
 
     /// Executes one binding: final-state sampling with the engine's exact
-    /// counts semantics (canonical split scheme under `Alias`, legacy CDF
-    /// walk under `Cdf`, clbit projection for partial measurement).
+    /// counts semantics (canonical split scheme, clbit projection for
+    /// partial measurement).
     pub fn run(&self, point: &SweepPoint) -> SvOutcome {
         self.run_with(point, &mut self.scratch())
     }
@@ -800,26 +797,13 @@ impl SweepPlan {
 
         let sw = qfw_hpc::Stopwatch::start();
         let n = self.num_qubits;
-        let raw = match self.sampling {
-            SampleStrategy::Alias => {
-                sc.st.probabilities_into(&mut sc.probs);
-                sample_counts_split_probs(
-                    &sc.probs,
-                    point.shots,
-                    point.seed,
-                    canonical_split_bits(n, 0),
-                )
-            }
-            SampleStrategy::Cdf => {
-                let mut rng = Rng::seed_from(point.seed);
-                sc.st.to_state().sample_counts_with(
-                    point.shots,
-                    &mut rng,
-                    SampleStrategy::Cdf,
-                    self.parallel,
-                )
-            }
-        };
+        sc.st.probabilities_into(&mut sc.probs);
+        let raw = sample_counts_split_probs(
+            &sc.probs,
+            point.shots,
+            point.seed,
+            canonical_split_bits(n, 0),
+        );
         let counts = if self.measured.is_empty() {
             // Implicit measure-all.
             raw
@@ -1098,7 +1082,6 @@ mod tests {
             &SvConfig {
                 threading: Threading::Serial,
                 fusion: level,
-                sampling: SampleStrategy::Alias,
             },
         )
         .expect("compiles")

@@ -45,7 +45,11 @@ fn qrc(workers: usize) -> Arc<Qrc> {
 }
 
 fn ingress_with(sched_cfg: SchedConfig) -> (Scheduler, SchedIngress) {
-    let sched = Scheduler::start(qrc(2), Obs::disabled(), sched_cfg);
+    ingress_over(qrc(2), sched_cfg)
+}
+
+fn ingress_over(qrc: Arc<Qrc>, sched_cfg: SchedConfig) -> (Scheduler, SchedIngress) {
+    let sched = Scheduler::start(qrc, Obs::disabled(), sched_cfg);
     let ingress = SchedIngress::start(
         sched.clone(),
         SchedIngressConfig::default(),
@@ -131,7 +135,8 @@ fn pipelined_replies_resolve_out_of_order() {
 /// different seed still misses.
 #[test]
 fn repeat_submission_hits_cache_bitwise() {
-    let (sched, ingress) = ingress_with(SchedConfig::default());
+    let qrc = qrc(2);
+    let (sched, ingress) = ingress_over(Arc::clone(&qrc), SchedConfig::default());
     let conn = ingress.connect();
     let envelope = env("hot", 42);
 
@@ -143,6 +148,8 @@ fn repeat_submission_hits_cache_bitwise() {
         JobStatus::Done(r) => r,
         other => panic!("cold job did not complete: {other:?}"),
     };
+    let (admitted, invocations) = (sched.stats().admitted, qrc.engine_invocations());
+    assert_eq!((admitted, invocations), (1, 1), "the cold job ran once");
 
     let warm = match client::submit(&conn, &envelope, T).unwrap() {
         IngressSubmitOutcome::Cached(r) => r,
@@ -151,6 +158,9 @@ fn repeat_submission_hits_cache_bitwise() {
     assert_eq!(warm.counts, cold.counts, "cache hit must be bitwise identical");
     assert_eq!(warm.metadata.get("result_cached").map(String::as_str), Some("true"));
     assert!(ingress.cache_stats().hits >= 1);
+    // The hit is served at the door: nothing enters the queue, no engine runs.
+    assert_eq!(sched.stats().admitted, admitted, "a cache hit admits nothing");
+    assert_eq!(qrc.engine_invocations(), invocations, "a cache hit invokes no engine");
 
     // Any key ingredient changing — here the seed — is a miss.
     match client::submit(&conn, &env("hot", 43), T).unwrap() {
@@ -197,7 +207,8 @@ fn scheduler_backpressure_is_typed_and_recoverable() {
 
 /// Cancelling through the ingress releases the job's cache reservation:
 /// the same envelope later re-submits as a fresh execution rather than
-/// surfacing a result that never existed.
+/// surfacing a result that never existed. A cancel that comes too late
+/// releases nothing: the job completes and its result is cached.
 #[test]
 fn cancel_releases_cache_reservation() {
     let (sched, ingress) = ingress_with(SchedConfig {
@@ -221,6 +232,26 @@ fn cancel_releases_cache_reservation() {
             assert!(matches!(client::wait(&conn, id, T).unwrap(), JobStatus::Done(_)));
         }
         other => panic!("cancelled envelope must re-execute, got {other:?}"),
+    }
+
+    // Late cancel: the job is already past the queue (here: finished, as
+    // the scheduler — not the ingress — has seen), so cancel answers
+    // `TooLate` and the completed result must still reach the cache.
+    let late = env("cxl", 8);
+    let id = match client::submit(&conn, &late, T).unwrap() {
+        IngressSubmitOutcome::Accepted(id) => id,
+        other => panic!("expected acceptance, got {other:?}"),
+    };
+    assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
+    let outcome: CancelOutcome = conn.call("cancel", &id, T).unwrap();
+    assert_eq!(outcome, CancelOutcome::TooLate);
+    let done = match client::poll(&conn, id, T).unwrap() {
+        JobStatus::Done(r) => r,
+        other => panic!("a too-late cancel leaves the job to complete, got {other:?}"),
+    };
+    match client::submit(&conn, &late, T).unwrap() {
+        IngressSubmitOutcome::Cached(r) => assert_eq!(r.counts, done.counts),
+        other => panic!("late-cancelled job's result must be cached, got {other:?}"),
     }
     sched.shutdown();
 }

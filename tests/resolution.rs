@@ -114,7 +114,6 @@ fn reference(circuit: &Circuit, point: &SweepPointSpec, noise: Option<&NoiseMode
             SvSimulator::new(SvConfig {
                 threading: Threading::Serial,
                 fusion: FusionLevel::None,
-                ..SvConfig::default()
             })
             .run(circuit, point.shots, point.seed)
             .counts
