@@ -221,14 +221,6 @@ impl<V: Clone> ShardedLru<V> {
             entries: self.len(),
         }
     }
-
-    /// Drops every entry (invalidation; counters are monotone and keep
-    /// their values).
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.lock().map.clear();
-        }
-    }
 }
 
 /// A cache event, for owners that report onto a per-call [`Obs`] handle.
@@ -305,11 +297,6 @@ impl ResultCache {
     /// Point-in-time statistics.
     pub fn stats(&self) -> CacheStats {
         self.lru.stats()
-    }
-
-    /// Drops every cached result.
-    pub fn clear(&self) {
-        self.lru.clear()
     }
 }
 

@@ -222,13 +222,6 @@ impl QfwJob {
             other => other.into(),
         })
     }
-
-    /// Non-blocking poll; `None` while still running.
-    pub fn try_result(&self) -> Option<Result<QfwResult, QfwError>> {
-        self.reply
-            .try_wait()
-            .map(|r| r.map_err(QfwError::from))
-    }
 }
 
 /// Handle to an in-flight parameter sweep (results in binding order).

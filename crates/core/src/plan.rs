@@ -14,7 +14,7 @@
 //! run; nothing downstream reads a string again.
 //!
 //! Admission happens before any work is committed: a refusal leaves no job
-//! id, queue entry, cache reservation or worker slot behind.
+//! id, job record, queue entry or worker slot behind.
 
 use crate::error::QfwError;
 use crate::spec::{extras, BackendSpec, SweepTask};

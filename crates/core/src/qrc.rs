@@ -98,6 +98,9 @@ impl Slot {
     }
 }
 
+/// Cores leased per elastically-grown slot.
+const CORES_PER_SLOT: usize = 2;
+
 /// An acquired slot, freed for the next dispatcher on drop.
 struct HeldSlot(Arc<Slot>);
 
@@ -117,8 +120,6 @@ pub struct Qrc {
     slots: RwLock<Vec<Arc<Slot>>>,
     /// Slots the pool was built with; [`Qrc::shrink_slots`] never goes below.
     base_workers: usize,
-    /// Cores leased per elastically-grown slot.
-    cores_per_slot: usize,
     next: AtomicUsize,
     policy: DispatchPolicy,
     chaos: Arc<FaultPlan>,
@@ -154,7 +155,6 @@ impl Qrc {
             group,
             slots: RwLock::new((0..workers).map(|_| Arc::new(Slot::default())).collect()),
             base_workers: workers,
-            cores_per_slot: 2,
             next: AtomicUsize::new(0),
             policy,
             chaos: Arc::new(FaultPlan::disabled()),
@@ -168,7 +168,9 @@ impl Qrc {
 
     /// Attaches a fault plan. The `qrc.slot_death` site is consulted once
     /// per dispatch: when it fires, the slot the task landed on dies and
-    /// the task is requeued onto a surviving slot.
+    /// the task is requeued onto a surviving slot. The `qrc.engine_panic`
+    /// site is consulted once per held slot: when it fires, the dispatch
+    /// panics where an engine would.
     pub fn with_chaos(mut self, chaos: Arc<FaultPlan>) -> Self {
         self.chaos = chaos;
         self
@@ -179,13 +181,6 @@ impl Qrc {
     /// pool state is mirrored into `qrc.slots.*` gauges on every execute.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets how many cores each elastically-grown slot leases (builder).
-    pub fn with_cores_per_slot(mut self, cores: usize) -> Self {
-        assert!(cores >= 1);
-        self.cores_per_slot = cores;
         self
     }
 
@@ -251,7 +246,7 @@ impl Qrc {
     pub fn grow_slots(&self, n: usize) -> Result<usize, QfwError> {
         let mut added = 0;
         for _ in 0..n {
-            match self.hetjob.allocate_cores(self.group, self.cores_per_slot) {
+            match self.hetjob.allocate_cores(self.group, CORES_PER_SLOT) {
                 Ok(lease) => {
                     let slot = Arc::new(Slot::default());
                     *slot.lease.lock() = Some(lease);
@@ -389,6 +384,9 @@ impl Qrc {
         // Released on drop, so an engine panic unwinding through here
         // cannot strand the slot.
         let held = HeldSlot(slot);
+        if self.chaos.is_enabled() && self.chaos.fires("qrc.engine_panic") {
+            panic!("injected engine panic");
+        }
         let mut results = run(&ctx, &mut span);
         span.set_attr("ok", results.iter().all(Result::is_ok));
         drop(span);
@@ -970,7 +968,7 @@ mod tests {
         let free_before = qrc.hetjob.free_cores(1);
         assert_eq!(qrc.grow_slots(3).unwrap(), 3);
         assert_eq!(qrc.workers(), 5);
-        assert_eq!(qrc.hetjob.free_cores(1), free_before - 3 * qrc.cores_per_slot);
+        assert_eq!(qrc.hetjob.free_cores(1), free_before - 3 * CORES_PER_SLOT);
         // Shrink never drops below the base pool and returns the cores.
         assert_eq!(qrc.shrink_slots(10), 3);
         assert_eq!(qrc.workers(), 2);

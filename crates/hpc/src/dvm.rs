@@ -101,11 +101,6 @@ pub struct JobHandle<R> {
 }
 
 impl<R> JobHandle<R> {
-    /// Number of ranks in the job.
-    pub fn num_ranks(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Blocks until every rank finishes and returns results in rank order.
     /// A panic on any rank is re-raised here (after all ranks are joined, so
     /// no threads leak).

@@ -209,14 +209,6 @@ impl NoiseModel {
         out
     }
 
-    /// Total registered channel entries (wildcards count once).
-    pub fn channel_count(&self) -> usize {
-        self.default_1q.len()
-            + self.default_2q.len()
-            + self.per_qubit_1q.values().map(Vec::len).sum::<usize>()
-            + self.per_qubit_2q.values().map(Vec::len).sum::<usize>()
-    }
-
     /// The canonical single-line text form (the `noise_model` spec-extra
     /// wire format). Deterministic: class by class, wildcard entries
     /// before per-qubit entries, qubits ascending.

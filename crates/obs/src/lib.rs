@@ -105,11 +105,6 @@ impl Obs {
         self.inner.enabled
     }
 
-    /// Whether the handle runs on the virtual (deterministic) clock.
-    pub fn is_virtual_clock(&self) -> bool {
-        self.inner.clock.is_virtual()
-    }
-
     /// Opens a span named `name` on track `track`. The guard records the
     /// span when dropped (or via [`Span::finish`]).
     pub fn span(&self, track: &str, name: &str) -> Span {

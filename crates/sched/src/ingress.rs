@@ -22,10 +22,15 @@
 //!    (transport queue and scheduler queue) reach the client typed, never
 //!    as unbounded buffering.
 //!
-//! Cache population happens at poll time: the first poll that observes
-//! [`JobStatus::Done`] records the result under the key remembered at
-//! submit. Invalidation is purely capacity-driven (LRU) — every input that
-//! could change counts is part of the key, so entries never go stale.
+//! The cache is filled because a job finished, not because someone polled:
+//! a miss hands [`Scheduler::enqueue`] a [`CacheFill`] (this cache, the key
+//! just computed), and the scheduler's one terminal transition inserts the
+//! `Done` result under it — the same `Arc` the job's record keeps — before
+//! any poll can see the completion. Failed and cancelled jobs never reach
+//! it, so the ingress keeps no per-job state of its own and `poll`/`cancel`
+//! are the scheduler's. Invalidation is purely capacity-driven (LRU) —
+//! every input that could change counts is part of the key, so entries
+//! never go stale.
 //!
 //! Submissions whose circuit payload is OpenQASM 3 (detected by
 //! [`qfw_compile::is_qasm3`]) are compiled on ingestion — parsed,
@@ -35,14 +40,12 @@
 //! canonical cache entry, and malformed or parameterized (unbound
 //! `input float`) programs are rejected at the front door.
 
-use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
-use parking_lot::Mutex;
+use crate::{CacheFill, JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
 use qfw::cache::CacheConfig;
 use qfw::{QfwResult, ResultCache, Source};
 use qfw_defw::{Connection, Ingress, IngressConfig, IngressError, MethodTable};
 use qfw_obs::Obs;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,10 +74,8 @@ pub struct SchedIngressConfig {
 
 struct Shared {
     sched: Scheduler,
-    cache: ResultCache,
-    /// Accepted-but-uncompleted jobs: id → cache key, filled at submit,
-    /// consumed by the first poll that sees a terminal status.
-    pending: Mutex<HashMap<JobId, qfw_circuit::ContentHash>>,
+    /// Read at submit; filled by the scheduler when a job finishes.
+    cache: Arc<ResultCache>,
     /// Handle for `compile.*` spans emitted by QASM3 ingestion.
     obs: Obs,
 }
@@ -89,29 +90,19 @@ pub struct SchedIngress {
 impl SchedIngress {
     /// Starts the ingress service over a running scheduler.
     pub fn start(sched: Scheduler, cfg: SchedIngressConfig, obs: Obs) -> SchedIngress {
+        // Only `submit` needs the cache; the rest are the scheduler's own.
+        let (poll, cancel, stats) = (sched.clone(), sched.clone(), sched.clone());
         let shared = Arc::new(Shared {
             sched,
-            cache: ResultCache::new(cfg.result_cache, &obs),
-            pending: Mutex::new(HashMap::new()),
+            cache: Arc::new(ResultCache::new(cfg.result_cache, &obs)),
             obs: obs.clone(),
         });
         let submit = Arc::clone(&shared);
-        let poll = Arc::clone(&shared);
-        let cancel = Arc::clone(&shared);
-        let stats = Arc::clone(&shared);
         let service = MethodTable::new("sched-ingress")
             .method("submit", move |env: JobEnvelope| submit.submit(env))
             .method("poll", move |id: u64| Ok(poll.poll(id)))
-            .method("cancel", move |id: u64| {
-                let outcome = cancel.sched.cancel(id);
-                // A job that answers `TooLate` still completes: its
-                // reservation stays so the `Done` poll can cache the result.
-                if outcome == CancelOutcome::Cancelled {
-                    cancel.pending.lock().remove(&id);
-                }
-                Ok(outcome)
-            })
-            .method("stats", move |_: ()| Ok(stats.sched.stats()))
+            .method("cancel", move |id: u64| Ok(cancel.cancel(id)))
+            .method("stats", move |_: ()| Ok(stats.stats()))
             .build();
         let ingress = Ingress::start(cfg.ingress, service, obs);
         SchedIngress { ingress, shared }
@@ -130,12 +121,6 @@ impl SchedIngress {
     /// Result-cache statistics.
     pub fn cache_stats(&self) -> qfw::CacheStats {
         self.shared.cache.stats()
-    }
-
-    /// Drops every cached result (capacity pressure aside, entries never
-    /// go stale — this is for tests and manual invalidation).
-    pub fn clear_cache(&self) {
-        self.shared.cache.clear()
     }
 
     /// Stops the transport. The scheduler keeps running — it may serve
@@ -187,11 +172,15 @@ impl Shared {
                 .insert("result_cached".into(), "true".into());
             return Ok(IngressSubmitOutcome::Cached(served));
         }
-        match self.sched.enqueue(env.tenant, env.priority, env.deadline_ms, job) {
-            Ok(id) => {
-                self.pending.lock().insert(id, key);
-                Ok(IngressSubmitOutcome::Accepted(id))
-            }
+        let fill = CacheFill {
+            cache: Arc::clone(&self.cache),
+            key,
+        };
+        match self
+            .sched
+            .enqueue(env.tenant, env.priority, env.deadline_ms, job, Some(fill))
+        {
+            Ok(id) => Ok(IngressSubmitOutcome::Accepted(id)),
             Err(SchedError::Overloaded { retry_after, scope }) => {
                 Ok(IngressSubmitOutcome::Overloaded(OverloadInfo {
                     retry_after_ms: retry_after.as_millis().max(1) as u64,
@@ -200,24 +189,6 @@ impl Shared {
             }
             Err(e) => Err(e.to_string()),
         }
-    }
-
-    fn poll(&self, id: JobId) -> JobStatus {
-        let status = self.sched.poll(id);
-        match &status {
-            JobStatus::Done(result) => {
-                if let Some(key) = self.pending.lock().remove(&id) {
-                    self.cache.insert(key, Arc::new(result.clone()));
-                }
-            }
-            // Failures and cancellations are not reusable outcomes: drop
-            // the reservation so the map only tracks live jobs.
-            JobStatus::Failed(_) | JobStatus::Cancelled => {
-                self.pending.lock().remove(&id);
-            }
-            _ => {}
-        }
-        status
     }
 }
 
@@ -398,39 +369,6 @@ mod tests {
             }
             other => panic!("expected overload, got {other:?}"),
         }
-        ingress.shutdown();
-        sched.shutdown();
-    }
-
-    #[test]
-    fn cancel_through_ingress_clears_reservation() {
-        let sched = Scheduler::start(
-            qrc(1),
-            Obs::disabled(),
-            SchedConfig {
-                start_paused: true,
-                ..SchedConfig::default()
-            },
-        );
-        let ingress = SchedIngress::start(
-            sched.clone(),
-            SchedIngressConfig::default(),
-            Obs::disabled(),
-        );
-        let conn = ingress.connect();
-        let env = JobEnvelope::new("t", &ghz(3), 10);
-        let id = match client::submit(&conn, &env, T).unwrap() {
-            IngressSubmitOutcome::Accepted(id) => id,
-            other => panic!("expected acceptance, got {other:?}"),
-        };
-        let outcome: crate::CancelOutcome = conn.call("cancel", &id, T).unwrap();
-        assert_eq!(outcome, crate::CancelOutcome::Cancelled);
-        assert!(ingress.shared.pending.lock().is_empty());
-        // A fresh identical submit misses the cache (nothing completed).
-        assert!(matches!(
-            client::submit(&conn, &env, T).unwrap(),
-            IngressSubmitOutcome::Accepted(_)
-        ));
         ingress.shutdown();
         sched.shutdown();
     }

@@ -42,8 +42,8 @@ mod scheduler;
 pub use ingress::{IngressSubmitOutcome, SchedIngress, SchedIngressConfig};
 pub use queue::{AdmitError, FairQueue, QueuedJob};
 pub use scheduler::{
-    retry_after_hint, JobTiming, ScalingConfig, SchedConfig, SchedStats, Scheduler,
-    TenantConfig,
+    retry_after_hint, CacheFill, JobTiming, ScalingConfig, SchedConfig, SchedStats, Scheduler,
+    TenantConfig, JOB_RETENTION,
 };
 
 use qfw::{BackendSpec, QfwError, QfwResult};

@@ -28,7 +28,7 @@
 //! quantum serves anything.
 
 use crate::batch::skeleton_hash;
-use crate::{JobId, Priority};
+use crate::{CacheFill, JobId, Priority};
 use qfw::ResolvedJob;
 use qfw_circuit::ContentHash;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -38,7 +38,6 @@ pub const CLASSES: usize = 3;
 
 /// A job admitted into the fair queue: whose it is, and the admitted job
 /// itself — the parsed circuit and its plan, no wire strings.
-#[derive(Clone, Debug)]
 pub struct QueuedJob {
     /// Scheduler-assigned id.
     pub id: JobId,
@@ -52,6 +51,9 @@ pub struct QueuedJob {
     pub deadline_us: u64,
     /// Batching key (see [`crate::batch::skeleton_hash`]).
     pub skeleton: ContentHash,
+    /// Who else gets the result if the job finishes `Done` (set by
+    /// [`crate::Scheduler::enqueue`]); dropped unused with a cancelled job.
+    pub on_done: Option<CacheFill>,
     /// Queue-assigned FIFO sequence, set on push.
     seq: u64,
 }
@@ -70,6 +72,7 @@ impl QueuedJob {
             tenant,
             priority,
             skeleton: skeleton_hash(&job),
+            on_done: None,
             job,
             deadline_us,
             seq: 0,

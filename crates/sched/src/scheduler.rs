@@ -2,13 +2,24 @@
 //! dispatcher thread draining the fair queue into a bounded dispatch
 //! window, per-batch runner threads, and elastic pool scaling.
 //!
+//! ## Job table
+//!
+//! A job has exactly one record (`JobRecord`: tenant, dispatch sequence,
+//! state, timing), created by `enqueue` and keyed by its id in the one
+//! `jobs` table. Every terminal transition — executed, failed, cancelled,
+//! drained at shutdown — goes through `Inner::finish`, which also hands a
+//! finished result to whoever asked for it at `enqueue` (the ingress's
+//! result cache), sharing the one `Arc<QfwResult>` the record keeps.
+//! Terminal records are retained for the last [`JOB_RETENTION`] finishes;
+//! an id evicted from that ring answers like an id the scheduler never
+//! issued ([`JobStatus::Unknown`], no timing).
+//!
 //! ## Dispatch window
 //!
-//! The dispatcher keeps at most `window` batches in flight, where
-//! `window` defaults to the QRC's *live* slot count (from
-//! [`qfw::Qrc::slot_snapshot`]) — dead slots shrink the window, so under
-//! chaos the scheduler stops over-committing instead of piling blocked
-//! dispatches onto a dying pool.
+//! The dispatcher keeps at most as many batches in flight as the QRC has
+//! *live* slots (from [`qfw::Qrc::slot_snapshot`]) — dead slots shrink the
+//! window, so under chaos the scheduler stops over-committing instead of
+//! piling blocked dispatches onto a dying pool.
 //!
 //! ## Elastic scaling
 //!
@@ -24,7 +35,8 @@ use crate::batch::as_sweep;
 use crate::queue::{AdmitError, FairQueue, QueuedJob};
 use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadScope, Priority, SchedError};
 use parking_lot::{Condvar, Mutex};
-use qfw::{BackendSpec, QfwError, QfwResult, QfwSession, Qrc, ResolvedJob, Source};
+use qfw::{BackendSpec, QfwError, QfwResult, QfwSession, Qrc, ResolvedJob, ResultCache, Source};
+use qfw_circuit::ContentHash;
 use qfw_obs::{AttrValue, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -100,9 +112,6 @@ pub struct SchedConfig {
     /// Maximum jobs coalesced into one engine invocation; `1` disables
     /// batching.
     pub max_batch: usize,
-    /// Fixed dispatch-window override; `None` sizes the window from live
-    /// QRC slots each round.
-    pub window: Option<usize>,
     /// Elastic pool scaling; `None` keeps the pool fixed.
     pub scaling: Option<ScalingConfig>,
     /// Dispatcher wake interval (scaling ticks happen at this cadence).
@@ -121,7 +130,6 @@ impl Default for SchedConfig {
             default_quota: 64,
             max_queue_depth: 256,
             max_batch: 1,
-            window: None,
             scaling: None,
             tick: Duration::from_millis(2),
             start_paused: false,
@@ -184,15 +192,70 @@ pub struct SchedStats {
     pub workers: u64,
 }
 
+/// How many terminal jobs keep their record. One value is in use: the
+/// result cache's default capacity, far beyond the few hundred completions
+/// within which every caller reads a job it finished.
+pub const JOB_RETENTION: usize = 4096;
+
+/// Where a finished job's result goes besides its own record: the result
+/// cache entry whose key the ingress computed at submit. Travels with the
+/// queued job, so a job that never finishes `Done` never fills anything.
+pub struct CacheFill {
+    /// The cache to fill.
+    pub cache: Arc<ResultCache>,
+    /// The admitted job's [`ResolvedJob::cache_key`].
+    pub key: ContentHash,
+}
+
+/// A job's lifecycle state as the record keeps it: [`JobStatus`] with the
+/// result shared, so reading it under the state lock copies no result.
+#[derive(Clone)]
+enum JobState {
+    Queued,
+    Running,
+    Done(Arc<QfwResult>),
+    Failed(String),
+    Cancelled,
+}
+
+impl JobState {
+    fn is_terminal(&self) -> bool {
+        !matches!(self, JobState::Queued | JobState::Running)
+    }
+}
+
+/// The wire form; the one copy of the result a `Done` reply needs. Call it
+/// after releasing the state lock.
+impl From<JobState> for JobStatus {
+    fn from(state: JobState) -> JobStatus {
+        match state {
+            JobState::Queued => JobStatus::Queued,
+            JobState::Running => JobStatus::Running,
+            JobState::Done(result) => JobStatus::Done((*result).clone()),
+            JobState::Failed(msg) => JobStatus::Failed(msg),
+            JobState::Cancelled => JobStatus::Cancelled,
+        }
+    }
+}
+
+/// Everything the scheduler knows about one job.
+struct JobRecord {
+    tenant: String,
+    /// Position in dispatch order (`SchedStats.dispatched` when the job
+    /// left the queue); `None` until then.
+    dispatch_seq: Option<u64>,
+    state: JobState,
+    timing: JobTiming,
+}
+
 struct SchedState {
     queue: FairQueue,
-    statuses: HashMap<JobId, JobStatus>,
-    timings: HashMap<JobId, JobTiming>,
-    /// Tenant of each dispatched job, in dispatch order — the fairness
-    /// ledger tests assert on.
-    dispatch_log: Vec<String>,
+    /// The one job table: every live job, plus the terminal ones whose id
+    /// is still in `terminal`.
+    jobs: HashMap<JobId, JobRecord>,
+    /// Ids of terminal jobs, oldest first, at most [`JOB_RETENTION`].
+    terminal: VecDeque<JobId>,
     in_flight: usize,
-    live_runners: usize,
     paused: bool,
     shutdown: bool,
     stats: SchedStats,
@@ -220,6 +283,70 @@ impl Inner {
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
+
+    /// The one place a job becomes terminal (`outcome` is `Done`, `Failed`
+    /// or `Cancelled`): stamps the timing, bumps the counters, retires the oldest terminal record beyond
+    /// [`JOB_RETENTION`] and wakes waiters. A `Done` result reaches
+    /// `on_done` here, outside the state lock and *before* the record says
+    /// `Done` — whoever observes `Done` and resubmits finds the entry.
+    fn finish(&self, id: JobId, outcome: JobState, on_done: Option<CacheFill>) {
+        if let (JobState::Done(result), Some(fill)) = (&outcome, on_done) {
+            fill.cache.insert(fill.key, Arc::clone(result));
+        }
+        let now = self.now_us();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // Live records are never evicted, so the job is always here.
+        let Some(rec) = st.jobs.get_mut(&id) else { return };
+        rec.timing.completed_us = now;
+        if rec.dispatch_seq.is_some() {
+            let (wait_us, service_us) = (rec.timing.wait_us(), rec.timing.service_us());
+            if self.obs.is_enabled() {
+                let tenant = &rec.tenant;
+                self.obs
+                    .histogram(&format!("sched.wait_us.{tenant}"))
+                    .observe_us(wait_us);
+                self.obs
+                    .histogram(&format!("sched.service_us.{tenant}"))
+                    .observe_us(service_us);
+            }
+            st.recent_service_us.push_back(service_us);
+            if st.recent_service_us.len() > 64 {
+                st.recent_service_us.pop_front();
+            }
+        }
+        match &outcome {
+            JobState::Done(r) => {
+                st.stats.completed += 1;
+                if self.obs.is_enabled() {
+                    // Per-engine service time (gate application + sampling):
+                    // the measured ground truth the planner's cost model is
+                    // judged against, keyed the way the planner keys its
+                    // EWMA corrections.
+                    self.obs
+                        .histogram(&format!("sched.engine_us.{}/{}", r.backend, r.subbackend))
+                        .observe_secs(r.profile.exec_secs + r.profile.sample_secs);
+                    self.obs.counter("sched.completed").inc();
+                }
+            }
+            JobState::Failed(_) => {
+                st.stats.failed += 1;
+                if self.obs.is_enabled() {
+                    self.obs.counter("sched.failed").inc();
+                }
+            }
+            JobState::Cancelled => st.stats.cancelled += 1,
+            JobState::Queued | JobState::Running => unreachable!("finish takes a terminal state"),
+        }
+        rec.state = outcome;
+        st.terminal.push_back(id);
+        if st.terminal.len() > JOB_RETENTION {
+            let oldest = st.terminal.pop_front().expect("ring is non-empty");
+            st.jobs.remove(&oldest);
+        }
+        drop(guard);
+        self.done_cv.notify_all();
+    }
 }
 
 /// Handle to a running scheduler. Cloning shares the instance (the RPC
@@ -244,11 +371,9 @@ impl Scheduler {
             cfg,
             state: Mutex::new(SchedState {
                 queue,
-                statuses: HashMap::new(),
-                timings: HashMap::new(),
-                dispatch_log: Vec::new(),
+                jobs: HashMap::new(),
+                terminal: VecDeque::new(),
                 in_flight: 0,
-                live_runners: 0,
                 paused,
                 shutdown: false,
                 stats: SchedStats::default(),
@@ -285,13 +410,13 @@ impl Scheduler {
     /// full queue.
     pub fn submit(&self, env: JobEnvelope) -> Result<JobId, SchedError> {
         let job = self.admit(Source::Wire(&env.circuit), env.shots, env.seed, &env.spec)?;
-        self.enqueue(env.tenant, env.priority, env.deadline_ms, job)
+        self.enqueue(env.tenant, env.priority, env.deadline_ms, job, None)
     }
 
     /// Admits a job against this scheduler's pool ([`qfw::Qrc::admit`]):
     /// circuit parsed, spec resolved, every refusal that either can cause
-    /// made here — before a job id, queue entry or cache reservation
-    /// exists. The strings stop at this call.
+    /// made here — before a job id, record or queue entry exists. The
+    /// strings stop at this call.
     pub fn admit(
         &self,
         source: Source<'_>,
@@ -303,13 +428,16 @@ impl Scheduler {
         admitted.map_err(SchedError::Unrunnable)
     }
 
-    /// Queues an admitted job under fair-share admission control.
+    /// Queues an admitted job under fair-share admission control. If the
+    /// job finishes `Done`, `on_done` receives the result (shared with the
+    /// job's record) before any poll can observe the completion.
     pub fn enqueue(
         &self,
         tenant: String,
         priority: Priority,
         deadline_ms: Option<u64>,
         job: ResolvedJob,
+        on_done: Option<CacheFill>,
     ) -> Result<JobId, SchedError> {
         let inner = &self.inner;
         let now = inner.now_us();
@@ -318,7 +446,8 @@ impl Scheduler {
             .unwrap_or(u64::MAX);
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         // Built (and its batching key hashed) outside the state lock.
-        let queued = QueuedJob::new(id, tenant.clone(), priority, job, deadline_us);
+        let mut queued = QueuedJob::new(id, tenant.clone(), priority, job, deadline_us);
+        queued.on_done = on_done;
         let mut st = inner.state.lock();
         if st.shutdown {
             return Err(SchedError::Shutdown);
@@ -327,12 +456,16 @@ impl Scheduler {
         match st.queue.try_push(queued) {
             Ok(()) => {
                 st.stats.admitted += 1;
-                st.statuses.insert(id, JobStatus::Queued);
-                st.timings.insert(
+                st.jobs.insert(
                     id,
-                    JobTiming {
-                        submitted_us: now,
-                        ..JobTiming::default()
+                    JobRecord {
+                        tenant: tenant.clone(),
+                        dispatch_seq: None,
+                        state: JobState::Queued,
+                        timing: JobTiming {
+                            submitted_us: now,
+                            ..JobTiming::default()
+                        },
                     },
                 );
                 if inner.obs.is_enabled() {
@@ -377,13 +510,8 @@ impl Scheduler {
 
     /// Current status of a job (non-blocking).
     pub fn poll(&self, id: JobId) -> JobStatus {
-        self.inner
-            .state
-            .lock()
-            .statuses
-            .get(&id)
-            .cloned()
-            .unwrap_or(JobStatus::Unknown)
+        let state = self.inner.state.lock().jobs.get(&id).map(|r| r.state.clone());
+        state.map_or(JobStatus::Unknown, JobStatus::from)
     }
 
     /// Blocks until the job reaches a terminal state or `timeout`
@@ -391,40 +519,32 @@ impl Scheduler {
     pub fn wait(&self, id: JobId, timeout: Duration) -> JobStatus {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
-        loop {
-            let status = st.statuses.get(&id).cloned().unwrap_or(JobStatus::Unknown);
-            if status.is_terminal() {
-                return status;
-            }
+        let state = loop {
+            let state = st.jobs.get(&id).map(|r| r.state.clone());
             let now = Instant::now();
-            if now >= deadline {
-                return status;
+            if state.as_ref().is_none_or(JobState::is_terminal) || now >= deadline {
+                break state;
             }
             self.inner.done_cv.wait_for(&mut st, deadline - now);
-        }
+        };
+        drop(st);
+        state.map_or(JobStatus::Unknown, JobStatus::from)
     }
 
     /// Cancels a queued job. Running or finished jobs report
     /// [`CancelOutcome::TooLate`].
     pub fn cancel(&self, id: JobId) -> CancelOutcome {
         let mut st = self.inner.state.lock();
-        match st.statuses.get(&id) {
-            None => CancelOutcome::Unknown,
-            Some(JobStatus::Queued) => {
-                st.queue.remove(id);
-                st.statuses.insert(id, JobStatus::Cancelled);
-                st.stats.cancelled += 1;
-                drop(st);
-                self.inner.done_cv.notify_all();
-                CancelOutcome::Cancelled
-            }
-            Some(_) => CancelOutcome::TooLate,
+        if !st.jobs.contains_key(&id) {
+            return CancelOutcome::Unknown;
         }
-    }
-
-    /// Pauses dispatch (submissions still queue).
-    pub fn pause(&self) {
-        self.inner.state.lock().paused = true;
+        // The queue decides: a job it no longer holds has been dispatched.
+        if st.queue.remove(id).is_none() {
+            return CancelOutcome::TooLate;
+        }
+        drop(st);
+        self.inner.finish(id, JobState::Cancelled, None);
+        CancelOutcome::Cancelled
     }
 
     /// Resumes dispatch.
@@ -445,14 +565,23 @@ impl Scheduler {
 
     /// Tenants of dispatched jobs, in dispatch order — the fairness
     /// ledger: a length-K prefix of a saturated run shows each tenant's
-    /// service share.
+    /// service share. Read off the retained records, so it covers the jobs
+    /// in flight plus the last [`JOB_RETENTION`] finished.
     pub fn dispatch_log(&self) -> Vec<String> {
-        self.inner.state.lock().dispatch_log.clone()
+        let st = self.inner.state.lock();
+        let mut dispatched: Vec<(u64, String)> = st
+            .jobs
+            .values()
+            .filter_map(|r| Some((r.dispatch_seq?, r.tenant.clone())))
+            .collect();
+        drop(st);
+        dispatched.sort_unstable_by_key(|(seq, _)| *seq);
+        dispatched.into_iter().map(|(_, tenant)| tenant).collect()
     }
 
-    /// Flow timestamps of a job, once known.
+    /// Flow timestamps of a job, while the scheduler has its record.
     pub fn job_timing(&self, id: JobId) -> Option<JobTiming> {
-        self.inner.state.lock().timings.get(&id).copied()
+        self.inner.state.lock().jobs.get(&id).map(|r| r.timing)
     }
 
     /// Blocks until the queue and dispatch window are both empty or the
@@ -476,19 +605,22 @@ impl Scheduler {
     /// marked [`JobStatus::Cancelled`], the dispatcher joins.
     pub fn shutdown(&self) {
         let inner = &self.inner;
-        {
+        let queued = {
             let mut st = inner.state.lock();
             if st.shutdown {
                 return;
             }
             st.shutdown = true;
-            for job in st.queue.drain_all() {
-                st.statuses.insert(job.id, JobStatus::Cancelled);
-                st.stats.cancelled += 1;
-            }
+            st.queue.drain_all()
+        };
+        for job in queued {
+            inner.finish(job.id, JobState::Cancelled, None);
+        }
+        {
             // Let in-flight runners finish (they hold no state lock while
             // executing); their results are still recorded.
-            while st.live_runners > 0 {
+            let mut st = inner.state.lock();
+            while st.in_flight > 0 {
                 inner.done_cv.wait_for(&mut st, Duration::from_millis(50));
             }
         }
@@ -610,11 +742,7 @@ fn scaling_tick(inner: &Inner, st: &mut SchedState, scaling: &ScalingConfig) {
 /// Fills the dispatch window: pop under DRR, coalesce batch mates, spawn
 /// one runner per batch.
 fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
-    let window = inner
-        .cfg
-        .window
-        .unwrap_or_else(|| inner.qrc.slot_snapshot().live())
-        .max(1);
+    let window = inner.qrc.slot_snapshot().live().max(1);
     while st.in_flight < window {
         let Some(job) = st.queue.pop() else { break };
         let mut batch = vec![job];
@@ -630,13 +758,13 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
         }
         let now = inner.now_us();
         for j in &batch {
-            st.statuses.insert(j.id, JobStatus::Running);
-            if let Some(t) = st.timings.get_mut(&j.id) {
-                t.dispatched_us = now;
+            if let Some(rec) = st.jobs.get_mut(&j.id) {
+                rec.state = JobState::Running;
+                rec.timing.dispatched_us = now;
+                rec.dispatch_seq = Some(st.stats.dispatched);
             }
-            st.dispatch_log.push(j.tenant.clone());
+            st.stats.dispatched += 1;
         }
-        st.stats.dispatched += batch.len() as u64;
         if batch.len() > 1 {
             st.stats.batches += 1;
             if inner.obs.is_enabled() {
@@ -652,7 +780,6 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
             }
         }
         st.in_flight += 1;
-        st.live_runners += 1;
         let runner_inner = Arc::clone(inner);
         std::thread::Builder::new()
             .name("qfw-sched-run".into())
@@ -662,66 +789,30 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
 }
 
 /// Executes one batch on the QRC (single slot acquisition, single engine
-/// invocation) and records the per-job outcomes.
+/// invocation) and finishes each job with its outcome. An engine panic
+/// stops here: the whole batch fails and the window slot comes back, so
+/// one bad job cannot wedge the dispatcher or `shutdown`.
 fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
-    let (owners, jobs): (Vec<(JobId, String)>, Vec<ResolvedJob>) =
-        batch.into_iter().map(|q| ((q.id, q.tenant), q.job)).unzip();
-    let results = execute_batch(&inner, &jobs);
-    let now = inner.now_us();
-    let mut st = inner.state.lock();
-    for ((id, tenant), result) in owners.iter().zip(results) {
-        let (wait_us, service_us) = match st.timings.get_mut(id) {
-            Some(t) => {
-                t.completed_us = now;
-                (t.wait_us(), t.service_us())
-            }
-            None => (0, 0),
+    let (owners, jobs): (Vec<(JobId, Option<CacheFill>)>, Vec<ResolvedJob>) =
+        batch.into_iter().map(|q| ((q.id, q.on_done), q.job)).unzip();
+    let run = std::panic::AssertUnwindSafe(|| execute_batch(&inner, &jobs));
+    let results = std::panic::catch_unwind(run).unwrap_or_else(|cause| {
+        let detail = cause
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| cause.downcast_ref::<&str>().copied())
+            .unwrap_or("no message");
+        let err = QfwError::Execution(format!("engine panicked: {detail}"));
+        jobs.iter().map(|_| Err(err.clone())).collect()
+    });
+    for ((id, on_done), result) in owners.into_iter().zip(results) {
+        let outcome = match result {
+            Ok(r) => JobState::Done(Arc::new(r)),
+            Err(e) => JobState::Failed(e.to_string()),
         };
-        if inner.obs.is_enabled() {
-            inner
-                .obs
-                .histogram(&format!("sched.wait_us.{tenant}"))
-                .observe_us(wait_us);
-            inner
-                .obs
-                .histogram(&format!("sched.service_us.{tenant}"))
-                .observe_us(service_us);
-        }
-        st.recent_service_us.push_back(service_us);
-        if st.recent_service_us.len() > 64 {
-            st.recent_service_us.pop_front();
-        }
-        match result {
-            Ok(r) => {
-                if inner.obs.is_enabled() {
-                    // Per-engine service time (gate application + sampling):
-                    // the measured ground truth the planner's cost model is
-                    // judged against, keyed the way the planner keys its
-                    // EWMA corrections.
-                    inner
-                        .obs
-                        .histogram(&format!(
-                            "sched.engine_us.{}/{}",
-                            r.backend, r.subbackend
-                        ))
-                        .observe_secs(r.profile.exec_secs + r.profile.sample_secs);
-                    inner.obs.counter("sched.completed").inc();
-                }
-                st.statuses.insert(*id, JobStatus::Done(r));
-                st.stats.completed += 1;
-            }
-            Err(e) => {
-                st.statuses.insert(*id, JobStatus::Failed(e.to_string()));
-                st.stats.failed += 1;
-                if inner.obs.is_enabled() {
-                    inner.obs.counter("sched.failed").inc();
-                }
-            }
-        }
+        inner.finish(id, outcome, on_done);
     }
-    st.in_flight -= 1;
-    st.live_runners -= 1;
-    drop(st);
+    inner.state.lock().in_flight -= 1;
     inner.done_cv.notify_all();
     inner.work_cv.notify_one();
 }
@@ -911,7 +1002,6 @@ mod tests {
             Obs::disabled(),
             SchedConfig {
                 start_paused: true,
-                window: Some(1),
                 ..SchedConfig::default()
             },
         );

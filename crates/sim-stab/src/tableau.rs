@@ -190,13 +190,6 @@ impl Tableau {
         }
     }
 
-    /// Debug/test accessor: the (x bits, z bits, sign) of a row.
-    pub fn debug_row(&self, row: usize) -> (Vec<bool>, Vec<bool>, bool) {
-        let xs = (0..self.n).map(|q| Self::get(&self.x[row], q)).collect();
-        let zs = (0..self.n).map(|q| Self::get(&self.z[row], q)).collect();
-        (xs, zs, self.r[row])
-    }
-
     /// Measures qubit `q` in the Z basis, collapsing the tableau.
     pub fn measure(&mut self, q: usize, rng: &mut Rng) -> u8 {
         let n = self.n;

@@ -2,7 +2,6 @@
 
 use crate::network::TensorNetwork;
 pub use crate::network::OrderHeuristic;
-use crate::tensor::Tensor;
 use qfw_circuit::analysis::lightcone;
 use qfw_circuit::{Circuit, Op};
 use qfw_num::complex::C64;
@@ -144,11 +143,6 @@ impl TnSimulator {
             .sum();
         (e, width)
     }
-}
-
-/// Exposes the raw contraction result for diagnostics/benches.
-pub fn contract_raw(circuit: &Circuit, order: OrderHeuristic, width_limit: usize) -> Tensor {
-    TensorNetwork::from_circuit(circuit).contract_all(order, width_limit)
 }
 
 #[cfg(test)]

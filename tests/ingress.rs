@@ -7,6 +7,8 @@
 //! * A repeat submission is served from the result cache with counts
 //!   bitwise identical to the cold execution, without consuming a queue
 //!   slot.
+//! * The cache is filled when the job finishes, whoever waits for it: a
+//!   job awaited on the scheduler alone is a hit on resubmission.
 //! * Both backpressure layers reach the client typed: scheduler admission
 //!   rejections carry `retry_after` in the reply payload, and the system
 //!   recovers once drained.
@@ -166,6 +168,30 @@ fn repeat_submission_hits_cache_bitwise() {
     match client::submit(&conn, &env("hot", 43), T).unwrap() {
         IngressSubmitOutcome::Accepted(_) => {}
         other => panic!("different seed must miss the cache, got {other:?}"),
+    }
+    sched.shutdown();
+}
+
+/// The result reaches the cache because the job finished, not because an
+/// ingress `poll` saw it: awaited only through `Scheduler::wait`, the
+/// identical resubmission is still a bitwise hit.
+#[test]
+fn result_is_cached_without_an_ingress_poll() {
+    let (sched, ingress) = ingress_with(SchedConfig::default());
+    let conn = ingress.connect();
+    let envelope = env("quiet", 11);
+
+    let id = match client::submit(&conn, &envelope, T).unwrap() {
+        IngressSubmitOutcome::Accepted(id) => id,
+        other => panic!("cold submit should be accepted, got {other:?}"),
+    };
+    let cold = match sched.wait(id, T) {
+        JobStatus::Done(r) => r,
+        other => panic!("cold job did not complete: {other:?}"),
+    };
+    match client::submit(&conn, &envelope, T).unwrap() {
+        IngressSubmitOutcome::Cached(r) => assert_eq!(r.counts, cold.counts),
+        other => panic!("a finished job's result must be cached, got {other:?}"),
     }
     sched.shutdown();
 }

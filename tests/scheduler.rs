@@ -9,7 +9,10 @@
 //!   ≤ 8 engine invocations with per-job counts bitwise identical to
 //!   unbatched seeded execution.
 //! * Chaos: injected slot death requeues work without perturbing the
-//!   fairness ledger.
+//!   fairness ledger; an injected engine panic fails its batch and gives
+//!   the window slot back.
+//! * Bounded state: a job's record outlives its finish by `JOB_RETENTION`
+//!   later finishes, then the id answers as one the scheduler never issued.
 //! * A scheduler attached to a live session serves cancel/stats over the
 //!   `SchedIngress` front door.
 //! * Elastic scaling grows the pool under sustained load and shrinks it
@@ -25,7 +28,7 @@ use qfw_sched::ingress::client;
 use qfw_sched::{
     CancelOutcome, IngressSubmitOutcome, JobEnvelope, JobStatus, OverloadScope, Priority,
     ScalingConfig, SchedConfig, SchedError, SchedIngress, SchedIngressConfig, Scheduler,
-    TenantConfig,
+    TenantConfig, JOB_RETENTION,
 };
 use qfw_workloads::{ghz, qaoa_ansatz, Qubo};
 use std::collections::HashMap;
@@ -358,6 +361,82 @@ fn chaos_slot_death_preserves_fairness() {
     // Slot deaths requeue inside the QRC; the scheduler's fairness ledger
     // (dispatch order) must still track the 1/1/2 weights.
     assert_shares(&sched.dispatch_log(), 40, &[("a", 1), ("b", 1), ("c", 2)], 0.10);
+    sched.shutdown();
+}
+
+/// An engine that panics takes down its own batch and nothing else: the
+/// job fails, the one slot and the one window position come back, the
+/// jobs queued behind it run, and `shutdown` has no runner to wait for.
+#[test]
+fn engine_panic_fails_the_batch_and_frees_the_window() {
+    let plan = Arc::new(FaultPlan::seeded(5).inject("qrc.engine_panic", FaultSpec::first(1)));
+    let (qrc, _hetjob) = qrc_with(1, Some(plan));
+    let sched = Scheduler::start(
+        qrc,
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let ids: Vec<_> = (0..3u64)
+        .map(|i| sched.submit(nwqsim_env("t", i)).unwrap())
+        .collect();
+    sched.resume();
+    let short = Duration::from_secs(20);
+    match sched.wait(ids[0], short) {
+        JobStatus::Failed(msg) => assert!(msg.contains("engine panicked"), "{msg}"),
+        other => panic!("the panicked job must fail, got {other:?}"),
+    }
+    for id in &ids[1..] {
+        assert!(
+            matches!(sched.wait(*id, short), JobStatus::Done(_)),
+            "job {id} behind the panic did not complete"
+        );
+    }
+    assert!(sched.drain(short));
+    let stats = sched.stats();
+    assert_eq!((stats.failed, stats.completed, stats.in_flight), (1, 2, 0));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        sched.shutdown();
+        tx.send(()).ok();
+    });
+    rx.recv_timeout(short).expect("shutdown must return after an engine panic");
+}
+
+/// The job table is bounded: once `JOB_RETENTION` later jobs have
+/// finished, nothing of a finished job is left — status, timing, tenant
+/// and result all lived in the one evicted record.
+#[test]
+fn terminal_records_are_evicted_beyond_retention() {
+    // One slot: jobs finish in the order they were submitted.
+    let (qrc, _hetjob) = qrc_with(1, None);
+    let sched = Scheduler::start(
+        qrc,
+        Obs::disabled(),
+        SchedConfig {
+            default_quota: 256,
+            ..SchedConfig::default()
+        },
+    );
+    let total = JOB_RETENTION + 8;
+    let mut ids = Vec::with_capacity(total);
+    while ids.len() < total {
+        for _ in 0..(total - ids.len()).min(256) {
+            let env = JobEnvelope::new("t", &ghz(4), 8)
+                .with_spec(BackendSpec::of("aer", "stabilizer"))
+                .with_seed(ids.len() as u64);
+            ids.push(sched.submit(env).unwrap());
+        }
+        assert!(sched.drain(T), "wave did not drain");
+    }
+    assert_eq!(sched.stats().completed, total as u64);
+    assert!(matches!(sched.poll(ids[0]), JobStatus::Unknown));
+    assert!(sched.job_timing(ids[0]).is_none());
+    assert!(matches!(sched.poll(ids[total - 1]), JobStatus::Done(_)));
+    assert!(sched.job_timing(ids[total - 1]).is_some());
+    assert_eq!(sched.dispatch_log().len(), JOB_RETENTION);
     sched.shutdown();
 }
 
