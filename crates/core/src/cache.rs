@@ -1,5 +1,5 @@
-//! Content-addressed caches: a sharded, LRU-bounded map plus the two
-//! cache tiers the ingress path uses.
+//! Content-addressed caches: a sharded, LRU-bounded map plus the cache
+//! tiers the ingress path uses.
 //!
 //! * [`ShardedLru`] — the shared substrate: `2^k` shards, one mutex each,
 //!   keyed by 128-bit [`ContentHash`] values. A lookup touches exactly one
@@ -11,14 +11,24 @@
 //!   counts without touching the scheduler or an engine. Everything that
 //!   feeds the key is part of the executed computation, and every engine
 //!   is deterministic in (circuit, seed), so a hit is always sound.
+//! * The front (alias) tier, inside [`ResultCache`]: request key
+//!   ([`ResultCache::request_key`]: the submission's bytes, unparsed) →
+//!   the canonical key those bytes were admitted under. It holds no
+//!   results and decides no equality — it only lets a byte-identical
+//!   repeat reach its tier-1 entry ([`ResultCache::get_by_request`])
+//!   without being compiled, admitted and canonically hashed again. Same
+//!   capacity and sharding as tier 1.
 //! * Tier 2 — compiled/fused-plan caching — reuses [`ShardedLru`]
 //!   directly with engine-specific values (see
 //!   `backends::nwqsim::NwqSimBackend`): sweep plans keyed by skeleton,
 //!   fused concrete circuits keyed by canonical circuit hash.
 //!
-//! Every tier reports `cache.hit` / `cache.miss` / `cache.evict` counters
-//! (plus per-tier `cache.<tier>.*` variants) through the [`Obs`] handle it
-//! was built with.
+//! Every tier built with [`ShardedLru::new`] reports `cache.hit` /
+//! `cache.miss` / `cache.evict` counters (plus per-tier `cache.<tier>.*`
+//! variants) through the [`Obs`] handle it was built with. The front tier
+//! is consulted on every submission *in addition to* tier 1, so it
+//! reports under `cache.front.*` only: one served request is one
+//! `cache.hit`.
 
 use crate::plan::{GroupCores, ResolvedJob, Source};
 use crate::result::QfwResult;
@@ -116,34 +126,46 @@ impl<V: Clone> ShardedLru<V> {
     /// Builds a cache tier named `tier` (metrics label), reporting to
     /// `obs`.
     pub fn new(cfg: CacheConfig, obs: &Obs, tier: &str) -> ShardedLru<V> {
+        ShardedLru::build(cfg, obs, tier, true)
+    }
+
+    /// `rollup` is whether this tier also counts into the untiered
+    /// `cache.hit` / `cache.miss` / `cache.evict`; a tier consulted on the
+    /// way to another one must not, or one request reads as two lookups.
+    fn build(cfg: CacheConfig, obs: &Obs, tier: &str, rollup: bool) -> ShardedLru<V> {
+        // The largest power of two that is at most the hint (rounded up)
+        // and at most the capacity, so every shard holds at least one entry.
         let shard_count = cfg
             .shards
             .max(1)
             .next_power_of_two()
-            .min(cfg.capacity.max(1).next_power_of_two());
-        // Distribute capacity; every shard gets at least one slot when the
-        // cache is enabled at all.
-        let per_shard = if cfg.capacity == 0 {
-            0
-        } else {
-            cfg.capacity.div_ceil(shard_count)
-        };
+            .min(1 << cfg.capacity.max(1).ilog2());
+        // The slots sum to exactly `capacity`: the remainder goes one each
+        // to the first shards.
+        let (per_shard, extra) = (cfg.capacity / shard_count, cfg.capacity % shard_count);
         let shards = (0..shard_count)
-            .map(|_| {
+            .map(|i| {
                 Mutex::new(Shard {
                     map: HashMap::new(),
-                    capacity: per_shard,
+                    capacity: per_shard + usize::from(i < extra),
                 })
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
+        let untiered = |name: &str| {
+            if rollup {
+                obs.counter(name)
+            } else {
+                Counter::default()
+            }
+        };
         ShardedLru {
             shards,
             mask: shard_count - 1,
             tick: AtomicU64::new(0),
-            hits: obs.counter("cache.hit"),
-            misses: obs.counter("cache.miss"),
-            evictions: obs.counter("cache.evict"),
+            hits: untiered("cache.hit"),
+            misses: untiered("cache.miss"),
+            evictions: untiered("cache.evict"),
             tier_hits: obs.counter(&format!("cache.{tier}.hit")),
             tier_misses: obs.counter(&format!("cache.{tier}.miss")),
             tier_evictions: obs.counter(&format!("cache.{tier}.evict")),
@@ -160,23 +182,28 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Looks up a key, refreshing its recency on hit.
     pub fn get(&self, key: ContentHash) -> Option<V> {
+        let found = self.probe(key);
+        self.count_lookup(found.is_some());
+        found
+    }
+
+    /// [`ShardedLru::get`] without the counters, for a caller that decides
+    /// what the lookup counts as only after a second one.
+    fn probe(&self, key: ContentHash) -> Option<V> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(key).lock();
-        match shard.map.get_mut(&key.value()) {
-            Some((stamp, v)) => {
-                *stamp = tick;
-                let v = v.clone();
-                drop(shard);
-                self.hits.inc();
-                self.tier_hits.inc();
-                Some(v)
-            }
-            None => {
-                drop(shard);
-                self.misses.inc();
-                self.tier_misses.inc();
-                None
-            }
+        let (stamp, v) = shard.map.get_mut(&key.value())?;
+        *stamp = tick;
+        Some(v.clone())
+    }
+
+    fn count_lookup(&self, hit: bool) {
+        if hit {
+            self.hits.inc();
+            self.tier_hits.inc();
+        } else {
+            self.misses.inc();
+            self.tier_misses.inc();
         }
     }
 
@@ -259,16 +286,74 @@ pub fn report_event(obs: &Obs, tier: &str, event: CacheEvent) {
 /// histogram. The stored result is exactly what the engine produced —
 /// callers who want to flag a served-from-cache response add metadata on
 /// their own copy.
+///
+/// In front of it sits the alias tier: [`ResultCache::request_key`] →
+/// the canonical key the same bytes were admitted under, written by
+/// [`ResultCache::alias`] and followed by [`ResultCache::get_by_request`].
 pub struct ResultCache {
     lru: ShardedLru<Arc<QfwResult>>,
+    front: ShardedLru<ContentHash>,
+    /// `cache.front.stale`: the alias was there, its result was not.
+    stale: Counter,
 }
 
 impl ResultCache {
-    /// Builds the tier over `obs` (metrics tier label: `result`).
+    /// Builds both tiers over `obs` (metrics tier labels: `result`,
+    /// `front`), each bounded by `cfg`.
     pub fn new(cfg: CacheConfig, obs: &Obs) -> ResultCache {
         ResultCache {
             lru: ShardedLru::new(cfg, obs, "result"),
+            front: ShardedLru::build(cfg, obs, "front", false),
+            stale: obs.counter("cache.front.stale"),
         }
+    }
+
+    /// The key of one submission *as submitted*: the circuit's bytes — no
+    /// parse, no normalisation — then seed, shots and every field of the
+    /// spec read as plain strings. Any changed byte is a different key, so
+    /// this key never decides that two submissions are the same job; it
+    /// only recognises one it has seen. Tenant, priority and deadline are
+    /// not part of it, exactly as they are not part of [`ResultCache::key`].
+    pub fn request_key(circuit: &str, seed: u64, shots: usize, spec: &BackendSpec) -> ContentHash {
+        let head = ContentHash::of_bytes(&[])
+            .fold_str(circuit)
+            .fold_u64(seed)
+            .fold_u64(shots as u64)
+            .fold_str(&spec.backend)
+            .fold_str(&spec.subbackend)
+            .fold_u64(spec.ranks as u64);
+        spec.extra
+            .iter()
+            .fold(head, |h, (k, v)| h.fold_str(k).fold_str(v))
+    }
+
+    /// Records that the submission keyed `request` was admitted as the job
+    /// keyed `key`. Sound only for a caller that computed `key` from those
+    /// exact bytes, against the worker group it serves.
+    pub fn alias(&self, request: ContentHash, key: ContentHash) {
+        self.front.insert(request, key);
+    }
+
+    /// Follows a request key's alias to its completed result. Every call
+    /// counts as exactly one of `cache.front.hit` (served; also a
+    /// `cache.hit`), `cache.front.stale` (alias known, result evicted or
+    /// not produced yet — or never: failed, cancelled) and
+    /// `cache.front.miss` (bytes never admitted here, or alias evicted).
+    /// On the last two the caller takes the full path, whose
+    /// [`ResultCache::get`] is then the submission's one tier-1 lookup.
+    pub fn get_by_request(&self, request: ContentHash) -> Option<Arc<QfwResult>> {
+        let Some(key) = self.front.probe(request) else {
+            self.front.count_lookup(false);
+            return None;
+        };
+        let found = self.lru.probe(key);
+        if found.is_some() {
+            self.front.count_lookup(true);
+            self.lru.count_lookup(true);
+        } else {
+            self.stale.inc();
+        }
+        found
     }
 
     /// The cache key of one execution given as wire strings: admit it
@@ -347,8 +432,20 @@ mod tests {
         for i in 0..500 {
             c.insert(key(i), Arc::new(i));
         }
-        assert!(c.len() <= 16 + 3, "len {} exceeds bound", c.len());
+        assert!(c.len() <= 16, "len {} exceeds bound", c.len());
         assert!(c.stats().evictions > 0);
+    }
+
+    #[test]
+    fn capacity_is_exact_when_it_does_not_divide_into_shards() {
+        // 8 shards of one slot each would hold 8; the bound is 5.
+        for (capacity, shards) in [(5, 8), (7, 4), (1, 8), (3, 2)] {
+            let c = lru(capacity, shards);
+            for i in 0..200 {
+                c.insert(key(i), Arc::new(i));
+            }
+            assert_eq!(c.len(), capacity, "capacity {capacity}, {shards} shards");
+        }
     }
 
     #[test]

@@ -360,18 +360,33 @@ proptest! {
         prop_assert_ne!(canonical_hash(&text::dump(&a)), canonical_hash(&text::dump(&b)));
     }
 
-    /// The full result-cache key separates every ingredient: circuit,
-    /// seed, shots, and backend spec each produce distinct keys.
+    /// Both result-cache keys separate every ingredient: circuit, seed,
+    /// shots, and backend spec each produce distinct keys. The request key
+    /// also separates any changed byte of text, which the canonical key
+    /// deliberately does not.
     #[test]
     fn result_key_separates_all_ingredients(seed in 0u64..200) {
         let qc = random_circuit(4, 10, seed);
         let other = random_circuit(4, 10, seed + 1_000);
         let wire = text::dump(&qc);
-        let base = ResultCache::key(&wire, 7, 100, &BackendSpec::of("nwqsim", "cpu"));
-
-        prop_assert_ne!(base, ResultCache::key(&text::dump(&other), 7, 100, &BackendSpec::of("nwqsim", "cpu")));
-        prop_assert_ne!(base, ResultCache::key(&wire, 8, 100, &BackendSpec::of("nwqsim", "cpu")));
-        prop_assert_ne!(base, ResultCache::key(&wire, 7, 101, &BackendSpec::of("nwqsim", "cpu")));
-        prop_assert_ne!(base, ResultCache::key(&wire, 7, 100, &BackendSpec::of("aer", "automatic")));
+        let cpu = BackendSpec::of("nwqsim", "cpu");
+        type KeyFn = fn(&str, u64, usize, &BackendSpec) -> ContentHash;
+        for key in [ResultCache::key as KeyFn, ResultCache::request_key as KeyFn] {
+            let base = key(&wire, 7, 100, &cpu);
+            prop_assert_eq!(base, key(&wire, 7, 100, &cpu));
+            prop_assert_ne!(base, key(&text::dump(&other), 7, 100, &cpu));
+            prop_assert_ne!(base, key(&wire, 8, 100, &cpu));
+            prop_assert_ne!(base, key(&wire, 7, 101, &cpu));
+            prop_assert_ne!(base, key(&wire, 7, 100, &BackendSpec::of("aer", "automatic")));
+            prop_assert_ne!(base, key(&wire, 7, 100, &BackendSpec::of("nwqsim", "openmp")));
+            prop_assert_ne!(base, key(&wire, 7, 100, &cpu.clone().with_ranks(2)));
+            prop_assert_ne!(base, key(&wire, 7, 100, &cpu.clone().with_extra("site", "ornl")));
+        }
+        let spaced = wire.replacen('\n', "\n\n", 1);
+        prop_assert_eq!(ResultCache::key(&wire, 7, 100, &cpu), ResultCache::key(&spaced, 7, 100, &cpu));
+        prop_assert_ne!(
+            ResultCache::request_key(&wire, 7, 100, &cpu),
+            ResultCache::request_key(&spaced, 7, 100, &cpu)
+        );
     }
 }

@@ -15,6 +15,11 @@
 //! * Cancel through the ingress releases the cache reservation — a
 //!   cancelled job's envelope re-submits as a fresh execution, never as a
 //!   stale hit.
+//! * The front (request-bytes) key: a byte-identical repeat is answered
+//!   without compiling or admitting anything; a reformatted program still
+//!   lands on its twin's one entry; every ingredient of the request
+//!   separates; a refused request is refused again and never aliased; an
+//!   alias that outlives its result falls through to a normal execution.
 
 use qfw::registry::BackendRegistry;
 use qfw::{BackendSpec, DispatchPolicy, Qrc};
@@ -22,9 +27,12 @@ use qfw_hpc::slurm::{HetJob, HetJobSpec};
 use qfw_hpc::{ClusterSpec, Dvm};
 use qfw_obs::Obs;
 use qfw_sched::ingress::client;
+use qfw::cache::CacheConfig;
+use qfw::QfwResult;
+use qfw_compile::DagCircuit;
 use qfw_sched::{
-    CancelOutcome, IngressSubmitOutcome, JobEnvelope, JobStatus, SchedConfig, SchedIngress,
-    SchedIngressConfig, Scheduler,
+    CancelOutcome, IngressSubmitOutcome, JobEnvelope, JobStatus, Priority, SchedConfig,
+    SchedIngress, SchedIngressConfig, Scheduler,
 };
 use qfw_workloads::ghz;
 use std::sync::Arc;
@@ -279,5 +287,232 @@ fn cancel_releases_cache_reservation() {
         IngressSubmitOutcome::Cached(r) => assert_eq!(r.counts, done.counts),
         other => panic!("late-cancelled job's result must be cached, got {other:?}"),
     }
+    sched.shutdown();
+}
+
+/// An ingress on its own `Obs::wall()` — cache counters and `compile.*`
+/// spans hang off the handle, and the shared disabled one would mix in
+/// other tests' — with a result cache of `capacity` entries.
+fn observed_ingress(qrc: Arc<Qrc>, capacity: usize) -> (Obs, Scheduler, SchedIngress) {
+    let obs = Obs::wall();
+    let sched = Scheduler::start(qrc, obs.clone(), SchedConfig::default());
+    let cfg = SchedIngressConfig {
+        result_cache: CacheConfig::with_capacity(capacity),
+        ..SchedIngressConfig::default()
+    };
+    let ingress = SchedIngress::start(sched.clone(), cfg, obs.clone());
+    (obs, sched, ingress)
+}
+
+/// `[cache.front.hit, .miss, .stale, .evict]` as `obs` has counted them.
+fn front(obs: &Obs) -> [u64; 4] {
+    ["hit", "miss", "stale", "evict"].map(|n| obs.counter(&format!("cache.front.{n}")).get())
+}
+
+fn compile_spans(obs: &Obs) -> usize {
+    let spans = obs.spans();
+    spans.iter().filter(|s| s.name.starts_with("compile.")).count()
+}
+
+/// GHZ-`n` as OpenQASM 3 text, in an envelope otherwise like [`env`].
+fn qasm3_env(tenant: &str, seed: u64, n: usize) -> JobEnvelope {
+    let mut envelope = env(tenant, seed);
+    envelope.circuit = qfw_compile::emit(&DagCircuit::from_circuit(&ghz(n)), &[]).unwrap();
+    envelope
+}
+
+/// Submits expecting admission.
+fn accepted(conn: &qfw_defw::Connection, envelope: &JobEnvelope) -> u64 {
+    match client::submit(conn, envelope, T).unwrap() {
+        IngressSubmitOutcome::Accepted(id) => id,
+        other => panic!("expected acceptance, got {other:?}"),
+    }
+}
+
+/// Submits expecting admission and waits for the result.
+fn run(conn: &qfw_defw::Connection, envelope: &JobEnvelope) -> QfwResult {
+    let id = accepted(conn, envelope);
+    match client::wait(conn, id, T).unwrap() {
+        JobStatus::Done(r) => r,
+        other => panic!("job {id} did not complete: {other:?}"),
+    }
+}
+
+/// Submits expecting to be answered from the cache.
+fn cached(conn: &qfw_defw::Connection, envelope: &JobEnvelope) -> QfwResult {
+    match client::submit(conn, envelope, T).unwrap() {
+        IngressSubmitOutcome::Cached(r) => r,
+        other => panic!("expected a cached result, got {other:?}"),
+    }
+}
+
+/// A byte-identical resubmission is answered by the front key alone: the
+/// same counts and marker as any hit, and nothing was compiled, admitted
+/// or executed to produce it.
+#[test]
+fn identical_qasm3_repeat_skips_compile_and_admission() {
+    let qrc = qrc(2);
+    let (obs, sched, ingress) = observed_ingress(Arc::clone(&qrc), 64);
+    let conn = ingress.connect();
+    let envelope = qasm3_env("hot", 5, 5);
+
+    let cold = run(&conn, &envelope);
+    assert_eq!(front(&obs), [0, 1, 0, 0], "first sight of these bytes");
+    let before = (compile_spans(&obs), sched.stats().admitted, qrc.engine_invocations());
+    assert!(before.0 > 0, "the cold submit compiled the program");
+
+    let warm = cached(&conn, &envelope);
+    assert_eq!(warm.counts, cold.counts, "front hit must be bitwise identical");
+    assert_eq!(warm.metadata["result_cached"], "true");
+    assert!(!cold.metadata.contains_key("result_cached"));
+    let after = (compile_spans(&obs), sched.stats().admitted, qrc.engine_invocations());
+    assert_eq!(after, before, "a front hit compiles, admits and runs nothing");
+    assert_eq!(front(&obs), [1, 1, 0, 0]);
+    // One served request is one result-tier hit, not two.
+    assert_eq!(ingress.cache_stats().hits, 1);
+    sched.shutdown();
+}
+
+/// The canonical key still decides equality: a reformatted program is new
+/// bytes (front miss), compiles onto its twin's entry, and from then on
+/// its own bytes are known too.
+#[test]
+fn reformatted_variant_shares_the_entry_then_front_hits() {
+    let (obs, sched, ingress) = observed_ingress(qrc(2), 64);
+    let conn = ingress.connect();
+    let envelope = qasm3_env("fmt", 6, 4);
+    let cold = run(&conn, &envelope);
+
+    let mut variant = envelope.clone();
+    variant.circuit = format!("// reformatted\n{}", envelope.circuit.replace('\n', "\n\n"));
+    let twin = cached(&conn, &variant);
+    assert_eq!(twin.counts, cold.counts);
+    assert_eq!(front(&obs), [0, 2, 0, 0], "new bytes miss the front tier");
+    assert_eq!(ingress.cache_stats().hits, 1, "served from the twin's entry");
+    assert_eq!(ingress.cache_stats().entries, 1, "one program, one entry");
+
+    let compiled = compile_spans(&obs);
+    let again = cached(&conn, &variant);
+    assert_eq!(again.counts, cold.counts);
+    assert_eq!(front(&obs), [1, 2, 0, 0], "the variant's own bytes now front-hit");
+    assert_eq!(compile_spans(&obs), compiled);
+    assert_eq!(ingress.cache_stats().hits, 2);
+    sched.shutdown();
+}
+
+/// Everything that is part of the computation is part of the request key;
+/// who asked, how urgently and by when is not.
+#[test]
+fn request_key_ingredients_separate_and_scheduling_fields_do_not() {
+    let (obs, sched, ingress) = observed_ingress(qrc(2), 64);
+    let conn = ingress.connect();
+    let base = qasm3_env("alice", 7, 4);
+    let cold = run(&conn, &base);
+
+    let with_spec = |spec: BackendSpec| base.clone().with_spec(spec);
+    let mut more_shots = base.clone();
+    more_shots.shots += 1;
+    let changed = [
+        ("seed", base.clone().with_seed(8)),
+        ("shots", more_shots),
+        ("subbackend", with_spec(BackendSpec::of("nwqsim", "openmp"))),
+        ("ranks", with_spec(base.spec.clone().with_ranks(2))),
+        ("extra", with_spec(base.spec.clone().with_extra("site", "ornl"))),
+    ];
+    for (what, envelope) in &changed {
+        match client::submit(&conn, envelope, T).unwrap() {
+            IngressSubmitOutcome::Accepted(id) => {
+                assert!(matches!(client::wait(&conn, id, T).unwrap(), JobStatus::Done(_)));
+            }
+            other => panic!("a different {what} is a different job, got {other:?}"),
+        }
+    }
+    assert_eq!(front(&obs)[0], 0, "none of them was a front hit");
+
+    let mut other_tenant = base.clone();
+    other_tenant.tenant = "bob".into();
+    let same = [
+        ("tenant", other_tenant),
+        ("priority", base.clone().with_priority(Priority::High)),
+        ("deadline", base.clone().with_deadline_ms(5)),
+    ];
+    for (what, envelope) in &same {
+        let warm = cached(&conn, envelope);
+        assert_eq!(warm.counts, cold.counts, "{what} is not part of the job");
+    }
+    assert_eq!(front(&obs)[0], same.len() as u64, "each was served by the front key");
+    sched.shutdown();
+}
+
+/// What ingestion or admission refuses, it refuses on every repeat: no
+/// alias is made for a request that never became a job.
+#[test]
+fn refused_requests_are_refused_again_and_never_aliased() {
+    let (obs, sched, ingress) = observed_ingress(qrc(2), 64);
+    let conn = ingress.connect();
+
+    let mut unbound = qasm3_env("bad", 1, 2);
+    unbound.circuit =
+        "OPENQASM 3;\ninput float[64] theta;\nqubit[2] q;\nrx(theta) q[0];\n".into();
+    let mut garbled = qasm3_env("bad", 2, 4);
+    garbled.spec = garbled.spec.with_extra("calibration", "{not json");
+
+    for (envelope, needle) in [(&unbound, "qasm3"), (&garbled, "calibration")] {
+        let first = client::submit(&conn, envelope, T).unwrap_err().to_string();
+        let second = client::submit(&conn, envelope, T).unwrap_err().to_string();
+        assert!(first.contains(needle), "err={first}");
+        assert_eq!(first, second, "the repeat is refused the same way");
+    }
+    assert_eq!(front(&obs), [0, 4, 0, 0], "four lookups, all of bytes never admitted");
+    assert_eq!(sched.stats().admitted, 0);
+    sched.shutdown();
+}
+
+/// An alias can outlive its result: aliases age by when their bytes last
+/// arrived, results by when they were produced or last served. The repeat
+/// then takes the full path and runs again — same key, same engine, same
+/// counts.
+#[test]
+fn alias_that_outlives_its_result_falls_through_to_execution() {
+    // One slot, so the queue's order is the finish order; each tier is one
+    // shard of two entries, so eviction is plain LRU.
+    let obs = Obs::wall();
+    let paused = SchedConfig {
+        start_paused: true,
+        ..SchedConfig::default()
+    };
+    let sched = Scheduler::start(qrc(1), obs.clone(), paused);
+    let cfg = SchedIngressConfig {
+        result_cache: CacheConfig {
+            capacity: 2,
+            shards: 1,
+        },
+        ..SchedIngressConfig::default()
+    };
+    let ingress = SchedIngress::start(sched.clone(), cfg, obs.clone());
+    let conn = ingress.connect();
+
+    // X's bytes arrive before A's, A's result is produced before X's.
+    let a = qasm3_env("evict", 21, 4).with_priority(Priority::High);
+    let x = accepted(&conn, &qasm3_env("evict", 22, 5));
+    let first_id = accepted(&conn, &a);
+    sched.resume();
+    let first = match sched.wait(first_id, T) {
+        JobStatus::Done(r) => r,
+        other => panic!("A did not complete: {other:?}"),
+    };
+    assert!(matches!(sched.wait(x, T), JobStatus::Done(_)));
+    // A third job's alias displaces X's (the older alias); its result
+    // displaces A's (the older result).
+    run(&conn, &qasm3_env("evict", 23, 4));
+    assert_eq!(front(&obs), [0, 3, 0, 1]);
+    assert_eq!(ingress.cache_stats().evictions, 1);
+
+    let admitted = sched.stats().admitted;
+    let second = run(&conn, &a);
+    assert_eq!(front(&obs), [0, 3, 1, 1], "A's alias was there, its result was not");
+    assert_eq!(sched.stats().admitted, admitted + 1, "so A ran again");
+    assert_eq!(second.counts, first.counts, "and produced what it produced before");
+    assert!(!second.metadata.contains_key("result_cached"));
     sched.shutdown();
 }
