@@ -23,7 +23,7 @@ use crate::result::QfwResult;
 use qfw_hpc::slurm::HetJob;
 use qfw_hpc::{Allocation, Dvm};
 use qfw_obs::Obs;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Execution-side context handed to adapters: the DVM for rank spawning,
 /// the `hetgroup-1` lease broker for cores, and the observability handle
@@ -46,18 +46,9 @@ impl ExecContext<'_> {
     /// any width the whole group could never grant ([`crate::plan`]), so the
     /// wait is for cores that will come back.
     pub fn lease_cores(&self, n: usize) -> Result<Allocation, QfwError> {
-        let deadline = Instant::now() + Duration::from_secs(300);
-        loop {
-            match self.hetjob.allocate_cores(self.group, n) {
-                Ok(alloc) => return Ok(alloc),
-                Err(e) => {
-                    if Instant::now() > deadline {
-                        return Err(QfwError::Resources(e.to_string()));
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        }
+        self.hetjob
+            .lease_cores(self.group, n, Duration::from_secs(300))
+            .map_err(|e| QfwError::Resources(e.to_string()))
     }
 }
 
@@ -165,5 +156,35 @@ pub(crate) mod testutil {
             seed: 1234,
             spec,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::TestRig;
+    use super::*;
+
+    /// `lease_cores` waits on the group's pool, not on a timer: a lease
+    /// blocked behind one that holds every core is granted when that one
+    /// drops, and a width the group never had is refused without waiting.
+    #[test]
+    fn lease_cores_waits_for_a_release_and_refuses_the_impossible() {
+        let rig = TestRig::new(1);
+        let total = rig.hetjob.free_cores(1);
+        let all = rig.hetjob.allocate_cores(1, total).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| {
+                tx.send(()).unwrap();
+                rig.ctx().lease_cores(4).map(|lease| lease.len())
+            });
+            rx.recv().unwrap();
+            assert_eq!(rig.hetjob.free_cores(1), 0);
+            drop(all);
+            assert_eq!(blocked.join().unwrap().unwrap(), 4);
+        });
+        assert_eq!(rig.hetjob.free_cores(1), total);
+        let err = rig.ctx().lease_cores(total + 1).unwrap_err();
+        assert!(matches!(&err, QfwError::Resources(msg) if msg.contains("hetgroup-1")), "{err}");
     }
 }

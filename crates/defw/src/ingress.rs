@@ -21,10 +21,23 @@
 //!   consulting any registry lock; the handler is a fixed `Arc` installed
 //!   at startup. The only synchronization on the hot path is the queue's
 //!   own channel mutex.
+//! * **Deferred replies** — a request's return path is a value, [`Reply`]:
+//!   correlation id, the connection's reply sender, the counters a reply
+//!   bumps. The worker hands it to [`Service::serve`]; a handler either
+//!   gives it back with the outcome (the worker sends it) or keeps it and
+//!   calls [`Reply::send`] later from any thread, and the worker goes back
+//!   to the queue as soon as the handler returns. Every reply goes through
+//!   that one `send`, which is where [`IngressStats::completed`]/`errors`
+//!   and `ingress.handled` count; the `retry_after` estimate keeps
+//!   measuring how long a request occupied a *worker*, which a parked
+//!   reply does not. A `Reply` holds no handle on the request queue, so
+//!   replies parked past [`Ingress::shutdown`] keep no worker alive.
 //!
 //! The handler is the same byte-level [`Service`] trait the hub uses, so a
 //! [`MethodTable`](crate::MethodTable) built for `Defw` plugs in unchanged
-//! — the scheduler's ingress service (in `qfw-sched`) does exactly that.
+//! — the scheduler's ingress service (in `qfw-sched`) does exactly that,
+//! with one [`MethodTable::deferred`](crate::MethodTable::deferred) method,
+//! `wait`, whose reply is sent by the thread that finishes the job.
 
 use crate::{RpcError, Service};
 use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
@@ -107,16 +120,63 @@ pub struct ReplyFrame {
     pub body: Result<Vec<u8>, IngressError>,
 }
 
-/// A queued request: the frame plus its return path. The reply sender is a
-/// clone of the *connection's* channel, so workers never look anything up
-/// to route a reply.
+/// A queued request: the frame plus its return path.
 struct Job {
     conn: u64,
-    correlation: u64,
     method: String,
     payload: Arc<Vec<u8>>,
-    reply: Sender<ReplyFrame>,
+    reply: Reply,
     enqueued: Instant,
+}
+
+/// The return path of one request, as a value: the correlation id, a clone
+/// of the *connection's* reply channel (so nothing is looked up to route a
+/// reply) and the counters a reply bumps. [`Service::serve`] receives it and
+/// either hands it back with the outcome or keeps it and answers later from
+/// any thread; either way the one [`Reply::send`] is how a request gets its
+/// answer. It holds no handle on the request queue, so a parked reply never
+/// keeps the ingress workers alive.
+pub struct Reply {
+    correlation: u64,
+    tx: Sender<ReplyFrame>,
+    tally: Arc<Tally>,
+}
+
+impl Reply {
+    /// Answers the request: counts it, then delivers the frame. The
+    /// connection may be gone — replies to the dead are free.
+    pub fn send(self, body: Result<Vec<u8>, RpcError>) {
+        let tally = &self.tally;
+        tally.completed.fetch_add(1, Ordering::Relaxed);
+        if body.is_err() {
+            tally.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        if tally.obs.is_enabled() {
+            tally.obs.counter("ingress.handled").inc();
+            if body.is_err() {
+                tally.obs.counter("ingress.errors").inc();
+            }
+        }
+        let _ = self.tx.send(ReplyFrame {
+            correlation: self.correlation,
+            body: body.map_err(IngressError::from),
+        });
+    }
+
+    /// [`Reply::send`] with a typed handler outcome, encoded as JSON.
+    pub fn send_typed<Resp: Serialize>(self, outcome: Result<Resp, String>) {
+        self.send(outcome.map_err(RpcError::Handler).and_then(|resp| {
+            serde_json::to_vec(&resp).map_err(|e| RpcError::Codec(e.to_string()))
+        }));
+    }
+}
+
+/// What a reply counts into, shared by the ingress and every outstanding
+/// [`Reply`].
+struct Tally {
+    completed: AtomicU64,
+    errors: AtomicU64,
+    obs: Obs,
 }
 
 /// Point-in-time ingress statistics.
@@ -126,9 +186,10 @@ pub struct IngressStats {
     pub accepted: u64,
     /// Requests rejected with `Overloaded` at admission.
     pub rejected: u64,
-    /// Requests fully handled (ok or handler error).
+    /// Requests answered (ok or handler error), counted when the reply is
+    /// sent — for a deferred reply that is later than the handler's return.
     pub completed: u64,
-    /// Handled requests that returned an error.
+    /// Answered requests whose reply was an error.
     pub errors: u64,
 }
 
@@ -137,13 +198,12 @@ struct Shared {
     queue_depth: usize,
     workers: usize,
     conn_ids: AtomicU64,
-    /// EWMA of per-request handle time, microseconds (seeded at 1ms).
+    /// EWMA of how long a request occupies a worker, microseconds (seeded
+    /// at 1ms). A deferred reply's wait is not in it: the worker was free.
     avg_handle_us: AtomicU64,
     accepted: AtomicU64,
     rejected: AtomicU64,
-    completed: AtomicU64,
-    errors: AtomicU64,
-    obs: Obs,
+    tally: Arc<Tally>,
 }
 
 impl Shared {
@@ -178,9 +238,11 @@ impl Ingress {
             avg_handle_us: AtomicU64::new(1_000),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            obs,
+            tally: Arc::new(Tally {
+                completed: AtomicU64::new(0),
+                errors: AtomicU64::new(0),
+                obs,
+            }),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -197,17 +259,20 @@ impl Ingress {
     }
 
     fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>, handler: Arc<dyn Service>) {
-        let obs = shared.obs.clone();
+        let obs = shared.tally.obs.clone();
         while let Ok(job) = rx.recv() {
             let queue_us = job.enqueued.elapsed().as_micros() as u64;
             let mut span = obs.span("ingress", "ingress.handle");
             span.set_attr("conn", job.conn);
-            span.set_attr("correlation", job.correlation);
+            span.set_attr("correlation", job.reply.correlation);
             span.set_attr("method", job.method.as_str());
             let start = Instant::now();
-            let result = handler.handle(&job.method, &job.payload);
+            let answered = handler.serve(&job.method, &job.payload, job.reply);
             let handle_us = start.elapsed().as_micros() as u64;
-            span.set_attr("ok", result.is_ok());
+            match &answered {
+                Some((_, result)) => span.set_attr("ok", result.is_ok()),
+                None => span.set_attr("deferred", true),
+            }
             drop(span);
 
             // EWMA (7/8 old, 1/8 new): cheap, lock-free service-rate
@@ -215,24 +280,13 @@ impl Ingress {
             let old = shared.avg_handle_us.load(Ordering::Relaxed);
             let new = (old.saturating_mul(7) + handle_us.max(1)) / 8;
             shared.avg_handle_us.store(new, Ordering::Relaxed);
-
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            if result.is_err() {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-            }
             if obs.is_enabled() {
-                obs.counter("ingress.handled").inc();
-                if result.is_err() {
-                    obs.counter("ingress.errors").inc();
-                }
                 obs.histogram("ingress.queue_us").observe_us(queue_us);
                 obs.histogram("ingress.handle_us").observe_us(handle_us);
             }
-            // The connection may be gone — replies to the dead are free.
-            let _ = job.reply.send(ReplyFrame {
-                correlation: job.correlation,
-                body: result.map_err(IngressError::from),
-            });
+            if let Some((reply, result)) = answered {
+                reply.send(result);
+            }
         }
     }
 
@@ -254,8 +308,8 @@ impl Ingress {
         IngressStats {
             accepted: self.shared.accepted.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            errors: self.shared.errors.load(Ordering::Relaxed),
+            completed: self.shared.tally.completed.load(Ordering::Relaxed),
+            errors: self.shared.tally.errors.load(Ordering::Relaxed),
         }
     }
 
@@ -316,24 +370,27 @@ impl Connection {
         let correlation = self.correlation.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             conn: self.conn,
-            correlation,
             method: method.to_string(),
             payload,
-            reply: self.reply_tx.clone(),
+            reply: Reply {
+                correlation,
+                tx: self.reply_tx.clone(),
+                tally: Arc::clone(&self.shared.tally),
+            },
             enqueued: Instant::now(),
         };
         match self.shared.queue.try_send(job) {
             Ok(()) => {
                 self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-                if self.shared.obs.is_enabled() {
-                    self.shared.obs.counter("ingress.accepted").inc();
+                if self.shared.tally.obs.is_enabled() {
+                    self.shared.tally.obs.counter("ingress.accepted").inc();
                 }
                 Ok(correlation)
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                if self.shared.obs.is_enabled() {
-                    self.shared.obs.counter("ingress.rejected").inc();
+                if self.shared.tally.obs.is_enabled() {
+                    self.shared.tally.obs.counter("ingress.rejected").inc();
                 }
                 Err(IngressError::Overloaded {
                     retry_after: self.shared.retry_after(),
@@ -567,5 +624,57 @@ mod tests {
         let bytes = conn.wait(corr, T).unwrap();
         let ms: u64 = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(ms, 50);
+    }
+
+    /// A handler that keeps its reply does not keep the worker: with one
+    /// worker, a request sent after the parked one is answered first; the
+    /// parked reply is delivered under its own correlation id when released;
+    /// `completed` counts at each `send`; a reply to a dropped connection is
+    /// free.
+    #[test]
+    fn parked_reply_does_not_occupy_the_worker() {
+        let parked: Arc<parking_lot::Mutex<Vec<(String, Reply)>>> = Arc::default();
+        let keep = Arc::clone(&parked);
+        let service = MethodTable::new("park")
+            .method("echo", |v: String| Ok(v))
+            .deferred("park", move |v: String, reply: Reply| keep.lock().push((v, reply)))
+            .build();
+        let cfg = IngressConfig {
+            queue_depth: 8,
+            workers: 1,
+        };
+        let ingress = Ingress::start(cfg, service, Obs::disabled());
+        let conn = ingress.connect();
+        let held = conn.send("park", &"later".to_string()).unwrap();
+        let out: String = conn.call("echo", &"now".to_string(), T).unwrap();
+        assert_eq!(out, "now");
+        // The one worker took `park` before `echo`, so the reply is parked.
+        assert_eq!(ingress.stats().completed, 1);
+        assert_eq!(parked.lock().len(), 1);
+        assert!(matches!(
+            conn.wait(held, Duration::from_millis(1)),
+            Err(IngressError::Timeout { .. })
+        ));
+
+        let (v, reply) = parked.lock().pop().unwrap();
+        reply.send_typed(Ok(v));
+        assert_eq!(ingress.stats().completed, 2);
+        let out: String = serde_json::from_slice(&conn.wait(held, T).unwrap()).unwrap();
+        assert_eq!(out, "later");
+
+        // An undecodable payload is answered at once, as an error.
+        let err = conn.call::<_, String>("park", &7u64, T).unwrap_err();
+        assert!(matches!(err, IngressError::Rpc(RpcError::Codec(_))), "{err:?}");
+        assert_eq!(ingress.stats().errors, 1);
+
+        // A reply sent after its connection dropped goes nowhere, and counts.
+        let gone = ingress.connect();
+        gone.send("park", &"nobody".to_string()).unwrap();
+        let _: String = conn.call("echo", &"sync".to_string(), T).unwrap();
+        drop(gone);
+        let (_, reply) = parked.lock().pop().unwrap();
+        reply.send_typed(Err::<String, _>("too late".into()));
+        let stats = ingress.stats();
+        assert_eq!((stats.completed, stats.errors), (5, 2));
     }
 }

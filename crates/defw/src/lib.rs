@@ -26,7 +26,9 @@
 
 pub mod ingress;
 
-pub use ingress::{Connection, Ingress, IngressConfig, IngressError, IngressStats, ReplyFrame};
+pub use ingress::{
+    Connection, Ingress, IngressConfig, IngressError, IngressStats, Reply, ReplyFrame,
+};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -100,6 +102,20 @@ impl std::error::Error for RpcError {}
 pub trait Service: Send + Sync {
     /// Handles one request; `method` selects the operation.
     fn handle(&self, method: &str, payload: &[u8]) -> Result<Vec<u8>, RpcError>;
+
+    /// The [`Ingress`] entry point. Either hands `reply` back with the
+    /// outcome, for the worker to send once it has closed its span, or
+    /// keeps it to answer later from any thread (see [`ingress::Reply`])
+    /// and returns `None`. The default hands back [`Service::handle`]'s
+    /// outcome.
+    fn serve(
+        &self,
+        method: &str,
+        payload: &[u8],
+        reply: ingress::Reply,
+    ) -> Option<(ingress::Reply, Result<Vec<u8>, RpcError>)> {
+        Some((reply, self.handle(method, payload)))
+    }
 }
 
 impl<F> Service for F
@@ -586,13 +602,18 @@ impl<Resp: DeserializeOwned> AsyncReply<Resp> {
     }
 }
 
-/// A convenience service built from per-method typed handlers.
 /// Type-erased per-method handler: raw request bytes in, raw reply bytes out.
 type MethodHandler = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, RpcError> + Send + Sync>;
+/// Type-erased deferred handler: raw request bytes and the return path in.
+type DeferredHandler = Box<dyn Fn(&[u8], ingress::Reply) + Send + Sync>;
 
+/// A convenience service built from per-method typed handlers.
 #[derive(Default)]
 pub struct MethodTable {
     methods: HashMap<String, MethodHandler>,
+    /// Methods that keep their [`ingress::Reply`]; reachable only through
+    /// [`Service::serve`], so the hub reports them as not found.
+    deferred: HashMap<String, DeferredHandler>,
     name: String,
 }
 
@@ -601,6 +622,7 @@ impl MethodTable {
     pub fn new(name: impl Into<String>) -> Self {
         MethodTable {
             methods: HashMap::new(),
+            deferred: HashMap::new(),
             name: name.into(),
         }
     }
@@ -614,6 +636,25 @@ impl MethodTable {
     {
         self.methods
             .insert(name.to_string(), Box::new(json_handler(f)));
+        self
+    }
+
+    /// Adds a typed method whose handler takes the request's return path and
+    /// answers through it whenever it likes — the ingress worker is free as
+    /// soon as `f` returns. A payload that does not decode is answered with
+    /// the codec error, like any other method.
+    pub fn deferred<Req, F>(mut self, name: &str, f: F) -> Self
+    where
+        Req: DeserializeOwned + 'static,
+        F: Fn(Req, ingress::Reply) + Send + Sync + 'static,
+    {
+        let handler = move |payload: &[u8], reply: ingress::Reply| {
+            match serde_json::from_slice(payload) {
+                Ok(req) => f(req, reply),
+                Err(e) => reply.send(Err(RpcError::Codec(e.to_string()))),
+            }
+        };
+        self.deferred.insert(name.to_string(), Box::new(handler));
         self
     }
 
@@ -631,6 +672,21 @@ impl Service for MethodTable {
                 service: self.name.clone(),
                 method: method.to_string(),
             }),
+        }
+    }
+
+    fn serve(
+        &self,
+        method: &str,
+        payload: &[u8],
+        reply: ingress::Reply,
+    ) -> Option<(ingress::Reply, Result<Vec<u8>, RpcError>)> {
+        match self.deferred.get(method) {
+            Some(f) => {
+                f(payload, reply);
+                None
+            }
+            None => Some((reply, self.handle(method, payload))),
         }
     }
 }

@@ -9,9 +9,11 @@
 //! no-oversubscription invariant.
 
 use crate::topology::{ClusterSpec, CoreId};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Requested shape of a heterogeneous job: node counts per group.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,13 +77,46 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// One group's application cores: the free set, how many there are in
+/// all, and the condvar a returning lease signals when `waiting` says
+/// someone is blocked on it — an uncontended lease or release is one lock.
+struct Pool {
+    free: Mutex<BTreeSet<CoreId>>,
+    capacity: usize,
+    /// Threads inside [`HetJob::lease_cores`]'s wait; written under `free`.
+    waiting: AtomicUsize,
+    released: Condvar,
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Pool({}/{} free)", self.free.lock().len(), self.capacity)
+    }
+}
+
+impl Pool {
+    /// Takes `n` cores out of a free set that has them, densely packed:
+    /// `BTreeSet` iterates in (node, core) order.
+    fn take(self: &Arc<Pool>, free: &mut BTreeSet<CoreId>, group: usize, n: usize) -> Allocation {
+        let cores: Vec<CoreId> = free.iter().take(n).copied().collect();
+        for c in &cores {
+            free.remove(c);
+        }
+        Allocation {
+            group,
+            cores,
+            pool: Arc::clone(self),
+        }
+    }
+}
+
 /// A granted heterogeneous job: disjoint node groups carved from a cluster.
 #[derive(Debug)]
 pub struct HetJob {
     cluster: ClusterSpec,
     groups: Vec<Vec<usize>>, // node indices per group
-    /// Free application cores per group, shared with leases for release.
-    free: Vec<Arc<Mutex<BTreeSet<CoreId>>>>,
+    /// Application cores per group, shared with leases for release.
+    pools: Vec<Arc<Pool>>,
 }
 
 impl HetJob {
@@ -102,20 +137,25 @@ impl HetJob {
             groups.push((next..next + count).collect::<Vec<_>>());
             next += count;
         }
-        let free = groups
+        let pools = groups
             .iter()
             .map(|nodes| {
                 let cores: BTreeSet<CoreId> = nodes
                     .iter()
                     .flat_map(|&n| cluster.app_cores_of(n))
                     .collect();
-                Arc::new(Mutex::new(cores))
+                Arc::new(Pool {
+                    capacity: cores.len(),
+                    free: Mutex::new(cores),
+                    waiting: AtomicUsize::new(0),
+                    released: Condvar::new(),
+                })
             })
             .collect();
         Ok(HetJob {
             cluster: cluster.clone(),
             groups,
-            free,
+            pools,
         })
     }
 
@@ -141,14 +181,15 @@ impl HetJob {
 
     /// Free application cores currently available in a group.
     pub fn free_cores(&self, group: usize) -> usize {
-        self.free[group].lock().len()
+        self.pools[group].free.lock().len()
     }
 
     /// Leases `n` cores from a group, preferring to pack whole LLC domains
     /// on the lowest-numbered nodes (round-robin within a node would spread
     /// cache pressure; the paper packs workers densely).
     pub fn allocate_cores(&self, group: usize, n: usize) -> Result<Allocation, AllocError> {
-        let mut free = self.free[group].lock();
+        let pool = &self.pools[group];
+        let mut free = pool.free.lock();
         if free.len() < n {
             return Err(AllocError::InsufficientCores {
                 group,
@@ -156,16 +197,37 @@ impl HetJob {
                 free: free.len(),
             });
         }
-        // BTreeSet iterates in (node, core) order => dense packing.
-        let cores: Vec<CoreId> = free.iter().take(n).copied().collect();
-        for c in &cores {
-            free.remove(c);
+        Ok(pool.take(&mut free, group, n))
+    }
+
+    /// [`HetJob::allocate_cores`] that waits, up to `timeout`, for other
+    /// leases to return the cores it lacks; a dropped [`Allocation`] wakes
+    /// it. A width the whole group does not have fails at once.
+    pub fn lease_cores(
+        &self,
+        group: usize,
+        n: usize,
+        timeout: Duration,
+    ) -> Result<Allocation, AllocError> {
+        let pool = &self.pools[group];
+        let deadline = Instant::now() + timeout;
+        let mut free = pool.free.lock();
+        while free.len() < n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if n > pool.capacity || left.is_zero() {
+                return Err(AllocError::InsufficientCores {
+                    group,
+                    requested: n,
+                    free: free.len(),
+                });
+            }
+            // Counted under the lock a release holds while it reads the
+            // count, so no release can miss this waiter.
+            pool.waiting.fetch_add(1, Ordering::Relaxed);
+            pool.released.wait_for(&mut free, left);
+            pool.waiting.fetch_sub(1, Ordering::Relaxed);
         }
-        Ok(Allocation {
-            group,
-            cores,
-            pool: Arc::clone(&self.free[group]),
-        })
+        Ok(pool.take(&mut free, group, n))
     }
 }
 
@@ -176,7 +238,7 @@ impl HetJob {
 pub struct Allocation {
     group: usize,
     cores: Vec<CoreId>,
-    pool: Arc<Mutex<BTreeSet<CoreId>>>,
+    pool: Arc<Pool>,
 }
 
 impl Allocation {
@@ -209,9 +271,13 @@ impl Allocation {
 
 impl Drop for Allocation {
     fn drop(&mut self) {
-        let mut free = self.pool.lock();
-        for c in self.cores.drain(..) {
-            free.insert(c);
+        let mut free = self.pool.free.lock();
+        free.extend(self.cores.drain(..));
+        let waiting = self.pool.waiting.load(Ordering::Relaxed);
+        drop(free);
+        if waiting > 0 {
+            // Waiters want different widths: let each look.
+            self.pool.released.notify_all();
         }
     }
 }
@@ -293,5 +359,38 @@ mod tests {
         // Group 1 unaffected.
         assert_eq!(j.free_cores(1), 3 * 56);
         assert!(j.allocate_cores(1, 56).is_ok());
+    }
+
+    #[test]
+    fn blocked_lease_is_woken_by_a_returning_one() {
+        let j = Arc::new(job());
+        let all = j.allocate_cores(0, 56).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let j = Arc::clone(&j);
+            std::thread::spawn(move || {
+                tx.send(()).unwrap();
+                j.lease_cores(0, 8, Duration::from_secs(60)).map(|a| a.len())
+            })
+        };
+        rx.recv().unwrap();
+        // Nothing is free, so the lease cannot have been granted yet.
+        assert_eq!(j.free_cores(0), 0);
+        drop(all);
+        assert_eq!(waiter.join().unwrap(), Ok(8));
+        assert_eq!(j.free_cores(0), 56);
+    }
+
+    #[test]
+    fn lease_fails_when_nothing_comes_back_or_ever_could() {
+        let j = job();
+        let _all = j.allocate_cores(0, 56).unwrap();
+        let err = j.lease_cores(0, 1, Duration::from_millis(20)).unwrap_err();
+        assert!(matches!(err, AllocError::InsufficientCores { requested: 1, free: 0, .. }));
+        // Wider than the group: no wait at all, the deadline notwithstanding.
+        let start = Instant::now();
+        let err = j.lease_cores(1, 3 * 56 + 1, Duration::from_secs(600)).unwrap_err();
+        assert!(matches!(err, AllocError::InsufficientCores { group: 1, .. }));
+        assert!(start.elapsed() < Duration::from_secs(60));
     }
 }

@@ -27,11 +27,23 @@
 //! a miss hands [`Scheduler::enqueue`] a [`CacheFill`] (this cache, the key
 //! just computed), and the scheduler's one terminal transition inserts the
 //! `Done` result under it — the same `Arc` the job's record keeps — before
-//! any poll can see the completion. Failed and cancelled jobs never reach
-//! it, so the ingress keeps no per-job state of its own and `poll`/`cancel`
-//! are the scheduler's. Invalidation is purely capacity-driven (LRU) —
-//! every input that could change counts is part of the key, so a stored
-//! result is never out of date.
+//! any poll or wait can see the completion. Failed and cancelled jobs never
+//! reach it, so the ingress keeps no per-job state of its own and
+//! `poll`/`wait`/`cancel` are the scheduler's. Invalidation is purely
+//! capacity-driven (LRU) — every input that could change counts is part of
+//! the key, so a stored result is never out of date.
+//!
+//! A finished job wakes its waiter. The `wait` method is a deferred reply
+//! ([`qfw_defw::Reply`]): its handler registers the request's return path
+//! on the job's record ([`Scheduler::on_terminal`]) and returns, so the
+//! ingress worker is free at once; the thread that finishes the job encodes
+//! the [`JobStatus`] and sends it. A parked wait therefore costs a slot on a
+//! live record — bounded by [`crate::WAITERS_PER_JOB`] per job and by queue
+//! depth + window jobs — never a worker, and a job's turnaround through
+//! [`client::wait`] is two requests with no polling quantum. An id with
+//! nothing to wait for (unknown, evicted, already terminal) and a record
+//! whose waiter list is full are answered at once with the current status.
+//! `poll` stays for callers that want a non-blocking read.
 //!
 //! A repeat costs a lookup. Before any of the above, `submit` folds the
 //! request *as submitted* — circuit bytes, seed, shots, spec strings — into
@@ -59,7 +71,7 @@
 use crate::{CacheFill, JobEnvelope, JobId, JobStatus, OverloadInfo, SchedError, Scheduler};
 use qfw::cache::CacheConfig;
 use qfw::{QfwResult, ResultCache, Source};
-use qfw_defw::{Connection, Ingress, IngressConfig, IngressError, MethodTable};
+use qfw_defw::{Connection, Ingress, IngressConfig, IngressError, MethodTable, Reply};
 use qfw_obs::Obs;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -107,7 +119,8 @@ impl SchedIngress {
     /// Starts the ingress service over a running scheduler.
     pub fn start(sched: Scheduler, cfg: SchedIngressConfig, obs: Obs) -> SchedIngress {
         // Only `submit` needs the cache; the rest are the scheduler's own.
-        let (poll, cancel, stats) = (sched.clone(), sched.clone(), sched.clone());
+        let (poll, wait) = (sched.clone(), sched.clone());
+        let (cancel, stats) = (sched.clone(), sched.clone());
         let shared = Arc::new(Shared {
             sched,
             cache: Arc::new(ResultCache::new(cfg.result_cache, &obs)),
@@ -117,6 +130,9 @@ impl SchedIngress {
         let service = MethodTable::new("sched-ingress")
             .method("submit", move |env: JobEnvelope| submit.submit(env))
             .method("poll", move |id: u64| Ok(poll.poll(id)))
+            .deferred("wait", move |id: u64, reply: Reply| {
+                wait.on_terminal(id, move |status| reply.send_typed(Ok(status)))
+            })
             .method("cancel", move |id: u64| Ok(cancel.cancel(id)))
             .method("stats", move |_: ()| Ok(stats.stats()))
             .build();
@@ -262,7 +278,12 @@ pub mod client {
         conn.call("poll", &id, timeout)
     }
 
-    /// Polls until the job is terminal or `deadline` elapses.
+    /// Blocks until the job is terminal or `deadline` elapses; returns the
+    /// status either way. One `wait` request, parked on the job's record
+    /// and answered by the thread that finishes the job. A non-terminal
+    /// answer means the record parks all the waiters it will
+    /// ([`crate::WAITERS_PER_JOB`]): ask again. If the deadline passes
+    /// first, the answer is what [`poll`] says.
     pub fn wait(
         conn: &Connection,
         id: JobId,
@@ -270,11 +291,15 @@ pub mod client {
     ) -> Result<JobStatus, IngressError> {
         let start = std::time::Instant::now();
         loop {
-            let status = poll(conn, id, deadline)?;
-            if status.is_terminal() || start.elapsed() >= deadline {
-                return Ok(status);
+            let left = deadline.saturating_sub(start.elapsed());
+            match conn.call::<_, JobStatus>("wait", &id, left) {
+                Ok(status) if status.is_terminal() || start.elapsed() >= deadline => {
+                    return Ok(status)
+                }
+                Ok(_) => {}
+                Err(IngressError::Timeout { .. }) => return poll(conn, id, deadline),
+                Err(e) => return Err(e),
             }
-            std::thread::sleep(Duration::from_micros(200));
         }
     }
 }

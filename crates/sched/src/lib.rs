@@ -28,11 +28,12 @@
 //!
 //! The scheduler runs embedded ([`Scheduler::start`]) or attached to a
 //! live session ([`Scheduler::attach`]). Its one RPC front door is
-//! [`ingress::SchedIngress`] (`submit`/`poll`/`cancel`/`stats`): the
-//! pipelined multiplexed transport from [`qfw_defw::ingress`] plus a
+//! [`ingress::SchedIngress`] (`submit`/`poll`/`wait`/`cancel`/`stats`):
+//! the pipelined multiplexed transport from [`qfw_defw::ingress`] plus a
 //! content-addressed [`qfw::ResultCache`], so repeat submissions are
 //! answered from the cache (bitwise identical counts) without consuming
-//! admission or engine capacity.
+//! admission or engine capacity, and a `wait` is answered by the thread
+//! that finishes the job.
 
 pub mod batch;
 pub mod ingress;
@@ -43,7 +44,7 @@ pub use ingress::{IngressSubmitOutcome, SchedIngress, SchedIngressConfig};
 pub use queue::{AdmitError, FairQueue, QueuedJob};
 pub use scheduler::{
     retry_after_hint, CacheFill, JobTiming, ScalingConfig, SchedConfig, SchedStats, Scheduler,
-    TenantConfig, JOB_RETENTION,
+    TenantConfig, JOB_RETENTION, WAITERS_PER_JOB,
 };
 
 use qfw::{BackendSpec, QfwError, QfwResult};

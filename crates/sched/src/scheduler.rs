@@ -1,35 +1,65 @@
-//! The scheduler runtime: job admission and queue admission at submit, a
-//! dispatcher thread draining the fair queue into a bounded dispatch
-//! window, per-batch runner threads, and elastic pool scaling.
+//! The scheduler runtime: job admission and queue admission at submit,
+//! dispatch by whichever thread changed what can run, a small set of parked
+//! runner threads executing batches inside a bounded dispatch window, and
+//! elastic pool scaling on a timer.
+//!
+//! ## Who dispatches, who runs
+//!
+//! A job's turnaround is hand-offs, with no timer on the path: *the thread
+//! that changes the state does the next step itself*. `dispatch_round`
+//! (pop under DRR, coalesce batch mates, fill the window) is called under
+//! the state lock by `enqueue` (new work — on the submitter's thread),
+//! `resume`, and a runner that has just finished a batch (a freed window
+//! position). A dispatched batch goes onto `ready` and a runner parked on
+//! `run_cv` — a condvar of the same state mutex — is woken for it; a runner
+//! that finishes a batch takes the next one itself without being woken.
+//! Runners are spawned lazily, only when the window holds more batches than
+//! there are runners, so there are never more than the window's high-water
+//! mark; they survive an engine panic (caught in `run_batch`) and end at
+//! [`Scheduler::shutdown`], which joins them, or when the last handle drops.
+//!
+//! The dispatcher thread keeps what is periodic, once per
+//! [`SchedConfig::tick`]: the scaling tick, a dispatch round for whatever
+//! a pool change or a slot coming back to life made room for, and the
+//! gauges. No job waits for it.
 //!
 //! ## Job table
 //!
 //! A job has exactly one record (`JobRecord`: tenant, dispatch sequence,
-//! state, timing), created by `enqueue` and keyed by its id in the one
-//! `jobs` table. Every terminal transition — executed, failed, cancelled,
-//! drained at shutdown — goes through `Inner::finish`, which also hands a
-//! finished result to whoever asked for it at `enqueue` (the ingress's
-//! result cache), sharing the one `Arc<QfwResult>` the record keeps.
-//! Terminal records are retained for the last [`JOB_RETENTION`] finishes;
-//! an id evicted from that ring answers like an id the scheduler never
-//! issued ([`JobStatus::Unknown`], no timing).
+//! state, timing, parked waiters), created by `enqueue` and keyed by its id
+//! in the one `jobs` table. Every terminal transition — executed, failed,
+//! cancelled, drained at shutdown — goes through `Inner::finish`, which
+//! also hands a finished result to whoever asked for it at `enqueue` (the
+//! ingress's result cache), sharing the one `Arc<QfwResult>` the record
+//! keeps. Terminal records are retained for the last [`JOB_RETENTION`]
+//! finishes; an id evicted from that ring answers like an id the scheduler
+//! never issued ([`JobStatus::Unknown`], no timing).
+//!
+//! A record's waiters are [`Scheduler::on_terminal`] registrations — the
+//! ingress's parked `wait` replies. Only live records hold any, at most
+//! [`WAITERS_PER_JOB`] each; `finish` takes them under the lock and calls
+//! them after releasing it, after the cache hand-off, on the thread that
+//! finished the job, each exactly once with the status `poll` returns from
+//! then on. It is the only place a parked waiter is answered from.
 //!
 //! ## Dispatch window
 //!
-//! The dispatcher keeps at most as many batches in flight as the QRC has
-//! *live* slots (from [`qfw::Qrc::slot_snapshot`]) — dead slots shrink the
-//! window, so under chaos the scheduler stops over-committing instead of
-//! piling blocked dispatches onto a dying pool.
+//! At most as many batches are in flight as the QRC has *live* slots (from
+//! [`qfw::Qrc::slot_snapshot`]) — dead slots shrink the window, so under
+//! chaos the scheduler stops over-committing instead of piling blocked
+//! dispatches onto a dying pool.
 //!
 //! ## Elastic scaling
 //!
-//! With a [`ScalingConfig`], the dispatcher watches queue depth each
-//! tick. Depth at or above `scale_up_depth` for `up_ticks` consecutive
-//! ticks grows the pool by `step` slots (bounded by `max_workers` and by
-//! free cores in the hetgroup); depth at or below `scale_down_depth` for
-//! `down_ticks` ticks shrinks idle slots back toward the base pool. The
-//! two streak counters are the hysteresis: a flapping queue resets them
-//! and the pool holds steady.
+//! With a [`ScalingConfig`], the dispatcher watches queue depth each tick
+//! — a tick of the [`SchedConfig::tick`] timer, never a submission or a
+//! completion. Depth at or above `scale_up_depth` for `up_ticks`
+//! consecutive ticks grows the pool by `step` slots (bounded by
+//! `max_workers` and by free cores in the hetgroup); depth at or below
+//! `scale_down_depth` for `down_ticks` ticks shrinks idle slots back toward
+//! the base pool. The two streak counters are the hysteresis: a flapping
+//! queue resets them and the pool holds steady, and a burst that drains
+//! inside one tick is never a streak.
 
 use crate::batch::as_sweep;
 use crate::queue::{AdmitError, FairQueue, QueuedJob};
@@ -41,7 +71,7 @@ use qfw_obs::{AttrValue, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-tenant fair-share configuration.
@@ -197,6 +227,15 @@ pub struct SchedStats {
 /// within which every caller reads a job it finished.
 pub const JOB_RETENTION: usize = 4096;
 
+/// How many waiters one live record parks. Beyond it a [`Scheduler::on_terminal`]
+/// registration is answered at once with the current status, so the memory
+/// parked on the job table is bounded by `WAITERS_PER_JOB` × live records
+/// (≤ queue depth + window) and a crowd on one job degrades to polling.
+pub const WAITERS_PER_JOB: usize = 8;
+
+/// Called exactly once with a job's status: see [`Scheduler::on_terminal`].
+type Waiter = Box<dyn FnOnce(&JobStatus) + Send>;
+
 /// Where a finished job's result goes besides its own record: the result
 /// cache entry whose key the ingress computed at submit. Travels with the
 /// queued job, so a job that never finishes `Done` never fills anything.
@@ -246,6 +285,9 @@ struct JobRecord {
     dispatch_seq: Option<u64>,
     state: JobState,
     timing: JobTiming,
+    /// Parked [`Scheduler::on_terminal`] registrations, at most
+    /// [`WAITERS_PER_JOB`]; `finish` takes and calls them.
+    waiters: Vec<Waiter>,
 }
 
 struct SchedState {
@@ -255,6 +297,13 @@ struct SchedState {
     jobs: HashMap<JobId, JobRecord>,
     /// Ids of terminal jobs, oldest first, at most [`JOB_RETENTION`].
     terminal: VecDeque<JobId>,
+    /// Batches dispatched (counted in `in_flight`) and not yet picked up by
+    /// a runner.
+    ready: VecDeque<Vec<QueuedJob>>,
+    /// Every runner spawned so far; joined by `shutdown`.
+    runners: Vec<std::thread::JoinHandle<()>>,
+    /// Runners not executing a batch: parked, starting, or between batches.
+    idle_runners: usize,
     in_flight: usize,
     paused: bool,
     shutdown: bool,
@@ -270,9 +319,11 @@ struct Inner {
     obs: Obs,
     cfg: SchedConfig,
     state: Mutex<SchedState>,
-    /// Wakes the dispatcher (new work, freed window, shutdown).
+    /// Ends the dispatcher's tick wait early (shutdown).
     work_cv: Condvar,
-    /// Wakes waiters on job completion and shutdown drains.
+    /// Wakes a parked runner (a batch in `ready`, shutdown).
+    run_cv: Condvar,
+    /// Wakes [`Scheduler::wait`]/`drain`/`shutdown` on job completion.
     done_cv: Condvar,
     next_id: AtomicU64,
     epoch: Instant,
@@ -285,10 +336,12 @@ impl Inner {
     }
 
     /// The one place a job becomes terminal (`outcome` is `Done`, `Failed`
-    /// or `Cancelled`): stamps the timing, bumps the counters, retires the oldest terminal record beyond
-    /// [`JOB_RETENTION`] and wakes waiters. A `Done` result reaches
-    /// `on_done` here, outside the state lock and *before* the record says
-    /// `Done` — whoever observes `Done` and resubmits finds the entry.
+    /// or `Cancelled`): stamps the timing, bumps the counters, retires the
+    /// oldest terminal record beyond [`JOB_RETENTION`], and answers the
+    /// record's parked waiters — the only place they are answered from —
+    /// after releasing the lock. A `Done` result reaches `on_done` first,
+    /// outside the state lock and *before* the record says `Done` — whoever
+    /// observes `Done` and resubmits finds the entry.
     fn finish(&self, id: JobId, outcome: JobState, on_done: Option<CacheFill>) {
         if let (JobState::Done(result), Some(fill)) = (&outcome, on_done) {
             fill.cache.insert(fill.key, Arc::clone(result));
@@ -338,7 +391,8 @@ impl Inner {
             JobState::Cancelled => st.stats.cancelled += 1,
             JobState::Queued | JobState::Running => unreachable!("finish takes a terminal state"),
         }
-        rec.state = outcome;
+        let waiters = std::mem::take(&mut rec.waiters);
+        rec.state = outcome.clone();
         st.terminal.push_back(id);
         if st.terminal.len() > JOB_RETENTION {
             let oldest = st.terminal.pop_front().expect("ring is non-empty");
@@ -346,6 +400,10 @@ impl Inner {
         }
         drop(guard);
         self.done_cv.notify_all();
+        if !waiters.is_empty() {
+            let status = JobStatus::from(outcome);
+            waiters.into_iter().for_each(|waiter| waiter(&status));
+        }
     }
 }
 
@@ -354,10 +412,28 @@ impl Inner {
 #[derive(Clone)]
 pub struct Scheduler {
     inner: Arc<Inner>,
+    /// Shared by every clone and by nothing else: its drop is "the last
+    /// handle is gone".
+    _owner: Arc<Owner>,
+}
+
+/// Ends the scheduler's threads when the last [`Scheduler`] handle drops
+/// without [`Scheduler::shutdown`]. The dispatcher and the runners own the
+/// `Inner` they park on, so nothing else would ever wake them: this marks
+/// the state shut down and does. It waits for nothing and cancels nothing
+/// — with no handle left there is nobody to tell.
+struct Owner(Arc<Inner>);
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        self.0.state.lock().shutdown = true;
+        self.0.work_cv.notify_all();
+        self.0.run_cv.notify_all();
+    }
 }
 
 impl Scheduler {
-    /// Starts a scheduler over a QRC pool. The dispatcher thread exits on
+    /// Starts a scheduler over a QRC pool. Its threads exit on
     /// [`Scheduler::shutdown`] or once every handle is dropped.
     pub fn start(qrc: Arc<Qrc>, obs: Obs, cfg: SchedConfig) -> Scheduler {
         let mut queue = FairQueue::new(cfg.max_queue_depth, cfg.default_weight, cfg.default_quota);
@@ -373,6 +449,9 @@ impl Scheduler {
                 queue,
                 jobs: HashMap::new(),
                 terminal: VecDeque::new(),
+                ready: VecDeque::new(),
+                runners: Vec::new(),
+                idle_runners: 0,
                 in_flight: 0,
                 paused,
                 shutdown: false,
@@ -382,18 +461,20 @@ impl Scheduler {
                 down_streak: 0,
             }),
             work_cv: Condvar::new(),
+            run_cv: Condvar::new(),
             done_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
             dispatcher: Mutex::new(None),
         });
-        let weak = Arc::downgrade(&inner);
+        let dispatcher = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("qfw-sched".into())
-            .spawn(move || dispatcher_loop(weak))
+            .spawn(move || dispatcher_loop(&dispatcher))
             .expect("spawn scheduler dispatcher");
         *inner.dispatcher.lock() = Some(handle);
-        Scheduler { inner }
+        let _owner = Arc::new(Owner(Arc::clone(&inner)));
+        Scheduler { inner, _owner }
     }
 
     /// Starts a scheduler on a live session's QRC, reporting into the
@@ -466,6 +547,7 @@ impl Scheduler {
                             submitted_us: now,
                             ..JobTiming::default()
                         },
+                        waiters: Vec::new(),
                     },
                 );
                 if inner.obs.is_enabled() {
@@ -477,8 +559,7 @@ impl Scheduler {
                         &[("tenant", AttrValue::Str(tenant))],
                     );
                 }
-                drop(st);
-                inner.work_cv.notify_one();
+                dispatch_round(inner, &mut st);
                 Ok(id)
             }
             Err(kind) => {
@@ -531,6 +612,27 @@ impl Scheduler {
         state.map_or(JobStatus::Unknown, JobStatus::from)
     }
 
+    /// Calls `waiter` exactly once with the job's status. At once, on this
+    /// thread, when there is nothing to wait for — the id is unknown or
+    /// evicted ([`JobStatus::Unknown`]), or already terminal — or when the
+    /// record already parks [`WAITERS_PER_JOB`] waiters (the current,
+    /// non-terminal status: ask again). Otherwise the waiter is parked on
+    /// the record and called by the thread that finishes the job, with the
+    /// status [`Scheduler::poll`] would return from then on.
+    pub fn on_terminal(&self, id: JobId, waiter: impl FnOnce(&JobStatus) + Send + 'static) {
+        let mut st = self.inner.state.lock();
+        let now = match st.jobs.get_mut(&id) {
+            None => None,
+            Some(rec) if !rec.state.is_terminal() && rec.waiters.len() < WAITERS_PER_JOB => {
+                rec.waiters.push(Box::new(waiter));
+                return;
+            }
+            Some(rec) => Some(rec.state.clone()),
+        };
+        drop(st);
+        waiter(&now.map_or(JobStatus::Unknown, JobStatus::from));
+    }
+
     /// Cancels a queued job. Running or finished jobs report
     /// [`CancelOutcome::TooLate`].
     pub fn cancel(&self, id: JobId) -> CancelOutcome {
@@ -549,8 +651,9 @@ impl Scheduler {
 
     /// Resumes dispatch.
     pub fn resume(&self) {
-        self.inner.state.lock().paused = false;
-        self.inner.work_cv.notify_one();
+        let mut st = self.inner.state.lock();
+        st.paused = false;
+        dispatch_round(&self.inner, &mut st);
     }
 
     /// Aggregate counters plus live depth/in-flight/pool-size readings.
@@ -602,7 +705,7 @@ impl Scheduler {
     }
 
     /// Stops the scheduler: running batches finish, queued jobs are
-    /// marked [`JobStatus::Cancelled`], the dispatcher joins.
+    /// marked [`JobStatus::Cancelled`], the dispatcher and the runners join.
     pub fn shutdown(&self) {
         let inner = &self.inner;
         let queued = {
@@ -616,17 +719,22 @@ impl Scheduler {
         for job in queued {
             inner.finish(job.id, JobState::Cancelled, None);
         }
-        {
+        let runners = {
             // Let in-flight runners finish (they hold no state lock while
             // executing); their results are still recorded.
             let mut st = inner.state.lock();
             while st.in_flight > 0 {
                 inner.done_cv.wait_for(&mut st, Duration::from_millis(50));
             }
-        }
+            std::mem::take(&mut st.runners)
+        };
         inner.work_cv.notify_all();
+        inner.run_cv.notify_all();
         inner.done_cv.notify_all();
-        if let Some(handle) = inner.dispatcher.lock().take() {
+        let dispatcher = inner.dispatcher.lock().take();
+        // An engine panic is caught in `run_batch`, so a join error here is
+        // a scheduler bug; the threads are gone either way.
+        for handle in dispatcher.into_iter().chain(runners) {
             let _ = handle.join();
         }
     }
@@ -658,20 +766,19 @@ pub fn retry_after_hint(avg_us: u64, live_slots: usize, backlog: u64) -> Duratio
     Duration::from_micros(avg_us.saturating_mul(positions).clamp(1_000, 60_000_000))
 }
 
-fn dispatcher_loop(weak: Weak<Inner>) {
-    loop {
-        // Holding only a transient strong ref lets the dispatcher die
-        // once every user handle (and the RPC service) is gone.
-        let Some(inner) = weak.upgrade() else { return };
-        let mut st = inner.state.lock();
-        if st.shutdown {
-            return;
-        }
+/// The periodic half of the scheduler, one pass per `SchedConfig.tick`:
+/// the scaling tick, a dispatch round for whatever the pool change (or a
+/// slot coming back to life) made room for, and the gauges. Jobs do not
+/// wait for it — `enqueue`, `resume` and a finishing runner dispatch
+/// themselves.
+fn dispatcher_loop(inner: &Arc<Inner>) {
+    let mut st = inner.state.lock();
+    while !st.shutdown {
         if !st.paused {
             if let Some(scaling) = &inner.cfg.scaling {
-                scaling_tick(&inner, &mut st, scaling);
+                scaling_tick(inner, &mut st, scaling);
             }
-            dispatch_round(&inner, &mut st);
+            dispatch_round(inner, &mut st);
         }
         if inner.obs.is_enabled() {
             inner.obs.gauge("sched.queue_depth").set(st.queue.len() as f64);
@@ -739,9 +846,14 @@ fn scaling_tick(inner: &Inner, st: &mut SchedState, scaling: &ScalingConfig) {
     }
 }
 
-/// Fills the dispatch window: pop under DRR, coalesce batch mates, spawn
-/// one runner per batch.
+/// Fills the dispatch window: pop under DRR, coalesce batch mates, hand
+/// each batch to a runner. Called, under the state lock, by whoever just
+/// changed what can be dispatched: `enqueue` (new work), `resume`, a runner
+/// done with its batch (freed window), and the dispatcher's tick.
 fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
+    if st.paused || st.shutdown {
+        return;
+    }
     let window = inner.qrc.slot_snapshot().live().max(1);
     while st.in_flight < window {
         let Some(job) = st.queue.pop() else { break };
@@ -780,22 +892,58 @@ fn dispatch_round(inner: &Arc<Inner>, st: &mut SchedState) {
             }
         }
         st.in_flight += 1;
-        let runner_inner = Arc::clone(inner);
-        std::thread::Builder::new()
-            .name("qfw-sched-run".into())
-            .spawn(move || run_batch(runner_inner, batch))
-            .expect("spawn scheduler runner");
+        st.ready.push_back(batch);
+        if st.ready.len() <= st.idle_runners {
+            // Every idle runner looks at `ready` before it parks, so an
+            // extra wake is harmless and a missing one impossible.
+            inner.run_cv.notify_one();
+        } else {
+            // More batches than runners to take them: the window has never
+            // been this full, so this is reached window-many times at most.
+            st.idle_runners += 1;
+            let runner = Arc::clone(inner);
+            let runner = std::thread::Builder::new()
+                .name("qfw-sched-run".into())
+                .spawn(move || runner_loop(&runner))
+                .expect("spawn scheduler runner");
+            st.runners.push(runner);
+        }
+    }
+}
+
+/// A runner: takes dispatched batches off `ready` and executes them, and
+/// parks on `run_cv` in between, until `shutdown` (or the last handle's
+/// drop, see [`Owner`]) ends it.
+fn runner_loop(inner: &Arc<Inner>) {
+    let mut st = inner.state.lock();
+    loop {
+        let Some(batch) = st.ready.pop_front() else {
+            if st.shutdown {
+                return;
+            }
+            inner.run_cv.wait(&mut st);
+            continue;
+        };
+        st.idle_runners -= 1;
+        drop(st);
+        run_batch(inner, batch);
+        st = inner.state.lock();
+        st.in_flight -= 1;
+        st.idle_runners += 1;
+        dispatch_round(inner, &mut st);
+        inner.done_cv.notify_all();
     }
 }
 
 /// Executes one batch on the QRC (single slot acquisition, single engine
 /// invocation) and finishes each job with its outcome. An engine panic
-/// stops here: the whole batch fails and the window slot comes back, so
-/// one bad job cannot wedge the dispatcher or `shutdown`.
-fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
+/// stops here: the whole batch fails and the runner goes on to give the
+/// window position back, so one bad job cannot cost a runner or wedge
+/// `shutdown`.
+fn run_batch(inner: &Arc<Inner>, batch: Vec<QueuedJob>) {
     let (owners, jobs): (Vec<(JobId, Option<CacheFill>)>, Vec<ResolvedJob>) =
         batch.into_iter().map(|q| ((q.id, q.on_done), q.job)).unzip();
-    let run = std::panic::AssertUnwindSafe(|| execute_batch(&inner, &jobs));
+    let run = std::panic::AssertUnwindSafe(|| execute_batch(inner, &jobs));
     let results = std::panic::catch_unwind(run).unwrap_or_else(|cause| {
         let detail = cause
             .downcast_ref::<String>()
@@ -812,9 +960,6 @@ fn run_batch(inner: Arc<Inner>, batch: Vec<QueuedJob>) {
         };
         inner.finish(id, outcome, on_done);
     }
-    inner.state.lock().in_flight -= 1;
-    inner.done_cv.notify_all();
-    inner.work_cv.notify_one();
 }
 
 /// Dispatches a coalesced batch to the QRC: bound jobs on one skeleton as
@@ -966,6 +1111,49 @@ mod tests {
         ));
         assert_eq!(sched.stats().admitted, admitted);
         sched.shutdown();
+    }
+
+    /// `on_terminal` calls its waiter exactly once, with what `poll` says:
+    /// at once for an id with nothing to wait for, from `finish` for a
+    /// parked one — a failed job as much as a finished one.
+    #[test]
+    fn on_terminal_answers_once_with_the_polled_status() {
+        use std::sync::mpsc::channel;
+        let sched = Scheduler::start(
+            qrc(1),
+            Obs::disabled(),
+            SchedConfig {
+                start_paused: true,
+                ..SchedConfig::default()
+            },
+        );
+        let (tx, rx) = channel();
+        let watch = |id: JobId| {
+            let tx = tx.clone();
+            sched.on_terminal(id, move |status| tx.send((id, format!("{status:?}"))).unwrap());
+        };
+        watch(999);
+        assert_eq!(rx.try_recv().unwrap(), (999, "Unknown".to_string()));
+
+        let good = sched.submit(JobEnvelope::new("t", &ghz(3), 10)).unwrap();
+        let failing = JobEnvelope::new("t", &ghz(3), 10)
+            .with_spec(qfw::BackendSpec::of("tnqvm", "ttn"));
+        let bad = sched.submit(failing).unwrap();
+        for id in [good, bad, good] {
+            watch(id);
+        }
+        assert!(rx.try_recv().is_err(), "queued jobs park their waiters");
+        sched.resume();
+        let mut answers: Vec<(JobId, String)> = (0..3).map(|_| rx.recv_timeout(T).unwrap()).collect();
+        answers.sort();
+        let polled = |id| format!("{:?}", sched.poll(id));
+        assert_eq!(answers, [(good, polled(good)), (good, polled(good)), (bad, polled(bad))]);
+        assert!(answers[2].1.starts_with("Failed"), "{answers:?}");
+        // Terminal now: answered at once, and nobody is answered twice.
+        watch(bad);
+        assert_eq!(rx.try_recv().unwrap(), (bad, polled(bad)));
+        sched.shutdown();
+        assert!(rx.try_recv().is_err());
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //!   lands on its twin's one entry; every ingredient of the request
 //!   separates; a refused request is refused again and never aliased; an
 //!   alias that outlives its result falls through to a normal execution.
+//! * The completion wait: `client::wait` is one request that the job's
+//!   finish answers, so a job costs two ingress requests; a parked wait
+//!   occupies a record slot, never a worker; every way a job ends (done,
+//!   cancelled, shutdown drain) and every id with nothing to wait for
+//!   (unknown, already finished) answers with what `poll` would; a crowd
+//!   beyond the per-record bound is still answered; a deadline shorter than
+//!   the job returns the live status and loses nothing.
 
 use qfw::registry::BackendRegistry;
 use qfw::{BackendSpec, DispatchPolicy, Qrc};
@@ -32,7 +39,7 @@ use qfw::QfwResult;
 use qfw_compile::DagCircuit;
 use qfw_sched::{
     CancelOutcome, IngressSubmitOutcome, JobEnvelope, JobStatus, Priority, SchedConfig,
-    SchedIngress, SchedIngressConfig, Scheduler,
+    SchedIngress, SchedIngressConfig, SchedStats, Scheduler, WAITERS_PER_JOB,
 };
 use qfw_workloads::ghz;
 use std::sync::Arc;
@@ -514,5 +521,174 @@ fn alias_that_outlives_its_result_falls_through_to_execution() {
     assert_eq!(sched.stats().admitted, admitted + 1, "so A ran again");
     assert_eq!(second.counts, first.counts, "and produced what it produced before");
     assert!(!second.metadata.contains_key("result_cached"));
+    sched.shutdown();
+}
+
+/// A paused scheduler behind an ingress with ONE worker: requests are
+/// handled in the order they were accepted, so once a later request has
+/// been answered, every earlier `wait` has been handled — and, its job
+/// still queued, is parked.
+fn paused_single_worker_ingress() -> (Scheduler, SchedIngress) {
+    let sched = Scheduler::start(
+        qrc(2),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let mut cfg = SchedIngressConfig::default();
+    cfg.ingress.workers = 1;
+    let ingress = SchedIngress::start(sched.clone(), cfg, Obs::disabled());
+    (sched, ingress)
+}
+
+fn status(raw: &[u8]) -> JobStatus {
+    serde_json::from_slice(raw).unwrap()
+}
+
+fn done(status: JobStatus) -> QfwResult {
+    match status {
+        JobStatus::Done(r) => r,
+        other => panic!("expected a finished job, got {other:?}"),
+    }
+}
+
+/// Submit + wait is two ingress requests per job — `stats().completed` is
+/// the counter the harness's `client.polls_per_job` reads — and what the
+/// wait returns is bitwise what `Scheduler::wait` returns.
+#[test]
+fn submit_and_wait_cost_two_requests_per_job() {
+    const JOBS: u64 = 50;
+    let (sched, ingress) = ingress_with(SchedConfig::default());
+    let conn = ingress.connect();
+    for seed in 0..JOBS {
+        let id = accepted(&conn, &env("two", seed));
+        let waited = done(client::wait(&conn, id, T).unwrap());
+        assert_eq!(waited.counts.values().sum::<usize>(), 100);
+        assert_eq!(waited.counts, done(sched.wait(id, T)).counts);
+    }
+    assert_eq!(ingress.ingress().stats().completed, 2 * JOBS);
+    sched.shutdown();
+}
+
+/// No head-of-line blocking: four clients parked in `wait` behind the one
+/// ingress worker do not keep a fifth from being served, and all four are
+/// answered when their jobs run.
+#[test]
+fn parked_waits_do_not_occupy_the_ingress_worker() {
+    let (sched, ingress) = paused_single_worker_ingress();
+    let ingress = Arc::new(ingress);
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let clients: Vec<_> = (0..4u64)
+        .map(|c| {
+            let (ingress, parked_tx) = (Arc::clone(&ingress), parked_tx.clone());
+            std::thread::spawn(move || {
+                let conn = ingress.connect();
+                let id = accepted(&conn, &env("parked", c));
+                let wait = conn.send("wait", &id).unwrap();
+                parked_tx.send(()).unwrap();
+                done(status(&conn.wait(wait, T).unwrap()))
+            })
+        })
+        .collect();
+    for _ in 0..4 {
+        parked_rx.recv().unwrap();
+    }
+    let fifth = ingress.connect();
+    accepted(&fifth, &env("fifth", 0));
+    let stats: SchedStats = fifth.call("stats", &(), T).unwrap();
+    assert_eq!((stats.admitted, stats.completed), (5, 0));
+    // Ten requests accepted, six answered: the four waits hold no worker.
+    let transport = ingress.ingress().stats();
+    assert_eq!((transport.accepted, transport.completed), (10, 6));
+
+    sched.resume();
+    for client in clients {
+        assert_eq!(client.join().unwrap().counts.values().sum::<usize>(), 100);
+    }
+    assert_eq!(ingress.ingress().stats().completed, 10);
+    sched.shutdown();
+}
+
+/// Every answer a `wait` can get besides a fresh `Done`: nothing to wait
+/// for (unknown id, finished id) is answered at once; a job cancelled, or
+/// drained by `shutdown`, while its wait is parked answers `Cancelled`.
+#[test]
+fn wait_answers_unknown_finished_cancelled_and_shutdown() {
+    let (sched, ingress) = paused_single_worker_ingress();
+    let conn = ingress.connect();
+    assert!(matches!(client::wait(&conn, 999_999, T).unwrap(), JobStatus::Unknown));
+
+    let cancelled = accepted(&conn, &env("end", 1));
+    let wait = conn.send("wait", &cancelled).unwrap();
+    // Answered after the wait was handled: it is parked.
+    let _: SchedStats = conn.call("stats", &(), T).unwrap();
+    assert_eq!(sched.cancel(cancelled), CancelOutcome::Cancelled);
+    assert!(matches!(status(&conn.wait(wait, T).unwrap()), JobStatus::Cancelled));
+    assert!(matches!(client::wait(&conn, cancelled, T).unwrap(), JobStatus::Cancelled));
+
+    sched.resume();
+    let id = accepted(&conn, &env("end", 2));
+    let first = done(client::wait(&conn, id, T).unwrap());
+    let again = done(client::wait(&conn, id, T).unwrap());
+    assert_eq!(first.counts, again.counts);
+    sched.shutdown();
+
+    // A wait parked on a job that `shutdown` drains.
+    let (sched, ingress) = paused_single_worker_ingress();
+    let conn = ingress.connect();
+    let drained = accepted(&conn, &env("end", 3));
+    let wait = conn.send("wait", &drained).unwrap();
+    let _: SchedStats = conn.call("stats", &(), T).unwrap();
+    sched.shutdown();
+    assert!(matches!(status(&conn.wait(wait, T).unwrap()), JobStatus::Cancelled));
+}
+
+/// Several waiters on one job all get the same result, and waiters beyond
+/// the per-record bound are answered at once with the live status and get
+/// the result by asking again — which is what `client::wait` does.
+#[test]
+fn a_crowd_on_one_job_is_bounded_and_all_answered() {
+    let (sched, ingress) = paused_single_worker_ingress();
+    let ingress = Arc::new(ingress);
+    let conn = ingress.connect();
+    let id = accepted(&conn, &env("crowd", 5));
+    let waits: Vec<u64> = (0..WAITERS_PER_JOB + 3)
+        .map(|_| conn.send("wait", &id).unwrap())
+        .collect();
+    let (parked, refused) = waits.split_at(WAITERS_PER_JOB);
+    for wait in refused {
+        assert!(matches!(status(&conn.wait(*wait, T).unwrap()), JobStatus::Queued));
+    }
+    let late = {
+        let ingress = Arc::clone(&ingress);
+        std::thread::spawn(move || client::wait(&ingress.connect(), id, T).unwrap())
+    };
+    sched.resume();
+    let reference = done(sched.wait(id, T));
+    for wait in parked {
+        assert_eq!(done(status(&conn.wait(*wait, T).unwrap())).counts, reference.counts);
+    }
+    assert_eq!(done(late.join().unwrap()).counts, reference.counts);
+    sched.shutdown();
+}
+
+/// `client::wait` returns the status either way: a deadline shorter than
+/// the job yields the live, non-terminal status in about that long, and
+/// the job is still there for a later wait.
+#[test]
+fn wait_deadline_returns_live_status_and_loses_nothing() {
+    let (sched, ingress) = paused_single_worker_ingress();
+    let conn = ingress.connect();
+    let id = accepted(&conn, &env("slow", 6));
+    let start = std::time::Instant::now();
+    let early = client::wait(&conn, id, Duration::from_millis(50)).unwrap();
+    assert!(matches!(early, JobStatus::Queued), "got {early:?}");
+    assert!(start.elapsed() >= Duration::from_millis(50));
+    assert!(start.elapsed() < Duration::from_secs(20), "a 50 ms deadline took {:?}", start.elapsed());
+    sched.resume();
+    let result = done(client::wait(&conn, id, T).unwrap());
+    assert_eq!(result.counts.values().sum::<usize>(), 100);
     sched.shutdown();
 }

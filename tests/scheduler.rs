@@ -16,7 +16,10 @@
 //! * A scheduler attached to a live session serves cancel/stats over the
 //!   `SchedIngress` front door.
 //! * Elastic scaling grows the pool under sustained load and shrinks it
-//!   back, returning every leased core.
+//!   back, returning every leased core; its streaks count timer ticks, so a
+//!   burst of submissions inside one tick scales nothing.
+//! * A scheduler whose handles are all dropped without `shutdown` lets go
+//!   of its pool: parked runners and the dispatcher keep nothing alive.
 
 use qfw::registry::BackendRegistry;
 use qfw::{BackendSpec, DispatchPolicy, QfwSession, Qrc};
@@ -527,4 +530,59 @@ fn elastic_scaling_grows_and_shrinks() {
     assert_eq!(hetjob.free_cores(1), free_before, "leaked core leases");
     assert!(sched.stats().scale_downs >= 1);
     sched.shutdown();
+}
+
+/// `up_ticks` counts ticks of `SchedConfig.tick`, not dispatcher wakes: a
+/// burst far deeper than `scale_up_depth`, submitted and drained inside one
+/// (10 s) tick, is pressure that did not persist and grows nothing.
+#[test]
+fn scaling_streaks_count_ticks_not_submissions() {
+    let (qrc, _hetjob) = qrc_with(1, None);
+    let sched = Scheduler::start(
+        Arc::clone(&qrc),
+        Obs::disabled(),
+        SchedConfig {
+            scaling: Some(ScalingConfig {
+                max_workers: 4,
+                scale_up_depth: 2,
+                scale_down_depth: 0,
+                up_ticks: 2,
+                down_ticks: 3,
+                step: 1,
+            }),
+            tick: Duration::from_secs(10),
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    for seed in 0..16 {
+        sched.submit(nwqsim_env("burst", seed)).unwrap();
+    }
+    sched.resume();
+    assert!(sched.drain(T), "burst did not drain");
+    let stats = sched.stats();
+    assert_eq!(stats.completed, 16);
+    assert_eq!((stats.scale_ups, qrc.workers()), (0, 1), "one tick cannot be a streak of two");
+    sched.shutdown();
+}
+
+/// Dropping every handle without `shutdown` ends the scheduler's threads —
+/// the dispatcher and the parked runners that served jobs — so the QRC
+/// pool they ran on is released.
+#[test]
+fn dropped_scheduler_releases_its_pool() {
+    let (qrc, _hetjob) = qrc_with(2, None);
+    let held = Arc::strong_count(&qrc);
+    let sched = Scheduler::start(Arc::clone(&qrc), Obs::disabled(), SchedConfig::default());
+    for seed in 0..8 {
+        let id = sched.submit(nwqsim_env("gone", seed)).unwrap();
+        assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
+    }
+    assert!(Arc::strong_count(&qrc) > held);
+    drop(sched);
+    let deadline = Instant::now() + T;
+    while Arc::strong_count(&qrc) > held && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(Arc::strong_count(&qrc), held, "a scheduler thread still holds the pool");
 }
