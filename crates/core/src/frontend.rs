@@ -12,6 +12,8 @@ use crate::result::QfwResult;
 use crate::spec::{BackendSpec, ExecTask, SweepPointSpec, SweepTask};
 use qfw_circuit::{text, Circuit, ParamCircuit};
 use qfw_defw::{AsyncReply, Client};
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,10 +68,25 @@ impl QfwBackend {
         self
     }
 
-    /// Fixes the base seed (jobs still get distinct derived seeds).
-    pub fn with_base_seed(self, seed: u64) -> Self {
-        self.seed.store(seed, Ordering::Relaxed);
+    /// Fixes the base seed (jobs still get distinct derived seeds). The
+    /// handle counts from it on its own: a sibling made by
+    /// [`QfwBackend::with_spec`] keeps the counter they shared.
+    pub fn with_base_seed(mut self, seed: u64) -> Self {
+        self.seed = Arc::new(AtomicU64::new(seed));
         self
+    }
+
+    /// Sends one task to the QPM; the handle collects the reply.
+    fn submit<T: DeserializeOwned>(
+        &self,
+        method: &str,
+        task: &impl Serialize,
+    ) -> Result<QfwJob<T>, QfwError> {
+        let reply = self.client.call_async(&self.qpm_service, method, task)?;
+        Ok(QfwJob {
+            reply,
+            timeout: self.timeout,
+        })
     }
 
     /// Submits a circuit asynchronously; returns immediately with a job
@@ -81,14 +98,7 @@ impl QfwBackend {
             seed: self.seed.fetch_add(1, Ordering::Relaxed),
             spec: self.spec.clone(),
         };
-        let reply = self
-            .client
-            .call_async::<_, QfwResult>(&self.qpm_service, "run_circuit", &task)
-            .map_err(QfwError::from)?;
-        Ok(QfwJob {
-            reply,
-            timeout: self.timeout,
-        })
+        self.submit("run_circuit", &task)
     }
 
     /// Submits and blocks for the result.
@@ -113,14 +123,7 @@ impl QfwBackend {
             seed: self.seed.fetch_add(1, Ordering::Relaxed),
             spec: self.spec.clone(),
         };
-        let reply = self
-            .client
-            .call_async::<_, QfwResult>(&self.qpm_service, "run_circuit", &task)
-            .map_err(QfwError::from)?;
-        Ok(QfwJob {
-            reply,
-            timeout: self.timeout,
-        })
+        self.submit("run_circuit", &task)
     }
 
     /// Bound parameterized submission + blocking collection.
@@ -156,14 +159,7 @@ impl QfwBackend {
                 .collect(),
             spec: self.spec.clone(),
         };
-        let reply = self
-            .client
-            .call_async::<_, Vec<QfwResult>>(&self.qpm_service, "run_sweep", &task)
-            .map_err(QfwError::from)?;
-        Ok(QfwSweepJob {
-            reply,
-            timeout: self.timeout,
-        })
+        self.submit("run_sweep", &task)
     }
 
     /// Sweep submission + blocking collection (results in binding order).
@@ -204,36 +200,19 @@ impl QfwBackend {
     }
 }
 
-/// Handle to an in-flight QFw job.
-pub struct QfwJob {
-    reply: AsyncReply<QfwResult>,
+/// Handle to an in-flight QFw job, resolving to `T`.
+pub struct QfwJob<T = QfwResult> {
+    reply: AsyncReply<T>,
     timeout: Duration,
-}
-
-impl QfwJob {
-    /// Blocks until the result arrives (or the walltime budget expires,
-    /// which maps to [`QfwError::WalltimeExceeded`]).
-    pub fn result(self) -> Result<QfwResult, QfwError> {
-        let limit = self.timeout;
-        self.reply.wait(limit).map_err(|e| match e {
-            qfw_defw::RpcError::Timeout { .. } => QfwError::WalltimeExceeded {
-                limit_secs: limit.as_secs_f64(),
-            },
-            other => other.into(),
-        })
-    }
 }
 
 /// Handle to an in-flight parameter sweep (results in binding order).
-pub struct QfwSweepJob {
-    reply: AsyncReply<Vec<QfwResult>>,
-    timeout: Duration,
-}
+pub type QfwSweepJob = QfwJob<Vec<QfwResult>>;
 
-impl QfwSweepJob {
-    /// Blocks until every point's result arrives (or the walltime budget
-    /// expires).
-    pub fn result(self) -> Result<Vec<QfwResult>, QfwError> {
+impl<T: DeserializeOwned> QfwJob<T> {
+    /// Blocks until the result arrives (or the walltime budget expires,
+    /// which maps to [`QfwError::WalltimeExceeded`]).
+    pub fn result(self) -> Result<T, QfwError> {
         let limit = self.timeout;
         self.reply.wait(limit).map_err(|e| match e {
             qfw_defw::RpcError::Timeout { .. } => QfwError::WalltimeExceeded {
@@ -336,6 +315,18 @@ mod tests {
         let a = backend.execute_sync(&ghz(4), 200).unwrap();
         let b = backend.execute_sync(&ghz(4), 200).unwrap();
         assert_ne!(a.counts, b.counts, "consecutive jobs reused a seed");
+    }
+
+    #[test]
+    fn reseeding_a_sibling_leaves_the_original_alone() {
+        let (defw, _qpm) = rig();
+        let spec = BackendSpec::of("nwqsim", "cpu");
+        let connect = || QfwBackend::connect(defw.client(), "qpm0", spec.clone());
+        let (fresh, original) = (connect().with_base_seed(5), connect().with_base_seed(5));
+        let sibling = original.with_spec(spec.clone()).with_base_seed(99);
+        let expected = fresh.execute_sync(&ghz(4), 200).unwrap();
+        assert_eq!(original.execute_sync(&ghz(4), 200).unwrap().counts, expected.counts);
+        assert_ne!(sibling.execute_sync(&ghz(4), 200).unwrap().counts, expected.counts);
     }
 
     #[test]

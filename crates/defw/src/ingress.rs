@@ -1,52 +1,65 @@
-//! Pipelined, multiplexed ingress: the high-throughput front door.
+//! The transport: one frame, one bounded queue, one worker loop, one reply.
 //!
-//! [`Defw`](crate::Defw) models the paper's RPC hub faithfully — one
-//! rendezvous channel per call, a service registry consulted per dispatch —
-//! which is the right shape for control-plane traffic but tops out well
-//! below what a batched variational workload generates. This module is the
-//! data-plane alternative:
+//! Every request in this crate — a hub [`Client`](crate::Client) call to a
+//! named service, a pipelined [`Connection`] request to a scheduler front
+//! door — is the same frame in the same queue, dispatched by the same
+//! worker loop into a [`Service`] and answered through the same [`Reply`].
+//! The two client shapes differ only in where replies land: a hub call
+//! brings its own one-slot reply channel, a connection shares one channel
+//! across its requests.
 //!
 //! * **Multiplexing** — one [`Connection`] carries many concurrent logical
 //!   requests, each tagged with a per-connection correlation id. Replies
 //!   come back over the connection's single reply channel, possibly out of
 //!   order; [`Connection::call`] stashes strays so pipelined callers can
 //!   also do simple request/response.
-//! * **Bounded admission** — the shared request queue has a hard depth.
-//!   When it is full, [`Connection::send_raw`] fails *immediately* with
+//! * **Bounded admission** — the request queue has a hard depth. When it is
+//!   full, [`Connection::send_raw`] fails *immediately* with
 //!   [`IngressError::Overloaded`] carrying a `retry_after` hint derived
 //!   from the observed service rate — typed backpressure instead of
-//!   unbounded buffering (see Section 2.2's sustained-load requirement).
-//! * **Lock-free hot path** — every request frame carries a clone of its
-//!   connection's reply sender, so workers route replies without
-//!   consulting any registry lock; the handler is a fixed `Arc` installed
-//!   at startup. The only synchronization on the hot path is the queue's
-//!   own channel mutex.
+//!   unbounded buffering (see Section 2.2's sustained-load requirement). A
+//!   depth of `usize::MAX` is "no bound", which is how the hub runs.
+//! * **Lock-free reply routing** — every frame carries a clone of its reply
+//!   sender, so workers route replies without consulting any registry; the
+//!   handler is a fixed `Arc` installed at startup. A sender takes the read
+//!   side of the admission lock and the queue's own channel mutex, nothing
+//!   else.
 //! * **Deferred replies** — a request's return path is a value, [`Reply`]:
-//!   correlation id, the connection's reply sender, the counters a reply
-//!   bumps. The worker hands it to [`Service::serve`]; a handler either
-//!   gives it back with the outcome (the worker sends it) or keeps it and
-//!   calls [`Reply::send`] later from any thread, and the worker goes back
-//!   to the queue as soon as the handler returns. Every reply goes through
-//!   that one `send`, which is where [`IngressStats::completed`]/`errors`
-//!   and `ingress.handled` count; the `retry_after` estimate keeps
-//!   measuring how long a request occupied a *worker*, which a parked
-//!   reply does not. A `Reply` holds no handle on the request queue, so
-//!   replies parked past [`Ingress::shutdown`] keep no worker alive.
+//!   correlation id, target service, attempt number, the reply sender, the
+//!   counts a reply bumps. The worker hands it to [`Service::serve`]; a
+//!   handler either gives it back with the outcome (the worker sends it) or
+//!   keeps it and calls [`Reply::send`] later from any thread, and the
+//!   worker goes back to the queue as soon as the handler returns. Every
+//!   reply goes through that one `send`, which is the one place a request
+//!   is counted ([`IngressStats::completed`]/`errors`, the per-service
+//!   [`ServiceStats`](crate::ServiceStats), `defw.calls`/`defw.errors`);
+//!   the `retry_after` estimate keeps measuring how long a request occupied
+//!   a *worker*, which a parked reply does not. A `Reply` holds no handle
+//!   on the request queue, so replies parked past [`Ingress::shutdown`]
+//!   keep no worker alive.
+//! * **Shutdown** — [`Ingress::shutdown`], or dropping the handle, closes
+//!   admission: later sends fail with [`IngressError::Shutdown`], frames
+//!   admitted before it are still served, and workers exit once the queue
+//!   is drained. Idle workers are joined; one inside a handler is not
+//!   waited for.
 //!
-//! The handler is the same byte-level [`Service`] trait the hub uses, so a
-//! [`MethodTable`](crate::MethodTable) built for `Defw` plugs in unchanged
-//! — the scheduler's ingress service (in `qfw-sched`) does exactly that,
-//! with one [`MethodTable::deferred`](crate::MethodTable::deferred) method,
-//! `wait`, whose reply is sent by the thread that finishes the job.
+//! The handler is a byte-level [`Service`]: a
+//! [`MethodTable`](crate::MethodTable) directly — the scheduler's ingress
+//! service (in `qfw-sched`) does exactly that, with one
+//! [`MethodTable::deferred`](crate::MethodTable::deferred) method, `wait`,
+//! whose reply is sent by the thread that finishes the job — or the hub's
+//! registry, which routes each frame to the service it names.
 
-use crate::{RpcError, Service};
-use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
+use crate::{decode, encode, RpcError, Service, ServiceStats};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use parking_lot::{Mutex, RwLock};
 use qfw_obs::Obs;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by ingress operations.
@@ -111,7 +124,7 @@ impl Default for IngressConfig {
     }
 }
 
-/// One reply frame, delivered over the connection's reply channel.
+/// One reply frame, delivered over the request's reply channel.
 #[derive(Debug)]
 pub struct ReplyFrame {
     /// Correlation id of the request this answers.
@@ -121,43 +134,59 @@ pub struct ReplyFrame {
 }
 
 /// A queued request: the frame plus its return path.
-struct Job {
-    conn: u64,
+struct Frame {
     method: String,
+    /// Shared, not owned: retries re-enqueue the same serialized bytes
+    /// instead of re-marshaling the request per attempt.
     payload: Arc<Vec<u8>>,
     reply: Reply,
-    enqueued: Instant,
 }
 
-/// The return path of one request, as a value: the correlation id, a clone
-/// of the *connection's* reply channel (so nothing is looked up to route a
-/// reply) and the counters a reply bumps. [`Service::serve`] receives it and
-/// either hands it back with the outcome or keeps it and answers later from
-/// any thread; either way the one [`Reply::send`] is how a request gets its
-/// answer. It holds no handle on the request queue, so a parked reply never
-/// keeps the ingress workers alive.
+/// Where requests come from and where their replies go: a [`Connection`]
+/// has one for its lifetime, a hub call one of its own.
+#[derive(Clone)]
+pub(crate) struct Route {
+    pub(crate) conn: u64,
+    /// The named service the requests are for; empty on a plain
+    /// [`Ingress::connect`] connection, whose transport has one handler.
+    pub(crate) service: Arc<str>,
+    pub(crate) tx: Sender<ReplyFrame>,
+}
+
+/// The return path of one request, as a value: the rest of the frame's
+/// header (its route, correlation id and attempt number) — so a clone of the
+/// reply channel, and nothing is looked up to route a reply — and the counts
+/// a reply bumps. [`Service::serve`] receives it and either hands it back
+/// with the outcome or keeps it and answers later from any thread; either
+/// way the one [`Reply::send`] is how a request gets its answer. It holds no
+/// handle on the request queue, so a parked reply never keeps the workers
+/// alive.
 pub struct Reply {
+    pub(crate) route: Route,
     correlation: u64,
-    tx: Sender<ReplyFrame>,
+    /// 1-based ([`Client::call_with_retry`](crate::Client::call_with_retry)
+    /// increments it).
+    attempt: u32,
     tally: Arc<Tally>,
+    /// The target service's own counts, once the registry has found it.
+    pub(crate) service_counts: Option<Arc<Counts>>,
 }
 
 impl Reply {
     /// Answers the request: counts it, then delivers the frame. The
-    /// connection may be gone — replies to the dead are free.
+    /// receiver may be gone — replies to the dead are free.
     pub fn send(self, body: Result<Vec<u8>, RpcError>) {
-        let tally = &self.tally;
-        tally.completed.fetch_add(1, Ordering::Relaxed);
+        self.tally.count(&self.tally.completed, "defw.calls");
         if body.is_err() {
-            tally.errors.fetch_add(1, Ordering::Relaxed);
+            self.tally.count(&self.tally.errors, "defw.errors");
         }
-        if tally.obs.is_enabled() {
-            tally.obs.counter("ingress.handled").inc();
+        if let Some(counts) = &self.service_counts {
+            counts.calls.fetch_add(1, Ordering::Relaxed);
             if body.is_err() {
-                tally.obs.counter("ingress.errors").inc();
+                counts.errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let _ = self.tx.send(ReplyFrame {
+        let _ = self.route.tx.send(ReplyFrame {
             correlation: self.correlation,
             body: body.map_err(IngressError::from),
         });
@@ -165,18 +194,43 @@ impl Reply {
 
     /// [`Reply::send`] with a typed handler outcome, encoded as JSON.
     pub fn send_typed<Resp: Serialize>(self, outcome: Result<Resp, String>) {
-        self.send(outcome.map_err(RpcError::Handler).and_then(|resp| {
-            serde_json::to_vec(&resp).map_err(|e| RpcError::Codec(e.to_string()))
-        }));
+        self.send(outcome.map_err(RpcError::Handler).and_then(|resp| encode(&resp)));
     }
 }
 
-/// What a reply counts into, shared by the ingress and every outstanding
-/// [`Reply`].
+/// One service's answered requests, counted in [`Reply::send`].
+#[derive(Default)]
+pub(crate) struct Counts {
+    calls: AtomicU64,
+    errors: AtomicU64,
+}
+
+impl Counts {
+    pub(crate) fn snapshot(&self) -> ServiceStats {
+        ServiceStats {
+            calls: self.calls.load(Ordering::Relaxed),
+            errors: self.errors.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// What one transport counts, shared with each outstanding [`Reply`].
 struct Tally {
+    accepted: AtomicU64,
+    rejected: AtomicU64,
     completed: AtomicU64,
     errors: AtomicU64,
     obs: Obs,
+}
+
+impl Tally {
+    /// One event, where [`Ingress::stats`] reads it and on the registry.
+    fn count(&self, cell: &AtomicU64, name: &str) {
+        cell.fetch_add(1, Ordering::Relaxed);
+        if self.obs.is_enabled() {
+            self.obs.counter(name).inc();
+        }
+    }
 }
 
 /// Point-in-time ingress statistics.
@@ -193,52 +247,116 @@ pub struct IngressStats {
     pub errors: u64,
 }
 
-struct Shared {
-    queue: Sender<Job>,
+/// The admission side of a transport, shared by its [`Ingress`] handle, its
+/// workers and every client endpoint.
+pub(crate) struct Shared {
+    /// `None` once shut down. A sender holds the read side for one
+    /// `try_send`, so closing waits for it and admits nothing after.
+    queue: RwLock<Option<Sender<Frame>>>,
     queue_depth: usize,
     workers: usize,
-    conn_ids: AtomicU64,
+    ids: AtomicU64,
     /// EWMA of how long a request occupies a worker, microseconds (seeded
     /// at 1ms). A deferred reply's wait is not in it: the worker was free.
     avg_handle_us: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
     tally: Arc<Tally>,
 }
 
 impl Shared {
-    /// Expected drain time for the current backlog: the `Overloaded` hint.
-    fn retry_after(&self) -> Duration {
-        let avg_us = self.avg_handle_us.load(Ordering::Relaxed).max(1);
-        let backlog = self.queue.len() as u64 + 1;
-        let positions = backlog.div_ceil(self.workers.max(1) as u64);
-        Duration::from_micros((avg_us * positions).clamp(100, 60_000_000))
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.tally.obs
+    }
+
+    /// A fresh connection id. A hub call, being a connection of one
+    /// request, uses it as its correlation id too.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.ids.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The one way into the queue: builds the frame and offers it. Never
+    /// blocks, never buffers beyond the bound.
+    pub(crate) fn send(
+        &self,
+        route: Route,
+        correlation: u64,
+        method: &str,
+        attempt: u32,
+        payload: Arc<Vec<u8>>,
+    ) -> Result<(), IngressError> {
+        let queue = self.queue.read();
+        let Some(queue) = queue.as_ref() else {
+            return Err(IngressError::Shutdown);
+        };
+        let reply = Reply {
+            route,
+            correlation,
+            attempt,
+            tally: Arc::clone(&self.tally),
+            service_counts: None,
+        };
+        let frame = Frame {
+            method: method.to_string(),
+            payload,
+            reply,
+        };
+        match queue.try_send(frame) {
+            Ok(()) => {
+                self.tally.count(&self.tally.accepted, "ingress.accepted");
+                Ok(())
+            }
+            Err(TrySendError::Full(_)) => {
+                self.tally.count(&self.tally.rejected, "ingress.rejected");
+                // Expected drain time for the backlog ahead of the caller.
+                let avg_us = self.avg_handle_us.load(Ordering::Relaxed).max(1);
+                let backlog = queue.len() as u64 + 1;
+                let positions = backlog.div_ceil(self.workers.max(1) as u64);
+                let hint_us = (avg_us * positions).clamp(100, 60_000_000);
+                Err(IngressError::Overloaded {
+                    retry_after: Duration::from_micros(hint_us),
+                })
+            }
+            // Every worker died in a panicking handler.
+            Err(TrySendError::Disconnected(_)) => Err(IngressError::Shutdown),
+        }
     }
 }
 
-/// The ingress: a bounded queue plus a worker pool over one [`Service`].
+/// One blocking read of a reply channel, its errors put as the transport's.
+pub(crate) fn recv_frame(
+    rx: &Receiver<ReplyFrame>,
+    timeout: Duration,
+    correlation: u64,
+) -> Result<ReplyFrame, IngressError> {
+    rx.recv_timeout(timeout).map_err(|e| match e {
+        RecvTimeoutError::Timeout => IngressError::Timeout { correlation },
+        RecvTimeoutError::Disconnected => IngressError::Shutdown,
+    })
+}
+
+/// A running transport: the queue plus a worker pool over one [`Service`].
 pub struct Ingress {
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    pub(crate) shared: Arc<Shared>,
+    /// Each worker with its "inside a handler" flag.
+    workers: Vec<(JoinHandle<()>, Arc<AtomicBool>)>,
 }
 
 impl Ingress {
-    /// Starts the ingress over `handler`. Counters and `ingress.handle`
-    /// spans are recorded on `obs` when enabled.
+    /// Starts the transport over `handler`. Counters and `rpc.handle` spans
+    /// are recorded on `obs` when enabled. A `queue_depth` of `usize::MAX`
+    /// is "no bound".
     pub fn start(config: IngressConfig, handler: Arc<dyn Service>, obs: Obs) -> Ingress {
         assert!(config.workers >= 1, "need at least one ingress worker");
         assert!(config.queue_depth >= 1, "queue depth must be positive");
-        let (tx, rx): (Sender<Job>, Receiver<Job>) =
-            crossbeam::channel::bounded(config.queue_depth);
+        let (tx, rx) = bounded(config.queue_depth);
         let shared = Arc::new(Shared {
-            queue: tx,
+            queue: RwLock::new(Some(tx)),
             queue_depth: config.queue_depth,
             workers: config.workers,
-            conn_ids: AtomicU64::new(1),
+            ids: AtomicU64::new(1),
             avg_handle_us: AtomicU64::new(1_000),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             tally: Arc::new(Tally {
+                accepted: AtomicU64::new(0),
+                rejected: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
                 obs,
@@ -246,76 +364,101 @@ impl Ingress {
         });
         let workers = (0..config.workers)
             .map(|i| {
+                let busy = Arc::new(AtomicBool::new(false));
                 let rx = rx.clone();
                 let shared = Arc::clone(&shared);
                 let handler = Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("ingress-worker-{i}"))
-                    .spawn(move || Self::worker_loop(rx, shared, handler))
-                    .expect("spawn ingress worker")
+                let flag = Arc::clone(&busy);
+                let thread = std::thread::Builder::new()
+                    .name(format!("defw-worker-{i}"))
+                    .spawn(move || Self::worker_loop(rx, shared, handler, flag))
+                    .expect("spawn defw worker");
+                (thread, busy)
             })
             .collect();
         Ingress { shared, workers }
     }
 
-    fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>, handler: Arc<dyn Service>) {
-        let obs = shared.tally.obs.clone();
-        while let Ok(job) = rx.recv() {
-            let queue_us = job.enqueued.elapsed().as_micros() as u64;
-            let mut span = obs.span("ingress", "ingress.handle");
-            span.set_attr("conn", job.conn);
-            span.set_attr("correlation", job.reply.correlation);
-            span.set_attr("method", job.method.as_str());
+    fn worker_loop(
+        rx: Receiver<Frame>,
+        shared: Arc<Shared>,
+        handler: Arc<dyn Service>,
+        busy: Arc<AtomicBool>,
+    ) {
+        let obs = shared.obs().clone();
+        while let Ok(frame) = rx.recv() {
+            busy.store(true, Ordering::SeqCst);
+            let mut span = obs.span("defw", "rpc.handle");
+            span.set_attr("attempt", u64::from(frame.reply.attempt));
+            span.set_attr("conn", frame.reply.route.conn);
+            span.set_attr("correlation", frame.reply.correlation);
+            span.set_attr("method", frame.method.as_str());
+            span.set_attr("payload_bytes", frame.payload.len());
+            span.set_attr("service", &*frame.reply.route.service);
             let start = Instant::now();
-            let answered = handler.serve(&job.method, &job.payload, job.reply);
+            let answered = handler.serve(&frame.method, &frame.payload, frame.reply);
             let handle_us = start.elapsed().as_micros() as u64;
             match &answered {
                 Some((_, result)) => span.set_attr("ok", result.is_ok()),
                 None => span.set_attr("deferred", true),
             }
-            drop(span);
-
+            // The span is closed and sampled before the reply goes out: a
+            // caller that has its answer finds both already recorded.
+            let (span_start, span_end) = span.finish();
+            if obs.is_enabled() {
+                // On the obs clock, so the histogram stays deterministic
+                // under the virtual clock.
+                obs.histogram("defw.handle_us")
+                    .observe_us(span_end.saturating_sub(span_start));
+            }
             // EWMA (7/8 old, 1/8 new): cheap, lock-free service-rate
             // estimate feeding the Overloaded retry hint.
             let old = shared.avg_handle_us.load(Ordering::Relaxed);
             let new = (old.saturating_mul(7) + handle_us.max(1)) / 8;
             shared.avg_handle_us.store(new, Ordering::Relaxed);
-            if obs.is_enabled() {
-                obs.histogram("ingress.queue_us").observe_us(queue_us);
-                obs.histogram("ingress.handle_us").observe_us(handle_us);
-            }
             if let Some((reply, result)) = answered {
                 reply.send(result);
             }
+            busy.store(false, Ordering::SeqCst);
         }
     }
 
     /// Opens a logical client connection (cheap; no handshake).
     pub fn connect(&self) -> Connection {
+        self.connect_to("")
+    }
+
+    /// A connection whose requests name `service`, for a transport whose
+    /// handler routes by name (the hub's registry).
+    pub(crate) fn connect_to(&self, service: &str) -> Connection {
         let (tx, rx) = unbounded();
         Connection {
             shared: Arc::clone(&self.shared),
-            conn: self.shared.conn_ids.fetch_add(1, Ordering::Relaxed),
+            route: Route {
+                conn: self.shared.next_id(),
+                service: service.into(),
+                tx,
+            },
             correlation: AtomicU64::new(1),
-            reply_tx: tx,
             reply_rx: rx,
-            stash: parking_lot::Mutex::new(HashMap::new()),
+            stash: Mutex::new(HashMap::new()),
         }
     }
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> IngressStats {
+        let tally = &self.shared.tally;
         IngressStats {
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            completed: self.shared.tally.completed.load(Ordering::Relaxed),
-            errors: self.shared.tally.errors.load(Ordering::Relaxed),
+            accepted: tally.accepted.load(Ordering::Relaxed),
+            rejected: tally.rejected.load(Ordering::Relaxed),
+            completed: tally.completed.load(Ordering::Relaxed),
+            errors: tally.errors.load(Ordering::Relaxed),
         }
     }
 
     /// Requests admitted but not yet dispatched.
     pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.queue.read().as_ref().map_or(0, |q| q.len())
     }
 
     /// The configured queue depth (admission bound).
@@ -323,15 +466,27 @@ impl Ingress {
         self.shared.queue_depth
     }
 
-    /// Drops the queue and joins workers that have already finished;
-    /// like [`Defw::shutdown`](crate::Defw::shutdown), workers holding
-    /// live connections exit once the last connection drops.
-    pub fn shutdown(self) {
-        let Ingress { shared, workers } = self;
-        drop(shared);
-        for w in workers {
-            if w.is_finished() {
-                let _ = w.join();
+    /// Shuts the transport down, which is what dropping the handle does.
+    pub fn shutdown(self) {}
+}
+
+impl Drop for Ingress {
+    /// Closes admission — later sends fail with [`IngressError::Shutdown`];
+    /// the channel disconnects, so frames admitted before are still served
+    /// and the workers then exit — and joins every worker that is not inside
+    /// a handler. One that is finishes, answers and exits on its own: an
+    /// abandoned long job must not hold teardown up.
+    fn drop(&mut self) {
+        self.shared.queue.write().take();
+        for (worker, busy) in self.workers.drain(..) {
+            // Neither finished nor busy is a worker between the queue and a
+            // handler, or between the closed queue and its exit: a few
+            // instructions either way.
+            while !worker.is_finished() && !busy.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            if worker.is_finished() {
+                let _ = worker.join();
             }
         }
     }
@@ -344,67 +499,32 @@ impl Ingress {
 /// single-consumer).
 pub struct Connection {
     shared: Arc<Shared>,
-    conn: u64,
+    route: Route,
     correlation: AtomicU64,
-    reply_tx: Sender<ReplyFrame>,
     reply_rx: Receiver<ReplyFrame>,
     /// Replies that arrived while a different correlation id was being
     /// awaited in [`Connection::call`].
-    stash: parking_lot::Mutex<HashMap<u64, Result<Vec<u8>, IngressError>>>,
+    stash: Mutex<HashMap<u64, Result<Vec<u8>, IngressError>>>,
 }
 
 impl Connection {
-    /// This connection's id (appears in `ingress.handle` span attrs).
+    /// This connection's id (appears in `rpc.handle` span attrs).
     pub fn id(&self) -> u64 {
-        self.conn
+        self.route.conn
     }
 
     /// Enqueues pre-serialized bytes; returns the correlation id the reply
     /// will carry. Fails fast with [`IngressError::Overloaded`] when the
     /// queue is full — never blocks, never buffers beyond the bound.
-    pub fn send_raw(
-        &self,
-        method: &str,
-        payload: Arc<Vec<u8>>,
-    ) -> Result<u64, IngressError> {
+    pub fn send_raw(&self, method: &str, payload: Arc<Vec<u8>>) -> Result<u64, IngressError> {
         let correlation = self.correlation.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            conn: self.conn,
-            method: method.to_string(),
-            payload,
-            reply: Reply {
-                correlation,
-                tx: self.reply_tx.clone(),
-                tally: Arc::clone(&self.shared.tally),
-            },
-            enqueued: Instant::now(),
-        };
-        match self.shared.queue.try_send(job) {
-            Ok(()) => {
-                self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-                if self.shared.tally.obs.is_enabled() {
-                    self.shared.tally.obs.counter("ingress.accepted").inc();
-                }
-                Ok(correlation)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                if self.shared.tally.obs.is_enabled() {
-                    self.shared.tally.obs.counter("ingress.rejected").inc();
-                }
-                Err(IngressError::Overloaded {
-                    retry_after: self.shared.retry_after(),
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(IngressError::Shutdown),
-        }
+        self.shared.send(self.route.clone(), correlation, method, 1, payload)?;
+        Ok(correlation)
     }
 
     /// Typed [`Connection::send_raw`]: serializes `req` as JSON.
     pub fn send<Req: Serialize>(&self, method: &str, req: &Req) -> Result<u64, IngressError> {
-        let payload = serde_json::to_vec(req)
-            .map_err(|e| IngressError::Rpc(RpcError::Codec(e.to_string())))?;
-        self.send_raw(method, Arc::new(payload))
+        self.send_raw(method, Arc::new(encode(req)?))
     }
 
     /// Blocks for the next reply frame, in arrival order. Frames stashed
@@ -417,24 +537,12 @@ impl Connection {
                 return Ok(ReplyFrame { correlation, body });
             }
         }
-        match self.reply_rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                Err(IngressError::Timeout { correlation: 0 })
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(IngressError::Shutdown)
-            }
-        }
+        recv_frame(&self.reply_rx, timeout, 0)
     }
 
     /// Blocks for the reply to one specific request, stashing any other
     /// replies that arrive first (they stay claimable by later waits).
-    pub fn wait(
-        &self,
-        correlation: u64,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, IngressError> {
+    pub fn wait(&self, correlation: u64, timeout: Duration) -> Result<Vec<u8>, IngressError> {
         if let Some(body) = self.stash.lock().remove(&correlation) {
             return body;
         }
@@ -443,18 +551,11 @@ impl Connection {
             let remaining = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or(IngressError::Timeout { correlation })?;
-            match self.reply_rx.recv_timeout(remaining) {
-                Ok(frame) if frame.correlation == correlation => return frame.body,
-                Ok(frame) => {
-                    self.stash.lock().insert(frame.correlation, frame.body);
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    return Err(IngressError::Timeout { correlation })
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(IngressError::Shutdown)
-                }
+            let frame = recv_frame(&self.reply_rx, remaining, correlation)?;
+            if frame.correlation == correlation {
+                return frame.body;
             }
+            self.stash.lock().insert(frame.correlation, frame.body);
         }
     }
 
@@ -466,9 +567,7 @@ impl Connection {
         timeout: Duration,
     ) -> Result<Resp, IngressError> {
         let correlation = self.send(method, req)?;
-        let bytes = self.wait(correlation, timeout)?;
-        serde_json::from_slice(&bytes)
-            .map_err(|e| IngressError::Rpc(RpcError::Codec(e.to_string())))
+        Ok(decode(&self.wait(correlation, timeout)?)?)
     }
 }
 
@@ -488,16 +587,6 @@ mod tests {
             })
             .method("fail", |_: String| Err::<String, _>("boom".into()))
             .build()
-    }
-
-    #[test]
-    fn call_round_trip() {
-        let ingress = Ingress::start(IngressConfig::default(), echo(), Obs::disabled());
-        let conn = ingress.connect();
-        let out: String = conn.call("echo", &"hi".to_string(), T).unwrap();
-        assert_eq!(out, "hi");
-        assert_eq!(ingress.stats().accepted, 1);
-        assert_eq!(ingress.stats().completed, 1);
     }
 
     #[test]
@@ -559,24 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn handler_errors_propagate_typed() {
-        let ingress = Ingress::start(IngressConfig::default(), echo(), Obs::disabled());
-        let conn = ingress.connect();
-        let err = conn
-            .call::<_, String>("fail", &"x".to_string(), T)
-            .unwrap_err();
-        assert_eq!(err, IngressError::Rpc(RpcError::Handler("boom".into())));
-        let err = conn
-            .call::<_, String>("nope", &"x".to_string(), T)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            IngressError::Rpc(RpcError::MethodNotFound { .. })
-        ));
-        assert_eq!(ingress.stats().errors, 2);
-    }
-
-    #[test]
     fn connections_are_isolated() {
         let ingress = Ingress::start(IngressConfig::default(), echo(), Obs::disabled());
         let a = ingress.connect();
@@ -590,40 +661,52 @@ mod tests {
         assert_eq!(vb, "from-b");
     }
 
+    /// Everything the one loop records comes off the obs clock, so two runs
+    /// of the same requests on the same virtual clock export the same bytes.
     #[test]
-    fn obs_counters_and_spans_record_ingress_traffic() {
-        let obs = Obs::virtual_clock(5);
-        let ingress = Ingress::start(IngressConfig::default(), echo(), obs.clone());
-        let conn = ingress.connect();
-        let _: String = conn.call("echo", &"x".to_string(), T).unwrap();
-        let trace = obs.chrome_trace();
-        assert!(trace.contains("\"ingress.handle\""), "{trace}");
-        assert!(trace.contains("\"correlation\""), "{trace}");
-        let snap = obs.metrics_snapshot();
-        assert!(snap.contains("\"ingress.accepted\":1"), "{snap}");
-        assert!(snap.contains("\"ingress.handled\":1"), "{snap}");
-    }
-
-    #[test]
-    fn timeout_leaves_later_replies_claimable() {
-        let ingress = Ingress::start(
-            IngressConfig {
+    fn same_seed_runs_export_identical_bytes() {
+        let run = |seed: u64| {
+            let obs = Obs::virtual_clock(seed);
+            let cfg = IngressConfig {
                 queue_depth: 8,
                 workers: 1,
-            },
-            echo(),
-            Obs::disabled(),
-        );
+            };
+            let ingress = Ingress::start(cfg, echo(), obs.clone());
+            let conn = ingress.connect();
+            for word in ["a", "bb", "ccc"] {
+                let out: String = conn.call("echo", &word.to_string(), T).unwrap();
+                assert_eq!(out, word);
+            }
+            let _: u64 = conn.call("slow", &3u64, T).unwrap();
+            assert!(conn.call::<_, String>("fail", &"x".to_string(), T).is_err());
+            let stats = ingress.stats();
+            assert_eq!((stats.accepted, stats.completed, stats.errors), (5, 5, 1));
+            ingress.shutdown();
+            (obs.metrics_snapshot(), obs.chrome_trace())
+        };
+        let (metrics, trace) = run(21);
+        assert!(metrics.contains("\"defw.handle_us\""), "{metrics}");
+        assert!(metrics.contains("\"defw.calls\":5"), "{metrics}");
+        assert!(trace.contains("\"rpc.handle\""), "{trace}");
+        assert_eq!(run(21), (metrics, trace.clone()));
+        assert_ne!(run(22).1, trace, "different seeds should tick differently");
+    }
+
+    /// `shutdown` closes admission and joins the idle workers, whatever
+    /// connections are still open: the workers' handles on the handler are
+    /// gone when it returns.
+    #[test]
+    fn shutdown_joins_idle_workers_under_a_live_connection() {
+        let handler = echo();
+        let ingress =
+            Ingress::start(IngressConfig::default(), Arc::clone(&handler), Obs::disabled());
         let conn = ingress.connect();
-        let corr = conn.send("slow", &50u64).unwrap();
-        assert!(matches!(
-            conn.wait(corr, Duration::from_millis(1)),
-            Err(IngressError::Timeout { .. })
-        ));
-        // The reply still lands and a later wait on the same id gets it.
-        let bytes = conn.wait(corr, T).unwrap();
-        let ms: u64 = serde_json::from_slice(&bytes).unwrap();
-        assert_eq!(ms, 50);
+        let out: String = conn.call("echo", &"hi".to_string(), T).unwrap();
+        assert_eq!(out, "hi");
+        ingress.shutdown();
+        assert_eq!(Arc::strong_count(&handler), 1);
+        let err = conn.send("echo", &"late".to_string()).unwrap_err();
+        assert_eq!(err, IngressError::Shutdown);
     }
 
     /// A handler that keeps its reply does not keep the worker: with one

@@ -5,24 +5,26 @@
 //! teardown — travels as an RPC over DEFw (Section 2.1, Fig. 1 step-5). This
 //! crate reproduces that layer in-process:
 //!
-//! * [`Defw`] — a service registry plus a dispatcher thread pool. Handlers
-//!   receive *bytes* and return bytes: requests are genuinely marshaled
-//!   (serde_json) on the way in and out, like the paper's "results are
-//!   marshaled into the common QPM API format".
-//! * [`Client`] — typed sync ([`Client::call`]) and async
-//!   ([`Client::call_async`]) calls with correlation IDs, timeouts, and
-//!   structured error propagation.
-//! * Per-service call statistics, feeding QFw's uniform timing/logging
-//!   instrumentation.
+//! * [`ingress`] — the one transport under everything here: one frame, one
+//!   bounded queue with typed [`IngressError::Overloaded`] backpressure, one
+//!   worker loop, one [`Reply`] return path, one place a request is
+//!   counted. Handlers receive *bytes* and return bytes: requests are
+//!   genuinely marshaled (serde_json) on the way in and out, like the
+//!   paper's "results are marshaled into the common QPM API format".
+//! * Two client shapes over it. [`Client`] — calls to a *named* service on
+//!   a [`Defw`] hub, each with its own one-slot reply channel: typed sync
+//!   ([`Client::call`]) and async ([`Client::call_async`]) calls with
+//!   correlation IDs, timeouts, and structured error propagation.
+//!   [`Connection`] — pipelined requests multiplexed over one reply
+//!   channel, correlated by id, to a transport with a single handler.
+//! * [`Defw`] — the hub: a service registry installed as its transport's
+//!   handler, with per-service call statistics feeding QFw's uniform
+//!   timing/logging instrumentation.
 //! * Resilience hooks: a seeded [`FaultPlan`] (from `qfw-chaos`) can drop
-//!   replies, delay handlers, or poison codec paths deterministically;
-//!   [`Client::call_with_retry`] layers exponential backoff on top, and
-//!   per-service [`CircuitBreaker`]s (see [`Defw::enable_breakers`]) shed
-//!   load from services that keep failing.
-//! * [`ingress`] — the pipelined, multiplexed data-plane front door:
-//!   bounded-queue admission with typed [`IngressError::Overloaded`]
-//!   backpressure and per-request correlation ids, for workloads that
-//!   outgrow the one-channel-per-call hub.
+//!   replies, delay handlers, or poison codec paths deterministically at
+//!   the registry; client-side, [`Client::call_with_retry`] layers
+//!   exponential backoff on top, and per-service [`CircuitBreaker`]s (see
+//!   [`Defw::enable_breakers`]) shed load from services that keep failing.
 
 pub mod ingress;
 
@@ -30,16 +32,16 @@ pub use ingress::{
     Connection, Ingress, IngressConfig, IngressError, IngressStats, Reply, ReplyFrame,
 };
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use ingress::{recv_frame, Counts, Route};
 use parking_lot::Mutex;
 pub use qfw_chaos::{BreakerPhase, CircuitBreaker, FaultPlan, FaultSpec, RetryPolicy};
 use qfw_obs::Obs;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors surfaced by RPC calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,99 +99,106 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-/// A byte-level service handler. Implementors usually wrap
-/// [`json_handler`] to stay typed.
+/// A byte-level service: what a transport's workers dispatch into.
+/// [`MethodTable`] builds one from typed per-method handlers.
 pub trait Service: Send + Sync {
     /// Handles one request; `method` selects the operation.
-    fn handle(&self, method: &str, payload: &[u8]) -> Result<Vec<u8>, RpcError>;
-
-    /// The [`Ingress`] entry point. Either hands `reply` back with the
-    /// outcome, for the worker to send once it has closed its span, or
-    /// keeps it to answer later from any thread (see [`ingress::Reply`])
-    /// and returns `None`. The default hands back [`Service::handle`]'s
-    /// outcome.
-    fn serve(
-        &self,
-        method: &str,
-        payload: &[u8],
-        reply: ingress::Reply,
-    ) -> Option<(ingress::Reply, Result<Vec<u8>, RpcError>)> {
-        Some((reply, self.handle(method, payload)))
-    }
+    fn serve(&self, method: &str, payload: &[u8], reply: Reply) -> Served;
 }
 
-impl<F> Service for F
-where
-    F: Fn(&str, &[u8]) -> Result<Vec<u8>, RpcError> + Send + Sync,
-{
-    fn handle(&self, method: &str, payload: &[u8]) -> Result<Vec<u8>, RpcError> {
-        self(method, payload)
-    }
+/// What [`Service::serve`] leaves the worker: `reply` handed back with the
+/// outcome, for the worker to send once it has closed its span, or `None` —
+/// the handler kept it, to answer later from any thread (see
+/// [`ingress::Reply`]).
+pub type Served = Option<(Reply, Result<Vec<u8>, RpcError>)>;
+
+/// JSON, the wire encoding of every request and reply.
+pub(crate) fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>, RpcError> {
+    serde_json::to_vec(value).map_err(|e| RpcError::Codec(e.to_string()))
 }
 
-/// Wraps a typed closure into a byte-level handler for one method.
-pub fn json_handler<Req, Resp, F>(f: F) -> impl Fn(&[u8]) -> Result<Vec<u8>, RpcError>
-where
-    Req: DeserializeOwned,
-    Resp: Serialize,
-    F: Fn(Req) -> Result<Resp, String>,
-{
-    move |payload: &[u8]| {
-        let req: Req =
-            serde_json::from_slice(payload).map_err(|e| RpcError::Codec(e.to_string()))?;
-        let resp = f(req).map_err(RpcError::Handler)?;
-        serde_json::to_vec(&resp).map_err(|e| RpcError::Codec(e.to_string()))
-    }
-}
-
-/// Channel half carrying a call's outcome back to the waiting client.
-type ReplySender = Sender<Result<Vec<u8>, RpcError>>;
-
-struct Request {
-    service: String,
-    method: String,
-    /// Shared, not owned: retries re-enqueue the same serialized bytes
-    /// instead of re-marshaling the request per attempt.
-    payload: Arc<Vec<u8>>,
-    /// 1-based attempt number ([`Client::call_with_retry`] increments it).
-    attempt: u32,
-    reply: ReplySender,
-    enqueued: Instant,
+pub(crate) fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, RpcError> {
+    serde_json::from_slice(bytes).map_err(|e| RpcError::Codec(e.to_string()))
 }
 
 /// Per-service call statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Completed calls (ok or handler error).
     pub calls: u64,
     /// Calls that returned an error.
     pub errors: u64,
-    /// Total queue + handler time across calls, seconds.
-    pub busy_secs: f64,
 }
 
-struct Inner {
-    services: Mutex<HashMap<String, Arc<dyn Service>>>,
-    stats: Mutex<HashMap<String, ServiceStats>>,
-    queue: Sender<Request>,
-    correlation: AtomicU64,
+/// A registered service with the statistics [`Reply::send`] keeps for it.
+#[derive(Clone)]
+struct Entry {
+    service: Arc<dyn Service>,
+    counts: Arc<Counts>,
+}
+
+/// The hub's handler: routes each frame to the service it names, with the
+/// chaos sites around the dispatch. Also home to what the client-side layer
+/// shares across [`Client`] clones (breakers).
+struct Registry {
+    services: Mutex<HashMap<String, Entry>>,
     chaos: Arc<FaultPlan>,
-    obs: Obs,
-    /// `Some((threshold, cooldown))` once breakers are enabled; breakers
-    /// are created lazily per service on first call.
-    breaker_config: Mutex<Option<(u32, Duration)>>,
-    breakers: Mutex<HashMap<String, Arc<CircuitBreaker>>>,
+    breakers: Mutex<Breakers>,
     /// Reply senders whose replies were chaos-dropped. Parked here so the
     /// channel stays open and the caller's deadline genuinely fires
     /// (dropping the sender would surface as `Shutdown` instead). Grows
     /// only by the number of injected drops.
-    dropped_replies: Mutex<Vec<ReplySender>>,
+    dropped_replies: Mutex<Vec<Sender<ReplyFrame>>>,
 }
 
-/// The RPC hub: owns the dispatcher pool and the service registry.
+#[derive(Default)]
+struct Breakers {
+    /// `Some((threshold, cooldown))` once breakers are enabled.
+    config: Option<(u32, Duration)>,
+    /// Created lazily, on a service's first call.
+    by_service: HashMap<String, Arc<CircuitBreaker>>,
+}
+
+impl Service for Registry {
+    fn serve(&self, method: &str, payload: &[u8], mut reply: Reply) -> Served {
+        let chaos = self.chaos.is_enabled().then_some(&*self.chaos);
+        let site = |kind: &str, reply: &Reply| format!("defw.{kind}.{}", reply.route.service);
+        if let Some(d) = chaos.and_then(|c| c.delay(&site("delay", &reply))) {
+            std::thread::sleep(d);
+        }
+        let entry = self.services.lock().get(&*reply.route.service).cloned();
+        let (service, counts) = entry.map(|e| (e.service, e.counts)).unzip();
+        reply.service_counts = counts;
+        let answered = if chaos.is_some_and(|c| c.fires(&site("poison", &reply))) {
+            let fault = format!("injected codec fault on '{}'", reply.route.service);
+            Some((reply, Err(RpcError::Codec(fault))))
+        } else {
+            match service {
+                None => {
+                    let unknown = RpcError::ServiceNotFound(reply.route.service.to_string());
+                    Some((reply, Err(unknown)))
+                }
+                Some(service) => service.serve(method, payload, reply),
+            }
+        };
+        // A reply its handler kept is out of the dispatcher's hands, and so
+        // out of the drop site's.
+        let (mut reply, result) = answered?;
+        if chaos.is_some_and(|c| c.fires(&site("drop_reply", &reply))) {
+            // The reply vanishes in transit: counted and traced like any
+            // other, sent to nobody; the caller's deadline fires and retry
+            // logic takes over.
+            let real = std::mem::replace(&mut reply.route.tx, bounded(1).0);
+            self.dropped_replies.lock().push(real);
+        }
+        Some((reply, result))
+    }
+}
+
+/// The RPC hub: a service registry behind one transport.
 pub struct Defw {
-    inner: Arc<Inner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    registry: Arc<Registry>,
+    transport: Ingress,
 }
 
 impl Defw {
@@ -214,7 +223,6 @@ impl Defw {
     /// injections from the plan are annotated into the trace as
     /// `chaos.fire` instant events.
     pub fn start_full(workers: usize, chaos: Arc<FaultPlan>, obs: Obs) -> Defw {
-        assert!(workers >= 1, "need at least one dispatcher");
         if chaos.is_enabled() && obs.is_enabled() {
             let chaos_obs = obs.clone();
             chaos.set_observer(move |rec| {
@@ -226,127 +234,59 @@ impl Defw {
                 );
             });
         }
-        let (tx, rx): (Sender<Request>, Receiver<Request>) = unbounded();
-        let inner = Arc::new(Inner {
+        let registry = Arc::new(Registry {
             services: Mutex::new(HashMap::new()),
-            stats: Mutex::new(HashMap::new()),
-            queue: tx,
-            correlation: AtomicU64::new(1),
             chaos,
-            obs,
-            breaker_config: Mutex::new(None),
-            breakers: Mutex::new(HashMap::new()),
+            breakers: Mutex::default(),
             dropped_replies: Mutex::new(Vec::new()),
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("defw-worker-{i}"))
-                    .spawn(move || Self::worker_loop(rx, inner))
-                    .expect("spawn defw worker")
-            })
-            .collect();
+        // The hub admits without a bound.
+        let config = IngressConfig {
+            queue_depth: usize::MAX,
+            workers,
+        };
+        let transport = Ingress::start(config, Arc::clone(&registry) as Arc<dyn Service>, obs);
         Defw {
-            inner,
-            workers: handles,
+            registry,
+            transport,
         }
     }
 
-    fn worker_loop(rx: Receiver<Request>, inner: Arc<Inner>) {
-        let chaos = Arc::clone(&inner.chaos);
-        let obs = inner.obs.clone();
-        while let Ok(req) = rx.recv() {
-            let mut span = obs.span("defw", "rpc.handle");
-            span.set_attr("method", req.method.as_str());
-            span.set_attr("service", req.service.as_str());
-            span.set_attr("attempt", u64::from(req.attempt));
-            span.set_attr("payload_bytes", req.payload.len());
-            if chaos.is_enabled() {
-                if let Some(d) = chaos.delay(&format!("defw.delay.{}", req.service)) {
-                    std::thread::sleep(d);
-                }
-            }
-            let poisoned =
-                chaos.is_enabled() && chaos.fires(&format!("defw.poison.{}", req.service));
-            let result = if poisoned {
-                Err(RpcError::Codec(format!(
-                    "injected codec fault on '{}'",
-                    req.service
-                )))
-            } else {
-                let service = inner.services.lock().get(&req.service).cloned();
-                match service {
-                    None => Err(RpcError::ServiceNotFound(req.service.clone())),
-                    Some(svc) => svc.handle(&req.method, &req.payload),
-                }
-            };
-            span.set_attr("ok", result.is_ok());
-            let (handle_start, handle_end) = span.finish();
-            if obs.is_enabled() {
-                obs.counter("defw.calls").inc();
-                if result.is_err() {
-                    obs.counter("defw.errors").inc();
-                }
-                // Handler latency measured on the obs clock, so the
-                // histogram stays deterministic under the virtual clock.
-                obs.histogram("defw.handle_us")
-                    .observe_us(handle_end.saturating_sub(handle_start));
-            }
-            let elapsed = req.enqueued.elapsed().as_secs_f64();
-            {
-                let mut stats = inner.stats.lock();
-                let entry = stats.entry(req.service.clone()).or_default();
-                entry.calls += 1;
-                if result.is_err() {
-                    entry.errors += 1;
-                }
-                entry.busy_secs += elapsed;
-            }
-            if chaos.is_enabled() && chaos.fires(&format!("defw.drop_reply.{}", req.service)) {
-                // The reply vanishes in transit; the caller's deadline
-                // fires and retry logic takes over.
-                inner.dropped_replies.lock().push(req.reply);
-                continue;
-            }
-            // Receiver may have timed out and gone — that's fine.
-            let _ = req.reply.send(result);
-        }
-    }
-
-    /// Registers (or replaces) a service.
+    /// Registers (or replaces) a service; its statistics start at zero.
     pub fn register(&self, name: impl Into<String>, service: Arc<dyn Service>) {
-        self.inner.services.lock().insert(name.into(), service);
+        let counts = Arc::default();
+        let entry = Entry { service, counts };
+        self.registry.services.lock().insert(name.into(), entry);
     }
 
     /// Removes a service; later calls fail with `ServiceNotFound`.
     pub fn unregister(&self, name: &str) {
-        self.inner.services.lock().remove(name);
+        self.registry.services.lock().remove(name);
     }
 
     /// Registered service names, sorted.
     pub fn services(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.services.lock().keys().cloned().collect();
+        let mut names: Vec<String> = self.registry.services.lock().keys().cloned().collect();
         names.sort();
         names
     }
 
-    /// Statistics for one service, if it has received calls.
+    /// Statistics for one registered service.
     pub fn stats(&self, name: &str) -> Option<ServiceStats> {
-        self.inner.stats.lock().get(name).copied()
+        let services = self.registry.services.lock();
+        Some(services.get(name)?.counts.snapshot())
     }
 
     /// The hub's fault plan (disabled unless started via
     /// [`Defw::start_with_chaos`]).
     pub fn chaos(&self) -> &Arc<FaultPlan> {
-        &self.inner.chaos
+        &self.registry.chaos
     }
 
     /// The hub's observability handle (disabled unless started via
     /// [`Defw::start_full`]).
     pub fn obs(&self) -> &Obs {
-        &self.inner.obs
+        self.transport.shared.obs()
     }
 
     /// Enables per-service circuit breakers: after `threshold` consecutive
@@ -354,48 +294,53 @@ impl Defw {
     /// [`RpcError::CircuitOpen`] until `cooldown` elapses and a half-open
     /// probe succeeds.
     pub fn enable_breakers(&self, threshold: u32, cooldown: Duration) {
-        *self.inner.breaker_config.lock() = Some((threshold, cooldown));
+        self.registry.breakers.lock().config = Some((threshold, cooldown));
     }
 
     /// Current breaker phase for a service, if breakers are enabled and the
     /// service has been called.
     pub fn breaker_phase(&self, service: &str) -> Option<BreakerPhase> {
-        self.inner
-            .breakers
-            .lock()
-            .get(service)
-            .map(|b| b.phase())
+        let breakers = self.registry.breakers.lock();
+        breakers.by_service.get(service).map(|b| b.phase())
     }
 
     /// Creates a client endpoint.
     pub fn client(&self) -> Client {
         Client {
-            inner: Arc::clone(&self.inner),
+            registry: Arc::clone(&self.registry),
+            port: Arc::clone(&self.transport.shared),
         }
     }
 
-    /// Drops the queue and joins the workers (in-flight calls complete).
+    /// Shuts the transport down: see [`Ingress::shutdown`]. Later calls
+    /// fail with [`RpcError::Shutdown`]; calls already admitted complete.
     pub fn shutdown(self) {
-        // Dropping the only non-worker Sender closes the channel...
-        let Defw { inner, workers } = self;
-        // Replace the queue sender so workers see a closed channel once all
-        // clients drop too. We can't pull the Sender out of Arc<Inner>, so
-        // close by dropping our Arc after detaching workers when idle.
-        drop(inner);
-        for w in workers {
-            // Workers exit when every Sender clone (hub + clients) is gone.
-            // If clients outlive the hub, joining would block; detach instead.
-            if w.is_finished() {
-                let _ = w.join();
-            }
+        self.transport.shutdown()
+    }
+}
+
+/// What a hub caller sees of a transport error. The hub's queue has no
+/// bound, so `Overloaded` does not occur.
+impl From<IngressError> for RpcError {
+    fn from(e: IngressError) -> Self {
+        match e {
+            IngressError::Rpc(e) => e,
+            IngressError::Timeout { correlation } => RpcError::Timeout {
+                correlation,
+                attempts: 1,
+            },
+            IngressError::Shutdown | IngressError::Overloaded { .. } => RpcError::Shutdown,
         }
     }
 }
 
-/// A client endpoint for issuing RPCs. Cheap to clone.
+/// A client endpoint for issuing RPCs to named services: each call brings
+/// its own one-slot reply channel, and retries and breakers are layered here,
+/// above the queue. Cheap to clone.
 #[derive(Clone)]
 pub struct Client {
-    inner: Arc<Inner>,
+    registry: Arc<Registry>,
+    port: Arc<ingress::Shared>,
 }
 
 impl Client {
@@ -425,9 +370,8 @@ impl Client {
     ) -> Result<Resp, RpcError> {
         // Marshal once: every retry re-enqueues the same Arc'd bytes, so
         // chaos-injected retry storms never pay per-attempt serialization.
-        let payload = Arc::new(
-            serde_json::to_vec(req).map_err(|e| RpcError::Codec(e.to_string()))?,
-        );
+        let payload = Arc::new(encode(req)?);
+        let obs = self.port.obs();
         let mut schedule = policy.schedule();
         loop {
             let attempt = schedule.attempts();
@@ -442,9 +386,9 @@ impl Client {
             };
             match schedule.next_backoff() {
                 Some(backoff) => {
-                    if self.inner.obs.is_enabled() {
-                        self.inner.obs.counter("defw.retries").inc();
-                        self.inner.obs.instant_with(
+                    if obs.is_enabled() {
+                        obs.counter("defw.retries").inc();
+                        obs.instant_with(
                             "defw",
                             "rpc.retry",
                             &[
@@ -479,10 +423,7 @@ impl Client {
         method: &str,
         req: &Req,
     ) -> Result<AsyncReply<Resp>, RpcError> {
-        let payload = Arc::new(
-            serde_json::to_vec(req).map_err(|e| RpcError::Codec(e.to_string()))?,
-        );
-        self.send_raw(service, method, payload, 1)
+        self.send_raw(service, method, Arc::new(encode(req)?), 1)
     }
 
     /// Enqueues already-serialized bytes (shared by value, so retries and
@@ -497,30 +438,24 @@ impl Client {
         let breaker = self.breaker_for(service);
         if let Some(b) = &breaker {
             if !b.allow() {
-                if self.inner.obs.is_enabled() {
-                    self.inner.obs.counter("defw.circuit_open").inc();
-                    self.inner.obs.instant_with(
-                        "defw",
-                        "rpc.circuit_open",
-                        &[("service", service.into())],
-                    );
+                let obs = self.port.obs();
+                if obs.is_enabled() {
+                    obs.counter("defw.circuit_open").inc();
+                    obs.instant_with("defw", "rpc.circuit_open", &[("service", service.into())]);
                 }
                 return Err(RpcError::CircuitOpen(service.to_string()));
             }
         }
-        let correlation = self.inner.correlation.fetch_add(1, Ordering::Relaxed);
+        // A call is a connection of one request, with a reply channel of
+        // one slot: its id is its correlation id.
+        let correlation = self.port.next_id();
         let (tx, rx) = bounded(1);
-        self.inner
-            .queue
-            .send(Request {
-                service: service.to_string(),
-                method: method.to_string(),
-                payload,
-                attempt,
-                reply: tx,
-                enqueued: Instant::now(),
-            })
-            .map_err(|_| RpcError::Shutdown)?;
+        let route = Route {
+            conn: correlation,
+            service: service.into(),
+            tx,
+        };
+        self.port.send(route, correlation, method, attempt, payload)?;
         Ok(AsyncReply {
             correlation,
             rx,
@@ -532,10 +467,11 @@ impl Client {
     /// The service's breaker, created on first use once
     /// [`Defw::enable_breakers`] has been called.
     fn breaker_for(&self, service: &str) -> Option<Arc<CircuitBreaker>> {
-        let (threshold, cooldown) = (*self.inner.breaker_config.lock())?;
-        let mut breakers = self.inner.breakers.lock();
+        let mut breakers = self.registry.breakers.lock();
+        let (threshold, cooldown) = breakers.config?;
         Some(Arc::clone(
             breakers
+                .by_service
                 .entry(service.to_string())
                 .or_insert_with(|| Arc::new(CircuitBreaker::new(threshold, cooldown))),
         ))
@@ -545,7 +481,7 @@ impl Client {
 /// Handle to an in-flight RPC reply.
 pub struct AsyncReply<Resp> {
     correlation: u64,
-    rx: Receiver<Result<Vec<u8>, RpcError>>,
+    rx: Receiver<ReplyFrame>,
     breaker: Option<Arc<CircuitBreaker>>,
     _marker: std::marker::PhantomData<fn() -> Resp>,
 }
@@ -556,64 +492,49 @@ impl<Resp: DeserializeOwned> AsyncReply<Resp> {
         self.correlation
     }
 
-    /// Feeds the call outcome to the service's breaker, if one exists.
-    /// Timeouts and handler errors count as service failures; codec and
-    /// routing errors are the caller's problem and stay neutral.
-    fn record(&self, outcome: &Result<Resp, RpcError>) {
-        let Some(breaker) = &self.breaker else { return };
-        match outcome {
-            Ok(_) => breaker.record_success(),
-            Err(RpcError::Timeout { .. }) | Err(RpcError::Handler(_)) => {
-                breaker.record_failure()
+    /// Decodes what the reply channel gave and feeds the outcome to the
+    /// service's breaker, if one exists. Timeouts and handler errors count
+    /// as service failures; codec and routing errors are the caller's
+    /// problem and stay neutral.
+    fn settle(&self, frame: Result<ReplyFrame, IngressError>) -> Result<Resp, RpcError> {
+        let outcome = match frame.and_then(|frame| frame.body) {
+            Ok(bytes) => decode(&bytes),
+            Err(e) => Err(e.into()),
+        };
+        if let Some(breaker) = &self.breaker {
+            match &outcome {
+                Ok(_) => breaker.record_success(),
+                Err(RpcError::Timeout { .. }) | Err(RpcError::Handler(_)) => {
+                    breaker.record_failure()
+                }
+                Err(_) => {}
             }
-            Err(_) => {}
         }
+        outcome
     }
 
     /// Blocks until the reply arrives or the deadline passes.
     pub fn wait(self, timeout: Duration) -> Result<Resp, RpcError> {
-        let outcome = match self.rx.recv_timeout(timeout) {
-            Ok(Ok(bytes)) => {
-                serde_json::from_slice(&bytes).map_err(|e| RpcError::Codec(e.to_string()))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(RpcError::Timeout {
-                correlation: self.correlation,
-                attempts: 1,
-            }),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(RpcError::Shutdown),
-        };
-        self.record(&outcome);
-        outcome
+        self.settle(recv_frame(&self.rx, timeout, self.correlation))
     }
 
     /// Non-blocking poll: `None` while the call is still in flight.
     pub fn try_wait(&self) -> Option<Result<Resp, RpcError>> {
-        let outcome = match self.rx.try_recv() {
-            Ok(Ok(bytes)) => {
-                serde_json::from_slice(&bytes).map_err(|e| RpcError::Codec(e.to_string()))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(crossbeam::channel::TryRecvError::Empty) => return None,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(RpcError::Shutdown),
-        };
-        self.record(&outcome);
-        Some(outcome)
+        match recv_frame(&self.rx, Duration::ZERO, self.correlation) {
+            Err(IngressError::Timeout { .. }) => None,
+            frame => Some(self.settle(frame)),
+        }
     }
 }
 
-/// Type-erased per-method handler: raw request bytes in, raw reply bytes out.
-type MethodHandler = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, RpcError> + Send + Sync>;
-/// Type-erased deferred handler: raw request bytes and the return path in.
-type DeferredHandler = Box<dyn Fn(&[u8], ingress::Reply) + Send + Sync>;
+/// Type-erased per-method handler: raw request bytes and the return path
+/// in; the return path back with the outcome, or neither.
+type MethodHandler = Box<dyn Fn(&[u8], Reply) -> Served + Send + Sync>;
 
 /// A convenience service built from per-method typed handlers.
 #[derive(Default)]
 pub struct MethodTable {
     methods: HashMap<String, MethodHandler>,
-    /// Methods that keep their [`ingress::Reply`]; reachable only through
-    /// [`Service::serve`], so the hub reports them as not found.
-    deferred: HashMap<String, DeferredHandler>,
     name: String,
 }
 
@@ -622,39 +543,44 @@ impl MethodTable {
     pub fn new(name: impl Into<String>) -> Self {
         MethodTable {
             methods: HashMap::new(),
-            deferred: HashMap::new(),
             name: name.into(),
         }
     }
 
-    /// Adds a typed method handler.
+    /// Adds a typed method handler, answered when `f` returns.
     pub fn method<Req, Resp, F>(mut self, name: &str, f: F) -> Self
     where
         Req: DeserializeOwned + 'static,
         Resp: Serialize + 'static,
         F: Fn(Req) -> Result<Resp, String> + Send + Sync + 'static,
     {
-        self.methods
-            .insert(name.to_string(), Box::new(json_handler(f)));
+        let handler = move |payload: &[u8], reply: Reply| {
+            let outcome = decode(payload)
+                .and_then(|req| f(req).map_err(RpcError::Handler))
+                .and_then(|resp| encode(&resp));
+            Some((reply, outcome))
+        };
+        self.methods.insert(name.to_string(), Box::new(handler));
         self
     }
 
     /// Adds a typed method whose handler takes the request's return path and
-    /// answers through it whenever it likes — the ingress worker is free as
-    /// soon as `f` returns. A payload that does not decode is answered with
-    /// the codec error, like any other method.
+    /// answers through it whenever it likes — the worker is free as soon as
+    /// `f` returns. A payload that does not decode is answered with the
+    /// codec error, like any other method.
     pub fn deferred<Req, F>(mut self, name: &str, f: F) -> Self
     where
         Req: DeserializeOwned + 'static,
-        F: Fn(Req, ingress::Reply) + Send + Sync + 'static,
+        F: Fn(Req, Reply) + Send + Sync + 'static,
     {
-        let handler = move |payload: &[u8], reply: ingress::Reply| {
-            match serde_json::from_slice(payload) {
-                Ok(req) => f(req, reply),
-                Err(e) => reply.send(Err(RpcError::Codec(e.to_string()))),
+        let handler = move |payload: &[u8], reply: Reply| match decode(payload) {
+            Ok(req) => {
+                f(req, reply);
+                None
             }
+            Err(e) => Some((reply, Err(e))),
         };
-        self.deferred.insert(name.to_string(), Box::new(handler));
+        self.methods.insert(name.to_string(), Box::new(handler));
         self
     }
 
@@ -665,28 +591,16 @@ impl MethodTable {
 }
 
 impl Service for MethodTable {
-    fn handle(&self, method: &str, payload: &[u8]) -> Result<Vec<u8>, RpcError> {
+    fn serve(&self, method: &str, payload: &[u8], reply: Reply) -> Served {
         match self.methods.get(method) {
-            Some(f) => f(payload),
-            None => Err(RpcError::MethodNotFound {
-                service: self.name.clone(),
-                method: method.to_string(),
-            }),
-        }
-    }
-
-    fn serve(
-        &self,
-        method: &str,
-        payload: &[u8],
-        reply: ingress::Reply,
-    ) -> Option<(ingress::Reply, Result<Vec<u8>, RpcError>)> {
-        match self.deferred.get(method) {
-            Some(f) => {
-                f(payload, reply);
-                None
+            Some(f) => f(payload, reply),
+            None => {
+                let unknown = RpcError::MethodNotFound {
+                    service: self.name.clone(),
+                    method: method.to_string(),
+                };
+                Some((reply, Err(unknown)))
             }
-            None => Some((reply, self.handle(method, payload))),
         }
     }
 }
@@ -694,6 +608,7 @@ impl Service for MethodTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn echo_service() -> Arc<dyn Service> {
         MethodTable::new("echo")
@@ -703,10 +618,42 @@ mod tests {
             .build()
     }
 
+    fn slow_service() -> Arc<dyn Service> {
+        MethodTable::new("slow")
+            .method("work", |ms: u64| {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(ms)
+            })
+            .build()
+    }
+
     const T: Duration = Duration::from_secs(5);
 
+    /// The hub's other client shape: a multiplexed connection whose frames
+    /// name `service`.
+    fn connect(hub: &Defw, service: &str) -> Connection {
+        hub.transport.connect_to(service)
+    }
+
+    /// One `echo` call through each client shape, with the errors on a
+    /// common footing.
+    type EchoCall = fn(&Defw, Duration) -> Result<String, IngressError>;
+    const SHAPES: [(&str, EchoCall); 2] = [
+        ("client", |hub, timeout| {
+            hub.client()
+                .call("echo", "echo", &"x".to_string(), timeout)
+                .map_err(|e| match e {
+                    RpcError::Timeout { correlation, .. } => IngressError::Timeout { correlation },
+                    other => IngressError::Rpc(other),
+                })
+        }),
+        ("connection", |hub, timeout| {
+            connect(hub, "echo").call("echo", &"x".to_string(), timeout)
+        }),
+    ];
+
     #[test]
-    fn sync_round_trip() {
+    fn round_trip_on_both_client_shapes() {
         let hub = Defw::start(2);
         hub.register("echo", echo_service());
         let client = hub.client();
@@ -714,6 +661,11 @@ mod tests {
         assert_eq!(out, "hi");
         let d: f64 = client.call("echo", "double", &21.0, T).unwrap();
         assert_eq!(d, 42.0);
+        let conn = connect(&hub, "echo");
+        let out: String = conn.call("echo", &"hi".to_string(), T).unwrap();
+        assert_eq!(out, "hi");
+        let transport = hub.transport.stats();
+        assert_eq!((transport.accepted, transport.completed), (3, 3));
     }
 
     #[test]
@@ -732,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn handler_errors_propagate() {
+    fn handler_errors_propagate_on_both_client_shapes() {
         let hub = Defw::start(1);
         hub.register("echo", echo_service());
         let err = hub
@@ -740,20 +692,27 @@ mod tests {
             .call::<_, String>("echo", "fail", &"x".to_string(), T)
             .unwrap_err();
         assert_eq!(err, RpcError::Handler("nope".into()));
+        let conn = connect(&hub, "echo");
+        let err = conn
+            .call::<_, String>("fail", &"x".to_string(), T)
+            .unwrap_err();
+        assert_eq!(err, IngressError::Rpc(RpcError::Handler("nope".into())));
+        let err = conn
+            .call::<_, String>("nope", &"x".to_string(), T)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            IngressError::Rpc(RpcError::MethodNotFound { .. })
+        ));
+        assert_eq!(hub.transport.stats().errors, 3);
     }
 
     #[test]
     fn async_calls_overlap() {
         // One slow service, several in-flight calls on 4 workers: total
         // time must be far below the serial sum.
-        let slow = MethodTable::new("slow")
-            .method("work", |ms: u64| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            })
-            .build();
         let hub = Defw::start(4);
-        hub.register("slow", slow);
+        hub.register("slow", slow_service());
         let client = hub.client();
         let start = Instant::now();
         let replies: Vec<AsyncReply<u64>> = (0..4)
@@ -770,14 +729,8 @@ mod tests {
 
     #[test]
     fn try_wait_polls() {
-        let slow = MethodTable::new("slow")
-            .method("work", |ms: u64| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            })
-            .build();
         let hub = Defw::start(1);
-        hub.register("slow", slow);
+        hub.register("slow", slow_service());
         let reply = hub.client().call_async::<_, u64>("slow", "work", &80u64).unwrap();
         assert!(reply.try_wait().is_none());
         let mut result = None;
@@ -792,20 +745,25 @@ mod tests {
     }
 
     #[test]
-    fn timeout_fires() {
-        let slow = MethodTable::new("slow")
-            .method("work", |ms: u64| {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(ms)
-            })
-            .build();
-        let hub = Defw::start(1);
-        hub.register("slow", slow);
+    fn timeout_fires_on_both_client_shapes() {
+        let hub = Defw::start(2);
+        hub.register("slow", slow_service());
         let err = hub
             .client()
             .call::<_, u64>("slow", "work", &500u64, Duration::from_millis(20))
             .unwrap_err();
         assert!(matches!(err, RpcError::Timeout { .. }));
+        let conn = connect(&hub, "slow");
+        let corr = conn.send("work", &50u64).unwrap();
+        assert!(matches!(
+            conn.wait(corr, Duration::from_millis(1)),
+            Err(IngressError::Timeout { .. })
+        ));
+        // A connection outlives its deadline: the reply still lands and a
+        // later wait on the same id gets it.
+        let bytes = conn.wait(corr, T).unwrap();
+        let ms: u64 = serde_json::from_slice(&bytes).unwrap();
+        assert_eq!(ms, 50);
     }
 
     #[test]
@@ -820,7 +778,19 @@ mod tests {
         let stats = hub.stats("echo").unwrap();
         assert_eq!(stats.calls, 4);
         assert_eq!(stats.errors, 1);
-        assert!(stats.busy_secs >= 0.0);
+        // One place a request is counted: the service's statistics and the
+        // transport's move together, whichever client shape sent it.
+        let transport = hub.transport.stats();
+        assert_eq!((transport.completed, transport.errors), (4, 1));
+        let _: String = connect(&hub, "echo").call("echo", &"x".to_string(), T).unwrap();
+        assert_eq!(hub.stats("echo").unwrap().calls, 5);
+        assert_eq!(hub.transport.stats().completed, 5);
+        // A call to nobody is the transport's alone.
+        let _ = client.call::<_, String>("nowhere", "echo", &"x".to_string(), T);
+        assert_eq!(hub.stats("echo").unwrap().calls, 5);
+        assert_eq!(hub.stats("nowhere"), None);
+        let transport = hub.transport.stats();
+        assert_eq!((transport.completed, transport.errors), (6, 2));
     }
 
     #[test]
@@ -850,51 +820,51 @@ mod tests {
         assert_ne!(a.correlation(), b.correlation());
     }
 
-    #[test]
-    fn chaos_drop_reply_times_out_then_recovers() {
-        let plan = Arc::new(
-            FaultPlan::seeded(11).inject("defw.drop_reply.echo", FaultSpec::first(1)),
-        );
+    /// A hub with `echo` registered and one fault injected at `site`.
+    fn faulty_hub(seed: u64, site: &str, spec: FaultSpec) -> (Defw, Arc<FaultPlan>) {
+        let plan = Arc::new(FaultPlan::seeded(seed).inject(site, spec));
         let hub = Defw::start_with_chaos(1, Arc::clone(&plan));
         hub.register("echo", echo_service());
-        let client = hub.client();
-        let err = client
-            .call::<_, String>("echo", "echo", &"x".to_string(), Duration::from_millis(50))
-            .unwrap_err();
-        assert!(matches!(err, RpcError::Timeout { attempts: 1, .. }));
-        // The fault was first(1): the second call goes through.
-        let out: String = client.call("echo", "echo", &"x".to_string(), T).unwrap();
-        assert_eq!(out, "x");
-        assert_eq!(plan.fired("defw.drop_reply.echo"), 1);
+        (hub, plan)
+    }
+
+    #[test]
+    fn chaos_drop_reply_times_out_then_recovers() {
+        for (shape, call) in SHAPES {
+            let (hub, plan) = faulty_hub(11, "defw.drop_reply.echo", FaultSpec::first(1));
+            let err = call(&hub, Duration::from_millis(50)).unwrap_err();
+            assert!(matches!(err, IngressError::Timeout { .. }), "{shape}: {err:?}");
+            // The fault was first(1): the second call goes through.
+            assert_eq!(call(&hub, T).unwrap(), "x", "{shape}");
+            assert_eq!(plan.fired("defw.drop_reply.echo"), 1, "{shape}");
+            // The lost reply was a served, counted request all the same.
+            assert_eq!(hub.stats("echo").unwrap().calls, 2, "{shape}");
+        }
     }
 
     #[test]
     fn chaos_poison_surfaces_codec_error() {
-        let plan =
-            Arc::new(FaultPlan::seeded(3).inject("defw.poison.echo", FaultSpec::first(1)));
-        let hub = Defw::start_with_chaos(1, plan);
-        hub.register("echo", echo_service());
-        let err = hub
-            .client()
-            .call::<_, String>("echo", "echo", &"x".to_string(), T)
-            .unwrap_err();
-        assert!(matches!(err, RpcError::Codec(msg) if msg.contains("injected")));
+        for (shape, call) in SHAPES {
+            let (hub, plan) = faulty_hub(3, "defw.poison.echo", FaultSpec::first(1));
+            let err = call(&hub, T).unwrap_err();
+            assert!(
+                matches!(&err, IngressError::Rpc(RpcError::Codec(msg)) if msg.contains("injected")),
+                "{shape}: {err:?}"
+            );
+            assert_eq!(plan.fired("defw.poison.echo"), 1, "{shape}");
+        }
     }
 
     #[test]
     fn chaos_delay_stalls_dispatch() {
-        let plan = Arc::new(FaultPlan::seeded(4).inject(
-            "defw.delay.echo",
-            FaultSpec::first(1).delayed(Duration::from_millis(60)),
-        ));
-        let hub = Defw::start_with_chaos(1, plan);
-        hub.register("echo", echo_service());
-        let start = Instant::now();
-        let _: String = hub
-            .client()
-            .call("echo", "echo", &"x".to_string(), T)
-            .unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(60));
+        for (shape, call) in SHAPES {
+            let stall = FaultSpec::first(1).delayed(Duration::from_millis(60));
+            let (hub, plan) = faulty_hub(4, "defw.delay.echo", stall);
+            let start = Instant::now();
+            assert_eq!(call(&hub, T).unwrap(), "x", "{shape}");
+            assert!(start.elapsed() >= Duration::from_millis(60), "{shape}");
+            assert_eq!(plan.fired("defw.delay.echo"), 1, "{shape}");
+        }
     }
 
     #[test]
@@ -1006,6 +976,87 @@ mod tests {
         assert!(snap.contains("\"chaos.fires\":1"), "{snap}");
         assert!(snap.contains("\"defw.calls\":2"), "{snap}");
         assert!(snap.contains("\"defw.retries\":1"), "{snap}");
+
+        // A connection's request is recorded by the same span and counters.
+        let conn = connect(&hub, "echo");
+        let _: String = conn.call("echo", &"x".to_string(), T).unwrap();
+        let trace = obs.chrome_trace();
+        assert!(trace.contains(&format!("\"conn\":{}", conn.id())), "{trace}");
+        assert!(trace.contains("\"correlation\":1"), "{trace}");
+        let snap = obs.metrics_snapshot();
+        assert!(snap.contains("\"defw.calls\":3"), "{snap}");
+        assert!(snap.contains("\"ingress.accepted\":3"), "{snap}");
+        assert!(snap.contains("\"defw.handle_us\""), "{snap}");
+    }
+
+    /// A deferred method works over the hub: its reply is sent from another
+    /// thread while the hub's single worker serves a second request.
+    #[test]
+    fn deferred_method_is_answered_through_a_client_call() {
+        let (parked_tx, parked_rx) = crossbeam::channel::unbounded();
+        let service = MethodTable::new("park")
+            .method("echo", |v: String| Ok(v))
+            .deferred("park", move |v: String, reply: Reply| {
+                parked_tx.send((v, reply)).unwrap()
+            })
+            .build();
+        let hub = Defw::start(1);
+        hub.register("park", service);
+        let client = hub.client();
+        let waiter = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                client.call::<_, String>("park", "park", &"later".to_string(), T)
+            })
+        };
+        let (v, reply) = parked_rx.recv().unwrap();
+        // The one worker is free again, and the parked call is not counted yet.
+        let out: String = client.call("park", "echo", &"now".to_string(), T).unwrap();
+        assert_eq!(out, "now");
+        assert_eq!(hub.stats("park").unwrap().calls, 1);
+        reply.send_typed(Ok(v));
+        assert_eq!(waiter.join().unwrap().unwrap(), "later");
+        assert_eq!(hub.stats("park").unwrap().calls, 2);
+    }
+
+    /// `shutdown` closes admission on both client shapes, does not wait for
+    /// a worker inside a handler, and everything admitted before it is
+    /// still answered.
+    #[test]
+    fn shutdown_refuses_new_calls_and_answers_admitted_ones() {
+        let (entered_tx, entered_rx) = crossbeam::channel::unbounded();
+        let (release_tx, release_rx) = crossbeam::channel::unbounded::<()>();
+        let service = MethodTable::new("gate")
+            .method("echo", |v: String| Ok(v))
+            .method("hold", move |v: String| {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().map_err(|_| "never released".to_string())?;
+                Ok(v)
+            })
+            .build();
+        let hub = Defw::start(1);
+        hub.register("gate", service);
+        let client = hub.client();
+        let conn = connect(&hub, "gate");
+        let held = client
+            .call_async::<_, String>("gate", "hold", &"held".to_string())
+            .unwrap();
+        entered_rx.recv().unwrap();
+        let queued = conn.send("echo", &"queued".to_string()).unwrap();
+
+        // The one worker is inside `hold`: shutdown must not wait for it.
+        hub.shutdown();
+        let err = client
+            .call::<_, String>("gate", "echo", &"x".to_string(), T)
+            .unwrap_err();
+        assert_eq!(err, RpcError::Shutdown);
+        let err = conn.send("echo", &"x".to_string()).unwrap_err();
+        assert_eq!(err, IngressError::Shutdown);
+
+        release_tx.send(()).unwrap();
+        assert_eq!(held.wait(T).unwrap(), "held");
+        let out: String = serde_json::from_slice(&conn.wait(queued, T).unwrap()).unwrap();
+        assert_eq!(out, "queued");
     }
 
     #[test]

@@ -212,13 +212,21 @@ pub fn solve_dqaoa_traced(
                     .seed
                     .wrapping_add((iteration as u64) << 16)
                     .wrapping_add(sub_index as u64);
+                // A handle with its own seed counter per sub-solve: every
+                // evaluation's seed is fixed by (run seed, iteration,
+                // sub-problem, evaluation index), not by which thread of
+                // this scope reached a shared counter first.
+                let stream = ((iteration as u64) << 32) | sub_index as u64;
+                let solver = backend
+                    .with_spec(backend.spec().clone())
+                    .with_base_seed(Rng::stream(config.seed, stream).next_u64());
                 scope.spawn(move || {
                     let mut span = obs
                         .span("dqaoa", "dqaoa.sub_solve")
                         .attr("iteration", iteration)
                         .attr("sub_index", sub_index)
                         .attr("backend", backend.spec().backend.as_str());
-                    match solve_qaoa(backend, &sub, sub_config) {
+                    match solve_qaoa(&solver, &sub, sub_config) {
                         Ok(out) => {
                             span.set_attr("energy", out.best_energy);
                             let (start_us, end_us) = span.finish();

@@ -212,6 +212,46 @@ fn dqaoa_local_and_cloud_end_to_end() {
     }
 }
 
+/// Seeds are a function of the evaluation, not of arrival order: with two
+/// sub-solve threads in flight, ten same-seed runs on one backend handle
+/// make the same number of evaluations and walk the same energies to the
+/// same answer.
+#[test]
+fn dqaoa_replays_bitwise_with_concurrent_sub_solves() {
+    let session = QfwSession::launch_local(2).unwrap();
+    let backend = session
+        .backend(&[("backend", "nwqsim"), ("subbackend", "cpu")])
+        .unwrap();
+    let qubo = Qubo::metamaterial(12, 3, 41);
+    let config = DqaoaConfig {
+        subqsize: 6,
+        nsubq: 2,
+        qaoa: QaoaConfig {
+            layers: 1,
+            shots: 128,
+            max_evals: 12,
+            seed: 3,
+            wall_limit_secs: f64::INFINITY,
+        },
+        max_iterations: 3,
+        patience: 2,
+        seed: 0xD0A0A,
+        ..DqaoaConfig::default()
+    };
+    let mut runs = Vec::new();
+    for _ in 0..10 {
+        let before = session.total_stats().completed;
+        let out = solve_dqaoa(&backend, &qubo, config).unwrap();
+        let evals = session.total_stats().completed - before;
+        let energies: Vec<u64> = out.energy_per_iteration.iter().map(|e| e.to_bits()).collect();
+        runs.push((evals, energies, out.best_bits));
+    }
+    assert!(runs[0].0 > 0);
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(run, &runs[0], "run {i} diverged from run 0");
+    }
+}
+
 /// Multiple QPM services share one QRC without interference, and the
 /// session aggregates their statistics.
 #[test]
