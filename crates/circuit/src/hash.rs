@@ -1,6 +1,6 @@
 //! Canonical content-addressed hashing for circuits.
 //!
-//! The ingress result/plan caches need one property above all: a circuit
+//! The ingress result cache needs one property above all: a circuit
 //! built programmatically and the same circuit round-tripped through the
 //! `qfwasm` wire format must produce the **same key**. The text layer
 //! already defines the canonical form — [`crate::text::dump`] emits one

@@ -18,7 +18,7 @@
 //!   circuit format marshaled by the DEFw RPC layer.
 //! * [`hash`] — canonical 128-bit content hashing (the canonical [`text`]
 //!   form streamed through FNV-1a), the key scheme behind the
-//!   content-addressed result and plan caches.
+//!   content-addressed result cache and the batcher's skeleton key.
 //! * [`controlled`] — controlled versions of gates and whole circuits, the
 //!   primitive behind Hadamard tests (VQLS) and textbook QPE.
 //!

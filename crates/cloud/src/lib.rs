@@ -382,8 +382,7 @@ impl CloudProvider {
         calibration: Option<&Calibration>,
     ) -> Result<JobResult, String> {
         let circuit = if text::is_param_text(&request.circuit) {
-            // Bound parameterized submissions: bind the skeleton here (the
-            // provider has no compile-once path to exploit).
+            // Bound parameterized submissions: bind the skeleton here.
             let (template, bound) =
                 text::parse_param(&request.circuit).map_err(|e| e.to_string())?;
             let params =

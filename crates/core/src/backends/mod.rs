@@ -60,12 +60,13 @@ pub trait BackendQpm: Send + Sync {
     /// Executes one admitted job.
     fn execute(&self, job: &ResolvedJob, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError>;
 
-    /// Executes a compile-once/bind-many sweep: one skeleton, many
+    /// Executes a parse-once/bind-many sweep: one skeleton, many
     /// bindings, results in point order.
     ///
     /// The default implementation runs each point as a bound job through
     /// [`execute`](Self::execute), so every backend supports sweeps out of
-    /// the box; engines with a native compile-once path override this.
+    /// the box; an engine that serves all points in one invocation
+    /// overrides this.
     fn execute_sweep(
         &self,
         sweep: &ResolvedSweep,

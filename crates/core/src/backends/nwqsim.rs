@@ -5,63 +5,28 @@
 //! CPU/GPU HPC runs".
 
 use crate::backends::{BackendQpm, ExecContext};
-use crate::cache::{report_event, CacheConfig, CacheEvent, ShardedLru};
 use crate::error::QfwError;
 use crate::plan::{ExecPlan, Form, ResolvedJob, ResolvedSweep};
 use crate::result::QfwResult;
 use crate::spec::extras;
-use qfw_circuit::hash::{circuit_hash, param_hash};
-use qfw_circuit::{Circuit, Op, ParamCircuit};
+use qfw_circuit::{Circuit, Op};
 use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
 use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
 use qfw_sim_sv::engine::SvOutcome;
-use qfw_sim_sv::{
-    fuse, FusionLevel, LayerPlan, SvConfig, SvSimulator, SweepError, SweepPlan, SweepPoint,
-    Threading,
-};
+use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, SweepPoint, Threading};
 use std::sync::Arc;
-
-/// Compiled sweep plans retained per backend instance (sharded LRU).
-const PLAN_CACHE_CAP: usize = 64;
-/// Layer plans of concrete circuits retained per backend instance (sharded
-/// LRU).
-const FUSED_CACHE_CAP: usize = 256;
 
 /// NWQ-Sim analog Backend-QPM.
 ///
-/// Two compiled-artifact cache tiers hang off each instance:
-///
-/// * Parameterized jobs on the `cpu`/`openmp` sub-backends run through a
-///   compile-once sweep plan cached by skeleton, so variational loops stop
-///   paying per-iteration fusion; a single bound job is the one-point case
-///   of a sweep, keeping their counts bitwise identical.
-/// * Concrete jobs cache their **layer plan** (the fused circuit, already
-///   cut into tile groups) keyed by the job's content hash, so repeat (and
-///   near-repeat: different seed/shots) submissions skip the fusion
-///   pre-pass entirely and go straight to gate application.
-///
-/// Both tiers report `cache.{hit,miss,evict}` (and `cache.plan.*` /
-/// `cache.fused.*`) counters on the per-execution obs handle.
-pub struct NwqSimBackend {
-    /// Compiled sweep plans keyed by skeleton hash + sub-backend + fusion.
-    plans: ShardedLru<Arc<SweepPlan>>,
-    /// Layer plans keyed by circuit content hash.
-    fused: ShardedLru<Arc<LayerPlan>>,
-}
-
-impl Default for NwqSimBackend {
-    fn default() -> Self {
-        // Built over the disabled handle: instances exist before any
-        // session obs does. Events are reported per-execution instead
-        // (see `crate::cache::report_event`).
-        let obs = Obs::disabled();
-        NwqSimBackend {
-            plans: ShardedLru::new(CacheConfig::with_capacity(PLAN_CACHE_CAP), &obs, "plan"),
-            fused: ShardedLru::new(CacheConfig::with_capacity(FUSED_CACHE_CAP), &obs, "fused"),
-        }
-    }
-}
+/// Every ideal job on the `cpu`/`openmp` sub-backends — concrete, bound,
+/// sweep point, Clifford-partition suffix — takes the engine's one dense
+/// path: bind if symbolic, fuse (unless `fusion=false`), apply, sample. The
+/// instance holds nothing between jobs: fusing is two `O(ops)` passes, and
+/// the content hash a plan cache would key on costs as much as the fuse it
+/// would save.
+#[derive(Default)]
+pub struct NwqSimBackend;
 
 /// Stamps an engine outcome onto a result.
 fn record(result: &mut QfwResult, out: SvOutcome) {
@@ -72,74 +37,12 @@ fn record(result: &mut QfwResult, out: SvOutcome) {
 }
 
 impl NwqSimBackend {
-    fn engine(plan: &ExecPlan, fused: bool) -> SvSimulator {
+    fn engine(plan: &ExecPlan) -> SvSimulator {
         let threaded = plan.subbackend == "openmp";
         SvSimulator::new(SvConfig {
             threading: if threaded { Threading::Rayon } else { Threading::Serial },
-            fusion: if fused { FusionLevel::Full } else { FusionLevel::None },
+            fusion: if plan.fusion { FusionLevel::Full } else { FusionLevel::None },
         })
-    }
-
-    /// Runs bindings of one skeleton on the local engine through its
-    /// compile-once sweep plan (fetched from, or compiled into, the plan
-    /// cache). Returns the outcomes in point order and whether the plan
-    /// was served from the cache.
-    fn run_plan(
-        &self,
-        template: &ParamCircuit,
-        points: &[SweepPoint],
-        plan: &ExecPlan,
-        obs: &Obs,
-    ) -> Result<(Vec<SvOutcome>, bool), SweepError> {
-        let engine = Self::engine(plan, plan.fusion);
-        let key = param_hash(template, None)
-            .fold_str(plan.subbackend)
-            .fold_u64(plan.fusion as u64);
-        let (compiled, cached) = match self.plans.get(key) {
-            Some(compiled) => {
-                report_event(obs, "plan", CacheEvent::Hit);
-                (compiled, true)
-            }
-            None => {
-                report_event(obs, "plan", CacheEvent::Miss);
-                // Compile outside any shard lock: concurrent misses may
-                // compile twice, but never block each other on a
-                // multi-millisecond fuse.
-                let mut span = obs
-                    .span("engine", "sweep.compile")
-                    .attr("ops_in", template.ops().len())
-                    .attr("params", template.num_params());
-                let compiled = Arc::new(engine.compile_sweep(template)?);
-                span.set_attr("slots", compiled.num_slots());
-                drop(span);
-                if self.plans.insert(key, Arc::clone(&compiled)) {
-                    report_event(obs, "plan", CacheEvent::Evict);
-                }
-                (compiled, false)
-            }
-        };
-        Ok((engine.run_plan_traced(&compiled, points, obs), cached))
-    }
-
-    /// Fetches (or fuses and caches) the layer plan of a concrete circuit.
-    /// Returns the plan and whether it was served from the cache.
-    fn fused_for(&self, circuit: &Circuit, obs: &Obs) -> (Arc<LayerPlan>, bool) {
-        let key = circuit_hash(circuit);
-        if let Some(fused) = self.fused.get(key) {
-            report_event(obs, "fused", CacheEvent::Hit);
-            return (fused, true);
-        }
-        report_event(obs, "fused", CacheEvent::Miss);
-        let mut span = obs
-            .span("engine", "sv.fuse")
-            .attr("ops_in", circuit.ops().len());
-        let fused = Arc::new(fuse(circuit));
-        span.set_attr("ops_out", fused.num_layers());
-        drop(span);
-        if self.fused.insert(key, Arc::clone(&fused)) {
-            report_event(obs, "fused", CacheEvent::Evict);
-        }
-        (fused, false)
     }
 
     /// Hybrid Clifford-prefix partitioned execution: evolve the first
@@ -148,10 +51,11 @@ impl NwqSimBackend {
     /// convert the tableau to dense amplitudes at the seam, and run the
     /// remaining ops on the state-vector engine from that state.
     ///
-    /// Sampling goes through the same canonical path and seed as a
-    /// monolithic unfused run, and the seam conversion produces every
-    /// amplitude exactly (see `qfw_sim_stab::extract`), so counts are
-    /// bitwise comparable to running the whole circuit dense.
+    /// The suffix runs like any dense job (fused unless `fusion=false`) and
+    /// samples through the same canonical path and seed as a monolithic
+    /// run, and the seam conversion produces every amplitude exactly (see
+    /// `qfw_sim_stab::extract`), so counts are bitwise comparable to
+    /// running the whole circuit dense.
     fn run_partitioned(
         circuit: &Circuit,
         seam: usize,
@@ -180,10 +84,9 @@ impl NwqSimBackend {
         for op in &ops[seam..] {
             suffix.push_op(op.clone());
         }
-        let engine = Self::engine(&job.plan, false);
         record(
             result,
-            engine.run_traced_from(initial, &suffix, job.shots, job.seed, obs),
+            Self::engine(&job.plan).run_traced_from(initial, &suffix, job.shots, job.seed, obs),
         );
         result.note(extras::PARTITION, extras::PARTITION_CLIFFORD_PREFIX);
         result.note(extras::PARTITION_SEAM, seam);
@@ -220,52 +123,18 @@ impl NwqSimBackend {
             result.note("noise_trajectories", plan.trajectories);
             return Ok(());
         }
-        let circuit = match &job.form {
-            Form::Concrete(circuit) => circuit,
-            // A bound job is the one-point case of a sweep.
-            Form::Param(template) => {
-                let point = SweepPoint {
-                    params: job.params.to_vec(),
-                    shots: job.shots,
-                    seed: job.seed,
-                };
-                match self.run_plan(template, std::slice::from_ref(&point), plan, ctx.obs) {
-                    Ok((mut outcomes, cached)) => {
-                        result.note("plan_cached", cached);
-                        record(result, outcomes.pop().expect("one point in, one outcome out"));
-                    }
-                    Err(SweepError::MidCircuitMeasure { .. }) => {
-                        // Mid-circuit measurements can't take the plan
-                        // path; bind and run the trajectory engine instead.
-                        result.note("sweep_fallback", "mid_circuit_measure");
-                        let engine = Self::engine(plan, plan.fusion);
-                        record(
-                            result,
-                            engine.run_traced(&job.concrete(), job.shots, job.seed, ctx.obs),
-                        );
-                    }
-                }
-                return Ok(());
-            }
-        };
-        if let Some(seam) = plan.partition_seam {
+        let circuit = job.concrete();
+        // Admission checks a seam against a concrete circuit only; a bound
+        // job carrying the hint runs whole.
+        if let (Some(seam), Form::Concrete(_)) = (plan.partition_seam, &job.form) {
             // Planner-issued hybrid partition: stabilizer tableau over the
             // Clifford prefix, dense continuation from the seam state.
-            return Self::run_partitioned(circuit, seam, job, ctx.obs, result);
+            return Self::run_partitioned(&circuit, seam, job, ctx.obs, result);
         }
-        let engine = Self::engine(plan, plan.fusion);
-        let out = if plan.fusion {
-            // Run the layer plan out of the per-instance cache — the plan
-            // `FusionLevel::Full` would build, so counts are bitwise the
-            // same, but repeat submissions skip the fusion pre-pass.
-            let (layers, cached) = self.fused_for(circuit, ctx.obs);
-            result.note("fusion_cached", cached);
-            engine.run_layers_traced(&layers, job.shots, job.seed, ctx.obs)
-        } else {
-            // `fusion=false` runs the unfused gate stream verbatim.
-            engine.run_traced(circuit, job.shots, job.seed, ctx.obs)
-        };
-        record(result, out);
+        record(
+            result,
+            Self::engine(plan).run_traced(&circuit, job.shots, job.seed, ctx.obs),
+        );
         Ok(())
     }
 
@@ -360,17 +229,14 @@ impl BackendQpm for NwqSimBackend {
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<QfwResult>, QfwError> {
         let plan = &*sweep.plan;
-        let per_point = || sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect();
-        // The native compile-once path serves the ideal local
-        // sub-backends; the distributed and noisy configurations run each
-        // point as a bound job (still bitwise identical to independent
-        // submissions, since both sides bind the same skeleton to the same
-        // seeds).
+        // One engine invocation serves the ideal local sub-backends; the
+        // distributed and noisy configurations run each point as a bound
+        // job. Either way a point is bitwise identical to an independent
+        // submission: both bind the same skeleton to the same seed.
         if plan.subbackend == "mpi" || !plan.noise.is_empty() {
-            return per_point();
+            return sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect();
         }
-        let total = Stopwatch::start();
-        let lease = ctx.lease_cores(plan.cores)?;
+        let _lease = ctx.lease_cores(plan.cores)?;
         let points: Vec<SweepPoint> = sweep
             .jobs
             .iter()
@@ -380,25 +246,22 @@ impl BackendQpm for NwqSimBackend {
                 seed: job.seed,
             })
             .collect();
-        let (outcomes, cached) = match self.run_plan(&sweep.template, &points, plan, ctx.obs) {
-            Ok(pair) => pair,
-            // Mid-circuit skeletons can't sweep: bind each point instead.
-            Err(SweepError::MidCircuitMeasure { .. }) => {
-                drop(lease);
-                return per_point();
-            }
-        };
-        let total_secs = total.elapsed_secs();
-        Ok(outcomes
+        let engine = Self::engine(plan);
+        let handle = engine
+            .compile_sweep(&sweep.template)
+            .map_err(|e| QfwError::Execution(e.to_string()))?;
+        Ok(engine
+            .run_plan_traced(&handle, &points, ctx.obs)
             .into_iter()
             .zip(&sweep.jobs)
             .map(|(out, job)| {
                 let mut result = QfwResult::new(self.name(), plan.subbackend, job.shots);
+                // A point's own bind + fuse + gates + sampling: the
+                // outcome's `gate_time` covers everything before sampling.
+                result.profile.total_secs = (out.gate_time + out.sample_time).as_secs_f64();
                 record(&mut result, out);
                 result.profile.marshal_secs = job.marshal_secs;
                 result.profile.ranks = 1;
-                result.profile.total_secs = total_secs;
-                result.note("plan_cached", cached);
                 result.note("sweep_points", sweep.jobs.len());
                 result
             })
@@ -417,7 +280,7 @@ mod tests {
     #[test]
     fn all_subbackends_agree_on_ghz() {
         let rig = TestRig::new(2);
-        let backend = NwqSimBackend::default();
+        let backend = NwqSimBackend;
         for (sub, ranks) in [("cpu", 1), ("openmp", 1), ("mpi", 4)] {
             let spec = BackendSpec::of("nwqsim", sub).with_ranks(ranks);
             let task = ghz_task(6, 600, spec);
@@ -433,7 +296,7 @@ mod tests {
     fn default_subbackend_is_cpu() {
         let rig = TestRig::new(1);
         let task = ghz_task(4, 50, BackendSpec::of("nwqsim", ""));
-        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        let result = rig.execute(&NwqSimBackend, &task).unwrap();
         assert_eq!(result.subbackend, "cpu");
     }
 
@@ -441,7 +304,7 @@ mod tests {
     fn unknown_subbackend_rejected() {
         let rig = TestRig::new(1);
         let task = ghz_task(4, 50, BackendSpec::of("nwqsim", "gpu"));
-        let err = rig.execute(&NwqSimBackend::default(), &task).unwrap_err();
+        let err = rig.execute(&NwqSimBackend, &task).unwrap_err();
         assert!(matches!(err, QfwError::UnknownSubBackend { .. }));
     }
 
@@ -449,7 +312,7 @@ mod tests {
     fn mpi_rejects_too_many_ranks_for_register() {
         let rig = TestRig::new(2);
         let task = ghz_task(3, 10, BackendSpec::of("nwqsim", "mpi").with_ranks(8));
-        let err = rig.execute(&NwqSimBackend::default(), &task).unwrap_err();
+        let err = rig.execute(&NwqSimBackend, &task).unwrap_err();
         assert!(matches!(err, QfwError::Resources(_)));
     }
 
@@ -458,7 +321,7 @@ mod tests {
         let rig = TestRig::new(1);
         let before = rig.hetjob.free_cores(1);
         let task = ghz_task(5, 20, BackendSpec::of("nwqsim", "mpi").with_ranks(4));
-        rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        rig.execute(&NwqSimBackend, &task).unwrap();
         assert_eq!(rig.hetjob.free_cores(1), before);
     }
 
@@ -478,7 +341,7 @@ mod tests {
             .with_extra("noise_model", model.to_text())
             .with_extra("noise_trajectories", 32);
         let task = ghz_task(6, 2000, spec);
-        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        let result = rig.execute(&NwqSimBackend, &task).unwrap();
         assert_eq!(result.metadata["noise"], model.to_text());
         assert_eq!(result.metadata["noise_trajectories"], "32");
         assert!(result.counts.len() > 2, "noise had no visible effect");
@@ -490,7 +353,7 @@ mod tests {
         let spec = BackendSpec::of("nwqsim", "cpu").with_extra("noise_model", "garbage");
         let task = ghz_task(3, 10, spec);
         assert!(matches!(
-            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            rig.execute(&NwqSimBackend, &task).unwrap_err(),
             QfwError::BadProperties(_)
         ));
     }
@@ -504,7 +367,7 @@ mod tests {
             let spec =
                 BackendSpec::of("nwqsim", sub).with_extra("noise_model", depolarizing_2q(0.03));
             let task = ghz_task(6, 1000, spec);
-            rig.execute(&NwqSimBackend::default(), &task)
+            rig.execute(&NwqSimBackend, &task)
                 .unwrap()
                 .counts
         };
@@ -517,7 +380,7 @@ mod tests {
         let spec =
             BackendSpec::of("nwqsim", "cpu").with_extra("predicted_fidelity", -0.0123_f64);
         let task = ghz_task(3, 10, spec);
-        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        let result = rig.execute(&NwqSimBackend, &task).unwrap();
         assert_eq!(result.metadata["predicted_fidelity"], "-0.0123");
     }
 
@@ -529,7 +392,7 @@ mod tests {
             .with_extra("noise_model", depolarizing_2q(0.05));
         let task = ghz_task(5, 10, spec);
         assert!(matches!(
-            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            rig.execute(&NwqSimBackend, &task).unwrap_err(),
             QfwError::BadProperties(_)
         ));
     }
@@ -538,13 +401,13 @@ mod tests {
     fn mpi_reports_comm_counters() {
         let rig = TestRig::new(2);
         let task = ghz_task(6, 200, BackendSpec::of("nwqsim", "mpi").with_ranks(4));
-        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        let result = rig.execute(&NwqSimBackend, &task).unwrap();
         // An entangling chain across the rank boundary moves data.
         assert!(result.metadata["comm_exchanges"].parse::<u64>().unwrap() > 0);
         assert!(result.metadata["comm_bytes"].parse::<u64>().unwrap() > 0);
         // Five requested ranks round up to eight, once, and say so.
         let task = ghz_task(6, 200, BackendSpec::of("nwqsim", "mpi").with_ranks(5));
-        let rounded = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        let rounded = rig.execute(&NwqSimBackend, &task).unwrap();
         assert_eq!(rounded.profile.ranks, 8);
         assert_eq!(rounded.metadata["ranks_rounded"], "8");
         assert!(!result.metadata.contains_key("ranks_rounded"));
@@ -575,7 +438,7 @@ mod tests {
                 seed: 21,
                 spec,
             };
-            rig.execute(&NwqSimBackend::default(), &task).unwrap()
+            rig.execute(&NwqSimBackend, &task).unwrap()
         };
         let plain = run(None);
         let seeded = run(Some("4,5,0,1,2,3"));
@@ -594,7 +457,7 @@ mod tests {
             spec,
         };
         assert!(matches!(
-            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            rig.execute(&NwqSimBackend, &task).unwrap_err(),
             QfwError::BadProperties(_)
         ));
     }
@@ -644,7 +507,7 @@ mod tests {
                 seed: 77,
                 spec,
             };
-            rig.execute(&NwqSimBackend::default(), &task).unwrap()
+            rig.execute(&NwqSimBackend, &task).unwrap()
         };
         let exchanges =
             |r: &QfwResult| r.metadata["comm_exchanges"].parse::<u64>().unwrap();
@@ -663,7 +526,7 @@ mod tests {
                 seed: 77,
                 spec: BackendSpec::of("nwqsim", "cpu"),
             };
-            rig.execute(&NwqSimBackend::default(), &task).unwrap()
+            rig.execute(&NwqSimBackend, &task).unwrap()
         };
         assert_eq!(dist.counts, serial.counts);
     }
@@ -673,29 +536,9 @@ mod tests {
         let rig = TestRig::new(1);
         let spec = BackendSpec::of("nwqsim", "cpu").with_extra("fusion", false);
         let task = ghz_task(4, 50, spec);
-        let result = rig.execute(&NwqSimBackend::default(), &task).unwrap();
+        let result = rig.execute(&NwqSimBackend, &task).unwrap();
         // GHZ(4) has 4 gates; without fusion all 4 are applied verbatim.
         assert_eq!(result.metadata["gates_applied"], "4");
-        // fusion=false bypasses the fused-circuit cache entirely.
-        assert!(!result.metadata.contains_key("fusion_cached"));
-    }
-
-    #[test]
-    fn concrete_task_hits_fused_cache_on_second_call() {
-        let rig = TestRig::new(1);
-        let backend = NwqSimBackend::default();
-        let task = ghz_task(6, 300, BackendSpec::of("nwqsim", "cpu"));
-        let first = rig.execute(&backend, &task).unwrap();
-        assert_eq!(first.metadata["fusion_cached"], "false");
-        let second = rig.execute(&backend, &task).unwrap();
-        assert_eq!(second.metadata["fusion_cached"], "true");
-        // Same seed, same fused circuit: bitwise identical counts.
-        assert_eq!(first.counts, second.counts);
-        // Different shots/seed still hit the cache (key is circuit+fusion).
-        let mut varied = ghz_task(6, 150, BackendSpec::of("nwqsim", "cpu"));
-        varied.seed ^= 0x5eed;
-        let third = rig.execute(&backend, &varied).unwrap();
-        assert_eq!(third.metadata["fusion_cached"], "true");
     }
 
     /// A circuit with a deep Clifford prefix whose stabilizer X-part has
@@ -728,7 +571,7 @@ mod tests {
     #[test]
     fn partitioned_execution_bitwise_matches_monolithic() {
         let rig = TestRig::new(1);
-        let backend = NwqSimBackend::default();
+        let backend = NwqSimBackend;
         let (qc, seam) = clifford_prefix_circuit(6, 4);
         let task_of = |spec: BackendSpec| ExecTask {
             circuit: text::dump(&qc),
@@ -780,7 +623,7 @@ mod tests {
             spec: BackendSpec::of("nwqsim", "cpu").with_extra("partition_seam", seam + 1),
         };
         assert!(matches!(
-            rig.execute(&NwqSimBackend::default(), &task).unwrap_err(),
+            rig.execute(&NwqSimBackend, &task).unwrap_err(),
             QfwError::BadProperties(_)
         ));
     }
@@ -811,30 +654,91 @@ mod tests {
             .collect()
     }
 
+    /// A concrete job, a bound job and a one-point sweep of one circuit
+    /// and seed are the same engine call, so their counts and applied
+    /// gates are equal by construction — and nothing is remembered from
+    /// one to the next.
     #[test]
-    fn bound_param_task_hits_plan_cache_on_second_call() {
+    fn concrete_bound_and_one_point_sweep_are_one_path() {
         let rig = TestRig::new(1);
-        let backend = NwqSimBackend::default();
+        let backend = NwqSimBackend;
         let template = sweep_template(5);
-        let task = ExecTask {
-            circuit: text::dump_param_bound(&template, &[0.4, 0.7]),
-            shots: 128,
-            seed: 11,
+        let params = [0.4, 0.7];
+        for sub in ["cpu", "openmp"] {
+            for fusion in [true, false] {
+                let spec = BackendSpec::of("nwqsim", sub).with_extra("fusion", fusion);
+                let task = |circuit: String| ExecTask {
+                    circuit,
+                    shots: 128,
+                    seed: 11,
+                    spec: spec.clone(),
+                };
+                let concrete = rig
+                    .execute(&backend, &task(text::dump(&template.bind(&params))))
+                    .unwrap();
+                let bound = rig
+                    .execute(&backend, &task(text::dump_param_bound(&template, &params)))
+                    .unwrap();
+                let repeat = rig
+                    .execute(&backend, &task(text::dump_param_bound(&template, &params)))
+                    .unwrap();
+                let swept = rig
+                    .execute_sweep(
+                        &backend,
+                        &SweepTask {
+                            circuit: text::dump_param(&template),
+                            points: vec![SweepPointSpec {
+                                params: params.to_vec(),
+                                shots: 128,
+                                seed: 11,
+                            }],
+                            spec: spec.clone(),
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(concrete.counts.values().sum::<usize>(), 128);
+                for other in [&bound, &repeat, &swept[0]] {
+                    assert_eq!(other.counts, concrete.counts, "{sub} fusion={fusion}");
+                    assert_eq!(
+                        other.metadata["gates_applied"], concrete.metadata["gates_applied"],
+                        "{sub} fusion={fusion}"
+                    );
+                }
+                for result in [&concrete, &bound, &repeat, &swept[0]] {
+                    assert!(!result.metadata.contains_key("plan_cached"));
+                    assert!(!result.metadata.contains_key("fusion_cached"));
+                }
+            }
+        }
+    }
+
+    /// A point's profile is its own time: summed over the sweep it cannot
+    /// exceed the sweep's wall (it used to be the whole wall on each).
+    #[test]
+    fn sweep_point_profiles_sum_to_at_most_the_sweep_wall() {
+        let rig = TestRig::new(1);
+        let task = SweepTask {
+            circuit: text::dump_param(&sweep_template(8)),
+            points: sweep_points(6, 256),
             spec: BackendSpec::of("nwqsim", "cpu"),
         };
-        let first = rig.execute(&backend, &task).unwrap();
-        assert_eq!(first.metadata["plan_cached"], "false");
-        assert_eq!(first.counts.values().sum::<usize>(), 128);
-        let second = rig.execute(&backend, &task).unwrap();
-        assert_eq!(second.metadata["plan_cached"], "true");
-        // Same seed, same binding, same plan: bitwise identical counts.
-        assert_eq!(first.counts, second.counts);
+        let wall = Stopwatch::start();
+        let swept = rig.execute_sweep(&NwqSimBackend, &task).unwrap();
+        let wall = wall.elapsed_secs();
+        let total: f64 = swept.iter().map(|r| r.profile.total_secs).sum();
+        assert!(total <= wall, "points sum to {total}s of a {wall}s sweep");
+        for result in &swept {
+            let own = result.profile.exec_secs + result.profile.sample_secs;
+            assert!(own > 0.0 && (result.profile.total_secs - own).abs() < 1e-9);
+            assert_eq!(result.profile.ranks, 1);
+            assert_eq!(result.metadata["sweep_points"], "6");
+        }
     }
 
     #[test]
     fn execute_sweep_bitwise_matches_per_point_executes() {
         let rig = TestRig::new(1);
-        let backend = NwqSimBackend::default();
+        let backend = NwqSimBackend;
         let template = sweep_template(6);
         for sub in ["cpu", "openmp"] {
             let task = SweepTask {
@@ -865,7 +769,7 @@ mod tests {
     #[test]
     fn mpi_sweep_falls_back_to_per_point_execution() {
         let rig = TestRig::new(2);
-        let backend = NwqSimBackend::default();
+        let backend = NwqSimBackend;
         let template = sweep_template(5);
         let task = SweepTask {
             circuit: text::dump_param(&template),
@@ -895,7 +799,7 @@ mod tests {
     #[test]
     fn sweep_point_with_short_binding_rejected() {
         let rig = TestRig::new(1);
-        let backend = NwqSimBackend::default();
+        let backend = NwqSimBackend;
         let template = sweep_template(4);
         let task = SweepTask {
             circuit: text::dump_param(&template),

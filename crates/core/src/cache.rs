@@ -18,10 +18,6 @@
 //!   repeat reach its tier-1 entry ([`ResultCache::get_by_request`])
 //!   without being compiled, admitted and canonically hashed again. Same
 //!   capacity and sharding as tier 1.
-//! * Tier 2 — compiled/fused-plan caching — reuses [`ShardedLru`]
-//!   directly with engine-specific values (see
-//!   `backends::nwqsim::NwqSimBackend`): sweep plans keyed by skeleton,
-//!   fused concrete circuits keyed by canonical circuit hash.
 //!
 //! Every tier built with [`ShardedLru::new`] reports `cache.hit` /
 //! `cache.miss` / `cache.evict` counters (plus per-tier `cache.<tier>.*`
@@ -248,36 +244,6 @@ impl<V: Clone> ShardedLru<V> {
             entries: self.len(),
         }
     }
-}
-
-/// A cache event, for owners that report onto a per-call [`Obs`] handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheEvent {
-    /// A lookup was served from the cache.
-    Hit,
-    /// A lookup found nothing.
-    Miss,
-    /// An insert displaced an entry.
-    Evict,
-}
-
-/// Increments `cache.<event>` and `cache.<tier>.<event>` on `obs`.
-///
-/// Backend instances are constructed without an observability handle (the
-/// registry predates the session), so their plan caches are built over the
-/// disabled handle and instead report per-execution events here, onto the
-/// `ExecContext`'s live obs.
-pub fn report_event(obs: &Obs, tier: &str, event: CacheEvent) {
-    if !obs.is_enabled() {
-        return;
-    }
-    let name = match event {
-        CacheEvent::Hit => "hit",
-        CacheEvent::Miss => "miss",
-        CacheEvent::Evict => "evict",
-    };
-    obs.counter(&format!("cache.{name}")).inc();
-    obs.counter(&format!("cache.{tier}.{name}")).inc();
 }
 
 /// Tier 1: the content-addressed result cache.

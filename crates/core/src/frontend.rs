@@ -108,9 +108,8 @@ impl QfwBackend {
 
     /// Submits one bound evaluation of a parameterized circuit. The
     /// skeleton travels in the `qfwasm-param` wire format with a `bind`
-    /// line, so a server-side engine with a plan cache compiles the
-    /// skeleton once and re-binds it on every subsequent call — the
-    /// variational-loop fast path.
+    /// line, so same-skeleton evaluations are recognisable (and
+    /// coalescible into one sweep) without masking angles.
     pub fn execute_param(
         &self,
         template: &ParamCircuit,
@@ -136,7 +135,7 @@ impl QfwBackend {
         self.execute_param(template, params, shots)?.result()
     }
 
-    /// Submits a compile-once/bind-many sweep: one skeleton, many
+    /// Submits a parse-once/bind-many sweep: one skeleton, many
     /// bindings, one engine invocation. Each binding gets its own derived
     /// seed from the frontend's counter, so per-point counts are bitwise
     /// identical to submitting the same bindings through
@@ -397,10 +396,11 @@ mod tests {
         let template = sweep_template(5);
         let result = backend.execute_param_sync(&template, &[0.3, 0.8], 256).unwrap();
         assert_eq!(result.counts.values().sum::<usize>(), 256);
-        // Second call with the same skeleton must hit the server-side plan
-        // cache — this is the variational-loop fast path.
+        // A re-binding of the skeleton is one more bound job: nothing
+        // server-side remembers the first.
         let again = backend.execute_param_sync(&template, &[0.5, 0.2], 256).unwrap();
-        assert_eq!(again.metadata["plan_cached"], "true");
+        assert_eq!(again.counts.values().sum::<usize>(), 256);
+        assert!(!again.metadata.contains_key("plan_cached"));
     }
 
     #[test]

@@ -735,7 +735,7 @@ impl ResolvedJob {
     }
 }
 
-/// One compile-once/bind-many sweep, admitted: what
+/// One parse-once/bind-many sweep, admitted: what
 /// [`crate::backends::BackendQpm::execute_sweep`] consumes.
 #[derive(Clone, Debug)]
 pub struct ResolvedSweep {

@@ -451,11 +451,10 @@ impl Qrc {
         slotted.unwrap_or_else(|e| jobs.iter().map(|_| Err(e.clone())).collect())
     }
 
-    /// Runs a compile-once/bind-many sweep under **one** slot acquisition
-    /// and one engine invocation. The backend compiles the skeleton once
-    /// (or serves it from its plan cache) and binds every point against the
-    /// shared plan; per-point counts are bitwise identical to running each
-    /// bound point through [`Qrc::run`]. Unlike [`Qrc::run_many`], a failure
+    /// Runs a parse-once/bind-many sweep under **one** slot acquisition
+    /// and one engine invocation. The backend binds every point against
+    /// the one admitted skeleton; per-point counts are bitwise identical to
+    /// running each bound point through [`Qrc::run`]. Unlike [`Qrc::run_many`], a failure
     /// is a whole-sweep failure — every point shares the skeleton, so one
     /// error dooms them all.
     pub fn run_sweep(&self, sweep: &ResolvedSweep) -> Result<Vec<QfwResult>, QfwError> {

@@ -40,7 +40,7 @@ impl BackendRegistry {
     /// cloud path).
     pub fn standard(cloud: Option<Arc<CloudProvider>>) -> Self {
         let mut backends: BTreeMap<&'static str, Arc<dyn BackendQpm>> = BTreeMap::new();
-        backends.insert("nwqsim", Arc::new(NwqSimBackend::default()));
+        backends.insert("nwqsim", Arc::new(NwqSimBackend));
         backends.insert("aer", Arc::new(AerBackend));
         backends.insert("tnqvm", Arc::new(TnQvmBackend));
         backends.insert("qtensor", Arc::new(QTensorBackend));

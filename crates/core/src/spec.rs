@@ -142,7 +142,7 @@ pub struct ExecTask {
     pub spec: BackendSpec,
 }
 
-/// One point of a compile-once/bind-many parameter sweep: a binding plus
+/// One point of a parse-once/bind-many parameter sweep: a binding plus
 /// its own shot budget and sampling seed (so sweep counts stay bitwise
 /// reproducible per point).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

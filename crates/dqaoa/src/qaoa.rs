@@ -82,8 +82,8 @@ pub fn solve_qaoa(
             });
             return f64::INFINITY;
         }
-        // The skeleton travels symbolically with a `bind` line: engines
-        // with a plan cache compile it once and re-bind per iteration.
+        // The skeleton travels symbolically with a `bind` line, so the
+        // scheduler can coalesce same-skeleton evaluations into one sweep.
         match backend.execute_param_sync(&ansatz, theta, config.shots) {
             Ok(result) => {
                 let e = counts_energy(qubo, &result.counts);

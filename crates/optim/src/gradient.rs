@@ -2,8 +2,8 @@
 //! parameter-shift) gradient oracle.
 //!
 //! The variational fast path: when the engine can evaluate exact gradients
-//! against a compiled sweep plan (`SweepPlan::grad_expectation_z`), the
-//! outer loop converges in far fewer circuit evaluations than the
+//! of a symbolic skeleton (`SweepPlan::grad_expectation_z`), the outer
+//! loop converges in far fewer circuit evaluations than the
 //! derivative-free optimizers — each iteration costs `2 * num_symbolic_ops`
 //! shifted evaluations instead of a simplex reshuffle.
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 ///
 /// A symbolic job keys on its skeleton exactly (the binding left out) — the
 /// form already separates structure from parameters, so two jobs coalesce
-/// exactly when they share a compiled plan. A concrete circuit keys on its
+/// exactly when they bind the same skeleton. A concrete circuit keys on its
 /// structure with every angle masked.
 pub fn skeleton_hash(job: &ResolvedJob) -> ContentHash {
     let structure = match &job.form {
@@ -149,7 +149,7 @@ mod tests {
             skeleton_hash(&b),
             "bindings are parameters"
         );
-        // A different affine coefficient is a different compiled plan.
+        // A different affine coefficient is a different skeleton.
         let c = key_of(
             "qfwasm-param 1\nqubits 2\nrx(@0) q0\nrzz(@1*3e0) q0 q1\nbind 1e-1 2e-1\n",
             spec.clone(),

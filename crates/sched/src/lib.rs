@@ -121,8 +121,8 @@ impl JobEnvelope {
     /// Builds an envelope for a **bound parameterized** circuit: the
     /// skeleton travels symbolically in the `qfwasm-param` wire format
     /// with a `bind` line, so the batcher recognizes same-skeleton jobs
-    /// exactly (no masking heuristic) and coalesces them into one
-    /// compile-once sweep invocation.
+    /// exactly (no masking heuristic) and coalesces them into one sweep
+    /// invocation.
     pub fn new_param(
         tenant: impl Into<String>,
         template: &ParamCircuit,

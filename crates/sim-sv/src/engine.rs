@@ -140,20 +140,6 @@ impl SvSimulator {
         self.run_inner(Some(initial), circuit, shots, seed, obs)
     }
 
-    /// Executes an already-fused plan — the entry point for callers that
-    /// cache plans across submissions (the `nwqsim` adapter). Identical to
-    /// [`run_traced`](Self::run_traced) under `FusionLevel::Full` minus the
-    /// fusion pass.
-    pub fn run_layers_traced(
-        &self,
-        plan: &LayerPlan,
-        shots: usize,
-        seed: u64,
-        obs: &Obs,
-    ) -> SvOutcome {
-        self.run_plan_from(None, plan, shots, seed, obs)
-    }
-
     fn run_inner(
         &self,
         initial: Option<StateVector>,

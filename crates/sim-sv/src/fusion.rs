@@ -239,7 +239,7 @@ fn merge_diagonal_runs(n: usize, local_bits: usize, circuit: &Circuit) -> Vec<It
 /// Row-major 4x4 matrix; local bit 0 is the block's first qubit.
 type Mat4 = [C64; 16];
 
-pub(crate) fn mat2_of(g: &Gate) -> Mat2 {
+fn mat2_of(g: &Gate) -> Mat2 {
     g.matrix().as_slice().try_into().expect("single-qubit gate")
 }
 

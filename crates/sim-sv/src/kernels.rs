@@ -1,13 +1,11 @@
-//! The one planar kernel set behind both dense executors.
+//! The one planar kernel set behind the dense executor.
 //!
 //! Every kernel works on a *tile*: `2^t` amplitudes held as split real and
 //! imaginary planes (`re[l]`, `im[l]`), local qubit `j` stored in bit `j`
 //! of the tile index `l`. The layer-plan executor ([`crate::layers`])
 //! gathers cache-sized tiles out of the interleaved state vector, applies a
-//! whole run of fused ops to each, and scatters them back; the sweep
-//! executor ([`crate::sweep`]) keeps its state planar between slots and
-//! hands the kernels the full planes as one tile. Both call the functions
-//! below — there is no second copy of a butterfly or a phase multiply.
+//! whole run of fused ops to each, and scatters them back. It is their only
+//! caller: the per-gate reference ([`crate::state`]) keeps its own sweeps.
 //!
 //! # Bit identity
 //!
@@ -610,7 +608,7 @@ pub fn apply_kq(re: &mut [f64], im: &mut [f64], qubits: &[usize], m: &[C64]) {
 /// Flat index of the unordered pair `(hi, lo)`, `hi > lo`, in an
 /// upper-triangular table.
 #[inline]
-pub fn tri(hi: usize, lo: usize) -> usize {
+fn tri(hi: usize, lo: usize) -> usize {
     hi * (hi - 1) / 2 + lo
 }
 

@@ -122,9 +122,8 @@ struct TileGroup {
 }
 
 /// A fused circuit, cut into tile groups and ready to execute — what
-/// `FusionLevel::Full` runs, what the `nwqsim` adapter caches, and what a
-/// rank of the distributed engine runs on its shard between two remaps
-/// ([`crate::dist::DistPlan`]).
+/// `FusionLevel::Full` runs and what a rank of the distributed engine runs
+/// on its shard between two remaps ([`crate::dist::DistPlan`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LayerPlan {
     num_qubits: usize,

@@ -639,7 +639,35 @@ impl StateVector {
         seed: u64,
         split_bits: usize,
     ) -> BTreeMap<String, usize> {
-        sample_counts_split_probs(&self.probabilities(), shots, seed, split_bits)
+        let probs = self.probabilities();
+        let n = self.n;
+        let c = split_bits.min(n);
+        let block_len = 1usize << (n - c);
+        let masses: Vec<f64> = probs
+            .chunks(block_len)
+            .map(|block| block.iter().sum())
+            .collect();
+        let per_block = block_shot_split(&masses, shots, seed);
+        let mut counts = BTreeMap::new();
+        // One sampler reused across blocks: `rebuild` produces tables (and
+        // draw sequences) identical to a fresh build, without paying four
+        // allocations per nonzero block.
+        let mut sampler = AliasSampler::empty();
+        for (b, &s) in per_block.iter().enumerate() {
+            if s == 0 {
+                continue;
+            }
+            let lo = b * block_len;
+            sampler.rebuild(&probs[lo..lo + block_len]);
+            let mut rng = Rng::stream(seed, b as u64);
+            for _ in 0..s {
+                let local = sampler.sample(&mut rng);
+                *counts
+                    .entry(index_to_bitstring(lo | local, n))
+                    .or_insert(0) += 1;
+            }
+        }
+        counts
     }
 
     /// Expectation of a diagonal observable `sum_i f(i) |amp_i|^2`.
@@ -685,48 +713,6 @@ impl StateVector {
             .fold(C64::ZERO, |acc, (a, b)| a.conj().mul_add(*b, acc));
         ip.norm_sqr()
     }
-}
-
-/// [`StateVector::sample_counts_split`] over a pre-built probability table
-/// (`probs.len()` must be a power of two). Sharing this body between the
-/// amplitude path and the planar sweep executor is what makes their counts
-/// bitwise-identical: both feed the same per-block masses and per-block
-/// seeded streams.
-pub fn sample_counts_split_probs(
-    probs: &[f64],
-    shots: usize,
-    seed: u64,
-    split_bits: usize,
-) -> BTreeMap<String, usize> {
-    let n = probs.len().trailing_zeros() as usize;
-    debug_assert_eq!(probs.len(), 1usize << n, "probability table must be 2^n");
-    let c = split_bits.min(n);
-    let block_len = 1usize << (n - c);
-    let masses: Vec<f64> = probs
-        .chunks(block_len)
-        .map(|block| block.iter().sum())
-        .collect();
-    let per_block = block_shot_split(&masses, shots, seed);
-    let mut counts = BTreeMap::new();
-    // One sampler reused across blocks: `rebuild` produces tables (and
-    // draw sequences) identical to a fresh build, without paying four
-    // allocations per nonzero block.
-    let mut sampler = AliasSampler::empty();
-    for (b, &s) in per_block.iter().enumerate() {
-        if s == 0 {
-            continue;
-        }
-        let lo = b * block_len;
-        sampler.rebuild(&probs[lo..lo + block_len]);
-        let mut rng = Rng::stream(seed, b as u64);
-        for _ in 0..s {
-            let local = sampler.sample(&mut rng);
-            *counts
-                .entry(index_to_bitstring(lo | local, n))
-                .or_insert(0) += 1;
-        }
-    }
-    counts
 }
 
 /// How many split blocks the canonical sampling scheme uses: enough that

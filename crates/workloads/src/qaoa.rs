@@ -47,7 +47,7 @@ pub fn qaoa_ansatz(qubo: &Qubo, p: usize) -> ParamCircuit {
 
 /// The QUBO energy as a diagonal Z observable: a constant offset plus
 /// `(mask, weight)` terms, where each mask selects the qubits of one
-/// `Z`-product. This is the input shape the sweep engine's
+/// `Z`-product. This is the input shape `SweepPlan`'s
 /// `expectation_z`/`grad_expectation_z` consume, so
 /// `offset + expectation_z(theta, &terms)` is the exact mean energy of the
 /// ansatz state.

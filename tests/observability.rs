@@ -63,8 +63,9 @@ fn dqaoa_trace_covers_every_layer() {
         "qpm.run_circuit",  // QPM dispatch
         "qrc.slot.acquire", // QRC slot lifecycle
         "qrc.execute",
-        "sweep.compile", // engine phases (parameterized circuits run
-        "sweep.run",     // through the compiled sweep plan)
+        "sv.fuse", // engine phases (a lone bound job emits a
+        "sv.apply", // concrete job's spans)
+        "sv.sample",
         "dqaoa.run", // driver
         "dqaoa.iteration",
         "dqaoa.sub_solve",
