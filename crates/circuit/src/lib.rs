@@ -21,6 +21,9 @@
 //!   content-addressed result cache and the batcher's skeleton key.
 //! * [`controlled`] — controlled versions of gates and whole circuits, the
 //!   primitive behind Hadamard tests (VQLS) and textbook QPE.
+//! * [`readout`] — [`Readout`]: which measurements are terminal, how a
+//!   sampled outcome projects onto the classical register, and the count
+//!   key — the one place every engine's counts are rendered.
 //!
 //! Bit convention: qubit `q` is bit `q` (LSB-first) of a computational-basis
 //! index, matching Qiskit's little-endian order.
@@ -31,9 +34,11 @@ pub mod controlled;
 pub mod gate;
 pub mod hash;
 pub mod param;
+pub mod readout;
 pub mod text;
 
 pub use circuit::{Circuit, Op};
 pub use gate::Gate;
 pub use hash::{canonical_hash, canonical_text, circuit_hash, ContentHash};
 pub use param::{Angle, ParamCircuit, ParamOp};
+pub use readout::{Outcome, Readout};

@@ -17,12 +17,14 @@ use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
 use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use qfw_circuit::{Circuit, Op};
+use qfw_circuit::{Circuit, Op, Readout};
 use qfw_hpc::Stopwatch;
+use qfw_num::rng::Rng;
 use qfw_sim_mps::{MpsConfig, MpsSimulator};
 use qfw_sim_stab::StabSimulator;
 use qfw_sim_sv::dist::DistStateVector;
 use qfw_sim_sv::{SvConfig, SvSimulator};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Qiskit-Aer analog Backend-QPM.
@@ -54,19 +56,28 @@ impl AerBackend {
         let (shots, seed) = (job.shots, job.seed);
         let job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
             let sw = Stopwatch::start();
+            let readout = Readout::of(&circuit);
             let mut dsv = DistStateVector::zero(&mut rank_ctx, circuit.num_qubits());
-            for op in circuit.ops() {
-                if let Op::Gate(g) = op {
-                    dsv.apply(g);
-                    // Chunk bookkeeping: Aer synchronizes chunk state after
-                    // every instruction when distributed.
-                    dsv.barrier();
+            // Every rank draws mid-circuit outcomes from the same stream, so
+            // the collapses stay in lockstep.
+            let mut rng = Rng::seed_from(seed);
+            let mut collapsed = BTreeMap::new();
+            for (at, op) in circuit.ops().iter().enumerate() {
+                match op {
+                    Op::Gate(g) => dsv.apply(g),
+                    Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
+                        collapsed.insert(*clbit, dsv.measure(*qubit, &mut rng));
+                    }
+                    _ => continue,
                 }
+                // Chunk bookkeeping: Aer synchronizes chunk state after
+                // every instruction when distributed.
+                dsv.barrier();
             }
             let exec = sw.elapsed_secs();
             let sw = Stopwatch::start();
-            let counts = dsv.sample_counts(shots, seed);
-            counts.map(|c| (c, exec, sw.elapsed_secs()))
+            let draws = dsv.sample_indices(shots, seed);
+            draws.map(|d| (readout.counts(d, &collapsed), exec, sw.elapsed_secs()))
         });
         let mut outcomes = job.wait();
         let (counts, exec_secs, sample_secs) =

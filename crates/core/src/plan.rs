@@ -20,7 +20,7 @@ use crate::error::QfwError;
 use crate::spec::{extras, BackendSpec, SweepTask};
 use qfw_circuit::analysis::{clifford_prefix_len, is_clifford, StructureReport};
 use qfw_circuit::hash::{circuit_hash, param_hash, ContentHash};
-use qfw_circuit::{text, Circuit, ParamCircuit};
+use qfw_circuit::{text, Circuit, ParamCircuit, Readout};
 use qfw_hpc::slurm::HetJob;
 use qfw_noise::{Calibration, NoiseModel};
 use std::borrow::Cow;
@@ -54,13 +54,17 @@ pub struct Engine {
     /// The local dense state-vector engine, the only one that runs Kraus
     /// noise trajectories and Clifford-prefix partitions.
     dense_local: bool,
+    /// Whether the engine can collapse a state mid-circuit; one that cannot
+    /// refuses a circuit with a mid-circuit measurement.
+    collapses: bool,
 }
 
-const fn row(key: &'static str, width: Width, dense_local: bool) -> Engine {
+const fn row(key: &'static str, width: Width, dense_local: bool, collapses: bool) -> Engine {
     Engine {
         key,
         width,
         dense_local,
+        collapses,
     }
 }
 
@@ -71,22 +75,22 @@ const fn row(key: &'static str, width: Width, dense_local: bool) -> Engine {
 /// and each ranked candidate is judged on its own row
 /// ([`ExecPlan::retarget`]).
 static ENGINES: [Engine; 16] = [
-    row("nwqsim/cpu", Width::One, true),
-    row("nwqsim/openmp", Width::Llc, true),
-    row("nwqsim/mpi", Width::Pow2Ranks, false),
-    row("aer/automatic", Width::One, false),
-    row("aer/statevector", Width::Pow2Ranks, false),
-    row("aer/matrix_product_state", Width::One, false),
-    row("aer/stabilizer", Width::One, false),
-    row("tnqvm/exatn-mps", Width::One, false),
-    row("tnqvm/ttn", Width::One, false),
-    row("tnqvm/peps", Width::One, false),
-    row("qtensor/numpy", Width::One, false),
-    row("qtensor/sequential", Width::One, false),
-    row("qtensor/mpi", Width::Ranks, false),
-    row("ionq/simulator", Width::One, false),
-    row("ionq/hardware", Width::One, false),
-    row("auto/", Width::One, true),
+    row("nwqsim/cpu", Width::One, true, true),
+    row("nwqsim/openmp", Width::Llc, true, true),
+    row("nwqsim/mpi", Width::Pow2Ranks, false, true),
+    row("aer/automatic", Width::One, false, true),
+    row("aer/statevector", Width::Pow2Ranks, false, true),
+    row("aer/matrix_product_state", Width::One, false, false),
+    row("aer/stabilizer", Width::One, false, false),
+    row("tnqvm/exatn-mps", Width::One, false, false),
+    row("tnqvm/ttn", Width::One, false, false),
+    row("tnqvm/peps", Width::One, false, false),
+    row("qtensor/numpy", Width::One, false, false),
+    row("qtensor/sequential", Width::One, false, false),
+    row("qtensor/mpi", Width::Ranks, false, false),
+    row("ionq/simulator", Width::One, false, true),
+    row("ionq/hardware", Width::One, false, true),
+    row("auto/", Width::One, true, true),
 ];
 
 impl Engine {
@@ -553,11 +557,16 @@ pub(crate) fn auto_circuit(form: &Form) -> Result<&Circuit, QfwError> {
 /// Bond-bound (log2) below which `aer/automatic` prefers MPS.
 const AUTO_MPS_BOND_BOUND: usize = 8;
 
-/// Aer's `automatic` method selection, on our structural analyses:
-/// Clifford circuits go to the stabilizer tableau, structured
-/// low-entanglement circuits to MPS, everything else to the dense state
-/// vector. Only gate kinds and operands are looked at, never angles.
+/// Aer's `automatic` method selection, on our structural analyses: a
+/// circuit that measures mid-circuit goes to the dense state vector (the
+/// one method that collapses), Clifford circuits to the stabilizer tableau,
+/// structured low-entanglement circuits to MPS, everything else to the
+/// dense state vector. Only gate kinds and operands are looked at, never
+/// angles.
 fn aer_method(circuit: &Circuit) -> &'static str {
+    if Readout::of(circuit).has_mid_circuit() {
+        return "aer/statevector";
+    }
     if is_clifford(circuit) {
         return "aer/stabilizer";
     }
@@ -570,24 +579,35 @@ fn aer_method(circuit: &Circuit) -> &'static str {
     "aer/statevector"
 }
 
+/// The circuit's gates and measurements: every binding of a skeleton has
+/// the same ones, so zeros will do.
+fn shape(form: &Form) -> Cow<'_, Circuit> {
+    match form {
+        Form::Concrete(circuit) => Cow::Borrowed(circuit),
+        Form::Param(template) => Cow::Owned(template.bind(&vec![0.0; template.num_params()])),
+    }
+}
+
 /// The one place the checks and choices that need circuit *and* plan are
 /// made, for single jobs, sweeps and retargeted candidates alike: `auto`
 /// gets a concrete circuit, `aer/automatic` its method (and that method's
-/// width), the register is wide enough for the ranks, the layout permutes
-/// exactly the register, and the partition seam sits inside a Clifford
-/// prefix.
+/// width), an engine that cannot collapse a state gets no mid-circuit
+/// measurement, the register is wide enough for the ranks, the layout
+/// permutes exactly the register, and the partition seam sits inside a
+/// Clifford prefix.
 fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
     if plan.backend == AUTO {
         auto_circuit(form)?;
     }
     if plan.engine.key == "aer/automatic" {
-        let method = match form {
-            Form::Concrete(circuit) => aer_method(circuit),
-            // Any binding selects alike; zeros will do.
-            Form::Param(template) => aer_method(&template.bind(&vec![0.0; template.num_params()])),
-        };
         // The sub-backend stays `automatic`; width and `method` follow.
-        plan = plan.bind(Engine::named(method), group)?;
+        plan = plan.bind(Engine::named(aer_method(&shape(form))), group)?;
+    }
+    if !plan.engine.collapses && Readout::of(&shape(form)).has_mid_circuit() {
+        return Err(QfwError::BadProperties(format!(
+            "{} cannot collapse a state mid-circuit, and the circuit measures a qubit a later gate acts on",
+            plan.engine.key
+        )));
     }
     let num_qubits = match form {
         Form::Concrete(circuit) => circuit.num_qubits(),
@@ -935,6 +955,32 @@ mod tests {
         let plan =
             resolve(&BackendSpec::of("nwqsim", "cpu").with_extra("initial_layout", "1,0")).unwrap();
         assert_eq!(plan.layout, None);
+        // A mid-circuit measurement: only an engine that collapses a state
+        // takes it, and `aer/automatic` picks the method that does.
+        let wire = text::dump(&mid_circuit());
+        for engine in &ENGINES[..ENGINES.len() - 1] {
+            let (backend, sub) = engine.names();
+            let job = admit(&wire, &BackendSpec::of(backend, sub));
+            if engine.collapses {
+                assert!(job.is_ok(), "{}: {:?}", engine.key, job.err());
+            } else {
+                assert!(
+                    matches!(job, Err(QfwError::BadProperties(_))),
+                    "{} admitted a mid-circuit measurement",
+                    engine.key
+                );
+            }
+        }
+        let automatic = admit(&wire, &BackendSpec::of("aer", "automatic")).unwrap();
+        assert_eq!(automatic.plan.method, "statevector");
+    }
+
+    /// Clifford, so only its mid-circuit measurement keeps it off the
+    /// stabilizer tableau.
+    fn mid_circuit() -> Circuit {
+        let mut qc = Circuit::new(3);
+        qc.h(0).measure(0, 0).cx(0, 1).measure_all();
+        qc
     }
 
     /// The two tables above, through `auto` and a retarget onto each row:
@@ -1001,6 +1047,21 @@ mod tests {
             onto(&noise, &split),
             Err(QfwError::BadProperties(_))
         ));
+        // A mid-circuit measurement: refused by each candidate that cannot
+        // collapse it, so `auto` hands it to the next.
+        let job = admit(&text::dump(&mid_circuit()), &auto).unwrap();
+        for engine in &ENGINES[..ENGINES.len() - 1] {
+            let fitted = onto(&auto, &Target::on(engine.key)).and_then(|p| job.on_plan(p, GROUP));
+            if engine.collapses {
+                assert!(fitted.is_ok(), "{}: {:?}", engine.key, fitted.err());
+            } else {
+                assert!(
+                    matches!(fitted, Err(QfwError::BadProperties(_))),
+                    "{} took a mid-circuit measurement",
+                    engine.key
+                );
+            }
+        }
         // Hints survive `auto` and land only where they apply.
         let hints = auto
             .with_extra("partition_seam", 3)

@@ -2,7 +2,7 @@
 //! shape so the QFw backend adapters stay symmetric.
 
 use crate::mps::MpsState;
-use qfw_circuit::Circuit;
+use qfw_circuit::{Circuit, Readout};
 use qfw_num::rng::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -57,11 +57,19 @@ impl MpsSimulator {
         MpsSimulator { config }
     }
 
-    /// Executes a circuit for `shots` samples. Measurements are assumed
-    /// terminal (all the paper's workloads); mid-circuit measurements are
-    /// not supported by this engine and are ignored with the final state
-    /// sampled instead.
+    /// Executes a circuit for `shots` samples, read through the circuit's
+    /// [`Readout`].
+    ///
+    /// # Panics
+    /// This engine cannot collapse a state mid-circuit: it panics on a
+    /// circuit with a mid-circuit measurement, which admission refuses
+    /// before it reaches here (`qfw::plan`).
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> MpsOutcome {
+        let readout = Readout::of(circuit);
+        assert!(
+            !readout.has_mid_circuit(),
+            "the MPS engine cannot collapse a state mid-circuit"
+        );
         let sw = qfw_hpc::Stopwatch::start();
         let mut mps = MpsState::zero(
             circuit.num_qubits(),
@@ -73,7 +81,7 @@ impl MpsSimulator {
 
         let sw = qfw_hpc::Stopwatch::start();
         let mut rng = Rng::seed_from(seed);
-        let counts = mps.sample_counts(shots, &mut rng);
+        let counts = readout.counts(mps.sample(shots, &mut rng), &BTreeMap::new());
         let sample_time = sw.elapsed();
         MpsOutcome {
             counts,
@@ -94,14 +102,6 @@ impl MpsSimulator {
         mps.run_unitary(circuit);
         mps
     }
-}
-
-/// Formats a basis index Qiskit-style (qubit n-1 leftmost).
-pub fn index_to_bitstring(idx: usize, n: usize) -> String {
-    (0..n)
-        .rev()
-        .map(|q| if idx & (1 << q) != 0 { '1' } else { '0' })
-        .collect()
 }
 
 #[cfg(test)]

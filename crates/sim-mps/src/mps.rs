@@ -6,7 +6,6 @@ use qfw_num::complex::C64;
 use qfw_num::decomp::svd;
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
-use std::collections::BTreeMap;
 
 /// An n-qubit matrix-product state with an explicit orthogonality center.
 ///
@@ -398,15 +397,13 @@ impl MpsState {
         (0..(1usize << n)).map(|i| self.amplitude(i)).collect()
     }
 
-    /// Draws `shots` samples by the conditional left-to-right walk.
-    /// Returns a Qiskit-style bitstring → count map.
-    pub fn sample_counts(&mut self, shots: usize, rng: &mut Rng) -> BTreeMap<String, usize> {
+    /// Draws `shots` basis indices by the conditional left-to-right walk.
+    pub fn sample(&mut self, shots: usize, rng: &mut Rng) -> Vec<u64> {
         self.move_center_to(0);
-        let n = self.num_qubits();
-        let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut draws = Vec::with_capacity(shots);
         for _ in 0..shots {
             let mut v = vec![C64::ONE];
-            let mut index = 0usize;
+            let mut index = 0u64;
             for (kk, site) in self.sites.iter().enumerate() {
                 let mut w0 = vec![C64::ZERO; site.dr];
                 let mut w1 = vec![C64::ZERO; site.dr];
@@ -422,18 +419,15 @@ impl MpsState {
                 let p0: f64 = w0.iter().map(|z| z.norm_sqr()).sum();
                 let p1: f64 = w1.iter().map(|z| z.norm_sqr()).sum();
                 let total = p0 + p1;
-                let bit = usize::from(rng.next_f64() * total >= p0);
+                let bit = u64::from(rng.next_f64() * total >= p0);
                 let (chosen, p) = if bit == 0 { (w0, p0) } else { (w1, p1) };
                 index |= bit << kk;
                 let inv = 1.0 / p.sqrt();
                 v = chosen.into_iter().map(|z| z.scale(inv)).collect();
             }
-            *counts.entry(index).or_insert(0) += 1;
+            draws.push(index);
         }
-        counts
-            .into_iter()
-            .map(|(idx, c)| (crate::engine::index_to_bitstring(idx, n), c))
-            .collect()
+        draws
     }
 
     /// Schmidt spectrum (singular values) across the bond `k | k+1`.
@@ -682,10 +676,12 @@ mod tests {
         let probs: Vec<f64> = (0..8).map(|i| mps.amplitude(i).norm_sqr()).collect();
         let mut rng = Rng::seed_from(5);
         let shots = 20_000;
-        let counts = mps.sample_counts(shots, &mut rng);
-        for (bits, count) in &counts {
-            let idx = usize::from_str_radix(bits, 2).unwrap();
-            let freq = *count as f64 / shots as f64;
+        let mut counts = [0usize; 8];
+        for idx in mps.sample(shots, &mut rng) {
+            counts[idx as usize] += 1;
+        }
+        for (idx, count) in counts.into_iter().enumerate() {
+            let freq = count as f64 / shots as f64;
             assert!(
                 (freq - probs[idx]).abs() < 0.02,
                 "idx {idx}: freq {freq} vs prob {}",

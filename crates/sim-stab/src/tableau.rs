@@ -1,6 +1,6 @@
 //! The bit-packed CHP tableau and the engine façade over it.
 
-use qfw_circuit::{Circuit, Gate, Op};
+use qfw_circuit::{Circuit, Gate, Readout};
 use qfw_num::rng::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -251,37 +251,33 @@ pub struct StabOutcome {
 pub struct StabSimulator;
 
 impl StabSimulator {
-    /// Executes a Clifford circuit for `shots` samples.
+    /// Executes a Clifford circuit for `shots` samples, read through the
+    /// circuit's [`Readout`].
     ///
     /// Returns `Err` with the offending gate's name when the circuit is not
     /// Clifford — the `automatic` dispatcher treats that as "pick another
-    /// method".
+    /// method" — and when it measures mid-circuit, which this shot-by-shot
+    /// sampler of one evolved tableau cannot collapse (admission refuses
+    /// such circuits first, `qfw::plan`).
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> Result<StabOutcome, String> {
         if let Some(bad) = circuit.gates().find(|g| !g.is_clifford()) {
             return Err(format!("non-Clifford gate '{}'", bad.name()));
         }
+        let readout = Readout::of(circuit);
+        if readout.has_mid_circuit() {
+            return Err("the stabilizer engine cannot collapse a state mid-circuit".into());
+        }
         let sw = qfw_hpc::Stopwatch::start();
         let mut base = Tableau::zero(circuit.num_qubits());
         let mut rng = Rng::seed_from(seed);
-        let mut measured: Vec<usize> = Vec::new();
-        for op in circuit.ops() {
-            match op {
-                Op::Gate(g) => base.apply(g),
-                Op::Measure { qubit, .. } => measured.push(*qubit),
-                Op::Barrier(_) => {}
-            }
+        for g in circuit.gates() {
+            base.apply(g);
         }
-        // Terminal-measurement semantics: sample the evolved tableau.
-        let n = circuit.num_qubits();
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for _ in 0..shots {
-            let mut t = base.clone();
-            let bits = t.measure_all(&mut rng);
-            let key: String = (0..n).rev().map(|q| if bits[q] == 1 { '1' } else { '0' }).collect();
-            *counts.entry(key).or_insert(0) += 1;
-        }
+        let draws = (0..shots)
+            .map(|_| base.clone().measure_all(&mut rng))
+            .collect();
         Ok(StabOutcome {
-            counts,
+            counts: readout.counts(draws, &BTreeMap::new()),
             total_time: sw.elapsed(),
         })
     }

@@ -34,13 +34,12 @@ use crate::engine::SvOutcome;
 use crate::fusion::{absorbable_diagonal, fuse_shard};
 use crate::layers::LayerPlan;
 use crate::state::{
-    block_shot_split, canonical_split_bits, index_to_bitstring, local_offsets, sample_block_draws,
-    StateVector,
+    block_shot_split, canonical_split_bits, local_offsets, sample_block_draws, StateVector,
 };
-use qfw_circuit::{Circuit, Gate, Op};
+use qfw_circuit::{Circuit, Gate, Op, Readout};
 use qfw_hpc::RankCtx;
 use qfw_num::complex::C64;
-use qfw_num::rng::Rng;
+use qfw_num::rng::{AliasSampler, Rng};
 use qfw_num::Matrix;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
@@ -244,6 +243,8 @@ pub struct DistPlan {
     /// The remap back to the identity placement that readout performs
     /// after the last step; `None` when the steps already end there.
     flush: Option<Vec<usize>>,
+    /// What sampling the flushed state reads.
+    readout: Readout,
 }
 
 impl DistPlan {
@@ -269,20 +270,13 @@ impl DistPlan {
         }
         let ops = circuit.ops();
         let needs = locality_needs(ops);
-        let mut last_gate_touch = vec![0usize; n];
-        for (at, op) in ops.iter().enumerate() {
-            if let Op::Gate(g) = op {
-                for q in g.qubits() {
-                    last_gate_touch[q] = at;
-                }
-            }
-        }
         let mut plan = DistPlan {
             num_qubits: n,
             rank_bits,
             layout: router.inv.clone(),
             steps: Vec::new(),
             flush: None,
+            readout: Readout::of(circuit),
         };
         // The open epoch, over physical positions.
         let mut epoch = Circuit::new(n);
@@ -296,15 +290,14 @@ impl DistPlan {
                     }
                     epoch.push(g.map_qubits(|q| router.perm[q]));
                 }
-                Op::Measure { qubit, clbit } => {
-                    if at <= last_gate_touch[*qubit] {
-                        plan.close_epoch(&mut epoch);
-                        plan.steps.push(DistStep::Collapse {
-                            pos: router.perm[*qubit],
-                            clbit: *clbit,
-                        });
-                    }
+                Op::Measure { qubit, clbit } if !plan.readout.is_terminal(at) => {
+                    plan.close_epoch(&mut epoch);
+                    plan.steps.push(DistStep::Collapse {
+                        pos: router.perm[*qubit],
+                        clbit: *clbit,
+                    });
                 }
+                Op::Measure { .. } => {}
                 Op::Barrier(qs) => {
                     epoch.push_op(Op::Barrier(qs.iter().map(|&q| router.perm[q]).collect()));
                 }
@@ -462,7 +455,7 @@ impl<'a> DistStateVector<'a> {
     /// is position-invariant and every other shard is all-zero), so this
     /// costs zero data movement — it only re-labels the wires. The
     /// Belady remap planner then works relative to this placement, and
-    /// [`Self::sample_counts`] flushes the permutation before sampling,
+    /// [`Self::sample_indices`] flushes the permutation before sampling,
     /// so measured counts stay bitwise identical to the unseeded run.
     ///
     /// Must be called before any gate is applied (the state must still
@@ -524,11 +517,12 @@ impl<'a> DistStateVector<'a> {
     /// plan and an identically-seeded `rng` replica): epochs through the
     /// tile executor, remaps and collapses in between. The register must
     /// still be `|0…0⟩` — the plan starts from its own layout, which is
-    /// only free to adopt there.
+    /// only free to adopt there. Returns the classical bits the collapses
+    /// fixed, by classical bit.
     ///
     /// # Panics
     /// Panics when the plan was made for another register or world size.
-    pub fn run_plan(&mut self, plan: &DistPlan, rng: &mut Rng) {
+    pub fn run_plan(&mut self, plan: &DistPlan, rng: &mut Rng) -> BTreeMap<usize, u8> {
         assert_eq!(plan.num_qubits, self.n, "register size mismatch");
         assert_eq!(
             plan.rank_bits,
@@ -537,15 +531,17 @@ impl<'a> DistStateVector<'a> {
         );
         self.router.seed(&plan.layout);
         let above = self.ctx.rank() << self.local_bits;
+        let mut collapsed = BTreeMap::new();
         for step in &plan.steps {
             match step {
                 DistStep::Epoch(layers) => layers.apply_to_shard(&mut self.local, above),
                 DistStep::Remap(sigma) => self.exchange(sigma),
-                DistStep::Collapse { pos, .. } => {
-                    self.measure_at(*pos, rng);
+                DistStep::Collapse { pos, clbit } => {
+                    collapsed.insert(*clbit, self.measure_at(*pos, rng));
                 }
             }
         }
+        collapsed
     }
 
     /// Applies one gate (collective: every rank must call with the same
@@ -849,17 +845,17 @@ impl<'a> DistStateVector<'a> {
         self.ctx.allreduce_sum(local)
     }
 
-    /// Samples `shots` measurement outcomes from the distributed
-    /// distribution. Returns the counts map at rank 0, `None` elsewhere.
+    /// Samples `shots` basis indices from the distributed distribution.
+    /// Returns every draw at rank 0, `None` elsewhere.
     ///
-    /// Uses the canonical split scheme of
-    /// [`StateVector::sample_counts_split`]: rank 0 splits the shots over
-    /// `2^c` index blocks from gathered block masses (`c =
-    /// canonical_split_bits(n, r)`), each rank draws its blocks' shares
-    /// from per-block alias samplers on dedicated seeded streams, and
-    /// rank 0 merges. Every step matches the serial scheme bit for bit,
-    /// so a fixed seed yields identical counts local vs. distributed.
-    pub fn sample_counts(&mut self, shots: usize, seed: u64) -> Option<BTreeMap<String, usize>> {
+    /// Uses the canonical split scheme of [`StateVector::sample_split`]:
+    /// rank 0 splits the shots over `2^c` index blocks from gathered block
+    /// masses (`c = canonical_split_bits(n, r)`), each rank draws its
+    /// blocks' shares from per-block alias samplers on dedicated seeded
+    /// streams, and rank 0 gathers. Every step matches the serial scheme
+    /// bit for bit, so a fixed seed draws the same outcomes local vs.
+    /// distributed.
+    pub fn sample_indices(&mut self, shots: usize, seed: u64) -> Option<Vec<u64>> {
         self.flush_permutation();
         let r = self.n - self.local_bits;
         let c = canonical_split_bits(self.n, r);
@@ -891,11 +887,11 @@ impl<'a> DistStateVector<'a> {
         let rank = self.ctx.rank();
         let mut samples: Vec<u64> = Vec::new();
         let mut probs: Vec<f64> = Vec::with_capacity(block_len);
+        let mut sampler = AliasSampler::empty();
         for (bi, &s) in my_split.iter().enumerate() {
             if s == 0 {
                 continue;
             }
-            let global_block = rank * blocks_per_rank + bi;
             let lo = bi * block_len;
             probs.clear();
             probs.extend(
@@ -903,20 +899,20 @@ impl<'a> DistStateVector<'a> {
                     .iter()
                     .map(|a| a.norm_sqr()),
             );
-            for local in sample_block_draws(&probs, s as usize, seed, global_block as u64) {
-                samples.push(((global_block << (self.n - c)) | local) as u64);
-            }
+            let block = rank * blocks_per_rank + bi;
+            sample_block_draws(&mut sampler, &probs, s as usize, seed, block, &mut samples);
         }
+        self.ctx
+            .gather(0, samples)
+            .map(|all| all.into_iter().flatten().collect())
+    }
 
-        self.ctx.gather(0, samples).map(|all| {
-            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-            for idx in all.into_iter().flatten() {
-                *counts
-                    .entry(index_to_bitstring(idx as usize, self.n))
-                    .or_insert(0) += 1;
-            }
-            counts
-        })
+    /// [`sample_indices`](Self::sample_indices) as whole-register counts:
+    /// what a circuit that measures every qubit into its own bit reads.
+    pub fn sample_counts(&mut self, shots: usize, seed: u64) -> Option<BTreeMap<String, usize>> {
+        let whole = Readout::of(&Circuit::new(self.n));
+        self.sample_indices(shots, seed)
+            .map(|draws| whole.counts(draws, &BTreeMap::new()))
     }
 }
 
@@ -995,11 +991,13 @@ pub fn run_distributed_plan(
         .attr("gates", plan.num_layers())
         .attr("passes", plan.passes())
         .attr("tile_groups", plan.passes());
-    dsv.run_plan(plan, &mut Rng::seed_from(seed));
+    let collapsed = dsv.run_plan(plan, &mut Rng::seed_from(seed));
     drop(apply_span);
     let gate_time = sw.elapsed();
     let sw = qfw_hpc::Stopwatch::start();
-    let counts = dsv.sample_counts(shots, seed);
+    let counts = dsv
+        .sample_indices(shots, seed)
+        .map(|draws| plan.readout.counts(draws, &collapsed));
     let sample_time = sw.elapsed();
     let stats = dsv.stats_allreduced();
     counts.map(|counts| {

@@ -2,8 +2,8 @@
 
 use crate::fusion::{fuse, FusionLevel};
 use crate::layers::LayerPlan;
-use crate::state::StateVector;
-use qfw_circuit::{Circuit, Op};
+use crate::state::{canonical_split_bits, StateVector};
+use qfw_circuit::{Circuit, Op, Readout};
 use qfw_num::rng::Rng;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
@@ -52,11 +52,8 @@ pub struct SvOutcome {
 /// A state after its gates, on the way to the sampler.
 struct Evolved {
     sv: StateVector,
-    /// Terminal `(qubit, clbit)` measurements.
-    measured: Vec<(usize, usize)>,
     /// Classical bits fixed by mid-circuit collapses.
-    collapsed_bits: BTreeMap<usize, u8>,
-    num_clbits: usize,
+    collapsed: BTreeMap<usize, u8>,
     gate_time: Duration,
     gates_applied: usize,
 }
@@ -90,7 +87,8 @@ impl SvSimulator {
     /// standard fast path). A mid-circuit measurement instead collapses the
     /// state projectively once, i.e. the run is a single stochastic
     /// trajectory — sufficient for every workload in the paper, all of which
-    /// measure only at the end.
+    /// measure only at the end. The circuit's [`Readout`] decides which is
+    /// which and what the draws read.
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> SvOutcome {
         self.run_traced(circuit, shots, seed, &Obs::disabled())
     }
@@ -179,22 +177,15 @@ impl SvSimulator {
             .attr("gates", plan.num_layers())
             .attr("passes", plan.passes())
             .attr("tile_groups", plan.passes());
-        let collapsed_bits = plan.apply(&mut sv, &mut rng, parallel);
+        let collapsed = plan.apply(&mut sv, &mut rng, parallel);
         drop(apply_span);
-        let gate_time = sw.elapsed();
-        self.sample(
-            Evolved {
-                sv,
-                measured: plan.terminal_measurements().to_vec(),
-                collapsed_bits,
-                num_clbits: plan.num_clbits(),
-                gate_time,
-                gates_applied: plan.num_layers(),
-            },
-            shots,
-            seed,
-            obs,
-        )
+        let evolved = Evolved {
+            sv,
+            collapsed,
+            gate_time: sw.elapsed(),
+            gates_applied: plan.num_layers(),
+        };
+        Self::sample(evolved, plan.readout(), shots, seed, obs)
     }
 
     /// `FusionLevel::None`: the circuit gate by gate, one state sweep each
@@ -212,123 +203,61 @@ impl SvSimulator {
         let mut sv =
             initial.unwrap_or_else(|| StateVector::zero(circuit.num_qubits()));
         let sw = qfw_hpc::Stopwatch::start();
+        let readout = Readout::of(circuit);
         let mut gates_applied = 0usize;
-        let mut measured: Vec<(usize, usize)> = Vec::new(); // (qubit, clbit)
-        let mut collapsed_bits: BTreeMap<usize, u8> = BTreeMap::new();
-
-        // A measurement is terminal (servable by final-state sampling) iff
-        // no later gate touches the measured qubit.
-        let mut last_gate_touch = vec![0usize; circuit.num_qubits().max(1)];
-        for (pos, op) in circuit.ops().iter().enumerate() {
-            if let Op::Gate(g) = op {
-                for q in g.qubits() {
-                    last_gate_touch[q] = pos;
-                }
-            }
-        }
-
+        let mut collapsed = BTreeMap::new();
         let mut apply_span = obs
             .span("engine", "sv.apply")
             .attr("qubits", circuit.num_qubits());
-        for (pos, op) in circuit.ops().iter().enumerate() {
+        for (at, op) in circuit.ops().iter().enumerate() {
             match op {
                 Op::Gate(g) => {
                     sv.apply(g, parallel);
                     gates_applied += 1;
                 }
-                Op::Measure { qubit, clbit } => {
-                    if pos > last_gate_touch[*qubit] {
-                        // Terminal measurement: defer to sampling.
-                        measured.push((*qubit, *clbit));
-                    } else {
-                        // Mid-circuit: collapse one trajectory.
-                        let bit = sv.measure(*qubit, &mut rng, parallel);
-                        collapsed_bits.insert(*clbit, bit);
-                    }
+                Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
+                    collapsed.insert(*clbit, sv.measure(*qubit, &mut rng, parallel));
                 }
-                Op::Barrier(_) => {}
+                _ => {}
             }
         }
         apply_span.set_attr("gates", gates_applied);
         apply_span.set_attr("passes", gates_applied);
         apply_span.set_attr("tile_groups", 0usize);
         drop(apply_span);
-        let gate_time = sw.elapsed();
-        self.sample(
-            Evolved {
-                sv,
-                measured,
-                collapsed_bits,
-                num_clbits: circuit.num_clbits(),
-                gate_time,
-                gates_applied,
-            },
-            shots,
-            seed,
-            obs,
-        )
+        let evolved = Evolved {
+            sv,
+            collapsed,
+            gate_time: sw.elapsed(),
+            gates_applied,
+        };
+        Self::sample(evolved, &readout, shots, seed, obs)
     }
 
     /// Samples an evolved state into counts — shared by both gate paths,
-    /// so a fixed seed draws identically whichever applied the gates.
-    fn sample(&self, evolved: Evolved, shots: usize, seed: u64, obs: &Obs) -> SvOutcome {
-        let Evolved {
-            sv,
-            measured,
-            collapsed_bits,
-            num_clbits: width,
-            gate_time,
-            gates_applied,
-        } = evolved;
-        let n = sv.num_qubits();
+    /// so a fixed seed draws identically whichever applied the gates. The
+    /// draws take the canonical split scheme — the shot partition the
+    /// distributed engine replays — so a fixed seed yields bit-identical
+    /// counts whether the state lived on one process or across ranks.
+    fn sample(
+        evolved: Evolved,
+        readout: &Readout,
+        shots: usize,
+        seed: u64,
+        obs: &Obs,
+    ) -> SvOutcome {
+        let split_bits = canonical_split_bits(evolved.sv.num_qubits(), 0);
         let sample_span = obs.span("engine", "sv.sample").attr("shots", shots);
         let sw = qfw_hpc::Stopwatch::start();
-        // Terminal sampling draws through the canonical split scheme — the
-        // same shot partition the distributed engine replays — so a fixed
-        // seed yields bit-identical counts whether the state lived on one
-        // process or across ranks.
-        let sample_terminal =
-            || sv.sample_counts_split(shots, seed, crate::state::canonical_split_bits(n, 0));
-        let counts = if measured.is_empty() && collapsed_bits.is_empty() {
-            // No measurements: implicit measure-all (Qiskit statevector
-            // semantics when sampling is requested).
-            sample_terminal()
-        } else if measured.is_empty() {
-            // Only mid-circuit measurements: one trajectory's classical bits.
-            let bits: String = (0..width)
-                .rev()
-                .map(|c| match collapsed_bits.get(&c) {
-                    Some(1) => '1',
-                    _ => '0',
-                })
-                .collect();
-            BTreeMap::from([(bits, shots)])
-        } else {
-            // Terminal measurements: sample the register, then project each
-            // sample onto the measured clbits.
-            let raw = sample_terminal();
-            let mut out: BTreeMap<String, usize> = BTreeMap::new();
-            for (bitstring, count) in raw {
-                let mut bits = vec!['0'; width];
-                for &(q, c) in &measured {
-                    // bitstring is printed with qubit n-1 leftmost.
-                    bits[width - 1 - c] = bitstring.as_bytes()[n - 1 - q] as char;
-                }
-                for (&c, &b) in &collapsed_bits {
-                    bits[width - 1 - c] = if b == 1 { '1' } else { '0' };
-                }
-                *out.entry(bits.into_iter().collect()).or_insert(0) += count;
-            }
-            out
-        };
+        let draws = evolved.sv.sample_split(shots, seed, split_bits);
+        let counts = readout.counts(draws, &evolved.collapsed);
         let sample_time = sw.elapsed();
         drop(sample_span);
-
         SvOutcome {
             counts,
-            gate_time,
+            gate_time: evolved.gate_time,
             sample_time,
-            gates_applied,
+            gates_applied: evolved.gates_applied,
         }
     }
 

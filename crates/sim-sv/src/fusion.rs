@@ -22,7 +22,7 @@
 
 use crate::kernels::{mat2_mul, DiagForm, Mat2, Shape1q};
 use crate::layers::{DiagLayer, FactorTable, Fused, Layer, LayerPlan};
-use qfw_circuit::{Circuit, Gate, Op};
+use qfw_circuit::{Circuit, Gate, Op, Readout};
 use qfw_num::complex::C64;
 use qfw_num::Matrix;
 use std::sync::Arc;
@@ -50,12 +50,9 @@ pub fn fuse(circuit: &Circuit) -> LayerPlan {
 pub(crate) fn fuse_shard(circuit: &Circuit, local_bits: usize) -> LayerPlan {
     let n = circuit.num_qubits();
     assert!(n < 64, "the dense engine cannot hold a {n}-qubit register");
-    LayerPlan::build(
-        n,
-        circuit.num_clbits(),
-        local_bits,
-        fuse_blocks(n, merge_diagonal_runs(n, local_bits, circuit)),
-    )
+    let readout = Readout::of(circuit);
+    let items = fuse_blocks(n, merge_diagonal_runs(n, local_bits, circuit, &readout));
+    LayerPlan::build(n, local_bits, readout, items)
 }
 
 // --- diagonal-run merging ----------------------------------------------------
@@ -64,9 +61,13 @@ pub(crate) fn fuse_shard(circuit: &Circuit, local_bits: usize) -> LayerPlan {
 enum Item {
     Gate(Gate),
     Diag(DiagLayer),
+    /// A measurement. Every one flushes what is open on its qubit; only a
+    /// mid-circuit one (`collapses`) reaches the plan — terminal ones are
+    /// the readout's.
     Measure {
         qubit: usize,
         clbit: usize,
+        collapses: bool,
     },
     /// Barrier operands as a mask (every qubit for an operand-less one).
     Barrier(u64),
@@ -202,10 +203,15 @@ impl DiagRun {
 /// *disjoint* qubits (they pass straight through, ahead of the run); any
 /// op touching one of the run's qubits — or an operand-less barrier —
 /// closes it first.
-fn merge_diagonal_runs(n: usize, local_bits: usize, circuit: &Circuit) -> Vec<Item> {
+fn merge_diagonal_runs(
+    n: usize,
+    local_bits: usize,
+    circuit: &Circuit,
+    readout: &Readout,
+) -> Vec<Item> {
     let mut out = Vec::with_capacity(circuit.ops().len());
     let mut run: Option<DiagRun> = None;
-    for op in circuit.ops() {
+    for (at, op) in circuit.ops().iter().enumerate() {
         let item = match op {
             Op::Gate(g) => {
                 if let Some(d) = absorbable_diagonal(g) {
@@ -218,6 +224,7 @@ fn merge_diagonal_runs(n: usize, local_bits: usize, circuit: &Circuit) -> Vec<It
             Op::Measure { qubit, clbit } => Item::Measure {
                 qubit: *qubit,
                 clbit: *clbit,
+                collapses: !readout.is_terminal(at),
             },
             Op::Barrier(qs) if qs.is_empty() => Item::Barrier((1 << n) - 1),
             Op::Barrier(qs) => Item::Barrier(mask_of(qs)),
@@ -420,9 +427,15 @@ fn fuse_blocks(n: usize, items: Vec<Item>) -> Vec<Fused> {
                 st.flush_mask(support);
                 st.out.push(Fused::Layer(Layer::Diag(d)));
             }
-            Item::Measure { qubit, clbit } => {
+            Item::Measure {
+                qubit,
+                clbit,
+                collapses,
+            } => {
                 st.flush_mask(support);
-                st.out.push(Fused::Measure { qubit, clbit });
+                if collapses {
+                    st.out.push(Fused::Collapse { qubit, clbit });
+                }
             }
             Item::Barrier(mask) => st.flush_mask(mask),
         }
@@ -536,13 +549,13 @@ mod tests {
         let plan = fuse(&qc);
         assert_eq!(plan.num_layers(), 2);
         assert_eq!(plan.passes(), 2);
-        assert!(plan.terminal_measurements().is_empty());
+        assert!(plan.readout().has_mid_circuit());
         // Without the x it is terminal and cuts nothing.
         let mut qc = Circuit::new(1);
         qc.h(0).t(0).measure(0, 0);
         let plan = fuse(&qc);
         assert_eq!((plan.num_layers(), plan.passes()), (1, 1));
-        assert_eq!(plan.terminal_measurements(), [(0, 0)]);
+        assert!(!plan.readout().has_mid_circuit());
     }
 
     #[test]

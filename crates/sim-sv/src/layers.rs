@@ -27,6 +27,7 @@ use crate::kernels::{
     Shape1q, TileMap, BLOCK_BITS, TILE_BITS,
 };
 use crate::state::{insert_zero_bit, StateVector};
+use qfw_circuit::Readout;
 use qfw_num::complex::C64;
 use qfw_num::rng::Rng;
 use rayon::prelude::*;
@@ -90,20 +91,16 @@ impl Layer {
             Layer::Dense { qubits, .. } => qubits.iter().fold(0, |m, q| m | 1 << q),
         }
     }
-
-    /// Every qubit the layer reads or writes.
-    pub(crate) fn support(&self) -> u64 {
-        match self {
-            Layer::Diag(d) => d.support,
-            other => other.targets(),
-        }
-    }
 }
 
 /// What the fuser hands the plan, in circuit order.
 pub(crate) enum Fused {
     Layer(Layer),
-    Measure { qubit: usize, clbit: usize },
+    /// A mid-circuit measurement.
+    Collapse {
+        qubit: usize,
+        clbit: usize,
+    },
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -130,49 +127,38 @@ pub struct LayerPlan {
     /// Register qubits the amplitude buffer indexes: all of them for the
     /// local engine, the low `n - r` positions for one of `2^r` ranks.
     local_bits: usize,
-    num_clbits: usize,
     layers: Vec<Layer>,
     steps: Vec<Step>,
-    /// Terminal `(qubit, clbit)` measurements, served by final sampling.
-    terminal: Vec<(usize, usize)>,
+    /// What sampling the final state reads.
+    readout: Readout,
 }
 
 impl LayerPlan {
-    /// Cuts fused items into tile groups. A measurement is terminal (left
-    /// to final-state sampling) iff no later layer touches its qubit;
-    /// otherwise it ends the open group and collapses the state there.
+    /// Cuts fused items into tile groups; a mid-circuit measurement ends
+    /// the open group and collapses the state there.
     ///
     /// Tiles are drawn from the low `local_bits` qubits only, so every
     /// non-diagonal target must lie below `local_bits`; diagonal layers may
     /// read any qubit.
     pub(crate) fn build(
         num_qubits: usize,
-        num_clbits: usize,
         local_bits: usize,
+        readout: Readout,
         items: Vec<Fused>,
     ) -> LayerPlan {
-        let mut touched_after = vec![0u64; items.len() + 1];
-        for (pos, item) in items.iter().enumerate().rev() {
-            touched_after[pos] = touched_after[pos + 1]
-                | match item {
-                    Fused::Layer(l) => l.support(),
-                    Fused::Measure { .. } => 0,
-                };
-        }
         let tile_bits = TILE_BITS.min(local_bits);
         let low_mask = (1u64 << BLOCK_BITS.min(local_bits)) - 1;
         let mut plan = LayerPlan {
             num_qubits,
             local_bits,
-            num_clbits,
             layers: Vec::new(),
             steps: Vec::new(),
-            terminal: Vec::new(),
+            readout,
         };
         // The open group: where its layers start and the qubits it needs.
         let mut start = 0usize;
         let mut needs = low_mask;
-        for (pos, item) in items.into_iter().enumerate() {
+        for item in items {
             match item {
                 Fused::Layer(layer) => {
                     assert_eq!(
@@ -190,15 +176,11 @@ impl LayerPlan {
                     }
                     plan.layers.push(layer);
                 }
-                Fused::Measure { qubit, clbit } => {
-                    if touched_after[pos + 1] >> qubit & 1 == 0 {
-                        plan.terminal.push((qubit, clbit));
-                    } else {
-                        plan.close_group(start, needs, tile_bits);
-                        start = plan.layers.len();
-                        needs = low_mask;
-                        plan.steps.push(Step::Collapse { qubit, clbit });
-                    }
+                Fused::Collapse { qubit, clbit } => {
+                    plan.close_group(start, needs, tile_bits);
+                    start = plan.layers.len();
+                    needs = low_mask;
+                    plan.steps.push(Step::Collapse { qubit, clbit });
                 }
             }
         }
@@ -232,9 +214,9 @@ impl LayerPlan {
         self.num_qubits
     }
 
-    /// Classical register width.
-    pub fn num_clbits(&self) -> usize {
-        self.num_clbits
+    /// What sampling the final state reads.
+    pub fn readout(&self) -> &Readout {
+        &self.readout
     }
 
     /// The fused layers, in application order.
@@ -254,11 +236,6 @@ impl LayerPlan {
             .iter()
             .filter(|s| matches!(s, Step::Tiles(_)))
             .count()
-    }
-
-    /// Terminal `(qubit, clbit)` measurements, in circuit order.
-    pub(crate) fn terminal_measurements(&self) -> &[(usize, usize)] {
-        &self.terminal
     }
 
     /// Runs the plan on `sv` with the fastest kernels this CPU has.

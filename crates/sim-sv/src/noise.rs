@@ -8,10 +8,13 @@
 //! the circuit once, and after every gate each touched qubit's channels
 //! are sampled — the branch index is drawn with probability
 //! `tr(K_i rho K_i^dag)` from the qubit's reduced density matrix, the
-//! chosen Kraus operator is applied, and the state renormalized.
+//! chosen Kraus operator is applied, and the state renormalized; a
+//! mid-circuit measurement collapses the trajectory's state.
 //! Averaged over trajectories this converges to the exact channel
-//! (validated against `qfw_noise::reference` in tests). Readout error
-//! flips each measured bit independently per its confusion matrix.
+//! (validated against `qfw_noise::reference` in tests). Each trajectory
+//! draws its shots through the canonical split scheme, readout error flips
+//! each drawn qubit independently per its confusion matrix, and the
+//! circuit's [`Readout`] turns the draws into counts like every engine's.
 //!
 //! **Determinism.** Trajectory `t` owns the RNG `Rng::stream(seed, t)`
 //! and a fixed slice of the shot budget, and per-trajectory histograms
@@ -22,8 +25,9 @@
 //! The IonQ-analog cloud backend runs its jobs through this model; local
 //! backends opt in through `noise_model`/`noise_*` runtime properties.
 
-use crate::state::StateVector;
-use qfw_circuit::{Circuit, Op};
+use crate::engine::SvSimulator;
+use crate::state::{canonical_split_bits, StateVector};
+use qfw_circuit::{Circuit, Op, Readout};
 use qfw_noise::Kraus2;
 pub use qfw_noise::NoiseModel;
 use qfw_num::complex::C64;
@@ -45,19 +49,29 @@ fn branch_prob(k: &Kraus2, rho: &[C64; 4]) -> f64 {
     t
 }
 
-/// Runs one trajectory: the circuit's unitary part with one sampled
-/// Kraus branch per (gate, touched qubit, channel). Returns the final
-/// state; `kraus_apps` counts non-trivial branch applications.
+/// Runs one trajectory: the circuit with one sampled Kraus branch per
+/// (gate, touched qubit, channel) and its mid-circuit measurements
+/// collapsed. Returns the final state and the collapsed classical bits;
+/// `kraus_apps` counts non-trivial branch applications.
 fn run_one_trajectory(
     circuit: &Circuit,
+    readout: &Readout,
     model: &NoiseModel,
     rng: &mut Rng,
     kraus_apps: &mut u64,
-) -> StateVector {
+) -> (StateVector, BTreeMap<usize, u8>) {
     let mut sv = StateVector::zero(circuit.num_qubits());
+    let mut collapsed = BTreeMap::new();
     let mut weights: Vec<f64> = Vec::with_capacity(8);
-    for op in circuit.ops() {
-        let Op::Gate(g) = op else { continue };
+    for (at, op) in circuit.ops().iter().enumerate() {
+        let g = match op {
+            Op::Gate(g) => g,
+            Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
+                collapsed.insert(*clbit, sv.measure(*qubit, rng, false));
+                continue;
+            }
+            _ => continue,
+        };
         sv.apply(g, false);
         let arity = g.arity();
         for q in g.qubits() {
@@ -78,53 +92,38 @@ fn run_one_trajectory(
             }
         }
     }
-    sv
+    (sv, collapsed)
 }
 
-/// Samples a trajectory's shot share and applies per-qubit readout
-/// confusion. Bitstring convention: char `i` is qubit `n-1-i`.
+/// Draws a trajectory's shot share through the canonical split scheme, on
+/// a seed taken from the trajectory's stream, then flips each drawn
+/// qubit's bit per its readout confusion.
 fn sample_with_readout(
     sv: &StateVector,
     my_shots: usize,
     model: &NoiseModel,
     rng: &mut Rng,
-) -> BTreeMap<String, usize> {
+) -> Vec<u64> {
     let n = sv.num_qubits();
-    let raw = sv.sample_counts(my_shots, rng);
-    if !model.has_readout() {
-        return raw;
-    }
-    let mut counts = BTreeMap::new();
-    for (bits, c) in raw {
-        for _ in 0..c {
-            let flipped: String = bits
-                .chars()
-                .enumerate()
-                .map(|(i, ch)| {
-                    let Some(ro) = model.readout(n - 1 - i) else {
-                        return ch;
-                    };
-                    if rng.chance(ro.flip_prob(u8::from(ch == '1'))) {
-                        if ch == '0' {
-                            '1'
-                        } else {
-                            '0'
-                        }
-                    } else {
-                        ch
-                    }
-                })
-                .collect();
-            *counts.entry(flipped).or_insert(0) += 1;
+    let mut draws = sv.sample_split(my_shots, rng.next_u64(), canonical_split_bits(n, 0));
+    let errors: Vec<_> = (0..n)
+        .filter_map(|q| Some((q, model.readout(q)?)))
+        .collect();
+    for draw in &mut draws {
+        for &(q, ro) in &errors {
+            if rng.chance(ro.flip_prob((*draw >> q & 1) as u8)) {
+                *draw ^= 1 << q;
+            }
         }
     }
-    counts
+    draws
 }
 
 /// Runs a circuit under `model`, splitting `shots` across (at most
 /// `shots`) stochastic Kraus `trajectories`, executed on `workers`
-/// scoped threads. Terminal-measurement semantics, like the ideal
-/// engines.
+/// scoped threads. Each trajectory collapses the circuit's mid-circuit
+/// measurements and samples its terminal ones, read like the ideal
+/// engines' ([`Readout`]); an empty model is the ideal engine.
 ///
 /// Fixed-seed counts are **bitwise identical for every `workers`
 /// value**: trajectory `t` always uses `Rng::stream(seed, t)` and a
@@ -139,13 +138,9 @@ pub fn run_trajectories(
     obs: &Obs,
 ) -> BTreeMap<String, usize> {
     if model.is_empty() {
-        // Ideal fast path: one exact state, all shots sampled from it.
-        let mut rng = Rng::seed_from(seed);
-        let mut sv = StateVector::zero(circuit.num_qubits());
-        sv.run_unitary(circuit, false);
-        return sv.sample_counts(shots, &mut rng);
+        return SvSimulator::default().run(circuit, shots, seed).counts;
     }
-
+    let readout = Readout::of(circuit);
     let span = obs
         .span("engine", "noise.run")
         .attr("shots", shots)
@@ -161,6 +156,7 @@ pub fn run_trajectories(
     // contiguous chunks so merge order never depends on thread timing.
     let mut slots: Vec<Option<(BTreeMap<String, usize>, u64)>> = vec![None; trajectories];
     let chunk = trajectories.div_ceil(workers);
+    let readout = &readout;
     std::thread::scope(|scope| {
         for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
             let first = w * chunk;
@@ -173,8 +169,10 @@ pub fn run_trajectories(
                     }
                     let mut rng = Rng::stream(seed, t as u64);
                     let mut kraus_apps = 0u64;
-                    let sv = run_one_trajectory(circuit, model, &mut rng, &mut kraus_apps);
-                    *slot = Some((sample_with_readout(&sv, my_shots, model, &mut rng), kraus_apps));
+                    let (sv, collapsed) =
+                        run_one_trajectory(circuit, readout, model, &mut rng, &mut kraus_apps);
+                    let draws = sample_with_readout(&sv, my_shots, model, &mut rng);
+                    *slot = Some((readout.counts(draws, &collapsed), kraus_apps));
                 }
             });
         }

@@ -8,12 +8,12 @@
 //! target bits; distinct groups touch disjoint indices, which is what makes
 //! the unsafe shared-pointer scatter in the k-qubit kernel sound.
 
-use qfw_circuit::{Circuit, Gate, Op};
+use qfw_circuit::{Circuit, Gate, Op, Readout};
 use qfw_num::complex::{c64, C64};
 use qfw_num::rng::{AliasSampler, CdfSampler, Rng};
 use qfw_num::Matrix;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Below this many amplitudes the rayon dispatch overhead outweighs the
 /// kernel work and the serial path is used regardless of threading mode.
@@ -588,86 +588,43 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
-    /// Draws `shots` full-register samples from `|amps|^2` with one
-    /// generator, returned as a bitstring (`"q_{n-1}...q_0"`) → count map,
-    /// matching Qiskit's `get_counts` convention. Uses the O(1)-per-shot
-    /// alias sampler.
-    pub fn sample_counts(&self, shots: usize, rng: &mut Rng) -> BTreeMap<String, usize> {
-        let probs = self.probabilities();
-        let sampler = AliasSampler::new(&probs);
-        // Tally by basis index; bitstrings are rendered once at the end.
-        // Small registers use a flat array, huge ones a hash map (shots are
-        // sparse relative to 2^n there).
-        const DENSE_TALLY_MAX: usize = 1 << 20;
-        if probs.len() <= DENSE_TALLY_MAX {
-            let mut tally = vec![0usize; probs.len()];
-            for _ in 0..shots {
-                tally[sampler.sample(rng)] += 1;
-            }
-            tally
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(idx, c)| (index_to_bitstring(idx, self.n), c))
-                .collect()
-        } else {
-            let mut tally: HashMap<usize, usize> = HashMap::new();
-            for _ in 0..shots {
-                *tally.entry(sampler.sample(rng)).or_insert(0) += 1;
-            }
-            tally
-                .into_iter()
-                .map(|(idx, c)| (index_to_bitstring(idx, self.n), c))
-                .collect()
-        }
-    }
-
-    /// Draws `shots` samples with the canonical *split* scheme: the index
-    /// space is cut into `2^split_bits` contiguous blocks (top bits), a
-    /// seeded [`CdfSampler`] over per-block masses decides how many shots
+    /// Draws `shots` basis indices with the canonical *split* scheme: the
+    /// index space is cut into `2^split_bits` contiguous blocks (top bits),
+    /// a seeded [`CdfSampler`] over per-block masses decides how many shots
     /// each block receives, and each block then draws its shots from a
     /// per-block [`AliasSampler`] seeded by `Rng::stream(seed, block)`.
     ///
     /// Because every step depends only on `(seed, split_bits)` and on
     /// per-block sums computed with fresh accumulators, any block-aligned
-    /// distributed partitioning of the register reproduces these counts
+    /// distributed partitioning of the register reproduces these draws
     /// bit-for-bit — this is the common sampling contract between the
     /// serial engine and [`crate::dist::DistStateVector`].
+    pub fn sample_split(&self, shots: usize, seed: u64, split_bits: usize) -> Vec<u64> {
+        let probs = self.probabilities();
+        let block_len = 1usize << (self.n - split_bits.min(self.n));
+        let masses: Vec<f64> = probs
+            .chunks(block_len)
+            .map(|block| block.iter().sum())
+            .collect();
+        let mut draws = Vec::with_capacity(shots);
+        let mut sampler = AliasSampler::empty();
+        for (b, &s) in block_shot_split(&masses, shots, seed).iter().enumerate() {
+            let block = &probs[b * block_len..(b + 1) * block_len];
+            sample_block_draws(&mut sampler, block, s, seed, b, &mut draws);
+        }
+        draws
+    }
+
+    /// [`sample_split`](Self::sample_split) as whole-register counts: what
+    /// a circuit that measures every qubit into its own bit reads.
     pub fn sample_counts_split(
         &self,
         shots: usize,
         seed: u64,
         split_bits: usize,
     ) -> BTreeMap<String, usize> {
-        let probs = self.probabilities();
-        let n = self.n;
-        let c = split_bits.min(n);
-        let block_len = 1usize << (n - c);
-        let masses: Vec<f64> = probs
-            .chunks(block_len)
-            .map(|block| block.iter().sum())
-            .collect();
-        let per_block = block_shot_split(&masses, shots, seed);
-        let mut counts = BTreeMap::new();
-        // One sampler reused across blocks: `rebuild` produces tables (and
-        // draw sequences) identical to a fresh build, without paying four
-        // allocations per nonzero block.
-        let mut sampler = AliasSampler::empty();
-        for (b, &s) in per_block.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            let lo = b * block_len;
-            sampler.rebuild(&probs[lo..lo + block_len]);
-            let mut rng = Rng::stream(seed, b as u64);
-            for _ in 0..s {
-                let local = sampler.sample(&mut rng);
-                *counts
-                    .entry(index_to_bitstring(lo | local, n))
-                    .or_insert(0) += 1;
-            }
-        }
-        counts
+        let whole = Readout::of(&Circuit::new(self.n));
+        whole.counts(self.sample_split(shots, seed, split_bits), &BTreeMap::new())
     }
 
     /// Expectation of a diagonal observable `sum_i f(i) |amp_i|^2`.
@@ -749,20 +706,26 @@ pub fn block_shot_split(masses: &[f64], shots: usize, seed: u64) -> Vec<usize> {
     per_block
 }
 
-/// Draws `shots` local indices from one split block's probability slice
-/// using the per-block alias sampler and its dedicated seeded stream.
+/// Appends `shots` draws from split block `block` — `probs` is its
+/// probability slice — as global basis indices, through the per-block
+/// alias table on the block's dedicated seeded stream. The one `sampler`
+/// is rebuilt per block: `rebuild` gives the tables (and draw sequences) of
+/// a fresh build without four allocations per block.
 pub(crate) fn sample_block_draws(
+    sampler: &mut AliasSampler,
     probs: &[f64],
     shots: usize,
     seed: u64,
-    block: u64,
-) -> Vec<usize> {
+    block: usize,
+    out: &mut Vec<u64>,
+) {
     if shots == 0 {
-        return Vec::new();
+        return;
     }
-    let sampler = AliasSampler::new(probs);
-    let mut rng = Rng::stream(seed, block);
-    (0..shots).map(|_| sampler.sample(&mut rng)).collect()
+    sampler.rebuild(probs);
+    let mut rng = Rng::stream(seed, block as u64);
+    let base = block * probs.len();
+    out.extend((0..shots).map(|_| (base | sampler.sample(&mut rng)) as u64));
 }
 
 /// Inserts a 0 bit at position `q` of `x`, shifting the bits at and above
@@ -799,26 +762,6 @@ pub(crate) fn local_offsets(qs: &[usize]) -> Vec<usize> {
             off
         })
         .collect()
-}
-
-/// Formats a basis index the way Qiskit prints counts: qubit n-1 leftmost.
-pub fn index_to_bitstring(idx: usize, n: usize) -> String {
-    (0..n)
-        .rev()
-        .map(|q| if idx & (1 << q) != 0 { '1' } else { '0' })
-        .collect()
-}
-
-/// Parses a Qiskit-style bitstring back into a basis index.
-pub fn bitstring_to_index(s: &str) -> usize {
-    s.chars().fold(0usize, |acc, ch| {
-        (acc << 1)
-            | match ch {
-                '0' => 0,
-                '1' => 1,
-                other => panic!("bad bitstring character '{other}'"),
-            }
-    })
 }
 
 /// Raw shared pointer into the amplitude buffer for disjoint parallel
@@ -1039,13 +982,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_counts_ghz_bimodal() {
+    fn split_sampling_ghz_bimodal() {
         let mut sv = StateVector::zero(4);
         let mut qc = Circuit::new(4);
         qc.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
         sv.run_unitary(&qc, false);
-        let mut rng = Rng::seed_from(5);
-        let counts = sv.sample_counts(2000, &mut rng);
+        let counts = sv.sample_counts_split(2000, 5, DEFAULT_SPLIT_BITS);
         assert_eq!(counts.len(), 2);
         let all0 = counts["0000"];
         let all1 = counts["1111"];
@@ -1093,15 +1035,6 @@ mod tests {
         assert_eq!(canonical_split_bits(24, 3), 6); // floor dominates
         assert_eq!(canonical_split_bits(24, 8), 8); // rank bits dominate
         assert_eq!(canonical_split_bits(4, 3), 4); // clamped to n
-    }
-
-    #[test]
-    fn bitstring_round_trip() {
-        assert_eq!(index_to_bitstring(5, 4), "0101");
-        assert_eq!(bitstring_to_index("0101"), 5);
-        for idx in 0..32 {
-            assert_eq!(bitstring_to_index(&index_to_bitstring(idx, 5)), idx);
-        }
     }
 
     #[test]

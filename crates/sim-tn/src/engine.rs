@@ -3,7 +3,7 @@
 use crate::network::TensorNetwork;
 pub use crate::network::OrderHeuristic;
 use qfw_circuit::analysis::lightcone;
-use qfw_circuit::{Circuit, Op};
+use qfw_circuit::{Circuit, Op, Readout};
 use qfw_num::complex::C64;
 use qfw_num::rng::{CdfSampler, Rng};
 use std::collections::BTreeMap;
@@ -62,9 +62,19 @@ impl TnSimulator {
         ordered.data
     }
 
-    /// Executes a circuit for `shots` samples (terminal measurement
-    /// semantics, like every workload in the paper).
+    /// Executes a circuit for `shots` samples, read through the circuit's
+    /// [`Readout`].
+    ///
+    /// # Panics
+    /// This engine cannot collapse a state mid-circuit: it panics on a
+    /// circuit with a mid-circuit measurement, which admission refuses
+    /// before it reaches here (`qfw::plan`).
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> TnOutcome {
+        let readout = Readout::of(circuit);
+        assert!(
+            !readout.has_mid_circuit(),
+            "the tensor-network engine cannot collapse a state mid-circuit"
+        );
         let sw = qfw_hpc::Stopwatch::start();
         let amps = self.statevector(circuit);
         let contract_time = sw.elapsed();
@@ -73,16 +83,10 @@ impl TnSimulator {
         let probs: Vec<f64> = amps.iter().map(|a| a.norm_sqr()).collect();
         let sampler = CdfSampler::new(&probs);
         let mut rng = Rng::seed_from(seed);
-        let n = circuit.num_qubits();
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for _ in 0..shots {
-            let idx = sampler.sample(&mut rng);
-            let bits: String = (0..n)
-                .rev()
-                .map(|q| if idx & (1 << q) != 0 { '1' } else { '0' })
-                .collect();
-            *counts.entry(bits).or_insert(0) += 1;
-        }
+        let draws = (0..shots)
+            .map(|_| sampler.sample(&mut rng) as u64)
+            .collect();
+        let counts = readout.counts(draws, &BTreeMap::new());
         let sample_time = sw.elapsed();
         TnOutcome {
             counts,

@@ -16,7 +16,7 @@
 //! instead of changing existing ones.
 
 use qfw_circuit::param::{Angle, ParamCircuit, ParamOp};
-use qfw_circuit::{Circuit, Gate};
+use qfw_circuit::{Circuit, Gate, Op};
 use qfw_num::rng::Rng;
 
 /// A random circuit over `n` qubits with `len` gates drawn from a
@@ -142,6 +142,36 @@ pub fn all_diagonal_circuit(n: usize, gates: usize, seed: u64) -> Circuit {
     qc
 }
 
+/// `circuit`'s operations under a random classical readout: a register of
+/// `1..=n + 2` classical bits (narrower than, as wide as, or wider than
+/// the quantum one), and at the end a random non-empty subset of qubits
+/// measured into distinct random classical bits in random order — a
+/// partial, permuted map. With `mid_circuit`, one measurement of a qubit a
+/// later gate still acts on is inserted too (into any classical bit).
+pub fn with_random_readout(circuit: &Circuit, seed: u64, mid_circuit: bool) -> Circuit {
+    let mut rng = Rng::seed_from(seed ^ 0x52_45_41_44); // "READ"
+    let n = circuit.num_qubits();
+    let num_clbits = 1 + rng.index(n + 2);
+    let mut out = Circuit::with_clbits(n, num_clbits).named(circuit.name.clone());
+    let ops = circuit.ops();
+    let mid = (mid_circuit && !ops.is_empty()).then(|| rng.index(ops.len()));
+    for (at, op) in ops.iter().enumerate() {
+        if let (true, Op::Gate(g)) = (mid == Some(at), op) {
+            out.measure(g.qubits()[0], rng.index(num_clbits));
+        }
+        out.push_op(op.clone());
+    }
+    let mut qubits: Vec<usize> = (0..n).collect();
+    let mut clbits: Vec<usize> = (0..num_clbits).collect();
+    rng.shuffle(&mut qubits);
+    rng.shuffle(&mut clbits);
+    let measured = 1 + rng.index(n.min(num_clbits));
+    for (&q, &c) in qubits.iter().zip(&clbits).take(measured) {
+        out.measure(q, c);
+    }
+    out
+}
+
 /// A random affine angle: literal, bare symbol, scaled, or full
 /// `coeff * theta[k] + offset`.
 pub fn random_angle(rng: &mut Rng, num_params: usize) -> Angle {
@@ -245,6 +275,19 @@ mod tests {
                 Op::Gate(g) => assert!(g.is_diagonal(), "{g} not diagonal"),
                 other => panic!("unexpected op {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn random_readout_measures_at_the_end_and_mid_circuit_when_asked() {
+        for seed in 0..20 {
+            let mid = seed % 2 == 0;
+            let draw = || with_random_readout(&random_circuit(4, 12, seed), seed, mid);
+            let qc = draw();
+            assert_eq!(qc, draw());
+            assert_eq!(qfw_circuit::Readout::of(&qc).has_mid_circuit(), mid);
+            assert!((1..=6).contains(&qc.num_clbits()));
+            assert!(matches!(qc.ops().last(), Some(Op::Measure { .. })));
         }
     }
 
