@@ -276,12 +276,13 @@ mod tests {
                 .collect(),
             spec: BackendSpec::of("ionq", "simulator"),
         };
-        let b = backend();
-        let results = rig.execute_sweep(&b, &task).unwrap();
+        let provider = Arc::new(CloudProvider::start(CloudConfig::instant()));
+        let qrc = rig.qrc(Some(Arc::clone(&provider)));
+        let results = qrc.execute_sweep(&task).unwrap();
         assert_eq!(results.len(), 3);
         for r in &results {
             assert_eq!(r.counts.values().sum::<usize>(), 40);
         }
-        assert_eq!(b.provider().jobs_completed(), 3);
+        assert_eq!(provider.jobs_completed(), 3);
     }
 }

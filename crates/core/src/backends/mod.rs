@@ -18,7 +18,7 @@ pub mod qtensor;
 pub mod tnqvm;
 
 use crate::error::QfwError;
-use crate::plan::{ResolvedJob, ResolvedSweep};
+use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
 use qfw_hpc::slurm::HetJob;
 use qfw_hpc::{Allocation, Dvm};
@@ -57,38 +57,29 @@ pub trait BackendQpm: Send + Sync {
     /// Canonical backend name.
     fn name(&self) -> &'static str;
 
-    /// Executes one admitted job.
+    /// Executes one admitted job. A sweep point or a batch mate is a job
+    /// like any other: [`crate::Qrc::run_many`] calls this once per job
+    /// under one slot.
     fn execute(&self, job: &ResolvedJob, ctx: &ExecContext<'_>) -> Result<QfwResult, QfwError>;
-
-    /// Executes a parse-once/bind-many sweep: one skeleton, many
-    /// bindings, results in point order.
-    ///
-    /// The default implementation runs each point as a bound job through
-    /// [`execute`](Self::execute), so every backend supports sweeps out of
-    /// the box; an engine that serves all points in one invocation
-    /// overrides this.
-    fn execute_sweep(
-        &self,
-        sweep: &ResolvedSweep,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Vec<QfwResult>, QfwError> {
-        sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect()
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
     use crate::plan::{GroupCores, Source};
-    use crate::spec::{BackendSpec, ExecTask, SweepTask};
+    use crate::qrc::{DispatchPolicy, Qrc};
+    use crate::registry::BackendRegistry;
+    use crate::spec::{BackendSpec, ExecTask};
     use qfw_circuit::{text, Circuit};
+    use qfw_cloud::CloudProvider;
     use qfw_hpc::slurm::HetJobSpec;
     use qfw_hpc::ClusterSpec;
+    use std::sync::Arc;
 
     /// A self-contained (cluster, hetjob, dvm) bundle for adapter tests.
     pub struct TestRig {
-        pub hetjob: HetJob,
-        pub dvm: Dvm,
+        pub hetjob: Arc<HetJob>,
+        pub dvm: Arc<Dvm>,
         pub obs: Obs,
     }
 
@@ -96,12 +87,20 @@ pub(crate) mod testutil {
         pub fn new(nodes: usize) -> TestRig {
             let cluster = ClusterSpec::test(nodes + 1);
             let hetjob = HetJob::submit(&cluster, &HetJobSpec::qfw_standard(nodes)).unwrap();
-            let dvm = Dvm::new(&cluster);
             TestRig {
-                hetjob,
-                dvm,
+                hetjob: Arc::new(hetjob),
+                dvm: Arc::new(Dvm::new(&cluster)),
                 obs: Obs::disabled(),
             }
+        }
+
+        /// A one-slot QRC over this rig's worker group and the standard
+        /// registry (with `ionq` on `cloud`, when given): what sweeps run
+        /// through.
+        pub fn qrc(&self, cloud: Option<Arc<CloudProvider>>) -> Qrc {
+            let registry = BackendRegistry::standard(cloud);
+            let (hetjob, dvm) = (Arc::clone(&self.hetjob), Arc::clone(&self.dvm));
+            Qrc::new(registry, hetjob, dvm, 1, 1, DispatchPolicy::RoundRobin)
         }
 
         pub fn ctx(&self) -> ExecContext<'_> {
@@ -122,16 +121,6 @@ pub(crate) mod testutil {
             let (source, group) = (Source::Wire(&task.circuit), GroupCores::of(&self.hetjob, 1));
             let job = ResolvedJob::admit(source, task.shots, task.seed, &task.spec, group)?;
             backend.execute(&job, &self.ctx())
-        }
-
-        /// Admits a sweep the way the QRC does and runs it on `backend`.
-        pub fn execute_sweep(
-            &self,
-            backend: &dyn BackendQpm,
-            task: &SweepTask,
-        ) -> Result<Vec<QfwResult>, QfwError> {
-            let sweep = ResolvedSweep::admit(task, GroupCores::of(&self.hetjob, 1))?;
-            backend.execute_sweep(&sweep, &self.ctx())
         }
     }
 

@@ -6,7 +6,7 @@
 
 use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
-use crate::plan::{ExecPlan, Form, ResolvedJob, ResolvedSweep};
+use crate::plan::{ExecPlan, Form, ResolvedJob};
 use crate::result::QfwResult;
 use crate::spec::extras;
 use qfw_circuit::{Circuit, Op};
@@ -14,7 +14,7 @@ use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
 use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
 use qfw_sim_sv::engine::SvOutcome;
-use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, SweepPoint, Threading};
+use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
 use std::sync::Arc;
 
 /// NWQ-Sim analog Backend-QPM.
@@ -221,51 +221,6 @@ impl BackendQpm for NwqSimBackend {
         }
         result.profile.total_secs = total.elapsed_secs();
         Ok(result)
-    }
-
-    fn execute_sweep(
-        &self,
-        sweep: &ResolvedSweep,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Vec<QfwResult>, QfwError> {
-        let plan = &*sweep.plan;
-        // One engine invocation serves the ideal local sub-backends; the
-        // distributed and noisy configurations run each point as a bound
-        // job. Either way a point is bitwise identical to an independent
-        // submission: both bind the same skeleton to the same seed.
-        if plan.subbackend == "mpi" || !plan.noise.is_empty() {
-            return sweep.jobs.iter().map(|job| self.execute(job, ctx)).collect();
-        }
-        let _lease = ctx.lease_cores(plan.cores)?;
-        let points: Vec<SweepPoint> = sweep
-            .jobs
-            .iter()
-            .map(|job| SweepPoint {
-                params: job.params.to_vec(),
-                shots: job.shots,
-                seed: job.seed,
-            })
-            .collect();
-        let engine = Self::engine(plan);
-        let handle = engine
-            .compile_sweep(&sweep.template)
-            .map_err(|e| QfwError::Execution(e.to_string()))?;
-        Ok(engine
-            .run_plan_traced(&handle, &points, ctx.obs)
-            .into_iter()
-            .zip(&sweep.jobs)
-            .map(|(out, job)| {
-                let mut result = QfwResult::new(self.name(), plan.subbackend, job.shots);
-                // A point's own bind + fuse + gates + sampling: the
-                // outcome's `gate_time` covers everything before sampling.
-                result.profile.total_secs = (out.gate_time + out.sample_time).as_secs_f64();
-                record(&mut result, out);
-                result.profile.marshal_secs = job.marshal_secs;
-                result.profile.ranks = 1;
-                result.note("sweep_points", sweep.jobs.len());
-                result
-            })
-            .collect())
     }
 }
 
@@ -683,18 +638,16 @@ mod tests {
                     .execute(&backend, &task(text::dump_param_bound(&template, &params)))
                     .unwrap();
                 let swept = rig
-                    .execute_sweep(
-                        &backend,
-                        &SweepTask {
-                            circuit: text::dump_param(&template),
-                            points: vec![SweepPointSpec {
-                                params: params.to_vec(),
-                                shots: 128,
-                                seed: 11,
-                            }],
-                            spec: spec.clone(),
-                        },
-                    )
+                    .qrc(None)
+                    .execute_sweep(&SweepTask {
+                        circuit: text::dump_param(&template),
+                        points: vec![SweepPointSpec {
+                            params: params.to_vec(),
+                            shots: 128,
+                            seed: 11,
+                        }],
+                        spec: spec.clone(),
+                    })
                     .unwrap();
                 assert_eq!(concrete.counts.values().sum::<usize>(), 128);
                 for other in [&bound, &repeat, &swept[0]] {
@@ -713,31 +666,34 @@ mod tests {
     }
 
     /// A point's profile is its own time: summed over the sweep it cannot
-    /// exceed the sweep's wall (it used to be the whole wall on each).
+    /// exceed the sweep's wall (it used to be the whole wall on each). A
+    /// point is a job like any other, so its `total_secs` is its adapter
+    /// call, of which engine and sampling are a part.
     #[test]
     fn sweep_point_profiles_sum_to_at_most_the_sweep_wall() {
         let rig = TestRig::new(1);
+        let qrc = rig.qrc(None);
         let task = SweepTask {
             circuit: text::dump_param(&sweep_template(8)),
             points: sweep_points(6, 256),
             spec: BackendSpec::of("nwqsim", "cpu"),
         };
         let wall = Stopwatch::start();
-        let swept = rig.execute_sweep(&NwqSimBackend, &task).unwrap();
+        let swept = qrc.execute_sweep(&task).unwrap();
         let wall = wall.elapsed_secs();
         let total: f64 = swept.iter().map(|r| r.profile.total_secs).sum();
         assert!(total <= wall, "points sum to {total}s of a {wall}s sweep");
         for result in &swept {
             let own = result.profile.exec_secs + result.profile.sample_secs;
-            assert!(own > 0.0 && (result.profile.total_secs - own).abs() < 1e-9);
+            assert!(own > 0.0 && own <= result.profile.total_secs);
             assert_eq!(result.profile.ranks, 1);
-            assert_eq!(result.metadata["sweep_points"], "6");
         }
     }
 
     #[test]
     fn execute_sweep_bitwise_matches_per_point_executes() {
         let rig = TestRig::new(1);
+        let qrc = rig.qrc(None);
         let backend = NwqSimBackend;
         let template = sweep_template(6);
         for sub in ["cpu", "openmp"] {
@@ -746,10 +702,9 @@ mod tests {
                 points: sweep_points(4, 256),
                 spec: BackendSpec::of("nwqsim", sub),
             };
-            let swept = rig.execute_sweep(&backend, &task).unwrap();
+            let swept = qrc.execute_sweep(&task).unwrap();
             assert_eq!(swept.len(), 4, "{sub}");
             for (result, point) in swept.iter().zip(&task.points) {
-                assert_eq!(result.metadata["sweep_points"], "4", "{sub}");
                 let single = rig
                     .execute(
                         &backend,
@@ -776,11 +731,10 @@ mod tests {
             points: sweep_points(3, 200),
             spec: BackendSpec::of("nwqsim", "mpi").with_ranks(4),
         };
-        let swept = rig.execute_sweep(&backend, &task).unwrap();
+        let swept = rig.qrc(None).execute_sweep(&task).unwrap();
         assert_eq!(swept.len(), 3);
         for (result, point) in swept.iter().zip(&task.points) {
             assert_eq!(result.profile.ranks, 4);
-            assert!(!result.metadata.contains_key("sweep_points"));
             let single = rig
                 .execute(
                     &backend,
@@ -799,7 +753,6 @@ mod tests {
     #[test]
     fn sweep_point_with_short_binding_rejected() {
         let rig = TestRig::new(1);
-        let backend = NwqSimBackend;
         let template = sweep_template(4);
         let task = SweepTask {
             circuit: text::dump_param(&template),
@@ -811,7 +764,7 @@ mod tests {
             spec: BackendSpec::of("nwqsim", "cpu"),
         };
         assert!(matches!(
-            rig.execute_sweep(&backend, &task).unwrap_err(),
+            rig.qrc(None).execute_sweep(&task).unwrap_err(),
             QfwError::Marshal(_)
         ));
     }

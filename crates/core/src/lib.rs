@@ -48,7 +48,7 @@ pub mod spec;
 pub use cache::{CacheConfig, CacheStats, ResultCache, ShardedLru};
 pub use error::QfwError;
 pub use frontend::{QfwBackend, QfwJob, QfwSweepJob};
-pub use plan::{Engine, ExecPlan, Form, GroupCores, ResolvedJob, ResolvedSweep, Source, Target};
+pub use plan::{Engine, ExecPlan, Form, GroupCores, ResolvedJob, Source, Target};
 pub use planner::{CostCoefficients, PartitionPlan, Planned, Planner, SelectorContext};
 pub use qrc::{DispatchPolicy, Qrc, SlotSnapshot};
 pub use registry::{BackendRegistry, Capabilities};

@@ -4,7 +4,7 @@
 //! A job arrives as a [`BackendSpec`] (free-form string extras) and a
 //! circuit — wire text, or the [`Circuit`] the QASM3 compiler just produced
 //! ([`Source`]). [`ResolvedJob::admit`] (for a sweep,
-//! [`ResolvedSweep::admit`]) decides once what that *means*: which
+//! [`ResolvedJob::admit_sweep`]) decides once what that *means*: which
 //! [`Engine`] row, how many cores, every recognised extra parsed with its
 //! default, every incompatible pair refused ([`ExecPlan::resolve`]), the
 //! text parsed (the only call site of the wire parsers), and every check
@@ -17,7 +17,7 @@
 //! id, job record, queue entry or worker slot behind.
 
 use crate::error::QfwError;
-use crate::spec::{extras, BackendSpec, SweepTask};
+use crate::spec::{extras, BackendSpec, SweepPointSpec, SweepTask};
 use qfw_circuit::analysis::{clifford_prefix_len, is_clifford, StructureReport};
 use qfw_circuit::hash::{circuit_hash, param_hash, ContentHash};
 use qfw_circuit::{text, Circuit, ParamCircuit, Readout};
@@ -713,6 +713,34 @@ impl ResolvedJob {
         })
     }
 
+    /// Admits a parse-once/bind-many sweep as one bound job per point, in
+    /// point order, each checked exactly as a bound job of its own would be.
+    /// The points share one skeleton and one plan, and each carries its
+    /// share of the admission time.
+    pub fn admit_sweep(task: &SweepTask, group: GroupCores) -> Result<Vec<ResolvedJob>, QfwError> {
+        let start = Instant::now();
+        let plan = ExecPlan::resolve(&task.spec, group)?;
+        let (form @ Form::Param(_), _) = parse(&task.circuit)? else {
+            return Err(QfwError::Marshal(
+                "sweep task circuit is not in the qfwasm-param wire format".into(),
+            ));
+        };
+        for (i, point) in task.points.iter().enumerate() {
+            check_binding(&form, &point.params, format_args!("sweep point {i}"))?;
+        }
+        let plan = Arc::new(fit(&form, plan, group)?);
+        let marshal_secs = start.elapsed().as_secs_f64() / task.points.len().max(1) as f64;
+        let job = |point: &SweepPointSpec| ResolvedJob {
+            form: form.clone(),
+            params: point.params.clone(),
+            shots: point.shots,
+            seed: point.seed,
+            plan: Arc::clone(&plan),
+            marshal_secs,
+        };
+        Ok(task.points.iter().map(job).collect())
+    }
+
     /// The same job on another plan (what `auto` does with each ranked
     /// candidate), through the same circuit-dependent checks.
     pub fn on_plan(&self, plan: ExecPlan, group: GroupCores) -> Result<ResolvedJob, QfwError> {
@@ -755,56 +783,9 @@ impl ResolvedJob {
     }
 }
 
-/// One parse-once/bind-many sweep, admitted: what
-/// [`crate::backends::BackendQpm::execute_sweep`] consumes.
-#[derive(Clone, Debug)]
-pub struct ResolvedSweep {
-    /// The shared skeleton.
-    pub template: Arc<ParamCircuit>,
-    /// Every point as a stand-alone bound job, in result order: what
-    /// engines (or configurations) without a native sweep path run.
-    pub jobs: Vec<ResolvedJob>,
-    /// What the spec means.
-    pub plan: Arc<ExecPlan>,
-}
-
-impl ResolvedSweep {
-    /// Admits a sweep, every point exactly as a bound job of its own would
-    /// be.
-    pub fn admit(task: &SweepTask, group: GroupCores) -> Result<ResolvedSweep, QfwError> {
-        let start = Instant::now();
-        let plan = ExecPlan::resolve(&task.spec, group)?;
-        let (Form::Param(template), _) = parse(&task.circuit)? else {
-            return Err(QfwError::Marshal(
-                "sweep task circuit is not in the qfwasm-param wire format".into(),
-            ));
-        };
-        let form = Form::Param(Arc::clone(&template));
-        for (i, point) in task.points.iter().enumerate() {
-            check_binding(&form, &point.params, format_args!("sweep point {i}"))?;
-        }
-        let plan = Arc::new(fit(&form, plan, group)?);
-        let marshal_secs = start.elapsed().as_secs_f64();
-        let job = |point: &crate::spec::SweepPointSpec| ResolvedJob {
-            form: form.clone(),
-            params: point.params.clone(),
-            shots: point.shots,
-            seed: point.seed,
-            plan: Arc::clone(&plan),
-            marshal_secs,
-        };
-        Ok(ResolvedSweep {
-            jobs: task.points.iter().map(job).collect(),
-            template,
-            plan,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepPointSpec;
 
     const GROUP: GroupCores = GroupCores {
         total: 32,
@@ -1178,7 +1159,7 @@ mod tests {
     fn sweep_points_get_the_same_checks_as_single_jobs() {
         let skeleton = "qfwasm-param 1\nqubits 3\nrx(@0) q0\ncx q0 q2\n";
         let sweep = |spec: BackendSpec| {
-            ResolvedSweep::admit(&sweep_task(skeleton, spec), GROUP).map(|s| s.jobs.len())
+            ResolvedJob::admit_sweep(&sweep_task(skeleton, spec), GROUP).map(|jobs| jobs.len())
         };
         let mpi = BackendSpec::of("nwqsim", "mpi").with_ranks(2);
         assert_eq!(
@@ -1204,9 +1185,13 @@ mod tests {
             admit(&format!("{skeleton}bind 1e-1\n"), &auto).unwrap_err()
         ));
         let mut task = sweep_task(skeleton, auto.clone());
-        assert!(is_refusal(ResolvedSweep::admit(&task, GROUP).unwrap_err()));
+        assert!(is_refusal(
+            ResolvedJob::admit_sweep(&task, GROUP).unwrap_err()
+        ));
         task.points.clear();
-        assert!(is_refusal(ResolvedSweep::admit(&task, GROUP).unwrap_err()));
+        assert!(is_refusal(
+            ResolvedJob::admit_sweep(&task, GROUP).unwrap_err()
+        ));
         assert!(admit(&text::dump(&ghz(3)), &auto).is_ok());
     }
 
@@ -1259,22 +1244,49 @@ mod tests {
         let short = format!("{skeleton}bind 1e-1\n");
         assert!(matches!(admit(&short, &cpu), Err(QfwError::Marshal(_))));
         assert!(matches!(
-            ResolvedSweep::admit(&sweep_task(skeleton, cpu.clone()), GROUP),
+            ResolvedJob::admit_sweep(&sweep_task(skeleton, cpu.clone()), GROUP),
             Err(QfwError::Marshal(_))
         ));
         // A concrete circuit is not a sweep skeleton.
         assert!(matches!(
-            ResolvedSweep::admit(&sweep_task(&text::dump(&ghz(2)), cpu), GROUP),
+            ResolvedJob::admit_sweep(&sweep_task(&text::dump(&ghz(2)), cpu), GROUP),
             Err(QfwError::Marshal(_))
         ));
+    }
+
+    /// Each point carries its share of the admission, so summed over a
+    /// sweep the points cannot exceed the admission call's wall time (they
+    /// used to carry the whole admission each).
+    #[test]
+    fn sweep_points_share_the_admission_time() {
+        let skeleton = "qfwasm-param 1\nqubits 3\nrx(@0) q0\ncx q0 q2\n";
+        let mut task = sweep_task(skeleton, BackendSpec::of("nwqsim", "cpu"));
+        task.points = vec![task.points[0].clone(); 32];
+        let wall = Instant::now();
+        let jobs = ResolvedJob::admit_sweep(&task, GROUP).unwrap();
+        let wall = wall.elapsed().as_secs_f64();
+        let sum: f64 = jobs.iter().map(|job| job.marshal_secs).sum();
+        assert_eq!(jobs.len(), 32);
+        assert!(
+            sum > 0.0 && sum <= wall,
+            "points sum to {sum}s of a {wall}s admission"
+        );
+        // One skeleton and one plan, shared by every point.
+        for job in &jobs[1..] {
+            assert!(Arc::ptr_eq(&job.plan, &jobs[0].plan));
+            let (Form::Param(a), Form::Param(b)) = (&job.form, &jobs[0].form) else {
+                panic!("a sweep point is a bound skeleton");
+            };
+            assert!(Arc::ptr_eq(a, b));
+        }
     }
 
     #[test]
     fn jobs_dump_their_wire_text_on_demand() {
         let skeleton = "qfwasm-param 1\nqubits 1\nrx(@0) q0\n";
         let task = sweep_task(skeleton, BackendSpec::of("ionq", "simulator"));
-        let sweep = ResolvedSweep::admit(&task, GROUP).unwrap();
-        let job = &sweep.jobs[0];
+        let jobs = ResolvedJob::admit_sweep(&task, GROUP).unwrap();
+        let job = &jobs[0];
         assert_eq!((job.shots, job.seed), (8, 3));
         assert_eq!(job.wire_text(), format!("{skeleton}bind 2.5e-1\n"));
         let wire = text::dump(&ghz(2));

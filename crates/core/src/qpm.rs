@@ -13,11 +13,11 @@
 //! Multiple QPM services can run side by side (the paper launches several
 //! per job); they share one QRC and are named `qpm0`, `qpm1`, ...
 
+use crate::error::QfwError;
 use crate::qrc::Qrc;
-use crate::result::QfwResult;
-use crate::spec::{ExecTask, SweepTask};
+use crate::spec::{BackendSpec, ExecTask, SweepTask};
 use qfw_defw::{Defw, MethodTable};
-use qfw_obs::Obs;
+use qfw_obs::{Obs, Span};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,6 +40,39 @@ struct QpmInner {
     failed: AtomicU64,
     name: String,
     obs: Obs,
+}
+
+impl QpmInner {
+    /// The body of both run methods: `tasks` counted accepted, then all
+    /// completed or all failed (a sweep counts per point, and fails whole),
+    /// under a `span_name` span that nests under the DEFw `rpc.handle` span
+    /// (same worker thread) and that `run` may annotate.
+    fn dispatch<T>(
+        &self,
+        span_name: &str,
+        tasks: u64,
+        spec: &BackendSpec,
+        run: impl FnOnce(&mut Span) -> Result<T, QfwError>,
+    ) -> Result<T, String> {
+        self.accepted.fetch_add(tasks, Ordering::Relaxed);
+        let mut span = self
+            .obs
+            .span("qpm", span_name)
+            .attr("backend", spec.backend.as_str())
+            .attr("qpm", self.name.as_str());
+        if self.obs.is_enabled() {
+            self.obs.counter("qpm.dispatched").add(tasks);
+        }
+        let outcome = run(&mut span);
+        let ended = if outcome.is_ok() {
+            &self.completed
+        } else {
+            &self.failed
+        };
+        ended.fetch_add(tasks, Ordering::Relaxed);
+        span.set_attr("ok", outcome.is_ok());
+        outcome.map_err(|e| e.to_string())
+    }
 }
 
 /// Handle to a registered QPM service.
@@ -69,60 +102,22 @@ impl Qpm {
         let service = MethodTable::new(name.clone())
             .method("ping", move |_: ()| Ok(format!("{ping_name} alive")))
             .method("run_circuit", move |task: ExecTask| {
-                run_inner.accepted.fetch_add(1, Ordering::Relaxed);
-                // The dispatch span nests under the DEFw `rpc.handle` span
-                // (same worker thread); backend selection is recorded once
-                // the QRC resolves it.
-                let mut span = run_inner
-                    .obs
-                    .span("qpm", "qpm.run_circuit")
-                    .attr("backend", task.spec.backend.as_str())
-                    .attr("qpm", run_inner.name.as_str())
-                    .attr("shots", task.shots);
-                if run_inner.obs.is_enabled() {
-                    run_inner.obs.counter("qpm.dispatched").inc();
-                }
-                match run_inner.qrc.execute(&task) {
-                    Ok(result) => {
-                        run_inner.completed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(selected) = result.metadata.get("auto_selected") {
-                            span.set_attr("selected", selected.as_str());
-                        }
-                        span.set_attr("ok", true);
-                        Ok::<QfwResult, String>(result)
+                run_inner.dispatch("qpm.run_circuit", 1, &task.spec, |span| {
+                    span.set_attr("shots", task.shots);
+                    let result = run_inner.qrc.execute(&task)?;
+                    // Backend selection is recorded once the QRC resolves it.
+                    if let Some(selected) = result.metadata.get("auto_selected") {
+                        span.set_attr("selected", selected.as_str());
                     }
-                    Err(e) => {
-                        run_inner.failed.fetch_add(1, Ordering::Relaxed);
-                        span.set_attr("ok", false);
-                        Err(e.to_string())
-                    }
-                }
+                    Ok(result)
+                })
             })
             .method("run_sweep", move |task: SweepTask| {
                 let points = task.points.len() as u64;
-                sweep_inner.accepted.fetch_add(points, Ordering::Relaxed);
-                let mut span = sweep_inner
-                    .obs
-                    .span("qpm", "qpm.run_sweep")
-                    .attr("backend", task.spec.backend.as_str())
-                    .attr("qpm", sweep_inner.name.as_str())
-                    .attr("points", points);
-                if sweep_inner.obs.is_enabled() {
-                    sweep_inner.obs.counter("qpm.dispatched").add(points);
-                }
-                match sweep_inner.qrc.execute_sweep(&task) {
-                    Ok(results) => {
-                        sweep_inner.completed.fetch_add(points, Ordering::Relaxed);
-                        span.set_attr("ok", true);
-                        Ok::<Vec<QfwResult>, String>(results)
-                    }
-                    Err(e) => {
-                        // One skeleton, one compile: a sweep fails whole.
-                        sweep_inner.failed.fetch_add(points, Ordering::Relaxed);
-                        span.set_attr("ok", false);
-                        Err(e.to_string())
-                    }
-                }
+                sweep_inner.dispatch("qpm.run_sweep", points, &task.spec, |span| {
+                    span.set_attr("points", points);
+                    sweep_inner.qrc.execute_sweep(&task)
+                })
             })
             .method("capabilities", move |_: ()| {
                 let _ = &caps_inner;
@@ -163,7 +158,7 @@ mod tests {
     use super::*;
     use crate::qrc::DispatchPolicy;
     use crate::registry::BackendRegistry;
-    use crate::spec::BackendSpec;
+    use crate::result::QfwResult;
     use qfw_circuit::{text, Circuit};
     use qfw_hpc::slurm::{HetJob, HetJobSpec};
     use qfw_hpc::{ClusterSpec, Dvm};

@@ -21,13 +21,14 @@
 //! acquisition (one *engine invocation*).
 //!
 //! Every entry point has the same two halves: [`Qrc::admit`] turns a
-//! submission into the owned job ([`crate::plan`]), and [`Qrc::run`] /
-//! [`Qrc::run_many`] / [`Qrc::run_sweep`] execute admitted jobs under a
-//! slot. `execute*` are the two back to back.
+//! submission into owned jobs ([`crate::plan`]; a sweep is one bound job
+//! per point), and [`Qrc::run_many`] executes admitted jobs under one slot
+//! ([`Qrc::run`] is `run_many` of one). `execute*` are the two back to
+//! back.
 
 use crate::backends::ExecContext;
 use crate::error::QfwError;
-use crate::plan::{auto_circuit, ExecPlan, GroupCores, ResolvedJob, ResolvedSweep, Source, AUTO};
+use crate::plan::{auto_circuit, ExecPlan, GroupCores, ResolvedJob, Source, AUTO};
 use crate::planner::SelectorContext;
 use crate::registry::BackendRegistry;
 use crate::result::QfwResult;
@@ -358,12 +359,11 @@ impl Qrc {
     /// Holds one worker slot around `run`: acquisition (with chaos
     /// requeues), the [`ExecContext`], one engine invocation, release, the
     /// `qrc.*` accounting for `n_tasks` tasks, and the queueing time
-    /// stamped on every result. `run` gets the `span_name` span to
+    /// stamped on every result. `run` gets the `qrc.execute` span to
     /// annotate.
     fn with_slot(
         &self,
         n_tasks: u64,
-        span_name: &str,
         run: impl FnOnce(&ExecContext<'_>, &mut Span) -> Vec<Result<QfwResult, QfwError>>,
     ) -> Result<Vec<Result<QfwResult, QfwError>>, QfwError> {
         let queue_sw = Stopwatch::start();
@@ -373,7 +373,7 @@ impl Qrc {
         let (acq_start, acq_end) = acquire_span.finish();
         let queue_secs = queue_sw.elapsed_secs();
 
-        let mut span = self.obs.span("qrc", span_name);
+        let mut span = self.obs.span("qrc", "qrc.execute");
         let ctx = ExecContext {
             dvm: &self.dvm,
             hetjob: &self.hetjob,
@@ -406,71 +406,43 @@ impl Qrc {
         Ok(results)
     }
 
-    /// Runs one admitted job under its own slot.
-    ///
-    /// A job on the pseudo-backend `auto` engages the workload-driven
-    /// planner: its circuit is analyzed and its plan retargeted to the
-    /// recommended engine before dispatch (the rationale lands in the
-    /// result metadata).
+    /// Runs one admitted job: [`Qrc::run_many`] of one.
     pub fn run(&self, job: &ResolvedJob) -> Result<QfwResult, QfwError> {
-        if job.plan.backend == AUTO {
-            return self.run_auto(job);
-        }
-        let backend = self.registry.get(job.plan.backend)?;
-        let mut results = self.with_slot(1, "qrc.execute", |ctx, span| {
-            span.set_attr("backend", job.plan.backend);
-            span.set_attr("subbackend", job.plan.subbackend);
-            vec![backend.execute(job, ctx)]
-        })?;
+        let mut results = self.run_many(std::slice::from_ref(job));
         results.pop().expect("one job in, one result out")
     }
 
-    /// Runs a coalesced batch under **one** slot acquisition and one
-    /// engine invocation: the scheduler's transparent batching path. Every
-    /// job runs with its own shots and seed on the shared slot, so per-job
-    /// counts are bitwise identical to unbatched execution; only the
-    /// dispatch overhead (slot acquisition, invocation accounting) is
-    /// amortized. Results come back in input order.
+    /// Runs admitted jobs — one job, a scheduler batch or the points of a
+    /// sweep alike — under **one** slot acquisition and one engine
+    /// invocation. Every job runs with its own shots and seed on the shared
+    /// slot, so per-job counts are bitwise identical to running each alone;
+    /// only the dispatch overhead (slot acquisition, invocation accounting)
+    /// is amortized. Results come back in input order; nothing to run takes
+    /// no slot.
     ///
-    /// Jobs on the `auto` pseudo-backend fall back to [`Qrc::run`] per job
-    /// (the planner may fan each one out to a different engine), costing
-    /// one invocation each.
+    /// A job on the pseudo-backend `auto` engages the workload-driven
+    /// planner before any slot is taken (`run_auto`): the planner
+    /// may send each job to a different engine, so a batch holding one runs
+    /// job by job, one invocation per attempt.
     pub fn run_many(&self, jobs: &[ResolvedJob]) -> Vec<Result<QfwResult, QfwError>> {
+        if jobs.iter().any(|job| job.plan.backend == AUTO) {
+            let one = |job: &ResolvedJob| match job.plan.backend {
+                AUTO => self.run_auto(job),
+                _ => self.run(job),
+            };
+            return jobs.iter().map(one).collect();
+        }
         let Some(first) = jobs.first() else {
             return Vec::new();
         };
-        if jobs.iter().any(|job| job.plan.backend == AUTO) {
-            return jobs.iter().map(|job| self.run(job)).collect();
-        }
-        let slotted = self.with_slot(jobs.len() as u64, "qrc.execute_batch", |ctx, span| {
+        let slotted = self.with_slot(jobs.len() as u64, |ctx, span| {
             span.set_attr("size", jobs.len() as u64);
             span.set_attr("backend", first.plan.backend);
+            span.set_attr("subbackend", first.plan.subbackend);
             let run = |job: &ResolvedJob| self.registry.get(job.plan.backend)?.execute(job, ctx);
             jobs.iter().map(run).collect()
         });
         slotted.unwrap_or_else(|e| jobs.iter().map(|_| Err(e.clone())).collect())
-    }
-
-    /// Runs a parse-once/bind-many sweep under **one** slot acquisition
-    /// and one engine invocation. The backend binds every point against
-    /// the one admitted skeleton; per-point counts are bitwise identical to
-    /// running each bound point through [`Qrc::run`]. Unlike [`Qrc::run_many`], a failure
-    /// is a whole-sweep failure — every point shares the skeleton, so one
-    /// error dooms them all.
-    pub fn run_sweep(&self, sweep: &ResolvedSweep) -> Result<Vec<QfwResult>, QfwError> {
-        let plan = &sweep.plan;
-        let backend = self.registry.get(plan.backend)?;
-        let points = sweep.jobs.len() as u64;
-        let results = self.with_slot(points, "qrc.execute_sweep", |ctx, span| {
-            span.set_attr("points", points);
-            span.set_attr("backend", plan.backend);
-            span.set_attr("subbackend", plan.subbackend);
-            match backend.execute_sweep(sweep, ctx) {
-                Ok(results) => results.into_iter().map(Ok).collect(),
-                Err(e) => vec![Err(e)],
-            }
-        })?;
-        results.into_iter().collect()
     }
 
     /// Executes one task end-to-end: admission (spec and circuit, before
@@ -492,15 +464,21 @@ impl Qrc {
         admitted.into_iter().map(|job| job.and_then(&mut result)).collect()
     }
 
-    /// Admits a sweep ([`ResolvedSweep::admit`]), then [`Qrc::run_sweep`].
+    /// Admits a sweep as one bound job per point
+    /// ([`ResolvedJob::admit_sweep`]), then [`Qrc::run_many`] over them: one
+    /// slot and one engine invocation for every point, none for no points.
+    /// The first point that fails fails the sweep.
     pub fn execute_sweep(&self, task: &SweepTask) -> Result<Vec<QfwResult>, QfwError> {
-        let sweep = ResolvedSweep::admit(task, self.group_cores())?;
-        self.registered(&sweep.plan)?;
-        self.run_sweep(&sweep)
+        let jobs = ResolvedJob::admit_sweep(task, self.group_cores())?;
+        if let Some(job) = jobs.first() {
+            self.registered(&job.plan)?;
+        }
+        self.run_many(&jobs).into_iter().collect()
     }
 
     /// Workload-driven dispatch: analyze, rank, retarget the job's plan
-    /// onto each candidate in turn, run the first that succeeds.
+    /// onto each candidate in turn, run the first that succeeds (the
+    /// rationale lands in the result metadata).
     ///
     /// Degrades gracefully: when a candidate cannot take the job's
     /// options, or its engine fails at runtime, the next-ranked admissible
@@ -720,7 +698,7 @@ mod tests {
     fn a_panicking_engine_gives_its_slot_back() {
         let qrc = qrc(1, DispatchPolicy::RoundRobin);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            qrc.with_slot(1, "qrc.execute", |_, _| panic!("engine blew up"))
+            qrc.with_slot(1, |_, _| panic!("engine blew up"))
         }));
         assert!(unwound.is_err());
         assert_eq!(qrc.slot_snapshot().busy, 0);
@@ -1098,28 +1076,69 @@ mod tests {
 
     #[test]
     fn execute_sweep_counts_match_per_point_executes() {
-        let swept = qrc(2, DispatchPolicy::RoundRobin);
-        let unswept = qrc(2, DispatchPolicy::RoundRobin);
-        let task = sweep_task(6);
-        let results = swept.execute_sweep(&task).unwrap();
-        for (result, point) in results.iter().zip(&task.points) {
-            let solo = unswept
-                .execute(&ExecTask {
-                    circuit: crate::backends::testutil::materialize_point(
-                        &task.circuit,
-                        &point.params,
-                    ),
-                    shots: point.shots,
-                    seed: point.seed,
-                    spec: task.spec.clone(),
-                })
-                .unwrap();
-            assert_eq!(
-                result.counts, solo.counts,
-                "sweep counts diverged at seed {}",
-                point.seed
-            );
+        let mut noise = qfw_noise::NoiseModel::empty();
+        noise.add_2q_all(qfw_noise::Channel::depolarizing(0.03));
+        let specs = [
+            BackendSpec::of("nwqsim", "cpu"),
+            BackendSpec::of("nwqsim", "openmp"),
+            BackendSpec::of("nwqsim", "mpi").with_ranks(2),
+            BackendSpec::of("aer", "statevector"),
+            BackendSpec::of("nwqsim", "cpu").with_extra("noise_model", noise.to_text()),
+        ];
+        for spec in specs {
+            let swept = qrc(2, DispatchPolicy::RoundRobin);
+            let unswept = qrc(2, DispatchPolicy::RoundRobin);
+            let task = SweepTask {
+                spec,
+                ..sweep_task(6)
+            };
+            let results = swept.execute_sweep(&task).unwrap();
+            assert_eq!(results.len(), 6);
+            assert_eq!(swept.engine_invocations(), 1);
+            for (result, point) in results.iter().zip(&task.points) {
+                let solo = unswept
+                    .execute(&ExecTask {
+                        circuit: crate::backends::testutil::materialize_point(
+                            &task.circuit,
+                            &point.params,
+                        ),
+                        shots: point.shots,
+                        seed: point.seed,
+                        spec: task.spec.clone(),
+                    })
+                    .unwrap();
+                assert_eq!(
+                    result.counts, solo.counts,
+                    "{:?}: sweep counts diverged at seed {}",
+                    task.spec, point.seed
+                );
+            }
         }
+    }
+
+    /// A sweep of no points is refused or accepted like any other, and
+    /// then runs nothing: no slot, no core lease, no engine invocation.
+    #[test]
+    fn an_empty_sweep_takes_no_slot() {
+        let qrc = qrc(1, DispatchPolicy::RoundRobin);
+        let free = qrc.hetjob.free_cores(1);
+        let task = SweepTask {
+            points: Vec::new(),
+            ..sweep_task(1)
+        };
+        assert!(qrc.execute_sweep(&task).unwrap().is_empty());
+        assert_eq!(qrc.engine_invocations(), 0);
+        assert_eq!(qrc.tasks_per_slot(), vec![0]);
+        assert_eq!(qrc.hetjob.free_cores(1), free);
+        // Admission still reads the skeleton and the spec.
+        let task = SweepTask {
+            circuit: "qfwasm-param 1\nqubits 2\nnosuchgate q0\n".into(),
+            ..task
+        };
+        assert!(matches!(
+            qrc.execute_sweep(&task),
+            Err(QfwError::Marshal(_))
+        ));
     }
 
     #[test]

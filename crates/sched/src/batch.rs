@@ -1,5 +1,5 @@
 //! Transparent batching: the key that says which admitted jobs may share
-//! one engine invocation, and the sweep a batch of bound skeletons becomes.
+//! one engine invocation.
 //!
 //! A parameter sweep (VQE/QAOA) submits many circuits that differ only in
 //! rotation angles — the gate *skeleton* is identical. The scheduler
@@ -16,10 +16,9 @@
 //! `rz(1.25) q2` share a key; `rz(0.5) q2` and `rz(0.5) q3` do not, nor do
 //! two `unitary` blocks with different matrices.
 
-use qfw::{Form, ResolvedJob, ResolvedSweep};
+use qfw::{Form, ResolvedJob};
 use qfw_circuit::hash::{param_hash, ContentHash};
 use qfw_circuit::{Circuit, Gate, Op};
-use std::sync::Arc;
 
 /// The batching key of an admitted job: jobs with equal keys can be
 /// coalesced into one engine invocation.
@@ -59,25 +58,6 @@ fn structure_hash(circuit: &Circuit) -> ContentHash {
         }
         Op::Measure { qubit, clbit } => operands(h, "measure", &[*qubit, *clbit]),
         Op::Barrier(qubits) => operands(h, "barrier", qubits),
-    })
-}
-
-/// A multi-job batch of bound skeleton jobs as **one** sweep, so the
-/// engine compiles the skeleton once and binds per job; each job keeps its
-/// own shots and seed, keeping per-job counts bitwise identical to
-/// unbatched execution. `None` for a single job or concrete circuits.
-///
-/// The jobs must share a [`skeleton_hash`] (the batcher put them together
-/// by it): that is what makes the first job's skeleton and plan everyone's.
-pub fn as_sweep(jobs: &[ResolvedJob]) -> Option<ResolvedSweep> {
-    let [first, _, ..] = jobs else { return None };
-    let Form::Param(template) = &first.form else {
-        return None;
-    };
-    Some(ResolvedSweep {
-        template: Arc::clone(template),
-        jobs: jobs.to_vec(),
-        plan: Arc::clone(&first.plan),
     })
 }
 
@@ -158,13 +138,6 @@ mod tests {
         // The same gates written concretely are another engine path.
         let concrete = key_of("qfwasm 1\nqubits 2\nrx(1e-1) q0\nrzz(4e-1) q0 q1\n", spec);
         assert_ne!(skeleton_hash(&a), concrete);
-
-        // Same key: one sweep over the shared skeleton, each job's own
-        // binding, shots and seed kept.
-        let sweep = as_sweep(&[a.clone(), b]).unwrap();
-        assert_eq!(sweep.jobs.len(), 2);
-        assert_eq!(sweep.jobs[1].params, [0.9, -0.3]);
-        assert!(as_sweep(&[a]).is_none(), "a lone job runs as itself");
     }
 
     #[test]
@@ -181,9 +154,5 @@ mod tests {
             "embedded matrices are structural"
         );
         assert_eq!(skeleton_hash(&a), key_of(&block("1e0,0e0"), spec));
-        assert!(
-            as_sweep(&[a, b]).is_none(),
-            "concrete circuits are not a sweep"
-        );
     }
 }

@@ -61,7 +61,6 @@
 //! queue resets them and the pool holds steady, and a burst that drains
 //! inside one tick is never a streak.
 
-use crate::batch::as_sweep;
 use crate::queue::{AdmitError, FairQueue, QueuedJob};
 use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadScope, Priority, SchedError};
 use parking_lot::{Condvar, Mutex};
@@ -943,7 +942,7 @@ fn runner_loop(inner: &Arc<Inner>) {
 fn run_batch(inner: &Arc<Inner>, batch: Vec<QueuedJob>) {
     let (owners, jobs): (Vec<(JobId, Option<CacheFill>)>, Vec<ResolvedJob>) =
         batch.into_iter().map(|q| ((q.id, q.on_done), q.job)).unzip();
-    let run = std::panic::AssertUnwindSafe(|| execute_batch(inner, &jobs));
+    let run = std::panic::AssertUnwindSafe(|| inner.qrc.run_many(&jobs));
     let results = std::panic::catch_unwind(run).unwrap_or_else(|cause| {
         let detail = cause
             .downcast_ref::<String>()
@@ -959,21 +958,6 @@ fn run_batch(inner: &Arc<Inner>, batch: Vec<QueuedJob>) {
             Err(e) => JobState::Failed(e.to_string()),
         };
         inner.finish(id, outcome, on_done);
-    }
-}
-
-/// Dispatches a coalesced batch to the QRC: bound jobs on one skeleton as
-/// **one** sweep ([`as_sweep`]), anything else through
-/// [`qfw::Qrc::run_many`]. DRR accounting happened at dispatch time, so the
-/// coalescing choice here never changes fairness.
-fn execute_batch(inner: &Inner, jobs: &[ResolvedJob]) -> Vec<Result<QfwResult, QfwError>> {
-    let Some(sweep) = as_sweep(jobs) else {
-        return inner.qrc.run_many(jobs);
-    };
-    match inner.qrc.run_sweep(&sweep) {
-        Ok(results) => results.into_iter().map(Ok).collect(),
-        // One skeleton, one compile: a sweep failure dooms the whole batch.
-        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
     }
 }
 
