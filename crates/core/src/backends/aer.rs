@@ -8,24 +8,19 @@
 //! method's width is checked before a slot is taken; the adapter runs
 //! `plan.method` and reports it in the result metadata.
 //!
-//! Multi-rank requests on `statevector` model Aer's chunk-based MPI mode:
-//! the state is distributed, but every gate is followed by a chunk
-//! synchronization barrier — the bookkeeping that keeps Aer from scaling
-//! "beyond a single node" in the paper's Fig. 3e discussion.
+//! Multi-rank requests on `statevector` run on the one distributed
+//! executor `nwqsim/mpi` runs (`backends::run_on_ranks`): the same plan,
+//! the same cost, the same counts.
 
-use crate::backends::{BackendQpm, ExecContext};
+use crate::backends::{run_on_ranks, BackendQpm, ExecContext};
 use crate::error::QfwError;
 use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use qfw_circuit::{Circuit, Op, Readout};
+use qfw_circuit::Circuit;
 use qfw_hpc::Stopwatch;
-use qfw_num::rng::Rng;
 use qfw_sim_mps::{MpsConfig, MpsSimulator};
 use qfw_sim_stab::StabSimulator;
-use qfw_sim_sv::dist::DistStateVector;
 use qfw_sim_sv::{SvConfig, SvSimulator};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Qiskit-Aer analog Backend-QPM.
 #[derive(Debug, Default)]
@@ -39,53 +34,16 @@ impl AerBackend {
         ctx: &ExecContext<'_>,
         result: &mut QfwResult,
     ) -> Result<(), QfwError> {
-        let ranks = job.plan.ranks;
-        if ranks <= 1 {
-            let _lease = ctx.lease_cores(1)?;
-            let engine = SvSimulator::new(SvConfig::default());
-            let out = engine.run_traced(circuit, job.shots, job.seed, ctx.obs);
-            result.counts = out.counts;
-            result.profile.exec_secs = out.gate_time.as_secs_f64();
-            result.profile.sample_secs = out.sample_time.as_secs_f64();
-            result.profile.ranks = 1;
-            return Ok(());
+        if job.plan.ranks > 1 {
+            return run_on_ranks(circuit, job, ctx, result);
         }
-        // Chunked MPI mode: distributed state + per-gate synchronization.
-        let alloc = ctx.lease_cores(ranks)?;
-        let circuit = Arc::new(circuit.clone());
-        let (shots, seed) = (job.shots, job.seed);
-        let job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
-            let sw = Stopwatch::start();
-            let readout = Readout::of(&circuit);
-            let mut dsv = DistStateVector::zero(&mut rank_ctx, circuit.num_qubits());
-            // Every rank draws mid-circuit outcomes from the same stream, so
-            // the collapses stay in lockstep.
-            let mut rng = Rng::seed_from(seed);
-            let mut collapsed = BTreeMap::new();
-            for (at, op) in circuit.ops().iter().enumerate() {
-                match op {
-                    Op::Gate(g) => dsv.apply(g),
-                    Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
-                        collapsed.insert(*clbit, dsv.measure(*qubit, &mut rng));
-                    }
-                    _ => continue,
-                }
-                // Chunk bookkeeping: Aer synchronizes chunk state after
-                // every instruction when distributed.
-                dsv.barrier();
-            }
-            let exec = sw.elapsed_secs();
-            let sw = Stopwatch::start();
-            let draws = dsv.sample_indices(shots, seed);
-            draws.map(|d| (readout.counts(d, &collapsed), exec, sw.elapsed_secs()))
-        });
-        let mut outcomes = job.wait();
-        let (counts, exec_secs, sample_secs) =
-            outcomes.swap_remove(0).expect("rank 0 returns counts");
-        result.counts = counts;
-        result.profile.exec_secs = exec_secs;
-        result.profile.sample_secs = sample_secs;
-        result.profile.ranks = ranks;
+        let _lease = ctx.lease_cores(1)?;
+        let engine = SvSimulator::new(SvConfig::default());
+        let out = engine.run_traced(circuit, job.shots, job.seed, ctx.obs);
+        result.counts = out.counts;
+        result.profile.exec_secs = out.gate_time.as_secs_f64();
+        result.profile.sample_secs = out.sample_time.as_secs_f64();
+        result.profile.ranks = 1;
         Ok(())
     }
 
@@ -257,26 +215,30 @@ mod tests {
 
     #[test]
     fn chunked_mpi_statevector_matches_serial() {
+        use crate::backends::nwqsim::NwqSimBackend;
         let rig = TestRig::new(2);
         let serial = rig
             .execute(
-                &AerBackend,
-                &tfim_task(6, 3000, BackendSpec::of("aer", "statevector")),
+                &NwqSimBackend,
+                &tfim_task(6, 3000, BackendSpec::of("nwqsim", "cpu")),
             )
             .unwrap();
-        let chunked = rig
-            .execute(
-                &AerBackend,
-                &tfim_task(6, 3000, BackendSpec::of("aer", "statevector").with_ranks(4)),
-            )
-            .unwrap();
-        assert_eq!(chunked.profile.ranks, 4);
-        // Same distribution (different sampling paths): TV distance small.
-        assert!(
-            serial.tv_distance(&chunked) < 0.15,
-            "tv={}",
-            serial.tv_distance(&chunked)
-        );
+        for ranks in [2, 4] {
+            let on = |backend: &dyn BackendQpm, spec: BackendSpec| {
+                rig.execute(backend, &tfim_task(6, 3000, spec.with_ranks(ranks)))
+                    .unwrap()
+            };
+            let chunked = on(&AerBackend, BackendSpec::of("aer", "statevector"));
+            let mpi = on(&NwqSimBackend, BackendSpec::of("nwqsim", "mpi"));
+            assert_eq!(chunked.profile.ranks, ranks);
+            // One executor, one sampling scheme: the counts are bitwise.
+            assert_eq!(chunked.counts, mpi.counts, "{ranks} ranks vs nwqsim/mpi");
+            assert_eq!(chunked.counts, serial.counts, "{ranks} ranks vs nwqsim/cpu");
+            for note in ["dist_epochs", "comm_exchanges"] {
+                let noted = chunked.metadata.contains_key(note);
+                assert!(noted, "{ranks} ranks: no {note}");
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,13 @@ pub mod tnqvm;
 use crate::error::QfwError;
 use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
+use crate::spec::extras;
+use qfw_circuit::Circuit;
 use qfw_hpc::slurm::HetJob;
-use qfw_hpc::{Allocation, Dvm};
+use qfw_hpc::{Allocation, Dvm, Stopwatch};
 use qfw_obs::Obs;
+use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Execution-side context handed to adapters: the DVM for rank spawning,
@@ -50,6 +54,62 @@ impl ExecContext<'_> {
             .lease_cores(self.group, n, Duration::from_secs(300))
             .map_err(|e| QfwError::Resources(e.to_string()))
     }
+}
+
+/// The one distributed dense executor, behind `nwqsim/mpi` and multi-rank
+/// `aer/statevector`: the register split across DVM ranks. All routing and
+/// fusion is decided here, once, before the ranks exist; they share the
+/// plan and only move amplitudes.
+pub(crate) fn run_on_ranks(
+    circuit: &Circuit,
+    job: &ResolvedJob,
+    ctx: &ExecContext<'_>,
+    result: &mut QfwResult,
+) -> Result<(), QfwError> {
+    let plan = &*job.plan;
+    let ranks = plan.ranks;
+    if ranks != plan.requested_ranks {
+        result.note("ranks_rounded", ranks);
+    }
+    let alloc = ctx.lease_cores(ranks)?;
+    // Compiler handoff: the layout is the plan's starting permutation —
+    // free at |0…0⟩, and counts stay bitwise identical since the plan ends
+    // on the flush back to the identity placement.
+    if let Some(order) = &plan.layout {
+        let csv: Vec<String> = order.iter().map(|q| q.to_string()).collect();
+        result.note(extras::INITIAL_LAYOUT, csv.join(","));
+    }
+    let sw = Stopwatch::start();
+    let mut span = ctx
+        .obs
+        .span("engine", "sv.fuse")
+        .attr("ops_in", circuit.ops().len());
+    let dist = Arc::new(DistPlan::build(
+        circuit,
+        ranks.trailing_zeros() as usize,
+        plan.layout.as_deref(),
+    ));
+    span.set_attr("ops_out", dist.num_layers());
+    drop(span);
+    let plan_secs = sw.elapsed_secs();
+    result.note("dist_epochs", dist.epochs());
+    result.note("dist_passes", dist.passes());
+    let (shots, seed) = (job.shots, job.seed);
+    let obs = ctx.obs.clone();
+    let rank_job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
+        run_distributed_plan(&mut rank_ctx, &dist, shots, seed, &obs)
+    });
+    let mut outcomes = rank_job.wait();
+    let (out, stats) = outcomes
+        .swap_remove(0)
+        .expect("rank 0 returns the outcome");
+    result.counts = out.counts;
+    result.profile.exec_secs = plan_secs + out.gate_time.as_secs_f64();
+    result.profile.sample_secs = out.sample_time.as_secs_f64();
+    result.profile.ranks = ranks;
+    result.note("comm_exchanges", stats.exchanges);
+    result.note("comm_bytes", stats.bytes);
+    Ok(())
 }
 
 /// The QPM-API every backend implements.

@@ -4,7 +4,7 @@
 //! whose native MPI distribution "makes it a good fit for multi-node
 //! CPU/GPU HPC runs".
 
-use crate::backends::{BackendQpm, ExecContext};
+use crate::backends::{run_on_ranks, BackendQpm, ExecContext};
 use crate::error::QfwError;
 use crate::plan::{ExecPlan, Form, ResolvedJob};
 use crate::result::QfwResult;
@@ -12,10 +12,8 @@ use crate::spec::extras;
 use qfw_circuit::{Circuit, Op};
 use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
-use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
 use qfw_sim_sv::engine::SvOutcome;
 use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
-use std::sync::Arc;
 
 /// NWQ-Sim analog Backend-QPM.
 ///
@@ -137,61 +135,6 @@ impl NwqSimBackend {
         );
         Ok(())
     }
-
-    /// The `mpi` sub-backend: the register split across DVM ranks. All
-    /// routing and fusion is decided here, once, before the ranks exist;
-    /// they share the plan and only move amplitudes.
-    fn run_mpi(
-        &self,
-        job: &ResolvedJob,
-        ctx: &ExecContext<'_>,
-        result: &mut QfwResult,
-    ) -> Result<(), QfwError> {
-        let plan = &*job.plan;
-        let ranks = plan.ranks;
-        if ranks != plan.requested_ranks {
-            result.note("ranks_rounded", ranks);
-        }
-        let alloc = ctx.lease_cores(ranks)?;
-        // Compiler handoff: the layout seeds the starting permutation —
-        // free at |0…0⟩, and counts stay bitwise identical since sampling
-        // flushes the permutation.
-        if let Some(order) = &plan.layout {
-            let csv: Vec<String> = order.iter().map(|q| q.to_string()).collect();
-            result.note(extras::INITIAL_LAYOUT, csv.join(","));
-        }
-        let sw = Stopwatch::start();
-        let circuit = job.concrete();
-        let mut span = ctx
-            .obs
-            .span("engine", "sv.fuse")
-            .attr("ops_in", circuit.ops().len());
-        let dist = Arc::new(DistPlan::build(
-            &circuit,
-            ranks.trailing_zeros() as usize,
-            plan.layout.as_deref(),
-        ));
-        span.set_attr("ops_out", dist.num_layers());
-        drop(span);
-        let plan_secs = sw.elapsed_secs();
-        result.note("dist_epochs", dist.epochs());
-        result.note("dist_passes", dist.passes());
-        let (shots, seed) = (job.shots, job.seed);
-        let obs = ctx.obs.clone();
-        let rank_job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
-            run_distributed_plan(&mut rank_ctx, &dist, shots, seed, &obs)
-        });
-        let mut outcomes = rank_job.wait();
-        let (out, stats) = outcomes
-            .swap_remove(0)
-            .expect("rank 0 returns the outcome");
-        result.counts = out.counts;
-        result.profile.exec_secs = plan_secs + out.gate_time.as_secs_f64();
-        result.profile.sample_secs = out.sample_time.as_secs_f64();
-        result.note("comm_exchanges", stats.exchanges);
-        result.note("comm_bytes", stats.bytes);
-        Ok(())
-    }
 }
 
 impl BackendQpm for NwqSimBackend {
@@ -210,7 +153,7 @@ impl BackendQpm for NwqSimBackend {
         result.profile.marshal_secs = job.marshal_secs;
         result.profile.ranks = plan.ranks;
         if plan.subbackend == "mpi" {
-            self.run_mpi(job, ctx, &mut result)?;
+            run_on_ranks(&job.concrete(), job, ctx, &mut result)?;
         } else {
             self.run_local(job, ctx, &mut result)?;
         }

@@ -23,6 +23,7 @@ use qfw_circuit::hash::{circuit_hash, param_hash, ContentHash};
 use qfw_circuit::{text, Circuit, ParamCircuit, Readout};
 use qfw_hpc::slurm::HetJob;
 use qfw_noise::{Calibration, NoiseModel};
+use qfw_sim_sv::dist::local_qubits_needed;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -613,14 +614,19 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
         Form::Concrete(circuit) => circuit.num_qubits(),
         Form::Param(template) => template.num_qubits(),
     };
-    // A dense register split across `ranks` must leave every rank at least
-    // two amplitudes.
-    let min_qubits = plan.ranks.trailing_zeros() as usize + 1;
-    if plan.engine.width == Width::Pow2Ranks && num_qubits < min_qubits {
-        return Err(QfwError::Resources(format!(
-            "{} ranks need at least {min_qubits} qubits",
-            plan.ranks
-        )));
+    // A dense register split across `ranks` must leave every shard as many
+    // local qubits as the distributed router needs for the circuit's widest
+    // gate — and never fewer than one.
+    if plan.engine.width == Width::Pow2Ranks {
+        let rank_bits = plan.ranks.trailing_zeros() as usize;
+        let need = local_qubits_needed(&shape(form));
+        if num_qubits < rank_bits + need {
+            return Err(QfwError::Resources(format!(
+                "{} ranks leave {} of {num_qubits} qubits local; the circuit needs {need}",
+                plan.ranks,
+                num_qubits.saturating_sub(rank_bits)
+            )));
+        }
     }
     if plan.layout.as_ref().is_some_and(|l| l.len() != num_qubits) {
         return Err(QfwError::BadProperties(format!(
@@ -1131,11 +1137,18 @@ mod tests {
             job(mpi.clone().with_extra("initial_layout", "0,1")),
             Err(QfwError::BadProperties(_))
         ));
-        // 8 ranks need 4 qubits.
-        assert!(matches!(
-            job(BackendSpec::of("nwqsim", "mpi").with_ranks(8)),
-            Err(QfwError::Resources(_))
-        ));
+        // 8 ranks leave no local qubit; 4 leave one, and a cx needs two —
+        // on both engines that run the distributed plan.
+        for (backend, sub, ranks) in [
+            ("nwqsim", "mpi", 8),
+            ("nwqsim", "mpi", 4),
+            ("aer", "statevector", 4),
+        ] {
+            assert!(matches!(
+                job(BackendSpec::of(backend, sub).with_ranks(ranks)),
+                Err(QfwError::Resources(_))
+            ));
+        }
         // Text that does not parse is a refusal like any other.
         assert!(matches!(
             admit("qfwasm 1\nqubits 2\nnosuchgate q0\n", &mpi),

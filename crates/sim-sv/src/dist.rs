@@ -23,12 +23,12 @@
 //! before any rank exists: [`DistPlan::build`] replays the router over the
 //! op list and emits **epochs** — the ops between two remaps, relabelled to
 //! physical positions and fused into a [`LayerPlan`] whose tiles stay
-//! inside the `L` local bits — separated by the remaps themselves. A rank
-//! then runs each epoch on its shard through the same tile executor and
-//! kernels as the local engine ([`crate::layers`]), and exchanges between
-//! them. [`DistStateVector::apply`] remains as the per-gate form of the
-//! same router: the reference the plan is tested against, and what the
-//! chunk-synchronised Aer analog steps through one instruction at a time.
+//! inside the `L` local bits — separated by the remaps themselves, and
+//! ending on the flush back to the identity placement. A rank then runs
+//! each epoch on its shard through the same tile executor and kernels as
+//! the local engine ([`crate::layers`]), and exchanges between them. The
+//! plan is the only router: every distributed job runs one, and readout
+//! always finds logical qubit `q` at position `q`.
 
 use crate::engine::SvOutcome;
 use crate::fusion::{absorbable_diagonal, fuse_shard};
@@ -36,18 +36,16 @@ use crate::layers::LayerPlan;
 use crate::state::{
     block_shot_split, canonical_split_bits, local_offsets, sample_block_draws, StateVector,
 };
-use qfw_circuit::{Circuit, Gate, Op, Readout};
+use qfw_circuit::{Circuit, Op, Readout};
 use qfw_hpc::RankCtx;
 use qfw_num::complex::C64;
 use qfw_num::rng::{AliasSampler, Rng};
-use qfw_num::Matrix;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// How the distributed engine routes gates that touch high qubits. Lazy
 /// remapping is the only router; the type (and the `route` parameter of
-/// the `run_distributed*` drivers) survives because the repository's
+/// [`run_distributed_laid_out`]) survives because the repository's
 /// benchmark harness names them and may not change in step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RouteStrategy {
@@ -88,9 +86,21 @@ fn locality_needs(ops: &[Op]) -> Vec<Option<Vec<usize>>> {
         .collect()
 }
 
+/// The fewest local qubits a shard of `circuit` needs: the operand count
+/// of its widest gate that must run on local operands, and never less than
+/// one. [`DistPlan::build`] refuses to plan for more ranks than leave this
+/// many, and admission refuses such a job with the same number.
+pub fn local_qubits_needed(circuit: &Circuit) -> usize {
+    widest_need(&locality_needs(circuit.ops()))
+}
+
+fn widest_need(needs: &[Option<Vec<usize>>]) -> usize {
+    needs.iter().flatten().map(Vec::len).max().unwrap_or(0).max(1)
+}
+
 /// The lazy router's whole state: where each logical qubit lives. Pure
-/// index bookkeeping — it holds no amplitudes and talks to no one, which
-/// is what lets [`DistPlan::build`] run it ahead of the ranks.
+/// index bookkeeping — it holds no amplitudes and talks to no one — that
+/// only [`DistPlan::build`] keeps, ahead of the ranks.
 #[derive(Clone, Debug)]
 struct Router {
     local_bits: usize,
@@ -101,30 +111,24 @@ struct Router {
 }
 
 impl Router {
-    fn identity(n: usize, local_bits: usize) -> Router {
-        Router {
-            local_bits,
-            perm: (0..n).collect(),
-            inv: (0..n).collect(),
-        }
-    }
-
     /// Starts from a given placement: `order[p]` is the logical qubit at
     /// physical position `p`.
     ///
     /// # Panics
-    /// Panics when `order` is not a permutation of `0..n`.
-    fn seed(&mut self, order: &[usize]) {
-        let n = self.perm.len();
-        assert_eq!(order.len(), n, "layout must cover all {n} qubits");
+    /// Panics when `order` is not a permutation of `0..order.len()`.
+    fn placed(local_bits: usize, order: Vec<usize>) -> Router {
+        let n = order.len();
         let mut perm = vec![usize::MAX; n];
         for (p, &q) in order.iter().enumerate() {
             assert!(q < n, "layout entry {q} out of range");
             assert!(perm[q] == usize::MAX, "layout repeats logical qubit {q}");
             perm[q] = p;
         }
-        self.inv = order.to_vec();
-        self.perm = perm;
+        Router {
+            local_bits,
+            perm,
+            inv: order,
+        }
     }
 
     fn all_local(&self, qubits: &[usize]) -> bool {
@@ -217,7 +221,8 @@ pub enum DistStep {
     /// own shard. Qubits are physical positions.
     Epoch(LayerPlan),
     /// A batched remap: the bit at physical position `p` moves to
-    /// `sigma[p]` (one aggregated all-to-all).
+    /// `sigma[p]` (one aggregated all-to-all). The last step is the flush
+    /// back to the identity placement whenever the others leave another.
     Remap(Vec<usize>),
     /// A mid-circuit measurement of the qubit at physical position `pos`
     /// (one collective reduction, one lockstep draw).
@@ -230,19 +235,14 @@ pub enum DistStep {
 }
 
 /// Everything the distributed engine decides about a circuit before a rank
-/// touches an amplitude: the starting placement, the remaps, and the fused
-/// layers every rank runs between them. Built once per job and shared by
-/// the ranks.
+/// touches an amplitude: the remaps from the starting placement, the fused
+/// layers every rank runs between them, and the flush that ends the run
+/// at the identity placement. Built once per job and shared by the ranks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DistPlan {
     num_qubits: usize,
     rank_bits: usize,
-    /// Logical qubit at each physical position before the first step.
-    layout: Vec<usize>,
     steps: Vec<DistStep>,
-    /// The remap back to the identity placement that readout performs
-    /// after the last step; `None` when the steps already end there.
-    flush: Option<Vec<usize>>,
     /// What sampling the flushed state reads.
     readout: Readout,
 }
@@ -250,32 +250,31 @@ pub struct DistPlan {
 impl DistPlan {
     /// Plans `circuit` for `2^rank_bits` ranks, starting from the
     /// compiler's `layout` (`layout[p]` = logical qubit at physical
-    /// position `p`) when one is given. Mid-circuit measurements become
-    /// collapses; terminal ones are left to sampling.
+    /// position `p`) when one is given. At `|0…0⟩` every placement is the
+    /// same global state, so the layout costs no data movement: it only
+    /// changes how much the circuit body exchanges. Mid-circuit
+    /// measurements become collapses; terminal ones are left to sampling.
     ///
     /// # Panics
-    /// Panics when no local qubit would be left (`rank_bits >= n`), when
-    /// `layout` is not a permutation of the register, or when a
-    /// non-diagonal gate has more operands than there are local qubits.
+    /// Panics when the ranks leave fewer local qubits than
+    /// [`local_qubits_needed`], or when `layout` is not a permutation of
+    /// the register.
     pub fn build(circuit: &Circuit, rank_bits: usize, layout: Option<&[usize]>) -> DistPlan {
         let n = circuit.num_qubits();
-        assert!(
-            n > rank_bits,
-            "need at least one local qubit: n={n} ranks=2^{rank_bits}"
-        );
-        let local_bits = n - rank_bits;
-        let mut router = Router::identity(n, local_bits);
-        if let Some(order) = layout {
-            router.seed(order);
-        }
         let ops = circuit.ops();
         let needs = locality_needs(ops);
+        let need = widest_need(&needs);
+        assert!(
+            n >= rank_bits + need,
+            "need at least {need} local qubits: n={n} ranks=2^{rank_bits}"
+        );
+        let order = layout.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
+        assert_eq!(order.len(), n, "layout must cover all {n} qubits");
+        let mut router = Router::placed(n - rank_bits, order);
         let mut plan = DistPlan {
             num_qubits: n,
             rank_bits,
-            layout: router.inv.clone(),
             steps: Vec::new(),
-            flush: None,
             readout: Readout::of(circuit),
         };
         // The open epoch, over physical positions.
@@ -304,7 +303,7 @@ impl DistPlan {
             }
         }
         plan.close_epoch(&mut epoch);
-        plan.flush = router.flush();
+        plan.steps.extend(router.flush().map(DistStep::Remap));
         plan
     }
 
@@ -346,15 +345,13 @@ impl DistPlan {
         self.epoch_plans().map(LayerPlan::num_layers).sum()
     }
 
-    /// Exchange operations one rank performs: the remap steps plus the
-    /// flush before readout.
+    /// Exchange operations one rank performs: the remap steps, the flush
+    /// included.
     pub fn remaps(&self) -> usize {
-        let planned = self
-            .steps
+        self.steps
             .iter()
             .filter(|step| matches!(step, DistStep::Remap(_)))
-            .count();
-        planned + usize::from(self.flush.is_some())
+            .count()
     }
 }
 
@@ -398,7 +395,8 @@ fn copy_spread(
     }
 }
 
-/// A rank's shard of a distributed state vector.
+/// A rank's shard of a distributed state vector. Between plans it holds
+/// the identity placement: global index bit `q` is logical qubit `q`.
 pub struct DistStateVector<'a> {
     ctx: &'a mut RankCtx,
     n: usize,
@@ -408,7 +406,6 @@ pub struct DistStateVector<'a> {
     /// send: a fresh one per exchange costs more in page faults than the
     /// copy into it.
     buffers: Vec<Vec<C64>>,
-    router: Router,
     obs: Obs,
     stats: DistStats,
 }
@@ -443,28 +440,9 @@ impl<'a> DistStateVector<'a> {
             local_bits,
             local,
             buffers: Vec::new(),
-            router: Router::identity(n, local_bits),
             obs,
             stats: DistStats::default(),
         }
-    }
-
-    /// Seeds the compiler's initial layout: `order[p]` is the logical
-    /// qubit assigned to physical position `p`. At `|0…0⟩` every
-    /// permutation describes the same global state (rank 0's amplitude 0
-    /// is position-invariant and every other shard is all-zero), so this
-    /// costs zero data movement — it only re-labels the wires. The
-    /// Belady remap planner then works relative to this placement, and
-    /// [`Self::sample_indices`] flushes the permutation before sampling,
-    /// so measured counts stay bitwise identical to the unseeded run.
-    ///
-    /// Must be called before any gate is applied (the state must still
-    /// be `|0…0⟩`).
-    ///
-    /// # Panics
-    /// Panics when `order` is not a permutation of `0..n`.
-    pub fn seed_initial_layout(&mut self, order: &[usize]) {
-        self.router.seed(order);
     }
 
     /// Total number of qubits.
@@ -500,13 +478,6 @@ impl<'a> DistStateVector<'a> {
         }
     }
 
-    /// World barrier through the owned communicator endpoint — lets
-    /// chunk-synchronizing engines (the Aer-MPI analog) fence between gates
-    /// while this shard borrows the rank context.
-    pub fn barrier(&mut self) {
-        self.ctx.barrier();
-    }
-
     /// Global squared norm (collective; every rank gets the value).
     pub fn norm_sqr(&mut self) -> f64 {
         let local = self.local.norm_sqr();
@@ -515,7 +486,8 @@ impl<'a> DistStateVector<'a> {
 
     /// Runs a whole plan (collective: every rank must call with the same
     /// plan and an identically-seeded `rng` replica): epochs through the
-    /// tile executor, remaps and collapses in between. The register must
+    /// tile executor, remaps and collapses in between, and the flush last,
+    /// so the shard ends at the identity placement. The register must
     /// still be `|0…0⟩` — the plan starts from its own layout, which is
     /// only free to adopt there. Returns the classical bits the collapses
     /// fixed, by classical bit.
@@ -529,13 +501,12 @@ impl<'a> DistStateVector<'a> {
             self.n - self.local_bits,
             "plan made for another world size"
         );
-        self.router.seed(&plan.layout);
         let above = self.ctx.rank() << self.local_bits;
         let mut collapsed = BTreeMap::new();
         for step in &plan.steps {
             match step {
                 DistStep::Epoch(layers) => layers.apply_to_shard(&mut self.local, above),
-                DistStep::Remap(sigma) => self.exchange(sigma),
+                DistStep::Remap(sigma) => self.remap(sigma),
                 DistStep::Collapse { pos, clbit } => {
                     collapsed.insert(*clbit, self.measure_at(*pos, rng));
                 }
@@ -544,115 +515,7 @@ impl<'a> DistStateVector<'a> {
         collapsed
     }
 
-    /// Applies one gate (collective: every rank must call with the same
-    /// gate) — the per-gate form of the router, one shard sweep per gate.
-    pub fn apply(&mut self, gate: &Gate) {
-        self.apply_with_lookahead(gate, &[]);
-    }
-
-    /// [`apply`](Self::apply) with visibility into upcoming ops so a lazy
-    /// remap can batch every soon-needed operand into one exchange.
-    fn apply_with_lookahead(&mut self, gate: &Gate, upcoming: &[Option<Vec<usize>>]) {
-        let qs = gate.qubits();
-        if !self.router.all_local(&qs) {
-            if let Some(diag) = absorbable_diagonal(gate) {
-                // Diagonal gates need no data movement wherever they live:
-                // high positions only fix gate-local index bits per rank.
-                let phys: Vec<usize> = qs.iter().map(|&q| self.router.perm[q]).collect();
-                self.apply_diagonal(&phys, &diag);
-                return;
-            }
-            let sigma = self.router.localize(&qs, upcoming);
-            self.remap(&sigma);
-        }
-        // Fully local under the current permutation: the serial kernels
-        // run unchanged at the permuted positions.
-        let perm = &self.router.perm;
-        self.local.apply(&gate.map_qubits(|q| perm[q]), false);
-    }
-
-    /// Runs the unitary part of a circuit gate by gate (measurements and
-    /// barriers skipped), routing with the same lookahead
-    /// [`DistPlan::build`] has.
-    pub fn run_unitary(&mut self, circuit: &Circuit) {
-        assert_eq!(circuit.num_qubits(), self.n, "register size mismatch");
-        let needs = locality_needs(circuit.ops());
-        for (i, op) in circuit.ops().iter().enumerate() {
-            if let Op::Gate(g) = op {
-                self.apply_with_lookahead(g, &needs[i + 1..]);
-            }
-        }
-    }
-
-    // --- diagonal folding ----------------------------------------------------
-
-    /// Applies a diagonal gate at arbitrary physical positions with zero
-    /// exchanges: each high position contributes a fixed gate-local index
-    /// bit (this rank's bit value), reducing the diagonal to one over the
-    /// local positions only.
-    fn apply_diagonal(&mut self, phys: &[usize], diag: &[C64]) {
-        let l = self.local_bits;
-        let mut fixed = 0usize;
-        let mut local_pos: Vec<usize> = Vec::new();
-        let mut local_bit: Vec<usize> = Vec::new();
-        for (j, &p) in phys.iter().enumerate() {
-            if p >= l {
-                if self.high_bit(p) == 1 {
-                    fixed |= 1 << j;
-                }
-            } else {
-                local_pos.push(p);
-                local_bit.push(j);
-            }
-        }
-        if local_pos.is_empty() {
-            // All operands are rank bits: the whole shard shares one phase.
-            let phase = diag[fixed];
-            if phase != C64::ONE {
-                for a in self.local.amps_mut() {
-                    *a *= phase;
-                }
-            }
-            return;
-        }
-        let reduced: Vec<C64> = (0..(1usize << local_pos.len()))
-            .map(|m| {
-                let mut g = fixed;
-                for (t, &j) in local_bit.iter().enumerate() {
-                    if (m >> t) & 1 == 1 {
-                        g |= 1 << j;
-                    }
-                }
-                diag[g]
-            })
-            .collect();
-        if reduced.iter().all(|&d| d == C64::ONE) {
-            return;
-        }
-        let gate = Gate::Unitary {
-            qubits: local_pos,
-            matrix: Arc::new(Matrix::diag(&reduced)),
-            label: "dist_diag".into(),
-        };
-        self.local.apply(&gate, false);
-    }
-
     // --- data movement -------------------------------------------------------
-
-    /// Restores the identity permutation (logical qubit `q` at position
-    /// `q`) with one general remap. Required before any consumer that
-    /// interprets global indices (sampling, gather, diagnostics).
-    pub fn flush_permutation(&mut self) {
-        if let Some(sigma) = self.router.flush() {
-            self.remap(&sigma);
-        }
-    }
-
-    /// A planned remap: moves the data and the bookkeeping together.
-    fn exchange(&mut self, sigma: &[usize]) {
-        self.remap(sigma);
-        self.router.adopt(sigma);
-    }
 
     /// Applies a global bit-position permutation to the distributed index
     /// space: the bit at physical position `p` moves to `sigma[p]`. One
@@ -689,7 +552,7 @@ impl<'a> DistStateVector<'a> {
         // Entry `f` of a bucket is the amplitude whose staying-low bits
         // spell `f`: read at the spread of `f` over where those bits are,
         // written at its spread over where `sigma` puts them — in whatever
-        // order that leaves them (the flush before sampling scrambles it;
+        // order that leaves them (the flush that ends a plan scrambles it;
         // a per-bit loop there cost more than the whole sampler). A bucket
         // in flight is the same enumeration laid out flat.
         let landing: Vec<usize> = staying_low.iter().map(|&p| sigma[p]).collect();
@@ -769,15 +632,10 @@ impl<'a> DistStateVector<'a> {
 
     // --- measurement / readout ----------------------------------------------
 
-    /// Projectively measures logical qubit `q`, collapsing the global
-    /// state. Collective: every rank must call with an identically-seeded
-    /// `rng` replica (the shared probability makes the draw lockstep).
-    pub fn measure(&mut self, q: usize, rng: &mut Rng) -> u8 {
-        self.measure_at(self.router.perm[q], rng)
-    }
-
-    /// [`measure`](Self::measure) of whichever qubit sits at physical
-    /// position `p`.
+    /// Projectively measures whichever qubit sits at physical position
+    /// `p`, collapsing the global state. Collective: every rank must call
+    /// with an identically-seeded `rng` replica (the shared probability
+    /// makes the draw lockstep).
     fn measure_at(&mut self, p: usize, rng: &mut Rng) -> u8 {
         let l = self.local_bits;
         let local_p1 = if p < l {
@@ -819,10 +677,8 @@ impl<'a> DistStateVector<'a> {
     }
 
     /// Gathers the full state vector at rank 0 (testing/diagnostics only —
-    /// defeats the point of distribution at scale). Flushes the lazy
-    /// permutation first so global indices read canonically.
+    /// defeats the point of distribution at scale).
     pub fn gather_full(&mut self) -> Option<StateVector> {
-        self.flush_permutation();
         let mine = self.local.amps().to_vec();
         self.ctx.gather(0, mine).map(|blocks| {
             let amps: Vec<C64> = blocks.into_iter().flatten().collect();
@@ -833,7 +689,6 @@ impl<'a> DistStateVector<'a> {
     /// Expectation of a diagonal observable over the *global* index
     /// (collective; every rank receives the value).
     pub fn expectation_diagonal(&mut self, f: impl Fn(usize) -> f64) -> f64 {
-        self.flush_permutation();
         let offset = self.ctx.rank() << self.local_bits;
         let local: f64 = self
             .local
@@ -856,7 +711,6 @@ impl<'a> DistStateVector<'a> {
     /// bit for bit, so a fixed seed draws the same outcomes local vs.
     /// distributed.
     pub fn sample_indices(&mut self, shots: usize, seed: u64) -> Option<Vec<u64>> {
-        self.flush_permutation();
         let r = self.n - self.local_bits;
         let c = canonical_split_bits(self.n, r);
         let blocks_per_rank = 1usize << (c - r);
@@ -916,46 +770,15 @@ impl<'a> DistStateVector<'a> {
     }
 }
 
-/// Convenience driver: every rank plans and executes the circuit; rank 0
-/// returns the outcome. No tracing.
-pub fn run_distributed(
-    ctx: &mut RankCtx,
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-) -> Option<SvOutcome> {
-    run_distributed_with(
-        ctx,
-        circuit,
-        shots,
-        seed,
-        RouteStrategy::default(),
-        &Obs::disabled(),
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`run_distributed`] with an observability handle, additionally
-/// returning the world-summed communication tallies. `route` has one
+/// Convenience entry: every rank plans `circuit` from a compiler-planned
+/// initial layout, when one is given (`layout[p]` = logical qubit at
+/// physical position `p`), and runs [`run_distributed_plan`]. Counts are
+/// bitwise identical to the unseeded run — the layout only changes how
+/// much exchange traffic the circuit body incurs. Every rank builds the
+/// (deterministic) plan for itself; a caller that spawns the ranks should
+/// build it once and hand it to [`run_distributed_plan`]. `route` has one
 /// value; the parameter is kept for the benchmark harness (see
 /// [`RouteStrategy`]).
-pub fn run_distributed_with(
-    ctx: &mut RankCtx,
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-    route: RouteStrategy,
-    obs: &Obs,
-) -> Option<(SvOutcome, DistStats)> {
-    run_distributed_laid_out(ctx, circuit, shots, seed, route, None, obs)
-}
-
-/// [`run_distributed_with`] additionally starting from a compiler-planned
-/// initial layout (`layout[p]` = logical qubit at physical position `p`).
-/// Counts are bitwise identical to the unseeded run — the layout only
-/// changes how much exchange traffic the circuit body incurs. Every rank
-/// builds the (deterministic) plan for itself; a caller that spawns the
-/// ranks should build it once and hand it to [`run_distributed_plan`].
 pub fn run_distributed_laid_out(
     ctx: &mut RankCtx,
     circuit: &Circuit,
@@ -972,10 +795,10 @@ pub fn run_distributed_laid_out(
 }
 
 /// Executes a prebuilt plan on this rank's shard and samples: the whole
-/// `nwqsim/mpi` engine call. Mid-circuit measurements collapse a single
-/// trajectory in rng lockstep (the serial engine's semantics); terminal
-/// ones defer to sampling. Rank 0 returns the outcome and the world-summed
-/// communication tallies.
+/// rank body of a distributed job. Mid-circuit measurements collapse a
+/// single trajectory in rng lockstep (the serial engine's semantics);
+/// terminal ones defer to sampling. Rank 0 returns the outcome and the
+/// world-summed communication tallies.
 pub fn run_distributed_plan(
     ctx: &mut RankCtx,
     plan: &DistPlan,
@@ -1017,9 +840,11 @@ pub fn run_distributed_plan(
 mod tests {
     use super::*;
     use crate::engine::SvSimulator;
+    use qfw_circuit::Gate;
     use qfw_hpc::Communicator;
     use qfw_num::approx_eq;
     use qfw_num::rng::Rng;
+    use qfw_num::Matrix;
     use std::sync::Arc;
     use std::thread;
 
@@ -1039,35 +864,38 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    /// Distributed execution of `circuit` must reproduce the serial state,
-    /// gate by gate and through the plan, at the same exchange count.
+    /// Runs `plan` from `|0…0⟩` on every rank of a world its size, with
+    /// collapses drawn from `seed`, then `f` on each rank's shard and the
+    /// collapsed bits; rank-ordered results.
+    fn after_plan<R: Send + 'static>(
+        plan: DistPlan,
+        seed: u64,
+        f: impl Fn(&mut DistStateVector<'_>, BTreeMap<usize, u8>) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        let plan = Arc::new(plan);
+        run_world(1 << plan.rank_bits, move |mut ctx| {
+            let mut dsv = DistStateVector::zero(&mut ctx, plan.num_qubits);
+            let collapsed = dsv.run_plan(&plan, &mut Rng::seed_from(seed));
+            f(&mut dsv, collapsed)
+        })
+    }
+
+    /// Distributed execution of `circuit` through its plan must reproduce
+    /// the serial state, at the exchange count the plan predicts.
     fn check_matches_serial(circuit: Circuit, ranks: usize) {
         let reference = SvSimulator::plain().statevector(&circuit);
         let plan = DistPlan::build(&circuit, ranks.trailing_zeros() as usize, None);
         let remaps = plan.remaps() as u64;
-        let circuit = Arc::new(circuit);
-        let results = run_world(ranks, move |mut ctx| {
-            let n = circuit.num_qubits();
-            let mut per_gate = DistStateVector::zero(&mut ctx, n);
-            per_gate.run_unitary(&circuit);
-            let per_gate = (per_gate.gather_full(), per_gate.stats().exchanges);
-            let mut planned = DistStateVector::zero(&mut ctx, n);
-            planned.run_plan(&plan, &mut Rng::seed_from(0));
-            [per_gate, (planned.gather_full(), planned.stats().exchanges)]
-        });
-        for (path, (full, exchanges)) in ["per-gate", "plan"].into_iter().zip(&results[0]) {
-            let full = full.as_ref().expect("rank 0 gathers");
-            // Compare amplitudes exactly, not just fidelity, to catch
-            // phase bugs.
-            for (a, b) in reference.amps().iter().zip(full.amps().iter()) {
-                assert!(
-                    a.approx_eq(*b, 1e-9),
-                    "{path}: amplitude mismatch: {a} vs {b}"
-                );
-            }
-            assert!(approx_eq(reference.fidelity(full), 1.0, 1e-9), "{path}");
-            assert_eq!(*exchanges, remaps, "{path}: exchanges vs planned remaps");
+        let results = after_plan(plan, 0, |dsv, _| (dsv.gather_full(), dsv.stats().exchanges));
+        let (full, exchanges) = &results[0];
+        let full = full.as_ref().expect("rank 0 gathers");
+        // Compare amplitudes exactly, not just fidelity, to catch phase
+        // bugs.
+        for (a, b) in reference.amps().iter().zip(full.amps().iter()) {
+            assert!(a.approx_eq(*b, 1e-9), "amplitude mismatch: {a} vs {b}");
         }
+        assert!(approx_eq(reference.fidelity(full), 1.0, 1e-9));
+        assert_eq!(*exchanges, remaps, "exchanges vs planned remaps");
     }
 
     #[test]
@@ -1161,36 +989,20 @@ mod tests {
     fn diagonal_high_gates_are_exchange_free() {
         // Satellite regression: rzz/cz/cp (and rz) on high qubits are
         // local phase sweeps under block partitioning — zero exchanges.
-        let mut qc = Circuit::new(5);
-        qc.h(0).h(1).h(3).h(4); // superpose (incl. high qubits)
-        let pre_gates = qc.num_gates();
+        let mut superposed = Circuit::new(5);
+        superposed.h(0).h(1).h(3).h(4); // superpose (incl. high qubits)
+        let mut qc = superposed.clone();
         qc.rzz(3, 4, 0.7) // both high
             .cz(2, 4) // both high
             .cp(3, 2, -0.4) // both high
             .rz(4, 1.1) // 1q high
             .rzz(0, 3, 0.9); // mixed low/high
-        let reference = SvSimulator::plain().statevector(&qc);
-        let qc = Arc::new(qc);
-        let results = run_world(8, move |mut ctx| {
-            let mut dsv = DistStateVector::zero(&mut ctx, 5);
-            let mut after_h = 0;
-            for (i, op) in qc.ops().iter().enumerate() {
-                if let Op::Gate(g) = op {
-                    dsv.apply(g);
-                    if i + 1 == pre_gates {
-                        after_h = dsv.stats().exchanges;
-                    }
-                }
-            }
-            let diag_exchanges = dsv.stats().exchanges - after_h;
-            (diag_exchanges, dsv.gather_full())
-        });
-        let (diag_exchanges, full) = &results[0];
-        assert_eq!(*diag_exchanges, 0, "diagonal gates exchanged");
-        let full = full.as_ref().expect("rank 0 gathers");
-        for (a, b) in reference.amps().iter().zip(full.amps().iter()) {
-            assert!(a.approx_eq(*b, 1e-9), "{a} vs {b}");
-        }
+        assert_eq!(
+            DistPlan::build(&qc, 3, None).remaps(),
+            DistPlan::build(&superposed, 3, None).remaps(),
+            "diagonal gates exchanged"
+        );
+        check_matches_serial(qc, 8);
     }
 
     #[test]
@@ -1222,9 +1034,9 @@ mod tests {
         let remaps = plan.remaps();
         assert!(remaps <= layers + 3, "{remaps} remaps for {layers} layers");
         assert_eq!(plan.epochs(), remaps, "an epoch before each remap");
+        let plan = Arc::new(plan);
         let results = run_world(8, move |mut ctx| {
-            run_distributed_with(&mut ctx, &qc, 10, 5, RouteStrategy::Lazy, &Obs::disabled())
-                .map(|(_, stats)| stats)
+            run_distributed_plan(&mut ctx, &plan, 10, 5, &Obs::disabled()).map(|(_, stats)| stats)
         });
         let stats = results[0].expect("rank 0 stats");
         assert_eq!(stats.exchanges, 8 * remaps as u64, "summed over 8 ranks");
@@ -1243,7 +1055,9 @@ mod tests {
         let bare = DistPlan::build(&ghz6, 2, None);
         // Where the chain leaves the qubits: the flush reads position ->
         // logical qubit, and positions 4 and 5 are the rank bits.
-        let placed = bare.flush.clone().expect("the chain remaps");
+        let Some(DistStep::Remap(placed)) = bare.steps().last() else {
+            panic!("the chain ends on a flush: {:?}", bare.steps())
+        };
         let (low, top, next) = (placed[0], placed[5], placed[4]);
         for tail in [
             Gate::Cz(next, top),
@@ -1318,13 +1132,9 @@ mod tests {
 
     #[test]
     fn norm_is_one_collectively() {
-        let results = run_world(4, |mut ctx| {
-            let mut qc = Circuit::new(4);
-            qc.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
-            let mut dsv = DistStateVector::zero(&mut ctx, 4);
-            dsv.run_unitary(&qc);
-            dsv.norm_sqr()
-        });
+        let mut qc = Circuit::new(4);
+        qc.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
+        let results = after_plan(DistPlan::build(&qc, 2, None), 0, |dsv, _| dsv.norm_sqr());
         assert!(results.iter().all(|&x| approx_eq(x, 1.0, 1e-10)));
     }
 
@@ -1335,10 +1145,7 @@ mod tests {
         let reference = SvSimulator::plain()
             .statevector(&qc)
             .expectation_diagonal(|i| i as f64, false);
-        let qc = Arc::new(qc);
-        let results = run_world(4, move |mut ctx| {
-            let mut dsv = DistStateVector::zero(&mut ctx, 4);
-            dsv.run_unitary(&qc);
+        let results = after_plan(DistPlan::build(&qc, 2, None), 0, |dsv, _| {
             dsv.expectation_diagonal(|i| i as f64)
         });
         assert!(results.iter().all(|&e| approx_eq(e, reference, 1e-9)));
@@ -1352,7 +1159,9 @@ mod tests {
             for q in 0..4 {
                 qc.cx(q, q + 1);
             }
-            run_distributed(&mut ctx, &qc, 1000, 99)
+            let obs = Obs::disabled();
+            run_distributed_laid_out(&mut ctx, &qc, 1000, 99, RouteStrategy::Lazy, None, &obs)
+                .map(|(outcome, _)| outcome)
         });
         let outcome = results[0].as_ref().expect("rank 0 outcome");
         assert!(results[1..].iter().all(Option::is_none));
@@ -1370,7 +1179,6 @@ mod tests {
         let mut qc = Circuit::new(6);
         qc.h(0).cx(0, 1).cx(1, 2).rx(3, 0.9).rzz(2, 4, 0.5).h(5).cx(5, 3);
         let serial = SvSimulator::plain().statevector(&qc);
-        let qc = Arc::new(qc);
         for ranks in [2usize, 4, 8] {
             let r = ranks.trailing_zeros() as usize;
             let want = serial.sample_counts_split(
@@ -1378,10 +1186,7 @@ mod tests {
                 0xFEED,
                 crate::state::canonical_split_bits(6, r),
             );
-            let qc = Arc::clone(&qc);
-            let results = run_world(ranks, move |mut ctx| {
-                let mut dsv = DistStateVector::zero(&mut ctx, 6);
-                dsv.run_unitary(&qc);
+            let results = after_plan(DistPlan::build(&qc, r, None), 0, |dsv, _| {
                 dsv.sample_counts(3000, 0xFEED)
             });
             let got = results[0].as_ref().expect("rank 0 counts");
@@ -1391,26 +1196,30 @@ mod tests {
 
     #[test]
     fn mid_circuit_measurement_collapses_in_lockstep() {
-        // Measure a high qubit mid-circuit; all ranks must agree on the
-        // outcome and the collapsed state must stay normalized and match
-        // a serial single-trajectory replay drawn from the same rng.
+        // Measure a high qubit mid-circuit (a later gate acts on it); all
+        // ranks must agree on the outcome and the collapsed state must
+        // stay normalized and match a serial single-trajectory replay
+        // drawn from the same rng.
         let mut qc = Circuit::new(5);
         qc.h(4).cx(4, 0);
-        let serial = {
+        let (serial_bit, serial_sv) = {
             let mut sv = SvSimulator::plain().statevector(&qc);
-            let mut rng = Rng::seed_from(123);
-            let bit = sv.measure(4, &mut rng, false);
+            let bit = sv.measure(4, &mut Rng::seed_from(123), false);
+            sv.apply(&Gate::Rx(4, 0.3), false);
             (bit, sv)
         };
-        let qc = Arc::new(qc);
-        let results = run_world(4, move |mut ctx| {
-            let mut dsv = DistStateVector::zero(&mut ctx, 5);
-            dsv.run_unitary(&qc);
-            let mut rng = Rng::seed_from(123);
-            let bit = dsv.measure(4, &mut rng);
-            (bit, dsv.norm_sqr(), dsv.gather_full())
+        qc.measure(4, 4).rx(4, 0.3);
+        let plan = DistPlan::build(&qc, 2, None);
+        assert!(
+            plan.steps()
+                .iter()
+                .any(|step| matches!(step, DistStep::Collapse { clbit: 4, .. })),
+            "{:?}",
+            plan.steps()
+        );
+        let results = after_plan(plan, 123, |dsv, collapsed| {
+            (collapsed[&4], dsv.norm_sqr(), dsv.gather_full())
         });
-        let (serial_bit, serial_sv) = serial;
         for (bit, norm, _) in &results {
             assert_eq!(*bit, serial_bit);
             assert!(approx_eq(*norm, 1.0, 1e-10));
@@ -1427,30 +1236,14 @@ mod tests {
         // counts must be byte-identical to the unseeded run.
         let mut qc = Circuit::new(6);
         qc.h(0).cx(0, 5).rzz(1, 4, 0.7).rx(5, 0.3).cx(4, 2).h(3).cx(3, 1);
-        let qc = Arc::new(qc);
-        let baseline = {
-            let qc = Arc::clone(&qc);
-            let results = run_world(4, move |mut ctx| {
-                let mut dsv = DistStateVector::zero(&mut ctx, 6);
-                dsv.run_unitary(&qc);
-                dsv.sample_counts(2000, 0xC0FFEE)
-            });
+        let counts = |layout: Option<&[usize]>| {
+            let plan = DistPlan::build(&qc, 2, layout);
+            let results = after_plan(plan, 0, |dsv, _| dsv.sample_counts(2000, 0xC0FFEE));
             results[0].clone().expect("rank 0 counts")
         };
-        for order in [
-            vec![5usize, 0, 4, 1, 3, 2],
-            vec![1, 2, 3, 4, 5, 0],
-            vec![0, 1, 2, 3, 4, 5],
-        ] {
-            let qc = Arc::clone(&qc);
-            let results = run_world(4, move |mut ctx| {
-                let mut dsv = DistStateVector::zero(&mut ctx, 6);
-                dsv.seed_initial_layout(&order);
-                dsv.run_unitary(&qc);
-                dsv.sample_counts(2000, 0xC0FFEE)
-            });
-            let got = results[0].as_ref().expect("rank 0 counts");
-            assert_eq!(got, &baseline, "layout changed measured counts");
+        let baseline = counts(None);
+        for order in [[5usize, 0, 4, 1, 3, 2], [1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 4, 5]] {
+            assert_eq!(counts(Some(&order)), baseline, "layout changed measured counts");
         }
     }
 
@@ -1463,22 +1256,9 @@ mod tests {
         for _ in 0..6 {
             qc.h(4).cx(4, 5).rx(5, 0.3).cx(5, 4);
         }
-        let qc = Arc::new(qc);
-        let exchanges = |layout: Option<Vec<usize>>| {
-            let qc = Arc::clone(&qc);
-            let results = run_world(4, move |mut ctx| {
-                let mut dsv = DistStateVector::zero(&mut ctx, 6);
-                if let Some(order) = &layout {
-                    dsv.seed_initial_layout(order);
-                }
-                dsv.run_unitary(&qc);
-                dsv.stats_allreduced().exchanges
-            });
-            results[0]
-        };
-        let unseeded = exchanges(None);
+        let unseeded = DistPlan::build(&qc, 2, None).remaps();
         // Hot qubits 4,5 into local positions 0,1.
-        let seeded = exchanges(Some(vec![4, 5, 0, 1, 2, 3]));
+        let seeded = DistPlan::build(&qc, 2, Some(&[4, 5, 0, 1, 2, 3])).remaps();
         assert!(
             seeded < unseeded,
             "seeded layout should reduce exchanges: {seeded} vs {unseeded}"
@@ -1488,9 +1268,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "repeats")]
     fn layout_must_be_a_permutation() {
-        let mut ctxs = Communicator::test_world(2);
-        let mut dsv = DistStateVector::zero(&mut ctxs[0], 4);
-        dsv.seed_initial_layout(&[0, 1, 2, 2]);
+        DistPlan::build(&Circuit::new(4), 1, Some(&[0, 1, 2, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least 2 local qubits")]
+    fn a_shard_narrower_than_its_widest_routed_gate_is_not_planned() {
+        let mut ghz3 = Circuit::new(3);
+        ghz3.h(0).cx(0, 1).cx(1, 2);
+        assert_eq!(local_qubits_needed(&ghz3), 2);
+        assert_eq!(DistPlan::build(&ghz3, 1, None).remaps(), 2);
+        // Diagonal gates run at any placement, so they ask for nothing.
+        let mut phases = Circuit::new(3);
+        phases.rzz(0, 2, 0.4).cz(1, 2).rz(0, 0.2);
+        assert_eq!(local_qubits_needed(&phases), 1);
+        assert_eq!(DistPlan::build(&phases, 2, None).remaps(), 0);
+        DistPlan::build(&ghz3, 2, None);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   permutation with batched remaps, planned once per job; between two
 //!   remaps every rank runs the fused tile executor on its shard
 //!   ([`dist`]) — the mode whose strong scaling the paper highlights on
-//!   TFIM-28.
+//!   TFIM-28, and the one executor behind both `nwqsim/mpi` and
+//!   multi-rank `aer/statevector`.
 //!
 //! Plus [`fusion`], which rewrites a circuit into a [`layers`] plan
 //! (whole diagonal runs, 2x2 chains, 4x4 blocks) executed one cache-sized
@@ -33,8 +34,8 @@ pub mod state;
 pub mod sweep;
 
 pub use dist::{
-    run_distributed, run_distributed_laid_out, run_distributed_plan, run_distributed_with,
-    DistPlan, DistStateVector, DistStats, DistStep, RouteStrategy,
+    run_distributed_laid_out, run_distributed_plan, DistPlan, DistStateVector, DistStats,
+    DistStep, RouteStrategy,
 };
 pub use engine::{SvConfig, SvSimulator, Threading};
 pub use fusion::{fuse, FusionLevel};

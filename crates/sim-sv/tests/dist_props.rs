@@ -3,15 +3,18 @@
 //! measurements, and top-qubit edge cases — must reproduce the serial
 //! reference at 1/2/4/8 ranks, with and without a seeded layout, at the
 //! amplitude level and (fixed seed) bit-identically at the counts level —
-//! both gate by gate ([`DistStateVector::apply`]) and through the plan
-//! ([`DistPlan`]) every `nwqsim/mpi` job runs.
+//! through the plan ([`DistPlan`]) every distributed job runs, with the
+//! serial replay as the reference.
 
 use proptest::prelude::*;
 use qfw_circuit::{Circuit, Gate, Op};
 use qfw_hpc::{Communicator, RankCtx};
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
-use qfw_sim_sv::dist::{DistPlan, DistStateVector, DistStep};
+use qfw_obs::Obs;
+use qfw_sim_sv::dist::{
+    run_distributed_laid_out, DistPlan, DistStateVector, DistStep, RouteStrategy,
+};
 use qfw_sim_sv::state::{canonical_split_bits, StateVector};
 use qfw_sim_sv::{fuse, SvSimulator};
 use qfw_testkit::random_dist_circuit;
@@ -68,53 +71,31 @@ struct Replay {
     exchanges: u64,
 }
 
-/// Runs `qc` on `ranks` ranks twice — gate by gate, and through its plan
-/// — from the same layout, seed and shot count.
-fn distributed_replays(
+/// Runs `qc` on `ranks` ranks through its plan from the given layout,
+/// seed and shot count.
+fn distributed_replay(
     qc: &Circuit,
     ranks: usize,
     layout: Option<Vec<usize>>,
     seed: u64,
     shots: usize,
-) -> (Replay, Replay, DistPlan) {
+) -> (Replay, DistPlan) {
     let plan = DistPlan::build(qc, ranks.trailing_zeros() as usize, layout.as_deref());
-    let (qc, shared) = (Arc::new(qc.clone()), Arc::new(plan.clone()));
+    let (n, shared) = (qc.num_qubits(), Arc::new(plan.clone()));
     let results = run_world(ranks, move |mut ctx| {
-        let finish = |mut dsv: DistStateVector<'_>| {
-            let counts = dsv.sample_counts(shots, seed);
-            let state = dsv.gather_full();
-            let exchanges = dsv.stats().exchanges;
-            state.map(|state| Replay {
-                state,
-                counts: counts.expect("rank 0 counts"),
-                exchanges,
-            })
-        };
-        let mut dsv = DistStateVector::zero(&mut ctx, qc.num_qubits());
-        if let Some(order) = &layout {
-            dsv.seed_initial_layout(order);
-        }
-        let mut rng = Rng::seed_from(seed);
-        for (at, op) in qc.ops().iter().enumerate() {
-            match op {
-                Op::Gate(g) => dsv.apply(g),
-                Op::Measure { qubit, .. } if is_mid_circuit(&qc, at, *qubit) => {
-                    dsv.measure(*qubit, &mut rng);
-                }
-                _ => {}
-            }
-        }
-        let per_gate = finish(dsv);
-        let mut dsv = DistStateVector::zero(&mut ctx, qc.num_qubits());
+        let mut dsv = DistStateVector::zero(&mut ctx, n);
         dsv.run_plan(&shared, &mut Rng::seed_from(seed));
-        (per_gate, finish(dsv))
+        let counts = dsv.sample_counts(shots, seed);
+        let state = dsv.gather_full();
+        let exchanges = dsv.stats().exchanges;
+        state.map(|state| Replay {
+            state,
+            counts: counts.expect("rank 0 counts"),
+            exchanges,
+        })
     });
-    let (per_gate, planned) = results.into_iter().next().unwrap();
-    (
-        per_gate.expect("rank 0 gathers"),
-        planned.expect("rank 0 gathers"),
-        plan,
-    )
+    let planned = results.into_iter().next().unwrap();
+    (planned.expect("rank 0 gathers"), plan)
 }
 
 /// A seeded random placement of `n` logical qubits.
@@ -127,31 +108,29 @@ fn random_layout(n: usize, seed: u64) -> Vec<usize> {
     order
 }
 
-/// Both distributed paths against the serial state, amplitude by
-/// amplitude, and the plan's own bookkeeping against what it did.
+/// The distributed run against the serial state, amplitude by amplitude,
+/// and the plan's own bookkeeping against what it did.
 fn check_against_serial(
     qc: &Circuit,
     serial: &StateVector,
     ranks: usize,
     layout: Option<Vec<usize>>,
     seed: u64,
-) -> (Replay, Replay) {
+) -> Replay {
     let laid_out = layout.is_some();
-    let (per_gate, planned, plan) = distributed_replays(qc, ranks, layout, seed, 500);
-    for (path, replay) in [("per-gate", &per_gate), ("plan", &planned)] {
-        for (i, (a, b)) in serial.amps().iter().zip(replay.state.amps()).enumerate() {
-            assert!(
-                a.approx_eq(*b, 1e-12),
-                "{path}, {ranks} ranks, layout {laid_out}, amp {i}: {a} vs {b}"
-            );
-        }
+    let (planned, plan) = distributed_replay(qc, ranks, layout, seed, 500);
+    for (i, (a, b)) in serial.amps().iter().zip(planned.state.amps()).enumerate() {
+        assert!(
+            a.approx_eq(*b, 1e-12),
+            "{ranks} ranks, layout {laid_out}, amp {i}: {a} vs {b}"
+        );
     }
     assert_eq!(
         plan.remaps() as u64,
         planned.exchanges,
         "{ranks} ranks: planned remaps vs exchanges performed"
     );
-    (per_gate, planned)
+    planned
 }
 
 proptest! {
@@ -176,12 +155,7 @@ proptest! {
             let want_counts =
                 serial.sample_counts_split(500, seed, canonical_split_bits(n, r));
             for layout in [None, Some(random_layout(n, seed))] {
-                let (per_gate, planned) =
-                    check_against_serial(&qc, &serial, ranks, layout, seed);
-                prop_assert_eq!(
-                    &per_gate.counts, &want_counts,
-                    "per-gate, {} ranks: counts diverged", ranks
-                );
+                let planned = check_against_serial(&qc, &serial, ranks, layout, seed);
                 prop_assert_eq!(
                     &planned.counts, &want_counts,
                     "plan, {} ranks: counts diverged", ranks
@@ -324,7 +298,7 @@ proptest! {
     }
 }
 
-/// The narrow registers the issue names, end to end through the driver:
+/// Narrow registers, end to end through [`run_distributed_laid_out`]:
 /// GHZ-6 on 4 ranks (`L = 4 < TILE_BITS`) and a 3-qubit register on 2
 /// ranks (`L = 2 < BLOCK_BITS`) must sample the local engine's counts.
 #[test]
@@ -341,9 +315,10 @@ fn narrow_registers_sample_the_local_engines_counts() {
         let want = SvSimulator::default().run(&qc, 2000, 0xD157).counts;
         let qc = Arc::new(qc);
         let results = run_world(ranks, move |mut ctx| {
-            qfw_sim_sv::run_distributed(&mut ctx, &qc, 2000, 0xD157)
+            let (route, obs) = (RouteStrategy::Lazy, Obs::disabled());
+            run_distributed_laid_out(&mut ctx, &qc, 2000, 0xD157, route, None, &obs)
         });
-        let got = results[0].as_ref().expect("rank 0 outcome");
+        let (got, _) = results[0].as_ref().expect("rank 0 outcome");
         assert_eq!(got.counts, want, "{ranks} ranks");
     }
 }

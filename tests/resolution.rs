@@ -405,6 +405,16 @@ fn malformed_values_are_refused_on_every_entry_path() {
             BackendSpec::of("nwqsim", "mpi").with_ranks(1 << N),
             true,
         ),
+        (
+            "a shard narrower than a cx",
+            BackendSpec::of("nwqsim", "mpi").with_ranks(1 << (N - 1)),
+            true,
+        ),
+        (
+            "a chunk narrower than a cx",
+            BackendSpec::of("aer", "statevector").with_ranks(1 << (N - 1)),
+            true,
+        ),
     ] {
         let task = |circuit: String| ExecTask {
             circuit,
