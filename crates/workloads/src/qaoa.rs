@@ -65,19 +65,26 @@ pub fn qubo_z_terms(qubo: &Qubo) -> (f64, Vec<(usize, f64)>) {
     (offset, terms)
 }
 
+/// The assignment a counts key names, bit-packed: the key prints variable
+/// `n-1` leftmost, so its last byte is bit 0 (any byte but `1` reads 0).
+fn key_index(qubo: &Qubo, key: &str) -> usize {
+    assert_eq!(key.len(), qubo.num_vars(), "assignment length mismatch");
+    assert!(
+        key.len() <= usize::BITS as usize,
+        "a {}-bit key exceeds a word",
+        key.len()
+    );
+    key.bytes()
+        .fold(0, |acc, b| acc << 1 | usize::from(b == b'1'))
+}
+
 /// Mean QUBO energy of a counts histogram (bitstring keys in Qiskit order).
 pub fn counts_energy(qubo: &Qubo, counts: &std::collections::BTreeMap<String, usize>) -> f64 {
     let total: usize = counts.values().sum();
     assert!(total > 0, "empty counts");
     let mut acc = 0.0;
-    for (bits, &c) in counts {
-        // Key is printed with variable n-1 leftmost; reverse into x order.
-        let x: Vec<u8> = bits
-            .bytes()
-            .rev()
-            .map(|b| if b == b'1' { 1 } else { 0 })
-            .collect();
-        acc += qubo.energy(&x) * c as f64;
+    for (key, &c) in counts {
+        acc += qubo.energy_bits(key_index(qubo, key)) * c as f64;
     }
     acc / total as f64
 }
@@ -88,19 +95,21 @@ pub fn counts_best(
     qubo: &Qubo,
     counts: &std::collections::BTreeMap<String, usize>,
 ) -> (Vec<u8>, f64) {
-    let mut best: Option<(Vec<u8>, f64)> = None;
-    for bits in counts.keys() {
-        let x: Vec<u8> = bits
-            .bytes()
-            .rev()
-            .map(|b| if b == b'1' { 1 } else { 0 })
-            .collect();
-        let e = qubo.energy(&x);
-        if best.as_ref().is_none_or(|(_, be)| e < *be) {
-            best = Some((x, e));
+    let mut best: Option<(usize, f64)> = None;
+    for key in counts.keys() {
+        let bits = key_index(qubo, key);
+        let e = qubo.energy_bits(bits);
+        if best.is_none_or(|(_, be)| e < be) {
+            best = Some((bits, e));
         }
     }
-    best.expect("empty counts")
+    let (bits, e) = best.expect("empty counts");
+    (
+        (0..qubo.num_vars())
+            .map(|i| ((bits >> i) & 1) as u8)
+            .collect(),
+        e,
+    )
 }
 
 #[cfg(test)]
@@ -204,6 +213,47 @@ mod tests {
         let (x, e) = counts_best(&q, &counts);
         assert_eq!(x, vec![1, 0]);
         assert_eq!(e, -1.0);
+    }
+
+    /// Index-folded energies sum exactly as the per-key `Vec<u8>` parse +
+    /// `Qubo::energy` did, so an optimizer's path cannot move.
+    #[test]
+    fn counts_energies_are_the_parsed_keys_energies_bitwise() {
+        let mut rng = qfw_num::Rng::seed_from(29);
+        for n in [1, 6, 12, 17] {
+            let q = Qubo::random(n, 0.7, rng.next_u64());
+            let mut counts = BTreeMap::new();
+            for _ in 0..300 {
+                let bits = rng.next_u64() as usize & ((1 << n) - 1);
+                let key: String = (0..n)
+                    .rev()
+                    .map(|i| if bits >> i & 1 == 1 { '1' } else { '0' })
+                    .collect();
+                *counts.entry(key).or_insert(0usize) += 1 + rng.index(5);
+            }
+            let parsed = |key: &String| -> Vec<u8> {
+                key.bytes().rev().map(|b| u8::from(b == b'1')).collect()
+            };
+            let total: usize = counts.values().sum();
+            let mut acc = 0.0;
+            let mut best: Option<(Vec<u8>, f64)> = None;
+            for (key, &c) in &counts {
+                let e = q.energy(&parsed(key));
+                acc += e * c as f64;
+                if best.as_ref().is_none_or(|(_, be)| e < *be) {
+                    best = Some((parsed(key), e));
+                }
+            }
+            let mean = acc / total as f64;
+            assert_eq!(
+                counts_energy(&q, &counts).to_bits(),
+                mean.to_bits(),
+                "n {n}"
+            );
+            let (x, e) = counts_best(&q, &counts);
+            let (want_x, want_e) = best.unwrap();
+            assert_eq!((x, e.to_bits()), (want_x, want_e.to_bits()), "n {n}");
+        }
     }
 
     #[test]

@@ -78,10 +78,31 @@ impl Qubo {
         e
     }
 
-    /// Energy of a bit-packed assignment (bit `i` of `bits` = `x_i`).
+    /// Energy of a bit-packed assignment (bit `i` of `bits` = `x_i`; bits
+    /// at `n` and above are ignored). Walks the set bits only, in
+    /// [`Qubo::energy`]'s order — `i` ascending, then `j > i` ascending —
+    /// so the two agree bitwise.
     pub fn energy_bits(&self, bits: usize) -> f64 {
-        let x: Vec<u8> = (0..self.n).map(|i| ((bits >> i) & 1) as u8).collect();
-        self.energy(&x)
+        let mut rest = if self.n < usize::BITS as usize {
+            bits & ((1 << self.n) - 1)
+        } else {
+            bits
+        };
+        let mut e = 0.0;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            // Row i of the upper triangle: q_ii, then q_ij at (j - i) past it.
+            let row = self.idx(i, i);
+            e += self.coeffs[row];
+            let mut higher = rest;
+            while higher != 0 {
+                let j = higher.trailing_zeros() as usize;
+                higher &= higher - 1;
+                e += self.coeffs[row + j - i];
+            }
+        }
+        e
     }
 
     /// Dense random instance: every diagonal and off-diagonal coefficient
@@ -329,6 +350,21 @@ mod tests {
         let f = q.impact_factors();
         assert!(f[0] > f[2]);
         assert!(f[1] > f[2]);
+    }
+
+    #[test]
+    fn energy_bits_is_energy_bitwise() {
+        let mut rng = Rng::seed_from(17);
+        let word = usize::BITS as usize;
+        for (n, density) in [(1, 1.0), (5, 0.5), (12, 0.8), (20, 0.3), (word, 0.1)] {
+            let q = Qubo::random(n, density, rng.next_u64());
+            for _ in 0..200 {
+                let bits = rng.next_u64() as usize;
+                let x: Vec<u8> = (0..n).map(|i| ((bits >> i) & 1) as u8).collect();
+                let (fast, slow) = (q.energy_bits(bits), q.energy(&x));
+                assert_eq!(fast.to_bits(), slow.to_bits(), "n {n}, bits {bits:#x}");
+            }
+        }
     }
 
     #[test]

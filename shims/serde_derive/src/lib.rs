@@ -2,15 +2,20 @@
 //!
 //! The real `serde_derive` leans on `syn`/`quote`; neither is available
 //! offline, so this crate walks the raw [`proc_macro::TokenStream`] by
-//! hand. That is tractable because the shim's data model only needs the
-//! shapes this workspace actually derives:
+//! hand. That is tractable because the shim only needs the shapes this
+//! workspace actually derives:
 //!
 //! * structs with named fields (field *names* are all the codegen needs —
-//!   value conversion dispatches through the `Serialize`/`Deserialize`
-//!   traits, so field *types* never have to be understood), and
+//!   each value streams through its own `Serialize`/`Deserialize` impl, so
+//!   field *types* never have to be understood), and
 //! * enums with unit and newtype variants (e.g. `Failed(String)`),
 //!   rendered in serde's externally-tagged JSON form: `"Variant"` for
 //!   unit variants, `{"Variant": value}` for newtype variants.
+//!
+//! The generated code streams: `Serialize` writes each field's key as one
+//! literal and the value straight after it; `Deserialize` is one loop over
+//! the object's keys that fills a per-field `Option`, skips unknown keys,
+//! and reads a missing field as `null` (so a missing `Option` is `None`).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -32,23 +37,19 @@ struct Variant {
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let code = match &item {
+    let (name, body) = match &item {
         Item::Struct { name, fields } => {
-            let entries: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})),"
-                    )
-                })
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Map(vec![{entries}])\n\
-                     }}\n\
-                 }}"
-            )
+            let mut body = String::new();
+            for (i, f) in fields.iter().enumerate() {
+                let sep = if i == 0 { "{" } else { "," };
+                body += &format!(
+                    "__out.extend_from_slice(b\"{sep}\\\"{f}\\\":\");\n\
+                     ::serde::Serialize::serialize(&self.{f}, __out)?;\n"
+                );
+            }
+            let close = if fields.is_empty() { "{}" } else { "}" };
+            body += &format!("__out.extend_from_slice(b\"{close}\");\n");
+            (name, body)
         }
         Item::Enum { name, variants } => {
             let arms: String = variants
@@ -57,26 +58,29 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     let vn = &v.name;
                     if v.newtype {
                         format!(
-                            "{name}::{vn}(inner) => ::serde::Value::Map(vec![(\
-                                 \"{vn}\".to_string(), \
-                                 ::serde::Serialize::to_value(inner))]),"
+                            "{name}::{vn}(inner) => {{\n\
+                                 __out.extend_from_slice(b\"{{\\\"{vn}\\\":\");\n\
+                                 ::serde::Serialize::serialize(inner, __out)?;\n\
+                                 __out.push(b'}}');\n\
+                             }}\n"
                         )
                     } else {
-                        format!(
-                            "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),"
-                        )
+                        format!("{name}::{vn} => __out.extend_from_slice(b\"\\\"{vn}\\\"\"),\n")
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {arms} }}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}\n"))
         }
     };
+    let code = format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize(&self, __out: &mut ::std::vec::Vec<u8>) \
+                 -> ::std::result::Result<(), ::serde::Error> {{\n\
+                 {body}\
+                 ::std::result::Result::Ok(())\n\
+             }}\n\
+         }}"
+    );
     code.parse().expect("serde_derive: generated Serialize impl must parse")
 }
 
@@ -85,73 +89,91 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let code = match &item {
+    let (name, body) = match &item {
         Item::Struct { name, fields } => {
+            let slots: String = fields
+                .iter()
+                .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;\n"))
+                .collect();
+            let arms: String = fields
+                .iter()
+                .map(|f| format!("\"{f}\" => __r.field(&mut __f_{f}, \"{name}.{f}\"),\n"))
+                .collect();
             let inits: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(\
-                             value.get(\"{f}\").unwrap_or(&::serde::Value::Null))\
-                             .map_err(|e| format!(\"{name}.{f}: {{e}}\"))?,"
-                    )
-                })
+                .map(|f| format!("{f}: ::serde::Reader::take(__f_{f}, \"{name}.{f}\")?,\n"))
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(value: &::serde::Value) -> Result<Self, String> {{\n\
-                         match value {{\n\
-                             ::serde::Value::Map(_) => Ok({name} {{ {inits} }}),\n\
-                             other => Err(format!(\
-                                 \"expected map for {name}, got {{other:?}}\")),\n\
-                         }}\n\
-                     }}\n\
-                 }}"
-            )
+            let body = format!(
+                "{slots}\
+                 __r.map(|__r, __key| match &*__key {{\n\
+                     {arms}\
+                     _ => __r.skip(),\n\
+                 }})?;\n\
+                 ::std::result::Result::Ok({name} {{ {inits} }})\n"
+            );
+            (name, body)
         }
         Item::Enum { name, variants } => {
+            let unknown = format!(
+                "::std::result::Result::Err(\
+                     __r.error(&format!(\"unknown {name} variant `{{__other}}`\")))"
+            );
             let unit_arms: String = variants
                 .iter()
                 .filter(|v| !v.newtype)
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
+                .map(|v| {
+                    format!(
+                        "\"{0}\" => ::std::result::Result::Ok({name}::{0}),\n",
+                        v.name
+                    )
+                })
                 .collect();
             let newtype_arms: String = variants
                 .iter()
                 .filter(|v| v.newtype)
                 .map(|v| {
                     format!(
-                        "\"{0}\" => Ok({name}::{0}(\
-                             ::serde::Deserialize::from_value(inner)\
-                             .map_err(|e| format!(\"{name}::{0}: {{e}}\"))?)),",
+                        "\"{0}\" => {name}::{0}(::serde::Deserialize::deserialize(__r)\
+                             .map_err(|e| e.context(\"{name}::{0}\"))?),\n",
                         v.name
                     )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(value: &::serde::Value) -> Result<Self, String> {{\n\
-                         match value {{\n\
-                             ::serde::Value::Str(s) => match s.as_str() {{\n\
-                                 {unit_arms}\n\
-                                 other => Err(format!(\
-                                     \"unknown {name} variant `{{other}}`\")),\n\
-                             }},\n\
-                             ::serde::Value::Map(entries) if entries.len() == 1 => {{\n\
-                                 let (tag, inner) = &entries[0];\n\
-                                 match tag.as_str() {{\n\
-                                     {newtype_arms}\n\
-                                     other => Err(format!(\
-                                         \"unknown {name} variant `{{other}}`\")),\n\
-                                 }}\n\
-                             }}\n\
-                             other => Err(format!(\
-                                 \"expected {name} variant, got {{other:?}}\")),\n\
-                         }}\n\
-                     }}\n\
-                 }}"
-            )
+            // A type with no newtype variant gets no payload branch, so the
+            // generated code has no unreachable tail.
+            let payload = if newtype_arms.is_empty() {
+                format!("let __other = __tag; {unknown}")
+            } else {
+                format!(
+                    "let __value = match &*__tag {{\n\
+                         {newtype_arms}\
+                         __other => return {unknown},\n\
+                     }};\n\
+                     __r.end_variant()?;\n\
+                     ::std::result::Result::Ok(__value)"
+                )
+            };
+            let body = format!(
+                "let (__tag, __newtype) = __r.variant()?;\n\
+                 if !__newtype {{\n\
+                     return match &*__tag {{\n\
+                         {unit_arms}\
+                         __other => {unknown},\n\
+                     }};\n\
+                 }}\n\
+                 {payload}\n"
+            );
+            (name, body)
         }
     };
+    let code = format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn deserialize(__r: &mut ::serde::Reader<'_>) \
+                 -> ::std::result::Result<Self, ::serde::Error> {{\n\
+                 {body}\
+             }}\n\
+         }}"
+    );
     code.parse().expect("serde_derive: generated Deserialize impl must parse")
 }
 

@@ -1,357 +1,38 @@
-//! Offline stand-in for `serde_json`: renders the serde shim's
-//! [`Value`](serde::Value) tree to JSON text and parses it back with a
-//! recursive-descent parser. Covers the workspace surface:
-//! `to_vec`, `to_string`, `from_slice`, `from_str`.
+//! Offline stand-in for `serde_json`: the entry points over the serde
+//! shim's streaming codec. `to_vec`/`to_string` hand the value an output
+//! buffer to write itself into; `from_slice`/`from_str` hand the target
+//! type one [`serde::Reader`] over the input, which caps nesting at
+//! [`serde::MAX_DEPTH`], and then require that nothing but whitespace is
+//! left. [`Value`] is the dynamic document type.
 
-use serde::{de::DeserializeOwned, Serialize, Value};
-use std::fmt;
+use serde::{de::DeserializeOwned, Reader, Serialize};
 
-/// JSON encoding or decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error: {}", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Serializes a value to a JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
-    Ok(out)
-}
+pub use serde::{Error, Value};
 
 /// Serializes a value to JSON bytes.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    value.serialize(&mut out)?;
+    Ok(out)
 }
 
-/// Deserializes a value from a JSON string.
-pub fn from_str<T: DeserializeOwned>(input: &str) -> Result<T, Error> {
-    let value = parse(input)?;
-    T::from_value(&value).map_err(Error)
+/// Serializes a value to a JSON string.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let bytes = to_vec(value)?;
+    Ok(String::from_utf8(bytes).expect("the writer emits UTF-8"))
 }
 
 /// Deserializes a value from JSON bytes.
 pub fn from_slice<T: DeserializeOwned>(input: &[u8]) -> Result<T, Error> {
-    let text = std::str::from_utf8(input).map_err(|e| Error(e.to_string()))?;
-    from_str(text)
-}
-
-// --- writer --------------------------------------------------------------------
-
-fn write_value(value: &Value, out: &mut String) -> Result<(), Error> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if !f.is_finite() {
-                return Err(Error(format!("non-finite float {f} is not valid JSON")));
-            }
-            // Keep integral floats recognizably floats so they round-trip
-            // through the parser as Value::Float.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                out.push_str(&format!("{f:.1}"));
-            } else {
-                out.push_str(&format!("{f}"));
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(item, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// --- parser --------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse(input: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing data at byte {}", p.pos)));
-    }
+    let mut reader = Reader::new(input);
+    let value = T::deserialize(&mut reader)?;
+    reader.finish()?;
     Ok(value)
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(other) => Err(Error(format!(
-                "unexpected byte `{}` at {}",
-                other as char, self.pos
-            ))),
-            None => Err(Error("unexpected end of input".to_string())),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => {
-                    return Err(Error(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => {
-                    return Err(Error(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair: the low half must follow.
-                                if !self.eat_keyword("\\u") {
-                                    return Err(Error(
-                                        "unpaired surrogate escape".to_string(),
-                                    ));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(Error(
-                                        "invalid low surrogate".to_string(),
-                                    ));
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                first
-                            };
-                            let c = char::from_u32(code).ok_or_else(|| {
-                                Error(format!("invalid unicode escape {code:#x}"))
-                            })?;
-                            out.push(c);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        other => {
-                            return Err(Error(format!("bad escape {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is validated UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(Error("unterminated string".to_string())),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error("truncated \\u escape".to_string()));
-        }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|e| Error(e.to_string()))?;
-        let code =
-            u32::from_str_radix(digits, 16).map_err(|e| Error(e.to_string()))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| Error(e.to_string()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| Error(format!("bad number `{text}`: {e}")))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| Error(format!("bad number `{text}`: {e}")))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| Error(format!("bad number `{text}`: {e}")))
-        }
-    }
+/// Deserializes a value from a JSON string.
+pub fn from_str<T: DeserializeOwned>(input: &str) -> Result<T, Error> {
+    from_slice(input.as_bytes())
 }
 
 #[cfg(test)]
