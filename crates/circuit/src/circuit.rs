@@ -3,6 +3,13 @@
 use crate::gate::Gate;
 use std::fmt;
 
+/// The widest register a program may declare: the most qubits, and the
+/// most classical bits, across all of its registers. Every text front end
+/// refuses a wider declaration before it sizes anything from it, so a few
+/// bytes of input cannot make the process allocate for a register no
+/// engine could run.
+pub const MAX_REGISTER_WIDTH: usize = 1024;
+
 /// One operation in a circuit: a gate, a measurement, or a barrier.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
@@ -107,8 +114,8 @@ impl Circuit {
 
     /// Appends a gate after validating its qubit operands.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        let qs = gate.qubits();
-        for &q in &qs {
+        let qs = gate.operands();
+        for &q in qs.iter() {
             assert!(
                 q < self.num_qubits,
                 "gate {gate} touches qubit {q} but the circuit has {} qubits",

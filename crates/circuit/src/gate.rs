@@ -77,6 +77,26 @@ pub enum Gate {
     },
 }
 
+/// A gate's qubit operands, local LSB first (see [`Gate::operands`]).
+#[derive(Clone, Copy, Debug)]
+pub enum Operands<'a> {
+    /// A named gate's operands: the first `n` entries of the array.
+    Named([usize; 3], usize),
+    /// A unitary block's operand list.
+    Block(&'a [usize]),
+}
+
+impl std::ops::Deref for Operands<'_> {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            Operands::Named(qs, n) => &qs[..*n],
+            Operands::Block(qs) => qs,
+        }
+    }
+}
+
 impl Gate {
     /// Canonical lowercase mnemonic, as used by the textual format.
     pub fn name(&self) -> &'static str {
@@ -113,6 +133,12 @@ impl Gate {
 
     /// The qubits this gate acts on, local LSB first.
     pub fn qubits(&self) -> Vec<usize> {
+        self.operands().to_vec()
+    }
+
+    /// [`qubits`](Self::qubits) without a heap allocation: the named gates'
+    /// operands inline, a unitary block's borrowed.
+    pub fn operands(&self) -> Operands<'_> {
         match self {
             Gate::H(q)
             | Gate::X(q)
@@ -127,7 +153,7 @@ impl Gate {
             | Gate::Ry(q, _)
             | Gate::Rz(q, _)
             | Gate::Phase(q, _)
-            | Gate::U(q, ..) => vec![*q],
+            | Gate::U(q, ..) => Operands::Named([*q, 0, 0], 1),
             Gate::Cx(c, t)
             | Gate::Cy(c, t)
             | Gate::Cz(c, t)
@@ -138,9 +164,9 @@ impl Gate {
             | Gate::Crz(c, t, _)
             | Gate::Rxx(c, t, _)
             | Gate::Ryy(c, t, _)
-            | Gate::Rzz(c, t, _) => vec![*c, *t],
-            Gate::Ccx(c0, c1, t) => vec![*c0, *c1, *t],
-            Gate::Unitary { qubits, .. } => qubits.clone(),
+            | Gate::Rzz(c, t, _) => Operands::Named([*c, *t, 0], 2),
+            Gate::Ccx(c0, c1, t) => Operands::Named([*c0, *c1, *t], 3),
+            Gate::Unitary { qubits, .. } => Operands::Block(qubits),
         }
     }
 
@@ -185,67 +211,9 @@ impl Gate {
 
     /// The gate's unitary in its local basis (`2^arity` square).
     pub fn matrix(&self) -> Matrix {
-        let i = C64::I;
         let o = C64::ONE;
         let zz = C64::ZERO;
         match *self {
-            Gate::H(_) => Matrix::from_real(
-                2,
-                2,
-                &[
-                    FRAC_1_SQRT_2,
-                    FRAC_1_SQRT_2,
-                    FRAC_1_SQRT_2,
-                    -FRAC_1_SQRT_2,
-                ],
-            ),
-            Gate::X(_) => Matrix::from_rows(2, 2, &[zz, o, o, zz]),
-            Gate::Y(_) => Matrix::from_rows(2, 2, &[zz, -i, i, zz]),
-            Gate::Z(_) => Matrix::from_rows(2, 2, &[o, zz, zz, -o]),
-            Gate::S(_) => Matrix::from_rows(2, 2, &[o, zz, zz, i]),
-            Gate::Sdg(_) => Matrix::from_rows(2, 2, &[o, zz, zz, -i]),
-            Gate::T(_) => Matrix::from_rows(
-                2,
-                2,
-                &[o, zz, zz, C64::cis(std::f64::consts::FRAC_PI_4)],
-            ),
-            Gate::Tdg(_) => Matrix::from_rows(
-                2,
-                2,
-                &[o, zz, zz, C64::cis(-std::f64::consts::FRAC_PI_4)],
-            ),
-            Gate::Sx(_) => {
-                let p = c64(0.5, 0.5);
-                let m = c64(0.5, -0.5);
-                Matrix::from_rows(2, 2, &[p, m, m, p])
-            }
-            Gate::Rx(_, t) => {
-                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
-                Matrix::from_rows(2, 2, &[c64(c, 0.0), c64(0.0, -s), c64(0.0, -s), c64(c, 0.0)])
-            }
-            Gate::Ry(_, t) => {
-                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
-                Matrix::from_real(2, 2, &[c, -s, s, c])
-            }
-            Gate::Rz(_, t) => Matrix::from_rows(
-                2,
-                2,
-                &[C64::cis(-t / 2.0), zz, zz, C64::cis(t / 2.0)],
-            ),
-            Gate::Phase(_, t) => Matrix::from_rows(2, 2, &[o, zz, zz, C64::cis(t)]),
-            Gate::U(_, theta, phi, lam) => {
-                let (ct, st) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-                Matrix::from_rows(
-                    2,
-                    2,
-                    &[
-                        c64(ct, 0.0),
-                        -C64::cis(lam).scale(st),
-                        C64::cis(phi).scale(st),
-                        C64::cis(phi + lam).scale(ct),
-                    ],
-                )
-            }
             Gate::Cx(..) => controlled(&Gate::X(0).matrix()),
             Gate::Cy(..) => controlled(&Gate::Y(0).matrix()),
             Gate::Cz(..) => controlled(&Gate::Z(0).matrix()),
@@ -280,7 +248,66 @@ impl Gate {
                 m
             }
             Gate::Unitary { ref matrix, .. } => (**matrix).clone(),
+            _ => Matrix::from_rows(
+                2,
+                2,
+                &self.matrix_1q().expect("every other named gate acts on one qubit"),
+            ),
         }
+    }
+
+    /// A single-qubit gate's unitary as row-major entries, without a heap
+    /// allocation; `None` for gates on more than one qubit.
+    pub fn matrix_1q(&self) -> Option<[C64; 4]> {
+        let i = C64::I;
+        let o = C64::ONE;
+        let zz = C64::ZERO;
+        let real = |v: f64| c64(v, 0.0);
+        Some(match *self {
+            Gate::H(_) => [
+                real(FRAC_1_SQRT_2),
+                real(FRAC_1_SQRT_2),
+                real(FRAC_1_SQRT_2),
+                real(-FRAC_1_SQRT_2),
+            ],
+            Gate::X(_) => [zz, o, o, zz],
+            Gate::Y(_) => [zz, -i, i, zz],
+            Gate::Z(_) => [o, zz, zz, -o],
+            Gate::S(_) => [o, zz, zz, i],
+            Gate::Sdg(_) => [o, zz, zz, -i],
+            Gate::T(_) => [o, zz, zz, C64::cis(std::f64::consts::FRAC_PI_4)],
+            Gate::Tdg(_) => [o, zz, zz, C64::cis(-std::f64::consts::FRAC_PI_4)],
+            Gate::Sx(_) => {
+                let p = c64(0.5, 0.5);
+                let m = c64(0.5, -0.5);
+                [p, m, m, p]
+            }
+            Gate::Rx(_, t) => {
+                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
+                [c64(c, 0.0), c64(0.0, -s), c64(0.0, -s), c64(c, 0.0)]
+            }
+            Gate::Ry(_, t) => {
+                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
+                [real(c), real(-s), real(s), real(c)]
+            }
+            Gate::Rz(_, t) => [C64::cis(-t / 2.0), zz, zz, C64::cis(t / 2.0)],
+            Gate::Phase(_, t) => [o, zz, zz, C64::cis(t)],
+            Gate::U(_, theta, phi, lam) => {
+                let (ct, st) = ((theta / 2.0).cos(), (theta / 2.0).sin());
+                [
+                    c64(ct, 0.0),
+                    -C64::cis(lam).scale(st),
+                    C64::cis(phi).scale(st),
+                    C64::cis(phi + lam).scale(ct),
+                ]
+            }
+            Gate::Unitary {
+                ref qubits,
+                ref matrix,
+                ..
+            } if qubits.len() == 1 => matrix.as_slice().try_into().ok()?,
+            _ => return None,
+        })
     }
 
     /// The inverse gate (adjoint), used to build `circuit.inverse()`.

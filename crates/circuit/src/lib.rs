@@ -37,7 +37,7 @@ pub mod param;
 pub mod readout;
 pub mod text;
 
-pub use circuit::{Circuit, Op};
+pub use circuit::{Circuit, Op, MAX_REGISTER_WIDTH};
 pub use gate::Gate;
 pub use hash::{canonical_hash, canonical_text, circuit_hash, ContentHash};
 pub use param::{Angle, ParamCircuit, ParamOp};

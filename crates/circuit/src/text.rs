@@ -20,7 +20,7 @@
 //! barrier
 //! ```
 
-use crate::circuit::{Circuit, Op};
+use crate::circuit::{Circuit, Op, MAX_REGISTER_WIDTH};
 use crate::gate::Gate;
 use crate::param::{Angle, ParamCircuit, ParamOp};
 use qfw_num::complex::{c64, C64};
@@ -141,6 +141,33 @@ fn parse_clbit(tok: &str, line: usize) -> Result<usize, ParseError> {
         .ok_or_else(|| err(line, format!("expected clbit operand, got '{tok}'")))
 }
 
+/// A `qubits` / `clbits` count, refused above [`MAX_REGISTER_WIDTH`].
+fn parse_width(rest: &str, what: &str, ln: usize) -> Result<usize, ParseError> {
+    let n: usize = rest
+        .parse()
+        .map_err(|_| err(ln, format!("bad {what} count")))?;
+    if n > MAX_REGISTER_WIDTH {
+        return Err(err(
+            ln,
+            format!("{n} {what}s exceed the register width limit of {MAX_REGISTER_WIDTH}"),
+        ));
+    }
+    Ok(n)
+}
+
+/// Refuses an operand outside an `nq`-qubit register or repeated in one op.
+fn check_operands(qs: &[usize], nq: usize, ln: usize) -> Result<(), ParseError> {
+    for (i, &q) in qs.iter().enumerate() {
+        if q >= nq {
+            return Err(err(ln, format!("qubit q{q} out of range for {nq} qubits")));
+        }
+        if qs[..i].contains(&q) {
+            return Err(err(ln, format!("repeated qubit operand q{q}")));
+        }
+    }
+    Ok(())
+}
+
 /// Parses `qfwasm` text back into a [`Circuit`].
 pub fn parse(text: &str) -> Result<Circuit, ParseError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
@@ -164,15 +191,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
         if let Some(rest) = line.strip_prefix("name ") {
             name = rest.to_string();
         } else if let Some(rest) = line.strip_prefix("qubits ") {
-            num_qubits = Some(
-                rest.parse()
-                    .map_err(|_| err(ln, "bad qubit count"))?,
-            );
+            num_qubits = Some(parse_width(rest, "qubit", ln)?);
         } else if let Some(rest) = line.strip_prefix("clbits ") {
-            num_clbits = Some(
-                rest.parse()
-                    .map_err(|_| err(ln, "bad clbit count"))?,
-            );
+            num_clbits = Some(parse_width(rest, "clbit", ln)?);
         } else {
             body.push((ln, line));
         }
@@ -192,6 +213,10 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
                 return Err(err(ln, "measure expects 'q<i> -> c<j>'"));
             }
             let c = parse_clbit(it.next().unwrap_or(""), ln)?;
+            check_operands(&[q], nq, ln)?;
+            if c >= nc {
+                return Err(err(ln, format!("clbit c{c} out of range for {nc} clbits")));
+            }
             qc.push_op(Op::Measure { qubit: q, clbit: c });
             continue;
         }
@@ -204,11 +229,14 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
                 .split_whitespace()
                 .map(|t| parse_qubit(t, ln))
                 .collect::<Result<Vec<_>, _>>()?;
+            check_operands(&qs, nq, ln)?;
             qc.push_op(Op::Barrier(qs));
             continue;
         }
         if let Some(rest) = line.strip_prefix("unitary[") {
-            qc.push(parse_unitary_line(rest, ln)?);
+            let gate = parse_unitary_line(rest, ln)?;
+            check_operands(&gate.operands(), nq, ln)?;
+            qc.push(gate);
             continue;
         }
 
@@ -218,7 +246,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
             .iter()
             .map(|t| t.parse::<f64>().map_err(|_| err(ln, "bad parameter")))
             .collect::<Result<Vec<_>, _>>()?;
-        qc.push(build_fixed_gate(mnemonic, &params, &qs, ln)?);
+        let gate = build_fixed_gate(mnemonic, &params, &qs, ln)?;
+        check_operands(&qs, nq, ln)?;
+        qc.push(gate);
     }
     Ok(qc)
 }
@@ -236,7 +266,6 @@ fn parse_unitary_line(rest: &str, ln: usize) -> Result<Gate, ParseError> {
         .split_whitespace()
         .map(|t| parse_qubit(t, ln))
         .collect::<Result<Vec<_>, _>>()?;
-    let dim = 1usize << qubits.len();
     let values = data
         .split_whitespace()
         .map(|pair| {
@@ -248,17 +277,25 @@ fn parse_unitary_line(rest: &str, ln: usize) -> Result<Gate, ParseError> {
             Ok(c64(re, im))
         })
         .collect::<Result<Vec<C64>, ParseError>>()?;
-    if values.len() != dim * dim {
+    // 4^k entries for k operands, when that count fits in a usize.
+    let entries = u32::try_from(qubits.len())
+        .ok()
+        .and_then(|k| 1usize.checked_shl(k))
+        .and_then(|dim| dim.checked_mul(dim));
+    let Some(entries) = entries else {
+        return Err(err(ln, format!("unitary over {} qubits is too wide", qubits.len())));
+    };
+    if values.len() != entries {
         return Err(err(
             ln,
             format!(
-                "unitary over {} qubits needs {} entries, got {}",
+                "unitary over {} qubits needs {entries} entries, got {}",
                 qubits.len(),
-                dim * dim,
                 values.len()
             ),
         ));
     }
+    let dim = 1usize << qubits.len();
     Ok(Gate::Unitary {
         qubits,
         matrix: Arc::new(Matrix::from_rows(dim, dim, &values)),
@@ -585,7 +622,7 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
         if let Some(rest) = line.strip_prefix("name ") {
             name = rest.to_string();
         } else if let Some(rest) = line.strip_prefix("qubits ") {
-            num_qubits = Some(rest.parse().map_err(|_| err(ln, "bad qubit count"))?);
+            num_qubits = Some(parse_width(rest, "qubit", ln)?);
         } else if line == "bind" || line.starts_with("bind ") {
             let vs = line["bind".len()..]
                 .split_whitespace()

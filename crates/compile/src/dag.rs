@@ -2,9 +2,16 @@
 //!
 //! Every node records, per wire it touches, its predecessor and successor
 //! on that wire — the standard "last op on each wire" construction. Pass
-//! authors navigate with [`DagCircuit::next_on`]/[`DagCircuit::prev_on`]
-//! and rewrite with [`DagCircuit::remove`]/[`DagCircuit::replace_op`],
-//! which splice edges in place.
+//! authors navigate with [`DagCircuit::next_on`]/[`DagCircuit::prev_on`],
+//! read a node's wires with [`DagCircuit::wires`], and rewrite with
+//! [`DagCircuit::remove`]/[`DagCircuit::replace_op`], which splice edges
+//! in place.
+//!
+//! **Edge storage:** a node's wires and their links live in one arena
+//! shared by the whole DAG, as one contiguous run per node in operand
+//! order. A node is appended once and its wire list never changes
+//! (`replace_op` keeps it), so building and rewriting a DAG allocates
+//! nothing per node beyond the arena's amortized growth.
 //!
 //! **Id-order invariant:** node ids are assigned in program order, and the
 //! rewrite API never re-inserts a node (only removal and in-place
@@ -44,33 +51,26 @@ pub enum DagOp {
 }
 
 impl DagOp {
-    /// The wires this operation touches, in operand order.
-    pub fn wires(&self) -> Vec<Wire> {
+    /// Calls `f` with each wire this operation touches, in operand order.
+    pub fn for_each_wire(&self, mut f: impl FnMut(Wire)) {
         match self {
             DagOp::Op(ParamOp::Rx(q, _))
             | DagOp::Op(ParamOp::Ry(q, _))
             | DagOp::Op(ParamOp::Rz(q, _))
-            | DagOp::Op(ParamOp::Phase(q, _)) => vec![Wire::Q(*q)],
+            | DagOp::Op(ParamOp::Phase(q, _)) => f(Wire::Q(*q)),
             DagOp::Op(ParamOp::Rzz(a, b, _))
             | DagOp::Op(ParamOp::Rxx(a, b, _))
-            | DagOp::Op(ParamOp::Cp(a, b, _)) => vec![Wire::Q(*a), Wire::Q(*b)],
-            DagOp::Op(ParamOp::Fixed(g)) => g.qubits().into_iter().map(Wire::Q).collect(),
-            DagOp::Op(ParamOp::Measure { qubit, clbit }) => {
-                vec![Wire::Q(*qubit), Wire::C(*clbit)]
+            | DagOp::Op(ParamOp::Cp(a, b, _)) => {
+                f(Wire::Q(*a));
+                f(Wire::Q(*b));
             }
-            DagOp::Barrier(qs) => qs.iter().copied().map(Wire::Q).collect(),
+            DagOp::Op(ParamOp::Fixed(g)) => g.operands().iter().for_each(|&q| f(Wire::Q(q))),
+            DagOp::Op(ParamOp::Measure { qubit, clbit }) => {
+                f(Wire::Q(*qubit));
+                f(Wire::C(*clbit));
+            }
+            DagOp::Barrier(qs) => qs.iter().for_each(|&q| f(Wire::Q(q))),
         }
-    }
-
-    /// The qubits this operation touches, in operand order.
-    pub fn qubits(&self) -> Vec<usize> {
-        self.wires()
-            .into_iter()
-            .filter_map(|w| match w {
-                Wire::Q(q) => Some(q),
-                Wire::C(_) => None,
-            })
-            .collect()
     }
 
     /// True for plain gates (not measurements, not barriers).
@@ -85,13 +85,18 @@ impl DagOp {
 #[derive(Clone, Debug)]
 struct DagNode {
     op: DagOp,
-    /// Cached `op.wires()`.
-    wires: Vec<Wire>,
-    /// Per-wire predecessor, parallel to `wires`.
-    preds: Vec<Option<NodeId>>,
-    /// Per-wire successor, parallel to `wires`.
-    succs: Vec<Option<NodeId>>,
+    /// This node's edges: `first..first + len` in the DAG's edge arena,
+    /// parallel to the op's wires.
+    first: usize,
+    len: usize,
     live: bool,
+}
+
+/// The neighbours of one node on one of its wires.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    pred: Option<NodeId>,
+    succ: Option<NodeId>,
 }
 
 /// Errors converting a DAG back to a concrete [`Circuit`].
@@ -117,8 +122,8 @@ impl std::fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
-/// A circuit as a wire-edged DAG. See the module docs for the id-order
-/// invariant the rewrite API maintains.
+/// A circuit as a wire-edged DAG. See the module docs for the edge arena
+/// and the id-order invariant the rewrite API maintains.
 #[derive(Clone, Debug)]
 pub struct DagCircuit {
     num_qubits: usize,
@@ -126,6 +131,10 @@ pub struct DagCircuit {
     /// Display name, carried through conversions.
     pub name: String,
     nodes: Vec<DagNode>,
+    /// Edge arena: the wire of each edge ...
+    wires: Vec<Wire>,
+    /// ... and its neighbours, at the same index.
+    links: Vec<Link>,
     q_first: Vec<Option<NodeId>>,
     q_last: Vec<Option<NodeId>>,
     c_first: Vec<Option<NodeId>>,
@@ -136,17 +145,36 @@ pub struct DagCircuit {
 impl DagCircuit {
     /// An empty DAG over `num_qubits` qubits and `num_clbits` clbits.
     pub fn new(num_qubits: usize, num_clbits: usize) -> Self {
+        Self::with_capacity(num_qubits, num_clbits, 0)
+    }
+
+    /// An empty DAG with room for `ops` operations of up to two wires.
+    pub(crate) fn with_capacity(num_qubits: usize, num_clbits: usize, ops: usize) -> Self {
         DagCircuit {
             num_qubits,
             num_clbits,
             name: String::new(),
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(ops),
+            wires: Vec::with_capacity(2 * ops),
+            links: Vec::with_capacity(2 * ops),
             q_first: vec![None; num_qubits],
             q_last: vec![None; num_qubits],
             c_first: vec![None; num_clbits],
             c_last: vec![None; num_clbits],
             live: 0,
         }
+    }
+
+    /// Grows the registers to `num_qubits` qubits and `num_clbits`
+    /// clbits, appending empty wires: the QASM3 parser declares registers
+    /// as it reads them.
+    pub(crate) fn widen(&mut self, num_qubits: usize, num_clbits: usize) {
+        self.num_qubits = num_qubits;
+        self.num_clbits = num_clbits;
+        self.q_first.resize(num_qubits, None);
+        self.q_last.resize(num_qubits, None);
+        self.c_first.resize(num_clbits, None);
+        self.c_last.resize(num_clbits, None);
     }
 
     /// Number of qubits.
@@ -188,9 +216,13 @@ impl DagCircuit {
     /// Panics when a wire index is out of range or a qubit is repeated.
     pub fn push(&mut self, op: DagOp) -> NodeId {
         let op = canonicalize_op(op);
-        let wires = op.wires();
-        for (i, w) in wires.iter().enumerate() {
-            match *w {
+        let id = self.nodes.len();
+        let first = self.wires.len();
+        op.for_each_wire(|w| self.wires.push(w));
+        let len = self.wires.len() - first;
+        for e in first..first + len {
+            let w = self.wires[e];
+            match w {
                 Wire::Q(q) => assert!(
                     q < self.num_qubits,
                     "qubit {q} out of range for {} qubits",
@@ -203,45 +235,47 @@ impl DagCircuit {
                 ),
             }
             assert!(
-                !wires[..i].contains(w),
+                !self.wires[first..e].contains(&w),
                 "repeated operand {w:?} in {op:?}"
             );
         }
-        let id = self.nodes.len();
-        let mut preds = Vec::with_capacity(wires.len());
-        for w in &wires {
-            let last = match *w {
+        for e in first..first + len {
+            let w = self.wires[e];
+            let last = match w {
                 Wire::Q(q) => self.q_last[q].replace(id),
                 Wire::C(c) => self.c_last[c].replace(id),
             };
             if let Some(prev) = last {
-                let slot = self.wire_slot(prev, *w);
-                self.nodes[prev].succs[slot] = Some(id);
+                let slot = self.wire_slot(prev, w);
+                self.links[slot].succ = Some(id);
             } else {
-                match *w {
+                match w {
                     Wire::Q(q) => self.q_first[q] = Some(id),
                     Wire::C(c) => self.c_first[c] = Some(id),
                 }
             }
-            preds.push(last);
+            self.links.push(Link {
+                pred: last,
+                succ: None,
+            });
         }
-        let succs = vec![None; wires.len()];
         self.nodes.push(DagNode {
             op,
-            wires,
-            preds,
-            succs,
+            first,
+            len,
             live: true,
         });
         self.live += 1;
         id
     }
 
+    /// The arena index of `id`'s edge on `wire`.
     fn wire_slot(&self, id: NodeId, wire: Wire) -> usize {
-        self.nodes[id]
-            .wires
+        let node = &self.nodes[id];
+        self.wires[node.first..node.first + node.len]
             .iter()
             .position(|&w| w == wire)
+            .map(|k| node.first + k)
             .unwrap_or_else(|| panic!("node {id} does not touch wire {wire:?}"))
     }
 
@@ -255,16 +289,31 @@ impl DagCircuit {
         &node.op
     }
 
+    /// The wires a node touches, in operand order.
+    ///
+    /// # Panics
+    /// Panics when the node has been removed.
+    pub fn wires(&self, id: NodeId) -> &[Wire] {
+        let node = &self.nodes[id];
+        assert!(node.live, "node {id} was removed");
+        &self.wires[node.first..node.first + node.len]
+    }
+
     /// Whether a node is still live.
     pub fn is_live(&self, id: NodeId) -> bool {
         self.nodes.get(id).is_some_and(|n| n.live)
     }
 
+    /// One past the highest node id ever assigned. Removed ids never come
+    /// back, so a pass that rewrites while it walks visits `0..id_limit()`
+    /// and skips the ids [`is_live`](Self::is_live) rejects.
+    pub fn id_limit(&self) -> NodeId {
+        self.nodes.len()
+    }
+
     /// All currently live node ids, ascending (a topological order).
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.nodes.len())
-            .filter(|&id| self.nodes[id].live)
-            .collect()
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.nodes.len()).filter(|&id| self.nodes[id].live)
     }
 
     /// The first live node on a wire.
@@ -277,42 +326,42 @@ impl DagCircuit {
 
     /// The next node after `id` on `wire`.
     pub fn next_on(&self, id: NodeId, wire: Wire) -> Option<NodeId> {
-        let slot = self.wire_slot(id, wire);
-        self.nodes[id].succs[slot]
+        self.links[self.wire_slot(id, wire)].succ
     }
 
     /// The node before `id` on `wire`.
     pub fn prev_on(&self, id: NodeId, wire: Wire) -> Option<NodeId> {
-        let slot = self.wire_slot(id, wire);
-        self.nodes[id].preds[slot]
+        self.links[self.wire_slot(id, wire)].pred
     }
 
     /// Removes a node, splicing its predecessor and successor together on
     /// every wire it touched.
     pub fn remove(&mut self, id: NodeId) {
-        assert!(self.nodes[id].live, "node {id} already removed");
-        let wires = self.nodes[id].wires.clone();
-        let preds = self.nodes[id].preds.clone();
-        let succs = self.nodes[id].succs.clone();
-        for ((w, p), s) in wires.iter().zip(preds).zip(succs) {
-            match p {
+        let DagNode {
+            first, len, live, ..
+        } = self.nodes[id];
+        assert!(live, "node {id} already removed");
+        for e in first..first + len {
+            let w = self.wires[e];
+            let Link { pred, succ } = self.links[e];
+            match pred {
                 Some(prev) => {
-                    let slot = self.wire_slot(prev, *w);
-                    self.nodes[prev].succs[slot] = s;
+                    let slot = self.wire_slot(prev, w);
+                    self.links[slot].succ = succ;
                 }
-                None => match *w {
-                    Wire::Q(q) => self.q_first[q] = s,
-                    Wire::C(c) => self.c_first[c] = s,
+                None => match w {
+                    Wire::Q(q) => self.q_first[q] = succ,
+                    Wire::C(c) => self.c_first[c] = succ,
                 },
             }
-            match s {
+            match succ {
                 Some(next) => {
-                    let slot = self.wire_slot(next, *w);
-                    self.nodes[next].preds[slot] = p;
+                    let slot = self.wire_slot(next, w);
+                    self.links[slot].pred = pred;
                 }
-                None => match *w {
-                    Wire::Q(q) => self.q_last[q] = p,
-                    Wire::C(c) => self.c_last[c] = p,
+                None => match w {
+                    Wire::Q(q) => self.q_last[q] = pred,
+                    Wire::C(c) => self.c_last[c] = pred,
                 },
             }
         }
@@ -329,10 +378,15 @@ impl DagCircuit {
     /// Panics when the wire lists differ.
     pub fn replace_op(&mut self, id: NodeId, op: DagOp) {
         let op = canonicalize_op(op);
-        assert!(self.nodes[id].live, "node {id} was removed");
-        assert_eq!(
-            op.wires(),
-            self.nodes[id].wires,
+        let wires = self.wires(id);
+        let mut k = 0;
+        let mut same = true;
+        op.for_each_wire(|w| {
+            same &= wires.get(k) == Some(&w);
+            k += 1;
+        });
+        assert!(
+            same && k == wires.len(),
             "replacement for node {id} must touch the same wires"
         );
         self.nodes[id].op = op;
@@ -340,12 +394,8 @@ impl DagCircuit {
 
     /// Live payloads in program order (ascending id — a topological order
     /// by the id-order invariant).
-    pub fn linearize(&self) -> Vec<&DagOp> {
-        self.nodes
-            .iter()
-            .filter(|n| n.live)
-            .map(|n| &n.op)
-            .collect()
+    pub fn linearize(&self) -> impl Iterator<Item = &DagOp> + '_ {
+        self.nodes.iter().filter(|n| n.live).map(|n| &n.op)
     }
 
     /// Highest parameter index referenced by any symbolic angle, if any.
@@ -379,7 +429,7 @@ impl DagCircuit {
     /// Builds a DAG from a concrete circuit. Lossless: `to_circuit`
     /// returns an identical [`Circuit`].
     pub fn from_circuit(qc: &Circuit) -> Self {
-        let mut dag = DagCircuit::new(qc.num_qubits(), qc.num_clbits());
+        let mut dag = DagCircuit::with_capacity(qc.num_qubits(), qc.num_clbits(), qc.ops().len());
         dag.name = qc.name.clone();
         for op in qc.ops() {
             match op {
@@ -506,7 +556,7 @@ impl PartialEq for DagCircuit {
     fn eq(&self, other: &Self) -> bool {
         self.num_qubits == other.num_qubits
             && self.num_clbits == other.num_clbits
-            && self.linearize() == other.linearize()
+            && self.linearize().eq(other.linearize())
     }
 }
 

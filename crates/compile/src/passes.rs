@@ -42,7 +42,6 @@ use crate::dag::{concrete_gate, DagCircuit, DagOp, NodeId, Wire};
 use qfw_circuit::param::{Angle, ParamOp};
 use qfw_circuit::Gate;
 use qfw_num::complex::C64;
-use qfw_num::Matrix;
 
 /// What one pass did to the DAG.
 #[derive(Clone, Copy, Debug, Default)]
@@ -103,6 +102,14 @@ impl RotKind {
             RotKind::Crx | RotKind::Cry => None,
         }
     }
+
+    /// Number of qubit operands.
+    fn arity(self) -> usize {
+        match self {
+            RotKind::Rx | RotKind::Ry | RotKind::Rz | RotKind::Phase => 1,
+            _ => 2,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,33 +119,53 @@ enum Axis {
     Z,
 }
 
+/// A rotation, parameterized or fixed, taken apart.
+#[derive(Clone, Copy)]
+struct Rotation {
+    kind: RotKind,
+    /// The operands are the first `kind.arity()` entries.
+    qubits: [usize; 2],
+    angle: Angle,
+}
+
+impl Rotation {
+    fn operands(&self) -> &[usize] {
+        &self.qubits[..self.kind.arity()]
+    }
+}
+
 /// Decomposes an op into (family, operand tuple, angle) when it is a
 /// rotation — parameterized or fixed.
-fn rotation_of(op: &DagOp) -> Option<(RotKind, Vec<usize>, Angle)> {
-    match op {
-        DagOp::Op(ParamOp::Rx(q, a)) => Some((RotKind::Rx, vec![*q], *a)),
-        DagOp::Op(ParamOp::Ry(q, a)) => Some((RotKind::Ry, vec![*q], *a)),
-        DagOp::Op(ParamOp::Rz(q, a)) => Some((RotKind::Rz, vec![*q], *a)),
-        DagOp::Op(ParamOp::Phase(q, a)) => Some((RotKind::Phase, vec![*q], *a)),
-        DagOp::Op(ParamOp::Rzz(x, y, a)) => Some((RotKind::Rzz, vec![*x, *y], *a)),
-        DagOp::Op(ParamOp::Rxx(x, y, a)) => Some((RotKind::Rxx, vec![*x, *y], *a)),
-        DagOp::Op(ParamOp::Cp(c, t, a)) => Some((RotKind::Cp, vec![*c, *t], *a)),
+fn rotation_of(op: &DagOp) -> Option<Rotation> {
+    let (kind, qubits, angle) = match op {
+        DagOp::Op(ParamOp::Rx(q, a)) => (RotKind::Rx, [*q, 0], *a),
+        DagOp::Op(ParamOp::Ry(q, a)) => (RotKind::Ry, [*q, 0], *a),
+        DagOp::Op(ParamOp::Rz(q, a)) => (RotKind::Rz, [*q, 0], *a),
+        DagOp::Op(ParamOp::Phase(q, a)) => (RotKind::Phase, [*q, 0], *a),
+        DagOp::Op(ParamOp::Rzz(x, y, a)) => (RotKind::Rzz, [*x, *y], *a),
+        DagOp::Op(ParamOp::Rxx(x, y, a)) => (RotKind::Rxx, [*x, *y], *a),
+        DagOp::Op(ParamOp::Cp(c, t, a)) => (RotKind::Cp, [*c, *t], *a),
         DagOp::Op(ParamOp::Fixed(g)) => match *g {
-            Gate::Rx(q, t) => Some((RotKind::Rx, vec![q], Angle::Lit(t))),
-            Gate::Ry(q, t) => Some((RotKind::Ry, vec![q], Angle::Lit(t))),
-            Gate::Rz(q, t) => Some((RotKind::Rz, vec![q], Angle::Lit(t))),
-            Gate::Phase(q, t) => Some((RotKind::Phase, vec![q], Angle::Lit(t))),
-            Gate::Rzz(x, y, t) => Some((RotKind::Rzz, vec![x, y], Angle::Lit(t))),
-            Gate::Rxx(x, y, t) => Some((RotKind::Rxx, vec![x, y], Angle::Lit(t))),
-            Gate::Ryy(x, y, t) => Some((RotKind::Ryy, vec![x, y], Angle::Lit(t))),
-            Gate::Cp(c, t, a) => Some((RotKind::Cp, vec![c, t], Angle::Lit(a))),
-            Gate::Crx(c, t, a) => Some((RotKind::Crx, vec![c, t], Angle::Lit(a))),
-            Gate::Cry(c, t, a) => Some((RotKind::Cry, vec![c, t], Angle::Lit(a))),
-            Gate::Crz(c, t, a) => Some((RotKind::Crz, vec![c, t], Angle::Lit(a))),
-            _ => None,
+            Gate::Rx(q, t) => (RotKind::Rx, [q, 0], Angle::Lit(t)),
+            Gate::Ry(q, t) => (RotKind::Ry, [q, 0], Angle::Lit(t)),
+            Gate::Rz(q, t) => (RotKind::Rz, [q, 0], Angle::Lit(t)),
+            Gate::Phase(q, t) => (RotKind::Phase, [q, 0], Angle::Lit(t)),
+            Gate::Rzz(x, y, t) => (RotKind::Rzz, [x, y], Angle::Lit(t)),
+            Gate::Rxx(x, y, t) => (RotKind::Rxx, [x, y], Angle::Lit(t)),
+            Gate::Ryy(x, y, t) => (RotKind::Ryy, [x, y], Angle::Lit(t)),
+            Gate::Cp(c, t, a) => (RotKind::Cp, [c, t], Angle::Lit(a)),
+            Gate::Crx(c, t, a) => (RotKind::Crx, [c, t], Angle::Lit(a)),
+            Gate::Cry(c, t, a) => (RotKind::Cry, [c, t], Angle::Lit(a)),
+            Gate::Crz(c, t, a) => (RotKind::Crz, [c, t], Angle::Lit(a)),
+            _ => return None,
         },
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some(Rotation {
+        kind,
+        qubits,
+        angle,
+    })
 }
 
 /// Rebuilds a rotation op from its decomposition. Literal angles become
@@ -249,14 +276,14 @@ fn op_is_diagonal(op: &DagOp) -> bool {
     }
 }
 
-/// Can a rotation of `axis` acting on `qubits` slide past `other`?
-/// Checked per shared qubit; conservative `false` everywhere else.
-fn commutes(axis: Axis, qubits: &[usize], other: &DagOp) -> bool {
+/// Can a rotation of `axis` acting on `qubits` slide past `other`, whose
+/// node touches `other_wires`? Checked per shared qubit; conservative
+/// `false` everywhere else.
+fn commutes(axis: Axis, qubits: &[usize], other: &DagOp, other_wires: &[Wire]) -> bool {
     if matches!(other, DagOp::Barrier(_) | DagOp::Op(ParamOp::Measure { .. })) {
         return false;
     }
-    let other_qubits = other.qubits();
-    for &s in qubits.iter().filter(|q| other_qubits.contains(q)) {
+    for &s in qubits.iter().filter(|&&q| other_wires.contains(&Wire::Q(q))) {
         let ok = match axis {
             Axis::Z => {
                 op_is_diagonal(other)
@@ -337,8 +364,10 @@ fn inverse_pair(a: &DagOp, b: &DagOp) -> bool {
         }
     }
     match (rotation_of(a), rotation_of(b)) {
-        (Some((k1, q1, a1)), Some((k2, q2, a2))) => {
-            k1 == k2 && q1 == q2 && angle_neg_eq(a1, a2)
+        (Some(r1), Some(r2)) => {
+            r1.kind == r2.kind
+                && r1.operands() == r2.operands()
+                && angle_neg_eq(r1.angle, r2.angle)
         }
         _ => false,
     }
@@ -351,36 +380,34 @@ impl Pass for CancelInverses {
 
     fn run(&self, dag: &mut DagCircuit) -> PassOutcome {
         let mut out = PassOutcome::default();
-        let mut worklist: Vec<NodeId> = dag.node_ids();
+        let mut worklist: Vec<NodeId> = dag.node_ids().collect();
         while let Some(id) = worklist.pop() {
             if !dag.is_live(id) {
                 continue;
             }
-            let op = dag.op(id).clone();
+            let op = dag.op(id);
             if !op.is_gate() {
                 continue;
             }
-            let wires = op.wires();
+            let wires = dag.wires(id);
             let Some(&first) = wires.first() else { continue };
             let Some(next) = dag.next_on(id, first) else {
                 continue;
             };
             // The candidate must be the immediate successor on every
-            // wire and touch exactly the same wires (no extras).
+            // wire and touch exactly the same wires (no extras; no op
+            // repeats a wire, so equal sets are equal lengths plus
+            // containment).
             if !wires.iter().all(|&w| dag.next_on(id, w) == Some(next)) {
                 continue;
             }
-            let next_op = dag.op(next).clone();
-            let mut next_wires = next_op.wires();
-            let mut sorted = wires.clone();
-            sorted.sort();
-            next_wires.sort();
-            if sorted != next_wires {
+            let next_wires = dag.wires(next);
+            if next_wires.len() != wires.len() || !wires.iter().all(|w| next_wires.contains(w)) {
                 continue;
             }
-            if inverse_pair(&op, &next_op) {
+            if inverse_pair(op, dag.op(next)) {
                 // Revisit the neighbors the splice just made adjacent.
-                for &w in &wires {
+                for &w in wires {
                     if let Some(p) = dag.prev_on(id, w) {
                         worklist.push(p);
                     }
@@ -408,41 +435,41 @@ fn merge_rotations(dag: &mut DagCircuit, adjacent_only: bool) -> PassOutcome {
     let mut again = true;
     while again {
         again = false;
-        'nodes: for id in dag.node_ids() {
+        'nodes: for id in 0..dag.id_limit() {
             if !dag.is_live(id) {
                 continue;
             }
-            let Some((kind, qubits, angle)) = rotation_of(dag.op(id)) else {
+            let Some(rot) = rotation_of(dag.op(id)) else {
                 continue;
             };
-            if angle_is_zero(angle) {
+            if angle_is_zero(rot.angle) {
                 dag.remove(id);
                 out.eliminated += 1;
                 again = true;
                 continue;
             }
-            let axis = kind.axis();
+            let axis = rot.kind.axis();
+            let qubits = rot.operands();
+            let n = qubits.len();
             // Per-wire frontier: the next unexamined node on each operand.
-            let mut cur: Vec<Option<NodeId>> = qubits
-                .iter()
-                .map(|&q| dag.next_on(id, Wire::Q(q)))
-                .collect();
+            let mut cur = [None; 2];
+            for k in 0..n {
+                cur[k] = dag.next_on(id, Wire::Q(qubits[k]));
+            }
             // Examine the earliest frontier node (ids are topologically
             // ordered, so min-id is the next op in program order).
-            while let Some(j) = cur.iter().flatten().copied().min() {
-                let at_j: Vec<usize> = (0..qubits.len())
-                    .filter(|&k| cur[k] == Some(j))
-                    .collect();
-                if at_j.len() == qubits.len() {
-                    if let Some((k2, q2, a2)) = rotation_of(dag.op(j)) {
-                        if k2 == kind && q2 == qubits {
-                            if let Some(sum) = angle_add(angle, a2) {
+            while let Some(j) = cur[..n].iter().flatten().copied().min() {
+                let at_j = [cur[0] == Some(j), cur[1] == Some(j)];
+                if at_j[..n].iter().all(|&hit| hit) {
+                    if let Some(r2) = rotation_of(dag.op(j)) {
+                        if r2.kind == rot.kind && r2.operands() == qubits {
+                            if let Some(sum) = angle_add(rot.angle, r2.angle) {
                                 dag.remove(id);
                                 if angle_is_zero(sum) {
                                     dag.remove(j);
                                     out.eliminated += 2;
                                 } else {
-                                    dag.replace_op(j, make_rotation(kind, &qubits, sum));
+                                    dag.replace_op(j, make_rotation(rot.kind, qubits, sum));
                                     out.eliminated += 1;
                                     out.rewritten += 1;
                                 }
@@ -456,10 +483,10 @@ fn merge_rotations(dag: &mut DagCircuit, adjacent_only: bool) -> PassOutcome {
                     break;
                 }
                 let Some(axis) = axis else { break };
-                if !commutes(axis, &qubits, dag.op(j)) {
+                if !commutes(axis, qubits, dag.op(j), dag.wires(j)) {
                     break;
                 }
-                for k in at_j {
+                for k in (0..n).filter(|&k| at_j[k]) {
                     cur[k] = dag.next_on(j, Wire::Q(qubits[k]));
                 }
             }
@@ -511,20 +538,25 @@ impl Pass for RecognizeTemplates {
 
     fn run(&self, dag: &mut DagCircuit) -> PassOutcome {
         let mut out = PassOutcome::default();
-        for id in dag.node_ids() {
+        for id in 0..dag.id_limit() {
             if !dag.is_live(id) {
                 continue;
             }
-            match dag.op(id).clone() {
+            match *dag.op(id) {
                 // cx(a,b); rz(θ) b; cx(a,b)  →  rzz(θ) a,b
                 DagOp::Op(ParamOp::Fixed(Gate::Cx(a, b))) => {
                     let Some(mid) = dag.next_on(id, Wire::Q(b)) else {
                         continue;
                     };
-                    let Some((RotKind::Rz, qs, angle)) = rotation_of(dag.op(mid)) else {
+                    let Some(Rotation {
+                        kind: RotKind::Rz,
+                        qubits: [on, _],
+                        angle,
+                    }) = rotation_of(dag.op(mid))
+                    else {
                         continue;
                     };
-                    if qs != vec![b] {
+                    if on != b {
                         continue;
                     }
                     let Some(close) = dag.next_on(mid, Wire::Q(b)) else {
@@ -549,10 +581,15 @@ impl Pass for RecognizeTemplates {
                     let Some(mid) = dag.next_on(id, Wire::Q(q)) else {
                         continue;
                     };
-                    let Some((RotKind::Rz, qs, angle)) = rotation_of(dag.op(mid)) else {
+                    let Some(Rotation {
+                        kind: RotKind::Rz,
+                        qubits: [on, _],
+                        angle,
+                    }) = rotation_of(dag.op(mid))
+                    else {
                         continue;
                     };
-                    if qs != vec![q] {
+                    if on != q {
                         continue;
                     }
                     let Some(close) = dag.next_on(mid, Wire::Q(q)) else {
@@ -591,26 +628,20 @@ impl Pass for Resynth1q {
 
     fn run(&self, dag: &mut DagCircuit) -> PassOutcome {
         let mut out = PassOutcome::default();
+        let mut run: Vec<(NodeId, Gate)> = Vec::new();
         for q in 0..dag.num_qubits() {
             let mut cursor = dag.first_on(Wire::Q(q));
             loop {
                 // Collect the next maximal run of concrete 1q gates on q.
-                let mut run: Vec<(NodeId, Gate)> = Vec::new();
+                run.clear();
                 while let Some(id) = cursor {
-                    let op = dag.op(id);
-                    let eligible = op.wires() == vec![Wire::Q(q)]
-                        && match op {
-                            DagOp::Op(p) => concrete_gate(p),
-                            DagOp::Barrier(_) => None,
-                        }
-                        .is_some();
-                    if eligible {
-                        let DagOp::Op(p) = op else { unreachable!() };
-                        run.push((id, concrete_gate(p).expect("checked eligible")));
-                        cursor = dag.next_on(id, Wire::Q(q));
-                    } else {
-                        break;
-                    }
+                    let gate = match dag.op(id) {
+                        DagOp::Op(p) if dag.wires(id) == [Wire::Q(q)] => concrete_gate(p),
+                        _ => None,
+                    };
+                    let Some(gate) = gate else { break };
+                    run.push((id, gate));
+                    cursor = dag.next_on(id, Wire::Q(q));
                 }
                 out.merge(resynthesize_run(dag, q, &run));
                 match cursor {
@@ -623,20 +654,37 @@ impl Pass for Resynth1q {
     }
 }
 
-/// ZYZ Euler angles of a single-qubit unitary: `U ~ Rz(a) Ry(b) Rz(c)` up
-/// to global phase. Returns `(a, b, c)`.
-fn zyz_angles(u: &Matrix) -> (f64, f64, f64) {
-    debug_assert_eq!(u.rows(), 2);
+/// `a · b` for row-major 2×2 matrices, in `Matrix::matmul`'s arithmetic
+/// order (zero entries of `a` skipped, fused multiply-adds from zero).
+fn matmul_2x2(a: &[C64; 4], b: &[C64; 4]) -> [C64; 4] {
+    let mut out = [C64::ZERO; 4];
+    for i in 0..2 {
+        for k in 0..2 {
+            let x = a[2 * i + k];
+            if x == C64::ZERO {
+                continue;
+            }
+            for j in 0..2 {
+                out[2 * i + j] = x.mul_add(b[2 * k + j], out[2 * i + j]);
+            }
+        }
+    }
+    out
+}
+
+/// ZYZ Euler angles of a single-qubit unitary (row-major entries):
+/// `U ~ Rz(a) Ry(b) Rz(c)` up to global phase. Returns `(a, b, c)`.
+fn zyz_angles(u: &[C64; 4]) -> (f64, f64, f64) {
     // The half-angles (a±c)/2 live mod 4π, so arg() differences on a U(2)
     // matrix lose a sign bit. Normalize to SU(2) first (divide out
     // sqrt(det)); then with b in [0, π] both cos(b/2) and sin(b/2) are
     // non-negative and the entry phases identify the half-angles directly:
     //   V = [[e^{-i(a+c)/2} cos(b/2), -e^{-i(a-c)/2} sin(b/2)],
     //        [e^{ i(a-c)/2} sin(b/2),  e^{ i(a+c)/2} cos(b/2)]].
-    let det = u[(0, 0)] * u[(1, 1)] - u[(0, 1)] * u[(1, 0)];
+    let det = u[0] * u[3] - u[1] * u[2];
     let phase = C64::cis(det.arg() / 2.0); // sqrt(det) up to ±1 (harmless)
-    let v00 = u[(0, 0)] * phase.conj();
-    let v10 = u[(1, 0)] * phase.conj();
+    let v00 = u[0] * phase.conj();
+    let v10 = u[2] * phase.conj();
     let b = 2.0 * v10.abs().atan2(v00.abs());
     let half_sum = if v00.abs() > 1e-12 { -v00.arg() } else { 0.0 };
     let half_diff = if v10.abs() > 1e-12 { v10.arg() } else { 0.0 };
@@ -649,9 +697,9 @@ fn resynthesize_run(dag: &mut DagCircuit, q: usize, run: &[(NodeId, Gate)]) -> P
         return out;
     }
     // Product in application order: later gates multiply on the left.
-    let mut u = Matrix::identity(2);
+    let mut u = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
     for (_, g) in run {
-        u = g.map_qubits(|_| 0).matrix().matmul(&u);
+        u = matmul_2x2(&g.matrix_1q().expect("runs hold single-qubit gates"), &u);
     }
     let (a, b, c) = zyz_angles(&u);
     let is_identity = b.abs() < 1e-12 && {
@@ -685,6 +733,14 @@ fn resynthesize_run(dag: &mut DagCircuit, q: usize, run: &[(NodeId, Gate)]) -> P
 // Layout analysis
 // ---------------------------------------------------------------------
 
+/// The qubit of a gate's wire: gates touch qubit wires only.
+fn gate_qubit(w: Wire) -> usize {
+    match w {
+        Wire::Q(q) => q,
+        Wire::C(_) => unreachable!("gates touch qubit wires only"),
+    }
+}
+
 /// Connectivity-aware qubit ordering for the distributed engine.
 ///
 /// Diagonal gates are exchange-free in the distributed state vector and
@@ -699,52 +755,53 @@ pub fn plan_layout(dag: &DagCircuit) -> Vec<usize> {
     let n = dag.num_qubits();
     let mut weight = vec![0usize; n];
     let mut pair = std::collections::BTreeMap::<(usize, usize), usize>::new();
-    for op in dag.linearize() {
+    for id in dag.node_ids() {
+        let op = dag.op(id);
         if !op.is_gate() || op_is_diagonal(op) {
             continue;
         }
-        let qs = op.qubits();
+        let qs = dag.wires(id);
         if qs.len() < 2 {
             continue;
         }
-        for &q in &qs {
-            weight[q] += 1;
+        for &w in qs {
+            weight[gate_qubit(w)] += 1;
         }
         for i in 0..qs.len() {
             for j in i + 1..qs.len() {
-                let key = (qs[i].min(qs[j]), qs[i].max(qs[j]));
-                *pair.entry(key).or_default() += 1;
+                let (a, b) = (gate_qubit(qs[i]), gate_qubit(qs[j]));
+                *pair.entry((a.min(b), a.max(b))).or_default() += 1;
             }
         }
     }
+    let mut neighbours = vec![Vec::new(); n];
+    for (&(a, b), &count) in &pair {
+        neighbours[a].push((b, count));
+        neighbours[b].push((a, count));
+    }
+    // conn[q]: the pair counts between q and the placed set so far.
+    let mut conn = vec![0usize; n];
+    let mut any_hot = false;
     let mut placed = vec![false; n];
     let mut order = Vec::with_capacity(n);
     while order.len() < n {
-        let next = if order.is_empty() || order.iter().all(|&q: &usize| weight[q] == 0) {
-            // Seed (or restart a disconnected component): hottest first,
-            // index as tie-break.
-            (0..n)
-                .filter(|&q| !placed[q])
-                .max_by_key(|&q| (weight[q], usize::MAX - q))
-                .expect("unplaced qubit exists")
+        let unplaced = (0..n).filter(|&q| !placed[q]);
+        let next = if !any_hot {
+            // Seed (or restart while every placed qubit is cold): hottest
+            // first, index as tie-break.
+            unplaced.max_by_key(|&q| (weight[q], usize::MAX - q))
         } else {
             // Strongest connection to the placed set; own weight, then
             // smallest index, break ties.
-            let conn = |q: usize| -> usize {
-                order
-                    .iter()
-                    .map(|&p: &usize| {
-                        *pair.get(&(p.min(q), p.max(q))).unwrap_or(&0)
-                    })
-                    .sum()
-            };
-            (0..n)
-                .filter(|&q| !placed[q])
-                .max_by_key(|&q| (conn(q), weight[q], usize::MAX - q))
-                .expect("unplaced qubit exists")
-        };
+            unplaced.max_by_key(|&q| (conn[q], weight[q], usize::MAX - q))
+        }
+        .expect("unplaced qubit exists");
         placed[next] = true;
         order.push(next);
+        any_hot |= weight[next] > 0;
+        for &(q, count) in &neighbours[next] {
+            conn[q] += count;
+        }
     }
     order
 }
@@ -781,18 +838,18 @@ pub fn predicted_log_fidelity(
         |p: usize| &cal.qubits[p.min(cal.qubits.len().saturating_sub(1))];
     let mut log_f = 0.0;
     let mut busy = vec![0.0f64; n];
-    for op in dag.linearize() {
-        if !op.is_gate() {
+    for id in dag.node_ids() {
+        if !dag.op(id).is_gate() {
             continue;
         }
-        let qs = op.qubits();
+        let qs = dag.wires(id);
         let (err_of, dt): (fn(&qfw_noise::QubitCal) -> f64, f64) = if qs.len() <= 1 {
             (|qc| qc.err_1q, cal.gate_time_1q_us)
         } else {
             (|qc| qc.err_2q, cal.gate_time_2q_us)
         };
-        for &q in &qs {
-            let p = phys[q];
+        for &w in qs {
+            let p = phys[gate_qubit(w)];
             log_f += (1.0 - err_of(qubit_cal(p)).min(0.999_999)).ln();
             busy[p] += dt;
         }
@@ -951,7 +1008,7 @@ mod tests {
                 .matmul(&Gate::Ry(0, rng.uniform(-3.0, 3.0)).matrix())
                 .matmul(&Gate::Rz(0, rng.uniform(-3.0, 3.0)).matrix())
                 .matmul(&Gate::Phase(0, rng.uniform(-3.0, 3.0)).matrix());
-            let (a, b, c) = zyz_angles(&u);
+            let (a, b, c) = zyz_angles(u.as_slice().try_into().unwrap());
             let rec = Gate::Rz(0, a)
                 .matrix()
                 .matmul(&Gate::Ry(0, b).matrix())

@@ -21,7 +21,7 @@
 
 use crate::dag::{DagCircuit, DagOp};
 use qfw_circuit::param::{Angle, ParamOp};
-use qfw_circuit::Gate;
+use qfw_circuit::{Gate, MAX_REGISTER_WIDTH};
 
 /// A parse failure, with the 1-based source line it was detected on.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,16 +77,30 @@ pub fn default_param_names(n: usize) -> Vec<String> {
 // Lexer
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers and string literals borrow the source; a symbol
+/// is its byte, with `b'>'` standing for `->`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Num(f64),
-    Str(String),
-    Sym(&'static str),
+    Str(&'a str),
+    Sym(u8),
 }
 
-struct Lexer {
-    toks: Vec<(Tok, usize)>,
+/// A symbol token as it is spelled in the source.
+struct SymText(u8);
+
+impl std::fmt::Display for SymText {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            b'>' => f.write_str("->"),
+            c => write!(f, "{}", c as char),
+        }
+    }
+}
+
+struct Lexer<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
@@ -98,41 +112,82 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == 'π'
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, Qasm3Error> {
-    let mut toks = Vec::new();
+/// The character starting at byte `i` (a char boundary).
+fn char_at(src: &str, i: usize) -> char {
+    src[i..].chars().next().expect("lexer positions are char boundaries")
+}
+
+/// The end of the identifier that starts at byte `i`.
+fn ident_end(src: &str, mut i: usize) -> usize {
+    let bytes = src.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii_alphanumeric() || b == b'_' {
+            i += 1;
+        } else if b >= 0x80 && is_ident_char(char_at(src, i)) {
+            i += char_at(src, i).len_utf8();
+        } else {
+            break;
+        }
+    }
+    i
+}
+
+/// The end of the number literal that starts at byte `i` (a digit or
+/// `.`): digits, `.`, `e`/`E`, and a sign right after an `e`/`E`.
+fn number_end(bytes: &[u8], mut i: usize) -> usize {
+    while let Some(&d) = bytes.get(i) {
+        let sign_after_e = matches!(d, b'+' | b'-') && matches!(bytes[i - 1], b'e' | b'E');
+        if !(d.is_ascii_digit() || matches!(d, b'.' | b'e' | b'E') || sign_after_e) {
+            break;
+        }
+        i += 1;
+    }
+    i
+}
+
+/// The value of a number literal. Up to 15 digits with no point or
+/// exponent are below 2^53, where accumulating the integer gives the same
+/// `f64` as `str::parse`; every other literal is parsed.
+fn number_value(text: &str) -> Option<f64> {
+    if text.len() <= 15 && text.bytes().all(|b| b.is_ascii_digit()) {
+        let n = text.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
+        return Some(n as f64);
+    }
+    text.parse().ok()
+}
+
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, Qasm3Error> {
+    let bytes = src.as_bytes();
+    // Room for one token per two bytes, about what dense code holds.
+    let mut toks = Vec::with_capacity(src.len() / 2);
     let mut line = 1usize;
-    let mut it = src.char_indices().peekable();
-    while let Some(&(i, c)) = it.peek() {
-        if c == '\n' {
-            line += 1;
-            it.next();
-            continue;
-        }
-        if c.is_whitespace() {
-            it.next();
-            continue;
-        }
-        if c == '/' {
-            let rest = &src[i..];
-            if rest.starts_with("//") {
-                for (_, c) in it.by_ref() {
-                    if c == '\n' {
-                        line += 1;
-                        break;
-                    }
-                }
-                continue;
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let next = bytes.get(i + 1).copied();
+        match b {
+            b'\n' => {
+                line += 1;
+                i += 1;
             }
-            if rest.starts_with("/*") {
-                it.next();
-                it.next();
-                let mut prev = ' ';
+            // The ASCII characters `char::is_whitespace` accepts.
+            b'\t' | 0x0B | 0x0C | b'\r' | b' ' => i += 1,
+            b'/' if next == Some(b'/') => match bytes[i..].iter().position(|&c| c == b'\n') {
+                Some(k) => {
+                    line += 1;
+                    i += k + 1;
+                }
+                None => i = bytes.len(),
+            },
+            b'/' if next == Some(b'*') => {
+                i += 2;
+                let mut prev = b' ';
                 let mut closed = false;
-                for (_, c) in it.by_ref() {
-                    if c == '\n' {
+                while let Some(&c) = bytes.get(i) {
+                    i += 1;
+                    if c == b'\n' {
                         line += 1;
                     }
-                    if prev == '*' && c == '/' {
+                    if prev == b'*' && c == b'/' {
                         closed = true;
                         break;
                     }
@@ -144,117 +199,66 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, Qasm3Error> {
                         message: "unterminated block comment".into(),
                     });
                 }
-                continue;
             }
-        }
-        if is_ident_start(c) {
-            let start = i;
-            let mut end = i + c.len_utf8();
-            it.next();
-            while let Some(&(j, d)) = it.peek() {
-                if is_ident_char(d) {
-                    end = j + d.len_utf8();
-                    it.next();
-                } else {
-                    break;
-                }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let end = ident_end(src, i + 1);
+                toks.push((Tok::Ident(&src[i..end]), line));
+                i = end;
             }
-            toks.push((Tok::Ident(src[start..end].to_string()), line));
-            continue;
-        }
-        if c.is_ascii_digit() || (c == '.' && src[i..].len() > 1) && {
-            // `.5` style floats: dot followed by a digit.
-            src[i + 1..].chars().next().is_some_and(|d| d.is_ascii_digit())
-        } {
-            let start = i;
-            let mut end = i;
-            let mut seen_e = false;
-            while let Some(&(j, d)) = it.peek() {
-                let take = d.is_ascii_digit()
-                    || d == '.'
-                    || d == 'e'
-                    || d == 'E'
-                    || ((d == '+' || d == '-') && seen_e && {
-                        let prev = src[start..j].chars().next_back();
-                        matches!(prev, Some('e') | Some('E'))
+            b'0'..=b'9' | b'.' if b != b'.' || next.is_some_and(|d| d.is_ascii_digit()) => {
+                let end = number_end(bytes, i);
+                let text = &src[i..end];
+                let v = number_value(text).ok_or_else(|| Qasm3Error {
+                    line,
+                    message: format!("malformed number `{text}`"),
+                })?;
+                toks.push((Tok::Num(v), line));
+                i = end;
+            }
+            b'"' => {
+                let body = &src[i + 1..];
+                let Some(len) = body.find('"') else {
+                    return Err(Qasm3Error {
+                        line: line + body.matches('\n').count(),
+                        message: "unterminated string literal".into(),
                     });
-                if take {
-                    if d == 'e' || d == 'E' {
-                        seen_e = true;
-                    }
-                    end = j + d.len_utf8();
-                    it.next();
-                } else {
-                    break;
-                }
+                };
+                line += body[..len].matches('\n').count();
+                toks.push((Tok::Str(&body[..len]), line));
+                i += len + 2;
             }
-            let text = &src[start..end];
-            let v: f64 = text.parse().map_err(|_| Qasm3Error {
-                line,
-                message: format!("malformed number `{text}`"),
-            })?;
-            toks.push((Tok::Num(v), line));
-            continue;
-        }
-        if c == '"' {
-            it.next();
-            let mut s = String::new();
-            let mut closed = false;
-            for (_, d) in it.by_ref() {
-                if d == '"' {
-                    closed = true;
-                    break;
-                }
-                if d == '\n' {
-                    line += 1;
-                }
-                s.push(d);
+            b'-' if next == Some(b'>') => {
+                toks.push((Tok::Sym(b'>'), line));
+                i += 2;
             }
-            if !closed {
-                return Err(Qasm3Error {
-                    line,
-                    message: "unterminated string literal".into(),
-                });
+            b'(' | b')' | b'[' | b']' | b'{' | b'}' | b',' | b';' | b'=' | b'+' | b'-' | b'*'
+            | b'/' => {
+                toks.push((Tok::Sym(b), line));
+                i += 1;
             }
-            toks.push((Tok::Str(s), line));
-            continue;
-        }
-        if c == '-' && src[i..].starts_with("->") {
-            it.next();
-            it.next();
-            toks.push((Tok::Sym("->"), line));
-            continue;
-        }
-        let sym = match c {
-            '(' => "(",
-            ')' => ")",
-            '[' => "[",
-            ']' => "]",
-            '{' => "{",
-            '}' => "}",
-            ',' => ",",
-            ';' => ";",
-            '=' => "=",
-            '+' => "+",
-            '-' => "-",
-            '*' => "*",
-            '/' => "/",
             _ => {
-                return Err(Qasm3Error {
-                    line,
-                    message: format!("unexpected character `{c}`"),
-                })
+                let c = char_at(src, i);
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                } else if b >= 0x80 && is_ident_start(c) {
+                    let end = ident_end(src, i + c.len_utf8());
+                    toks.push((Tok::Ident(&src[i..end]), line));
+                    i = end;
+                } else {
+                    return Err(Qasm3Error {
+                        line,
+                        message: format!("unexpected character `{c}`"),
+                    });
+                }
             }
-        };
-        it.next();
-        toks.push((Tok::Sym(sym), line));
+        }
     }
     Ok(toks)
 }
 
-impl Lexer {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Lexer<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
     fn line(&self) -> usize {
@@ -263,8 +267,8 @@ impl Lexer {
             .map_or(1, |(_, l)| *l)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -278,24 +282,26 @@ impl Lexer {
         }
     }
 
-    fn expect_sym(&mut self, s: &str) -> Result<(), Qasm3Error> {
+    fn expect_sym(&mut self, s: u8) -> Result<(), Qasm3Error> {
         match self.next() {
             Some(Tok::Sym(t)) if t == s => Ok(()),
-            other => Err(self.err(format!("expected `{s}`, found {}", tok_name(&other)))),
+            other => Err(self.err(format!(
+                "expected `{}`, found {}",
+                SymText(s),
+                tok_name(&other)
+            ))),
         }
     }
 
-    fn eat_sym(&mut self, s: &str) -> bool {
-        if let Some(Tok::Sym(t)) = self.peek() {
-            if *t == s {
-                self.pos += 1;
-                return true;
-            }
+    fn eat_sym(&mut self, s: u8) -> bool {
+        let hit = self.peek() == Some(Tok::Sym(s));
+        if hit {
+            self.pos += 1;
         }
-        false
+        hit
     }
 
-    fn expect_ident(&mut self) -> Result<String, Qasm3Error> {
+    fn expect_ident(&mut self) -> Result<&'a str, Qasm3Error> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {}", tok_name(&other)))),
@@ -308,7 +314,7 @@ fn tok_name(t: &Option<Tok>) -> String {
         Some(Tok::Ident(s)) => format!("`{s}`"),
         Some(Tok::Num(v)) => format!("number `{v}`"),
         Some(Tok::Str(_)) => "string literal".into(),
-        Some(Tok::Sym(s)) => format!("`{s}`"),
+        Some(Tok::Sym(s)) => format!("`{}`", SymText(*s)),
         None => "end of input".into(),
     }
 }
@@ -353,32 +359,46 @@ impl AffineVal {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Operand {
     Single(usize),
     Whole { offset: usize, size: usize },
 }
 
-struct Parser {
-    lx: Lexer,
-    regs: std::collections::BTreeMap<String, Reg>,
-    params: Vec<String>,
-    num_qubits: usize,
-    num_clbits: usize,
-    ops: Vec<DagOp>,
+/// Deepest nesting of unary signs and parentheses an angle expression may
+/// have: the parser recurses once per level.
+const MAX_EXPR_DEPTH: usize = 64;
+
+struct Parser<'a> {
+    lx: Lexer<'a>,
+    regs: std::collections::BTreeMap<&'a str, Reg>,
+    params: Vec<&'a str>,
+    /// The program so far; its registers grow as they are declared.
+    dag: DagCircuit,
     saw_version: bool,
+    /// Current angle-expression nesting.
+    depth: usize,
+    /// Per-statement scratch, reused so that a gate call allocates nothing.
+    angles: Vec<Angle>,
+    operands: Vec<Operand>,
+    qubits: Vec<usize>,
 }
 
 /// Parses an OpenQASM 3 program in the supported subset.
 pub fn parse(src: &str) -> Result<ParsedQasm, Qasm3Error> {
     let toks = lex(src)?;
+    // About one op per ten tokens in gate-heavy code.
+    let dag = DagCircuit::with_capacity(0, 0, toks.len() / 8);
     let mut p = Parser {
         lx: Lexer { toks, pos: 0 },
         regs: std::collections::BTreeMap::new(),
         params: Vec::new(),
-        num_qubits: 0,
-        num_clbits: 0,
-        ops: Vec::new(),
+        dag,
         saw_version: false,
+        depth: 0,
+        angles: Vec::new(),
+        operands: Vec::new(),
+        qubits: Vec::new(),
     };
     while p.lx.peek().is_some() {
         p.statement()?;
@@ -389,19 +409,15 @@ pub fn parse(src: &str) -> Result<ParsedQasm, Qasm3Error> {
             message: "missing `OPENQASM 3;` version statement".into(),
         });
     }
-    let mut dag = DagCircuit::new(p.num_qubits, p.num_clbits);
-    for op in p.ops {
-        dag.push(op);
-    }
     Ok(ParsedQasm {
-        dag,
-        params: p.params,
+        dag: p.dag,
+        params: p.params.iter().map(|name| name.to_string()).collect(),
     })
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn statement(&mut self) -> Result<(), Qasm3Error> {
-        let Some(tok) = self.lx.peek().cloned() else {
+        let Some(tok) = self.lx.peek() else {
             return Ok(());
         };
         let Tok::Ident(word) = tok else {
@@ -410,7 +426,7 @@ impl Parser {
                 tok_name(&Some(tok))
             )));
         };
-        match word.as_str() {
+        match word {
             "OPENQASM" => self.version_stmt(),
             "include" => self.include_stmt(),
             "qubit" => self.reg_decl(RegKind::Qubit),
@@ -424,7 +440,7 @@ impl Parser {
             _ => {
                 // Either `c[i] = measure ...` (bit-register assignment) or
                 // a gate call.
-                if self.regs.get(&word).map(|r| r.kind) == Some(RegKind::Bit) {
+                if self.regs.get(word).map(|r| r.kind) == Some(RegKind::Bit) {
                     self.measure_assign_stmt()
                 } else {
                     self.gate_stmt()
@@ -443,7 +459,7 @@ impl Parser {
                     .err(format!("unsupported OPENQASM version {}", tok_name(&other))))
             }
         }
-        self.lx.expect_sym(";")?;
+        self.lx.expect_sym(b';')?;
         self.saw_version = true;
         Ok(())
     }
@@ -458,11 +474,11 @@ impl Parser {
                     .err(format!("expected include path string, found {}", tok_name(&other))))
             }
         }
-        self.lx.expect_sym(";")
+        self.lx.expect_sym(b';')
     }
 
-    fn check_fresh_name(&self, name: &str) -> Result<(), Qasm3Error> {
-        if self.regs.contains_key(name) || self.params.iter().any(|p| p == name) {
+    fn check_fresh_name(&self, name: &'a str) -> Result<(), Qasm3Error> {
+        if self.regs.contains_key(name) || self.params.contains(&name) {
             return Err(self.lx.err(format!("`{name}` is already declared")));
         }
         if matches!(name, "pi" | "π" | "tau" | "euler" | "measure" | "barrier") {
@@ -473,28 +489,29 @@ impl Parser {
 
     fn reg_decl(&mut self, kind: RegKind) -> Result<(), Qasm3Error> {
         self.lx.next();
-        let size = if self.lx.eat_sym("[") {
+        let size = if self.lx.eat_sym(b'[') {
             let n = self.const_index()?;
-            self.lx.expect_sym("]")?;
+            self.lx.expect_sym(b']')?;
             n
         } else {
             1
         };
         let name = self.lx.expect_ident()?;
-        self.check_fresh_name(&name)?;
-        self.lx.expect_sym(";")?;
-        let offset = match kind {
-            RegKind::Qubit => {
-                let o = self.num_qubits;
-                self.num_qubits += size;
-                o
-            }
-            RegKind::Bit => {
-                let o = self.num_clbits;
-                self.num_clbits += size;
-                o
-            }
+        self.check_fresh_name(name)?;
+        let (offset, what) = match kind {
+            RegKind::Qubit => (self.dag.num_qubits(), "qubit"),
+            RegKind::Bit => (self.dag.num_clbits(), "bit"),
         };
+        let Some(width) = offset.checked_add(size).filter(|&w| w <= MAX_REGISTER_WIDTH) else {
+            return Err(self.lx.err(format!(
+                "register `{name}[{size}]` takes the {what}s past the width limit of {MAX_REGISTER_WIDTH}"
+            )));
+        };
+        self.lx.expect_sym(b';')?;
+        match kind {
+            RegKind::Qubit => self.dag.widen(width, self.dag.num_clbits()),
+            RegKind::Bit => self.dag.widen(self.dag.num_qubits(), width),
+        }
         self.regs.insert(name, Reg { kind, offset, size });
         Ok(())
     }
@@ -507,13 +524,13 @@ impl Parser {
                 .lx
                 .err(format!("unsupported input type `{ty}` (expected float)")));
         }
-        if self.lx.eat_sym("[") {
+        if self.lx.eat_sym(b'[') {
             self.const_index()?;
-            self.lx.expect_sym("]")?;
+            self.lx.expect_sym(b']')?;
         }
         let name = self.lx.expect_ident()?;
-        self.check_fresh_name(&name)?;
-        self.lx.expect_sym(";")?;
+        self.check_fresh_name(name)?;
+        self.lx.expect_sym(b';')?;
         self.params.push(name);
         Ok(())
     }
@@ -529,7 +546,7 @@ impl Parser {
 
     fn operand(&mut self, want: RegKind) -> Result<Operand, Qasm3Error> {
         let name = self.lx.expect_ident()?;
-        let Some(reg) = self.regs.get(&name) else {
+        let Some(reg) = self.regs.get(name) else {
             return Err(self.lx.err(format!("undeclared register `{name}`")));
         };
         if reg.kind != want {
@@ -537,9 +554,9 @@ impl Parser {
             return Err(self.lx.err(format!("`{name}` is not a {k} register")));
         }
         let (offset, size) = (reg.offset, reg.size);
-        if self.lx.eat_sym("[") {
+        if self.lx.eat_sym(b'[') {
             let i = self.const_index()?;
-            self.lx.expect_sym("]")?;
+            self.lx.expect_sym(b']')?;
             if i >= size {
                 return Err(self
                     .lx
@@ -553,7 +570,7 @@ impl Parser {
 
     fn measure_assign_stmt(&mut self) -> Result<(), Qasm3Error> {
         let dst = self.operand(RegKind::Bit)?;
-        self.lx.expect_sym("=")?;
+        self.lx.expect_sym(b'=')?;
         let kw = self.lx.expect_ident()?;
         if kw != "measure" {
             return Err(self
@@ -561,21 +578,24 @@ impl Parser {
                 .err(format!("expected `measure` after `=`, found `{kw}`")));
         }
         let src = self.operand(RegKind::Qubit)?;
-        self.lx.expect_sym(";")?;
+        self.lx.expect_sym(b';')?;
         self.push_measure(src, dst)
     }
 
     fn measure_arrow_stmt(&mut self) -> Result<(), Qasm3Error> {
         let src = self.operand(RegKind::Qubit)?;
-        self.lx.expect_sym("->")?;
+        self.lx.expect_sym(b'>')?;
         let dst = self.operand(RegKind::Bit)?;
-        self.lx.expect_sym(";")?;
+        self.lx.expect_sym(b';')?;
         self.push_measure(src, dst)
     }
 
     fn push_measure(&mut self, src: Operand, dst: Operand) -> Result<(), Qasm3Error> {
-        let pairs: Vec<(usize, usize)> = match (src, dst) {
-            (Operand::Single(q), Operand::Single(c)) => vec![(q, c)],
+        let measure = |qubit, clbit| DagOp::Op(ParamOp::Measure { qubit, clbit });
+        match (src, dst) {
+            (Operand::Single(q), Operand::Single(c)) => {
+                self.dag.push(measure(q, c));
+            }
             (
                 Operand::Whole { offset: qo, size: qs },
                 Operand::Whole { offset: co, size: cs },
@@ -585,26 +605,26 @@ impl Parser {
                         "broadcast measure over registers of different sizes ({qs} vs {cs})"
                     )));
                 }
-                (0..qs).map(|i| (qo + i, co + i)).collect()
+                for i in 0..qs {
+                    self.dag.push(measure(qo + i, co + i));
+                }
             }
             _ => {
                 return Err(self
                     .lx
                     .err("measure operands must both be indexed or both be registers"))
             }
-        };
-        for (qubit, clbit) in pairs {
-            self.ops.push(DagOp::Op(ParamOp::Measure { qubit, clbit }));
         }
         Ok(())
     }
 
     fn barrier_stmt(&mut self) -> Result<(), Qasm3Error> {
+        let line = self.lx.line();
         self.lx.next();
         let mut qubits = Vec::new();
-        if self.lx.eat_sym(";") {
+        if self.lx.eat_sym(b';') {
             // Bare `barrier;` fences every qubit.
-            self.ops.push(DagOp::Barrier((0..self.num_qubits).collect()));
+            self.dag.push(DagOp::Barrier((0..self.dag.num_qubits()).collect()));
             return Ok(());
         }
         loop {
@@ -612,44 +632,52 @@ impl Parser {
                 Operand::Single(q) => qubits.push(q),
                 Operand::Whole { offset, size } => qubits.extend(offset..offset + size),
             }
-            if !self.lx.eat_sym(",") {
+            if !self.lx.eat_sym(b',') {
                 break;
             }
         }
-        self.lx.expect_sym(";")?;
-        self.ops.push(DagOp::Barrier(qubits));
+        self.lx.expect_sym(b';')?;
+        if (1..qubits.len()).any(|i| qubits[..i].contains(&qubits[i])) {
+            return Err(Qasm3Error {
+                line,
+                message: "repeated qubit operand in `barrier`".into(),
+            });
+        }
+        self.dag.push(DagOp::Barrier(qubits));
         Ok(())
     }
 
     fn gate_stmt(&mut self) -> Result<(), Qasm3Error> {
         let line = self.lx.line();
         let name = self.lx.expect_ident()?;
-        let mut angles = Vec::new();
-        if self.lx.eat_sym("(") {
+        self.angles.clear();
+        if self.lx.eat_sym(b'(') {
             loop {
-                angles.push(self.expr()?.to_angle());
-                if !self.lx.eat_sym(",") {
+                let angle = self.expr()?.to_angle();
+                self.angles.push(angle);
+                if !self.lx.eat_sym(b',') {
                     break;
                 }
             }
-            self.lx.expect_sym(")")?;
+            self.lx.expect_sym(b')')?;
         }
-        let mut operands = Vec::new();
+        self.operands.clear();
         loop {
-            operands.push(self.operand(RegKind::Qubit)?);
-            if !self.lx.eat_sym(",") {
+            let operand = self.operand(RegKind::Qubit)?;
+            self.operands.push(operand);
+            if !self.lx.eat_sym(b',') {
                 break;
             }
         }
-        self.lx.expect_sym(";")?;
+        self.lx.expect_sym(b';')?;
         // Broadcast: every whole-register operand must have the same
         // length; indexed operands repeat.
         let mut width = None;
-        for o in &operands {
-            if let Operand::Whole { size, .. } = o {
+        for o in &self.operands {
+            if let Operand::Whole { size, .. } = *o {
                 match width {
-                    None => width = Some(*size),
-                    Some(w) if w == *size => {}
+                    None => width = Some(size),
+                    Some(w) if w == size => {}
                     Some(w) => {
                         return Err(Qasm3Error {
                             line,
@@ -662,15 +690,13 @@ impl Parser {
             }
         }
         for i in 0..width.unwrap_or(1) {
-            let qubits: Vec<usize> = operands
-                .iter()
-                .map(|o| match o {
-                    Operand::Single(q) => *q,
-                    Operand::Whole { offset, .. } => offset + i,
-                })
-                .collect();
-            let op = build_gate(&name, &angles, &qubits, line)?;
-            self.ops.push(op);
+            self.qubits.clear();
+            self.qubits.extend(self.operands.iter().map(|o| match *o {
+                Operand::Single(q) => q,
+                Operand::Whole { offset, .. } => offset + i,
+            }));
+            let op = build_gate(name, &self.angles, &self.qubits, line)?;
+            self.dag.push(op);
         }
         Ok(())
     }
@@ -679,10 +705,10 @@ impl Parser {
     fn expr(&mut self) -> Result<AffineVal, Qasm3Error> {
         let mut v = self.term()?;
         loop {
-            if self.lx.eat_sym("+") {
+            if self.lx.eat_sym(b'+') {
                 let r = self.term()?;
                 v = affine_add(v, r, 1.0);
-            } else if self.lx.eat_sym("-") {
+            } else if self.lx.eat_sym(b'-') {
                 let r = self.term()?;
                 v = affine_add(v, r, -1.0);
             } else {
@@ -695,7 +721,7 @@ impl Parser {
     fn term(&mut self) -> Result<AffineVal, Qasm3Error> {
         let mut v = self.factor()?;
         loop {
-            if self.lx.eat_sym("*") {
+            if self.lx.eat_sym(b'*') {
                 let r = self.factor()?;
                 v = match (v.term, r.term) {
                     (None, _) => scale(r, v.c),
@@ -706,7 +732,7 @@ impl Parser {
                             .err("angle expressions must be affine in the parameter"))
                     }
                 };
-            } else if self.lx.eat_sym("/") {
+            } else if self.lx.eat_sym(b'/') {
                 let r = self.factor()?;
                 if r.term.is_some() {
                     return Err(self.lx.err("cannot divide by a parameter"));
@@ -720,20 +746,32 @@ impl Parser {
 
     // factor := ('-'|'+') factor | number | const | param | '(' expr ')'
     fn factor(&mut self) -> Result<AffineVal, Qasm3Error> {
-        if self.lx.eat_sym("-") {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.lx.err(format!(
+                "angle expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let v = self.nested_factor();
+        self.depth -= 1;
+        v
+    }
+
+    fn nested_factor(&mut self) -> Result<AffineVal, Qasm3Error> {
+        if self.lx.eat_sym(b'-') {
             return Ok(scale(self.factor()?, -1.0));
         }
-        if self.lx.eat_sym("+") {
+        if self.lx.eat_sym(b'+') {
             return self.factor();
         }
-        if self.lx.eat_sym("(") {
+        if self.lx.eat_sym(b'(') {
             let v = self.expr()?;
-            self.lx.expect_sym(")")?;
+            self.lx.expect_sym(b')')?;
             return Ok(v);
         }
         match self.lx.next() {
             Some(Tok::Num(v)) => Ok(AffineVal::lit(v)),
-            Some(Tok::Ident(name)) => match name.as_str() {
+            Some(Tok::Ident(name)) => match name {
                 "pi" | "π" => Ok(AffineVal::lit(std::f64::consts::PI)),
                 "tau" => Ok(AffineVal::lit(std::f64::consts::TAU)),
                 "euler" => Ok(AffineVal::lit(std::f64::consts::E)),
