@@ -7,6 +7,7 @@
 //!   table1 | table2
 //!   fig3a | fig3b | fig3c | fig3c-strong | fig3d | fig3e | fig3f
 //!   fig4  | fig5
+//!   ablation-mps | ablation-comm
 //!   all          run everything in order
 //! ```
 //!
@@ -90,6 +91,16 @@ fn main() {
                 write_csv(csv, "fig4", &cells);
             }
             "fig5" => writeln!(out, "{}", exp::fig5(suite)).unwrap(),
+            "ablation-mps" => {
+                let (text, cells) = exp::ablation_mps(suite);
+                writeln!(out, "{text}").unwrap();
+                write_csv(csv, "ablation_mps", &cells);
+            }
+            "ablation-comm" => {
+                let (text, cells) = exp::ablation_comm(suite);
+                writeln!(out, "{text}").unwrap();
+                write_csv(csv, "ablation_comm", &cells);
+            }
             other => {
                 eprintln!("unknown command '{other}'");
                 std::process::exit(2);
@@ -110,6 +121,8 @@ fn main() {
             "fig3f",
             "fig4",
             "fig5",
+            "ablation-mps",
+            "ablation-comm",
         ] {
             run(name);
         }

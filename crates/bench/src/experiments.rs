@@ -14,7 +14,9 @@ use qfw_dqaoa::{
 };
 use qfw_dqaoa::qaoa::solution_fidelity;
 use qfw_dqaoa::trace::{duration_cv, max_concurrency, render_timeline};
+use qfw_hpc::{Communicator, CoreId, InterconnectModel, NodeSpec, RunStats, Stopwatch};
 use qfw_optim::{anneal, AnnealConfig};
+use qfw_sim_mps::{MpsConfig, MpsSimulator};
 use qfw_workloads::{ghz, ham, hhl_benchmark, tfim, Qubo};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -454,9 +456,121 @@ pub fn fig5(suite: Suite) -> String {
     out
 }
 
+/// Ablation (DESIGN.md §5): MPS runtime and truncation error against the
+/// bond budget `chi_max` on TFIM-16 — the accuracy/runtime dial behind
+/// Fig 3c's flat MPS line. The size axis is `chi_max`; each cell's note
+/// carries the discarded weight and the largest bond the run reached.
+pub fn ablation_mps(suite: Suite) -> (String, Vec<Cell>) {
+    let n = 16;
+    let circuit = tfim(n);
+    let mut cells = Vec::new();
+    for chi_max in [2, 8, 32, 64] {
+        let engine = MpsSimulator::new(MpsConfig {
+            chi_max,
+            trunc_eps: 1e-12,
+        });
+        eprintln!("  [tfim-{n} mps] chi_max={chi_max}");
+        let mut last = None;
+        let stats = RunStats::measure(suite.repetitions(), || {
+            last = Some(engine.run(&circuit, suite.shots(), 3));
+        });
+        let outcome = last.expect("at least one repetition");
+        cells.push(Cell {
+            workload: format!("tfim{n}"),
+            backend: "mps".into(),
+            size: chi_max,
+            resources: (1, 1),
+            stats: Some(stats),
+            note: format!(
+                "trunc_err={:.2e} max_bond={}",
+                outcome.trunc_error, outcome.max_bond
+            ),
+        });
+    }
+    (
+        render_series(
+            &format!("Ablation: MPS bond budget on TFIM-{n} (size = chi_max)"),
+            &cells,
+        ),
+        cells,
+    )
+}
+
+/// Allreduce rounds timed per cell of [`ablation_comm`].
+const ALLREDUCE_ROUNDS: usize = 1000;
+
+/// Wall time of [`ALLREDUCE_ROUNDS`] back-to-back 8 KiB sum-allreduces
+/// over `ranks` rank threads under `model`, timed on rank 0 from a
+/// barrier (thread start-up is not in it). Ranks sit one per LLC domain,
+/// up to 8 per node, the shape of the harness's weak-scaling ladder.
+fn allreduce_secs(ranks: usize, model: InterconnectModel) -> f64 {
+    let spec = NodeSpec::frontier();
+    let placement = (0..ranks)
+        .map(|r| CoreId {
+            node: r / 8,
+            core: (r % 8) * spec.cores_per_llc(),
+        })
+        .collect();
+    let rank_threads: Vec<_> = Communicator::create(placement, spec, model)
+        .into_iter()
+        .map(|mut ctx| {
+            std::thread::spawn(move || {
+                ctx.barrier();
+                let sw = Stopwatch::start();
+                for _ in 0..ALLREDUCE_ROUNDS {
+                    ctx.allreduce_sum_vec(vec![1.0; 1 << 10]);
+                }
+                sw.elapsed_secs()
+            })
+        })
+        .collect();
+    let secs: Vec<f64> = rank_threads
+        .into_iter()
+        .map(|t| t.join().expect("allreduce rank thread"))
+        .collect();
+    secs[0]
+}
+
+/// Ablation (DESIGN.md §5, §5c): allreduce time under the free vs the
+/// Slingshot-like interconnect model at 2, 8 and 16 ranks — the modelled
+/// fabric cost behind Fig 3e's MPI overhead. The size axis is the rank
+/// count; 16 ranks span two nodes.
+pub fn ablation_comm(suite: Suite) -> (String, Vec<Cell>) {
+    let mut cells = Vec::new();
+    for (label, model) in [
+        ("free", InterconnectModel::free()),
+        ("slingshot", InterconnectModel::slingshot()),
+    ] {
+        for ranks in [2, 8, 16] {
+            eprintln!("  [allreduce] {label} ranks={ranks}");
+            let secs: Vec<f64> = (0..suite.repetitions())
+                .map(|_| allreduce_secs(ranks, model))
+                .collect();
+            cells.push(Cell {
+                workload: "allreduce8k".into(),
+                backend: label.into(),
+                size: ranks,
+                resources: (ranks.div_ceil(8), ranks.min(8)),
+                stats: Some(RunStats::from_secs(&secs)),
+                note: String::new(),
+            });
+        }
+    }
+    (
+        render_series(
+            &format!(
+                "Ablation: {ALLREDUCE_ROUNDS} rounds of an 8 KiB allreduce (size = ranks)"
+            ),
+            &cells,
+        ),
+        cells,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::to_csv;
 
     /// A tiny suite so the harness logic itself is exercised in tests.
     fn tiny_sizes() -> Vec<usize> {
@@ -501,6 +615,23 @@ mod tests {
             Some("bond blowup")
         );
         assert_eq!(skip_reason(("aer", "statevector"), &hhl13), None);
+    }
+
+    #[test]
+    fn mps_ablation_sweeps_the_bond_budget() {
+        let (text, cells) = ablation_mps(Suite::Quick);
+        let sizes: Vec<usize> = cells.iter().map(|c| c.size).collect();
+        assert_eq!(sizes, vec![2, 8, 32, 64]);
+        assert!(cells.iter().all(|c| c.stats.is_some() && c.note.starts_with("trunc_err=")));
+        assert!(text.contains("trunc_err="));
+        assert!(to_csv(&cells).lines().nth(1).unwrap().contains(",trunc_err="));
+    }
+
+    #[test]
+    fn allreduce_rounds_complete_across_two_nodes() {
+        for model in [InterconnectModel::free(), InterconnectModel::slingshot()] {
+            assert!(allreduce_secs(16, model) > 0.0);
+        }
     }
 
     #[test]

@@ -21,14 +21,18 @@ pub struct Cell {
     /// Mean/std over repetitions; `None` renders as the paper's red `X`
     /// (cutoff or unsupported configuration).
     pub stats: Option<RunStats>,
-    /// Why the cell is missing, when it is.
+    /// Why the cell is missing, when it is; otherwise empty, or what else
+    /// the cell measured (an ablation's truncation error).
     pub note: String,
 }
 
 impl Cell {
     fn value_text(&self) -> String {
         match &self.stats {
-            Some(s) => format!("{:>10.4}s ±{:>8.4}", s.mean_secs, s.std_secs),
+            Some(s) if self.note.is_empty() => {
+                format!("{:>10.4}s ±{:>8.4}", s.mean_secs, s.std_secs)
+            }
+            Some(s) => format!("{:>10.4}s ±{:>8.4}  {}", s.mean_secs, s.std_secs, self.note),
             None => format!("{:>10} ({})", "X", self.note),
         }
     }
@@ -196,7 +200,7 @@ pub fn to_csv(cells: &[Cell]) -> String {
         match &c.stats {
             Some(s) => writeln!(
                 out,
-                "{},{},{},{},{},{:.6},{:.6},{},",
+                "{},{},{},{},{},{:.6},{:.6},{},{}",
                 c.workload,
                 c.backend,
                 c.size,
@@ -204,7 +208,8 @@ pub fn to_csv(cells: &[Cell]) -> String {
                 c.resources.1,
                 s.mean_secs,
                 s.std_secs,
-                s.runs
+                s.runs,
+                c.note
             )
             .unwrap(),
             None => writeln!(
@@ -233,11 +238,6 @@ pub fn harness_session(cloud: Option<qfw_cloud::CloudConfig>) -> QfwSession {
         qfw::QfwConfig {
             qfw_nodes: 4,
             cloud,
-            // Least-loaded dispatch: a cell abandoned at the walltime cutoff
-            // keeps computing inside its worker slot (there is no remote
-            // cancellation, as on a real cluster); round-robin would queue
-            // later cells behind that zombie slot and time them out too.
-            dispatch: qfw::qrc::DispatchPolicy::LeastLoaded,
             ..qfw::QfwConfig::default()
         },
     )

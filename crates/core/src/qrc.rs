@@ -7,8 +7,12 @@
 //! from the `hetgroup-1` allocation, and hands each Backend-QPM an
 //! [`ExecContext`] for DVM rank spawning.
 //!
-//! Two dispatch policies are provided; `ablation_dispatch` measures the
-//! difference under skewed task durations.
+//! One acquisition rule ([`DispatchPolicy::RoundRobin`]): a task scans the
+//! pool from the rotation index and takes the first idle live slot, so no
+//! task waits on a busy slot while another is idle. It parks on one
+//! pool-wide wake-up only when no slot is idle, and everything that can
+//! make a slot takeable — release, death, revival, growth, retirement —
+//! signals it.
 //!
 //! The pool is **elastic**: `qfw-sched`'s scaling controller calls
 //! [`Qrc::grow_slots`] / [`Qrc::shrink_slots`] as sustained queue depth
@@ -33,24 +37,23 @@ use crate::planner::SelectorContext;
 use crate::registry::BackendRegistry;
 use crate::result::QfwResult;
 use crate::spec::{BackendSpec, ExecTask, SweepTask};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use qfw_chaos::FaultPlan;
 use qfw_hpc::slurm::{Allocation, HetJob};
 use qfw_hpc::{Dvm, Stopwatch};
 use qfw_obs::{Obs, Span};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How QPM assigns tasks to QRC worker slots.
+/// How QPM assigns tasks to QRC worker slots: there is one rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchPolicy {
-    /// Strict rotation over the slots (the paper's policy). A task waits
-    /// for *its* slot even when others are free.
+    /// The paper's round-robin, without parking on a busy slot: a task
+    /// scans the pool from the rotation index and takes the first idle
+    /// live slot, and the rotation moves past it. A serial submitter
+    /// therefore visits the slots in strict rotation. When no slot is
+    /// idle the task parks until one is.
     RoundRobin,
-    /// Pick the slot with the fewest active tasks. Ties break on the
-    /// lowest slot index, so seeded runs replay the same placement.
-    LeastLoaded,
 }
 
 /// A point-in-time view of the worker pool, used by `qfw-sched` to size
@@ -77,38 +80,97 @@ impl SlotSnapshot {
     }
 }
 
-#[derive(Default)]
+/// One worker slot; read and written under the pool lock only.
 struct Slot {
-    active: Mutex<usize>,
-    freed: Condvar,
-    tasks_run: AtomicU64,
-    /// Set when chaos kills the slot's worker; dead slots are skipped by
-    /// dispatch until [`Qrc::revive_slots`] brings them back.
-    dead: AtomicBool,
-    /// Set when the scaling controller removes the slot from the pool;
-    /// waiters re-route like on death, but retired slots never revive.
-    retired: AtomicBool,
+    /// Stable name: a slot's index shifts when the pool shrinks.
+    id: u64,
+    /// Held by a task. Killing a slot clears it, so a dead slot is never busy.
+    busy: bool,
+    /// Set when chaos kills the slot's worker; dead slots take no work
+    /// until [`Qrc::revive_slots`] brings them back.
+    dead: bool,
+    tasks_run: u64,
     /// Core lease backing an elastically-grown slot. Base slots are
     /// provisioned with the session and carry no lease.
-    lease: Mutex<Option<Allocation>>,
+    _lease: Option<Allocation>,
 }
 
 impl Slot {
-    fn is_routable(&self) -> bool {
-        !self.dead.load(Ordering::Relaxed) && !self.retired.load(Ordering::Relaxed)
+    fn idle(&self) -> bool {
+        !self.busy && !self.dead
+    }
+}
+
+/// The worker pool, behind the controller's one lock.
+struct Pool {
+    slots: Vec<Slot>,
+    /// Rotation counter: the next scan starts at `next % slots.len()`.
+    next: usize,
+    /// Dispatchers parked on [`Qrc::slot_ready`] because no slot is idle.
+    waiting: usize,
+    /// Slots ever created; the next slot's id.
+    created: u64,
+}
+
+impl Pool {
+    fn push(&mut self, lease: Option<Allocation>) {
+        self.slots.push(Slot {
+            id: self.created,
+            busy: false,
+            dead: false,
+            tasks_run: 0,
+            _lease: lease,
+        });
+        self.created += 1;
+    }
+
+    /// Marks the first idle live slot from the rotation index busy and
+    /// moves the rotation past it.
+    fn take_idle(&mut self) -> Option<u64> {
+        let (start, len) = (self.next, self.slots.len());
+        let at = |k: usize| start.wrapping_add(k) % len;
+        let k = (0..len).find(|&k| self.slots[at(k)].idle())?;
+        self.next = start.wrapping_add(k + 1);
+        let slot = &mut self.slots[at(k)];
+        slot.busy = true;
+        Some(slot.id)
+    }
+
+    /// The slot named `id`; a held slot is never removed from the pool.
+    fn slot(&mut self, id: u64) -> Option<&mut Slot> {
+        self.slots.iter_mut().find(|s| s.id == id)
+    }
+
+    fn snapshot(&self) -> SlotSnapshot {
+        SlotSnapshot {
+            total: self.slots.len(),
+            dead: self.slots.iter().filter(|s| s.dead).count(),
+            busy: self.slots.iter().filter(|s| s.busy).count(),
+        }
     }
 }
 
 /// Cores leased per elastically-grown slot.
 const CORES_PER_SLOT: usize = 2;
 
-/// An acquired slot, freed for the next dispatcher on drop.
-struct HeldSlot(Arc<Slot>);
+/// An acquired slot, freed for the next dispatcher on drop (an engine
+/// panic unwinding through [`Qrc::with_slot`] included).
+struct HeldSlot<'a> {
+    qrc: &'a Qrc,
+    id: u64,
+    /// Tasks credited to the slot on release: set once the run returns.
+    tasks: u64,
+}
 
-impl Drop for HeldSlot {
+impl Drop for HeldSlot<'_> {
     fn drop(&mut self) {
-        *self.0.active.lock() = 0;
-        self.0.freed.notify_one();
+        let mut pool = self.qrc.pool.lock();
+        if let Some(slot) = pool.slot(self.id) {
+            slot.busy = false;
+            slot.tasks_run += self.tasks;
+        }
+        drop(pool);
+        self.qrc.slot_ready.notify_one();
     }
 }
 
@@ -118,19 +180,17 @@ pub struct Qrc {
     hetjob: Arc<HetJob>,
     dvm: Arc<Dvm>,
     group: usize,
-    slots: RwLock<Vec<Arc<Slot>>>,
+    pool: Mutex<Pool>,
+    /// The one wake-up for dispatchers parked in acquisition.
+    slot_ready: Condvar,
     /// Slots the pool was built with; [`Qrc::shrink_slots`] never goes below.
     base_workers: usize,
-    next: AtomicUsize,
-    policy: DispatchPolicy,
     chaos: Arc<FaultPlan>,
     obs: Obs,
     requeues: AtomicU64,
     /// Engine invocations: slot-held backend dispatches. A coalesced batch
     /// through [`Qrc::run_many`] counts once.
     invocations: AtomicU64,
-    /// Dispatchers currently waiting in slot acquisition.
-    waiting: AtomicUsize,
     /// Cost-model planner behind `backend="auto"`. Lives on the controller
     /// so its online EWMA corrections accumulate across dispatches: every
     /// successful auto execution feeds measured runtime back via
@@ -140,6 +200,7 @@ pub struct Qrc {
 
 impl Qrc {
     /// Builds a controller with `workers` slots over the given hetgroup.
+    /// `policy` names the one acquisition rule ([`DispatchPolicy`]).
     pub fn new(
         registry: BackendRegistry,
         hetjob: Arc<HetJob>,
@@ -149,26 +210,34 @@ impl Qrc {
         policy: DispatchPolicy,
     ) -> Self {
         assert!(workers >= 1, "QRC needs at least one worker slot");
+        let DispatchPolicy::RoundRobin = policy;
+        let mut pool = Pool {
+            slots: Vec::with_capacity(workers),
+            next: 0,
+            waiting: 0,
+            created: 0,
+        };
+        for _ in 0..workers {
+            pool.push(None);
+        }
         Qrc {
             registry,
             hetjob,
             dvm,
             group,
-            slots: RwLock::new((0..workers).map(|_| Arc::new(Slot::default())).collect()),
+            pool: Mutex::new(pool),
+            slot_ready: Condvar::new(),
             base_workers: workers,
-            next: AtomicUsize::new(0),
-            policy,
             chaos: Arc::new(FaultPlan::disabled()),
             obs: Obs::disabled(),
             requeues: AtomicU64::new(0),
             invocations: AtomicU64::new(0),
-            waiting: AtomicUsize::new(0),
             planner: crate::planner::Planner::default(),
         }
     }
 
     /// Attaches a fault plan. The `qrc.slot_death` site is consulted once
-    /// per dispatch: when it fires, the slot the task landed on dies and
+    /// per landing: when it fires, the slot the task landed on dies and
     /// the task is requeued onto a surviving slot. The `qrc.engine_panic`
     /// site is consulted once per held slot: when it fires, the dispatch
     /// panics where an engine would.
@@ -187,7 +256,7 @@ impl Qrc {
 
     /// Number of worker slots.
     pub fn workers(&self) -> usize {
-        self.slots.read().len()
+        self.pool.lock().slots.len()
     }
 
     /// The pool size the controller was built with (the scaling floor).
@@ -197,20 +266,12 @@ impl Qrc {
 
     /// Tasks executed per slot (diagnostics).
     pub fn tasks_per_slot(&self) -> Vec<u64> {
-        self.slots
-            .read()
-            .iter()
-            .map(|s| s.tasks_run.load(Ordering::Relaxed))
-            .collect()
+        self.pool.lock().slots.iter().map(|s| s.tasks_run).collect()
     }
 
     /// Slots currently marked dead.
     pub fn dead_slots(&self) -> usize {
-        self.slots
-            .read()
-            .iter()
-            .filter(|s| s.dead.load(Ordering::Relaxed))
-            .count()
+        self.slot_snapshot().dead
     }
 
     /// Tasks that had to be re-dispatched after their slot died.
@@ -226,19 +287,7 @@ impl Qrc {
 
     /// A point-in-time view of the pool for dispatch-window sizing.
     pub fn slot_snapshot(&self) -> SlotSnapshot {
-        let slots = self.slots.read();
-        let mut snap = SlotSnapshot {
-            total: slots.len(),
-            ..SlotSnapshot::default()
-        };
-        for s in slots.iter() {
-            if s.dead.load(Ordering::Relaxed) {
-                snap.dead += 1;
-            } else if *s.active.lock() > 0 {
-                snap.busy += 1;
-            }
-        }
-        snap
+        self.pool.lock().snapshot()
     }
 
     /// Grows the pool by up to `n` slots, each backed by a fresh core
@@ -249,15 +298,14 @@ impl Qrc {
         for _ in 0..n {
             match self.hetjob.allocate_cores(self.group, CORES_PER_SLOT) {
                 Ok(lease) => {
-                    let slot = Arc::new(Slot::default());
-                    *slot.lease.lock() = Some(lease);
-                    self.slots.write().push(slot);
+                    self.pool.lock().push(Some(lease));
                     added += 1;
                 }
                 Err(e) if added == 0 => return Err(QfwError::Resources(e.to_string())),
                 Err(_) => break,
             }
         }
+        self.slot_ready.notify_all();
         self.refresh_slot_gauges();
         Ok(added)
     }
@@ -267,65 +315,63 @@ impl Qrc {
     /// survive); removed slots drop their core leases back to the free
     /// pool. Returns how many were removed.
     pub fn shrink_slots(&self, n: usize) -> usize {
-        let mut removed = 0;
-        let mut slots = self.slots.write();
-        let mut i = slots.len();
-        while removed < n && slots.len() > self.base_workers && i > 0 {
+        let mut gone = Vec::new();
+        let mut pool = self.pool.lock();
+        let mut i = pool.slots.len();
+        while gone.len() < n && pool.slots.len() > self.base_workers && i > 0 {
             i -= 1;
-            let slot = Arc::clone(&slots[i]);
-            let active = slot.active.lock();
-            if *active == 0 && slot.is_routable() {
-                slot.retired.store(true, Ordering::Relaxed);
-                // Anyone parked on this slot re-routes.
-                slot.freed.notify_all();
-                drop(active);
-                let gone = slots.remove(i);
-                // Returns the lease's cores to hetgroup-1's free pool.
-                drop(gone.lease.lock().take());
-                removed += 1;
+            if pool.slots[i].idle() {
+                gone.push(pool.slots.remove(i));
             }
         }
-        drop(slots);
+        drop(pool);
+        let removed = gone.len();
+        // Dropping a slot returns its lease's cores to hetgroup-1's free pool.
+        drop(gone);
         if removed > 0 {
+            self.slot_ready.notify_all();
             self.refresh_slot_gauges();
         }
         removed
     }
 
     /// Revives every dead slot (the operator restarting workers); returns
-    /// how many came back.
+    /// how many came back. Dispatchers parked for a slot wake and take
+    /// the revived ones.
     pub fn revive_slots(&self) -> usize {
+        let mut pool = self.pool.lock();
         let mut revived = 0;
-        for slot in self.slots.read().iter() {
-            if slot.dead.swap(false, Ordering::Relaxed) {
-                revived += 1;
-            }
+        for slot in pool.slots.iter_mut().filter(|s| s.dead) {
+            slot.dead = false;
+            revived += 1;
         }
+        drop(pool);
+        self.slot_ready.notify_all();
+        self.refresh_slot_gauges();
         revived
     }
 
     /// Mirrors the pool state into gauges: `qrc.slots.total/dead/busy`,
-    /// `qrc.queue_depth` (dispatchers waiting for a slot), and the
+    /// `qrc.queue_depth` (dispatchers parked for a slot), and the
     /// per-slot task spread `qrc.slots.tasks_spread` (max − min tasks run,
-    /// the balance signal). Refreshed on every execute, so exported
-    /// metrics always reflect what the scheduler's scaling decisions saw.
+    /// the balance signal). Refreshed on every execute, grow, shrink and
+    /// revive, so exported metrics always reflect what the scheduler's
+    /// scaling decisions saw.
     fn refresh_slot_gauges(&self) {
         if !self.obs.is_enabled() {
             return;
         }
-        let snap = self.slot_snapshot();
+        let pool = self.pool.lock();
+        let snap = pool.snapshot();
+        let waiting = pool.waiting;
+        let tasks = pool.slots.iter().map(|s| s.tasks_run);
+        let spread = tasks.clone().max().unwrap_or(0) - tasks.min().unwrap_or(0);
+        drop(pool);
         self.obs.gauge("qrc.slots.total").set(snap.total as f64);
         self.obs.gauge("qrc.slots.dead").set(snap.dead as f64);
         self.obs.gauge("qrc.slots.busy").set(snap.busy as f64);
-        self.obs
-            .gauge("qrc.queue_depth")
-            .set(self.waiting.load(Ordering::Relaxed) as f64);
-        let tasks = self.tasks_per_slot();
-        let spread = match (tasks.iter().max(), tasks.iter().min()) {
-            (Some(max), Some(min)) => (max - min) as f64,
-            _ => 0.0,
-        };
-        self.obs.gauge("qrc.slots.tasks_spread").set(spread);
+        self.obs.gauge("qrc.queue_depth").set(waiting as f64);
+        self.obs.gauge("qrc.slots.tasks_spread").set(spread as f64);
     }
 
     /// Admits one job against this controller's worker group and backend
@@ -368,7 +414,9 @@ impl Qrc {
     ) -> Result<Vec<Result<QfwResult, QfwError>>, QfwError> {
         let queue_sw = Stopwatch::start();
         let mut acquire_span = self.obs.span("qrc", "qrc.slot.acquire");
-        let (slot, requeued) = self.acquire_with_chaos()?;
+        // Released on drop, so an engine panic unwinding through here
+        // cannot strand the slot.
+        let (mut held, requeued) = self.acquire_with_chaos()?;
         acquire_span.set_attr("requeues", requeued);
         let (acq_start, acq_end) = acquire_span.finish();
         let queue_secs = queue_sw.elapsed_secs();
@@ -381,16 +429,13 @@ impl Qrc {
             obs: &self.obs,
         };
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        // Released on drop, so an engine panic unwinding through here
-        // cannot strand the slot.
-        let held = HeldSlot(slot);
         if self.chaos.is_enabled() && self.chaos.fires("qrc.engine_panic") {
             panic!("injected engine panic");
         }
         let mut results = run(&ctx, &mut span);
         span.set_attr("ok", results.iter().all(Result::is_ok));
         drop(span);
-        held.0.tasks_run.fetch_add(n_tasks, Ordering::Relaxed);
+        held.tasks = n_tasks;
         drop(held);
         if self.obs.is_enabled() {
             self.obs.counter("qrc.tasks").add(n_tasks);
@@ -533,117 +578,55 @@ impl Qrc {
         Err(failed.pop().expect("ranked list is never empty").1)
     }
 
-    /// Acquires a slot, consulting the `qrc.slot_death` chaos site once
-    /// per landing: a fired injection kills the slot and requeues onto a
-    /// survivor. Returns the slot and the requeue count.
-    fn acquire_with_chaos(&self) -> Result<(Arc<Slot>, u64), QfwError> {
+    /// Takes a slot by the one rule, consulting the `qrc.slot_death` chaos
+    /// site once per landing: a fired injection kills the slot the task
+    /// landed on and the task goes back to acquisition. Returns the held
+    /// slot and the requeue count.
+    fn acquire_with_chaos(&self) -> Result<(HeldSlot<'_>, u64), QfwError> {
         let mut requeued = 0u64;
-        self.waiting.fetch_add(1, Ordering::Relaxed);
-        let result = loop {
-            let slot = match self.acquire_slot() {
-                Ok(slot) => slot,
-                Err(e) => break Err(e),
-            };
+        loop {
+            let id = self.take_slot()?;
             // Injected worker death: the slot the task landed on dies and
             // the task goes back to dispatch onto a surviving slot.
             if self.chaos.is_enabled() && self.chaos.fires("qrc.slot_death") {
-                self.kill_slot(&slot);
+                self.kill_slot(id);
                 self.requeues.fetch_add(1, Ordering::Relaxed);
                 requeued += 1;
                 self.obs.instant("qrc", "qrc.requeue");
                 continue;
             }
-            break Ok(slot);
-        };
-        self.waiting.fetch_sub(1, Ordering::Relaxed);
-        result.map(|slot| (slot, requeued))
-    }
-
-    fn all_dead_error(&self) -> QfwError {
-        QfwError::Resources("every QRC worker slot is dead".into())
-    }
-
-    fn acquire_slot(&self) -> Result<Arc<Slot>, QfwError> {
-        match self.policy {
-            DispatchPolicy::RoundRobin => loop {
-                let slot = {
-                    let slots = self.slots.read();
-                    if slots.iter().all(|s| !s.is_routable()) {
-                        return Err(self.all_dead_error());
-                    }
-                    let idx = self.next.fetch_add(1, Ordering::Relaxed) % slots.len();
-                    Arc::clone(&slots[idx])
-                };
-                if !slot.is_routable() {
-                    // Rotation naturally advances past dead/retired slots.
-                    continue;
-                }
-                let mut active = slot.active.lock();
-                loop {
-                    if !slot.is_routable() {
-                        // Died or retired while we queued on it: pick
-                        // another slot.
-                        break;
-                    }
-                    if *active == 0 {
-                        *active = 1;
-                        drop(active);
-                        return Ok(slot);
-                    }
-                    slot.freed.wait(&mut active);
-                }
-            },
-            DispatchPolicy::LeastLoaded => loop {
-                // Order candidates by a load snapshot, then claim under
-                // each slot's own lock with the load re-checked — the
-                // snapshot alone is stale by the time the lock is taken
-                // (two dispatchers could both pick the same "free" slot
-                // and one would queue behind it while other slots idle).
-                // The (load, index) sort is lexicographic, so equal loads
-                // deterministically break toward the lowest slot index and
-                // seeded runs replay the same placement.
-                let candidates = {
-                    let slots = self.slots.read();
-                    let mut order: Vec<(usize, usize, Arc<Slot>)> = slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_routable())
-                        .map(|(i, s)| (*s.active.lock(), i, Arc::clone(s)))
-                        .collect();
-                    if order.is_empty() {
-                        return Err(self.all_dead_error());
-                    }
-                    order.sort_unstable_by_key(|(load, idx, _)| (*load, *idx));
-                    order
-                };
-                for (_, _, slot) in &candidates {
-                    if !slot.is_routable() {
-                        continue;
-                    }
-                    let mut active = slot.active.lock();
-                    if slot.is_routable() && *active == 0 {
-                        *active = 1;
-                        return Ok(Arc::clone(slot));
-                    }
-                }
-                // Every live slot is busy: park briefly on the least
-                // loaded one, then rescan (releases only notify their own
-                // slot, so bound the wait instead of trusting one condvar).
-                let (_, _, first) = &candidates[0];
-                let mut active = first.active.lock();
-                if *active > 0 && first.is_routable() {
-                    first.freed.wait_for(&mut active, Duration::from_millis(5));
-                }
-            },
+            return Ok((HeldSlot { qrc: self, id, tasks: 0 }, requeued));
         }
     }
 
-    /// Marks a slot dead and wakes anything queued on it so it re-routes.
-    fn kill_slot(&self, slot: &Arc<Slot>) {
-        slot.dead.store(true, Ordering::Relaxed);
-        let mut active = slot.active.lock();
-        *active = 0;
-        slot.freed.notify_all();
+    /// The acquisition rule: scan from the rotation index, take the first
+    /// idle live slot and move the rotation past it. While every live slot
+    /// is busy, park on `slot_ready`; with none live, fail.
+    fn take_slot(&self) -> Result<u64, QfwError> {
+        let mut pool = self.pool.lock();
+        loop {
+            if let Some(id) = pool.take_idle() {
+                return Ok(id);
+            }
+            if pool.slots.iter().all(|s| s.dead) {
+                return Err(QfwError::Resources("every QRC worker slot is dead".into()));
+            }
+            pool.waiting += 1;
+            self.slot_ready.wait(&mut pool);
+            pool.waiting -= 1;
+        }
+    }
+
+    /// Marks a slot dead and wakes every parked dispatcher, so one whose
+    /// last live slot this was reports the dead pool.
+    fn kill_slot(&self, id: u64) {
+        let mut pool = self.pool.lock();
+        if let Some(slot) = pool.slot(id) {
+            slot.dead = true;
+            slot.busy = false;
+        }
+        drop(pool);
+        self.slot_ready.notify_all();
     }
 }
 
@@ -656,17 +639,18 @@ mod tests {
     use qfw_hpc::ClusterSpec;
 
     fn qrc(workers: usize, policy: DispatchPolicy) -> Arc<Qrc> {
+        Arc::new(unshared_qrc(workers, policy))
+    }
+
+    fn unshared_qrc(workers: usize, policy: DispatchPolicy) -> Qrc {
         let cluster = ClusterSpec::test(3);
         let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
         let dvm = Arc::new(Dvm::new(&cluster));
-        Arc::new(Qrc::new(
-            BackendRegistry::standard(None),
-            hetjob,
-            dvm,
-            1,
-            workers,
-            policy,
-        ))
+        Qrc::new(BackendRegistry::standard(None), hetjob, dvm, 1, workers, policy)
+    }
+
+    fn chaos_qrc(workers: usize, plan: FaultPlan) -> Qrc {
+        unshared_qrc(workers, DispatchPolicy::RoundRobin).with_chaos(Arc::new(plan))
     }
 
     fn ghz_task(n: usize, spec: BackendSpec) -> ExecTask {
@@ -726,22 +710,76 @@ mod tests {
         assert_eq!(qrc.tasks_per_slot(), vec![2, 2, 2, 2]);
     }
 
+    /// A dense 22-qubit job: far longer than two `ghz_task(3, ..)` runs.
+    fn long_task() -> ExecTask {
+        let n = 22;
+        let mut qc = Circuit::new(n);
+        for layer in 0..2 {
+            for q in 0..n {
+                qc.rx(q, 0.3 + 0.1 * layer as f64);
+            }
+            for q in 0..n - 1 {
+                qc.cx(q, q + 1);
+            }
+        }
+        qc.measure_all();
+        ExecTask {
+            circuit: text::dump(&qc),
+            shots: 1000,
+            seed: 9,
+            spec: BackendSpec::of("nwqsim", "cpu"),
+        }
+    }
+
+    fn spawn_execute(qrc: &Arc<Qrc>, task: ExecTask) -> std::thread::JoinHandle<QfwResult> {
+        let qrc = Arc::clone(qrc);
+        std::thread::spawn(move || qrc.execute(&task).unwrap())
+    }
+
+    fn spin_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn least_loaded_ties_break_to_lowest_index() {
-        // Sequential executes always find every slot idle, so the
-        // deterministic tie-break must land every task on slot 0. This
-        // pins the replayability guarantee seeded runs rely on.
-        let qrc = qrc(3, DispatchPolicy::LeastLoaded);
-        for _ in 0..4 {
-            qrc.execute(&ghz_task(4, BackendSpec::of("nwqsim", "cpu")))
+    fn no_task_waits_on_a_busy_slot_while_another_is_idle() {
+        let qrc = qrc(2, DispatchPolicy::RoundRobin);
+        let long = spawn_execute(&qrc, long_task());
+        spin_until(|| qrc.slot_snapshot().busy == 1);
+        // The rotation points at idle slot 1, then back at busy slot 0:
+        // both tiny tasks run on slot 1 while the long job holds slot 0
+        // (its task is credited when it lets go).
+        for _ in 0..2 {
+            qrc.execute(&ghz_task(3, BackendSpec::of("nwqsim", "cpu")))
                 .unwrap();
         }
-        assert_eq!(qrc.tasks_per_slot(), vec![4, 0, 0]);
+        assert_eq!(qrc.tasks_per_slot(), vec![0, 2]);
+        long.join().unwrap();
+        assert_eq!(qrc.tasks_per_slot(), vec![1, 2]);
+    }
+
+    #[test]
+    fn revived_slot_takes_a_parked_task() {
+        use qfw_chaos::FaultSpec;
+        let plan = FaultPlan::seeded(21).inject("qrc.slot_death", FaultSpec::first(1));
+        let qrc = Arc::new(chaos_qrc(2, plan));
+        // The long task lands on slot 0, kills it and requeues onto slot 1.
+        let long = spawn_execute(&qrc, long_task());
+        spin_until(|| qrc.slot_snapshot() == SlotSnapshot { total: 2, dead: 1, busy: 1 });
+        // The next one passes dead slot 0, finds slot 1 busy and parks.
+        let tiny = spawn_execute(&qrc, ghz_task(3, BackendSpec::of("nwqsim", "cpu")));
+        spin_until(|| qrc.pool.lock().waiting == 1);
+        assert_eq!(qrc.revive_slots(), 1);
+        tiny.join().unwrap();
+        assert_eq!(qrc.tasks_per_slot(), vec![1, 0], "ran on the revived slot");
+        long.join().unwrap();
+        assert_eq!(qrc.tasks_per_slot(), vec![1, 1]);
     }
 
     #[test]
     fn concurrent_tasks_complete_and_balance() {
-        let qrc = qrc(4, DispatchPolicy::LeastLoaded);
+        let qrc = qrc(4, DispatchPolicy::RoundRobin);
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let qrc = Arc::clone(&qrc);
@@ -880,20 +918,8 @@ mod tests {
 
     #[test]
     fn slot_death_requeues_task() {
-        use qfw_chaos::{FaultPlan, FaultSpec};
-        let cluster = ClusterSpec::test(3);
-        let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
-        let dvm = Arc::new(Dvm::new(&cluster));
-        let plan = Arc::new(FaultPlan::seeded(21).inject("qrc.slot_death", FaultSpec::first(1)));
-        let qrc = Qrc::new(
-            BackendRegistry::standard(None),
-            hetjob,
-            dvm,
-            1,
-            3,
-            DispatchPolicy::RoundRobin,
-        )
-        .with_chaos(plan);
+        use qfw_chaos::FaultSpec;
+        let qrc = chaos_qrc(3, FaultPlan::seeded(21).inject("qrc.slot_death", FaultSpec::first(1)));
         let result = qrc
             .execute(&ghz_task(4, BackendSpec::of("nwqsim", "cpu")))
             .unwrap();
@@ -906,20 +932,8 @@ mod tests {
 
     #[test]
     fn all_slots_dead_is_a_resource_error() {
-        use qfw_chaos::{FaultPlan, FaultSpec};
-        let cluster = ClusterSpec::test(3);
-        let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
-        let dvm = Arc::new(Dvm::new(&cluster));
-        let plan = Arc::new(FaultPlan::seeded(2).inject("qrc.slot_death", FaultSpec::always()));
-        let qrc = Qrc::new(
-            BackendRegistry::standard(None),
-            hetjob,
-            dvm,
-            1,
-            2,
-            DispatchPolicy::RoundRobin,
-        )
-        .with_chaos(plan);
+        use qfw_chaos::FaultSpec;
+        let qrc = chaos_qrc(2, FaultPlan::seeded(2).inject("qrc.slot_death", FaultSpec::always()));
         let err = qrc
             .execute(&ghz_task(4, BackendSpec::of("nwqsim", "cpu")))
             .unwrap_err();
@@ -977,20 +991,8 @@ mod tests {
 
     #[test]
     fn slot_snapshot_tracks_pool_state() {
-        use qfw_chaos::{FaultPlan, FaultSpec};
-        let cluster = ClusterSpec::test(3);
-        let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
-        let dvm = Arc::new(Dvm::new(&cluster));
-        let plan = Arc::new(FaultPlan::seeded(21).inject("qrc.slot_death", FaultSpec::first(1)));
-        let qrc = Qrc::new(
-            BackendRegistry::standard(None),
-            hetjob,
-            dvm,
-            1,
-            3,
-            DispatchPolicy::RoundRobin,
-        )
-        .with_chaos(plan);
+        use qfw_chaos::FaultSpec;
+        let qrc = chaos_qrc(3, FaultPlan::seeded(21).inject("qrc.slot_death", FaultSpec::first(1)));
         let snap = qrc.slot_snapshot();
         assert_eq!((snap.total, snap.dead, snap.busy), (3, 0, 0));
         assert_eq!(snap.live(), 3);

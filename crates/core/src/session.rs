@@ -32,8 +32,6 @@ pub struct QfwConfig {
     pub qrc_workers: usize,
     /// DEFw dispatcher threads.
     pub defw_workers: usize,
-    /// Task-to-slot dispatch policy.
-    pub dispatch: DispatchPolicy,
     /// Cloud provider model; `None` disables the IonQ-analog path.
     pub cloud: Option<CloudConfig>,
     /// Observability handle threaded through every layer (DEFw, QPM, QRC,
@@ -53,7 +51,6 @@ impl std::fmt::Debug for QfwConfig {
             .field("qpm_services", &self.qpm_services)
             .field("qrc_workers", &self.qrc_workers)
             .field("defw_workers", &self.defw_workers)
-            .field("dispatch", &self.dispatch)
             .field("cloud", &self.cloud)
             .field("obs", &self.obs)
             .finish_non_exhaustive()
@@ -67,7 +64,6 @@ impl Default for QfwConfig {
             qpm_services: 1,
             qrc_workers: 8,
             defw_workers: 8,
-            dispatch: DispatchPolicy::RoundRobin,
             cloud: None,
             obs: Obs::disabled(),
             chaos: Arc::new(FaultPlan::disabled()),
@@ -112,7 +108,7 @@ impl QfwSession {
                 Arc::clone(&dvm),
                 1, // hetgroup-1 hosts the workers
                 config.qrc_workers,
-                config.dispatch,
+                DispatchPolicy::RoundRobin,
             )
             .with_chaos(Arc::clone(&config.chaos))
             .with_obs(obs.clone()),

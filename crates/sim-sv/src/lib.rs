@@ -16,8 +16,8 @@
 //!
 //! Plus [`fusion`], which rewrites a circuit into a [`layers`] plan
 //! (whole diagonal runs, 2x2 chains, 4x4 blocks) executed one cache-sized
-//! tile at a time over the shared planar [`kernels`] — one of the
-//! ablations DESIGN.md calls out.
+//! tile at a time over the shared planar [`kernels`] — measured by
+//! `benchmark/`'s `engine_sv` workload and `sim_sv.*` probes.
 //!
 //! Memory cost is `16 * 2^n` bytes; per-gate cost is `O(2^n)`. These
 //! exponentials — and the near-linear strong scaling until communication

@@ -14,8 +14,8 @@ pub struct TensorNetwork {
     next_index: IndexId,
 }
 
-/// Pairwise contraction order strategies (the `ablation_tn_order` bench
-/// compares them).
+/// Pairwise contraction order strategies (the unit tests hold both to the
+/// dense reference).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderHeuristic {
     /// Always contract the pair whose result tensor is smallest — the
