@@ -23,7 +23,9 @@
 //!   primitive behind Hadamard tests (VQLS) and textbook QPE.
 //! * [`readout`] — [`Readout`]: which measurements are terminal, how a
 //!   sampled outcome projects onto the classical register, and the count
-//!   key — the one place every engine's counts are rendered.
+//!   key — the one place every engine's counts are built.
+//! * [`counts`] — [`Counts`]: the histogram those keys make, as outcome
+//!   words; bit strings are rendered only where a caller asks for them.
 //!
 //! Bit convention: qubit `q` is bit `q` (LSB-first) of a computational-basis
 //! index, matching Qiskit's little-endian order.
@@ -31,6 +33,7 @@
 pub mod analysis;
 pub mod circuit;
 pub mod controlled;
+pub mod counts;
 pub mod gate;
 pub mod hash;
 pub mod param;
@@ -38,6 +41,7 @@ pub mod readout;
 pub mod text;
 
 pub use circuit::{Circuit, Op, MAX_REGISTER_WIDTH};
+pub use counts::Counts;
 pub use gate::Gate;
 pub use hash::{canonical_hash, canonical_text, circuit_hash, ContentHash};
 pub use param::{Angle, ParamCircuit, ParamOp};

@@ -16,10 +16,12 @@
 //!   measures nothing measures every qubit into the same-numbered bit
 //!   (implicit measure-all, register width). A circuit whose measurements
 //!   are all mid-circuit gives one trajectory's bits for every shot.
-//! * **The count key.** Qiskit order, classical bit `num_clbits - 1`
-//!   leftmost, rendered once per distinct sampled outcome.
+//! * **The count key.** The classical register's value as an outcome
+//!   word ([`Counts`]), built once per distinct sampled outcome; no bit
+//!   string is rendered here.
 
 use crate::circuit::{Circuit, Op};
+use crate::counts::{stride, Counts};
 use std::collections::BTreeMap;
 
 /// One sampled computational-basis outcome.
@@ -120,41 +122,36 @@ impl Readout {
     /// Counts of one trajectory: one sampled outcome per shot, in any
     /// order, and the classical bits its mid-circuit measurements
     /// collapsed to (by classical bit).
-    pub fn counts<T: Outcome>(
-        &self,
-        mut shots: Vec<T>,
-        collapsed: &BTreeMap<usize, u8>,
-    ) -> BTreeMap<String, usize> {
+    pub fn counts<T: Outcome>(&self, mut shots: Vec<T>, collapsed: &BTreeMap<usize, u8>) -> Counts {
         shots.sort_unstable();
-        let mut keyed: Vec<(String, usize)> = shots
+        let width = self.sources.len();
+        let words = stride(width);
+        let distinct = shots.chunk_by(|a, b| a == b).count();
+        let (mut keys, mut ns) = Counts::buffers(width, distinct);
+        keys.resize(distinct * words, 0);
+        for (run, key) in shots
             .chunk_by(|a, b| a == b)
-            .map(|run| (self.key(&run[0], collapsed), run.len()))
-            .collect();
+            .zip(keys.chunks_exact_mut(words))
+        {
+            self.key(&run[0], collapsed, key);
+            ns.push(run.len());
+        }
         // Distinct outcomes share a key where the map leaves qubits out.
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        keyed.dedup_by(|later, kept| {
-            kept.0 == later.0 && {
-                kept.1 += later.1;
-                true
-            }
-        });
-        // Built from sorted pairs, the map's nodes come out full.
-        keyed.into_iter().collect()
+        Counts::tally(width, keys, ns)
     }
 
-    /// The count key of one outcome.
-    fn key(&self, outcome: &impl Outcome, collapsed: &BTreeMap<usize, u8>) -> String {
-        let bit = |c: usize, source: &Source| match *source {
-            Source::Zero => false,
-            Source::Sampled(q) => outcome.qubit(q),
-            Source::Collapsed => collapsed.get(&c) == Some(&1),
-        };
-        self.sources
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(c, source)| if bit(c, source) { '1' } else { '0' })
-            .collect()
+    /// Writes the count key of one outcome into `key` (zeroed, most
+    /// significant word first).
+    fn key(&self, outcome: &impl Outcome, collapsed: &BTreeMap<usize, u8>, key: &mut [u64]) {
+        let last = key.len() - 1;
+        for (c, source) in self.sources.iter().enumerate() {
+            let bit = match *source {
+                Source::Zero => false,
+                Source::Sampled(q) => outcome.qubit(q),
+                Source::Collapsed => collapsed.get(&c) == Some(&1),
+            };
+            key[last - c / 64] |= u64::from(bit) << (c % 64);
+        }
     }
 }
 
@@ -162,7 +159,7 @@ impl Readout {
 mod tests {
     use super::*;
 
-    fn counts(qc: &Circuit, shots: &[u64], collapsed: &[(usize, u8)]) -> BTreeMap<String, usize> {
+    fn counts(qc: &Circuit, shots: &[u64], collapsed: &[(usize, u8)]) -> Counts {
         let collapsed = collapsed.iter().copied().collect();
         Readout::of(qc).counts(shots.to_vec(), &collapsed)
     }

@@ -168,6 +168,14 @@ fn check_operands(qs: &[usize], nq: usize, ln: usize) -> Result<(), ParseError> 
     Ok(())
 }
 
+/// Refuses a clbit outside an `nc`-bit classical register.
+fn check_clbit(c: usize, nc: usize, ln: usize) -> Result<(), ParseError> {
+    if c >= nc {
+        return Err(err(ln, format!("clbit c{c} out of range for {nc} clbits")));
+    }
+    Ok(())
+}
+
 /// Parses `qfwasm` text back into a [`Circuit`].
 pub fn parse(text: &str) -> Result<Circuit, ParseError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
@@ -214,9 +222,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
             }
             let c = parse_clbit(it.next().unwrap_or(""), ln)?;
             check_operands(&[q], nq, ln)?;
-            if c >= nc {
-                return Err(err(ln, format!("clbit c{c} out of range for {nc} clbits")));
-            }
+            check_clbit(c, nc, ln)?;
             qc.push_op(Op::Measure { qubit: q, clbit: c });
             continue;
         }
@@ -646,15 +652,21 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
                 return Err(err(ln, "measure expects 'q<i> -> c<j>'"));
             }
             let c = parse_clbit(it.next().unwrap_or(""), ln)?;
+            // A template's classical register is as wide as its quantum one.
+            check_operands(&[q], nq, ln)?;
+            check_clbit(c, nq, ln)?;
             t.push(ParamOp::Measure { qubit: q, clbit: c });
             continue;
         }
         if let Some(rest) = line.strip_prefix("unitary[") {
-            t.fixed(parse_unitary_line(rest, ln)?);
+            let gate = parse_unitary_line(rest, ln)?;
+            check_operands(&gate.operands(), nq, ln)?;
+            t.fixed(gate);
             continue;
         }
 
         let (mnemonic, raw_params, qs) = split_gate_line(line, ln)?;
+        check_operands(&qs, nq, ln)?;
         let rotation = matches!(mnemonic, "rx" | "ry" | "rz" | "p" | "rzz" | "rxx" | "cp");
         if rotation {
             let arity = if matches!(mnemonic, "rzz" | "rxx" | "cp") {
@@ -885,5 +897,28 @@ mod tests {
         t.h(0);
         let (_, bound) = parse_param(&dump_param_bound(&t, &[])).unwrap();
         assert_eq!(bound, Some(vec![]));
+    }
+
+    /// Every operand is checked against `qubits N` at parse time, with the
+    /// line number, so binding the template cannot panic.
+    #[test]
+    fn param_refuses_out_of_range_operands_by_line() {
+        let head = "qfwasm-param 1\nqubits 2\n";
+        let out_of_range = |q: &str| format!("qubit {q} out of range for 2 qubits");
+        for (body, line, what) in [
+            ("h q7\nrx(@0) q0\nbind 0.1\n", 3, out_of_range("q7")),
+            ("rx(@0) q0\nrzz(@0) q0 q2\n", 4, out_of_range("q2")),
+            ("measure q5 -> c0\n", 3, out_of_range("q5")),
+            ("unitary[u] q3 : 1,0 0,0 0,0 1,0\n", 3, out_of_range("q3")),
+            (
+                "rx(@0) q0\nmeasure q0 -> c9\n",
+                4,
+                "clbit c9 out of range for 2 clbits".into(),
+            ),
+            ("cx q1 q1\n", 3, "repeated qubit operand q1".into()),
+        ] {
+            let e = parse_param(&format!("{head}{body}")).unwrap_err();
+            assert_eq!((e.line, e.message), (line, what), "{body}");
+        }
     }
 }

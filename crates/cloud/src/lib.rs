@@ -34,12 +34,12 @@
 
 use parking_lot::{Condvar, Mutex};
 pub use qfw_chaos::{FaultPlan, FaultSpec};
-use qfw_circuit::text;
+use qfw_circuit::{text, Counts};
 pub use qfw_noise::Calibration;
 use qfw_num::rng::Rng;
 use qfw_sim_sv::noise::{run_noisy, NoiseModel};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,8 +138,8 @@ pub enum JobStatus {
 /// Result payload (the body of `GET /jobs/{id}/results`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct JobResult {
-    /// Measured bitstring histogram.
-    pub counts: BTreeMap<String, usize>,
+    /// Measured histogram (bit-string keys on the wire).
+    pub counts: Counts,
     /// Time the job spent queued, seconds.
     pub queue_secs: f64,
     /// Modeled execution time, seconds.

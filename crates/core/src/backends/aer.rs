@@ -59,7 +59,7 @@ impl AerBackend {
             chi_max: job.plan.chi_max,
             trunc_eps: job.plan.trunc_eps,
         };
-        let out = MpsSimulator::new(config).run(circuit, job.shots, job.seed);
+        let out = MpsSimulator::new(config).execute(circuit, job.shots, job.seed);
         result.counts = out.counts;
         result.profile.exec_secs = out.gate_time.as_secs_f64();
         result.profile.sample_secs = out.sample_time.as_secs_f64();
@@ -82,7 +82,7 @@ impl AerBackend {
     ) -> Result<(), QfwError> {
         let _lease = ctx.lease_cores(1)?;
         let out = StabSimulator
-            .run(circuit, job.shots, job.seed)
+            .execute(circuit, job.shots, job.seed)
             .map_err(QfwError::Execution)?;
         result.counts = out.counts;
         result.profile.exec_secs = out.total_time.as_secs_f64();

@@ -9,7 +9,7 @@ use crate::error::QfwError;
 use crate::plan::{ExecPlan, Form, ResolvedJob};
 use crate::result::QfwResult;
 use crate::spec::extras;
-use qfw_circuit::{Circuit, Op};
+use qfw_circuit::{Circuit, Counts, Op};
 use qfw_hpc::Stopwatch;
 use qfw_obs::Obs;
 use qfw_sim_sv::engine::SvOutcome;
@@ -27,7 +27,7 @@ use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
 pub struct NwqSimBackend;
 
 /// Stamps an engine outcome onto a result.
-fn record(result: &mut QfwResult, out: SvOutcome) {
+fn record(result: &mut QfwResult, out: SvOutcome<Counts>) {
     result.counts = out.counts;
     result.profile.exec_secs += out.gate_time.as_secs_f64();
     result.profile.sample_secs = out.sample_time.as_secs_f64();
@@ -107,7 +107,7 @@ impl NwqSimBackend {
             // Trajectory-parallel on the threaded sub-backend (counts are
             // bitwise identical at any worker count), serial on `cpu`.
             let sw = Stopwatch::start();
-            result.counts = qfw_sim_sv::noise::run_trajectories(
+            result.counts = qfw_sim_sv::noise::sample_trajectories(
                 &job.concrete(),
                 job.shots,
                 job.seed,

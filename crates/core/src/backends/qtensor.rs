@@ -53,7 +53,7 @@ impl BackendQpm for QTensorBackend {
             )));
         }
         let engine = TnSimulator::new(config);
-        let out = std::panic::catch_unwind(|| engine.run(&circuit, job.shots, job.seed))
+        let out = std::panic::catch_unwind(|| engine.execute(&circuit, job.shots, job.seed))
             .map_err(|_| {
                 QfwError::Execution("contraction width exceeded the memory budget".into())
             })?;

@@ -47,7 +47,7 @@ impl BackendQpm for TnQvmBackend {
             chi_max: job.plan.chi_max,
             trunc_eps: job.plan.trunc_eps,
         };
-        let out = MpsSimulator::new(config).run(&job.concrete(), job.shots, job.seed);
+        let out = MpsSimulator::new(config).execute(&job.concrete(), job.shots, job.seed);
 
         let mut result = QfwResult::new(self.name(), sub, job.shots);
         result.counts = out.counts;

@@ -1143,6 +1143,28 @@ mod tests {
         ));
     }
 
+    /// A bound template naming a qubit or clbit outside its register is a
+    /// marshal error at admission, never a panic inside a slot.
+    #[test]
+    fn out_of_range_template_operands_are_refused_before_a_slot() {
+        let qrc = qrc(1, DispatchPolicy::RoundRobin);
+        for body in ["h q7\nrx(@0) q0\n", "rx(@0) q0\nmeasure q0 -> c9\n"] {
+            let task = ExecTask {
+                circuit: format!("qfwasm-param 1\nqubits 2\n{body}bind 0.1\n"),
+                shots: 16,
+                seed: 1,
+                spec: BackendSpec::of("nwqsim", "cpu"),
+            };
+            let refusal = qrc.execute(&task).unwrap_err();
+            assert!(
+                matches!(&refusal, QfwError::Marshal(why) if why.contains("out of range")),
+                "{body}: {refusal:?}"
+            );
+        }
+        assert_eq!(qrc.engine_invocations(), 0);
+        assert_eq!(qrc.tasks_per_slot(), vec![0]);
+    }
+
     #[test]
     fn execute_sweep_surfaces_backend_errors() {
         let qrc = qrc(1, DispatchPolicy::RoundRobin);

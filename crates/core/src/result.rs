@@ -2,6 +2,7 @@
 //! step 9), with the uniform timing instrumentation that lets QPM "maintain
 //! comparable per-backend performance profiles".
 
+use qfw_circuit::{counts, Counts};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -26,8 +27,9 @@ pub struct ExecProfile {
 /// A completed execution in QFw's standardized return format.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct QfwResult {
-    /// Measured bitstring histogram (Qiskit key order).
-    pub counts: BTreeMap<String, usize>,
+    /// Measured histogram over the classical register, as outcome words;
+    /// on the wire, a map of Qiskit-order bit strings.
+    pub counts: Counts,
     /// Shots requested.
     pub shots: usize,
     /// Backend that executed the task.
@@ -45,7 +47,7 @@ impl QfwResult {
     /// Builds a result skeleton for a backend.
     pub fn new(backend: &str, subbackend: &str, shots: usize) -> Self {
         QfwResult {
-            counts: BTreeMap::new(),
+            counts: Counts::default(),
             shots,
             backend: backend.to_string(),
             subbackend: subbackend.to_string(),
@@ -54,12 +56,13 @@ impl QfwResult {
         }
     }
 
-    /// The most frequent outcome, if any shot was taken.
-    pub fn most_frequent(&self) -> Option<(&str, usize)> {
+    /// The most frequent outcome's bit string and shots, if any shot was
+    /// taken (of a tie, the last in key order).
+    pub fn most_frequent(&self) -> Option<(String, usize)> {
         self.counts
-            .iter()
-            .max_by_key(|(_, &c)| c)
-            .map(|(k, &c)| (k.as_str(), c))
+            .outcomes()
+            .max_by_key(|&(_, n)| n)
+            .map(|(key, n)| (counts::bitstring(key, self.counts.width()), n))
     }
 
     /// Empirical probability of a bitstring.
@@ -74,12 +77,29 @@ impl QfwResult {
     /// metric the cross-backend integration tests use to check that every
     /// engine samples the same state.
     pub fn tv_distance(&self, other: &QfwResult) -> f64 {
-        let keys: std::collections::BTreeSet<&String> =
-            self.counts.keys().chain(other.counts.keys()).collect();
-        0.5 * keys
-            .into_iter()
-            .map(|k| (self.probability(k) - other.probability(k)).abs())
-            .sum::<f64>()
+        let p = |r: &QfwResult, n: usize| {
+            if r.shots == 0 {
+                0.0
+            } else {
+                n as f64 / r.shots as f64
+            }
+        };
+        // Keys of different widths never name the same outcome.
+        let comparable = self.counts.width() == other.counts.width();
+        let find =
+            |r: &QfwResult, key: &[u64]| comparable.then(|| r.counts.shots_of(key)).flatten();
+        let mine: f64 = self
+            .counts
+            .outcomes()
+            .map(|(key, n)| (p(self, n) - p(other, find(other, key).unwrap_or(0))).abs())
+            .sum();
+        let only_theirs: f64 = other
+            .counts
+            .outcomes()
+            .filter(|(key, _)| find(self, key).is_none())
+            .map(|(_, n)| p(other, n))
+            .sum();
+        0.5 * (mine + only_theirs)
     }
 
     /// Records a metadata entry.
@@ -123,9 +143,11 @@ mod tests {
     #[test]
     fn most_frequent_and_probability() {
         let r = result_with(&[("00", 700), ("11", 300)]);
-        assert_eq!(r.most_frequent(), Some(("00", 700)));
+        assert_eq!(r.most_frequent(), Some(("00".to_string(), 700)));
         assert!((r.probability("11") - 0.3).abs() < 1e-12);
         assert_eq!(r.probability("01"), 0.0);
+        let tie = result_with(&[("01", 5), ("10", 5), ("00", 1)]);
+        assert_eq!(tie.most_frequent(), Some(("10".to_string(), 5)));
     }
 
     #[test]

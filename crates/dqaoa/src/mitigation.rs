@@ -22,7 +22,8 @@
 //! needs one extra line.
 
 use qfw::{QfwBackend, QfwError};
-use qfw_circuit::{Circuit, ParamCircuit};
+use qfw_circuit::counts::{bitstring, key_bit};
+use qfw_circuit::{Circuit, Counts, ParamCircuit};
 use qfw_noise::NoiseModel;
 use std::collections::BTreeMap;
 
@@ -59,18 +60,20 @@ impl ReadoutCalibration {
         ones.measure_all();
         let r1 = backend.execute_sync(&ones, shots)?;
 
-        let rate = |counts: &BTreeMap<String, usize>, q: usize, flipped_to: char| -> f64 {
+        let rate = |counts: &Counts, q: usize, flipped_to: bool| -> f64 {
             let total: usize = counts.values().sum();
             let hits: usize = counts
-                .iter()
-                .filter(|(bits, _)| bits.as_bytes()[num_qubits - 1 - q] as char == flipped_to)
-                .map(|(_, c)| *c)
+                .outcomes()
+                .filter(|(key, _)| key_bit(key, q) == flipped_to)
+                .map(|(_, c)| c)
                 .sum();
             hits as f64 / total as f64
         };
         Ok(ReadoutCalibration {
-            e01: (0..num_qubits).map(|q| rate(&r0.counts, q, '1')).collect(),
-            e10: (0..num_qubits).map(|q| rate(&r1.counts, q, '0')).collect(),
+            e01: (0..num_qubits).map(|q| rate(&r0.counts, q, true)).collect(),
+            e10: (0..num_qubits)
+                .map(|q| rate(&r1.counts, q, false))
+                .collect(),
         })
     }
 
@@ -86,7 +89,7 @@ impl ReadoutCalibration {
     /// through the inverse of every qubit's 2x2 assignment matrix. To stay
     /// sparse, corrections are expanded only over qubits with nonzero error
     /// (exact for the tensored model).
-    pub fn correct(&self, counts: &BTreeMap<String, usize>) -> BTreeMap<String, f64> {
+    pub fn correct(&self, counts: &Counts) -> BTreeMap<String, f64> {
         let n = self.num_qubits();
         let shots: usize = counts.values().sum();
         // Per-qubit inverse M^{-1} entries: minv[q] = [[a, b], [c, d]] with
@@ -109,18 +112,17 @@ impl ReadoutCalibration {
             .collect();
 
         // Quasi-probabilities, sparse expansion.
-        let mut quasi: BTreeMap<String, f64> = BTreeMap::new();
-        for (bits, &c) in counts {
-            let mut partial: Vec<(Vec<u8>, f64)> =
-                vec![(bits.bytes().map(|b| b - b'0').collect(), c as f64)];
+        let mut quasi: BTreeMap<Vec<u64>, f64> = BTreeMap::new();
+        for (key, c) in counts.outcomes() {
+            let mut partial: Vec<(Vec<u64>, f64)> = vec![(key.to_vec(), c as f64)];
             for (q, inv) in minv.iter().enumerate().take(n) {
                 if self.e01[q] == 0.0 && self.e10[q] == 0.0 {
                     continue;
                 }
-                let pos = n - 1 - q; // string index of qubit q
+                let (word, bit) = (key.len() - 1 - q / 64, q % 64); // qubit q
                 let mut next = Vec::with_capacity(partial.len() * 2);
                 for (key, w) in partial {
-                    let observed = key[pos] as usize;
+                    let observed = (key[word] >> bit & 1) as usize;
                     // corrected[prepared] += inv[prepared][observed] * w
                     for prepared in 0..2usize {
                         let factor = inv[prepared * 2 + observed];
@@ -128,13 +130,13 @@ impl ReadoutCalibration {
                             continue;
                         }
                         let mut k = key.clone();
-                        k[pos] = prepared as u8;
+                        k[word] = k[word] & !(1 << bit) | (prepared as u64) << bit;
                         next.push((k, w * factor));
                     }
                 }
                 // Merge duplicates to keep the expansion bounded.
                 next.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut merged: Vec<(Vec<u8>, f64)> = Vec::with_capacity(next.len());
+                let mut merged: Vec<(Vec<u64>, f64)> = Vec::with_capacity(next.len());
                 for (k, w) in next {
                     match merged.last_mut() {
                         Some((lk, lw)) if *lk == k => *lw += w,
@@ -144,8 +146,7 @@ impl ReadoutCalibration {
                 partial = merged;
             }
             for (k, w) in partial {
-                let key: String = k.into_iter().map(|b| (b + b'0') as char).collect();
-                *quasi.entry(key).or_insert(0.0) += w;
+                *quasi.entry(k).or_insert(0.0) += w;
             }
         }
 
@@ -163,8 +164,11 @@ impl ReadoutCalibration {
                 *w *= scale;
             }
         }
-        quasi.retain(|_, w| *w > 1e-9);
         quasi
+            .into_iter()
+            .filter(|&(_, w)| w > 1e-9)
+            .map(|(key, w)| (bitstring(&key, counts.width()), w))
+            .collect()
     }
 }
 
@@ -233,13 +237,13 @@ pub fn richardson_extrapolate(points: &[(f64, f64)]) -> f64 {
 
 /// Mean single-qubit ⟨Z⟩ of a histogram: `(1/n) Σ_q (P(q=0) − P(q=1))`,
 /// the default ZNE observable when no problem Hamiltonian is at hand.
-pub fn counts_mean_z(counts: &BTreeMap<String, usize>) -> f64 {
+pub fn counts_mean_z(counts: &Counts) -> f64 {
     let total: usize = counts.values().sum();
     assert!(total > 0, "empty counts");
-    let n = counts.keys().next().expect("non-empty").len();
+    let n = counts.width();
     let mut acc = 0.0;
-    for (bits, &c) in counts {
-        let ones = bits.bytes().filter(|&b| b == b'1').count();
+    for (key, c) in counts.outcomes() {
+        let ones: u32 = key.iter().map(|word| word.count_ones()).sum();
         acc += c as f64 * (n as f64 - 2.0 * ones as f64) / n as f64;
     }
     acc / total as f64
@@ -263,7 +267,7 @@ pub fn zne_expectation<F>(
     observable: F,
 ) -> Result<ZneOutcome, QfwError>
 where
-    F: Fn(&BTreeMap<String, usize>) -> f64,
+    F: Fn(&Counts) -> f64,
 {
     if config.scales.len() < 2 {
         return Err(QfwError::BadProperties(
@@ -354,11 +358,7 @@ mod tests {
         let backend = noisy_backend(&session, 0.05);
         let cal = ReadoutCalibration::measure(&backend, n, 40_000).unwrap();
         let noisy = backend.execute_sync(&ghz(n), 40_000).unwrap();
-        let raw: BTreeMap<String, f64> = noisy
-            .counts
-            .iter()
-            .map(|(k, &v)| (k.clone(), v as f64))
-            .collect();
+        let raw: BTreeMap<String, f64> = noisy.counts.iter().map(|(k, &v)| (k, v as f64)).collect();
         let corrected = cal.correct(&noisy.counts);
         let before = ghz_mass(&raw, n);
         let after = ghz_mass(&corrected, n);
@@ -375,7 +375,7 @@ mod tests {
             e01: vec![0.0; 3],
             e10: vec![0.0; 3],
         };
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::default();
         counts.insert("011".to_string(), 70usize);
         counts.insert("100".to_string(), 30usize);
         let corrected = cal.correct(&counts);
@@ -390,7 +390,7 @@ mod tests {
             e01: vec![0.03, 0.05],
             e10: vec![0.02, 0.04],
         };
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::default();
         counts.insert("00".to_string(), 480usize);
         counts.insert("11".to_string(), 470);
         counts.insert("01".to_string(), 30);
@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn mean_z_observable_matches_hand_count() {
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::default();
         counts.insert("00".to_string(), 3usize); // <Z> = +1
         counts.insert("11".to_string(), 1); // <Z> = -1
         counts.insert("01".to_string(), 4); // <Z> = 0
@@ -505,7 +505,7 @@ mod tests {
             e10: vec![0.0],
         };
         // Prepared |0> read as 1 10% of the time: observed 900/100.
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::default();
         counts.insert("0".to_string(), 900usize);
         counts.insert("1".to_string(), 100);
         let corrected = cal.correct(&counts);

@@ -2,7 +2,7 @@
 //! shape so the QFw backend adapters stay symmetric.
 
 use crate::mps::MpsState;
-use qfw_circuit::{Circuit, Readout};
+use qfw_circuit::{Circuit, Counts, Readout};
 use qfw_num::rng::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -29,11 +29,12 @@ impl Default for MpsConfig {
     }
 }
 
-/// Result of one MPS execution.
+/// Result of one MPS execution: counts as outcome words from
+/// [`MpsSimulator::execute`], as bit strings from [`MpsSimulator::run`].
 #[derive(Clone, Debug)]
-pub struct MpsOutcome {
-    /// Measured bitstring counts.
-    pub counts: BTreeMap<String, usize>,
+pub struct MpsOutcome<C = BTreeMap<String, usize>> {
+    /// Measured counts.
+    pub counts: C,
     /// Wall time applying gates.
     pub gate_time: Duration,
     /// Wall time sampling.
@@ -42,6 +43,19 @@ pub struct MpsOutcome {
     pub max_bond: usize,
     /// Accumulated truncation error (discarded squared Schmidt weight).
     pub trunc_error: f64,
+}
+
+impl MpsOutcome<Counts> {
+    /// This outcome with its counts rendered as bit strings.
+    pub fn rendered(self) -> MpsOutcome {
+        MpsOutcome {
+            counts: self.counts.bitstrings(),
+            gate_time: self.gate_time,
+            sample_time: self.sample_time,
+            max_bond: self.max_bond,
+            trunc_error: self.trunc_error,
+        }
+    }
 }
 
 /// The MPS simulator engine.
@@ -57,6 +71,11 @@ impl MpsSimulator {
         MpsSimulator { config }
     }
 
+    /// [`execute`](Self::execute) with the counts rendered as bit strings.
+    pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> MpsOutcome {
+        self.execute(circuit, shots, seed).rendered()
+    }
+
     /// Executes a circuit for `shots` samples, read through the circuit's
     /// [`Readout`].
     ///
@@ -64,7 +83,7 @@ impl MpsSimulator {
     /// This engine cannot collapse a state mid-circuit: it panics on a
     /// circuit with a mid-circuit measurement, which admission refuses
     /// before it reaches here (`qfw::plan`).
-    pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> MpsOutcome {
+    pub fn execute(&self, circuit: &Circuit, shots: usize, seed: u64) -> MpsOutcome<Counts> {
         let readout = Readout::of(circuit);
         assert!(
             !readout.has_mid_circuit(),

@@ -1,6 +1,6 @@
 //! The bit-packed CHP tableau and the engine façade over it.
 
-use qfw_circuit::{Circuit, Gate, Readout};
+use qfw_circuit::{Circuit, Counts, Gate, Readout};
 use qfw_num::rng::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -236,13 +236,24 @@ impl Tableau {
     }
 }
 
-/// Result of one stabilizer execution.
+/// Result of one stabilizer execution: counts as outcome words from
+/// [`StabSimulator::execute`], as bit strings from [`StabSimulator::run`].
 #[derive(Clone, Debug)]
-pub struct StabOutcome {
-    /// Measured bitstring counts.
-    pub counts: BTreeMap<String, usize>,
+pub struct StabOutcome<C = BTreeMap<String, usize>> {
+    /// Measured counts.
+    pub counts: C,
     /// Wall time for tableau evolution plus per-shot measurement.
     pub total_time: Duration,
+}
+
+impl StabOutcome<Counts> {
+    /// This outcome with its counts rendered as bit strings.
+    pub fn rendered(self) -> StabOutcome {
+        StabOutcome {
+            counts: self.counts.bitstrings(),
+            total_time: self.total_time,
+        }
+    }
 }
 
 /// Engine façade: runs Clifford circuits shot-by-shot (each shot clones the
@@ -251,6 +262,12 @@ pub struct StabOutcome {
 pub struct StabSimulator;
 
 impl StabSimulator {
+    /// [`execute`](Self::execute) with the counts rendered as bit strings.
+    pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> Result<StabOutcome, String> {
+        self.execute(circuit, shots, seed)
+            .map(StabOutcome::rendered)
+    }
+
     /// Executes a Clifford circuit for `shots` samples, read through the
     /// circuit's [`Readout`].
     ///
@@ -259,7 +276,12 @@ impl StabSimulator {
     /// method" — and when it measures mid-circuit, which this shot-by-shot
     /// sampler of one evolved tableau cannot collapse (admission refuses
     /// such circuits first, `qfw::plan`).
-    pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> Result<StabOutcome, String> {
+    pub fn execute(
+        &self,
+        circuit: &Circuit,
+        shots: usize,
+        seed: u64,
+    ) -> Result<StabOutcome<Counts>, String> {
         if let Some(bad) = circuit.gates().find(|g| !g.is_clifford()) {
             return Err(format!("non-Clifford gate '{}'", bad.name()));
         }

@@ -36,7 +36,7 @@ use crate::layers::LayerPlan;
 use crate::state::{
     block_shot_split, canonical_split_bits, local_offsets, sample_block_draws, StateVector,
 };
-use qfw_circuit::{Circuit, Op, Readout};
+use qfw_circuit::{Circuit, Counts, Op, Readout};
 use qfw_hpc::RankCtx;
 use qfw_num::complex::C64;
 use qfw_num::rng::{AliasSampler, Rng};
@@ -763,10 +763,11 @@ impl<'a> DistStateVector<'a> {
 
     /// [`sample_indices`](Self::sample_indices) as whole-register counts:
     /// what a circuit that measures every qubit into its own bit reads.
+    /// Rendered as bit strings.
     pub fn sample_counts(&mut self, shots: usize, seed: u64) -> Option<BTreeMap<String, usize>> {
         let whole = Readout::of(&Circuit::new(self.n));
         self.sample_indices(shots, seed)
-            .map(|draws| whole.counts(draws, &BTreeMap::new()))
+            .map(|draws| whole.counts(draws, &BTreeMap::new()).bitstrings())
     }
 }
 
@@ -778,7 +779,7 @@ impl<'a> DistStateVector<'a> {
 /// (deterministic) plan for itself; a caller that spawns the ranks should
 /// build it once and hand it to [`run_distributed_plan`]. `route` has one
 /// value; the parameter is kept for the benchmark harness (see
-/// [`RouteStrategy`]).
+/// [`RouteStrategy`]). The counts are rendered as bit strings.
 pub fn run_distributed_laid_out(
     ctx: &mut RankCtx,
     circuit: &Circuit,
@@ -791,7 +792,7 @@ pub fn run_distributed_laid_out(
     let size = ctx.size();
     assert!(size.is_power_of_two(), "world size must be a power of two");
     let plan = DistPlan::build(circuit, size.trailing_zeros() as usize, layout);
-    run_distributed_plan(ctx, &plan, shots, seed, obs)
+    run_distributed_plan(ctx, &plan, shots, seed, obs).map(|(out, stats)| (out.rendered(), stats))
 }
 
 /// Executes a prebuilt plan on this rank's shard and samples: the whole
@@ -805,7 +806,7 @@ pub fn run_distributed_plan(
     shots: usize,
     seed: u64,
     obs: &Obs,
-) -> Option<(SvOutcome, DistStats)> {
+) -> Option<(SvOutcome<Counts>, DistStats)> {
     let sw = qfw_hpc::Stopwatch::start();
     let mut dsv = DistStateVector::zero_with(ctx, plan.num_qubits, obs.clone());
     let apply_span = obs

@@ -3,7 +3,7 @@
 use crate::fusion::{fuse, FusionLevel};
 use crate::layers::LayerPlan;
 use crate::state::{canonical_split_bits, StateVector};
-use qfw_circuit::{Circuit, Op, Readout};
+use qfw_circuit::{Circuit, Counts, Op, Readout};
 use qfw_num::rng::Rng;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
@@ -36,17 +36,31 @@ impl Default for SvConfig {
     }
 }
 
-/// Result of one circuit execution.
+/// Result of one circuit execution. The engine tallies outcome words
+/// ([`Counts`]); [`SvSimulator::run`] and [`SvSimulator::run_from`] hand
+/// them out rendered as bit strings (Qiskit order: qubit n-1 leftmost).
 #[derive(Clone, Debug)]
-pub struct SvOutcome {
-    /// Measured bitstring counts (Qiskit order: qubit n-1 leftmost).
-    pub counts: BTreeMap<String, usize>,
+pub struct SvOutcome<C = BTreeMap<String, usize>> {
+    /// Measured counts.
+    pub counts: C,
     /// Wall time spent applying gates (excludes sampling).
     pub gate_time: Duration,
     /// Wall time spent sampling shots.
     pub sample_time: Duration,
     /// Number of gates actually applied (after fusion).
     pub gates_applied: usize,
+}
+
+impl SvOutcome<Counts> {
+    /// This outcome with its counts rendered as bit strings.
+    pub fn rendered(self) -> SvOutcome {
+        SvOutcome {
+            counts: self.counts.bitstrings(),
+            gate_time: self.gate_time,
+            sample_time: self.sample_time,
+            gates_applied: self.gates_applied,
+        }
+    }
 }
 
 /// A state after its gates, on the way to the sampler.
@@ -88,14 +102,23 @@ impl SvSimulator {
     /// state projectively once, i.e. the run is a single stochastic
     /// trajectory — sufficient for every workload in the paper, all of which
     /// measure only at the end. The circuit's [`Readout`] decides which is
-    /// which and what the draws read.
+    /// which and what the draws read. The counts are rendered from
+    /// [`run_traced`](Self::run_traced)'s outcome words.
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> SvOutcome {
         self.run_traced(circuit, shots, seed, &Obs::disabled())
+            .rendered()
     }
 
-    /// [`run`](Self::run), reporting engine phases (fuse / apply / sample)
-    /// as spans on the `engine` track of the given observability handle.
-    pub fn run_traced(&self, circuit: &Circuit, shots: usize, seed: u64, obs: &Obs) -> SvOutcome {
+    /// [`run`](Self::run) with its counts as outcome words, reporting
+    /// engine phases (fuse / apply / sample) as spans on the `engine` track
+    /// of the given observability handle.
+    pub fn run_traced(
+        &self,
+        circuit: &Circuit,
+        shots: usize,
+        seed: u64,
+        obs: &Obs,
+    ) -> SvOutcome<Counts> {
         self.run_inner(None, circuit, shots, seed, obs)
     }
 
@@ -119,9 +142,11 @@ impl SvSimulator {
         seed: u64,
     ) -> SvOutcome {
         self.run_traced_from(initial, circuit, shots, seed, &Obs::disabled())
+            .rendered()
     }
 
-    /// [`run_from`](Self::run_from) with engine-phase tracing.
+    /// [`run_from`](Self::run_from) with its counts as outcome words and
+    /// engine-phase tracing.
     pub fn run_traced_from(
         &self,
         initial: StateVector,
@@ -129,7 +154,7 @@ impl SvSimulator {
         shots: usize,
         seed: u64,
         obs: &Obs,
-    ) -> SvOutcome {
+    ) -> SvOutcome<Counts> {
         assert_eq!(
             initial.num_qubits(),
             circuit.num_qubits(),
@@ -145,7 +170,7 @@ impl SvSimulator {
         shots: usize,
         seed: u64,
         obs: &Obs,
-    ) -> SvOutcome {
+    ) -> SvOutcome<Counts> {
         if self.config.fusion == FusionLevel::None {
             return self.run_verbatim(initial, circuit, shots, seed, obs);
         }
@@ -166,7 +191,7 @@ impl SvSimulator {
         shots: usize,
         seed: u64,
         obs: &Obs,
-    ) -> SvOutcome {
+    ) -> SvOutcome<Counts> {
         let parallel = self.config.threading == Threading::Rayon;
         let mut rng = Rng::seed_from(seed);
         let mut sv = initial.unwrap_or_else(|| StateVector::zero(plan.num_qubits()));
@@ -197,7 +222,7 @@ impl SvSimulator {
         shots: usize,
         seed: u64,
         obs: &Obs,
-    ) -> SvOutcome {
+    ) -> SvOutcome<Counts> {
         let parallel = self.config.threading == Threading::Rayon;
         let mut rng = Rng::seed_from(seed);
         let mut sv =
@@ -245,7 +270,7 @@ impl SvSimulator {
         shots: usize,
         seed: u64,
         obs: &Obs,
-    ) -> SvOutcome {
+    ) -> SvOutcome<Counts> {
         let split_bits = canonical_split_bits(evolved.sv.num_qubits(), 0);
         let sample_span = obs.span("engine", "sv.sample").attr("shots", shots);
         let sw = qfw_hpc::Stopwatch::start();

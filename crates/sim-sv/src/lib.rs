@@ -41,6 +41,6 @@ pub use engine::{SvConfig, SvSimulator, Threading};
 pub use fusion::{fuse, FusionLevel};
 pub use kernels::IsaTier;
 pub use layers::LayerPlan;
-pub use noise::{run_noisy, run_trajectories, NoiseModel};
+pub use noise::{run_noisy, run_trajectories, sample_trajectories, NoiseModel};
 pub use state::{canonical_split_bits, StateVector, DEFAULT_SPLIT_BITS};
 pub use sweep::{SweepError, SweepPlan, SweepPoint};

@@ -27,7 +27,7 @@
 
 use crate::engine::SvSimulator;
 use crate::state::{canonical_split_bits, StateVector};
-use qfw_circuit::{Circuit, Op, Readout};
+use qfw_circuit::{Circuit, Counts, Op, Readout};
 use qfw_noise::Kraus2;
 pub use qfw_noise::NoiseModel;
 use qfw_num::complex::C64;
@@ -128,7 +128,7 @@ fn sample_with_readout(
 /// Fixed-seed counts are **bitwise identical for every `workers`
 /// value**: trajectory `t` always uses `Rng::stream(seed, t)` and a
 /// fixed shot share, and histograms merge in trajectory order.
-pub fn run_trajectories(
+pub fn sample_trajectories(
     circuit: &Circuit,
     shots: usize,
     seed: u64,
@@ -136,9 +136,11 @@ pub fn run_trajectories(
     trajectories: usize,
     workers: usize,
     obs: &Obs,
-) -> BTreeMap<String, usize> {
+) -> Counts {
     if model.is_empty() {
-        return SvSimulator::default().run(circuit, shots, seed).counts;
+        return SvSimulator::default()
+            .run_traced(circuit, shots, seed, &Obs::disabled())
+            .counts;
     }
     let readout = Readout::of(circuit);
     let span = obs
@@ -154,7 +156,7 @@ pub fn run_trajectories(
 
     // One result slot per trajectory, handed out to workers in
     // contiguous chunks so merge order never depends on thread timing.
-    let mut slots: Vec<Option<(BTreeMap<String, usize>, u64)>> = vec![None; trajectories];
+    let mut slots: Vec<Option<(Counts, u64)>> = vec![None; trajectories];
     let chunk = trajectories.div_ceil(workers);
     let readout = &readout;
     std::thread::scope(|scope| {
@@ -178,33 +180,45 @@ pub fn run_trajectories(
         }
     });
 
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut total_kraus = 0u64;
-    let mut ran = 0u64;
-    for (traj_counts, kraus_apps) in slots.into_iter().flatten() {
-        for (bits, c) in traj_counts {
-            *counts.entry(bits).or_insert(0) += c;
-        }
-        total_kraus += kraus_apps;
-        ran += 1;
-    }
+    let (mut total_kraus, mut ran) = (0u64, 0u64);
+    let counts = slots
+        .into_iter()
+        .flatten()
+        .map(|(traj_counts, kraus_apps)| {
+            total_kraus += kraus_apps;
+            ran += 1;
+            traj_counts
+        })
+        .sum();
     obs.counter("noise.trajectories").add(ran);
     obs.counter("noise.kraus_applications").add(total_kraus);
     drop(span.attr("trajectories", ran));
     counts
 }
 
-/// Serial compatibility wrapper over [`run_trajectories`] (one worker,
-/// no observability) — the signature the cloud and the NWQ-Sim adapter
-/// historically used.
+/// [`sample_trajectories`] with the counts rendered as bit strings.
+pub fn run_trajectories(
+    circuit: &Circuit,
+    shots: usize,
+    seed: u64,
+    model: &NoiseModel,
+    trajectories: usize,
+    workers: usize,
+    obs: &Obs,
+) -> BTreeMap<String, usize> {
+    sample_trajectories(circuit, shots, seed, model, trajectories, workers, obs).bitstrings()
+}
+
+/// Serial [`sample_trajectories`] (one worker, no observability) — the
+/// signature the cloud uses.
 pub fn run_noisy(
     circuit: &Circuit,
     shots: usize,
     seed: u64,
     model: &NoiseModel,
     max_trajectories: usize,
-) -> BTreeMap<String, usize> {
-    run_trajectories(
+) -> Counts {
+    sample_trajectories(
         circuit,
         shots,
         seed,
@@ -237,7 +251,7 @@ mod tests {
     }
 
     /// Fraction of shots that land outside the ideal GHZ outcomes.
-    fn leakage(counts: &BTreeMap<String, usize>, n: usize) -> f64 {
+    fn leakage(counts: &Counts, n: usize) -> f64 {
         let shots: usize = counts.values().sum();
         let ideal = ["0".repeat(n), "1".repeat(n)];
         let good: usize = ideal.iter().filter_map(|k| counts.get(k)).sum();

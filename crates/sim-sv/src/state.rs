@@ -8,7 +8,7 @@
 //! target bits; distinct groups touch disjoint indices, which is what makes
 //! the unsafe shared-pointer scatter in the k-qubit kernel sound.
 
-use qfw_circuit::{Circuit, Gate, Op, Readout};
+use qfw_circuit::{Circuit, Counts, Gate, Op, Readout};
 use qfw_num::complex::{c64, C64};
 use qfw_num::rng::{AliasSampler, CdfSampler, Rng};
 use qfw_num::Matrix;
@@ -622,7 +622,7 @@ impl StateVector {
         shots: usize,
         seed: u64,
         split_bits: usize,
-    ) -> BTreeMap<String, usize> {
+    ) -> Counts {
         let whole = Readout::of(&Circuit::new(self.n));
         whole.counts(self.sample_split(shots, seed, split_bits), &BTreeMap::new())
     }

@@ -19,7 +19,7 @@
 
 use crate::engine::{SvOutcome, SvSimulator, Threading};
 use crate::state::StateVector;
-use qfw_circuit::{Angle, Circuit, ParamCircuit, ParamOp};
+use qfw_circuit::{Angle, Circuit, Counts, ParamCircuit, ParamOp};
 use qfw_obs::Obs;
 use rayon::ParallelSliceMut;
 use std::f64::consts::FRAC_PI_2;
@@ -90,12 +90,13 @@ impl SweepPlan {
     /// Executes one binding: exactly
     /// `engine.run(&template.bind(&point.params), point.shots, point.seed)`,
     /// except that the outcome's `gate_time` also covers the bind and the
-    /// fuse, so `gate_time + sample_time` is the point's whole cost.
-    pub fn run(&self, point: &SweepPoint) -> SvOutcome {
+    /// fuse, so `gate_time + sample_time` is the point's whole cost, and
+    /// the counts stay outcome words.
+    pub fn run(&self, point: &SweepPoint) -> SvOutcome<Counts> {
         self.run_traced(point, &Obs::disabled())
     }
 
-    fn run_traced(&self, point: &SweepPoint, obs: &Obs) -> SvOutcome {
+    fn run_traced(&self, point: &SweepPoint, obs: &Obs) -> SvOutcome<Counts> {
         let sw = qfw_hpc::Stopwatch::start();
         let circuit = self.template.bind(&point.params);
         let mut out = self.engine.run_traced(&circuit, point.shots, point.seed, obs);
@@ -214,7 +215,7 @@ impl SvSimulator {
         plan: &SweepPlan,
         points: &[SweepPoint],
         obs: &Obs,
-    ) -> Vec<SvOutcome> {
+    ) -> Vec<SvOutcome<Counts>> {
         if let [point] = points {
             return vec![plan.run_traced(point, obs)];
         }
@@ -222,10 +223,11 @@ impl SvSimulator {
             .span("engine", "sweep.run")
             .attr("points", points.len())
             .attr("shots", points.iter().map(|p| p.shots).sum::<usize>());
-        let mut out: Vec<Option<SvOutcome>> = vec![None; points.len()];
+        let mut out: Vec<Option<SvOutcome<Counts>>> = vec![None; points.len()];
         // Each point owns its output slot and its own seeded sampler, so
         // parallel order cannot leak into the counts.
-        let run = |(i, slot): (usize, &mut Option<SvOutcome>)| *slot = Some(plan.run(&points[i]));
+        let run =
+            |(i, slot): (usize, &mut Option<SvOutcome<Counts>>)| *slot = Some(plan.run(&points[i]));
         if self.config.threading == Threading::Rayon {
             out.par_iter_mut().enumerate().for_each(run);
         } else {

@@ -3,7 +3,7 @@
 use crate::network::TensorNetwork;
 pub use crate::network::OrderHeuristic;
 use qfw_circuit::analysis::lightcone;
-use qfw_circuit::{Circuit, Op, Readout};
+use qfw_circuit::{Circuit, Counts, Op, Readout};
 use qfw_num::complex::C64;
 use qfw_num::rng::{CdfSampler, Rng};
 use std::collections::BTreeMap;
@@ -28,15 +28,27 @@ impl Default for TnConfig {
     }
 }
 
-/// Result of one TN execution.
+/// Result of one TN execution: counts as outcome words from
+/// [`TnSimulator::execute`], as bit strings from [`TnSimulator::run`].
 #[derive(Clone, Debug)]
-pub struct TnOutcome {
-    /// Measured bitstring counts.
-    pub counts: BTreeMap<String, usize>,
+pub struct TnOutcome<C = BTreeMap<String, usize>> {
+    /// Measured counts.
+    pub counts: C,
     /// Wall time contracting the network.
     pub contract_time: Duration,
     /// Wall time sampling.
     pub sample_time: Duration,
+}
+
+impl TnOutcome<Counts> {
+    /// This outcome with its counts rendered as bit strings.
+    pub fn rendered(self) -> TnOutcome {
+        TnOutcome {
+            counts: self.counts.bitstrings(),
+            contract_time: self.contract_time,
+            sample_time: self.sample_time,
+        }
+    }
 }
 
 /// The tensor-network simulator engine.
@@ -62,6 +74,11 @@ impl TnSimulator {
         ordered.data
     }
 
+    /// [`execute`](Self::execute) with the counts rendered as bit strings.
+    pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> TnOutcome {
+        self.execute(circuit, shots, seed).rendered()
+    }
+
     /// Executes a circuit for `shots` samples, read through the circuit's
     /// [`Readout`].
     ///
@@ -69,7 +86,7 @@ impl TnSimulator {
     /// This engine cannot collapse a state mid-circuit: it panics on a
     /// circuit with a mid-circuit measurement, which admission refuses
     /// before it reaches here (`qfw::plan`).
-    pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> TnOutcome {
+    pub fn execute(&self, circuit: &Circuit, shots: usize, seed: u64) -> TnOutcome<Counts> {
         let readout = Readout::of(circuit);
         assert!(
             !readout.has_mid_circuit(),

@@ -8,7 +8,8 @@
 //! rotation circuits, and count-side estimators — everything needed to
 //! evaluate a Hamiltonian through a counts-only backend API like QFw's.
 
-use qfw_circuit::Circuit;
+use qfw_circuit::counts::key_bit;
+use qfw_circuit::{Circuit, Counts};
 use qfw_num::complex::{c64, C64};
 use qfw_num::Matrix;
 use std::collections::BTreeMap;
@@ -205,11 +206,7 @@ impl MeasurementGroup {
     /// Estimates each member term's `<P>` from rotated-basis counts: the
     /// expectation is the mean of the ±1 parities over the term's qubits.
     /// Returns (term index, expectation) pairs.
-    pub fn estimate(
-        &self,
-        ham: &PauliHamiltonian,
-        counts: &BTreeMap<String, usize>,
-    ) -> Vec<(usize, f64)> {
+    pub fn estimate(&self, ham: &PauliHamiltonian, counts: &Counts) -> Vec<(usize, f64)> {
         let shots: usize = counts.values().sum();
         assert!(shots > 0, "empty counts");
         self.term_indices
@@ -217,12 +214,10 @@ impl MeasurementGroup {
             .map(|&idx| {
                 let term = &ham.terms[idx];
                 let mut acc = 0.0;
-                for (bits, &c) in counts {
-                    let nb = bits.len();
+                for (key, c) in counts.outcomes() {
                     let mut parity = 1.0;
                     for &(q, _) in &term.ops {
-                        // Qiskit order: qubit q is character nb-1-q.
-                        if bits.as_bytes()[nb - 1 - q] == b'1' {
+                        if key_bit(key, q) {
                             parity = -parity;
                         }
                     }
@@ -322,7 +317,7 @@ mod tests {
             qc.compose(&group.rotation_circuit(n));
             qc.measure_all();
             let out = engine.run(&qc, 60_000, 9);
-            for (idx, e) in group.estimate(&ham, &out.counts) {
+            for (idx, e) in group.estimate(&ham, &Counts::from(out.counts)) {
                 estimate += ham.terms[idx].coeff * e;
             }
         }

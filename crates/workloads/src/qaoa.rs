@@ -7,7 +7,7 @@
 //! re-bind rather than a rebuild.
 
 use crate::qubo::Qubo;
-use qfw_circuit::{Angle, ParamCircuit, ParamOp};
+use qfw_circuit::{Angle, Counts, ParamCircuit, ParamOp};
 
 /// Builds the depth-`p` QAOA ansatz for a QUBO.
 ///
@@ -65,39 +65,36 @@ pub fn qubo_z_terms(qubo: &Qubo) -> (f64, Vec<(usize, f64)>) {
     (offset, terms)
 }
 
-/// The assignment a counts key names, bit-packed: the key prints variable
-/// `n-1` leftmost, so its last byte is bit 0 (any byte but `1` reads 0).
-fn key_index(qubo: &Qubo, key: &str) -> usize {
-    assert_eq!(key.len(), qubo.num_vars(), "assignment length mismatch");
+/// Each outcome's assignment, bit-packed (classical bit `i` is variable
+/// `i`), with its shots, in key order.
+fn assignments<'a>(qubo: &Qubo, counts: &'a Counts) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let n = qubo.num_vars();
     assert!(
-        key.len() <= usize::BITS as usize,
-        "a {}-bit key exceeds a word",
-        key.len()
+        counts.is_empty() || counts.width() == n,
+        "assignment length mismatch"
     );
-    key.bytes()
-        .fold(0, |acc, b| acc << 1 | usize::from(b == b'1'))
+    assert!(n <= usize::BITS as usize, "a {n}-bit key exceeds a word");
+    counts
+        .outcomes()
+        .map(|(key, shots)| (key[0] as usize, shots))
 }
 
-/// Mean QUBO energy of a counts histogram (bitstring keys in Qiskit order).
-pub fn counts_energy(qubo: &Qubo, counts: &std::collections::BTreeMap<String, usize>) -> f64 {
+/// Mean QUBO energy of a counts histogram.
+pub fn counts_energy(qubo: &Qubo, counts: &Counts) -> f64 {
     let total: usize = counts.values().sum();
     assert!(total > 0, "empty counts");
     let mut acc = 0.0;
-    for (key, &c) in counts {
-        acc += qubo.energy_bits(key_index(qubo, key)) * c as f64;
+    for (bits, shots) in assignments(qubo, counts) {
+        acc += qubo.energy_bits(bits) * shots as f64;
     }
     acc / total as f64
 }
 
 /// Best (lowest-energy) sampled assignment in a counts histogram.
 /// Returns (bits LSB-first, energy).
-pub fn counts_best(
-    qubo: &Qubo,
-    counts: &std::collections::BTreeMap<String, usize>,
-) -> (Vec<u8>, f64) {
+pub fn counts_best(qubo: &Qubo, counts: &Counts) -> (Vec<u8>, f64) {
     let mut best: Option<(usize, f64)> = None;
-    for key in counts.keys() {
-        let bits = key_index(qubo, key);
+    for (bits, _) in assignments(qubo, counts) {
         let e = qubo.energy_bits(bits);
         if best.is_none_or(|(_, be)| e < be) {
             best = Some((bits, e));
@@ -195,7 +192,7 @@ mod tests {
         let mut q = Qubo::zeros(2);
         q.set(0, 0, 1.0);
         q.set(1, 1, 2.0);
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::default();
         counts.insert("00".to_string(), 50usize); // E=0
         counts.insert("01".to_string(), 25); // x0=1 -> E=1
         counts.insert("10".to_string(), 25); // x1=1 -> E=2
@@ -207,7 +204,7 @@ mod tests {
     fn counts_best_finds_minimum_sample() {
         let mut q = Qubo::zeros(2);
         q.set(0, 0, -1.0);
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::default();
         counts.insert("00".to_string(), 10usize);
         counts.insert("01".to_string(), 1); // x0=1: E=-1, rare but best
         let (x, e) = counts_best(&q, &counts);
@@ -245,6 +242,7 @@ mod tests {
                 }
             }
             let mean = acc / total as f64;
+            let counts = Counts::from(counts);
             assert_eq!(
                 counts_energy(&q, &counts).to_bits(),
                 mean.to_bits(),

@@ -7,16 +7,17 @@
 //! ```
 
 use qfw::{QfwConfig, QfwSession};
+use qfw_circuit::Counts;
 use qfw_cloud::CloudConfig;
 use qfw_hpc::ClusterSpec;
 use qfw_noise::NoiseModel;
 use qfw_workloads::ghz;
 
-fn ghz_fidelity(counts: &std::collections::BTreeMap<String, usize>, n: usize) -> f64 {
+fn ghz_fidelity(counts: &Counts, n: usize) -> f64 {
     let shots: usize = counts.values().sum();
     let good: usize = [&"0".repeat(n), &"1".repeat(n)]
         .iter()
-        .filter_map(|k| counts.get(*k))
+        .filter_map(|k| counts.get(k))
         .sum();
     good as f64 / shots as f64
 }

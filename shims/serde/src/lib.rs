@@ -473,6 +473,27 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Reads an object that holds no nested container, returning the
+    /// bytes between its braces, unparsed, and how many entries it holds:
+    /// one more than its commas, none when it is blank. The object ends at
+    /// the first `}`, so a key holding `,` or `}` miscounts or cuts it
+    /// short, and the caller's parse of the body fails.
+    pub fn flat_object(&mut self) -> Result<(&'a [u8], usize), Error> {
+        self.eat(b'{')?;
+        let rest = &self.bytes[self.pos..];
+        let Some(len) = rest.iter().position(|&b| b == b'}') else {
+            self.pos = self.bytes.len();
+            return Err(self.error("unterminated object"));
+        };
+        let body = &rest[..len];
+        let commas = body.iter().filter(|&&b| b == b',').count();
+        self.pos += body.len() + 1;
+        let blank = body
+            .iter()
+            .all(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+        Ok((body, if blank { 0 } else { commas + 1 }))
+    }
+
     /// Reads and discards one value of any shape.
     pub fn skip(&mut self) -> Result<(), Error> {
         Value::deserialize(self).map(drop)

@@ -6,10 +6,10 @@
 //! calibration loop closed through the noise-aware compiler.
 
 use qfw::{BackendSpec, QfwConfig, QfwSession};
+use qfw_circuit::Counts;
 use qfw_hpc::ClusterSpec;
 use qfw_noise::{reference, Calibration, Channel, NoiseModel, ReadoutError};
 use qfw_workloads::ghz;
-use std::collections::BTreeMap;
 
 fn session() -> QfwSession {
     QfwSession::launch(
@@ -30,7 +30,7 @@ fn device_model() -> NoiseModel {
     model
 }
 
-fn tv_to_reference(counts: &BTreeMap<String, usize>, exact: &[f64], n: usize) -> f64 {
+fn tv_to_reference(counts: &Counts, exact: &[f64], n: usize) -> f64 {
     let total: usize = counts.values().sum();
     let mut probs = vec![0.0f64; 1 << n];
     for (bits, &c) in counts {
@@ -96,14 +96,14 @@ fn scaled_models_degrade_monotonically() {
     let session = session();
     let model = device_model();
     let n = 4;
-    let ideal: BTreeMap<String, usize> = {
+    let ideal: Counts = {
         let backend = session
             .backend(&[("backend", "nwqsim"), ("subbackend", "cpu")])
             .unwrap()
             .with_base_seed(7);
         backend.execute_sync(&ghz(n), 6000).unwrap().counts
     };
-    let ghz_mass = |counts: &BTreeMap<String, usize>| -> f64 {
+    let ghz_mass = |counts: &Counts| -> f64 {
         let total: usize = counts.values().sum();
         let good = counts.get(&"0".repeat(n)).copied().unwrap_or(0)
             + counts.get(&"1".repeat(n)).copied().unwrap_or(0);

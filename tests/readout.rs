@@ -75,6 +75,7 @@ fn counts(qrc: &Qrc, qc: &Circuit, spec: BackendSpec, shots: usize, seed: u64) -
     run(qrc, qc, spec, shots, seed)
         .unwrap_or_else(|e| panic!("{label}: {e}"))
         .counts
+        .bitstrings()
 }
 
 /// `h q0; cx q0 q1; cx q1 q2; rx(0.4) q3; measure q2 -> c0; measure q0 -> c1`

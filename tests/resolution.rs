@@ -239,7 +239,7 @@ fn composition_matrix_matches_reference_or_refuses_before_work() {
                                         assert!(!noisy, "{cell}: noise ran off the dense engine");
                                         let mut exact =
                                             QfwResult::new("reference", "", point.shots);
-                                        exact.counts = want;
+                                        exact.counts = want.into();
                                         let d = result.tv_distance(&exact);
                                         assert!(d < 0.1, "{cell}: tv={d}");
                                     }

@@ -29,7 +29,6 @@ use qfw_sched::{
 };
 use qfw_workloads::{ghz, Qubo};
 use serde_json::Value;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,7 +181,7 @@ fn corpus() -> Vec<Case> {
         ),
         case!("calibration", Calibration, Calibration::synthetic(3, 7), r#"{"qubits":[{"t1_us":94.19026154778298,"t2_us":49.97683249150785,"err_1q":0.0017481282521854343,"err_2q":0.017862481896243055,"readout_p01":0.027752761952446692,"readout_p10":0.01195722612323713},{"t1_us":100.23787960877561,"t2_us":69.80538319729547,"err_1q":0.00022321639364997325,"err_2q":0.015210428610765887,"readout_p01":0.023393224459108044,"readout_p10":0.025314071082370247},{"t1_us":67.19533073180037,"t2_us":60.32180172253653,"err_1q":0.00030284462364320135,"err_2q":0.026893602915506208,"readout_p01":0.016745858522172995,"readout_p10":0.007867422383576746}],"gate_time_1q_us":0.05,"gate_time_2q_us":0.35}"#),
         case!("qubo", Qubo, Qubo::random(4, 0.5, 3), r#"{"n":4,"coeffs":[0.3812765902355759,0.0,0.06792325300090751,-0.2009839420740498,-0.5796647416973824,0.0,0.0,-0.6097926758326873,0.0,0.35975242382003403]}"#),
-        case!("counts", BTreeMap<String, usize>, result().counts, r#"{"000":480,"011":3,"111":541}"#),
+        case!("counts", qfw_circuit::Counts, result().counts, r#"{"000":480,"011":3,"111":541}"#),
         case!("value", Value, document(), "{\"neg\":-42,\"min\":-9223372036854775808,\"max\":18446744073709551615,\"half\":-0.5,\"whole\":3.0,\"tiny\":0.0000000000000000000000602,\"esc \\\"k\\\"\":\"tab\\t\\\\ \\u0001\\u001f \u{7f} é😀\",\"seq\":[null,true,false,[]],\"empty\":{}}"),
     ]
 }
