@@ -175,11 +175,6 @@ impl NoiseModel {
             .or(self.default_readout)
     }
 
-    /// True when any qubit has a readout error.
-    pub fn has_readout(&self) -> bool {
-        self.default_readout.is_some() || !self.per_qubit_readout.is_empty()
-    }
-
     /// The model with every channel's error strength folded by `factor`
     /// (readout errors included) — the zero-noise-extrapolation knob.
     pub fn scaled(&self, factor: f64) -> NoiseModel {

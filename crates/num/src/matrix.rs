@@ -268,19 +268,6 @@ impl Matrix {
         }
         acc
     }
-
-    /// Embeds `self` as the block starting at `(top, left)` inside a larger
-    /// zero matrix of shape `rows x cols`.
-    pub fn embed(&self, rows: usize, cols: usize, top: usize, left: usize) -> Matrix {
-        assert!(top + self.rows <= rows && left + self.cols <= cols);
-        let mut out = Matrix::zeros(rows, cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(top + i, left + j)] = self[(i, j)];
-            }
-        }
-        out
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -487,15 +474,6 @@ mod tests {
         let a3 = a.matmul(&a).matmul(&a);
         assert!(a.powi(3).max_abs_diff(&a3) < 1e-10);
         assert!(a.powi(0).max_abs_diff(&Matrix::identity(2)) < 1e-15);
-    }
-
-    #[test]
-    fn embed_places_block() {
-        let a = Matrix::identity(2);
-        let e = a.embed(4, 4, 1, 2);
-        assert_eq!(e[(1, 2)], C64::ONE);
-        assert_eq!(e[(2, 3)], C64::ONE);
-        assert_eq!(e[(0, 0)], C64::ZERO);
     }
 
     #[test]

@@ -198,6 +198,9 @@ impl Rng {
 /// marginals; shots over `|amp|^2` go through [`AliasSampler`].
 pub struct CdfSampler {
     cdf: Vec<f64>,
+    /// `guide[k]`: the first entry above `k / len` of the total, where the
+    /// search for a target in that slice of the range starts.
+    guide: Vec<usize>,
 }
 
 impl CdfSampler {
@@ -211,20 +214,42 @@ impl CdfSampler {
             cdf.push(acc);
         }
         assert!(acc > 0.0, "cannot sample from all-zero weights");
-        CdfSampler { cdf }
+        let len = cdf.len();
+        let mut at = 0;
+        let guide = (0..len)
+            .map(|k| {
+                let floor = acc * k as f64 / len as f64;
+                while at + 1 < len && cdf[at] <= floor {
+                    at += 1;
+                }
+                at
+            })
+            .collect();
+        CdfSampler { cdf, guide }
     }
 
-    /// Draws one index by binary search over the CDF.
+    /// Draws one index: [`index_of`](Self::index_of) a uniform target.
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let total = *self.cdf.last().unwrap();
-        let target = rng.next_f64() * total;
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&target).unwrap())
-        {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.index_of(rng.next_f64() * total)
+    }
+
+    /// The first entry whose cumulative weight exceeds `target` (the last
+    /// entry when none does) — the upper bound a binary search over the
+    /// CDF returns, found by a short walk from the guide table's slot. The
+    /// walk goes both ways, so the slot is only a hint and rounding in it
+    /// cannot change the index.
+    pub fn index_of(&self, target: f64) -> usize {
+        let (cdf, last) = (&self.cdf, self.cdf.len() - 1);
+        let slot = (target / cdf[last] * cdf.len() as f64) as usize;
+        let mut i = self.guide[slot.min(last)];
+        while i > 0 && cdf[i - 1] > target {
+            i -= 1;
         }
+        while i < last && cdf[i] <= target {
+            i += 1;
+        }
+        i
     }
 }
 

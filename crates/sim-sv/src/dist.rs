@@ -34,12 +34,12 @@ use crate::engine::SvOutcome;
 use crate::fusion::{absorbable_diagonal, fuse_shard};
 use crate::layers::LayerPlan;
 use crate::state::{
-    block_shot_split, canonical_split_bits, local_offsets, sample_block_draws, StateVector,
+    block_masses, block_shot_split, canonical_split_bits, draw_blocks, local_offsets, StateVector,
 };
 use qfw_circuit::{Circuit, Counts, Op, Readout};
 use qfw_hpc::RankCtx;
 use qfw_num::complex::C64;
-use qfw_num::rng::{AliasSampler, Rng};
+use qfw_num::rng::Rng;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
 
@@ -639,7 +639,7 @@ impl<'a> DistStateVector<'a> {
     fn measure_at(&mut self, p: usize, rng: &mut Rng) -> u8 {
         let l = self.local_bits;
         let local_p1 = if p < l {
-            self.local.prob_one(p, false)
+            self.local.prob_one(p)
         } else if self.high_bit(p) == 1 {
             self.local.norm_sqr()
         } else {
@@ -715,47 +715,18 @@ impl<'a> DistStateVector<'a> {
         let c = canonical_split_bits(self.n, r);
         let blocks_per_rank = 1usize << (c - r);
         let block_len = 1usize << (self.n - c);
-        // One sweep: each block's mass is summed, in index order, as its
-        // probabilities are formed.
-        let my_masses: Vec<f64> = self
-            .local
-            .amps()
-            .chunks(block_len)
-            .map(|block| block.iter().map(|a| a.norm_sqr()).sum())
-            .collect();
-        let gathered = self.ctx.gather(0, my_masses);
+        let gathered = self.ctx.gather(0, block_masses(self.local.amps(), block_len));
 
         // Rank 0 splits the shots across all blocks with the seeded CDF.
-        let split_chunks: Option<Vec<Vec<u64>>> = gathered.map(|per_rank| {
+        let split_chunks = gathered.map(|per_rank| {
             let masses: Vec<f64> = per_rank.into_iter().flatten().collect();
             let per_block = block_shot_split(&masses, shots, seed);
-            per_block
-                .chunks(blocks_per_rank)
-                .map(|chunk| chunk.iter().map(|&s| s as u64).collect())
-                .collect()
+            per_block.chunks(blocks_per_rank).map(<[usize]>::to_vec).collect()
         });
-        let my_split: Vec<u64> = self.ctx.scatter(0, split_chunks);
-
-        // Per-block draws on this rank's blocks, as global indices; only a
-        // block that won shots has its probabilities written out.
-        let rank = self.ctx.rank();
-        let mut samples: Vec<u64> = Vec::new();
-        let mut probs: Vec<f64> = Vec::with_capacity(block_len);
-        let mut sampler = AliasSampler::empty();
-        for (bi, &s) in my_split.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            let lo = bi * block_len;
-            probs.clear();
-            probs.extend(
-                self.local.amps()[lo..lo + block_len]
-                    .iter()
-                    .map(|a| a.norm_sqr()),
-            );
-            let block = rank * blocks_per_rank + bi;
-            sample_block_draws(&mut sampler, &probs, s as usize, seed, block, &mut samples);
-        }
+        let my_split: Vec<usize> = self.ctx.scatter(0, split_chunks);
+        // This rank's blocks, drawn by the one block sampler.
+        let first = self.ctx.rank() * blocks_per_rank;
+        let samples = draw_blocks(self.local.amps(), block_len, first, &my_split, seed, false);
         self.ctx
             .gather(0, samples)
             .map(|all| all.into_iter().flatten().collect())

@@ -194,15 +194,21 @@ impl SvSimulator {
     ) -> SvOutcome<Counts> {
         let parallel = self.config.threading == Threading::Rayon;
         let mut rng = Rng::seed_from(seed);
-        let mut sv = initial.unwrap_or_else(|| StateVector::zero(plan.num_qubits()));
         let sw = qfw_hpc::Stopwatch::start();
+        let passes = initial.as_ref().map_or(plan.passes_from_zero(), |_| plan.passes());
         let apply_span = obs
             .span("engine", "sv.apply")
             .attr("qubits", plan.num_qubits())
             .attr("gates", plan.num_layers())
-            .attr("passes", plan.passes())
-            .attr("tile_groups", plan.passes());
-        let collapsed = plan.apply(&mut sv, &mut rng, parallel);
+            .attr("passes", passes)
+            .attr("tile_groups", passes);
+        let (sv, collapsed) = match initial {
+            Some(mut sv) => {
+                let collapsed = plan.apply(&mut sv, &mut rng, parallel);
+                (sv, collapsed)
+            }
+            None => plan.apply_to_zero(Some(&mut rng), parallel),
+        };
         drop(apply_span);
         let evolved = Evolved {
             sv,
@@ -210,7 +216,7 @@ impl SvSimulator {
             gate_time: sw.elapsed(),
             gates_applied: plan.num_layers(),
         };
-        Self::sample(evolved, plan.readout(), shots, seed, obs)
+        self.sample(evolved, plan.readout(), shots, seed, obs)
     }
 
     /// `FusionLevel::None`: the circuit gate by gate, one state sweep each
@@ -256,7 +262,7 @@ impl SvSimulator {
             gate_time: sw.elapsed(),
             gates_applied,
         };
-        Self::sample(evolved, &readout, shots, seed, obs)
+        self.sample(evolved, &readout, shots, seed, obs)
     }
 
     /// Samples an evolved state into counts — shared by both gate paths,
@@ -265,6 +271,7 @@ impl SvSimulator {
     /// distributed engine replays — so a fixed seed yields bit-identical
     /// counts whether the state lived on one process or across ranks.
     fn sample(
+        &self,
         evolved: Evolved,
         readout: &Readout,
         shots: usize,
@@ -274,7 +281,8 @@ impl SvSimulator {
         let split_bits = canonical_split_bits(evolved.sv.num_qubits(), 0);
         let sample_span = obs.span("engine", "sv.sample").attr("shots", shots);
         let sw = qfw_hpc::Stopwatch::start();
-        let draws = evolved.sv.sample_split(shots, seed, split_bits);
+        let parallel = self.config.threading == Threading::Rayon;
+        let draws = evolved.sv.sample_split_on(shots, seed, split_bits, parallel);
         let counts = readout.counts(draws, &evolved.collapsed);
         let sample_time = sw.elapsed();
         drop(sample_span);
@@ -289,12 +297,14 @@ impl SvSimulator {
     /// Returns the final state vector of the unitary part of a circuit.
     pub fn statevector(&self, circuit: &Circuit) -> StateVector {
         let parallel = self.config.threading == Threading::Rayon;
-        let mut sv = StateVector::zero(circuit.num_qubits());
         match self.config.fusion {
-            FusionLevel::None => sv.run_unitary(circuit, parallel),
-            FusionLevel::Full => fuse(circuit).apply_unitary(&mut sv, parallel),
+            FusionLevel::None => {
+                let mut sv = StateVector::zero(circuit.num_qubits());
+                sv.run_unitary(circuit, parallel);
+                sv
+            }
+            FusionLevel::Full => fuse(circuit).apply_to_zero(None, parallel).0,
         }
-        sv
     }
 
     /// Expectation of a diagonal observable after running the unitary part.

@@ -454,11 +454,14 @@ fn fuse_blocks(n: usize, items: Vec<Item>) -> Vec<Fused> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{BLOCK_BITS, TILE_BITS};
     use crate::state::StateVector;
     use proptest::prelude::*;
     use qfw_num::approx_eq;
     use qfw_num::rng::Rng;
-    use qfw_workloads::{qaoa_ansatz, tfim, Qubo};
+    use qfw_workloads::{ham, qaoa_ansatz, tfim, Qubo};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// The plan must leave the state the verbatim circuit leaves.
     fn fused_state_matches(qc: &Circuit) {
@@ -716,23 +719,93 @@ mod tests {
         }
     }
 
-    /// The structure the executor's speed rests on: a Trotter step is a
-    /// couple of passes, not one per gate.
+    /// The structure the executor's speed rests on: a Trotter step is
+    /// about one pass, not one per gate, once layers join groups across
+    /// the layers they commute with.
     #[test]
     fn layered_circuits_execute_in_few_passes() {
         let tfim18 = fuse(&tfim(18));
         assert!(tfim18.num_layers() <= 190, "{} layers", tfim18.num_layers());
-        assert!(tfim18.passes() <= 60, "TFIM-18: {} passes", tfim18.passes());
+        assert!(tfim18.passes() <= 11, "TFIM-18: {} passes", tfim18.passes());
         let qubo = Qubo::metamaterial(18, 3, 0x51AB + 18);
         let theta: Vec<f64> = (0..4).map(|k| 0.35 + 0.11 * k as f64).collect();
         let qaoa18 = fuse(&qaoa_ansatz(&qubo, 2).bind(&theta));
         assert!(
-            qaoa18.passes() <= 25,
+            qaoa18.passes() <= 4,
             "QAOA-18 p=2: {} passes",
             qaoa18.passes()
         );
         // At or below the tile width the whole circuit is one pass.
         assert_eq!(fuse(&tfim(10)).passes(), 1);
+    }
+
+    /// Passes of a cut in circuit order, as the plan cut before layers
+    /// joined groups across the ones they commute with: each group is the
+    /// longest run whose targets and the block bits fit a tile.
+    fn in_order_passes(qc: &Circuit) -> usize {
+        let n = qc.num_qubits();
+        let (tile_bits, low) = (TILE_BITS.min(n), (1u64 << BLOCK_BITS.min(n)) - 1);
+        let (mut passes, mut needs) = (0, None);
+        for item in fuse_blocks(n, merge_diagonal_runs(n, n, qc, &Readout::of(qc))) {
+            let Fused::Layer(layer) = item else {
+                panic!("no measurements in these circuits")
+            };
+            let grown = needs.unwrap_or(low) | layer.targets();
+            needs = if needs.is_some() && grown.count_ones() as usize <= tile_bits {
+                Some(grown)
+            } else {
+                passes += 1;
+                Some(low | layer.targets())
+            };
+        }
+        passes
+    }
+
+    #[test]
+    fn commuting_cut_never_makes_more_passes_than_circuit_order() {
+        let qubo = Qubo::metamaterial(16, 3, 7);
+        let mut circuits = vec![
+            tfim(16),
+            tfim(18),
+            ham(16),
+            qaoa_ansatz(&qubo, 2).bind(&[0.3, 0.4, 0.5, 0.6]),
+        ];
+        for n in [3, 5, 9, 12, 14, 16] {
+            for seed in 0..4 {
+                circuits.push(random_circuit(77 * n as u64 + seed, n, 6 * n));
+            }
+        }
+        for qc in &circuits {
+            let (got, want) = (fuse(qc).passes(), in_order_passes(qc));
+            assert!(
+                got <= want,
+                "{} on {}: {got} > {want} passes",
+                qc.name,
+                qc.num_qubits()
+            );
+        }
+        assert!(fuse(&tfim(18)).passes() < in_order_passes(&tfim(18)));
+    }
+
+    /// A dense layer wider than the tile gets a group of its own; the cut
+    /// must not wait forever for a group it fits.
+    #[test]
+    fn layer_wider_than_the_tile_still_gets_a_group() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut qc = Circuit::new(12);
+            qc.h(0).push(Gate::Unitary {
+                qubits: (3..12).collect(),
+                matrix: Arc::new(Matrix::identity(1 << 9)),
+                label: "wide".into(),
+            });
+            qc.h(0).h(11);
+            let plan = fuse(&qc);
+            tx.send((plan.num_layers(), plan.passes())).unwrap();
+        });
+        let (layers, passes) = rx.recv_timeout(Duration::from_secs(20)).expect("cut hung");
+        // The wide block alone, then the h(0) pair's chain and h(11).
+        assert_eq!((layers, passes), (3, 2));
     }
 
     proptest! {

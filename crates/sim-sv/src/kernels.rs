@@ -25,9 +25,10 @@ use qfw_num::complex::C64;
 /// runs). Measured on the reference host (Xeon @ 2.1 GHz,
 /// 48 KiB L1d, 2 MiB L2): the strided x-phase butterfly runs at 0.62-0.72
 /// ns/pair on a `2^11` tile, 0.70-0.74 at `2^12`, 0.73-0.77 at `2^13/14`
-/// (L2), while a full pass over an 18-qubit state costs ~0.35 ms at any of
-/// these widths — so the L1-sized tile wins until the pass count would
-/// more than double. 11 is also the smallest width that always fits the
+/// (L2), while a full pass over an 18-qubit state with one `rx` layer
+/// costs 0.56-0.62 ms at any of these widths (each further `rx` layer in
+/// the pass ~0.07 ms) — so the L1-sized tile wins until the pass count
+/// would more than double. 11 is also the smallest width that always fits the
 /// widest supported gate (8 qubits) next to the [`BLOCK_BITS`] contiguous
 /// low qubits every tile keeps.
 pub const TILE_BITS: usize = 11;
@@ -306,6 +307,31 @@ fn block_1q<const Q: usize>(re: &mut [f64], im: &mut [f64], m: &Mat2, shape: Sha
             }
         }
     }
+}
+
+/// The pair `(x0, +0)` on a qubit's two sides after `m`, with exactly the
+/// expressions [`apply_1q`] evaluates: the strided kernel's. The small-block
+/// kernel sums row 1 of a general matrix in another order, but with a zero
+/// partner both orders round alike — two of the four terms are zeros, and
+/// a sum of zeros has one sign in any order. The product start of a layer
+/// plan doubles the register through it.
+pub fn pair_1q(m: &Mat2, shape: Shape1q, x0: C64) -> (C64, C64) {
+    let x1 = C64::ZERO;
+    // `d` multiplies the lane `s` itself, `o` its partner `p`.
+    let lane = |d: C64, o: C64, s: C64, p: C64| match shape {
+        Shape1q::Real => C64::new(d.re * s.re + o.re * p.re, d.re * s.im + o.re * p.im),
+        Shape1q::XPhase => C64::new(d.re * s.re - o.im * p.im, d.re * s.im + o.im * p.re),
+        Shape1q::General => C64::new(
+            d.re * s.re - d.im * s.im + o.re * p.re - o.im * p.im,
+            d.re * s.im + d.im * s.re + o.re * p.im + o.im * p.re,
+        ),
+    };
+    let [m00, m01, m10, m11] = *m;
+    let one = match shape {
+        Shape1q::XPhase => lane(m11, m10, x1, x0),
+        _ => lane(m10, m11, x0, x1),
+    };
+    (lane(m00, m01, x0, x1), one)
 }
 
 tiered! {

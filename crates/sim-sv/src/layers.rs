@@ -1,30 +1,34 @@
 //! The layer plan and its tile-by-tile executor.
 //!
 //! [`fuse`](crate::fusion::fuse) rewrites a circuit into a short sequence
-//! of [`Layer`]s. The plan then cuts that sequence into **tile groups**:
-//! maximal consecutive runs whose non-diagonal targets, together with the
-//! [`BLOCK_BITS`] lowest register qubits, number at most [`TILE_BITS`]. A
-//! group executes as *one* pass over memory: for every assignment of the
-//! register qubits outside the group's tile, the `2^TILE_BITS` amplitudes
-//! that differ only in the tile's qubits are gathered (as contiguous
-//! strips) into L1-resident planes, every layer of the group is applied to
-//! them with the shared [`kernels`](crate::kernels), and they are
-//! scattered back.
+//! of [`Layer`]s. The plan then cuts that sequence into **tile groups**
+//! whose non-diagonal targets, together with the [`BLOCK_BITS`] lowest
+//! register qubits, number at most [`TILE_BITS`]; a layer that does not fit
+//! waits for a later group, and a later layer that commutes with every
+//! layer waiting before it still joins. A group executes as *one* pass
+//! over memory: for every assignment of the register qubits outside the
+//! group's tile, the `2^TILE_BITS` amplitudes that differ only in the
+//! tile's qubits are gathered (as contiguous strips) into L1-resident
+//! planes, every layer of the group is applied to them with the shared
+//! [`kernels`](crate::kernels), and they are scattered back.
 //!
 //! * Diagonal layers never end a group: seen from a tile, a diagonal
 //!   factor on outside qubits is a constant or a single-qubit phase read
 //!   off the tile's base index ([`PhaseForm::localize`]).
 //! * A tile's qubits need not be the lowest ones, so non-diagonal gates on
 //!   high qubits are strip-tiled like any other: a Trotter step of TFIM-18
-//!   is ~2 passes, not one per gate.
+//!   is about one pass, not one per gate.
+//! * A run from `|0…0⟩` applies the leading layers that keep the register
+//!   a product state by doubling ([`LayerPlan::apply_to_zero`]) and skips
+//!   the groups they cover.
 //! * Tiles are independent and each amplitude's arithmetic is fixed, so
 //!   `Serial`, `Rayon` and every [`IsaTier`] leave bit-identical states;
 //!   threading is one shim dispatch per group, taken when the group's work
 //!   (amplitudes x layers) pays for the thread hand-off.
 
 use crate::kernels::{
-    self, apply_kq, load_strip, store_strip, DiagForm, IsaTier, Mat2, Monomial2q, PhaseForm,
-    Shape1q, TileMap, BLOCK_BITS, TILE_BITS,
+    self, apply_kq, load_strip, pair_1q, store_strip, DiagForm, IsaTier, Mat2, Monomial2q,
+    PhaseForm, Shape1q, TileMap, BLOCK_BITS, TILE_BITS,
 };
 use crate::state::{insert_zero_bit, StateVector};
 use qfw_circuit::Readout;
@@ -84,12 +88,46 @@ pub(crate) struct FactorTable {
 
 impl Layer {
     /// Qubits the layer acts on non-diagonally — the ones a tile must hold.
-    fn targets(&self) -> u64 {
+    pub(crate) fn targets(&self) -> u64 {
         match self {
             Layer::Diag(_) => 0,
             Layer::Local1q { qubit, .. } => 1 << qubit,
             Layer::Dense { qubits, .. } => qubits.iter().fold(0, |m, q| m | 1 << q),
         }
+    }
+
+    /// Every qubit the layer reads.
+    fn support(&self) -> u64 {
+        match self {
+            Layer::Diag(d) => d.support,
+            _ => self.targets(),
+        }
+    }
+}
+
+impl DiagLayer {
+    /// Whether every phase the layer applies has a positive real part, so
+    /// that it leaves a `+0` amplitude `+0`. Over spins `s = 1 - 2b` the
+    /// phase angle is `c + sum h_q s_q + sum J_ab s_a s_b`, bounded by
+    /// `|c| + sum |h| + sum |J|` (plus the widest angle of each factor
+    /// table); below 1.5 rad no rounding can cross zero.
+    fn keeps_zeros(&self) -> bool {
+        let arg = |z: &C64| z.im.atan2(z.re);
+        let mut c = arg(&self.form.p0);
+        let mut h = [0.0f64; 64];
+        let mut bound = 0.0;
+        for (q, f) in &self.form.flips {
+            c += arg(f) / 2.0;
+            h[*q] -= arg(f) / 2.0;
+        }
+        for (a, b, w) in &self.form.pairs {
+            let j = arg(w) / 4.0;
+            (c, h[*a], h[*b]) = (c + j, h[*a] - j, h[*b] - j);
+            bound += j.abs();
+        }
+        let widest = |t: &FactorTable| t.phases.iter().map(|z| arg(z).abs()).fold(0.0, f64::max);
+        bound += self.tables.iter().map(widest).sum::<f64>();
+        c.abs() + h.iter().map(|x| x.abs()).sum::<f64>() + bound < 1.5
     }
 }
 
@@ -131,6 +169,9 @@ pub struct LayerPlan {
     steps: Vec<Step>,
     /// What sampling the final state reads.
     readout: Readout,
+    /// How many leading layers a run from `|0…0⟩` applies by doubling
+    /// ([`apply_to_zero`](Self::apply_to_zero)).
+    start: usize,
 }
 
 impl LayerPlan {
@@ -146,18 +187,15 @@ impl LayerPlan {
         readout: Readout,
         items: Vec<Fused>,
     ) -> LayerPlan {
-        let tile_bits = TILE_BITS.min(local_bits);
-        let low_mask = (1u64 << BLOCK_BITS.min(local_bits)) - 1;
         let mut plan = LayerPlan {
             num_qubits,
             local_bits,
             layers: Vec::new(),
             steps: Vec::new(),
             readout,
+            start: 0,
         };
-        // The open group: where its layers start and the qubits it needs.
-        let mut start = 0usize;
-        let mut needs = low_mask;
+        let mut run = Vec::new();
         for item in items {
             match item {
                 Fused::Layer(layer) => {
@@ -166,26 +204,56 @@ impl LayerPlan {
                         0,
                         "non-diagonal target outside the buffer"
                     );
-                    let grown = needs | layer.targets();
-                    if grown.count_ones() as usize > tile_bits {
-                        plan.close_group(start, needs, tile_bits);
-                        start = plan.layers.len();
-                        needs = low_mask | layer.targets();
-                    } else {
-                        needs = grown;
-                    }
-                    plan.layers.push(layer);
+                    run.push(layer);
                 }
                 Fused::Collapse { qubit, clbit } => {
-                    plan.close_group(start, needs, tile_bits);
-                    start = plan.layers.len();
-                    needs = low_mask;
+                    plan.cut(std::mem::take(&mut run));
                     plan.steps.push(Step::Collapse { qubit, clbit });
                 }
             }
         }
-        plan.close_group(start, needs, tile_bits);
+        plan.cut(run);
+        plan.start = plan.product_start();
         plan
+    }
+
+    /// Cuts a run of layers into tile groups. A group takes, in order,
+    /// every layer left that fits its tile and commutes with each layer it
+    /// leaves behind before it (disjoint supports, or both diagonal); the
+    /// next group starts over on what was left. Layers inside a group keep
+    /// their order. The first group holds at least what a cut in circuit
+    /// order would put there, and so on, so this never makes more groups.
+    /// A layer wider than the tile opens a group of its own, as the
+    /// in-order cut gave it, so every round places a layer; the kernels
+    /// refuse such a layer when the plan runs.
+    fn cut(&mut self, mut pending: Vec<Layer>) {
+        let tile_bits = TILE_BITS.min(self.local_bits);
+        let low_mask = (1u64 << BLOCK_BITS.min(self.local_bits)) - 1;
+        while !pending.is_empty() {
+            let start = self.layers.len();
+            let mut needs = low_mask;
+            // Supports of the layers left behind: all, and the non-diagonal.
+            let (mut left, mut left_dense) = (0u64, 0u64);
+            let mut rest = Vec::new();
+            for layer in pending {
+                let diag = matches!(layer, Layer::Diag(_));
+                let grown = needs | layer.targets();
+                let blocked = layer.support() & if diag { left_dense } else { left } != 0;
+                let fits = grown.count_ones() as usize <= tile_bits;
+                if !blocked && (fits || self.layers.len() == start) {
+                    needs = grown;
+                    self.layers.push(layer);
+                    continue;
+                }
+                left |= layer.support();
+                if !diag {
+                    left_dense |= layer.support();
+                }
+                rest.push(layer);
+            }
+            self.close_group(start, needs, tile_bits);
+            pending = rest;
+        }
     }
 
     /// Ends the group of layers `start..`, padding its tile with the lowest
@@ -232,10 +300,20 @@ impl LayerPlan {
     /// Full-state passes over memory one execution makes: one per tile
     /// group (mid-circuit collapses not counted).
     pub fn passes(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, Step::Tiles(_)))
-            .count()
+        self.groups().count()
+    }
+
+    /// The passes [`apply_to_zero`](Self::apply_to_zero) makes: the groups
+    /// holding a layer past the product start.
+    pub fn passes_from_zero(&self) -> usize {
+        self.groups().filter(|g| g.layers.end > self.start).count()
+    }
+
+    fn groups(&self) -> impl Iterator<Item = &TileGroup> {
+        self.steps.iter().filter_map(|step| match step {
+            Step::Tiles(group) => Some(group),
+            Step::Collapse { .. } => None,
+        })
     }
 
     /// Runs the plan on `sv` with the fastest kernels this CPU has.
@@ -260,7 +338,7 @@ impl LayerPlan {
         parallel: bool,
     ) -> BTreeMap<usize, u8> {
         let mut collapsed = BTreeMap::new();
-        self.execute(tier, sv, 0, parallel, |sv, qubit, clbit| {
+        self.execute(tier, sv, 0, 0, parallel, |sv, qubit, clbit| {
             collapsed.insert(clbit, sv.measure(qubit, rng, parallel));
         });
         collapsed
@@ -269,29 +347,125 @@ impl LayerPlan {
     /// Runs only the unitary part: mid-circuit measurements are skipped,
     /// as [`StateVector::run_unitary`] skips them.
     pub fn apply_unitary(&self, sv: &mut StateVector, parallel: bool) {
-        self.execute(IsaTier::detect(), sv, 0, parallel, |_, _, _| {});
+        self.execute(IsaTier::detect(), sv, 0, 0, parallel, |_, _, _| {});
+    }
+
+    /// [`apply`](Self::apply) on `|0…0⟩`, which the plan builds itself:
+    /// the leading layers that keep the register a product state are
+    /// applied by doubling, and a tile group they cover whole is never
+    /// run. Leaves the bits `apply` leaves on [`StateVector::zero`]. With
+    /// no `rng`, mid-circuit measurements are skipped, as in
+    /// [`apply_unitary`](Self::apply_unitary).
+    pub fn apply_to_zero(
+        &self,
+        mut rng: Option<&mut Rng>,
+        parallel: bool,
+    ) -> (StateVector, BTreeMap<usize, u8>) {
+        let mut sv = self.product_state();
+        let mut collapsed = BTreeMap::new();
+        let tier = IsaTier::detect();
+        self.execute(
+            tier,
+            &mut sv,
+            0,
+            self.start,
+            parallel,
+            |sv, qubit, clbit| {
+                if let Some(rng) = rng.as_deref_mut() {
+                    collapsed.insert(clbit, sv.measure(qubit, rng, parallel));
+                }
+            },
+        );
+        (sv, collapsed)
+    }
+
+    /// How many leading layers keep `|0…0⟩` a product state whose zero
+    /// amplitudes all stay `+0` — the condition under which doubling
+    /// reproduces the tile path bit for bit: diagonal layers before any
+    /// qubit leaves `|0⟩` (a constant phase there) whose phases never turn
+    /// a zero into `-0`, then the first single-qubit layer on each qubit
+    /// whose butterfly maps a pair of zeros to zeros.
+    fn product_start(&self) -> usize {
+        let before_collapse = self.steps.iter().map_while(|step| match step {
+            Step::Tiles(group) => Some(group.layers.end),
+            Step::Collapse { .. } => None,
+        });
+        let mut doubled = 0u64;
+        let layers = &self.layers[..before_collapse.last().unwrap_or(0)];
+        let holds = |layer: &&Layer| {
+            let holds = match layer {
+                Layer::Diag(d) => doubled == 0 && d.keeps_zeros(),
+                Layer::Local1q { qubit, m, shape } => {
+                    let (a, b) = pair_1q(m, *shape, C64::ZERO);
+                    let bits = [a.re, a.im, b.re, b.im].map(f64::to_bits);
+                    doubled >> qubit & 1 == 0 && bits == [0; 4]
+                }
+                Layer::Dense { .. } => false,
+            };
+            doubled |= layer.targets();
+            holds
+        };
+        layers.iter().take_while(holds).count()
+    }
+
+    /// The state the product start leaves on `|0…0⟩`. While `k` qubits
+    /// have had their single-qubit layer only the `2^k` amplitudes over
+    /// them are nonzero; the next such layer writes each of them and its
+    /// partner with the tile kernels' expression for its shape and a `+0`
+    /// partner ([`pair_1q`]), which is what every zero amplitude still
+    /// holds.
+    fn product_state(&self) -> StateVector {
+        let mut sv = StateVector::zero(self.local_bits);
+        let amps = sv.amps_mut();
+        let mut doubled = 0usize;
+        for layer in &self.layers[..self.start] {
+            match layer {
+                // A tile's phase at index 0: the form's constant, then each
+                // factor table's entry 0.
+                Layer::Diag(d) => {
+                    amps[0] *= d.tables.iter().fold(d.form.p0, |p, t| p * t.phases[0])
+                }
+                Layer::Local1q { qubit, m, shape } => {
+                    // Every subset of the doubled qubits, ascending.
+                    let mut i = 0usize;
+                    loop {
+                        let (a, b) = pair_1q(m, *shape, amps[i]);
+                        (amps[i], amps[i | 1 << qubit]) = (a, b);
+                        i = i.wrapping_sub(doubled) & doubled;
+                        if i == 0 {
+                            break;
+                        }
+                    }
+                    doubled |= 1 << qubit;
+                }
+                Layer::Dense { .. } => unreachable!("the product start holds no dense layer"),
+            }
+        }
+        sv
     }
 
     /// `sv` is the buffer the plan indexes; `above` holds the register's
-    /// index bits beyond it (0 when it is the whole register).
+    /// index bits beyond it (0 when it is the whole register). Layers
+    /// below `skip` are already applied.
     fn execute(
         &self,
         tier: IsaTier,
         sv: &mut StateVector,
         above: usize,
+        skip: usize,
         parallel: bool,
         mut collapse: impl FnMut(&mut StateVector, usize, usize),
     ) {
         assert_eq!(sv.num_qubits(), self.local_bits, "register size mismatch");
         for step in &self.steps {
             match step {
-                Step::Tiles(group) => group.run(
-                    &self.layers[group.layers.clone()],
-                    sv.amps_mut(),
-                    above,
-                    parallel,
-                    tier,
-                ),
+                Step::Tiles(group) => {
+                    let Range { start, end } = group.layers;
+                    let layers = &self.layers[start.max(skip).min(end)..end];
+                    if !layers.is_empty() {
+                        group.run(layers, sv.amps_mut(), above, parallel, tier);
+                    }
+                }
                 Step::Collapse { qubit, clbit } => collapse(sv, *qubit, *clbit),
             }
         }
@@ -306,7 +480,7 @@ impl LayerPlan {
     /// Panics on a plan that collapses mid-way: a measurement across ranks
     /// is a collective, which the distributed plan sequences itself.
     pub(crate) fn apply_to_shard(&self, shard: &mut StateVector, above: usize) {
-        self.execute(IsaTier::detect(), shard, above, false, |_, _, _| {
+        self.execute(IsaTier::detect(), shard, above, 0, false, |_, _, _| {
             panic!("a shard plan holds no measurements")
         });
     }

@@ -19,6 +19,16 @@ use std::collections::BTreeMap;
 /// kernel work and the serial path is used regardless of threading mode.
 const PAR_THRESHOLD: usize = 1 << 12;
 
+/// Amplitudes per partial sum of [`StateVector::expectation_diagonal`]:
+/// its rounding, so every expectation value's bits, follow this length.
+const SUM_CHUNK: usize = 1 << 12;
+
+/// Below this many amplitudes read, [`draw_blocks`] draws on the calling
+/// thread. Measured on a 2-vCPU host (QAOA states, 512 and 1024 shots),
+/// the workers' hand-off costs more than they save up to 2^14 amplitudes,
+/// breaks even at 2^15 and saves 17-39 % at 2^16 to 2^18.
+const PAR_DRAW: usize = 1 << 16;
+
 /// A dense `2^n` state vector.
 #[derive(Clone, Debug)]
 pub struct StateVector {
@@ -538,18 +548,9 @@ impl StateVector {
     // --- measurement ---------------------------------------------------------
 
     /// Probability that qubit `q` measures 1. Sums only the bit-`q`=1 half
-    /// of the register; `par` parallelizes the reduction above the usual
-    /// size threshold.
-    pub fn prob_one(&self, q: usize, par: bool) -> f64 {
-        let mask = 1usize << q;
-        if par && self.amps.len() >= PAR_THRESHOLD {
-            return self
-                .amps
-                .par_iter()
-                .enumerate()
-                .map(|(i, a)| if i & mask != 0 { a.norm_sqr() } else { 0.0 })
-                .sum();
-        }
+    /// of the register, serially: a collapsed trajectory must carry the
+    /// same bits under every threading mode.
+    pub fn prob_one(&self, q: usize) -> f64 {
         let stride = 1usize << q;
         let block = stride << 1;
         self.amps
@@ -560,11 +561,9 @@ impl StateVector {
 
     /// Projectively measures qubit `q`, collapsing the state. Returns the
     /// observed bit. The collapse sweep runs in parallel when `par` is set;
-    /// the probability is always summed serially, because the parallel
-    /// reduction's grouping follows the worker count and a collapsed
-    /// trajectory must carry the same bits under every threading mode.
+    /// the probability is summed serially ([`prob_one`](Self::prob_one)).
     pub fn measure(&mut self, q: usize, rng: &mut Rng, par: bool) -> u8 {
-        let p1 = self.prob_one(q, false);
+        let p1 = self.prob_one(q);
         let outcome = u8::from(rng.chance(p1));
         let norm = if outcome == 1 { p1 } else { 1.0 - p1 };
         let scale = if norm > 0.0 { 1.0 / norm.sqrt() } else { 0.0 };
@@ -592,7 +591,8 @@ impl StateVector {
     /// index space is cut into `2^split_bits` contiguous blocks (top bits),
     /// a seeded [`CdfSampler`] over per-block masses decides how many shots
     /// each block receives, and each block then draws its shots from a
-    /// per-block [`AliasSampler`] seeded by `Rng::stream(seed, block)`.
+    /// per-block [`AliasSampler`] seeded by `Rng::stream(seed, block)`
+    /// ([`draw_blocks`]).
     ///
     /// Because every step depends only on `(seed, split_bits)` and on
     /// per-block sums computed with fresh accumulators, any block-aligned
@@ -600,19 +600,21 @@ impl StateVector {
     /// bit-for-bit — this is the common sampling contract between the
     /// serial engine and [`crate::dist::DistStateVector`].
     pub fn sample_split(&self, shots: usize, seed: u64, split_bits: usize) -> Vec<u64> {
-        let probs = self.probabilities();
+        self.sample_split_on(shots, seed, split_bits, false)
+    }
+
+    /// [`sample_split`](Self::sample_split), drawing the blocks on the
+    /// shim's workers when `parallel` is set — the same draws either way.
+    pub(crate) fn sample_split_on(
+        &self,
+        shots: usize,
+        seed: u64,
+        split_bits: usize,
+        parallel: bool,
+    ) -> Vec<u64> {
         let block_len = 1usize << (self.n - split_bits.min(self.n));
-        let masses: Vec<f64> = probs
-            .chunks(block_len)
-            .map(|block| block.iter().sum())
-            .collect();
-        let mut draws = Vec::with_capacity(shots);
-        let mut sampler = AliasSampler::empty();
-        for (b, &s) in block_shot_split(&masses, shots, seed).iter().enumerate() {
-            let block = &probs[b * block_len..(b + 1) * block_len];
-            sample_block_draws(&mut sampler, block, s, seed, b, &mut draws);
-        }
-        draws
+        let split = block_shot_split(&block_masses(&self.amps, block_len), shots, seed);
+        draw_blocks(&self.amps, block_len, 0, &split, seed, parallel)
     }
 
     /// [`sample_split`](Self::sample_split) as whole-register counts: what
@@ -627,37 +629,25 @@ impl StateVector {
         whole.counts(self.sample_split(shots, seed, split_bits), &BTreeMap::new())
     }
 
-    /// Expectation of a diagonal observable `sum_i f(i) |amp_i|^2`.
+    /// Expectation of a diagonal observable `sum_i f(i) |amp_i|^2`, summed
+    /// in fixed chunks of [`SUM_CHUNK`] amplitudes whose partials are
+    /// added in index order: the value is the same bits under every
+    /// threading mode and worker count (`parallel` only spreads the chunks
+    /// over the shim's workers).
     pub fn expectation_diagonal(&self, f: impl Fn(usize) -> f64 + Sync, parallel: bool) -> f64 {
-        if parallel && self.amps.len() >= PAR_THRESHOLD {
-            self.amps
-                .par_iter()
-                .enumerate()
-                .map(|(i, a)| f(i) * a.norm_sqr())
-                .sum()
-        } else {
-            self.amps
-                .iter()
-                .enumerate()
-                .map(|(i, a)| f(i) * a.norm_sqr())
-                .sum()
-        }
-    }
-
-    /// `<psi| P |psi>` for a Pauli-Z string given as a bit mask of qubits
-    /// carrying Z (diagonal observable: product of ±1 parities). The
-    /// reduction runs in parallel when `par` is set.
-    pub fn expectation_z_mask(&self, mask: usize, par: bool) -> f64 {
-        let f = |(i, a): (usize, &C64)| {
-            let parity = (i & mask).count_ones() & 1;
-            let sign = if parity == 0 { 1.0 } else { -1.0 };
-            sign * a.norm_sqr()
+        let chunks = self.amps.len().div_ceil(SUM_CHUNK);
+        let chunk = |c: usize| -> f64 {
+            let at = c * SUM_CHUNK;
+            let amps = &self.amps[at..self.amps.len().min(at + SUM_CHUNK)];
+            amps.iter().enumerate().map(|(i, a)| f(at + i) * a.norm_sqr()).sum()
         };
-        if par && self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter().enumerate().map(f).sum()
+        let mut partials = vec![0.0; chunks];
+        if parallel && chunks >= 2 {
+            partials.par_iter_mut().enumerate().for_each(|(c, p)| *p = chunk(c));
         } else {
-            self.amps.iter().enumerate().map(f).sum()
+            partials.iter_mut().enumerate().for_each(|(c, p)| *p = chunk(c));
         }
+        partials.iter().sum()
     }
 
     /// Fidelity `|<self|other>|^2` against another state.
@@ -706,26 +696,61 @@ pub fn block_shot_split(masses: &[f64], shots: usize, seed: u64) -> Vec<usize> {
     per_block
 }
 
-/// Appends `shots` draws from split block `block` — `probs` is its
-/// probability slice — as global basis indices, through the per-block
-/// alias table on the block's dedicated seeded stream. The one `sampler`
-/// is rebuilt per block: `rebuild` gives the tables (and draw sequences) of
-/// a fresh build without four allocations per block.
-pub(crate) fn sample_block_draws(
-    sampler: &mut AliasSampler,
-    probs: &[f64],
-    shots: usize,
+/// Each block's probability mass, summed in index order with a fresh
+/// accumulator — the same bits whichever process holds the block.
+pub(crate) fn block_masses(amps: &[C64], block_len: usize) -> Vec<f64> {
+    amps.chunks(block_len)
+        .map(|block| block.iter().map(|a| a.norm_sqr()).sum())
+        .collect()
+}
+
+/// The one block sampler behind serial and distributed sampling. Block `b`
+/// of `amps` (`block_len` amplitudes; block `first + b` of the register)
+/// draws `shots[b]` outcomes, as register indices, from an alias table over
+/// its probabilities on its own stream `Rng::stream(seed, first + b)`.
+/// Only a block that won shots has its probabilities written out, into one
+/// block-sized buffer — no `2^n` table. The draws land in block order
+/// whichever worker made them, so `parallel` (blocks on the shim's
+/// workers once they read [`PAR_DRAW`] amplitudes) changes no bit.
+pub(crate) fn draw_blocks(
+    amps: &[C64],
+    block_len: usize,
+    first: usize,
+    shots: &[usize],
     seed: u64,
-    block: usize,
-    out: &mut Vec<u64>,
-) {
-    if shots == 0 {
-        return;
+    parallel: bool,
+) -> Vec<u64> {
+    let mut out = vec![0u64; shots.iter().sum()];
+    let mut slots: Vec<(usize, &mut [u64])> = Vec::with_capacity(shots.len());
+    let mut rest = out.as_mut_slice();
+    for (b, &s) in shots.iter().enumerate() {
+        let (slot, tail) = std::mem::take(&mut rest).split_at_mut(s);
+        rest = tail;
+        if s > 0 {
+            slots.push((b, slot));
+        }
     }
-    sampler.rebuild(probs);
-    let mut rng = Rng::stream(seed, block as u64);
-    let base = block * probs.len();
-    out.extend((0..shots).map(|_| (base | sampler.sample(&mut rng)) as u64));
+    // One probability buffer and one alias table per worker.
+    let init = || (Vec::with_capacity(block_len), AliasSampler::empty());
+    let draw = |(probs, sampler): &mut (Vec<f64>, AliasSampler),
+                (b, slot): &mut (usize, &mut [u64])| {
+        probs.clear();
+        probs.extend(amps[*b * block_len..][..block_len].iter().map(|a| a.norm_sqr()));
+        sampler.rebuild(probs);
+        let block = first + *b;
+        let mut rng = Rng::stream(seed, block as u64);
+        for d in slot.iter_mut() {
+            *d = ((block * block_len) | sampler.sample(&mut rng)) as u64;
+        }
+    };
+    if parallel && slots.len() >= 2 && slots.len() * block_len >= PAR_DRAW {
+        let draw = |scratch: &mut _, (_, slot): (usize, &mut _)| draw(scratch, slot);
+        slots.par_iter_mut().enumerate().for_each_init(init, draw);
+    } else {
+        let mut scratch = init();
+        slots.iter_mut().for_each(|slot| draw(&mut scratch, slot));
+    }
+    out
 }
 
 /// Inserts a 0 bit at position `q` of `x`, shifting the bits at and above
@@ -960,8 +985,8 @@ mod tests {
     fn prob_one_and_measure_collapse() {
         let mut sv = StateVector::zero(2);
         sv.apply(&Gate::X(1), false);
-        assert!(approx_eq(sv.prob_one(1, false), 1.0, 1e-12));
-        assert!(approx_eq(sv.prob_one(0, false), 0.0, 1e-12));
+        assert!(approx_eq(sv.prob_one(1), 1.0, 1e-12));
+        assert!(approx_eq(sv.prob_one(0), 0.0, 1e-12));
         let mut rng = Rng::seed_from(1);
         assert_eq!(sv.measure(1, &mut rng, false), 1);
         assert!(approx_eq(sv.norm_sqr(), 1.0, 1e-12));
@@ -1037,18 +1062,16 @@ mod tests {
         assert_eq!(canonical_split_bits(4, 3), 4); // clamped to n
     }
 
+    /// Past `PAR_DRAW` amplitudes read, blocks are drawn on the shim's
+    /// workers; the draws are the calling thread's, in the same order.
     #[test]
-    fn expectation_z_mask_on_known_states() {
-        let sv = StateVector::zero(2);
-        // |00>: <Z0> = +1, <Z0 Z1> = +1
-        assert!(approx_eq(sv.expectation_z_mask(0b01, false), 1.0, 1e-12));
-        assert!(approx_eq(sv.expectation_z_mask(0b11, false), 1.0, 1e-12));
-        let mut sv = StateVector::zero(2);
-        sv.apply(&Gate::X(0), false);
-        // |01>: <Z0> = -1, <Z1> = +1, <Z0Z1> = -1
-        assert!(approx_eq(sv.expectation_z_mask(0b01, false), -1.0, 1e-12));
-        assert!(approx_eq(sv.expectation_z_mask(0b10, false), 1.0, 1e-12));
-        assert!(approx_eq(sv.expectation_z_mask(0b11, false), -1.0, 1e-12));
+    fn block_draws_do_not_depend_on_threading() {
+        let sv = random_state(17, 3);
+        let split = canonical_split_bits(17, 0);
+        for shots in [1, 64, 1024] {
+            let serial = sv.sample_split_on(shots, 9, split, false);
+            assert_eq!(sv.sample_split_on(shots, 9, split, true), serial);
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Shapes covered:
 //! * `slice.par_iter_mut().enumerate().for_each(f)`
+//! * `slice.par_iter_mut().enumerate().for_each_init(init, f)`
 //! * `slice.par_iter_mut().zip(other.par_iter_mut()).for_each(f)`
 //! * `slice.par_chunks_mut(n).for_each(f)`
-//! * `slice.par_iter().enumerate().map(f).sum::<S>()`
 //! * `(a..b).into_par_iter().for_each(f)`
 //! * `(a..b).into_par_iter().for_each_init(init, f)`
 
@@ -15,9 +15,7 @@ use std::sync::OnceLock;
 
 /// Everything a `use rayon::prelude::*` caller expects in scope.
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, ParallelSlice, ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, ParallelSliceMut};
 }
 
 /// Worker count, asked of the OS once: `available_parallelism` is a
@@ -64,18 +62,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
         assert!(chunk > 0, "chunk size must be positive");
         ParChunksMut { slice: self, chunk }
-    }
-}
-
-/// `par_iter` on shared slices.
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel shared element iterator.
-    fn par_iter(&self) -> ParIter<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { slice: self }
     }
 }
 
@@ -136,15 +122,26 @@ impl<T: Send> EnumerateMut<'_, T> {
     where
         F: Fn((usize, &mut T)) + Sync,
     {
+        self.for_each_init(|| (), |(), x| f(x));
+    }
+
+    /// [`for_each`](Self::for_each), handing `f` a per-worker value built
+    /// by `init` (scratch buffers that must not be shared).
+    pub fn for_each_init<S, I, F>(self, init: I, f: F)
+    where
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, (usize, &mut T)) + Sync,
+    {
         let workers = threads();
         if self.slice.len() < 2 || workers < 2 {
+            let mut state = init();
             for (i, v) in self.slice.iter_mut().enumerate() {
-                f((i, v));
+                f(&mut state, (i, v));
             }
             return;
         }
         let plan = spans(self.slice.len(), workers);
-        let f = &f;
+        let (init, f) = (&init, &f);
         std::thread::scope(|scope| {
             let mut rest = self.slice;
             let mut consumed = 0;
@@ -154,8 +151,9 @@ impl<T: Send> EnumerateMut<'_, T> {
                 let offset = consumed;
                 consumed += span.len();
                 scope.spawn(move || {
+                    let mut state = init();
                     for (i, v) in head.iter_mut().enumerate() {
-                        f((offset + i, v));
+                        f(&mut state, (offset + i, v));
                     }
                 });
             }
@@ -239,83 +237,6 @@ impl<T: Send> ParChunksMut<'_, T> {
                 });
             }
         });
-    }
-}
-
-// --- shared element iterators ------------------------------------------------
-
-/// Parallel `&T` iterator over a slice.
-pub struct ParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Pairs each element with its index.
-    pub fn enumerate(self) -> EnumerateRef<'a, T> {
-        EnumerateRef { slice: self.slice }
-    }
-}
-
-/// Indexed parallel `&T` iterator.
-pub struct EnumerateRef<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> EnumerateRef<'a, T> {
-    /// Lazily maps every `(index, &element)`.
-    pub fn map<F, R>(self, f: F) -> MapRef<'a, T, F>
-    where
-        F: Fn((usize, &T)) -> R + Sync,
-        R: Send,
-    {
-        MapRef {
-            slice: self.slice,
-            f,
-        }
-    }
-}
-
-/// Mapped indexed parallel iterator (reduced via [`MapRef::sum`]).
-pub struct MapRef<'a, T, F> {
-    slice: &'a [T],
-    f: F,
-}
-
-impl<T: Sync, F> MapRef<'_, T, F> {
-    /// Sums the mapped values in parallel.
-    pub fn sum<S>(self) -> S
-    where
-        F: Fn((usize, &T)) -> S + Sync,
-        S: Send + std::iter::Sum<S>,
-    {
-        let workers = threads();
-        if self.slice.len() < 2 || workers < 2 {
-            return self
-                .slice
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (self.f)((i, v)))
-                .sum();
-        }
-        let plan = spans(self.slice.len(), workers);
-        let f = &self.f;
-        let slice = self.slice;
-        let partials: Vec<S> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .into_iter()
-                .map(|span| {
-                    scope.spawn(move || {
-                        slice[span.clone()]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, v)| f((span.start + i, v)))
-                            .sum::<S>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        partials.into_iter().sum()
     }
 }
 
@@ -437,14 +358,6 @@ mod tests {
             .zip(b.par_iter_mut())
             .for_each(|(x, y)| std::mem::swap(x, y));
         assert!(a.iter().all(|&x| x == 2) && b.iter().all(|&y| y == 1));
-    }
-
-    #[test]
-    fn mapped_sum_matches_serial() {
-        let v: Vec<f64> = (0..999).map(|i| i as f64).collect();
-        let par: f64 = v.par_iter().enumerate().map(|(i, x)| i as f64 + x).sum();
-        let ser: f64 = v.iter().enumerate().map(|(i, x)| i as f64 + x).sum();
-        assert_eq!(par, ser);
     }
 
     #[test]
