@@ -20,10 +20,11 @@ use crate::error::QfwError;
 use crate::spec::{extras, BackendSpec, SweepPointSpec, SweepTask};
 use qfw_circuit::analysis::{clifford_prefix_len, is_clifford, StructureReport};
 use qfw_circuit::hash::{circuit_hash, param_hash, ContentHash};
-use qfw_circuit::{text, Circuit, ParamCircuit, Readout};
+use qfw_circuit::{text, Circuit, Gate, ParamCircuit, Readout};
 use qfw_hpc::slurm::HetJob;
 use qfw_noise::{Calibration, NoiseModel};
 use qfw_sim_sv::dist::local_qubits_needed;
+use qfw_sim_sv::MAX_DENSE_QUBITS;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,8 +56,11 @@ pub struct Engine {
     /// The local dense state-vector engine, the only one that runs Kraus
     /// noise trajectories and Clifford-prefix partitions.
     dense_local: bool,
-    /// Whether the engine can collapse a state mid-circuit; one that cannot
-    /// refuses a circuit with a mid-circuit measurement.
+    /// Whether the engine evolves a dense state vector (locally, across
+    /// ranks or in the cloud mock), the only kind that can collapse a state
+    /// mid-circuit: one that cannot refuses a circuit with a mid-circuit
+    /// measurement, and one that can refuses a non-diagonal gate wider than
+    /// its kernels take ([`MAX_DENSE_QUBITS`]).
     collapses: bool,
 }
 
@@ -593,22 +597,33 @@ fn shape(form: &Form) -> Cow<'_, Circuit> {
 /// made, for single jobs, sweeps and retargeted candidates alike: `auto`
 /// gets a concrete circuit, `aer/automatic` its method (and that method's
 /// width), an engine that cannot collapse a state gets no mid-circuit
-/// measurement, the register is wide enough for the ranks, the layout
-/// permutes exactly the register, and the partition seam sits inside a
-/// Clifford prefix.
+/// measurement, a dense engine no gate wider than its kernels, the
+/// register is wide enough for the ranks, the layout permutes exactly the
+/// register, and the partition seam sits inside a Clifford prefix.
 fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
     if plan.backend == AUTO {
         auto_circuit(form)?;
     }
+    let circuit = shape(form);
     if plan.engine.key == "aer/automatic" {
         // The sub-backend stays `automatic`; width and `method` follow.
-        plan = plan.bind(Engine::named(aer_method(&shape(form))), group)?;
+        plan = plan.bind(Engine::named(aer_method(&circuit)), group)?;
     }
-    if !plan.engine.collapses && Readout::of(&shape(form)).has_mid_circuit() {
+    if !plan.engine.collapses && Readout::of(&circuit).has_mid_circuit() {
         return Err(QfwError::BadProperties(format!(
             "{} cannot collapse a state mid-circuit, and the circuit measures a qubit a later gate acts on",
             plan.engine.key
         )));
+    }
+    // `auto` leaves this to each candidate's own row.
+    if plan.engine.collapses && plan.backend != AUTO {
+        let wide = |g: &&Gate| g.arity() > MAX_DENSE_QUBITS && !g.is_diagonal();
+        if let Some(gate) = circuit.gates().find(wide) {
+            return Err(QfwError::BadProperties(format!(
+                "{} takes non-diagonal gates on at most {MAX_DENSE_QUBITS} qubits; the circuit has `{gate}`",
+                plan.engine.key
+            )));
+        }
     }
     let num_qubits = match form {
         Form::Concrete(circuit) => circuit.num_qubits(),
@@ -619,7 +634,7 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
     // gate — and never fewer than one.
     if plan.engine.width == Width::Pow2Ranks {
         let rank_bits = plan.ranks.trailing_zeros() as usize;
-        let need = local_qubits_needed(&shape(form));
+        let need = local_qubits_needed(&circuit);
         if num_qubits < rank_bits + need {
             return Err(QfwError::Resources(format!(
                 "{} ranks leave {} of {num_qubits} qubits local; the circuit needs {need}",
@@ -1154,6 +1169,33 @@ mod tests {
             admit("qfwasm 1\nqubits 2\nnosuchgate q0\n", &mpi),
             Err(QfwError::Marshal(_))
         ));
+        // A dense gate wider than the kernels take parses, and only an
+        // engine without those kernels admits it.
+        let k = qfw_sim_sv::MAX_DENSE_QUBITS + 1;
+        let mut shift = qfw_num::Matrix::zeros(1 << k, 1 << k);
+        for i in 0..1 << k {
+            shift[((i + 1) % (1 << k), i)] = qfw_num::complex::C64::ONE;
+        }
+        let mut wide = Circuit::new(k);
+        wide.push(Gate::Unitary {
+            qubits: (0..k).collect(),
+            matrix: Arc::new(shift),
+            label: "shift".into(),
+        });
+        let wire = text::dump(&wide);
+        let job = |spec: BackendSpec| admit(&wire, &spec).map(|_| ());
+        for (backend, sub) in [("nwqsim", "cpu"), ("nwqsim", "mpi"), ("aer", "statevector")] {
+            assert!(matches!(
+                job(BackendSpec::of(backend, sub)),
+                Err(QfwError::BadProperties(_))
+            ));
+        }
+        assert!(job(BackendSpec::of("aer", "matrix_product_state")).is_ok());
+        // `auto` admits it, and each candidate is judged on its own row.
+        let auto = admit(&wire, &BackendSpec::of(AUTO, "")).unwrap();
+        let onto = |key| auto.on_plan(auto.plan.retarget(&Target::on(key), GROUP).unwrap(), GROUP);
+        assert!(matches!(onto("nwqsim/cpu"), Err(QfwError::BadProperties(_))));
+        assert!(onto("aer/matrix_product_state").is_ok());
     }
 
     fn sweep_task(skeleton: &str, spec: BackendSpec) -> SweepTask {

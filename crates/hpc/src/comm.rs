@@ -2,7 +2,7 @@
 //!
 //! Each simulated rank owns a [`RankCtx`]: matched point-to-point `send`/
 //! `recv` plus the collectives the simulators need (barrier, broadcast,
-//! gather, reduce/allreduce, sendrecv exchange). Messages are typed
+//! gather, scatter, allreduce, all-to-all). Messages are typed
 //! (`Box<dyn Any>` under the hood, downcast on receive) and each transfer is
 //! charged the interconnect cost of the sender/receiver placement, so
 //! communication overheads grow realistically as ranks spill across LLC
@@ -17,7 +17,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,10 +26,6 @@ const RECV_DEADLINE: Duration = Duration::from_secs(120);
 /// Tag bit reserved for internal collective traffic; user tags must stay
 /// below this.
 const COLLECTIVE_BIT: u64 = 1 << 63;
-
-/// Distinguishes pairwise-exchange traffic (which has per-peer sequence
-/// counters) from world collectives (which have a world-ordered counter).
-const PAIR_BIT: u64 = 1 << 62;
 
 /// Types that can travel between ranks. `wire_bytes` is what the
 /// interconnect model charges for the transfer.
@@ -120,7 +115,6 @@ impl Communicator {
                 rx,
                 stash: VecDeque::new(),
                 coll_seq: 0,
-                pair_seq: std::collections::HashMap::new(),
                 sent_msgs: Cell::new(0),
                 sent_bytes: Cell::new(0),
             })
@@ -141,32 +135,6 @@ impl Communicator {
     }
 }
 
-/// A posted non-blocking send. Sends in this communicator are always
-/// buffered, so the transfer is already in flight when the request is
-/// returned; `wait` is a no-op kept for MPI-shape parity at call sites
-/// and reports the posted wire size.
-#[must_use = "a posted send should be waited on (or its size read)"]
-pub struct SendReq {
-    bytes: usize,
-}
-
-impl SendReq {
-    /// Completes the send (a no-op under buffered channels) and returns
-    /// the wire size that was charged for it.
-    pub fn wait(self) -> usize {
-        self.bytes
-    }
-}
-
-/// A posted non-blocking receive of a `T` from `src` carrying `tag`.
-/// Complete it with [`RankCtx::wait`].
-#[must_use = "a posted receive must be completed with RankCtx::wait"]
-pub struct RecvReq<T: Message> {
-    src: usize,
-    tag: u64,
-    _payload: PhantomData<fn() -> T>,
-}
-
 /// Per-rank endpoint: owns this rank's inbox and sequence counters, so it is
 /// deliberately `!Sync` — exactly one thread drives a rank.
 pub struct RankCtx {
@@ -175,7 +143,6 @@ pub struct RankCtx {
     rx: Receiver<Envelope>,
     stash: VecDeque<Envelope>,
     coll_seq: u64,
-    pair_seq: std::collections::HashMap<usize, u64>,
     sent_msgs: Cell<u64>,
     sent_bytes: Cell<u64>,
 }
@@ -249,58 +216,6 @@ impl RankCtx {
     /// interconnect cost model. Deltas around a phase give its volume.
     pub fn sent_bytes(&self) -> u64 {
         self.sent_bytes.get()
-    }
-
-    /// Posts a non-blocking send (MPI_Isend shape). Sends are buffered,
-    /// so the returned request is already complete; `wait` it for parity
-    /// with a real MPI call site.
-    ///
-    /// # Panics
-    /// Panics when `tag` intrudes on the reserved collective tag space.
-    pub fn isend<T: Message>(&self, dest: usize, tag: u64, value: T) -> SendReq {
-        assert!(tag & COLLECTIVE_BIT == 0, "tag {tag:#x} is reserved");
-        let bytes = value.wire_bytes();
-        self.send_raw(dest, tag, value);
-        SendReq { bytes }
-    }
-
-    /// Posts a non-blocking receive (MPI_Irecv shape); complete it with
-    /// [`RankCtx::wait`]. Posting never blocks and never consumes inbox
-    /// messages.
-    ///
-    /// # Panics
-    /// Panics when `tag` intrudes on the reserved collective tag space.
-    pub fn irecv<T: Message>(&self, src: usize, tag: u64) -> RecvReq<T> {
-        assert!(tag & COLLECTIVE_BIT == 0, "tag {tag:#x} is reserved");
-        RecvReq {
-            src,
-            tag,
-            _payload: PhantomData,
-        }
-    }
-
-    /// Completes a posted receive, blocking until the matching message
-    /// arrives (same semantics and deadline as [`RankCtx::recv`]).
-    pub fn wait<T: Message>(&mut self, req: RecvReq<T>) -> T {
-        self.recv_raw(req.src, req.tag)
-    }
-
-    /// Polls for a message from `src` with `tag` without blocking.
-    /// Returns `None` when nothing matching has arrived yet (or when the
-    /// match exists but its modeled transfer delay has not elapsed).
-    pub fn try_recv<T: Message>(&mut self, src: usize, tag: u64) -> Option<T> {
-        assert!(tag & COLLECTIVE_BIT == 0, "tag {tag:#x} is reserved");
-        // Drain everything currently queued into the stash so repeated
-        // polls preserve per-(src, tag) arrival order.
-        while let Ok(env) = self.rx.try_recv() {
-            self.stash.push_back(env);
-        }
-        let pos = self.stash.iter().position(|e| e.src == src && e.tag == tag)?;
-        if self.stash[pos].deliver_at > Instant::now() {
-            return None;
-        }
-        let env = self.stash.remove(pos).unwrap();
-        Some(Self::open(env))
     }
 
     /// Receives the next message from `src` carrying `tag`, blocking until
@@ -447,51 +362,6 @@ impl RankCtx {
             }
             a
         })
-    }
-
-    /// Simultaneous exchange with a peer: sends `value` and receives the
-    /// peer's value (the distributed state-vector pair exchange). Safe from
-    /// deadlock because sends are buffered. Exchanges with a given peer are
-    /// matched by a per-peer sequence counter, so different rank pairs may
-    /// exchange concurrently without world-wide ordering.
-    pub fn exchange<T: Message>(&mut self, peer: usize, value: T) -> T {
-        let seq = self.pair_seq.entry(peer).or_insert(0);
-        let tag = COLLECTIVE_BIT | PAIR_BIT | *seq;
-        *seq += 1;
-        self.send_raw(peer, tag, value);
-        self.recv_raw(peer, tag)
-    }
-
-    /// Gathers one value per rank and broadcasts the full rank-ordered
-    /// vector to everyone (MPI_Allgather). `Copy` bound because the packed
-    /// vector travels as one message.
-    pub fn allgather<T: Message + Copy>(&mut self, value: T) -> Vec<T> {
-        let gathered = self.gather(0, value);
-        self.bcast(0, gathered)
-    }
-
-    /// Reduces one value per rank with `op` at `root`; other ranks get
-    /// `None` (MPI_Reduce).
-    pub fn reduce<T, F>(&mut self, root: usize, value: T, op: F) -> Option<T>
-    where
-        T: Message,
-        F: Fn(T, T) -> T,
-    {
-        // Gather to rank 0-style pattern but rooted at `root`.
-        let tag = self.next_collective_tag();
-        if self.rank() == root {
-            let mut acc = value;
-            for src in 0..self.size() {
-                if src != root {
-                    let other: T = self.recv_raw(src, tag);
-                    acc = op(acc, other);
-                }
-            }
-            Some(acc)
-        } else {
-            self.send_raw(root, tag, value);
-            None
-        }
     }
 
     /// Personalized all-to-all: `sends[j]` goes to rank `j`; returns the
@@ -695,34 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_swaps_payloads() {
-        let results = run_world(2, |mut ctx| {
-            let peer = 1 - ctx.rank();
-            ctx.exchange(peer, vec![ctx.rank() as u64; 4])
-        });
-        assert_eq!(results[0], vec![1, 1, 1, 1]);
-        assert_eq!(results[1], vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn allgather_collects_everywhere() {
-        let results = run_world(4, |mut ctx| ctx.allgather(ctx.rank() as u64 * 3));
-        assert!(results.iter().all(|v| v == &vec![0, 3, 6, 9]));
-    }
-
-    #[test]
-    fn reduce_rooted_anywhere() {
-        let results = run_world(5, |mut ctx| ctx.reduce(3, ctx.rank() as u64, |a, b| a.max(b)));
-        for (rank, r) in results.iter().enumerate() {
-            if rank == 3 {
-                assert_eq!(*r, Some(4));
-            } else {
-                assert_eq!(*r, None);
-            }
-        }
-    }
-
-    #[test]
     fn alltoall_transposes_payloads() {
         // Rank r sends (r*10 + dest) to dest; so dest receives src*10+dest.
         let results = run_world(3, |mut ctx| {
@@ -759,41 +601,6 @@ mod tests {
             (s, b)
         });
         assert!(results.iter().all(|&(s, b)| s == 4.0 && b == 42));
-    }
-
-    #[test]
-    fn isend_irecv_round_trip() {
-        let results = run_world(2, |mut ctx| {
-            if ctx.rank() == 0 {
-                let req = ctx.isend(1, 9, vec![5.0f64, 7.0]);
-                req.wait()
-            } else {
-                let req = ctx.irecv::<Vec<f64>>(0, 9);
-                let v = ctx.wait(req);
-                v.iter().sum::<f64>() as usize
-            }
-        });
-        assert_eq!(results[0], 16); // two f64s on the wire
-        assert_eq!(results[1], 12);
-    }
-
-    #[test]
-    fn try_recv_polls_without_blocking() {
-        let results = run_world(2, |mut ctx| {
-            if ctx.rank() == 0 {
-                // Nothing has been sent to us on tag 5: poll must miss.
-                let early: Option<u64> = ctx.try_recv(1, 5);
-                ctx.send(1, 4, 1u64); // release the peer
-                let _: u64 = ctx.recv(1, 5);
-                early.is_none()
-            } else {
-                let _: u64 = ctx.recv(0, 4);
-                ctx.send(0, 5, 99u64);
-                // Rank 0 never sends us tag 5: the poll must stay None.
-                ctx.try_recv::<u64>(0, 5).is_none()
-            }
-        });
-        assert!(results[0] && results[1]);
     }
 
     #[test]
@@ -835,7 +642,8 @@ mod tests {
             let before_msgs = ctx.sent_messages();
             let before_bytes = ctx.sent_bytes();
             let peer = 1 - ctx.rank();
-            ctx.exchange(peer, vec![0u8; 64]);
+            ctx.send(peer, 3, vec![0u8; 64]);
+            let _: Vec<u8> = ctx.recv(peer, 3);
             (
                 ctx.sent_messages() - before_msgs,
                 ctx.sent_bytes() - before_bytes,

@@ -12,9 +12,12 @@ use std::time::Duration;
 /// Intra-process threading mode (NWQ-Sim's CPU vs OpenMP sub-backends).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Threading {
-    /// Single-threaded sweeps.
+    /// Everything on the calling thread.
     Serial,
-    /// Rayon-parallel sweeps over amplitude groups.
+    /// Tile groups that pay for the hand-off, sampling blocks and sweep
+    /// points on the rayon shim's workers. Per-gate kernels
+    /// (`FusionLevel::None`) and mid-circuit collapses stay on the calling
+    /// thread.
     Rayon,
 }
 
@@ -220,7 +223,8 @@ impl SvSimulator {
     }
 
     /// `FusionLevel::None`: the circuit gate by gate, one state sweep each
-    /// — the reference every other path is compared against.
+    /// on the calling thread — the reference every other path is compared
+    /// against. Only the sampling tail threads under `Rayon`.
     fn run_verbatim(
         &self,
         initial: Option<StateVector>,
@@ -229,7 +233,6 @@ impl SvSimulator {
         seed: u64,
         obs: &Obs,
     ) -> SvOutcome<Counts> {
-        let parallel = self.config.threading == Threading::Rayon;
         let mut rng = Rng::seed_from(seed);
         let mut sv =
             initial.unwrap_or_else(|| StateVector::zero(circuit.num_qubits()));
@@ -243,11 +246,11 @@ impl SvSimulator {
         for (at, op) in circuit.ops().iter().enumerate() {
             match op {
                 Op::Gate(g) => {
-                    sv.apply(g, parallel);
+                    sv.apply(g, false);
                     gates_applied += 1;
                 }
                 Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
-                    collapsed.insert(*clbit, sv.measure(*qubit, &mut rng, parallel));
+                    collapsed.insert(*clbit, sv.measure(*qubit, &mut rng, false));
                 }
                 _ => {}
             }
@@ -296,14 +299,16 @@ impl SvSimulator {
 
     /// Returns the final state vector of the unitary part of a circuit.
     pub fn statevector(&self, circuit: &Circuit) -> StateVector {
-        let parallel = self.config.threading == Threading::Rayon;
         match self.config.fusion {
             FusionLevel::None => {
                 let mut sv = StateVector::zero(circuit.num_qubits());
-                sv.run_unitary(circuit, parallel);
+                sv.run_unitary(circuit);
                 sv
             }
-            FusionLevel::Full => fuse(circuit).apply_to_zero(None, parallel).0,
+            FusionLevel::Full => {
+                let parallel = self.config.threading == Threading::Rayon;
+                fuse(circuit).apply_to_zero(None, parallel).0
+            }
         }
     }
 

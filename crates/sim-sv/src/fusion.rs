@@ -467,7 +467,7 @@ mod tests {
     fn fused_state_matches(qc: &Circuit) {
         let mut a = StateVector::zero(qc.num_qubits());
         let mut b = StateVector::zero(qc.num_qubits());
-        a.run_unitary(qc, false);
+        a.run_unitary(qc);
         fuse(qc).apply_unitary(&mut b, false);
         assert!(
             approx_eq(a.fidelity(&b), 1.0, 1e-9),
@@ -620,7 +620,7 @@ mod tests {
         let mut got = StateVector::zero(2);
         fuse(&qc).apply_unitary(&mut got, false);
         let mut want = StateVector::zero(2);
-        want.run_unitary(&qc, false);
+        want.run_unitary(&qc);
         for (a, b) in got.amps().iter().zip(want.amps()) {
             assert!(a.approx_eq(*b, 1e-12), "{a} vs {b}");
         }

@@ -40,8 +40,10 @@ pub const TILE_BITS: usize = 11;
 pub const BLOCK_BITS: usize = 3;
 const BLOCK: usize = 1 << BLOCK_BITS;
 
-/// Widest dense gate the generic kernel gathers onto its stack scratch.
-const MAX_DENSE_QUBITS: usize = 8;
+/// Widest non-diagonal gate the dense kernels take: the generic kernel
+/// gathers at most this many targets onto its stack scratch. Admission
+/// refuses a wider one on every engine that runs these kernels.
+pub const MAX_DENSE_QUBITS: usize = 8;
 
 // --- ISA tiers --------------------------------------------------------------
 

@@ -339,7 +339,7 @@ impl LayerPlan {
     ) -> BTreeMap<usize, u8> {
         let mut collapsed = BTreeMap::new();
         self.execute(tier, sv, 0, 0, parallel, |sv, qubit, clbit| {
-            collapsed.insert(clbit, sv.measure(qubit, rng, parallel));
+            collapsed.insert(clbit, sv.measure(qubit, rng, false));
         });
         collapsed
     }
@@ -372,7 +372,7 @@ impl LayerPlan {
             parallel,
             |sv, qubit, clbit| {
                 if let Some(rng) = rng.as_deref_mut() {
-                    collapsed.insert(clbit, sv.measure(qubit, rng, parallel));
+                    collapsed.insert(clbit, sv.measure(qubit, rng, false));
                 }
             },
         );

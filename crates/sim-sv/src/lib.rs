@@ -3,9 +3,12 @@
 //!
 //! Three execution modes mirror NWQ-Sim's sub-backends:
 //!
-//! * **CPU** (serial): straight gate-application sweeps ([`state`]).
-//! * **OpenMP** (threaded): the same kernels parallelized over amplitude
-//!   groups with rayon ([`state`] with [`Threading::Rayon`]).
+//! * **CPU** (serial): the layer plan's tile groups one after another, or
+//!   with fusion off, the per-gate kernels of [`state`].
+//! * **OpenMP** (threaded, [`Threading::Rayon`]): the same tile groups
+//!   spread over the rayon shim's workers once a group's work pays for the
+//!   hand-off, and the sampling tail's blocks likewise; the per-gate
+//!   kernels stay serial.
 //! * **MPI** (distributed): the state vector partitioned across DVM ranks,
 //!   routed communication-avoidingly via a lazy logical→physical qubit
 //!   permutation with batched remaps, planned once per job; between two
@@ -39,7 +42,7 @@ pub use dist::{
 };
 pub use engine::{SvConfig, SvSimulator, Threading};
 pub use fusion::{fuse, FusionLevel};
-pub use kernels::IsaTier;
+pub use kernels::{IsaTier, MAX_DENSE_QUBITS};
 pub use layers::LayerPlan;
 pub use noise::{run_noisy, run_trajectories, sample_trajectories, NoiseModel};
 pub use state::{canonical_split_bits, StateVector, DEFAULT_SPLIT_BITS};

@@ -85,7 +85,7 @@ fn run_one_trajectory(
                     continue;
                 }
                 let idx = rng.weighted(&weights);
-                sv.apply_matrix_1q(q, &ch.kraus()[idx], false);
+                sv.apply_matrix_1q(q, &ch.kraus()[idx]);
                 let p = weights[idx] / total;
                 sv.scale(1.0 / p.sqrt());
                 *kraus_apps += 1;

@@ -3,21 +3,20 @@
 //! Layout: amplitude `amps[i]` is the coefficient of basis state `|i>` with
 //! qubit `q` stored in bit `q` of `i` (little-endian, matching the IR).
 //!
-//! Kernels come in serial and rayon-parallel flavours. The parallel paths
-//! partition the amplitude array into *groups* that vary only the gate's
-//! target bits; distinct groups touch disjoint indices, which is what makes
-//! the unsafe shared-pointer scatter in the k-qubit kernel sound.
+//! The per-gate kernels run on the calling thread: they partition the
+//! amplitude array into *groups* that vary only the gate's target bits,
+//! and distinct groups touch disjoint indices, which is what the raw-pointer
+//! scatter in the k-qubit kernel relies on. Threads belong to the layer
+//! plan's tile executor ([`crate::layers`]), the block sampler
+//! ([`draw_blocks`]) and [`StateVector::expectation_diagonal`].
 
+use crate::kernels::MAX_DENSE_QUBITS;
 use qfw_circuit::{Circuit, Counts, Gate, Op, Readout};
 use qfw_num::complex::{c64, C64};
 use qfw_num::rng::{AliasSampler, CdfSampler, Rng};
 use qfw_num::Matrix;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-
-/// Below this many amplitudes the rayon dispatch overhead outweighs the
-/// kernel work and the serial path is used regardless of threading mode.
-const PAR_THRESHOLD: usize = 1 << 12;
 
 /// Amplitudes per partial sum of [`StateVector::expectation_diagonal`]:
 /// its rounding, so every expectation value's bits, follow this length.
@@ -90,43 +89,40 @@ impl StateVector {
         self.amps[i].norm_sqr()
     }
 
-    /// Applies one gate, choosing serial or parallel kernels.
-    pub fn apply(&mut self, gate: &Gate, parallel: bool) {
-        let par = parallel && self.amps.len() >= PAR_THRESHOLD;
+    /// Applies one gate. `parallel` is accepted and ignored: the per-gate
+    /// kernels run on the calling thread, and a threaded job runs the
+    /// layer plan instead.
+    pub fn apply(&mut self, gate: &Gate, _parallel: bool) {
         match gate {
             // Diagonal fast paths: pure per-amplitude phases, no scatter.
-            Gate::Z(q) => self.apply_phase_if(*q, -C64::ONE, par),
-            Gate::S(q) => self.apply_phase_if(*q, C64::I, par),
-            Gate::Sdg(q) => self.apply_phase_if(*q, -C64::I, par),
-            Gate::T(q) => {
-                self.apply_phase_if(*q, C64::cis(std::f64::consts::FRAC_PI_4), par)
-            }
-            Gate::Tdg(q) => {
-                self.apply_phase_if(*q, C64::cis(-std::f64::consts::FRAC_PI_4), par)
-            }
-            Gate::Phase(q, t) => self.apply_phase_if(*q, C64::cis(*t), par),
-            Gate::Rz(q, t) => self.apply_rz(*q, *t, par),
-            Gate::Cz(a, b) => self.apply_cz(*a, *b, par),
-            Gate::Cp(c, t, theta) => self.apply_cphase(*c, *t, C64::cis(*theta), par),
-            Gate::Rzz(a, b, t) => self.apply_rzz(*a, *b, *t, par),
+            Gate::Z(q) => self.apply_phase_if(*q, -C64::ONE),
+            Gate::S(q) => self.apply_phase_if(*q, C64::I),
+            Gate::Sdg(q) => self.apply_phase_if(*q, -C64::I),
+            Gate::T(q) => self.apply_phase_if(*q, C64::cis(std::f64::consts::FRAC_PI_4)),
+            Gate::Tdg(q) => self.apply_phase_if(*q, C64::cis(-std::f64::consts::FRAC_PI_4)),
+            Gate::Phase(q, t) => self.apply_phase_if(*q, C64::cis(*t)),
+            Gate::Rz(q, t) => self.apply_rz(*q, *t),
+            Gate::Cz(a, b) => self.apply_cz(*a, *b),
+            Gate::Cp(c, t, theta) => self.apply_cphase(*c, *t, C64::cis(*theta)),
+            Gate::Rzz(a, b, t) => self.apply_rzz(*a, *b, *t),
             // X is a pure bit-flip permutation: cheaper than a dense 1q kernel.
-            Gate::X(q) => self.apply_x(*q, par),
-            Gate::Cx(c, t) => self.apply_cx(*c, *t, par),
-            Gate::Ccx(a, b, t) => self.apply_ccx(*a, *b, *t, par),
+            Gate::X(q) => self.apply_x(*q),
+            Gate::Cx(c, t) => self.apply_cx(*c, *t),
+            Gate::Ccx(a, b, t) => self.apply_ccx(*a, *b, *t),
             // Everything else goes through dense kernels by arity, except
             // that any remaining diagonal gate (Crz, fused diagonal Unitary
             // blocks) gets a single strided phase sweep.
             g => {
                 let qs = g.qubits();
                 if let Some(d) = g.diagonal() {
-                    self.apply_diag_kq(&qs, &d, par);
+                    self.apply_diag_kq(&qs, &d);
                     return;
                 }
                 let m = g.matrix();
                 match qs.len() {
-                    1 => self.apply_1q(qs[0], &m, par),
-                    2 => self.apply_2q(qs[0], qs[1], &m, par),
-                    _ => self.apply_kq(&qs, &m, par),
+                    1 => self.apply_1q(qs[0], &m),
+                    2 => self.apply_2q(qs[0], qs[1], &m),
+                    _ => self.apply_kq(&qs, &m),
                 }
             }
         }
@@ -156,10 +152,9 @@ impl StateVector {
     /// Applies an arbitrary — not necessarily unitary — 2x2 operator to
     /// qubit `q` (row-major matrix). Kraus operators come through here;
     /// callers renormalize afterwards via [`Self::scale`].
-    pub fn apply_matrix_1q(&mut self, q: usize, m: &[C64; 4], parallel: bool) {
-        let par = parallel && self.amps.len() >= PAR_THRESHOLD;
+    pub fn apply_matrix_1q(&mut self, q: usize, m: &[C64; 4]) {
         let (u00, u01, u10, u11) = (m[0], m[1], m[2], m[3]);
-        self.apply_pairwise(q, par, move |a, b| {
+        self.apply_pairwise(q, move |a, b| {
             let (x, y) = (*a, *b);
             *a = u00 * x + u01 * y;
             *b = u10 * x + u11 * y;
@@ -175,74 +170,35 @@ impl StateVector {
     }
 
     /// Runs the unitary part of a circuit (measurements/barriers skipped).
-    pub fn run_unitary(&mut self, circuit: &Circuit, parallel: bool) {
+    pub fn run_unitary(&mut self, circuit: &Circuit) {
         assert_eq!(circuit.num_qubits(), self.n, "register size mismatch");
         for op in circuit.ops() {
             if let Op::Gate(g) = op {
-                self.apply(g, parallel);
+                self.apply(g, false);
             }
         }
     }
 
     // --- strided iteration helpers ------------------------------------------
 
-    /// Applies `f` to every `(bit q = 0, bit q = 1)` amplitude pair. This is
-    /// the one place that knows how to split the register around a single
-    /// qubit, including the "q is the top qubit" case where there is only
-    /// one block and parallelism must come from splitting the halves.
-    fn apply_pairwise(&mut self, q: usize, par: bool, f: impl Fn(&mut C64, &mut C64) + Sync) {
+    /// Applies `f` to every `(bit q = 0, bit q = 1)` amplitude pair: the
+    /// one place that knows how to split the register around one qubit.
+    fn apply_pairwise(&mut self, q: usize, f: impl Fn(&mut C64, &mut C64)) {
         let stride = 1usize << q;
-        let block = stride << 1;
-        if self.amps.len() >= 2 * block {
-            let kernel = |chunk: &mut [C64]| {
-                let (lo, hi) = chunk.split_at_mut(stride);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    f(a, b);
-                }
-            };
-            if par {
-                self.amps.par_chunks_mut(block).for_each(kernel);
-            } else {
-                self.amps.chunks_mut(block).for_each(kernel);
-            }
-        } else {
-            // q is the top qubit: one block; parallelize across the halves.
-            let (lo, hi) = self.amps.split_at_mut(stride);
-            if par {
-                lo.par_iter_mut()
-                    .zip(hi.par_iter_mut())
-                    .for_each(|(a, b)| f(a, b));
-            } else {
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    f(a, b);
-                }
+        for chunk in self.amps.chunks_mut(stride << 1) {
+            let (lo, hi) = chunk.split_at_mut(stride);
+            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                f(a, b);
             }
         }
     }
 
     /// Applies `f` to every amplitude whose bit `q` is 1 — exactly half the
     /// register, visited in contiguous runs with no per-index branch.
-    fn for_each_one(&mut self, q: usize, par: bool, f: impl Fn(&mut C64) + Sync) {
+    fn for_each_one(&mut self, q: usize, f: impl Fn(&mut C64)) {
         let stride = 1usize << q;
-        let block = stride << 1;
-        if self.amps.len() >= 2 * block {
-            let kernel = |chunk: &mut [C64]| {
-                for a in &mut chunk[stride..] {
-                    f(a);
-                }
-            };
-            if par {
-                self.amps.par_chunks_mut(block).for_each(kernel);
-            } else {
-                self.amps.chunks_mut(block).for_each(kernel);
-            }
-        } else {
-            let (_, hi) = self.amps.split_at_mut(stride);
-            if par {
-                hi.par_iter_mut().for_each(f);
-            } else {
-                hi.iter_mut().for_each(f);
-            }
+        for chunk in self.amps.chunks_mut(stride << 1) {
+            chunk[stride..].iter_mut().for_each(&f);
         }
     }
 
@@ -250,66 +206,53 @@ impl StateVector {
     /// a quarter of the register, visited as contiguous runs of
     /// `2^min(a, b)` by nesting block sweeps around the two bits instead of
     /// scanning everything with a mask branch.
-    fn for_each_11(&mut self, a: usize, b: usize, par: bool, f: impl Fn(&mut C64) + Sync) {
+    fn for_each_11(&mut self, a: usize, b: usize, f: impl Fn(&mut C64)) {
         debug_assert_ne!(a, b);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let (slo, shi) = (1usize << lo, 1usize << hi);
         // Within the hi=1 half of each block, the lo=1 amplitudes are the
         // upper halves of the sub-blocks around the low bit.
-        let inner = |half: &mut [C64]| {
-            for sub in half.chunks_mut(slo << 1) {
-                for amp in &mut sub[slo..] {
-                    f(amp);
-                }
-            }
-        };
-        let block = shi << 1;
-        if self.amps.len() >= 2 * block {
-            let kernel = |chunk: &mut [C64]| inner(&mut chunk[shi..]);
-            if par {
-                self.amps.par_chunks_mut(block).for_each(kernel);
-            } else {
-                self.amps.chunks_mut(block).for_each(kernel);
-            }
-        } else {
-            // hi is the top qubit: one block; parallelize inside its half.
-            let (_, half) = self.amps.split_at_mut(shi);
-            if par {
-                half.par_chunks_mut(slo << 1).for_each(|sub| {
-                    for amp in &mut sub[slo..] {
-                        f(amp);
-                    }
-                });
-            } else {
-                inner(half);
+        for chunk in self.amps.chunks_mut(shi << 1) {
+            for sub in chunk[shi..].chunks_mut(slo << 1) {
+                sub[slo..].iter_mut().for_each(&f);
             }
         }
+    }
+
+    /// What the raw-pointer kernels below rely on: ascending `sorted`
+    /// targets are distinct qubits of this register.
+    fn check_targets(&self, sorted: &[usize]) {
+        assert!(
+            sorted.windows(2).all(|w| w[0] < w[1]) && sorted.last().is_some_and(|&q| q < self.n),
+            "gate targets {sorted:?} must be distinct qubits of a {}-qubit register",
+            self.n
+        );
     }
 
     // --- diagonal / permutation kernels -------------------------------------
 
     /// Multiplies amplitudes whose bit `q` is 1 by `phase`.
-    fn apply_phase_if(&mut self, q: usize, phase: C64, par: bool) {
-        self.for_each_one(q, par, move |a| *a *= phase);
+    fn apply_phase_if(&mut self, q: usize, phase: C64) {
+        self.for_each_one(q, move |a| *a *= phase);
     }
 
-    fn apply_rz(&mut self, q: usize, t: f64, par: bool) {
+    fn apply_rz(&mut self, q: usize, t: f64) {
         let (p0, p1) = (C64::cis(-t / 2.0), C64::cis(t / 2.0));
-        self.apply_pairwise(q, par, move |a, b| {
+        self.apply_pairwise(q, move |a, b| {
             *a *= p0;
             *b *= p1;
         });
     }
 
-    fn apply_cz(&mut self, a: usize, b: usize, par: bool) {
-        self.for_each_11(a, b, par, |amp| *amp = -*amp);
+    fn apply_cz(&mut self, a: usize, b: usize) {
+        self.for_each_11(a, b, |amp| *amp = -*amp);
     }
 
-    fn apply_cphase(&mut self, c: usize, t: usize, phase: C64, par: bool) {
-        self.for_each_11(c, t, par, move |amp| *amp *= phase);
+    fn apply_cphase(&mut self, c: usize, t: usize, phase: C64) {
+        self.for_each_11(c, t, move |amp| *amp *= phase);
     }
 
-    fn apply_rzz(&mut self, a: usize, b: usize, t: f64, par: bool) {
+    fn apply_rzz(&mut self, a: usize, b: usize, t: f64) {
         let (aligned, anti) = (C64::cis(-t / 2.0), C64::cis(t / 2.0));
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let (slo, shi) = (1usize << lo, 1usize << hi);
@@ -327,96 +270,73 @@ impl StateVector {
                 }
             }
         };
-        let kernel = |chunk: &mut [C64]| {
+        for chunk in self.amps.chunks_mut(shi << 1) {
             let (lo_half, hi_half) = chunk.split_at_mut(shi);
             sweep(lo_half, aligned, anti);
             sweep(hi_half, anti, aligned);
-        };
-        let block = shi << 1;
-        if par && self.amps.len() >= 2 * block {
-            self.amps.par_chunks_mut(block).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(block).for_each(kernel);
         }
     }
 
-    fn apply_x(&mut self, q: usize, par: bool) {
+    fn apply_x(&mut self, q: usize) {
         // A pure permutation: swap each block's halves wholesale — bulk
         // slice swaps vectorize where a per-pair closure does not.
         let stride = 1usize << q;
-        let block = stride << 1;
-        let kernel = |chunk: &mut [C64]| {
+        for chunk in self.amps.chunks_mut(stride << 1) {
             let (lo, hi) = chunk.split_at_mut(stride);
             lo.swap_with_slice(hi);
-        };
-        if par && self.amps.len() >= 2 * block {
-            self.amps.par_chunks_mut(block).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(block).for_each(kernel);
         }
     }
 
-    fn apply_cx(&mut self, c: usize, t: usize, par: bool) {
+    fn apply_cx(&mut self, c: usize, t: usize) {
         let (cm, tm) = (1usize << c, 1usize << t);
         let (lo, hi) = if c < t { (c, t) } else { (t, c) };
+        self.check_targets(&[lo, hi]);
         let run = 1usize << lo;
         let runs = self.amps.len() >> (lo + 2);
-        let ptr = SharedAmps(self.amps.as_mut_ptr());
+        let p = self.amps.as_mut_ptr();
         // control=1/target=0 indices come in contiguous runs of `run`
         // (bits below `lo` pass through the insertions); each run swaps
         // wholesale with its target=1 partner run.
-        let work = |r: usize| {
+        for r in 0..runs {
             let i = insert_zero_bit(insert_zero_bit(r << lo, lo), hi) | cm;
-            // SAFETY: runs are pairwise disjoint across r, and the partner
-            // run differs in bit t, so the two regions never overlap.
+            // SAFETY: `r < 2^(n-lo-2)` spreads around `lo` and `hi`, both
+            // below `n` (checked), so both runs lie inside the register;
+            // they differ in bit t, so they never overlap.
             unsafe {
-                let p = ptr.get();
                 std::ptr::swap_nonoverlapping(p.add(i), p.add(i | tm), run);
             }
-        };
-        if par && runs >= 2 {
-            (0..runs).into_par_iter().for_each(work);
-        } else {
-            (0..runs).for_each(work);
         }
     }
 
     /// Toffoli as a strided permutation: one amplitude-pair swap per
     /// 8-element group instead of the generic 8x8 dense matvec.
-    fn apply_ccx(&mut self, a: usize, b: usize, t: usize, par: bool) {
+    fn apply_ccx(&mut self, a: usize, b: usize, t: usize) {
         let cmask = (1usize << a) | (1usize << b);
         let tm = 1usize << t;
         let mut sorted = [a, b, t];
         sorted.sort_unstable();
+        self.check_targets(&sorted);
         let run = 1usize << sorted[0];
         let runs = self.amps.len() >> (sorted[0] + 3);
-        let ptr = SharedAmps(self.amps.as_mut_ptr());
-        let sorted = &sorted;
-        let work = |r: usize| {
-            let i = insert_zero_bits(r << sorted[0], sorted) | cmask;
-            // SAFETY: runs are pairwise disjoint across r, and the partner
-            // run differs in bit t, so the two regions never overlap.
+        let p = self.amps.as_mut_ptr();
+        for r in 0..runs {
+            let i = insert_zero_bits(r << sorted[0], &sorted) | cmask;
+            // SAFETY: as for `apply_cx`, around three distinct targets.
             unsafe {
-                let p = ptr.get();
                 std::ptr::swap_nonoverlapping(p.add(i), p.add(i | tm), run);
             }
-        };
-        if par && runs >= 2 {
-            (0..runs).into_par_iter().for_each(work);
-        } else {
-            (0..runs).for_each(work);
         }
     }
 
     /// Diagonal k-qubit gate: every amplitude gets exactly one phase factor
     /// selected by its target-bit pattern — one sweep, no gather/scatter.
     /// Used for Crz and for fused diagonal `Unitary` blocks.
-    fn apply_diag_kq(&mut self, qs: &[usize], diag: &[C64], par: bool) {
+    fn apply_diag_kq(&mut self, qs: &[usize], diag: &[C64]) {
         let k = qs.len();
         debug_assert_eq!(diag.len(), 1 << k);
         if k == 1 {
             let (p0, p1) = (diag[0], diag[1]);
-            self.apply_pairwise(qs[0], par, move |a, b| {
+            self.apply_pairwise(qs[0], move |a, b| {
                 *a *= p0;
                 *b *= p1;
             });
@@ -426,32 +346,28 @@ impl StateVector {
         let groups = self.amps.len() >> k;
         let mut sorted = qs.to_vec();
         sorted.sort_unstable();
+        self.check_targets(&sorted);
         let offsets = local_offsets(qs);
-        let (sorted, offsets, ptr) = (&sorted, &offsets, SharedAmps(self.amps.as_mut_ptr()));
-        let work = |g: usize| {
-            let base = insert_zero_bits(g, sorted);
-            // SAFETY: distinct groups touch disjoint index sets.
+        let p = self.amps.as_mut_ptr();
+        for g in 0..groups {
+            let base = insert_zero_bits(g, &sorted);
+            // SAFETY: `g` spreads into the bits outside the targets and
+            // `offsets` sets only target bits, all below `n` (checked).
             unsafe {
-                let p = ptr.get();
                 for (local, &phase) in diag.iter().enumerate().take(dim) {
                     *p.add(base | offsets[local]) *= phase;
                 }
             }
-        };
-        if par && groups >= 2 {
-            (0..groups).into_par_iter().for_each(work);
-        } else {
-            (0..groups).for_each(work);
         }
     }
 
     // --- dense kernels -------------------------------------------------------
 
     /// Dense single-qubit gate.
-    fn apply_1q(&mut self, q: usize, m: &Matrix, par: bool) {
+    fn apply_1q(&mut self, q: usize, m: &Matrix) {
         debug_assert_eq!(m.rows(), 2);
         let (u00, u01, u10, u11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        self.apply_pairwise(q, par, move |a, b| {
+        self.apply_pairwise(q, move |a, b| {
             let (x, y) = (*a, *b);
             *a = u00 * x + u01 * y;
             *b = u10 * x + u11 * y;
@@ -462,7 +378,7 @@ impl StateVector {
     /// blocks, which would otherwise pay `apply_kq`'s generic scratch
     /// setup on every 4-amplitude group. `a` is local bit 0, `b` local
     /// bit 1 of the 4x4 matrix.
-    fn apply_2q(&mut self, a: usize, b: usize, m: &Matrix, par: bool) {
+    fn apply_2q(&mut self, a: usize, b: usize, m: &Matrix) {
         debug_assert_eq!(m.rows(), 4);
         let mut u = [C64::ZERO; 16];
         for (i, v) in u.iter_mut().enumerate() {
@@ -470,13 +386,14 @@ impl StateVector {
         }
         let (ma, mb) = (1usize << a, 1usize << b);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        self.check_targets(&[lo, hi]);
         let groups = self.amps.len() >> 2;
-        let ptr = SharedAmps(self.amps.as_mut_ptr());
-        let work = |g: usize| {
+        let p = self.amps.as_mut_ptr();
+        for g in 0..groups {
             let base = insert_zero_bit(insert_zero_bit(g, lo), hi);
-            // SAFETY: distinct groups touch disjoint index quartets.
+            // SAFETY: `g < 2^(n-2)` spreads around bits `lo` and `hi`, both
+            // below `n` (checked), so all four indices are below `2^n`.
             unsafe {
-                let p = ptr.get();
                 let (i1, i2, i3) = (base | ma, base | mb, base | ma | mb);
                 let (x0, x1, x2, x3) = (*p.add(base), *p.add(i1), *p.add(i2), *p.add(i3));
                 *p.add(base) =
@@ -488,19 +405,17 @@ impl StateVector {
                 *p.add(i3) =
                     u[15].mul_add(x3, u[14].mul_add(x2, u[13].mul_add(x1, u[12] * x0)));
             }
-        };
-        if par && groups >= 2 {
-            (0..groups).into_par_iter().for_each(work);
-        } else {
-            (0..groups).for_each(work);
         }
     }
 
     /// Dense k-qubit gate via group scatter. `qs` follows the IR convention:
     /// `qs[j]` is local bit `j` of the gate matrix.
-    fn apply_kq(&mut self, qs: &[usize], m: &Matrix, par: bool) {
+    fn apply_kq(&mut self, qs: &[usize], m: &Matrix) {
         let k = qs.len();
-        assert!(k <= 8, "gates above 8 qubits are not supported");
+        assert!(
+            k <= MAX_DENSE_QUBITS,
+            "gates above {MAX_DENSE_QUBITS} qubits are not supported"
+        );
         debug_assert_eq!(m.rows(), 1 << k);
         let dim = 1usize << k;
         let groups = self.amps.len() >> k;
@@ -509,21 +424,21 @@ impl StateVector {
         // out of the per-group loop.
         let mut sorted = qs.to_vec();
         sorted.sort_unstable();
+        self.check_targets(&sorted);
         let offsets = local_offsets(qs);
-        let (sorted, offsets, ptr) = (&sorted, &offsets, SharedAmps(self.amps.as_mut_ptr()));
-        let work = |g: usize| {
+        let p = self.amps.as_mut_ptr();
+        for g in 0..groups {
             // Spread the group index bits into the non-target positions.
-            let base = insert_zero_bits(g, sorted);
+            let base = insert_zero_bits(g, &sorted);
             // Gather, multiply, scatter. The scratch array stays
             // uninitialized past `dim` — zeroing all 256 slots per group
             // would cost more than the matvec itself at small k.
-            let mut vin = [std::mem::MaybeUninit::<C64>::uninit(); 1 << 8];
+            let mut vin = [std::mem::MaybeUninit::<C64>::uninit(); 1 << MAX_DENSE_QUBITS];
             for (local, v) in vin.iter_mut().enumerate().take(dim) {
-                // SAFETY: distinct groups have distinct base bits outside the
-                // target positions, so all reads/writes below are disjoint
-                // across `work` invocations.
+                // SAFETY: `base` has zeros at the targets and `offsets` sets
+                // only target bits, all below `n` (checked).
                 unsafe {
-                    v.write(*ptr.get().add(base | offsets[local]));
+                    v.write(*p.add(base | offsets[local]));
                 }
             }
             for (row, &offset) in offsets.iter().enumerate().take(dim) {
@@ -533,23 +448,18 @@ impl StateVector {
                     // SAFETY: the first `dim` slots were written above.
                     acc = mrow[col].mul_add(unsafe { x.assume_init() }, acc);
                 }
+                // SAFETY: the index read above.
                 unsafe {
-                    *ptr.get().add(base | offset) = acc;
+                    *p.add(base | offset) = acc;
                 }
             }
-        };
-        if par && groups >= 2 {
-            (0..groups).into_par_iter().for_each(work);
-        } else {
-            (0..groups).for_each(work);
         }
     }
 
     // --- measurement ---------------------------------------------------------
 
     /// Probability that qubit `q` measures 1. Sums only the bit-`q`=1 half
-    /// of the register, serially: a collapsed trajectory must carry the
-    /// same bits under every threading mode.
+    /// of the register, in index order.
     pub fn prob_one(&self, q: usize) -> f64 {
         let stride = 1usize << q;
         let block = stride << 1;
@@ -560,21 +470,20 @@ impl StateVector {
     }
 
     /// Projectively measures qubit `q`, collapsing the state. Returns the
-    /// observed bit. The collapse sweep runs in parallel when `par` is set;
-    /// the probability is summed serially ([`prob_one`](Self::prob_one)).
-    pub fn measure(&mut self, q: usize, rng: &mut Rng, par: bool) -> u8 {
+    /// observed bit. `parallel` is accepted and ignored: the collapse runs
+    /// on the calling thread, like every per-gate kernel.
+    pub fn measure(&mut self, q: usize, rng: &mut Rng, _parallel: bool) -> u8 {
         let p1 = self.prob_one(q);
         let outcome = u8::from(rng.chance(p1));
         let norm = if outcome == 1 { p1 } else { 1.0 - p1 };
         let scale = if norm > 0.0 { 1.0 / norm.sqrt() } else { 0.0 };
-        let par = par && self.amps.len() >= PAR_THRESHOLD;
         if outcome == 1 {
-            self.apply_pairwise(q, par, move |a, b| {
+            self.apply_pairwise(q, move |a, b| {
                 *a = C64::ZERO;
                 *b = b.scale(scale);
             });
         } else {
-            self.apply_pairwise(q, par, move |a, b| {
+            self.apply_pairwise(q, move |a, b| {
                 *a = a.scale(scale);
                 *b = C64::ZERO;
             });
@@ -789,23 +698,6 @@ pub(crate) fn local_offsets(qs: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Raw shared pointer into the amplitude buffer for disjoint parallel
-/// scatter. Soundness argument at each use site: every parallel work item
-/// touches an index set disjoint from all others.
-#[derive(Clone, Copy)]
-struct SharedAmps(*mut C64);
-unsafe impl Sync for SharedAmps {}
-unsafe impl Send for SharedAmps {}
-
-impl SharedAmps {
-    /// Returns the raw pointer. Taking `self` by value makes closures
-    /// capture the whole `Sync` wrapper instead of the bare pointer field.
-    #[inline(always)]
-    fn get(self) -> *mut C64 {
-        self.0
-    }
-}
-
 /// Reference implementation: applies a gate by building the full `2^n`
 /// operator with Kronecker products and dense matvec. Exponentially slow —
 /// exists purely as the ground truth for validating the fast kernels.
@@ -868,8 +760,8 @@ mod tests {
         }
     }
 
-    /// Every kernel (serial and parallel) must match the dense-operator
-    /// reference on random states.
+    /// Every kernel must match the dense-operator reference on random
+    /// states.
     #[test]
     fn kernels_match_dense_reference() {
         let n = 6;
@@ -911,41 +803,32 @@ mod tests {
         for (i, g) in gates.iter().enumerate() {
             let base = random_state(n, 100 + i as u64);
             let want = apply_via_dense_operator(base.amps(), g, n);
-            for &par in &[false, true] {
-                let mut got = base.clone();
-                got.apply(g, par);
-                assert_states_close(
-                    got.amps(),
-                    &want,
-                    1e-10,
-                    &format!("{g} (par={par})"),
-                );
-            }
+            let mut got = base.clone();
+            got.apply(g, false);
+            assert_states_close(got.amps(), &want, 1e-10, &format!("{g}"));
         }
     }
 
+    /// The raw-pointer kernels refuse a repeated target or one outside
+    /// the register instead of reading or swapping memory they do not own.
     #[test]
-    fn parallel_threshold_consistency_on_larger_state() {
-        // 13 qubits crosses PAR_THRESHOLD: serial and parallel must agree.
-        let n = 13;
-        let mut serial = StateVector::zero(n);
-        let mut parallel = StateVector::zero(n);
-        let mut qc = Circuit::new(n);
-        for q in 0..n {
-            qc.h(q);
+    fn raw_kernels_refuse_repeated_or_outside_targets() {
+        let dense3 = Gate::Unitary {
+            qubits: vec![0, 1, 7],
+            matrix: Arc::new(Gate::Ccx(0, 1, 2).matrix()),
+            label: "ccx_blk".into(),
+        };
+        for g in [
+            Gate::Cx(1, 1),
+            Gate::Cx(0, 4),
+            Gate::Ccx(0, 2, 2),
+            Gate::Crz(0, 9, 0.3),
+            Gate::Swap(2, 5),
+            dense3,
+        ] {
+            let applied = std::panic::catch_unwind(|| StateVector::zero(3).apply(&g, false));
+            assert!(applied.is_err(), "{g} was applied");
         }
-        for q in 0..n - 1 {
-            qc.cx(q, q + 1);
-        }
-        for q in 0..n {
-            qc.rz(q, 0.1 * q as f64);
-            qc.rx(q, 0.05 * q as f64);
-        }
-        qc.rzz(0, n - 1, 0.4).ccx(0, 6, 12);
-        serial.run_unitary(&qc, false);
-        parallel.run_unitary(&qc, true);
-        assert_states_close(serial.amps(), parallel.amps(), 1e-10, "par vs serial");
-        assert!(approx_eq(parallel.norm_sqr(), 1.0, 1e-10));
     }
 
     #[test]
@@ -953,7 +836,7 @@ mod tests {
         let mut sv = StateVector::zero(3);
         let mut qc = Circuit::new(3);
         qc.h(0).cx(0, 1).cx(1, 2);
-        sv.run_unitary(&qc, false);
+        sv.run_unitary(&qc);
         let s = 1.0 / 2.0_f64.sqrt();
         assert!(sv.amps()[0].approx_eq(c64(s, 0.0), 1e-12));
         assert!(sv.amps()[7].approx_eq(c64(s, 0.0), 1e-12));
@@ -1011,7 +894,7 @@ mod tests {
         let mut sv = StateVector::zero(4);
         let mut qc = Circuit::new(4);
         qc.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
-        sv.run_unitary(&qc, false);
+        sv.run_unitary(&qc);
         let counts = sv.sample_counts_split(2000, 5, DEFAULT_SPLIT_BITS);
         assert_eq!(counts.len(), 2);
         let all0 = counts["0000"];
@@ -1028,7 +911,7 @@ mod tests {
             let mut sv = StateVector::zero(6);
             let mut qc = Circuit::new(6);
             qc.h(0).cx(0, 1).cx(1, 2).rz(3, 0.7).h(4).cx(4, 5);
-            sv.run_unitary(&qc, false);
+            sv.run_unitary(&qc);
             sv
         };
         for split_bits in [0, 2, canonical_split_bits(6, 3)] {
@@ -1106,8 +989,8 @@ mod tests {
         qc.h(0).cx(0, 1).t(2).rzz(1, 3, 0.9).ccx(0, 1, 4).ry(3, 0.3);
         let start = random_state(5, 21);
         let mut sv = start.clone();
-        sv.run_unitary(&qc, false);
-        sv.run_unitary(&qc.inverse(), false);
+        sv.run_unitary(&qc);
+        sv.run_unitary(&qc.inverse());
         assert_states_close(sv.amps(), start.amps(), 1e-10, "inverse round trip");
     }
 
@@ -1119,10 +1002,10 @@ mod tests {
         /// Every rewritten strided kernel (phase-if, rz, cz, cp, rzz, x,
         /// cx, the generic diagonal sweep, and the hoisted k-qubit path)
         /// matches the dense-operator reference at proptest-chosen qubit
-        /// positions — the top qubit included — in serial and parallel;
-        /// so does the same gate taken alone through the layer plan, which
-        /// lands each on its tile kernel (block or strided butterfly,
-        /// monomial or dense block, gather) at that position.
+        /// positions — the top qubit included; so does the same gate taken
+        /// alone through the layer plan, serial and threaded, which lands
+        /// each on its tile kernel (block or strided butterfly, monomial or
+        /// dense block, gather) at that position.
         #[test]
         fn strided_kernels_match_dense_at_random_positions(
             seed in 0u64..10_000,
@@ -1180,15 +1063,10 @@ mod tests {
             for g in &gates {
                 let base = random_state(n, seed ^ 0x5EED);
                 let want = apply_via_dense_operator(base.amps(), g, n);
+                let mut got = base.clone();
+                got.apply(g, false);
+                assert_states_close(got.amps(), &want, 1e-10, &format!("{g}"));
                 for &par in &[false, true] {
-                    let mut got = base.clone();
-                    got.apply(g, par);
-                    assert_states_close(
-                        got.amps(),
-                        &want,
-                        1e-10,
-                        &format!("{g} (par={par})"),
-                    );
                     let mut alone = Circuit::new(n);
                     alone.push(g.clone());
                     let mut tiled = base.clone();

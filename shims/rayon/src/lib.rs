@@ -1,14 +1,11 @@
 //! Offline stand-in for `rayon`: the slice/range parallel combinators the
-//! state-vector kernels use, executed on `std::thread::scope` with
+//! state-vector engine uses, executed on `std::thread::scope` with
 //! contiguous chunking (one chunk per hardware thread).
 //!
-//! Shapes covered:
-//! * `slice.par_iter_mut().enumerate().for_each(f)`
-//! * `slice.par_iter_mut().enumerate().for_each_init(init, f)`
-//! * `slice.par_iter_mut().zip(other.par_iter_mut()).for_each(f)`
-//! * `slice.par_chunks_mut(n).for_each(f)`
-//! * `(a..b).into_par_iter().for_each(f)`
-//! * `(a..b).into_par_iter().for_each_init(init, f)`
+//! Shapes covered (the only two spawn sites):
+//! * `slice.par_iter_mut().enumerate().for_each(f)` and `.for_each_init(init, f)`
+//!   — sweep points, the sampler's blocks, expectation partial sums
+//! * `(a..b).into_par_iter().for_each_init(init, f)` — the layer plan's tiles
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -47,21 +44,15 @@ fn spans(len: usize, workers: usize) -> Vec<Range<usize>> {
 
 // --- slice entry points -----------------------------------------------------
 
-/// `par_iter_mut` / `par_chunks_mut` on mutable slices.
+/// `par_iter_mut` on mutable slices.
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel mutable element iterator.
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
-    /// Parallel mutable chunk iterator.
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
         ParIterMut { slice: self }
-    }
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk > 0, "chunk size must be positive");
-        ParChunksMut { slice: self, chunk }
     }
 }
 
@@ -91,23 +82,6 @@ impl<'a, T: Send> ParIterMut<'a, T> {
     /// Pairs each element with its index.
     pub fn enumerate(self) -> EnumerateMut<'a, T> {
         EnumerateMut { slice: self.slice }
-    }
-
-    /// Locksteps two equal-length mutable iterators.
-    pub fn zip(self, other: ParIterMut<'a, T>) -> ZipMut<'a, T> {
-        assert_eq!(self.slice.len(), other.slice.len(), "zip length mismatch");
-        ZipMut {
-            left: self.slice,
-            right: other.slice,
-        }
-    }
-
-    /// Applies `f` to every element in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        EnumerateMut { slice: self.slice }.for_each(|(_, v)| f(v));
     }
 }
 
@@ -161,85 +135,6 @@ impl<T: Send> EnumerateMut<'_, T> {
     }
 }
 
-/// Locksteped pair of parallel mutable iterators.
-pub struct ZipMut<'a, T> {
-    left: &'a mut [T],
-    right: &'a mut [T],
-}
-
-impl<T: Send> ZipMut<'_, T> {
-    /// Applies `f` to every aligned `(&mut left, &mut right)` pair.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((&mut T, &mut T)) + Sync,
-    {
-        let workers = threads();
-        if self.left.len() < 2 || workers < 2 {
-            for (a, b) in self.left.iter_mut().zip(self.right.iter_mut()) {
-                f((a, b));
-            }
-            return;
-        }
-        let plan = spans(self.left.len(), workers);
-        let f = &f;
-        std::thread::scope(|scope| {
-            let mut left = self.left;
-            let mut right = self.right;
-            for span in plan {
-                let (lh, lt) = left.split_at_mut(span.len());
-                let (rh, rt) = right.split_at_mut(span.len());
-                left = lt;
-                right = rt;
-                scope.spawn(move || {
-                    for (a, b) in lh.iter_mut().zip(rh.iter_mut()) {
-                        f((a, b));
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// Parallel mutable chunk iterator.
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk: usize,
-}
-
-impl<T: Send> ParChunksMut<'_, T> {
-    /// Applies `f` to every chunk in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        let chunks = self.slice.len().div_ceil(self.chunk.max(1));
-        let workers = threads();
-        if chunks < 2 || workers < 2 {
-            for chunk in self.slice.chunks_mut(self.chunk) {
-                f(chunk);
-            }
-            return;
-        }
-        let f = &f;
-        // Hand each worker a contiguous run of whole chunks.
-        let plan = spans(chunks, workers);
-        std::thread::scope(|scope| {
-            let mut rest = self.slice;
-            for span in plan {
-                let take = (span.len() * self.chunk).min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let chunk = self.chunk;
-                scope.spawn(move || {
-                    for piece in head.chunks_mut(chunk) {
-                        f(piece);
-                    }
-                });
-            }
-        });
-    }
-}
-
 // --- ranges -------------------------------------------------------------------
 
 /// Parallel iterator over a `Range<usize>`.
@@ -248,14 +143,6 @@ pub struct ParRange {
 }
 
 impl ParRange {
-    /// Applies `f` to every index in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(usize) + Sync + Send,
-    {
-        self.for_each_init(|| (), |(), i| f(i));
-    }
-
     /// Applies `f` to every index in parallel, handing it a per-worker
     /// value built by `init` (scratch buffers that must not be shared).
     pub fn for_each_init<T, I, F>(self, init: I, f: F)
@@ -305,34 +192,24 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_whole_slice() {
-        let mut v = vec![1u64; 1003];
-        v.par_chunks_mut(64).for_each(|c| {
-            for x in c {
-                *x += 1;
-            }
-        });
-        assert_eq!(v.iter().sum::<u64>(), 2006);
-    }
-
-    #[test]
-    fn two_chunks_both_run_and_one_chunk_stays_on_the_caller() {
+    fn two_items_both_run_and_one_item_stays_on_the_caller() {
         let caller = std::thread::current().id();
-        // Two chunks: both are visited, whoever runs them.
+        // Two items: both are visited, whoever runs them.
         let mut v = vec![0u8; 2];
-        v.par_chunks_mut(1).for_each(|c| c[0] += 1);
+        v.par_iter_mut().enumerate().for_each(|(_, x)| *x += 1);
         assert_eq!(v, [1, 1]);
-        // One chunk (or one item) is below every combinator's cutoff: the
-        // serial fallback runs it on the calling thread, no spawn.
-        let mut v = vec![0u8; 2];
-        v.par_chunks_mut(2).for_each(|c| {
+        // One item is below every combinator's cutoff: the serial fallback
+        // runs it on the calling thread, no spawn.
+        let mut v = vec![0u8; 1];
+        v.par_iter_mut().enumerate().for_each(|(_, x)| {
             assert_eq!(std::thread::current().id(), caller);
-            c.fill(7);
+            *x = 7;
         });
-        assert_eq!(v, [7, 7]);
-        (0..1).into_par_iter().for_each(|_| {
-            assert_eq!(std::thread::current().id(), caller);
-        });
+        assert_eq!(v, [7]);
+        (0..1).into_par_iter().for_each_init(
+            || (),
+            |_, _| assert_eq!(std::thread::current().id(), caller),
+        );
     }
 
     #[test]
@@ -348,25 +225,5 @@ mod tests {
         );
         assert_eq!(hits.load(Ordering::Relaxed), 64);
         assert!((1..=super::threads()).contains(&inits.load(Ordering::Relaxed)));
-    }
-
-    #[test]
-    fn zip_pairs_align() {
-        let mut a = vec![1i64; 500];
-        let mut b = vec![2i64; 500];
-        a.par_iter_mut()
-            .zip(b.par_iter_mut())
-            .for_each(|(x, y)| std::mem::swap(x, y));
-        assert!(a.iter().all(|&x| x == 2) && b.iter().all(|&y| y == 1));
-    }
-
-    #[test]
-    fn range_for_each_visits_all() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let hits = AtomicUsize::new(0);
-        (0..777).into_par_iter().for_each(|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 777);
     }
 }

@@ -55,8 +55,8 @@ fn check_inverse_returns_to_start(seed: u64) {
     let n = 5;
     let qc = random_circuit(n, 15, seed);
     let mut sv = StateVector::zero(n);
-    sv.run_unitary(&qc, false);
-    sv.run_unitary(&qc.inverse(), false);
+    sv.run_unitary(&qc);
+    sv.run_unitary(&qc.inverse());
     assert!(sv.amps()[0].approx_eq(C64::ONE, 1e-8));
 }
 

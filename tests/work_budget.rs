@@ -1,5 +1,6 @@
 //! Work budget of a dense job: how many full-state passes a run from
-//! |0…0⟩ makes, and how large a block the sampling tail asks the heap for.
+//! |0…0⟩ makes, how large a block the sampling tail asks the heap for, and
+//! that a per-gate kernel starts no thread.
 //!
 //! Counts, not timings: the passes a plan makes are a pure function of the
 //! circuit, and the sizes of the heap blocks a sampler asks for are a pure
@@ -10,24 +11,29 @@
 //! The allocation tracker is per thread, so tests running in parallel do
 //! not see each other's blocks.
 
-use qfw_circuit::{Circuit, Readout};
+use qfw_circuit::{Circuit, Gate, Readout};
 use qfw_compile::{compile_qasm3, DagCircuit, OptLevel};
+use qfw_num::rng::Rng;
+use qfw_num::Matrix;
 use qfw_obs::Obs;
-use qfw_sim_sv::{canonical_split_bits, fuse, SvSimulator};
+use qfw_sim_sv::{canonical_split_bits, fuse, StateVector, SvSimulator};
 use qfw_workloads::{ham, qaoa_ansatz, tfim, Qubo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 struct Tracking;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     // `try_with` fails only while the thread is being torn down.
     let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+    let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -66,6 +72,13 @@ fn largest_block<T>(f: impl FnOnce() -> T) -> (usize, T) {
     LARGEST.with(|m| m.set(0));
     let out = f();
     (LARGEST.with(Cell::get), out)
+}
+
+/// How many heap blocks `f` asks for on this thread.
+fn blocks(f: impl FnOnce()) -> usize {
+    BLOCKS.with(|n| n.set(0));
+    f();
+    BLOCKS.with(Cell::get)
 }
 
 /// A circuit as the scheduler's ingress admits it for `nwqsim/cpu`: as
@@ -124,3 +137,68 @@ fn sampling_tail_allocates_no_state_sized_block() {
     );
 }
 
+/// Every gate kind, and `measure`, on a 14-qubit state allocates exactly
+/// as much with `parallel = true` as with `false`: the per-gate kernels
+/// start no thread, and a scoped spawn always allocates on the spawning
+/// thread. A host with one hardware thread cannot show the opposite,
+/// because there the shim never spawns.
+#[test]
+fn per_gate_kernels_start_no_thread() {
+    let n = 14;
+    let (a, b, c) = (0, 7, 13);
+    let wide = Matrix::identity(8);
+    let gates = [
+        Gate::H(a),
+        Gate::X(b),
+        Gate::Y(b),
+        Gate::Z(a),
+        Gate::S(b),
+        Gate::Sdg(c),
+        Gate::T(a),
+        Gate::Tdg(b),
+        Gate::Sx(c),
+        Gate::Rx(a, 0.3),
+        Gate::Ry(b, 0.4),
+        Gate::Rz(c, 0.5),
+        Gate::Phase(a, 0.6),
+        Gate::U(b, 0.1, 0.2, 0.3),
+        Gate::Cx(a, c),
+        Gate::Cy(c, b),
+        Gate::Cz(a, b),
+        Gate::Swap(b, c),
+        Gate::Cp(a, c, 0.7),
+        Gate::Crx(b, a, 0.8),
+        Gate::Cry(c, a, 0.9),
+        Gate::Crz(a, b, 1.0),
+        Gate::Rxx(a, c, 1.1),
+        Gate::Ryy(b, c, 1.2),
+        Gate::Rzz(a, b, 1.3),
+        Gate::Ccx(a, b, c),
+        Gate::Unitary {
+            qubits: vec![a, b, c],
+            matrix: Arc::new(Gate::Ccx(0, 1, 2).matrix()),
+            label: "dense3".into(),
+        },
+        Gate::Unitary {
+            qubits: vec![c, a, b],
+            matrix: Arc::new(wide),
+            label: "diag3".into(),
+        },
+    ];
+    let mut sv = StateVector::zero(n);
+    for g in &gates {
+        let serial = blocks(|| sv.apply(g, false));
+        let threaded = blocks(|| sv.apply(g, true));
+        assert_eq!(threaded, serial, "{g}: {threaded} blocks threaded, {serial} serial");
+    }
+    let mut rng = Rng::seed_from(5);
+    for q in [a, b, c] {
+        let serial = blocks(|| {
+            sv.measure(q, &mut rng, false);
+        });
+        let threaded = blocks(|| {
+            sv.measure(q, &mut rng, true);
+        });
+        assert_eq!(threaded, serial, "measure q{q}: {threaded} blocks threaded, {serial} serial");
+    }
+}
