@@ -594,13 +594,24 @@ fn shape(form: &Form) -> Cow<'_, Circuit> {
 }
 
 /// The one place the checks and choices that need circuit *and* plan are
-/// made, for single jobs, sweeps and retargeted candidates alike: `auto`
-/// gets a concrete circuit, `aer/automatic` its method (and that method's
-/// width), an engine that cannot collapse a state gets no mid-circuit
-/// measurement, a dense engine no gate wider than its kernels, the
-/// register is wide enough for the ranks, the layout permutes exactly the
-/// register, and the partition seam sits inside a Clifford prefix.
+/// made, for single jobs, sweeps and retargeted candidates alike: the
+/// register is not empty, `auto` gets a concrete circuit, `aer/automatic`
+/// its method (and that method's width), an engine that cannot collapse a
+/// state gets no mid-circuit measurement, a dense engine no gate wider
+/// than its kernels, the register is wide enough for the ranks, the layout
+/// permutes exactly the register, and the partition seam sits inside a
+/// Clifford prefix.
 fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
+    let num_qubits = match form {
+        Form::Concrete(circuit) => circuit.num_qubits(),
+        Form::Param(template) => template.num_qubits(),
+    };
+    if num_qubits == 0 {
+        return Err(QfwError::BadProperties(format!(
+            "{} needs at least one qubit; the circuit declares none",
+            plan.engine.key
+        )));
+    }
     if plan.backend == AUTO {
         auto_circuit(form)?;
     }
@@ -625,10 +636,6 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
             )));
         }
     }
-    let num_qubits = match form {
-        Form::Concrete(circuit) => circuit.num_qubits(),
-        Form::Param(template) => template.num_qubits(),
-    };
     // A dense register split across `ranks` must leave every shard as many
     // local qubits as the distributed router needs for the circuit's widest
     // gate — and never fewer than one.

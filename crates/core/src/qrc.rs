@@ -42,6 +42,7 @@ use qfw_chaos::FaultPlan;
 use qfw_hpc::slurm::{Allocation, HetJob};
 use qfw_hpc::{Dvm, Stopwatch};
 use qfw_obs::{Obs, Span};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -469,6 +470,12 @@ impl Qrc {
     /// planner before any slot is taken (`run_auto`): the planner
     /// may send each job to a different engine, so a batch holding one runs
     /// job by job, one invocation per attempt.
+    ///
+    /// This is the one panic boundary of a run: an engine that panics
+    /// fails every job of its invocation with
+    /// `QfwError::Execution("engine panicked: …")` and gives its slot back,
+    /// so the QPM, the scheduler's runner and `auto`'s failover all see an
+    /// ordinary failure and their threads live on.
     pub fn run_many(&self, jobs: &[ResolvedJob]) -> Vec<Result<QfwResult, QfwError>> {
         if jobs.iter().any(|job| job.plan.backend == AUTO) {
             let one = |job: &ResolvedJob| match job.plan.backend {
@@ -480,12 +487,23 @@ impl Qrc {
         let Some(first) = jobs.first() else {
             return Vec::new();
         };
-        let slotted = self.with_slot(jobs.len() as u64, |ctx, span| {
-            span.set_attr("size", jobs.len() as u64);
-            span.set_attr("backend", first.plan.backend);
-            span.set_attr("subbackend", first.plan.subbackend);
-            let run = |job: &ResolvedJob| self.registry.get(job.plan.backend)?.execute(job, ctx);
-            jobs.iter().map(run).collect()
+        let slotted = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.with_slot(jobs.len() as u64, |ctx, span| {
+                span.set_attr("size", jobs.len() as u64);
+                span.set_attr("backend", first.plan.backend);
+                span.set_attr("subbackend", first.plan.subbackend);
+                let run =
+                    |job: &ResolvedJob| self.registry.get(job.plan.backend)?.execute(job, ctx);
+                jobs.iter().map(run).collect()
+            })
+        }))
+        .unwrap_or_else(|cause| {
+            let detail = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("no message");
+            Err(QfwError::Execution(format!("engine panicked: {detail}")))
         });
         slotted.unwrap_or_else(|e| jobs.iter().map(|_| Err(e.clone())).collect())
     }

@@ -64,7 +64,7 @@
 use crate::queue::{AdmitError, FairQueue, QueuedJob};
 use crate::{CancelOutcome, JobEnvelope, JobId, JobStatus, OverloadScope, Priority, SchedError};
 use parking_lot::{Condvar, Mutex};
-use qfw::{BackendSpec, QfwError, QfwResult, QfwSession, Qrc, ResolvedJob, ResultCache, Source};
+use qfw::{BackendSpec, QfwResult, QfwSession, Qrc, ResolvedJob, ResultCache, Source};
 use qfw_circuit::ContentHash;
 use qfw_obs::{AttrValue, Obs};
 use serde::{Deserialize, Serialize};
@@ -936,22 +936,12 @@ fn runner_loop(inner: &Arc<Inner>) {
 
 /// Executes one batch on the QRC (single slot acquisition, single engine
 /// invocation) and finishes each job with its outcome. An engine panic
-/// stops here: the whole batch fails and the runner goes on to give the
-/// window position back, so one bad job cannot cost a runner or wedge
-/// `shutdown`.
+/// comes back from [`Qrc::run_many`] as the whole batch failing, so one bad
+/// job cannot cost a runner or wedge `shutdown`.
 fn run_batch(inner: &Arc<Inner>, batch: Vec<QueuedJob>) {
     let (owners, jobs): (Vec<(JobId, Option<CacheFill>)>, Vec<ResolvedJob>) =
         batch.into_iter().map(|q| ((q.id, q.on_done), q.job)).unzip();
-    let run = std::panic::AssertUnwindSafe(|| inner.qrc.run_many(&jobs));
-    let results = std::panic::catch_unwind(run).unwrap_or_else(|cause| {
-        let detail = cause
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| cause.downcast_ref::<&str>().copied())
-            .unwrap_or("no message");
-        let err = QfwError::Execution(format!("engine panicked: {detail}"));
-        jobs.iter().map(|_| Err(err.clone())).collect()
-    });
+    let results = inner.qrc.run_many(&jobs);
     for ((id, on_done), result) in owners.into_iter().zip(results) {
         let outcome = match result {
             Ok(r) => JobState::Done(Arc::new(r)),
@@ -966,7 +956,7 @@ mod tests {
     use super::*;
     use crate::Priority;
     use qfw::registry::BackendRegistry;
-    use qfw::DispatchPolicy;
+    use qfw::{DispatchPolicy, QfwError};
     use qfw_circuit::Circuit;
     use qfw_hpc::slurm::{HetJob, HetJobSpec};
     use qfw_hpc::{ClusterSpec, Dvm};

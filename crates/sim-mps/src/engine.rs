@@ -110,17 +110,6 @@ impl MpsSimulator {
             trunc_error: mps.trunc_error,
         }
     }
-
-    /// Runs the unitary part and returns the final MPS for inspection.
-    pub fn evolve(&self, circuit: &Circuit) -> MpsState {
-        let mut mps = MpsState::zero(
-            circuit.num_qubits(),
-            self.config.chi_max,
-            self.config.trunc_eps,
-        );
-        mps.run_unitary(circuit);
-        mps
-    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,26 @@
 //!
 //! Implementation notes:
 //!
-//! * The MPS is kept with an explicit orthogonality **center**; two-qubit
-//!   gates contract the two neighbouring tensors into a `theta` matrix,
-//!   apply the gate, and split back with a truncated SVD — discarding
-//!   singular values below the truncation threshold and beyond `chi_max`.
-//! * Long-range gates are routed through adjacent-SWAP networks, and opaque
-//!   k-qubit `Unitary` blocks (HHL) are applied by merging the k sites and
-//!   re-splitting — the same strategy Aer's MPS uses.
+//! * The MPS is kept with an explicit orthogonality **center**. A one-qubit
+//!   gate acts on its site's physical index; every wider gate — two-qubit,
+//!   Toffoli, an opaque k-qubit `Unitary` block (HHL) — takes one path:
+//! * **The router** (`apply_block`) takes the operands in site order and
+//!   swaps each, lowest first, down next to the one before it, so the `k`
+//!   operands sit on adjacent sites `lo..lo+k`; the routing swaps are block
+//!   updates themselves and are undone in reverse order afterwards. Two
+//!   operands take `hi - lo - 1` swaps each way, the standard MPS swap
+//!   network.
+//! * **The block update** (`update`) merges the `k` adjacent sites into one
+//!   blob over their shared bonds, applies the gate to each bond fibre with
+//!   its columns in gate-local bit order, and splits the blob back site by
+//!   site with `k - 1` truncated SVDs, leaving the center on the last site
+//!   — the same merge/apply/split Aer's MPS uses for multi-qubit blocks.
+//! * **The truncating split** (`truncated_split`) is the one place the
+//!   truncation rule lives: it keeps at most `chi_max` singular values,
+//!   drops tail values whose relative squared weight is at most
+//!   `trunc_eps`, renormalises, and books the discarded weight
+//!   (`trunc_error`) and the largest bond kept (`max_bond_seen`). Gauge
+//!   moves of the center drop only numerically-zero singular values.
 //! * Sampling walks the chain left-to-right conditioning on each outcome
 //!   (`O(n * chi^2)` per shot), never materializing the dense state.
 //! * Strong scaling is intentionally absent: the bond chain is sequential,

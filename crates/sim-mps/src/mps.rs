@@ -110,13 +110,13 @@ impl MpsState {
 
     // --- gate application ------------------------------------------------------
 
-    /// Applies any gate from the IR.
+    /// Applies any gate from the IR: a one-qubit gate acts on its site's
+    /// physical index, anything wider is one block update through the router.
     pub fn apply(&mut self, gate: &Gate) {
         let qs = gate.qubits();
         match qs.len() {
             1 => self.sites[qs[0]].apply_phys(&gate.matrix()),
-            2 => self.apply_2q(qs[0], qs[1], &gate.matrix()),
-            _ => self.apply_unitary_k(&qs, &gate.matrix()),
+            _ => self.apply_block(&qs, &gate.matrix()),
         }
     }
 
@@ -130,48 +130,68 @@ impl MpsState {
         }
     }
 
-    /// Two-qubit gate on arbitrary operands; long-range pairs are routed
-    /// through adjacent SWAPs (the standard MPS swap network).
-    fn apply_2q(&mut self, qa: usize, qb: usize, u: &Matrix) {
-        assert_ne!(qa, qb);
-        let (lo, hi) = (qa.min(qb), qa.max(qb));
-        // Bring the higher qubit down to lo+1.
+    /// The router: applies `u` (gate-local bit `j` on qubit `qs[j]`) to any
+    /// operands, however far apart. The operands are taken in site order,
+    /// and each, lowest first, is swapped down next to the one before it,
+    /// so they sit on `lo..lo+k`; moving one down shifts only sites below
+    /// the next, so every operand starts from its own site. The routing
+    /// swaps are block updates too, undone in reverse order afterwards.
+    fn apply_block(&mut self, qs: &[usize], u: &Matrix) {
+        let mut order: Vec<usize> = (0..qs.len()).collect();
+        order.sort_unstable_by_key(|&j| qs[j]);
+        assert!(
+            order.windows(2).all(|w| qs[w[0]] < qs[w[1]]),
+            "gate operands must be distinct"
+        );
+        let lo = qs[order[0]];
         let swap = Gate::Swap(0, 1).matrix();
-        let mut pos = hi;
-        while pos > lo + 1 {
-            self.apply_2q_adjacent(pos - 1, &swap, true);
-            pos -= 1;
+        let mut swaps = Vec::new();
+        for (j, &g) in order.iter().enumerate().skip(1) {
+            for site in (lo + j..qs[g]).rev() {
+                self.update(site, &swap, &[0, 1]);
+                swaps.push(site);
+            }
         }
-        // Orientation: gate-local bit 0 is qa. After routing, site lo holds
-        // qubit lo(=min) and site lo+1 holds the routed one.
-        let first_at_site = qa == lo;
-        self.apply_2q_adjacent(lo, u, first_at_site);
-        // Undo the routing.
-        while pos < hi {
-            self.apply_2q_adjacent(pos, &swap, true);
-            pos += 1;
+        self.update(lo, u, &order);
+        for &site in swaps.iter().rev() {
+            self.update(site, &swap, &[0, 1]);
         }
     }
 
-    /// Core TEBD step on sites `(k, k+1)`. `first_at_k` says gate-local bit
-    /// 0 lives on site `k` (otherwise on `k+1`).
-    fn apply_2q_adjacent(&mut self, k: usize, u: &Matrix, first_at_k: bool) {
-        self.move_center_to(k);
-        let theta = self.sites[k].contract_pair(&self.sites[k + 1]);
-        let (dl, dr) = (self.sites[k].dl, self.sites[k + 1].dr);
-        // theta rows: l*2 + p1 ; cols: p2*dr + r.
-        let mut new_theta = Matrix::zeros(theta.rows(), theta.cols());
+    /// The block update on the `k = bits.len()` adjacent sites from `base`,
+    /// where `bits[j]` is the gate-local bit of site `base + j`: merge the
+    /// sites into one blob over the shared bonds, apply `u` to each
+    /// `(l, r)` fibre with its columns in gate-local order, and split the
+    /// blob back site by site with `k - 1` truncated SVDs, leaving the
+    /// orthogonality center on the last site.
+    ///
+    /// The blob is row-major `(l, P, r)` with site `base` as the most
+    /// significant bit of `P`, so its rows `(l, p_base)` against columns
+    /// `(rest, r)` are the first split's matrix as laid out, and each
+    /// split's `S·V†` is the blob of the sites left.
+    fn update(&mut self, base: usize, u: &Matrix, bits: &[usize]) {
+        let k = bits.len();
+        let dim = 1usize << k;
+        assert_eq!(u.rows(), dim, "a {k}-site update takes a {dim}x{dim} gate");
+        self.move_center_to(base);
+        let (dl, dr) = (self.sites[base].dl, self.sites[base + k - 1].dr);
+        let mut blob = merge(&self.sites[base].data, &self.sites[base + 1]);
+        for site in &self.sites[base + 2..base + k] {
+            blob = merge(&blob, site);
+        }
+
+        // Blob index P -> gate-local index.
+        let local: Vec<usize> = (0..dim)
+            .map(|p| (0..k).map(|j| ((p >> (k - 1 - j)) & 1) << bits[j]).sum())
+            .collect();
+        let mut theta = Matrix::zeros(dl * 2, (dim / 2) * dr);
+        let out = theta.as_mut_slice();
+        let (mut v, mut w) = (vec![C64::ZERO; dim], vec![C64::ZERO; dim]);
         for l in 0..dl {
             for r in 0..dr {
-                // Gather the 4 amplitudes for this (l, r).
-                let mut v = [C64::ZERO; 4];
-                for p1 in 0..2 {
-                    for p2 in 0..2 {
-                        let g = if first_at_k { p1 + 2 * p2 } else { p2 + 2 * p1 };
-                        v[g] = theta[(l * 2 + p1, p2 * dr + r)];
-                    }
+                for (p, &g) in local.iter().enumerate() {
+                    v[g] = blob[(l * dim + p) * dr + r];
                 }
-                let mut w = [C64::ZERO; 4];
                 for (row, slot) in w.iter_mut().enumerate() {
                     let mut acc = C64::ZERO;
                     for (col, &x) in v.iter().enumerate() {
@@ -179,23 +199,34 @@ impl MpsState {
                     }
                     *slot = acc;
                 }
-                for p1 in 0..2 {
-                    for p2 in 0..2 {
-                        let g = if first_at_k { p1 + 2 * p2 } else { p2 + 2 * p1 };
-                        new_theta[(l * 2 + p1, p2 * dr + r)] = w[g];
-                    }
+                for (p, &g) in local.iter().enumerate() {
+                    out[(l * dim + p) * dr + r] = w[g];
                 }
             }
         }
-        self.split_theta(k, &new_theta, dl, dr);
+
+        for site in base..base + k - 1 {
+            let (left, rest) = self.truncated_split(&theta);
+            self.sites[site] = Tensor3::from_matrix_left(&left, theta.rows() / 2);
+            theta = if site + 2 < base + k {
+                Matrix::from_rows(rest.rows() * 2, rest.cols() / 2, rest.as_slice())
+            } else {
+                rest
+            };
+        }
+        self.sites[base + k - 1] = Tensor3::from_matrix_right(&theta, dr);
+        self.center = base + k - 1;
     }
 
-    /// Truncated-SVD split of a `theta` matrix back into sites `k`, `k+1`.
-    fn split_theta(&mut self, k: usize, theta: &Matrix, dl: usize, dr: usize) {
-        let f = svd(theta);
+    /// The truncation rule, and the only place it is applied: a truncated
+    /// SVD `m ≈ U·S·V†` that keeps at most `chi_max` singular values, drops
+    /// tail values whose squared weight relative to the total is at most
+    /// `trunc_eps`, books the discarded weight and the kept rank, and
+    /// renormalises `S·V†` to the full norm. Returns `(U, S·V†)`.
+    fn truncated_split(&mut self, m: &Matrix) -> (Matrix, Matrix) {
+        let f = svd(m);
         let total: f64 = f.s.iter().map(|s| s * s).sum();
         let mut keep = effective_rank(&f.s).min(self.chi_max);
-        // Relative truncation: drop tail weight below trunc_eps.
         while keep > 1 {
             let tail: f64 = f.s[keep - 1] * f.s[keep - 1];
             if tail / total > self.trunc_eps {
@@ -206,167 +237,16 @@ impl MpsState {
         let kept: f64 = f.s[..keep].iter().map(|s| s * s).sum();
         self.trunc_error += (total - kept).max(0.0);
         self.max_bond_seen = self.max_bond_seen.max(keep);
-        // Renormalize to preserve the state norm.
         let scale = if kept > 0.0 {
             (total / kept).sqrt()
         } else {
             1.0
         };
-
-        let u = keep_cols(&f.u, keep);
         let mut sv = s_vdag(&f.s, &f.v, keep);
         for z in sv.as_mut_slice() {
             *z = z.scale(scale);
         }
-        self.sites[k] = Tensor3::from_matrix_left(&u, dl);
-        self.sites[k + 1] = Tensor3::from_matrix_right(&sv, dr);
-        self.center = k + 1;
-    }
-
-    /// Applies an opaque k-qubit unitary by routing the operands onto
-    /// adjacent sites, merging, applying, and re-splitting with truncated
-    /// SVDs — Aer-MPS's strategy for multi-qubit blocks.
-    fn apply_unitary_k(&mut self, qs: &[usize], u: &Matrix) {
-        let k = qs.len();
-        assert_eq!(u.rows(), 1 << k);
-        // Route qubit qs[j] to site base + j.
-        let base = *qs.iter().min().unwrap();
-        // Track where each logical qubit currently sits.
-        let n = self.num_qubits();
-        let mut site_of: Vec<usize> = (0..n).collect();
-        let swap = Gate::Swap(0, 1).matrix();
-        let mut swaps: Vec<usize> = Vec::new();
-        for (j, &q) in qs.iter().enumerate() {
-            let target = base + j;
-            let mut cur = site_of[q];
-            while cur > target {
-                self.apply_2q_adjacent(cur - 1, &swap, true);
-                swaps.push(cur - 1);
-                let other = site_of.iter().position(|&s| s == cur - 1).unwrap();
-                site_of.swap(q, other);
-                cur -= 1;
-            }
-            while cur < target {
-                self.apply_2q_adjacent(cur, &swap, true);
-                swaps.push(cur);
-                let other = site_of.iter().position(|&s| s == cur + 1).unwrap();
-                site_of.swap(q, other);
-                cur += 1;
-            }
-        }
-
-        // Merge sites base..base+k into one blob with physical index
-        // P = sum_j p_{base+j} << j.
-        self.move_center_to(base);
-        let mut dl = self.sites[base].dl;
-        let mut blob = self.sites[base].data.clone(); // (l, p, r) row-major
-        let mut phys = 2usize;
-        let mut dr = self.sites[base].dr;
-        for j in 1..k {
-            let next = &self.sites[base + j];
-            let mut merged =
-                vec![C64::ZERO; dl * phys * 2 * next.dr];
-            for l in 0..dl {
-                for pp in 0..phys {
-                    for m in 0..dr {
-                        let a = blob[(l * phys + pp) * dr + m];
-                        if a == C64::ZERO {
-                            continue;
-                        }
-                        for p in 0..2 {
-                            for r in 0..next.dr {
-                                // New physical index: pp | p << j
-                                let np = pp | (p << j);
-                                let idx = (l * (phys * 2) + np) * next.dr + r;
-                                merged[idx] = a.mul_add(next.get(m, p, r), merged[idx]);
-                            }
-                        }
-                    }
-                }
-            }
-            blob = merged;
-            phys *= 2;
-            dr = next.dr;
-        }
-
-        // Apply the gate on the merged physical index.
-        let dim = 1usize << k;
-        let mut new_blob = vec![C64::ZERO; blob.len()];
-        for l in 0..dl {
-            for r in 0..dr {
-                for row in 0..dim {
-                    let mut acc = C64::ZERO;
-                    for col in 0..dim {
-                        let x = blob[(l * dim + col) * dr + r];
-                        acc = u[(row, col)].mul_add(x, acc);
-                    }
-                    new_blob[(l * dim + row) * dr + r] = acc;
-                }
-            }
-        }
-
-        // Split back site by site: peel the lowest physical bit each time.
-        let mut rest = new_blob;
-        let mut rest_phys = dim;
-        for j in 0..k - 1 {
-            // rest is (dl, rest_phys, dr): reshape to rows (l, p0), cols (P', r).
-            let half = rest_phys / 2;
-            let mut m = Matrix::zeros(dl * 2, half * dr);
-            for l in 0..dl {
-                for p in 0..rest_phys {
-                    let (p0, prest) = (p & 1, p >> 1);
-                    for r in 0..dr {
-                        m[(l * 2 + p0, prest * dr + r)] =
-                            rest[(l * rest_phys + p) * dr + r];
-                    }
-                }
-            }
-            let f = svd(&m);
-            let total: f64 = f.s.iter().map(|s| s * s).sum();
-            let mut keep = effective_rank(&f.s).min(self.chi_max);
-            while keep > 1 {
-                let tail = f.s[keep - 1] * f.s[keep - 1];
-                if tail / total > self.trunc_eps {
-                    break;
-                }
-                keep -= 1;
-            }
-            let kept: f64 = f.s[..keep].iter().map(|s| s * s).sum();
-            self.trunc_error += (total - kept).max(0.0);
-            self.max_bond_seen = self.max_bond_seen.max(keep);
-            let scale = (total / kept).sqrt();
-
-            let u_m = keep_cols(&f.u, keep);
-            self.sites[base + j] = Tensor3::from_matrix_left(&u_m, dl);
-            let mut sv = s_vdag(&f.s, &f.v, keep); // (keep, half*dr)
-            for z in sv.as_mut_slice() {
-                *z = z.scale(scale);
-            }
-            // sv becomes the new rest blob with dl = keep.
-            dl = keep;
-            rest_phys = half;
-            let mut next_rest = vec![C64::ZERO; dl * rest_phys * dr];
-            for l in 0..dl {
-                for p in 0..rest_phys {
-                    for r in 0..dr {
-                        next_rest[(l * rest_phys + p) * dr + r] = sv[(l, p * dr + r)];
-                    }
-                }
-            }
-            rest = next_rest;
-        }
-        // Final site holds the remaining physical bit.
-        self.sites[base + k - 1] = Tensor3 {
-            dl,
-            dr,
-            data: rest,
-        };
-        self.center = base + k - 1;
-
-        // Undo the routing swaps in reverse order.
-        for &s in swaps.iter().rev() {
-            self.apply_2q_adjacent(s, &swap, true);
-        }
+        (keep_cols(&f.u, keep), sv)
     }
 
     // --- readout ---------------------------------------------------------------
@@ -429,30 +309,6 @@ impl MpsState {
         }
         draws
     }
-
-    /// Schmidt spectrum (singular values) across the bond `k | k+1`.
-    pub fn schmidt_spectrum(&mut self, k: usize) -> Vec<f64> {
-        self.move_center_to(k);
-        let theta = self.sites[k].contract_pair(&self.sites[k + 1]);
-        let f = svd(&theta);
-        f.s.into_iter().filter(|&s| s > 1e-14).collect()
-    }
-
-    /// Von Neumann entanglement entropy across the bond `k | k+1` (nats).
-    pub fn entanglement_entropy(&mut self, k: usize) -> f64 {
-        let s = self.schmidt_spectrum(k);
-        let total: f64 = s.iter().map(|x| x * x).sum();
-        -s.iter()
-            .map(|x| {
-                let p = x * x / total;
-                if p > 1e-15 {
-                    p * p.ln()
-                } else {
-                    0.0
-                }
-            })
-            .sum::<f64>()
-    }
 }
 
 /// Number of singular values above numerical noise.
@@ -477,10 +333,32 @@ fn u_s(u: &Matrix, s: &[f64], k: usize) -> Matrix {
     Matrix::from_fn(u.rows(), k, |i, j| u[(i, j)].scale(s[j]))
 }
 
+/// Contracts a row-major `(rows, right.dl)` block with the next site over
+/// their shared bond into a `(rows, 2, right.dr)` block: each entry sums
+/// over the bond in order with `mul_add`, from zero, skipping zero terms.
+fn merge(left: &[C64], right: &Tensor3) -> Vec<C64> {
+    let cols = 2 * right.dr;
+    let mut out = vec![C64::ZERO; left.len() / right.dl * cols];
+    for (row, out_row) in left.chunks_exact(right.dl).zip(out.chunks_exact_mut(cols)) {
+        for (&a, next) in row.iter().zip(right.data.chunks_exact(cols)) {
+            if a == C64::ZERO {
+                continue;
+            }
+            for (o, &b) in out_row.iter_mut().zip(next) {
+                *o = a.mul_add(b, *o);
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qfw_num::approx_eq;
+    use qfw_num::complex::c64;
+    use qfw_num::decomp::qr;
+    use std::sync::Arc;
 
     fn exact() -> (usize, f64) {
         (64, 0.0)
@@ -605,23 +483,42 @@ mod tests {
 
     #[test]
     fn random_circuit_exact_at_full_chi() {
-        let mut rng = Rng::seed_from(17);
-        let n = 6;
-        let mut qc = Circuit::new(n).named("random");
-        for _ in 0..40 {
-            let q = rng.index(n);
-            let p = (q + 1 + rng.index(n - 1)) % n;
-            match rng.index(6) {
-                0 => qc.h(q),
-                1 => qc.t(q),
-                2 => qc.rx(q, rng.uniform(-3.0, 3.0)),
-                3 => qc.cx(q, p),
-                4 => qc.rzz(q, p, rng.uniform(-1.0, 1.0)),
-                _ => qc.cry(q, p, rng.uniform(-1.0, 1.0)),
-            };
+        for seed in 17..21 {
+            let mut rng = Rng::seed_from(seed);
+            let n = 6;
+            let mut qc = Circuit::new(n).named("random");
+            for _ in 0..40 {
+                let q = rng.index(n);
+                let p = (q + 1 + rng.index(n - 1)) % n;
+                let o = (0..n)
+                    .filter(|&x| x != q && x != p)
+                    .nth(rng.index(n - 2))
+                    .unwrap();
+                match rng.index(9) {
+                    0 => qc.h(q),
+                    1 => qc.t(q),
+                    2 => qc.rx(q, rng.uniform(-3.0, 3.0)),
+                    3 => qc.cx(q, p),
+                    4 => qc.rzz(q, p, rng.uniform(-1.0, 1.0)),
+                    5 => qc.cry(q, p, rng.uniform(-1.0, 1.0)),
+                    6 => qc.swap(q, p),
+                    7 => qc.ccx(q, p, o),
+                    _ => {
+                        // Unsorted, pairwise non-adjacent operands.
+                        let a = Matrix::from_fn(8, 8, |_, _| {
+                            c64(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                        });
+                        qc.push(Gate::Unitary {
+                            qubits: vec![q, (q + 4) % n, (q + 2) % n],
+                            matrix: Arc::new(qr(&a).q),
+                            label: "u3".into(),
+                        })
+                    }
+                };
+            }
+            // chi=64 >= 2^(6/2) = 8, so this is exact.
+            check_against_dense(&qc, 64, 0.0, 1e-8);
         }
-        // chi=64 >= 2^(6/2) = 8, so this is exact.
-        check_against_dense(&qc, 64, 0.0, 1e-8);
     }
 
     #[test]
@@ -688,26 +585,6 @@ mod tests {
                 probs[idx]
             );
         }
-    }
-
-    #[test]
-    fn entanglement_entropy_of_bell_pair() {
-        let mut qc = Circuit::new(2).named("bell");
-        qc.h(0).cx(0, 1);
-        let mut mps = MpsState::zero(2, 4, 0.0);
-        mps.run_unitary(&qc);
-        let s = mps.entanglement_entropy(0);
-        assert!(approx_eq(s, std::f64::consts::LN_2, 1e-9), "entropy {s}");
-    }
-
-    #[test]
-    fn product_state_has_zero_entropy() {
-        let mut qc = Circuit::new(3).named("product");
-        qc.h(0).h(1).h(2);
-        let mut mps = MpsState::zero(3, 4, 0.0);
-        mps.run_unitary(&qc);
-        assert!(mps.entanglement_entropy(0).abs() < 1e-9);
-        assert!(mps.entanglement_entropy(1).abs() < 1e-9);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The 3-index site tensor of an MPS and its contraction helpers.
+//! The 3-index site tensor of an MPS, its one-qubit update and its matrix
+//! reshapes.
 
 use qfw_num::complex::C64;
 use qfw_num::Matrix;
@@ -91,32 +92,6 @@ impl Tensor3 {
         }
     }
 
-    /// Contracts two adjacent sites over their shared bond into the
-    /// `theta[(l, p1), (p2, r)]` matrix of shape `(dl*2, 2*dr)` — `p1` is
-    /// this site's physical index, `p2` the right neighbour's.
-    pub fn contract_pair(&self, right: &Tensor3) -> Matrix {
-        assert_eq!(self.dr, right.dl, "bond mismatch between adjacent sites");
-        let mut theta = Matrix::zeros(self.dl * 2, 2 * right.dr);
-        for l in 0..self.dl {
-            for p1 in 0..2 {
-                let row = l * 2 + p1;
-                for m in 0..self.dr {
-                    let a = self.get(l, p1, m);
-                    if a == C64::ZERO {
-                        continue;
-                    }
-                    for p2 in 0..2 {
-                        for r in 0..right.dr {
-                            let col = p2 * right.dr + r;
-                            theta[(row, col)] = a.mul_add(right.get(m, p2, r), theta[(row, col)]);
-                        }
-                    }
-                }
-            }
-        }
-        theta
-    }
-
     /// Frobenius norm of the tensor.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
@@ -169,19 +144,6 @@ mod tests {
         assert_eq!(left, t);
         let right = Tensor3::from_matrix_right(&t.to_matrix_right(), 3);
         assert_eq!(right, t);
-    }
-
-    #[test]
-    fn contract_pair_product_state() {
-        // |0> ⊗ |1> => theta has a single 1 at (p1=0, p2=1).
-        let a = Tensor3::basis(0);
-        let b = Tensor3::basis(1);
-        let theta = a.contract_pair(&b);
-        assert_eq!(theta.rows(), 2);
-        assert_eq!(theta.cols(), 2);
-        assert_eq!(theta[(0, 1)], C64::ONE);
-        assert_eq!(theta[(0, 0)], C64::ZERO);
-        assert_eq!(theta[(1, 0)], C64::ZERO);
     }
 
     #[test]

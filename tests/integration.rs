@@ -2,13 +2,17 @@
 //! agreement, distributed execution, cloud path, and DQAOA end-to-end —
 //! the flows Fig. 1 walks through, exercised across crate boundaries.
 
-use qfw::{BackendSpec, QfwConfig, QfwError, QfwResult, QfwSession};
-use qfw_circuit::Circuit;
+use qfw::{BackendSpec, ExecTask, QfwConfig, QfwError, QfwResult, QfwSession, Source};
+use qfw_chaos::{FaultPlan, FaultSpec};
+use qfw_circuit::{text, Circuit};
 use qfw_cloud::CloudConfig;
 use qfw_dqaoa::{solve_dqaoa, solve_qaoa, DqaoaConfig, QaoaConfig};
 use qfw_dqaoa::qaoa::solution_fidelity;
 use qfw_hpc::ClusterSpec;
+use qfw_obs::Obs;
+use qfw_sched::{JobEnvelope, SchedConfig, SchedError, Scheduler};
 use qfw_workloads::{ghz, ham, hhl_benchmark, tfim, Qubo};
+use std::sync::Arc;
 
 fn full_session() -> QfwSession {
     QfwSession::launch(
@@ -302,4 +306,102 @@ fn cloud_profile_carries_queue_metadata() {
     assert!(result.metadata.contains_key("cloud_job_id"));
     assert!(result.profile.queue_secs >= 0.0);
     assert_eq!(session.cloud().unwrap().jobs_completed(), 1);
+}
+
+/// An engine that panics behind the DEFw hub fails its own job and nothing
+/// else: both hub workers live on, the QPM books each panic as a failure,
+/// and the next job completes.
+#[test]
+fn hub_workers_survive_engine_panics() {
+    let chaos = Arc::new(FaultPlan::seeded(11).inject("qrc.engine_panic", FaultSpec::first(3)));
+    let session = QfwSession::launch(
+        &ClusterSpec::test(3),
+        QfwConfig {
+            qfw_nodes: 2,
+            defw_workers: 2,
+            chaos,
+            ..QfwConfig::default()
+        },
+    )
+    .unwrap();
+    let backend = session
+        .backend(&[("backend", "nwqsim"), ("subbackend", "cpu")])
+        .unwrap();
+    for _ in 0..3 {
+        match backend.execute_sync(&ghz(4), 100) {
+            Err(QfwError::Execution(msg)) => assert!(msg.contains("engine panicked"), "{msg}"),
+            other => panic!("a panicking engine must fail its job, got {other:?}"),
+        }
+    }
+    let done = backend
+        .execute_sync(&ghz(4), 100)
+        .expect("the hub still runs a job");
+    assert_eq!(done.counts.values().sum::<usize>(), 100);
+    let stats = session.total_stats();
+    assert_eq!((stats.accepted, stats.completed, stats.failed), (4, 1, 3));
+}
+
+/// A register of no qubits is refused at admission on every row — by the
+/// QRC (wire text and a compiled circuit alike), by the scheduler's submit
+/// and through a session — before an engine that cannot hold an empty
+/// chain sees it.
+#[test]
+fn an_empty_register_is_refused_at_admission() {
+    let session = QfwSession::launch_local(2).unwrap();
+    let sched = Scheduler::start(
+        Arc::clone(session.qrc()),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let empty = Circuit::new(0);
+    let rows = [
+        ("nwqsim", "cpu"),
+        ("nwqsim", "openmp"),
+        ("nwqsim", "mpi"),
+        ("aer", "automatic"),
+        ("aer", "statevector"),
+        ("aer", "matrix_product_state"),
+        ("aer", "stabilizer"),
+        ("tnqvm", "exatn-mps"),
+        ("tnqvm", ""),
+        ("qtensor", ""),
+        ("auto", ""),
+    ];
+    let refused =
+        |e: &QfwError| matches!(e, QfwError::BadProperties(m) if m.contains("at least one qubit"));
+    for (name, sub) in rows {
+        let spec = BackendSpec::of(name, sub);
+        let task = ExecTask {
+            circuit: text::dump(&empty),
+            shots: 10,
+            seed: 1,
+            spec: spec.clone(),
+        };
+        let err = session.qrc().execute(&task).unwrap_err();
+        assert!(refused(&err), "{name}/{sub}: {err}");
+        let compiled = Source::Compiled {
+            circuit: empty.clone(),
+            layout: None,
+            predicted_fidelity: None,
+        };
+        let err = session.qrc().admit(compiled, 10, 1, &spec).unwrap_err();
+        assert!(refused(&err), "{name}/{sub} compiled: {err}");
+        match sched.submit(JobEnvelope::new("t", &empty, 10).with_spec(spec.clone())) {
+            Err(SchedError::Unrunnable(err)) => assert!(refused(&err), "{name}/{sub}: {err}"),
+            other => panic!("{name}/{sub}: the scheduler must refuse, got {other:?}"),
+        }
+        let via_hub = session
+            .backend_with_spec(spec)
+            .unwrap()
+            .execute_sync(&empty, 10);
+        match via_hub {
+            Err(QfwError::Execution(msg)) => assert!(msg.contains("at least one qubit"), "{msg}"),
+            other => panic!("{name}/{sub}: the session must refuse, got {other:?}"),
+        }
+    }
+    assert_eq!(session.qrc().engine_invocations(), 0);
+    sched.shutdown();
 }
