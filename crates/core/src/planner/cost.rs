@@ -15,8 +15,11 @@ use qfw_circuit::analysis::StructureReport;
 /// The state-vector default is measured (the serial layer-plan executor
 /// costs ~0.25 ns per amplitude per *source* gate: TFIM/QAOA/HAM-18 run 694
 /// gates over `2^18` amplitudes in 47.0 ms — `benchmark/`'s
-/// `sim_sv.{tfim,qaoa,ham}.serial_ms` probes time the same three circuits);
-/// the other engines get round numbers.
+/// `sim_sv.{tfim,qaoa,ham}.serial_ms` probes time the same three circuits).
+/// So is the stabilizer shot term: with every measurement random (an H
+/// layer, so each shot draws `n` coins and most outcomes are distinct),
+/// 65 536 shots cost 17–20 ns per qubit per shot more than 256 at 24, 48
+/// and 70 qubits. The other engines get round numbers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostCoefficients {
     /// Dense SV: seconds per amplitude per gate.
@@ -27,7 +30,8 @@ pub struct CostCoefficients {
     pub mps_elem_secs: f64,
     /// Stabilizer tableau: seconds per row-word update per gate.
     pub stab_word_secs: f64,
-    /// Stabilizer tableau: seconds per qubit per sampled shot.
+    /// Stabilizer tableau: seconds per qubit per sampled shot (one draw and
+    /// its share of the readout).
     pub stab_shot_secs: f64,
     /// MPI: fractional exchange penalty per doubling of the rank count.
     pub mpi_link_penalty: f64,
@@ -50,7 +54,7 @@ impl Default for CostCoefficients {
             sv_shot_secs: 3e-8,
             mps_elem_secs: 2e-9,
             stab_word_secs: 1e-9,
-            stab_shot_secs: 5e-8,
+            stab_shot_secs: 2e-8,
             mpi_link_penalty: 0.15,
             mpi_spawn_secs: 1e-3,
             conv_amp_secs: 2e-9,
@@ -92,11 +96,18 @@ impl CostCoefficients {
     }
 
     /// Stabilizer tableau: each gate touches `2n` rows of `words` machine
-    /// words; each shot clones the tableau and measures every qubit.
+    /// words. Sampling is one measurement pass, `n` measurements of up to
+    /// `2n` row operations each, then per shot one draw per random
+    /// measurement, at most `n`. Taking no shot samples nothing.
     pub fn stab_cost(&self, n: usize, gates: usize, shots: usize) -> f64 {
         let words = n.div_ceil(64) as f64;
-        gates as f64 * 2.0 * n as f64 * words * self.stab_word_secs
-            + shots as f64 * n as f64 * words * self.stab_shot_secs
+        let row_ops = |count: usize| count as f64 * 2.0 * n as f64 * words * self.stab_word_secs;
+        let sampling = if shots == 0 {
+            0.0
+        } else {
+            row_ops(n) + shots as f64 * n as f64 * self.stab_shot_secs
+        };
+        row_ops(gates) + sampling
     }
 
     /// Cloud provider: queue-dominated; circuit size barely matters below

@@ -278,15 +278,20 @@ impl MpsState {
     }
 
     /// Draws `shots` basis indices by the conditional left-to-right walk.
+    /// The walk's three bond vectors are reused across sites and shots.
     pub fn sample(&mut self, shots: usize, rng: &mut Rng) -> Vec<u64> {
         self.move_center_to(0);
         let mut draws = Vec::with_capacity(shots);
+        let (mut v, mut w0, mut w1) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..shots {
-            let mut v = vec![C64::ONE];
+            v.clear();
+            v.push(C64::ONE);
             let mut index = 0u64;
             for (kk, site) in self.sites.iter().enumerate() {
-                let mut w0 = vec![C64::ZERO; site.dr];
-                let mut w1 = vec![C64::ZERO; site.dr];
+                w0.clear();
+                w0.resize(site.dr, C64::ZERO);
+                w1.clear();
+                w1.resize(site.dr, C64::ZERO);
                 for (l, &vl) in v.iter().enumerate() {
                     if vl == C64::ZERO {
                         continue;
@@ -300,10 +305,11 @@ impl MpsState {
                 let p1: f64 = w1.iter().map(|z| z.norm_sqr()).sum();
                 let total = p0 + p1;
                 let bit = u64::from(rng.next_f64() * total >= p0);
-                let (chosen, p) = if bit == 0 { (w0, p0) } else { (w1, p1) };
+                let (chosen, p) = if bit == 0 { (&w0, p0) } else { (&w1, p1) };
                 index |= bit << kk;
                 let inv = 1.0 / p.sqrt();
-                v = chosen.into_iter().map(|z| z.scale(inv)).collect();
+                v.clear();
+                v.extend(chosen.iter().map(|z| z.scale(inv)));
             }
             draws.push(index);
         }

@@ -1,6 +1,6 @@
 //! The bit-packed CHP tableau and the engine façade over it.
 
-use qfw_circuit::{Circuit, Counts, Gate, Readout};
+use qfw_circuit::{Circuit, Counts, Gate, Outcome, Readout};
 use qfw_num::rng::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -153,8 +153,7 @@ impl Tableau {
 
     /// `rowsum(h, i)`: row `h` *= row `i`, with the CHP phase function.
     pub(crate) fn rowsum(&mut self, h: usize, i: usize) {
-        let mut phase: i64 = if self.r[h] { 2 } else { 0 };
-        phase += if self.r[i] { 2 } else { 0 };
+        let mut g: i64 = 0;
         for w in 0..self.words {
             let (x1, z1) = (self.x[i][w], self.z[i][w]);
             let (x2, z2) = (self.x[h][w], self.z[h][w]);
@@ -171,18 +170,20 @@ impl Tableau {
             let c01 = !x1 & z1;
             let plus01 = c01 & x2 & !z2;
             let minus01 = c01 & x2 & z2;
-            phase += (plus11 | plus10 | plus01).count_ones() as i64;
-            phase -= (minus11 | minus10 | minus01).count_ones() as i64;
+            g += (plus11 | plus10 | plus01).count_ones() as i64;
+            g -= (minus11 | minus10 | minus01).count_ones() as i64;
         }
         // Stabilizer-row sums always come out even (the generators
         // commute). Destabilizer rows may anticommute with the pivot and
         // produce an odd phase — their signs are never read, so any value
         // is acceptable there (Aaronson–Gottesman, Sec. III).
         debug_assert!(
-            phase.rem_euclid(2) == 0 || h < self.n,
+            g.rem_euclid(2) == 0 || h < self.n,
             "rowsum produced odd phase on a stabilizer row"
         );
-        self.r[h] = phase.rem_euclid(4) == 2 || phase.rem_euclid(4) == 3;
+        // The new sign is bit 1 of `2 r_h + 2 r_i + g (mod 4)`: the two
+        // signs XORed with a bit that depends on the Pauli parts alone.
+        self.r[h] ^= self.r[i] ^ (g.rem_euclid(4) >= 2);
         for w in 0..self.words {
             let (xi, zi) = (self.x[i][w], self.z[i][w]);
             self.x[h][w] ^= xi;
@@ -190,8 +191,11 @@ impl Tableau {
         }
     }
 
-    /// Measures qubit `q` in the Z basis, collapsing the tableau.
-    pub fn measure(&mut self, q: usize, rng: &mut Rng) -> u8 {
+    /// The measurement body: measures qubit `q` in the Z basis, collapsing
+    /// the tableau, and returns the row whose sign is the outcome. A random
+    /// outcome's sign is whatever `signs` makes of it; `signs` also follows
+    /// every sign update, so it can carry what the signs depend on.
+    fn measure_row(&mut self, q: usize, signs: &mut impl Signs) -> usize {
         let n = self.n;
         // A stabilizer with X on q means the outcome is random.
         let p = (n..2 * n).find(|&row| Self::get(&self.x[row], q));
@@ -199,20 +203,21 @@ impl Tableau {
             for row in 0..2 * n {
                 if row != p && Self::get(&self.x[row], q) {
                     self.rowsum(row, p);
+                    signs.add(row, p);
                 }
             }
             // Destabilizer p-n := old stabilizer p; stabilizer p := ±Z_q.
             self.x[p - n] = self.x[p].clone();
             self.z[p - n] = self.z[p].clone();
             self.r[p - n] = self.r[p];
+            signs.copy(p, p - n);
             for w in 0..self.words {
                 self.x[p][w] = 0;
                 self.z[p][w] = 0;
             }
             Self::flip(&mut self.z[p], q);
-            let outcome = u8::from(rng.chance(0.5));
-            self.r[p] = outcome == 1;
-            outcome
+            self.r[p] = signs.random(p);
+            p
         } else {
             // Deterministic: accumulate into the scratch row 2n.
             let s = 2 * n;
@@ -221,18 +226,167 @@ impl Tableau {
                 self.z[s][w] = 0;
             }
             self.r[s] = false;
+            signs.clear(s);
             for i in 0..n {
                 if Self::get(&self.x[i], q) {
                     self.rowsum(s, i + n);
+                    signs.add(s, i + n);
                 }
             }
-            u8::from(self.r[s])
+            s
         }
+    }
+
+    /// Measures qubit `q` in the Z basis, collapsing the tableau.
+    pub fn measure(&mut self, q: usize, rng: &mut Rng) -> u8 {
+        let row = self.measure_row(q, rng);
+        u8::from(self.r[row])
     }
 
     /// Measures every qubit in order, returning the bits.
     pub fn measure_all(&mut self, rng: &mut Rng) -> Vec<u8> {
         (0..self.n).map(|q| self.measure(q, rng)).collect()
+    }
+
+    /// The distribution of measuring every qubit in order, in one pass.
+    ///
+    /// Whether measuring a qubit is random depends on the Pauli parts
+    /// alone, never on a sign, so the same measurements are random on
+    /// every shot and each determined outcome is a fixed bit XORed with
+    /// some of the earlier random ones. The pass gives every random
+    /// outcome a variable of its own and carries each sign as its constant
+    /// bit plus the variables it depends on.
+    fn outcomes(mut self) -> AffineOutcomes {
+        let n = self.n;
+        let mut vars = Variables::new(2 * n + 1, n);
+        let mut reference = vec![0; self.words];
+        let mut flips = vec![0; n * self.words];
+        for q in 0..n {
+            let row = self.measure_row(q, &mut vars);
+            let bit = 1u64 << (q % 64);
+            if self.r[row] {
+                reference[q / 64] |= bit;
+            }
+            for v in 0..vars.count {
+                if vars.depends(row, v) {
+                    flips[v * self.words + q / 64] |= bit;
+                }
+            }
+        }
+        flips.truncate(vars.count * self.words);
+        AffineOutcomes { reference, flips }
+    }
+}
+
+/// What the measurement body does with signs beyond the tableau's own
+/// constant bits, and what it makes a random outcome's sign.
+trait Signs {
+    /// The sign of a random outcome, stored in stabilizer row `row`.
+    fn random(&mut self, row: usize) -> bool;
+    /// Row `h`'s sign takes on row `i`'s (a `rowsum`).
+    fn add(&mut self, _h: usize, _i: usize) {}
+    /// Row `to`'s sign becomes row `from`'s.
+    fn copy(&mut self, _from: usize, _to: usize) {}
+    /// Row `row`'s sign becomes a constant.
+    fn clear(&mut self, _row: usize) {}
+}
+
+/// A collapse: a random outcome is drawn on the spot.
+impl Signs for Rng {
+    fn random(&mut self, _row: usize) -> bool {
+        self.chance(0.5)
+    }
+}
+
+/// Per row, the random outcomes its sign is XORed with: variable `v` is
+/// the `v`-th random outcome, in measurement order.
+struct Variables {
+    words: usize,
+    masks: Vec<u64>,
+    count: usize,
+}
+
+impl Variables {
+    fn new(rows: usize, most: usize) -> Self {
+        let words = most.div_ceil(64);
+        Variables {
+            words,
+            masks: vec![0; rows * words],
+            count: 0,
+        }
+    }
+
+    /// Whether row `row`'s sign depends on variable `v`.
+    fn depends(&self, row: usize, v: usize) -> bool {
+        Tableau::get(&self.masks[row * self.words..], v)
+    }
+}
+
+impl Signs for Variables {
+    fn random(&mut self, row: usize) -> bool {
+        self.clear(row);
+        let v = self.count;
+        self.masks[row * self.words + v / 64] |= 1u64 << (v % 64);
+        self.count += 1;
+        false
+    }
+
+    fn add(&mut self, h: usize, i: usize) {
+        for w in 0..self.words {
+            self.masks[h * self.words + w] ^= self.masks[i * self.words + w];
+        }
+    }
+
+    fn copy(&mut self, from: usize, to: usize) {
+        let w = self.words;
+        self.masks.copy_within(from * w..(from + 1) * w, to * w);
+    }
+
+    fn clear(&mut self, row: usize) {
+        self.masks[row * self.words..(row + 1) * self.words].fill(0);
+    }
+}
+
+/// Every outcome of measuring a stabilizer state: the reference outcome
+/// with any subset of the flips XORed in, each flip taken with
+/// probability one half. Outcomes are packed, qubit `q` in bit `q % 64`
+/// of word `q / 64`.
+struct AffineOutcomes {
+    reference: Vec<u64>,
+    /// One outcome-sized column per random measurement, in measurement
+    /// order: the qubits whose outcome it flips.
+    flips: Vec<u64>,
+}
+
+impl AffineOutcomes {
+    /// `shots` packed outcomes, one after another. Each shot draws one
+    /// coin per random measurement in measurement order, as a collapse per
+    /// qubit does.
+    fn sample(&self, shots: usize, rng: &mut Rng) -> Vec<u64> {
+        let words = self.reference.len();
+        let mut out = Vec::with_capacity(shots * words);
+        for _ in 0..shots {
+            let at = out.len();
+            out.extend_from_slice(&self.reference);
+            for flip in self.flips.chunks_exact(words) {
+                if rng.chance(0.5) {
+                    for (o, f) in out[at..].iter_mut().zip(flip) {
+                        *o ^= f;
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A packed outcome of a register wider than one word.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Packed<'a>(&'a [u64]);
+
+impl Outcome for Packed<'_> {
+    fn qubit(&self, q: usize) -> bool {
+        Tableau::get(self.0, q)
     }
 }
 
@@ -242,7 +396,7 @@ impl Tableau {
 pub struct StabOutcome<C = BTreeMap<String, usize>> {
     /// Measured counts.
     pub counts: C,
-    /// Wall time for tableau evolution plus per-shot measurement.
+    /// Wall time for tableau evolution plus sampling.
     pub total_time: Duration,
 }
 
@@ -256,8 +410,10 @@ impl StabOutcome<Counts> {
     }
 }
 
-/// Engine façade: runs Clifford circuits shot-by-shot (each shot clones the
-/// evolved tableau and measures, so per-shot cost is `O(n^2)`).
+/// Engine façade: evolves the tableau once, derives the distribution of
+/// its outcomes in one measurement pass (`O(n^2)` row operations of
+/// `⌈n/64⌉` words), then draws each shot from it in `O(k)` for `k ≤ n`
+/// random measurements.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StabSimulator;
 
@@ -273,8 +429,8 @@ impl StabSimulator {
     ///
     /// Returns `Err` with the offending gate's name when the circuit is not
     /// Clifford — the `automatic` dispatcher treats that as "pick another
-    /// method" — and when it measures mid-circuit, which this shot-by-shot
-    /// sampler of one evolved tableau cannot collapse (admission refuses
+    /// method" — and when it measures mid-circuit, which this sampler of
+    /// one evolved tableau cannot collapse (admission refuses
     /// such circuits first, `qfw::plan`).
     pub fn execute(
         &self,
@@ -295,11 +451,16 @@ impl StabSimulator {
         for g in circuit.gates() {
             base.apply(g);
         }
-        let draws = (0..shots)
-            .map(|_| base.clone().measure_all(&mut rng))
-            .collect();
+        let words = base.words;
+        let draws = base.outcomes().sample(shots, &mut rng);
+        let counts = if words == 1 {
+            readout.counts(draws, &BTreeMap::new())
+        } else {
+            let wide = draws.chunks_exact(words).map(Packed).collect();
+            readout.counts(wide, &BTreeMap::new())
+        };
         Ok(StabOutcome {
-            counts: readout.counts(draws, &BTreeMap::new()),
+            counts,
             total_time: sw.elapsed(),
         })
     }

@@ -1,6 +1,7 @@
-//! Work budget of a dense job: how many full-state passes a run from
-//! |0…0⟩ makes, how large a block the sampling tail asks the heap for, and
-//! that a per-gate kernel starts no thread.
+//! Work budget of a job: how many full-state passes a dense run from
+//! |0…0⟩ makes, how large a block the sampling tail asks the heap for,
+//! that a per-gate kernel starts no thread, and that the stabilizer and MPS
+//! samplers ask the heap for no more blocks at 4 096 shots than at 256.
 //!
 //! Counts, not timings: the passes a plan makes are a pure function of the
 //! circuit, and the sizes of the heap blocks a sampler asks for are a pure
@@ -16,8 +17,10 @@ use qfw_compile::{compile_qasm3, DagCircuit, OptLevel};
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
 use qfw_obs::Obs;
+use qfw_sim_mps::{MpsConfig, MpsState};
+use qfw_sim_stab::StabSimulator;
 use qfw_sim_sv::{canonical_split_bits, fuse, StateVector, SvSimulator};
-use qfw_workloads::{ham, qaoa_ansatz, tfim, Qubo};
+use qfw_workloads::{ghz, ham, qaoa_ansatz, tfim, Qubo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -201,4 +204,39 @@ fn per_gate_kernels_start_no_thread() {
         });
         assert_eq!(threaded, serial, "measure q{q}: {threaded} blocks threaded, {serial} serial");
     }
+}
+
+/// A GHZ-24 job on the stabilizer engine, as `auto_mix`'s `ghz24.auto`
+/// runs it: the blocks of one execution do not grow with the shots, since
+/// every shot is drawn from one measurement pass.
+#[test]
+fn stabilizer_job_allocates_the_same_blocks_whatever_the_shots() {
+    let circuit = ghz(24);
+    let job = |shots| {
+        blocks(|| {
+            let out = StabSimulator.execute(&circuit, shots, 7).unwrap();
+            assert_eq!(out.counts.values().sum::<usize>(), shots);
+        })
+    };
+    let (few, many) = (job(256), job(4096));
+    assert_eq!(few, many, "GHZ-24: {few} blocks at 256 shots, {many} at 4 096");
+    assert!(few <= 136, "GHZ-24: {few} blocks, budget 136");
+}
+
+/// The MPS sampler on a TFIM-20 state reuses its bond vectors across sites
+/// and shots, so its blocks do not grow with the shots either. Most of
+/// them are the gauge move to site 0 that sampling starts with.
+#[test]
+fn mps_sampler_allocates_the_same_blocks_whatever_the_shots() {
+    let config = MpsConfig::default();
+    let mut state = MpsState::zero(20, config.chi_max, config.trunc_eps);
+    state.run_unitary(&tfim(20));
+    let draw = |shots| {
+        let mut state = state.clone();
+        let mut rng = Rng::seed_from(3);
+        blocks(|| assert_eq!(state.sample(shots, &mut rng).len(), shots))
+    };
+    let (few, many) = (draw(256), draw(4096));
+    assert_eq!(few, many, "TFIM-20: {few} blocks at 256 shots, {many} at 4 096");
+    assert!(few <= 476, "TFIM-20: {few} blocks, budget 476");
 }
