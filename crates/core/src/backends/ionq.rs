@@ -2,8 +2,8 @@
 //! cloud provider's REST-shaped API instead of local HPC resources —
 //! "for the cloud path, simple REST suffices" (Section 4.1).
 //!
-//! Only the `simulator` sub-backend is available; `hardware` is planned,
-//! exactly as in Table 1.
+//! Only the `simulator` sub-backend runs; `hardware` is planned, exactly
+//! as in Table 1, and admission refuses it as a pending row.
 
 use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
@@ -59,21 +59,11 @@ impl IonqBackend {
 }
 
 impl BackendQpm for IonqBackend {
-    fn name(&self) -> &'static str {
-        "ionq"
-    }
-
     fn execute(
         &self,
         job: &ResolvedJob,
         _ctx: &ExecContext<'_>,
     ) -> Result<QfwResult, QfwError> {
-        let sub = job.plan.subbackend;
-        if sub == "hardware" {
-            return Err(QfwError::Execution(
-                "ionq/hardware execution is planned future work".into(),
-            ));
-        }
         let total = Stopwatch::start();
         let mut schedule = self.retry.schedule();
         let (job_id, outcome) = loop {
@@ -114,7 +104,7 @@ impl BackendQpm for IonqBackend {
             }
         };
 
-        let mut result = QfwResult::new(self.name(), sub, job.shots);
+        let mut result = QfwResult::new(job.plan.backend, job.plan.subbackend, job.shots);
         result.counts = outcome.counts;
         result.profile.queue_secs = outcome.queue_secs;
         result.profile.exec_secs = outcome.exec_secs;
@@ -173,7 +163,7 @@ mod tests {
         let rig = TestRig::new(1);
         let task = ghz_task(3, 10, BackendSpec::of("ionq", "hardware"));
         match rig.execute(&backend(), &task).unwrap_err() {
-            QfwError::Execution(msg) => assert!(msg.contains("planned")),
+            QfwError::BadProperties(msg) => assert!(msg.contains("planned")),
             other => panic!("unexpected {other:?}"),
         }
     }

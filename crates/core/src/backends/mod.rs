@@ -1,37 +1,34 @@
-//! Backend-QPM adapters: one per engine, all conforming to the same
-//! QPM-API so "the application code remains unchanged when swapping
-//! backends" (Section 4.1).
+//! Backend-QPMs: every engine behind the same QPM-API, so "the
+//! application code remains unchanged when swapping backends" (Section 4.1).
 //!
 //! Of the four integration obligations the paper lists — (1) accept the
 //! standardized circuit description, (2) configure engine-specific runtime
 //! parameters from the runtime properties, (3) launch execution, (4)
-//! marshal results — the first two are done once, for every adapter, by
-//! admission ([`crate::plan`]): an adapter receives a [`ResolvedJob`]
-//! (parsed circuit plus typed [`crate::plan::ExecPlan`]) and is left with
-//! (3) — serially, rayon-threaded, or via DVM ranks — and (4), marshalling
-//! into [`QfwResult`].
+//! marshal results — the first two are done once, for every backend, by
+//! admission ([`crate::plan`]): a Backend-QPM receives a [`ResolvedJob`]
+//! (parsed circuit plus typed [`crate::plan::ExecPlan`], on a row of the
+//! engine table) and is left with (3) and (4). There are two:
+//!
+//! * [`local::LocalRunner`] runs every row that runs in this process —
+//!   `nwqsim`, `aer`, `tnqvm`, `qtensor` — by matching on the row's
+//!   simulator column ([`crate::plan::Sim`]): serially, rayon-threaded, or
+//!   on DVM ranks.
+//! * [`ionq::IonqBackend`] forwards `ionq/simulator` to the cloud provider.
 
-pub mod aer;
 pub mod ionq;
-pub mod nwqsim;
-pub mod qtensor;
-pub mod tnqvm;
+pub mod local;
 
 use crate::error::QfwError;
 use crate::plan::ResolvedJob;
 use crate::result::QfwResult;
-use crate::spec::extras;
-use qfw_circuit::Circuit;
 use qfw_hpc::slurm::HetJob;
-use qfw_hpc::{Allocation, Dvm, Stopwatch};
+use qfw_hpc::{Allocation, Dvm};
 use qfw_obs::Obs;
-use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Execution-side context handed to adapters: the DVM for rank spawning,
-/// the `hetgroup-1` lease broker for cores, and the observability handle
-/// engine phases report into.
+/// Execution-side context handed to a Backend-QPM: the DVM for rank
+/// spawning, the `hetgroup-1` lease broker for cores, and the
+/// observability handle engine phases report into.
 pub struct ExecContext<'a> {
     /// The PRTE-like DVM spanning the worker group.
     pub dvm: &'a Dvm,
@@ -56,67 +53,8 @@ impl ExecContext<'_> {
     }
 }
 
-/// The one distributed dense executor, behind `nwqsim/mpi` and multi-rank
-/// `aer/statevector`: the register split across DVM ranks. All routing and
-/// fusion is decided here, once, before the ranks exist; they share the
-/// plan and only move amplitudes.
-pub(crate) fn run_on_ranks(
-    circuit: &Circuit,
-    job: &ResolvedJob,
-    ctx: &ExecContext<'_>,
-    result: &mut QfwResult,
-) -> Result<(), QfwError> {
-    let plan = &*job.plan;
-    let ranks = plan.ranks;
-    if ranks != plan.requested_ranks {
-        result.note("ranks_rounded", ranks);
-    }
-    let alloc = ctx.lease_cores(ranks)?;
-    // Compiler handoff: the layout is the plan's starting permutation —
-    // free at |0…0⟩, and counts stay bitwise identical since the plan ends
-    // on the flush back to the identity placement.
-    if let Some(order) = &plan.layout {
-        let csv: Vec<String> = order.iter().map(|q| q.to_string()).collect();
-        result.note(extras::INITIAL_LAYOUT, csv.join(","));
-    }
-    let sw = Stopwatch::start();
-    let mut span = ctx
-        .obs
-        .span("engine", "sv.fuse")
-        .attr("ops_in", circuit.ops().len());
-    let dist = Arc::new(DistPlan::build(
-        circuit,
-        ranks.trailing_zeros() as usize,
-        plan.layout.as_deref(),
-    ));
-    span.set_attr("ops_out", dist.num_layers());
-    drop(span);
-    let plan_secs = sw.elapsed_secs();
-    result.note("dist_epochs", dist.epochs());
-    result.note("dist_passes", dist.passes());
-    let (shots, seed) = (job.shots, job.seed);
-    let obs = ctx.obs.clone();
-    let rank_job = ctx.dvm.spawn(&alloc, ranks, move |mut rank_ctx| {
-        run_distributed_plan(&mut rank_ctx, &dist, shots, seed, &obs)
-    });
-    let mut outcomes = rank_job.wait();
-    let (out, stats) = outcomes
-        .swap_remove(0)
-        .expect("rank 0 returns the outcome");
-    result.counts = out.counts;
-    result.profile.exec_secs = plan_secs + out.gate_time.as_secs_f64();
-    result.profile.sample_secs = out.sample_time.as_secs_f64();
-    result.profile.ranks = ranks;
-    result.note("comm_exchanges", stats.exchanges);
-    result.note("comm_bytes", stats.bytes);
-    Ok(())
-}
-
 /// The QPM-API every backend implements.
 pub trait BackendQpm: Send + Sync {
-    /// Canonical backend name.
-    fn name(&self) -> &'static str;
-
     /// Executes one admitted job. A sweep point or a batch mate is a job
     /// like any other: [`crate::Qrc::run_many`] calls this once per job
     /// under one slot.
@@ -136,7 +74,7 @@ pub(crate) mod testutil {
     use qfw_hpc::ClusterSpec;
     use std::sync::Arc;
 
-    /// A self-contained (cluster, hetjob, dvm) bundle for adapter tests.
+    /// A self-contained (cluster, hetjob, dvm) bundle for Backend-QPM tests.
     pub struct TestRig {
         pub hetjob: Arc<HetJob>,
         pub dvm: Arc<Dvm>,

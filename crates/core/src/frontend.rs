@@ -431,10 +431,13 @@ mod tests {
         let backend = QfwBackend::connect(
             defw.client(),
             "qpm0",
-            BackendSpec::of("tnqvm", "ttn"),
+            BackendSpec::of("aer", "stabilizer"),
         );
-        match backend.execute_sync(&ghz(3), 10) {
-            Err(QfwError::Execution(msg)) => assert!(msg.contains("xasm")),
+        let mut qc = Circuit::new(3);
+        qc.h(0).t(0).cx(0, 1);
+        qc.measure_all();
+        match backend.execute_sync(&qc, 10) {
+            Err(QfwError::Execution(msg)) => assert!(msg.contains("non-Clifford")),
             other => panic!("expected execution error, got {other:?}"),
         }
     }

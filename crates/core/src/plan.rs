@@ -23,8 +23,10 @@ use qfw_circuit::hash::{circuit_hash, param_hash, ContentHash};
 use qfw_circuit::{text, Circuit, Gate, ParamCircuit, Readout};
 use qfw_hpc::slurm::HetJob;
 use qfw_noise::{Calibration, NoiseModel};
+use qfw_sim_mps::MpsConfig;
 use qfw_sim_sv::dist::local_qubits_needed;
 use qfw_sim_sv::MAX_DENSE_QUBITS;
+use qfw_sim_tn::OrderHeuristic;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,13 +48,52 @@ enum Width {
     Ranks,
 }
 
+/// What runs a row: the column the local runner
+/// ([`crate::backends::local`]) matches on, and the one every
+/// engine-dependent rule of admission reads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Sim {
+    /// The dense state vector in this process: fusion as asked, noise
+    /// trajectories, Clifford-prefix partitions; threaded on an `Llc` row.
+    Dense,
+    /// The dense register split across DVM ranks, from the plan's layout.
+    Distributed,
+    /// Aer's chunked state vector: the distributed executor past one rank,
+    /// the serial fused dense engine at one.
+    Chunked,
+    /// A matrix product state, with the row's default budget.
+    Mps(MpsConfig),
+    /// The stabilizer tableau.
+    Stabilizer,
+    /// Full-state tensor-network contraction in this order.
+    TensorNetwork(OrderHeuristic),
+    /// The cloud provider.
+    Cloud,
+    /// Declared in Table 1 but not runnable: admission refuses the row with
+    /// this note.
+    Pending(&'static str),
+    /// Whichever `aer` row admission picks for the circuit.
+    Automatic,
+    /// Whichever row the planner picks.
+    Planner,
+}
+
+/// Aer's MPS budget; a row that runs no MPS engine carries it too (it is
+/// part of every plan's fingerprint).
+const AER_MPS: MpsConfig = MpsConfig {
+    chi_max: 64,
+    trunc_eps: 1e-12,
+};
+
 /// One engine the stack can address: a row of the engine table.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub struct Engine {
     /// `backend/subbackend` — also how metrics and the planner's
     /// corrections name the engine.
     pub key: &'static str,
     width: Width,
+    /// What runs the row.
+    pub sim: Sim,
     /// The local dense state-vector engine, the only one that runs Kraus
     /// noise trajectories and Clifford-prefix partitions.
     dense_local: bool,
@@ -64,12 +105,21 @@ pub struct Engine {
     collapses: bool,
 }
 
-const fn row(key: &'static str, width: Width, dense_local: bool, collapses: bool) -> Engine {
+const fn row(key: &'static str, width: Width, sim: Sim) -> Engine {
     Engine {
         key,
         width,
-        dense_local,
-        collapses,
+        sim,
+        dense_local: matches!(sim, Sim::Dense | Sim::Planner),
+        collapses: matches!(
+            sim,
+            Sim::Dense
+                | Sim::Distributed
+                | Sim::Chunked
+                | Sim::Cloud
+                | Sim::Automatic
+                | Sim::Planner
+        ),
     }
 }
 
@@ -80,22 +130,54 @@ const fn row(key: &'static str, width: Width, dense_local: bool, collapses: bool
 /// and each ranked candidate is judged on its own row
 /// ([`ExecPlan::retarget`]).
 static ENGINES: [Engine; 16] = [
-    row("nwqsim/cpu", Width::One, true, true),
-    row("nwqsim/openmp", Width::Llc, true, true),
-    row("nwqsim/mpi", Width::Pow2Ranks, false, true),
-    row("aer/automatic", Width::One, false, true),
-    row("aer/statevector", Width::Pow2Ranks, false, true),
-    row("aer/matrix_product_state", Width::One, false, false),
-    row("aer/stabilizer", Width::One, false, false),
-    row("tnqvm/exatn-mps", Width::One, false, false),
-    row("tnqvm/ttn", Width::One, false, false),
-    row("tnqvm/peps", Width::One, false, false),
-    row("qtensor/numpy", Width::One, false, false),
-    row("qtensor/sequential", Width::One, false, false),
-    row("qtensor/mpi", Width::Ranks, false, false),
-    row("ionq/simulator", Width::One, false, true),
-    row("ionq/hardware", Width::One, false, true),
-    row("auto/", Width::One, true, true),
+    row("nwqsim/cpu", Width::One, Sim::Dense),
+    row("nwqsim/openmp", Width::Llc, Sim::Dense),
+    row("nwqsim/mpi", Width::Pow2Ranks, Sim::Distributed),
+    row("aer/automatic", Width::One, Sim::Automatic),
+    row("aer/statevector", Width::Pow2Ranks, Sim::Chunked),
+    row("aer/matrix_product_state", Width::One, Sim::Mps(AER_MPS)),
+    row("aer/stabilizer", Width::One, Sim::Stabilizer),
+    // TN-QVM's ExaTN-MPS visitor ships a tighter budget than Aer's.
+    row(
+        "tnqvm/exatn-mps",
+        Width::One,
+        Sim::Mps(MpsConfig {
+            chi_max: 32,
+            trunc_eps: 1e-10,
+        }),
+    ),
+    row(
+        "tnqvm/ttn",
+        Width::One,
+        Sim::Pending("tnqvm/ttn is currently blocked by .xasm vs qasm translation"),
+    ),
+    row(
+        "tnqvm/peps",
+        Width::One,
+        Sim::Pending("tnqvm/peps is architecturally supported but not yet wired"),
+    ),
+    row(
+        "qtensor/numpy",
+        Width::One,
+        Sim::TensorNetwork(OrderHeuristic::Greedy),
+    ),
+    row(
+        "qtensor/sequential",
+        Width::One,
+        Sim::TensorNetwork(OrderHeuristic::Sequential),
+    ),
+    row(
+        "qtensor/mpi",
+        Width::Ranks,
+        Sim::TensorNetwork(OrderHeuristic::Greedy),
+    ),
+    row("ionq/simulator", Width::One, Sim::Cloud),
+    row(
+        "ionq/hardware",
+        Width::One,
+        Sim::Pending("ionq/hardware execution is planned future work"),
+    ),
+    row("auto/", Width::One, Sim::Planner),
 ];
 
 impl Engine {
@@ -106,6 +188,18 @@ impl Engine {
     pub fn named(key: &str) -> &'static Engine {
         let row = ENGINES.iter().find(|e| e.key == key);
         row.expect("the engine table names every engine the code does")
+    }
+
+    /// Whether the engine threads its work over one LLC domain.
+    pub(crate) fn threaded(&self) -> bool {
+        self.width == Width::Llc
+    }
+
+    /// The backends with a row the local runner runs, in table order (a
+    /// backend with several such rows repeats).
+    pub(crate) fn local_backends() -> impl Iterator<Item = &'static str> {
+        let local = |e: &&Engine| !matches!(e.sim, Sim::Cloud | Sim::Pending(_) | Sim::Planner);
+        ENGINES.iter().filter(local).map(|e| e.names().0)
     }
 
     /// `(backend, sub-backend)`.
@@ -390,14 +484,17 @@ impl ExecPlan {
     }
 
     /// Puts the plan on an engine row — everything engine-dependent is
-    /// decided here, so resolving, retargeting and `aer/automatic`'s method
-    /// choice cannot disagree: width from the row and the requested ranks,
-    /// the engine's MPS budget where the caller set none, the
+    /// decided here, from the row's columns, so resolving, retargeting and
+    /// `aer/automatic`'s method choice cannot disagree: a pending row
+    /// refused with its Table 1 note, width from the row and the requested
+    /// ranks, the engine's MPS budget where the caller set none, the
     /// compatibility table, the core check, the hash.
     fn bind(mut self, engine: &'static Engine, group: GroupCores) -> Result<ExecPlan, QfwError> {
-        let (backend, method) = engine.names();
+        if let Sim::Pending(note) = engine.sim {
+            return Err(QfwError::BadProperties(note.into()));
+        }
         self.engine = engine;
-        self.method = method;
+        self.method = engine.names().1;
         self.ranks = match engine.width {
             Width::Pow2Ranks => self.requested_ranks.max(1).next_power_of_two(),
             Width::Ranks => self.requested_ranks.max(1),
@@ -408,13 +505,12 @@ impl ExecPlan {
         } else {
             self.ranks
         };
-        // TN-QVM's ExaTN-MPS visitor ships a tighter MPS budget than Aer's.
-        let (chi_max, trunc_eps) = match backend {
-            "tnqvm" => (32, 1e-10),
-            _ => (64, 1e-12),
+        let mps = match engine.sim {
+            Sim::Mps(config) => config,
+            _ => AER_MPS,
         };
-        self.chi_max = self.asked_chi_max.unwrap_or(chi_max);
-        self.trunc_eps = self.asked_trunc_eps.unwrap_or(trunc_eps);
+        self.chi_max = self.asked_chi_max.unwrap_or(mps.chi_max);
+        self.trunc_eps = self.asked_trunc_eps.unwrap_or(mps.trunc_eps);
 
         // The compatibility table. Noise changes the answer, so an engine
         // that cannot run it refuses; a partition seam or a layout only
@@ -434,9 +530,9 @@ impl ExecPlan {
         if !engine.dense_local {
             self.partition_seam = None;
         }
-        // A layout is `nwqsim/mpi`'s starting permutation; `auto` keeps it
-        // for the candidate that can use it.
-        if !matches!(engine.key, "nwqsim/mpi" | "auto/") {
+        // A layout is the distributed engine's starting permutation; `auto`
+        // keeps it for the candidate that can use it.
+        if !matches!(engine.sim, Sim::Distributed | Sim::Planner) {
             self.layout = None;
         }
         // A wait for more cores than the group has would never end.
@@ -475,6 +571,12 @@ impl ExecPlan {
             return h;
         }
         h.fold_bytes(&self.noise.content_hash().value().to_le_bytes())
+    }
+
+    /// The row that runs the plan (on `aer/automatic`, the chosen
+    /// method's).
+    pub fn engine(&self) -> &'static Engine {
+        self.engine
     }
 
     /// Hash of everything the extras contribute to the computation.
@@ -598,7 +700,8 @@ fn shape(form: &Form) -> Cow<'_, Circuit> {
 /// register is not empty, `auto` gets a concrete circuit, `aer/automatic`
 /// its method (and that method's width), an engine that cannot collapse a
 /// state gets no mid-circuit measurement, a dense engine no gate wider
-/// than its kernels, the register is wide enough for the ranks, the layout
+/// than its kernels, a tensor network no register wider than its width
+/// limit, the register is wide enough for the ranks, the layout
 /// permutes exactly the register, and the partition seam sits inside a
 /// Clifford prefix.
 fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
@@ -612,11 +715,11 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
             plan.engine.key
         )));
     }
-    if plan.backend == AUTO {
+    if plan.engine.sim == Sim::Planner {
         auto_circuit(form)?;
     }
     let circuit = shape(form);
-    if plan.engine.key == "aer/automatic" {
+    if plan.engine.sim == Sim::Automatic {
         // The sub-backend stays `automatic`; width and `method` follow.
         plan = plan.bind(Engine::named(aer_method(&circuit)), group)?;
     }
@@ -627,7 +730,7 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
         )));
     }
     // `auto` leaves this to each candidate's own row.
-    if plan.engine.collapses && plan.backend != AUTO {
+    if plan.engine.collapses && plan.engine.sim != Sim::Planner {
         let wide = |g: &&Gate| g.arity() > MAX_DENSE_QUBITS && !g.is_diagonal();
         if let Some(gate) = circuit.gates().find(wide) {
             return Err(QfwError::BadProperties(format!(
@@ -649,6 +752,12 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
                 num_qubits.saturating_sub(rank_bits)
             )));
         }
+    }
+    if matches!(plan.engine.sim, Sim::TensorNetwork(_)) && num_qubits > plan.width_limit {
+        return Err(QfwError::Resources(format!(
+            "full-state contraction of {num_qubits} qubits exceeds the width limit {}",
+            plan.width_limit
+        )));
     }
     if plan.layout.as_ref().is_some_and(|l| l.len() != num_qubits) {
         return Err(QfwError::BadProperties(format!(

@@ -1,11 +1,15 @@
 //! The backend registry and the capability matrix (the paper's Table 1 as
 //! live code: the `experiments table1` command prints it from here).
+//!
+//! The registry maps a backend name to the Backend-QPM that runs its rows:
+//! the one [`LocalRunner`] for every backend with a row the engine table
+//! ([`crate::plan`]) runs in this process, and the cloud leg for `ionq`
+//! when a provider is connected. What each row runs, and which rows are
+//! pending, is the engine table's to say, not the registry's.
 
-use crate::backends::{
-    aer::AerBackend, ionq::IonqBackend, nwqsim::NwqSimBackend, qtensor::QTensorBackend,
-    tnqvm::TnQvmBackend, BackendQpm,
-};
+use crate::backends::{ionq::IonqBackend, local::LocalRunner, BackendQpm};
 use crate::error::QfwError;
+use crate::plan::Engine;
 use qfw_cloud::CloudProvider;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,11 +43,10 @@ impl BackendRegistry {
     /// supplies the IonQ-analog provider connection (omit to run without a
     /// cloud path).
     pub fn standard(cloud: Option<Arc<CloudProvider>>) -> Self {
-        let mut backends: BTreeMap<&'static str, Arc<dyn BackendQpm>> = BTreeMap::new();
-        backends.insert("nwqsim", Arc::new(NwqSimBackend));
-        backends.insert("aer", Arc::new(AerBackend));
-        backends.insert("tnqvm", Arc::new(TnQvmBackend));
-        backends.insert("qtensor", Arc::new(QTensorBackend));
+        let local: Arc<dyn BackendQpm> = Arc::new(LocalRunner);
+        let mut backends: BTreeMap<&'static str, Arc<dyn BackendQpm>> = Engine::local_backends()
+            .map(|name| (name, Arc::clone(&local)))
+            .collect();
         if let Some(provider) = cloud {
             backends.insert("ionq", Arc::new(IonqBackend::new(provider)));
         }
@@ -186,10 +189,14 @@ mod tests {
 
     #[test]
     fn registry_backends_report_consistent_names() {
+        use crate::backends::testutil::{ghz_task, TestRig};
+        use crate::spec::BackendSpec;
         let provider = Arc::new(CloudProvider::start(CloudConfig::instant()));
-        let reg = BackendRegistry::standard(Some(provider));
+        let reg = BackendRegistry::standard(Some(Arc::clone(&provider)));
+        let qrc = TestRig::new(1).qrc(Some(provider));
         for name in reg.names() {
-            assert_eq!(reg.get(name).unwrap().name(), name);
+            let result = qrc.execute(&ghz_task(3, 20, BackendSpec::of(name, ""))).unwrap();
+            assert_eq!(result.backend, name);
         }
     }
 }

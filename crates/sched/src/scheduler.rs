@@ -985,6 +985,15 @@ mod tests {
         qc
     }
 
+    /// A job admission accepts and its engine refuses at run time: a T
+    /// gate on the stabilizer tableau.
+    fn fails_at_run_time() -> JobEnvelope {
+        let mut qc = Circuit::new(3);
+        qc.h(0).t(0).cx(0, 1);
+        qc.measure_all();
+        JobEnvelope::new("t", &qc, 10).with_spec(qfw::BackendSpec::of("aer", "stabilizer"))
+    }
+
     const T: Duration = Duration::from_secs(30);
 
     #[test]
@@ -1068,11 +1077,9 @@ mod tests {
     fn failed_execution_is_reported() {
         let sched = Scheduler::start(qrc(1), Obs::disabled(), SchedConfig::default());
         // A spec that resolves but whose engine fails at run time.
-        let env = JobEnvelope::new("t", &ghz(3), 10)
-            .with_spec(qfw::BackendSpec::of("tnqvm", "ttn"));
-        let id = sched.submit(env).unwrap();
+        let id = sched.submit(fails_at_run_time()).unwrap();
         match sched.wait(id, T) {
-            JobStatus::Failed(msg) => assert!(msg.contains("ttn"), "{msg}"),
+            JobStatus::Failed(msg) => assert!(msg.contains("non-Clifford"), "{msg}"),
             other => panic!("unexpected status {other:?}"),
         }
         // One that can never run is refused at submit, with no queue entry.
@@ -1110,9 +1117,7 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap(), (999, "Unknown".to_string()));
 
         let good = sched.submit(JobEnvelope::new("t", &ghz(3), 10)).unwrap();
-        let failing = JobEnvelope::new("t", &ghz(3), 10)
-            .with_spec(qfw::BackendSpec::of("tnqvm", "ttn"));
-        let bad = sched.submit(failing).unwrap();
+        let bad = sched.submit(fails_at_run_time()).unwrap();
         for id in [good, bad, good] {
             watch(id);
         }

@@ -628,3 +628,118 @@ fn aer_automatic_checks_ranks_only_on_the_dense_method() {
     assert_eq!((qrc.engine_invocations(), qrc.tasks_per_slot()), before);
     assert_eq!(run(&dense, 1).unwrap().profile.ranks, 1);
 }
+
+/// A row the engine table declares but cannot run (its Table 1 note), and
+/// a register wider than `qtensor`'s width limit, are refused by admission
+/// on every entry path — `Qrc::admit`, `Qrc::execute`, `Qrc::execute_sweep`
+/// and `Scheduler::submit` — before a slot, an engine invocation or a
+/// queue entry exists.
+#[test]
+fn rows_that_cannot_run_are_refused_before_work() {
+    let (qrc, _hetjob) = qrc();
+    let sched = Scheduler::start(
+        Arc::clone(&qrc),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let n = 8;
+    let mut ghz = Circuit::new(n);
+    ghz.h(0);
+    for q in 0..n - 1 {
+        ghz.cx(q, q + 1);
+    }
+    ghz.measure_all();
+    let mut skeleton = ParamCircuit::new(n);
+    skeleton.h(0);
+    for q in 0..n - 1 {
+        skeleton.fixed(Gate::Cx(q, q + 1));
+    }
+    skeleton.rx(0, Angle::sym(0));
+    skeleton.measure_all();
+    let pts = points(1);
+    // (spec, what the refusal says): a pending row's Table 1 note is
+    // `BadProperties`, a register past the width limit `Resources`.
+    let cases = [
+        (BackendSpec::of("tnqvm", "ttn"), "xasm"),
+        (BackendSpec::of("tnqvm", "peps"), "architecturally"),
+        (BackendSpec::of("ionq", "hardware"), "planned"),
+        (
+            BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5),
+            "width limit 5",
+        ),
+    ];
+    let before = footprint(&qrc, &sched);
+    for (spec, says) in &cases {
+        let cell = format!("{}/{}", spec.backend, spec.subbackend);
+        let refused = |e: &QfwError| match e {
+            QfwError::Resources(why) => spec.backend == "qtensor" && why.contains(says),
+            QfwError::BadProperties(why) => spec.backend != "qtensor" && why.contains(says),
+            _ => false,
+        };
+        let wire = text::dump(&ghz);
+        let admitted = qrc.admit(qfw::Source::Wire(&wire), 10, 1, spec);
+        assert!(matches!(&admitted, Err(e) if refused(e)), "{cell}: admit gave {admitted:?}");
+        let task = ExecTask {
+            circuit: wire.clone(),
+            shots: 10,
+            seed: 1,
+            spec: spec.clone(),
+        };
+        let executed = qrc.execute(&task);
+        assert!(matches!(&executed, Err(e) if refused(e)), "{cell}: execute gave {executed:?}");
+        let swept = qrc.execute_sweep(&SweepTask {
+            circuit: text::dump_param(&skeleton),
+            points: pts.clone(),
+            spec: spec.clone(),
+        });
+        assert!(matches!(&swept, Err(e) if refused(e)), "{cell}: sweep gave {swept:?}");
+        let env = JobEnvelope::new("t", &ghz, 10).with_spec(spec.clone());
+        match sched.submit(env) {
+            Err(SchedError::Unrunnable(e)) => assert!(refused(&e), "{cell}: submit gave {e:?}"),
+            other => panic!("{cell}: Scheduler::submit returned {other:?}"),
+        }
+        assert_eq!(footprint(&qrc, &sched), before, "{cell}");
+    }
+    // A register that fits the limit still runs.
+    let fits = BackendSpec::of("qtensor", "numpy").with_extra("width_limit", n);
+    let env = JobEnvelope::new("t", &ghz, 10).with_spec(fits);
+    let id = sched.submit(env).unwrap();
+    sched.resume();
+    assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
+    sched.shutdown();
+}
+
+/// A register that fits `width_limit` can still need a wider intermediate
+/// midway through the contraction. The engine's refusal is a panic, which
+/// the QRC's one panic boundary turns into an ordinary failure: the job
+/// fails with `Execution` naming the width, the slot is idle again, and the
+/// next job on the same controller runs.
+#[test]
+fn contraction_past_the_width_limit_fails_the_job_and_frees_the_slot() {
+    let (qrc, _hetjob) = qrc();
+    let task = ExecTask {
+        circuit: text::dump(&qfw_testkit::random_circuit(5, 30, 15)),
+        shots: 10,
+        seed: 1,
+        spec: BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5),
+    };
+    match qrc.execute(&task) {
+        Err(QfwError::Execution(msg)) => assert!(msg.contains("limit 5"), "{msg}"),
+        other => panic!("an over-wide contraction must fail its job, got {other:?}"),
+    }
+    assert_eq!(qrc.slot_snapshot().busy, 0);
+    assert_eq!(qrc.engine_invocations(), 1);
+    let wire = text::dump(&template(false).0.bind(&[0.3, 0.8]));
+    let next = qrc
+        .execute(&ExecTask {
+            circuit: wire,
+            shots: 10,
+            seed: 1,
+            spec: BackendSpec::of("qtensor", "numpy"),
+        })
+        .unwrap();
+    assert_eq!(next.counts.values().sum::<usize>(), 10);
+}
