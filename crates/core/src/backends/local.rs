@@ -30,7 +30,7 @@ use crate::spec::extras;
 use qfw_circuit::{Circuit, Counts, Op};
 use qfw_hpc::{Allocation, Stopwatch};
 use qfw_sim_mps::{MpsConfig, MpsSimulator};
-use qfw_sim_stab::StabSimulator;
+use qfw_sim_stab::{StabSimulator, Tableau};
 use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
 use qfw_sim_sv::engine::SvOutcome;
 use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
@@ -166,7 +166,8 @@ fn run_dense(
 
 /// Hybrid Clifford-prefix partitioned execution: evolve the first `seam`
 /// operations (admission has checked they are all Clifford gates or
-/// barriers) on a stabilizer tableau in `O(gates * n^2 / 64)`, convert the
+/// barriers) on a stabilizer tableau in `O(gates * n^2 / 64)`, through the
+/// same entry a stabilizer job takes ([`Tableau::evolve`]), convert the
 /// tableau to dense amplitudes at the seam, and run the remaining ops on
 /// the state-vector engine from that state.
 ///
@@ -187,15 +188,14 @@ fn run_partitioned(
     let ops = circuit.ops();
     let sw = Stopwatch::start();
     let mut span = ctx.obs.span("engine", "stab.prefix").attr("seam_ops", seam);
-    let mut tableau = qfw_sim_stab::Tableau::zero(n);
-    let mut prefix_gates = 0usize;
-    for op in &ops[..seam] {
-        if let Op::Gate(g) = op {
-            tableau.apply(g);
-            prefix_gates += 1;
-        }
-    }
-    let amps = tableau.to_amplitudes()?;
+    let prefix = || {
+        ops[..seam].iter().filter_map(|op| match op {
+            Op::Gate(g) => Some(g),
+            _ => None,
+        })
+    };
+    let amps = Tableau::evolve(n, prefix()).to_amplitudes()?;
+    let prefix_gates = prefix().count();
     span.set_attr("prefix_gates", prefix_gates);
     drop(span);
     result.profile.exec_secs = sw.elapsed_secs();

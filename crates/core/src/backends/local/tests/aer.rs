@@ -90,7 +90,7 @@ fn stabilizer_rejects_nonclifford() {
     };
     assert!(matches!(
         rig.execute(&LocalRunner, &task).unwrap_err(),
-        QfwError::Execution(_)
+        QfwError::BadProperties(why) if why.contains("'t'")
     ));
 }
 

@@ -431,13 +431,11 @@ mod tests {
         let backend = QfwBackend::connect(
             defw.client(),
             "qpm0",
-            BackendSpec::of("aer", "stabilizer"),
+            BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5),
         );
-        let mut qc = Circuit::new(3);
-        qc.h(0).t(0).cx(0, 1);
-        qc.measure_all();
+        let qc = qfw_testkit::random_circuit(5, 30, 15);
         match backend.execute_sync(&qc, 10) {
-            Err(QfwError::Execution(msg)) => assert!(msg.contains("non-Clifford")),
+            Err(QfwError::Execution(msg)) => assert!(msg.contains("limit 5"), "{msg}"),
             other => panic!("expected execution error, got {other:?}"),
         }
     }

@@ -699,11 +699,11 @@ fn shape(form: &Form) -> Cow<'_, Circuit> {
 /// made, for single jobs, sweeps and retargeted candidates alike: the
 /// register is not empty, `auto` gets a concrete circuit, `aer/automatic`
 /// its method (and that method's width), an engine that cannot collapse a
-/// state gets no mid-circuit measurement, a dense engine no gate wider
-/// than its kernels, a tensor network no register wider than its width
-/// limit, the register is wide enough for the ranks, the layout
-/// permutes exactly the register, and the partition seam sits inside a
-/// Clifford prefix.
+/// state gets no mid-circuit measurement, the tableau no non-Clifford
+/// gate, a dense engine no gate wider than its kernels, a tensor network
+/// no register wider than its width limit, the register is wide enough
+/// for the ranks, the layout permutes exactly the register, and the
+/// partition seam sits inside a Clifford prefix.
 fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
     let num_qubits = match form {
         Form::Concrete(circuit) => circuit.num_qubits(),
@@ -728,6 +728,15 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
             "{} cannot collapse a state mid-circuit, and the circuit measures a qubit a later gate acts on",
             plan.engine.key
         )));
+    }
+    if plan.engine.sim == Sim::Stabilizer {
+        if let Some(gate) = circuit.gates().find(|g| !g.is_clifford()) {
+            return Err(QfwError::BadProperties(format!(
+                "{} runs Clifford circuits only, and the circuit has the non-Clifford gate '{}'",
+                plan.engine.key,
+                gate.name()
+            )));
+        }
     }
     // `auto` leaves this to each candidate's own row.
     if plan.engine.collapses && plan.engine.sim != Sim::Planner {

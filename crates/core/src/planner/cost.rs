@@ -96,9 +96,12 @@ impl CostCoefficients {
     }
 
     /// Stabilizer tableau: each gate touches `2n` rows of `words` machine
-    /// words. Sampling is one measurement pass, `n` measurements of up to
-    /// `2n` row operations each, then per shot one draw per random
-    /// measurement, at most `n`. Taking no shot samples nothing.
+    /// words. Sampling reads the reduced row-echelon form of the `n`
+    /// stabilizer rows: one elimination over their X bits and one over the
+    /// Z-only rows' bits, each pivot clearing its qubit from the other rows
+    /// of its range, so at most `n` pivots of `n` row operations each —
+    /// priced here as `n · 2n` row-words, an upper bound. Then per shot one
+    /// draw per pivot row, at most `n`. Taking no shot samples nothing.
     pub fn stab_cost(&self, n: usize, gates: usize, shots: usize) -> f64 {
         let words = n.div_ceil(64) as f64;
         let row_ops = |count: usize| count as f64 * 2.0 * n as f64 * words * self.stab_word_secs;

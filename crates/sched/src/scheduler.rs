@@ -985,13 +985,13 @@ mod tests {
         qc
     }
 
-    /// A job admission accepts and its engine refuses at run time: a T
-    /// gate on the stabilizer tableau.
+    /// A job admission accepts and its engine refuses at run time: a
+    /// contraction whose intermediate outgrows the width limit its register
+    /// fits.
     fn fails_at_run_time() -> JobEnvelope {
-        let mut qc = Circuit::new(3);
-        qc.h(0).t(0).cx(0, 1);
-        qc.measure_all();
-        JobEnvelope::new("t", &qc, 10).with_spec(qfw::BackendSpec::of("aer", "stabilizer"))
+        let qc = qfw_testkit::random_circuit(5, 30, 15);
+        JobEnvelope::new("t", &qc, 10)
+            .with_spec(qfw::BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5))
     }
 
     const T: Duration = Duration::from_secs(30);
@@ -1079,7 +1079,7 @@ mod tests {
         // A spec that resolves but whose engine fails at run time.
         let id = sched.submit(fails_at_run_time()).unwrap();
         match sched.wait(id, T) {
-            JobStatus::Failed(msg) => assert!(msg.contains("non-Clifford"), "{msg}"),
+            JobStatus::Failed(msg) => assert!(msg.contains("limit 5"), "{msg}"),
             other => panic!("unexpected status {other:?}"),
         }
         // One that can never run is refused at submit, with no queue entry.

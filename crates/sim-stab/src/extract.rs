@@ -5,20 +5,14 @@
 //! an affine subspace of basis states: `|psi> = 2^{-r/2} * sum_{u in
 //! span(a_1..a_r)} i^{phi(u)} |x0 + u>`, where the `a_j` are the X parts
 //! of the stabilizer generators and every relative phase is a power of
-//! `i`. Extraction therefore runs in `O(n^3/64)` bit operations for the
-//! Gaussian eliminations plus `O(2^r)` visits — no dense linear algebra:
-//!
-//! 1. Gaussian-eliminate the stabilizer rows over their X bits: the `r`
-//!    pivot rows generate the support translations, the remaining `n - r`
-//!    Z-only rows constrain the base point.
-//! 2. Solve the Z-only constraints `z . x0 = sign` for the base point
-//!    `x0` (free variables zeroed).
-//! 3. Walk the support in Gray-code order, applying one generator per
-//!    step: `amp(x + a) = (-1)^{r_g} * i^{|a & b|} * (-1)^{b . x} *
-//!    amp(x)` for a generator with X bits `a`, Z bits `b`, sign `r_g` —
-//!    so every amplitude is produced *exactly* (a quarter-turn phase
-//!    times `sqrt(2^-r)`), never accumulated through floating-point
-//!    rotations.
+//! `i`. Extraction reads the support from the tableau's one echelon form
+//! (`Tableau::echelon`: its pivot rows and its base point `x0`, in
+//! `O(n^3/64)` bit operations) and then visits the `2^r` support points —
+//! no dense linear algebra. The walk goes in Gray-code order, applying one
+//! pivot row per step: `amp(x + a) = (-1)^{r_g} * i^{|a & b|} * (-1)^{b .
+//! x} * amp(x)` for a row with X bits `a`, Z bits `b`, sign `r_g` — so
+//! every amplitude is produced *exactly* (a quarter-turn phase times
+//! `sqrt(2^-r)`), never accumulated through floating-point rotations.
 //!
 //! The global phase is pinned by `amp(x0) = +2^{-r/2}`; a dense engine
 //! evolving the same prefix may differ from the extraction by a power of
@@ -26,7 +20,7 @@
 //! exactly with f64 complex arithmetic), so sampled counts agree with the
 //! monolithic run bit for bit.
 
-use crate::tableau::Tableau;
+use crate::tableau::{Echelon, Tableau};
 use qfw_num::complex::{c64, C64};
 
 /// Widest register the extractor will materialize (one `Vec<C64>` of
@@ -36,9 +30,7 @@ pub const MAX_EXTRACT_QUBITS: usize = 28;
 impl Tableau {
     /// Converts the stabilizer state to dense amplitudes.
     ///
-    /// Returns `Err` for registers wider than [`MAX_EXTRACT_QUBITS`] or if
-    /// the tableau is internally inconsistent (not a valid stabilizer
-    /// group — cannot happen for tableaus evolved through [`Tableau::apply`]).
+    /// Returns `Err` for registers wider than [`MAX_EXTRACT_QUBITS`].
     pub fn to_amplitudes(&self) -> Result<Vec<C64>, String> {
         let n = self.n;
         if n > MAX_EXTRACT_QUBITS {
@@ -46,64 +38,11 @@ impl Tableau {
                 "refusing to extract {n} qubits (> {MAX_EXTRACT_QUBITS}) into a dense vector"
             ));
         }
-        let mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut t = self.clone();
-
-        // 1. RREF over the X bits of the stabilizer rows `n..2n`.
-        let mut pivot_rows: Vec<usize> = Vec::new();
-        for q in 0..n {
-            let next = n + pivot_rows.len();
-            let Some(hit) = (next..2 * n).find(|&row| Tableau::get(&t.x[row], q)) else {
-                continue;
-            };
-            t.x.swap(hit, next);
-            t.z.swap(hit, next);
-            t.r.swap(hit, next);
-            for row in n..2 * n {
-                if row != next && Tableau::get(&t.x[row], q) {
-                    t.rowsum(row, next);
-                }
-            }
-            pivot_rows.push(next);
-        }
-        let rank = pivot_rows.len();
-
-        // 2. The remaining rows are Z-only: each gives a parity constraint
-        //    `z . x0 = sign` on the support's base point. Independent by
-        //    construction (the stabilizer group has full rank), so RREF
-        //    pivots every row; free variables are zeroed.
-        let mut sys: Vec<(u64, bool)> = (n + rank..2 * n)
-            .map(|row| (t.z[row][0] & mask, t.r[row]))
-            .collect();
-        let mut x0: u64 = 0;
-        let mut pivot_cols: Vec<usize> = Vec::new();
-        for q in 0..n {
-            let i = pivot_cols.len();
-            let Some(k) = (i..sys.len()).find(|&k| sys[k].0 >> q & 1 == 1) else {
-                continue;
-            };
-            sys.swap(i, k);
-            let (zi, ri) = sys[i];
-            for (j, row) in sys.iter_mut().enumerate() {
-                if j != i && row.0 >> q & 1 == 1 {
-                    row.0 ^= zi;
-                    row.1 ^= ri;
-                }
-            }
-            pivot_cols.push(q);
-        }
-        if pivot_cols.len() != sys.len() {
-            return Err("inconsistent Z-only stabilizer rows".into());
-        }
-        for (i, &q) in pivot_cols.iter().enumerate() {
-            if sys[i].1 {
-                x0 |= 1u64 << q;
-            }
-        }
-
-        // 3. Gray-code walk over the 2^r support points. Phases are
-        //    tracked as integer quarter turns, so amplitudes come out
-        //    exactly +-norm / +-i*norm.
+        // `n <= 28`: every row is one word.
+        let Echelon { rows, pivots, base } = self.echelon();
+        // Phases are tracked as integer quarter turns, so amplitudes come
+        // out exactly +-norm / +-i*norm.
+        let rank = pivots.len();
         let norm = 0.5f64.powi(rank as i32).sqrt();
         let quarter = [
             c64(norm, 0.0),
@@ -112,16 +51,15 @@ impl Tableau {
             c64(0.0, -norm),
         ];
         let mut amps = vec![C64::ZERO; 1usize << n];
-        let mut cur = x0;
+        let mut cur = base[0];
         let mut phase = 0u32;
         amps[cur as usize] = quarter[0];
         for step in 1u64..1u64 << rank {
-            let row = pivot_rows[step.trailing_zeros() as usize];
-            let a = t.x[row][0] & mask;
-            let b = t.z[row][0] & mask;
+            let row = step.trailing_zeros() as usize;
+            let (a, b) = (rows.x[row], rows.z[row]);
             let b_dot_x = (b & cur).count_ones() & 1;
             let a_and_b = (a & b).count_ones();
-            phase = (phase + 2 * u32::from(t.r[row]) + 2 * b_dot_x + a_and_b) % 4;
+            phase = (phase + 2 * u32::from(rows.r[row]) + 2 * b_dot_x + a_and_b) % 4;
             cur ^= a;
             amps[cur as usize] = quarter[phase as usize];
         }

@@ -1,23 +1,151 @@
-//! The bit-packed CHP tableau and the engine façade over it.
+//! The bit-packed CHP tableau, the echelon form of its stabilizer rows, and
+//! the engine façade over both.
 
 use qfw_circuit::{Circuit, Counts, Gate, Outcome, Readout};
 use qfw_num::rng::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// An n-qubit stabilizer tableau: rows `0..n` are destabilizer generators,
-/// rows `n..2n` stabilizer generators, row `2n` is scratch space for
-/// deterministic measurements.
+/// Bit-packed Pauli rows with signs, row-major: row `i` is words
+/// `i * words..(i + 1) * words` of `x` and of `z` (qubit `q` in bit `q % 64`
+/// of word `q / 64`) and sign `r[i]` (`true` = phase −1).
+#[derive(Clone, Debug)]
+pub(crate) struct Rows {
+    pub(crate) words: usize,
+    pub(crate) x: Vec<u64>,
+    pub(crate) z: Vec<u64>,
+    pub(crate) r: Vec<bool>,
+    /// Rows below this one are destabilizers: a product with one may carry
+    /// an odd phase, and their signs are never read.
+    destabilizers: usize,
+}
+
+impl Rows {
+    fn has_x(&self, row: usize, q: usize) -> bool {
+        get(&self.x[row * self.words..], q)
+    }
+
+    fn has_z(&self, row: usize, q: usize) -> bool {
+        get(&self.z[row * self.words..], q)
+    }
+
+    fn flip_x(&mut self, row: usize, q: usize) {
+        flip(&mut self.x[row * self.words..], q);
+    }
+
+    fn flip_z(&mut self, row: usize, q: usize) {
+        flip(&mut self.z[row * self.words..], q);
+    }
+
+    /// `rowsum(h, i)`: row `h` *= row `i`, with the CHP phase function.
+    fn rowsum(&mut self, h: usize, i: usize) {
+        let w = self.words;
+        let mut g: i64 = 0;
+        for k in 0..w {
+            let (x1, z1) = (self.x[i * w + k], self.z[i * w + k]);
+            let (x2, z2) = (self.x[h * w + k], self.z[h * w + k]);
+            // g per bit, summed via popcounts of the +1 and −1 masks.
+            // x1=1,z1=1: +1 where z2>x2 bitwise (z2 & !x2), −1 where x2 & !z2
+            let c11 = x1 & z1;
+            let plus11 = c11 & z2 & !x2;
+            let minus11 = c11 & x2 & !z2;
+            // x1=1,z1=0: +1 where z2&x2, −1 where z2&!x2
+            let c10 = x1 & !z1;
+            let plus10 = c10 & z2 & x2;
+            let minus10 = c10 & z2 & !x2;
+            // x1=0,z1=1: +1 where x2&!z2, −1 where x2&z2
+            let c01 = !x1 & z1;
+            let plus01 = c01 & x2 & !z2;
+            let minus01 = c01 & x2 & z2;
+            g += (plus11 | plus10 | plus01).count_ones() as i64;
+            g -= (minus11 | minus10 | minus01).count_ones() as i64;
+            self.x[h * w + k] = x2 ^ x1;
+            self.z[h * w + k] = z2 ^ z1;
+        }
+        // Stabilizer-row sums always come out even (the generators
+        // commute). Destabilizer rows may anticommute with the pivot and
+        // produce an odd phase — their signs are never read, so any value
+        // is acceptable there (Aaronson–Gottesman, Sec. III).
+        debug_assert!(
+            g.rem_euclid(2) == 0 || h < self.destabilizers,
+            "rowsum produced odd phase on a stabilizer row"
+        );
+        // The new sign is bit 1 of `2 r_h + 2 r_i + g (mod 4)`: the two
+        // signs XORed with a bit that depends on the Pauli parts alone.
+        self.r[h] ^= self.r[i] ^ (g.rem_euclid(4) >= 2);
+    }
+
+    /// Row `to` becomes a copy of row `from`.
+    fn copy(&mut self, from: usize, to: usize) {
+        let w = self.words;
+        self.x.copy_within(from * w..(from + 1) * w, to * w);
+        self.z.copy_within(from * w..(from + 1) * w, to * w);
+        self.r[to] = self.r[from];
+    }
+
+    /// Row `row` becomes `+I`.
+    fn clear(&mut self, row: usize) {
+        let w = self.words;
+        self.x[row * w..(row + 1) * w].fill(0);
+        self.z[row * w..(row + 1) * w].fill(0);
+        self.r[row] = false;
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        for k in 0..self.words {
+            self.x.swap(a * self.words + k, b * self.words + k);
+            self.z.swap(a * self.words + k, b * self.words + k);
+        }
+        self.r.swap(a, b);
+    }
+
+    /// Brings rows `from..` into reduced row-echelon form over the bits
+    /// `bit` reads, qubit by qubit from qubit 0, and returns the pivot
+    /// qubits: row `from + k` has its lowest such bit on the `k`-th, and no
+    /// other row of the range has that bit.
+    fn reduce(&mut self, from: usize, n: usize, bit: fn(&Rows, usize, usize) -> bool) -> Vec<usize> {
+        let end = self.r.len();
+        let mut pivots = Vec::with_capacity(n);
+        for q in 0..n {
+            let next = from + pivots.len();
+            let Some(hit) = (next..end).find(|&row| bit(self, row, q)) else {
+                continue;
+            };
+            self.swap(hit, next);
+            for row in from..end {
+                if row != next && bit(self, row, q) {
+                    self.rowsum(row, next);
+                }
+            }
+            pivots.push(q);
+        }
+        pivots
+    }
+}
+
+#[inline]
+fn get(m: &[u64], q: usize) -> bool {
+    m[q / 64] >> (q % 64) & 1 == 1
+}
+
+#[inline]
+fn flip(m: &mut [u64], q: usize) {
+    m[q / 64] ^= 1u64 << (q % 64);
+}
+
+fn xor(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a ^= b;
+    }
+}
+
+/// An n-qubit stabilizer tableau.
 #[derive(Clone, Debug)]
 pub struct Tableau {
     pub(crate) n: usize,
-    pub(crate) words: usize,
-    /// X bit matrix, `(2n+1) x words`.
-    pub(crate) x: Vec<Vec<u64>>,
-    /// Z bit matrix, `(2n+1) x words`.
-    pub(crate) z: Vec<Vec<u64>>,
-    /// Sign bit per row (`true` = phase −1).
-    pub(crate) r: Vec<bool>,
+    /// Rows `0..n` are destabilizer generators, rows `n..2n` stabilizer
+    /// generators, row `2n` is scratch space for deterministic measurements.
+    rows: Rows,
 }
 
 impl Tableau {
@@ -25,17 +153,29 @@ impl Tableau {
     pub fn zero(n: usize) -> Self {
         assert!(n >= 1);
         let words = n.div_ceil(64);
-        let rows = 2 * n + 1;
-        let mut t = Tableau {
-            n,
+        let mut rows = Rows {
             words,
-            x: vec![vec![0; words]; rows],
-            z: vec![vec![0; words]; rows],
-            r: vec![false; rows],
+            x: vec![0; (2 * n + 1) * words],
+            z: vec![0; (2 * n + 1) * words],
+            r: vec![false; 2 * n + 1],
+            destabilizers: n,
         };
         for i in 0..n {
-            t.x[i][i / 64] |= 1u64 << (i % 64);
-            t.z[n + i][i / 64] |= 1u64 << (i % 64);
+            rows.flip_x(i, i);
+            rows.flip_z(n + i, i);
+        }
+        Tableau { n, rows }
+    }
+
+    /// `|0...0>` evolved through `gates`: how a job's state and a
+    /// Clifford prefix's state at a partition seam are both made.
+    ///
+    /// # Panics
+    /// Panics on a non-Clifford gate, as [`Tableau::apply`] does.
+    pub fn evolve<'a>(n: usize, gates: impl IntoIterator<Item = &'a Gate>) -> Self {
+        let mut t = Self::zero(n);
+        for g in gates {
+            t.apply(g);
         }
         t
     }
@@ -43,16 +183,6 @@ impl Tableau {
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.n
-    }
-
-    #[inline]
-    pub(crate) fn get(m: &[u64], q: usize) -> bool {
-        m[q / 64] >> (q % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn flip(m: &mut [u64], q: usize) {
-        m[q / 64] ^= 1u64 << (q % 64);
     }
 
     /// Applies a Clifford gate.
@@ -95,152 +225,91 @@ impl Tableau {
     }
 
     fn h(&mut self, q: usize) {
+        let t = &mut self.rows;
         for row in 0..2 * self.n {
-            let xb = Self::get(&self.x[row], q);
-            let zb = Self::get(&self.z[row], q);
-            self.r[row] ^= xb & zb;
+            let (xb, zb) = (t.has_x(row, q), t.has_z(row, q));
+            t.r[row] ^= xb & zb;
             if xb != zb {
-                Self::flip(&mut self.x[row], q);
-                Self::flip(&mut self.z[row], q);
+                t.flip_x(row, q);
+                t.flip_z(row, q);
             }
         }
     }
 
     fn s(&mut self, q: usize) {
+        let t = &mut self.rows;
         for row in 0..2 * self.n {
-            let xb = Self::get(&self.x[row], q);
-            let zb = Self::get(&self.z[row], q);
-            self.r[row] ^= xb & zb;
+            let (xb, zb) = (t.has_x(row, q), t.has_z(row, q));
+            t.r[row] ^= xb & zb;
             if xb {
-                Self::flip(&mut self.z[row], q);
+                t.flip_z(row, q);
             }
         }
     }
 
     fn x_gate(&mut self, q: usize) {
+        let t = &mut self.rows;
         for row in 0..2 * self.n {
-            self.r[row] ^= Self::get(&self.z[row], q);
+            t.r[row] ^= t.has_z(row, q);
         }
     }
 
     fn z_gate(&mut self, q: usize) {
+        let t = &mut self.rows;
         for row in 0..2 * self.n {
-            self.r[row] ^= Self::get(&self.x[row], q);
+            t.r[row] ^= t.has_x(row, q);
         }
     }
 
     fn y_gate(&mut self, q: usize) {
+        let t = &mut self.rows;
         for row in 0..2 * self.n {
-            self.r[row] ^= Self::get(&self.x[row], q) ^ Self::get(&self.z[row], q);
+            t.r[row] ^= t.has_x(row, q) ^ t.has_z(row, q);
         }
     }
 
-    fn cx(&mut self, c: usize, t: usize) {
+    fn cx(&mut self, c: usize, tq: usize) {
+        let t = &mut self.rows;
         for row in 0..2 * self.n {
-            let xc = Self::get(&self.x[row], c);
-            let zc = Self::get(&self.z[row], c);
-            let xt = Self::get(&self.x[row], t);
-            let zt = Self::get(&self.z[row], t);
-            self.r[row] ^= xc & zt & (xt ^ zc ^ true);
+            let (xc, zc) = (t.has_x(row, c), t.has_z(row, c));
+            let (xt, zt) = (t.has_x(row, tq), t.has_z(row, tq));
+            t.r[row] ^= xc & zt & (xt ^ zc ^ true);
             if xc {
-                Self::flip(&mut self.x[row], t);
+                t.flip_x(row, tq);
             }
             if zt {
-                Self::flip(&mut self.z[row], c);
+                t.flip_z(row, c);
             }
-        }
-    }
-
-    /// `rowsum(h, i)`: row `h` *= row `i`, with the CHP phase function.
-    pub(crate) fn rowsum(&mut self, h: usize, i: usize) {
-        let mut g: i64 = 0;
-        for w in 0..self.words {
-            let (x1, z1) = (self.x[i][w], self.z[i][w]);
-            let (x2, z2) = (self.x[h][w], self.z[h][w]);
-            // g per bit, summed via popcounts of the +1 and −1 masks.
-            // x1=1,z1=1: +1 where z2>x2 bitwise (z2 & !x2), −1 where x2 & !z2
-            let c11 = x1 & z1;
-            let plus11 = c11 & z2 & !x2;
-            let minus11 = c11 & x2 & !z2;
-            // x1=1,z1=0: +1 where z2&x2, −1 where z2&!x2
-            let c10 = x1 & !z1;
-            let plus10 = c10 & z2 & x2;
-            let minus10 = c10 & z2 & !x2;
-            // x1=0,z1=1: +1 where x2&!z2, −1 where x2&z2
-            let c01 = !x1 & z1;
-            let plus01 = c01 & x2 & !z2;
-            let minus01 = c01 & x2 & z2;
-            g += (plus11 | plus10 | plus01).count_ones() as i64;
-            g -= (minus11 | minus10 | minus01).count_ones() as i64;
-        }
-        // Stabilizer-row sums always come out even (the generators
-        // commute). Destabilizer rows may anticommute with the pivot and
-        // produce an odd phase — their signs are never read, so any value
-        // is acceptable there (Aaronson–Gottesman, Sec. III).
-        debug_assert!(
-            g.rem_euclid(2) == 0 || h < self.n,
-            "rowsum produced odd phase on a stabilizer row"
-        );
-        // The new sign is bit 1 of `2 r_h + 2 r_i + g (mod 4)`: the two
-        // signs XORed with a bit that depends on the Pauli parts alone.
-        self.r[h] ^= self.r[i] ^ (g.rem_euclid(4) >= 2);
-        for w in 0..self.words {
-            let (xi, zi) = (self.x[i][w], self.z[i][w]);
-            self.x[h][w] ^= xi;
-            self.z[h][w] ^= zi;
-        }
-    }
-
-    /// The measurement body: measures qubit `q` in the Z basis, collapsing
-    /// the tableau, and returns the row whose sign is the outcome. A random
-    /// outcome's sign is whatever `signs` makes of it; `signs` also follows
-    /// every sign update, so it can carry what the signs depend on.
-    fn measure_row(&mut self, q: usize, signs: &mut impl Signs) -> usize {
-        let n = self.n;
-        // A stabilizer with X on q means the outcome is random.
-        let p = (n..2 * n).find(|&row| Self::get(&self.x[row], q));
-        if let Some(p) = p {
-            for row in 0..2 * n {
-                if row != p && Self::get(&self.x[row], q) {
-                    self.rowsum(row, p);
-                    signs.add(row, p);
-                }
-            }
-            // Destabilizer p-n := old stabilizer p; stabilizer p := ±Z_q.
-            self.x[p - n] = self.x[p].clone();
-            self.z[p - n] = self.z[p].clone();
-            self.r[p - n] = self.r[p];
-            signs.copy(p, p - n);
-            for w in 0..self.words {
-                self.x[p][w] = 0;
-                self.z[p][w] = 0;
-            }
-            Self::flip(&mut self.z[p], q);
-            self.r[p] = signs.random(p);
-            p
-        } else {
-            // Deterministic: accumulate into the scratch row 2n.
-            let s = 2 * n;
-            for w in 0..self.words {
-                self.x[s][w] = 0;
-                self.z[s][w] = 0;
-            }
-            self.r[s] = false;
-            signs.clear(s);
-            for i in 0..n {
-                if Self::get(&self.x[i], q) {
-                    self.rowsum(s, i + n);
-                    signs.add(s, i + n);
-                }
-            }
-            s
         }
     }
 
     /// Measures qubit `q` in the Z basis, collapsing the tableau.
     pub fn measure(&mut self, q: usize, rng: &mut Rng) -> u8 {
-        let row = self.measure_row(q, rng);
-        u8::from(self.r[row])
+        let (n, t) = (self.n, &mut self.rows);
+        // A stabilizer with X on q means the outcome is random.
+        let row = if let Some(p) = (n..2 * n).find(|&row| t.has_x(row, q)) {
+            for h in 0..2 * n {
+                if h != p && t.has_x(h, q) {
+                    t.rowsum(h, p);
+                }
+            }
+            // Destabilizer p-n := old stabilizer p; stabilizer p := ±Z_q.
+            t.copy(p, p - n);
+            t.clear(p);
+            t.flip_z(p, q);
+            t.r[p] = rng.chance(0.5);
+            p
+        } else {
+            // Deterministic: accumulate into the scratch row 2n.
+            t.clear(2 * n);
+            for i in 0..n {
+                if t.has_x(i, q) {
+                    t.rowsum(2 * n, i + n);
+                }
+            }
+            2 * n
+        };
+        u8::from(t.r[row])
     }
 
     /// Measures every qubit in order, returning the bits.
@@ -248,131 +317,74 @@ impl Tableau {
         (0..self.n).map(|q| self.measure(q, rng)).collect()
     }
 
-    /// The distribution of measuring every qubit in order, in one pass.
+    /// The stabilizer rows in reduced row-echelon form: the one derivation
+    /// of the state's support, which the sampler and the dense seam read.
     ///
-    /// Whether measuring a qubit is random depends on the Pauli parts
-    /// alone, never on a sign, so the same measurements are random on
-    /// every shot and each determined outcome is a fixed bit XORed with
-    /// some of the earlier random ones. The pass gives every random
-    /// outcome a variable of its own and carries each sign as its constant
-    /// bit plus the variables it depends on.
-    fn outcomes(mut self) -> AffineOutcomes {
-        let n = self.n;
-        let mut vars = Variables::new(2 * n + 1, n);
-        let mut reference = vec![0; self.words];
-        let mut flips = vec![0; n * self.words];
-        for q in 0..n {
-            let row = self.measure_row(q, &mut vars);
-            let bit = 1u64 << (q % 64);
-            if self.r[row] {
-                reference[q / 64] |= bit;
-            }
-            for v in 0..vars.count {
-                if vars.depends(row, v) {
-                    flips[v * self.words + q / 64] |= bit;
-                }
-            }
-        }
-        flips.truncate(vars.count * self.words);
-        AffineOutcomes { reference, flips }
-    }
-}
-
-/// What the measurement body does with signs beyond the tableau's own
-/// constant bits, and what it makes a random outcome's sign.
-trait Signs {
-    /// The sign of a random outcome, stored in stabilizer row `row`.
-    fn random(&mut self, row: usize) -> bool;
-    /// Row `h`'s sign takes on row `i`'s (a `rowsum`).
-    fn add(&mut self, _h: usize, _i: usize) {}
-    /// Row `to`'s sign becomes row `from`'s.
-    fn copy(&mut self, _from: usize, _to: usize) {}
-    /// Row `row`'s sign becomes a constant.
-    fn clear(&mut self, _row: usize) {}
-}
-
-/// A collapse: a random outcome is drawn on the spot.
-impl Signs for Rng {
-    fn random(&mut self, _row: usize) -> bool {
-        self.chance(0.5)
-    }
-}
-
-/// Per row, the random outcomes its sign is XORed with: variable `v` is
-/// the `v`-th random outcome, in measurement order.
-struct Variables {
-    words: usize,
-    masks: Vec<u64>,
-    count: usize,
-}
-
-impl Variables {
-    fn new(rows: usize, most: usize) -> Self {
-        let words = most.div_ceil(64);
-        Variables {
+    /// The rows are eliminated over their X bits (`rowsum` keeps the
+    /// signs): the pivot rows' X parts span the support's translations, and
+    /// the rest are Z-only, each a parity constraint `z . x = sign` on every
+    /// support point. Solving those with every free qubit zeroed gives the
+    /// base point. `O(n^2)` row operations of `⌈n/64⌉` words at most.
+    pub(crate) fn echelon(&self) -> Echelon {
+        let (n, words) = (self.n, self.rows.words);
+        let stabilizers = n * words..2 * n * words;
+        let mut rows = Rows {
             words,
-            masks: vec![0; rows * words],
-            count: 0,
+            x: self.rows.x[stabilizers.clone()].to_vec(),
+            z: self.rows.z[stabilizers].to_vec(),
+            r: self.rows.r[n..2 * n].to_vec(),
+            destabilizers: 0,
+        };
+        let pivots = rows.reduce(0, n, Rows::has_x);
+        let rank = pivots.len();
+        let constraints = rows.reduce(rank, n, Rows::has_z);
+        // A stabilizer group has full rank, so every Z-only row pivots.
+        debug_assert_eq!(rank + constraints.len(), n);
+        let mut base = vec![0; words];
+        for (k, q) in constraints.into_iter().enumerate() {
+            if rows.r[rank + k] {
+                flip(&mut base, q);
+            }
         }
-    }
-
-    /// Whether row `row`'s sign depends on variable `v`.
-    fn depends(&self, row: usize, v: usize) -> bool {
-        Tableau::get(&self.masks[row * self.words..], v)
+        Echelon { rows, pivots, base }
     }
 }
 
-impl Signs for Variables {
-    fn random(&mut self, row: usize) -> bool {
-        self.clear(row);
-        let v = self.count;
-        self.masks[row * self.words + v / 64] |= 1u64 << (v % 64);
-        self.count += 1;
-        false
-    }
+/// A stabilizer state's support, `base + span(a_0..a_rank)`: the stabilizer
+/// rows in reduced row-echelon form, where row `k < rank` has X part `a_k`
+/// with its lowest bit on qubit `pivots[k]`, which no other row has, and
+/// rows `rank..n` are Z-only.
+pub(crate) struct Echelon {
+    pub(crate) rows: Rows,
+    pub(crate) pivots: Vec<usize>,
+    /// The support point whose Z-only-constraint free qubits are all zero.
+    pub(crate) base: Vec<u64>,
+}
 
-    fn add(&mut self, h: usize, i: usize) {
-        for w in 0..self.words {
-            self.masks[h * self.words + w] ^= self.masks[i * self.words + w];
+impl Echelon {
+    /// `shots` packed outcomes of measuring every qubit, one after another.
+    ///
+    /// Every outcome is the support point with every pivot bit cleared, with
+    /// any subset of the pivot rows' X parts XORed in: the pivot bits pick
+    /// the point. Each shot draws one coin per pivot row in pivot order —
+    /// the coins a collapse of qubits `0..n` in order draws, for the same
+    /// outcome, since exactly the pivot qubits measure at random.
+    fn sample(self, shots: usize, rng: &mut Rng) -> Vec<u64> {
+        let words = self.rows.words;
+        let flips = &self.rows.x[..self.pivots.len() * words];
+        let mut reference = self.base;
+        for (flip, &q) in flips.chunks_exact(words).zip(&self.pivots) {
+            if get(&reference, q) {
+                xor(&mut reference, flip);
+            }
         }
-    }
-
-    fn copy(&mut self, from: usize, to: usize) {
-        let w = self.words;
-        self.masks.copy_within(from * w..(from + 1) * w, to * w);
-    }
-
-    fn clear(&mut self, row: usize) {
-        self.masks[row * self.words..(row + 1) * self.words].fill(0);
-    }
-}
-
-/// Every outcome of measuring a stabilizer state: the reference outcome
-/// with any subset of the flips XORed in, each flip taken with
-/// probability one half. Outcomes are packed, qubit `q` in bit `q % 64`
-/// of word `q / 64`.
-struct AffineOutcomes {
-    reference: Vec<u64>,
-    /// One outcome-sized column per random measurement, in measurement
-    /// order: the qubits whose outcome it flips.
-    flips: Vec<u64>,
-}
-
-impl AffineOutcomes {
-    /// `shots` packed outcomes, one after another. Each shot draws one
-    /// coin per random measurement in measurement order, as a collapse per
-    /// qubit does.
-    fn sample(&self, shots: usize, rng: &mut Rng) -> Vec<u64> {
-        let words = self.reference.len();
         let mut out = Vec::with_capacity(shots * words);
         for _ in 0..shots {
             let at = out.len();
-            out.extend_from_slice(&self.reference);
-            for flip in self.flips.chunks_exact(words) {
+            out.extend_from_slice(&reference);
+            for flip in flips.chunks_exact(words) {
                 if rng.chance(0.5) {
-                    for (o, f) in out[at..].iter_mut().zip(flip) {
-                        *o ^= f;
-                    }
+                    xor(&mut out[at..], flip);
                 }
             }
         }
@@ -386,7 +398,7 @@ struct Packed<'a>(&'a [u64]);
 
 impl Outcome for Packed<'_> {
     fn qubit(&self, q: usize) -> bool {
-        Tableau::get(self.0, q)
+        get(self.0, q)
     }
 }
 
@@ -410,10 +422,9 @@ impl StabOutcome<Counts> {
     }
 }
 
-/// Engine façade: evolves the tableau once, derives the distribution of
-/// its outcomes in one measurement pass (`O(n^2)` row operations of
-/// `⌈n/64⌉` words), then draws each shot from it in `O(k)` for `k ≤ n`
-/// random measurements.
+/// Engine façade: evolves the tableau once, brings its stabilizer rows to
+/// echelon form (`O(n^2)` row operations of `⌈n/64⌉` words), then draws
+/// each shot from that in `O(k)` for `k ≤ n` random measurements.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StabSimulator;
 
@@ -430,8 +441,8 @@ impl StabSimulator {
     /// Returns `Err` with the offending gate's name when the circuit is not
     /// Clifford — the `automatic` dispatcher treats that as "pick another
     /// method" — and when it measures mid-circuit, which this sampler of
-    /// one evolved tableau cannot collapse (admission refuses
-    /// such circuits first, `qfw::plan`).
+    /// one evolved tableau cannot collapse (admission refuses both first,
+    /// `qfw::plan`).
     pub fn execute(
         &self,
         circuit: &Circuit,
@@ -446,13 +457,9 @@ impl StabSimulator {
             return Err("the stabilizer engine cannot collapse a state mid-circuit".into());
         }
         let sw = qfw_hpc::Stopwatch::start();
-        let mut base = Tableau::zero(circuit.num_qubits());
-        let mut rng = Rng::seed_from(seed);
-        for g in circuit.gates() {
-            base.apply(g);
-        }
-        let words = base.words;
-        let draws = base.outcomes().sample(shots, &mut rng);
+        let tableau = Tableau::evolve(circuit.num_qubits(), circuit.gates());
+        let words = tableau.rows.words;
+        let draws = tableau.echelon().sample(shots, &mut Rng::seed_from(seed));
         let counts = if words == 1 {
             readout.counts(draws, &BTreeMap::new())
         } else {

@@ -712,6 +712,79 @@ fn rows_that_cannot_run_are_refused_before_work() {
     sched.shutdown();
 }
 
+/// A non-Clifford gate on `aer/stabilizer` is refused by admission with
+/// `BadProperties` naming the gate, on every entry path — `Qrc::admit`,
+/// `Qrc::execute`, `Qrc::execute_many`, `Qrc::execute_sweep`,
+/// `Scheduler::submit` and the ingress — before a slot, an engine
+/// invocation, a queue entry or a job id exists. A Clifford circuit still
+/// runs there.
+#[test]
+fn non_clifford_gates_are_refused_on_the_stabilizer_row_before_work() {
+    let (qrc, _hetjob) = qrc();
+    let sched = Scheduler::start(
+        Arc::clone(&qrc),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let ingress = SchedIngress::start(
+        sched.clone(),
+        SchedIngressConfig::default(),
+        Obs::disabled(),
+    );
+    let conn = ingress.connect();
+    let spec = BackendSpec::of("aer", "stabilizer");
+    let refused = |e: &QfwError| matches!(e, QfwError::BadProperties(why) if why.contains("'t'"));
+    let mut qc = Circuit::new(3);
+    qc.h(0).t(0).cx(0, 1);
+    qc.measure_all();
+    let wire = text::dump(&qc);
+    let task = ExecTask {
+        circuit: wire.clone(),
+        shots: 10,
+        seed: 1,
+        spec: spec.clone(),
+    };
+    let before = footprint(&qrc, &sched);
+    let admitted = qrc.admit(qfw::Source::Wire(&wire), 10, 1, &spec);
+    assert!(matches!(&admitted, Err(e) if refused(e)), "admit gave {admitted:?}");
+    let executed = qrc.execute(&task);
+    assert!(matches!(&executed, Err(e) if refused(e)), "execute gave {executed:?}");
+    for outcome in qrc.execute_many(&[task.clone(), task]) {
+        assert!(matches!(&outcome, Err(e) if refused(e)), "batch gave {outcome:?}");
+    }
+    // A skeleton's rotation is non-Clifford at every binding.
+    let (tmpl, _) = template(false);
+    let swept = qrc.execute_sweep(&SweepTask {
+        circuit: text::dump_param(&tmpl),
+        points: points(tmpl.num_params()),
+        spec: spec.clone(),
+    });
+    assert!(
+        matches!(&swept, Err(QfwError::BadProperties(why)) if why.contains("non-Clifford")),
+        "sweep gave {swept:?}"
+    );
+    let env = JobEnvelope::new("t", &qc, 10).with_spec(spec.clone());
+    match sched.submit(env.clone()) {
+        Err(SchedError::Unrunnable(e)) => assert!(refused(&e), "submit gave {e:?}"),
+        other => panic!("Scheduler::submit returned {other:?}"),
+    }
+    let remote = client::submit(&conn, &env, T).unwrap_err().to_string();
+    assert!(remote.contains("unrunnable job"), "ingress said {remote}");
+    assert_eq!(footprint(&qrc, &sched), before);
+    // The same row still runs a Clifford circuit.
+    let clifford = template(true).0.bind(&[]);
+    let id = sched
+        .submit(JobEnvelope::new("t", &clifford, 10).with_spec(spec))
+        .unwrap();
+    sched.resume();
+    assert!(matches!(sched.wait(id, T), JobStatus::Done(_)));
+    ingress.shutdown();
+    sched.shutdown();
+}
+
 /// A register that fits `width_limit` can still need a wider intermediate
 /// midway through the contraction. The engine's refusal is a panic, which
 /// the QRC's one panic boundary turns into an ordinary failure: the job

@@ -1,24 +1,29 @@
 //! Work budget of a job: how many full-state passes a dense run from
 //! |0…0⟩ makes, how large a block the sampling tail asks the heap for,
-//! that a per-gate kernel starts no thread, and that the stabilizer and MPS
-//! samplers ask the heap for no more blocks at 4 096 shots than at 256.
+//! that a per-gate kernel starts no thread, that the stabilizer and MPS
+//! samplers ask the heap for no more blocks at 4 096 shots than at 256,
+//! that a Clifford prefix reaches the partition seam in the same blocks
+//! whatever its length, and that tallying, encoding and decoding a
+//! result's counts take a fixed number of blocks however many distinct
+//! outcomes it holds — none per key.
 //!
 //! Counts, not timings: the passes a plan makes are a pure function of the
-//! circuit, and the sizes of the heap blocks a sampler asks for are a pure
-//! function of its input, so the budgets hold on any host. A change that
-//! makes a job stream its state more often, or brings back a `2^n` table
-//! in the tail, fails here before any benchmark has to see it.
+//! circuit, and the number and sizes of the heap blocks a call asks for are
+//! a pure function of its input, so the budgets hold on any host. A change
+//! that makes a job stream its state more often, or brings back a `2^n`
+//! table in the tail, fails here before any benchmark has to see it.
 //!
 //! The allocation tracker is per thread, so tests running in parallel do
 //! not see each other's blocks.
 
-use qfw_circuit::{Circuit, Gate, Readout};
+use qfw::QfwResult;
+use qfw_circuit::{Circuit, Counts, Gate, Readout};
 use qfw_compile::{compile_qasm3, DagCircuit, OptLevel};
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
 use qfw_obs::Obs;
 use qfw_sim_mps::{MpsConfig, MpsState};
-use qfw_sim_stab::StabSimulator;
+use qfw_sim_stab::{StabSimulator, Tableau};
 use qfw_sim_sv::{canonical_split_bits, fuse, StateVector, SvSimulator};
 use qfw_workloads::{ghz, ham, qaoa_ansatz, tfim, Qubo};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,11 +82,16 @@ fn largest_block<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (LARGEST.with(Cell::get), out)
 }
 
+/// Allocations (fresh blocks and resizes) made by `f` on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BLOCKS.with(Cell::get);
+    let out = f();
+    (BLOCKS.with(Cell::get) - before, out)
+}
+
 /// How many heap blocks `f` asks for on this thread.
 fn blocks(f: impl FnOnce()) -> usize {
-    BLOCKS.with(|n| n.set(0));
-    f();
-    BLOCKS.with(Cell::get)
+    allocations(f).0
 }
 
 /// A circuit as the scheduler's ingress admits it for `nwqsim/cpu`: as
@@ -208,7 +218,8 @@ fn per_gate_kernels_start_no_thread() {
 
 /// A GHZ-24 job on the stabilizer engine, as `auto_mix`'s `ghz24.auto`
 /// runs it: the blocks of one execution do not grow with the shots, since
-/// every shot is drawn from one measurement pass.
+/// every shot is drawn from one echelon form, nor with the rows, since the
+/// tableau is one block per bit matrix.
 #[test]
 fn stabilizer_job_allocates_the_same_blocks_whatever_the_shots() {
     let circuit = ghz(24);
@@ -220,8 +231,62 @@ fn stabilizer_job_allocates_the_same_blocks_whatever_the_shots() {
     };
     let (few, many) = (job(256), job(4096));
     assert_eq!(few, many, "GHZ-24: {few} blocks at 256 shots, {many} at 4 096");
-    assert!(few <= 136, "GHZ-24: {few} blocks, budget 136");
+    assert!(few <= STAB_JOB_BLOCKS, "GHZ-24: {few} blocks, budget {STAB_JOB_BLOCKS}");
 }
+
+/// Ceiling of a GHZ-24 stabilizer job's blocks (39 today), at most a
+/// tenth above today's count.
+const STAB_JOB_BLOCKS: usize = 42;
+
+/// The Clifford prefix of `auto_mix`'s `cliff14` kind, cut after `gates`
+/// gates.
+fn clifford_prefix(n: usize, gates: usize) -> Circuit {
+    let mut qc = Circuit::new(n);
+    qc.h(0);
+    for l in 0.. {
+        for q in 0..n - 1 {
+            qc.cx(q, q + 1);
+        }
+        for q in 0..n {
+            if (q + l) % 2 == 0 {
+                qc.s(q);
+            } else {
+                qc.cz(q, (q + 1) % n);
+            }
+        }
+        if qc.gates().count() >= gates {
+            break;
+        }
+    }
+    let mut cut = Circuit::new(n);
+    for g in qc.gates().take(gates) {
+        cut.push(g.clone());
+    }
+    cut
+}
+
+/// The partition seam of a 14-qubit Clifford prefix — evolve it on the
+/// tableau, then extract the dense state — asks the heap for the same
+/// blocks at 32 gates as at 256: the tableau's bit matrices and its
+/// echelon form's, and nothing per row or per gate.
+#[test]
+fn clifford_prefix_seam_allocates_the_same_blocks_whatever_the_gates() {
+    let seam = |gates| {
+        let prefix = clifford_prefix(14, gates);
+        blocks(|| {
+            let amps = Tableau::evolve(14, prefix.gates()).to_amplitudes().unwrap();
+            assert_eq!(amps.len(), 1 << 14);
+        })
+    };
+    let (short, long) = (seam(32), seam(256));
+    assert_eq!(short, long, "cliff14 seam: {short} blocks at 32 gates, {long} at 256");
+    assert!(short <= SEAM_BLOCKS, "cliff14 seam: {short} blocks, budget {SEAM_BLOCKS}");
+}
+
+/// Ceiling of the `cliff14` seam's blocks (10 today: the tableau's X, Z
+/// and signs, the echelon form's copy of its stabilizer rows, pivots and
+/// base point, and the amplitudes), at most a tenth above today's count.
+const SEAM_BLOCKS: usize = 11;
 
 /// The MPS sampler on a TFIM-20 state reuses its bond vectors across sites
 /// and shots, so its blocks do not grow with the shots either. Most of
@@ -239,4 +304,67 @@ fn mps_sampler_allocates_the_same_blocks_whatever_the_shots() {
     let (few, many) = (draw(256), draw(4096));
     assert_eq!(few, many, "TFIM-20: {few} blocks at 256 shots, {many} at 4 096");
     assert!(few <= 476, "TFIM-20: {few} blocks, budget 476");
+}
+
+/// At most this many blocks per step: the tally's keys and shots; the
+/// encoder's buffer, its first block and the counts' one reservation (and
+/// one more growth when the counts are too few to leave room for the
+/// fields after them); the decoded backend, sub-backend and counts' keys
+/// and shots.
+const BUDGET: [usize; 3] = [2, 3, 4];
+
+/// The allocations of each step for the QAOA-12 ansatz sampled `shots`
+/// times, and the number of distinct outcomes.
+fn steps(shots: usize) -> ([usize; 3], usize) {
+    let qubo = Qubo::random(12, 0.6, 41);
+    let circuit = qaoa_ansatz(&qubo, 1).bind(&[0.7, 0.3]);
+    let state = SvSimulator::default().statevector(&circuit);
+    let draws = state.sample_split(shots, 41, canonical_split_bits(12, 0));
+    let readout = Readout::of(&circuit);
+    let collapsed = BTreeMap::new();
+    let mut result = QfwResult::new("nwqsim", "cpu", shots);
+
+    let (tally, counts) = allocations(|| readout.counts(draws, &collapsed));
+    result.counts = counts;
+    let (encode, bytes) = allocations(|| serde_json::to_vec(&result).unwrap());
+    let (decode, back) = allocations(|| serde_json::from_slice::<QfwResult>(&bytes).unwrap());
+    assert_eq!(back.counts, result.counts);
+    ([tally, encode, decode], result.counts.len())
+}
+
+#[test]
+fn counts_allocate_a_fixed_number_of_blocks_whatever_the_outcomes() {
+    let within = |made: [usize; 3], distinct: usize| {
+        assert!(
+            made.iter().zip(BUDGET).all(|(&n, budget)| n <= budget),
+            "tally, encode, decode made {made:?} allocations for {distinct} outcomes \
+             (budget {BUDGET:?})"
+        );
+    };
+    let (at_512, distinct) = steps(512);
+    assert!(
+        distinct > 300,
+        "a 512-shot QAOA-12 sample spreads: {distinct} outcomes"
+    );
+    within(at_512, distinct);
+    // Eight times the shots, several times the outcomes: the same blocks.
+    let (at_4096, more) = steps(4096);
+    assert!(more > 2 * distinct, "{more} outcomes at 4096 shots");
+    assert_eq!(at_4096, at_512, "{more} outcomes vs {distinct}");
+    // And a histogram of a handful of outcomes.
+    let (at_8, few) = steps(8);
+    within(at_8, few);
+}
+
+/// A decoded histogram is one block of keys and one of shots.
+#[test]
+fn decoding_counts_allocates_two_blocks() {
+    let mut counts = Counts::default();
+    for i in 0..1000usize {
+        counts.insert(format!("{i:012b}"), i + 1);
+    }
+    let bytes = serde_json::to_vec(&counts).unwrap();
+    let (decode, back) = allocations(|| serde_json::from_slice::<Counts>(&bytes).unwrap());
+    assert_eq!(back, counts);
+    assert_eq!(decode, 2);
 }
