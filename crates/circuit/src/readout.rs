@@ -78,7 +78,7 @@ impl Readout {
         let mut touched = vec![false; circuit.num_qubits()];
         for (at, op) in ops.iter().enumerate().rev() {
             match op {
-                Op::Gate(g) => g.qubits().into_iter().for_each(|q| touched[q] = true),
+                Op::Gate(g) => g.operands().iter().for_each(|&q| touched[q] = true),
                 Op::Measure { qubit, .. } => terminal[at] = !touched[*qubit],
                 Op::Barrier(_) => {}
             }

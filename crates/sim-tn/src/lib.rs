@@ -1,13 +1,18 @@
 //! Tensor-network contraction simulator — the QTensor / qtree analog.
 //!
 //! A circuit is lowered to a tensor network: one rank-1 ket per qubit, one
-//! rank-2k tensor per k-qubit gate, and one open index per output wire. The
-//! network is then contracted pairwise under a **greedy cost heuristic**
-//! (always contract the pair producing the smallest intermediate), which is
-//! the planning role qtree plays for QTensor. Like the paper's use of
-//! QTensor inside QFw, the default execution path is *full-state
-//! contraction*: the contraction terminates in the dense 2^n output tensor,
-//! which is then sampled.
+//! rank-2k tensor per k-qubit gate, and one open index per output wire.
+//! Before any tensor is contracted, the network's index lists alone give a
+//! [`ContractionPlan`] under a **greedy cost heuristic** (always contract
+//! the connected pair producing the smallest intermediate), which is the
+//! planning role qtree plays for QTensor. The plan records every pairwise
+//! step, its widest intermediate and its multiply-adds — host-independent
+//! costs — and a plan wider than the engine's limit is refused before any
+//! amplitude is touched. The steps then run through one pairwise kernel
+//! driven by offset tables ([`tensor`]). Like the paper's use of QTensor
+//! inside QFw, the default execution path is *full-state contraction*: the
+//! contraction terminates in the dense 2^n output tensor, which is then
+//! sampled.
 //!
 //! Contraction cost explodes with circuit depth and connectivity — the
 //! treewidth of the line graph — which reproduces the paper's observation
@@ -25,5 +30,5 @@ pub mod network;
 pub mod tensor;
 
 pub use engine::{OrderHeuristic, TnConfig, TnSimulator};
-pub use network::TensorNetwork;
+pub use network::{ContractionPlan, TensorNetwork};
 pub use tensor::Tensor;

@@ -1,7 +1,15 @@
-//! Circuit → tensor network lowering and pairwise contraction planning.
+//! Circuit → tensor network lowering, contraction planning and the
+//! contraction itself.
+//!
+//! A network is contracted in two phases. [`TensorNetwork::plan`] reads
+//! only the tensors' index lists and lays out every pairwise step, with
+//! the rank of each result and the multiply-adds it costs; no amplitude
+//! is touched. [`TensorNetwork::contract_all`] refuses a plan whose widest
+//! step is past the width limit, then runs the steps through one reused
+//! set of offset tables.
 
-use crate::tensor::{IndexId, Tensor};
-use qfw_circuit::{Circuit, Op};
+use crate::tensor::{IndexId, Tensor, Workspace};
+use qfw_circuit::Circuit;
 use qfw_num::complex::C64;
 
 /// A tensor network built from a circuit, with one open output wire per
@@ -25,29 +33,205 @@ pub enum OrderHeuristic {
     Sequential,
 }
 
+/// One pairwise contraction of a [`ContractionPlan`].
+///
+/// Operands are slots: the network's tensors are slots `0..T` in insertion
+/// order, and step `k`'s result is slot `T + k`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Step {
+    /// The left operand, whose free indices come first in the result.
+    pub(crate) a: usize,
+    /// The right operand.
+    pub(crate) b: usize,
+    /// Rank of the result.
+    pub(crate) rank: usize,
+}
+
+/// The order a network contracts in, laid out from its index lists alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ContractionPlan {
+    /// The pairwise steps, in the order they run.
+    steps: Vec<Step>,
+    multiply_adds: u64,
+}
+
+impl ContractionPlan {
+    /// Rank of the widest intermediate (0 when nothing is contracted).
+    pub fn widest(&self) -> usize {
+        self.steps.iter().map(|s| s.rank).max().unwrap_or(0)
+    }
+
+    /// Complex multiply-adds of the whole contraction: `2^|a ∪ b|` per
+    /// step, saturating at `u64::MAX`.
+    pub fn multiply_adds(&self) -> u64 {
+        self.multiply_adds
+    }
+}
+
+/// No slot.
+const NONE: usize = usize::MAX;
+
+/// The index lists of a network's slots while a plan is laid out: one arena
+/// of indices, and for each wire the (at most two) slots that hold it.
+struct Wires {
+    arena: Vec<IndexId>,
+    /// `arena[spans[s].0..spans[s].1]` is slot `s`'s index list.
+    spans: Vec<(usize, usize)>,
+    owners: Vec<[usize; 2]>,
+    steps: Vec<Step>,
+    multiply_adds: u64,
+}
+
+impl Wires {
+    fn of(tensors: &[Tensor], wires: IndexId) -> Self {
+        let mut w = Wires {
+            arena: Vec::with_capacity(4 * tensors.iter().map(Tensor::rank).sum::<usize>()),
+            spans: Vec::with_capacity(2 * tensors.len()),
+            owners: vec![[NONE; 2]; wires as usize],
+            steps: Vec::with_capacity(tensors.len()),
+            multiply_adds: 0,
+        };
+        for (slot, t) in tensors.iter().enumerate() {
+            let start = w.arena.len();
+            w.arena.extend_from_slice(&t.indices);
+            w.spans.push((start, w.arena.len()));
+            for &x in &t.indices {
+                let owner = &mut w.owners[x as usize];
+                let free = owner.iter().position(|&o| o == NONE);
+                owner[free.expect("a wire joins at most two tensors")] = slot;
+            }
+        }
+        w
+    }
+
+    fn list(&self, slot: usize) -> &[IndexId] {
+        let (start, end) = self.spans[slot];
+        &self.arena[start..end]
+    }
+
+    fn rank(&self, slot: usize) -> usize {
+        let (start, end) = self.spans[slot];
+        end - start
+    }
+
+    /// The slot other than `slot` that holds wire `x`, or [`NONE`].
+    fn other(&self, x: IndexId, slot: usize) -> usize {
+        match self.owners[x as usize] {
+            [o, other] if o == slot => other,
+            [o, _] => o,
+        }
+    }
+
+    /// Records the contraction of slots `a` and `b` into a new slot, whose
+    /// index list is `a`'s free wires then `b`'s, and returns that slot.
+    fn merge(&mut self, a: usize, b: usize) -> usize {
+        let slot = self.spans.len();
+        let start = self.arena.len();
+        let (a_lo, a_hi) = self.spans[a];
+        for k in a_lo..a_hi {
+            let x = self.arena[k];
+            let owner = &mut self.owners[x as usize];
+            if !owner.contains(&b) {
+                owner[usize::from(owner[0] != a)] = slot;
+                self.arena.push(x);
+            }
+        }
+        let (b_lo, b_hi) = self.spans[b];
+        for k in b_lo..b_hi {
+            let x = self.arena[k];
+            let owner = &mut self.owners[x as usize];
+            if owner.contains(&a) {
+                // Shared: summed over, the wire leaves the network.
+                *owner = [NONE; 2];
+            } else {
+                owner[usize::from(owner[0] != b)] = slot;
+                self.arena.push(x);
+            }
+        }
+        self.spans.push((start, self.arena.len()));
+        let rank = self.rank(slot);
+        let union = (self.rank(a) + self.rank(b) + rank) / 2;
+        let cost = 1u64.checked_shl(union as u32).unwrap_or(u64::MAX);
+        self.multiply_adds = self.multiply_adds.saturating_add(cost);
+        self.steps.push(Step { a, b, rank });
+        slot
+    }
+
+    fn into_plan(self) -> ContractionPlan {
+        ContractionPlan {
+            steps: self.steps,
+            multiply_adds: self.multiply_adds,
+        }
+    }
+}
+
+/// The greedy choice among the live slots, `live` in the order a vector
+/// of tensors kept by `swap_remove` and `push` would hold them: the
+/// connected pair at positions `(i, j)`, `i < j`, minimizing
+/// `(result rank, combined input size, i, j)`, or, when no two live slots
+/// share a wire, the outer product minimizing the same key.
+///
+/// Every wire has at most two owners, so the connected pairs are found
+/// through the wires in `O(Σ rank)`; `shared` is scratch indexed by slot,
+/// all zero between calls, and `pos` maps a live slot to its position.
+fn greedy_pair(w: &Wires, live: &[usize], pos: &[usize], shared: &mut [usize]) -> (usize, usize) {
+    // 2^ra + 2^rb orders as the pair (max, min) of the two ranks.
+    let key = |i: usize, j: usize, rank: usize| {
+        let (ra, rb) = (w.rank(live[i]), w.rank(live[j]));
+        (rank, ra.max(rb), ra.min(rb), i, j)
+    };
+    let mut best = None;
+    for (i, &a) in live.iter().enumerate() {
+        let partners = || {
+            w.list(a)
+                .iter()
+                .map(|&x| w.other(x, a))
+                .filter(|&b| b != NONE && pos[b] > i)
+        };
+        for b in partners() {
+            shared[b] += 1;
+        }
+        for b in partners() {
+            if shared[b] > 0 {
+                let k = key(i, pos[b], w.rank(a) + w.rank(b) - 2 * shared[b]);
+                if best.is_none_or(|best| k < best) {
+                    best = Some(k);
+                }
+                shared[b] = 0;
+            }
+        }
+    }
+    if best.is_none() {
+        for i in 0..live.len() {
+            for j in i + 1..live.len() {
+                let k = key(i, j, w.rank(live[i]) + w.rank(live[j]));
+                if best.is_none_or(|best| k < best) {
+                    best = Some(k);
+                }
+            }
+        }
+    }
+    let (.., i, j) = best.expect("at least two live tensors");
+    (i, j)
+}
+
 impl TensorNetwork {
     /// Lowers the unitary part of a circuit to a tensor network.
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let n = circuit.num_qubits();
-        let mut next_index: IndexId = 0;
-        let mut fresh = || {
-            let i = next_index;
-            next_index += 1;
-            i
-        };
-        let mut wires: Vec<IndexId> = (0..n).map(|_| fresh()).collect();
+        let mut wires: Vec<IndexId> = (0..n as IndexId).collect();
+        let mut next_index = n as IndexId;
         let mut tensors: Vec<Tensor> = wires.iter().map(|&w| Tensor::ket0(w)).collect();
-
-        for op in circuit.ops() {
-            if let Op::Gate(g) = op {
-                let qs = g.qubits();
-                let ins: Vec<IndexId> = qs.iter().map(|&q| wires[q]).collect();
-                let outs: Vec<IndexId> = qs.iter().map(|_| fresh()).collect();
-                tensors.push(Tensor::gate(&g.matrix(), &outs, &ins));
-                for (j, &q) in qs.iter().enumerate() {
-                    wires[q] = outs[j];
-                }
+        for g in circuit.gates() {
+            let qs = g.operands();
+            let mut indices = Vec::with_capacity(2 * qs.len());
+            indices.extend((next_index..).take(qs.len()));
+            indices.extend(qs.iter().map(|&q| wires[q]));
+            for (&q, &out) in qs.iter().zip(&indices) {
+                wires[q] = out;
             }
+            next_index += qs.len() as IndexId;
+            tensors.push(Tensor::of_gate(&g.matrix(), indices));
         }
         TensorNetwork {
             tensors,
@@ -71,83 +255,77 @@ impl TensorNetwork {
         self.tensors.push(Tensor::bra(self.outputs[q], b));
     }
 
+    /// Lays out the contraction under the given heuristic from the
+    /// tensors' index lists alone.
+    ///
+    /// `Greedy` keeps the tensors as a vector that loses its pair by
+    /// `swap_remove` (the higher position first) and gains the result at
+    /// its end, and contracts the connected pair at positions `i < j`
+    /// with the smallest `(result rank, combined input size, i, j)` — an
+    /// outer product only when no two tensors share a wire. `Sequential`
+    /// folds left in insertion order.
+    pub fn plan(&self, order: OrderHeuristic) -> ContractionPlan {
+        let mut w = Wires::of(&self.tensors, self.next_index);
+        let tensors = self.tensors.len();
+        match order {
+            OrderHeuristic::Sequential => {
+                let mut acc = 0;
+                for next in 1..tensors {
+                    acc = w.merge(acc, next);
+                }
+            }
+            OrderHeuristic::Greedy => {
+                let mut live: Vec<usize> = (0..tensors).collect();
+                // A slot's position in `live`; a result's is set at its push.
+                let mut pos: Vec<usize> = (0..2 * tensors).collect();
+                let mut shared = vec![0; pos.len()];
+                while live.len() > 1 {
+                    let (i, j) = greedy_pair(&w, &live, &pos, &mut shared);
+                    let b = live.swap_remove(j);
+                    let a = live.swap_remove(i);
+                    for p in [j, i] {
+                        if let Some(&moved) = live.get(p) {
+                            pos[moved] = p;
+                        }
+                    }
+                    let slot = w.merge(a, b);
+                    pos[slot] = live.len();
+                    live.push(slot);
+                }
+            }
+        }
+        w.into_plan()
+    }
+
     /// Contracts the network to a single tensor under the given heuristic.
     ///
-    /// `width_limit` bounds the rank of any intermediate (panics when the
-    /// plan exceeds it — the analog of a contraction running out of memory).
-    pub fn contract_all(mut self, order: OrderHeuristic, width_limit: usize) -> Tensor {
-        let _ = self.next_index;
-        while self.tensors.len() > 1 {
-            match order {
-                OrderHeuristic::Sequential => {
-                    // Fold-left in insertion order: the accumulator absorbs
-                    // the next tensor, exactly like naive statevector-style
-                    // application. (Order must be preserved — swap_remove
-                    // would scramble the fold into adversarial outer
-                    // products.)
-                    let b = self.tensors.remove(1);
-                    let a = self.tensors.remove(0);
-                    Self::check_width(&a, &b, width_limit);
-                    self.tensors.insert(0, a.contract(&b));
-                }
-                OrderHeuristic::Greedy => {
-                    let (i, j) = self.pick_greedy_pair();
-                    let (i, j) = (i.min(j), i.max(j));
-                    let b = self.tensors.swap_remove(j);
-                    let a = self.tensors.swap_remove(i);
-                    Self::check_width(&a, &b, width_limit);
-                    self.tensors.push(a.contract(&b));
-                }
-            }
+    /// `width_limit` bounds the rank of any intermediate: the plan is laid
+    /// out first, and a plan that exceeds it panics at its first step past
+    /// the limit before any tensor is contracted — the analog of a
+    /// contraction running out of memory.
+    pub fn contract_all(self, order: OrderHeuristic, width_limit: usize) -> Tensor {
+        let plan = self.plan(order);
+        if let Some(step) = plan.steps.iter().find(|s| s.rank > width_limit) {
+            panic!(
+                "contraction width {} exceeds the limit {width_limit}",
+                step.rank
+            );
         }
-        self.tensors.pop().unwrap_or(Tensor::scalar(C64::ONE))
+        self.run(&plan)
     }
 
-    fn check_width(a: &Tensor, b: &Tensor, width_limit: usize) {
-        let result_rank = Self::result_rank(a, b);
-        assert!(
-            result_rank <= width_limit,
-            "contraction width {result_rank} exceeds the limit {width_limit}"
-        );
-    }
-
-    /// Rank of the tensor produced by contracting `a` with `b`.
-    fn result_rank(a: &Tensor, b: &Tensor) -> usize {
-        let shared = a
-            .indices
-            .iter()
-            .filter(|i| b.indices.contains(i))
-            .count();
-        a.rank() + b.rank() - 2 * shared
-    }
-
-    /// Greedy pair selection: smallest result tensor; prefers connected
-    /// pairs and breaks ties by smaller combined input size.
-    fn pick_greedy_pair(&self) -> (usize, usize) {
-        // Two passes: first restrict to connected pairs; fall back to outer
-        // products only when the network is fully disconnected.
-        for connected_only in [true, false] {
-            let mut best: Option<(usize, usize, usize, usize)> = None; // (rank, insize, i, j)
-            for i in 0..self.tensors.len() {
-                for j in (i + 1)..self.tensors.len() {
-                    let a = &self.tensors[i];
-                    let b = &self.tensors[j];
-                    let shared = a.indices.iter().filter(|x| b.indices.contains(x)).count();
-                    if connected_only && shared == 0 {
-                        continue;
-                    }
-                    let rank = a.rank() + b.rank() - 2 * shared;
-                    let insize = a.size() + b.size();
-                    if best.is_none_or(|(br, bi, ..)| (rank, insize) < (br, bi)) {
-                        best = Some((rank, insize, i, j));
-                    }
-                }
-            }
-            if let Some((_, _, i, j)) = best {
-                return (i, j);
-            }
+    /// Runs `plan`'s steps, each through the same offset tables.
+    fn run(self, plan: &ContractionPlan) -> Tensor {
+        let mut slots: Vec<Option<Tensor>> =
+            Vec::with_capacity(self.tensors.len() + plan.steps.len());
+        slots.extend(self.tensors.into_iter().map(Some));
+        let mut ws = Workspace::default();
+        for step in &plan.steps {
+            let a = slots[step.a].take().expect("a live operand");
+            let b = slots[step.b].take().expect("a live operand");
+            slots.push(Some(a.contract_with(&b, &mut ws)));
         }
-        unreachable!("network has at least two tensors")
+        slots.pop().flatten().unwrap_or(Tensor::scalar(C64::ONE))
     }
 }
 
@@ -214,5 +392,241 @@ mod tests {
         let t = net.contract_all(OrderHeuristic::Greedy, 8);
         assert_eq!(t.rank(), 2);
         assert_eq!(t.data[0], C64::ONE);
+    }
+}
+
+/// The plan and the kernel held to the code they replaced: the O(T²) scan
+/// that picked the greedy pair among every pair of tensors at every step,
+/// and the kernel that rebuilt both operands' offsets bit by bit for every
+/// term. Both live only here, as oracles.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+    use qfw_testkit::random_circuit;
+
+    /// Greedy pair selection by scanning every pair: smallest result
+    /// tensor; prefers connected pairs and breaks ties by smaller combined
+    /// input size.
+    fn pick_greedy_pair(tensors: &[Tensor]) -> (usize, usize) {
+        for connected_only in [true, false] {
+            let mut best: Option<(usize, usize, usize, usize)> = None; // (rank, insize, i, j)
+            for i in 0..tensors.len() {
+                for j in (i + 1)..tensors.len() {
+                    let a = &tensors[i];
+                    let b = &tensors[j];
+                    let shared = a.indices.iter().filter(|x| b.indices.contains(x)).count();
+                    if connected_only && shared == 0 {
+                        continue;
+                    }
+                    let rank = a.rank() + b.rank() - 2 * shared;
+                    let insize = a.size() + b.size();
+                    if best.is_none_or(|(br, bi, ..)| (rank, insize) < (br, bi)) {
+                        best = Some((rank, insize, i, j));
+                    }
+                }
+            }
+            if let Some((_, _, i, j)) = best {
+                return (i, j);
+            }
+        }
+        unreachable!("network has at least two tensors")
+    }
+
+    /// Pairwise contraction, every operand offset rebuilt from the loop
+    /// variables bit by bit.
+    fn element_kernel(a: &Tensor, b: &Tensor) -> Tensor {
+        let shared: Vec<IndexId> = a
+            .indices
+            .iter()
+            .copied()
+            .filter(|i| b.indices.contains(i))
+            .collect();
+        let a_free: Vec<IndexId> = a
+            .indices
+            .iter()
+            .copied()
+            .filter(|i| !shared.contains(i))
+            .collect();
+        let b_free: Vec<IndexId> = b
+            .indices
+            .iter()
+            .copied()
+            .filter(|i| !shared.contains(i))
+            .collect();
+        let map = |t: &Tensor, free: &[IndexId]| -> Vec<(bool, usize)> {
+            t.indices
+                .iter()
+                .map(|i| match free.iter().position(|x| x == i) {
+                    Some(p) => (true, p),
+                    None => (false, shared.iter().position(|x| x == i).unwrap()),
+                })
+                .collect()
+        };
+        let (a_map, b_map) = (map(a, &a_free), map(b, &b_free));
+        let offset = |m: &[(bool, usize)], f: usize, s: usize| -> usize {
+            let mut idx = 0usize;
+            for (bit, &(is_free, pos)) in m.iter().enumerate() {
+                let v = if is_free {
+                    (f >> pos) & 1
+                } else {
+                    (s >> pos) & 1
+                };
+                idx |= v << bit;
+            }
+            idx
+        };
+        let (na, ns, nb) = (a_free.len(), shared.len(), b_free.len());
+        let mut out = vec![C64::ZERO; 1 << (na + nb)];
+        for af in 0..(1usize << na) {
+            for bf in 0..(1usize << nb) {
+                let mut acc = C64::ZERO;
+                for s in 0..(1usize << ns) {
+                    let x = a.data[offset(&a_map, af, s)];
+                    let y = b.data[offset(&b_map, bf, s)];
+                    acc = x.mul_add(y, acc);
+                }
+                out[af | (bf << na)] = acc;
+            }
+        }
+        let mut indices = a_free;
+        indices.extend(b_free);
+        Tensor { indices, data: out }
+    }
+
+    fn bits(t: &Tensor) -> (Vec<IndexId>, Vec<(u64, u64)>) {
+        let data = t
+            .data
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect();
+        (t.indices.clone(), data)
+    }
+
+    /// A random circuit's network on `n` qubits; `caps` closes no output
+    /// (0), every output (1, the `amplitude` path) or the outputs picked
+    /// by the bits of `seed >> 32` (2), each with a bit of `seed`.
+    fn network(n: usize, len: usize, seed: u64, caps: u64) -> TensorNetwork {
+        let circuit = if n > 1 {
+            random_circuit(n, len, seed)
+        } else {
+            // One qubit: the 1q gates of a two-qubit draw that land on 0.
+            let mut qc = Circuit::new(1);
+            for g in random_circuit(2, len, seed).gates() {
+                if *g.operands() == [0] {
+                    qc.push(g.clone());
+                }
+            }
+            qc
+        };
+        let mut net = TensorNetwork::from_circuit(&circuit);
+        for q in (0..n).filter(|q| caps == 1 || (caps == 2 && (seed >> (32 + q)) & 1 == 1)) {
+            net.cap_output(q, ((seed >> q) & 1) as u8);
+        }
+        net
+    }
+
+    /// Replays the parent's loop on the network's tensors: the pair from
+    /// the scan (greedy) or the first two (sequential), contracted by the
+    /// element kernel. Checks each step against the plan's operands and
+    /// the offset-table kernel bit for bit, and returns the last tensor.
+    fn replay(net: &TensorNetwork, order: OrderHeuristic, plan: &ContractionPlan) -> Tensor {
+        let mut tensors: Vec<(usize, Tensor)> = net.tensors.iter().cloned().enumerate().collect();
+        let mut ws = Workspace::default();
+        let mut steps = plan.steps.iter();
+        while tensors.len() > 1 {
+            let ((sa, a), (sb, b)) = match order {
+                OrderHeuristic::Sequential => {
+                    let b = tensors.remove(1);
+                    (tensors.remove(0), b)
+                }
+                OrderHeuristic::Greedy => {
+                    let list: Vec<Tensor> = tensors.iter().map(|(_, t)| t.clone()).collect();
+                    let (i, j) = pick_greedy_pair(&list);
+                    let b = tensors.swap_remove(j);
+                    (tensors.swap_remove(i), b)
+                }
+            };
+            let step = steps.next().expect("the plan has a step per contraction");
+            assert_eq!((step.a, step.b), (sa, sb), "{order:?}: operands");
+            let want = element_kernel(&a, &b);
+            assert_eq!(step.rank, want.rank(), "{order:?}: rank");
+            assert_eq!(
+                bits(&a.contract_with(&b, &mut ws)),
+                bits(&want),
+                "{order:?}: kernel"
+            );
+            let slot = net.num_tensors() + plan.steps.len() - steps.len() - 1;
+            match order {
+                OrderHeuristic::Sequential => tensors.insert(0, (slot, want)),
+                OrderHeuristic::Greedy => tensors.push((slot, want)),
+            }
+        }
+        assert!(steps.next().is_none(), "{order:?}: steps left over");
+        tensors.pop().map_or(Tensor::scalar(C64::ONE), |(_, t)| t)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both orders on 1–10 qubits, open and capped: the plan's pairs
+        /// are the scan's, every step's contraction is the element
+        /// kernel's to the bit, and so is what `contract_all` returns.
+        #[test]
+        fn plan_and_kernel_are_the_scan_and_the_element_kernel(
+            n in 1usize..11,
+            len in 0usize..40,
+            seed in 0u64..u64::MAX,
+            caps in 0u64..3,
+        ) {
+            let net = network(n, len, seed, caps);
+            for order in [OrderHeuristic::Greedy, OrderHeuristic::Sequential] {
+                let plan = net.plan(order);
+                let want = replay(&net, order, &plan);
+                let got = net.clone().contract_all(order, usize::MAX);
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+    }
+
+    /// A plan past the width limit is refused at its first wide step, with
+    /// that step's rank, and the scan meets the same step first.
+    #[test]
+    fn width_is_refused_at_the_first_step_past_the_limit() {
+        let net = network(8, 40, 7, 0);
+        let plan = net.plan(OrderHeuristic::Greedy);
+        let limit = plan.widest() - 1;
+        let first = plan.steps.iter().find(|s| s.rank > limit).unwrap().rank;
+        let mut tensors = net.tensors.clone();
+        let scanned = loop {
+            let (i, j) = pick_greedy_pair(&tensors);
+            let b = tensors.swap_remove(j);
+            let t = element_kernel(&tensors.swap_remove(i), &b);
+            if t.rank() > limit {
+                break t.rank();
+            }
+            tensors.push(t);
+        };
+        assert_eq!(first, scanned);
+        let err = std::panic::catch_unwind(|| net.contract_all(OrderHeuristic::Greedy, limit))
+            .expect_err("past the limit");
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(
+            *msg,
+            format!("contraction width {first} exceeds the limit {limit}")
+        );
+    }
+
+    /// A Bell pair's greedy plan, worked by hand: `ket0(0)·H` (rank 1,
+    /// 2^2 terms), then `CX·ket0(1)` (rank 3, 2^4; it ties with
+    /// `CX·(ket0 H)` and sits first), then the two results (rank 2, 2^3).
+    #[test]
+    fn bell_plan_by_hand() {
+        let mut qc = Circuit::new(2);
+        qc.h(0).cx(0, 1);
+        let plan = TensorNetwork::from_circuit(&qc).plan(OrderHeuristic::Greedy);
+        let steps: Vec<_> = plan.steps.iter().map(|s| (s.a, s.b, s.rank)).collect();
+        assert_eq!(steps, [(0, 2, 1), (3, 1, 3), (4, 5, 2)]);
+        assert_eq!((plan.widest(), plan.multiply_adds()), (3, 4 + 16 + 8));
     }
 }

@@ -1,4 +1,12 @@
-//! Dense tensors with binary (dimension-2) indices and pairwise contraction.
+//! Dense tensors with binary (dimension-2) indices and pairwise contraction
+//! through offset tables.
+//!
+//! A contraction never rebuilds an element's offset bit by bit: the offsets
+//! of every assignment of a tensor's free indices, and of the indices it
+//! sums over, are laid out once per contraction by doubling
+//! (`Workspace`), and the inner loop adds a free offset to a shared one.
+//! [`Tensor::permute_to`] reads its source offsets from the same kind of
+//! table.
 
 use qfw_num::complex::C64;
 use qfw_num::Matrix;
@@ -16,6 +24,38 @@ pub struct Tensor {
     pub indices: Vec<IndexId>,
     /// Row-major-by-bit data.
     pub data: Vec<C64>,
+}
+
+/// The offset tables of one pairwise contraction, kept across the steps of
+/// a network so that a step allocates only its result.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// Offset in `a` of every assignment of `a`'s free indices.
+    free_a: Vec<usize>,
+    /// Offset in `b` of every assignment of `b`'s free indices.
+    free_b: Vec<usize>,
+    /// Offset in `a` of every assignment of the shared indices, which are
+    /// ordered as in `a`.
+    shared_a: Vec<usize>,
+    /// Offset in `b` of the same assignments.
+    shared_b: Vec<usize>,
+}
+
+/// Result elements accumulated side by side in one pass over the shared
+/// assignments.
+const CHUNK: usize = 64;
+
+/// Fills `table` with the offset of every assignment of the indices at bit
+/// positions `bits` (first fastest): entry `m` sets bit `bits[k]` for each
+/// bit `k` of `m`. Built by doubling, one add per entry.
+fn offsets(table: &mut Vec<usize>, bits: impl Iterator<Item = usize>) {
+    table.clear();
+    table.push(0);
+    for bit in bits {
+        let half = table.len();
+        table.extend_from_within(..half);
+        table[half..].iter_mut().for_each(|o| *o += 1 << bit);
+    }
 }
 
 impl Tensor {
@@ -49,12 +89,18 @@ impl Tensor {
     /// `data[(out, in)] = m[out, in]` (bit `j` of `out`/`in` belonging to
     /// the gate's local qubit `j`).
     pub fn gate(m: &Matrix, outs: &[IndexId], ins: &[IndexId]) -> Self {
-        let k = outs.len();
-        assert_eq!(ins.len(), k);
-        assert_eq!(m.rows(), 1 << k);
-        let mut indices = Vec::with_capacity(2 * k);
+        assert_eq!(ins.len(), outs.len());
+        let mut indices = Vec::with_capacity(2 * outs.len());
         indices.extend_from_slice(outs);
         indices.extend_from_slice(ins);
+        Self::of_gate(m, indices)
+    }
+
+    /// [`gate`](Self::gate) over its indices `[outs.., ins..]`, already laid
+    /// out.
+    pub(crate) fn of_gate(m: &Matrix, indices: Vec<IndexId>) -> Self {
+        let k = indices.len() / 2;
+        assert_eq!(m.rows(), 1 << k);
         let mut data = vec![C64::ZERO; 1 << (2 * k)];
         for out in 0..(1usize << k) {
             for inp in 0..(1usize << k) {
@@ -78,86 +124,53 @@ impl Tensor {
     /// product when they share none). Result indices: `self`'s free indices
     /// followed by `other`'s free indices.
     pub fn contract(&self, other: &Tensor) -> Tensor {
-        let shared: Vec<IndexId> = self
-            .indices
-            .iter()
-            .copied()
-            .filter(|i| other.indices.contains(i))
-            .collect();
-        let a_free: Vec<IndexId> = self
-            .indices
-            .iter()
-            .copied()
-            .filter(|i| !shared.contains(i))
-            .collect();
-        let b_free: Vec<IndexId> = other
-            .indices
-            .iter()
-            .copied()
-            .filter(|i| !shared.contains(i))
-            .collect();
+        self.contract_with(other, &mut Workspace::default())
+    }
 
-        // For each of self's bit positions, where does that bit come from in
-        // the (a_free, shared) loop variables?
-        let a_map: Vec<(bool, usize)> = self
-            .indices
-            .iter()
-            .map(|i| match a_free.iter().position(|x| x == i) {
-                Some(p) => (true, p),
-                None => (false, shared.iter().position(|x| x == i).unwrap()),
-            })
-            .collect();
-        let b_map: Vec<(bool, usize)> = other
-            .indices
-            .iter()
-            .map(|i| match b_free.iter().position(|x| x == i) {
-                Some(p) => (true, p),
-                None => (false, shared.iter().position(|x| x == i).unwrap()),
-            })
-            .collect();
+    /// [`contract`](Self::contract) with its offset tables in `ws`.
+    ///
+    /// A result element sums its terms in counting order of the shared
+    /// assignment, shared indices ordered as in `self`, with one `mul_add`
+    /// per term starting from zero.
+    pub(crate) fn contract_with(&self, other: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (a, b) = (&self.indices, &other.indices);
+        let in_b = |p: &usize| b.contains(&a[*p]);
+        offsets(&mut ws.free_a, (0..a.len()).filter(|p| !in_b(p)));
+        offsets(&mut ws.shared_a, (0..a.len()).filter(in_b));
+        offsets(
+            &mut ws.shared_b,
+            a.iter().filter_map(|i| b.iter().position(|x| x == i)),
+        );
+        offsets(&mut ws.free_b, (0..b.len()).filter(|&p| !a.contains(&b[p])));
 
-        let (na, ns, nb) = (a_free.len(), shared.len(), b_free.len());
-        let mut out = vec![C64::ZERO; 1 << (na + nb)];
-        // Precompute linear offsets: self offset as a function of (af, s).
-        let a_index = |af: usize, s: usize| -> usize {
-            let mut idx = 0usize;
-            for (bit, &(is_free, pos)) in a_map.iter().enumerate() {
-                let v = if is_free { (af >> pos) & 1 } else { (s >> pos) & 1 };
-                idx |= v << bit;
-            }
-            idx
-        };
-        let b_index = |bf: usize, s: usize| -> usize {
-            let mut idx = 0usize;
-            for (bit, &(is_free, pos)) in b_map.iter().enumerate() {
-                let v = if is_free { (bf >> pos) & 1 } else { (s >> pos) & 1 };
-                idx |= v << bit;
-            }
-            idx
-        };
-
-        for af in 0..(1usize << na) {
-            for bf in 0..(1usize << nb) {
-                let mut acc = C64::ZERO;
-                for s in 0..(1usize << ns) {
-                    let x = self.data[a_index(af, s)];
-                    let y = other.data[b_index(bf, s)];
-                    acc = x.mul_add(y, acc);
+        let shared = ws.shared_a.len().trailing_zeros() as usize;
+        let mut indices = Vec::with_capacity(a.len() + b.len() - 2 * shared);
+        indices.extend(a.iter().filter(|i| !b.contains(i)));
+        indices.extend(b.iter().filter(|i| !a.contains(i)));
+        let mut data = Vec::with_capacity(ws.free_a.len() * ws.free_b.len());
+        let mut acc = [C64::ZERO; CHUNK];
+        for &bo in &ws.free_b {
+            for free_a in ws.free_a.chunks(CHUNK) {
+                let acc = &mut acc[..free_a.len()];
+                acc.fill(C64::ZERO);
+                for (&sa, &sb) in ws.shared_a.iter().zip(&ws.shared_b) {
+                    let y = other.data[bo + sb];
+                    for (acc, &ao) in acc.iter_mut().zip(free_a) {
+                        *acc = self.data[ao + sa].mul_add(y, *acc);
+                    }
                 }
-                out[af | (bf << na)] = acc;
+                data.extend_from_slice(acc);
             }
         }
-
-        let mut indices = a_free;
-        indices.extend(b_free);
-        Tensor { indices, data: out }
+        Tensor { indices, data }
     }
 
     /// Reorders this tensor's indices to `target` (a permutation of the
     /// current indices), permuting the data accordingly.
     pub fn permute_to(&self, target: &[IndexId]) -> Tensor {
         assert_eq!(target.len(), self.indices.len());
-        // perm[j] = current bit position of target index j.
+        // Bit j of a result offset is the value of target[j], which sits at
+        // bit perm[j] of the source offset.
         let perm: Vec<usize> = target
             .iter()
             .map(|t| {
@@ -167,14 +180,15 @@ impl Tensor {
                     .expect("target index not present")
             })
             .collect();
-        let mut data = vec![C64::ZERO; self.data.len()];
-        for (i, slot) in data.iter_mut().enumerate() {
-            // Bit j of i is the value of target[j]; build the source offset.
-            let mut src = 0usize;
-            for (j, &p) in perm.iter().enumerate() {
-                src |= ((i >> j) & 1) << p;
-            }
-            *slot = self.data[src];
+        // One table for the low half of the target bits and one for the
+        // high half, so neither is longer than 2^(n/2 + 1).
+        let low = perm.len() / 2;
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        offsets(&mut lo, perm[..low].iter().copied());
+        offsets(&mut hi, perm[low..].iter().copied());
+        let mut data = Vec::with_capacity(self.data.len());
+        for &h in &hi {
+            data.extend(lo.iter().map(|&l| self.data[h + l]));
         }
         Tensor {
             indices: target.to_vec(),

@@ -1,11 +1,13 @@
 //! Work budget of a job: how many full-state passes a dense run from
 //! |0…0⟩ makes, how large a block the sampling tail asks the heap for,
 //! that a per-gate kernel starts no thread, that the stabilizer and MPS
-//! samplers ask the heap for no more blocks at 4 096 shots than at 256,
-//! that a Clifford prefix reaches the partition seam in the same blocks
-//! whatever its length, and that tallying, encoding and decoding a
-//! result's counts take a fixed number of blocks however many distinct
-//! outcomes it holds — none per key.
+//! samplers and a tensor-network job ask the heap for no more blocks at
+//! 4 096 shots than at 256, how wide a tensor-network job's contraction
+//! plan gets and how many multiply-adds it costs, that a Clifford prefix
+//! reaches the partition seam in the same blocks whatever its length, and
+//! that tallying, encoding and decoding a result's counts take a fixed
+//! number of blocks however many distinct outcomes it holds — none per
+//! key.
 //!
 //! Counts, not timings: the passes a plan makes are a pure function of the
 //! circuit, and the number and sizes of the heap blocks a call asks for are
@@ -24,6 +26,7 @@ use qfw_num::Matrix;
 use qfw_obs::Obs;
 use qfw_sim_mps::{MpsConfig, MpsState};
 use qfw_sim_stab::{StabSimulator, Tableau};
+use qfw_sim_tn::{OrderHeuristic, TensorNetwork, TnSimulator};
 use qfw_sim_sv::{canonical_split_bits, fuse, StateVector, SvSimulator};
 use qfw_workloads::{ghz, ham, qaoa_ansatz, tfim, Qubo};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -234,9 +237,10 @@ fn stabilizer_job_allocates_the_same_blocks_whatever_the_shots() {
     assert!(few <= STAB_JOB_BLOCKS, "GHZ-24: {few} blocks, budget {STAB_JOB_BLOCKS}");
 }
 
-/// Ceiling of a GHZ-24 stabilizer job's blocks (39 today), at most a
-/// tenth above today's count.
-const STAB_JOB_BLOCKS: usize = 42;
+/// Ceiling of a GHZ-24 stabilizer job's blocks (15 today: `Readout::of`
+/// reads each gate's operands in place), at most a tenth above today's
+/// count.
+const STAB_JOB_BLOCKS: usize = 16;
 
 /// The Clifford prefix of `auto_mix`'s `cliff14` kind, cut after `gates`
 /// gates.
@@ -368,3 +372,34 @@ fn decoding_counts_allocates_two_blocks() {
     assert_eq!(back, counts);
     assert_eq!(decode, 2);
 }
+
+/// The `auto_mix` QAOA-12 p=1 job on the tensor-network engine: its greedy
+/// plan, laid out from the wires alone, has the widest intermediate and
+/// multiply-adds pinned here, and a 256-shot `execute` asks the heap for
+/// no more blocks than [`TN_JOB_BLOCKS`], and for no more at 4 096 shots.
+#[test]
+fn qtensor_job_plans_its_width_and_work_and_allocates_the_same_blocks_whatever_the_shots() {
+    let circuit = qaoa(12, 1);
+    let plan = TensorNetwork::from_circuit(&circuit).plan(OrderHeuristic::Greedy);
+    assert_eq!(
+        (plan.widest(), plan.multiply_adds()),
+        (12, 51_288),
+        "QAOA-12 greedy plan: widest rank, multiply-adds"
+    );
+    let job = |shots| {
+        blocks(|| {
+            let out = TnSimulator::default().execute(&circuit, shots, 7);
+            assert_eq!(out.counts.values().sum::<usize>(), shots);
+        })
+    };
+    let (few, many) = (job(256), job(4096));
+    assert_eq!(few, many, "QAOA-12 qtensor: {few} blocks at 256 shots, {many} at 4 096");
+    assert!(few <= TN_JOB_BLOCKS, "QAOA-12 qtensor: {few} blocks, budget {TN_JOB_BLOCKS}");
+}
+
+/// Ceiling of a QAOA-12 qtensor job's blocks (427 today: each gate's
+/// matrix, indices and data, each step's result, and a fixed number for
+/// the plan, the state and the sample), at most a tenth above today's
+/// count. It was 985 while every gate lowered through three scratch
+/// vectors and every step rebuilt its index maps.
+const TN_JOB_BLOCKS: usize = 469;
