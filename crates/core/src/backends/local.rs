@@ -18,9 +18,12 @@
 //! * `aer/stabilizer` ([`Sim::Stabilizer`]): the tableau. `aer/automatic`
 //!   arrives on whichever of the `aer` rows admission picked, and says which.
 //! * `qtensor/*` ([`Sim::TensorNetwork`]): full-state contraction, though
-//!   QTensor is built for lightcone expectations. `mpi` leases its ranks
-//!   without splitting the contraction across them, which is why QTensor
-//!   gains nothing from ranks in Fig. 3.
+//!   QTensor is built for lightcone expectations. Admission laid out the
+//!   job's contraction plan and refused its width; the runner contracts
+//!   exactly that plan, plans nothing itself, and stamps the plan's widest
+//!   rank and multiply-adds as `work.*`. `mpi` leases its ranks without
+//!   splitting the contraction across them, which is why QTensor gains
+//!   nothing from ranks in Fig. 3.
 
 use crate::backends::{BackendQpm, ExecContext};
 use crate::error::QfwError;
@@ -34,7 +37,6 @@ use qfw_sim_stab::{StabSimulator, Tableau};
 use qfw_sim_sv::dist::{run_distributed_plan, DistPlan};
 use qfw_sim_sv::engine::SvOutcome;
 use qfw_sim_sv::{FusionLevel, SvConfig, SvSimulator, Threading};
-use qfw_sim_tn::{TnConfig, TnSimulator};
 use std::sync::Arc;
 
 /// The Backend-QPM of every local row. It holds nothing between jobs.
@@ -81,13 +83,14 @@ impl BackendQpm for LocalRunner {
                 result.profile.exec_secs = out.total_time.as_secs_f64();
             }),
             Sim::TensorNetwork(order) => {
-                let width_limit = plan.width_limit;
-                let out = TnSimulator::new(TnConfig { order, width_limit })
-                    .execute(&circuit, shots, seed);
+                let contraction = plan.contraction.as_deref().expect("planned at admission");
+                let out = contraction.execute(&circuit, shots, seed);
                 result.counts = out.counts;
                 result.profile.exec_secs = out.contract_time.as_secs_f64();
                 result.profile.sample_secs = out.sample_time.as_secs_f64();
                 result.note("order", format!("{order:?}").to_lowercase());
+                result.note("work.contraction_width", contraction.widest());
+                result.note("work.multiply_adds", contraction.multiply_adds());
                 Ok(())
             }
             Sim::Cloud | Sim::Pending(_) | Sim::Automatic | Sim::Planner => {

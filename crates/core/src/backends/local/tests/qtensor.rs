@@ -3,7 +3,8 @@
 use crate::backends::local::LocalRunner;
 use crate::backends::testutil::{ghz_task, TestRig};
 use crate::error::QfwError;
-use crate::spec::BackendSpec;
+use crate::spec::{BackendSpec, ExecTask};
+use qfw_circuit::text;
 
 #[test]
 fn numpy_and_sequential_agree_on_ghz() {
@@ -40,4 +41,22 @@ fn order_recorded_in_metadata() {
     let task = ghz_task(4, 10, BackendSpec::of("qtensor", "sequential"));
     let result = rig.execute(&LocalRunner, &task).unwrap();
     assert_eq!(result.metadata["order"], "sequential");
+}
+
+/// The QRC runs the contraction admission laid out, and says how much work
+/// it was: the `auto_mix` QAOA-12 p=1 job reports its greedy plan's widest
+/// rank and multiply-adds, the numbers `tests/work_budget.rs` pins.
+#[test]
+fn work_is_stamped_from_the_admitted_plan() {
+    let qubo = qfw_workloads::Qubo::metamaterial(12, 3, 0x51AB + 12);
+    let circuit = qfw_workloads::qaoa_ansatz(&qubo, 1).bind(&[0.35, 0.46]);
+    let task = ExecTask {
+        circuit: text::dump(&circuit),
+        shots: 256,
+        seed: 7,
+        spec: BackendSpec::of("qtensor", "numpy"),
+    };
+    let result = TestRig::new(1).qrc(None).execute(&task).unwrap();
+    assert_eq!(result.metadata["work.contraction_width"], "12");
+    assert_eq!(result.metadata["work.multiply_adds"], "51288");
 }

@@ -228,25 +228,33 @@ mod tests {
     use crate::qpm::Qpm;
     use crate::qrc::{DispatchPolicy, Qrc};
     use crate::registry::BackendRegistry;
+    use qfw_chaos::{FaultPlan, FaultSpec};
     use qfw_defw::Defw;
     use qfw_hpc::slurm::{HetJob, HetJobSpec};
     use qfw_hpc::{ClusterSpec, Dvm};
 
     fn rig() -> (Defw, Qpm) {
+        let (defw, qpm, _) = rig_with(FaultPlan::disabled());
+        (defw, qpm)
+    }
+
+    /// A DEFw hub and `qpm0` over a four-slot QRC with `chaos` attached.
+    fn rig_with(chaos: FaultPlan) -> (Defw, Qpm, Arc<Qrc>) {
         let cluster = ClusterSpec::test(3);
         let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
         let dvm = Arc::new(Dvm::new(&cluster));
-        let qrc = Arc::new(Qrc::new(
+        let qrc = Qrc::new(
             BackendRegistry::standard(None),
             hetjob,
             dvm,
             1,
             4,
             DispatchPolicy::RoundRobin,
-        ));
+        );
+        let qrc = Arc::new(qrc.with_chaos(Arc::new(chaos)));
         let defw = Defw::start(4);
-        let qpm = Qpm::start(&defw, 0, qrc);
-        (defw, qpm)
+        let qpm = Qpm::start(&defw, 0, Arc::clone(&qrc));
+        (defw, qpm, qrc)
     }
 
     fn ghz(n: usize) -> Circuit {
@@ -425,18 +433,17 @@ mod tests {
         }
     }
 
+    /// An admitted job whose engine fails in its slot (the
+    /// `qrc.engine_panic` chaos site) reaches the caller as `Execution`.
     #[test]
     fn execution_errors_pass_through() {
-        let (defw, _qpm) = rig();
-        let backend = QfwBackend::connect(
-            defw.client(),
-            "qpm0",
-            BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5),
-        );
-        let qc = qfw_testkit::random_circuit(5, 30, 15);
-        match backend.execute_sync(&qc, 10) {
-            Err(QfwError::Execution(msg)) => assert!(msg.contains("limit 5"), "{msg}"),
+        let chaos = FaultPlan::seeded(1).inject("qrc.engine_panic", FaultSpec::first(1));
+        let (defw, _qpm, qrc) = rig_with(chaos);
+        let backend = QfwBackend::connect(defw.client(), "qpm0", BackendSpec::of("nwqsim", "cpu"));
+        match backend.execute_sync(&ghz(3), 10) {
+            Err(QfwError::Execution(msg)) => assert!(msg.contains("injected"), "{msg}"),
             other => panic!("expected execution error, got {other:?}"),
         }
+        assert_eq!(qrc.engine_panics(), 1);
     }
 }

@@ -26,7 +26,7 @@ use qfw_noise::{Calibration, NoiseModel};
 use qfw_sim_mps::MpsConfig;
 use qfw_sim_sv::dist::local_qubits_needed;
 use qfw_sim_sv::MAX_DENSE_QUBITS;
-use qfw_sim_tn::OrderHeuristic;
+use qfw_sim_tn::{ContractionPlan, OrderHeuristic, TensorNetwork};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -327,6 +327,10 @@ pub struct ExecPlan {
     /// The row whose width and compatibility rules apply (on
     /// `aer/automatic`, the chosen method's).
     engine: &'static Engine,
+    /// The contraction a tensor-network row runs, laid out by [`fit`] from
+    /// the circuit's wires; `None` on every other row. Derived from the
+    /// circuit, so not part of the hash.
+    pub(crate) contraction: Option<Arc<ContractionPlan>>,
     /// The MPS budget as the caller set it; `None` takes the engine's
     /// default, whichever engine that turns out to be.
     asked_chi_max: Option<usize>,
@@ -420,6 +424,7 @@ impl ExecPlan {
             layout: None,
             predicted_fidelity: None,
             engine,
+            contraction: None,
             asked_chi_max: None,
             asked_trunc_eps: None,
             spelled_sub: spec.subbackend.clone(),
@@ -701,8 +706,9 @@ fn shape(form: &Form) -> Cow<'_, Circuit> {
 /// its method (and that method's width), an engine that cannot collapse a
 /// state gets no mid-circuit measurement, the tableau no non-Clifford
 /// gate, a dense engine no gate wider than its kernels, a tensor network
-/// no register wider than its width limit, the register is wide enough
-/// for the ranks, the layout permutes exactly the register, and the
+/// no register or contraction wider than its width limit (and its
+/// contraction plan, which no other row carries), the register is wide
+/// enough for the ranks, the layout permutes exactly the register, and the
 /// partition seam sits inside a Clifford prefix.
 fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, QfwError> {
     let num_qubits = match form {
@@ -762,11 +768,19 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
             )));
         }
     }
-    if matches!(plan.engine.sim, Sim::TensorNetwork(_)) && num_qubits > plan.width_limit {
-        return Err(QfwError::Resources(format!(
-            "full-state contraction of {num_qubits} qubits exceeds the width limit {}",
-            plan.width_limit
-        )));
+    plan.contraction = None;
+    if let Sim::TensorNetwork(order) = plan.engine.sim {
+        let limit = plan.width_limit;
+        if num_qubits > limit {
+            return Err(QfwError::Resources(format!(
+                "full-state contraction of {num_qubits} qubits exceeds the width limit {limit}"
+            )));
+        }
+        // Laid out from the wires alone: a skeleton's plan holds at every
+        // binding. Refused in the engine's own words.
+        let contraction = TensorNetwork::from_circuit(&circuit).plan(order);
+        contraction.within(limit).map_err(QfwError::Resources)?;
+        plan.contraction = Some(Arc::new(contraction));
     }
     if plan.layout.as_ref().is_some_and(|l| l.len() != num_qubits) {
         return Err(QfwError::BadProperties(format!(

@@ -192,6 +192,8 @@ pub struct Qrc {
     /// Engine invocations: slot-held backend dispatches. A coalesced batch
     /// through [`Qrc::run_many`] counts once.
     invocations: AtomicU64,
+    /// Engine panics caught at [`Qrc::run_many`]'s boundary.
+    panics: AtomicU64,
     /// Cost-model planner behind `backend="auto"`. Lives on the controller
     /// so its online EWMA corrections accumulate across dispatches: every
     /// successful auto execution feeds measured runtime back via
@@ -233,6 +235,7 @@ impl Qrc {
             obs: Obs::disabled(),
             requeues: AtomicU64::new(0),
             invocations: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             planner: crate::planner::Planner::default(),
         }
     }
@@ -284,6 +287,13 @@ impl Qrc {
     /// one; a [`Qrc::run_many`] batch counts one for the whole batch.
     pub fn engine_invocations(&self) -> u64 {
         self.invocations.load(Ordering::Relaxed)
+    }
+
+    /// Engine panics so far (`qrc.engine_panics`), each caught by
+    /// [`Qrc::run_many`]'s one panic boundary: 0 while admission refuses
+    /// every job its engine would.
+    pub fn engine_panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// A point-in-time view of the pool for dispatch-window sizing.
@@ -498,6 +508,7 @@ impl Qrc {
             })
         }))
         .unwrap_or_else(|cause| {
+            self.panics.fetch_add(1, Ordering::Relaxed);
             let detail = cause
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -694,6 +705,37 @@ mod tests {
             assert_eq!(result.counts.values().sum::<usize>(), 100, "{backend}");
             assert_eq!(result.backend, backend);
         }
+    }
+
+    /// Admission refuses whatever an engine would: a run of every local
+    /// row leaves the panic boundary untouched.
+    #[test]
+    fn every_local_row_runs_without_an_engine_panic() {
+        let qrc = qrc(2, DispatchPolicy::RoundRobin);
+        let rows = [
+            ("nwqsim", "cpu"),
+            ("nwqsim", "openmp"),
+            ("nwqsim", "mpi"),
+            ("aer", "statevector"),
+            ("aer", "matrix_product_state"),
+            ("aer", "stabilizer"),
+            ("aer", "automatic"),
+            ("tnqvm", "exatn-mps"),
+            ("qtensor", "numpy"),
+            ("qtensor", "sequential"),
+            ("qtensor", "mpi"),
+        ];
+        for (backend, sub) in rows {
+            let spec = BackendSpec::of(backend, sub).with_ranks(2);
+            let result = qrc.execute(&ghz_task(5, spec)).unwrap();
+            assert_eq!(
+                result.counts.values().sum::<usize>(),
+                100,
+                "{backend}/{sub}"
+            );
+        }
+        assert_eq!(qrc.engine_invocations(), rows.len() as u64);
+        assert_eq!(qrc.engine_panics(), 0);
     }
 
     #[test]

@@ -957,22 +957,27 @@ mod tests {
     use crate::Priority;
     use qfw::registry::BackendRegistry;
     use qfw::{DispatchPolicy, QfwError};
+    use qfw_chaos::{FaultPlan, FaultSpec};
     use qfw_circuit::Circuit;
     use qfw_hpc::slurm::{HetJob, HetJobSpec};
     use qfw_hpc::{ClusterSpec, Dvm};
 
     fn qrc(workers: usize) -> Arc<Qrc> {
+        Arc::new(unshared_qrc(workers))
+    }
+
+    fn unshared_qrc(workers: usize) -> Qrc {
         let cluster = ClusterSpec::test(3);
         let hetjob = Arc::new(HetJob::submit(&cluster, &HetJobSpec::qfw_standard(2)).unwrap());
         let dvm = Arc::new(Dvm::new(&cluster));
-        Arc::new(Qrc::new(
+        Qrc::new(
             BackendRegistry::standard(None),
             hetjob,
             dvm,
             1,
             workers,
             DispatchPolicy::RoundRobin,
-        ))
+        )
     }
 
     fn ghz(n: usize) -> Circuit {
@@ -985,13 +990,12 @@ mod tests {
         qc
     }
 
-    /// A job admission accepts and its engine refuses at run time: a
-    /// contraction whose intermediate outgrows the width limit its register
-    /// fits.
-    fn fails_at_run_time() -> JobEnvelope {
-        let qc = qfw_testkit::random_circuit(5, 30, 15);
-        JobEnvelope::new("t", &qc, 10)
-            .with_spec(qfw::BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5))
+    /// A one-slot QRC on which the job admission accepted as engine
+    /// invocation `nth` (from 0) fails at run time: the `qrc.engine_panic`
+    /// chaos site panics there, as an engine would.
+    fn fails_at_run_time(nth: u64) -> Arc<Qrc> {
+        let chaos = FaultPlan::seeded(1).inject("qrc.engine_panic", FaultSpec::first(1).after(nth));
+        Arc::new(unshared_qrc(1).with_chaos(Arc::new(chaos)))
     }
 
     const T: Duration = Duration::from_secs(30);
@@ -1075,13 +1079,15 @@ mod tests {
 
     #[test]
     fn failed_execution_is_reported() {
-        let sched = Scheduler::start(qrc(1), Obs::disabled(), SchedConfig::default());
-        // A spec that resolves but whose engine fails at run time.
-        let id = sched.submit(fails_at_run_time()).unwrap();
+        let qrc = fails_at_run_time(0);
+        let sched = Scheduler::start(Arc::clone(&qrc), Obs::disabled(), SchedConfig::default());
+        // A job admission accepts but whose engine fails at run time.
+        let id = sched.submit(JobEnvelope::new("t", &ghz(3), 10)).unwrap();
         match sched.wait(id, T) {
-            JobStatus::Failed(msg) => assert!(msg.contains("limit 5"), "{msg}"),
+            JobStatus::Failed(msg) => assert!(msg.contains("injected"), "{msg}"),
             other => panic!("unexpected status {other:?}"),
         }
+        assert_eq!(qrc.engine_panics(), 1);
         // One that can never run is refused at submit, with no queue entry.
         let admitted = sched.stats().admitted;
         let env = JobEnvelope::new("t", &ghz(3), 10)
@@ -1100,8 +1106,10 @@ mod tests {
     #[test]
     fn on_terminal_answers_once_with_the_polled_status() {
         use std::sync::mpsc::channel;
+        // `good` runs first on the one slot, then `bad` fails.
+        let qrc = fails_at_run_time(1);
         let sched = Scheduler::start(
-            qrc(1),
+            Arc::clone(&qrc),
             Obs::disabled(),
             SchedConfig {
                 start_paused: true,
@@ -1117,7 +1125,9 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap(), (999, "Unknown".to_string()));
 
         let good = sched.submit(JobEnvelope::new("t", &ghz(3), 10)).unwrap();
-        let bad = sched.submit(fails_at_run_time()).unwrap();
+        let bad = sched
+            .submit(JobEnvelope::new("t", &ghz(3), 10).with_seed(2))
+            .unwrap();
         for id in [good, bad, good] {
             watch(id);
         }
@@ -1128,6 +1138,7 @@ mod tests {
         let polled = |id| format!("{:?}", sched.poll(id));
         assert_eq!(answers, [(good, polled(good)), (good, polled(good)), (bad, polled(bad))]);
         assert!(answers[2].1.starts_with("Failed"), "{answers:?}");
+        assert_eq!(qrc.engine_panics(), 1);
         // Terminal now: answered at once, and nobody is answered twice.
         watch(bad);
         assert_eq!(rx.try_recv().unwrap(), (bad, polled(bad)));

@@ -1,11 +1,20 @@
 //! Engine façade for the tensor-network simulator.
+//!
+//! [`TnSimulator`] lays out its own contraction plan under its
+//! [`TnConfig`] for every call. [`ContractionPlan::execute`] contracts a
+//! plan laid out before the call — by the stack's admission, which refuses
+//! the width there. Both sample the contracted state through the dense
+//! engine's canonical split sampler ([`StateVector::sample_split`]), so a
+//! tensor-network run and a dense run with bitwise-equal amplitudes draw
+//! bitwise-equal counts.
 
-use crate::network::TensorNetwork;
+use crate::network::{ContractionPlan, TensorNetwork};
 pub use crate::network::OrderHeuristic;
+use crate::tensor::Tensor;
 use qfw_circuit::analysis::lightcone;
 use qfw_circuit::{Circuit, Counts, Op, Readout};
 use qfw_num::complex::C64;
-use qfw_num::rng::{CdfSampler, Rng};
+use qfw_sim_sv::{canonical_split_bits, StateVector};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -41,6 +50,34 @@ pub struct TnOutcome<C = BTreeMap<String, usize>> {
 }
 
 impl TnOutcome<Counts> {
+    /// Contracts `qc`'s state with `amps`, then draws `shots` samples
+    /// through the dense engine's canonical split sampler, read through
+    /// the circuit's [`Readout`].
+    ///
+    /// # Panics
+    /// This engine cannot collapse a state mid-circuit: it panics on a
+    /// circuit with a mid-circuit measurement, which admission refuses
+    /// before it reaches here (`qfw::plan`).
+    fn sample(qc: &Circuit, shots: usize, seed: u64, amps: impl FnOnce() -> Vec<C64>) -> Self {
+        let readout = Readout::of(qc);
+        assert!(
+            !readout.has_mid_circuit(),
+            "the tensor-network engine cannot collapse a state mid-circuit"
+        );
+        let sw = qfw_hpc::Stopwatch::start();
+        let state = StateVector::from_amps(amps());
+        let contract_time = sw.elapsed();
+
+        let sw = qfw_hpc::Stopwatch::start();
+        let split_bits = canonical_split_bits(state.num_qubits(), 0);
+        let draws = state.sample_split(shots, seed, split_bits);
+        TnOutcome {
+            counts: readout.counts(draws, &BTreeMap::new()),
+            contract_time,
+            sample_time: sw.elapsed(),
+        }
+    }
+
     /// This outcome with its counts rendered as bit strings.
     pub fn rendered(self) -> TnOutcome {
         TnOutcome {
@@ -67,11 +104,9 @@ impl TnSimulator {
     /// Contracts the full network into the dense state vector in qubit
     /// order (QTensor-in-QFw's full-state contraction mode).
     pub fn statevector(&self, circuit: &Circuit) -> Vec<C64> {
-        let net = TensorNetwork::from_circuit(circuit);
-        let outputs = net.outputs().to_vec();
-        let t = net.contract_all(self.config.order, self.config.width_limit);
-        let ordered = t.permute_to(&outputs);
-        ordered.data
+        state(circuit, |net| {
+            net.contract_all(self.config.order, self.config.width_limit)
+        })
     }
 
     /// [`execute`](Self::execute) with the counts rendered as bit strings.
@@ -79,37 +114,16 @@ impl TnSimulator {
         self.execute(circuit, shots, seed).rendered()
     }
 
-    /// Executes a circuit for `shots` samples, read through the circuit's
-    /// [`Readout`].
+    /// Executes a circuit for `shots` samples along its own plan, read
+    /// through the circuit's [`Readout`].
     ///
     /// # Panics
-    /// This engine cannot collapse a state mid-circuit: it panics on a
-    /// circuit with a mid-circuit measurement, which admission refuses
-    /// before it reaches here (`qfw::plan`).
+    /// On a contraction wider than `width_limit`, and on a circuit with a
+    /// mid-circuit measurement, which this engine cannot collapse. The
+    /// stack's admission refuses both before a job reaches an engine
+    /// (`qfw::plan`).
     pub fn execute(&self, circuit: &Circuit, shots: usize, seed: u64) -> TnOutcome<Counts> {
-        let readout = Readout::of(circuit);
-        assert!(
-            !readout.has_mid_circuit(),
-            "the tensor-network engine cannot collapse a state mid-circuit"
-        );
-        let sw = qfw_hpc::Stopwatch::start();
-        let amps = self.statevector(circuit);
-        let contract_time = sw.elapsed();
-
-        let sw = qfw_hpc::Stopwatch::start();
-        let probs: Vec<f64> = amps.iter().map(|a| a.norm_sqr()).collect();
-        let sampler = CdfSampler::new(&probs);
-        let mut rng = Rng::seed_from(seed);
-        let draws = (0..shots)
-            .map(|_| sampler.sample(&mut rng) as u64)
-            .collect();
-        let counts = readout.counts(draws, &BTreeMap::new());
-        let sample_time = sw.elapsed();
-        TnOutcome {
-            counts,
-            contract_time,
-            sample_time,
-        }
+        TnOutcome::sample(circuit, shots, seed, || self.statevector(circuit))
     }
 
     /// Amplitude of one basis state by capping every output — never
@@ -128,15 +142,16 @@ impl TnSimulator {
     /// QTensor's native QAOA expectation path.
     ///
     /// Returns the expectation and the cone width actually contracted.
+    ///
+    /// # Panics
+    /// When the cone's contraction is wider than `width_limit` — as it is
+    /// whenever the cone is, since a full-state contraction's last step
+    /// has the register's rank.
     pub fn expectation_zz(&self, circuit: &Circuit, i: usize, j: usize) -> (f64, usize) {
         let targets: Vec<usize> = if i == j { vec![i] } else { vec![i, j] };
         let (cone, support) = lightcone(circuit, &targets);
         let support: Vec<usize> = support.into_iter().collect();
         let width = support.len();
-        assert!(
-            width <= self.config.width_limit,
-            "lightcone width {width} exceeds the limit"
-        );
         // Re-index the cone onto a compact register over its support.
         let mut remap = vec![usize::MAX; circuit.num_qubits()];
         for (new, &old) in support.iter().enumerate() {
@@ -164,6 +179,31 @@ impl TnSimulator {
             .sum();
         (e, width)
     }
+}
+
+impl ContractionPlan {
+    /// [`TnSimulator::execute`] along this plan, laid out before the call
+    /// for `circuit`'s wires ([`TensorNetwork::plan`] of its network, or of
+    /// any binding of the same skeleton): contracted as it is, with no
+    /// second plan and no width check.
+    ///
+    /// # Panics
+    /// On a circuit with a mid-circuit measurement. A plan laid out for
+    /// other wires panics or contracts the wrong pairs; the stack's
+    /// admission lays it out from the job's own gate operands.
+    pub fn execute(&self, circuit: &Circuit, shots: usize, seed: u64) -> TnOutcome<Counts> {
+        TnOutcome::sample(circuit, shots, seed, || {
+            state(circuit, |net| net.contract(self))
+        })
+    }
+}
+
+/// The dense state of `circuit` in qubit order, its network contracted by
+/// `contract`.
+fn state(circuit: &Circuit, contract: impl FnOnce(TensorNetwork) -> Tensor) -> Vec<C64> {
+    let net = TensorNetwork::from_circuit(circuit);
+    let outputs = net.outputs().to_vec();
+    contract(net).permute_to(&outputs).data
 }
 
 #[cfg(test)]
@@ -342,5 +382,46 @@ mod tests {
         });
         let amps = engine.statevector(&qc);
         assert!((amps.iter().map(|a| a.norm_sqr()).sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+    use qfw_testkit::random_circuit;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One sampler: at 1–12 qubits and in both orders, `execute`'s
+        /// counts are the dense engine's split sampler over `statevector`'s
+        /// amplitudes, read through the circuit's `Readout` (a random
+        /// subset of qubits measured into reversed clbits), to the bit.
+        #[test]
+        fn counts_are_the_split_sampler_over_the_amplitudes(
+            n in 1usize..13,
+            len in 0usize..40,
+            seed in 0u64..u64::MAX,
+            shots in 1usize..600,
+        ) {
+            let mut qc = Circuit::new(n);
+            for g in random_circuit(n.max(2), len, seed).gates() {
+                if g.operands().iter().all(|&q| q < n) {
+                    qc.push(g.clone());
+                }
+            }
+            for q in (0..n).filter(|q| (seed >> q) & 1 == 1) {
+                qc.measure(q, n - 1 - q);
+            }
+            let readout = Readout::of(&qc);
+            for order in [OrderHeuristic::Greedy, OrderHeuristic::Sequential] {
+                let engine = TnSimulator::new(TnConfig { order, width_limit: 27 });
+                let state = StateVector::from_amps(engine.statevector(&qc));
+                let draws = state.sample_split(shots, seed, canonical_split_bits(n, 0));
+                let want = readout.counts(draws, &BTreeMap::new());
+                prop_assert_eq!(engine.execute(&qc, shots, seed).counts, want);
+            }
+        }
     }
 }

@@ -12,7 +12,12 @@
 //! driven by offset tables ([`tensor`]). Like the paper's use of QTensor
 //! inside QFw, the default execution path is *full-state contraction*: the
 //! contraction terminates in the dense 2^n output tensor, which is then
-//! sampled.
+//! sampled by the dense engine's canonical split sampler, so equal
+//! amplitudes draw equal counts on either engine.
+//!
+//! [`TnSimulator`] plans for itself on every call. The stack plans a job
+//! once, at admission, where it refuses a plan past the width limit, and
+//! runs that plan through [`ContractionPlan::execute`].
 //!
 //! Contraction cost explodes with circuit depth and connectivity — the
 //! treewidth of the line graph — which reproduces the paper's observation

@@ -5,8 +5,12 @@
 //! only the tensors' index lists and lays out every pairwise step, with
 //! the rank of each result and the multiply-adds it costs; no amplitude
 //! is touched. [`TensorNetwork::contract_all`] refuses a plan whose widest
-//! step is past the width limit, then runs the steps through one reused
-//! set of offset tables.
+//! step is past the width limit ([`ContractionPlan::within`]), then runs
+//! the steps through one reused set of offset tables (`contract`, which
+//! also runs a plan laid out before the call). A plan depends only on the
+//! gates' operands, so one laid out for a circuit holds for every binding
+//! of its skeleton, and the stack lays out a job's plan once, at
+//! admission.
 
 use crate::tensor::{IndexId, Tensor, Workspace};
 use qfw_circuit::Circuit;
@@ -65,6 +69,18 @@ impl ContractionPlan {
     /// step, saturating at `u64::MAX`.
     pub fn multiply_adds(&self) -> u64 {
         self.multiply_adds
+    }
+
+    /// The refusal of a plan with a step wider than `limit`, naming the
+    /// first such step's rank: the analog of a contraction running out of
+    /// memory, in the words [`TensorNetwork::contract_all`] panics with.
+    pub fn within(&self, limit: usize) -> Result<(), String> {
+        let Some(width) = self.steps.iter().map(|s| s.rank).find(|&r| r > limit) else {
+            return Ok(());
+        };
+        Err(format!(
+            "contraction width {width} exceeds the limit {limit}"
+        ))
     }
 }
 
@@ -305,17 +321,16 @@ impl TensorNetwork {
     /// contraction running out of memory.
     pub fn contract_all(self, order: OrderHeuristic, width_limit: usize) -> Tensor {
         let plan = self.plan(order);
-        if let Some(step) = plan.steps.iter().find(|s| s.rank > width_limit) {
-            panic!(
-                "contraction width {} exceeds the limit {width_limit}",
-                step.rank
-            );
-        }
-        self.run(&plan)
+        plan.within(width_limit)
+            .unwrap_or_else(|why| panic!("{why}"));
+        self.contract(&plan)
     }
 
-    /// Runs `plan`'s steps, each through the same offset tables.
-    fn run(self, plan: &ContractionPlan) -> Tensor {
+    /// Contracts the network along `plan`, each step through the same
+    /// offset tables. The plan must be laid out for this network's wires —
+    /// by [`plan`](Self::plan) on it, or on the network of any circuit with
+    /// the same gate operands — and its width is not checked here.
+    pub(crate) fn contract(self, plan: &ContractionPlan) -> Tensor {
         let mut slots: Vec<Option<Tensor>> =
             Vec::with_capacity(self.tensors.len() + plan.steps.len());
         slots.extend(self.tensors.into_iter().map(Some));

@@ -786,25 +786,92 @@ fn non_clifford_gates_are_refused_on_the_stabilizer_row_before_work() {
 }
 
 /// A register that fits `width_limit` can still need a wider intermediate
-/// midway through the contraction. The engine's refusal is a panic, which
-/// the QRC's one panic boundary turns into an ordinary failure: the job
-/// fails with `Execution` naming the width, the slot is idle again, and the
-/// next job on the same controller runs.
+/// midway through its contraction. Admission lays out the job's
+/// contraction plan from its wires and refuses that width with `Resources`
+/// in the engine's words, on `qtensor/{numpy,mpi}` and on every entry path
+/// — `Qrc::admit`, `Qrc::execute`, `Qrc::execute_many`,
+/// `Qrc::execute_sweep` on a skeleton, `Scheduler::submit` and the ingress
+/// — before a slot, an engine invocation, a queue entry or a job id
+/// exists. The next job on the same controller runs.
 #[test]
-fn contraction_past_the_width_limit_fails_the_job_and_frees_the_slot() {
+fn contraction_past_the_width_limit_is_refused_before_work() {
     let (qrc, _hetjob) = qrc();
-    let task = ExecTask {
-        circuit: text::dump(&qfw_testkit::random_circuit(5, 30, 15)),
-        shots: 10,
-        seed: 1,
-        spec: BackendSpec::of("qtensor", "numpy").with_extra("width_limit", 5),
-    };
-    match qrc.execute(&task) {
-        Err(QfwError::Execution(msg)) => assert!(msg.contains("limit 5"), "{msg}"),
-        other => panic!("an over-wide contraction must fail its job, got {other:?}"),
+    let sched = Scheduler::start(
+        Arc::clone(&qrc),
+        Obs::disabled(),
+        SchedConfig {
+            start_paused: true,
+            ..SchedConfig::default()
+        },
+    );
+    let ingress = SchedIngress::start(
+        sched.clone(),
+        SchedIngressConfig::default(),
+        Obs::disabled(),
+    );
+    let conn = ingress.connect();
+    let qc = qfw_testkit::random_circuit(5, 30, 15);
+    let wire = text::dump(&qc);
+    // The same gates as a skeleton whose first `rx` angle is symbolic.
+    let mut skeleton = ParamCircuit::new(5);
+    let first_rx = qc.gates().position(|g| matches!(g, Gate::Rx(..))).unwrap();
+    for (i, g) in qc.gates().enumerate() {
+        match g {
+            Gate::Rx(q, _) if i == first_rx => skeleton.rx(*q, Angle::sym(0)),
+            _ => skeleton.fixed(g.clone()),
+        };
     }
-    assert_eq!(qrc.slot_snapshot().busy, 0);
-    assert_eq!(qrc.engine_invocations(), 1);
+    let refused = |e: &QfwError| {
+        matches!(e, QfwError::Resources(why)
+            if why.starts_with("contraction width") && why.ends_with("exceeds the limit 5"))
+    };
+    let before = footprint(&qrc, &sched);
+    for sub in ["numpy", "mpi"] {
+        let spec = BackendSpec::of("qtensor", sub).with_extra("width_limit", 5);
+        let task = ExecTask {
+            circuit: wire.clone(),
+            shots: 10,
+            seed: 1,
+            spec: spec.clone(),
+        };
+        let admitted = qrc.admit(qfw::Source::Wire(&wire), 10, 1, &spec);
+        assert!(
+            matches!(&admitted, Err(e) if refused(e)),
+            "{sub}: admit gave {admitted:?}"
+        );
+        let executed = qrc.execute(&task);
+        assert!(
+            matches!(&executed, Err(e) if refused(e)),
+            "{sub}: execute gave {executed:?}"
+        );
+        for outcome in qrc.execute_many(&[task.clone(), task]) {
+            assert!(
+                matches!(&outcome, Err(e) if refused(e)),
+                "{sub}: batch gave {outcome:?}"
+            );
+        }
+        let swept = qrc.execute_sweep(&SweepTask {
+            circuit: text::dump_param(&skeleton),
+            points: points(1),
+            spec: spec.clone(),
+        });
+        assert!(
+            matches!(&swept, Err(e) if refused(e)),
+            "{sub}: sweep gave {swept:?}"
+        );
+        let env = JobEnvelope::new("t", &qc, 10).with_spec(spec);
+        match sched.submit(env.clone()) {
+            Err(SchedError::Unrunnable(e)) => assert!(refused(&e), "{sub}: submit gave {e:?}"),
+            other => panic!("{sub}: Scheduler::submit returned {other:?}"),
+        }
+        let remote = client::submit(&conn, &env, T).unwrap_err().to_string();
+        assert!(
+            remote.contains("exceeds the limit 5"),
+            "{sub}: ingress said {remote}"
+        );
+    }
+    assert_eq!(footprint(&qrc, &sched), before);
+    assert_eq!((qrc.engine_invocations(), qrc.engine_panics()), (0, 0));
     let wire = text::dump(&template(false).0.bind(&[0.3, 0.8]));
     let next = qrc
         .execute(&ExecTask {
@@ -815,4 +882,6 @@ fn contraction_past_the_width_limit_fails_the_job_and_frees_the_slot() {
         })
         .unwrap();
     assert_eq!(next.counts.values().sum::<usize>(), 10);
+    ingress.shutdown();
+    sched.shutdown();
 }

@@ -397,9 +397,10 @@ fn qtensor_job_plans_its_width_and_work_and_allocates_the_same_blocks_whatever_t
     assert!(few <= TN_JOB_BLOCKS, "QAOA-12 qtensor: {few} blocks, budget {TN_JOB_BLOCKS}");
 }
 
-/// Ceiling of a QAOA-12 qtensor job's blocks (427 today: each gate's
+/// Ceiling of a QAOA-12 qtensor job's blocks (441 today: each gate's
 /// matrix, indices and data, each step's result, and a fixed number for
-/// the plan, the state and the sample), at most a tenth above today's
-/// count. It was 985 while every gate lowered through three scratch
-/// vectors and every step rebuilt its index maps.
+/// the plan, the state and the dense engine's split sampler), at most a
+/// tenth above today's count. It was 985 while every gate lowered through
+/// three scratch vectors and every step rebuilt its index maps, and 427
+/// while the engine sampled through its own three `2^n` tables.
 const TN_JOB_BLOCKS: usize = 469;
