@@ -14,7 +14,9 @@
 //!   ([`Sim::Chunked`]): the one distributed executor. At one rank
 //!   `aer/statevector` is the serial fused dense engine.
 //! * `aer/matrix_product_state`, `tnqvm/exatn-mps` ([`Sim::Mps`]): MPS, which
-//!   the paper finds "do[es] not scale as effectively" with ranks.
+//!   the paper finds "do[es] not scale as effectively" with ranks. The
+//!   runner stamps the SVDs the run made and the sampler's prefix-tree
+//!   nodes as `work.*`, beside `max_bond` and `trunc_error`.
 //! * `aer/stabilizer` ([`Sim::Stabilizer`]): the tableau. `aer/automatic`
 //!   arrives on whichever of the `aer` rows admission picked, and says which.
 //! * `qtensor/*` ([`Sim::TensorNetwork`]): full-state contraction, though
@@ -72,6 +74,8 @@ impl BackendQpm for LocalRunner {
                 result.profile.sample_secs = out.sample_time.as_secs_f64();
                 result.note("max_bond", out.max_bond);
                 result.note("trunc_error", format!("{:.3e}", out.trunc_error));
+                result.note("work.svds", out.svds);
+                result.note("work.sample_nodes", out.sample_nodes);
                 if plan.requested_ranks > 1 {
                     let why = "mps is sequential along the bond chain";
                     result.note("ranks_ignored", format!("{} ({why})", plan.requested_ranks));

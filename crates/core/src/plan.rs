@@ -26,7 +26,7 @@ use qfw_noise::{Calibration, NoiseModel};
 use qfw_sim_mps::MpsConfig;
 use qfw_sim_sv::dist::local_qubits_needed;
 use qfw_sim_sv::MAX_DENSE_QUBITS;
-use qfw_sim_tn::{ContractionPlan, OrderHeuristic, TensorNetwork};
+use qfw_sim_tn::{ContractionPlan, OrderHeuristic};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -778,7 +778,7 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
         }
         // Laid out from the wires alone: a skeleton's plan holds at every
         // binding. Refused in the engine's own words.
-        let contraction = TensorNetwork::from_circuit(&circuit).plan(order);
+        let contraction = ContractionPlan::for_circuit(&circuit, order);
         contraction.within(limit).map_err(QfwError::Resources)?;
         plan.contraction = Some(Arc::new(contraction));
     }

@@ -6,9 +6,15 @@
 //! and HHL system matrices (up to 2^7) — so robust O(n^3) Jacobi-style
 //! algorithms are the right trade: they are short, numerically excellent, and
 //! trivially correct to test.
+//!
+//! The SVD is one implementation, [`SvdWorkspace::factor`]: it keeps the
+//! working columns, the rotations and the sort in storage reused from one
+//! factorisation to the next, each column contiguous, and [`svd`] is a thin
+//! wrapper that factors into a workspace of its own and copies the factors
+//! out as matrices.
 
 use crate::complex::C64;
-use crate::matrix::{inner, Matrix};
+use crate::matrix::Matrix;
 
 /// Result of a singular value decomposition `A = U * diag(S) * V^dagger`.
 pub struct Svd {
@@ -20,82 +26,197 @@ pub struct Svd {
     pub v: Matrix,
 }
 
-/// Computes the thin SVD of an `m x n` matrix by one-sided Jacobi.
-///
-/// Column pairs of a working copy of `A` are repeatedly rotated until all are
-/// mutually orthogonal; the column norms are then the singular values. The
-/// same rotations accumulated into an identity give `V`. This converges
-/// quadratically and keeps tiny singular values accurate, which matters for
-/// MPS truncation decisions.
+/// Computes the thin SVD of an `m x n` matrix by one-sided Jacobi: one
+/// [`SvdWorkspace::factor`] into a workspace of its own, copied out.
 pub fn svd(a: &Matrix) -> Svd {
-    let (m, n) = (a.rows(), a.cols());
-    // One-sided Jacobi wants at least as many rows as columns; transpose
-    // through when the input is wide: A = U S V^dag  <=>  A^dag = V S U^dag.
-    if m < n {
-        let t = svd(&a.dagger());
-        return Svd {
-            u: t.v,
-            s: t.s,
-            v: t.u,
-        };
+    let mut ws = SvdWorkspace::default();
+    ws.factor(a.rows(), a.cols(), a.as_slice());
+    let rank = ws.s().len();
+    Svd {
+        u: Matrix::from_fn(a.rows(), rank, |i, j| ws.u_col(j)[i]),
+        s: ws.s().to_vec(),
+        v: Matrix::from_fn(a.cols(), rank, |i, j| ws.v_col(j)[i]),
     }
+}
 
-    // Work on columns of `w`; `v` accumulates the right rotations.
-    let mut w = a.clone();
-    let mut v = Matrix::identity(n);
-    let tol = 1e-14 * frob(a).max(1.0);
-    let max_sweeps = 60;
+/// The one-sided Jacobi SVD and the storage it works in, kept between
+/// factorisations so a caller that factors many small matrices — the MPS
+/// engine, one per bond update — allocates only when a matrix is larger
+/// than every one before it.
+///
+/// Column pairs of a working copy of `A` are repeatedly rotated until all
+/// are mutually orthogonal; the column norms are then the singular values.
+/// The same rotations accumulated into an identity give `V`. This converges
+/// quadratically and keeps tiny singular values accurate, which matters for
+/// MPS truncation decisions. One-sided Jacobi wants at least as many rows
+/// as columns, so a wide `A` is factored through its adjoint:
+/// `A = U S V†  <=>  A† = V S U†`.
+///
+/// Both the working copy and the rotations are stored column by column, so
+/// every pair step reads and rotates two contiguous slices. The factors are
+/// read back through [`u_col`](Self::u_col), [`s`](Self::s) and
+/// [`v_col`](Self::v_col) until the next factorisation.
+#[derive(Clone, Debug, Default)]
+pub struct SvdWorkspace {
+    /// Rows of the tall matrix Jacobi runs on (`A`, or `A†` when wide).
+    rows: usize,
+    /// Columns of the tall matrix: the thin factorisation's rank.
+    cols: usize,
+    wide: bool,
+    /// The tall matrix's columns; once factored, each divided by its norm.
+    w: Vec<C64>,
+    /// The accumulated rotations' columns (`cols x cols`).
+    v: Vec<C64>,
+    norms: Vec<f64>,
+    /// Singular value `k` belongs to column `order[k]` of `w` and `v`.
+    order: Vec<usize>,
+    s: Vec<f64>,
+}
 
-    for _ in 0..max_sweeps {
-        let mut off = 0.0_f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let cp = w.col(p);
-                let cq = w.col(q);
-                let apq = inner(&cp, &cq);
-                let app: f64 = cp.iter().map(|z| z.norm_sqr()).sum();
-                let aqq: f64 = cq.iter().map(|z| z.norm_sqr()).sum();
-                let mag = apq.abs();
-                off = off.max(mag);
-                if mag <= tol * (app.sqrt() * aqq.sqrt()).max(1e-300) {
-                    continue;
+impl SvdWorkspace {
+    /// Factors the row-major `rows x cols` matrix `a`, replacing the
+    /// previous factorisation.
+    ///
+    /// # Panics
+    /// When `a.len() != rows * cols`.
+    pub fn factor(&mut self, rows: usize, cols: usize, a: &[C64]) {
+        assert_eq!(a.len(), rows * cols, "svd input is not {rows}x{cols}");
+        self.wide = rows < cols;
+        let (m, n) = if self.wide {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        (self.rows, self.cols) = (m, n);
+        // Column j of A† is row j of A, conjugated.
+        self.w.clear();
+        if self.wide {
+            self.w.extend(a.iter().map(|z| z.conj()));
+        } else {
+            self.w
+                .extend((0..n).flat_map(|j| (0..m).map(move |i| a[i * n + j])));
+        }
+        self.v.clear();
+        self.v.resize(n * n, C64::ZERO);
+        for j in 0..n {
+            self.v[j * n + j] = C64::ONE;
+        }
+        // The Frobenius norm, summed row by row of the tall matrix as
+        // `Matrix::frobenius_norm` sums a row-major copy of it.
+        let w = &self.w;
+        let frob = (0..m)
+            .flat_map(|i| (0..n).map(move |j| w[j * m + i].norm_sqr()))
+            .sum::<f64>()
+            .sqrt();
+        let tol = 1e-14 * frob.max(1.0);
+        let max_sweeps = 60;
+
+        for _ in 0..max_sweeps {
+            let mut off = 0.0_f64;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let (cp, cq) = pair(&mut self.w, m, p, q);
+                    let mut apq = C64::ZERO;
+                    let (mut app, mut aqq) = (0.0_f64, 0.0_f64);
+                    for (x, y) in cp.iter().zip(cq.iter()) {
+                        apq = x.conj().mul_add(*y, apq);
+                        app += x.norm_sqr();
+                        aqq += y.norm_sqr();
+                    }
+                    let mag = apq.abs();
+                    off = off.max(mag);
+                    if mag <= tol * (app.sqrt() * aqq.sqrt()).max(1e-300) {
+                        continue;
+                    }
+                    // Phase-align column q so the pair problem becomes
+                    // real, then apply a classical real Jacobi rotation.
+                    let phase = apq / mag; // e^{i phi}
+                    let theta = 0.5 * (2.0 * mag).atan2(app - aqq);
+                    let (c, s) = (theta.cos(), theta.sin());
+                    rotate(cp, cq, c, s, phase);
+                    let (vp, vq) = pair(&mut self.v, n, p, q);
+                    rotate(vp, vq, c, s, phase);
                 }
-                // Phase-align column q so the pair problem becomes real,
-                // then apply a classical real Jacobi rotation.
-                let phase = apq / mag; // e^{i phi}
-                let theta = 0.5 * (2.0 * mag).atan2(app - aqq);
-                let (c, s) = (theta.cos(), theta.sin());
-                rotate_cols(&mut w, p, q, c, s, phase);
-                rotate_cols(&mut v, p, q, c, s, phase);
+            }
+            if off <= tol {
+                break;
             }
         }
-        if off <= tol {
-            break;
+
+        // Column norms are the singular values; normalized columns form U.
+        self.norms.clear();
+        self.norms.extend(
+            self.w
+                .chunks_exact(m.max(1))
+                .map(|col| col.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()),
+        );
+        self.order.clear();
+        self.order.extend(0..n);
+        let norms = &self.norms;
+        self.order
+            .sort_by(|&i, &j| norms[j].partial_cmp(&norms[i]).unwrap());
+        self.s.clear();
+        self.s.extend(self.order.iter().map(|&j| norms[j]));
+        for (col, &sigma) in self.w.chunks_exact_mut(m.max(1)).zip(norms) {
+            let inv = if sigma > 0.0 { 1.0 / sigma } else { 0.0 };
+            for z in col {
+                *z = z.scale(inv);
+            }
         }
     }
 
-    // Column norms are the singular values; normalized columns form U.
-    let mut order: Vec<usize> = (0..n).collect();
-    let norms: Vec<f64> = (0..n)
-        .map(|j| w.col(j).iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt())
-        .collect();
-    order.sort_by(|&i, &j| norms[j].partial_cmp(&norms[i]).unwrap());
+    /// Singular values in non-increasing order, `min(rows, cols)` of the
+    /// last input.
+    pub fn s(&self) -> &[f64] {
+        &self.s
+    }
 
-    let mut u = Matrix::zeros(m, n);
-    let mut vv = Matrix::zeros(n, n);
-    let mut s = Vec::with_capacity(n);
-    for (dst, &src) in order.iter().enumerate() {
-        let sigma = norms[src];
-        s.push(sigma);
-        let inv = if sigma > 0.0 { 1.0 / sigma } else { 0.0 };
-        for i in 0..m {
-            u[(i, dst)] = w[(i, src)].scale(inv);
-        }
-        for i in 0..n {
-            vv[(i, dst)] = v[(i, src)];
+    /// Left singular vector `k` (column `k` of `U`): one entry per row of
+    /// the last input.
+    pub fn u_col(&self, k: usize) -> &[C64] {
+        if self.wide {
+            self.rotation(k)
+        } else {
+            self.normalised(k)
         }
     }
-    Svd { u, s, v: vv }
+
+    /// Right singular vector `k` (column `k` of `V`): one entry per column
+    /// of the last input.
+    pub fn v_col(&self, k: usize) -> &[C64] {
+        if self.wide {
+            self.normalised(k)
+        } else {
+            self.rotation(k)
+        }
+    }
+
+    fn normalised(&self, k: usize) -> &[C64] {
+        let j = self.order[k];
+        &self.w[j * self.rows..(j + 1) * self.rows]
+    }
+
+    fn rotation(&self, k: usize) -> &[C64] {
+        let j = self.order[k];
+        &self.v[j * self.cols..(j + 1) * self.cols]
+    }
+}
+
+/// Columns `p < q` of a column-major matrix with `len`-entry columns.
+fn pair(m: &mut [C64], len: usize, p: usize, q: usize) -> (&mut [C64], &mut [C64]) {
+    let (head, tail) = m.split_at_mut(q * len);
+    (&mut head[p * len..(p + 1) * len], &mut tail[..len])
+}
+
+/// Applies the complex Jacobi rotation `[c, s*conj(phase); -s*phase, c]`
+/// to the column pair `(p, q)`.
+fn rotate(p: &mut [C64], q: &mut [C64], c: f64, s: f64, phase: C64) {
+    for (x, y) in p.iter_mut().zip(q.iter_mut()) {
+        let a = *x;
+        let b = *y * phase.conj();
+        *x = a.scale(c) + b.scale(s);
+        *y = (b.scale(c) - a.scale(s)) * phase;
+    }
 }
 
 /// Applies the complex Jacobi rotation `[c, s*conj(phase); -s*phase, c]`-style
@@ -323,7 +444,9 @@ mod tests {
     use crate::rng::Rng;
 
     fn random_matrix(rng: &mut Rng, m: usize, n: usize) -> Matrix {
-        Matrix::from_fn(m, n, |_, _| c64(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+        Matrix::from_fn(m, n, |_, _| {
+            c64(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        })
     }
 
     fn random_hermitian(rng: &mut Rng, n: usize) -> Matrix {
@@ -334,13 +457,17 @@ mod tests {
 
     fn reconstruct_svd(f: &Svd) -> Matrix {
         let r = f.s.len();
-        let sm = Matrix::from_fn(r, r, |i, j| {
-            if i == j {
-                c64(f.s[i], 0.0)
-            } else {
-                C64::ZERO
-            }
-        });
+        let sm = Matrix::from_fn(
+            r,
+            r,
+            |i, j| {
+                if i == j {
+                    c64(f.s[i], 0.0)
+                } else {
+                    C64::ZERO
+                }
+            },
+        );
         f.u.matmul(&sm).matmul(&f.v.dagger())
     }
 

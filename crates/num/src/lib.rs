@@ -3,7 +3,8 @@
 //! Every simulator in this workspace ultimately reduces to dense complex
 //! linear algebra: state vectors are `Vec<C64>`, gates are small unitary
 //! [`Matrix`] values, matrix-product-state tensors are reshaped matrices
-//! factorized by the [`svd`](decomp::svd) routine, and the HHL workload needs
+//! factorized by the one-sided Jacobi SVD
+//! ([`SvdWorkspace`](decomp::SvdWorkspace)), and the HHL workload needs
 //! a classical reference solution from [`solve`](decomp::solve).
 //!
 //! The crate is dependency-free by design (the paper's simulators sit on

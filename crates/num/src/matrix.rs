@@ -452,11 +452,7 @@ mod tests {
     fn trace_and_norm() {
         let a = sample();
         assert!(a.trace().approx_eq(c64(0.0, 1.5), 1e-15));
-        assert!(approx_eq(
-            Matrix::identity(4).frobenius_norm(),
-            2.0,
-            1e-15
-        ));
+        assert!(approx_eq(Matrix::identity(4).frobenius_norm(), 2.0, 1e-15));
     }
 
     #[test]

@@ -68,10 +68,7 @@ impl Rng {
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -571,7 +568,13 @@ mod tests {
         let mut wrng = Rng::seed_from(24);
         let n = 64;
         let weights: Vec<f64> = (0..n)
-            .map(|i| if i % 7 == 0 { 0.0 } else { wrng.next_f64().powi(2) })
+            .map(|i| {
+                if i % 7 == 0 {
+                    0.0
+                } else {
+                    wrng.next_f64().powi(2)
+                }
+            })
             .collect();
         let shots = 200_000usize;
 

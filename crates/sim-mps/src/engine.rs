@@ -43,6 +43,12 @@ pub struct MpsOutcome<C = BTreeMap<String, usize>> {
     pub max_bond: usize,
     /// Accumulated truncation error (discarded squared Schmidt weight).
     pub trunc_error: f64,
+    /// SVDs the run made: one per gauge move of the orthogonality center
+    /// and one per truncating split.
+    pub svds: usize,
+    /// Prefix-tree nodes the sampler contracted: one per distinct outcome
+    /// prefix of each chunk of shots, the empty prefix included.
+    pub sample_nodes: usize,
 }
 
 impl MpsOutcome<Counts> {
@@ -54,6 +60,8 @@ impl MpsOutcome<Counts> {
             sample_time: self.sample_time,
             max_bond: self.max_bond,
             trunc_error: self.trunc_error,
+            svds: self.svds,
+            sample_nodes: self.sample_nodes,
         }
     }
 }
@@ -108,6 +116,8 @@ impl MpsSimulator {
             sample_time,
             max_bond: mps.max_bond_seen,
             trunc_error: mps.trunc_error,
+            svds: mps.svds,
+            sample_nodes: mps.sample_nodes,
         }
     }
 }

@@ -30,8 +30,17 @@
 //!   `trunc_eps`, renormalises, and books the discarded weight
 //!   (`trunc_error`) and the largest bond kept (`max_bond_seen`). Gauge
 //!   moves of the center drop only numerically-zero singular values.
-//! * Sampling walks the chain left-to-right conditioning on each outcome
-//!   (`O(n * chi^2)` per shot), never materializing the dense state.
+//! * Every SVD — a gauge move's or a split's — runs in one reused
+//!   [`SvdWorkspace`](qfw_num::decomp::SvdWorkspace), and the factors are
+//!   written into the site tensors' own buffers, so a run allocates only
+//!   when a bond outgrows what it held before. The run counts its SVDs
+//!   (`MpsOutcome::svds`).
+//! * Sampling walks the chain left-to-right conditioning on each outcome,
+//!   never materializing the dense state. The shots of a chunk walk it as
+//!   a prefix tree: shots that agree on their first `k` outcomes share one
+//!   environment contraction at site `k` (`O(chi^2)` per distinct prefix,
+//!   counted in `MpsOutcome::sample_nodes`), and every shot reads the same
+//!   uniforms, and draws the same bits, as a walk of its own.
 //! * Strong scaling is intentionally absent: the bond chain is sequential,
 //!   which is why the paper finds "MPS-based approaches do not scale as
 //!   effectively" with added processes.

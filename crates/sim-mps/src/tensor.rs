@@ -1,11 +1,11 @@
-//! The 3-index site tensor of an MPS, its one-qubit update and its matrix
-//! reshapes.
+//! The 3-index site tensor of an MPS and its one-qubit update.
 
 use qfw_num::complex::C64;
-use qfw_num::Matrix;
 
 /// A rank-3 tensor `T[l, p, r]` with left bond `dl`, physical dimension 2,
-/// and right bond `dr`, stored row-major as `data[(l*2 + p)*dr + r]`.
+/// and right bond `dr`, stored row-major as `data[(l*2 + p)*dr + r]`: read
+/// as a `(dl*2, dr)` matrix it is what a gauge move to the right factors,
+/// and as a `(dl, 2*dr)` matrix what a move to the left factors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tensor3 {
     /// Left bond dimension.
@@ -45,50 +45,16 @@ impl Tensor3 {
         self.data[(l * 2 + p) * self.dr + r] = v;
     }
 
-    /// Applies a single-qubit gate to the physical index:
+    /// Applies a single-qubit gate, row-major, to the physical index:
     /// `T'[l, p, r] = sum_q U[p, q] T[l, q, r]`.
-    pub fn apply_phys(&mut self, u: &Matrix) {
-        debug_assert_eq!(u.rows(), 2);
+    pub fn apply_phys(&mut self, u: &[C64; 4]) {
         for l in 0..self.dl {
             for r in 0..self.dr {
                 let t0 = self.get(l, 0, r);
                 let t1 = self.get(l, 1, r);
-                self.set(l, 0, r, u[(0, 0)] * t0 + u[(0, 1)] * t1);
-                self.set(l, 1, r, u[(1, 0)] * t0 + u[(1, 1)] * t1);
+                self.set(l, 0, r, u[0] * t0 + u[1] * t1);
+                self.set(l, 1, r, u[2] * t0 + u[3] * t1);
             }
-        }
-    }
-
-    /// Reshapes to the `(dl*2, dr)` matrix grouping `(l, p)` as rows — the
-    /// layout used to left-orthogonalize a site.
-    pub fn to_matrix_left(&self) -> Matrix {
-        Matrix::from_rows(self.dl * 2, self.dr, &self.data)
-    }
-
-    /// Reshapes to the `(dl, 2*dr)` matrix grouping `(p, r)` as columns —
-    /// the layout used to right-orthogonalize a site.
-    pub fn to_matrix_right(&self) -> Matrix {
-        // data already has (l, p, r) order = row l, column p*dr+r.
-        Matrix::from_rows(self.dl, 2 * self.dr, &self.data)
-    }
-
-    /// Inverse of [`to_matrix_left`](Self::to_matrix_left).
-    pub fn from_matrix_left(m: &Matrix, dl: usize) -> Self {
-        assert_eq!(m.rows(), dl * 2);
-        Tensor3 {
-            dl,
-            dr: m.cols(),
-            data: m.as_slice().to_vec(),
-        }
-    }
-
-    /// Inverse of [`to_matrix_right`](Self::to_matrix_right).
-    pub fn from_matrix_right(m: &Matrix, dr: usize) -> Self {
-        assert_eq!(m.cols(), 2 * dr);
-        Tensor3 {
-            dl: m.rows(),
-            dr,
-            data: m.as_slice().to_vec(),
         }
     }
 
@@ -122,28 +88,10 @@ mod tests {
     #[test]
     fn apply_phys_hadamard() {
         let mut t = Tensor3::basis(0);
-        t.apply_phys(&Gate::H(0).matrix());
+        t.apply_phys(&Gate::H(0).matrix_1q().unwrap());
         let s = 1.0 / 2.0_f64.sqrt();
         assert!(t.get(0, 0, 0).approx_eq(c64(s, 0.0), 1e-12));
         assert!(t.get(0, 1, 0).approx_eq(c64(s, 0.0), 1e-12));
-    }
-
-    #[test]
-    fn matrix_round_trips() {
-        let mut t = Tensor3::zeros(2, 3);
-        let mut v = 1.0;
-        for l in 0..2 {
-            for p in 0..2 {
-                for r in 0..3 {
-                    t.set(l, p, r, c64(v, -v));
-                    v += 1.0;
-                }
-            }
-        }
-        let left = Tensor3::from_matrix_left(&t.to_matrix_left(), 2);
-        assert_eq!(left, t);
-        let right = Tensor3::from_matrix_right(&t.to_matrix_right(), 3);
-        assert_eq!(right, t);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! tensor-network run and a dense run with bitwise-equal amplitudes draw
 //! bitwise-equal counts.
 
-use crate::network::{ContractionPlan, TensorNetwork};
 pub use crate::network::OrderHeuristic;
+use crate::network::{ContractionPlan, TensorNetwork};
 use crate::tensor::Tensor;
 use qfw_circuit::analysis::lightcone;
 use qfw_circuit::{Circuit, Counts, Op, Readout};

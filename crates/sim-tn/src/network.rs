@@ -10,10 +10,11 @@
 //! also runs a plan laid out before the call). A plan depends only on the
 //! gates' operands, so one laid out for a circuit holds for every binding
 //! of its skeleton, and the stack lays out a job's plan once, at
-//! admission.
+//! admission, from the operands alone ([`ContractionPlan::for_circuit`]),
+//! without lowering a gate to a tensor.
 
 use crate::tensor::{IndexId, Tensor, Workspace};
-use qfw_circuit::Circuit;
+use qfw_circuit::{Circuit, Gate};
 use qfw_num::complex::C64;
 
 /// A tensor network built from a circuit, with one open output wire per
@@ -99,25 +100,53 @@ struct Wires {
 }
 
 impl Wires {
-    fn of(tensors: &[Tensor], wires: IndexId) -> Self {
-        let mut w = Wires {
-            arena: Vec::with_capacity(4 * tensors.iter().map(Tensor::rank).sum::<usize>()),
-            spans: Vec::with_capacity(2 * tensors.len()),
+    /// Room for `tensors` tensors of `ranks` indices in all, on wires
+    /// `0..wires`.
+    fn new(tensors: usize, ranks: usize, wires: IndexId) -> Self {
+        Wires {
+            arena: Vec::with_capacity(4 * ranks),
+            spans: Vec::with_capacity(2 * tensors),
             owners: vec![[NONE; 2]; wires as usize],
-            steps: Vec::with_capacity(tensors.len()),
+            steps: Vec::with_capacity(tensors),
             multiply_adds: 0,
-        };
-        for (slot, t) in tensors.iter().enumerate() {
-            let start = w.arena.len();
-            w.arena.extend_from_slice(&t.indices);
-            w.spans.push((start, w.arena.len()));
-            for &x in &t.indices {
-                let owner = &mut w.owners[x as usize];
-                let free = owner.iter().position(|&o| o == NONE);
-                owner[free.expect("a wire joins at most two tensors")] = slot;
-            }
+        }
+    }
+
+    fn of(tensors: &[Tensor], wires: IndexId) -> Self {
+        let ranks = tensors.iter().map(Tensor::rank).sum();
+        let mut w = Wires::new(tensors.len(), ranks, wires);
+        for t in tensors {
+            w.add(&t.indices);
         }
         w
+    }
+
+    /// The wires of `circuit`'s network, laid out as
+    /// [`TensorNetwork::from_circuit`] lays out its tensors, from the gates'
+    /// operands alone.
+    fn of_circuit(circuit: &Circuit) -> Self {
+        let n = circuit.num_qubits();
+        let arities: usize = circuit.gates().map(Gate::arity).sum();
+        let tensors = n + circuit.gates().count();
+        let mut w = Wires::new(tensors, n + 2 * arities, (n + arities) as IndexId);
+        for q in 0..n as IndexId {
+            w.add(&[q]);
+        }
+        wire_gates(circuit, |_, indices| w.add(indices));
+        w
+    }
+
+    /// Appends a slot holding the wires `indices`.
+    fn add(&mut self, indices: &[IndexId]) {
+        let slot = self.spans.len();
+        let start = self.arena.len();
+        self.arena.extend_from_slice(indices);
+        self.spans.push((start, self.arena.len()));
+        for &x in indices {
+            let owner = &mut self.owners[x as usize];
+            let free = owner.iter().position(|&o| o == NONE);
+            owner[free.expect("a wire joins at most two tensors")] = slot;
+        }
     }
 
     fn list(&self, slot: usize) -> &[IndexId] {
@@ -231,27 +260,87 @@ fn greedy_pair(w: &Wires, live: &[usize], pos: &[usize], shared: &mut [usize]) -
     (i, j)
 }
 
+/// The greedy or sequential order of [`TensorNetwork::plan`] over the
+/// slots of `w`, before any is contracted.
+fn lay_out(mut w: Wires, order: OrderHeuristic) -> ContractionPlan {
+    let tensors = w.spans.len();
+    match order {
+        OrderHeuristic::Sequential => {
+            let mut acc = 0;
+            for next in 1..tensors {
+                acc = w.merge(acc, next);
+            }
+        }
+        OrderHeuristic::Greedy => {
+            let mut live: Vec<usize> = (0..tensors).collect();
+            // A slot's position in `live`; a result's is set at its push.
+            let mut pos: Vec<usize> = (0..2 * tensors).collect();
+            let mut shared = vec![0; pos.len()];
+            while live.len() > 1 {
+                let (i, j) = greedy_pair(&w, &live, &pos, &mut shared);
+                let b = live.swap_remove(j);
+                let a = live.swap_remove(i);
+                for p in [j, i] {
+                    if let Some(&moved) = live.get(p) {
+                        pos[moved] = p;
+                    }
+                }
+                let slot = w.merge(a, b);
+                pos[slot] = live.len();
+                live.push(slot);
+            }
+        }
+    }
+    w.into_plan()
+}
+
+/// The wiring of a circuit's network: qubit `q`'s ket sits on wire `q`, and
+/// `gate` is called with each gate, in circuit order, and its index list —
+/// a fresh output wire per operand, then the operands' current wires.
+/// Returns each qubit's output wire and the next unused index.
+fn wire_gates(
+    circuit: &Circuit,
+    mut gate: impl FnMut(&Gate, &[IndexId]),
+) -> (Vec<IndexId>, IndexId) {
+    let n = circuit.num_qubits();
+    let mut wires: Vec<IndexId> = (0..n as IndexId).collect();
+    let mut next_index = n as IndexId;
+    let mut indices = Vec::new();
+    for g in circuit.gates() {
+        let qs = g.operands();
+        indices.clear();
+        indices.extend((next_index..).take(qs.len()));
+        indices.extend(qs.iter().map(|&q| wires[q]));
+        for (&q, &out) in qs.iter().zip(&indices) {
+            wires[q] = out;
+        }
+        next_index += qs.len() as IndexId;
+        gate(g, &indices);
+    }
+    (wires, next_index)
+}
+
+impl ContractionPlan {
+    /// Lays out the contraction of `circuit`'s network under `order` from
+    /// its gates' operands alone: the plan [`TensorNetwork::plan`] lays out
+    /// on [`TensorNetwork::from_circuit`], with no gate lowered to a
+    /// tensor. It holds for every binding of the circuit's skeleton.
+    pub fn for_circuit(circuit: &Circuit, order: OrderHeuristic) -> Self {
+        lay_out(Wires::of_circuit(circuit), order)
+    }
+}
+
 impl TensorNetwork {
     /// Lowers the unitary part of a circuit to a tensor network.
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let n = circuit.num_qubits();
-        let mut wires: Vec<IndexId> = (0..n as IndexId).collect();
-        let mut next_index = n as IndexId;
-        let mut tensors: Vec<Tensor> = wires.iter().map(|&w| Tensor::ket0(w)).collect();
-        for g in circuit.gates() {
-            let qs = g.operands();
-            let mut indices = Vec::with_capacity(2 * qs.len());
-            indices.extend((next_index..).take(qs.len()));
-            indices.extend(qs.iter().map(|&q| wires[q]));
-            for (&q, &out) in qs.iter().zip(&indices) {
-                wires[q] = out;
-            }
-            next_index += qs.len() as IndexId;
-            tensors.push(Tensor::of_gate(&g.matrix(), indices));
-        }
+        let mut tensors: Vec<Tensor> = (0..n as IndexId).map(Tensor::ket0).collect();
+        let (outputs, next_index) = wire_gates(circuit, |g, indices| {
+            tensors.push(Tensor::of_gate(&g.matrix(), indices.to_vec()));
+        });
         TensorNetwork {
             tensors,
-            outputs: wires,
+            outputs,
             next_index,
         }
     }
@@ -281,36 +370,7 @@ impl TensorNetwork {
     /// outer product only when no two tensors share a wire. `Sequential`
     /// folds left in insertion order.
     pub fn plan(&self, order: OrderHeuristic) -> ContractionPlan {
-        let mut w = Wires::of(&self.tensors, self.next_index);
-        let tensors = self.tensors.len();
-        match order {
-            OrderHeuristic::Sequential => {
-                let mut acc = 0;
-                for next in 1..tensors {
-                    acc = w.merge(acc, next);
-                }
-            }
-            OrderHeuristic::Greedy => {
-                let mut live: Vec<usize> = (0..tensors).collect();
-                // A slot's position in `live`; a result's is set at its push.
-                let mut pos: Vec<usize> = (0..2 * tensors).collect();
-                let mut shared = vec![0; pos.len()];
-                while live.len() > 1 {
-                    let (i, j) = greedy_pair(&w, &live, &pos, &mut shared);
-                    let b = live.swap_remove(j);
-                    let a = live.swap_remove(i);
-                    for p in [j, i] {
-                        if let Some(&moved) = live.get(p) {
-                            pos[moved] = p;
-                        }
-                    }
-                    let slot = w.merge(a, b);
-                    pos[slot] = live.len();
-                    live.push(slot);
-                }
-            }
-        }
-        w.into_plan()
+        lay_out(Wires::of(&self.tensors, self.next_index), order)
     }
 
     /// Contracts the network to a single tensor under the given heuristic.
@@ -387,6 +447,32 @@ mod tests {
         assert_eq!(t.rank(), 0);
         let s = 1.0 / 2.0_f64.sqrt();
         assert!(t.data[0].approx_eq(c64(s, 0.0), 1e-12));
+    }
+
+    /// A plan laid out from a circuit's gate operands is the plan of its
+    /// lowered network, under both orders: on random circuits of 1–10
+    /// qubits, some with a Toffoli, and on the empty circuit.
+    #[test]
+    fn plan_from_operands_is_the_plan_of_the_network() {
+        for seed in 0..96u64 {
+            let n = 1 + (seed % 10) as usize;
+            let len = (seed * 7 % 50) as usize;
+            let mut qc = if n > 1 {
+                qfw_testkit::random_circuit(n, len, seed)
+            } else {
+                Circuit::new(1)
+            };
+            if n > 2 && seed % 2 == 0 {
+                qc.ccx(n - 1, 0, n / 2).h(n / 2);
+            }
+            for order in [OrderHeuristic::Greedy, OrderHeuristic::Sequential] {
+                assert_eq!(
+                    ContractionPlan::for_circuit(&qc, order),
+                    TensorNetwork::from_circuit(&qc).plan(order),
+                    "seed {seed}, {n} qubits, {order:?}"
+                );
+            }
+        }
     }
 
     #[test]

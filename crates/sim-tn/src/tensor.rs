@@ -263,9 +263,15 @@ mod tests {
         let cx = Tensor::gate(&Gate::Cx(0, 1).matrix(), &[3, 4], &[2, 1]);
         let net = k0.contract(&h).contract(&k1).contract(&cx);
         let s = 1.0 / 2.0_f64.sqrt();
-        let amp00 = net.contract(&Tensor::bra(3, 0)).contract(&Tensor::bra(4, 0));
-        let amp11 = net.contract(&Tensor::bra(3, 1)).contract(&Tensor::bra(4, 1));
-        let amp01 = net.contract(&Tensor::bra(3, 1)).contract(&Tensor::bra(4, 0));
+        let amp00 = net
+            .contract(&Tensor::bra(3, 0))
+            .contract(&Tensor::bra(4, 0));
+        let amp11 = net
+            .contract(&Tensor::bra(3, 1))
+            .contract(&Tensor::bra(4, 1));
+        let amp01 = net
+            .contract(&Tensor::bra(3, 1))
+            .contract(&Tensor::bra(4, 0));
         assert!(amp00.data[0].approx_eq(c64(s, 0.0), 1e-12));
         assert!(amp11.data[0].approx_eq(c64(s, 0.0), 1e-12));
         assert!(amp01.data[0].approx_eq(C64::ZERO, 1e-12));

@@ -1,9 +1,10 @@
 //! Work budget of a job: how many full-state passes a dense run from
 //! |0…0⟩ makes, how large a block the sampling tail asks the heap for,
 //! that a per-gate kernel starts no thread, that the stabilizer and MPS
-//! samplers and a tensor-network job ask the heap for no more blocks at
-//! 4 096 shots than at 256, how wide a tensor-network job's contraction
-//! plan gets and how many multiply-adds it costs, that a Clifford prefix
+//! samplers, an MPS job and a tensor-network job ask the heap for no more
+//! blocks at 4 096 shots than at 256, how many SVDs an MPS job makes, how
+//! wide a tensor-network job's contraction plan gets and how many
+//! multiply-adds it costs, that a Clifford prefix
 //! reaches the partition seam in the same blocks whatever its length, and
 //! that tallying, encoding and decoding a result's counts take a fixed
 //! number of blocks however many distinct outcomes it holds — none per
@@ -24,7 +25,7 @@ use qfw_compile::{compile_qasm3, DagCircuit, OptLevel};
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
 use qfw_obs::Obs;
-use qfw_sim_mps::{MpsConfig, MpsState};
+use qfw_sim_mps::{MpsConfig, MpsSimulator, MpsState};
 use qfw_sim_stab::{StabSimulator, Tableau};
 use qfw_sim_tn::{OrderHeuristic, TensorNetwork, TnSimulator};
 use qfw_sim_sv::{canonical_split_bits, fuse, StateVector, SvSimulator};
@@ -293,8 +294,12 @@ fn clifford_prefix_seam_allocates_the_same_blocks_whatever_the_gates() {
 const SEAM_BLOCKS: usize = 11;
 
 /// The MPS sampler on a TFIM-20 state reuses its bond vectors across sites
-/// and shots, so its blocks do not grow with the shots either. Most of
-/// them are the gauge move to site 0 that sampling starts with.
+/// and shots, so its blocks do not grow with the shots either. The budget
+/// is at most a tenth over today's 12 blocks: the draws, the chunk's
+/// uniforms, its shot list and spill, one buffer of child vectors for
+/// every depth, and the gauge move to site 0 growing the scratch buffers
+/// the clone made exact-size. It was 476 while every gauge move factored
+/// through fresh matrices and the SVD copied out two columns per pair step.
 #[test]
 fn mps_sampler_allocates_the_same_blocks_whatever_the_shots() {
     let config = MpsConfig::default();
@@ -307,8 +312,45 @@ fn mps_sampler_allocates_the_same_blocks_whatever_the_shots() {
     };
     let (few, many) = (draw(256), draw(4096));
     assert_eq!(few, many, "TFIM-20: {few} blocks at 256 shots, {many} at 4 096");
-    assert!(few <= 476, "TFIM-20: {few} blocks, budget 476");
+    assert!(few <= 13, "TFIM-20: {few} blocks, budget 13");
 }
+
+/// A TFIM-20 job on the MPS engine, as `auto_mix`'s `tfim20.auto` runs it
+/// at `aer/matrix_product_state`'s χ64/ε1e-12, and a QAOA-12 p=1 job at
+/// `tnqvm/exatn-mps`'s χ32/ε1e-10: each job's SVDs are pinned (one per
+/// truncating split, one per gauge move), and its blocks do not grow with
+/// the shots and stay inside [`MPS_JOB_BLOCKS`].
+#[test]
+fn mps_job_pins_its_svds_and_allocates_the_same_blocks_whatever_the_shots() {
+    let exatn = MpsConfig {
+        chi_max: 32,
+        trunc_eps: 1e-10,
+    };
+    let jobs = [
+        ("TFIM-20", tfim(20), MpsConfig::default(), 380),
+        ("QAOA-12 p=1", qaoa(12, 1), exatn, 172),
+    ];
+    for ((name, circuit, config, svds), budget) in jobs.into_iter().zip(MPS_JOB_BLOCKS) {
+        let job = |shots| {
+            allocations(|| {
+                let out = MpsSimulator::new(config).execute(&circuit, shots, 7);
+                assert_eq!(out.counts.values().sum::<usize>(), shots);
+                out
+            })
+        };
+        let ((few, out), (many, _)) = (job(256), job(4096));
+        assert_eq!(out.svds, svds, "{name}: SVDs per run");
+        assert_eq!(few, many, "{name}: {few} blocks at 256 shots, {many} at 4 096");
+        assert!(few <= budget, "{name}: {few} blocks, budget {budget}");
+    }
+}
+
+/// Ceilings of the two MPS jobs' blocks (337 and 147 today: one or two per
+/// two-qubit gate's matrix, the readout, the counts, and the site tensors'
+/// and the SVD workspace's buffers as the bonds grow), each at most a
+/// tenth above today's count. They were 15 661 and 9 354 while every SVD,
+/// gauge move and block update built its factors as fresh matrices.
+const MPS_JOB_BLOCKS: [usize; 2] = [370, 161];
 
 /// At most this many blocks per step: the tally's keys and shots; the
 /// encoder's buffer, its first block and the counts' one reservation (and
