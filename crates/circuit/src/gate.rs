@@ -211,49 +211,63 @@ impl Gate {
 
     /// The gate's unitary in its local basis (`2^arity` square).
     pub fn matrix(&self) -> Matrix {
-        let o = C64::ONE;
-        let zz = C64::ZERO;
         match *self {
-            Gate::Cx(..) => controlled(&Gate::X(0).matrix()),
-            Gate::Cy(..) => controlled(&Gate::Y(0).matrix()),
-            Gate::Cz(..) => controlled(&Gate::Z(0).matrix()),
-            Gate::Cp(_, _, t) => controlled(&Gate::Phase(0, t).matrix()),
-            Gate::Crx(_, _, t) => controlled(&Gate::Rx(0, t).matrix()),
-            Gate::Cry(_, _, t) => controlled(&Gate::Ry(0, t).matrix()),
-            Gate::Crz(_, _, t) => controlled(&Gate::Rz(0, t).matrix()),
-            Gate::Swap(..) => {
-                let mut m = Matrix::zeros(4, 4);
-                m[(0, 0)] = o;
-                m[(1, 2)] = o;
-                m[(2, 1)] = o;
-                m[(3, 3)] = o;
-                m
-            }
-            Gate::Rxx(_, _, t) => two_body_rotation(t, &Gate::X(0).matrix()),
-            Gate::Ryy(_, _, t) => two_body_rotation(t, &Gate::Y(0).matrix()),
-            Gate::Rzz(_, _, t) => {
-                // Diagonal: phase e^{-i t/2} on aligned spins, e^{+i t/2} otherwise.
-                let neg = C64::cis(-t / 2.0);
-                let pos = C64::cis(t / 2.0);
-                Matrix::diag(&[neg, pos, pos, neg])
-            }
             Gate::Ccx(..) => {
                 // Local bits: (c0, c1, t) = bits (0, 1, 2). Flip t when c0=c1=1,
                 // i.e. exchange indices 3 (011) and 7 (111).
                 let mut m = Matrix::identity(8);
-                m[(3, 3)] = zz;
-                m[(7, 7)] = zz;
-                m[(3, 7)] = o;
-                m[(7, 3)] = o;
+                m[(3, 3)] = C64::ZERO;
+                m[(7, 7)] = C64::ZERO;
+                m[(3, 7)] = C64::ONE;
+                m[(7, 3)] = C64::ONE;
                 m
             }
             Gate::Unitary { ref matrix, .. } => (**matrix).clone(),
-            _ => Matrix::from_rows(
-                2,
-                2,
-                &self.matrix_1q().expect("every other named gate acts on one qubit"),
-            ),
+            _ => match self.matrix_2q() {
+                Some(m) => Matrix::from_rows(4, 4, &m),
+                None => Matrix::from_rows(
+                    2,
+                    2,
+                    &self.matrix_1q().expect("every other named gate acts on one qubit"),
+                ),
+            },
         }
+    }
+
+    /// A two-qubit gate's unitary as row-major entries (local bit 0 is the
+    /// first operand), without a heap allocation; `None` for gates on any
+    /// other number of qubits.
+    pub fn matrix_2q(&self) -> Option<[C64; 16]> {
+        let one_q = |g: Gate| g.matrix_1q().expect("a one-qubit gate");
+        Some(match *self {
+            Gate::Cx(..) => controlled(one_q(Gate::X(0))),
+            Gate::Cy(..) => controlled(one_q(Gate::Y(0))),
+            Gate::Cz(..) => controlled(one_q(Gate::Z(0))),
+            Gate::Cp(_, _, t) => controlled(one_q(Gate::Phase(0, t))),
+            Gate::Crx(_, _, t) => controlled(one_q(Gate::Rx(0, t))),
+            Gate::Cry(_, _, t) => controlled(one_q(Gate::Ry(0, t))),
+            Gate::Crz(_, _, t) => controlled(one_q(Gate::Rz(0, t))),
+            Gate::Swap(..) => {
+                let mut m = [C64::ZERO; 16];
+                (m[0], m[6], m[9], m[15]) = (C64::ONE, C64::ONE, C64::ONE, C64::ONE);
+                m
+            }
+            Gate::Rxx(_, _, t) => two_body_rotation(t, one_q(Gate::X(0))),
+            Gate::Ryy(_, _, t) => two_body_rotation(t, one_q(Gate::Y(0))),
+            Gate::Rzz(_, _, t) => {
+                // Diagonal: phase e^{-i t/2} on aligned spins, e^{+i t/2} otherwise.
+                let (neg, pos) = (C64::cis(-t / 2.0), C64::cis(t / 2.0));
+                let mut m = [C64::ZERO; 16];
+                (m[0], m[5], m[10], m[15]) = (neg, pos, pos, neg);
+                m
+            }
+            Gate::Unitary {
+                ref qubits,
+                ref matrix,
+                ..
+            } if qubits.len() == 2 => matrix.as_slice().try_into().ok()?,
+            _ => return None,
+        })
     }
 
     /// A single-qubit gate's unitary as row-major entries, without a heap
@@ -479,28 +493,43 @@ impl fmt::Display for Gate {
     }
 }
 
+/// The 4x4 identity, row-major.
+fn identity4() -> [C64; 16] {
+    let mut m = [C64::ZERO; 16];
+    for d in [0, 5, 10, 15] {
+        m[d] = C64::ONE;
+    }
+    m
+}
+
 /// Lifts a single-qubit unitary `u` to its controlled version with the
 /// control on local bit 0 and the target on local bit 1.
-fn controlled(u: &Matrix) -> Matrix {
+fn controlled(u: [C64; 4]) -> [C64; 16] {
     // Local basis index = control + 2*target. Control=0 rows/cols (indices
     // 0b00 and 0b10) stay identity; control=1 block (indices 0b01, 0b11)
     // carries `u` acting on the target bit.
-    let mut m = Matrix::identity(4);
-    m[(1, 1)] = u[(0, 0)];
-    m[(1, 3)] = u[(0, 1)];
-    m[(3, 1)] = u[(1, 0)];
-    m[(3, 3)] = u[(1, 1)];
+    let mut m = identity4();
+    (m[5], m[7], m[13], m[15]) = (u[0], u[1], u[2], u[3]);
     m
 }
 
 /// Builds `exp(-i t/2 P⊗P)` for a single-qubit Pauli `p`:
-/// `cos(t/2) I - i sin(t/2) P⊗P`.
-fn two_body_rotation(t: f64, p: &Matrix) -> Matrix {
-    let pp = p.kron(p);
-    let id = Matrix::identity(4);
+/// `cos(t/2) I - i sin(t/2) P⊗P`, entry by entry (`P⊗P` keeps `+0`
+/// wherever a factor of `p` is zero).
+fn two_body_rotation(t: f64, p: [C64; 4]) -> [C64; 16] {
     let cos = c64((t / 2.0).cos(), 0.0);
     let msin = c64(0.0, -(t / 2.0).sin());
-    &id.scale(cos) + &pp.scale(msin)
+    let id = identity4();
+    std::array::from_fn(|k| {
+        let (r, c) = (k / 4, k % 4);
+        let a = p[2 * (r / 2) + c / 2];
+        let pp = if a == C64::ZERO {
+            C64::ZERO
+        } else {
+            a * p[2 * (r % 2) + c % 2]
+        };
+        id[k] * cos + pp * msin
+    })
 }
 
 #[cfg(test)]
@@ -644,15 +673,22 @@ mod tests {
         assert!(m[(3, 3)].approx_eq(C64::cis(-t / 2.0), 1e-12));
     }
 
+    /// The stack form is the Kronecker formula's arithmetic, bit for bit
+    /// (signed zeros included), so fused blocks built from it do not move.
     #[test]
-    fn rxx_matches_kron_formula() {
-        let t = 1.2;
-        let m = Gate::Rxx(0, 1, t).matrix();
-        let x = Gate::X(0).matrix();
-        let xx = x.kron(&x);
-        let want = &Matrix::identity(4).scale(c64((t / 2.0).cos(), 0.0))
-            + &xx.scale(c64(0.0, -(t / 2.0).sin()));
-        assert!(m.max_abs_diff(&want) < 1e-12);
+    fn two_body_rotations_are_the_kron_formula_bitwise() {
+        for t in [1.2, -0.7, 2.9, 0.0] {
+            for (g, p) in [(Gate::Rxx(0, 1, t), Gate::X(0)), (Gate::Ryy(0, 1, t), Gate::Y(0))] {
+                let pp = p.matrix().kron(&p.matrix());
+                let want = &Matrix::identity(4).scale(c64((t / 2.0).cos(), 0.0))
+                    + &pp.scale(c64(0.0, -(t / 2.0).sin()));
+                let bits = |z: &C64| (z.re.to_bits(), z.im.to_bits());
+                let got = g.matrix_2q().expect("two-qubit gate");
+                assert!(got.iter().map(bits).eq(want.as_slice().iter().map(bits)), "{g}");
+            }
+        }
+        assert_eq!(Gate::H(0).matrix_2q(), None);
+        assert_eq!(Gate::Ccx(0, 1, 2).matrix_2q(), None);
     }
 
     #[test]

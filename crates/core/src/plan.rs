@@ -25,7 +25,7 @@ use qfw_hpc::slurm::HetJob;
 use qfw_noise::{Calibration, NoiseModel};
 use qfw_sim_mps::MpsConfig;
 use qfw_sim_sv::dist::local_qubits_needed;
-use qfw_sim_sv::MAX_DENSE_QUBITS;
+use qfw_sim_sv::{absorbable_diagonal, MAX_DENSE_QUBITS};
 use qfw_sim_tn::{ContractionPlan, OrderHeuristic};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -100,8 +100,9 @@ pub struct Engine {
     /// Whether the engine evolves a dense state vector (locally, across
     /// ranks or in the cloud mock), the only kind that can collapse a state
     /// mid-circuit: one that cannot refuses a circuit with a mid-circuit
-    /// measurement, and one that can refuses a non-diagonal gate wider than
-    /// its kernels take ([`MAX_DENSE_QUBITS`]).
+    /// measurement, and one that can refuses a gate wider than its dense
+    /// kernels take ([`MAX_DENSE_QUBITS`]) unless it runs as a diagonal
+    /// layer ([`absorbable_diagonal`]).
     collapses: bool,
 }
 
@@ -746,10 +747,10 @@ fn fit(form: &Form, mut plan: ExecPlan, group: GroupCores) -> Result<ExecPlan, Q
     }
     // `auto` leaves this to each candidate's own row.
     if plan.engine.collapses && plan.engine.sim != Sim::Planner {
-        let wide = |g: &&Gate| g.arity() > MAX_DENSE_QUBITS && !g.is_diagonal();
+        let wide = |g: &&Gate| g.arity() > MAX_DENSE_QUBITS && absorbable_diagonal(g).is_none();
         if let Some(gate) = circuit.gates().find(wide) {
             return Err(QfwError::BadProperties(format!(
-                "{} takes non-diagonal gates on at most {MAX_DENSE_QUBITS} qubits; the circuit has `{gate}`",
+                "{} takes gates on more than {MAX_DENSE_QUBITS} qubits only as diagonals with no zero entry; the circuit has `{gate}`",
                 plan.engine.key
             )));
         }
@@ -1321,14 +1322,37 @@ mod tests {
             matrix: Arc::new(shift),
             label: "shift".into(),
         });
+        // So does a diagonal as wide with a zero entry, which no diagonal
+        // layer can hold; the same diagonal with no zero runs at any width.
+        let diag = |zero: bool| {
+            let phases: Vec<_> = (0..1 << k)
+                .map(|i| match (zero, i) {
+                    (true, 5) => qfw_num::complex::C64::ZERO,
+                    _ => qfw_num::complex::C64::cis(0.01 * i as f64),
+                })
+                .collect();
+            let mut c = Circuit::new(k);
+            c.push(Gate::Unitary {
+                qubits: (0..k).rev().collect(),
+                matrix: Arc::new(qfw_num::Matrix::diag(&phases)),
+                label: "diag".into(),
+            });
+            text::dump(&c)
+        };
+        let dense_rows = [("nwqsim", "cpu"), ("nwqsim", "mpi"), ("aer", "statevector")];
+        for wire in [text::dump(&wide), diag(true)] {
+            for (backend, sub) in dense_rows {
+                assert!(matches!(
+                    admit(&wire, &BackendSpec::of(backend, sub)),
+                    Err(QfwError::BadProperties(_))
+                ));
+            }
+        }
+        for (backend, sub) in dense_rows {
+            assert!(admit(&diag(false), &BackendSpec::of(backend, sub)).is_ok());
+        }
         let wire = text::dump(&wide);
         let job = |spec: BackendSpec| admit(&wire, &spec).map(|_| ());
-        for (backend, sub) in [("nwqsim", "cpu"), ("nwqsim", "mpi"), ("aer", "statevector")] {
-            assert!(matches!(
-                job(BackendSpec::of(backend, sub)),
-                Err(QfwError::BadProperties(_))
-            ));
-        }
         assert!(job(BackendSpec::of("aer", "matrix_product_state")).is_ok());
         // `auto` admits it, and each candidate is judged on its own row.
         let auto = admit(&wire, &BackendSpec::of(AUTO, "")).unwrap();

@@ -161,13 +161,17 @@ impl MpsState {
 
     /// Applies any gate from the IR: a one-qubit gate acts on its site's
     /// physical index from a stack 2×2, anything wider is one block update
-    /// through the router.
+    /// through the router (a two-qubit gate's matrix from a stack 4×4).
     pub fn apply(&mut self, gate: &Gate) {
         let qs = gate.operands();
         match qs.len() {
             1 => {
                 let u = gate.matrix_1q().expect("a one-qubit gate has a 2x2 matrix");
                 self.sites[qs[0]].apply_phys(&u);
+            }
+            2 => {
+                let u = gate.matrix_2q().expect("a two-qubit gate has a 4x4 matrix");
+                self.apply_block(&qs, &u);
             }
             _ => self.apply_block(&qs, gate.matrix().as_slice()),
         }

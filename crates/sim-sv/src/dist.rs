@@ -95,7 +95,13 @@ pub fn local_qubits_needed(circuit: &Circuit) -> usize {
 }
 
 fn widest_need(needs: &[Option<Vec<usize>>]) -> usize {
-    needs.iter().flatten().map(Vec::len).max().unwrap_or(0).max(1)
+    needs
+        .iter()
+        .flatten()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(0)
+        .max(1)
 }
 
 /// The lazy router's whole state: where each logical qubit lives. Pure
@@ -715,13 +721,18 @@ impl<'a> DistStateVector<'a> {
         let c = canonical_split_bits(self.n, r);
         let blocks_per_rank = 1usize << (c - r);
         let block_len = 1usize << (self.n - c);
-        let gathered = self.ctx.gather(0, block_masses(self.local.amps(), block_len));
+        let gathered = self
+            .ctx
+            .gather(0, block_masses(self.local.amps(), block_len));
 
         // Rank 0 splits the shots across all blocks with the seeded CDF.
         let split_chunks = gathered.map(|per_rank| {
             let masses: Vec<f64> = per_rank.into_iter().flatten().collect();
             let per_block = block_shot_split(&masses, shots, seed);
-            per_block.chunks(blocks_per_rank).map(<[usize]>::to_vec).collect()
+            per_block
+                .chunks(blocks_per_rank)
+                .map(<[usize]>::to_vec)
+                .collect()
         });
         let my_split: Vec<usize> = self.ctx.scatter(0, split_chunks);
         // This rank's blocks, drawn by the one block sampler.
@@ -951,7 +962,11 @@ mod tests {
         });
         for (rank, amps) in results {
             for (i, a) in amps.iter().enumerate() {
-                let want = if rank == 0 && i == 0 { C64::ONE } else { C64::ZERO };
+                let want = if rank == 0 && i == 0 {
+                    C64::ONE
+                } else {
+                    C64::ZERO
+                };
                 assert_eq!(*a, want, "rank {rank} amp {i}");
             }
         }
@@ -1149,15 +1164,18 @@ mod tests {
         // Satellite: a fixed seed must yield byte-identical counts local
         // vs. distributed, at every world size.
         let mut qc = Circuit::new(6);
-        qc.h(0).cx(0, 1).cx(1, 2).rx(3, 0.9).rzz(2, 4, 0.5).h(5).cx(5, 3);
+        qc.h(0)
+            .cx(0, 1)
+            .cx(1, 2)
+            .rx(3, 0.9)
+            .rzz(2, 4, 0.5)
+            .h(5)
+            .cx(5, 3);
         let serial = SvSimulator::plain().statevector(&qc);
         for ranks in [2usize, 4, 8] {
             let r = ranks.trailing_zeros() as usize;
-            let want = serial.sample_counts_split(
-                3000,
-                0xFEED,
-                crate::state::canonical_split_bits(6, r),
-            );
+            let want =
+                serial.sample_counts_split(3000, 0xFEED, crate::state::canonical_split_bits(6, r));
             let results = after_plan(DistPlan::build(&qc, r, None), 0, |dsv, _| {
                 dsv.sample_counts(3000, 0xFEED)
             });
@@ -1207,15 +1225,29 @@ mod tests {
         // Any initial layout is a pure relabeling at |0…0⟩: fixed-seed
         // counts must be byte-identical to the unseeded run.
         let mut qc = Circuit::new(6);
-        qc.h(0).cx(0, 5).rzz(1, 4, 0.7).rx(5, 0.3).cx(4, 2).h(3).cx(3, 1);
+        qc.h(0)
+            .cx(0, 5)
+            .rzz(1, 4, 0.7)
+            .rx(5, 0.3)
+            .cx(4, 2)
+            .h(3)
+            .cx(3, 1);
         let counts = |layout: Option<&[usize]>| {
             let plan = DistPlan::build(&qc, 2, layout);
             let results = after_plan(plan, 0, |dsv, _| dsv.sample_counts(2000, 0xC0FFEE));
             results[0].clone().expect("rank 0 counts")
         };
         let baseline = counts(None);
-        for order in [[5usize, 0, 4, 1, 3, 2], [1, 2, 3, 4, 5, 0], [0, 1, 2, 3, 4, 5]] {
-            assert_eq!(counts(Some(&order)), baseline, "layout changed measured counts");
+        for order in [
+            [5usize, 0, 4, 1, 3, 2],
+            [1, 2, 3, 4, 5, 0],
+            [0, 1, 2, 3, 4, 5],
+        ] {
+            assert_eq!(
+                counts(Some(&order)),
+                baseline,
+                "layout changed measured counts"
+            );
         }
     }
 

@@ -1,9 +1,9 @@
 //! The single-process engine façade: configuration, execution, outcomes.
 
-use crate::fusion::{fuse, FusionLevel};
+use crate::fusion::{fuse, verbatim, FusionLevel};
 use crate::layers::LayerPlan;
 use crate::state::{canonical_split_bits, StateVector};
-use qfw_circuit::{Circuit, Counts, Op, Readout};
+use qfw_circuit::{Circuit, Counts};
 use qfw_num::rng::Rng;
 use qfw_obs::Obs;
 use std::collections::BTreeMap;
@@ -15,9 +15,8 @@ pub enum Threading {
     /// Everything on the calling thread.
     Serial,
     /// Tile groups that pay for the hand-off, sampling blocks and sweep
-    /// points on the rayon shim's workers. Per-gate kernels
-    /// (`FusionLevel::None`) and mid-circuit collapses stay on the calling
-    /// thread.
+    /// points on the rayon shim's workers, whether the plan is fused or
+    /// verbatim. Mid-circuit collapses stay on the calling thread.
     Rayon,
 }
 
@@ -66,15 +65,6 @@ impl SvOutcome<Counts> {
     }
 }
 
-/// A state after its gates, on the way to the sampler.
-struct Evolved {
-    sv: StateVector,
-    /// Classical bits fixed by mid-circuit collapses.
-    collapsed: BTreeMap<usize, u8>,
-    gate_time: Duration,
-    gates_applied: usize,
-}
-
 /// The state-vector simulator engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SvSimulator {
@@ -88,7 +78,8 @@ impl SvSimulator {
         SvSimulator { config }
     }
 
-    /// Serial engine without fusion: the per-gate reference.
+    /// Serial engine without fusion: the verbatim plan, one layer per
+    /// gate — the reference the fused path is compared against.
     pub fn plain() -> Self {
         SvSimulator {
             config: SvConfig {
@@ -104,8 +95,9 @@ impl SvSimulator {
     /// standard fast path). A mid-circuit measurement instead collapses the
     /// state projectively once, i.e. the run is a single stochastic
     /// trajectory — sufficient for every workload in the paper, all of which
-    /// measure only at the end. The circuit's [`Readout`] decides which is
-    /// which and what the draws read. The counts are rendered from
+    /// measure only at the end. The circuit's
+    /// [`Readout`](qfw_circuit::Readout) decides which is which and what
+    /// the draws read. The counts are rendered from
     /// [`run_traced`](Self::run_traced)'s outcome words.
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: u64) -> SvOutcome {
         self.run_traced(circuit, shots, seed, &Obs::disabled())
@@ -174,19 +166,27 @@ impl SvSimulator {
         seed: u64,
         obs: &Obs,
     ) -> SvOutcome<Counts> {
-        if self.config.fusion == FusionLevel::None {
-            return self.run_verbatim(initial, circuit, shots, seed, obs);
-        }
         let mut fuse_span = obs
             .span("engine", "sv.fuse")
             .attr("ops_in", circuit.ops().len());
-        let plan = fuse(circuit);
+        let plan = self.plan(circuit);
         fuse_span.set_attr("ops_out", plan.num_layers());
         drop(fuse_span);
         self.run_plan_from(initial, &plan, shots, seed, obs)
     }
 
-    /// `FusionLevel::Full`: the plan's tile groups, one pass each.
+    /// The circuit's plan at this engine's fusion level.
+    fn plan(&self, circuit: &Circuit) -> LayerPlan {
+        match self.config.fusion {
+            FusionLevel::None => verbatim(circuit),
+            FusionLevel::Full => fuse(circuit),
+        }
+    }
+
+    /// The plan's tile groups, one pass each, then the sampling tail. The
+    /// draws take the canonical split scheme — the shot partition the
+    /// distributed engine replays — so a fixed seed yields bit-identical
+    /// counts whether the state lived on one process or across ranks.
     fn run_plan_from(
         &self,
         initial: Option<StateVector>,
@@ -198,7 +198,9 @@ impl SvSimulator {
         let parallel = self.config.threading == Threading::Rayon;
         let mut rng = Rng::seed_from(seed);
         let sw = qfw_hpc::Stopwatch::start();
-        let passes = initial.as_ref().map_or(plan.passes_from_zero(), |_| plan.passes());
+        let passes = initial
+            .as_ref()
+            .map_or(plan.passes_from_zero(), |_| plan.passes());
         let apply_span = obs
             .span("engine", "sv.apply")
             .attr("qubits", plan.num_qubits())
@@ -213,111 +215,30 @@ impl SvSimulator {
             None => plan.apply_to_zero(Some(&mut rng), parallel),
         };
         drop(apply_span);
-        let evolved = Evolved {
-            sv,
-            collapsed,
-            gate_time: sw.elapsed(),
-            gates_applied: plan.num_layers(),
-        };
-        self.sample(evolved, plan.readout(), shots, seed, obs)
-    }
+        let gate_time = sw.elapsed();
 
-    /// `FusionLevel::None`: the circuit gate by gate, one state sweep each
-    /// on the calling thread — the reference every other path is compared
-    /// against. Only the sampling tail threads under `Rayon`.
-    fn run_verbatim(
-        &self,
-        initial: Option<StateVector>,
-        circuit: &Circuit,
-        shots: usize,
-        seed: u64,
-        obs: &Obs,
-    ) -> SvOutcome<Counts> {
-        let mut rng = Rng::seed_from(seed);
-        let mut sv =
-            initial.unwrap_or_else(|| StateVector::zero(circuit.num_qubits()));
-        let sw = qfw_hpc::Stopwatch::start();
-        let readout = Readout::of(circuit);
-        let mut gates_applied = 0usize;
-        let mut collapsed = BTreeMap::new();
-        let mut apply_span = obs
-            .span("engine", "sv.apply")
-            .attr("qubits", circuit.num_qubits());
-        for (at, op) in circuit.ops().iter().enumerate() {
-            match op {
-                Op::Gate(g) => {
-                    sv.apply(g, false);
-                    gates_applied += 1;
-                }
-                Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
-                    collapsed.insert(*clbit, sv.measure(*qubit, &mut rng, false));
-                }
-                _ => {}
-            }
-        }
-        apply_span.set_attr("gates", gates_applied);
-        apply_span.set_attr("passes", gates_applied);
-        apply_span.set_attr("tile_groups", 0usize);
-        drop(apply_span);
-        let evolved = Evolved {
-            sv,
-            collapsed,
-            gate_time: sw.elapsed(),
-            gates_applied,
-        };
-        self.sample(evolved, &readout, shots, seed, obs)
-    }
-
-    /// Samples an evolved state into counts — shared by both gate paths,
-    /// so a fixed seed draws identically whichever applied the gates. The
-    /// draws take the canonical split scheme — the shot partition the
-    /// distributed engine replays — so a fixed seed yields bit-identical
-    /// counts whether the state lived on one process or across ranks.
-    fn sample(
-        &self,
-        evolved: Evolved,
-        readout: &Readout,
-        shots: usize,
-        seed: u64,
-        obs: &Obs,
-    ) -> SvOutcome<Counts> {
-        let split_bits = canonical_split_bits(evolved.sv.num_qubits(), 0);
         let sample_span = obs.span("engine", "sv.sample").attr("shots", shots);
         let sw = qfw_hpc::Stopwatch::start();
-        let parallel = self.config.threading == Threading::Rayon;
-        let draws = evolved.sv.sample_split_on(shots, seed, split_bits, parallel);
-        let counts = readout.counts(draws, &evolved.collapsed);
-        let sample_time = sw.elapsed();
+        let split_bits = canonical_split_bits(sv.num_qubits(), 0);
+        let draws = sv.sample_split_on(shots, seed, split_bits, parallel);
+        let counts = plan.readout().counts(draws, &collapsed);
         drop(sample_span);
         SvOutcome {
             counts,
-            gate_time: evolved.gate_time,
-            sample_time,
-            gates_applied: evolved.gates_applied,
+            gate_time,
+            sample_time: sw.elapsed(),
+            gates_applied: plan.num_layers(),
         }
     }
 
     /// Returns the final state vector of the unitary part of a circuit.
     pub fn statevector(&self, circuit: &Circuit) -> StateVector {
-        match self.config.fusion {
-            FusionLevel::None => {
-                let mut sv = StateVector::zero(circuit.num_qubits());
-                sv.run_unitary(circuit);
-                sv
-            }
-            FusionLevel::Full => {
-                let parallel = self.config.threading == Threading::Rayon;
-                fuse(circuit).apply_to_zero(None, parallel).0
-            }
-        }
+        let parallel = self.config.threading == Threading::Rayon;
+        self.plan(circuit).apply_to_zero(None, parallel).0
     }
 
     /// Expectation of a diagonal observable after running the unitary part.
-    pub fn expectation_diagonal(
-        &self,
-        circuit: &Circuit,
-        f: impl Fn(usize) -> f64 + Sync,
-    ) -> f64 {
+    pub fn expectation_diagonal(&self, circuit: &Circuit, f: impl Fn(usize) -> f64 + Sync) -> f64 {
         let sv = self.statevector(circuit);
         sv.expectation_diagonal(f, self.config.threading == Threading::Rayon)
     }
@@ -390,7 +311,10 @@ mod tests {
         assert!(names.contains(&"sv.sample".to_string()));
         // The apply span says why a job was fast: how often memory was swept.
         let spans = obs.spans();
-        let apply = spans.iter().find(|s| s.name == "sv.apply").expect("recorded");
+        let apply = spans
+            .iter()
+            .find(|s| s.name == "sv.apply")
+            .expect("recorded");
         assert_eq!(apply.attrs["passes"], qfw_obs::AttrValue::Int(1));
         assert_eq!(apply.attrs["tile_groups"], qfw_obs::AttrValue::Int(1));
         // Untraced run records nothing.

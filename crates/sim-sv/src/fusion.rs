@@ -16,12 +16,14 @@
 //!   tagged with its [`Shape1q`]; wider gates pass through as
 //!   [`Layer::Dense`].
 //!
-//! [`FusionLevel::None`] skips all of this: the engine then applies the
-//! circuit gate by gate, which is the reference the fused path, the
-//! partitioned path and the tests are compared against.
+//! [`FusionLevel::None`] skips both: [`verbatim`] makes one layer of each
+//! gate, as written, and the same tile executor runs that plan — the
+//! circuit applied gate by gate, which the fused path, the partitioned
+//! path and the tests are compared against. Noisy trajectories run the
+//! verbatim plan with a Kraus site after each noisy gate.
 
 use crate::kernels::{mat2_mul, DiagForm, Mat2, Shape1q};
-use crate::layers::{DiagLayer, FactorTable, Fused, Layer, LayerPlan};
+use crate::layers::{DiagLayer, FactorTable, Fused, Layer, LayerPlan, Site};
 use qfw_circuit::{Circuit, Gate, Op, Readout};
 use qfw_num::complex::C64;
 use qfw_num::Matrix;
@@ -30,7 +32,8 @@ use std::sync::Arc;
 /// Whether the engine fuses gates before applying them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FusionLevel {
-    /// Apply the circuit verbatim, one state sweep per gate.
+    /// Apply the circuit verbatim: the [`verbatim`] plan, one layer per
+    /// gate.
     None,
     /// Fuse into a [`LayerPlan`] and execute it tile by tile.
     #[default]
@@ -40,6 +43,93 @@ pub enum FusionLevel {
 /// Fuses a circuit into its layer plan.
 pub fn fuse(circuit: &Circuit) -> LayerPlan {
     fuse_shard(circuit, circuit.num_qubits())
+}
+
+/// The circuit as written, one layer per gate: no diagonal merging, no
+/// chaining — a one-qubit gate a [`Layer::Local1q`], a two-qubit gate a
+/// 4x4 [`Layer::Dense`], a wider [`absorbable_diagonal`] gate a
+/// [`Layer::Diag`], any other a [`Layer::Dense`] — and a collapse at each
+/// mid-circuit measurement. The plan still cuts its layers into tile
+/// groups, so a run of gates on few qubits shares a pass.
+pub fn verbatim(circuit: &Circuit) -> LayerPlan {
+    verbatim_with_sites(circuit, |_, _| false)
+}
+
+/// [`verbatim`] with a Kraus site after each gate on every operand `q`,
+/// in operand order, for which `noisy(arity, q)` holds: a noisy
+/// trajectory's plan.
+pub(crate) fn verbatim_with_sites(
+    circuit: &Circuit,
+    noisy: impl Fn(usize, usize) -> bool,
+) -> LayerPlan {
+    let n = circuit.num_qubits();
+    assert!(n < 64, "the dense engine cannot hold a {n}-qubit register");
+    let readout = Readout::of(circuit);
+    let mut items = Vec::with_capacity(circuit.ops().len());
+    for (at, op) in circuit.ops().iter().enumerate() {
+        match *op {
+            Op::Gate(ref g) => {
+                items.push(Fused::Layer(verbatim_layer(n, g)));
+                let arity = g.arity();
+                for &qubit in g.operands().iter().filter(|&&q| noisy(arity, q)) {
+                    items.push(Fused::At(Site::Kraus { qubit, arity }));
+                }
+            }
+            Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
+                items.push(Fused::At(Site::Collapse { qubit, clbit }))
+            }
+            _ => {}
+        }
+    }
+    LayerPlan::build(n, n, readout, items)
+}
+
+/// One gate as a layer of its own: a one-qubit gate a [`Layer::Local1q`],
+/// a two-qubit gate a 4x4 [`Layer::Dense`] on ascending qubits, a wider
+/// [`absorbable_diagonal`] gate a [`Layer::Diag`] (so it runs at any
+/// width), and any other a [`Layer::Dense`].
+///
+/// # Panics
+/// Panics on an operand repeated or outside the `n`-qubit register.
+pub(crate) fn verbatim_layer(n: usize, g: &Gate) -> Layer {
+    let qs = g.operands();
+    let support = qs.iter().fold(0u64, |mask, &q| {
+        assert!(
+            q < n && mask >> q & 1 == 0,
+            "gate targets {:?} must be distinct qubits of a {n}-qubit register",
+            &*qs
+        );
+        mask | 1 << q
+    });
+    match *qs {
+        [qubit] => {
+            let m = mat2_of(g);
+            Layer::Local1q {
+                qubit,
+                m,
+                shape: Shape1q::of(&m),
+            }
+        }
+        [a, b] => dense_2q([a, b], mat4_of(g)),
+        _ => match absorbable_diagonal(g) {
+            Some(phases) => Layer::Diag(DiagLayer {
+                form: DiagForm {
+                    p0: C64::ONE,
+                    flips: Vec::new(),
+                    pairs: Vec::new(),
+                },
+                tables: vec![FactorTable {
+                    qubits: qs.to_vec(),
+                    phases,
+                }],
+                support,
+            }),
+            None => Layer::Dense {
+                qubits: qs.to_vec(),
+                m: g.matrix().as_slice().to_vec(),
+            },
+        },
+    }
 }
 
 /// [`fuse`] for an amplitude buffer that indexes only the low `local_bits`
@@ -93,8 +183,9 @@ fn mask_of(qubits: &[usize]) -> u64 {
 /// run is kept as ratios of entries; circuit text can carry a "unitary"
 /// that is neither, and that one stays a dense gate). The distributed
 /// router asks the same question to decide that a gate needs no exchange,
-/// so what it leaves on a rank bit is exactly what stays a layer here.
-pub(crate) fn absorbable_diagonal(g: &Gate) -> Option<Vec<C64>> {
+/// so what it leaves on a rank bit is exactly what stays a layer here, and
+/// admission asks it too: such a gate runs at any width.
+pub fn absorbable_diagonal(g: &Gate) -> Option<Vec<C64>> {
     g.diagonal().filter(|d| {
         d.iter()
             .all(|z| z.norm_sqr() > 0.0 && z.norm_sqr().is_finite())
@@ -247,11 +338,11 @@ fn merge_diagonal_runs(
 type Mat4 = [C64; 16];
 
 fn mat2_of(g: &Gate) -> Mat2 {
-    g.matrix().as_slice().try_into().expect("single-qubit gate")
+    g.matrix_1q().expect("single-qubit gate")
 }
 
 fn mat4_of(g: &Gate) -> Mat4 {
-    g.matrix().as_slice().try_into().expect("two-qubit gate")
+    g.matrix_2q().expect("two-qubit gate")
 }
 
 fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
@@ -310,18 +401,23 @@ struct Blocks {
     blocks: Vec<Option<Block2q>>,
 }
 
+/// The dense layer of a 4x4 matrix whose local bit `j` is `qs[j]`, on
+/// ascending qubits, as every dense two-qubit layer is.
+fn dense_2q(qs: [usize; 2], m: Mat4) -> Layer {
+    let (qs, m) = if qs[0] < qs[1] {
+        (qs, m)
+    } else {
+        ([qs[1], qs[0]], swap_bits2(&m))
+    };
+    Layer::Dense {
+        qubits: qs.to_vec(),
+        m: m.to_vec(),
+    }
+}
+
 impl Blocks {
     fn emit_block(&mut self, b: Block2q) {
-        // Dense two-qubit layers carry ascending qubits.
-        let (qs, m) = if b.qs[0] < b.qs[1] {
-            (b.qs, b.m)
-        } else {
-            ([b.qs[1], b.qs[0]], swap_bits2(&b.m))
-        };
-        self.out.push(Fused::Layer(Layer::Dense {
-            qubits: qs.to_vec(),
-            m: m.to_vec(),
-        }));
+        self.out.push(Fused::Layer(dense_2q(b.qs, b.m)));
     }
 
     /// Emits whatever is open on qubit `q`.
@@ -434,7 +530,7 @@ fn fuse_blocks(n: usize, items: Vec<Item>) -> Vec<Fused> {
             } => {
                 st.flush_mask(support);
                 if collapses {
-                    st.out.push(Fused::Collapse { qubit, clbit });
+                    st.out.push(Fused::At(Site::Collapse { qubit, clbit }));
                 }
             }
             Item::Barrier(mask) => st.flush_mask(mask),

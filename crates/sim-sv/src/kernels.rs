@@ -5,7 +5,9 @@
 //! of the tile index `l`. The layer-plan executor ([`crate::layers`])
 //! gathers cache-sized tiles out of the interleaved state vector, applies a
 //! whole run of fused ops to each, and scatters them back. It is their only
-//! caller: the per-gate reference ([`crate::state`]) keeps its own sweeps.
+//! caller, and the only code that applies gates to a state: the verbatim
+//! plan (`FusionLevel::None`, `StateVector::apply`) and the noisy
+//! trajectories' Kraus operators run through it too.
 //!
 //! # Bit identity
 //!

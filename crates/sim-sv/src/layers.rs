@@ -134,19 +134,42 @@ impl DiagLayer {
 /// What the fuser hands the plan, in circuit order.
 pub(crate) enum Fused {
     Layer(Layer),
-    /// A mid-circuit measurement.
-    Collapse {
-        qubit: usize,
-        clbit: usize,
-    },
+    /// A mid-circuit measurement or a Kraus site.
+    At(Site),
 }
 
 #[derive(Clone, Debug, PartialEq)]
 enum Step {
     /// One pass over memory.
     Tiles(TileGroup),
+    /// Where the caller acts on the state itself.
+    At(Site),
+}
+
+/// A point of a plan where the caller acts on the state itself.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Site {
     /// A mid-circuit measurement: collapse one trajectory.
     Collapse { qubit: usize, clbit: usize },
+    /// A noisy trajectory's Kraus site: after a gate on `arity` qubits,
+    /// the channels of `qubit`, applied with [`apply_local_1q`].
+    Kraus { qubit: usize, arity: usize },
+}
+
+/// Applies the 2x2 `m` — any operator, unitary or not — to `qubit` of `sv`
+/// as one [`Layer::Local1q`] pass through the tile kernels.
+pub(crate) fn apply_local_1q(sv: &mut StateVector, qubit: usize, m: Mat2) {
+    let n = sv.num_qubits();
+    let layer = Layer::Local1q {
+        qubit,
+        m,
+        shape: Shape1q::of(&m),
+    };
+    let group = TileGroup {
+        layers: 0..1,
+        map: tile_map(n, n, 1 << qubit),
+    };
+    group.run(&[layer], sv.amps_mut(), 0, false, IsaTier::detect());
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -206,9 +229,9 @@ impl LayerPlan {
                     );
                     run.push(layer);
                 }
-                Fused::Collapse { qubit, clbit } => {
+                Fused::At(site) => {
                     plan.cut(std::mem::take(&mut run));
-                    plan.steps.push(Step::Collapse { qubit, clbit });
+                    plan.steps.push(Step::At(site));
                 }
             }
         }
@@ -251,29 +274,19 @@ impl LayerPlan {
                 }
                 rest.push(layer);
             }
-            self.close_group(start, needs, tile_bits);
+            self.close_group(start, needs);
             pending = rest;
         }
     }
 
-    /// Ends the group of layers `start..`, padding its tile with the lowest
-    /// free qubits so strips are as long as they can be.
-    fn close_group(&mut self, start: usize, needs: u64, tile_bits: usize) {
+    /// Ends the group of layers `start..`.
+    fn close_group(&mut self, start: usize, needs: u64) {
         if start == self.layers.len() {
             return;
         }
-        let mut mask = needs;
-        let mut q = 0;
-        while (mask.count_ones() as usize) < tile_bits {
-            mask |= 1 << q;
-            q += 1;
-        }
-        let qubits = (0..self.num_qubits)
-            .filter(|q| mask >> q & 1 == 1)
-            .collect();
         self.steps.push(Step::Tiles(TileGroup {
             layers: start..self.layers.len(),
-            map: TileMap::new(self.num_qubits, qubits),
+            map: tile_map(self.num_qubits, self.local_bits, needs),
         }));
     }
 
@@ -312,12 +325,14 @@ impl LayerPlan {
     fn groups(&self) -> impl Iterator<Item = &TileGroup> {
         self.steps.iter().filter_map(|step| match step {
             Step::Tiles(group) => Some(group),
-            Step::Collapse { .. } => None,
+            _ => None,
         })
     }
 
     /// Runs the plan on `sv` with the fastest kernels this CPU has.
     /// Returns the classical bits of collapsed mid-circuit measurements.
+    /// Kraus sites belong to a noisy trajectory's own run and are passed
+    /// over here, as by every public entry.
     pub fn apply(
         &self,
         sv: &mut StateVector,
@@ -338,8 +353,10 @@ impl LayerPlan {
         parallel: bool,
     ) -> BTreeMap<usize, u8> {
         let mut collapsed = BTreeMap::new();
-        self.execute(tier, sv, 0, 0, parallel, |sv, qubit, clbit| {
-            collapsed.insert(clbit, sv.measure(qubit, rng, false));
+        self.execute(tier, sv, 0, 0, parallel, |sv, site| {
+            if let Site::Collapse { qubit, clbit } = site {
+                collapsed.insert(clbit, sv.measure(qubit, rng, false));
+            }
         });
         collapsed
     }
@@ -347,7 +364,7 @@ impl LayerPlan {
     /// Runs only the unitary part: mid-circuit measurements are skipped,
     /// as [`StateVector::run_unitary`] skips them.
     pub fn apply_unitary(&self, sv: &mut StateVector, parallel: bool) {
-        self.execute(IsaTier::detect(), sv, 0, 0, parallel, |_, _, _| {});
+        self.execute(IsaTier::detect(), sv, 0, 0, parallel, |_, _| {});
     }
 
     /// [`apply`](Self::apply) on `|0…0⟩`, which the plan builds itself:
@@ -361,22 +378,25 @@ impl LayerPlan {
         mut rng: Option<&mut Rng>,
         parallel: bool,
     ) -> (StateVector, BTreeMap<usize, u8>) {
-        let mut sv = self.product_state();
         let mut collapsed = BTreeMap::new();
-        let tier = IsaTier::detect();
-        self.execute(
-            tier,
-            &mut sv,
-            0,
-            self.start,
-            parallel,
-            |sv, qubit, clbit| {
-                if let Some(rng) = rng.as_deref_mut() {
-                    collapsed.insert(clbit, sv.measure(qubit, rng, false));
-                }
-            },
-        );
+        let sv = self.run_from_zero(parallel, |sv, site| {
+            if let (Site::Collapse { qubit, clbit }, Some(rng)) = (site, rng.as_deref_mut()) {
+                collapsed.insert(clbit, sv.measure(qubit, rng, false));
+            }
+        });
         (sv, collapsed)
+    }
+
+    /// The plan on the `|0…0⟩` [`apply_to_zero`](Self::apply_to_zero)
+    /// builds, handing every collapse and Kraus site to `at`.
+    pub(crate) fn run_from_zero(
+        &self,
+        parallel: bool,
+        at: impl FnMut(&mut StateVector, Site),
+    ) -> StateVector {
+        let mut sv = self.product_state();
+        self.execute(IsaTier::detect(), &mut sv, 0, self.start, parallel, at);
+        sv
     }
 
     /// How many leading layers keep `|0…0⟩` a product state whose zero
@@ -388,7 +408,7 @@ impl LayerPlan {
     fn product_start(&self) -> usize {
         let before_collapse = self.steps.iter().map_while(|step| match step {
             Step::Tiles(group) => Some(group.layers.end),
-            Step::Collapse { .. } => None,
+            _ => None,
         });
         let mut doubled = 0u64;
         let layers = &self.layers[..before_collapse.last().unwrap_or(0)];
@@ -454,7 +474,7 @@ impl LayerPlan {
         above: usize,
         skip: usize,
         parallel: bool,
-        mut collapse: impl FnMut(&mut StateVector, usize, usize),
+        mut at: impl FnMut(&mut StateVector, Site),
     ) {
         assert_eq!(sv.num_qubits(), self.local_bits, "register size mismatch");
         for step in &self.steps {
@@ -466,7 +486,7 @@ impl LayerPlan {
                         group.run(layers, sv.amps_mut(), above, parallel, tier);
                     }
                 }
-                Step::Collapse { qubit, clbit } => collapse(sv, *qubit, *clbit),
+                Step::At(site) => at(sv, *site),
             }
         }
     }
@@ -480,7 +500,7 @@ impl LayerPlan {
     /// Panics on a plan that collapses mid-way: a measurement across ranks
     /// is a collective, which the distributed plan sequences itself.
     pub(crate) fn apply_to_shard(&self, shard: &mut StateVector, above: usize) {
-        self.execute(IsaTier::detect(), shard, above, 0, false, |_, _, _| {
+        self.execute(IsaTier::detect(), shard, above, 0, false, |_, _| {
             panic!("a shard plan holds no measurements")
         });
     }
@@ -555,9 +575,25 @@ impl SharedAmps {
     }
 }
 
+/// The tile over the qubits `needs` and the [`BLOCK_BITS`] lowest of a
+/// buffer over `local_bits` of `num_qubits` register qubits, padded with the
+/// lowest free qubits so strips are as long as they can be.
+fn tile_map(num_qubits: usize, local_bits: usize, needs: u64) -> TileMap {
+    let tile_bits = TILE_BITS.min(local_bits);
+    let mut mask = needs | ((1u64 << BLOCK_BITS.min(local_bits)) - 1);
+    let mut q = 0;
+    while (mask.count_ones() as usize) < tile_bits {
+        mask |= 1 << q;
+        q += 1;
+    }
+    let qubits = (0..num_qubits).filter(|q| mask >> q & 1 == 1).collect();
+    TileMap::new(num_qubits, qubits)
+}
+
 impl TileGroup {
-    /// One pass over `amps`. `above` holds the register's index bits
-    /// beyond the buffer (0 when the buffer is the whole register).
+    /// One pass of `layers` over `amps`, tile by tile. `above` holds the
+    /// register's index bits beyond the buffer (0 when the buffer is the
+    /// whole register).
     fn run(&self, layers: &[Layer], amps: &mut [C64], above: usize, parallel: bool, tier: IsaTier) {
         let qubits = self.map.qubits();
         let t = qubits.len();

@@ -4,17 +4,21 @@
 //! contrast to their non-variational counterpart, variational algorithms
 //! are less prone to adverse effects of today's noisy quantum devices").
 //! This module executes circuits under a [`qfw_noise::NoiseModel`]
-//! without ever materializing a density matrix: each *trajectory* runs
-//! the circuit once, and after every gate each touched qubit's channels
-//! are sampled — the branch index is drawn with probability
-//! `tr(K_i rho K_i^dag)` from the qubit's reduced density matrix, the
-//! chosen Kraus operator is applied, and the state renormalized; a
-//! mid-circuit measurement collapses the trajectory's state.
-//! Averaged over trajectories this converges to the exact channel
+//! without ever materializing a density matrix. A job builds one plan:
+//! the circuit's [`verbatim`](crate::fusion::verbatim) layers with a
+//! Kraus site after every gate on each touched qubit that has channels.
+//! Each *trajectory* runs that plan on the tile executor; at a site, each
+//! of the qubit's channels draws its branch with probability
+//! `tr(K_i rho K_i^dag)` from the qubit's reduced density matrix (one
+//! read pass), and `K_i / sqrt(p_i)` — the operator and the
+//! renormalization in one — is applied as one single-qubit layer (one
+//! more pass); a mid-circuit measurement collapses the trajectory's
+//! state. Averaged over trajectories this converges to the exact channel
 //! (validated against `qfw_noise::reference` in tests). Each trajectory
 //! draws its shots through the canonical split scheme, readout error flips
 //! each drawn qubit independently per its confusion matrix, and the
-//! circuit's [`Readout`] turns the draws into counts like every engine's.
+//! circuit's [`Readout`](qfw_circuit::Readout) turns the draws into
+//! counts like every engine's.
 //!
 //! **Determinism.** Trajectory `t` owns the RNG `Rng::stream(seed, t)`
 //! and a fixed slice of the shot budget, and per-trajectory histograms
@@ -26,8 +30,10 @@
 //! backends opt in through `noise_model`/`noise_*` runtime properties.
 
 use crate::engine::SvSimulator;
+use crate::fusion::verbatim_with_sites;
+use crate::layers::{apply_local_1q, LayerPlan, Site};
 use crate::state::{canonical_split_bits, StateVector};
-use qfw_circuit::{Circuit, Counts, Op, Readout};
+use qfw_circuit::{Circuit, Counts};
 use qfw_noise::Kraus2;
 pub use qfw_noise::NoiseModel;
 use qfw_num::complex::C64;
@@ -49,34 +55,25 @@ fn branch_prob(k: &Kraus2, rho: &[C64; 4]) -> f64 {
     t
 }
 
-/// Runs one trajectory: the circuit with one sampled Kraus branch per
-/// (gate, touched qubit, channel) and its mid-circuit measurements
-/// collapsed. Returns the final state and the collapsed classical bits;
-/// `kraus_apps` counts non-trivial branch applications.
+/// Runs one trajectory of a noisy plan: one sampled Kraus branch per
+/// (site, channel) and the mid-circuit measurements collapsed. Returns the
+/// final state and the collapsed classical bits; `kraus_apps` counts
+/// non-trivial branch applications.
 fn run_one_trajectory(
-    circuit: &Circuit,
-    readout: &Readout,
+    plan: &LayerPlan,
     model: &NoiseModel,
     rng: &mut Rng,
     kraus_apps: &mut u64,
 ) -> (StateVector, BTreeMap<usize, u8>) {
-    let mut sv = StateVector::zero(circuit.num_qubits());
     let mut collapsed = BTreeMap::new();
     let mut weights: Vec<f64> = Vec::with_capacity(8);
-    for (at, op) in circuit.ops().iter().enumerate() {
-        let g = match op {
-            Op::Gate(g) => g,
-            Op::Measure { qubit, clbit } if !readout.is_terminal(at) => {
-                collapsed.insert(*clbit, sv.measure(*qubit, rng, false));
-                continue;
-            }
-            _ => continue,
-        };
-        sv.apply(g, false);
-        let arity = g.arity();
-        for q in g.qubits() {
-            for ch in model.channels(arity, q) {
-                let rho = sv.reduced_density_1q(q);
+    let sv = plan.run_from_zero(false, |sv, site| match site {
+        Site::Collapse { qubit, clbit } => {
+            collapsed.insert(clbit, sv.measure(qubit, rng, false));
+        }
+        Site::Kraus { qubit, arity } => {
+            for ch in model.channels(arity, qubit) {
+                let rho = sv.reduced_density_1q(qubit);
                 weights.clear();
                 weights.extend(ch.kraus().iter().map(|k| branch_prob(k, &rho).max(0.0)));
                 let total: f64 = weights.iter().sum();
@@ -85,13 +82,12 @@ fn run_one_trajectory(
                     continue;
                 }
                 let idx = rng.weighted(&weights);
-                sv.apply_matrix_1q(q, &ch.kraus()[idx]);
-                let p = weights[idx] / total;
-                sv.scale(1.0 / p.sqrt());
+                let renorm = 1.0 / (weights[idx] / total).sqrt();
+                apply_local_1q(sv, qubit, ch.kraus()[idx].map(|k| k.scale(renorm)));
                 *kraus_apps += 1;
             }
         }
-    }
+    });
     (sv, collapsed)
 }
 
@@ -123,7 +119,7 @@ fn sample_with_readout(
 /// `shots`) stochastic Kraus `trajectories`, executed on `workers`
 /// scoped threads. Each trajectory collapses the circuit's mid-circuit
 /// measurements and samples its terminal ones, read like the ideal
-/// engines' ([`Readout`]); an empty model is the ideal engine.
+/// engines' ([`Readout`](qfw_circuit::Readout)); an empty model is the ideal engine.
 ///
 /// Fixed-seed counts are **bitwise identical for every `workers`
 /// value**: trajectory `t` always uses `Rng::stream(seed, t)` and a
@@ -142,7 +138,7 @@ pub fn sample_trajectories(
             .run_traced(circuit, shots, seed, &Obs::disabled())
             .counts;
     }
-    let readout = Readout::of(circuit);
+    let plan = verbatim_with_sites(circuit, |arity, q| !model.channels(arity, q).is_empty());
     let span = obs
         .span("engine", "noise.run")
         .attr("shots", shots)
@@ -158,7 +154,7 @@ pub fn sample_trajectories(
     // contiguous chunks so merge order never depends on thread timing.
     let mut slots: Vec<Option<(Counts, u64)>> = vec![None; trajectories];
     let chunk = trajectories.div_ceil(workers);
-    let readout = &readout;
+    let plan = &plan;
     std::thread::scope(|scope| {
         for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
             let first = w * chunk;
@@ -172,9 +168,9 @@ pub fn sample_trajectories(
                     let mut rng = Rng::stream(seed, t as u64);
                     let mut kraus_apps = 0u64;
                     let (sv, collapsed) =
-                        run_one_trajectory(circuit, readout, model, &mut rng, &mut kraus_apps);
+                        run_one_trajectory(plan, model, &mut rng, &mut kraus_apps);
                     let draws = sample_with_readout(&sv, my_shots, model, &mut rng);
-                    *slot = Some((readout.counts(draws, &collapsed), kraus_apps));
+                    *slot = Some((plan.readout().counts(draws, &collapsed), kraus_apps));
                 }
             });
         }

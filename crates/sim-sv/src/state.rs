@@ -1,17 +1,18 @@
-//! The dense state vector and its gate-application kernels.
+//! The dense state vector: its amplitudes, measurement and sampling.
 //!
 //! Layout: amplitude `amps[i]` is the coefficient of basis state `|i>` with
 //! qubit `q` stored in bit `q` of `i` (little-endian, matching the IR).
 //!
-//! The per-gate kernels run on the calling thread: they partition the
-//! amplitude array into *groups* that vary only the gate's target bits,
-//! and distinct groups touch disjoint indices, which is what the raw-pointer
-//! scatter in the k-qubit kernel relies on. Threads belong to the layer
-//! plan's tile executor ([`crate::layers`]), the block sampler
-//! ([`draw_blocks`]) and [`StateVector::expectation_diagonal`].
+//! Gates reach the amplitudes only through the layer plan's tile executor
+//! ([`crate::layers`]): [`StateVector::apply`] and
+//! [`StateVector::run_unitary`] run the [`verbatim`] plan of what they
+//! are given. Threads belong to that executor, the block sampler
+//! ([`draw_blocks`]) and [`StateVector::expectation_diagonal`]; a collapse
+//! runs on the calling thread.
 
-use crate::kernels::MAX_DENSE_QUBITS;
-use qfw_circuit::{Circuit, Counts, Gate, Op, Readout};
+use crate::fusion::{verbatim, verbatim_layer};
+use crate::layers::{Fused, LayerPlan};
+use qfw_circuit::{Circuit, Counts, Gate, Readout};
 use qfw_num::complex::{c64, C64};
 use qfw_num::rng::{AliasSampler, CdfSampler, Rng};
 use qfw_num::Matrix;
@@ -89,43 +90,15 @@ impl StateVector {
         self.amps[i].norm_sqr()
     }
 
-    /// Applies one gate. `parallel` is accepted and ignored: the per-gate
-    /// kernels run on the calling thread, and a threaded job runs the
-    /// layer plan instead.
+    /// Applies one gate: the one-layer [`verbatim`] plan of it, through
+    /// the tile executor. `parallel` is accepted and ignored.
+    ///
+    /// # Panics
+    /// Panics on a target repeated or outside the register.
     pub fn apply(&mut self, gate: &Gate, _parallel: bool) {
-        match gate {
-            // Diagonal fast paths: pure per-amplitude phases, no scatter.
-            Gate::Z(q) => self.apply_phase_if(*q, -C64::ONE),
-            Gate::S(q) => self.apply_phase_if(*q, C64::I),
-            Gate::Sdg(q) => self.apply_phase_if(*q, -C64::I),
-            Gate::T(q) => self.apply_phase_if(*q, C64::cis(std::f64::consts::FRAC_PI_4)),
-            Gate::Tdg(q) => self.apply_phase_if(*q, C64::cis(-std::f64::consts::FRAC_PI_4)),
-            Gate::Phase(q, t) => self.apply_phase_if(*q, C64::cis(*t)),
-            Gate::Rz(q, t) => self.apply_rz(*q, *t),
-            Gate::Cz(a, b) => self.apply_cz(*a, *b),
-            Gate::Cp(c, t, theta) => self.apply_cphase(*c, *t, C64::cis(*theta)),
-            Gate::Rzz(a, b, t) => self.apply_rzz(*a, *b, *t),
-            // X is a pure bit-flip permutation: cheaper than a dense 1q kernel.
-            Gate::X(q) => self.apply_x(*q),
-            Gate::Cx(c, t) => self.apply_cx(*c, *t),
-            Gate::Ccx(a, b, t) => self.apply_ccx(*a, *b, *t),
-            // Everything else goes through dense kernels by arity, except
-            // that any remaining diagonal gate (Crz, fused diagonal Unitary
-            // blocks) gets a single strided phase sweep.
-            g => {
-                let qs = g.qubits();
-                if let Some(d) = g.diagonal() {
-                    self.apply_diag_kq(&qs, &d);
-                    return;
-                }
-                let m = g.matrix();
-                match qs.len() {
-                    1 => self.apply_1q(qs[0], &m),
-                    2 => self.apply_2q(qs[0], qs[1], &m),
-                    _ => self.apply_kq(&qs, &m),
-                }
-            }
-        }
+        let layer = Fused::Layer(verbatim_layer(self.n, gate));
+        let readout = Readout::of(&Circuit::new(self.n));
+        LayerPlan::build(self.n, self.n, readout, vec![layer]).apply_unitary(self, false);
     }
 
     /// The reduced 2x2 density matrix of qubit `q` (row-major
@@ -149,311 +122,11 @@ impl StateVector {
         [c64(r00, 0.0), r01, r01.conj(), c64(r11, 0.0)]
     }
 
-    /// Applies an arbitrary — not necessarily unitary — 2x2 operator to
-    /// qubit `q` (row-major matrix). Kraus operators come through here;
-    /// callers renormalize afterwards via [`Self::scale`].
-    pub fn apply_matrix_1q(&mut self, q: usize, m: &[C64; 4]) {
-        let (u00, u01, u10, u11) = (m[0], m[1], m[2], m[3]);
-        self.apply_pairwise(q, move |a, b| {
-            let (x, y) = (*a, *b);
-            *a = u00 * x + u01 * y;
-            *b = u10 * x + u11 * y;
-        });
-    }
-
-    /// Multiplies every amplitude by the real scalar `f`
-    /// (renormalization after a non-unitary Kraus application).
-    pub fn scale(&mut self, f: f64) {
-        for a in &mut self.amps {
-            *a = a.scale(f);
-        }
-    }
-
-    /// Runs the unitary part of a circuit (measurements/barriers skipped).
+    /// Runs the unitary part of a circuit (measurements/barriers skipped):
+    /// its [`verbatim`] plan.
     pub fn run_unitary(&mut self, circuit: &Circuit) {
         assert_eq!(circuit.num_qubits(), self.n, "register size mismatch");
-        for op in circuit.ops() {
-            if let Op::Gate(g) = op {
-                self.apply(g, false);
-            }
-        }
-    }
-
-    // --- strided iteration helpers ------------------------------------------
-
-    /// Applies `f` to every `(bit q = 0, bit q = 1)` amplitude pair: the
-    /// one place that knows how to split the register around one qubit.
-    fn apply_pairwise(&mut self, q: usize, f: impl Fn(&mut C64, &mut C64)) {
-        let stride = 1usize << q;
-        for chunk in self.amps.chunks_mut(stride << 1) {
-            let (lo, hi) = chunk.split_at_mut(stride);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                f(a, b);
-            }
-        }
-    }
-
-    /// Applies `f` to every amplitude whose bit `q` is 1 — exactly half the
-    /// register, visited in contiguous runs with no per-index branch.
-    fn for_each_one(&mut self, q: usize, f: impl Fn(&mut C64)) {
-        let stride = 1usize << q;
-        for chunk in self.amps.chunks_mut(stride << 1) {
-            chunk[stride..].iter_mut().for_each(&f);
-        }
-    }
-
-    /// Applies `f` to every amplitude whose bits `a` and `b` are both 1 —
-    /// a quarter of the register, visited as contiguous runs of
-    /// `2^min(a, b)` by nesting block sweeps around the two bits instead of
-    /// scanning everything with a mask branch.
-    fn for_each_11(&mut self, a: usize, b: usize, f: impl Fn(&mut C64)) {
-        debug_assert_ne!(a, b);
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let (slo, shi) = (1usize << lo, 1usize << hi);
-        // Within the hi=1 half of each block, the lo=1 amplitudes are the
-        // upper halves of the sub-blocks around the low bit.
-        for chunk in self.amps.chunks_mut(shi << 1) {
-            for sub in chunk[shi..].chunks_mut(slo << 1) {
-                sub[slo..].iter_mut().for_each(&f);
-            }
-        }
-    }
-
-    /// What the raw-pointer kernels below rely on: ascending `sorted`
-    /// targets are distinct qubits of this register.
-    fn check_targets(&self, sorted: &[usize]) {
-        assert!(
-            sorted.windows(2).all(|w| w[0] < w[1]) && sorted.last().is_some_and(|&q| q < self.n),
-            "gate targets {sorted:?} must be distinct qubits of a {}-qubit register",
-            self.n
-        );
-    }
-
-    // --- diagonal / permutation kernels -------------------------------------
-
-    /// Multiplies amplitudes whose bit `q` is 1 by `phase`.
-    fn apply_phase_if(&mut self, q: usize, phase: C64) {
-        self.for_each_one(q, move |a| *a *= phase);
-    }
-
-    fn apply_rz(&mut self, q: usize, t: f64) {
-        let (p0, p1) = (C64::cis(-t / 2.0), C64::cis(t / 2.0));
-        self.apply_pairwise(q, move |a, b| {
-            *a *= p0;
-            *b *= p1;
-        });
-    }
-
-    fn apply_cz(&mut self, a: usize, b: usize) {
-        self.for_each_11(a, b, |amp| *amp = -*amp);
-    }
-
-    fn apply_cphase(&mut self, c: usize, t: usize, phase: C64) {
-        self.for_each_11(c, t, move |amp| *amp *= phase);
-    }
-
-    fn apply_rzz(&mut self, a: usize, b: usize, t: f64) {
-        let (aligned, anti) = (C64::cis(-t / 2.0), C64::cis(t / 2.0));
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let (slo, shi) = (1usize << lo, 1usize << hi);
-        // Every amplitude gets one of two phases keyed by the parity of
-        // bits a and b; sweep in contiguous runs around the low bit, with
-        // the phase pair swapping between the two halves of the high bit.
-        let sweep = |half: &mut [C64], p0: C64, p1: C64| {
-            for sub in half.chunks_mut(slo << 1) {
-                let (z, o) = sub.split_at_mut(slo);
-                for amp in z {
-                    *amp *= p0;
-                }
-                for amp in o {
-                    *amp *= p1;
-                }
-            }
-        };
-        for chunk in self.amps.chunks_mut(shi << 1) {
-            let (lo_half, hi_half) = chunk.split_at_mut(shi);
-            sweep(lo_half, aligned, anti);
-            sweep(hi_half, anti, aligned);
-        }
-    }
-
-    fn apply_x(&mut self, q: usize) {
-        // A pure permutation: swap each block's halves wholesale — bulk
-        // slice swaps vectorize where a per-pair closure does not.
-        let stride = 1usize << q;
-        for chunk in self.amps.chunks_mut(stride << 1) {
-            let (lo, hi) = chunk.split_at_mut(stride);
-            lo.swap_with_slice(hi);
-        }
-    }
-
-    fn apply_cx(&mut self, c: usize, t: usize) {
-        let (cm, tm) = (1usize << c, 1usize << t);
-        let (lo, hi) = if c < t { (c, t) } else { (t, c) };
-        self.check_targets(&[lo, hi]);
-        let run = 1usize << lo;
-        let runs = self.amps.len() >> (lo + 2);
-        let p = self.amps.as_mut_ptr();
-        // control=1/target=0 indices come in contiguous runs of `run`
-        // (bits below `lo` pass through the insertions); each run swaps
-        // wholesale with its target=1 partner run.
-        for r in 0..runs {
-            let i = insert_zero_bit(insert_zero_bit(r << lo, lo), hi) | cm;
-            // SAFETY: `r < 2^(n-lo-2)` spreads around `lo` and `hi`, both
-            // below `n` (checked), so both runs lie inside the register;
-            // they differ in bit t, so they never overlap.
-            unsafe {
-                std::ptr::swap_nonoverlapping(p.add(i), p.add(i | tm), run);
-            }
-        }
-    }
-
-    /// Toffoli as a strided permutation: one amplitude-pair swap per
-    /// 8-element group instead of the generic 8x8 dense matvec.
-    fn apply_ccx(&mut self, a: usize, b: usize, t: usize) {
-        let cmask = (1usize << a) | (1usize << b);
-        let tm = 1usize << t;
-        let mut sorted = [a, b, t];
-        sorted.sort_unstable();
-        self.check_targets(&sorted);
-        let run = 1usize << sorted[0];
-        let runs = self.amps.len() >> (sorted[0] + 3);
-        let p = self.amps.as_mut_ptr();
-        for r in 0..runs {
-            let i = insert_zero_bits(r << sorted[0], &sorted) | cmask;
-            // SAFETY: as for `apply_cx`, around three distinct targets.
-            unsafe {
-                std::ptr::swap_nonoverlapping(p.add(i), p.add(i | tm), run);
-            }
-        }
-    }
-
-    /// Diagonal k-qubit gate: every amplitude gets exactly one phase factor
-    /// selected by its target-bit pattern — one sweep, no gather/scatter.
-    /// Used for Crz and for fused diagonal `Unitary` blocks.
-    fn apply_diag_kq(&mut self, qs: &[usize], diag: &[C64]) {
-        let k = qs.len();
-        debug_assert_eq!(diag.len(), 1 << k);
-        if k == 1 {
-            let (p0, p1) = (diag[0], diag[1]);
-            self.apply_pairwise(qs[0], move |a, b| {
-                *a *= p0;
-                *b *= p1;
-            });
-            return;
-        }
-        let dim = 1usize << k;
-        let groups = self.amps.len() >> k;
-        let mut sorted = qs.to_vec();
-        sorted.sort_unstable();
-        self.check_targets(&sorted);
-        let offsets = local_offsets(qs);
-        let p = self.amps.as_mut_ptr();
-        for g in 0..groups {
-            let base = insert_zero_bits(g, &sorted);
-            // SAFETY: `g` spreads into the bits outside the targets and
-            // `offsets` sets only target bits, all below `n` (checked).
-            unsafe {
-                for (local, &phase) in diag.iter().enumerate().take(dim) {
-                    *p.add(base | offsets[local]) *= phase;
-                }
-            }
-        }
-    }
-
-    // --- dense kernels -------------------------------------------------------
-
-    /// Dense single-qubit gate.
-    fn apply_1q(&mut self, q: usize, m: &Matrix) {
-        debug_assert_eq!(m.rows(), 2);
-        let (u00, u01, u10, u11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        self.apply_pairwise(q, move |a, b| {
-            let (x, y) = (*a, *b);
-            *a = u00 * x + u01 * y;
-            *b = u10 * x + u11 * y;
-        });
-    }
-
-    /// Dense two-qubit gate, fully unrolled: the hot path for fused 2q
-    /// blocks, which would otherwise pay `apply_kq`'s generic scratch
-    /// setup on every 4-amplitude group. `a` is local bit 0, `b` local
-    /// bit 1 of the 4x4 matrix.
-    fn apply_2q(&mut self, a: usize, b: usize, m: &Matrix) {
-        debug_assert_eq!(m.rows(), 4);
-        let mut u = [C64::ZERO; 16];
-        for (i, v) in u.iter_mut().enumerate() {
-            *v = m[(i >> 2, i & 3)];
-        }
-        let (ma, mb) = (1usize << a, 1usize << b);
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.check_targets(&[lo, hi]);
-        let groups = self.amps.len() >> 2;
-        let p = self.amps.as_mut_ptr();
-        for g in 0..groups {
-            let base = insert_zero_bit(insert_zero_bit(g, lo), hi);
-            // SAFETY: `g < 2^(n-2)` spreads around bits `lo` and `hi`, both
-            // below `n` (checked), so all four indices are below `2^n`.
-            unsafe {
-                let (i1, i2, i3) = (base | ma, base | mb, base | ma | mb);
-                let (x0, x1, x2, x3) = (*p.add(base), *p.add(i1), *p.add(i2), *p.add(i3));
-                *p.add(base) =
-                    u[3].mul_add(x3, u[2].mul_add(x2, u[1].mul_add(x1, u[0] * x0)));
-                *p.add(i1) =
-                    u[7].mul_add(x3, u[6].mul_add(x2, u[5].mul_add(x1, u[4] * x0)));
-                *p.add(i2) =
-                    u[11].mul_add(x3, u[10].mul_add(x2, u[9].mul_add(x1, u[8] * x0)));
-                *p.add(i3) =
-                    u[15].mul_add(x3, u[14].mul_add(x2, u[13].mul_add(x1, u[12] * x0)));
-            }
-        }
-    }
-
-    /// Dense k-qubit gate via group scatter. `qs` follows the IR convention:
-    /// `qs[j]` is local bit `j` of the gate matrix.
-    fn apply_kq(&mut self, qs: &[usize], m: &Matrix) {
-        let k = qs.len();
-        assert!(
-            k <= MAX_DENSE_QUBITS,
-            "gates above {MAX_DENSE_QUBITS} qubits are not supported"
-        );
-        debug_assert_eq!(m.rows(), 1 << k);
-        let dim = 1usize << k;
-        let groups = self.amps.len() >> k;
-        // Sorted copy for spreading group bits around target positions, and
-        // a precomputed local-index -> target-bit-mask table; both hoisted
-        // out of the per-group loop.
-        let mut sorted = qs.to_vec();
-        sorted.sort_unstable();
-        self.check_targets(&sorted);
-        let offsets = local_offsets(qs);
-        let p = self.amps.as_mut_ptr();
-        for g in 0..groups {
-            // Spread the group index bits into the non-target positions.
-            let base = insert_zero_bits(g, &sorted);
-            // Gather, multiply, scatter. The scratch array stays
-            // uninitialized past `dim` — zeroing all 256 slots per group
-            // would cost more than the matvec itself at small k.
-            let mut vin = [std::mem::MaybeUninit::<C64>::uninit(); 1 << MAX_DENSE_QUBITS];
-            for (local, v) in vin.iter_mut().enumerate().take(dim) {
-                // SAFETY: `base` has zeros at the targets and `offsets` sets
-                // only target bits, all below `n` (checked).
-                unsafe {
-                    v.write(*p.add(base | offsets[local]));
-                }
-            }
-            for (row, &offset) in offsets.iter().enumerate().take(dim) {
-                let mut acc = C64::ZERO;
-                let mrow = m.row(row);
-                for (col, x) in vin.iter().enumerate().take(dim) {
-                    // SAFETY: the first `dim` slots were written above.
-                    acc = mrow[col].mul_add(unsafe { x.assume_init() }, acc);
-                }
-                // SAFETY: the index read above.
-                unsafe {
-                    *p.add(base | offset) = acc;
-                }
-            }
-        }
+        verbatim(circuit).apply_unitary(self, false);
     }
 
     // --- measurement ---------------------------------------------------------
@@ -471,22 +144,18 @@ impl StateVector {
 
     /// Projectively measures qubit `q`, collapsing the state. Returns the
     /// observed bit. `parallel` is accepted and ignored: the collapse runs
-    /// on the calling thread, like every per-gate kernel.
+    /// on the calling thread.
     pub fn measure(&mut self, q: usize, rng: &mut Rng, _parallel: bool) -> u8 {
         let p1 = self.prob_one(q);
         let outcome = u8::from(rng.chance(p1));
         let norm = if outcome == 1 { p1 } else { 1.0 - p1 };
         let scale = if norm > 0.0 { 1.0 / norm.sqrt() } else { 0.0 };
-        if outcome == 1 {
-            self.apply_pairwise(q, move |a, b| {
-                *a = C64::ZERO;
-                *b = b.scale(scale);
-            });
-        } else {
-            self.apply_pairwise(q, move |a, b| {
-                *a = a.scale(scale);
-                *b = C64::ZERO;
-            });
+        let stride = 1usize << q;
+        for chunk in self.amps.chunks_mut(stride << 1) {
+            let (lo, hi) = chunk.split_at_mut(stride);
+            let (kept, cleared) = if outcome == 1 { (hi, lo) } else { (lo, hi) };
+            kept.iter_mut().for_each(|a| *a = a.scale(scale));
+            cleared.fill(C64::ZERO);
         }
         outcome
     }
@@ -528,12 +197,7 @@ impl StateVector {
 
     /// [`sample_split`](Self::sample_split) as whole-register counts: what
     /// a circuit that measures every qubit into its own bit reads.
-    pub fn sample_counts_split(
-        &self,
-        shots: usize,
-        seed: u64,
-        split_bits: usize,
-    ) -> Counts {
+    pub fn sample_counts_split(&self, shots: usize, seed: u64, split_bits: usize) -> Counts {
         let whole = Readout::of(&Circuit::new(self.n));
         whole.counts(self.sample_split(shots, seed, split_bits), &BTreeMap::new())
     }
@@ -548,13 +212,22 @@ impl StateVector {
         let chunk = |c: usize| -> f64 {
             let at = c * SUM_CHUNK;
             let amps = &self.amps[at..self.amps.len().min(at + SUM_CHUNK)];
-            amps.iter().enumerate().map(|(i, a)| f(at + i) * a.norm_sqr()).sum()
+            amps.iter()
+                .enumerate()
+                .map(|(i, a)| f(at + i) * a.norm_sqr())
+                .sum()
         };
         let mut partials = vec![0.0; chunks];
         if parallel && chunks >= 2 {
-            partials.par_iter_mut().enumerate().for_each(|(c, p)| *p = chunk(c));
+            partials
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(c, p)| *p = chunk(c));
         } else {
-            partials.iter_mut().enumerate().for_each(|(c, p)| *p = chunk(c));
+            partials
+                .iter_mut()
+                .enumerate()
+                .for_each(|(c, p)| *p = chunk(c));
         }
         partials.iter().sum()
     }
@@ -644,7 +317,11 @@ pub(crate) fn draw_blocks(
     let draw = |(probs, sampler): &mut (Vec<f64>, AliasSampler),
                 (b, slot): &mut (usize, &mut [u64])| {
         probs.clear();
-        probs.extend(amps[*b * block_len..][..block_len].iter().map(|a| a.norm_sqr()));
+        probs.extend(
+            amps[*b * block_len..][..block_len]
+                .iter()
+                .map(|a| a.norm_sqr()),
+        );
         sampler.rebuild(probs);
         let block = first + *b;
         let mut rng = Rng::stream(seed, block as u64);
@@ -665,25 +342,15 @@ pub(crate) fn draw_blocks(
 /// Inserts a 0 bit at position `q` of `x`, shifting the bits at and above
 /// `q` up by one. Enumerating `g` in `0..2^(n-1)` and inserting at `q`
 /// visits exactly the indices whose bit `q` is 0 — the bit-insertion trick
-/// every strided kernel uses to touch only the amplitudes a gate affects.
+/// the tile executor uses to find a tile's base index.
 #[inline(always)]
 pub(crate) fn insert_zero_bit(x: usize, q: usize) -> usize {
     let low = x & ((1usize << q) - 1);
     ((x >> q) << (q + 1)) | low
 }
 
-/// Inserts 0 bits at each position in `sorted_qs` (must be ascending).
-#[inline(always)]
-pub(crate) fn insert_zero_bits(mut x: usize, sorted_qs: &[usize]) -> usize {
-    for &q in sorted_qs {
-        x = insert_zero_bit(x, q);
-    }
-    x
-}
-
-/// Local gate index -> OR-mask of global target bits, for every local index.
-/// Precomputing this table hoists the per-amplitude bit-spreading loop out
-/// of the k-qubit kernels.
+/// Local gate index -> OR-mask of global target bits, for every local index
+/// (the distributed remap's bit-spreading table).
 pub(crate) fn local_offsets(qs: &[usize]) -> Vec<usize> {
     (0..(1usize << qs.len()))
         .map(|local| {
@@ -760,8 +427,8 @@ mod tests {
         }
     }
 
-    /// Every kernel must match the dense-operator reference on random
-    /// states.
+    /// Every gate kind, applied alone through the tile path, must match
+    /// the dense-operator reference on random states.
     #[test]
     fn kernels_match_dense_reference() {
         let n = 6;
@@ -829,6 +496,30 @@ mod tests {
             let applied = std::panic::catch_unwind(|| StateVector::zero(3).apply(&g, false));
             assert!(applied.is_err(), "{g} was applied");
         }
+    }
+
+    /// With fusion off, a diagonal gate wider than the dense kernels take
+    /// runs as its own diagonal layer and matches the reference.
+    #[test]
+    fn verbatim_job_runs_a_diagonal_wider_than_the_dense_kernels() {
+        let n = 10;
+        let phases: Vec<C64> = (0..1 << 9).map(|k| C64::cis(0.01 * k as f64)).collect();
+        let mut qc = Circuit::new(n);
+        for q in 0..n {
+            qc.h(q);
+        }
+        qc.push(Gate::Unitary {
+            qubits: vec![7, 0, 9, 2, 5, 1, 8, 3, 6],
+            matrix: Arc::new(Matrix::diag(&phases)),
+            label: "diag9".into(),
+        });
+        let engine = crate::SvSimulator::plain();
+        let mut want = StateVector::zero(n).into_amps();
+        for g in qc.gates() {
+            want = apply_via_dense_operator(&want, g, n);
+        }
+        assert_states_close(engine.statevector(&qc).amps(), &want, 1e-12, "diag9");
+        assert_eq!(engine.run(&qc, 64, 1).counts.values().sum::<usize>(), 64);
     }
 
     #[test]
@@ -999,13 +690,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every rewritten strided kernel (phase-if, rz, cz, cp, rzz, x,
-        /// cx, the generic diagonal sweep, and the hoisted k-qubit path)
-        /// matches the dense-operator reference at proptest-chosen qubit
-        /// positions — the top qubit included; so does the same gate taken
-        /// alone through the layer plan, serial and threaded, which lands
-        /// each on its tile kernel (block or strided butterfly, monomial or
-        /// dense block, gather) at that position.
+        /// Every gate kind matches the dense-operator reference at
+        /// proptest-chosen qubit positions — the top qubit included — as
+        /// its verbatim layer (`apply`) and fused alone, serial and
+        /// threaded, which lands each on its tile kernel (block or strided
+        /// butterfly, monomial or dense block, diagonal table, gather) at
+        /// that position.
         #[test]
         fn strided_kernels_match_dense_at_random_positions(
             seed in 0u64..10_000,
@@ -1053,7 +743,7 @@ mod tests {
                 Gate::Cz(low, top),
                 Gate::Cp(top, low, theta),
                 Gate::Rzz(low, top, theta),
-                // Generic diagonal sweep (apply_diag_kq at k = 2).
+                // A diagonal unitary block on two qubits.
                 Gate::Unitary {
                     qubits: vec![a, b],
                     matrix: Arc::new(Matrix::diag(&diag2)),

@@ -2,8 +2,9 @@
 //!
 //! A sweep point is a bound job: [`ParamCircuit::bind`], then the engine's
 //! one dense path — [`fuse`](crate::fusion::fuse) into a
-//! [`LayerPlan`](crate::layers::LayerPlan) (or the verbatim gate stream
-//! under [`FusionLevel::None`](crate::fusion::FusionLevel)), then
+//! [`LayerPlan`](crate::layers::LayerPlan) (or the one-layer-per-gate
+//! [`verbatim`](crate::fusion::verbatim) plan under
+//! [`FusionLevel::None`](crate::fusion::FusionLevel)), then
 //! `SvSimulator`'s one sampling tail. Binding and fusing are two `O(ops)`
 //! passes, a few percent of applying the gates, so nothing is remembered
 //! between points and a point's counts, `gates_applied` and amplitudes are
@@ -99,7 +100,9 @@ impl SweepPlan {
     fn run_traced(&self, point: &SweepPoint, obs: &Obs) -> SvOutcome<Counts> {
         let sw = qfw_hpc::Stopwatch::start();
         let circuit = self.template.bind(&point.params);
-        let mut out = self.engine.run_traced(&circuit, point.shots, point.seed, obs);
+        let mut out = self
+            .engine
+            .run_traced(&circuit, point.shots, point.seed, obs);
         out.gate_time = sw.elapsed().saturating_sub(out.sample_time);
         out
     }
@@ -181,9 +184,17 @@ fn z_observable_table(dim: usize, terms: &[(usize, f64)]) -> Vec<f64> {
     let mut tab = vec![0.0f64; dim];
     for &(mask, w) in terms {
         // The parity cannot change below the mask's lowest bit.
-        let block = if mask == 0 { dim } else { dim.min(1 << mask.trailing_zeros()) };
+        let block = if mask == 0 {
+            dim
+        } else {
+            dim.min(1 << mask.trailing_zeros())
+        };
         for (b, entries) in tab.chunks_mut(block).enumerate() {
-            let s = if ((b * block) & mask).count_ones() & 1 == 0 { w } else { -w };
+            let s = if ((b * block) & mask).count_ones() & 1 == 0 {
+                w
+            } else {
+                -w
+            };
             for t in entries {
                 *t += s;
             }
@@ -233,7 +244,9 @@ impl SvSimulator {
         } else {
             out.iter_mut().enumerate().for_each(run);
         }
-        out.into_iter().map(|o| o.expect("point executed")).collect()
+        out.into_iter()
+            .map(|o| o.expect("point executed"))
+            .collect()
     }
 }
 
@@ -346,7 +359,13 @@ mod tests {
         for (b, got) in tab.iter().enumerate() {
             let want: f64 = terms
                 .iter()
-                .map(|&(mask, w)| if (b & mask).count_ones() & 1 == 0 { w } else { -w })
+                .map(|&(mask, w)| {
+                    if (b & mask).count_ones() & 1 == 0 {
+                        w
+                    } else {
+                        -w
+                    }
+                })
                 .sum();
             assert!(approx_eq(*got, want, 1e-12), "entry {b}: {got} vs {want}");
         }

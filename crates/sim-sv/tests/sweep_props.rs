@@ -16,9 +16,9 @@ const TIERS: [FusionLevel; 2] = [FusionLevel::None, FusionLevel::Full];
 
 /// Every engine configuration a sweep can run under.
 fn engines() -> impl Iterator<Item = SvSimulator> {
-    [Threading::Serial, Threading::Rayon].into_iter().flat_map(|threading| {
-        TIERS.map(|fusion| SvSimulator::new(SvConfig { threading, fusion }))
-    })
+    [Threading::Serial, Threading::Rayon]
+        .into_iter()
+        .flat_map(|threading| TIERS.map(|fusion| SvSimulator::new(SvConfig { threading, fusion })))
 }
 
 proptest! {

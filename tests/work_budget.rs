@@ -345,12 +345,13 @@ fn mps_job_pins_its_svds_and_allocates_the_same_blocks_whatever_the_shots() {
     }
 }
 
-/// Ceilings of the two MPS jobs' blocks (337 and 147 today: one or two per
-/// two-qubit gate's matrix, the readout, the counts, and the site tensors'
-/// and the SVD workspace's buffers as the bonds grow), each at most a
-/// tenth above today's count. They were 15 661 and 9 354 while every SVD,
-/// gauge move and block update built its factors as fresh matrices.
-const MPS_JOB_BLOCKS: [usize; 2] = [370, 161];
+/// Ceilings of the two MPS jobs' blocks (147 and 95 today: the readout,
+/// the counts, and the site tensors' and the SVD workspace's buffers as
+/// the bonds grow), each at most a tenth above today's count. They were
+/// 15 661 and 9 354 while every SVD, gauge move and block update built its
+/// factors as fresh matrices, and 337 and 147 while every two-qubit gate's
+/// matrix was built on the heap.
+const MPS_JOB_BLOCKS: [usize; 2] = [161, 104];
 
 /// At most this many blocks per step: the tally's keys and shots; the
 /// encoder's buffer, its first block and the counts' one reservation (and
