@@ -211,13 +211,12 @@ mod tests {
             qc.h(0);
             let state = dense_state(&qc);
             // P(ancilla=0) - P(ancilla=1) = Re<psi|W|psi>.
-            let p0: f64 = (0..4).filter(|i| i & 1 == 0).map(|i| state[i].norm_sqr()).sum();
+            let p0: f64 = (0..4)
+                .filter(|i| i & 1 == 0)
+                .map(|i| state[i].norm_sqr())
+                .sum();
             let p1 = 1.0 - p0;
-            assert!(
-                ((p0 - p1) - want).abs() < 1e-10,
-                "W={w:?}: got {}",
-                p0 - p1
-            );
+            assert!(((p0 - p1) - want).abs() < 1e-10, "W={w:?}: got {}", p0 - p1);
         }
     }
 

@@ -228,7 +228,9 @@ impl Gate {
                 None => Matrix::from_rows(
                     2,
                     2,
-                    &self.matrix_1q().expect("every other named gate acts on one qubit"),
+                    &self
+                        .matrix_1q()
+                        .expect("every other named gate acts on one qubit"),
                 ),
             },
         }
@@ -400,11 +402,8 @@ impl Gate {
             | Gate::Cp(..)
             | Gate::Crz(..)
             | Gate::Rzz(..) => true,
-            Gate::Unitary { matrix, .. } => {
-                (0..matrix.rows()).all(|r| {
-                    (0..matrix.cols()).all(|c| r == c || matrix[(r, c)].abs() <= 1e-12)
-                })
-            }
+            Gate::Unitary { matrix, .. } => (0..matrix.rows())
+                .all(|r| (0..matrix.cols()).all(|c| r == c || matrix[(r, c)].abs() <= 1e-12)),
             _ => false,
         }
     }
@@ -678,13 +677,19 @@ mod tests {
     #[test]
     fn two_body_rotations_are_the_kron_formula_bitwise() {
         for t in [1.2, -0.7, 2.9, 0.0] {
-            for (g, p) in [(Gate::Rxx(0, 1, t), Gate::X(0)), (Gate::Ryy(0, 1, t), Gate::Y(0))] {
+            for (g, p) in [
+                (Gate::Rxx(0, 1, t), Gate::X(0)),
+                (Gate::Ryy(0, 1, t), Gate::Y(0)),
+            ] {
                 let pp = p.matrix().kron(&p.matrix());
                 let want = &Matrix::identity(4).scale(c64((t / 2.0).cos(), 0.0))
                     + &pp.scale(c64(0.0, -(t / 2.0).sin()));
                 let bits = |z: &C64| (z.re.to_bits(), z.im.to_bits());
                 let got = g.matrix_2q().expect("two-qubit gate");
-                assert!(got.iter().map(bits).eq(want.as_slice().iter().map(bits)), "{g}");
+                assert!(
+                    got.iter().map(bits).eq(want.as_slice().iter().map(bits)),
+                    "{g}"
+                );
             }
         }
         assert_eq!(Gate::H(0).matrix_2q(), None);
@@ -748,12 +753,7 @@ mod tests {
     fn unitary_blocks_classify_diagonality_numerically() {
         let diag_block = Gate::Unitary {
             qubits: vec![0, 2],
-            matrix: Arc::new(Matrix::diag(&[
-                C64::ONE,
-                C64::I,
-                -C64::ONE,
-                -C64::I,
-            ])),
+            matrix: Arc::new(Matrix::diag(&[C64::ONE, C64::I, -C64::ONE, -C64::I])),
             label: "dblk".into(),
         };
         assert!(diag_block.is_diagonal());

@@ -235,7 +235,10 @@ mod tests {
     fn fold_components_are_order_and_field_sensitive() {
         let base = canonical_hash(&text::dump(&ghz(3)));
         assert_ne!(base.fold_u64(1).fold_u64(2), base.fold_u64(2).fold_u64(1));
-        assert_ne!(base.fold_str("ab").fold_str("c"), base.fold_str("a").fold_str("bc"));
+        assert_ne!(
+            base.fold_str("ab").fold_str("c"),
+            base.fold_str("a").fold_str("bc")
+        );
         assert_ne!(base.fold_f64(0.0), base.fold_f64(-0.0));
     }
 

@@ -44,5 +44,5 @@ pub use circuit::{Circuit, Op, MAX_REGISTER_WIDTH};
 pub use counts::Counts;
 pub use gate::Gate;
 pub use hash::{canonical_hash, canonical_text, circuit_hash, ContentHash};
-pub use param::{Angle, ParamCircuit, ParamOp};
+pub use param::{Angle, ParamCircuit, ParamOp, RotKind, Rotation};
 pub use readout::{Outcome, Readout};

@@ -5,6 +5,12 @@
 //! Each optimizer iteration binds a fresh parameter vector to obtain an
 //! executable [`Circuit`] — mirroring how Qiskit's `Parameter` objects are
 //! bound before submission to a backend.
+//!
+//! A rotation, literal or symbolic, is one [`Rotation`] value: its family
+//! ([`RotKind`]: name, arity, `Gate` constructor), its operands and its
+//! [`Angle`]. The text formats, the compiler's DAG, passes and QASM3
+//! front-end, and the sweep gradient all read this one value; a symbolic
+//! angle is accepted only on the families [`RotKind::takes_symbol`] names.
 
 use crate::circuit::{Circuit, Op};
 use crate::gate::Gate;
@@ -64,8 +70,9 @@ impl Angle {
         }
     }
 
-    /// Highest parameter index referenced, if symbolic.
-    fn max_index(&self) -> Option<usize> {
+    /// The parameter index a symbolic angle references; `None` for a
+    /// literal.
+    pub fn index(&self) -> Option<usize> {
         match self {
             Angle::Lit(_) => None,
             Angle::Sym { index, .. } => Some(*index),
@@ -79,24 +86,217 @@ impl From<f64> for Angle {
     }
 }
 
-/// A templated operation: a parameterized rotation, a fixed gate, or a
-/// measurement.
+/// The rotation families of the gate set: one angle on one or two qubits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RotKind {
+    /// `rx`
+    Rx,
+    /// `ry`
+    Ry,
+    /// `rz`
+    Rz,
+    /// `p`
+    Phase,
+    /// `rzz`
+    Rzz,
+    /// `rxx`
+    Rxx,
+    /// `ryy`
+    Ryy,
+    /// `cp` (control, target)
+    Cp,
+    /// `crx` (control, target)
+    Crx,
+    /// `cry` (control, target)
+    Cry,
+    /// `crz` (control, target)
+    Crz,
+}
+
+impl RotKind {
+    /// Every family.
+    pub const ALL: [RotKind; 11] = [
+        RotKind::Rx,
+        RotKind::Ry,
+        RotKind::Rz,
+        RotKind::Phase,
+        RotKind::Rzz,
+        RotKind::Rxx,
+        RotKind::Ryy,
+        RotKind::Cp,
+        RotKind::Crx,
+        RotKind::Cry,
+        RotKind::Crz,
+    ];
+
+    /// The families that take a symbolic angle. Their generators have a
+    /// gap-1 spectrum, so the two-point parameter-shift rule is exact on
+    /// them; the controlled rotations and `ryy` take literals only.
+    pub const SYMBOLIC: [RotKind; 7] = [
+        RotKind::Rx,
+        RotKind::Ry,
+        RotKind::Rz,
+        RotKind::Phase,
+        RotKind::Rzz,
+        RotKind::Rxx,
+        RotKind::Cp,
+    ];
+
+    /// The mnemonic, as the text formats and QASM3 spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RotKind::Rx => "rx",
+            RotKind::Ry => "ry",
+            RotKind::Rz => "rz",
+            RotKind::Phase => "p",
+            RotKind::Rzz => "rzz",
+            RotKind::Rxx => "rxx",
+            RotKind::Ryy => "ryy",
+            RotKind::Cp => "cp",
+            RotKind::Crx => "crx",
+            RotKind::Cry => "cry",
+            RotKind::Crz => "crz",
+        }
+    }
+
+    /// The family a mnemonic names.
+    pub fn named(name: &str) -> Option<RotKind> {
+        RotKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Number of qubit operands.
+    pub fn arity(self) -> usize {
+        match self {
+            RotKind::Rx | RotKind::Ry | RotKind::Rz | RotKind::Phase => 1,
+            _ => 2,
+        }
+    }
+
+    /// Whether the family takes a symbolic angle (see [`Self::SYMBOLIC`]).
+    pub fn takes_symbol(self) -> bool {
+        RotKind::SYMBOLIC.contains(&self)
+    }
+
+    /// The fixed gate of this family on `qubits` (the first
+    /// [`arity`](Self::arity) entries) at angle `t`.
+    pub fn gate(self, qubits: [usize; 2], t: f64) -> Gate {
+        let [a, b] = qubits;
+        match self {
+            RotKind::Rx => Gate::Rx(a, t),
+            RotKind::Ry => Gate::Ry(a, t),
+            RotKind::Rz => Gate::Rz(a, t),
+            RotKind::Phase => Gate::Phase(a, t),
+            RotKind::Rzz => Gate::Rzz(a, b, t),
+            RotKind::Rxx => Gate::Rxx(a, b, t),
+            RotKind::Ryy => Gate::Ryy(a, b, t),
+            RotKind::Cp => Gate::Cp(a, b, t),
+            RotKind::Crx => Gate::Crx(a, b, t),
+            RotKind::Cry => Gate::Cry(a, b, t),
+            RotKind::Crz => Gate::Crz(a, b, t),
+        }
+    }
+}
+
+/// A rotation, literal or symbolic: a family, its operands and its angle.
+/// Built only through [`Rotation::new`] (or from a fixed gate), so a
+/// symbolic angle sits only on a family that takes one.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Rotation {
+    kind: RotKind,
+    /// The operands are the first `kind.arity()` entries.
+    qubits: [usize; 2],
+    angle: Angle,
+}
+
+impl Rotation {
+    /// A rotation of `kind` on `qubits` at `angle`; `None` when the operand
+    /// count is not the family's arity, or the angle is symbolic and the
+    /// family takes literals only.
+    pub fn new(kind: RotKind, qubits: &[usize], angle: Angle) -> Option<Rotation> {
+        if qubits.len() != kind.arity() || (angle.index().is_some() && !kind.takes_symbol()) {
+            return None;
+        }
+        let mut qs = [0; 2];
+        qs[..qubits.len()].copy_from_slice(qubits);
+        Some(Rotation {
+            kind,
+            qubits: qs,
+            angle,
+        })
+    }
+
+    /// The rotation a fixed gate is, if it is one (a literal angle).
+    pub fn of_gate(g: &Gate) -> Option<Rotation> {
+        let (kind, qubits, t) = match *g {
+            Gate::Rx(q, t) => (RotKind::Rx, [q, 0], t),
+            Gate::Ry(q, t) => (RotKind::Ry, [q, 0], t),
+            Gate::Rz(q, t) => (RotKind::Rz, [q, 0], t),
+            Gate::Phase(q, t) => (RotKind::Phase, [q, 0], t),
+            Gate::Rzz(a, b, t) => (RotKind::Rzz, [a, b], t),
+            Gate::Rxx(a, b, t) => (RotKind::Rxx, [a, b], t),
+            Gate::Ryy(a, b, t) => (RotKind::Ryy, [a, b], t),
+            Gate::Cp(a, b, t) => (RotKind::Cp, [a, b], t),
+            Gate::Crx(a, b, t) => (RotKind::Crx, [a, b], t),
+            Gate::Cry(a, b, t) => (RotKind::Cry, [a, b], t),
+            Gate::Crz(a, b, t) => (RotKind::Crz, [a, b], t),
+            _ => return None,
+        };
+        Some(Rotation {
+            kind,
+            qubits,
+            angle: Angle::Lit(t),
+        })
+    }
+
+    /// The rotation a templated op is, parameterized or fixed.
+    pub fn of(op: &ParamOp) -> Option<Rotation> {
+        match op {
+            ParamOp::Rot(r) => Some(*r),
+            ParamOp::Fixed(g) => Rotation::of_gate(g),
+            ParamOp::Measure { .. } => None,
+        }
+    }
+
+    /// The family.
+    pub fn kind(&self) -> RotKind {
+        self.kind
+    }
+
+    /// The operands, in the family's order.
+    pub fn operands(&self) -> &[usize] {
+        &self.qubits[..self.kind.arity()]
+    }
+
+    /// The angle.
+    pub fn angle(&self) -> Angle {
+        self.angle
+    }
+
+    /// The same rotation at another angle; `None` when that angle is
+    /// symbolic and the family takes literals only.
+    pub fn with_angle(self, angle: Angle) -> Option<Rotation> {
+        Rotation::new(self.kind, self.operands(), angle)
+    }
+
+    /// The fixed gate at `params`.
+    pub fn bind(&self, params: &[f64]) -> Gate {
+        self.kind.gate(self.qubits, self.angle.bind(params))
+    }
+
+    /// The fixed gate, when the angle is a literal.
+    pub fn lower(&self) -> Option<Gate> {
+        match self.angle {
+            Angle::Lit(t) => Some(self.kind.gate(self.qubits, t)),
+            Angle::Sym { .. } => None,
+        }
+    }
+}
+
+/// A templated operation: a rotation, a fixed gate, or a measurement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ParamOp {
-    /// `rx(angle) q`
-    Rx(usize, Angle),
-    /// `ry(angle) q`
-    Ry(usize, Angle),
-    /// `rz(angle) q`
-    Rz(usize, Angle),
-    /// `p(angle) q`
-    Phase(usize, Angle),
-    /// `rzz(angle) a b`
-    Rzz(usize, usize, Angle),
-    /// `rxx(angle) a b`
-    Rxx(usize, usize, Angle),
-    /// `cp(angle) c t`
-    Cp(usize, usize, Angle),
+    /// A rotation whose angle may be symbolic.
+    Rot(Rotation),
     /// Any fixed (non-parameterized) gate.
     Fixed(Gate),
     /// Measurement (copied through binding verbatim).
@@ -139,13 +339,7 @@ impl ParamCircuit {
         self.ops
             .iter()
             .filter_map(|op| match op {
-                ParamOp::Rx(_, a)
-                | ParamOp::Ry(_, a)
-                | ParamOp::Rz(_, a)
-                | ParamOp::Phase(_, a)
-                | ParamOp::Rzz(_, _, a)
-                | ParamOp::Rxx(_, _, a)
-                | ParamOp::Cp(_, _, a) => a.max_index(),
+                ParamOp::Rot(r) => r.angle().index(),
                 _ => None,
             })
             .max()
@@ -174,19 +368,31 @@ impl ParamCircuit {
         self.fixed(Gate::H(q))
     }
 
+    /// A rotation of `kind` on `qubits` at `angle`.
+    ///
+    /// # Panics
+    /// Panics when the operand count is not the family's arity, or the
+    /// angle is symbolic on a family that takes literals only.
+    pub fn rot(&mut self, kind: RotKind, qubits: &[usize], angle: impl Into<Angle>) -> &mut Self {
+        let angle = angle.into();
+        let r = Rotation::new(kind, qubits, angle)
+            .unwrap_or_else(|| panic!("no {} rotation on {qubits:?} at {angle:?}", kind.name()));
+        self.push(ParamOp::Rot(r))
+    }
+
     /// Parameterized X rotation.
     pub fn rx(&mut self, q: usize, a: impl Into<Angle>) -> &mut Self {
-        self.push(ParamOp::Rx(q, a.into()))
+        self.rot(RotKind::Rx, &[q], a)
     }
 
     /// Parameterized Z rotation.
     pub fn rz(&mut self, q: usize, a: impl Into<Angle>) -> &mut Self {
-        self.push(ParamOp::Rz(q, a.into()))
+        self.rot(RotKind::Rz, &[q], a)
     }
 
     /// Parameterized ZZ interaction.
     pub fn rzz(&mut self, a: usize, b: usize, angle: impl Into<Angle>) -> &mut Self {
-        self.push(ParamOp::Rzz(a, b, angle.into()))
+        self.rot(RotKind::Rzz, &[a, b], angle)
     }
 
     /// Measures every qubit.
@@ -212,26 +418,8 @@ impl ParamCircuit {
         qc.name = self.name.clone();
         for op in &self.ops {
             match op {
-                ParamOp::Rx(q, a) => {
-                    qc.push(Gate::Rx(*q, a.bind(params)));
-                }
-                ParamOp::Ry(q, a) => {
-                    qc.push(Gate::Ry(*q, a.bind(params)));
-                }
-                ParamOp::Rz(q, a) => {
-                    qc.push(Gate::Rz(*q, a.bind(params)));
-                }
-                ParamOp::Phase(q, a) => {
-                    qc.push(Gate::Phase(*q, a.bind(params)));
-                }
-                ParamOp::Rzz(x, y, a) => {
-                    qc.push(Gate::Rzz(*x, *y, a.bind(params)));
-                }
-                ParamOp::Rxx(x, y, a) => {
-                    qc.push(Gate::Rxx(*x, *y, a.bind(params)));
-                }
-                ParamOp::Cp(c, t, a) => {
-                    qc.push(Gate::Cp(*c, *t, a.bind(params)));
+                ParamOp::Rot(r) => {
+                    qc.push(r.bind(params));
                 }
                 ParamOp::Fixed(g) => {
                     qc.push(g.clone());

@@ -22,7 +22,7 @@
 
 use crate::circuit::{Circuit, Op, MAX_REGISTER_WIDTH};
 use crate::gate::Gate;
-use crate::param::{Angle, ParamCircuit, ParamOp};
+use crate::param::{Angle, ParamCircuit, ParamOp, RotKind, Rotation};
 use qfw_num::complex::{c64, C64};
 use qfw_num::Matrix;
 use std::fmt::Write;
@@ -47,25 +47,33 @@ fn write_gate_line(out: &mut impl Write, g: &Gate) {
             }
             writeln!(out).unwrap();
         }
-        g => {
-            write!(out, "{}", g.name()).unwrap();
-            let ps = g.params();
-            if !ps.is_empty() {
-                write!(out, "(").unwrap();
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(out, ",").unwrap();
-                    }
-                    write!(out, "{p:e}").unwrap();
-                }
-                write!(out, ")").unwrap();
-            }
-            for q in g.qubits() {
-                write!(out, " q{q}").unwrap();
-            }
-            writeln!(out).unwrap();
+        Gate::U(q, theta, phi, lambda) => {
+            writeln!(out, "u({theta:e},{phi:e},{lambda:e}) q{q}").unwrap();
         }
+        g => match Rotation::of_gate(g) {
+            Some(r) => write_rotation(out, &r),
+            None => {
+                out.write_str(g.name()).unwrap();
+                write_operands(out, &g.operands());
+            }
+        },
     }
+}
+
+/// Writes ` q<i>` per operand and ends the line.
+fn write_operands(out: &mut impl Write, qubits: &[usize]) {
+    for q in qubits {
+        write!(out, " q{q}").unwrap();
+    }
+    writeln!(out).unwrap();
+}
+
+/// Writes one rotation line, `name(angle) q..`, literal or symbolic.
+fn write_rotation(out: &mut impl Write, r: &Rotation) {
+    write!(out, "{}(", r.kind().name()).unwrap();
+    write_angle(out, &r.angle());
+    out.write_char(')').unwrap();
+    write_operands(out, r.operands());
 }
 
 /// Serializes a circuit to `qfwasm` text.
@@ -116,7 +124,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "qfwasm parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "qfwasm parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -180,9 +192,7 @@ fn check_clbit(c: usize, nc: usize, ln: usize) -> Result<(), ParseError> {
 pub fn parse(text: &str) -> Result<Circuit, ParseError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
 
-    let (ln, header) = lines
-        .next()
-        .ok_or_else(|| err(0, "empty input"))?;
+    let (ln, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
     if header != "qfwasm 1" {
         return Err(err(ln, format!("bad header '{header}'")));
     }
@@ -289,7 +299,10 @@ fn parse_unitary_line(rest: &str, ln: usize) -> Result<Gate, ParseError> {
         .and_then(|k| 1usize.checked_shl(k))
         .and_then(|dim| dim.checked_mul(dim));
     let Some(entries) = entries else {
-        return Err(err(ln, format!("unitary over {} qubits is too wide", qubits.len())));
+        return Err(err(
+            ln,
+            format!("unitary over {} qubits is too wide", qubits.len()),
+        ));
     };
     if values.len() != entries {
         return Err(err(
@@ -352,113 +365,73 @@ fn build_fixed_gate(
         Ok(())
     };
 
+    if let Some(kind) = RotKind::named(mnemonic) {
+        need(kind.arity(), 1)?;
+        return Ok(kind.gate([qs[0], qs.get(1).copied().unwrap_or(0)], params[0]));
+    }
     let gate = match mnemonic {
-            "h" => {
-                need(1, 0)?;
-                Gate::H(qs[0])
-            }
-            "x" => {
-                need(1, 0)?;
-                Gate::X(qs[0])
-            }
-            "y" => {
-                need(1, 0)?;
-                Gate::Y(qs[0])
-            }
-            "z" => {
-                need(1, 0)?;
-                Gate::Z(qs[0])
-            }
-            "s" => {
-                need(1, 0)?;
-                Gate::S(qs[0])
-            }
-            "sdg" => {
-                need(1, 0)?;
-                Gate::Sdg(qs[0])
-            }
-            "t" => {
-                need(1, 0)?;
-                Gate::T(qs[0])
-            }
-            "tdg" => {
-                need(1, 0)?;
-                Gate::Tdg(qs[0])
-            }
-            "sx" => {
-                need(1, 0)?;
-                Gate::Sx(qs[0])
-            }
-            "rx" => {
-                need(1, 1)?;
-                Gate::Rx(qs[0], params[0])
-            }
-            "ry" => {
-                need(1, 1)?;
-                Gate::Ry(qs[0], params[0])
-            }
-            "rz" => {
-                need(1, 1)?;
-                Gate::Rz(qs[0], params[0])
-            }
-            "p" => {
-                need(1, 1)?;
-                Gate::Phase(qs[0], params[0])
-            }
-            "u" => {
-                need(1, 3)?;
-                Gate::U(qs[0], params[0], params[1], params[2])
-            }
-            "cx" => {
-                need(2, 0)?;
-                Gate::Cx(qs[0], qs[1])
-            }
-            "cy" => {
-                need(2, 0)?;
-                Gate::Cy(qs[0], qs[1])
-            }
-            "cz" => {
-                need(2, 0)?;
-                Gate::Cz(qs[0], qs[1])
-            }
-            "swap" => {
-                need(2, 0)?;
-                Gate::Swap(qs[0], qs[1])
-            }
-            "cp" => {
-                need(2, 1)?;
-                Gate::Cp(qs[0], qs[1], params[0])
-            }
-            "crx" => {
-                need(2, 1)?;
-                Gate::Crx(qs[0], qs[1], params[0])
-            }
-            "cry" => {
-                need(2, 1)?;
-                Gate::Cry(qs[0], qs[1], params[0])
-            }
-            "crz" => {
-                need(2, 1)?;
-                Gate::Crz(qs[0], qs[1], params[0])
-            }
-            "rxx" => {
-                need(2, 1)?;
-                Gate::Rxx(qs[0], qs[1], params[0])
-            }
-            "ryy" => {
-                need(2, 1)?;
-                Gate::Ryy(qs[0], qs[1], params[0])
-            }
-            "rzz" => {
-                need(2, 1)?;
-                Gate::Rzz(qs[0], qs[1], params[0])
-            }
-            "ccx" => {
-                need(3, 0)?;
-                Gate::Ccx(qs[0], qs[1], qs[2])
-            }
-            other => return Err(err(ln, format!("unknown gate '{other}'"))),
-        };
+        "h" => {
+            need(1, 0)?;
+            Gate::H(qs[0])
+        }
+        "x" => {
+            need(1, 0)?;
+            Gate::X(qs[0])
+        }
+        "y" => {
+            need(1, 0)?;
+            Gate::Y(qs[0])
+        }
+        "z" => {
+            need(1, 0)?;
+            Gate::Z(qs[0])
+        }
+        "s" => {
+            need(1, 0)?;
+            Gate::S(qs[0])
+        }
+        "sdg" => {
+            need(1, 0)?;
+            Gate::Sdg(qs[0])
+        }
+        "t" => {
+            need(1, 0)?;
+            Gate::T(qs[0])
+        }
+        "tdg" => {
+            need(1, 0)?;
+            Gate::Tdg(qs[0])
+        }
+        "sx" => {
+            need(1, 0)?;
+            Gate::Sx(qs[0])
+        }
+        "u" => {
+            need(1, 3)?;
+            Gate::U(qs[0], params[0], params[1], params[2])
+        }
+        "cx" => {
+            need(2, 0)?;
+            Gate::Cx(qs[0], qs[1])
+        }
+        "cy" => {
+            need(2, 0)?;
+            Gate::Cy(qs[0], qs[1])
+        }
+        "cz" => {
+            need(2, 0)?;
+            Gate::Cz(qs[0], qs[1])
+        }
+        "swap" => {
+            need(2, 0)?;
+            Gate::Swap(qs[0], qs[1])
+        }
+        "ccx" => {
+            need(3, 0)?;
+            Gate::Ccx(qs[0], qs[1], qs[2])
+        }
+        other => return Err(err(ln, format!("unknown gate '{other}'"))),
+    };
     Ok(gate)
 }
 
@@ -490,23 +463,8 @@ fn write_angle(out: &mut impl Write, a: &Angle) {
 }
 
 fn write_param_op(out: &mut impl Write, op: &ParamOp) {
-    let mut rotation = |name: &str, qs: &[usize], a: &Angle| {
-        write!(out, "{name}(").unwrap();
-        write_angle(out, a);
-        write!(out, ")").unwrap();
-        for q in qs {
-            write!(out, " q{q}").unwrap();
-        }
-        writeln!(out).unwrap();
-    };
     match op {
-        ParamOp::Rx(q, a) => rotation("rx", &[*q], a),
-        ParamOp::Ry(q, a) => rotation("ry", &[*q], a),
-        ParamOp::Rz(q, a) => rotation("rz", &[*q], a),
-        ParamOp::Phase(q, a) => rotation("p", &[*q], a),
-        ParamOp::Rzz(x, y, a) => rotation("rzz", &[*x, *y], a),
-        ParamOp::Rxx(x, y, a) => rotation("rxx", &[*x, *y], a),
-        ParamOp::Cp(c, t, a) => rotation("cp", &[*c, *t], a),
+        ParamOp::Rot(r) => write_rotation(out, r),
         ParamOp::Fixed(g) => write_gate_line(out, g),
         ParamOp::Measure { qubit, clbit } => {
             writeln!(out, "measure q{qubit} -> c{clbit}").unwrap();
@@ -581,10 +539,7 @@ fn parse_angle_token(tok: &str, ln: usize) -> Result<Angle, ParseError> {
     let bytes = tail.as_bytes();
     let mut split = None;
     for i in 1..bytes.len() {
-        if (bytes[i] == b'+' || bytes[i] == b'-')
-            && bytes[i - 1] != b'e'
-            && bytes[i - 1] != b'E'
-        {
+        if (bytes[i] == b'+' || bytes[i] == b'-') && bytes[i - 1] != b'e' && bytes[i - 1] != b'E' {
             split = Some(i);
             break;
         }
@@ -667,13 +622,8 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
 
         let (mnemonic, raw_params, qs) = split_gate_line(line, ln)?;
         check_operands(&qs, nq, ln)?;
-        let rotation = matches!(mnemonic, "rx" | "ry" | "rz" | "p" | "rzz" | "rxx" | "cp");
-        if rotation {
-            let arity = if matches!(mnemonic, "rzz" | "rxx" | "cp") {
-                2
-            } else {
-                1
-            };
+        if let Some(kind) = RotKind::named(mnemonic).filter(|k| k.takes_symbol()) {
+            let arity = kind.arity();
             if qs.len() != arity || raw_params.len() != 1 {
                 return Err(err(
                     ln,
@@ -681,15 +631,7 @@ pub fn parse_param(text: &str) -> Result<(ParamCircuit, Option<Vec<f64>>), Parse
                 ));
             }
             let a = parse_angle_token(raw_params[0], ln)?;
-            t.push(match mnemonic {
-                "rx" => ParamOp::Rx(qs[0], a),
-                "ry" => ParamOp::Ry(qs[0], a),
-                "rz" => ParamOp::Rz(qs[0], a),
-                "p" => ParamOp::Phase(qs[0], a),
-                "rzz" => ParamOp::Rzz(qs[0], qs[1], a),
-                "rxx" => ParamOp::Rxx(qs[0], qs[1], a),
-                _ => ParamOp::Cp(qs[0], qs[1], a),
-            });
+            t.rot(kind, &qs, a);
             continue;
         }
 
@@ -824,15 +766,15 @@ mod tests {
             .fixed(Gate::Cx(0, 1))
             .rz(1, Angle::sym(0))
             .rzz(0, 2, Angle::scaled(0, -2.5))
-            .push(ParamOp::Cp(
-                1,
-                2,
+            .rot(
+                RotKind::Cp,
+                &[1, 2],
                 Angle::Sym {
                     index: 1,
                     coeff: 0.75,
                     offset: -1.25e-3,
                 },
-            ))
+            )
             .rx(2, 0.5)
             .measure_all();
         t
@@ -874,7 +816,10 @@ mod tests {
     fn bound_dump_is_the_skeleton_plus_one_bind_line() {
         let t = sample_template();
         let bound = dump_param_bound(&t, &[0.1, 0.2]);
-        assert_eq!(bound.strip_prefix(&dump_param(&t)), Some("bind 1e-1 2e-1\n"));
+        assert_eq!(
+            bound.strip_prefix(&dump_param(&t)),
+            Some("bind 1e-1 2e-1\n")
+        );
     }
 
     #[test]

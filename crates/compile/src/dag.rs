@@ -22,12 +22,15 @@
 //! a lossless round trip.
 //!
 //! Symbolic angles ride through untouched: node payloads are
-//! [`ParamOp`]s, so a [`ParamCircuit`] round-trips with its [`Angle`]
-//! affine forms intact and the rotation-merging passes can fold symbolic
-//! chains (`rz(2γ·w1); rz(2γ·w2)` → `rz(2γ·(w1+w2))`) without binding.
+//! [`ParamOp`]s, so a [`ParamCircuit`] round-trips with its
+//! [`Rotation`](qfw_circuit::Rotation)s' affine angles intact and the rotation-merging passes can
+//! fold symbolic chains (`rz(2γ·w1); rz(2γ·w2)` → `rz(2γ·(w1+w2))`)
+//! without binding. A rotation with a literal angle is stored as its fixed
+//! gate ([`DagCircuit::push`]), so a `ParamOp::Rot` node is always
+//! symbolic.
 
-use qfw_circuit::param::{Angle, ParamCircuit, ParamOp};
-use qfw_circuit::{Circuit, Gate, Op};
+use qfw_circuit::param::{ParamCircuit, ParamOp};
+use qfw_circuit::{Circuit, Op};
 
 /// Index of a node within its [`DagCircuit`].
 pub type NodeId = usize;
@@ -54,16 +57,7 @@ impl DagOp {
     /// Calls `f` with each wire this operation touches, in operand order.
     pub fn for_each_wire(&self, mut f: impl FnMut(Wire)) {
         match self {
-            DagOp::Op(ParamOp::Rx(q, _))
-            | DagOp::Op(ParamOp::Ry(q, _))
-            | DagOp::Op(ParamOp::Rz(q, _))
-            | DagOp::Op(ParamOp::Phase(q, _)) => f(Wire::Q(*q)),
-            DagOp::Op(ParamOp::Rzz(a, b, _))
-            | DagOp::Op(ParamOp::Rxx(a, b, _))
-            | DagOp::Op(ParamOp::Cp(a, b, _)) => {
-                f(Wire::Q(*a));
-                f(Wire::Q(*b));
-            }
+            DagOp::Op(ParamOp::Rot(r)) => r.operands().iter().for_each(|&q| f(Wire::Q(q))),
             DagOp::Op(ParamOp::Fixed(g)) => g.operands().iter().for_each(|&q| f(Wire::Q(q))),
             DagOp::Op(ParamOp::Measure { qubit, clbit }) => {
                 f(Wire::Q(*qubit));
@@ -75,10 +69,7 @@ impl DagOp {
 
     /// True for plain gates (not measurements, not barriers).
     pub fn is_gate(&self) -> bool {
-        !matches!(
-            self,
-            DagOp::Barrier(_) | DagOp::Op(ParamOp::Measure { .. })
-        )
+        !matches!(self, DagOp::Barrier(_) | DagOp::Op(ParamOp::Measure { .. }))
     }
 }
 
@@ -404,18 +395,7 @@ impl DagCircuit {
             .iter()
             .filter(|n| n.live)
             .filter_map(|n| match &n.op {
-                DagOp::Op(
-                    ParamOp::Rx(_, a)
-                    | ParamOp::Ry(_, a)
-                    | ParamOp::Rz(_, a)
-                    | ParamOp::Phase(_, a)
-                    | ParamOp::Rzz(_, _, a)
-                    | ParamOp::Rxx(_, _, a)
-                    | ParamOp::Cp(_, _, a),
-                ) => match a {
-                    Angle::Sym { index, .. } => Some(*index),
-                    Angle::Lit(_) => None,
-                },
+                DagOp::Op(ParamOp::Rot(r)) => r.angle().index(),
                 _ => None,
             })
             .max()
@@ -488,12 +468,14 @@ impl DagCircuit {
                         clbit: *clbit,
                     });
                 }
-                DagOp::Op(p) => {
-                    qc.push(concrete_gate(p).ok_or_else(|| DagError::SymbolicAngle {
-                        index: match rotation_angle(p) {
-                            Some(Angle::Sym { index, .. }) => index,
-                            _ => unreachable!("non-symbolic rotation failed to lower"),
-                        },
+                DagOp::Op(ParamOp::Rot(r)) => {
+                    qc.push(r.lower().ok_or_else(|| {
+                        DagError::SymbolicAngle {
+                            index: r
+                                .angle()
+                                .index()
+                                .expect("a rotation that does not lower is symbolic"),
+                        }
                     })?);
                 }
                 DagOp::Barrier(qs) => {
@@ -536,9 +518,8 @@ impl DagCircuit {
                         clbit: *clbit,
                     });
                 }
-                DagOp::Op(p) => {
-                    let bound = bind_op(p, params);
-                    qc.push(bound);
+                DagOp::Op(ParamOp::Rot(r)) => {
+                    qc.push(r.bind(params));
                 }
                 DagOp::Barrier(qs) => {
                     qc.push_op(Op::Barrier(qs.clone()));
@@ -560,72 +541,25 @@ impl PartialEq for DagCircuit {
     }
 }
 
-/// The canonical IR form of an operation: a parameterized rotation whose
-/// angle is a literal becomes the equivalent fixed gate, so symbolic ops
-/// are exactly the ops that still reference a parameter. Everything else
-/// passes through unchanged.
+/// The canonical IR form of an operation: a rotation whose angle is a
+/// literal becomes the equivalent fixed gate, so symbolic ops are exactly
+/// the ops that still reference a parameter. Everything else passes
+/// through unchanged.
 fn canonicalize_op(op: DagOp) -> DagOp {
-    if let DagOp::Op(p) = &op {
-        if !matches!(p, ParamOp::Fixed(_) | ParamOp::Measure { .. }) {
-            if let Some(g) = concrete_gate(p) {
-                return DagOp::Op(ParamOp::Fixed(g));
-            }
-        }
-    }
-    op
-}
-
-/// The angle of a parameterized rotation op, if it is one.
-pub fn rotation_angle(op: &ParamOp) -> Option<Angle> {
     match op {
-        ParamOp::Rx(_, a)
-        | ParamOp::Ry(_, a)
-        | ParamOp::Rz(_, a)
-        | ParamOp::Phase(_, a)
-        | ParamOp::Rzz(_, _, a)
-        | ParamOp::Rxx(_, _, a)
-        | ParamOp::Cp(_, _, a) => Some(*a),
-        _ => None,
-    }
-}
-
-/// Lowers a parameterized op with a literal angle to a concrete gate;
-/// `None` when the angle is symbolic (or the op is a measurement).
-pub fn concrete_gate(op: &ParamOp) -> Option<Gate> {
-    let lit = |a: &Angle| match a {
-        Angle::Lit(v) => Some(*v),
-        Angle::Sym { .. } => None,
-    };
-    Some(match op {
-        ParamOp::Rx(q, a) => Gate::Rx(*q, lit(a)?),
-        ParamOp::Ry(q, a) => Gate::Ry(*q, lit(a)?),
-        ParamOp::Rz(q, a) => Gate::Rz(*q, lit(a)?),
-        ParamOp::Phase(q, a) => Gate::Phase(*q, lit(a)?),
-        ParamOp::Rzz(x, y, a) => Gate::Rzz(*x, *y, lit(a)?),
-        ParamOp::Rxx(x, y, a) => Gate::Rxx(*x, *y, lit(a)?),
-        ParamOp::Cp(c, t, a) => Gate::Cp(*c, *t, lit(a)?),
-        ParamOp::Fixed(g) => g.clone(),
-        ParamOp::Measure { .. } => return None,
-    })
-}
-
-fn bind_op(op: &ParamOp, params: &[f64]) -> Gate {
-    match op {
-        ParamOp::Rx(q, a) => Gate::Rx(*q, a.bind(params)),
-        ParamOp::Ry(q, a) => Gate::Ry(*q, a.bind(params)),
-        ParamOp::Rz(q, a) => Gate::Rz(*q, a.bind(params)),
-        ParamOp::Phase(q, a) => Gate::Phase(*q, a.bind(params)),
-        ParamOp::Rzz(x, y, a) => Gate::Rzz(*x, *y, a.bind(params)),
-        ParamOp::Rxx(x, y, a) => Gate::Rxx(*x, *y, a.bind(params)),
-        ParamOp::Cp(c, t, a) => Gate::Cp(*c, *t, a.bind(params)),
-        ParamOp::Fixed(g) => g.clone(),
-        ParamOp::Measure { .. } => unreachable!("measure is not a gate"),
+        DagOp::Op(ParamOp::Rot(r)) => match r.lower() {
+            Some(g) => DagOp::Op(ParamOp::Fixed(g)),
+            None => op,
+        },
+        op => op,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfw_circuit::param::{Angle, RotKind, Rotation};
+    use qfw_circuit::Gate;
 
     fn sample_circuit() -> Circuit {
         let mut qc = Circuit::with_clbits(3, 2);
@@ -676,10 +610,7 @@ mod tests {
         let mut t = ParamCircuit::new(1);
         t.rx(0, Angle::sym(3));
         let dag = DagCircuit::from_param(&t);
-        assert_eq!(
-            dag.to_circuit(),
-            Err(DagError::SymbolicAngle { index: 3 })
-        );
+        assert_eq!(dag.to_circuit(), Err(DagError::SymbolicAngle { index: 3 }));
         // Binding lowers it.
         let bound = dag.bind(&[0.0, 0.0, 0.0, 1.5]);
         assert_eq!(bound.gates().next(), Some(&Gate::Rx(0, 1.5)));
@@ -696,7 +627,10 @@ mod tests {
             DagOp::Op(ParamOp::Fixed(Gate::Cx(0, 1)))
         ));
         let rz = dag.next_on(first, Wire::Q(1)).unwrap();
-        assert!(matches!(dag.op(rz), DagOp::Op(ParamOp::Fixed(Gate::Rz(1, _)))));
+        assert!(matches!(
+            dag.op(rz),
+            DagOp::Op(ParamOp::Fixed(Gate::Rz(1, _)))
+        ));
         assert_eq!(dag.prev_on(rz, Wire::Q(1)), Some(first));
         let barrier = dag.next_on(rz, Wire::Q(1)).unwrap();
         assert!(matches!(dag.op(barrier), DagOp::Barrier(_)));
@@ -709,11 +643,16 @@ mod tests {
         qc.cx(0, 1);
         qc.h(0);
         let mut dag = DagCircuit::from_circuit(&qc);
-        let cx = dag.next_on(dag.first_on(Wire::Q(0)).unwrap(), Wire::Q(0)).unwrap();
+        let cx = dag
+            .next_on(dag.first_on(Wire::Q(0)).unwrap(), Wire::Q(0))
+            .unwrap();
         dag.remove(cx);
         let first = dag.first_on(Wire::Q(0)).unwrap();
         let second = dag.next_on(first, Wire::Q(0)).unwrap();
-        assert!(matches!(dag.op(second), DagOp::Op(ParamOp::Fixed(Gate::H(0)))));
+        assert!(matches!(
+            dag.op(second),
+            DagOp::Op(ParamOp::Fixed(Gate::H(0)))
+        ));
         assert_eq!(dag.next_on(second, Wire::Q(0)), None);
         assert_eq!(dag.first_on(Wire::Q(1)), None);
         assert_eq!(dag.len(), 2);
@@ -726,7 +665,8 @@ mod tests {
         qc.cx(0, 1);
         let mut dag = DagCircuit::from_circuit(&qc);
         let first = dag.first_on(Wire::Q(0)).unwrap();
-        dag.replace_op(first, DagOp::Op(ParamOp::Rzz(0, 1, Angle::Lit(0.5))));
+        let rzz = Rotation::new(RotKind::Rzz, &[0, 1], Angle::Lit(0.5)).unwrap();
+        dag.replace_op(first, DagOp::Op(ParamOp::Rot(rzz)));
         let qc2 = dag.to_circuit().unwrap();
         let gates: Vec<_> = qc2.gates().cloned().collect();
         assert_eq!(gates, vec![Gate::Rzz(0, 1, 0.5), Gate::Cx(0, 1)]);

@@ -33,13 +33,17 @@
 //!   survives compilation; replacement is exact up to global phase, which
 //!   no measurement can observe.
 //!
+//! Every rotation rule reads one [`Rotation`] value (family, operands,
+//! angle), parameterized or fixed: two rotations merge only within one
+//! [`RotKind`] on identical operand tuples.
+//!
 //! Pipelines: O0 = none; O1 = cancel + adjacent merge; O2 = O1 +
 //! template recognition + diagonal sinking + 1q resynthesis; O3 = O2 +
 //! the connectivity-aware [`plan_layout`] analysis handed to the
 //! distributed engine's Belady remap planner.
 
-use crate::dag::{concrete_gate, DagCircuit, DagOp, NodeId, Wire};
-use qfw_circuit::param::{Angle, ParamOp};
+use crate::dag::{DagCircuit, DagOp, NodeId, Wire};
+use qfw_circuit::param::{Angle, ParamOp, RotKind, Rotation};
 use qfw_circuit::Gate;
 use qfw_num::complex::C64;
 
@@ -72,46 +76,6 @@ pub trait Pass {
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// Rotation families the merging passes understand. Two rotations merge
-/// only within one family on identical operand tuples.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RotKind {
-    Rx,
-    Ry,
-    Rz,
-    Phase,
-    Rzz,
-    Rxx,
-    Ryy,
-    Cp,
-    Crx,
-    Cry,
-    Crz,
-}
-
-impl RotKind {
-    /// The rotation axis, used for commutation rules. Controlled-axis
-    /// rotations are not slid past anything (conservative).
-    fn axis(self) -> Option<Axis> {
-        match self {
-            RotKind::Rz | RotKind::Phase | RotKind::Rzz | RotKind::Cp | RotKind::Crz => {
-                Some(Axis::Z)
-            }
-            RotKind::Rx | RotKind::Rxx => Some(Axis::X),
-            RotKind::Ry | RotKind::Ryy => Some(Axis::Y),
-            RotKind::Crx | RotKind::Cry => None,
-        }
-    }
-
-    /// Number of qubit operands.
-    fn arity(self) -> usize {
-        match self {
-            RotKind::Rx | RotKind::Ry | RotKind::Rz | RotKind::Phase => 1,
-            _ => 2,
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Axis {
     X,
@@ -119,88 +83,31 @@ enum Axis {
     Z,
 }
 
-/// A rotation, parameterized or fixed, taken apart.
-#[derive(Clone, Copy)]
-struct Rotation {
-    kind: RotKind,
-    /// The operands are the first `kind.arity()` entries.
-    qubits: [usize; 2],
-    angle: Angle,
-}
-
-impl Rotation {
-    fn operands(&self) -> &[usize] {
-        &self.qubits[..self.kind.arity()]
+/// The rotation axis of a family, used for commutation rules.
+/// Controlled-axis rotations are not slid past anything (conservative).
+fn axis_of(kind: RotKind) -> Option<Axis> {
+    match kind {
+        RotKind::Rz | RotKind::Phase | RotKind::Rzz | RotKind::Cp | RotKind::Crz => Some(Axis::Z),
+        RotKind::Rx | RotKind::Rxx => Some(Axis::X),
+        RotKind::Ry | RotKind::Ryy => Some(Axis::Y),
+        RotKind::Crx | RotKind::Cry => None,
     }
 }
 
-/// Decomposes an op into (family, operand tuple, angle) when it is a
-/// rotation — parameterized or fixed.
-fn rotation_of(op: &DagOp) -> Option<Rotation> {
-    let (kind, qubits, angle) = match op {
-        DagOp::Op(ParamOp::Rx(q, a)) => (RotKind::Rx, [*q, 0], *a),
-        DagOp::Op(ParamOp::Ry(q, a)) => (RotKind::Ry, [*q, 0], *a),
-        DagOp::Op(ParamOp::Rz(q, a)) => (RotKind::Rz, [*q, 0], *a),
-        DagOp::Op(ParamOp::Phase(q, a)) => (RotKind::Phase, [*q, 0], *a),
-        DagOp::Op(ParamOp::Rzz(x, y, a)) => (RotKind::Rzz, [*x, *y], *a),
-        DagOp::Op(ParamOp::Rxx(x, y, a)) => (RotKind::Rxx, [*x, *y], *a),
-        DagOp::Op(ParamOp::Cp(c, t, a)) => (RotKind::Cp, [*c, *t], *a),
-        DagOp::Op(ParamOp::Fixed(g)) => match *g {
-            Gate::Rx(q, t) => (RotKind::Rx, [q, 0], Angle::Lit(t)),
-            Gate::Ry(q, t) => (RotKind::Ry, [q, 0], Angle::Lit(t)),
-            Gate::Rz(q, t) => (RotKind::Rz, [q, 0], Angle::Lit(t)),
-            Gate::Phase(q, t) => (RotKind::Phase, [q, 0], Angle::Lit(t)),
-            Gate::Rzz(x, y, t) => (RotKind::Rzz, [x, y], Angle::Lit(t)),
-            Gate::Rxx(x, y, t) => (RotKind::Rxx, [x, y], Angle::Lit(t)),
-            Gate::Ryy(x, y, t) => (RotKind::Ryy, [x, y], Angle::Lit(t)),
-            Gate::Cp(c, t, a) => (RotKind::Cp, [c, t], Angle::Lit(a)),
-            Gate::Crx(c, t, a) => (RotKind::Crx, [c, t], Angle::Lit(a)),
-            Gate::Cry(c, t, a) => (RotKind::Cry, [c, t], Angle::Lit(a)),
-            Gate::Crz(c, t, a) => (RotKind::Crz, [c, t], Angle::Lit(a)),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    Some(Rotation {
-        kind,
-        qubits,
-        angle,
-    })
+/// The rotation a node is, parameterized or fixed.
+fn rotation(op: &DagOp) -> Option<Rotation> {
+    match op {
+        DagOp::Op(p) => Rotation::of(p),
+        DagOp::Barrier(_) => None,
+    }
 }
 
-/// Rebuilds a rotation op from its decomposition. Literal angles become
-/// fixed gates (keeping concrete circuits concrete through round trips);
-/// symbolic angles use the parameterized op where one exists.
-fn make_rotation(kind: RotKind, qubits: &[usize], angle: Angle) -> DagOp {
-    if let Angle::Lit(t) = angle {
-        let g = match kind {
-            RotKind::Rx => Gate::Rx(qubits[0], t),
-            RotKind::Ry => Gate::Ry(qubits[0], t),
-            RotKind::Rz => Gate::Rz(qubits[0], t),
-            RotKind::Phase => Gate::Phase(qubits[0], t),
-            RotKind::Rzz => Gate::Rzz(qubits[0], qubits[1], t),
-            RotKind::Rxx => Gate::Rxx(qubits[0], qubits[1], t),
-            RotKind::Ryy => Gate::Ryy(qubits[0], qubits[1], t),
-            RotKind::Cp => Gate::Cp(qubits[0], qubits[1], t),
-            RotKind::Crx => Gate::Crx(qubits[0], qubits[1], t),
-            RotKind::Cry => Gate::Cry(qubits[0], qubits[1], t),
-            RotKind::Crz => Gate::Crz(qubits[0], qubits[1], t),
-        };
-        return DagOp::Op(ParamOp::Fixed(g));
-    }
-    let op = match kind {
-        RotKind::Rx => ParamOp::Rx(qubits[0], angle),
-        RotKind::Ry => ParamOp::Ry(qubits[0], angle),
-        RotKind::Rz => ParamOp::Rz(qubits[0], angle),
-        RotKind::Phase => ParamOp::Phase(qubits[0], angle),
-        RotKind::Rzz => ParamOp::Rzz(qubits[0], qubits[1], angle),
-        RotKind::Rxx => ParamOp::Rxx(qubits[0], qubits[1], angle),
-        RotKind::Cp => ParamOp::Cp(qubits[0], qubits[1], angle),
-        RotKind::Ryy | RotKind::Crx | RotKind::Cry | RotKind::Crz => {
-            unreachable!("no symbolic form for {kind:?}; literals only")
-        }
-    };
-    DagOp::Op(op)
+/// The node a rotation rewrites to (literal angles become fixed gates on
+/// [`DagCircuit::replace_op`]).
+fn rotation_op(kind: RotKind, qubits: &[usize], angle: Angle) -> DagOp {
+    let r = Rotation::new(kind, qubits, angle)
+        .expect("a rewrite is symbolic only where one of its sources was");
+    DagOp::Op(ParamOp::Rot(r))
 }
 
 /// Adds two affine angles when the result is still affine in one
@@ -224,8 +131,22 @@ fn angle_add(a: Angle, b: Angle) -> Option<Angle> {
             coeff: c1 + c2,
             offset: o1 + o2,
         }),
-        (Angle::Sym { index, coeff, offset }, Angle::Lit(v))
-        | (Angle::Lit(v), Angle::Sym { index, coeff, offset }) => Some(Angle::Sym {
+        (
+            Angle::Sym {
+                index,
+                coeff,
+                offset,
+            },
+            Angle::Lit(v),
+        )
+        | (
+            Angle::Lit(v),
+            Angle::Sym {
+                index,
+                coeff,
+                offset,
+            },
+        ) => Some(Angle::Sym {
             index,
             coeff,
             offset: offset + v,
@@ -267,10 +188,7 @@ fn angle_neg_eq(a: Angle, b: Angle) -> bool {
 /// rotations included — `rz`/`p`/`rzz`/`cp` are diagonal for any angle).
 fn op_is_diagonal(op: &DagOp) -> bool {
     match op {
-        DagOp::Op(ParamOp::Rz(..))
-        | DagOp::Op(ParamOp::Phase(..))
-        | DagOp::Op(ParamOp::Rzz(..))
-        | DagOp::Op(ParamOp::Cp(..)) => true,
+        DagOp::Op(ParamOp::Rot(r)) => axis_of(r.kind()) == Some(Axis::Z),
         DagOp::Op(ParamOp::Fixed(g)) => g.is_diagonal(),
         _ => false,
     }
@@ -280,10 +198,16 @@ fn op_is_diagonal(op: &DagOp) -> bool {
 /// node touches `other_wires`? Checked per shared qubit; conservative
 /// `false` everywhere else.
 fn commutes(axis: Axis, qubits: &[usize], other: &DagOp, other_wires: &[Wire]) -> bool {
-    if matches!(other, DagOp::Barrier(_) | DagOp::Op(ParamOp::Measure { .. })) {
+    if matches!(
+        other,
+        DagOp::Barrier(_) | DagOp::Op(ParamOp::Measure { .. })
+    ) {
         return false;
     }
-    for &s in qubits.iter().filter(|&&q| other_wires.contains(&Wire::Q(q))) {
+    for &s in qubits
+        .iter()
+        .filter(|&&q| other_wires.contains(&Wire::Q(q)))
+    {
         let ok = match axis {
             Axis::Z => {
                 op_is_diagonal(other)
@@ -297,20 +221,14 @@ fn commutes(axis: Axis, qubits: &[usize], other: &DagOp, other_wires: &[Wire]) -
                     }
             }
             Axis::X => match other {
-                DagOp::Op(ParamOp::Rx(..) | ParamOp::Rxx(..)) => true,
-                DagOp::Op(ParamOp::Fixed(g)) => match *g {
-                    Gate::X(_) | Gate::Sx(_) | Gate::Rx(..) | Gate::Rxx(..) => true,
-                    Gate::Cx(_, t) => s == t,
-                    Gate::Ccx(_, _, t) => s == t,
-                    _ => false,
-                },
-                _ => false,
+                DagOp::Op(ParamOp::Fixed(Gate::X(_) | Gate::Sx(_))) => true,
+                DagOp::Op(ParamOp::Fixed(Gate::Cx(_, t) | Gate::Ccx(_, _, t))) => s == *t,
+                _ => rotation(other).and_then(|r| axis_of(r.kind())) == Some(Axis::X),
             },
-            Axis::Y => matches!(
-                other,
-                DagOp::Op(ParamOp::Ry(..))
-                    | DagOp::Op(ParamOp::Fixed(Gate::Y(_) | Gate::Ry(..) | Gate::Ryy(..)))
-            ),
+            Axis::Y => {
+                matches!(other, DagOp::Op(ParamOp::Fixed(Gate::Y(_))))
+                    || rotation(other).and_then(|r| axis_of(r.kind())) == Some(Axis::Y)
+            }
         };
         if !ok {
             return false;
@@ -363,11 +281,11 @@ fn inverse_pair(a: &DagOp, b: &DagOp) -> bool {
             return true;
         }
     }
-    match (rotation_of(a), rotation_of(b)) {
+    match (rotation(a), rotation(b)) {
         (Some(r1), Some(r2)) => {
-            r1.kind == r2.kind
+            r1.kind() == r2.kind()
                 && r1.operands() == r2.operands()
-                && angle_neg_eq(r1.angle, r2.angle)
+                && angle_neg_eq(r1.angle(), r2.angle())
         }
         _ => false,
     }
@@ -390,7 +308,9 @@ impl Pass for CancelInverses {
                 continue;
             }
             let wires = dag.wires(id);
-            let Some(&first) = wires.first() else { continue };
+            let Some(&first) = wires.first() else {
+                continue;
+            };
             let Some(next) = dag.next_on(id, first) else {
                 continue;
             };
@@ -439,16 +359,16 @@ fn merge_rotations(dag: &mut DagCircuit, adjacent_only: bool) -> PassOutcome {
             if !dag.is_live(id) {
                 continue;
             }
-            let Some(rot) = rotation_of(dag.op(id)) else {
+            let Some(rot) = rotation(dag.op(id)) else {
                 continue;
             };
-            if angle_is_zero(rot.angle) {
+            if angle_is_zero(rot.angle()) {
                 dag.remove(id);
                 out.eliminated += 1;
                 again = true;
                 continue;
             }
-            let axis = rot.kind.axis();
+            let rot_axis = axis_of(rot.kind());
             let qubits = rot.operands();
             let n = qubits.len();
             // Per-wire frontier: the next unexamined node on each operand.
@@ -461,15 +381,15 @@ fn merge_rotations(dag: &mut DagCircuit, adjacent_only: bool) -> PassOutcome {
             while let Some(j) = cur[..n].iter().flatten().copied().min() {
                 let at_j = [cur[0] == Some(j), cur[1] == Some(j)];
                 if at_j[..n].iter().all(|&hit| hit) {
-                    if let Some(r2) = rotation_of(dag.op(j)) {
-                        if r2.kind == rot.kind && r2.operands() == qubits {
-                            if let Some(sum) = angle_add(rot.angle, r2.angle) {
+                    if let Some(r2) = rotation(dag.op(j)) {
+                        if r2.kind() == rot.kind() && r2.operands() == qubits {
+                            if let Some(sum) = angle_add(rot.angle(), r2.angle()) {
                                 dag.remove(id);
                                 if angle_is_zero(sum) {
                                     dag.remove(j);
                                     out.eliminated += 2;
                                 } else {
-                                    dag.replace_op(j, make_rotation(rot.kind, qubits, sum));
+                                    dag.replace_op(j, rotation_op(rot.kind(), qubits, sum));
                                     out.eliminated += 1;
                                     out.rewritten += 1;
                                 }
@@ -482,7 +402,7 @@ fn merge_rotations(dag: &mut DagCircuit, adjacent_only: bool) -> PassOutcome {
                 if adjacent_only {
                     break;
                 }
-                let Some(axis) = axis else { break };
+                let Some(axis) = rot_axis else { break };
                 if !commutes(axis, qubits, dag.op(j), dag.wires(j)) {
                     break;
                 }
@@ -548,15 +468,10 @@ impl Pass for RecognizeTemplates {
                     let Some(mid) = dag.next_on(id, Wire::Q(b)) else {
                         continue;
                     };
-                    let Some(Rotation {
-                        kind: RotKind::Rz,
-                        qubits: [on, _],
-                        angle,
-                    }) = rotation_of(dag.op(mid))
-                    else {
+                    let Some(rz) = rotation(dag.op(mid)) else {
                         continue;
                     };
-                    if on != b {
+                    if rz.kind() != RotKind::Rz || rz.operands() != [b] {
                         continue;
                     }
                     let Some(close) = dag.next_on(mid, Wire::Q(b)) else {
@@ -570,7 +485,7 @@ impl Pass for RecognizeTemplates {
                     if dag.op(close) != &DagOp::Op(ParamOp::Fixed(Gate::Cx(a, b))) {
                         continue;
                     }
-                    dag.replace_op(id, make_rotation(RotKind::Rzz, &[a, b], angle));
+                    dag.replace_op(id, rotation_op(RotKind::Rzz, &[a, b], rz.angle()));
                     dag.remove(mid);
                     dag.remove(close);
                     out.rewritten += 1;
@@ -581,15 +496,10 @@ impl Pass for RecognizeTemplates {
                     let Some(mid) = dag.next_on(id, Wire::Q(q)) else {
                         continue;
                     };
-                    let Some(Rotation {
-                        kind: RotKind::Rz,
-                        qubits: [on, _],
-                        angle,
-                    }) = rotation_of(dag.op(mid))
-                    else {
+                    let Some(rz) = rotation(dag.op(mid)) else {
                         continue;
                     };
-                    if on != q {
+                    if rz.kind() != RotKind::Rz || rz.operands() != [q] {
                         continue;
                     }
                     let Some(close) = dag.next_on(mid, Wire::Q(q)) else {
@@ -598,7 +508,7 @@ impl Pass for RecognizeTemplates {
                     if dag.op(close) != &DagOp::Op(ParamOp::Fixed(Gate::H(q))) {
                         continue;
                     }
-                    dag.replace_op(id, make_rotation(RotKind::Rx, &[q], angle));
+                    dag.replace_op(id, rotation_op(RotKind::Rx, &[q], rz.angle()));
                     dag.remove(mid);
                     dag.remove(close);
                     out.rewritten += 1;
@@ -635,8 +545,12 @@ impl Pass for Resynth1q {
                 // Collect the next maximal run of concrete 1q gates on q.
                 run.clear();
                 while let Some(id) = cursor {
+                    // A symbolic rotation (the only `Rot` a DAG holds) ends
+                    // the run.
                     let gate = match dag.op(id) {
-                        DagOp::Op(p) if dag.wires(id) == [Wire::Q(q)] => concrete_gate(p),
+                        DagOp::Op(ParamOp::Fixed(g)) if dag.wires(id) == [Wire::Q(q)] => {
+                            Some(g.clone())
+                        }
                         _ => None,
                     };
                     let Some(gate) = gate else { break };
@@ -834,8 +748,7 @@ pub fn predicted_log_fidelity(
     for (p, &q) in order.iter().enumerate() {
         phys[q] = p;
     }
-    let qubit_cal =
-        |p: usize| &cal.qubits[p.min(cal.qubits.len().saturating_sub(1))];
+    let qubit_cal = |p: usize| &cal.qubits[p.min(cal.qubits.len().saturating_sub(1))];
     let mut log_f = 0.0;
     let mut busy = vec![0.0f64; n];
     for id in dag.node_ids() {
@@ -874,10 +787,7 @@ pub fn predicted_log_fidelity(
 /// refined by pairwise-swap hill climbing until no swap improves the
 /// score. Returns `(order, predicted_log_fidelity)` with the same
 /// `order[p] = q` convention as [`plan_layout`].
-pub fn plan_layout_calibrated(
-    dag: &DagCircuit,
-    cal: &qfw_noise::Calibration,
-) -> (Vec<usize>, f64) {
+pub fn plan_layout_calibrated(dag: &DagCircuit, cal: &qfw_noise::Calibration) -> (Vec<usize>, f64) {
     let n = dag.num_qubits();
     let greedy = plan_layout(dag);
 

@@ -20,7 +20,7 @@
 //! every formatting variant of the same program one text.
 
 use crate::dag::{DagCircuit, DagOp};
-use qfw_circuit::param::{Angle, ParamOp};
+use qfw_circuit::param::{Angle, ParamOp, RotKind, Rotation};
 use qfw_circuit::{Gate, MAX_REGISTER_WIDTH};
 
 /// A parse failure, with the 1-based source line it was detected on.
@@ -114,7 +114,10 @@ fn is_ident_char(c: char) -> bool {
 
 /// The character starting at byte `i` (a char boundary).
 fn char_at(src: &str, i: usize) -> char {
-    src[i..].chars().next().expect("lexer positions are char boundaries")
+    src[i..]
+        .chars()
+        .next()
+        .expect("lexer positions are char boundaries")
 }
 
 /// The end of the identifier that starts at byte `i`.
@@ -469,9 +472,10 @@ impl<'a> Parser<'a> {
         match self.lx.next() {
             Some(Tok::Str(_)) => {}
             other => {
-                return Err(self
-                    .lx
-                    .err(format!("expected include path string, found {}", tok_name(&other))))
+                return Err(self.lx.err(format!(
+                    "expected include path string, found {}",
+                    tok_name(&other)
+                )))
             }
         }
         self.lx.expect_sym(b';')
@@ -502,7 +506,10 @@ impl<'a> Parser<'a> {
             RegKind::Qubit => (self.dag.num_qubits(), "qubit"),
             RegKind::Bit => (self.dag.num_clbits(), "bit"),
         };
-        let Some(width) = offset.checked_add(size).filter(|&w| w <= MAX_REGISTER_WIDTH) else {
+        let Some(width) = offset
+            .checked_add(size)
+            .filter(|&w| w <= MAX_REGISTER_WIDTH)
+        else {
             return Err(self.lx.err(format!(
                 "register `{name}[{size}]` takes the {what}s past the width limit of {MAX_REGISTER_WIDTH}"
             )));
@@ -538,9 +545,10 @@ impl<'a> Parser<'a> {
     fn const_index(&mut self) -> Result<usize, Qasm3Error> {
         match self.lx.next() {
             Some(Tok::Num(v)) if v >= 0.0 && v.fract() == 0.0 => Ok(v as usize),
-            other => Err(self
-                .lx
-                .err(format!("expected a non-negative integer, found {}", tok_name(&other)))),
+            other => Err(self.lx.err(format!(
+                "expected a non-negative integer, found {}",
+                tok_name(&other)
+            ))),
         }
     }
 
@@ -550,7 +558,11 @@ impl<'a> Parser<'a> {
             return Err(self.lx.err(format!("undeclared register `{name}`")));
         };
         if reg.kind != want {
-            let k = if want == RegKind::Qubit { "qubit" } else { "bit" };
+            let k = if want == RegKind::Qubit {
+                "qubit"
+            } else {
+                "bit"
+            };
             return Err(self.lx.err(format!("`{name}` is not a {k} register")));
         }
         let (offset, size) = (reg.offset, reg.size);
@@ -597,8 +609,14 @@ impl<'a> Parser<'a> {
                 self.dag.push(measure(q, c));
             }
             (
-                Operand::Whole { offset: qo, size: qs },
-                Operand::Whole { offset: co, size: cs },
+                Operand::Whole {
+                    offset: qo,
+                    size: qs,
+                },
+                Operand::Whole {
+                    offset: co,
+                    size: cs,
+                },
             ) => {
                 if qs != cs {
                     return Err(self.lx.err(format!(
@@ -624,7 +642,8 @@ impl<'a> Parser<'a> {
         let mut qubits = Vec::new();
         if self.lx.eat_sym(b';') {
             // Bare `barrier;` fences every qubit.
-            self.dag.push(DagOp::Barrier((0..self.dag.num_qubits()).collect()));
+            self.dag
+                .push(DagOp::Barrier((0..self.dag.num_qubits()).collect()));
             return Ok(());
         }
         loop {
@@ -782,13 +801,16 @@ impl<'a> Parser<'a> {
                             term: Some((index, 1.0)),
                         })
                     } else {
-                        Err(self.lx.err(format!("unknown identifier `{name}` in expression")))
+                        Err(self
+                            .lx
+                            .err(format!("unknown identifier `{name}` in expression")))
                     }
                 }
             },
-            other => Err(self
-                .lx
-                .err(format!("expected an angle term, found {}", tok_name(&other)))),
+            other => Err(self.lx.err(format!(
+                "expected an angle term, found {}",
+                tok_name(&other)
+            ))),
         }
     }
 }
@@ -880,21 +902,6 @@ fn build_gate(
             };
             DagOp::Op(ParamOp::Fixed(g))
         }
-        "rx" | "ry" | "rz" | "p" | "phase" => {
-            arity(1)?;
-            nangles(1)?;
-            let a = angles[0];
-            match (name, a) {
-                ("rx", Angle::Lit(v)) => DagOp::Op(ParamOp::Fixed(Gate::Rx(q(0), v))),
-                ("ry", Angle::Lit(v)) => DagOp::Op(ParamOp::Fixed(Gate::Ry(q(0), v))),
-                ("rz", Angle::Lit(v)) => DagOp::Op(ParamOp::Fixed(Gate::Rz(q(0), v))),
-                (_, Angle::Lit(v)) => DagOp::Op(ParamOp::Fixed(Gate::Phase(q(0), v))),
-                ("rx", a) => DagOp::Op(ParamOp::Rx(q(0), a)),
-                ("ry", a) => DagOp::Op(ParamOp::Ry(q(0), a)),
-                ("rz", a) => DagOp::Op(ParamOp::Rz(q(0), a)),
-                (_, a) => DagOp::Op(ParamOp::Phase(q(0), a)),
-            }
-        }
         "u" | "U" => {
             arity(1)?;
             nangles(3)?;
@@ -916,46 +923,26 @@ fn build_gate(
             };
             DagOp::Op(ParamOp::Fixed(g))
         }
-        "cp" | "cphase" => {
-            arity(2)?;
-            nangles(1)?;
-            match angles[0] {
-                Angle::Lit(v) => DagOp::Op(ParamOp::Fixed(Gate::Cp(q(0), q(1), v))),
-                a => DagOp::Op(ParamOp::Cp(q(0), q(1), a)),
-            }
-        }
-        "crx" | "cry" | "crz" => {
-            arity(2)?;
-            nangles(1)?;
-            let v = lit(&angles[0])?;
-            let g = match name {
-                "crx" => Gate::Crx(q(0), q(1), v),
-                "cry" => Gate::Cry(q(0), q(1), v),
-                _ => Gate::Crz(q(0), q(1), v),
-            };
-            DagOp::Op(ParamOp::Fixed(g))
-        }
-        "rzz" | "rxx" => {
-            arity(2)?;
-            nangles(1)?;
-            match (name, angles[0]) {
-                ("rzz", Angle::Lit(v)) => DagOp::Op(ParamOp::Fixed(Gate::Rzz(q(0), q(1), v))),
-                ("rzz", a) => DagOp::Op(ParamOp::Rzz(q(0), q(1), a)),
-                (_, Angle::Lit(v)) => DagOp::Op(ParamOp::Fixed(Gate::Rxx(q(0), q(1), v))),
-                (_, a) => DagOp::Op(ParamOp::Rxx(q(0), q(1), a)),
-            }
-        }
-        "ryy" => {
-            arity(2)?;
-            nangles(1)?;
-            DagOp::Op(ParamOp::Fixed(Gate::Ryy(q(0), q(1), lit(&angles[0])?)))
-        }
         "ccx" => {
             arity(3)?;
             nangles(0)?;
             DagOp::Op(ParamOp::Fixed(Gate::Ccx(q(0), q(1), q(2))))
         }
-        _ => return Err(err(format!("unsupported gate `{name}`"))),
+        _ => {
+            let kind = match name {
+                "phase" => RotKind::Phase,
+                "cphase" => RotKind::Cp,
+                _ => {
+                    RotKind::named(name).ok_or_else(|| err(format!("unsupported gate `{name}`")))?
+                }
+            };
+            arity(kind.arity())?;
+            nangles(1)?;
+            let r = Rotation::new(kind, qubits, angles[0])
+                .ok_or_else(|| err(format!("`{name}` does not support symbolic parameters")))?;
+            // A literal angle becomes the fixed gate on `DagCircuit::push`.
+            DagOp::Op(ParamOp::Rot(r))
+        }
     };
     Ok(op)
 }
@@ -1000,88 +987,71 @@ pub fn emit(dag: &DagCircuit, params: &[String]) -> Result<String, Qasm3Error> {
     Ok(out)
 }
 
-fn fmt_angle(a: &Angle, names: &[String]) -> String {
-    match a {
-        Angle::Lit(v) => format!("{v:e}"),
+fn write_angle(out: &mut String, a: &Angle, names: &[String]) -> std::fmt::Result {
+    use std::fmt::Write;
+    match *a {
+        Angle::Lit(v) => write!(out, "{v:e}"),
         Angle::Sym {
             index,
             coeff,
             offset,
         } => {
-            let name = &names[*index];
-            match (*coeff, *offset) {
-                (1.0, 0.0) => name.clone(),
-                (c, 0.0) => format!("{c:e}*{name}"),
-                (1.0, o) => format!("{name} + {o:e}"),
-                (c, o) => format!("{c:e}*{name} + {o:e}"),
+            let name = &names[index];
+            match (coeff, offset) {
+                (1.0, 0.0) => write!(out, "{name}"),
+                (c, 0.0) => write!(out, "{c:e}*{name}"),
+                (1.0, o) => write!(out, "{name} + {o:e}"),
+                (c, o) => write!(out, "{c:e}*{name} + {o:e}"),
             }
         }
     }
 }
 
+/// Writes ` q[a], q[b], …;` and ends the line.
+fn write_operands(out: &mut String, qubits: &[usize]) -> std::fmt::Result {
+    use std::fmt::Write;
+    out.push(' ');
+    for (i, q) in qubits.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "q[{q}]")?;
+    }
+    out.write_str(";\n")
+}
+
 fn emit_op(out: &mut String, op: &DagOp, names: &[String]) -> Result<(), Qasm3Error> {
     use std::fmt::Write;
-    let a = |x: &Angle| fmt_angle(x, names);
-    match op {
-        DagOp::Op(ParamOp::Rx(q, x)) => writeln!(out, "rx({}) q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Ry(q, x)) => writeln!(out, "ry({}) q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Rz(q, x)) => writeln!(out, "rz({}) q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Phase(q, x)) => writeln!(out, "p({}) q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Rzz(p, q, x)) => writeln!(out, "rzz({}) q[{p}], q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Rxx(p, q, x)) => writeln!(out, "rxx({}) q[{p}], q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Cp(p, q, x)) => writeln!(out, "cp({}) q[{p}], q[{q}];", a(x)),
-        DagOp::Op(ParamOp::Measure { qubit, clbit }) => {
+    let rotation = match op {
+        DagOp::Op(p) => Rotation::of(p),
+        DagOp::Barrier(_) => None,
+    };
+    match (op, rotation) {
+        (_, Some(r)) => write!(out, "{}(", r.kind().name())
+            .and_then(|()| write_angle(out, &r.angle(), names))
+            .and_then(|()| out.write_char(')'))
+            .and_then(|()| write_operands(out, r.operands())),
+        (DagOp::Op(ParamOp::Measure { qubit, clbit }), _) => {
             writeln!(out, "c[{clbit}] = measure q[{qubit}];")
         }
-        DagOp::Barrier(qs) => {
-            let list = qs
-                .iter()
-                .map(|q| format!("q[{q}]"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            writeln!(out, "barrier {list};")
+        (DagOp::Barrier(qs), _) => {
+            out.push_str("barrier");
+            write_operands(out, qs)
         }
-        DagOp::Op(ParamOp::Fixed(g)) => {
-            let lit = |v: &f64| format!("{v:e}");
-            match g {
-                Gate::H(q) => writeln!(out, "h q[{q}];"),
-                Gate::X(q) => writeln!(out, "x q[{q}];"),
-                Gate::Y(q) => writeln!(out, "y q[{q}];"),
-                Gate::Z(q) => writeln!(out, "z q[{q}];"),
-                Gate::S(q) => writeln!(out, "s q[{q}];"),
-                Gate::Sdg(q) => writeln!(out, "sdg q[{q}];"),
-                Gate::T(q) => writeln!(out, "t q[{q}];"),
-                Gate::Tdg(q) => writeln!(out, "tdg q[{q}];"),
-                Gate::Sx(q) => writeln!(out, "sx q[{q}];"),
-                Gate::Rx(q, v) => writeln!(out, "rx({}) q[{q}];", lit(v)),
-                Gate::Ry(q, v) => writeln!(out, "ry({}) q[{q}];", lit(v)),
-                Gate::Rz(q, v) => writeln!(out, "rz({}) q[{q}];", lit(v)),
-                Gate::Phase(q, v) => writeln!(out, "p({}) q[{q}];", lit(v)),
-                Gate::U(q, t, p, l) => {
-                    writeln!(out, "u({}, {}, {}) q[{q}];", lit(t), lit(p), lit(l))
-                }
-                Gate::Cx(c, t) => writeln!(out, "cx q[{c}], q[{t}];"),
-                Gate::Cy(c, t) => writeln!(out, "cy q[{c}], q[{t}];"),
-                Gate::Cz(c, t) => writeln!(out, "cz q[{c}], q[{t}];"),
-                Gate::Swap(p, q) => writeln!(out, "swap q[{p}], q[{q}];"),
-                Gate::Cp(c, t, v) => writeln!(out, "cp({}) q[{c}], q[{t}];", lit(v)),
-                Gate::Crx(c, t, v) => writeln!(out, "crx({}) q[{c}], q[{t}];", lit(v)),
-                Gate::Cry(c, t, v) => writeln!(out, "cry({}) q[{c}], q[{t}];", lit(v)),
-                Gate::Crz(c, t, v) => writeln!(out, "crz({}) q[{c}], q[{t}];", lit(v)),
-                Gate::Rxx(p, q, v) => writeln!(out, "rxx({}) q[{p}], q[{q}];", lit(v)),
-                Gate::Ryy(p, q, v) => writeln!(out, "ryy({}) q[{p}], q[{q}];", lit(v)),
-                Gate::Rzz(p, q, v) => writeln!(out, "rzz({}) q[{p}], q[{q}];", lit(v)),
-                Gate::Ccx(a, b, t) => writeln!(out, "ccx q[{a}], q[{b}], q[{t}];"),
-                Gate::Unitary { label, .. } => {
-                    return Err(Qasm3Error {
-                        line: 0,
-                        message: format!(
-                            "opaque unitary block `{label}` has no OpenQASM 3 spelling"
-                        ),
-                    })
-                }
-            }
+        (DagOp::Op(ParamOp::Fixed(Gate::U(q, t, p, l))), _) => {
+            writeln!(out, "u({t:e}, {p:e}, {l:e}) q[{q}];")
         }
+        (DagOp::Op(ParamOp::Fixed(Gate::Unitary { label, .. })), _) => {
+            return Err(Qasm3Error {
+                line: 0,
+                message: format!("opaque unitary block `{label}` has no OpenQASM 3 spelling"),
+            })
+        }
+        (DagOp::Op(ParamOp::Fixed(g)), _) => {
+            out.push_str(g.name());
+            write_operands(out, &g.operands())
+        }
+        (DagOp::Op(ParamOp::Rot(_)), None) => unreachable!("a `Rot` op is a rotation"),
     }
     .expect("writing to String cannot fail");
     Ok(())
@@ -1107,49 +1077,34 @@ pub fn lower_to_stdgates(dag: &DagCircuit) -> DagCircuit {
     use std::f64::consts::FRAC_PI_2;
     let mut out = DagCircuit::new(dag.num_qubits(), dag.num_clbits());
     out.name = dag.name.clone();
+    let fixed = |g: Gate| DagOp::Op(ParamOp::Fixed(g));
     for op in dag.linearize() {
-        match op {
-            DagOp::Op(ParamOp::Rzz(a, b, x)) => {
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Rz(*b, *x)));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-            }
-            DagOp::Op(ParamOp::Fixed(Gate::Rzz(a, b, v))) => {
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rz(*b, *v))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-            }
-            DagOp::Op(ParamOp::Rxx(a, b, x)) => {
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*a))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Rz(*b, *x)));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*a))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*b))));
-            }
-            DagOp::Op(ParamOp::Fixed(Gate::Rxx(a, b, v))) => {
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*a))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rz(*b, *v))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*a))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::H(*b))));
-            }
-            DagOp::Op(ParamOp::Fixed(Gate::Ryy(a, b, v))) => {
-                // Conjugate by Rx(±π/2): Rx(π/2) maps Y → Z.
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rx(*a, FRAC_PI_2))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rx(*b, FRAC_PI_2))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rz(*b, *v))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Cx(*a, *b))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rx(*a, -FRAC_PI_2))));
-                out.push(DagOp::Op(ParamOp::Fixed(Gate::Rx(*b, -FRAC_PI_2))));
-            }
-            other => {
-                out.push(other.clone());
-            }
+        let two_body = match op {
+            DagOp::Op(p) => Rotation::of(p)
+                .filter(|r| matches!(r.kind(), RotKind::Rzz | RotKind::Rxx | RotKind::Ryy)),
+            DagOp::Barrier(_) => None,
+        };
+        let Some(r) = two_body else {
+            out.push(op.clone());
+            continue;
+        };
+        let [a, b] = [r.operands()[0], r.operands()[1]];
+        // The basis change onto Z and back: H for X, Rx(±π/2) for Y.
+        let basis = |q: usize, into: bool| match r.kind() {
+            RotKind::Rxx => Some(Gate::H(q)),
+            RotKind::Ryy => Some(Gate::Rx(q, if into { FRAC_PI_2 } else { -FRAC_PI_2 })),
+            _ => None,
+        };
+        for g in [basis(a, true), basis(b, true)].into_iter().flatten() {
+            out.push(fixed(g));
+        }
+        out.push(fixed(Gate::Cx(a, b)));
+        out.push(DagOp::Op(ParamOp::Rot(
+            Rotation::new(RotKind::Rz, &[b], r.angle()).expect("rz takes any angle"),
+        )));
+        out.push(fixed(Gate::Cx(a, b)));
+        for g in [basis(a, false), basis(b, false)].into_iter().flatten() {
+            out.push(fixed(g));
         }
     }
     out
@@ -1222,10 +1177,7 @@ mod tests {
         let gates: Vec<_> = qc.gates().cloned().collect();
         assert_eq!(
             gates,
-            vec![
-                Gate::Rx(0, std::f64::consts::FRAC_PI_2),
-                Gate::Rz(0, -1.5)
-            ]
+            vec![Gate::Rx(0, std::f64::consts::FRAC_PI_2), Gate::Rz(0, -1.5)]
         );
     }
 
@@ -1270,7 +1222,8 @@ mod tests {
 
     #[test]
     fn lower_to_stdgates_removes_extension_gates() {
-        let src = "OPENQASM 3; input float g; qubit[2] q; rzz(2*g) q[0], q[1]; rxx(0.5) q[0], q[1];";
+        let src =
+            "OPENQASM 3; input float g; qubit[2] q; rzz(2*g) q[0], q[1]; rxx(0.5) q[0], q[1];";
         let parsed = parse(src).unwrap();
         let lowered = lower_to_stdgates(&parsed.dag);
         let text = emit(&lowered, &parsed.params).unwrap();

@@ -83,7 +83,12 @@ fn calibrated_compile_surfaces_predicted_fidelity_only_at_o3() {
     let qc = skewed_circuit(5);
     let cal = adversarial_calibration(5);
     let obs = Obs::wall();
-    let result = compile_dag_calibrated(DagCircuit::from_circuit(&qc), OptLevel::O3, &obs, Some(&cal));
+    let result = compile_dag_calibrated(
+        DagCircuit::from_circuit(&qc),
+        OptLevel::O3,
+        &obs,
+        Some(&cal),
+    );
     let score = result.predicted_fidelity.expect("O3 + calibration scores");
     assert!(score.is_finite() && score < 0.0);
     assert!(result.layout.is_some());

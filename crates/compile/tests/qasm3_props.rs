@@ -31,8 +31,12 @@ fn corpus_dir() -> PathBuf {
 
 fn read_corpus(name: &str) -> String {
     let path = corpus_dir().join(name);
-    fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("corpus file {} unreadable ({e}); regen with --ignored", path.display()))
+    fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "corpus file {} unreadable ({e}); regen with --ignored",
+            path.display()
+        )
+    })
 }
 
 /// The generated corpus files, emitted canonically by `regen_corpus`.
@@ -103,7 +107,10 @@ fn mixed_corpus_matches_golden_canonicalization() {
 
 #[test]
 fn corpus_canonical_text_survives_formatting_perturbations() {
-    for name in GENERATED.iter().chain(["mixed.qasm", "mixed.golden.qasm"].iter()) {
+    for name in GENERATED
+        .iter()
+        .chain(["mixed.qasm", "mixed.golden.qasm"].iter())
+    {
         let src = read_corpus(name);
         let want = canonical_qasm3(&src).unwrap();
         for seed in 0..8u64 {

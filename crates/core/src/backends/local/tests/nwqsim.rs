@@ -202,7 +202,7 @@ fn bound_diagonal_gates_take_zero_exchange_route_on_mpi() {
     // classify as diagonal and ride the zero-exchange route in the
     // distributed engine — inserting them between the entangling layers
     // of a 4-rank run must not add a single exchange.
-    use qfw_circuit::param::{ParamCircuit, ParamOp};
+    use qfw_circuit::param::{ParamCircuit, RotKind};
     let rig = TestRig::new(2);
     let n = 6; // ranks=4 -> qubits 4 and 5 live in the rank index
     let base = {
@@ -222,7 +222,7 @@ fn bound_diagonal_gates_take_zero_exchange_route_on_mpi() {
             t.h(q);
         }
         t.rzz(4, 5, Angle::scaled(0, 2.0)); // both high
-        t.push(ParamOp::Cp(4, 3, Angle::sym(0))); // mixed high/low
+        t.rot(RotKind::Cp, &[4, 3], Angle::sym(0)); // mixed high/low
         t.rz(5, Angle::sym(0)); // 1q high
         t.rzz(0, 4, Angle::scaled(0, -1.5)); // mixed low/high
         for q in 0..n {

@@ -9,7 +9,7 @@
 //! runs unmodified on every engine.
 
 use qfw::{QfwBackend, QfwError};
-use qfw_circuit::{Angle, Circuit, Gate, ParamCircuit, ParamOp};
+use qfw_circuit::{Angle, Circuit, Gate, ParamCircuit, RotKind};
 use qfw_optim::{nelder_mead, NelderMeadConfig};
 use qfw_workloads::pauli::PauliHamiltonian;
 use std::cell::RefCell;
@@ -61,7 +61,7 @@ pub fn hardware_efficient_ansatz(n: usize, layers: usize) -> ParamCircuit {
     let mut param = 0usize;
     for _ in 0..layers {
         for q in 0..n {
-            t.push(ParamOp::Ry(q, Angle::sym(param)));
+            t.rot(RotKind::Ry, &[q], Angle::sym(param));
             param += 1;
         }
         for q in 0..n - 1 {
@@ -69,7 +69,7 @@ pub fn hardware_efficient_ansatz(n: usize, layers: usize) -> ParamCircuit {
         }
     }
     for q in 0..n {
-        t.push(ParamOp::Ry(q, Angle::sym(param)));
+        t.rot(RotKind::Ry, &[q], Angle::sym(param));
         param += 1;
     }
     t

@@ -48,4 +48,4 @@ pub use kernels::{IsaTier, MAX_DENSE_QUBITS};
 pub use layers::LayerPlan;
 pub use noise::{run_noisy, run_trajectories, sample_trajectories, NoiseModel};
 pub use state::{canonical_split_bits, StateVector, DEFAULT_SPLIT_BITS};
-pub use sweep::{SweepError, SweepPlan, SweepPoint};
+pub use sweep::{SweepPlan, SweepPoint};

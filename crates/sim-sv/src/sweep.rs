@@ -11,8 +11,9 @@
 //! those of the bound circuit by construction. What a sweep saves is what
 //! surrounds the engine: one RPC, one parse, one slot for `k` bindings.
 //!
-//! Gradients use the exact two-point parameter-shift rule: every rotation
-//! in the [`ParamOp`] gate set has a gap-1 generator spectrum, so
+//! Gradients use the exact two-point parameter-shift rule: every family
+//! that takes a symbolic angle ([`RotKind::SYMBOLIC`](qfw_circuit::RotKind::SYMBOLIC))
+//! has a gap-1 generator spectrum, so
 //! `dE/d(angle) = [E(angle + pi/2) - E(angle - pi/2)] / 2` exactly, and the
 //! chain rule multiplies each occurrence's contribution by its affine
 //! coefficient. Shifts are applied per *occurrence* (op index), not per
@@ -23,8 +24,8 @@ use crate::state::StateVector;
 use qfw_circuit::{Angle, Circuit, Counts, ParamCircuit, ParamOp};
 use qfw_obs::Obs;
 use rayon::ParallelSliceMut;
+use std::convert::Infallible;
 use std::f64::consts::FRAC_PI_2;
-use std::fmt;
 
 /// One point of a parameter sweep: a binding plus its sampling request.
 /// Per-point shots/seeds let the scheduler coalesce jobs that agree on the
@@ -39,28 +40,6 @@ pub struct SweepPoint {
     pub seed: u64,
 }
 
-/// The error type of [`SvSimulator::compile_sweep`]'s signature, which
-/// callers outside this workspace's crates compile against. Nothing
-/// constructs it: a skeleton with a mid-circuit measurement is served like
-/// any circuit, by the layer plan's collapse steps.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SweepError {
-    /// Formerly: a measurement is followed by a gate on the same qubit.
-    MidCircuitMeasure {
-        /// Index of the measure op in the skeleton.
-        op_index: usize,
-    },
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Self::MidCircuitMeasure { op_index } = self;
-        write!(f, "skeleton has a mid-circuit measurement at op {op_index}")
-    }
-}
-
-impl std::error::Error for SweepError {}
-
 /// A skeleton and the engine configuration its bindings run under. Build
 /// with [`SvSimulator::compile_sweep`]; evaluate bindings with
 /// [`run`](Self::run) / [`statevector`](Self::statevector) /
@@ -71,20 +50,6 @@ impl std::error::Error for SweepError {}
 pub struct SweepPlan {
     template: ParamCircuit,
     engine: SvSimulator,
-}
-
-/// The symbolic angle of an op, if it has an angle at all.
-fn angle_mut(op: &mut ParamOp) -> Option<&mut Angle> {
-    match op {
-        ParamOp::Rx(_, a)
-        | ParamOp::Ry(_, a)
-        | ParamOp::Rz(_, a)
-        | ParamOp::Phase(_, a)
-        | ParamOp::Rzz(_, _, a)
-        | ParamOp::Rxx(_, _, a)
-        | ParamOp::Cp(_, _, a) => Some(a),
-        ParamOp::Fixed(_) | ParamOp::Measure { .. } => None,
-    }
 }
 
 impl SweepPlan {
@@ -132,8 +97,11 @@ impl SweepPlan {
             .ops()
             .iter()
             .enumerate()
-            .filter_map(|(i, op)| match angle_mut(&mut op.clone()) {
-                Some(Angle::Sym { index, coeff, .. }) => Some((i, *index, *coeff)),
+            .filter_map(|(i, op)| match op {
+                ParamOp::Rot(r) => match r.angle() {
+                    Angle::Sym { index, coeff, .. } => Some((i, index, coeff)),
+                    Angle::Lit(_) => None,
+                },
                 _ => None,
             })
             .collect();
@@ -159,12 +127,24 @@ impl SweepPlan {
     fn bind_shifted(&self, params: &[f64], idx: usize, delta: f64) -> Circuit {
         let mut shifted = ParamCircuit::new(self.template.num_qubits());
         for (i, op) in self.template.ops().iter().enumerate() {
-            let mut op = op.clone();
-            if i == idx {
-                if let Some(Angle::Sym { offset, .. }) = angle_mut(&mut op) {
-                    *offset += delta;
-                }
-            }
+            let op = match op {
+                ParamOp::Rot(r) if i == idx => match r.angle() {
+                    Angle::Sym {
+                        index,
+                        coeff,
+                        offset,
+                    } => ParamOp::Rot(
+                        r.with_angle(Angle::Sym {
+                            index,
+                            coeff,
+                            offset: offset + delta,
+                        })
+                        .expect("the family already holds a symbolic angle"),
+                    ),
+                    Angle::Lit(_) => ParamOp::Rot(*r),
+                },
+                op => op.clone(),
+            };
             shifted.push(op);
         }
         shifted.bind(params)
@@ -207,9 +187,10 @@ fn z_observable_table(dim: usize, terms: &[(usize, f64)]) -> Vec<f64> {
 
 impl SvSimulator {
     /// A handle for evaluating bindings of `template` under this engine's
-    /// configuration (fusion tier, threading). Never fails; see
-    /// [`SweepError`].
-    pub fn compile_sweep(&self, template: &ParamCircuit) -> Result<SweepPlan, SweepError> {
+    /// configuration (fusion tier, threading). Never fails: a skeleton with
+    /// a mid-circuit measurement is served like any circuit, by the layer
+    /// plan's collapse steps.
+    pub fn compile_sweep(&self, template: &ParamCircuit) -> Result<SweepPlan, Infallible> {
         Ok(SweepPlan {
             template: template.clone(),
             engine: *self,

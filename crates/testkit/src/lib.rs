@@ -15,7 +15,7 @@
 //! works while `seed → circuit` stays byte-identical. Add new generators
 //! instead of changing existing ones.
 
-use qfw_circuit::param::{Angle, ParamCircuit, ParamOp};
+use qfw_circuit::param::{Angle, ParamCircuit, RotKind};
 use qfw_circuit::{Circuit, Gate, Op};
 use qfw_num::rng::Rng;
 
@@ -212,13 +212,10 @@ pub fn random_template(n: usize, gates: usize, num_params: usize, seed: u64) -> 
         }
         let a = random_angle(&mut rng, num_params);
         match rng.index(10) {
-            0 => t.push(ParamOp::Rx(q, a)),
-            1 => t.push(ParamOp::Ry(q, a)),
-            2 => t.push(ParamOp::Rz(q, a)),
-            3 => t.push(ParamOp::Phase(q, a)),
-            4 => t.push(ParamOp::Rzz(q, p, a)),
-            5 => t.push(ParamOp::Rxx(q, p, a)),
-            6 => t.push(ParamOp::Cp(q, p, a)),
+            k @ 0..=6 => {
+                let kind = RotKind::SYMBOLIC[k];
+                t.rot(kind, &[q, p][..kind.arity()], a)
+            }
             7 => t.fixed(Gate::Cx(q, p)),
             8 => t.fixed(Gate::T(q)),
             _ => t.fixed(Gate::H(q)),

@@ -7,7 +7,7 @@
 //! re-bind rather than a rebuild.
 
 use crate::qubo::Qubo;
-use qfw_circuit::{Angle, Counts, ParamCircuit, ParamOp};
+use qfw_circuit::{Angle, Counts, ParamCircuit};
 
 /// Builds the depth-`p` QAOA ansatz for a QUBO.
 ///
@@ -38,7 +38,7 @@ pub fn qaoa_ansatz(qubo: &Qubo, p: usize) -> ParamCircuit {
         }
         // Mixer e^{-i beta sum X}: Rx(2 beta).
         for q in 0..n {
-            t.push(ParamOp::Rx(q, Angle::scaled(beta, 2.0)));
+            t.rx(q, Angle::scaled(beta, 2.0));
         }
     }
     t.measure_all();

@@ -20,7 +20,8 @@
 //! not see each other's blocks.
 
 use qfw::QfwResult;
-use qfw_circuit::{Circuit, Counts, Gate, Readout};
+use qfw_circuit::hash::param_hash;
+use qfw_circuit::{circuit_hash, Circuit, Counts, Gate, Readout};
 use qfw_compile::{compile_qasm3, DagCircuit, OptLevel};
 use qfw_num::rng::Rng;
 use qfw_num::Matrix;
@@ -447,3 +448,17 @@ fn qtensor_job_plans_its_width_and_work_and_allocates_the_same_blocks_whatever_t
 /// three scratch vectors and every step rebuilt its index maps, and 427
 /// while the engine sampled through its own three `2^n` tables.
 const TN_JOB_BLOCKS: usize = 469;
+
+/// The cache keys of a `dqaoa` sub-ansatz (QAOA-12 p=1): hashing the
+/// bound circuit and the bound template streams their canonical text with
+/// no heap block at all (writing a gate line used to allocate its angle
+/// and operand lists: 120 and 12 blocks here).
+#[test]
+fn cache_keys_of_the_dqaoa_sub_ansatz_allocate_nothing() {
+    let template = qaoa_ansatz(&Qubo::metamaterial(12, 3, 0x51AB + 12), 1);
+    let theta = [0.35, 0.46];
+    let bound = template.bind(&theta);
+    assert_eq!(allocations(|| circuit_hash(&bound)).0, 0, "circuit_hash");
+    let (n, _) = allocations(|| param_hash(&template, Some(&theta)));
+    assert_eq!(n, 0, "param_hash");
+}
